@@ -1,14 +1,10 @@
-// Package client is the Go client for scdb-server. Dial negotiates the
-// wire protocol at connect time: against a current server it speaks
-// protocol v2 — compact binary frames, columnar row batches, and request
-// pipelining (many calls in flight on one connection, responses matched
-// by request id) — and against an older server it falls back to the v1
-// length-prefixed JSON protocol, which is strictly request-response.
-// DialProto pins the protocol explicitly.
+// Package client is the Go client for scdb-server. It speaks the server's
+// one wire protocol — compact binary frames, columnar row batches, and
+// request pipelining (many calls in flight on one connection, responses
+// matched by request id).
 //
-// A Client is safe for concurrent use. On v2, concurrent calls are
-// pipelined on the one connection; on v1 they are serialized (open
-// several clients for parallel load).
+// A Client is safe for concurrent use; concurrent calls are pipelined on
+// the one connection.
 //
 // Results come back through the same lossless value encoding the server
 // uses, so rows read over the network are identical — value for value —
@@ -18,10 +14,10 @@ package client
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,13 +60,11 @@ func (e *ServerError) Is(target error) bool {
 
 // Client is one connection to an scdb-server.
 type Client struct {
-	mu     sync.Mutex // v1: serializes request/response exchanges
 	nc     net.Conn
 	br     *bufio.Reader
 	broken atomic.Bool
 
-	proto int      // negotiated protocol version (1 or 2)
-	v2    *v2state // multiplexing state; nil on v1
+	v2 *v2state // request multiplexing state
 
 	// lastCSN is the highest commit stamp any response on this connection
 	// has carried — the session's read-your-writes high-water mark. Write
@@ -92,14 +86,32 @@ func (c *Client) noteCSN(csn uint64) {
 // what a router must see applied on a replica before reading from it.
 func (c *Client) LastCSN() uint64 { return c.lastCSN.Load() }
 
-func newClientV1(nc net.Conn) *Client {
-	return &Client{nc: nc, br: bufio.NewReader(nc), proto: server.ProtoV1}
-}
+// handshakeTimeout bounds the hello exchange; it covers a peer that
+// accepts the connection and answers nothing at all.
+const handshakeTimeout = 5 * time.Second
 
-// Dial connects to an scdb-server at addr ("host:port"), negotiating the
-// newest protocol both sides speak (see DialProto to pin one).
+// Dial connects to an scdb-server at addr ("host:port") and exchanges
+// hellos. A peer that answers the hello with anything but the server hello
+// (or closes the connection) is not an scdb-server of this protocol; Dial
+// reports the mismatch.
 func Dial(addr string) (*Client, error) {
-	return DialProto(addr, "auto")
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	nc.SetDeadline(time.Now().Add(handshakeTimeout))
+	if err := server.WriteClientHello(nc); err != nil {
+		nc.Close()
+		return nil, err
+	}
+	if _, err := server.ReadServerHello(nc); err != nil {
+		nc.Close()
+		return nil, fmt.Errorf("scdb client: protocol mismatch: %s did not answer the v2 hello: %w", addr, err)
+	}
+	nc.SetDeadline(time.Time{})
+	c := &Client{nc: nc, br: bufio.NewReader(nc), v2: &v2state{calls: map[uint32]*v2call{}}}
+	go c.readLoopV2()
+	return c, nil
 }
 
 // Close closes the connection immediately, failing any in-flight call —
@@ -111,70 +123,9 @@ func (c *Client) Close() error {
 
 // deadlineGrace is how long past a context deadline the client keeps
 // listening: the server enforces the same deadline in-band, and its typed
-// response keeps the connection reusable. Only when the server overshoots
-// the grace does the client abort and poison the connection (the protocol
-// has no way to resynchronize past an abandoned response).
+// response is the better answer. Past the grace the call is forgotten (see
+// waitV2).
 const deadlineGrace = 2 * time.Second
-
-// roundTrip sends one request and reads its response. A context deadline
-// travels to the server as the request timeout; explicit cancellation
-// aborts the wait at once.
-func (c *Client) roundTrip(ctx context.Context, req server.Request) (*server.Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if d, ok := ctx.Deadline(); ok && req.TimeoutMS == 0 {
-		ms := time.Until(d).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.TimeoutMS = ms
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken.Load() {
-		return nil, errors.New("scdb client: connection is closed")
-	}
-	done := make(chan struct{})
-	watchDone := make(chan struct{})
-	defer func() {
-		close(done)
-		<-watchDone
-	}()
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-done:
-			return
-		case <-ctx.Done():
-		}
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			select {
-			case <-done:
-				return // the server's in-band answer made it in time
-			case <-time.After(deadlineGrace):
-			}
-		}
-		c.broken.Store(true)
-		c.nc.SetDeadline(time.Unix(1, 0))
-	}()
-	if err := server.WriteFrame(c.nc, req); err != nil {
-		c.broken.Store(true)
-		return nil, err
-	}
-	var resp server.Response
-	if err := server.ReadFrame(c.br, server.DefaultMaxFrame, &resp); err != nil {
-		c.broken.Store(true)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, &ServerError{Code: resp.Code, Msg: resp.Err}
-	}
-	return &resp, nil
-}
 
 // Ping round-trips an empty request.
 func (c *Client) Ping() error {
@@ -187,14 +138,19 @@ func (c *Client) Ping() error {
 // applied watermark. A router compares it against a session's LastCSN to
 // decide whether the replica is fresh enough to serve that session's reads.
 func (c *Client) PingCSN() (uint64, error) {
-	if c.proto == server.ProtoV2 {
-		return c.pingV2()
+	id, ca := c.newCallV2()
+	e := server.GetV2Enc()
+	err := c.writeFramesV2(server.EncodeV2Simple(e, id, server.V2OpPing))
+	e.Release()
+	if err != nil {
+		c.forgetV2(id)
+		return 0, err
 	}
-	resp, err := c.roundTrip(nil, server.Request{Op: server.OpPing})
+	res, err := c.waitV2(context.Background(), id, ca)
 	if err != nil {
 		return 0, err
 	}
-	return resp.CSN, nil
+	return res.CSN, nil
 }
 
 // Query executes one SCQL statement under the server's default deadline.
@@ -216,68 +172,26 @@ func (c *Client) QueryInfo(q string) (*scdb.Rows, *scdb.QueryInfo, error) {
 
 // QueryInfoCtx is QueryInfo with a deadline.
 func (c *Client) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
-	if c.proto == server.ProtoV2 {
-		return c.queryV2(ctx, server.V2OpQuery, q)
-	}
-	resp, err := c.roundTrip(ctx, server.Request{Op: server.OpQuery, Query: q})
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err := server.DecodeRows(resp.Columns, resp.Rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, queryInfo(resp.Info), nil
+	return c.queryV2(ctx, server.V2OpQuery, q)
 }
 
 // Explain returns the optimized plan without executing.
 func (c *Client) Explain(q string) (*scdb.QueryInfo, error) {
-	if c.proto == server.ProtoV2 {
-		_, info, err := c.queryV2(nil, server.V2OpExplain, q)
-		return info, err
-	}
-	resp, err := c.roundTrip(nil, server.Request{Op: server.OpExplain, Query: q})
-	if err != nil {
-		return nil, err
-	}
-	return queryInfo(resp.Info), nil
+	_, info, err := c.queryV2(nil, server.V2OpExplain, q)
+	return info, err
 }
 
 // Ingest ships one source delivery through the server's curation pipeline.
 func (c *Client) Ingest(src scdb.Source) error {
-	if c.proto == server.ProtoV2 {
-		_, err := c.ingestV2(nil, src, false)
-		return err
-	}
-	ws, err := server.EncodeSource(src)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundTrip(nil, server.Request{Op: server.OpIngest, Source: ws})
-	if err != nil {
-		return err
-	}
-	c.noteCSN(resp.CSN)
-	return nil
+	_, err := c.ingestV2(nil, src, false)
+	return err
 }
 
 // IngestTraced is Ingest with tracing on: the response carries the
 // curation pipeline's span tree (decode fan-out, batch install with WAL
 // fsync wait, relation, integration, inference) as indented JSON.
 func (c *Client) IngestTraced(src scdb.Source) (string, error) {
-	if c.proto == server.ProtoV2 {
-		return c.ingestV2(nil, src, true)
-	}
-	ws, err := server.EncodeSource(src)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.roundTrip(nil, server.Request{Op: server.OpIngest, Source: ws, Trace: true})
-	if err != nil {
-		return "", err
-	}
-	c.noteCSN(resp.CSN)
-	return resp.Trace, nil
+	return c.ingestV2(nil, src, true)
 }
 
 // IngestSummary reports what a streamed IngestBatch installed.
@@ -297,88 +211,48 @@ func (c *Client) IngestBatch(ctx context.Context, src scdb.Source, batchSize int
 	if batchSize <= 0 {
 		batchSize = DefaultIngestBatch
 	}
-	if c.proto == server.ProtoV2 {
-		return c.ingestBatchV2(ctx, src, batchSize)
-	}
-	ws, err := server.EncodeSource(src)
-	if err != nil {
-		return nil, err
-	}
-	req := server.Request{Op: server.OpIngestBatch, Source: &server.WireSource{Name: ws.Name}}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if d, ok := ctx.Deadline(); ok {
-		ms := time.Until(d).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.TimeoutMS = ms
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken.Load() {
-		return nil, errors.New("scdb client: connection is closed")
-	}
-	done := make(chan struct{})
-	watchDone := make(chan struct{})
-	defer func() {
-		close(done)
-		<-watchDone
-	}()
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-done:
-			return
-		case <-ctx.Done():
-		}
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			select {
-			case <-done:
-				return
-			case <-time.After(deadlineGrace):
-			}
-		}
-		c.broken.Store(true)
-		c.nc.SetDeadline(time.Unix(1, 0))
-	}()
+	ctx, ms := ctxAndTimeout(ctx)
+	id, ca := c.newCallV2()
 	fail := func(err error) (*IngestSummary, error) {
-		c.broken.Store(true)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
+		c.forgetV2(id)
 		return nil, err
 	}
-	bw := bufio.NewWriter(c.nc)
-	if err := server.WriteFrame(bw, req); err != nil {
+	e := server.GetV2Enc()
+	err := c.writeFramesV2(server.EncodeV2IngestBatchHeader(e, id, src.Name, ms, false))
+	e.Release()
+	if err != nil {
 		return fail(err)
 	}
-	for lo := 0; lo < len(ws.Entities); lo += batchSize {
-		hi := min(lo+batchSize, len(ws.Entities))
-		if err := server.WriteFrame(bw, server.IngestChunk{Entities: ws.Entities[lo:hi]}); err != nil {
+	for lo := 0; lo < len(src.Entities); lo += batchSize {
+		hi := min(lo+batchSize, len(src.Entities))
+		e := server.GetV2Enc()
+		frame, err := server.EncodeV2IngestChunk(e, id, server.V2Chunk{Entities: src.Entities[lo:hi]})
+		if err == nil {
+			err = c.writeFramesV2(frame)
+		}
+		e.Release()
+		if err != nil {
 			return fail(err)
 		}
 	}
-	last := server.IngestChunk{Links: ws.Links, Texts: ws.Texts, Done: true}
-	if err := server.WriteFrame(bw, last); err != nil {
+	e = server.GetV2Enc()
+	frame, err := server.EncodeV2IngestChunk(e, id, server.V2Chunk{Links: src.Links, Texts: src.Texts, Done: true})
+	if err == nil {
+		err = c.writeFramesV2(frame)
+	}
+	e.Release()
+	if err != nil {
 		return fail(err)
 	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
+	res, err := c.waitV2(ctx, id, ca)
+	if err != nil {
+		return nil, err
 	}
-	var resp server.Response
-	if err := server.ReadFrame(c.br, server.DefaultMaxFrame, &resp); err != nil {
-		return fail(err)
-	}
-	if !resp.OK {
-		return nil, &ServerError{Code: resp.Code, Msg: resp.Err}
-	}
-	if resp.Ingest == nil {
+	if res.Ingest == nil {
 		return nil, errors.New("scdb client: ingest_batch response without summary")
 	}
-	c.noteCSN(resp.CSN)
-	return resp.Ingest, nil
+	c.noteCSN(res.CSN)
+	return res.Ingest, nil
 }
 
 // ERDigests pulls the node's incremental entity-resolution evidence past
@@ -388,78 +262,55 @@ func (c *Client) IngestBatch(ctx context.Context, src scdb.Source, batchSize int
 // so entities living on different shards still merge; application code
 // rarely needs it.
 func (c *Client) ERDigests(entsSince, matchesSince int) (er.DigestBatch, error) {
-	if c.proto == server.ProtoV2 {
-		return c.erDigestsV2(entsSince, matchesSince)
+	id, ca := c.newCallV2()
+	e := server.GetV2Enc()
+	err := c.writeFramesV2(server.EncodeV2ERDigests(e, id, entsSince, matchesSince))
+	e.Release()
+	if err != nil {
+		c.forgetV2(id)
+		return er.DigestBatch{}, err
 	}
-	resp, err := c.roundTrip(nil, server.Request{
-		Op:           server.OpERDigests,
-		SinceEnts:    entsSince,
-		SinceMatches: matchesSince,
-	})
+	res, err := c.waitV2(context.Background(), id, ca)
 	if err != nil {
 		return er.DigestBatch{}, err
 	}
-	if resp.Digests == nil {
-		return er.DigestBatch{}, errors.New("scdb client: er_digests response without body")
+	var b er.DigestBatch
+	if err := json.Unmarshal(res.Blob, &b); err != nil {
+		return er.DigestBatch{}, err
 	}
-	return *resp.Digests, nil
+	return b, nil
 }
 
 // Stats fetches the engine snapshot plus the server's live metrics.
 func (c *Client) Stats() (server.StatsReply, error) {
-	if c.proto == server.ProtoV2 {
-		return c.statsV2()
+	var st server.StatsReply
+	blob, err := c.blobV2(server.V2OpStats)
+	if err == nil {
+		err = json.Unmarshal(blob, &st)
 	}
-	resp, err := c.roundTrip(nil, server.Request{Op: server.OpStats})
 	if err != nil {
 		return server.StatsReply{}, err
 	}
-	if resp.Stats == nil {
-		return server.StatsReply{}, errors.New("scdb client: stats response without body")
-	}
-	return *resp.Stats, nil
+	return st, nil
 }
 
 // Metrics fetches the server's metrics registry as sorted "name value"
 // text — the same body the debug listener serves at /metrics.
 func (c *Client) Metrics() (string, error) {
-	if c.proto == server.ProtoV2 {
-		blob, err := c.blobV2(server.V2OpMetrics)
-		return string(blob), err
-	}
-	resp, err := c.roundTrip(nil, server.Request{Op: server.OpMetrics})
-	if err != nil {
-		return "", err
-	}
-	return resp.Metrics, nil
+	blob, err := c.blobV2(server.V2OpMetrics)
+	return string(blob), err
 }
 
 // SlowLog fetches the server's slow-op ring, oldest first, along with the
 // configured threshold and the lifetime count of slow operations.
 func (c *Client) SlowLog() (server.SlowLogReply, error) {
-	if c.proto == server.ProtoV2 {
-		return c.slowLogV2()
+	var sl server.SlowLogReply
+	blob, err := c.blobV2(server.V2OpSlowLog)
+	if err == nil {
+		err = json.Unmarshal(blob, &sl)
 	}
-	resp, err := c.roundTrip(nil, server.Request{Op: server.OpSlowLog})
 	if err != nil {
 		return server.SlowLogReply{}, err
 	}
-	if resp.Slow == nil {
-		return server.SlowLogReply{}, errors.New("scdb client: slowlog response without body")
-	}
-	return *resp.Slow, nil
-}
-
-func queryInfo(w *server.WireInfo) *scdb.QueryInfo {
-	if w == nil {
-		return &scdb.QueryInfo{}
-	}
-	return &scdb.QueryInfo{
-		Plan:          w.Plan,
-		Rules:         w.Rules,
-		CacheHit:      w.CacheHit,
-		PlanCached:    w.PlanCached,
-		EstimatedCost: w.EstimatedCost,
-		OperatorStats: w.OperatorStats,
-	}
+	return sl, nil
 }

@@ -1,30 +1,18 @@
 package client
 
-// Protocol v2: binary frames, columnar row batches, and request
-// pipelining. One reader goroutine decodes every inbound frame and routes
-// it to the waiting call by request id, so many calls can be in flight on
-// one connection at once and responses may complete out of order. The v1
-// JSON path (strictly request-response) is in client.go.
+// Request multiplexing: one reader goroutine decodes every inbound frame
+// and routes it to the waiting call by request id, so many calls can be in
+// flight on one connection at once and responses may complete out of order.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"scdb"
-	"scdb/internal/er"
 	"scdb/internal/server"
 )
-
-// handshakeTimeout bounds the v2 hello exchange: a v1-only server answers
-// the hello with a JSON error frame (it parses as an oversized v1 frame),
-// so the exchange settles quickly either way; the timeout covers a peer
-// that answers nothing at all.
-const handshakeTimeout = 5 * time.Second
 
 // v2call is one in-flight request. The reader goroutine owns rows/res/
 // code/msg/err until it closes ready; the caller reads them only after.
@@ -36,7 +24,7 @@ type v2call struct {
 	ready     chan struct{}
 }
 
-// v2state is the multiplexing machinery of a protocol-v2 client.
+// v2state is the multiplexing machinery of a Client.
 type v2state struct {
 	wmu sync.Mutex // serializes frame writes
 
@@ -44,65 +32,6 @@ type v2state struct {
 	nextID uint32
 	calls  map[uint32]*v2call
 }
-
-// DialProto connects with an explicit protocol choice:
-//
-//   - "auto" (or ""): propose v2; fall back to v1 if the server doesn't
-//     speak it. This is what Dial does.
-//   - "v2" or "2": require v2; fail against a v1-only server.
-//   - "v1" or "1": speak v1 JSON unconditionally (what old clients do).
-func DialProto(addr, proto string) (*Client, error) {
-	switch proto {
-	case "v1", "1":
-		return dialV1(addr)
-	case "v2", "2":
-		return dialV2(addr)
-	case "auto", "":
-		c, err := dialV2(addr)
-		if err == nil {
-			return c, nil
-		}
-		var ne net.Error
-		if errors.As(err, &ne) && !ne.Timeout() {
-			return nil, err // dial-level failure; v1 would fail the same way
-		}
-		return dialV1(addr)
-	}
-	return nil, fmt.Errorf("scdb client: unknown protocol %q (want auto, v1, or v2)", proto)
-}
-
-func dialV1(addr string) (*Client, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return newClientV1(nc), nil
-}
-
-func dialV2(addr string) (*Client, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	nc.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := server.WriteClientHello(nc); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	if _, err := server.ReadServerHello(nc); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	nc.SetDeadline(time.Time{})
-	c := newClientV1(nc)
-	c.proto = server.ProtoV2
-	c.v2 = &v2state{calls: map[uint32]*v2call{}}
-	go c.readLoopV2()
-	return c, nil
-}
-
-// Proto reports the negotiated protocol version: 1 or 2.
-func (c *Client) Proto() int { return c.proto }
 
 // readLoopV2 is the connection's single frame reader: it decodes every
 // inbound frame and routes it by request id. Frames for forgotten ids
@@ -222,7 +151,7 @@ func (c *Client) sendCancelV2(id uint32) {
 // additionally sends a cancel frame so the server stops working on the
 // request; the canceled request still gets its error response. If the
 // server overshoots the grace, the call is forgotten — the reader drops
-// its late frames — and the connection stays usable, unlike v1.
+// its late frames — and the connection stays usable.
 func (c *Client) waitV2(ctx context.Context, id uint32, ca *v2call) (*server.V2Result, error) {
 	select {
 	case <-ca.ready:
@@ -263,22 +192,6 @@ func ctxAndTimeout(ctx context.Context) (context.Context, int64) {
 		}
 	}
 	return ctx, ms
-}
-
-func (c *Client) pingV2() (uint64, error) {
-	id, ca := c.newCallV2()
-	e := server.GetV2Enc()
-	err := c.writeFramesV2(server.EncodeV2Simple(e, id, server.V2OpPing))
-	e.Release()
-	if err != nil {
-		c.forgetV2(id)
-		return 0, err
-	}
-	res, err := c.waitV2(context.Background(), id, ca)
-	if err != nil {
-		return 0, err
-	}
-	return res.CSN, nil
 }
 
 func (c *Client) queryV2(ctx context.Context, op byte, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
@@ -329,51 +242,6 @@ func (c *Client) ingestV2(ctx context.Context, src scdb.Source, trace bool) (str
 	return res.Trace, nil
 }
 
-func (c *Client) ingestBatchV2(ctx context.Context, src scdb.Source, batchSize int) (*IngestSummary, error) {
-	ctx, ms := ctxAndTimeout(ctx)
-	id, ca := c.newCallV2()
-	fail := func(err error) (*IngestSummary, error) {
-		c.forgetV2(id)
-		return nil, err
-	}
-	e := server.GetV2Enc()
-	err := c.writeFramesV2(server.EncodeV2IngestBatchHeader(e, id, src.Name, ms, false))
-	e.Release()
-	if err != nil {
-		return fail(err)
-	}
-	for lo := 0; lo < len(src.Entities); lo += batchSize {
-		hi := min(lo+batchSize, len(src.Entities))
-		e := server.GetV2Enc()
-		frame, err := server.EncodeV2IngestChunk(e, id, server.V2Chunk{Entities: src.Entities[lo:hi]})
-		if err == nil {
-			err = c.writeFramesV2(frame)
-		}
-		e.Release()
-		if err != nil {
-			return fail(err)
-		}
-	}
-	e = server.GetV2Enc()
-	frame, err := server.EncodeV2IngestChunk(e, id, server.V2Chunk{Links: src.Links, Texts: src.Texts, Done: true})
-	if err == nil {
-		err = c.writeFramesV2(frame)
-	}
-	e.Release()
-	if err != nil {
-		return fail(err)
-	}
-	res, err := c.waitV2(ctx, id, ca)
-	if err != nil {
-		return nil, err
-	}
-	if res.Ingest == nil {
-		return nil, errors.New("scdb client: ingest_batch response without summary")
-	}
-	c.noteCSN(res.CSN)
-	return res.Ingest, nil
-}
-
 // blobV2 runs one control-plane op (stats, metrics, slowlog) and returns
 // its blob body.
 func (c *Client) blobV2(op byte) ([]byte, error) {
@@ -390,48 +258,4 @@ func (c *Client) blobV2(op byte) ([]byte, error) {
 		return nil, err
 	}
 	return res.Blob, nil
-}
-
-func (c *Client) statsV2() (server.StatsReply, error) {
-	blob, err := c.blobV2(server.V2OpStats)
-	if err != nil {
-		return server.StatsReply{}, err
-	}
-	var st server.StatsReply
-	if err := json.Unmarshal(blob, &st); err != nil {
-		return server.StatsReply{}, err
-	}
-	return st, nil
-}
-
-func (c *Client) erDigestsV2(entsSince, matchesSince int) (er.DigestBatch, error) {
-	id, ca := c.newCallV2()
-	e := server.GetV2Enc()
-	err := c.writeFramesV2(server.EncodeV2ERDigests(e, id, entsSince, matchesSince))
-	e.Release()
-	if err != nil {
-		c.forgetV2(id)
-		return er.DigestBatch{}, err
-	}
-	res, err := c.waitV2(context.Background(), id, ca)
-	if err != nil {
-		return er.DigestBatch{}, err
-	}
-	var b er.DigestBatch
-	if err := json.Unmarshal(res.Blob, &b); err != nil {
-		return er.DigestBatch{}, err
-	}
-	return b, nil
-}
-
-func (c *Client) slowLogV2() (server.SlowLogReply, error) {
-	blob, err := c.blobV2(server.V2OpSlowLog)
-	if err != nil {
-		return server.SlowLogReply{}, err
-	}
-	var sl server.SlowLogReply
-	if err := json.Unmarshal(blob, &sl); err != nil {
-		return server.SlowLogReply{}, err
-	}
-	return sl, nil
 }

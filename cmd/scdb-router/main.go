@@ -26,10 +26,10 @@
 //	-slow-log N       slow-op ring capacity (0 = default 128)
 //	-debug-addr ADDR  optional HTTP listener: /metrics /slowlog /debug/pprof
 //
-// The router speaks the same two wire protocols as scdb-server (v1
-// length-prefixed JSON, v2 binary framing), so any scdb client connects to
-// a router exactly as it would to a single node: queries scatter to every
-// shard and the partial answers merge into canonically ordered rows,
+// The router speaks the same wire protocol as scdb-server, so any scdb
+// client connects to a router exactly as it would to a single node:
+// queries scatter to every shard and the partial answers merge into
+// canonically ordered rows,
 // ingest streams split by entity key and route to the owning shards, and
 // after each routed ingest the router exchanges ER digests between shards
 // so entities split across shards still resolve. The stats op gains a

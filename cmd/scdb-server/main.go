@@ -27,12 +27,10 @@
 //	-slow-log N       slow-op ring capacity (0 = default 128)
 //	-debug-addr ADDR  optional HTTP listener: /metrics /slowlog /debug/pprof
 //
-// The server speaks both wire protocols on one port: v1 length-prefixed
-// JSON and v2 binary framing with columnar result streaming and request
-// pipelining. Each connection picks its protocol at connect time (a v2
-// client opens with a hello; anything else is v1), so mixed-version
-// fleets need no configuration. Use the scdb/client package or
-// `scdb -connect HOST:PORT` (pin with -proto). On SIGINT/SIGTERM it
+// The server speaks one wire protocol: binary framing with columnar
+// result streaming and request pipelining. A client opens with a hello;
+// a connection that opens with anything else is closed. Use the
+// scdb/client package or `scdb -connect HOST:PORT`. On SIGINT/SIGTERM it
 // drains: in-flight requests finish (up to -grace), then remaining
 // statements are canceled mid-morsel and connections closed.
 //

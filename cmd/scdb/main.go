@@ -44,7 +44,6 @@ type engine interface {
 
 func main() {
 	connect := flag.String("connect", "", "scdb-server address (host:port); skips embedding a database")
-	proto := flag.String("proto", "auto", "wire protocol with -connect: auto | v1 | v2")
 	dir := flag.String("dir", "", "storage directory (empty = in-memory)")
 	load := flag.String("load", "", "sample corpus to load: lifesci | clinical | stream")
 	q := flag.String("q", "", "run one query and exit")
@@ -55,7 +54,7 @@ func main() {
 	flag.Parse()
 
 	if *connect != "" {
-		runRemote(*connect, *proto, *q, *explain, *analyze, flag.Args())
+		runRemote(*connect, *q, *explain, *analyze, flag.Args())
 		return
 	}
 
@@ -228,8 +227,8 @@ func main() {
 // runRemote is the shell against a running scdb-server: the same query
 // rendering, with server-side statistics behind \stats. Curation
 // introspection commands need the embedded engine and are not offered.
-func runRemote(addr, proto, q, explain, analyze string, args []string) {
-	c, err := client.DialProto(addr, proto)
+func runRemote(addr, q, explain, analyze string, args []string) {
+	c, err := client.Dial(addr)
 	if err != nil {
 		fatalf("connect %s: %v", addr, err)
 	}
@@ -262,7 +261,7 @@ func runRemote(addr, proto, q, explain, analyze string, args []string) {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if isTTY() {
-		fmt.Printf(`scdb shell (remote %s, proto v%d) — SCQL statements, or \stats \replicas \metrics \slow \explain Q \analyze Q \trace Q \quit`+"\n", addr, c.Proto())
+		fmt.Printf(`scdb shell (remote %s) — SCQL statements, or \stats \replicas \metrics \slow \explain Q \analyze Q \trace Q \quit`+"\n", addr)
 		fmt.Print("scdb> ")
 	}
 	for sc.Scan() {
@@ -315,10 +314,6 @@ func printServerStats(c *client.Client) {
 	s := st.Server
 	fmt.Printf("server: conns=%d in-flight=%d (peak %d) queued=%d rejected=%d canceled=%d\n",
 		s.Conns, s.InFlight, s.InFlightPeak, s.Queued, s.Rejected, s.Canceled)
-	for _, v := range sortedKeys(s.Proto) {
-		p := s.Proto[v]
-		fmt.Printf("  proto %-3s conns=%-6d requests=%d\n", v, p.Conns, p.Requests)
-	}
 	if s.SlowOps > 0 {
 		fmt.Printf("slow ops: %d (see \\slow)\n", s.SlowOps)
 	}

@@ -161,6 +161,25 @@ func TestRegistryInstrumentsAndDump(t *testing.T) {
 	}
 }
 
+// TestDumpGaugeOutsideLock: gauge callbacks run outside the registry lock,
+// so one that reaches back into the registry — directly here; in the
+// server, by waiting on a lock whose holder is registering an instrument —
+// cannot deadlock the dump.
+func TestDumpGaugeOutsideLock(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("g", func() float64 { return float64(r.Counter("c").Value()) })
+	done := make(chan string, 1)
+	go func() { done <- r.Dump() }()
+	select {
+	case dump := <-done:
+		if !strings.Contains(dump, "g 0\n") {
+			t.Fatalf("dump missing the gauge:\n%s", dump)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Dump deadlocked on a gauge callback that uses the registry")
+	}
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 100; i++ {

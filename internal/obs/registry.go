@@ -200,8 +200,9 @@ func (r *Registry) Dump() string {
 	for name, c := range r.counters {
 		lines = append(lines, name+" "+strconv.FormatUint(c.Value(), 10))
 	}
+	gauges := make(map[string]func() float64, len(r.gauges))
 	for name, fn := range r.gauges {
-		lines = append(lines, name+" "+formatFloat(fn()))
+		gauges[name] = fn
 	}
 	for name, h := range r.hists {
 		s := h.Snapshot()
@@ -216,6 +217,13 @@ func (r *Registry) Dump() string {
 		)
 	}
 	r.mu.Unlock()
+	// Gauge callbacks are caller code and run outside the lock: one that
+	// takes a lock its owner holds while registering an instrument (the
+	// server's conns_open gauge against metrics.cell) would otherwise
+	// deadlock the dump.
+	for name, fn := range gauges {
+		lines = append(lines, name+" "+formatFloat(fn()))
+	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n") + "\n"
 }

@@ -116,185 +116,181 @@ func BenchmarkIngestNet(b *testing.B) {
 const benchQuery = "SELECT d.name, c.disease_name FROM drugbank AS d JOIN ctd AS c ON d.name = c.chemical_name ORDER BY d.name, c.disease_name"
 
 // BenchmarkServer is the E-SRV closed-loop sweep: N clients each issue
-// benchQuery back-to-back until b.N requests complete, over each wire
-// protocol, with admission control on (8 slots) and off. Reported per
+// benchQuery back-to-back until b.N requests complete, with admission
+// control on (8 slots) and off. Reported per
 // configuration: ns/op (end-to-end per request), client-observed p50/p95
 // latency, and how many requests were shed.
 func BenchmarkServer(b *testing.B) {
-	for _, proto := range bothProtos {
-		for _, admitted := range []bool{true, false} {
-			for _, clients := range []int{1, 4, 16, 64} {
-				mode := "admitted"
-				if !admitted {
-					mode = "unlimited"
+	for _, admitted := range []bool{true, false} {
+		for _, clients := range []int{1, 4, 16, 64} {
+			mode := "admitted"
+			if !admitted {
+				mode = "unlimited"
+			}
+			b.Run(fmt.Sprintf("%s/c%d", mode, clients), func(b *testing.B) {
+				opts := lifesciOptions()
+				opts.DisableCache = true
+				db, err := scdb.Open(opts)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.Run(fmt.Sprintf("%s/%s/c%d", proto, mode, clients), func(b *testing.B) {
-					opts := lifesciOptions()
-					opts.DisableCache = true
-					db, err := scdb.Open(opts)
+				defer db.Close()
+				for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
+					if err := db.Ingest(src); err != nil {
+						b.Fatal(err)
+					}
+				}
+				cfg := server.Config{Addr: "127.0.0.1:0", DB: db, MaxInFlight: -1}
+				if admitted {
+					cfg.MaxInFlight = 8
+					cfg.MaxQueue = 256
+				}
+				srv := server.New(cfg)
+				if err := srv.Start(); err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Shutdown(benchCtx(b))
+				addr := srv.Addr().String()
+
+				conns := make([]*client.Client, clients)
+				for i := range conns {
+					c, err := client.Dial(addr)
 					if err != nil {
 						b.Fatal(err)
 					}
-					defer db.Close()
-					for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
-						if err := db.Ingest(src); err != nil {
-							b.Fatal(err)
-						}
-					}
-					cfg := server.Config{Addr: "127.0.0.1:0", DB: db, MaxInFlight: -1}
-					if admitted {
-						cfg.MaxInFlight = 8
-						cfg.MaxQueue = 256
-					}
-					srv := server.New(cfg)
-					if err := srv.Start(); err != nil {
+					defer c.Close()
+					conns[i] = c
+					if _, err := c.Query(benchQuery); err != nil { // warm plan cache
 						b.Fatal(err)
 					}
-					defer srv.Shutdown(benchCtx(b))
-					addr := srv.Addr().String()
+				}
 
-					conns := make([]*client.Client, clients)
-					for i := range conns {
-						c, err := client.DialProto(addr, proto)
-						if err != nil {
-							b.Fatal(err)
-						}
-						defer c.Close()
-						conns[i] = c
-						if _, err := c.Query(benchQuery); err != nil { // warm plan cache
-							b.Fatal(err)
-						}
-					}
-
-					var remaining atomic.Int64
-					remaining.Store(int64(b.N))
-					var shed atomic.Int64
-					lats := make([][]float64, clients)
-					var wg sync.WaitGroup
-					b.ResetTimer()
-					for i, c := range conns {
-						wg.Add(1)
-						go func(i int, c *client.Client) {
-							defer wg.Done()
-							for remaining.Add(-1) >= 0 {
-								t0 := nowMS()
-								_, err := c.Query(benchQuery)
-								if err != nil {
-									if errors.Is(err, client.ErrBusy) {
-										shed.Add(1)
-										continue
-									}
-									b.Error(err)
-									return
+				var remaining atomic.Int64
+				remaining.Store(int64(b.N))
+				var shed atomic.Int64
+				lats := make([][]float64, clients)
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for i, c := range conns {
+					wg.Add(1)
+					go func(i int, c *client.Client) {
+						defer wg.Done()
+						for remaining.Add(-1) >= 0 {
+							t0 := nowMS()
+							_, err := c.Query(benchQuery)
+							if err != nil {
+								if errors.Is(err, client.ErrBusy) {
+									shed.Add(1)
+									continue
 								}
-								lats[i] = append(lats[i], nowMS()-t0)
+								b.Error(err)
+								return
 							}
-						}(i, c)
-					}
-					wg.Wait()
-					b.StopTimer()
+							lats[i] = append(lats[i], nowMS()-t0)
+						}
+					}(i, c)
+				}
+				wg.Wait()
+				b.StopTimer()
 
-					var all []float64
-					for _, l := range lats {
-						all = append(all, l...)
-					}
-					sort.Float64s(all)
-					if len(all) > 0 {
-						b.ReportMetric(all[len(all)/2], "p50-ms")
-						b.ReportMetric(all[len(all)*95/100], "p95-ms")
-					}
-					b.ReportMetric(float64(shed.Load()), "shed")
-				})
-			}
+				var all []float64
+				for _, l := range lats {
+					all = append(all, l...)
+				}
+				sort.Float64s(all)
+				if len(all) > 0 {
+					b.ReportMetric(all[len(all)/2], "p50-ms")
+					b.ReportMetric(all[len(all)*95/100], "p95-ms")
+				}
+				b.ReportMetric(float64(shed.Load()), "shed")
+			})
 		}
 	}
 }
 
-// BenchmarkWire is the E-WIRE codec comparison: the identical workload over
-// v1 JSON and v2 binary framing. The DB keeps result materialization ON, so
-// after the warm-up request the engine replays a cached result and the
-// measurement isolates what the protocols add: frame encode/decode, value
-// serialization, and connection scheduling. "point" returns a handful of
-// rows (per-request overhead dominates); "scan" returns the whole table
-// (bulk row encoding dominates, where columnar batching pays).
+// BenchmarkWire measures the wire's own cost. The DB keeps result
+// materialization ON, so after the warm-up request the engine replays a
+// cached result and the measurement isolates what the protocol adds: frame
+// encode/decode, value serialization, and connection scheduling. "point"
+// returns a handful of rows (per-request overhead dominates); "scan"
+// returns the whole table (bulk row encoding dominates, where columnar
+// batching pays).
 func BenchmarkWire(b *testing.B) {
 	workloads := []struct{ name, q string }{
 		{"point", "SELECT name FROM drugbank WHERE name LIKE 'W%' ORDER BY name"},
 		{"scan", "SELECT * FROM drugbank ORDER BY name"},
 	}
 	for _, w := range workloads {
-		for _, proto := range bothProtos {
-			for _, clients := range []int{1, 16} {
-				b.Run(fmt.Sprintf("%s/%s/c%d", w.name, proto, clients), func(b *testing.B) {
-					db, err := scdb.Open(lifesciOptions())
+		for _, clients := range []int{1, 16} {
+			b.Run(fmt.Sprintf("%s/c%d", w.name, clients), func(b *testing.B) {
+				db, err := scdb.Open(lifesciOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer db.Close()
+				for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
+					if err := db.Ingest(src); err != nil {
+						b.Fatal(err)
+					}
+				}
+				srv := server.New(server.Config{Addr: "127.0.0.1:0", DB: db, MaxInFlight: -1})
+				if err := srv.Start(); err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Shutdown(benchCtx(b))
+				addr := srv.Addr().String()
+
+				conns := make([]*client.Client, clients)
+				for i := range conns {
+					c, err := client.Dial(addr)
 					if err != nil {
 						b.Fatal(err)
 					}
-					defer db.Close()
-					for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
-						if err := db.Ingest(src); err != nil {
-							b.Fatal(err)
-						}
-					}
-					srv := server.New(server.Config{Addr: "127.0.0.1:0", DB: db, MaxInFlight: -1})
-					if err := srv.Start(); err != nil {
+					defer c.Close()
+					conns[i] = c
+					if _, err := c.Query(w.q); err != nil { // warm plan + result cache
 						b.Fatal(err)
 					}
-					defer srv.Shutdown(benchCtx(b))
-					addr := srv.Addr().String()
+				}
 
-					conns := make([]*client.Client, clients)
-					for i := range conns {
-						c, err := client.DialProto(addr, proto)
-						if err != nil {
-							b.Fatal(err)
-						}
-						defer c.Close()
-						conns[i] = c
-						if _, err := c.Query(w.q); err != nil { // warm plan + result cache
-							b.Fatal(err)
-						}
-					}
-
-					var remaining atomic.Int64
-					remaining.Store(int64(b.N))
-					lats := make([][]float64, clients)
-					var wg sync.WaitGroup
-					b.ResetTimer()
-					start := time.Now()
-					for i, c := range conns {
-						wg.Add(1)
-						go func(i int, c *client.Client) {
-							defer wg.Done()
-							for remaining.Add(-1) >= 0 {
-								t0 := nowMS()
-								if _, err := c.Query(w.q); err != nil {
-									b.Error(err)
-									return
-								}
-								lats[i] = append(lats[i], nowMS()-t0)
+				var remaining atomic.Int64
+				remaining.Store(int64(b.N))
+				lats := make([][]float64, clients)
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				start := time.Now()
+				for i, c := range conns {
+					wg.Add(1)
+					go func(i int, c *client.Client) {
+						defer wg.Done()
+						for remaining.Add(-1) >= 0 {
+							t0 := nowMS()
+							if _, err := c.Query(w.q); err != nil {
+								b.Error(err)
+								return
 							}
-						}(i, c)
-					}
-					wg.Wait()
-					elapsed := time.Since(start)
-					b.StopTimer()
-					if b.Failed() {
-						return
-					}
+							lats[i] = append(lats[i], nowMS()-t0)
+						}
+					}(i, c)
+				}
+				wg.Wait()
+				elapsed := time.Since(start)
+				b.StopTimer()
+				if b.Failed() {
+					return
+				}
 
-					var all []float64
-					for _, l := range lats {
-						all = append(all, l...)
-					}
-					sort.Float64s(all)
-					if len(all) > 0 {
-						b.ReportMetric(all[len(all)/2], "p50-ms")
-						b.ReportMetric(all[len(all)*95/100], "p95-ms")
-					}
-					b.ReportMetric(float64(b.N)/elapsed.Seconds(), "req/s")
-				})
-			}
+				var all []float64
+				for _, l := range lats {
+					all = append(all, l...)
+				}
+				sort.Float64s(all)
+				if len(all) > 0 {
+					b.ReportMetric(all[len(all)/2], "p50-ms")
+					b.ReportMetric(all[len(all)*95/100], "p95-ms")
+				}
+				b.ReportMetric(float64(b.N)/elapsed.Seconds(), "req/s")
+			})
 		}
 	}
 }

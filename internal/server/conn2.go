@@ -1,10 +1,9 @@
 package server
 
-// Protocol-v2 connection handling: one reader goroutine routes frames by
-// request id, every request runs in its own goroutine, and responses are
-// written under a single mutex — so one connection multiplexes many
-// in-flight requests (client pipelining) and responses may complete out
-// of order. v1's strictly request-response loop lives in server.go.
+// Connection handling: one reader goroutine routes frames by request id,
+// every request runs in its own goroutine, and responses are written under
+// a single mutex — so one connection multiplexes many in-flight requests
+// (client pipelining) and responses may complete out of order.
 
 import (
 	"bufio"
@@ -45,7 +44,7 @@ type v2chunk struct {
 	err error
 }
 
-// v2conn is one negotiated protocol-v2 connection.
+// v2conn is one connection after the hello exchange.
 type v2conn struct {
 	s  *Server
 	c  *conn
@@ -79,7 +78,7 @@ func (vc *v2conn) run() {
 			vc.exit(err)
 			return
 		}
-		// Slow-loris guard, as in v1: a started frame must arrive promptly.
+		// Slow-loris guard: a started frame must arrive promptly.
 		c.nc.SetReadDeadline(time.Now().Add(s.cfg.FrameTimeout))
 		decodeStart := time.Now()
 		f, err := ReadV2Frame(vc.br, s.cfg.MaxFrame)
@@ -284,7 +283,7 @@ func (vc *v2conn) write(frame []byte) error {
 // writev sends two frames in one vectored write — one syscall, one
 // write-deadline window. The query path uses it to piggyback the final
 // result frame on the last row batch, so a small query costs a single
-// write just like v1's one-shot JSON response.
+// write.
 func (vc *v2conn) writev(a, b []byte) error {
 	vc.wmu.Lock()
 	defer vc.wmu.Unlock()
@@ -308,14 +307,12 @@ func (vc *v2conn) writeError(id uint32, code, msg string) error {
 	return vc.write(EncodeV2Error(e, id, code, msg))
 }
 
-// handleV2Request executes one request end to end and feeds the same
-// observability surfaces as the v1 path: per-op latency and error
-// counters (under the v1 op names), reject/cancel counters, and the
-// slow-op log.
+// handleV2Request executes one request end to end and feeds the
+// observability surfaces: per-op latency and error counters (under the Op*
+// names), reject/cancel counters, and the slow-op log.
 func (s *Server) handleV2Request(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Duration) {
 	start := time.Now()
 	op := v2OpName(f.Op)
-	s.metrics.protoRequest(ProtoV2)
 	code, detail, errMsg := s.dispatchV2(vc, f, req, decodeDur)
 	d := time.Since(start)
 	s.metrics.observe(op, d, code != "")
@@ -332,8 +329,7 @@ func (s *Server) handleV2Request(vc *v2conn, f V2Frame, req *v2req, decodeDur ti
 	s.slow.Observe(op, detail, start, d, opErr)
 }
 
-// errorCode maps an execution error onto its wire code, mirroring v1's
-// errorResponse.
+// errorCode maps an execution error onto its wire code.
 func errorCode(err error) (code, msg string) {
 	code = CodeQuery
 	switch {
@@ -349,6 +345,26 @@ func errorCode(err error) (code, msg string) {
 	return code, err.Error()
 }
 
+// admitV2 opens the admitted part of a request: the trace root (nil unless
+// traced, and nil traces and spans no-op) with the frame decode that
+// already happened attached as a completed span, the request context —
+// armed so a cancel frame or connection teardown reaches it — and the
+// admission wait. The caller defers cancel whatever the outcome; on a nil
+// error it owns one admission slot and must call s.admit.release().
+func (s *Server) admitV2(vc *v2conn, req *v2req, op string, traced bool, timeoutMS int64, decodeDur time.Duration) (context.Context, context.CancelFunc, *obs.Trace, *obs.Span, error) {
+	var tr *obs.Trace
+	if traced {
+		tr = obs.NewTrace()
+	}
+	root := tr.Root("request")
+	root.SetStr("op", op)
+	root.ChildDur("frame_decode", decodeDur)
+	ctx, cancel := s.requestCtx(timeoutMS)
+	vc.arm(req, cancel)
+	ctx = obs.With(ctx, tr)
+	return ctx, cancel, tr, root, s.acquireSlot(ctx, root)
+}
+
 // dispatchV2 runs one decoded request frame and writes its response
 // frames. It returns the error code (empty on success), a detail string
 // for the slow-op log, and the error message for the op metrics.
@@ -358,8 +374,8 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		return code, detail, msg
 	}
 
-	// Control-plane ops answer before admission, exactly as v1 does: they
-	// must stay responsive while the data plane is saturated.
+	// Control-plane ops answer before admission: they must stay responsive
+	// while the data plane is saturated.
 	switch f.Op {
 	case V2OpPing:
 		e := GetV2Enc()
@@ -426,18 +442,9 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 			return fail(CodeBadRequest, err.Error())
 		}
 		detail = q
-		var tr *obs.Trace
-		if f.Op == V2OpQuery && isTraceStmt(q) {
-			tr = obs.NewTrace()
-		}
-		root := tr.Root("request")
-		root.SetStr("op", v2OpName(f.Op))
-		root.ChildDur("frame_decode", decodeDur)
-		ctx, cancel := s.requestCtx(timeoutMS)
+		ctx, cancel, _, _, err := s.admitV2(vc, req, v2OpName(f.Op), f.Op == V2OpQuery && isTraceStmt(q), timeoutMS, decodeDur)
 		defer cancel()
-		vc.arm(req, cancel)
-		ctx = obs.With(ctx, tr)
-		if err := s.acquireSlot(ctx, root); err != nil {
+		if err != nil {
 			c, msg := errorCode(err)
 			return fail(c, msg)
 		}
@@ -515,18 +522,9 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 			return fail(CodeBadRequest, err.Error())
 		}
 		detail = "source:" + src.Name
-		var tr *obs.Trace
-		if trace {
-			tr = obs.NewTrace()
-		}
-		root := tr.Root("request")
-		root.SetStr("op", OpIngest)
-		root.ChildDur("frame_decode", decodeDur)
-		ctx, cancel := s.requestCtx(timeoutMS)
+		ctx, cancel, tr, root, err := s.admitV2(vc, req, OpIngest, trace, timeoutMS, decodeDur)
 		defer cancel()
-		vc.arm(req, cancel)
-		ctx = obs.With(ctx, tr)
-		if err := s.acquireSlot(ctx, root); err != nil {
+		if err != nil {
 			c, msg := errorCode(err)
 			return fail(c, msg)
 		}
@@ -549,18 +547,9 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 			return fail(CodeBadRequest, err.Error())
 		}
 		detail = "source:" + name
-		var tr *obs.Trace
-		if trace {
-			tr = obs.NewTrace()
-		}
-		root := tr.Root("request")
-		root.SetStr("op", OpIngestBatch)
-		root.ChildDur("frame_decode", decodeDur)
-		ctx, cancel := s.requestCtx(timeoutMS)
+		ctx, cancel, tr, root, err := s.admitV2(vc, req, OpIngestBatch, trace, timeoutMS, decodeDur)
 		defer cancel()
-		vc.arm(req, cancel)
-		ctx = obs.With(ctx, tr)
-		if err := s.acquireSlot(ctx, root); err != nil {
+		if err != nil {
 			c, msg := errorCode(err)
 			return fail(c, msg)
 		}
@@ -568,8 +557,8 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		if name == "" {
 			return fail(CodeBadRequest, "ingest_batch without source name")
 		}
-		// Unlike v1, an early failure needs no drain loop: the reader owns
-		// the socket and discards chunks addressed to a finished request.
+		// An early failure needs no drain loop: the reader owns the socket
+		// and discards chunks addressed to a finished request.
 		var sum IngestSummary
 		start := time.Now()
 		for {

@@ -2,8 +2,10 @@ package server_test
 
 import (
 	"testing"
+	"time"
 
 	"scdb"
+	"scdb/internal/server"
 )
 
 // scqlCorpus is the engine corpus (internal/core keeps the master copy):
@@ -28,10 +30,9 @@ var scqlCorpus = []string{
 }
 
 // TestNetworkDifferential: the full SCQL corpus must come back
-// byte-identical whether the engine is embedded or reached over the wire,
-// on BOTH wire protocols — and the server-side database is populated
-// entirely through network ingest on the protocol under test, so both
-// directions of each protocol's value encoding are exercised.
+// byte-identical whether the engine is embedded or reached over the wire
+// — and the server-side database is populated entirely through network
+// ingest, so both directions of the wire's value encoding are exercised.
 func TestNetworkDifferential(t *testing.T) {
 	embedded := openDB(t, lifesciOptions())
 	for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
@@ -40,56 +41,44 @@ func TestNetworkDifferential(t *testing.T) {
 		}
 	}
 
-	for _, proto := range bothProtos {
-		t.Run(proto, func(t *testing.T) {
-			remote := openDB(t, lifesciOptions())
-			_, addr := startServer(t, remote, nil)
-			c := dialProto(t, addr, proto)
-			wantProto := 1
-			if proto == "v2" {
-				wantProto = 2
-			}
-			if c.Proto() != wantProto {
-				t.Fatalf("negotiated protocol %d, want %d", c.Proto(), wantProto)
-			}
+	remote := openDB(t, lifesciOptions())
+	_, addr := startServer(t, remote, nil)
+	c := dial(t, addr)
+	for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
+		if err := c.Ingest(src); err != nil {
+			t.Fatalf("network ingest %s: %v", src.Name, err)
+		}
+	}
 
-			for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
-				if err := c.Ingest(src); err != nil {
-					t.Fatalf("network ingest %s: %v", src.Name, err)
-				}
-			}
+	for _, q := range scqlCorpus {
+		want, err := embedded.Query(q)
+		if err != nil {
+			t.Fatalf("embedded %q: %v", q, err)
+		}
+		got, err := c.Query(q)
+		if err != nil {
+			t.Fatalf("network %q: %v", q, err)
+		}
+		if render(got) != render(want) {
+			t.Errorf("%q diverged over the wire:\nembedded:\n%s\nnetwork:\n%s",
+				q, render(want), render(got))
+		}
+	}
 
-			for _, q := range scqlCorpus {
-				want, err := embedded.Query(q)
-				if err != nil {
-					t.Fatalf("embedded %q: %v", q, err)
-				}
-				got, err := c.Query(q)
-				if err != nil {
-					t.Fatalf("network %q: %v", q, err)
-				}
-				if render(got) != render(want) {
-					t.Errorf("%q diverged over the wire:\nembedded:\n%s\nnetwork:\n%s",
-						q, render(want), render(got))
-				}
-			}
-
-			// The info surface travels too.
-			_, info, err := c.QueryInfo(scqlCorpus[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Plan == "" {
-				t.Error("network QueryInfo returned no plan")
-			}
-			einfo, err := c.Explain(scqlCorpus[2])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if einfo.Plan == "" || einfo.EstimatedCost <= 0 {
-				t.Errorf("network Explain: plan=%q cost=%v", einfo.Plan, einfo.EstimatedCost)
-			}
-		})
+	// The info surface travels too.
+	_, info, err := c.QueryInfo(scqlCorpus[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Plan == "" {
+		t.Error("network QueryInfo returned no plan")
+	}
+	einfo, err := c.Explain(scqlCorpus[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if einfo.Plan == "" || einfo.EstimatedCost <= 0 {
+		t.Errorf("network Explain: plan=%q cost=%v", einfo.Plan, einfo.EstimatedCost)
 	}
 }
 
@@ -107,47 +96,24 @@ func TestStatsOverWire(t *testing.T) {
 	if _, err := c.Query("SELECT COUNT(*) AS n FROM drugbank"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The server counts the query after writing its result frame, so a
+	// stats op pipelined right behind the answer can run first (the same
+	// window TestMetricsOpOverWire polls across).
+	var st server.StatsReply
+	waitUntil(t, 4*time.Second, func() bool {
+		var err error
+		if st, err = c.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		return st.Server.Ops["query"].Count == 1
+	}, "the query to reach the per-op counters")
 	if st.Engine.Tables == 0 || st.Engine.Entities == 0 {
 		t.Errorf("engine stats empty: %+v", st.Engine)
-	}
-	if got := st.Server.Ops["query"].Count; got != 1 {
-		t.Errorf("query op count = %d, want 1", got)
 	}
 	if st.Server.Conns != 1 || st.Server.ConnsTotal != 1 {
 		t.Errorf("conns=%d total=%d, want 1/1", st.Server.Conns, st.Server.ConnsTotal)
 	}
 	if st.PlanCache.Hits+st.PlanCache.Misses == 0 {
 		t.Error("plan-cache counters did not travel")
-	}
-	// The negotiated-protocol breakdown travels too: dial() negotiated v2
-	// (one conn; the query and the stats call itself are v2 requests).
-	if got := st.Server.Proto["v2"].Conns; got != 1 {
-		t.Errorf("proto v2 conns = %d, want 1", got)
-	}
-	if got := st.Server.Proto["v2"].Requests; got < 2 {
-		t.Errorf("proto v2 requests = %d, want >= 2", got)
-	}
-
-	// A pinned-v1 client shows up under the v1 counters.
-	v1 := dialProto(t, addr, "v1")
-	if v1.Proto() != 1 {
-		t.Fatalf("pinned v1 client negotiated protocol %d", v1.Proto())
-	}
-	if err := v1.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := v1.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st2.Server.Proto["v1"].Conns; got != 1 {
-		t.Errorf("proto v1 conns = %d, want 1", got)
-	}
-	if got := st2.Server.Proto["v1"].Requests; got < 2 {
-		t.Errorf("proto v1 requests = %d, want >= 2", got)
 	}
 }

@@ -1,5 +1,5 @@
-// Package server is the network service layer: a TCP server speaking a
-// length-prefixed JSON frame protocol over an embedded scdb.DB. Sessions
+// Package server is the network service layer: a TCP server speaking the
+// binary frame protocol of wire2.go over an embedded scdb.DB. Sessions
 // are handled concurrently over MVCC snapshots; every request carries a
 // deadline that is threaded as a context.Context down through the morsel
 // executor and the storage scans, so a canceled or disconnected client
@@ -15,7 +15,7 @@
 //     with a hierarchical span tree instead of rows — frame decode,
 //     admission wait, planning (with plan-cache outcome), and the morsel
 //     executor's per-operator profile. Ingest requests opt in with
-//     Request.Trace, which adds the curation pipeline's stage spans
+//     their trace flag, which adds the curation pipeline's stage spans
 //     (decode fan-out, batch install with WAL fsync wait, relation/ER,
 //     integration, inference) to the response.
 //   - Every instrument — per-op latency histograms, admission counters,

@@ -24,7 +24,6 @@ type Engine interface {
 	// committed write. The router reports the sum of its shards' stamps,
 	// which is equally monotone.
 	CSN() uint64
-	QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error)
 	QueryBatchesCtx(ctx context.Context, q string, emit func(cols []string, batch [][]model.Value) bool) ([]string, *scdb.QueryInfo, error)
 	Explain(q string) (*scdb.QueryInfo, error)
 	IngestCtx(ctx context.Context, src scdb.Source) error

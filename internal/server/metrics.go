@@ -35,21 +35,11 @@ type ServerStats struct {
 	// Conns is open connections; ConnsTotal is lifetime accepts.
 	Conns      int    `json:"conns"`
 	ConnsTotal uint64 `json:"conns_total"`
-	// Proto maps negotiated protocol version ("v1", "v2") to its
-	// connection and request totals, so a mixed-version fleet's migration
-	// progress is visible from \stats.
-	Proto map[string]ProtoCounters `json:"proto,omitempty"`
 	// Ingest covers the batch write path (ingest and ingest_batch).
 	Ingest IngestMetrics `json:"ingest"`
 	// SlowOps is the lifetime count of operations recorded by the slow-op
 	// log (including entries its ring has since evicted).
 	SlowOps uint64 `json:"slow_ops,omitempty"`
-}
-
-// ProtoCounters is one protocol version's share of the traffic.
-type ProtoCounters struct {
-	Conns    uint64 `json:"conns_total"`
-	Requests uint64 `json:"requests_total"`
 }
 
 // IngestMetrics summarizes the server's ingest traffic: batch sizes in
@@ -85,11 +75,6 @@ type metrics struct {
 	canceled   *obs.Counter
 	connsTotal *obs.Counter
 
-	// Per-negotiated-protocol traffic counters, indexed by version-1
-	// (so [0] is v1, [1] is v2).
-	protoConns [2]*obs.Counter
-	protoReqs  [2]*obs.Counter
-
 	ingestBatch *obs.Histogram // rows per installed batch
 	ingestRate  *obs.Histogram // rows/sec per installed batch
 	ingestRows  *obs.Counter
@@ -111,10 +96,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		ingestRate:  reg.Histogram("server.ingest_rows_per_sec"),
 		ingestRows:  reg.Counter("server.ingest_rows_total"),
 	}
-	m.protoConns[0] = reg.Counter("server.proto.v1.conns_total")
-	m.protoConns[1] = reg.Counter("server.proto.v2.conns_total")
-	m.protoReqs[0] = reg.Counter("server.proto.v1.requests_total")
-	m.protoReqs[1] = reg.Counter("server.proto.v2.requests_total")
 	reg.Gauge("server.conns_open", func() float64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -163,20 +144,6 @@ func (m *metrics) observeIngest(rows int, d time.Duration) {
 func (m *metrics) reject() { m.rejected.Inc() }
 func (m *metrics) cancel() { m.canceled.Inc() }
 
-// protoConn records a connection's negotiated protocol version once the
-// handshake settles; protoRequest records each request under it.
-func (m *metrics) protoConn(version byte) {
-	if version == ProtoV1 || version == ProtoV2 {
-		m.protoConns[version-1].Inc()
-	}
-}
-
-func (m *metrics) protoRequest(version byte) {
-	if version == ProtoV1 || version == ProtoV2 {
-		m.protoReqs[version-1].Inc()
-	}
-}
-
 func (m *metrics) connOpen() {
 	m.mu.Lock()
 	m.conns++
@@ -213,10 +180,6 @@ func (m *metrics) snapshot() ServerStats {
 		Canceled:   m.canceled.Value(),
 		Conns:      conns,
 		ConnsTotal: m.connsTotal.Value(),
-		Proto: map[string]ProtoCounters{
-			"v1": {Conns: m.protoConns[0].Value(), Requests: m.protoReqs[0].Value()},
-			"v2": {Conns: m.protoConns[1].Value(), Requests: m.protoReqs[1].Value()},
-		},
 		Ingest: IngestMetrics{
 			Batches:    batch.Count,
 			Rows:       m.ingestRows.Value(),

@@ -22,7 +22,7 @@ import (
 func TestPipelineOutOfOrder(t *testing.T) {
 	db := openBig(t, 2000)
 	_, addr := startServer(t, db, nil)
-	c := dialProto(t, addr, "v2")
+	c := dial(t, addr)
 
 	queryDone := make(chan error, 1)
 	go func() {
@@ -54,13 +54,13 @@ func TestPipelineOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestPipelineConcurrentQueries: one v2 connection carries genuinely
+// TestPipelineConcurrentQueries: one connection carries genuinely
 // concurrent statements — the server's admission in-flight peak must
 // exceed one, which a strictly request-response connection can never do.
 func TestPipelineConcurrentQueries(t *testing.T) {
 	db := openBig(t, 400)
 	_, addr := startServer(t, db, nil)
-	c := dialProto(t, addr, "v2")
+	c := dial(t, addr)
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -85,18 +85,18 @@ func TestPipelineConcurrentQueries(t *testing.T) {
 	if st.Server.InFlightPeak < 2 {
 		t.Errorf("in-flight peak = %d over one pipelined connection, want >= 2", st.Server.InFlightPeak)
 	}
-	if got := st.Server.Proto["v2"].Requests; got < n {
-		t.Errorf("v2 request counter = %d, want >= %d", got, n)
+	if st.Server.ConnsTotal != 1 {
+		t.Errorf("conns_total = %d, want the one pipelined connection", st.Server.ConnsTotal)
 	}
 }
 
 // TestPipelineDeadlineMidStream: a deadline expiring on one pipelined
 // request fails that request alone — the requests behind it and the
-// connection itself survive (v1 had to poison the connection here).
+// connection itself survive.
 func TestPipelineDeadlineMidStream(t *testing.T) {
 	db := openBig(t, 2000)
 	_, addr := startServer(t, db, nil)
-	c := dialProto(t, addr, "v2")
+	c := dial(t, addr)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -129,7 +129,7 @@ func TestPipelineDeadlineMidStream(t *testing.T) {
 func TestPipelineCancelOp(t *testing.T) {
 	db := openBig(t, 2000)
 	_, addr := startServer(t, db, nil)
-	c := dialProto(t, addr, "v2")
+	c := dial(t, addr)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -164,7 +164,7 @@ func TestPipelineDisconnectInFlight(t *testing.T) {
 	_, addr := startServer(t, db, func(cfg *server.Config) {
 		cfg.MaxInFlight = 8
 	})
-	victim, err := client.DialProto(addr, "v2")
+	victim, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestPipelineShedsAtCap(t *testing.T) {
 		cfg.MaxPipeline = 2
 		cfg.MaxInFlight = 16
 	})
-	c := dialProto(t, addr, "v2")
+	c := dial(t, addr)
 
 	var wg sync.WaitGroup
 	errs := make([]error, 6)

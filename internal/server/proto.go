@@ -1,101 +1,47 @@
 package server
 
 import (
-	"encoding/base64"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"math"
-	"strconv"
-	"time"
 
 	"scdb"
-	"scdb/internal/er"
 )
 
-// Frame format: a 4-byte big-endian payload length followed by that many
-// bytes of JSON. The length excludes the header itself. Zero-length frames
-// are invalid; frames above the receiver's limit are rejected without
-// being read.
-
-const (
-	frameHeaderLen = 4
-	// DefaultMaxFrame bounds a single frame's payload (8 MiB).
-	DefaultMaxFrame = 8 << 20
-)
+// DefaultMaxFrame bounds a single frame's payload (8 MiB).
+const DefaultMaxFrame = 8 << 20
 
 // ErrFrameTooLarge reports an incoming frame above the receiver's limit.
 var ErrFrameTooLarge = errors.New("frame exceeds size limit")
 
-// WriteFrame marshals v and writes one frame.
-func WriteFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if len(payload) > math.MaxUint32 {
-		return ErrFrameTooLarge
-	}
-	buf := make([]byte, frameHeaderLen+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[frameHeaderLen:], payload)
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadFrame reads one frame into v. A declared length above max returns
-// ErrFrameTooLarge before any payload byte is consumed.
-func ReadFrame(r io.Reader, max int, v any) error {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return errors.New("empty frame")
-	}
-	if max > 0 && n > uint32(max) {
-		return fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
-	}
-	return json.Unmarshal(payload, v)
-}
-
-// Ops accepted in Request.Op.
+// Op names: the labels of the per-op metrics and the slow-op log
+// (v2OpName maps frame op codes onto them).
 const (
 	OpPing    = "ping"
 	OpQuery   = "query"
 	OpExplain = "explain"
 	OpIngest  = "ingest"
 	OpStats   = "stats"
-	// OpIngestBatch streams one source delivery as a sequence of
-	// IngestChunk frames following the request header. The header's Source
-	// carries only the source name; each chunk installs as one batched
-	// delivery to that source, and the whole stream holds a single
-	// admission slot. The final chunk sets Done and conventionally carries
-	// the links and texts, after every entity chunk, so cross-chunk
-	// references resolve without retries.
+	// OpIngestBatch streams one source delivery as a sequence of chunk
+	// frames following the request header, which carries only the source
+	// name; each chunk installs as one batched delivery to that source, and
+	// the whole stream holds a single admission slot. The final chunk sets
+	// Done and conventionally carries the links and texts, after every
+	// entity chunk, so cross-chunk references resolve without retries.
 	OpIngestBatch = "ingest_batch"
 	// OpMetrics answers with the server's full metrics registry rendered
-	// as sorted "name value" text (Response.Metrics).
+	// as sorted "name value" text.
 	OpMetrics = "metrics"
-	// OpSlowLog answers with the slow-op ring log (Response.Slow):
-	// the most recent operations that crossed the server's threshold.
+	// OpSlowLog answers with the slow-op ring log (SlowLogReply): the most
+	// recent operations that crossed the server's threshold.
 	OpSlowLog = "slowlog"
 	// OpERDigests exports the node's incremental ER evidence past the
-	// request's SinceEnts/SinceMatches watermarks (Response.Digests). The
-	// shard router pulls these after routed ingests to run the cross-shard
-	// entity-resolution exchange; backends without a local resolver reject
-	// the op with CodeBadRequest.
+	// request's entity and match watermarks. The shard router pulls these
+	// after routed ingests to run the cross-shard entity-resolution
+	// exchange; backends without a local resolver reject the op with
+	// CodeBadRequest.
 	OpERDigests = "er_digests"
 )
 
-// Error codes carried in Response.Code.
+// Error codes carried in error frames.
 const (
 	CodeBusy       = "busy"        // admission control shed the request
 	CodeDeadline   = "deadline"    // the request deadline expired
@@ -105,49 +51,6 @@ const (
 	CodeShutdown   = "shutdown"    // the server is draining
 	CodeReadOnly   = "read_only"   // this node is a read replica; write to the primary
 )
-
-// Request is one client frame.
-type Request struct {
-	Op    string `json:"op"`
-	Query string `json:"query,omitempty"`
-	// TimeoutMS bounds the request end-to-end, queueing included. Zero
-	// uses the server's default; the server clamps to its maximum.
-	TimeoutMS int64       `json:"timeout_ms,omitempty"`
-	Source    *WireSource `json:"source,omitempty"`
-	// Trace requests a curation-stage trace for ingest and ingest_batch
-	// (query requests use the TRACE statement prefix instead). The span
-	// tree comes back in Response.Trace.
-	Trace bool `json:"trace,omitempty"`
-	// SinceEnts/SinceMatches are the er_digests watermarks: export only
-	// entities and accepted matches the resolver recorded past them.
-	SinceEnts    int `json:"since_ents,omitempty"`
-	SinceMatches int `json:"since_matches,omitempty"`
-}
-
-// Response is one server frame.
-type Response struct {
-	OK      bool           `json:"ok"`
-	Code    string         `json:"code,omitempty"`
-	Err     string         `json:"err,omitempty"`
-	Columns []string       `json:"columns,omitempty"`
-	Rows    [][]WireValue  `json:"rows,omitempty"`
-	Info    *WireInfo      `json:"info,omitempty"`
-	Stats   *StatsReply    `json:"stats,omitempty"`
-	Ingest  *IngestSummary `json:"ingest,omitempty"`
-	// Metrics is the registry text dump (op "metrics").
-	Metrics string `json:"metrics,omitempty"`
-	// Slow is the slow-op log snapshot (op "slowlog").
-	Slow *SlowLogReply `json:"slow,omitempty"`
-	// Trace is the span-tree JSON of a traced ingest request.
-	Trace string `json:"trace,omitempty"`
-	// CSN is the commit stamp after a successful write (ingest ops) or the
-	// node's current stamp (ping). Clients use it for read-your-writes
-	// routing: a replica read is consistent with a write once the replica's
-	// applied CSN reaches the write's CSN.
-	CSN uint64 `json:"csn,omitempty"`
-	// Digests is the er_digests response body.
-	Digests *er.DigestBatch `json:"digests,omitempty"`
-}
 
 // SlowLogReply is the slowlog response body.
 type SlowLogReply struct {
@@ -170,16 +73,6 @@ type WireSlowEntry struct {
 	Err    string `json:"err,omitempty"`
 }
 
-// IngestChunk is one streamed frame of an ingest_batch request. Chunks
-// arrive after the request header; the server installs each as one batched
-// delivery. Done marks the last chunk (it may itself carry payload).
-type IngestChunk struct {
-	Entities []WireEntity `json:"entities,omitempty"`
-	Links    []WireLink   `json:"links,omitempty"`
-	Texts    []string     `json:"texts,omitempty"`
-	Done     bool         `json:"done,omitempty"`
-}
-
 // IngestSummary reports a completed ingest_batch stream.
 type IngestSummary struct {
 	// Batches is the number of non-empty chunks installed.
@@ -192,234 +85,6 @@ type IngestSummary struct {
 	RowsPerSec float64 `json:"rows_per_sec"`
 	// CSN is the commit stamp after the last installed chunk.
 	CSN uint64 `json:"csn,omitempty"`
-}
-
-// WireInfo mirrors scdb.QueryInfo.
-type WireInfo struct {
-	Plan          string   `json:"plan,omitempty"`
-	Rules         []string `json:"rules,omitempty"`
-	CacheHit      bool     `json:"cache_hit,omitempty"`
-	PlanCached    bool     `json:"plan_cached,omitempty"`
-	EstimatedCost float64  `json:"estimated_cost,omitempty"`
-	OperatorStats string   `json:"operator_stats,omitempty"`
-}
-
-// WireValue is a lossless encoding of the facade's public value kinds.
-// Scalars ride in S so that int64 never degrades to float64 in JSON:
-// ints and refs are decimal strings, floats use strconv's shortest
-// round-trip form ("NaN"/"+Inf"/"-Inf" for the specials json.Marshal
-// rejects), times are RFC3339Nano, bytes are base64.
-type WireValue struct {
-	K string      `json:"k"`
-	S string      `json:"s,omitempty"`
-	L []WireValue `json:"l,omitempty"`
-}
-
-// Value kind tags.
-const (
-	kindNull   = "n"
-	kindBool   = "b"
-	kindInt    = "i"
-	kindFloat  = "f"
-	kindString = "s"
-	kindTime   = "t"
-	kindBytes  = "y"
-	kindRef    = "r"
-	kindList   = "l"
-)
-
-// EncodeValue converts a facade value (as produced by scdb query results
-// and accepted by scdb ingest) to its wire form.
-func EncodeValue(v any) (WireValue, error) {
-	switch v := v.(type) {
-	case nil:
-		return WireValue{K: kindNull}, nil
-	case bool:
-		s := "f"
-		if v {
-			s = "t"
-		}
-		return WireValue{K: kindBool, S: s}, nil
-	case int:
-		return WireValue{K: kindInt, S: strconv.FormatInt(int64(v), 10)}, nil
-	case int64:
-		return WireValue{K: kindInt, S: strconv.FormatInt(v, 10)}, nil
-	case float64:
-		return WireValue{K: kindFloat, S: strconv.FormatFloat(v, 'g', -1, 64)}, nil
-	case string:
-		return WireValue{K: kindString, S: v}, nil
-	case time.Time:
-		return WireValue{K: kindTime, S: v.Format(time.RFC3339Nano)}, nil
-	case []byte:
-		return WireValue{K: kindBytes, S: base64.StdEncoding.EncodeToString(v)}, nil
-	case scdb.EntityRef:
-		return WireValue{K: kindRef, S: strconv.FormatUint(uint64(v), 10)}, nil
-	case []any:
-		l := make([]WireValue, len(v))
-		for i, e := range v {
-			ev, err := EncodeValue(e)
-			if err != nil {
-				return WireValue{}, err
-			}
-			l[i] = ev
-		}
-		return WireValue{K: kindList, L: l}, nil
-	}
-	return WireValue{}, fmt.Errorf("unsupported value type %T", v)
-}
-
-// DecodeValue reverses EncodeValue.
-func DecodeValue(w WireValue) (any, error) {
-	switch w.K {
-	case kindNull:
-		return nil, nil
-	case kindBool:
-		return w.S == "t", nil
-	case kindInt:
-		return strconv.ParseInt(w.S, 10, 64)
-	case kindFloat:
-		return strconv.ParseFloat(w.S, 64)
-	case kindString:
-		return w.S, nil
-	case kindTime:
-		return time.Parse(time.RFC3339Nano, w.S)
-	case kindBytes:
-		return base64.StdEncoding.DecodeString(w.S)
-	case kindRef:
-		id, err := strconv.ParseUint(w.S, 10, 64)
-		return scdb.EntityRef(id), err
-	case kindList:
-		out := make([]any, len(w.L))
-		for i, e := range w.L {
-			v, err := DecodeValue(e)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("unknown value kind %q", w.K)
-}
-
-// EncodeRows converts a facade result for the wire.
-func EncodeRows(rows *scdb.Rows) ([][]WireValue, error) {
-	out := make([][]WireValue, len(rows.Data))
-	for i, r := range rows.Data {
-		wr := make([]WireValue, len(r))
-		for j, v := range r {
-			wv, err := EncodeValue(v)
-			if err != nil {
-				return nil, err
-			}
-			wr[j] = wv
-		}
-		out[i] = wr
-	}
-	return out, nil
-}
-
-// DecodeRows reverses EncodeRows.
-func DecodeRows(cols []string, rows [][]WireValue) (*scdb.Rows, error) {
-	out := &scdb.Rows{Columns: cols}
-	for _, r := range rows {
-		row := make([]any, len(r))
-		for i, w := range r {
-			v, err := DecodeValue(w)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		out.Data = append(out.Data, row)
-	}
-	return out, nil
-}
-
-// WireSource is scdb.Source in wire form.
-type WireSource struct {
-	Name     string       `json:"name"`
-	Entities []WireEntity `json:"entities,omitempty"`
-	Links    []WireLink   `json:"links,omitempty"`
-	Texts    []string     `json:"texts,omitempty"`
-}
-
-// WireEntity is scdb.Entity in wire form.
-type WireEntity struct {
-	Key   string               `json:"key"`
-	Types []string             `json:"types,omitempty"`
-	Attrs map[string]WireValue `json:"attrs,omitempty"`
-}
-
-// WireLink is scdb.Link in wire form.
-type WireLink struct {
-	FromKey    string     `json:"from"`
-	Predicate  string     `json:"pred"`
-	ToKey      string     `json:"to,omitempty"`
-	Value      *WireValue `json:"value,omitempty"`
-	Confidence float64    `json:"conf,omitempty"`
-}
-
-// EncodeSource converts a source delivery for the wire.
-func EncodeSource(src scdb.Source) (*WireSource, error) {
-	out := &WireSource{Name: src.Name, Texts: src.Texts}
-	for _, e := range src.Entities {
-		we := WireEntity{Key: e.Key, Types: e.Types}
-		if len(e.Attrs) > 0 {
-			we.Attrs = make(map[string]WireValue, len(e.Attrs))
-			for k, v := range e.Attrs {
-				wv, err := EncodeValue(v)
-				if err != nil {
-					return nil, fmt.Errorf("entity %q attr %q: %w", e.Key, k, err)
-				}
-				we.Attrs[k] = wv
-			}
-		}
-		out.Entities = append(out.Entities, we)
-	}
-	for _, l := range src.Links {
-		wl := WireLink{FromKey: l.FromKey, Predicate: l.Predicate, ToKey: l.ToKey, Confidence: l.Confidence}
-		if l.ToKey == "" {
-			wv, err := EncodeValue(l.Value)
-			if err != nil {
-				return nil, fmt.Errorf("link %s-[%s]: %w", l.FromKey, l.Predicate, err)
-			}
-			wl.Value = &wv
-		}
-		out.Links = append(out.Links, wl)
-	}
-	return out, nil
-}
-
-// DecodeSource reverses EncodeSource.
-func DecodeSource(ws *WireSource) (scdb.Source, error) {
-	out := scdb.Source{Name: ws.Name, Texts: ws.Texts}
-	for _, e := range ws.Entities {
-		pe := scdb.Entity{Key: e.Key, Types: e.Types}
-		if len(e.Attrs) > 0 {
-			pe.Attrs = make(scdb.Record, len(e.Attrs))
-			for k, wv := range e.Attrs {
-				v, err := DecodeValue(wv)
-				if err != nil {
-					return scdb.Source{}, fmt.Errorf("entity %q attr %q: %w", e.Key, k, err)
-				}
-				pe.Attrs[k] = v
-			}
-		}
-		out.Entities = append(out.Entities, pe)
-	}
-	for _, l := range ws.Links {
-		pl := scdb.Link{FromKey: l.FromKey, Predicate: l.Predicate, ToKey: l.ToKey, Confidence: l.Confidence}
-		if l.Value != nil {
-			v, err := DecodeValue(*l.Value)
-			if err != nil {
-				return scdb.Source{}, fmt.Errorf("link %s-[%s]: %w", l.FromKey, l.Predicate, err)
-			}
-			pl.Value = v
-		}
-		out.Links = append(out.Links, pl)
-	}
-	return out, nil
 }
 
 // StatsReply is the Stats response body: the engine snapshot plus the

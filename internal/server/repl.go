@@ -338,8 +338,7 @@ func (s *Server) handleReplSubscribe(vc *v2conn, f V2Frame, req *v2req) (code, d
 	}
 	if need {
 		// A fresh checkpoint flushes the catalog's system rows into the
-		// snapshot and retires any legacy stamp-less segment, so the stream
-		// that follows is entirely shippable.
+		// snapshot, so the stream that follows is entirely shippable.
 		if err := db.Checkpoint(); err != nil {
 			return fail(CodeQuery, err.Error())
 		}

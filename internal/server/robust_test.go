@@ -14,36 +14,97 @@ import (
 	"scdb/internal/server"
 )
 
-// TestSlowLoris: a client that trickles a frame and stalls is cut off by
-// the frame timeout, and the server keeps serving others.
+// hello opens a raw connection and completes the hello exchange, for tests
+// that then misbehave on the wire.
+func hello(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	if err := server.WriteClientHello(nc); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := server.ReadServerHello(nc); err != nil {
+		t.Fatal(err)
+	}
+	return nc
+}
+
+// v2Header is a frame header declaring n bytes after the length field.
+func v2Header(n uint32, op byte, id uint32) []byte {
+	hdr := make([]byte, 10)
+	binary.BigEndian.PutUint32(hdr, n)
+	hdr[4] = op
+	binary.BigEndian.PutUint32(hdr[6:], id)
+	return hdr
+}
+
+// expectClose fails unless the server closes nc within the deadline.
+func expectClose(t *testing.T, nc net.Conn, within time.Duration, what string) {
+	t.Helper()
+	nc.SetReadDeadline(time.Now().Add(within))
+	if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("%s: read returned %v, want EOF from server close", what, err)
+	}
+}
+
+// TestSlowLoris: a client that trickles part of the hello, or part of a
+// frame after a completed hello, and then stalls is cut off by the frame
+// timeout, and the server keeps serving others.
 func TestSlowLoris(t *testing.T) {
 	db := openBig(t, 10)
 	_, addr := startServer(t, db, func(c *server.Config) {
 		c.FrameTimeout = 150 * time.Millisecond
 	})
 
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	// Two header bytes, then silence.
-	if _, err := nc.Write([]byte{0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(3 * time.Second))
-	start := time.Now()
-	if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("stalled frame: read returned %v, want EOF from server close", err)
-	}
-	if d := time.Since(start); d > 4*time.Second {
-		t.Errorf("server took %s to drop the stalled connection", d)
-	}
+	t.Run("mid-hello", func(t *testing.T) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		// Two hello bytes, then silence.
+		if _, err := nc.Write([]byte("SC")); err != nil {
+			t.Fatal(err)
+		}
+		expectClose(t, nc, 3*time.Second, "stalled hello")
+	})
+	t.Run("mid-frame", func(t *testing.T) {
+		nc := hello(t, addr)
+		// Half a frame header, then silence.
+		if _, err := nc.Write(v2Header(6, server.V2OpPing, 1)[:5]); err != nil {
+			t.Fatal(err)
+		}
+		expectClose(t, nc, 3*time.Second, "stalled frame")
+	})
 
 	// Healthy clients are unaffected.
 	if err := dial(t, addr).Ping(); err != nil {
 		t.Fatalf("ping after slow-loris: %v", err)
 	}
+}
+
+// TestNotAHello: a connection that opens with four bytes other than the
+// hello magic is closed at once, unanswered — well inside the frame
+// timeout, which would be the slow-loris path.
+func TestNotAHello(t *testing.T) {
+	db := openBig(t, 10)
+	_, addr := startServer(t, db, func(c *server.Config) {
+		c.FrameTimeout = 5 * time.Second
+	})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	// What a protocol-v1 client sent first: a JSON frame's length prefix.
+	if _, err := nc.Write([]byte{0, 0, 0, 13}); err != nil {
+		t.Fatal(err)
+	}
+	expectClose(t, nc, 2*time.Second, "non-magic opening")
 }
 
 // TestOversizedFrame: a frame above the limit is rejected by its declared
@@ -54,27 +115,21 @@ func TestOversizedFrame(t *testing.T) {
 	_, addr := startServer(t, db, func(c *server.Config) {
 		c.MaxFrame = 1024
 	})
-	nc, err := net.Dial("tcp", addr)
+	nc := hello(t, addr)
+	if _, err := nc.Write(v2Header(1<<28, server.V2OpQuery, 7)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := server.ReadV2Frame(nc, server.DefaultMaxFrame)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	hdr := make([]byte, 4)
-	binary.BigEndian.PutUint32(hdr, 1<<28)
-	if _, err := nc.Write(hdr); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(3 * time.Second))
-	var resp server.Response
-	if err := server.ReadFrame(nc, server.DefaultMaxFrame, &resp); err != nil {
 		t.Fatalf("reading rejection: %v", err)
 	}
-	if resp.OK || resp.Code != server.CodeBadRequest {
-		t.Errorf("oversized frame: got %+v, want bad_request", resp)
+	if f.Op != server.V2OpError || f.ID != 7 {
+		t.Fatalf("oversized frame: got op 0x%02x id %d, want an error frame for id 7", f.Op, f.ID)
 	}
-	if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
-		t.Errorf("connection should close after oversized frame, read: %v", err)
+	if code, _, err := server.DecodeV2Error(f.Payload); err != nil || code != server.CodeBadRequest {
+		t.Errorf("oversized frame: got code %q (%v), want bad_request", code, err)
 	}
+	expectClose(t, nc, 3*time.Second, "after oversized frame")
 }
 
 // TestDisconnectCancelsQuery is the tentpole's acceptance test: a client

@@ -4,13 +4,11 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"time"
 
-	"scdb"
 	"scdb/internal/obs"
 )
 
@@ -43,14 +41,14 @@ type Config struct {
 
 	// FrameTimeout bounds reading one complete frame once its first byte
 	// arrives — the slow-loris guard (default 10s). MaxFrame bounds a
-	// frame payload (default DefaultMaxFrame). On protocol-v2 connections
-	// FrameTimeout also bounds each response-frame write, so a client that
-	// stops reading mid-stream cannot pin an executor (and its read lock)
-	// behind a full socket buffer.
+	// frame payload (default DefaultMaxFrame). FrameTimeout also bounds
+	// each response-frame write, so a client that stops reading mid-stream
+	// cannot pin an executor (and its read lock) behind a full socket
+	// buffer.
 	FrameTimeout time.Duration
 	MaxFrame     int
 
-	// MaxPipeline bounds in-flight requests per protocol-v2 connection;
+	// MaxPipeline bounds in-flight requests per connection;
 	// excess requests are shed with ErrBusy. 0 means 128; negative
 	// disables the bound. (Admission control still bounds execution
 	// globally — this only caps per-connection bookkeeping.)
@@ -138,8 +136,7 @@ type conn struct {
 
 // interruptIfIdle kicks a connection out of its idle read so a draining
 // server doesn't wait on silent clients; a connection with in-flight
-// requests is left to finish them. (v1 connections have at most one
-// in-flight request; pipelined v2 connections can have many.)
+// requests (a pipelined connection can have many) is left to finish them.
 func (c *conn) interruptIfIdle() {
 	c.mu.Lock()
 	if c.active == 0 {
@@ -400,193 +397,26 @@ func (s *Server) handleConn(c *conn) {
 	}()
 	br := bufio.NewReader(c.nc)
 
-	// Protocol negotiation: a v2 client opens with an 8-byte hello whose
-	// 4-byte magic can never be a valid v1 frame header (as a big-endian
-	// length it declares a ~1.4 GB frame, which v1 rejects outright). The
-	// magic is peeked, not consumed, so the v1 path re-reads the same
-	// bytes as its first frame header. The peek runs under FrameTimeout:
-	// a peer that dribbles fewer than 4 bytes and stalls is a slow-loris
-	// and is dropped, same as v1 always did.
+	// Every connection opens with the client hello. Once its first byte
+	// arrives the whole hello must follow within FrameTimeout: a peer that
+	// dribbles a few bytes and stalls is a slow-loris and is dropped. Any
+	// other opening bytes close the connection unanswered.
 	if _, err := br.Peek(1); err != nil {
 		return
 	}
 	c.nc.SetReadDeadline(time.Now().Add(s.cfg.FrameTimeout))
 	magic, err := br.Peek(4)
-	if err != nil {
+	if err != nil || !isV2Magic(magic) {
 		return
 	}
-	if isV2Magic(magic) {
-		if _, err := readClientHello(br); err != nil {
-			return
-		}
-		if err := WriteServerHello(c.nc, ProtoV2); err != nil {
-			return
-		}
-		c.nc.SetReadDeadline(time.Time{})
-		s.metrics.protoConn(ProtoV2)
-		s.serveV2(c, br)
+	if _, err := readClientHello(br); err != nil {
+		return
+	}
+	if err := WriteServerHello(c.nc, ProtoV2); err != nil {
 		return
 	}
 	c.nc.SetReadDeadline(time.Time{})
-	s.metrics.protoConn(ProtoV1)
-
-	for !s.isDraining() {
-		// Idle wait: block until the next request's first byte. Shutdown
-		// interrupts this read via interruptIfIdle.
-		if _, err := br.Peek(1); err != nil {
-			return
-		}
-		// Slow-loris guard: the whole frame must arrive promptly now that
-		// it has started. The read's duration is kept for traced requests,
-		// which report it as the frame_decode span.
-		c.nc.SetReadDeadline(time.Now().Add(s.cfg.FrameTimeout))
-		decodeStart := time.Now()
-		var req Request
-		err := ReadFrame(br, s.cfg.MaxFrame, &req)
-		decodeDur := time.Since(decodeStart)
-		c.nc.SetReadDeadline(time.Time{})
-		if err != nil {
-			if errors.Is(err, ErrFrameTooLarge) {
-				// The declared length was rejected before reading the
-				// payload; tell the client why, then drop the connection
-				// (the unread payload makes the stream unframeable).
-				WriteFrame(c.nc, Response{Code: CodeBadRequest, Err: err.Error()})
-			}
-			return
-		}
-		c.addActive(1)
-		resp := s.handleRequest(br, c, req, decodeDur)
-		wErr := WriteFrame(c.nc, resp)
-		c.addActive(-1)
-		if wErr != nil {
-			return
-		}
-	}
-}
-
-// handleRequest executes one request under its deadline, maps errors to
-// wire codes, and feeds the latency instruments and the slow-op log.
-func (s *Server) handleRequest(br *bufio.Reader, c *conn, req Request, decodeDur time.Duration) Response {
-	start := time.Now()
-	s.metrics.protoRequest(ProtoV1)
-	resp := s.dispatch(br, c, req, decodeDur)
-	d := time.Since(start)
-	s.metrics.observe(req.Op, d, !resp.OK)
-	switch resp.Code {
-	case CodeBusy:
-		s.metrics.reject()
-	case CodeCanceled, CodeDeadline, CodeShutdown:
-		s.metrics.cancel()
-	}
-	detail := req.Query
-	if detail == "" && req.Source != nil {
-		detail = "source:" + req.Source.Name
-	}
-	var opErr error
-	if resp.Err != "" {
-		opErr = errors.New(resp.Err)
-	}
-	s.slow.Observe(req.Op, detail, start, d, opErr)
-	return resp
-}
-
-func (s *Server) dispatch(br *bufio.Reader, c *conn, req Request, decodeDur time.Duration) Response {
-	switch req.Op {
-	case OpPing:
-		return Response{OK: true, CSN: s.cfg.DB.CSN()}
-	case OpStats:
-		st := s.Stats()
-		return Response{OK: true, Stats: &st}
-	case OpMetrics:
-		return Response{OK: true, Metrics: s.MetricsDump()}
-	case OpSlowLog:
-		return Response{OK: true, Slow: s.slowLogReply()}
-	case OpERDigests:
-		ds, ok := s.cfg.DB.(erDigestSource)
-		if !ok {
-			return Response{Code: CodeBadRequest, Err: "backend has no local resolver to export ER digests from"}
-		}
-		b := ds.ERDigests(req.SinceEnts, req.SinceMatches)
-		return Response{OK: true, Digests: &b}
-	case OpQuery, OpExplain, OpIngest, OpIngestBatch:
-		// Fall through to the admitted path below.
-	case "":
-		return Response{Code: CodeBadRequest, Err: "missing op"}
-	default:
-		return Response{Code: CodeBadRequest, Err: fmt.Sprintf("unknown op %q", req.Op)}
-	}
-
-	// Tracing starts here for TRACE statements and traced ingests, so the
-	// trace covers the whole service-side lifecycle: the frame decode that
-	// already happened (attached as a completed span) and the admission
-	// wait below. tr stays nil otherwise, and nil traces/spans no-op.
-	var tr *obs.Trace
-	if (req.Op == OpQuery && isTraceStmt(req.Query)) ||
-		(req.Trace && (req.Op == OpIngest || req.Op == OpIngestBatch)) {
-		tr = obs.NewTrace()
-	}
-	root := tr.Root("request")
-	root.SetStr("op", req.Op)
-	root.ChildDur("frame_decode", decodeDur)
-
-	ctx, cancel := s.requestCtx(req.TimeoutMS)
-	defer cancel()
-	ctx = obs.With(ctx, tr)
-
-	if err := s.acquireSlot(ctx, root); err != nil {
-		if req.Op == OpIngestBatch {
-			s.drainIngest(br, c)
-		}
-		return errorResponse(err)
-	}
-	defer s.admit.release()
-
-	switch req.Op {
-	case OpQuery:
-		// Watch the connection while executing: a client that disconnects
-		// mid-query cancels the statement instead of leaving it burning
-		// worker time.
-		stop := watchConn(br, c, cancel)
-		rows, info, err := s.cfg.DB.QueryInfoCtx(ctx, req.Query)
-		stop()
-		if err != nil {
-			return errorResponse(err)
-		}
-		wr, err := EncodeRows(rows)
-		if err != nil {
-			return Response{Code: CodeQuery, Err: err.Error()}
-		}
-		return Response{OK: true, Columns: rows.Columns, Rows: wr, Info: wireInfo(info)}
-	case OpExplain:
-		info, err := s.cfg.DB.Explain(req.Query)
-		if err != nil {
-			return errorResponse(err)
-		}
-		return Response{OK: true, Info: wireInfo(info)}
-	case OpIngest:
-		if req.Source == nil {
-			return Response{Code: CodeBadRequest, Err: "ingest without source"}
-		}
-		src, err := DecodeSource(req.Source)
-		if err != nil {
-			return Response{Code: CodeBadRequest, Err: err.Error()}
-		}
-		start := time.Now()
-		if err := s.cfg.DB.IngestCtx(ctx, src); err != nil {
-			return errorResponse(err)
-		}
-		s.metrics.observeIngest(len(src.Entities), time.Since(start))
-		root.End()
-		return Response{OK: true, Trace: traceJSON(tr), CSN: s.cfg.DB.CSN()}
-	case OpIngestBatch:
-		resp := s.ingestStream(ctx, br, c, req)
-		if resp.OK {
-			root.End()
-			resp.Trace = traceJSON(tr)
-		}
-		return resp
-	}
-	return Response{Code: CodeBadRequest, Err: "unreachable"}
+	s.serveV2(c, br)
 }
 
 // isTraceStmt reports whether a query begins with the TRACE keyword — a
@@ -632,106 +462,6 @@ func (s *Server) slowLogReply() *SlowLogReply {
 	return out
 }
 
-// drainIngest discards an ingest_batch chunk stream whose request failed
-// before the install loop (shed by admission, expired in queue): the
-// client has already pipelined its chunks, so they must be consumed for
-// the connection to stay framed. A read error closes the connection.
-func (s *Server) drainIngest(br *bufio.Reader, c *conn) {
-	for {
-		c.nc.SetReadDeadline(time.Now().Add(s.cfg.FrameTimeout))
-		var chunk IngestChunk
-		err := ReadFrame(br, s.cfg.MaxFrame, &chunk)
-		c.nc.SetReadDeadline(time.Time{})
-		if err != nil {
-			c.nc.Close()
-			return
-		}
-		if chunk.Done {
-			return
-		}
-	}
-}
-
-// ingestStream consumes an ingest_batch chunk stream under one admission
-// slot, installing each chunk as a batched delivery to the named source.
-// After the first failure it keeps draining frames until Done — the client
-// writes the whole stream before reading the response, so the stream must
-// be consumed to stay framed — and answers with the failure. A read error
-// mid-stream leaves the connection unframeable, so it is closed.
-func (s *Server) ingestStream(ctx context.Context, br *bufio.Reader, c *conn, req Request) Response {
-	var (
-		sum     IngestSummary
-		opErr   error
-		badCode string
-	)
-	name := ""
-	if req.Source != nil {
-		name = req.Source.Name
-	}
-	if name == "" {
-		opErr = errors.New("ingest_batch without source name")
-		badCode = CodeBadRequest
-	}
-	start := time.Now()
-	for {
-		c.nc.SetReadDeadline(time.Now().Add(s.cfg.FrameTimeout))
-		var chunk IngestChunk
-		err := ReadFrame(br, s.cfg.MaxFrame, &chunk)
-		c.nc.SetReadDeadline(time.Time{})
-		if err != nil {
-			// The payload may be half-read; nothing after it can be framed.
-			c.nc.Close()
-			if opErr == nil {
-				opErr = fmt.Errorf("ingest_batch stream: %w", err)
-				badCode = CodeBadRequest
-			}
-			break
-		}
-		if opErr == nil {
-			if cErr := ctx.Err(); cErr != nil {
-				opErr = cErr
-			}
-		}
-		if opErr == nil && (len(chunk.Entities) > 0 || len(chunk.Links) > 0 || len(chunk.Texts) > 0) {
-			src, err := DecodeSource(&WireSource{
-				Name:     name,
-				Entities: chunk.Entities,
-				Links:    chunk.Links,
-				Texts:    chunk.Texts,
-			})
-			if err != nil {
-				opErr = err
-				badCode = CodeBadRequest
-			} else {
-				bStart := time.Now()
-				if err := s.cfg.DB.IngestCtx(ctx, src); err != nil {
-					opErr = err
-				} else {
-					s.metrics.observeIngest(len(src.Entities), time.Since(bStart))
-					sum.Batches++
-					sum.Rows += len(src.Entities)
-				}
-			}
-		}
-		if chunk.Done {
-			break
-		}
-	}
-	if opErr != nil {
-		if badCode != "" {
-			return Response{Code: badCode, Err: opErr.Error()}
-		}
-		return errorResponse(opErr)
-	}
-	elapsed := time.Since(start)
-	sum.ElapsedUS = elapsed.Microseconds()
-	if s := elapsed.Seconds(); s > 0 {
-		sum.RowsPerSec = float64(sum.Rows) / s
-	}
-	sum.CSN = s.cfg.DB.CSN()
-	return Response{OK: true, Ingest: &sum, CSN: sum.CSN}
-}
-
 // requestCtx derives the per-request context: the client's timeout
 // (clamped to MaxTimeout) or the server default, on top of the base
 // context so a forced shutdown cancels everything at once.
@@ -769,58 +499,4 @@ func (s *Server) acquireSlot(ctx context.Context, root *obs.Span) error {
 		return err
 	}
 	return nil
-}
-
-// watchConn cancels the request if the connection dies while a statement
-// runs. The protocol is strictly request-response, so any read outcome
-// other than a timeout means the client is gone (EOF, reset) or talking
-// out of turn; either way the statement's work is wasted. The returned
-// stop function unblocks the watcher and must be called before the
-// response is written.
-func watchConn(br *bufio.Reader, c *conn, cancel context.CancelFunc) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := br.Peek(1); err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				return // stop() unblocked us; the client is fine
-			}
-			cancel()
-		}
-	}()
-	return func() {
-		c.nc.SetReadDeadline(time.Unix(1, 0))
-		<-done
-		c.nc.SetReadDeadline(time.Time{})
-	}
-}
-
-func wireInfo(info *scdb.QueryInfo) *WireInfo {
-	if info == nil {
-		return nil
-	}
-	return &WireInfo{
-		Plan:          info.Plan,
-		Rules:         info.Rules,
-		CacheHit:      info.CacheHit,
-		PlanCached:    info.PlanCached,
-		EstimatedCost: info.EstimatedCost,
-		OperatorStats: info.OperatorStats,
-	}
-}
-
-func errorResponse(err error) Response {
-	code := CodeQuery
-	switch {
-	case errors.Is(err, ErrBusy):
-		code = CodeBusy
-	case errors.Is(err, context.DeadlineExceeded):
-		code = CodeDeadline
-	case errors.Is(err, context.Canceled):
-		code = CodeCanceled
-	case errors.Is(err, scdb.ErrReadOnly):
-		code = CodeReadOnly
-	}
-	return Response{Code: code, Err: err.Error()}
 }

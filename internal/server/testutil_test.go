@@ -32,26 +32,16 @@ func startServer(t *testing.T, db *scdb.DB, mut func(*server.Config)) (*server.S
 	return srv, srv.Addr().String()
 }
 
-// dial connects a client (auto protocol negotiation — protocol v2
-// against this server) and closes it with the test.
+// dial connects a client and closes it with the test.
 func dial(t *testing.T, addr string) *client.Client {
 	t.Helper()
-	return dialProto(t, addr, "auto")
-}
-
-// dialProto connects a client pinned to one wire protocol.
-func dialProto(t *testing.T, addr, proto string) *client.Client {
-	t.Helper()
-	c, err := client.DialProto(addr, proto)
+	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
 }
-
-// bothProtos are the wire protocols differential tests pin explicitly.
-var bothProtos = []string{"v1", "v2"}
 
 // lifesciOptions are the sample-corpus options the CLI uses.
 func lifesciOptions() scdb.Options {

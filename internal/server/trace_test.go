@@ -184,10 +184,18 @@ func TestMetricsOpOverWire(t *testing.T) {
 	if _, err := c.Query("SELECT COUNT(*) AS n FROM big AS b"); err != nil {
 		t.Fatal(err)
 	}
-	dump, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The server records the query's latency and releases its admission
+	// slot after writing the result frame, so a metrics op pipelined right
+	// behind the answer can run first: poll until both have landed.
+	var dump string
+	waitUntil(t, 4*time.Second, func() bool {
+		var err error
+		if dump, err = c.Metrics(); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(dump, "server.op.query.latency_us_count 1") &&
+			strings.Contains(dump, "admission.in_flight 0")
+	}, "the query's latency count and slot release to reach the metrics dump")
 	for _, name := range []string{
 		"server.op.query.latency_us_count 1",
 		"server.conns_open 1",
@@ -232,30 +240,36 @@ func TestSlowLogOverWire(t *testing.T) {
 	if _, err := c.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := c.SlowLog()
-	if err != nil {
-		t.Fatal(err)
+	// Like its latency count, a request's slow-log entry lands after its
+	// result frame is written (see TestMetricsOpOverWire): poll for it.
+	var reply server.SlowLogReply
+	pollSlowLog := func(what string, ok func() bool) {
+		t.Helper()
+		waitUntil(t, 4*time.Second, func() bool {
+			var err error
+			if reply, err = c.SlowLog(); err != nil {
+				t.Fatal(err)
+			}
+			return ok()
+		}, what)
 	}
+	var entry *server.WireSlowEntry
+	pollSlowLog("the query's slow-log entry", func() bool {
+		for i, e := range reply.Entries {
+			if e.Op == server.OpQuery && e.Detail == q {
+				entry = &reply.Entries[i]
+			}
+		}
+		return entry != nil
+	})
 	if reply.ThresholdUS != 0 { // 1ns rounds down to 0µs
 		t.Fatalf("threshold_us = %d, want 0", reply.ThresholdUS)
 	}
-	if reply.Total < 1 || len(reply.Entries) < 1 {
-		t.Fatalf("slowlog empty: total=%d entries=%d", reply.Total, len(reply.Entries))
+	if entry.DurUS < 0 {
+		t.Fatalf("slow entry has negative duration: %+v", entry)
 	}
-	found := false
-	for _, e := range reply.Entries {
-		if e.Op == server.OpQuery && e.Detail == q {
-			found = true
-			if e.DurUS < 0 {
-				t.Fatalf("slow entry has negative duration: %+v", e)
-			}
-			if _, err := time.Parse(time.RFC3339Nano, e.Start); err != nil {
-				t.Fatalf("slow entry start %q not RFC3339Nano: %v", e.Start, err)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("slowlog missing the query entry: %+v", reply.Entries)
+	if _, err := time.Parse(time.RFC3339Nano, entry.Start); err != nil {
+		t.Fatalf("slow entry start %q not RFC3339Nano: %v", entry.Start, err)
 	}
 
 	// Ring capacity bounds retention while the lifetime total keeps
@@ -265,15 +279,9 @@ func TestSlowLogOverWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reply, err = c.SlowLog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pollSlowLog("the lifetime total to count every request", func() bool { return reply.Total >= 7 })
 	if len(reply.Entries) > 4 {
 		t.Fatalf("ring retained %d entries, capacity 4", len(reply.Entries))
-	}
-	if reply.Total < 7 {
-		t.Fatalf("lifetime total = %d, want >= 7", reply.Total)
 	}
 }
 

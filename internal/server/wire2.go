@@ -1,17 +1,12 @@
 package server
 
-// Protocol v2: compact binary framing negotiated at connect time.
+// Protocol v2: compact binary framing, the only wire protocol.
 //
-// A v2 client opens the conversation with an 8-byte hello — the magic
+// A client opens the conversation with an 8-byte hello — the magic
 // "SCDB", a version byte, a flags byte, and two reserved bytes — and the
 // server answers with the same 8-byte shape carrying the accepted version.
-// A v1 client sends no hello, so the server decides per connection by
-// peeking the first four bytes: the magic cannot collide with a valid v1
-// frame because, read as a big-endian length, "SCDB" is ~1.4 GB — far
-// beyond any MaxFrame. Symmetrically, a v2 client talking to an old
-// v1-only server has its hello rejected as an oversized frame, which the
-// dialer detects (the reply does not start with the magic) and falls back
-// to v1.
+// A connection that opens with anything else is closed unanswered, and a
+// dialer whose hello is not answered in kind reports a protocol mismatch.
 //
 // Every v2 frame is:
 //
@@ -54,14 +49,10 @@ import (
 	"scdb/internal/model"
 )
 
-// Protocol versions carried in the hello exchange.
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-)
+// ProtoV2 is the protocol version carried in the hello exchange.
+const ProtoV2 = 2
 
-// v2Magic opens a client hello; chosen so a v1 server reads it as an
-// impossibly large frame length and rejects the connection cleanly.
+// v2Magic opens both hellos.
 var v2Magic = [4]byte{'S', 'C', 'D', 'B'}
 
 const v2HelloLen = 8
@@ -105,8 +96,7 @@ func WriteServerHello(w io.Writer, version byte) error {
 }
 
 // ReadServerHello reads the server's answer to a client hello. A non-magic
-// reply (an old v1-only server rejecting the hello as an oversized frame)
-// returns an error — the dialer's cue to fall back to protocol v1.
+// reply or an unsupported version returns an error.
 func ReadServerHello(r io.Reader) (byte, error) {
 	var h [v2HelloLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
@@ -140,8 +130,7 @@ const (
 	V2OpSlowLog     byte = 0x09
 	// V2OpCancel asks the server to cancel the identified in-flight
 	// request. The canceled request still gets its (error) response, so
-	// cancellation never desynchronizes the stream — this replaces v1's
-	// poison-the-connection behavior.
+	// cancellation never desynchronizes the stream.
 	V2OpCancel byte = 0x0A
 	// V2OpReplSubscribe turns the connection into a replication stream: the
 	// payload carries the follower's applied CSN, and the server answers
@@ -173,8 +162,8 @@ const (
 	V2OpReplFrames byte = 0x23
 )
 
-// v2OpName maps a v2 op code onto the v1 op strings so both protocols feed
-// the same per-op metrics and slow-log labels.
+// v2OpName maps an op code onto the Op* strings that label the per-op
+// metrics and the slow-op log.
 func v2OpName(op byte) string {
 	switch op {
 	case V2OpPing:
@@ -204,7 +193,7 @@ func v2OpName(op byte) string {
 }
 
 // Error code bytes (V2OpError payloads); V2CodeString maps them back to
-// the v1 code strings clients already switch on.
+// the Code* strings clients switch on.
 const (
 	v2CodeBusy byte = iota + 1
 	v2CodeDeadline
@@ -233,7 +222,7 @@ func v2CodeByte(code string) byte {
 	return v2CodeQuery
 }
 
-// V2CodeString maps an error code byte to its v1 string form.
+// V2CodeString maps an error code byte to its Code* string form.
 func V2CodeString(b byte) string {
 	switch b {
 	case v2CodeBusy:

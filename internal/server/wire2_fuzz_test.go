@@ -13,8 +13,8 @@ import (
 // (the decoders validate every count against the bytes that remain). The
 // seed corpus under testdata/fuzz/FuzzWireV2 holds encoder-produced
 // frames of every message shape, so mutations start from valid inputs.
-// Unlike v1, there is no gob or JSON in this path — the decoders are
-// plain slice walkers.
+// There is no gob or JSON in this path — the decoders are plain slice
+// walkers.
 func FuzzWireV2(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x06, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01})

@@ -1,9 +1,9 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -206,75 +206,44 @@ func TestWireV2MalformedFrames(t *testing.T) {
 	}
 }
 
-// TestWireV2Negotiation: the hello exchange upgrades a willing pair to
-// v2; a v1-only server (simulated with the real v1 codec) bounces the
-// hello as an oversized frame and an auto client falls back to v1.
+// TestWireV2Negotiation: the hello exchange settles against a real
+// server, and a peer that answers the hello with anything else — here
+// what a protocol-v1 server sent back, and a peer that just hangs up —
+// makes Dial fail naming the protocol mismatch.
 func TestWireV2Negotiation(t *testing.T) {
 	db := openDB(t, lifesciOptions())
 	_, addr := startServer(t, db, nil)
-
-	auto := dialProto(t, addr, "auto")
-	if auto.Proto() != 2 {
-		t.Errorf("auto client negotiated %d against a v2 server, want 2", auto.Proto())
-	}
-	pinned := dialProto(t, addr, "v1")
-	if pinned.Proto() != 1 {
-		t.Errorf("pinned v1 client negotiated %d, want 1", pinned.Proto())
-	}
-	if err := auto.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pinned.Ping(); err != nil {
+	if err := dial(t, addr).Ping(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A v1-only server: rejects anything but v1 JSON frames, answers pings.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			nc, err := ln.Accept()
+	for name, answer := range map[string][]byte{
+		"wrong hello": []byte("\x00\x00\x00\x1f{\"code\":\"bad_request\"}"),
+		"no hello":    nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			go func(nc net.Conn) {
-				defer nc.Close()
-				br := bufio.NewReader(nc)
-				for {
-					var req server.Request
-					if err := server.ReadFrame(br, server.DefaultMaxFrame, &req); err != nil {
-						if errors.Is(err, server.ErrFrameTooLarge) {
-							server.WriteFrame(nc, server.Response{Code: server.CodeBadRequest, Err: err.Error()})
-						}
-						return
-					}
-					server.WriteFrame(nc, server.Response{OK: req.Op == server.OpPing})
+			defer ln.Close()
+			go func() {
+				nc, err := ln.Accept()
+				if err != nil {
+					return
 				}
-			}(nc)
-		}
-	}()
-
-	fb, err := client.DialProto(ln.Addr().String(), "auto")
-	if err != nil {
-		t.Fatalf("auto dial against v1-only server: %v", err)
-	}
-	defer fb.Close()
-	if fb.Proto() != 1 {
-		t.Errorf("fallback client negotiated %d, want 1", fb.Proto())
-	}
-	if err := fb.Ping(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Pinned v2 against a v1-only server must fail loudly, not silently
-	// downgrade.
-	if c, err := client.DialProto(ln.Addr().String(), "v2"); err == nil {
-		c.Close()
-		t.Error("pinned v2 dial succeeded against a v1-only server")
-	} else if !strings.Contains(err.Error(), "protocol v2") {
-		t.Errorf("pinned v2 dial error: %v", err)
+				defer nc.Close()
+				io.ReadFull(nc, make([]byte, 8)) // the client hello
+				nc.Write(answer)
+			}()
+			c, err := client.Dial(ln.Addr().String())
+			if err == nil {
+				c.Close()
+				t.Fatal("dial succeeded against a peer that does not speak the protocol")
+			}
+			if !strings.Contains(err.Error(), "protocol mismatch") {
+				t.Errorf("dial error does not name the mismatch: %v", err)
+			}
+		})
 	}
 }

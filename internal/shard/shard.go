@@ -11,9 +11,9 @@
 // same merge algebra the morsel executor uses across intra-node partials,
 // DISTINCT dedups on canonical value encodings, and ORDER BY/LIMIT merges
 // per-shard top-K results. The router is an in-process server.Engine, so
-// cmd/scdb-router serves the same wire protocol (v1 and v2) as a single
-// node — clients cannot tell a cluster from one big server, except that
-// the stats op grows a sharding section.
+// cmd/scdb-router serves the same wire protocol as a single node —
+// clients cannot tell a cluster from one big server, except that the
+// stats op grows a sharding section.
 //
 // The part sharding would otherwise break is entity resolution: two records
 // of the same real-world entity can land on different shards, where no

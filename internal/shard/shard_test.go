@@ -42,7 +42,6 @@ func startShardServer(tb testing.TB, opts scdb.Options) string {
 type testCluster struct {
 	router *shard.Router
 	rc     *client.Client // speaks to the router's server
-	addr   string         // router server address
 }
 
 func newTestCluster(tb testing.TB, n int) *testCluster {
@@ -70,7 +69,7 @@ func newTestCluster(tb testing.TB, n int) *testCluster {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { rc.Close() })
-	return &testCluster{router: r, rc: rc, addr: srv.Addr().String()}
+	return &testCluster{router: r, rc: rc}
 }
 
 // drugNames are distinct enough that only true duplicates score past the
@@ -228,8 +227,7 @@ func TestClusterDifferential(t *testing.T) {
 	}
 }
 
-// TestRouterServedStats checks the wire-visible sharding section and that
-// both wire protocols answer identically through the router.
+// TestRouterServedStats checks the wire-visible sharding section.
 func TestRouterServedStats(t *testing.T) {
 	c := newTestCluster(t, 3)
 	ingestCorpus(t, c)
@@ -261,24 +259,6 @@ func TestRouterServedStats(t *testing.T) {
 		t.Error("per-shard CSNs all zero after ingest")
 	}
 
-	// v1 and v2 clients must see the same merged answer.
-	v1, err := client.DialProto(c.addr, "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	q := "SELECT category, COUNT(*) AS n FROM pharma_a GROUP BY category ORDER BY category"
-	r2, err := c.rc.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := v1.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if render(r1) != render(r2) {
-		t.Errorf("v1/v2 divergence:\n%s\nvs\n%s", render(r1), render(r2))
-	}
 }
 
 // TestRouterRejectsUnroutable pins the explicit errors: text deliveries

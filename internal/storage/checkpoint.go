@@ -41,8 +41,7 @@ import (
 	"scdb/internal/model"
 )
 
-// snapMagic opens a v2 snapshot. Files without it decode as the legacy v1
-// format (uvarint table count first).
+// snapMagic opens every snapshot.
 var snapMagic = []byte("SCSNAP02")
 
 // writeTracker tracks in-flight mutation CSNs so a checkpoint can wait for

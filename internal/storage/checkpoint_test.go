@@ -2,11 +2,13 @@ package storage
 
 import (
 	"encoding/binary"
-	"hash/fnv"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -416,152 +418,82 @@ func TestCheckpointSegmentCrashDifferential(t *testing.T) {
 	}
 }
 
-// legacyFrame encodes one pre-segmentation log frame (no commit stamp in
-// the payload), for upgrade testing against hand-built scdb.log files.
-func legacyFrame(op byte, table string, rowID uint64, data []byte) []byte {
-	payload := []byte{op}
-	payload = binary.AppendUvarint(payload, uint64(len(table)))
-	payload = append(payload, table...)
-	payload = binary.AppendUvarint(payload, rowID)
-	payload = binary.AppendUvarint(payload, uint64(len(data)))
-	payload = append(payload, data...)
-	h := fnv.New64a()
-	h.Write(payload)
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = binary.BigEndian.AppendUint64(frame, h.Sum64())
-	return append(frame, payload...)
-}
+// TestUnsupportedFormats: a store holding a file in a format this build
+// cannot read — a pre-segmentation scdb.log, a segment without the SCWAL002
+// header, a snapshot without SCSNAP02 — fails to open with
+// ErrUnsupportedFormat naming the file, and the failed open leaves the
+// directory byte-for-byte as it found it. Each directory also carries a
+// stale snapshot .tmp and a torn segment tail, which a successful open
+// deletes and truncates, so an open that got as far as repairing before
+// rejecting would show.
+func TestUnsupportedFormats(t *testing.T) {
+	cases := []struct {
+		name, file string
+		content    []byte
+	}{
+		{"old log", oldLogName, []byte("frames without commit stamps")},
+		{"segment without magic", segName(2), []byte("\x00\x00\x00\x04 not a SCWAL002 segment")},
+		{"snapshot without magic", snapshotName, binary.AppendUvarint(nil, 0)},
+	}
+	readDir := func(dir string) map[string]string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range ents {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, _ := s.CreateTable("t")
+			for i := 0; i < 3; i++ {
+				if _, err := tb.Insert(mkRec(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			seg, err := os.OpenFile(segPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg.Write([]byte{0, 0, 0, 9, 1, 2, 3}) // torn frame header
+			seg.Close()
+			for name, content := range map[string][]byte{
+				snapshotName + ".tmp": []byte("partial snapshot"),
+				tc.file:               tc.content,
+			} {
+				if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := readDir(dir)
 
-// TestLegacyLogUpgrade: a pre-segmentation scdb.log (stamp-less frames,
-// no header) opens cleanly, migrates to segment 0, appends continue in
-// segment 1, and the first checkpoint retires the legacy file.
-func TestLegacyLogUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	enc := func(i int) []byte { return model.AppendRecord(nil, mkRec(i)) }
-	var log []byte
-	log = append(log, legacyFrame(opCreateTable, "t", 0, nil)...)
-	log = append(log, legacyFrame(opInsert, "t", 1, enc(1))...)
-	log = append(log, legacyFrame(opInsert, "t", 2, enc(2))...)
-	log = append(log, legacyFrame(opUpdate, "t", 1, enc(10))...)
-	log = append(log, legacyFrame(opDelete, "t", 2, nil)...)
-	// One legacy batch frame: rowID slot holds the entry count.
-	var batch []byte
-	batch = append(batch, opInsert)
-	batch = binary.AppendUvarint(batch, 3)
-	batch = binary.AppendUvarint(batch, uint64(len(enc(3))))
-	batch = append(batch, enc(3)...)
-	batch = append(batch, opDelete)
-	batch = binary.AppendUvarint(batch, 1)
-	batch = binary.AppendUvarint(batch, 0)
-	log = append(log, legacyFrame(opBatch, "t", 2, batch)...)
-	if err := os.WriteFile(filepath.Join(dir, legacyLogName), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
-	if err != nil {
-		t.Fatalf("legacy open: %v", err)
-	}
-	tb, ok := s.Table("t")
-	if !ok {
-		t.Fatal("legacy table lost")
-	}
-	if tb.Len() != 1 {
-		t.Fatalf("legacy Len = %d, want 1", tb.Len())
-	}
-	if rec, ok := tb.Get(3); !ok {
-		t.Fatal("legacy batch insert lost")
-	} else if v, _ := rec.Get("i").AsInt(); v != 3 {
-		t.Fatalf("legacy row holds %v", rec)
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacyLogName)); !os.IsNotExist(err) {
-		t.Error("scdb.log not migrated")
-	}
-	if _, err := os.Stat(segPath(dir, 0)); err != nil {
-		t.Errorf("legacy log not at segment 0: %v", err)
-	}
-	// New appends go to segment 1: the legacy file stays immutable.
-	id, err := tb.Insert(mkRec(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 4 {
-		t.Errorf("post-upgrade insert got id %d, want 4", id)
-	}
-	if st := s.WALStats(); st.SegmentIndex != 1 {
-		t.Errorf("active segment = %d, want 1", st.SegmentIndex)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(segPath(dir, 0)); !os.IsNotExist(err) {
-		t.Error("checkpoint did not retire the legacy segment")
-	}
-	want := dumpStore(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := dumpStore(t, re); got != want {
-		t.Fatalf("post-upgrade recovery differs:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestSnapshotV1BackCompat: a v1 snapshot (no magic, no catalog) still
-// loads; the next checkpoint rewrites it as v2.
-func TestSnapshotV1BackCompat(t *testing.T) {
-	dir := t.TempDir()
-	var buf []byte
-	buf = binary.AppendUvarint(buf, 1) // one table
-	buf = binary.AppendUvarint(buf, 1)
-	buf = append(buf, 't')
-	buf = binary.AppendUvarint(buf, 2) // two rows
-	buf = binary.AppendUvarint(buf, 1)
-	buf = model.AppendRecord(buf, mkRec(1))
-	buf = binary.AppendUvarint(buf, 5)
-	buf = model.AppendRecord(buf, mkRec(5))
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
-	if err != nil {
-		t.Fatalf("v1 snapshot open: %v", err)
-	}
-	tb, ok := s.Table("t")
-	if !ok || tb.Len() != 2 {
-		t.Fatalf("v1 snapshot rows lost")
-	}
-	// IDs must not be reused below the highest snapshot row.
-	id, err := tb.Insert(mkRec(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 6 {
-		t.Errorf("insert after v1 load got id %d, want 6", id)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
-	if err != nil || len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != string(snapMagic) {
-		t.Fatal("checkpoint did not upgrade the snapshot to v2")
-	}
-	want := dumpStore(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := dumpStore(t, re); got != want {
-		t.Fatalf("v1->v2 upgrade recovery differs:\n%s\nvs\n%s", got, want)
+			_, err = OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
+			if !errors.Is(err, ErrUnsupportedFormat) {
+				t.Fatalf("open = %v, want ErrUnsupportedFormat", err)
+			}
+			if !strings.Contains(err.Error(), tc.file) {
+				t.Errorf("error %q does not name %s", err, tc.file)
+			}
+			if after := readDir(dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("failed open changed the directory:\nbefore %q\nafter  %q", before, after)
+			}
+		})
 	}
 }
 

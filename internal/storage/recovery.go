@@ -11,12 +11,9 @@ package storage
 // Replay applies frames at their recorded commit stamps: WAL append order
 // is not CSN order (stamps are allocated before the table latch, frames
 // appended after it), so each version is inserted into its row's chain in
-// stamp order rather than re-stamped. Frames from a pre-segmentation
-// legacy log carry no stamp and are applied serially with fresh stamps,
-// exactly as the old recovery did.
+// stamp order rather than re-stamped.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,8 +27,7 @@ import (
 	"scdb/internal/model"
 )
 
-// logEntry is one decoded log frame. csn is 0 for legacy frames (the
-// pre-segmentation format had no stamp field).
+// logEntry is one decoded log frame.
 type logEntry struct {
 	op    byte
 	csn   CSN
@@ -45,7 +41,7 @@ type logEntry struct {
 // torn frame (short header/payload, bad checksum, oversized length) — the
 // point at which the segment should be truncated — or an error if fn or
 // payload decoding failed on an intact frame.
-func parseFrames(data []byte, start int64, legacy bool, fn func(logEntry) error) (valid int64, err error) {
+func parseFrames(data []byte, start int64, fn func(logEntry) error) (valid int64, err error) {
 	off := start
 	for {
 		if int64(len(data))-off < 12 {
@@ -62,7 +58,7 @@ func parseFrames(data []byte, start int64, legacy bool, fn func(logEntry) error)
 		if h.Sum64() != sum {
 			return off, nil // checksum mismatch: treat as torn
 		}
-		e, err := decodeEntry(payload, legacy)
+		e, err := decodeEntry(payload)
 		if err != nil {
 			return off, err
 		}
@@ -73,22 +69,19 @@ func parseFrames(data []byte, start int64, legacy bool, fn func(logEntry) error)
 	}
 }
 
-// decodeEntry decodes one frame payload. Legacy payloads lack the csn
-// field between the op byte and the table name.
-func decodeEntry(payload []byte, legacy bool) (logEntry, error) {
+// decodeEntry decodes one frame payload.
+func decodeEntry(payload []byte) (logEntry, error) {
 	if len(payload) < 1 {
 		return logEntry{}, fmt.Errorf("storage: empty log payload")
 	}
 	e := logEntry{op: payload[0]}
 	pos := 1
-	if !legacy {
-		c, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return logEntry{}, fmt.Errorf("storage: malformed commit stamp")
-		}
-		pos += n
-		e.csn = CSN(c)
+	c, n := binary.Uvarint(payload[pos:])
+	if n <= 0 {
+		return logEntry{}, fmt.Errorf("storage: malformed commit stamp")
 	}
+	pos += n
+	e.csn = CSN(c)
 	l, n := binary.Uvarint(payload[pos:])
 	if n <= 0 || uint64(len(payload)-pos-n) < l {
 		return logEntry{}, fmt.Errorf("storage: malformed table name")
@@ -139,6 +132,16 @@ func (s *Store) recover(opt Options) (activeIdx uint64, segCount int, err error)
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
+	// Reject a store in a format this build cannot read before anything
+	// below renames, truncates or deletes a file in it.
+	idxs, err := listSegments(s.dir)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := checkFormats(s.dir, idxs); err != nil {
+		return 0, 0, err
+	}
+
 	// A leftover snapshot .tmp is a checkpoint that died before its
 	// rename; the previous snapshot (if any) is still the good one.
 	os.Remove(filepath.Join(s.dir, snapshotName+".tmp"))
@@ -148,24 +151,9 @@ func (s *Store) recover(opt Options) (activeIdx uint64, segCount int, err error)
 		return 0, 0, err
 	}
 
-	// Migrate a pre-segmentation single-file log to segment 0. Its legacy
-	// frame format is detected per segment by the missing header magic.
-	legacyPath := filepath.Join(s.dir, legacyLogName)
-	if _, statErr := os.Stat(legacyPath); statErr == nil {
-		if err := os.Rename(legacyPath, segPath(s.dir, 0)); err != nil {
-			return 0, 0, err
-		}
-	}
-
-	idxs, err := listSegments(s.dir)
-	if err != nil {
-		return 0, 0, err
-	}
 	// Retire segments below the checkpoint horizon. Normally the
 	// checkpoint deleted them already; a crash between the snapshot
-	// rename and the deletion leaves them behind, and replaying them
-	// must be avoided for legacy (stamp-less) frames the snapshot
-	// already covers.
+	// rename and the deletion leaves them behind.
 	keep := idxs[:0]
 	for _, idx := range idxs {
 		if idx < horizon {
@@ -184,24 +172,14 @@ func (s *Store) recover(opt Options) (activeIdx uint64, segCount int, err error)
 		s.csn.Store(uint64(maxCSN))
 	}
 
-	// The WAL appends to the highest surviving segment — or a fresh one
-	// above the legacy segment (index 0), which must stay immutable in
-	// its old format. Index 0 is reserved for legacy logs; fresh stores
-	// start at 1.
-	switch {
-	case len(idxs) == 0:
-		activeIdx = horizon
-		if activeIdx == 0 {
-			activeIdx = 1
-		}
-	case idxs[len(idxs)-1] == 0:
-		activeIdx = 1
-	default:
-		activeIdx = idxs[len(idxs)-1]
-	}
+	// The WAL appends to the highest surviving segment; fresh stores start
+	// at segment 1.
 	segCount = len(idxs)
-	if len(idxs) == 0 || idxs[len(idxs)-1] != activeIdx {
-		segCount++ // openActiveSegment will create it
+	if len(idxs) > 0 {
+		activeIdx = idxs[len(idxs)-1]
+	} else {
+		activeIdx = max(horizon, 1)
+		segCount = 1 // openActiveSegment will create it
 	}
 
 	s.rebuildAll(aux, par)
@@ -224,20 +202,21 @@ func (s *Store) replaySegments(idxs []uint64, snapCSN CSN, par int) ([]uint64, C
 			ap.finish()
 			return idxs, maxCSN, err
 		}
-		legacy := !bytes.HasPrefix(data, segMagic)
-		start := int64(len(segMagic))
-		if legacy {
-			start = 0
+		// A header shorter than the magic is a crash mid-creation
+		// (checkFormats let it through as a prefix of the magic): the
+		// segment holds no frames and truncates to empty below.
+		var valid int64
+		if len(data) >= len(segMagic) {
+			valid, err = parseFrames(data, int64(len(segMagic)), func(e logEntry) error {
+				if e.csn <= snapCSN {
+					return nil // already covered by the snapshot
+				}
+				if e.csn > maxCSN {
+					maxCSN = e.csn
+				}
+				return ap.dispatch(e)
+			})
 		}
-		valid, err := parseFrames(data, start, legacy, func(e logEntry) error {
-			if e.csn != 0 && e.csn <= snapCSN {
-				return nil // already covered by the snapshot
-			}
-			if e.csn > maxCSN {
-				maxCSN = e.csn
-			}
-			return ap.dispatch(e)
-		})
 		if err != nil {
 			ap.finish()
 			return idxs, maxCSN, err
@@ -314,9 +293,6 @@ func (ap *applier) fail(err error) {
 }
 
 // dispatch decodes one frame into per-row mutations and routes them.
-// Legacy entries (csn 0) are stamped fresh here, on the single dispatch
-// goroutine, reproducing the deterministic stamps of pre-segmentation
-// recovery.
 func (ap *applier) dispatch(e logEntry) error {
 	if ap.failed.Load() {
 		return ap.finishErr()
@@ -334,9 +310,6 @@ func (ap *applier) dispatch(e logEntry) error {
 		return fmt.Errorf("storage: log references unknown table %q", e.table)
 	}
 	csn := e.csn
-	if csn == 0 {
-		csn = s.next()
-	}
 	if e.op == opBatch {
 		// One commit stamp for the whole batch, as the live path used.
 		rest := e.data
@@ -438,10 +411,9 @@ func applyOp(t *Table, op byte, rowID uint64, data []byte, csn CSN) error {
 	return nil
 }
 
-// loadSnapshot reads the snapshot file, if present. v2 snapshots return
-// their commit stamp, horizon segment, and the persisted self-curation
-// catalog; v1 snapshots (no magic) load with fresh stamps and return a
-// zero horizon so every segment replays, exactly as before segmentation.
+// loadSnapshot reads the snapshot file, if present, and returns its commit
+// stamp, horizon segment, and the persisted self-curation catalog.
+// (checkFormats has already vouched for its magic.)
 func (s *Store) loadSnapshot(par int) (CSN, uint64, map[string]*tableAux, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, snapshotName))
 	if err != nil {
@@ -449,9 +421,6 @@ func (s *Store) loadSnapshot(par int) (CSN, uint64, map[string]*tableAux, error)
 			return 0, 0, nil, nil
 		}
 		return 0, 0, nil, err
-	}
-	if !bytes.HasPrefix(data, snapMagic) {
-		return 0, 0, nil, s.loadSnapshotV1(data)
 	}
 	pos := len(snapMagic)
 	snapCSN, n := binary.Uvarint(data[pos:])
@@ -611,51 +580,6 @@ func (s *Store) decodeSection(name string, data []byte, snapCSN CSN) (*Table, *t
 		aux.acc = append(aux.acc, accSpec{attr: attr, eq: eq, rng: rng})
 	}
 	return t, aux, nil
-}
-
-// loadSnapshotV1 decodes the legacy snapshot format: uvarint table count,
-// then per table name, row count, and rows stamped fresh.
-func (s *Store) loadSnapshotV1(data []byte) error {
-	pos := 0
-	nTables, n := binary.Uvarint(data)
-	if n <= 0 {
-		return fmt.Errorf("storage: corrupt snapshot header")
-	}
-	pos += n
-	for i := uint64(0); i < nTables; i++ {
-		l, n := binary.Uvarint(data[pos:])
-		if n <= 0 || uint64(len(data)-pos-n) < l {
-			return fmt.Errorf("storage: corrupt snapshot table name")
-		}
-		pos += n
-		name := string(data[pos : pos+int(l)])
-		pos += int(l)
-		t := &Table{name: name, store: s, rows: make(map[RowID]*row)}
-		s.tables[name] = t
-		nRows, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return fmt.Errorf("storage: corrupt snapshot row count")
-		}
-		pos += n
-		for j := uint64(0); j < nRows; j++ {
-			id, n := binary.Uvarint(data[pos:])
-			if n <= 0 {
-				return fmt.Errorf("storage: corrupt snapshot row id")
-			}
-			pos += n
-			rec, used, err := model.DecodeRecord(data[pos:])
-			if err != nil {
-				return fmt.Errorf("storage: corrupt snapshot record: %w", err)
-			}
-			pos += used
-			t.rows[RowID(id)] = &row{versions: []version{{rec: rec, from: s.next()}}}
-			if id > t.nextID {
-				t.nextID = id
-			}
-			t.live++
-		}
-	}
-	return nil
 }
 
 // rebuildAll recomputes zone maps and rebuilds the persisted index catalog

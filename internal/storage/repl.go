@@ -54,8 +54,7 @@ type WALPos struct {
 }
 
 // ErrWALTrimmed reports that the segment a reader needs has been deleted by
-// a checkpoint (or is a legacy stamp-less segment that cannot be shipped);
-// the subscriber must bootstrap from a snapshot instead.
+// a checkpoint; the subscriber must bootstrap from a snapshot instead.
 var ErrWALTrimmed = errors.New("storage: wal segment trimmed below reader position")
 
 // errNotDurable fails replication entry points on in-memory stores.
@@ -87,24 +86,12 @@ func (s *Store) StableCSN() CSN {
 // ReplNeedsSnapshot reports whether a follower whose applied CSN is the
 // given stamp can be served from the retained log, or must bootstrap from a
 // checkpoint snapshot first. A follower below the latest checkpoint CSN
-// needs frames that checkpoints may already have deleted; a legacy
-// (pre-segmentation) segment carries stamp-less frames that cannot be
-// shipped at all until a checkpoint retires it.
+// needs frames that checkpoints may already have deleted.
 func (s *Store) ReplNeedsSnapshot(applied CSN) (bool, error) {
 	if s.wal == nil {
 		return false, errNotDurable
 	}
-	if applied < CSN(s.ckptCSN.Load()) {
-		return true, nil
-	}
-	idxs, err := listSegments(s.dir)
-	if err != nil {
-		return false, err
-	}
-	if len(idxs) > 0 && idxs[0] == 0 {
-		return true, nil // segment 0 is reserved for legacy logs
-	}
-	return false, nil
+	return applied < CSN(s.ckptCSN.Load()), nil
 }
 
 // ReplStartPos returns the position of the earliest retained log frame —
@@ -132,9 +119,9 @@ func (s *Store) ReplStartPos() (WALPos, error) {
 // that a single frame larger than maxBytes is still read whole — every call
 // with data available makes progress. It returns the decoded entries, the
 // next read position, and atEnd — whether the read caught up with the
-// active segment's current end. A deleted (or legacy) segment returns
-// ErrWALTrimmed. Entry Data slices alias the read buffer and are valid
-// until the caller discards them.
+// active segment's current end. A deleted segment returns ErrWALTrimmed.
+// Entry Data slices alias the read buffer and are valid until the caller
+// discards them.
 func (s *Store) TailWAL(pos WALPos, maxBytes int64) (entries []ReplEntry, next WALPos, atEnd bool, err error) {
 	w := s.wal
 	if w == nil {
@@ -177,10 +164,6 @@ func (s *Store) TailWAL(pos WALPos, maxBytes int64) (entries []ReplEntry, next W
 	}
 	size := fi.Size()
 	if pos.Off == 0 {
-		hdr := make([]byte, len(segMagic))
-		if _, herr := f.ReadAt(hdr, 0); herr != nil || !bytes.Equal(hdr, segMagic) {
-			return nil, pos, false, ErrWALTrimmed // legacy frames have no stamps
-		}
 		pos.Off = int64(len(segMagic))
 	}
 	collect := func(e logEntry) error {
@@ -203,7 +186,7 @@ func (s *Store) TailWAL(pos WALPos, maxBytes int64) (entries []ReplEntry, next W
 		if _, err := f.ReadAt(buf, pos.Off); err != nil {
 			return nil, pos, false, err
 		}
-		if valid, err = parseFrames(buf, 0, false, collect); err != nil {
+		if valid, err = parseFrames(buf, 0, collect); err != nil {
 			return nil, pos, false, err
 		}
 		if truncated && valid == 0 && readLen >= 12 {
@@ -215,7 +198,7 @@ func (s *Store) TailWAL(pos WALPos, maxBytes int64) (entries []ReplEntry, next W
 				if _, err := f.ReadAt(buf, pos.Off); err != nil {
 					return nil, pos, false, err
 				}
-				if valid, err = parseFrames(buf, 0, false, collect); err != nil {
+				if valid, err = parseFrames(buf, 0, collect); err != nil {
 					return nil, pos, false, err
 				}
 				truncated = need < remain

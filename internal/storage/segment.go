@@ -9,15 +9,12 @@ package storage
 // sealed segments strictly below it. Nothing is ever truncated or
 // rewritten in place, so there is no window in which a concurrent commit
 // can land in a file that is about to be destroyed.
-//
-// Pre-segmentation stores used a single "scdb.log" in a older frame format
-// without commit stamps. On open such a file is renamed to segment 0 and
-// replayed with the legacy decoder; the first checkpoint's horizon then
-// retires it.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,14 +23,61 @@ import (
 )
 
 const (
-	legacyLogName = "scdb.log"
-	snapshotName  = "scdb.snapshot"
-	segPrefix     = "scdb.wal."
+	snapshotName = "scdb.snapshot"
+	segPrefix    = "scdb.wal."
+	// oldLogName is the single-file log of stores that predate
+	// segmentation; this build cannot read it.
+	oldLogName = "scdb.log"
 )
 
-// segMagic opens every v2 segment. Legacy segment 0 (a renamed scdb.log)
-// has no header; the replayer sniffs the first 8 bytes to pick a decoder.
+// segMagic opens every segment.
 var segMagic = []byte("SCWAL002")
+
+// ErrUnsupportedFormat reports a store directory holding a file in an
+// on-disk format this build cannot read. Open fails with it before
+// touching the directory.
+var ErrUnsupportedFormat = errors.New("storage: unsupported on-disk format")
+
+// checkFormats fails with ErrUnsupportedFormat if dir holds a
+// pre-segmentation log, a snapshot without snapMagic, or one of the listed
+// segments without segMagic. A segment shorter than its magic but a prefix
+// of it is a crash mid-creation, not a foreign format, and passes.
+func checkFormats(dir string, segs []uint64) error {
+	if _, err := os.Stat(filepath.Join(dir, oldLogName)); err == nil {
+		return fmt.Errorf("%w: %s is a pre-segmentation log", ErrUnsupportedFormat, filepath.Join(dir, oldLogName))
+	}
+	if err := checkMagic(filepath.Join(dir, snapshotName), snapMagic, false); err != nil {
+		return err
+	}
+	for _, idx := range segs {
+		if err := checkMagic(segPath(dir, idx), segMagic, true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkMagic verifies that the file at path, if it exists, opens with
+// magic; tornOK also accepts a file that ends inside the magic.
+func checkMagic(path string, magic []byte, tornOK bool) error {
+	f, err := os.Open(path)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		return err
+	}
+	defer f.Close()
+	hdr := make([]byte, len(magic))
+	n, err := io.ReadFull(f, hdr)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return err
+	}
+	if hdr = hdr[:n]; bytes.Equal(hdr, magic) || tornOK && bytes.HasPrefix(magic, hdr) {
+		return nil
+	}
+	return fmt.Errorf("%w: %s does not open with %s", ErrUnsupportedFormat, path, magic)
+}
 
 // DefaultSegmentBytes is the rotation threshold when Options.SegmentBytes
 // is zero.
