@@ -8,7 +8,8 @@
 //	-connect ADDR   talk to a running scdb-server instead of embedding
 //	-dir DIR        open a durable database at DIR (default: in-memory)
 //	-load NAME      load a sample corpus: lifesci | clinical | stream
-//	-q QUERY        run one SCQL query and exit (repeatable via args)
+//	-q QUERY        run one SCQL query and exit (repeatable via args);
+//	                the first statement that fails ends the run with status 1
 //	-explain QUERY  print the optimized plan and rewrites, then exit
 //	-analyze QUERY  execute the query and print per-operator statistics
 //	-parallelism N  executor worker-pool size (0 = one per CPU)
@@ -120,16 +121,10 @@ func main() {
 		}
 		return
 	}
-	ran := false
-	if *q != "" {
-		runQuery(db, *q)
-		ran = true
-	}
-	for _, arg := range flag.Args() {
-		runQuery(db, arg)
-		ran = true
-	}
-	if ran {
+	if ran, ok := oneShot(db, *q, flag.Args()); ran {
+		if !ok {
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -246,16 +241,10 @@ func runRemote(addr, q, explain, analyze string, args []string) {
 		}
 		return
 	}
-	ran := false
-	if q != "" {
-		runQuery(c, q)
-		ran = true
-	}
-	for _, arg := range args {
-		runQuery(c, arg)
-		ran = true
-	}
-	if ran {
+	if ran, ok := oneShot(c, q, args); ran {
+		if !ok {
+			os.Exit(1)
+		}
 		return
 	}
 	sc := bufio.NewScanner(os.Stdin)
@@ -433,11 +422,29 @@ func printExplain(db engine, q string) {
 	fmt.Printf("estimated cost: %.0f\n", info.EstimatedCost)
 }
 
-func runQuery(db engine, q string) {
+// oneShot runs the -q statement and then the positional ones, stopping at
+// the first that fails. ran reports whether there was a statement at all
+// (without one the caller starts the shell); ok whether all of them
+// succeeded, which the caller turns into the exit status.
+func oneShot(db engine, q string, args []string) (ran, ok bool) {
+	if q != "" {
+		args = append([]string{q}, args...)
+	}
+	for _, stmt := range args {
+		if !runQuery(db, stmt) {
+			return true, false
+		}
+	}
+	return len(args) > 0, true
+}
+
+// runQuery executes q and prints its result as a table; it reports whether
+// the statement succeeded.
+func runQuery(db engine, q string) bool {
 	rows, info, err := db.QueryInfo(q)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
-		return
+		return false
 	}
 	widths := make([]int, len(rows.Columns))
 	cells := func(row []any) []string {
@@ -485,6 +492,7 @@ func runQuery(db engine, q string) {
 		cached = " (materialized)"
 	}
 	fmt.Printf("(%d rows)%s\n", len(rows.Data), cached)
+	return true
 }
 
 // runAnalyze executes a query and prints its per-operator runtime profile

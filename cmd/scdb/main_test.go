@@ -81,6 +81,30 @@ func TestRunQueryErrorGoesToStderr(t *testing.T) {
 	}
 }
 
+// One-shot mode stops at the first failed statement and reports it, so the
+// process can exit non-zero; a script diffing two topologies' output must
+// not mistake an error for an empty answer.
+func TestOneShotReportsFailure(t *testing.T) {
+	db := testDB(t)
+	var ran, ok bool
+	out := captureStdout(t, func() {
+		ran, ok = oneShot(db, "SELECT name FROM things ORDER BY n", []string{"SELECT FROM nowhere", "SELECT n FROM things"})
+	})
+	if !ran || ok {
+		t.Errorf("ran, ok = %v, %v; want true, false", ran, ok)
+	}
+	if !strings.Contains(out, "alpha") || strings.Count(out, "rows)") != 1 {
+		t.Errorf("want the first statement's answer and nothing after the failure:\n%s", out)
+	}
+	out = captureStdout(t, func() { ran, ok = oneShot(db, "", []string{"SELECT n FROM things"}) })
+	if !ran || !ok || !strings.Contains(out, "(2 rows)") {
+		t.Errorf("ran, ok = %v, %v; output:\n%s", ran, ok, out)
+	}
+	if ran, _ = oneShot(db, "", nil); ran {
+		t.Error("no statement: the shell must start")
+	}
+}
+
 func TestPrintStats(t *testing.T) {
 	db := testDB(t)
 	out := captureStdout(t, func() { printStats(db) })

@@ -6,17 +6,18 @@ package er
 // on different shards and never become candidates for each other. The
 // router closes that gap by pulling Digests (the pairwise-scoring evidence
 // of each indexed entity) from every shard and feeding them to an
-// Exchange, which reruns candidate generation and pair scoring across
-// shard boundaries with the same blocking keys, the same pairScore, and
-// the same advisor as the local resolvers. Because scoring is pure and
-// union-find closure is order-independent, the set of clusters the cluster
-// converges to is the set a single node would have produced — the property
-// the 1-shard vs 3-shard differential test pins down (modulo MaxBlock
-// truncation, which can select different candidate subsets when a block
-// is split across shards; see DESIGN.md).
+// Exchange: a Resolver whose entities are digests. There is one candidate
+// generator and one scorer, Resolver.Prepare and Commit; the exchange only
+// widens the resolver's never-pair rule from "same source" to "same source
+// or same shard". Because scoring is pure and union-find closure is
+// order-independent, the set of clusters the cluster converges to is the
+// set a single node would have produced — the property the differential
+// tests pin down (modulo MaxBlock truncation, which can select different
+// candidate subsets when a block is split across shards; see DESIGN.md).
 
 import (
 	"sort"
+	"time"
 
 	"scdb/internal/model"
 )
@@ -119,63 +120,33 @@ func digestIndexed(d Digest) indexed {
 	return ix
 }
 
-// xelem is one digested entity inside the exchange.
-type xelem struct {
-	shard int
-	ix    indexed
-}
-
-// Exchange is the router-side half of cross-shard ER. Digest batches from
-// every shard stream in (AddBatch); each new digest is matched against the
-// digests of *other* shards — same-shard pairs are the local resolvers'
-// job — using the same candidate generation and scoring the shards run
-// locally. Two union-finds track cluster structure: ufLocal holds only the
-// shards' own merges, ufAll additionally holds the accepted cross-shard
-// pairs, so clusters(ufLocal) − clusters(ufAll) is exactly the number of
-// entity merges the cluster would lose without the exchange — the
-// correction the router applies to the summed per-shard entity counts.
+// Exchange is the router-side half of cross-shard ER: a Resolver whose
+// entities are digests. Digest batches from every shard stream in
+// (AddBatch); each new digest goes through the resolver's own Prepare and
+// Commit, so candidate generation, scoring, the advisor and the counters are
+// the ones the shards run locally. The one difference is the never-pair
+// rule: same-shard pairs are the local resolvers' job, so the exchange never
+// scores them either. Two union-finds track cluster structure: ufLocal
+// holds only the shards' own merges, and the resolver's union-find (ufAll)
+// additionally holds the accepted cross-shard pairs, so clusters(ufLocal) −
+// clusters(ufAll) is exactly the number of entity merges the cluster would
+// lose without the exchange — the correction the router applies to the
+// summed per-shard entity counts.
 //
 // Exchange is not goroutine-safe; the router serializes AddBatch and
 // Stats under its own mutex.
 type Exchange struct {
-	cfg    Config
-	elems  []xelem
-	byRef  map[RefKey]int
-	blocks map[string][]int
-	ann    *annIndex
-
+	res     *Resolver      // entity i is the digest at position i, under ID xid(i)
+	byRef   map[RefKey]int // digest identity → position
 	ufLocal *UnionFind
-	ufAll   *UnionFind
-
-	comparisons int
-	candidates  int
-	accepted    int
-	annProbes   int
-	blockSkips  int
 }
 
 // NewExchange creates an exchange. Pass the same Config the shards run so
 // candidate generation and acceptance agree across the boundary.
 func NewExchange(cfg Config) *Exchange {
-	x := &Exchange{
-		cfg:     cfg.withDefaults(),
-		byRef:   map[RefKey]int{},
-		blocks:  map[string][]int{},
-		ufLocal: NewUnionFind(),
-		ufAll:   NewUnionFind(),
-	}
-	if x.useANN() {
-		x.ann = newANNIndex(x.cfg.EmbedDim)
-	}
-	return x
-}
-
-func (x *Exchange) useANN() bool {
-	return !x.cfg.DisableBlocking && (x.cfg.Blocking == BlockingANN || x.cfg.Blocking == BlockingBoth)
-}
-
-func (x *Exchange) useTokenBlocks() bool {
-	return !x.cfg.DisableBlocking && (x.cfg.Blocking == BlockingToken || x.cfg.Blocking == BlockingBoth)
+	res := NewResolver(cfg)
+	res.never = func(a, b *indexed) bool { return a.shard == b.shard || a.source == b.source }
+	return &Exchange{res: res, byRef: map[RefKey]int{}, ufLocal: NewUnionFind()}
 }
 
 // xid maps an element position to its synthetic union-find ID.
@@ -190,102 +161,30 @@ func (x *Exchange) AddBatch(shard int, b DigestBatch) {
 		x.addDigest(shard, d)
 	}
 	for _, m := range b.Merges {
-		a := x.elemFor(shard, m[0])
-		bb := x.elemFor(shard, m[1])
-		x.ufLocal.Union(xid(a), xid(bb))
-		x.ufAll.Union(xid(a), xid(bb))
+		// A merge whose digest has not arrived registers as an empty digest
+		// (defensive: DigestsSince snapshots ents and matches together, so
+		// in-order batches always carry the digest first).
+		a := xid(x.addDigest(shard, Digest{Source: m[0].Source, Key: m[0].Key}))
+		bb := xid(x.addDigest(shard, Digest{Source: m[1].Source, Key: m[1].Key}))
+		x.ufLocal.Union(a, bb)
+		x.res.uf.Union(a, bb)
 	}
 }
 
-// elemFor resolves a merge reference, registering a bare element if the
-// digest has not arrived (defensive: DigestsSince snapshots ents and
-// matches together, so in-order batches always carry the digest first).
-func (x *Exchange) elemFor(shard int, ref RefKey) int {
+// addDigest resolves one digest against the other shards' digests and
+// returns its position; a digest already seen keeps its position.
+func (x *Exchange) addDigest(shard int, d Digest) int {
+	ref := RefKey{Source: d.Source, Key: d.Key}
 	if pos, ok := x.byRef[ref]; ok {
 		return pos
 	}
-	pos := len(x.elems)
-	x.elems = append(x.elems, xelem{shard: shard, ix: indexed{key: ref.Key, source: ref.Source, attrs: map[string]string{}}})
+	ix := digestIndexed(d)
+	ix.shard = shard
+	pos := len(x.res.ents)
+	x.res.Commit(x.res.prepare(ix, time.Now()), xid(pos))
 	x.byRef[ref] = pos
 	x.ufLocal.Find(xid(pos))
-	x.ufAll.Find(xid(pos))
 	return pos
-}
-
-// addDigest indexes one digest and scores it against the other shards'
-// candidates, mirroring Resolver.Prepare/Commit across the shard boundary.
-func (x *Exchange) addDigest(shard int, d Digest) {
-	ref := RefKey{Source: d.Source, Key: d.Key}
-	if _, ok := x.byRef[ref]; ok {
-		return
-	}
-	ix := digestIndexed(d)
-	pos := len(x.elems)
-	id := xid(pos)
-
-	var cands []int
-	var keys []string
-	var vec []float32
-	var seen map[int]bool
-	switch {
-	case x.cfg.DisableBlocking:
-		cands = make([]int, len(x.elems))
-		for ci := range x.elems {
-			cands[ci] = ci
-		}
-	default:
-		if x.useTokenBlocks() {
-			keys = blockKeysFor(ix, x.cfg.BlockPrefix)
-			seen = map[int]bool{}
-			for _, key := range keys {
-				cs := x.blocks[key]
-				if len(cs) > x.cfg.MaxBlock {
-					x.blockSkips += len(cs) - x.cfg.MaxBlock
-					cs = cs[:x.cfg.MaxBlock]
-				}
-				for _, ci := range cs {
-					if !seen[ci] {
-						seen[ci] = true
-						cands = append(cands, ci)
-					}
-				}
-			}
-		}
-		if x.useANN() {
-			vec = embedTokens(ix.tokens, x.cfg.EmbedDim)
-			nbrs, probed := x.ann.topK(vec, x.cfg.TopK, func(p int) bool {
-				return x.elems[p].shard == shard || x.elems[p].ix.source == ix.source || seen[p]
-			})
-			x.annProbes += probed
-			cands = append(cands, nbrs...)
-		}
-	}
-	x.candidates += len(cands)
-	for _, ci := range cands {
-		cand := &x.elems[ci]
-		// Same-shard pairs were already resolved (or correctly rejected)
-		// locally; same-source pairs never match; already-clustered pairs
-		// need no further evidence.
-		if cand.shard == shard || cand.ix.source == ix.source || x.ufAll.Same(xid(ci), id) {
-			continue
-		}
-		x.comparisons++
-		s := pairScore(ix, cand.ix)
-		if x.cfg.Advisor.Accept(view(ix), view(cand.ix), s) {
-			x.ufAll.Union(id, xid(ci))
-			x.accepted++
-		}
-	}
-	for _, key := range keys {
-		x.blocks[key] = append(x.blocks[key], pos)
-	}
-	if x.useANN() {
-		x.ann.add(pos, vec)
-	}
-	x.elems = append(x.elems, xelem{shard: shard, ix: ix})
-	x.byRef[ref] = pos
-	x.ufLocal.Find(id)
-	x.ufAll.Find(id)
 }
 
 // SameRef reports whether two entities — possibly on different shards —
@@ -293,7 +192,7 @@ func (x *Exchange) addDigest(shard int, d Digest) {
 func (x *Exchange) SameRef(a, b RefKey) bool {
 	pa, aok := x.byRef[a]
 	pb, bok := x.byRef[b]
-	return aok && bok && x.ufAll.Same(xid(pa), xid(pb))
+	return aok && bok && x.res.Same(xid(pa), xid(pb))
 }
 
 // ExchangeStats snapshots the exchange's work counters.
@@ -320,15 +219,16 @@ type ExchangeStats struct {
 // Stats computes the current counters. Cluster counting walks every
 // element (near-linear with union-find compression).
 func (x *Exchange) Stats() ExchangeStats {
+	rs := x.res.Stats()
 	local := x.countClusters(x.ufLocal)
-	all := x.countClusters(x.ufAll)
+	all := x.countClusters(x.res.uf)
 	return ExchangeStats{
-		Digests:     len(x.elems),
-		Comparisons: x.comparisons,
-		Candidates:  x.candidates,
-		Accepted:    x.accepted,
-		ANNProbes:   x.annProbes,
-		BlockSkips:  x.blockSkips,
+		Digests:     len(x.res.ents),
+		Comparisons: rs.Comparisons,
+		Candidates:  rs.Candidates,
+		Accepted:    rs.Matches,
+		ANNProbes:   rs.ANNProbes,
+		BlockSkips:  rs.BlockSkips,
 		Clusters:    all,
 		CrossMerges: local - all,
 	}
@@ -336,7 +236,7 @@ func (x *Exchange) Stats() ExchangeStats {
 
 func (x *Exchange) countClusters(uf *UnionFind) int {
 	roots := map[model.EntityID]bool{}
-	for pos := range x.elems {
+	for pos := range x.res.ents {
 		roots[uf.Find(xid(pos))] = true
 	}
 	return len(roots)

@@ -121,38 +121,3 @@ func TestExchangeIdempotentAndIncremental(t *testing.T) {
 		t.Errorf("replay changed stats: %+v vs %+v", got, want)
 	}
 }
-
-func TestExchangeMatchesSingleNodeClusters(t *testing.T) {
-	// The order-independence property the differential test relies on:
-	// entities spread over 3 shards resolve to the same cluster count a
-	// single resolver computes over the whole set.
-	all := []*model.Entity{
-		ent(1, "a", map[string]string{"name": "Methotrexate"}),
-		ent(2, "b", map[string]string{"drug": "Methotrexate"}),
-		ent(3, "c", map[string]string{"compound": "Methotrexate"}),
-		ent(4, "a", map[string]string{"name": "Warfarin"}),
-		ent(5, "b", map[string]string{"drug": "Warfarin"}),
-		ent(6, "a", map[string]string{"name": "Ibuprofen"}),
-	}
-	single := NewResolver(Config{})
-	for _, e := range all {
-		single.Add(e)
-	}
-	singleClusters := 0
-	{
-		roots := map[model.EntityID]bool{}
-		for _, e := range all {
-			roots[single.Canonical(e.ID)] = true
-		}
-		singleClusters = len(roots)
-	}
-
-	x, _ := exchangeOver(t, Config{},
-		[]*model.Entity{all[0], all[3]}, // shard 0: a
-		[]*model.Entity{all[1], all[4]}, // shard 1: b
-		[]*model.Entity{all[2], all[5]}, // shard 2: c + a
-	)
-	if got := x.Stats().Clusters; got != singleClusters {
-		t.Errorf("sharded clusters = %d, single-node = %d", got, singleClusters)
-	}
-}

@@ -119,6 +119,7 @@ type indexed struct {
 	id     model.EntityID
 	key    string
 	source string
+	shard  int // owning shard, inside the cross-shard Exchange; 0 locally
 	tokens []string
 	attrs  map[string]string
 	// vals caches the per-value similarity derivations (tokens, trigram
@@ -159,6 +160,21 @@ type Resolver struct {
 	candidates int // candidate pairs gathered (pre union-find filtering)
 	annProbes  int // ANN bucket members examined during rerank
 	blockSkips int // candidate slots dropped by the MaxBlock cap
+
+	// never, when set, replaces the same-source rule of neverPair (the
+	// cross-shard Exchange adds "same shard").
+	never func(a, b *indexed) bool
+}
+
+// neverPair reports a pair that is never scored. Sources are assumed
+// internally duplicate-free, so two records of one source never match. The
+// rule holds in three places: the ANN pre-filter, the scoring skip in
+// Prepare and the counting skip in Commit.
+func (r *Resolver) neverPair(a, b *indexed) bool {
+	if r.never != nil {
+		return r.never(a, b)
+	}
+	return a.source == b.source
 }
 
 // NewResolver creates a resolver with the given configuration.
@@ -263,17 +279,10 @@ func runePrefix(s string, n int) string {
 // blockKeys derives the blocking keys of an indexed entity: the prefix of
 // every token.
 func (r *Resolver) blockKeys(ix indexed) []string {
-	return blockKeysFor(ix, r.cfg.BlockPrefix)
-}
-
-// blockKeysFor is the shared implementation: the resolver and the
-// cross-shard Exchange must derive identical keys for the same entity, or
-// a pair split across shards would never become a candidate.
-func blockKeysFor(ix indexed, prefix int) []string {
 	seen := map[string]bool{}
 	var keys []string
 	for _, t := range ix.tokens {
-		k := runePrefix(t, prefix)
+		k := runePrefix(t, r.cfg.BlockPrefix)
 		if !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)
@@ -382,11 +391,18 @@ func (p *Prepared) Candidates() int { return len(p.cands) }
 
 // Prepare runs candidate generation and pair scoring for one arriving
 // entity against the resolver's committed state, without mutating it. The
-// entity's ID need not be final yet (Commit assigns it); same-source
+// entity's ID need not be final yet (Commit assigns it); neverPair
 // candidates are gathered but never scored, mirroring Add's skip rule.
 func (r *Resolver) Prepare(e *model.Entity) *Prepared {
 	start := time.Now()
-	p := &Prepared{ix: index(e)}
+	return r.prepare(index(e), start)
+}
+
+// prepare is Prepare from an already-indexed entity (the Exchange's digests
+// arrive pre-normalized). start is when work on the entity began, so that
+// BlockDur covers indexing as well.
+func (r *Resolver) prepare(ix indexed, start time.Time) *Prepared {
+	p := &Prepared{ix: ix}
 	if r.cfg.DisableBlocking {
 		p.cands = make([]int, len(r.ents))
 		for ci := range r.ents {
@@ -413,12 +429,12 @@ func (r *Resolver) Prepare(e *model.Entity) *Prepared {
 		}
 		if r.useANN() {
 			p.vec = embedTokens(p.ix.tokens, r.cfg.EmbedDim)
-			// Same-source positions are filtered before the top-K cut:
+			// Never-paired positions are filtered before the top-K cut:
 			// they can never match, and ranking them would let a burst of
 			// sibling records crowd real neighbors out of K (it would also
 			// make the parallel snapshot diverge from a serial pass).
 			nbrs, probed := r.ann.topK(p.vec, r.cfg.TopK, func(pos int) bool {
-				return r.ents[pos].source == p.ix.source || (seen != nil && seen[pos])
+				return r.neverPair(&p.ix, &r.ents[pos]) || seen[pos]
 			})
 			p.probes = probed
 			p.cands = append(p.cands, nbrs...)
@@ -427,16 +443,20 @@ func (r *Resolver) Prepare(e *model.Entity) *Prepared {
 	p.blockDur = time.Since(start)
 
 	start = time.Now()
-	p.scores = make([]float64, len(p.cands))
-	p.accept = make([]bool, len(p.cands))
 	for i, ci := range p.cands {
-		cand := r.ents[ci]
-		if cand.source == p.ix.source {
+		cand := &r.ents[ci]
+		if r.neverPair(&p.ix, cand) {
 			continue // never scored; Commit skips it the same way
 		}
-		s := pairScore(p.ix, cand)
+		if p.scores == nil {
+			// Allocated on the first pair that is scored: a single-source
+			// load gathers candidates by the hundred and scores none.
+			p.scores = make([]float64, len(p.cands))
+			p.accept = make([]bool, len(p.cands))
+		}
+		s := pairScore(p.ix, *cand)
 		p.scores[i] = s
-		p.accept[i] = r.cfg.Advisor.Accept(view(p.ix), view(cand), s)
+		p.accept[i] = r.cfg.Advisor.Accept(view(p.ix), view(*cand), s)
 	}
 	p.scoreDur = time.Since(start)
 	return p
@@ -453,8 +473,8 @@ func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 	pos := len(r.ents)
 	var found []Match
 	for i, ci := range p.cands {
-		cand := r.ents[ci]
-		if cand.source == p.ix.source || r.uf.Same(cand.id, id) {
+		cand := &r.ents[ci]
+		if r.neverPair(&p.ix, cand) || r.uf.Same(cand.id, id) {
 			continue
 		}
 		r.Comparisons++

@@ -106,7 +106,8 @@ func (r Row) Lookup(binding, name string) (model.Value, error) {
 	return model.Null(), fmt.Errorf("query: ambiguous column %q", name)
 }
 
-// evalCtx carries evaluation state.
+// evalCtx carries evaluation state. env is nil when the plan's only leaves
+// are RowsNodes.
 type evalCtx struct {
 	env      Env
 	semantic bool
@@ -132,39 +133,6 @@ func truthValue(t model.Truth) model.Value {
 		return model.Bool(false)
 	}
 	return model.Null()
-}
-
-// EvalScalar evaluates a row-free expression: literals and the arithmetic,
-// comparison, and logical operators over them. The shard router uses it to
-// finalize merged aggregates — it substitutes each aggregate call with a
-// Literal holding the merged value, then evaluates the surrounding
-// expression exactly as the executor's finalize step would. Column
-// references read as null (there is no row); the expression must not
-// contain semantic/graph builtins (there is no Env to answer them).
-func EvalScalar(e Expr) (model.Value, error) {
-	c := &evalCtx{}
-	return c.Eval(e, newRow())
-}
-
-// EvalOnRow evaluates an expression against one bare row of named output
-// columns — the shard router's ORDER BY re-evaluation over merged result
-// rows. Columns bind unqualified; a dotted column label ("o.x", how SELECT
-// * renders multi-binding rows) additionally binds qualified so qualified
-// references resolve. Like EvalScalar, the expression must not contain
-// semantic/graph builtins.
-func EvalOnRow(e Expr, cols []string, vals []model.Value) (model.Value, error) {
-	r := newRow()
-	for i, col := range cols {
-		if i >= len(vals) {
-			break
-		}
-		r.Set("", col, vals[i])
-		if j := strings.Index(col, "."); j > 0 {
-			r.Set(col[:j], col[j+1:], vals[i])
-		}
-	}
-	c := &evalCtx{}
-	return c.Eval(e, r)
 }
 
 // Eval evaluates the expression against a row.
@@ -386,6 +354,14 @@ func (c *evalCtx) evalCall(e *Call, row Row) (model.Value, error) {
 			return model.Value{}, err
 		}
 		argv[i] = v
+	}
+	switch e.Name {
+	case "ISA", "REACHES", "LINKED", "TYPES", "PREDICT":
+		// A plan over a RowsNode runs without an Env: there is no graph to
+		// consult, and Unknown would be a silent wrong answer.
+		if c.env == nil {
+			return model.Value{}, fmt.Errorf("query: %s needs the entity graph, which a plan over literal rows does not have", e.Name)
+		}
 	}
 	switch e.Name {
 	case "ISA":

@@ -269,6 +269,8 @@ func (x *execCtx) build(n Node) (s *stream, cols []string, st *OpStats, err erro
 		return x.buildConceptScan(n)
 	case *EmptyNode:
 		return emptyStream(), nil, newOpStats(n), nil
+	case *RowsNode:
+		return x.buildRows(n)
 	case *FilterNode:
 		return x.buildFilter(n)
 	case *JoinNode:
@@ -319,6 +321,23 @@ func recSliceStream(recs []model.Record, size int) *stream {
 		},
 		stop: func() {},
 	}
+}
+
+func (x *execCtx) buildRows(n *RowsNode) (*stream, []string, *OpStats, error) {
+	st := newOpStats(n)
+	rows := make([]Row, len(n.Rows))
+	for i, vals := range n.Rows {
+		r := newRow()
+		for j, col := range n.Cols {
+			r.Set("", col, vals[j])
+			if k := strings.Index(col, "."); k > 0 {
+				r.Set(col[:k], col[k+1:], vals[j])
+			}
+		}
+		rows[i] = r
+	}
+	st.tallyRows(len(rows), len(rows), 0)
+	return sliceStream(rows, x.size), n.Cols, st, nil
 }
 
 func (x *execCtx) buildScan(n *ScanNode) (*stream, []string, *OpStats, error) {
@@ -1040,30 +1059,26 @@ type groupPartial struct {
 }
 
 // collectAggCalls gathers the distinct aggregate calls that finalization
-// will need states for. The walk descends exactly where grouped evaluation
-// descends (top-level calls and Binary operands); aggregates nested
-// anywhere else error at eval time and need no state.
+// will need states for, wherever containsAggregate finds them.
 func collectAggCalls(n *AggregateNode) []*Call {
 	var calls []*Call
 	seen := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch e := e.(type) {
-		case *Call:
-			if aggFuncs[e.Name] && !seen[e.String()] {
-				seen[e.String()] = true
-				calls = append(calls, e)
-			}
-		case *Binary:
-			walk(e.L)
-			walk(e.R)
+	collect := func(e Expr) (Expr, error) {
+		c, ok := e.(*Call)
+		if !ok || !aggFuncs[c.Name] {
+			return nil, nil
 		}
+		if !seen[c.String()] {
+			seen[c.String()] = true
+			calls = append(calls, c)
+		}
+		return c, nil
 	}
 	for _, it := range n.Items {
-		walk(it.Expr)
+		Rewrite(it.Expr, collect)
 	}
 	if n.Having != nil {
-		walk(n.Having)
+		Rewrite(n.Having, collect)
 	}
 	return calls
 }
@@ -1114,31 +1129,38 @@ func finalizeAgg(call *Call, g *groupAgg, idx int) (model.Value, error) {
 }
 
 // evalFromStates evaluates a grouped expression from merged partial states:
-// aggregate calls finalize their state; everything else evaluates on the
-// group's representative row.
+// aggregate calls finalize their state, aggregate-free subexpressions
+// evaluate on the group's representative row, and whatever node sits above
+// an aggregate is evaluated over those results.
 func (x *execCtx) evalFromStates(e Expr, g *groupAgg, callIdx map[string]int) (model.Value, error) {
-	switch e := e.(type) {
-	case *Call:
-		if aggFuncs[e.Name] {
-			return finalizeAgg(e, g, callIdx[e.String()])
-		}
-	case *Binary:
-		if containsAggregate(e.L) || containsAggregate(e.R) {
-			l, err := x.evalFromStates(e.L, g, callIdx)
-			if err != nil {
-				return model.Value{}, err
-			}
-			r, err := x.evalFromStates(e.R, g, callIdx)
-			if err != nil {
-				return model.Value{}, err
-			}
-			return x.ev.Eval(&Binary{Op: e.Op, L: &Literal{Val: l}, R: &Literal{Val: r}}, newRow())
-		}
+	if c, ok := e.(*Call); ok && aggFuncs[c.Name] {
+		return finalizeAgg(c, g, callIdx[c.String()])
 	}
-	if !g.hasRep {
-		return model.Null(), nil
+	if !containsAggregate(e) {
+		if !g.hasRep {
+			// A global aggregate over no rows has no row to read: columns
+			// are null there, and constants are still themselves.
+			e, _ = Rewrite(e, func(sub Expr) (Expr, error) {
+				if _, ok := sub.(*ColRef); ok {
+					return &Literal{Val: model.Null()}, nil
+				}
+				return nil, nil
+			})
+		}
+		return x.ev.Eval(e, g.rep)
 	}
-	return x.ev.Eval(e, g.rep)
+	// Descend e itself only; each operand folds to the literal it evaluates to.
+	folded, err := Rewrite(e, func(sub Expr) (Expr, error) {
+		if sub == e {
+			return nil, nil
+		}
+		v, err := x.evalFromStates(sub, g, callIdx)
+		return &Literal{Val: v}, err
+	})
+	if err != nil {
+		return model.Value{}, err
+	}
+	return x.ev.Eval(folded, Row{})
 }
 
 func (x *execCtx) buildAggregate(n *AggregateNode) (*stream, []string, *OpStats, error) {

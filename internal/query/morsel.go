@@ -88,6 +88,12 @@ func goSource(ctx context.Context, wg *sync.WaitGroup, produce func(emit func([]
 				return false
 			}
 		})
+		if err == nil {
+			// A scan that unwound because ctx ended did not finish: without
+			// this the consumer sees a clean end of stream and returns the
+			// rows so far as the answer.
+			err = ctx.Err()
+		}
 		srcErr = err // happens-before the close below
 		close(ch)
 	}()

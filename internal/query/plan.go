@@ -3,6 +3,8 @@ package query
 import (
 	"fmt"
 	"strings"
+
+	"scdb/internal/model"
 )
 
 // Node is a logical/physical plan node. The tree is built by BuildPlan,
@@ -60,6 +62,21 @@ type EmptyNode struct {
 }
 
 func (n *EmptyNode) Label() string { return "Empty (" + n.Reason + ")" }
+
+// RowsNode is a leaf over rows that are already in memory: one relation
+// with the given output columns. The shard router runs a statement's final
+// phase over its gathered partials with it, so that phase is planned and
+// executed by this package and not restated there. Every column binds
+// unqualified under its label, and a dotted label ("a.key", how SELECT * over
+// several bindings and unaliased qualified items render) also binds under
+// its qualifier, so both key and a.key resolve. A plan whose leaves are all
+// RowsNodes needs no Env (pass nil to ExecuteOpts).
+type RowsNode struct {
+	Cols []string
+	Rows [][]model.Value
+}
+
+func (n *RowsNode) Label() string { return fmt.Sprintf("Rows %d", len(n.Rows)) }
 
 // FilterNode keeps rows whose predicate evaluates to True (three-valued:
 // Unknown drops the row).
@@ -292,6 +309,53 @@ func containsAggregate(e Expr) bool {
 		return containsAggregate(e.X)
 	}
 	return false
+}
+
+// Rewrite returns e with f applied top-down. Where f returns a replacement,
+// the subtree becomes it and is not descended; elsewhere the node is rebuilt
+// over its rewritten operands, which are the operands containsAggregate
+// looks through. The executor folds finalized aggregates into grouped
+// expressions with it, and the shard router rewrites a statement's
+// expressions over its gathered partials.
+func Rewrite(e Expr, f func(Expr) (Expr, error)) (Expr, error) {
+	if r, err := f(e); r != nil || err != nil {
+		return r, err
+	}
+	switch e := e.(type) {
+	case *Call:
+		if len(e.Args) == 0 {
+			return e, nil
+		}
+		args := make([]Expr, len(e.Args))
+		for i, a := range e.Args {
+			r, err := Rewrite(a, f)
+			if err != nil {
+				return nil, err
+			}
+			args[i] = r
+		}
+		return &Call{Name: e.Name, Args: args, Star: e.Star}, nil
+	case *Unary:
+		x, err := Rewrite(e.X, f)
+		return &Unary{Op: e.Op, X: x}, err
+	case *Binary:
+		l, err := Rewrite(e.L, f)
+		if err != nil {
+			return nil, err
+		}
+		r, err := Rewrite(e.R, f)
+		return &Binary{Op: e.Op, L: l, R: r}, err
+	case *IsNull:
+		x, err := Rewrite(e.X, f)
+		return &IsNull{X: x, Negate: e.Negate}, err
+	case *InList:
+		x, err := Rewrite(e.X, f)
+		return &InList{X: x, Vals: e.Vals}, err
+	case *Like:
+		x, err := Rewrite(e.X, f)
+		return &Like{X: x, Pattern: e.Pattern}, err
+	}
+	return e, nil
 }
 
 // Explain renders the plan tree, one node per line, children indented.

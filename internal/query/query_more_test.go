@@ -140,6 +140,73 @@ func TestAggregateArithmetic(t *testing.T) {
 	}
 }
 
+// The planner admits an aggregate under any operator (containsAggregate);
+// grouped evaluation must reach it under the same operators.
+func TestAggregateUnderEveryOperator(t *testing.T) {
+	for src, want := range map[string]model.Value{
+		"SELECT ABS(COUNT(dose) - COUNT(*) * 2) AS v FROM drugs":                  model.Int(5),
+		"SELECT SUM(dose) IS NULL AS v FROM drugs WHERE dose > 99999":             model.Bool(true),
+		"SELECT -COUNT(*) AS v FROM drugs":                                        model.Int(-4),
+		"SELECT COUNT(*) IN (3, 4) AS v FROM drugs":                               model.Bool(true),
+		"SELECT MIN(name) LIKE 'ibu%' AS v FROM drugs":                            model.Bool(true),
+		"SELECT COALESCE(SUM(dose), COUNT(*)) AS v FROM drugs WHERE dose > 99999": model.Int(0),
+		// No group row to read, but a constant is still itself.
+		"SELECT COUNT(*) - 2 AS v FROM drugs WHERE dose > 99999": model.Int(-2),
+	} {
+		res := mustRun(t, src)
+		if len(res.Rows) != 1 || !model.Equal(res.Rows[0][0], want) {
+			t.Errorf("%s = %v, want %v", src, res.Rows, want)
+		}
+	}
+	for src, want := range map[string]int{
+		"SELECT gene, COUNT(*) AS n FROM targets GROUP BY gene HAVING NOT (COUNT(*) < 2)":      1,
+		"SELECT gene, COUNT(*) AS n FROM targets GROUP BY gene HAVING COUNT(*) IN (1)":         2,
+		"SELECT gene FROM targets GROUP BY gene HAVING MAX(drug) LIKE 'i%'":                    1,
+		"SELECT gene FROM targets GROUP BY gene HAVING LENGTH(MIN(drug)) > 8 AND COUNT(*) = 1": 1,
+	} {
+		if res := mustRun(t, src); len(res.Rows) != want {
+			t.Errorf("%s: %d rows, want %d: %v", src, len(res.Rows), want, res.Rows)
+		}
+	}
+	// A failing aggregate fails however deep the call sits.
+	if _, err := runQuery("SELECT gene FROM targets GROUP BY gene HAVING SUM(drug) IS NULL"); err == nil {
+		t.Error("SUM over strings under IS NULL must fail")
+	}
+	// Sort runs over output columns, so an aggregate there stays an error.
+	if _, err := runQuery("SELECT gene FROM targets GROUP BY gene ORDER BY COUNT(*)"); err == nil {
+		t.Error("ORDER BY over an aggregate call must fail; use the alias")
+	}
+}
+
+// A RowsNode leaf binds dotted labels under their qualifier too, and a plan
+// over it runs without an Env.
+func TestRowsNode(t *testing.T) {
+	rows := &RowsNode{
+		Cols: []string{"a.key", "n"},
+		Rows: [][]model.Value{
+			{model.String("k2"), model.Int(1)},
+			{model.String("k1"), model.Int(2)},
+			{model.String("k1"), model.Int(2)},
+		},
+	}
+	var plan Node = &DistinctNode{Input: rows}
+	plan = &SortNode{Input: plan, Keys: []OrderKey{{Expr: &ColRef{Binding: "a", Name: "key"}}, {Expr: &ColRef{Name: "n"}, Desc: true}}}
+	res, err := Execute(plan, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || !model.Equal(res.Rows[0][0], model.String("k1")) || !model.Equal(res.Rows[1][1], model.Int(1)) {
+		t.Errorf("rows = %v (columns %v)", res.Rows, res.Columns)
+	}
+	if _, err := Execute(&SortNode{Input: rows, Keys: []OrderKey{{Expr: &ColRef{Name: "key"}}}}, nil, false); err != nil {
+		t.Errorf("unqualified reference to a dotted label: %v", err)
+	}
+	graph := &ProjectNode{Input: rows, Items: []SelectItem{{Expr: &Call{Name: "ISA", Args: []Expr{&ColRef{Name: "n"}, &Literal{Val: model.String("Drug")}}}}}}
+	if _, err := Execute(graph, nil, false); err == nil || !strings.Contains(err.Error(), "entity graph") {
+		t.Errorf("graph builtin without an Env: err = %v", err)
+	}
+}
+
 func TestGroupByMinMaxStrings(t *testing.T) {
 	res := mustRun(t, "SELECT MIN(name) AS lo, MAX(name) AS hi FROM drugs")
 	if !model.Equal(res.Rows[0][0], model.String("Ibuprofen")) {

@@ -1,24 +1,29 @@
 package shard
 
-// Scatter-gather query execution. The router parses each statement, ships
-// a rewritten partial query to every shard, and merges the shards' answers
-// with the same algebra the single-node executor uses to combine morsel
-// partials — so a cluster returns the same rows a single node holding the
-// whole corpus would.
+// Scatter-gather query execution: decompose, gather, canonical sort,
+// ordinary executor. The router parses each statement and ships a rewritten
+// partial query to every shard. What it does with the gathered rows is not
+// written here: it is a plan over one in-memory relation (query.RowsNode)
+// that query.ExecuteOpts runs, so grouping, aggregate arithmetic, HAVING,
+// projection, DISTINCT, ORDER BY and LIMIT mean across shards exactly what
+// they mean on one node.
 //
 // Plain selections ship with ORDER BY/LIMIT stripped (or, when both are
-// present, pushed down as per-shard top-K) and the merged rows are sorted
-// router-side. Aggregations ship as partials: group expressions plus one
-// partial aggregate per distinct call, with AVG decomposed into SUM+COUNT;
-// the router merges partials per group, finalizes each original call, and
-// re-evaluates projection, HAVING, and ORDER BY expressions over the
-// finalized values by literal substitution. Rows come back in canonical
-// order: ORDER BY keys when the query has them, the binary value encoding
-// of the whole row otherwise — deterministic regardless of shard count or
-// arrival order.
+// present, pushed down as per-shard top-K); DISTINCT, ORDER BY and LIMIT then
+// run over the gathered rows. Aggregations ship as partials: the group
+// expressions as g<i> and one partial per distinct call as a<i>, with AVG
+// split into SUM and COUNT. The final phase groups by the g<i> columns and
+// replaces each original call by the aggregate in merges over its a<i>
+// column — the only aggregate knowledge in this package.
+//
+// Determinism: gathered rows are sorted by their binary value encoding
+// before they enter the executor, so group first-appearance, DISTINCT's
+// survivor and the stable sort's ties depend only on the data, never on
+// shard count or arrival order.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -28,9 +33,17 @@ import (
 	"scdb/internal/query"
 )
 
-// aggFuncs are the aggregate calls the router knows how to decompose into
-// shard partials (mirrors the executor's aggregate set).
-var aggFuncs = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
+// ErrNotRoutable reports a statement that has no cross-shard meaning. The
+// wrapping error names the offending expression.
+var ErrNotRoutable = errors.New("shard: statement is not routable")
+
+// merges names, for each aggregate, the aggregate that combines its shipped
+// partials across shards. AVG ships as SUM and COUNT and merges as the
+// quotient of their merged values.
+var merges = map[string]string{"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX", "AVG": "/"}
+
+// emitFunc receives a result in batches; returning false stops the query.
+type emitFunc = func(cols []string, batch [][]model.Value) bool
 
 // Explain returns shard 0's optimized plan for the statement — every shard
 // runs the same engine over the same schema, so one shard's plan stands in
@@ -41,6 +54,30 @@ func (r *Router) Explain(q string) (*scdb.QueryInfo, error) {
 
 // QueryInfoCtx executes one SCQL statement across the cluster.
 func (r *Router) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
+	rows := &scdb.Rows{}
+	cols, info, err := r.QueryBatchesCtx(ctx, q, func(_ []string, batch [][]model.Value) bool {
+		for _, vals := range batch {
+			row := make([]any, len(vals))
+			for i, v := range vals {
+				row[i] = scdb.FromValue(v)
+			}
+			rows.Data = append(rows.Data, row)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	rows.Columns = cols
+	return rows, info, nil
+}
+
+// QueryBatchesCtx executes one statement across the cluster and hands the
+// result to emit in batches of at most query.DefaultMorselSize rows — the
+// streaming shape the wire path encodes one frame per batch from. The
+// result is computed in full first (the router must see every shard's rows
+// to order them).
+func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols []string, batch [][]model.Value) bool) ([]string, *scdb.QueryInfo, error) {
 	stmt, err := query.Parse(q)
 	if err != nil {
 		return nil, nil, err
@@ -48,36 +85,30 @@ func (r *Router) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.
 	// Plan/trace introspection is about the engine, not the data; one
 	// shard's answer represents the cluster.
 	if stmt.Explain || stmt.Trace {
-		return r.shards[0].QueryInfoCtx(ctx, q)
+		res, info, err := r.shards[0].QueryInfoCtx(ctx, q)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows, err := values(res, nil, len(res.Columns))
+		if err != nil {
+			return nil, nil, err
+		}
+		return res.Columns, info, emitChunks(res.Columns, rows, emit)
 	}
 	r.scatterQueries.Add(1)
-	if len(stmt.GroupBy) > 0 || stmtHasAggregates(stmt) {
-		return r.scatterAgg(ctx, stmt)
+	var cols []string
+	if len(stmt.GroupBy) > 0 || hasAggregate(stmt.Items) {
+		cols, err = r.scatterAgg(ctx, stmt, emit)
+	} else {
+		cols, err = r.scatterRows(ctx, stmt, emit)
 	}
-	return r.scatterRows(ctx, stmt)
-}
-
-// QueryBatchesCtx adapts the scatter-gather result to the streaming shape
-// the v2 wire path consumes: the merged result is computed in full (the
-// router must see every shard's rows to sort and dedup), then emitted as
-// one batch.
-func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols []string, batch [][]model.Value) bool) ([]string, *scdb.QueryInfo, error) {
-	rows, info, err := r.QueryInfoCtx(ctx, q)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(rows.Data) > 0 {
-		batch := make([][]model.Value, len(rows.Data))
-		for i, row := range rows.Data {
-			vals, err := rowValues(row)
-			if err != nil {
-				return nil, nil, err
-			}
-			batch[i] = vals
-		}
-		emit(rows.Columns, batch)
+	info := &scdb.QueryInfo{
+		Plan: fmt.Sprintf("ScatterGather(shards=%d)\n  %s", len(r.shards), stmt.String()),
 	}
-	return rows.Columns, info, nil
+	return cols, info, nil
 }
 
 // fanout runs q on every shard concurrently and returns the per-shard
@@ -108,39 +139,127 @@ func (r *Router) fanout(ctx context.Context, q string) ([]*scdb.Rows, error) {
 	return res, nil
 }
 
-// mergedRow is one gathered row plus its canonical encoding (the dedup key
-// and final sort tiebreak) and its evaluated ORDER BY key values.
-type mergedRow struct {
-	vals []model.Value
-	key  string
-	sk   []model.Value
+// values converts one shard's rows to model values of the given width,
+// placing the shard's column i at pos[i] (nil: in place).
+func values(rs *scdb.Rows, pos []int, width int) ([][]model.Value, error) {
+	out := make([][]model.Value, len(rs.Data))
+	for i, row := range rs.Data {
+		if len(row) != len(rs.Columns) {
+			return nil, fmt.Errorf("shard: partial row has %d values under %d columns", len(row), len(rs.Columns))
+		}
+		vals := make([]model.Value, width)
+		for j, c := range row {
+			v, err := scdb.ToValue(c)
+			if err != nil {
+				return nil, err
+			}
+			if pos != nil {
+				j = pos[j]
+			}
+			vals[j] = v
+		}
+		out[i] = vals
+	}
+	return out, nil
 }
 
-// scatterRows handles selections without aggregation: ship, gather, dedup,
-// sort, truncate.
-func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt) (*scdb.Rows, *scdb.QueryInfo, error) {
-	if stmt.Star && len(stmt.GroupBy) > 0 {
-		return nil, nil, fmt.Errorf("shard: SELECT * with GROUP BY is not routable")
+// gather concatenates the shards' rows under cols, in canonical order: the
+// rows' binary value encoding. Projections agree on their columns shard by
+// shard; SELECT * schemas are per-shard unions, so star rows are placed by
+// column name and read null where a shard never saw the column.
+func gather(res []*scdb.Rows, cols []string, star bool) ([][]model.Value, error) {
+	var at map[string]int
+	if star {
+		at = make(map[string]int, len(cols))
+		for i, c := range cols {
+			at[c] = i
+		}
 	}
+	var rows [][]model.Value
+	for _, rs := range res {
+		var pos []int
+		if star {
+			pos = make([]int, len(rs.Columns))
+			for i, c := range rs.Columns {
+				pos[i] = at[c]
+			}
+		} else if len(rs.Columns) != len(cols) {
+			return nil, fmt.Errorf("shard: partial result has columns %v, want %v", rs.Columns, cols)
+		}
+		part, err := values(rs, pos, len(cols))
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, part...)
+	}
+	keys := make([]string, len(rows))
+	for i, vals := range rows {
+		keys[i] = encodeRow(vals)
+	}
+	sort.Sort(byKey{keys, rows})
+	return rows, nil
+}
+
+// byKey sorts rows by their aligned canonical keys.
+type byKey struct {
+	keys []string
+	rows [][]model.Value
+}
+
+func (b byKey) Len() int           { return len(b.keys) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.rows[i], b.rows[j] = b.rows[j], b.rows[i]
+}
+
+// emitChunks hands rows to emit a morsel at a time.
+func emitChunks(cols []string, rows [][]model.Value, emit emitFunc) error {
+	for lo := 0; lo < len(rows); lo += query.DefaultMorselSize {
+		if !emit(cols, rows[lo:min(lo+query.DefaultMorselSize, len(rows))]) {
+			return query.ErrEmitStopped
+		}
+	}
+	return nil
+}
+
+// finalPhase runs the statement's DISTINCT, ORDER BY and LIMIT over root in
+// the ordinary executor and streams the result.
+func finalPhase(ctx context.Context, root query.Node, stmt *query.SelectStmt, emit emitFunc) error {
+	if stmt.Distinct {
+		root = &query.DistinctNode{Input: root}
+	}
+	if len(stmt.OrderBy) > 0 {
+		root = &query.SortNode{Input: root, Keys: stmt.OrderBy}
+	}
+	if stmt.Limit >= 0 {
+		root = &query.LimitNode{Input: root, N: stmt.Limit}
+	}
+	_, _, err := query.ExecuteOpts(root, nil, query.ExecOptions{Ctx: ctx, Parallelism: 1, EmitBatch: emit})
+	return err
+}
+
+// scatterRows handles selections without aggregation.
+func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, emit emitFunc) ([]string, error) {
 	ship := *stmt
 	// Top-K push-down: with both ORDER BY and LIMIT the global top K rows
 	// are contained in the union of the shards' local top K, so each shard
 	// only returns K rows. Either clause alone is stripped and applied
-	// after the merge.
+	// after the gather.
 	if stmt.Limit < 0 || len(stmt.OrderBy) == 0 {
 		ship.OrderBy = nil
 		ship.Limit = -1
 	}
 	res, err := r.fanout(ctx, ship.String())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Result schema: a projection's labels are identical on every shard;
 	// SELECT * schemas are per-shard row unions, so the global schema is
 	// the sorted union of the shards' unions — exactly what a single node
 	// computes over all rows.
-	var cols []string
+	cols := res[0].Columns
 	if stmt.Star {
 		set := map[string]bool{}
 		for _, rs := range res {
@@ -148,269 +267,46 @@ func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt) (*scdb
 				set[c] = true
 			}
 		}
+		cols = make([]string, 0, len(set))
 		for c := range set {
 			cols = append(cols, c)
 		}
 		sort.Strings(cols)
-	} else {
-		cols = res[0].Columns
 	}
-
-	var merged []mergedRow
-	seen := map[string]bool{}
-	for _, rs := range res {
-		// Column positions of this shard's rows within the global schema.
-		pos := make([]int, len(rs.Columns))
-		if stmt.Star {
-			at := make(map[string]int, len(cols))
-			for i, c := range cols {
-				at[c] = i
-			}
-			for i, c := range rs.Columns {
-				pos[i] = at[c]
-			}
-		} else {
-			for i := range pos {
-				pos[i] = i
-			}
-		}
-		for _, row := range rs.Data {
-			vals := make([]model.Value, len(cols))
-			for i, c := range row {
-				v, err := scdb.ToValue(c)
-				if err != nil {
-					return nil, nil, err
-				}
-				vals[pos[i]] = v
-			}
-			key := encodeRow(vals)
-			if stmt.Distinct {
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-			}
-			merged = append(merged, mergedRow{vals: vals, key: key})
-		}
+	rows, err := gather(res, cols, stmt.Star)
+	if err != nil {
+		return nil, err
 	}
-
-	for i := range merged {
-		sk, err := orderKeysOnRow(stmt.OrderBy, cols, merged[i].vals)
-		if err != nil {
-			return nil, nil, err
-		}
-		merged[i].sk = sk
+	// With none of the three clauses there is nothing to evaluate, and the
+	// large scans stay off the executor's map-per-row representation.
+	if !stmt.Distinct && len(stmt.OrderBy) == 0 && stmt.Limit < 0 {
+		return cols, emitChunks(cols, rows, emit)
 	}
-	sortMerged(merged, stmt.OrderBy)
-	if stmt.Limit >= 0 && len(merged) > stmt.Limit {
-		merged = merged[:stmt.Limit]
-	}
-	return r.gathered(cols, merged, stmt)
+	return cols, finalPhase(ctx, &query.RowsNode{Cols: cols, Rows: rows}, stmt, emit)
 }
 
-// orderKeysOnRow evaluates the ORDER BY key expressions against one output
-// row. Keys must be derivable from the projected columns (by name, alias,
-// or expression over them) — the shipped partials carry nothing else.
-func orderKeysOnRow(keys []query.OrderKey, cols []string, vals []model.Value) ([]model.Value, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	sk := make([]model.Value, len(keys))
-	for i, k := range keys {
-		v, err := query.EvalOnRow(k.Expr, cols, vals)
-		if err != nil {
-			return nil, err
-		}
-		sk[i] = v
-	}
-	return sk, nil
-}
-
-// sortMerged orders rows by their ORDER BY key values (model.Less total
-// order, inverted per DESC key) with the canonical row encoding as the
-// final tiebreak; without ORDER BY the canonical encoding alone decides.
-// The comparator is a total order over distinct rows, so the result is
-// independent of shard count and arrival order.
-func sortMerged(rows []mergedRow, keys []query.OrderKey) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := range a.sk {
-			x, y := a.sk[k], b.sk[k]
-			if model.Less(x, y) {
-				return !keys[k].Desc
-			}
-			if model.Less(y, x) {
-				return keys[k].Desc
-			}
-		}
-		return a.key < b.key
-	})
-}
-
-// gathered materializes the merged rows as the facade row shape plus a
-// router-level query info.
-func (r *Router) gathered(cols []string, merged []mergedRow, stmt *query.SelectStmt) (*scdb.Rows, *scdb.QueryInfo, error) {
-	data := make([][]any, len(merged))
-	for i, m := range merged {
-		row := make([]any, len(m.vals))
-		for j, v := range m.vals {
-			row[j] = scdb.FromValue(v)
-		}
-		data[i] = row
-	}
-	info := &scdb.QueryInfo{
-		Plan: fmt.Sprintf("ScatterGather(shards=%d)\n  %s", len(r.shards), stmt.String()),
-	}
-	return &scdb.Rows{Columns: cols, Data: data}, info, nil
-}
-
-// stmtHasAggregates reports whether the projection or HAVING clause
-// contains an aggregate call.
-func stmtHasAggregates(stmt *query.SelectStmt) bool {
+// hasAggregate reports whether a projection contains an aggregate call.
+func hasAggregate(items []query.SelectItem) bool {
 	found := false
-	probe := func(c *query.Call) {
-		if aggFuncs[c.Name] {
-			found = true
-		}
-	}
-	for _, it := range stmt.Items {
-		walkCalls(it.Expr, probe)
-	}
-	if stmt.Having != nil {
-		walkCalls(stmt.Having, probe)
+	for _, it := range items {
+		query.Rewrite(it.Expr, func(e query.Expr) (query.Expr, error) {
+			if c, ok := e.(*query.Call); ok && merges[c.Name] != "" {
+				found = true
+				return e, nil
+			}
+			return nil, nil
+		})
 	}
 	return found
 }
 
-// walkCalls visits every Call node in an expression tree.
-func walkCalls(e query.Expr, f func(*query.Call)) {
-	switch x := e.(type) {
-	case *query.Call:
-		f(x)
-		for _, a := range x.Args {
-			walkCalls(a, f)
-		}
-	case *query.Binary:
-		walkCalls(x.L, f)
-		walkCalls(x.R, f)
-	case *query.Unary:
-		walkCalls(x.X, f)
-	case *query.IsNull:
-		walkCalls(x.X, f)
-	case *query.InList:
-		walkCalls(x.X, f)
-	case *query.Like:
-		walkCalls(x.X, f)
-	}
-}
-
-// aggMerge accumulates one shipped partial aggregate across shards with the
-// executor's merge algebra: COUNT partials sum; SUM partials track an exact
-// integer sum while every contribution is an int and a float sum always
-// (so a late float demotes the result, as row-at-a-time accumulation
-// does); MIN/MAX keep the best non-null under model.Less.
-type aggMerge struct {
-	name   string // COUNT, SUM, MIN, MAX (AVG never ships)
-	count  int64
-	seen   bool
-	allInt bool
-	isum   int64
-	fsum   float64
-	best   model.Value
-	has    bool
-}
-
-func (a *aggMerge) add(v model.Value) error {
-	switch a.name {
-	case "COUNT":
-		i, ok := v.AsInt()
-		if !ok {
-			return fmt.Errorf("shard: COUNT partial is %s, want int", v.Kind())
-		}
-		a.count += i
-	case "SUM":
-		if v.IsNull() {
-			return nil // the shard saw no non-null input
-		}
-		if i, ok := v.AsInt(); ok {
-			a.isum += i
-			a.fsum += float64(i)
-		} else if f, ok := v.AsFloat(); ok {
-			a.allInt = false
-			a.fsum += f
-		} else {
-			return fmt.Errorf("shard: SUM partial is %s, want numeric", v.Kind())
-		}
-		a.seen = true
-	case "MIN":
-		if v.IsNull() {
-			return nil
-		}
-		if !a.has || model.Less(v, a.best) {
-			a.best, a.has = v, true
-		}
-	case "MAX":
-		if v.IsNull() {
-			return nil
-		}
-		if !a.has || model.Less(a.best, v) {
-			a.best, a.has = v, true
-		}
-	}
-	return nil
-}
-
-// aggGroup is one GROUP BY group being merged across shards.
-type aggGroup struct {
-	groupVals []model.Value
-	parts     []*aggMerge // aligned with the shipped partial calls
-}
-
-// scatterAgg handles aggregations: decompose into shard partials, merge
-// per group, finalize, then re-evaluate projection/HAVING/ORDER BY over
-// the finalized values.
-func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt) (*scdb.Rows, *scdb.QueryInfo, error) {
+// scatterAgg handles aggregations with the classic two-phase rewrite: the
+// shards compute partials per group, and the final phase is an ordinary
+// aggregation over the gathered partial rows.
+func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt, emit emitFunc) ([]string, error) {
 	if stmt.Star {
-		return nil, nil, fmt.Errorf("shard: SELECT * with GROUP BY is not routable")
+		return nil, fmt.Errorf("%w: SELECT * with GROUP BY", ErrNotRoutable)
 	}
-	groupN := len(stmt.GroupBy)
-
-	// Distinct original aggregate calls, in first-appearance order.
-	var calls []*query.Call
-	seenCall := map[string]bool{}
-	collect := func(c *query.Call) {
-		if aggFuncs[c.Name] && !seenCall[c.String()] {
-			seenCall[c.String()] = true
-			calls = append(calls, c)
-		}
-	}
-	for _, it := range stmt.Items {
-		walkCalls(it.Expr, collect)
-	}
-	if stmt.Having != nil {
-		walkCalls(stmt.Having, collect)
-	}
-
-	// Shipped partials: AVG decomposes into SUM+COUNT; everything else
-	// ships as itself. Deduped, so AVG(x)+SUM(x) ships SUM(x) once.
-	var shipCalls []*query.Call
-	shipIdx := map[string]int{}
-	shipOne := func(c *query.Call) {
-		k := c.String()
-		if _, ok := shipIdx[k]; !ok {
-			shipIdx[k] = len(shipCalls)
-			shipCalls = append(shipCalls, c)
-		}
-	}
-	for _, c := range calls {
-		if c.Name == "AVG" {
-			shipOne(&query.Call{Name: "SUM", Args: c.Args})
-			shipOne(&query.Call{Name: "COUNT", Args: c.Args})
-		} else {
-			shipOne(c)
-		}
-	}
-
 	ship := query.SelectStmt{
 		From:           stmt.From,
 		Joins:          stmt.Joins,
@@ -421,226 +317,84 @@ func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt) (*scdb.
 		Mode:           stmt.Mode,
 		FuzzyThreshold: stmt.FuzzyThreshold,
 	}
+	var shipCols []string
+	groupCol := map[string]query.Expr{} // group expression text → its g<i> column
+	var groupBy []query.Expr
 	for i, g := range stmt.GroupBy {
-		ship.Items = append(ship.Items, query.SelectItem{Expr: g, Alias: fmt.Sprintf("g%d", i)})
+		col := &query.ColRef{Name: fmt.Sprintf("g%d", i)}
+		ship.Items = append(ship.Items, query.SelectItem{Expr: g, Alias: col.Name})
+		shipCols = append(shipCols, col.Name)
+		groupCol[g.String()] = col
+		groupBy = append(groupBy, col)
 	}
-	for i, c := range shipCalls {
-		ship.Items = append(ship.Items, query.SelectItem{Expr: c, Alias: fmt.Sprintf("a%d", i)})
+	// partial ships c once (AVG(x) and SUM(x) share one SUM(x)) and returns
+	// the column its partial arrives in.
+	partCol := map[string]query.Expr{}
+	partial := func(c *query.Call) query.Expr {
+		col, ok := partCol[c.String()]
+		if !ok {
+			name := fmt.Sprintf("a%d", len(partCol))
+			col = &query.ColRef{Name: name}
+			partCol[c.String()] = col
+			ship.Items = append(ship.Items, query.SelectItem{Expr: c, Alias: name})
+			shipCols = append(shipCols, name)
+		}
+		return col
+	}
+	merged := func(fn string, c *query.Call) query.Expr {
+		return &query.Call{Name: fn, Args: []query.Expr{partial(c)}}
+	}
+	// final rewrites one expression of the statement over the gathered
+	// relation: group expressions become their g<i> column, aggregate calls
+	// their merge expression, and scalar operators stay.
+	final := func(e query.Expr) (query.Expr, error) {
+		if col, ok := groupCol[e.String()]; ok {
+			return col, nil
+		}
+		switch x := e.(type) {
+		case *query.Call:
+			switch fn := merges[x.Name]; fn {
+			case "":
+			case "/":
+				return &query.Binary{Op: "/",
+					L: merged("SUM", &query.Call{Name: "SUM", Args: x.Args}),
+					R: merged("SUM", &query.Call{Name: "COUNT", Args: x.Args}),
+				}, nil
+			default:
+				return merged(fn, x), nil
+			}
+		case *query.ColRef:
+			// The executor reads such a column off the group's first row,
+			// which does not exist across shards.
+			return nil, fmt.Errorf("%w: %s is neither grouped nor aggregated", ErrNotRoutable, x)
+		}
+		return nil, nil
+	}
+	agg := &query.AggregateNode{GroupBy: groupBy}
+	cols := make([]string, len(stmt.Items))
+	for i, it := range stmt.Items {
+		e, err := query.Rewrite(it.Expr, final)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = it.Label()
+		agg.Items = append(agg.Items, query.SelectItem{Expr: e, Alias: cols[i]})
+	}
+	if stmt.Having != nil {
+		var err error
+		if agg.Having, err = query.Rewrite(stmt.Having, final); err != nil {
+			return nil, err
+		}
 	}
 
 	res, err := r.fanout(ctx, ship.String())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	groups := map[string]*aggGroup{}
-	var order []string // first-appearance group keys (resorted below)
-	for _, rs := range res {
-		for _, row := range rs.Data {
-			vals, err := rowValues(row)
-			if err != nil {
-				return nil, nil, err
-			}
-			if len(vals) != groupN+len(shipCalls) {
-				return nil, nil, fmt.Errorf("shard: partial row has %d columns, want %d", len(vals), groupN+len(shipCalls))
-			}
-			key := encodeRow(vals[:groupN])
-			g := groups[key]
-			if g == nil {
-				g = &aggGroup{groupVals: vals[:groupN:groupN], parts: make([]*aggMerge, len(shipCalls))}
-				for i, c := range shipCalls {
-					g.parts[i] = &aggMerge{name: c.Name, allInt: true}
-				}
-				groups[key] = g
-				order = append(order, key)
-			}
-			for i := range shipCalls {
-				if err := g.parts[i].add(vals[groupN+i]); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
+	rows, err := gather(res, shipCols, false)
+	if err != nil {
+		return nil, err
 	}
-
-	cols := make([]string, len(stmt.Items))
-	for i, it := range stmt.Items {
-		cols[i] = it.Label()
-	}
-
-	var merged []mergedRow
-	dedup := map[string]bool{}
-	for _, key := range order {
-		g := groups[key]
-		// Substitution environment: group expressions and finalized
-		// aggregate calls by canonical text, then projection aliases, so
-		// HAVING and ORDER BY expressions evaluate over merged values.
-		env := map[string]model.Value{}
-		for i, ge := range stmt.GroupBy {
-			env[ge.String()] = g.groupVals[i]
-		}
-		for _, c := range calls {
-			v, err := finalizeCall(c, g, shipIdx)
-			if err != nil {
-				return nil, nil, err
-			}
-			env[c.String()] = v
-		}
-
-		vals := make([]model.Value, len(stmt.Items))
-		for i, it := range stmt.Items {
-			v, err := evalSubst(it.Expr, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			vals[i] = v
-			if it.Alias != "" {
-				ref := &query.ColRef{Name: it.Alias}
-				env[ref.String()] = v
-			}
-		}
-
-		if stmt.Having != nil {
-			hv, err := evalSubst(stmt.Having, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			if hv.IsNull() {
-				continue
-			}
-			b, ok := hv.AsBool()
-			if !ok {
-				return nil, nil, fmt.Errorf("HAVING must evaluate to a boolean, got %s", hv.Kind())
-			}
-			if !b {
-				continue
-			}
-		}
-
-		rowKey := encodeRow(vals)
-		if stmt.Distinct {
-			if dedup[rowKey] {
-				continue
-			}
-			dedup[rowKey] = true
-		}
-		sk := make([]model.Value, len(stmt.OrderBy))
-		for i, k := range stmt.OrderBy {
-			v, err := evalSubst(k.Expr, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			sk[i] = v
-		}
-		merged = append(merged, mergedRow{vals: vals, key: rowKey, sk: sk})
-	}
-
-	sortMerged(merged, stmt.OrderBy)
-	if stmt.Limit >= 0 && len(merged) > stmt.Limit {
-		merged = merged[:stmt.Limit]
-	}
-	return r.gathered(cols, merged, stmt)
-}
-
-// finalizeCall turns merged partials into the call's final value, with the
-// executor's finalization rules: COUNT is the summed count, SUM is null
-// with no input / int while all input was int / float otherwise, AVG is
-// the merged sum over the merged count, MIN/MAX are null with no input.
-func finalizeCall(c *query.Call, g *aggGroup, shipIdx map[string]int) (model.Value, error) {
-	part := func(sc *query.Call) (*aggMerge, error) {
-		i, ok := shipIdx[sc.String()]
-		if !ok {
-			return nil, fmt.Errorf("shard: no partial for %s", sc.String())
-		}
-		return g.parts[i], nil
-	}
-	switch c.Name {
-	case "COUNT":
-		p, err := part(c)
-		if err != nil {
-			return model.Value{}, err
-		}
-		return model.Int(p.count), nil
-	case "SUM":
-		p, err := part(c)
-		if err != nil {
-			return model.Value{}, err
-		}
-		if !p.seen {
-			return model.Null(), nil
-		}
-		if p.allInt {
-			return model.Int(p.isum), nil
-		}
-		return model.Float(p.fsum), nil
-	case "AVG":
-		s, err := part(&query.Call{Name: "SUM", Args: c.Args})
-		if err != nil {
-			return model.Value{}, err
-		}
-		n, err := part(&query.Call{Name: "COUNT", Args: c.Args})
-		if err != nil {
-			return model.Value{}, err
-		}
-		if n.count == 0 {
-			return model.Null(), nil
-		}
-		return model.Float(s.fsum / float64(n.count)), nil
-	case "MIN", "MAX":
-		p, err := part(c)
-		if err != nil {
-			return model.Value{}, err
-		}
-		if !p.has {
-			return model.Null(), nil
-		}
-		return p.best, nil
-	}
-	return model.Value{}, fmt.Errorf("shard: unknown aggregate %s", c.Name)
-}
-
-// evalSubst evaluates an expression after replacing every subexpression
-// whose canonical text appears in env with the corresponding literal.
-func evalSubst(e query.Expr, env map[string]model.Value) (model.Value, error) {
-	return query.EvalScalar(subst(e, env))
-}
-
-// subst rewrites e, replacing matched subtrees top-down — an expression
-// that is itself in env never recurses, so aggregate calls inside larger
-// expressions become plain literals before scalar evaluation sees them.
-func subst(e query.Expr, env map[string]model.Value) query.Expr {
-	if v, ok := env[e.String()]; ok {
-		return &query.Literal{Val: v}
-	}
-	switch x := e.(type) {
-	case *query.Binary:
-		return &query.Binary{Op: x.Op, L: subst(x.L, env), R: subst(x.R, env)}
-	case *query.Unary:
-		return &query.Unary{Op: x.Op, X: subst(x.X, env)}
-	case *query.IsNull:
-		return &query.IsNull{X: subst(x.X, env), Negate: x.Negate}
-	case *query.InList:
-		return &query.InList{X: subst(x.X, env), Vals: x.Vals}
-	case *query.Like:
-		return &query.Like{X: subst(x.X, env), Pattern: x.Pattern}
-	case *query.Call:
-		args := make([]query.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = subst(a, env)
-		}
-		return &query.Call{Name: x.Name, Args: args, Star: x.Star}
-	}
-	return e
-}
-
-// rowValues converts one wire row back to model values.
-func rowValues(row []any) ([]model.Value, error) {
-	out := make([]model.Value, len(row))
-	for i, c := range row {
-		v, err := scdb.ToValue(c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
+	agg.Input = &query.RowsNode{Cols: shipCols, Rows: rows}
+	return cols, finalPhase(ctx, agg, stmt, emit)
 }

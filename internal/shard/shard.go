@@ -6,22 +6,21 @@
 // source delivery splits into N per-shard deliveries (each shipped through
 // the chunked ingest_batch stream) and every shard curates only its own
 // records — local schema observation, local graph, local incremental ER,
-// local inference. Queries fan out to every shard and merge router-side:
-// aggregate partials (COUNT/SUM/AVG as SUM+COUNT/MIN/MAX) combine with the
-// same merge algebra the morsel executor uses across intra-node partials,
-// DISTINCT dedups on canonical value encodings, and ORDER BY/LIMIT merges
-// per-shard top-K results. The router is an in-process server.Engine, so
-// cmd/scdb-router serves the same wire protocol as a single node —
-// clients cannot tell a cluster from one big server, except that the
-// stats op grows a sharding section.
+// local inference. Queries fan out to every shard as partials (aggregates
+// per group, per-shard top-K), and the statement's final phase — the
+// merging aggregation, HAVING, DISTINCT, ORDER BY, LIMIT — runs over the
+// gathered rows in the ordinary executor. The router is an in-process
+// server.Engine, so cmd/scdb-router serves the same wire protocol as a
+// single node — clients cannot tell a cluster from one big server, except
+// that the stats op grows a sharding section.
 //
 // The part sharding would otherwise break is entity resolution: two records
 // of the same real-world entity can land on different shards, where no
 // local resolver ever compares them. After every routed ingest the router
 // pulls each shard's incremental ER digests (er_digests op) and feeds them
-// to an er.Exchange, which re-runs candidate generation and pair scoring
-// across shard boundaries with the same blocking keys, pair scorer, and
-// curation advisor the shards run locally. The exchange's cross-merge count
+// to an er.Exchange, which runs them through a resolver of its own — the
+// blocking keys, pair scorer and curation advisor the shards run locally —
+// across shard boundaries. The exchange's cross-merge count
 // corrects the summed per-shard entity statistics, and SameRef answers
 // whether two keys resolved to one global entity.
 //
@@ -31,13 +30,12 @@
 // client.Cluster, to replicas only once they have applied that shard's
 // mark, so read-your-writes holds across the whole cluster.
 //
-// Determinism: the router returns rows in canonical value order (ORDER BY
-// keys first when present, then the rows' binary value encoding), so a
-// 1-shard and an N-shard cluster return byte-identical answers over the
-// same corpus. The known caveats — float SUM/AVG association order,
-// MaxBlock truncation when an ER block splits across shards, ties at a
-// pushed-down LIMIT boundary — are documented in DESIGN.md §Cluster
-// architecture.
+// Determinism: gathered rows enter the final phase sorted by their binary
+// value encoding, so a 1-shard and an N-shard cluster return byte-identical
+// answers over the same corpus. The known caveats — float SUM/AVG
+// association order, MaxBlock truncation when an ER block splits across
+// shards, ties at a pushed-down LIMIT boundary, statements refused as
+// ErrNotRoutable — are documented in DESIGN.md §Cluster architecture.
 package shard
 
 import (
@@ -371,7 +369,7 @@ func (r *Router) RegisterGauges(reg *obs.Registry) {
 }
 
 // encodeRow renders a row in the canonical self-delimiting binary value
-// encoding — the total order scatter-gather merging sorts and dedups by.
+// encoding — the total order gathered rows are sorted by.
 func encodeRow(vals []model.Value) string {
 	var buf []byte
 	for _, v := range vals {

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"scdb"
 	"scdb/client"
 	"scdb/internal/er"
+	"scdb/internal/model"
+	"scdb/internal/query"
 	"scdb/internal/repl"
 	"scdb/internal/server"
 	"scdb/internal/shard"
@@ -83,17 +86,25 @@ var drugNames = []string{
 // corpus builds the differential corpus: every drug appears in both
 // sources under different keys and attribute schemas, so each index i is a
 // cross-source ER truth pair. Prices are small ints (SUM/AVG stay exact
-// regardless of merge association order).
+// regardless of merge association order). pharma_a also carries q, whose
+// values mix int64(k) and float64(k), k in {1, 2} — one group to the
+// executor, two byte encodings; never zero, whose negation renders by kind —
+// and rating, absent (NULL) on every fourth row and otherwise a multiple of
+// 0.5, so its sums are exact in any order too.
 func corpus() []scdb.Source {
 	var a, b scdb.Source
 	a.Name, b.Name = "pharma_a", "pharma_b"
 	for i, name := range drugNames {
 		cat := fmt.Sprintf("cat%d", i%3)
 		price := int64(10 + i*7)
-		a.Entities = append(a.Entities, scdb.Entity{
-			Key:   fmt.Sprintf("A-%02d", i),
-			Attrs: scdb.Record{"name": name, "category": cat, "price": price},
-		})
+		attrs := scdb.Record{"name": name, "category": cat, "price": price, "q": int64(1 + i%2)}
+		if i%4 >= 2 {
+			attrs["q"] = float64(1 + i%2)
+		}
+		if i%4 != 0 {
+			attrs["rating"] = float64(i%5) / 2
+		}
+		a.Entities = append(a.Entities, scdb.Entity{Key: fmt.Sprintf("A-%02d", i), Attrs: attrs})
 		b.Entities = append(b.Entities, scdb.Entity{
 			Key:   fmt.Sprintf("B-%02d", i),
 			Attrs: scdb.Record{"drug": name, "category": cat, "price": price + 1},
@@ -285,6 +296,62 @@ func TestRouterRejectsUnroutable(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "crosses shards") {
 		t.Errorf("cross-shard link error = %v", err)
+	}
+}
+
+// TestNotRoutable pins the typed refusal of statements with no cross-shard
+// meaning — an engine answers them from the group's first row, which does
+// not exist across shards — at the router and, as an ordinary query error,
+// over the wire.
+func TestNotRoutable(t *testing.T) {
+	c := newTestCluster(t, 3)
+	ingestCorpus(t, c)
+	for _, q := range []string{
+		"SELECT name, COUNT(*) AS n FROM pharma_a GROUP BY category",
+		"SELECT category, price + COUNT(*) AS n FROM pharma_a GROUP BY category",
+		"SELECT category FROM pharma_a GROUP BY category HAVING price > 3",
+		"SELECT * FROM pharma_a GROUP BY category",
+	} {
+		if _, _, err := c.router.QueryInfoCtx(context.Background(), q); !errors.Is(err, shard.ErrNotRoutable) {
+			t.Errorf("%s: err = %v, want ErrNotRoutable", q, err)
+		}
+		_, err := c.rc.Query(q)
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != server.CodeQuery || !strings.Contains(se.Msg, "not routable") {
+			t.Errorf("%s over the wire: err = %v, want a %q error naming it not routable", q, err, server.CodeQuery)
+		}
+	}
+}
+
+// TestRoutedResultStreamsInMorsels is the frame-size regression: a routed
+// result several morsels long must reach the wire layer in batches of at
+// most one morsel (one frame each), on the concatenation path and on the
+// final-phase path. One batch holding everything overflows the client's
+// frame limit once the rows are wide enough.
+func TestRoutedResultStreamsInMorsels(t *testing.T) {
+	c := newTestCluster(t, 2)
+	const n = 3*query.DefaultMorselSize + 100
+	src := scdb.Source{Name: "big"}
+	for i := 0; i < n; i++ {
+		src.Entities = append(src.Entities, scdb.Entity{Key: fmt.Sprintf("row-%05d", i), Attrs: scdb.Record{"v": int64(i)}})
+	}
+	if _, err := c.rc.IngestBatch(context.Background(), src, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"SELECT v FROM big", "SELECT v FROM big ORDER BY v DESC"} {
+		rows, batches, largest := 0, 0, 0
+		_, _, err := c.router.QueryBatchesCtx(context.Background(), q, func(_ []string, batch [][]model.Value) bool {
+			rows += len(batch)
+			batches++
+			largest = max(largest, len(batch))
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if rows != n || largest > query.DefaultMorselSize {
+			t.Errorf("%s: %d rows in %d batches, the largest %d; want %d rows in batches of at most %d", q, rows, batches, largest, n, query.DefaultMorselSize)
+		}
 	}
 }
 
