@@ -7,6 +7,7 @@ package scdb
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"strconv"
 	"sync"
@@ -896,6 +897,42 @@ func BenchmarkIngest(b *testing.B) {
 	}
 	b.Run("curation-serial", curation(1, 1))
 	b.Run("curation-batched", curation(0, 0))
+}
+
+// BenchmarkIndexBuild times one bulk build of a sorted index over a loaded
+// table of random floats — what a reader waits for, under the table's write
+// lock, when self-curation creates or upgrades an index (and what Vacuum and
+// recovery pay per index).
+func BenchmarkIndexBuild(b *testing.B) {
+	for _, rows := range []int{20_000, 100_000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			recs := make([]model.Record, rows)
+			for i := range recs {
+				recs[i] = model.Record{"v": model.Float(rng.Float64() * 1000)}
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := storage.Open("")
+				if err != nil {
+					b.Fatal(err)
+				}
+				tb, err := s.CreateTable("t")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tb.InsertBatch(recs); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := tb.CreateIndex("v", storage.IndexSorted); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				s.Close()
+			}
+		})
+	}
 }
 
 func BenchmarkScanLookup(b *testing.B) {

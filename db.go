@@ -543,8 +543,9 @@ func (tx *Tx) Abort() { tx.inner.Abort() }
 type ERStats struct {
 	// Comparisons counts candidate pairs scored since open.
 	Comparisons int
-	// Candidates counts candidate pairs gathered by blocking/ANN before
-	// cluster filtering.
+	// Candidates counts the scorable candidate pairs gathered by
+	// blocking/ANN before cluster filtering; same-source pairs are never
+	// gathered, so a single-source load counts zero.
 	Candidates int
 	// ANNProbes counts embedding-index bucket members examined during
 	// top-K rerank (zero under "token" blocking).

@@ -200,7 +200,9 @@ type ExchangeStats struct {
 	// Digests counts entities exchanged (one per distinct (source, key)).
 	Digests int `json:"digests"`
 	// Comparisons/Candidates/Accepted count cross-shard pair scoring work,
-	// in the same units as the local resolver's Stats.
+	// in the same units as the local resolver's Stats: Candidates are the
+	// scorable pairs gathered, so same-shard and same-source digests, which
+	// the exchange never pairs, are not in it.
 	Comparisons int `json:"comparisons"`
 	Candidates  int `json:"candidates"`
 	Accepted    int `json:"accepted"`

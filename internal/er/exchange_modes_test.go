@@ -37,16 +37,7 @@ func handCorpus() []*model.Entity {
 // documented case where a split block can select other candidates).
 func dirtyCorpus() []*model.Entity {
 	sets, _ := datagen.DirtyTables(5, 3, 18, 0.8, 0.3)
-	var out []*model.Entity
-	for _, ds := range sets {
-		for _, spec := range ds.Entities {
-			out = append(out, &model.Entity{
-				ID: model.EntityID(len(out) + 1), Key: spec.Key, Source: ds.Source,
-				Attrs: spec.Attrs, Confidence: 1,
-			})
-		}
-	}
-	return out
+	return entitiesOf(sets)
 }
 
 // TestExchangeMatchesSingleNodeClusters is the order-independence property

@@ -157,7 +157,7 @@ type Resolver struct {
 	// identical for serial and parallel scoring.
 	Comparisons int
 
-	candidates int // candidate pairs gathered (pre union-find filtering)
+	candidates int // scorable candidate pairs gathered (pre union-find filtering)
 	annProbes  int // ANN bucket members examined during rerank
 	blockSkips int // candidate slots dropped by the MaxBlock cap
 
@@ -168,8 +168,12 @@ type Resolver struct {
 
 // neverPair reports a pair that is never scored. Sources are assumed
 // internally duplicate-free, so two records of one source never match. The
-// rule holds in three places: the ANN pre-filter, the scoring skip in
-// Prepare and the counting skip in Commit.
+// rule holds in one place, candidate generation (gather): a never-pair is not
+// gathered, so everything Prepare scores and Commit counts is scorable. A
+// token block applies it after the MaxBlock cut — the cut takes the block's
+// first MaxBlock members whoever they are, and only then are the never-pairs
+// among them dropped — because filtering first would hand their slots to
+// later, scorable members and change which pairs merge.
 func (r *Resolver) neverPair(a, b *indexed) bool {
 	if r.never != nil {
 		return r.never(a, b)
@@ -204,8 +208,9 @@ func (r *Resolver) useTokenBlocks() bool {
 type Stats struct {
 	// Comparisons counts candidate pairs logically scored.
 	Comparisons int
-	// Candidates counts candidate pairs gathered by blocking/ANN before
-	// union-find filtering.
+	// Candidates counts the scorable candidate pairs gathered by
+	// blocking/ANN, before union-find filtering. Never-pairs (same source)
+	// are not gathered, so a single-source load counts zero.
 	Candidates int
 	// ANNProbes counts ANN bucket members examined during cosine rerank.
 	ANNProbes int
@@ -391,8 +396,7 @@ func (p *Prepared) Candidates() int { return len(p.cands) }
 
 // Prepare runs candidate generation and pair scoring for one arriving
 // entity against the resolver's committed state, without mutating it. The
-// entity's ID need not be final yet (Commit assigns it); neverPair
-// candidates are gathered but never scored, mirroring Add's skip rule.
+// entity's ID need not be final yet (Commit assigns it).
 func (r *Resolver) Prepare(e *model.Entity) *Prepared {
 	start := time.Now()
 	return r.prepare(index(e), start)
@@ -403,63 +407,67 @@ func (r *Resolver) Prepare(e *model.Entity) *Prepared {
 // BlockDur covers indexing as well.
 func (r *Resolver) prepare(ix indexed, start time.Time) *Prepared {
 	p := &Prepared{ix: ix}
-	if r.cfg.DisableBlocking {
-		p.cands = make([]int, len(r.ents))
-		for ci := range r.ents {
-			p.cands[ci] = ci
-		}
-	} else {
-		var seen map[int]bool
-		if r.useTokenBlocks() {
-			p.keys = r.blockKeys(p.ix)
-			seen = map[int]bool{}
-			for _, key := range p.keys {
-				cands := r.blocks[key]
-				if len(cands) > r.cfg.MaxBlock {
-					p.skips += len(cands) - r.cfg.MaxBlock
-					cands = cands[:r.cfg.MaxBlock]
-				}
-				for _, ci := range cands {
-					if !seen[ci] {
-						seen[ci] = true
-						p.cands = append(p.cands, ci)
-					}
-				}
-			}
-		}
-		if r.useANN() {
-			p.vec = embedTokens(p.ix.tokens, r.cfg.EmbedDim)
-			// Never-paired positions are filtered before the top-K cut:
-			// they can never match, and ranking them would let a burst of
-			// sibling records crowd real neighbors out of K (it would also
-			// make the parallel snapshot diverge from a serial pass).
-			nbrs, probed := r.ann.topK(p.vec, r.cfg.TopK, func(pos int) bool {
-				return r.neverPair(&p.ix, &r.ents[pos]) || seen[pos]
-			})
-			p.probes = probed
-			p.cands = append(p.cands, nbrs...)
-		}
-	}
+	r.gather(p)
 	p.blockDur = time.Since(start)
 
 	start = time.Now()
+	p.scores = make([]float64, len(p.cands))
+	p.accept = make([]bool, len(p.cands))
 	for i, ci := range p.cands {
 		cand := &r.ents[ci]
-		if r.neverPair(&p.ix, cand) {
-			continue // never scored; Commit skips it the same way
-		}
-		if p.scores == nil {
-			// Allocated on the first pair that is scored: a single-source
-			// load gathers candidates by the hundred and scores none.
-			p.scores = make([]float64, len(p.cands))
-			p.accept = make([]bool, len(p.cands))
-		}
 		s := pairScore(p.ix, *cand)
 		p.scores[i] = s
 		p.accept[i] = r.cfg.Advisor.Accept(view(p.ix), view(*cand), s)
 	}
 	p.scoreDur = time.Since(start)
 	return p
+}
+
+// gather is candidate generation: it fills p.cands with the positions p.ix
+// will be scored against, in serial candidate order, and never with a
+// position neverPair rules out.
+func (r *Resolver) gather(p *Prepared) {
+	if r.cfg.DisableBlocking {
+		for ci := range r.ents {
+			if !r.neverPair(&p.ix, &r.ents[ci]) {
+				p.cands = append(p.cands, ci)
+			}
+		}
+		return
+	}
+	var seen map[int]bool
+	if r.useTokenBlocks() {
+		p.keys = r.blockKeys(p.ix)
+		for _, key := range p.keys {
+			cands := r.blocks[key]
+			if len(cands) > r.cfg.MaxBlock {
+				p.skips += len(cands) - r.cfg.MaxBlock
+				cands = cands[:r.cfg.MaxBlock]
+			}
+			for _, ci := range cands {
+				if r.neverPair(&p.ix, &r.ents[ci]) || seen[ci] {
+					continue
+				}
+				if seen == nil {
+					seen = map[int]bool{}
+				}
+				seen[ci] = true
+				p.cands = append(p.cands, ci)
+			}
+		}
+	}
+	if r.useANN() {
+		p.vec = embedTokens(p.ix.tokens, r.cfg.EmbedDim)
+		// Never-paired positions are filtered before the top-K cut: they
+		// can never match, and ranking them would let a burst of sibling
+		// records crowd real neighbors out of K (it would also make the
+		// parallel snapshot diverge from a serial pass).
+		nbrs, probed := r.ann.topK(p.vec, r.cfg.TopK, func(pos int) bool {
+			return r.neverPair(&p.ix, &r.ents[pos]) || seen[pos]
+		})
+		p.probes = probed
+		p.cands = append(p.cands, nbrs...)
+	}
 }
 
 // Commit applies a Prepared entity under its final ID, in record order:
@@ -474,7 +482,7 @@ func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 	var found []Match
 	for i, ci := range p.cands {
 		cand := &r.ents[ci]
-		if r.neverPair(&p.ix, cand) || r.uf.Same(cand.id, id) {
+		if r.uf.Same(cand.id, id) {
 			continue
 		}
 		r.Comparisons++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,7 +20,8 @@ import (
 // operators over them} × GROUP BY {none, one, two columns} × WHERE × HAVING
 // × DISTINCT × ORDER BY × LIMIT, plus plain selections. Every statement
 // orders by all of its output columns, so rows that tie are byte-identical
-// and the answer has one rendering on every topology.
+// and the answer has one rendering on every topology; a plain selection
+// without DISTINCT may order by columns it does not select as well.
 type stmtGen struct{ r *rand.Rand }
 
 func (g stmtGen) pick(xs ...string) string { return xs[g.r.Intn(len(xs))] }
@@ -131,7 +133,18 @@ func (g stmtGen) stmt() string {
 		if len(cols) == 0 {
 			cols = []string{"category"}
 		}
-		return "SELECT " + distinct + strings.Join(cols, ", ") + " FROM pharma_a" + g.where() + g.tail(cols)
+		keys := cols
+		if distinct == "" && g.chance(0.5) {
+			// Keys the projection drops: an engine sorts before it projects,
+			// and a router must ship them to sort by.
+			keys = append([]string(nil), cols...)
+			for _, k := range []string{"price", "q", "category", "price * q", "-rating"} {
+				if g.chance(0.4) && !slices.Contains(cols, k) {
+					keys = append(keys, k)
+				}
+			}
+		}
+		return "SELECT " + distinct + strings.Join(cols, ", ") + " FROM pharma_a" + g.where() + g.tail(keys)
 	}
 	var groups []string
 	for _, c := range []string{"category", "q", "rating"} {
@@ -238,6 +251,12 @@ func TestClusterDifferentialGenerated(t *testing.T) {
 		"SELECT category, ABS(SUM(price)) AS s FROM pharma_a GROUP BY category HAVING SUM(price) IN (176, 204, 232) ORDER BY s DESC",
 		"SELECT category FROM pharma_a GROUP BY category ORDER BY SUM(price) DESC",
 		"SELECT COUNT(*) - 2 AS n FROM pharma_a WHERE price > 1000",
+		// ORDER BY a column the projection drops, with and without top-K
+		// push-down, as a bare column, under an operator, and qualified.
+		"SELECT name FROM pharma_a ORDER BY price, name",
+		"SELECT name FROM pharma_a ORDER BY price DESC, name LIMIT 4",
+		"SELECT name, category FROM pharma_a ORDER BY category, -price, name LIMIT 7",
+		"SELECT a.name FROM pharma_a AS a ORDER BY a.price * 2 DESC, a.key",
 	} {
 		compare(q)
 	}

@@ -10,7 +10,8 @@ package shard
 //
 // Plain selections ship with ORDER BY/LIMIT stripped (or, when both are
 // present, pushed down as per-shard top-K); DISTINCT, ORDER BY and LIMIT then
-// run over the gathered rows. Aggregations ship as partials: the group
+// run over the gathered rows, an ORDER BY key the projection drops riding
+// along as a hidden column. Aggregations ship as partials: the group
 // expressions as g<i> and one partial per distinct call as a<i>, with AVG
 // split into SUM and COUNT. The final phase groups by the g<i> columns and
 // replaces each original call by the aggregate in merges over its a<i>
@@ -25,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -239,9 +241,71 @@ func finalPhase(ctx context.Context, root query.Node, stmt *query.SelectStmt, em
 	return err
 }
 
+// orderKeyCol names the hidden column that carries ORDER BY key i. No plain
+// identifier contains a space, so it collides with no column a statement
+// names without quoting it.
+func orderKeyCol(i int) string { return fmt.Sprintf("order key %d", i) }
+
+// readsProjection reports whether every column e reads can be read off the
+// gathered rows: it is a select item under its own name — or, when byAlias,
+// under its alias (DISTINCT sorts its output, where aliases exist; a plain
+// selection sorts its source rows, where they do not).
+func readsProjection(e query.Expr, items []query.SelectItem, byAlias bool) bool {
+	ok := true
+	query.Rewrite(e, func(e query.Expr) (query.Expr, error) {
+		c, isCol := e.(*query.ColRef)
+		if !isCol {
+			return nil, nil
+		}
+		found := false
+		for _, it := range items {
+			if it.Alias != "" {
+				found = found || (byAlias && c.Binding == "" && c.Name == it.Alias)
+			} else if ic, isCol := it.Expr.(*query.ColRef); isCol {
+				found = found || (ic.Name == c.Name && (c.Binding == "" || c.Binding == ic.Binding))
+			}
+		}
+		ok = ok && found
+		return e, nil
+	})
+	return ok
+}
+
 // scatterRows handles selections without aggregation.
 func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, emit emitFunc) ([]string, error) {
-	ship := *stmt
+	ship, final := *stmt, *stmt
+	// An engine sorts a plain selection before it projects, so ORDER BY may
+	// read a column the projection drops; the gathered rows carry only the
+	// projection. Each such key ships as a hidden trailing column that the
+	// final phase sorts by and the emit below strips. DISTINCT leaves no row
+	// for a dropped column to be read from. A key with an aggregate is an
+	// error on an engine; it stays, for the final phase to report.
+	hidden := 0
+	for i, k := range stmt.OrderBy {
+		if stmt.Star || aggregateIn(k.Expr) || readsProjection(k.Expr, stmt.Items, stmt.Distinct) {
+			continue
+		}
+		if stmt.Distinct {
+			return nil, fmt.Errorf("%w: ORDER BY %s reads a column SELECT DISTINCT drops", ErrNotRoutable, k.Expr)
+		}
+		if hidden == 0 {
+			ship.Items = slices.Clone(stmt.Items)
+			final.OrderBy = slices.Clone(stmt.OrderBy)
+		}
+		hidden++
+		ship.Items = append(ship.Items, query.SelectItem{Expr: k.Expr, Alias: orderKeyCol(i)})
+		final.OrderBy[i].Expr = &query.ColRef{Name: orderKeyCol(i)}
+	}
+	if hidden > 0 {
+		visible := emit
+		emit = func(cols []string, batch [][]model.Value) bool {
+			out := make([][]model.Value, len(batch))
+			for i, row := range batch {
+				out[i] = row[:len(row)-hidden]
+			}
+			return visible(cols[:len(cols)-hidden], out)
+		}
+	}
 	// Top-K push-down: with both ORDER BY and LIMIT the global top K rows
 	// are contained in the union of the shards' local top K, so each shard
 	// only returns K rows. Either clause alone is stripped and applied
@@ -282,21 +346,29 @@ func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, emit e
 	if !stmt.Distinct && len(stmt.OrderBy) == 0 && stmt.Limit < 0 {
 		return cols, emitChunks(cols, rows, emit)
 	}
-	return cols, finalPhase(ctx, &query.RowsNode{Cols: cols, Rows: rows}, stmt, emit)
+	return cols[:len(cols)-hidden], finalPhase(ctx, &query.RowsNode{Cols: cols, Rows: rows}, &final, emit)
 }
 
 // hasAggregate reports whether a projection contains an aggregate call.
 func hasAggregate(items []query.SelectItem) bool {
-	found := false
 	for _, it := range items {
-		query.Rewrite(it.Expr, func(e query.Expr) (query.Expr, error) {
-			if c, ok := e.(*query.Call); ok && merges[c.Name] != "" {
-				found = true
-				return e, nil
-			}
-			return nil, nil
-		})
+		if aggregateIn(it.Expr) {
+			return true
+		}
 	}
+	return false
+}
+
+// aggregateIn reports whether e contains an aggregate call.
+func aggregateIn(e query.Expr) bool {
+	found := false
+	query.Rewrite(e, func(e query.Expr) (query.Expr, error) {
+		if c, ok := e.(*query.Call); ok && merges[c.Name] != "" {
+			found = true
+			return e, nil
+		}
+		return nil, nil
+	})
 	return found
 }
 

@@ -311,6 +311,7 @@ func TestNotRoutable(t *testing.T) {
 		"SELECT category, price + COUNT(*) AS n FROM pharma_a GROUP BY category",
 		"SELECT category FROM pharma_a GROUP BY category HAVING price > 3",
 		"SELECT * FROM pharma_a GROUP BY category",
+		"SELECT DISTINCT category FROM pharma_a ORDER BY price",
 	} {
 		if _, _, err := c.router.QueryInfoCtx(context.Background(), q); !errors.Is(err, shard.ErrNotRoutable) {
 			t.Errorf("%s: err = %v, want ErrNotRoutable", q, err)

@@ -4,9 +4,12 @@ package storage
 // attribute values to RowIDs and is deliberately a *superset* structure:
 // it holds one entry per non-null value ever written in any version, and
 // lookups return candidate RowIDs whose visible-at-CSN records the caller
-// re-filters with the full predicate. That keeps maintenance O(1) per
-// write, makes every index correct as-of any CSN for free, and lets Vacuum
-// rebuild compactly from the retained version chains.
+// re-filters with the full predicate. That keeps maintenance append-only
+// (hash: O(1) per write; sorted: a 256-entry buffer merged linearly into the
+// run, O(n/256 + log 256) amortised per write), makes every index correct
+// as-of any CSN for free, and lets Vacuum rebuild compactly from the retained
+// version chains. Every build — auto-create, hash→sorted upgrade, Vacuum,
+// recovery, CreateIndex — is one pass plus one sort, O(n log n).
 //
 // Indexes are self-curated (the paper's OS.1/OS.3: the database curates
 // its own physical design): per-attribute access counters trip auto-
@@ -23,9 +26,11 @@ package storage
 // set, so the superset property holds without special-casing lookups.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"scdb/internal/model"
@@ -52,7 +57,7 @@ const (
 	autoIndexAccesses = 4   // predicate touches on an attr before auto-create
 	autoIndexMinRows  = 64  // don't bother indexing tiny tables
 	indexColdStrikes  = 2   // vacuums with zero new hits before auto-drop
-	pendingMergeLimit = 256 // unsorted inserts buffered before a re-sort
+	pendingMergeLimit = 256 // unsorted inserts buffered before a merge
 )
 
 // idxEntry is one (value, row) posting.
@@ -67,14 +72,15 @@ type idxEntry struct {
 type Index struct {
 	attr   string
 	kind   IndexKind
-	pinned bool // explicitly created; never cold-dropped
+	label  string // "table.attr(kind)" for ScanInfo, set by buildIndexLocked
+	pinned bool   // explicitly created; never cold-dropped
 
 	hits     uint64 // scans that chose this index
 	lastHits uint64 // hits as of the previous vacuum
 	strikes  int    // consecutive vacuums without new hits
 
 	buckets map[uint64][]idxEntry // hash kind
-	sorted  []idxEntry            // sorted kind: ordered by (model.Less, id)
+	sorted  []idxEntry            // sorted kind: ordered by entryCmp
 	pending []idxEntry            // sorted kind: recent inserts, unordered
 	odd     []idxEntry            // NaN floats and list values (either kind)
 }
@@ -125,14 +131,17 @@ func valRank(v model.Value) int {
 	return 8
 }
 
-func entryLess(a, b idxEntry) bool {
-	if model.Less(a.val, b.val) {
-		return true
+// entryCmp orders the sorted run: by comparison class, then by
+// model.Compare inside it (total there, odd values being excluded), then by
+// RowID. It is model.Less's order with the id as tie-break.
+func entryCmp(a, b idxEntry) int {
+	if ra, rb := valRank(a.val), valRank(b.val); ra != rb {
+		return cmp.Compare(ra, rb)
 	}
-	if model.Less(b.val, a.val) {
-		return false
+	if c, err := model.Compare(a.val, b.val); err == nil && c != 0 {
+		return c
 	}
-	return a.id < b.id
+	return cmp.Compare(a.id, b.id)
 }
 
 // addLocked inserts one posting. Caller holds the table write lock.
@@ -154,21 +163,23 @@ func (ix *Index) addLocked(v model.Value, id RowID) {
 	}
 }
 
-// mergeLocked folds the pending buffer into the sorted run.
+// mergeLocked folds the pending buffer into the sorted run: the buffer is
+// sorted on its own and merged in place from the back, each buffered posting
+// shifting the part of the run above it up as one block. The run is moved
+// (from the smallest buffered posting up) but never re-sorted: O(n) bytes
+// and O(p log n) comparisons for a buffer of p.
 func (ix *Index) mergeLocked() {
-	if len(ix.pending) == 0 {
-		return
+	p := ix.pending
+	slices.SortFunc(p, entryCmp)
+	end := len(ix.sorted) // run postings not yet in their final place
+	ix.sorted = slices.Grow(ix.sorted, len(p))[:end+len(p)]
+	for j := len(p) - 1; j >= 0; j-- {
+		pos, _ := slices.BinarySearchFunc(ix.sorted[:end], p[j], entryCmp)
+		copy(ix.sorted[pos+j+1:], ix.sorted[pos:end])
+		ix.sorted[pos+j] = p[j]
+		end = pos
 	}
-	ix.sorted = append(ix.sorted, ix.pending...)
-	ix.pending = ix.pending[:0]
-	sort.Slice(ix.sorted, func(i, j int) bool { return entryLess(ix.sorted[i], ix.sorted[j]) })
-}
-
-func (ix *Index) resetLocked() {
-	if ix.kind == IndexHash {
-		ix.buckets = make(map[uint64][]idxEntry)
-	}
-	ix.sorted, ix.pending, ix.odd = nil, nil, nil
+	ix.pending = p[:0]
 }
 
 func (ix *Index) entries() int {
@@ -294,14 +305,8 @@ func (ix *Index) candidates(p ZonePred) []RowID {
 		}
 	}
 	add(ix.odd)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // accessStat counts predicate touches per attribute — the self-curation
@@ -375,22 +380,42 @@ func (t *Table) noteWriteLocked(id RowID, rec model.Record, newRow bool) {
 	}
 }
 
-// buildIndexLocked (re)builds ix from every retained version, so the index
-// answers correctly as-of any still-readable CSN.
+// buildIndexLocked (re)builds ix, as ix.kind, from every retained version,
+// so the index answers correctly as-of any still-readable CSN. It is the one
+// build path — auto-create, hash→sorted upgrade, Vacuum, recovery and
+// CreateIndex: the sorted kind collects its postings in one pass and sorts
+// them once; hash buckets (and odd values of either kind) fill through
+// addLocked, which is O(1) per posting already.
 func (t *Table) buildIndexLocked(ix *Index) {
+	ix.label = t.name + "." + ix.attr + "(" + ix.kind.String() + ")"
+	ix.buckets, ix.sorted, ix.pending, ix.odd = nil, nil, nil, nil
+	var run []idxEntry
+	if ix.kind == IndexHash {
+		ix.buckets = make(map[uint64][]idxEntry)
+	} else {
+		n := 0
+		for _, r := range t.rows {
+			n += len(r.versions)
+		}
+		run = make([]idxEntry, 0, n)
+	}
 	for id, r := range t.rows {
 		for _, ver := range r.versions {
 			if ver.rec == nil {
 				continue
 			}
 			v := ver.rec.Get(ix.attr)
-			if v.IsNull() {
-				continue
+			switch {
+			case v.IsNull():
+			case ix.kind == IndexHash || oddValue(v):
+				ix.addLocked(v, id)
+			default:
+				run = append(run, idxEntry{val: v, id: id})
 			}
-			ix.addLocked(v, id)
 		}
 	}
-	ix.mergeLocked()
+	slices.SortFunc(run, entryCmp)
+	ix.sorted = run
 }
 
 // rebuildZonesLocked recomputes zone maps exactly from the retained
@@ -435,7 +460,6 @@ func (t *Table) vacuumIndexesLocked() {
 				continue
 			}
 		}
-		ix.resetLocked()
 		t.buildIndexLocked(ix)
 	}
 }
@@ -456,15 +480,11 @@ func (t *Table) maybeAutoIndexLocked(preds []ZonePred) {
 		if ix, ok := t.indexes[p.Attr]; ok {
 			if !ix.pinned && ix.kind == IndexHash && kind == IndexSorted {
 				ix.kind = IndexSorted
-				ix.resetLocked()
 				t.buildIndexLocked(ix)
 			}
 			continue
 		}
 		ix := &Index{attr: p.Attr, kind: kind}
-		if kind == IndexHash {
-			ix.buckets = make(map[uint64][]idxEntry)
-		}
 		t.indexes[p.Attr] = ix
 		t.buildIndexLocked(ix)
 	}
@@ -513,9 +533,6 @@ func (t *Table) restoreIndexLocked(spec idxSpec) {
 		return
 	}
 	ix := &Index{attr: spec.attr, kind: spec.kind, pinned: spec.pinned, hits: spec.hits, lastHits: spec.hits}
-	if ix.kind == IndexHash {
-		ix.buckets = make(map[uint64][]idxEntry)
-	}
 	t.indexes[spec.attr] = ix
 	t.buildIndexLocked(ix)
 }
@@ -530,9 +547,6 @@ func (t *Table) CreateIndex(attr string, kind IndexKind) error {
 		return fmt.Errorf("storage: %s: index on %q already exists", t.name, attr)
 	}
 	ix := &Index{attr: attr, kind: kind, pinned: true}
-	if kind == IndexHash {
-		ix.buckets = make(map[uint64][]idxEntry)
-	}
 	t.indexes[attr] = ix
 	t.buildIndexLocked(ix)
 	return nil
@@ -606,8 +620,8 @@ func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions, fn func(id
 
 	var ids []RowID
 	if idx != nil {
-		info.Index = fmt.Sprintf("%s.%s(%s)", t.name, idx.attr, idx.kind)
 		t.mu.RLock()
+		info.Index = idx.label
 		ids = idx.candidates(idxPred)
 		t.mu.RUnlock()
 	} else {
@@ -617,7 +631,7 @@ func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions, fn func(id
 			ids = append(ids, id)
 		}
 		t.mu.RUnlock()
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 	}
 	t.emitSegments(csn, ids, preds, opt, fn, &info)
 	return info

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"scdb/internal/model"
 )
@@ -237,6 +239,275 @@ func TestIndexMVCCDifferential(t *testing.T) {
 			sameAnswer(t, label+" no-prune", answerVia(tb, csn, p, ScanOptions{NoPrune: true, NoIndex: true}), want)
 		}
 	}
+}
+
+// TestIndexBulkEqualsIncremental pins the two ways an index comes to hold
+// its postings against each other. Every record carries the same value under
+// a, b (and ha, hb): the index on a exists before the writes and is
+// maintained posting by posting through addLocked and the linear merge; the
+// index on b is created after them, by the bulk build; a Vacuum that trims
+// nothing then rebuilds both. All three must return the same candidate set
+// for every predicate, and that set must hold the oracle's rows at every
+// snapshot. A trimming Vacuum closes with the oracle check alone.
+func TestIndexBulkEqualsIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	s, _ := Open("")
+	defer s.Close()
+	tb, _ := s.CreateTable("t")
+	tb.CreateIndex("a", IndexSorted)
+	tb.CreateIndex("ha", IndexHash)
+
+	epoch := time.Unix(1_700_000_000, 0)
+	randVal := func() model.Value {
+		switch rng.Intn(16) {
+		case 0:
+			return model.Float(math.NaN())
+		case 1:
+			return model.Float(math.Copysign(0, -1))
+		case 2:
+			return model.Float(0)
+		case 3:
+			return model.List(model.Int(int64(rng.Intn(3))), model.String("x"))
+		case 4:
+			return model.Null()
+		case 5, 6:
+			return model.String(fmt.Sprintf("s%02d", rng.Intn(30)))
+		case 7:
+			return model.Time(epoch.Add(time.Duration(rng.Intn(30)) * time.Hour))
+		case 8:
+			return model.Bool(rng.Intn(2) == 0)
+		case 9, 10, 11:
+			return model.Float(float64(rng.Intn(120))/4 - 5)
+		default:
+			return model.Int(int64(rng.Intn(30) - 5))
+		}
+	}
+	record := func() model.Record {
+		v := randVal()
+		return model.Record{"a": v, "b": v, "ha": v, "hb": v}
+	}
+	var live []RowID
+	var snaps []CSN
+	const steps = 12 * pendingMergeLimit
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(100); {
+		case op < 55 || len(live) == 0:
+			id, err := tb.Insert(record())
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+		case op < 85:
+			if err := tb.Update(live[rng.Intn(len(live))], record()); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			i := rng.Intn(len(live))
+			if err := tb.Delete(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		}
+		if step%(steps/6) == 0 {
+			snaps = append(snaps, s.Now())
+		}
+	}
+	snaps = append(snaps, s.Now())
+	if n := len(tb.indexes["a"].sorted); n < 4*pendingMergeLimit {
+		t.Fatalf("incremental index merged only %d postings; the test must cross several merges", n)
+	}
+	tb.CreateIndex("b", IndexSorted)
+	tb.CreateIndex("hb", IndexHash)
+
+	var preds []ZonePred // over attr "a"; withAttr retargets them
+	lits := []model.Value{
+		model.Int(-5), model.Int(0), model.Float(math.Copysign(0, -1)), model.Float(7.25), model.Int(12),
+		model.Float(24.75), model.Float(math.NaN()), model.String("s00"), model.String("s17"), model.String("zz"),
+		model.Time(epoch.Add(9 * time.Hour)), model.Bool(true), model.List(model.Int(1), model.String("x")),
+	}
+	for _, lit := range lits {
+		for _, op := range []string{"=", "<", "<=", ">", ">="} {
+			preds = append(preds, ZonePred{Attr: "a", Op: op, Val: lit})
+		}
+	}
+	// No NaN inside an IN list: there the two structures are differently
+	// loose (window("=", NaN) spans the numeric class, the pending buffer
+	// tests model.Equal), so the candidate sets are both supersets but not
+	// the same one. TestIndexOddValues and TestIndexMVCCDifferential cover it.
+	preds = append(preds,
+		ZonePred{Attr: "a", Op: "in", Vals: []model.Value{model.Int(3), model.Float(3.5), model.String("s05")}},
+		ZonePred{Attr: "a", Op: "in", Vals: []model.Value{model.Float(0), model.Bool(false), model.Time(epoch)}},
+	)
+	withAttr := func(p ZonePred, attr string) ZonePred { p.Attr = attr; return p }
+	cands := func(attr string, p ZonePred) []RowID {
+		tb.mu.RLock()
+		defer tb.mu.RUnlock()
+		return tb.indexes[attr].candidates(withAttr(p, attr))
+	}
+	label := func(p ZonePred) string { return fmt.Sprintf("%s %v %v", p.Op, p.Val, p.Vals) }
+	covers := func(what string, ids []RowID, p ZonePred, csns []CSN) {
+		t.Helper()
+		for _, csn := range csns {
+			for id := range oracle(tb, csn, p) {
+				if _, ok := slices.BinarySearch(ids, id); !ok {
+					t.Fatalf("%s %s: csn=%d: oracle row %d missing from candidates", what, label(p), csn, id)
+				}
+			}
+		}
+	}
+
+	// Each pair is (maintained incrementally, built in bulk), compared on the
+	// predicates ScanWhere would send to such an index at all: a hash index
+	// serves no range and no "= NaN" (which has no single bucket).
+	pairs := [][2]string{{"a", "b"}, {"ha", "hb"}}
+	served := map[string][]ZonePred{}
+	incremental := map[string][][]RowID{}
+	for _, pair := range pairs {
+		for _, p := range preds {
+			tb.mu.RLock()
+			ix, _ := tb.chooseIndexLocked([]ZonePred{withAttr(p, pair[1])})
+			tb.mu.RUnlock()
+			if ix == nil {
+				continue
+			}
+			served[pair[1]] = append(served[pair[1]], p)
+			inc, bulk := cands(pair[0], p), cands(pair[1], p)
+			if !slices.Equal(inc, bulk) {
+				t.Fatalf("%s vs %s, %s: incremental has %d candidates, bulk %d", pair[0], pair[1], label(p), len(inc), len(bulk))
+			}
+			covers(pair[1], bulk, p, snaps)
+			incremental[pair[1]] = append(incremental[pair[1]], inc)
+		}
+	}
+
+	// A Vacuum below every write trims no version but rebuilds every index.
+	if removed := tb.Vacuum(0); removed != 0 {
+		t.Fatalf("Vacuum(0) removed %d versions", removed)
+	}
+	for _, pair := range pairs {
+		for i, p := range served[pair[1]] {
+			if rebuilt := cands(pair[1], p); !slices.Equal(rebuilt, incremental[pair[1]][i]) {
+				t.Fatalf("%s after Vacuum, %s: %d candidates, incremental had %d", pair[1], label(p), len(rebuilt), len(incremental[pair[1]][i]))
+			}
+		}
+	}
+
+	// A trimming Vacuum: what survives still covers every readable snapshot.
+	mid := snaps[len(snaps)/2]
+	if removed := tb.Vacuum(mid); removed == 0 {
+		t.Fatal("trimming Vacuum removed nothing")
+	}
+	for _, pair := range pairs {
+		for _, p := range served[pair[1]] {
+			covers(pair[1]+" trimmed", cands(pair[1], p), p, snaps[len(snaps)/2:])
+		}
+	}
+}
+
+// sortedBuildTime returns the fastest of three sorted-index bulk builds over
+// n rows of random floats (three attributes with one value each, indexed in
+// turn). The fastest, not the median: other packages' tests share the CPUs,
+// and what they add to a run is only ever time.
+func sortedBuildTime(t *testing.T, n int) time.Duration {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	s, _ := Open("")
+	defer s.Close()
+	tb, _ := s.CreateTable("t")
+	recs := make([]model.Record, n)
+	for i := range recs {
+		v := model.Float(rng.Float64() * 1000)
+		recs[i] = model.Record{"v0": v, "v1": v, "v2": v}
+	}
+	if _, err := tb.InsertBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	var d [3]time.Duration
+	for i := range d {
+		start := time.Now()
+		if err := tb.CreateIndex(fmt.Sprintf("v%d", i), IndexSorted); err != nil {
+			t.Fatal(err)
+		}
+		d[i] = time.Since(start)
+	}
+	return slices.Min(d[:])
+}
+
+// costRatioWithin measures a cost ratio up to three times and fails when it
+// never comes within max. The ratios bounded here sit well inside their
+// bounds and sat at several times them before the bulk build, so a regression
+// fails every attempt; a neighbouring package's test taking the CPU for one
+// attempt does not.
+func costRatioWithin(t *testing.T, what string, max float64, measure func() (cost, base time.Duration)) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		cost, base := measure()
+		ratio := float64(cost) / float64(base)
+		t.Logf("%s: %v against %v, ratio %.1f", what, cost, base, ratio)
+		if ratio <= max {
+			return
+		}
+		if attempt == 3 {
+			t.Fatalf("%s: ratio %.1f (%v against %v), want at most %.0f", what, ratio, cost, base, max)
+		}
+	}
+}
+
+// TestIndexBuildScaling fails when the bulk build stops being O(n log n):
+// four times the rows must cost under ten times the time (n log n predicts
+// 4.5; a build that re-sorts the run every pendingMergeLimit postings
+// measures about 18).
+func TestIndexBuildScaling(t *testing.T) {
+	costRatioWithin(t, "sorted build of 80,000 rows against 20,000", 10, func() (time.Duration, time.Duration) {
+		return sortedBuildTime(t, 80_000), sortedBuildTime(t, 20_000)
+	})
+}
+
+// TestIndexMaintenanceCost bounds what a sorted index adds to the write
+// path of a durable store: 20,000 single-row inserts of six-attribute records
+// into a table with a sorted index on the one random-valued attribute cost at
+// most three times the same inserts into a table without (fastest of three
+// each, the two alternating; measured 1.6 to 2.2). Re-sorting the run at
+// every merge measures 28 times.
+func TestIndexMaintenanceCost(t *testing.T) {
+	const n = 20_000
+	rng := rand.New(rand.NewSource(23))
+	recs := make([]model.Record, n)
+	for i := range recs {
+		recs[i] = model.Record{
+			"v":    model.Float(rng.Float64() * 1000),
+			"id":   model.Int(int64(i)),
+			"name": model.String(fmt.Sprintf("item-%06d", i)),
+			"cat":  model.String(fmt.Sprintf("c%02d", i%40)),
+			"qty":  model.Int(int64(rng.Intn(500))),
+			"at":   model.Time(time.Unix(1_700_000_000+int64(i), 0)),
+		}
+	}
+	load := func(indexed bool) time.Duration {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		tb, _ := s.CreateTable("t")
+		if indexed {
+			tb.CreateIndex("v", IndexSorted)
+		}
+		start := time.Now()
+		for _, r := range recs {
+			if _, err := tb.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	costRatioWithin(t, "20,000 inserts with a sorted index against without", 3, func() (time.Duration, time.Duration) {
+		var indexed, plain [3]time.Duration
+		for i := range indexed {
+			plain[i], indexed[i] = load(false), load(true)
+		}
+		return slices.Min(indexed[:]), slices.Min(plain[:])
+	})
 }
 
 func TestZonePruning(t *testing.T) {
