@@ -699,6 +699,101 @@ func BenchmarkPlacement(b *testing.B) {
 	}
 }
 
+// --- E-ROW: the standing benchmark's read mix, statement class by class ---
+
+// benchReadMixDB loads the standing benchmark's read corpus (benchmark/gen.go:
+// one source "items" of 20,000 rows; key, three-word name, skewed region,
+// slot = row number, qty, price) on a default engine, and warms it until the
+// auto-indexes on _key and slot exist.
+func benchReadMixDB(b *testing.B, rng *rand.Rand, rows int) *DB {
+	b.Helper()
+	db, err := Open(Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	src := Source{Name: "items", Entities: make([]Entity, rows)}
+	for i := range src.Entities {
+		u := rng.Float64()
+		src.Entities[i] = Entity{Key: fmt.Sprintf("it-%07d", i), Attrs: Record{
+			"name":   fmt.Sprintf("w%04d w%04d w%04d", rng.Intn(5000), rng.Intn(5000), rng.Intn(5000)),
+			"slot":   int64(i),
+			"region": fmt.Sprintf("reg%02d", int(u*u*50)),
+			"price":  float64(100+rng.Intn(99900)) / 100,
+			"qty":    int64(1 + rng.Intn(100)),
+		}}
+	}
+	if err := db.Ingest(src); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; len(db.IndexStats()) < 2; i++ {
+		if i == 50 {
+			b.Fatalf("no auto-indexes after %d warm-up rounds: %v", i, db.IndexStats())
+		}
+		for class := range readMixClasses {
+			if _, err := db.Query(readMixStmt(class, rng, rows)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// readMixClasses are the benchmark's statement classes with their weights in
+// its read mix, in deck order.
+var readMixClasses = []struct {
+	name   string
+	weight int
+}{{"point", 80}, {"range", 10}, {"agg", 3}, {"topk", 3}, {"scan", 4}}
+
+// readMixStmt is benchmark/gen.go's stmtAt with a uniformly drawn parameter:
+// the text is almost always new, so the executor answers, not a cache.
+func readMixStmt(class int, rng *rand.Rand, rows int) string {
+	span := [...]int{1, 100, rows / 2, rows / 2, rows / 10}[class]
+	lo := rng.Intn(rows - span + 1)
+	switch class {
+	case 0:
+		return fmt.Sprintf("SELECT name, region, price, qty FROM items WHERE _key = 'it-%07d'", lo)
+	case 1:
+		return fmt.Sprintf("SELECT _key, slot, price FROM items WHERE slot >= %d AND slot < %d", lo, lo+span)
+	case 2:
+		return fmt.Sprintf("SELECT region, COUNT(*) AS n, SUM(qty) AS q, MIN(price) AS lo, MAX(price) AS hi FROM items WHERE slot >= %d AND slot < %d GROUP BY region", lo, lo+span)
+	case 3:
+		return fmt.Sprintf("SELECT _key, price FROM items WHERE slot >= %d AND slot < %d ORDER BY price DESC, _key LIMIT 10", lo, lo+span)
+	}
+	return fmt.Sprintf("SELECT _key, name, region, price, qty FROM items WHERE slot >= %d AND slot < %d", lo, lo+span)
+}
+
+// BenchmarkReadMix runs the benchmark's five read statements on the facade,
+// each class alone and then the 80/10/3/3/4 mix, one goroutine: allocs/op
+// here is what embedded-read's allocs_per_op gate sees, class by class.
+func BenchmarkReadMix(b *testing.B) {
+	const rows = 20000
+	rng := rand.New(rand.NewSource(1))
+	db := benchReadMixDB(b, rng, rows)
+	var deck []int
+	for class, c := range readMixClasses {
+		for i := 0; i < c.weight; i++ {
+			deck = append(deck, class)
+		}
+	}
+	run := func(name string, classOf func(i int) int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(readMixStmt(classOf(i), rng, rows)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for class, c := range readMixClasses {
+		run(c.name, func(int) int { return class })
+	}
+	rng.Shuffle(len(deck), func(i, j int) { deck[i], deck[j] = deck[j], deck[i] })
+	run("mix", func(i int) int { return deck[i%len(deck)] })
+}
+
 // --- E-IDX: secondary-index lookup vs full scan -------------------------
 
 // benchLookupTable builds a 100k-row table where attribute k takes 1000

@@ -311,6 +311,9 @@ func (db *DB) QueryInfoCtx(ctx context.Context, q string) (*Rows, *QueryInfo, er
 		return nil, nil, err
 	}
 	out := &Rows{Columns: res.Columns}
+	if len(res.Rows) > 0 {
+		out.Data = make([][]any, 0, len(res.Rows))
+	}
 	for _, r := range res.Rows {
 		row := make([]any, len(r))
 		for i, v := range r {

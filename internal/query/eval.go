@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"scdb/internal/model"
@@ -35,41 +36,39 @@ type Env interface {
 	PredictType(v model.Value) model.Value
 }
 
-// Row is one tuple flowing through the executor: values keyed by
-// "binding\x00column", plus the set of bindings present (so that a missing
-// attribute of a known binding reads as null — the open-world reading of
-// heterogeneous records).
+// Row is one tuple flowing through the executor. A bound row borrows the
+// storage records it was scanned from, one frame per FROM binding (a join
+// concatenates frames); an output row of Project, Aggregate or RowsNode
+// carries one value per label of its shape. Absent attributes of a known
+// binding read as null — the open-world reading of heterogeneous records.
+// Frames are never written: storage publishes immutable version records.
 type Row struct {
-	vals     map[string]model.Value
-	bindings map[string]bool
+	sh   *rowShape
+	recs []model.Record // one per sh.bindings
+	vals []model.Value  // one per sh.cols
 }
 
-func newRow() Row {
-	return Row{vals: map[string]model.Value{}, bindings: map[string]bool{}}
+// rowShape is what the rows of one operator's output share: the binding of
+// each frame and the label of each slot. A dotted label ("a.key", how an
+// unaliased qualified item renders) also binds under its qualifier, so both
+// key and a.key resolve.
+type rowShape struct {
+	bindings []string
+	cols     []string
 }
 
-func rowKey(binding, name string) string { return binding + "\x00" + name }
+var noShape = &rowShape{}
 
-// Set stores a value under binding.name.
-func (r Row) Set(binding, name string, v model.Value) {
-	r.vals[rowKey(binding, name)] = v
-	r.bindings[binding] = true
+// concat is the shape of a join's output: sh's frames and slots, then o's.
+func (sh *rowShape) concat(o *rowShape) *rowShape {
+	return &rowShape{append(slices.Clone(sh.bindings), o.bindings...), append(slices.Clone(sh.cols), o.cols...)}
 }
 
-// merge combines two rows (for joins); bindings must be disjoint.
-func (r Row) merge(o Row) Row {
-	out := newRow()
-	for k, v := range r.vals {
-		out.vals[k] = v
-	}
-	for k, v := range o.vals {
-		out.vals[k] = v
-	}
-	for b := range r.bindings {
-		out.bindings[b] = true
-	}
-	for b := range o.bindings {
-		out.bindings[b] = true
+// merge combines two rows (for joins) under sh, their shapes' concat.
+func (r Row) merge(o Row, sh *rowShape) Row {
+	out := Row{sh: sh, recs: append(slices.Clip(r.recs), o.recs...)}
+	if len(sh.cols) > 0 {
+		out.vals = append(slices.Clip(r.vals), o.vals...)
 	}
 	return out
 }
@@ -77,23 +76,47 @@ func (r Row) merge(o Row) Row {
 // Lookup resolves a column reference. Qualified references to a known
 // binding read null when the attribute is absent; unqualified references
 // resolve when exactly one binding carries the name, read null when no
-// binding does, and error when ambiguous.
+// binding does, and error when ambiguous. Slots sharing a label are one
+// column; the last one answers.
 func (r Row) Lookup(binding, name string) (model.Value, error) {
+	sh := r.sh
+	if sh == nil {
+		sh = noShape
+	}
 	if binding != "" {
-		if v, ok := r.vals[rowKey(binding, name)]; ok {
-			return v, nil
+		for i, b := range sh.bindings {
+			if b == binding {
+				return r.recs[i][name], nil
+			}
 		}
-		if r.bindings[binding] {
+		known := false
+		for i := len(sh.cols) - 1; i >= 0; i-- {
+			if q, n, dotted := strings.Cut(sh.cols[i], "."); dotted && q == binding {
+				if n == name {
+					return r.vals[i], nil
+				}
+				known = true
+			}
+		}
+		if known {
 			return model.Null(), nil
 		}
 		return model.Null(), fmt.Errorf("query: unknown binding %q", binding)
 	}
 	var found model.Value
 	matches := 0
-	suffix := "\x00" + name
-	for k, v := range r.vals {
-		if strings.HasSuffix(k, suffix) {
+	for _, rec := range r.recs {
+		if v, ok := rec[name]; ok {
 			found = v
+			matches++
+		}
+	}
+	for i, at := len(sh.cols)-1, -1; i >= 0; i-- {
+		if q, n, dotted := strings.Cut(sh.cols[i], "."); sh.cols[i] != name && (!dotted || q == "" || n != name) {
+			continue
+		}
+		if at < 0 || sh.cols[i] != sh.cols[at] {
+			at, found = i, r.vals[i]
 			matches++
 		}
 	}

@@ -1,11 +1,11 @@
 package query
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -161,20 +161,47 @@ func ExecuteOpts(n Node, env Env, opts ExecOptions) (*Result, *OpStats, error) {
 		}
 		return &Result{Columns: cols}, st, nil
 	}
-	res := &Result{Columns: cols}
+	res := &Result{Columns: cols, Rows: make([][]model.Value, 0, len(rows))}
 	for _, r := range rows {
 		res.Rows = append(res.Rows, materializeRow(cols, r))
 	}
 	return res, st, nil
 }
 
-// materializeRow projects one bound row onto the display columns.
+// materializeRow projects one row onto the display columns. An output row
+// whose labels they are is handed on as it is; a bound row (SELECT *, whose
+// columns are the union over heterogeneous records) is read cell by cell.
 func materializeRow(cols []string, r Row) []model.Value {
+	if sc := r.sh.cols; len(r.recs) == 0 && len(sc) == len(cols) && (len(cols) == 0 || &sc[0] == &cols[0]) {
+		return r.vals
+	}
 	out := make([]model.Value, len(cols))
 	for i, c := range cols {
-		out[i] = r.vals[outKey(c, r)]
+		out[i] = r.display(c)
 	}
 	return out
+}
+
+// display reads the cell a display column names, in the order unionColumns
+// names them: binding.name, else a slot's label, else the attribute of
+// whichever frame carries it, else null.
+func (r Row) display(col string) model.Value {
+	if i := strings.Index(col, "."); i >= 0 {
+		if f := slices.Index(r.sh.bindings, col[:i]); f >= 0 {
+			if v, ok := r.recs[f][col[i+1:]]; ok {
+				return v
+			}
+		}
+	}
+	if i := slices.Index(r.sh.cols, col); i >= 0 {
+		return r.vals[i]
+	}
+	for _, rec := range r.recs {
+		if v, ok := rec[col]; ok {
+			return v
+		}
+	}
+	return model.Null()
 }
 
 // emitStream drains a stream morsel by morsel, materializing each against
@@ -205,34 +232,6 @@ func emitStream(ctx context.Context, s *stream, cols []string, emit func([]strin
 			return ErrEmitStopped
 		}
 	}
-}
-
-// outKey maps a display column back to the row key.
-func outKey(col string, r Row) string {
-	if k, ok := displayToKey(col, r); ok {
-		return k
-	}
-	return "\x00" + col
-}
-
-func displayToKey(col string, r Row) (string, bool) {
-	if i := strings.Index(col, "."); i >= 0 {
-		k := rowKey(col[:i], col[i+1:])
-		if _, ok := r.vals[k]; ok {
-			return k, true
-		}
-	}
-	k := rowKey("", col)
-	if _, ok := r.vals[k]; ok {
-		return k, true
-	}
-	// Single-binding shortcut: column without qualifier.
-	for key := range r.vals {
-		if strings.HasSuffix(key, "\x00"+col) {
-			return key, true
-		}
-	}
-	return "", false
 }
 
 // execCtx carries the per-query execution configuration. ev is read-only
@@ -292,11 +291,16 @@ func (x *execCtx) build(n Node) (s *stream, cols []string, st *OpStats, err erro
 }
 
 // bindStage turns record morsels from a scan source into bound rows on the
-// worker pool.
+// worker pool. A row's one frame is a window on the morsel's records: binding
+// a row copies nothing and allocates nothing.
 func (x *execCtx) bindStage(src *stream, binding string, st *OpStats) *stream {
+	sh := &rowShape{bindings: []string{binding}}
 	return x.stage(src, x.workers, func(m morsel) (morsel, error) {
 		t0 := time.Now()
-		rows := bindRecords(m.recs, binding)
+		rows := make([]Row, len(m.recs))
+		for i := range rows {
+			rows[i] = Row{sh: sh, recs: m.recs[i : i+1 : i+1]}
+		}
 		st.tally(len(rows), len(rows), time.Since(t0))
 		return morsel{rows: rows}, nil
 	})
@@ -325,16 +329,10 @@ func recSliceStream(recs []model.Record, size int) *stream {
 
 func (x *execCtx) buildRows(n *RowsNode) (*stream, []string, *OpStats, error) {
 	st := newOpStats(n)
+	sh := &rowShape{cols: n.Cols}
 	rows := make([]Row, len(n.Rows))
 	for i, vals := range n.Rows {
-		r := newRow()
-		for j, col := range n.Cols {
-			r.Set("", col, vals[j])
-			if k := strings.Index(col, "."); k > 0 {
-				r.Set(col[:k], col[k+1:], vals[j])
-			}
-		}
-		rows[i] = r
+		rows[i] = Row{sh: sh, vals: vals}
 	}
 	st.tallyRows(len(rows), len(rows), 0)
 	return sliceStream(rows, x.size), n.Cols, st, nil
@@ -398,12 +396,12 @@ func (x *execCtx) buildIndexScan(n *IndexScanNode) (*stream, []string, *OpStats,
 		}
 		src = recSliceStream(recs, x.size)
 	}
-	binding, pred := n.Binding, n.Pred
+	sh, pred := &rowShape{bindings: []string{n.Binding}}, n.Pred
 	s := x.stage(src, x.workers, func(m morsel) (morsel, error) {
 		t0 := time.Now()
-		rows := bindRecords(m.recs, binding)
-		var out []Row
-		for _, r := range rows {
+		out := make([]Row, 0, len(m.recs))
+		for i := range m.recs {
+			r := Row{sh: sh, recs: m.recs[i : i+1 : i+1]}
 			v, err := x.ev.Eval(pred, r)
 			if err != nil {
 				return morsel{}, err
@@ -416,7 +414,7 @@ func (x *execCtx) buildIndexScan(n *IndexScanNode) (*stream, []string, *OpStats,
 				out = append(out, r)
 			}
 		}
-		st.tally(len(rows), len(out), time.Since(t0))
+		st.tally(len(m.recs), len(out), time.Since(t0))
 		return morsel{rows: out}, nil
 	})
 	return s, nil, st, nil
@@ -495,20 +493,22 @@ func (x *execCtx) buildProject(n *ProjectNode) (*stream, []string, *OpStats, err
 	for i, it := range n.Items {
 		cols[i] = it.Label()
 	}
-	items := n.Items
+	sh, items := &rowShape{cols: cols}, n.Items
 	s := x.stage(in, x.workers, func(m morsel) (morsel, error) {
 		t0 := time.Now()
-		out := make([]Row, 0, len(m.rows))
-		for _, r := range m.rows {
-			nr := newRow()
+		out := make([]Row, len(m.rows))
+		// The morsel's output cells are one slab, a row's values a window on it.
+		slab := make([]model.Value, len(m.rows)*len(items))
+		for j, r := range m.rows {
+			vals := slab[j*len(items) : (j+1)*len(items) : (j+1)*len(items)]
 			for i, it := range items {
 				v, err := x.ev.Eval(it.Expr, r)
 				if err != nil {
 					return morsel{}, err
 				}
-				nr.Set("", cols[i], v)
+				vals[i] = v
 			}
-			out = append(out, nr)
+			out[j] = Row{sh: sh, vals: vals}
 		}
 		st.tally(len(m.rows), len(out), time.Since(t0))
 		return morsel{rows: out}, nil
@@ -557,13 +557,13 @@ func (x *execCtx) buildJoin(n *JoinNode) (*stream, []string, *OpStats, error) {
 	// Nested-loop join with three-valued predicate: stream the left side,
 	// each morsel scanning the full right side.
 	st.tallyRows(len(lrows)+len(rrows), 0, 0)
-	on := n.On
+	on, sh := n.On, joinShape(lrows, rrows)
 	s := x.stage(sliceStream(lrows, x.size), x.workers, func(m morsel) (morsel, error) {
 		t0 := time.Now()
 		var out []Row
 		for _, lr := range m.rows {
 			for _, rr := range rrows {
-				merged := lr.merge(rr)
+				merged := lr.merge(rr, sh)
 				v, err := x.ev.Eval(on, merged)
 				if err != nil {
 					return morsel{}, err
@@ -583,6 +583,15 @@ func (x *execCtx) buildJoin(n *JoinNode) (*stream, []string, *OpStats, error) {
 	return s, nil, st, nil
 }
 
+// joinShape is the shape of l-then-r merged rows; every row of one side
+// shares its shape, and an empty side means no merged row to need one.
+func joinShape(l, r []Row) *rowShape {
+	if len(l) == 0 || len(r) == 0 {
+		return nil
+	}
+	return l[0].sh.concat(r[0].sh)
+}
+
 // buildHashJoin builds the hash table over the smaller side in parallel
 // partitions, then probes per-morsel on the worker pool. Partition maps are
 // each populated by one worker scanning the build side in index order, so
@@ -590,10 +599,13 @@ func (x *execCtx) buildJoin(n *JoinNode) (*stream, []string, *OpStats, error) {
 // build exactly.
 func (x *execCtx) buildHashJoin(n *JoinNode, st *OpStats, lrows, rrows []Row, lc, rc *ColRef) (*stream, []string, *OpStats, error) {
 	t0 := time.Now()
-	// Orient columns to sides.
+	// Orient columns to sides: a qualified reference fails on the side that
+	// does not know its binding.
 	probeCol, buildCol := lc, rc
-	if len(lrows) > 0 && !lrows[0].bindings[lc.Binding] {
-		probeCol, buildCol = rc, lc
+	if len(lrows) > 0 {
+		if _, err := lrows[0].Lookup(lc.Binding, lc.Name); err != nil {
+			probeCol, buildCol = rc, lc
+		}
 	}
 	// Build on the smaller side.
 	build, probe := rrows, lrows
@@ -637,6 +649,7 @@ func (x *execCtx) buildHashJoin(n *JoinNode, st *OpStats, lrows, rrows []Row, lc
 	wg.Wait()
 	st.tallyRows(len(lrows)+len(rrows), 0, time.Since(t0))
 
+	sh := joinShape(probe, build)
 	s := x.stage(sliceStream(probe, x.size), x.workers, func(m morsel) (morsel, error) {
 		t0 := time.Now()
 		var out []Row
@@ -650,7 +663,7 @@ func (x *execCtx) buildHashJoin(n *JoinNode, st *OpStats, lrows, rrows []Row, lc
 				br := build[bi]
 				bv, _ := br.Lookup(bCol.Binding, bCol.Name)
 				if model.Equal(v, bv) {
-					out = append(out, pr.merge(br))
+					out = append(out, pr.merge(br, sh))
 				}
 			}
 		}
@@ -711,6 +724,9 @@ func (x *execCtx) buildDistinct(n *DistinctNode) (*stream, []string, *OpStats, e
 		var out []Row
 		for i, r := range m.rows {
 			if d.keep(r, m.hashes[i]) {
+				// A survivor must not pin the morsel slab Project carved it
+				// from: a result is retained by the materialization cache.
+				r.vals = slices.Clone(r.vals)
 				out = append(out, r)
 			}
 		}
@@ -736,28 +752,26 @@ func (d *deduper) keep(r Row, h uint64) bool {
 	return true
 }
 
-// rowsEqual reports whether two rows carry the same keys and values
-// (null equals null, as DISTINCT requires).
+// rowsEqual reports whether two rows of one shape carry the same cells:
+// frame by frame the same attributes, whatever order the records' maps hold
+// them in, and slot by slot the same values (model.Equal holds null equal
+// to null, as DISTINCT requires).
 func rowsEqual(a, b Row) bool {
-	if len(a.vals) != len(b.vals) {
+	if len(a.recs) != len(b.recs) {
 		return false
 	}
-	for k, va := range a.vals {
-		vb, ok := b.vals[k]
-		if !ok {
+	for i, ra := range a.recs {
+		rb := b.recs[i]
+		if len(ra) != len(rb) {
 			return false
 		}
-		if va.IsNull() || vb.IsNull() {
-			if va.IsNull() != vb.IsNull() {
+		for k, va := range ra {
+			if vb, ok := rb[k]; !ok || !model.Equal(va, vb) {
 				return false
 			}
-			continue
-		}
-		if !model.Equal(va, vb) {
-			return false
 		}
 	}
-	return true
+	return slices.EqualFunc(a.vals, b.vals, model.Equal)
 }
 
 // attachKeys evaluates the sort keys for every row on the worker pool,
@@ -766,8 +780,9 @@ func (x *execCtx) attachKeys(in *stream, keys []OrderKey, st *OpStats) *stream {
 	return x.stage(in, x.workers, func(m morsel) (morsel, error) {
 		t0 := time.Now()
 		ks := make([][]model.Value, len(m.rows))
+		slab := make([]model.Value, len(m.rows)*len(keys)) // every row's key tuple
 		for i, r := range m.rows {
-			kv := make([]model.Value, len(keys))
+			kv := slab[i*len(keys) : (i+1)*len(keys) : (i+1)*len(keys)]
 			for j, k := range keys {
 				v, err := x.ev.Eval(k.Expr, r)
 				if err != nil {
@@ -791,7 +806,7 @@ type keyedRow struct {
 
 // keyedLess orders by the sort keys, breaking ties by input position — the
 // total order equivalent to a stable sort on the keys alone.
-func keyedLess(keys []OrderKey, a, b keyedRow) bool {
+func keyedLess(keys []OrderKey, a, b *keyedRow) bool {
 	for j, k := range keys {
 		va, vb := a.keys[j], b.keys[j]
 		if model.Equal(va, vb) {
@@ -828,20 +843,7 @@ func (x *execCtx) buildSort(n *SortNode) (*stream, []string, *OpStats, error) {
 		}
 	}
 	t0 := time.Now()
-	sort.SliceStable(flat, func(a, b int) bool {
-		for j, k := range n.Keys {
-			va, vb := flat[a].keys[j], flat[b].keys[j]
-			if model.Equal(va, vb) {
-				continue
-			}
-			less := model.Less(va, vb)
-			if k.Desc {
-				return !less
-			}
-			return less
-		}
-		return false
-	})
+	sort.Slice(flat, func(a, b int) bool { return keyedLess(n.Keys, &flat[a], &flat[b]) })
 	rows := make([]Row, len(flat))
 	for i := range flat {
 		rows[i] = flat[i].row
@@ -850,21 +852,43 @@ func (x *execCtx) buildSort(n *SortNode) (*stream, []string, *OpStats, error) {
 	return sliceStream(rows, x.size), cols, st, nil
 }
 
-// topkHeap is a bounded max-heap over keyedRows: the root is the largest
-// element in sort order, evicted whenever the heap exceeds K.
-type topkHeap struct {
+// topK keeps the n first rows of the sort order in a max-heap: the root is
+// the last of them, so an input row that does not belong costs one
+// comparison against it, and none is boxed through container/heap.
+type topK struct {
 	items []keyedRow
 	keys  []OrderKey
+	n     int
 }
 
-func (h *topkHeap) Len() int           { return len(h.items) }
-func (h *topkHeap) Less(i, j int) bool { return keyedLess(h.keys, h.items[j], h.items[i]) }
-func (h *topkHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *topkHeap) Push(v any)         { h.items = append(h.items, v.(keyedRow)) }
-func (h *topkHeap) Pop() any {
-	v := h.items[len(h.items)-1]
-	h.items = h.items[:len(h.items)-1]
-	return v
+func (h *topK) offer(kr keyedRow) {
+	if len(h.items) < h.n {
+		h.items = append(h.items, kr)
+		for i := len(h.items) - 1; i > 0; { // sift up
+			p := (i - 1) / 2
+			if !keyedLess(h.keys, &h.items[p], &h.items[i]) {
+				break
+			}
+			h.items[p], h.items[i] = h.items[i], h.items[p]
+			i = p
+		}
+		return
+	}
+	if h.n == 0 || !keyedLess(h.keys, &kr, &h.items[0]) {
+		return
+	}
+	h.items[0] = kr
+	for i := 0; ; { // sift down
+		c := 2*i + 1
+		if c+1 < len(h.items) && keyedLess(h.keys, &h.items[c], &h.items[c+1]) {
+			c++
+		}
+		if c >= len(h.items) || !keyedLess(h.keys, &h.items[i], &h.items[c]) {
+			return
+		}
+		h.items[i], h.items[c] = h.items[c], h.items[i]
+		i = c
+	}
 }
 
 func (x *execCtx) buildTopK(n *TopKNode) (*stream, []string, *OpStats, error) {
@@ -875,7 +899,7 @@ func (x *execCtx) buildTopK(n *TopKNode) (*stream, []string, *OpStats, error) {
 	st := newOpStats(n)
 	st.Children = []*OpStats{cst}
 	keyed := x.attachKeys(in, n.Keys, st)
-	h := &topkHeap{keys: n.Keys}
+	h := &topK{keys: n.Keys, n: n.N}
 	idx := 0
 	for {
 		m, ok, err := keyed.next()
@@ -887,19 +911,14 @@ func (x *execCtx) buildTopK(n *TopKNode) (*stream, []string, *OpStats, error) {
 		}
 		t0 := time.Now()
 		for i, r := range m.rows {
-			if n.N > 0 {
-				heap.Push(h, keyedRow{row: r, keys: m.keys[i], idx: idx})
-				if h.Len() > n.N {
-					heap.Pop(h)
-				}
-			}
+			h.offer(keyedRow{row: r, keys: m.keys[i], idx: idx})
 			idx++
 		}
 		st.tallyRows(0, 0, time.Since(t0))
 	}
 	t0 := time.Now()
 	items := h.items
-	sort.Slice(items, func(a, b int) bool { return keyedLess(n.Keys, items[a], items[b]) })
+	sort.Slice(items, func(a, b int) bool { return keyedLess(n.Keys, &items[a], &items[b]) })
 	rows := make([]Row, len(items))
 	for i := range items {
 		rows[i] = items[i].row
@@ -1241,6 +1260,7 @@ func (x *execCtx) buildAggregate(n *AggregateNode) (*stream, []string, *OpStats,
 	}
 
 	// Phase 3: HAVING and finalization, serial in group order.
+	sh := &rowShape{cols: cols}
 	var out []Row
 	for _, h := range total.order {
 		g := total.groups[h]
@@ -1257,15 +1277,13 @@ func (x *execCtx) buildAggregate(n *AggregateNode) (*stream, []string, *OpStats,
 				continue
 			}
 		}
-		nr := newRow()
+		vals := make([]model.Value, len(n.Items))
 		for i, it := range n.Items {
-			v, err := x.evalFromStates(it.Expr, g, callIdx)
-			if err != nil {
+			if vals[i], err = x.evalFromStates(it.Expr, g, callIdx); err != nil {
 				return nil, nil, nil, err
 			}
-			nr.Set("", cols[i], v)
 		}
-		out = append(out, nr)
+		out = append(out, Row{sh: sh, vals: vals})
 	}
 	st.tallyRows(0, len(out), time.Since(t0))
 	return sliceStream(out, x.size), cols, st, nil
@@ -1273,51 +1291,55 @@ func (x *execCtx) buildAggregate(n *AggregateNode) (*stream, []string, *OpStats,
 
 // --- shared helpers ----------------------------------------------------
 
-// rowHash hashes every column of a row, order-independently but
-// key-sensitively, for DISTINCT bucketing.
+// rowHash hashes every cell of a row for DISTINCT bucketing: a frame's
+// cells in any order (two records with equal cells hash alike whatever order
+// their maps hold them in), frames and slots by position.
 func rowHash(r Row) uint64 {
 	var h uint64
-	for k, v := range r.vals {
-		h ^= model.String(k).Hash()*31 + v.Hash()
+	for _, rec := range r.recs {
+		var fh uint64
+		for k, v := range rec {
+			fh ^= model.String(k).Hash()*31 + v.Hash()
+		}
+		h = h*1099511628211 ^ fh
+	}
+	for _, v := range r.vals {
+		h = h*1099511628211 ^ v.Hash()
 	}
 	return h
-}
-
-func bindRecords(recs []model.Record, binding string) []Row {
-	rows := make([]Row, len(recs))
-	for i, rec := range recs {
-		r := newRow()
-		r.bindings[binding] = true
-		for k, v := range rec {
-			r.Set(binding, k, v)
-		}
-		rows[i] = r
-	}
-	return rows
 }
 
 // unionColumns derives display columns from raw rows: "binding.name" when
 // several bindings exist, bare names otherwise, sorted.
 func unionColumns(rows []Row) []string {
-	keys := map[string]bool{}
+	type cell struct{ binding, name string }
+	keys := map[cell]bool{}
 	bindings := map[string]bool{}
+	var sh *rowShape
 	for _, r := range rows {
-		for k := range r.vals {
-			keys[k] = true
+		if r.sh != sh {
+			sh = r.sh
+			for _, b := range sh.bindings {
+				bindings[b] = true
+			}
+			for _, c := range sh.cols {
+				bindings[""] = true
+				keys[cell{"", c}] = true
+			}
 		}
-		for b := range r.bindings {
-			bindings[b] = true
+		for i, rec := range r.recs {
+			for k := range rec {
+				keys[cell{sh.bindings[i], k}] = true
+			}
 		}
 	}
 	multi := len(bindings) > 1
 	var cols []string
 	for k := range keys {
-		i := strings.Index(k, "\x00")
-		b, name := k[:i], k[i+1:]
-		if multi && b != "" {
-			cols = append(cols, b+"."+name)
+		if multi && k.binding != "" {
+			cols = append(cols, k.binding+"."+k.name)
 		} else {
-			cols = append(cols, name)
+			cols = append(cols, k.name)
 		}
 	}
 	sort.Strings(cols)

@@ -133,10 +133,9 @@ func TestParallelErrorParity(t *testing.T) {
 // TestDeduperHashCollision: rows that collide on hash but differ in content
 // must both survive DISTINCT (the bug the bucket+compare design fixes).
 func TestDeduperHashCollision(t *testing.T) {
-	r1 := newRow()
-	r1.Set("", "name", model.String("a"))
-	r2 := newRow()
-	r2.Set("", "name", model.String("b"))
+	sh := &rowShape{cols: []string{"name"}}
+	r1 := Row{sh: sh, vals: []model.Value{model.String("a")}}
+	r2 := Row{sh: sh, vals: []model.Value{model.String("b")}}
 	d := &deduper{buckets: map[uint64][]Row{}}
 	const h = 42 // forced collision: same bucket for both rows
 	if !d.keep(r1, h) {
@@ -149,8 +148,7 @@ func TestDeduperHashCollision(t *testing.T) {
 		t.Fatal("true duplicate must be dropped")
 	}
 	// Null and absent values are distinct rows.
-	r3 := newRow()
-	r3.Set("", "name", model.Null())
+	r3 := Row{sh: sh, vals: []model.Value{model.Null()}}
 	if !d.keep(r3, h) {
 		t.Fatal("null-valued row is distinct from string-valued rows")
 	}
@@ -389,9 +387,6 @@ func TestParallelDefaultWorkers(t *testing.T) {
 // completion order.
 func TestParMapOrdering(t *testing.T) {
 	rows := make([]Row, 100)
-	for i := range rows {
-		rows[i] = newRow()
-	}
 	got, err := parMap(sliceStream(rows, 1), 8, func(m morsel) (int, error) {
 		return m.idx, nil
 	})
@@ -412,9 +407,7 @@ func TestParMapOrdering(t *testing.T) {
 func TestParStageOrdering(t *testing.T) {
 	rows := make([]Row, 500)
 	for i := range rows {
-		r := newRow()
-		r.Set("", "i", model.Int(int64(i)))
-		rows[i] = r
+		rows[i] = Row{vals: []model.Value{model.Int(int64(i))}}
 	}
 	var wg sync.WaitGroup
 	s := parStage(sliceStream(rows, 7), 8, &wg, func(m morsel) (morsel, error) {
@@ -428,7 +421,7 @@ func TestParStageOrdering(t *testing.T) {
 		t.Fatalf("len = %d", len(out))
 	}
 	for i, r := range out {
-		v, _ := r.vals[rowKey("", "i")].AsInt()
+		v, _ := r.vals[0].AsInt()
 		if v != int64(i) {
 			t.Fatalf("row %d carries %d; order not restored", i, v)
 		}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"scdb/internal/model"
@@ -229,6 +230,11 @@ func BuildPlan(stmt *SelectStmt, r Resolver) (Node, error) {
 			break
 		}
 	}
+	if hasAgg || len(stmt.GroupBy) > 0 || stmt.Distinct {
+		if err := CheckOrderBy(stmt); err != nil {
+			return nil, err
+		}
+	}
 	if hasAgg || len(stmt.GroupBy) > 0 {
 		if stmt.Star {
 			return nil, fmt.Errorf("query: SELECT * cannot be combined with aggregation")
@@ -272,6 +278,35 @@ func BuildPlan(stmt *SelectStmt, r Resolver) (Node, error) {
 	}
 	root = &ProjectNode{Input: root, Star: stmt.Star, Items: stmt.Items}
 	return root, nil
+}
+
+// CheckOrderBy rejects an ORDER BY key of a DISTINCT or aggregated selection
+// that reads a column its output does not carry: the sort runs over that
+// output, where the column would read null and every row would tie. A
+// dotted label carries its name under its qualifier too, as rows bind it.
+func CheckOrderBy(stmt *SelectStmt) error {
+	carried := func(c *ColRef) bool {
+		return stmt.Star || slices.ContainsFunc(stmt.Items, func(it SelectItem) bool {
+			l := it.Label()
+			k := strings.Index(l, ".")
+			return c.Binding == "" && l == c.Name || k > 0 && l[k+1:] == c.Name && (c.Binding == "" || c.Binding == l[:k])
+		})
+	}
+	for _, k := range stmt.OrderBy {
+		_, err := Rewrite(k.Expr, func(e Expr) (Expr, error) {
+			if c, ok := e.(*ColRef); ok && !carried(c) {
+				return nil, fmt.Errorf("query: ORDER BY %s reads %s, a column the selection's output does not carry", k.Expr, c)
+			}
+			if c, ok := e.(*Call); ok && aggFuncs[c.Name] {
+				return e, nil // an aggregate in a sort key is the executor's error to report
+			}
+			return nil, nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func sourceNode(t TableRef, r Resolver, semantic bool) (Node, error) {

@@ -20,7 +20,7 @@ import (
 // SAME connection completes while the query is still running — the proof
 // that responses are matched by request id, not arrival order.
 func TestPipelineOutOfOrder(t *testing.T) {
-	db := openBig(t, 2000)
+	db := openBig(t, 4000)
 	_, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 
@@ -58,7 +58,7 @@ func TestPipelineOutOfOrder(t *testing.T) {
 // concurrent statements — the server's admission in-flight peak must
 // exceed one, which a strictly request-response connection can never do.
 func TestPipelineConcurrentQueries(t *testing.T) {
-	db := openBig(t, 400)
+	db := openBig(t, 800)
 	_, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 
@@ -94,7 +94,7 @@ func TestPipelineConcurrentQueries(t *testing.T) {
 // request fails that request alone — the requests behind it and the
 // connection itself survive.
 func TestPipelineDeadlineMidStream(t *testing.T) {
-	db := openBig(t, 2000)
+	db := openBig(t, 4000)
 	_, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 
@@ -127,7 +127,7 @@ func TestPipelineDeadlineMidStream(t *testing.T) {
 // frame; the server stops the statement and still answers it, so the
 // connection stays framed and reusable.
 func TestPipelineCancelOp(t *testing.T) {
-	db := openBig(t, 2000)
+	db := openBig(t, 4000)
 	_, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 
@@ -160,7 +160,7 @@ func TestPipelineCancelOp(t *testing.T) {
 // requests in flight cancels all of them on the server — no leaked
 // executor work, no stuck admission slots.
 func TestPipelineDisconnectInFlight(t *testing.T) {
-	db := openBig(t, 2000)
+	db := openBig(t, 4000)
 	_, addr := startServer(t, db, func(cfg *server.Config) {
 		cfg.MaxInFlight = 8
 	})
@@ -195,7 +195,7 @@ func TestPipelineDisconnectInFlight(t *testing.T) {
 // TestPipelineShedsAtCap: requests beyond MaxPipeline on one connection
 // are shed with ErrBusy without touching admission.
 func TestPipelineShedsAtCap(t *testing.T) {
-	db := openBig(t, 800)
+	db := openBig(t, 1600)
 	_, addr := startServer(t, db, func(cfg *server.Config) {
 		cfg.MaxPipeline = 2
 		cfg.MaxInFlight = 16

@@ -138,7 +138,7 @@ func TestOversizedFrame(t *testing.T) {
 // disconnect the server's in-flight gauge must hit zero and the canceled
 // counter must tick in a small fraction of that.
 func TestDisconnectCancelsQuery(t *testing.T) {
-	db := openBig(t, 2000)
+	db := openBig(t, 4000)
 	_, addr := startServer(t, db, nil)
 
 	victim, err := client.Dial(addr)
@@ -174,7 +174,7 @@ func TestDisconnectCancelsQuery(t *testing.T) {
 // TestRequestDeadline: a per-request timeout stops the statement and maps
 // to context.DeadlineExceeded on the client.
 func TestRequestDeadline(t *testing.T) {
-	db := openBig(t, 2000)
+	db := openBig(t, 4000)
 	_, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -197,7 +197,7 @@ func TestRequestDeadline(t *testing.T) {
 // concurrent slow queries are shed with the typed busy error, the
 // in-flight peak never exceeds the limit, and rejections are counted.
 func TestAdmissionShedsLoad(t *testing.T) {
-	db := openBig(t, 500)
+	db := openBig(t, 1000)
 	_, addr := startServer(t, db, func(c *server.Config) {
 		c.MaxInFlight = 1
 		c.MaxQueue = 1
@@ -248,7 +248,7 @@ func TestAdmissionShedsLoad(t *testing.T) {
 // TestGracefulShutdownDrains: shutdown under load lets every in-flight
 // query finish and deliver its response, then refuses new connections.
 func TestGracefulShutdownDrains(t *testing.T) {
-	db := openBig(t, 500)
+	db := openBig(t, 1000)
 	srv, addr := startServer(t, db, nil)
 
 	const clients = 3
@@ -288,7 +288,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // in-flight work, shutdown cancels the executor instead of waiting the
 // query out.
 func TestForcedShutdownCancels(t *testing.T) {
-	db := openBig(t, 2000)
+	db := openBig(t, 4000)
 	srv, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 	errc := make(chan error, 1)

@@ -341,8 +341,8 @@ func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, emit e
 	if err != nil {
 		return nil, err
 	}
-	// With none of the three clauses there is nothing to evaluate, and the
-	// large scans stay off the executor's map-per-row representation.
+	// With none of the three clauses there is nothing to evaluate: a plan
+	// over the rows would be a bare RowsNode, which hands them on as they are.
 	if !stmt.Distinct && len(stmt.OrderBy) == 0 && stmt.Limit < 0 {
 		return cols, emitChunks(cols, rows, emit)
 	}
@@ -378,6 +378,9 @@ func aggregateIn(e query.Expr) bool {
 func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt, emit emitFunc) ([]string, error) {
 	if stmt.Star {
 		return nil, fmt.Errorf("%w: SELECT * with GROUP BY", ErrNotRoutable)
+	}
+	if err := query.CheckOrderBy(stmt); err != nil {
+		return nil, err
 	}
 	ship := query.SelectStmt{
 		From:           stmt.From,

@@ -322,6 +322,12 @@ func TestNotRoutable(t *testing.T) {
 			t.Errorf("%s over the wire: err = %v, want a %q error naming it not routable", q, err, server.CodeQuery)
 		}
 	}
+	// An aggregated selection sorts its output on a router as on an engine,
+	// and a key over a column the output dropped is the same error on both.
+	q := "SELECT category, COUNT(*) AS n FROM pharma_a GROUP BY category ORDER BY price"
+	if _, _, err := c.router.QueryInfoCtx(context.Background(), q); err == nil || !strings.Contains(err.Error(), "reads price,") {
+		t.Errorf("%s: err = %v, want the planner's error naming price", q, err)
+	}
 }
 
 // TestRoutedResultStreamsInMorsels is the frame-size regression: a routed

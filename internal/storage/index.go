@@ -190,12 +190,13 @@ func (ix *Index) entries() int {
 	return n
 }
 
-// window returns the slice of the sorted run that can satisfy op against
-// lit under model.Compare. Searches stay inside the literal's comparison
-// class (same valRank), where Compare is total and consistent with the
-// sort order; NaN literals degenerate to the whole numeric class for "="
-// and empty windows for orderings — exactly the evaluator's semantics.
-func (ix *Index) window(op string, lit model.Value) []idxEntry {
+// window returns the bounds [lo, hi) of the part of the sorted run that can
+// satisfy op against lit under model.Compare (0, 0 when none can). Searches
+// stay inside the literal's comparison class (same valRank), where Compare
+// is total and consistent with the sort order; NaN literals degenerate to
+// the whole numeric class for "=" and empty windows for orderings — exactly
+// the evaluator's semantics.
+func (ix *Index) window(op string, lit model.Value) (lo, hi int) {
 	n := len(ix.sorted)
 	rl := valRank(lit)
 	classLo := sort.Search(n, func(i int) bool { return valRank(ix.sorted[i].val) >= rl })
@@ -214,7 +215,6 @@ func (ix *Index) window(op string, lit model.Value) []idxEntry {
 	gt := func() int {
 		return classLo + sort.Search(span, func(k int) bool { return cmp(classLo+k) > 0 })
 	}
-	var lo, hi int
 	switch op {
 	case "=":
 		lo, hi = geq(), gt()
@@ -226,13 +226,11 @@ func (ix *Index) window(op string, lit model.Value) []idxEntry {
 		lo, hi = gt(), classHi
 	case ">=":
 		lo, hi = geq(), classHi
-	default:
-		return nil
 	}
 	if lo >= hi {
-		return nil
+		return 0, 0
 	}
-	return ix.sorted[lo:hi]
+	return lo, hi
 }
 
 // pendingMatches mirrors the evaluator on one buffered posting: Compare
@@ -268,8 +266,11 @@ func pendingMatches(p ZonePred, v model.Value) bool {
 }
 
 // candidates returns a sorted, deduplicated superset of the RowIDs whose
-// visible record can satisfy p. Caller holds the table read lock.
-func (ix *Index) candidates(p ZonePred) []RowID {
+// visible record can satisfy every conjunct of ps: the one chooseIndexLocked
+// chose, or the two bounds of a range on a sorted index, whose windows are
+// intersected. Caller holds the table read lock.
+func (ix *Index) candidates(ps []ZonePred) []RowID {
+	p := ps[0]
 	ids := make([]RowID, 0, 64)
 	add := func(es []idxEntry) {
 		for _, e := range es {
@@ -293,13 +294,21 @@ func (ix *Index) candidates(p ZonePred) []RowID {
 	case IndexSorted:
 		if p.Op == "in" {
 			for _, v := range p.Vals {
-				add(ix.window("=", v))
+				lo, hi := ix.window("=", v)
+				add(ix.sorted[lo:hi])
 			}
 		} else {
-			add(ix.window(p.Op, p.Val))
+			lo, hi := 0, len(ix.sorted)
+			for _, b := range ps {
+				l, h := ix.window(b.Op, b.Val)
+				lo, hi = max(lo, l), min(hi, h)
+			}
+			if lo < hi {
+				add(ix.sorted[lo:hi])
+			}
 		}
 		for _, e := range ix.pending {
-			if pendingMatches(p, e.val) {
+			if !slices.ContainsFunc(ps, func(p ZonePred) bool { return !pendingMatches(p, e.val) }) {
 				ids = append(ids, e.id)
 			}
 		}
@@ -494,7 +503,7 @@ func (t *Table) maybeAutoIndexLocked(preds []ZonePred) {
 // IN beats range; a hash index is never used for ranges, nor for an
 // equality against a NaN literal (which Compare-matches every numeric and
 // so has no single bucket).
-func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, ZonePred) {
+func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, []ZonePred) {
 	var best *Index
 	var bestPred ZonePred
 	bestScore := -1
@@ -521,7 +530,17 @@ func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, ZonePred) {
 			bestScore, best, bestPred = score, ix, p
 		}
 	}
-	return best, bestPred
+	if bestScore == 0 {
+		// One bound of a range on a sorted index: take the opposite bound on
+		// the same attribute too, so the scan gathers the range and not the
+		// half-line ("<" and "<=" start alike, and so do ">" and ">=").
+		for _, p := range preds {
+			if p.Attr == bestPred.Attr && (p.Op[0] == '<' || p.Op[0] == '>') && p.Op[0] != bestPred.Op[0] {
+				return best, []ZonePred{bestPred, p}
+			}
+		}
+	}
+	return best, []ZonePred{bestPred}
 }
 
 // restoreIndexLocked recreates one index from a checkpoint snapshot's
@@ -592,7 +611,7 @@ func (s *Store) IndexStats() []IndexStat {
 func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions, fn func(ids []RowID, recs []model.Record) bool) ScanInfo {
 	var info ScanInfo
 	var idx *Index
-	var idxPred ZonePred
+	var idxPreds []ZonePred
 	t.mu.Lock()
 	t.initCurationLocked()
 	if !opt.NoAuto {
@@ -611,7 +630,7 @@ func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions, fn func(id
 		t.maybeAutoIndexLocked(preds)
 	}
 	if !opt.NoIndex {
-		idx, idxPred = t.chooseIndexLocked(preds)
+		idx, idxPreds = t.chooseIndexLocked(preds)
 		if idx != nil {
 			idx.hits++
 		}
@@ -622,7 +641,7 @@ func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions, fn func(id
 	if idx != nil {
 		t.mu.RLock()
 		info.Index = idx.label
-		ids = idx.candidates(idxPred)
+		ids = idx.candidates(idxPreds)
 		t.mu.RUnlock()
 	} else {
 		t.mu.RLock()

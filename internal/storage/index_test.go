@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -319,7 +320,10 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	tb.CreateIndex("b", IndexSorted)
 	tb.CreateIndex("hb", IndexHash)
 
-	var preds []ZonePred // over attr "a"; withAttr retargets them
+	// Each entry is the conjuncts of one scan over attr "a" (withAttr
+	// retargets them): one conjunct, or the two bounds of a range, which
+	// chooseIndexLocked hands a sorted index together.
+	var preds [][]ZonePred
 	lits := []model.Value{
 		model.Int(-5), model.Int(0), model.Float(math.Copysign(0, -1)), model.Float(7.25), model.Int(12),
 		model.Float(24.75), model.Float(math.NaN()), model.String("s00"), model.String("s17"), model.String("zz"),
@@ -327,30 +331,68 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	}
 	for _, lit := range lits {
 		for _, op := range []string{"=", "<", "<=", ">", ">="} {
-			preds = append(preds, ZonePred{Attr: "a", Op: op, Val: lit})
+			preds = append(preds, []ZonePred{{Attr: "a", Op: op, Val: lit}})
 		}
+	}
+	// Two-sided: proper ranges in either conjunct order, a string range, an
+	// empty and an inverted one, a NaN bound and bounds of two classes.
+	for _, r := range [][4]any{
+		{">=", model.Int(0), "<", model.Int(12)}, {"<=", model.Float(24.75), ">", model.Float(7.25)},
+		{">", model.Int(-5), "<=", model.Float(0)}, {">=", model.String("s05"), "<", model.String("s17")},
+		{">", model.Float(7.25), "<", model.Float(7.25)}, {">=", model.Int(12), "<", model.Int(0)},
+		{">=", model.Float(math.NaN()), "<", model.Int(12)}, {">=", model.Int(0), "<=", model.Float(math.NaN())},
+		{">=", model.Int(0), "<", model.String("s17")},
+	} {
+		preds = append(preds, []ZonePred{
+			{Attr: "a", Op: r[0].(string), Val: r[1].(model.Value)},
+			{Attr: "a", Op: r[2].(string), Val: r[3].(model.Value)},
+		})
 	}
 	// No NaN inside an IN list: there the two structures are differently
 	// loose (window("=", NaN) spans the numeric class, the pending buffer
 	// tests model.Equal), so the candidate sets are both supersets but not
 	// the same one. TestIndexOddValues and TestIndexMVCCDifferential cover it.
 	preds = append(preds,
-		ZonePred{Attr: "a", Op: "in", Vals: []model.Value{model.Int(3), model.Float(3.5), model.String("s05")}},
-		ZonePred{Attr: "a", Op: "in", Vals: []model.Value{model.Float(0), model.Bool(false), model.Time(epoch)}},
+		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Int(3), model.Float(3.5), model.String("s05")}}},
+		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Float(0), model.Bool(false), model.Time(epoch)}}},
 	)
-	withAttr := func(p ZonePred, attr string) ZonePred { p.Attr = attr; return p }
-	cands := func(attr string, p ZonePred) []RowID {
+	withAttr := func(ps []ZonePred, attr string) []ZonePred {
+		out := slices.Clone(ps)
+		for i := range out {
+			out[i].Attr = attr
+		}
+		return out
+	}
+	label := func(ps []ZonePred) string {
+		var parts []string
+		for _, p := range ps {
+			parts = append(parts, fmt.Sprintf("%s %v %v", p.Op, p.Val, p.Vals))
+		}
+		return strings.Join(parts, " AND ")
+	}
+	// cands is what a scan with these conjuncts gathers from the index on
+	// attr, or nil when chooseIndexLocked would not use that index for them.
+	cands := func(attr string, ps []ZonePred) []RowID {
 		tb.mu.RLock()
 		defer tb.mu.RUnlock()
-		return tb.indexes[attr].candidates(withAttr(p, attr))
+		ix, chosen := tb.chooseIndexLocked(withAttr(ps, attr))
+		if ix == nil {
+			return nil
+		}
+		if len(ps) == 2 && len(chosen) != 2 {
+			t.Fatalf("%s: a range reached the sorted index as %d conjuncts", label(ps), len(chosen))
+		}
+		return ix.candidates(chosen)
 	}
-	label := func(p ZonePred) string { return fmt.Sprintf("%s %v %v", p.Op, p.Val, p.Vals) }
-	covers := func(what string, ids []RowID, p ZonePred, csns []CSN) {
+	covers := func(what string, ids []RowID, ps []ZonePred, csns []CSN) {
 		t.Helper()
 		for _, csn := range csns {
-			for id := range oracle(tb, csn, p) {
+			for id, rec := range oracle(tb, csn, ps[0]) {
+				if len(ps) == 2 && !predMatches(ps[1], rec) {
+					continue
+				}
 				if _, ok := slices.BinarySearch(ids, id); !ok {
-					t.Fatalf("%s %s: csn=%d: oracle row %d missing from candidates", what, label(p), csn, id)
+					t.Fatalf("%s %s: csn=%d: oracle row %d missing from candidates", what, label(ps), csn, id)
 				}
 			}
 		}
@@ -360,23 +402,29 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	// predicates ScanWhere would send to such an index at all: a hash index
 	// serves no range and no "= NaN" (which has no single bucket).
 	pairs := [][2]string{{"a", "b"}, {"ha", "hb"}}
-	served := map[string][]ZonePred{}
+	served := map[string][][]ZonePred{}
 	incremental := map[string][][]RowID{}
 	for _, pair := range pairs {
 		for _, p := range preds {
-			tb.mu.RLock()
-			ix, _ := tb.chooseIndexLocked([]ZonePred{withAttr(p, pair[1])})
-			tb.mu.RUnlock()
-			if ix == nil {
+			inc, bulk := cands(pair[0], p), cands(pair[1], p)
+			if bulk == nil {
 				continue
 			}
 			served[pair[1]] = append(served[pair[1]], p)
-			inc, bulk := cands(pair[0], p), cands(pair[1], p)
 			if !slices.Equal(inc, bulk) {
 				t.Fatalf("%s vs %s, %s: incremental has %d candidates, bulk %d", pair[0], pair[1], label(p), len(inc), len(bulk))
 			}
 			covers(pair[1], bulk, p, snaps)
 			incremental[pair[1]] = append(incremental[pair[1]], inc)
+		}
+	}
+
+	// The second bound does narrow the gather: a range holds fewer candidates
+	// than either of its half-lines.
+	both := cands("b", []ZonePred{{Op: ">=", Val: model.Int(0)}, {Op: "<", Val: model.Int(12)}})
+	for _, half := range []ZonePred{{Op: ">=", Val: model.Int(0)}, {Op: "<", Val: model.Int(12)}} {
+		if one := cands("b", []ZonePred{half}); len(both) >= len(one) {
+			t.Fatalf("range gathers %d candidates, its half-line %s %d", len(both), label([]ZonePred{half}), len(one))
 		}
 	}
 
