@@ -49,6 +49,6 @@ func (t ThresholdAdvisor) Accept(_, _ EntityView, score float64) bool {
 
 // view projects an indexed entity for advisor review (no copies; see
 // EntityView's sharing contract).
-func view(ix indexed) EntityView {
+func view(ix *indexed) EntityView {
 	return EntityView{Source: ix.source, Tokens: ix.tokens, Attrs: ix.attrs}
 }

@@ -77,36 +77,37 @@ func (a *annIndex) add(pos int, vec []float32) {
 	}
 }
 
-// topK returns up to k indexed positions nearest to vec by cosine,
-// gathered from the query's LSH buckets and reranked exactly. Positions
-// for which skip returns true are never candidates (the resolver skips
-// same-source entities and positions already selected by token blocks).
-// probed reports how many bucket members were examined — the er.ann_probes
-// work metric. Order is deterministic: cosine descending, position
-// ascending on ties.
-func (a *annIndex) topK(vec []float32, k int, skip func(pos int) bool) (nbrs []int, probed int) {
+// topK appends to dst up to k indexed positions nearest to vec by cosine,
+// gathered from the query's LSH buckets and reranked exactly. A position in
+// seen (one the resolver's token blocks already selected) is not a
+// candidate, nor is one never reports (a same-source entity); every bucket
+// member examined joins seen, so a position several tables share is ranked
+// once. probed reports how many bucket members were ranked — the
+// er.ann_probes work metric. Order is deterministic: cosine descending,
+// position ascending on ties.
+func (a *annIndex) topK(dst []int, vec []float32, k int, seen map[int]struct{}, never func(pos int) bool) (nbrs []int, probed int) {
 	if k <= 0 || len(a.vecs) == 0 {
-		return nil, 0
+		return dst, 0
 	}
 	type scored struct {
 		pos int
 		sim float64
 	}
-	seen := make(map[int32]bool)
 	var cands []scored
 	for t := 0; t < annTables; t++ {
-		for _, pos := range a.buckets[t][a.signature(t, vec)] {
-			if seen[pos] {
+		for _, p := range a.buckets[t][a.signature(t, vec)] {
+			pos := int(p)
+			if _, dup := seen[pos]; dup {
 				continue
 			}
-			seen[pos] = true
-			if skip != nil && skip(int(pos)) {
+			seen[pos] = struct{}{}
+			if never(pos) {
 				continue
 			}
-			probed++
-			cands = append(cands, scored{pos: int(pos), sim: dot(vec, a.vecs[pos])})
+			cands = append(cands, scored{pos: pos, sim: dot(vec, a.vecs[pos])})
 		}
 	}
+	probed = len(cands)
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].sim != cands[j].sim {
 			return cands[i].sim > cands[j].sim
@@ -116,9 +117,8 @@ func (a *annIndex) topK(vec []float32, k int, skip func(pos int) bool) (nbrs []i
 	if len(cands) > k {
 		cands = cands[:k]
 	}
-	nbrs = make([]int, len(cands))
-	for i, c := range cands {
-		nbrs[i] = c.pos
+	for _, c := range cands {
+		dst = append(dst, c.pos)
 	}
-	return nbrs, probed
+	return dst, probed
 }

@@ -16,7 +16,7 @@ package er
 // candidate subsets when a block is split across shards; see DESIGN.md).
 
 import (
-	"sort"
+	"strings"
 	"time"
 
 	"scdb/internal/model"
@@ -101,20 +101,15 @@ func (r *Resolver) refOf(id model.EntityID) (RefKey, bool) {
 
 // digestIndexed rebuilds the resolver's internal representation from a
 // digest: tokens and attrs arrive pre-normalized, so only the per-value
-// similarity derivations (trigram sets, rune decoding) are recomputed.
+// similarity derivations (tokens, trigram set) are recomputed.
 func digestIndexed(d Digest) indexed {
 	ix := indexed{key: d.Key, source: d.Source, tokens: d.Tokens, attrs: d.Attrs}
 	if ix.attrs == nil {
 		ix.attrs = map[string]string{}
 	}
-	keys := make([]string, 0, len(d.Attrs))
-	for k := range d.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if text := d.Attrs[k]; len(text) >= minIdentifyingLen {
-			ix.vals = append(ix.vals, newAttrVal(text))
+	for _, text := range d.Attrs { // in any order: a pair's score is a maximum over vals
+		if len(text) >= minIdentifyingLen {
+			ix.vals = append(ix.vals, newAttrVal(text, strings.Fields(text)))
 		}
 	}
 	return ix

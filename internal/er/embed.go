@@ -60,7 +60,7 @@ func embedTokens(tokens []string, dim int) []float32 {
 	acc := make([]float32, dim)
 	// Digit-bearing tokens are identifiers, not fuzzy-matchable text (the
 	// scorer withholds fuzzy measures when they disagree — see
-	// digitTokensAgree), and their values are often per-record noise
+	// sortedSetsAgree in valSim), and their values are often per-record noise
 	// (readings, sequence numbers) that would drown the label features.
 	// Embed only the prose tokens, unless there is nothing else.
 	n := 0

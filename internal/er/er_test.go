@@ -32,17 +32,17 @@ func TestTokensAndJaccard(t *testing.T) {
 	if Tokens("") != nil {
 		t.Error("Tokens of empty must be nil")
 	}
-	if j := Jaccard([]string{"a", "b"}, []string{"b", "c"}); j != 1.0/3 {
+	if j := textbookJaccard([]string{"a", "b"}, []string{"b", "c"}); j != 1.0/3 {
 		t.Errorf("Jaccard = %v", j)
 	}
-	if Jaccard(nil, nil) != 1 {
+	if textbookJaccard(nil, nil) != 1 {
 		t.Error("both empty = 1")
 	}
-	if Jaccard([]string{"a"}, nil) != 0 {
+	if textbookJaccard([]string{"a"}, nil) != 0 {
 		t.Error("one empty = 0")
 	}
 	// Duplicates are treated as sets.
-	if j := Jaccard([]string{"a", "a", "b"}, []string{"a", "b", "b"}); j != 1 {
+	if j := textbookJaccard([]string{"a", "a", "b"}, []string{"a", "b", "b"}); j != 1 {
 		t.Errorf("multiset collapse = %v", j)
 	}
 }
@@ -61,29 +61,32 @@ func TestLevenshtein(t *testing.T) {
 		{"acetaminophen", "paracetamol", 9},
 	}
 	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := textbookLevenshtein(c.a, c.b); got != c.want {
+			t.Errorf("textbookLevenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := kernelDistance(c.a, c.b); got != c.want {
+			t.Errorf("bit-parallel distance(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
-	if s := LevenshteinSim("warfarin", "warfarine"); s < 0.88 || s > 0.89 {
+	if s := textbookLevenshteinSim("warfarin", "warfarine"); s < 0.88 || s > 0.89 {
 		t.Errorf("LevenshteinSim = %v", s)
 	}
-	if LevenshteinSim("", "") != 1 {
+	if textbookLevenshteinSim("", "") != 1 {
 		t.Error("empty strings are identical")
 	}
 }
 
 func TestTrigramSim(t *testing.T) {
-	if s := TrigramSim("warfarin", "warfarin"); s != 1 {
+	if s := textbookTrigramSim("warfarin", "warfarin"); s != 1 {
 		t.Errorf("identical = %v", s)
 	}
-	if s := TrigramSim("warfarin", "warfarine"); s < 0.6 {
+	if s := textbookTrigramSim("warfarin", "warfarine"); s < 0.6 {
 		t.Errorf("typo sim = %v", s)
 	}
-	if s := TrigramSim("abc", "xyz"); s != 0 {
+	if s := textbookTrigramSim("abc", "xyz"); s != 0 {
 		t.Errorf("disjoint = %v", s)
 	}
-	if got := Trigrams(""); got != nil {
+	if got := textbookTrigrams(""); got != nil {
 		t.Error("Trigrams of empty must be nil")
 	}
 }
@@ -326,7 +329,7 @@ func TestPropertySimilaritiesBounded(t *testing.T) {
 		if len(b) > 100 {
 			b = b[:100]
 		}
-		for _, s := range []float64{StringSim(a, b), TrigramSim(a, b), LevenshteinSim(a, b)} {
+		for _, s := range []float64{StringSim(a, b), textbookTrigramSim(a, b), textbookLevenshteinSim(a, b)} {
 			if s < 0 || s > 1 {
 				return false
 			}
@@ -347,7 +350,7 @@ func TestPropertyIdenticalStringsMatch(t *testing.T) {
 			b[i] = byte('a' + r.Intn(26))
 		}
 		s := string(b)
-		return StringSim(s, s) == 1 && Levenshtein(s, s) == 0
+		return StringSim(s, s) == 1 && textbookLevenshtein(s, s) == 0 && kernelDistance(s, s) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -121,3 +121,46 @@ func TestExchangeIdempotentAndIncremental(t *testing.T) {
 		t.Errorf("replay changed stats: %+v vs %+v", got, want)
 	}
 }
+
+// TestNoEvidenceNeverMatches: an entity without a single token — every
+// attribute null, empty or punctuation — is no evidence, and two of them are
+// not a match. They used to score 1 wherever candidate generation paired
+// them: the ANN index (both embed to the zero vector and share every bucket)
+// and the quadratic baseline; token blocking was spared only because they
+// have no block key. Across two shards it is the same, and it also covers
+// the empty placeholder the exchange registers for a merge whose digest has
+// not arrived.
+func TestNoEvidenceNeverMatches(t *testing.T) {
+	modes := map[string]Config{
+		"token":      {},
+		"ann":        {Blocking: BlockingANN},
+		"both":       {Blocking: BlockingBoth},
+		"noblocking": {DisableBlocking: true},
+	}
+	null := &model.Entity{ID: 1, Key: "k1", Source: "s1", Attrs: model.Record{"x": model.Null()}}
+	bare := &model.Entity{ID: 2, Key: "k2", Source: "s2", Attrs: model.Record{}}
+	dots := &model.Entity{ID: 3, Key: "k3", Source: "s3", Attrs: model.Record{"x": model.String("--- ...")}}
+	for name, cfg := range modes {
+		r := NewResolver(cfg)
+		if m := r.AddAll([]*model.Entity{null, bare, dots}); len(m) != 0 || len(r.Clusters()) != 0 {
+			t.Errorf("%s: entities without evidence merged: %v", name, m)
+		}
+
+		x, _ := exchangeOver(t, cfg, []*model.Entity{null}, []*model.Entity{bare, dots})
+		if st := x.Stats(); st.Digests != 3 || st.Accepted != 0 || st.CrossMerges != 0 || st.Clusters != 3 {
+			t.Errorf("%s: exchange over entities without evidence: %+v", name, st)
+		}
+
+		// Each shard reports a local merge of two entities whose digests
+		// never came; the four placeholders stay two clusters.
+		x = NewExchange(cfg)
+		x.AddBatch(0, DigestBatch{Merges: [][2]RefKey{{{Source: "s1", Key: "a"}, {Source: "s2", Key: "b"}}}})
+		x.AddBatch(1, DigestBatch{Merges: [][2]RefKey{{{Source: "s3", Key: "c"}, {Source: "s4", Key: "d"}}}})
+		if st := x.Stats(); st.Accepted != 0 || st.CrossMerges != 0 || st.Clusters != 2 {
+			t.Errorf("%s: exchange over placeholder digests: %+v", name, st)
+		}
+		if x.SameRef(RefKey{Source: "s1", Key: "a"}, RefKey{Source: "s3", Key: "c"}) {
+			t.Errorf("%s: two placeholder digests merged across shards", name)
+		}
+	}
+}

@@ -1,0 +1,174 @@
+package er
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"scdb/internal/model"
+)
+
+// prepareFixture is the population TestPrepareAllocBudget and
+// BenchmarkResolverPrepare share, shaped like the standing benchmark's ingest
+// stream: 5,000 entities of four sources, each a three-word name (the one
+// identifying value) and a four-letter city. Names draw from a vocabulary
+// large enough that their blocks stay small; a city is a stop-word-like key
+// whose block overflows MaxBlock and stays capped, and it is where nearly
+// all of an arrival's candidates come from. Two cities are laid out by hand:
+// the capped block of "qqqa" opens with 60 members an arrival of feed_d can be
+// scored against and 4 it cannot, and "qqqb" holds 10 and 4.
+type prepareFixture struct {
+	res   *Resolver
+	names []string // the indexed names, for arrivals to re-mention
+	rng   *rand.Rand
+	vocab []string
+}
+
+var fixtureFeeds = [...]string{"feed_a", "feed_b", "feed_c", "feed_d"}
+
+const fixtureEntities = 5000
+
+func newPrepareFixture(cfg Config) *prepareFixture {
+	f := &prepareFixture{res: NewResolver(cfg), rng: rand.New(rand.NewSource(19))}
+	word := func() string {
+		b := make([]byte, 6+f.rng.Intn(4))
+		for i := range b {
+			b[i] = byte('a' + f.rng.Intn(26))
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		f.vocab = append(f.vocab, word())
+	}
+	cities := make([]string, 40)
+	for i := range cities {
+		cities[i] = "c" + word()[:3]
+	}
+	for i := 0; i < fixtureEntities; i++ {
+		source, city := fixtureFeeds[i%4], cities[f.rng.Intn(len(cities))]
+		switch {
+		case i < 60:
+			source, city = fixtureFeeds[i%3], "qqqa"
+		case i < 64 || i >= 100 && i < 120: // the tail overflows the cap
+			source, city = "feed_d", "qqqa"
+		case i < 74:
+			source, city = fixtureFeeds[i%3], "qqqb"
+		case i < 78:
+			source, city = "feed_d", "qqqb"
+		}
+		f.names = append(f.names, f.freshName())
+		f.res.Add(fixtureEntity(i+1, source, f.names[i], city))
+	}
+	return f
+}
+
+func fixtureEntity(id int, source, name, city string) *model.Entity {
+	return ent(model.EntityID(id), source, map[string]string{"name": name, "city": city})
+}
+
+func (f *prepareFixture) freshName() string {
+	return f.vocab[f.rng.Intn(len(f.vocab))] + " " + f.vocab[f.rng.Intn(len(f.vocab))] + " " + f.vocab[f.rng.Intn(len(f.vocab))]
+}
+
+// typo re-mentions an indexed name with one letter replaced.
+func (f *prepareFixture) typo(of int) string {
+	b := []byte(f.names[of])
+	for {
+		if p := f.rng.Intn(len(b)); b[p] != ' ' {
+			b[p] = 'a' + (b[p]-'a'+1)%26
+			return string(b)
+		}
+	}
+}
+
+// TestPrepareAllocBudget: what Prepare allocates is what the arriving entity
+// keeps — its index representation, its keys, one slice of scored candidates
+// — and so does not grow with the candidates: nothing is allocated per
+// pair. With two DP rows per pair and a string per trigram it was about 165
+// objects for 51 candidates. Then four goroutines prepare against the frozen
+// resolver at once, as the pipeline's workers do; under -race that is what
+// pins that a pooled scratch is never in two hands.
+func TestPrepareAllocBudget(t *testing.T) {
+	f := newPrepareFixture(Config{})
+	many := fixtureEntity(0, "feed_d", f.typo(3000), "qqqa")
+	few := fixtureEntity(0, "feed_d", f.typo(3001), "qqqb")
+	if st := f.res.Stats(); st.BlockSkips == 0 {
+		t.Fatal("no block overflowed MaxBlock; the fixture has no capped block")
+	}
+	nMany, nFew := f.res.Prepare(many).Candidates(), f.res.Prepare(few).Candidates()
+	if nMany < 50 || nFew == 0 || nFew > nMany/4 {
+		t.Fatalf("arrivals gather %d and %d candidates, want at least 50 and a few", nMany, nFew)
+	}
+	var sink *Prepared
+	aMany := testing.AllocsPerRun(200, func() { sink = f.res.Prepare(many) })
+	aFew := testing.AllocsPerRun(200, func() { sink = f.res.Prepare(few) })
+	_ = sink
+	t.Logf("Prepare allocates %.0f objects with %d candidates, %.0f with %d", aMany, nMany, aFew, nFew)
+	// The race build's sync.Pool drops a quarter of what is Put, on purpose,
+	// so there a count is an average over rebuilt scratches.
+	if !raceEnabled {
+		if aMany > 40 {
+			t.Errorf("Prepare with %d candidates allocates %.0f objects, budget 40", nMany, aMany)
+		}
+		if aMany != aFew {
+			t.Errorf("Prepare allocates %.0f objects with %d candidates and %.0f with %d; want the same", aMany, nMany, aFew, nFew)
+		}
+	}
+
+	want := f.res.Prepare(many)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				e, n := many, nMany
+				if (i+g)%2 == 1 {
+					e, n = few, nFew
+				}
+				p := f.res.Prepare(e)
+				if p.Candidates() != n {
+					t.Errorf("concurrent Prepare gathered %d candidates, want %d", p.Candidates(), n)
+					return
+				}
+				if e == many && fmt.Sprint(p.cands) != fmt.Sprint(want.cands) {
+					t.Errorf("concurrent Prepare scored differently:\n got %v\nwant %v", p.cands, want.cands)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// BenchmarkResolverPrepare measures the ingest fast path's pure half: one
+// op is one Prepare of an arrival against the fixture, over a delivery's
+// worth of arrivals of which 30 % re-mention an indexed entity with a typo.
+// pairs/s is candidate pairs scored per second.
+func BenchmarkResolverPrepare(b *testing.B) {
+	for _, mode := range []BlockingMode{BlockingToken, BlockingANN, BlockingBoth} {
+		b.Run(mode.String(), func(b *testing.B) {
+			f := newPrepareFixture(Config{Blocking: mode})
+			arrivals := make([]*model.Entity, 200)
+			for i := range arrivals {
+				name := f.freshName()
+				if f.rng.Float64() < 0.3 {
+					name = f.typo(f.rng.Intn(len(f.names)))
+				}
+				city := "qqqa"
+				if i%4 == 0 {
+					city = "qqqb"
+				}
+				arrivals[i] = fixtureEntity(0, "feed_d", name, city)
+			}
+			pairs := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pairs += f.res.Prepare(arrivals[i%len(arrivals)]).Candidates()
+			}
+			b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
+		})
+	}
+}

@@ -2,7 +2,9 @@ package er
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"scdb/internal/model"
@@ -123,8 +125,9 @@ type indexed struct {
 	tokens []string
 	attrs  map[string]string
 	// vals caches the per-value similarity derivations (tokens, trigram
-	// set, rune decoding) so pair scoring — the ingest hot path — never
-	// re-normalizes or re-tokenizes a value per comparison.
+	// set, rune count) of every identifying-length value, so pair scoring —
+	// the ingest hot path — never re-normalizes or re-tokenizes a value per
+	// comparison.
 	vals []attrVal
 }
 
@@ -236,12 +239,16 @@ func (r *Resolver) Stats() Stats {
 	}
 }
 
-// index extracts the comparable representation of an entity.
+// index extracts the comparable representation of an entity. Each value is
+// normalized and split once; the entity's tokens are gathered in a buffer
+// that stays on the stack for an entity of ordinary width.
 func index(e *model.Entity) indexed {
-	ix := indexed{id: e.ID, key: e.Key, source: e.Source, attrs: map[string]string{}}
-	seen := map[string]bool{}
-	for _, k := range e.Attrs.Keys() {
-		v := e.Attrs[k]
+	ix := indexed{id: e.ID, key: e.Key, source: e.Source, attrs: make(map[string]string, len(e.Attrs))}
+	var buf [32]string
+	tokens := buf[:0]
+	// In any order: tokens are sorted below, and a pair's score is a maximum
+	// over vals.
+	for k, v := range e.Attrs {
 		if v.IsNull() {
 			continue
 		}
@@ -250,17 +257,13 @@ func index(e *model.Entity) indexed {
 			continue
 		}
 		ix.attrs[k] = text
+		fields := strings.Fields(text)
+		tokens = append(tokens, fields...)
 		if len(text) >= minIdentifyingLen {
-			ix.vals = append(ix.vals, newAttrVal(text))
-		}
-		for _, t := range Tokens(text) {
-			if !seen[t] {
-				seen[t] = true
-				ix.tokens = append(ix.tokens, t)
-			}
+			ix.vals = append(ix.vals, newAttrVal(text, fields))
 		}
 	}
-	sort.Strings(ix.tokens)
+	ix.tokens = slices.Clone(sortedUnique(tokens))
 	return ix
 }
 
@@ -282,14 +285,12 @@ func runePrefix(s string, n int) string {
 }
 
 // blockKeys derives the blocking keys of an indexed entity: the prefix of
-// every token.
+// every token. The tokens are sorted, so their prefixes are too, and equal
+// keys are neighbours.
 func (r *Resolver) blockKeys(ix indexed) []string {
-	seen := map[string]bool{}
-	var keys []string
+	keys := make([]string, 0, len(ix.tokens))
 	for _, t := range ix.tokens {
-		k := runePrefix(t, r.cfg.BlockPrefix)
-		if !seen[k] {
-			seen[k] = true
+		if k := runePrefix(t, r.cfg.BlockPrefix); len(keys) == 0 || keys[len(keys)-1] != k {
 			keys = append(keys, k)
 		}
 	}
@@ -302,59 +303,31 @@ func (r *Resolver) blockKeys(ix indexed) []string {
 // must not produce perfect-match evidence on their own.
 const minIdentifyingLen = 6
 
-// sortedIntersection counts common elements of two sorted, duplicate-free
-// slices — the resolver's hot path avoids the map allocations of the
-// general Jaccard.
-func sortedIntersection(a, b []string) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			n++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
-}
-
 // pairScore computes the similarity of two indexed entities: the maximum
 // over (best matching identifying-attribute pair, whole-record token
 // Jaccard, token-set containment), so a strong identifying attribute (a
 // name), overall value overlap, and one record extending the other
 // ("Ibuprofen" vs "Ibuprofen (Advil)") all count. Short categorical values
-// contribute only through the whole-record measures. The token lists are
-// sorted and deduplicated by index(), so set measures run allocation-free.
-func pairScore(a, b indexed) float64 {
-	var score float64
-	if len(a.tokens) > 0 && len(b.tokens) > 0 {
-		inter := sortedIntersection(a.tokens, b.tokens)
-		union := len(a.tokens) + len(b.tokens) - inter
-		score = float64(inter) / float64(union)
-		minLen := len(a.tokens)
-		if len(b.tokens) < minLen {
-			minLen = len(b.tokens)
-		}
-		if c := float64(inter) / float64(minLen); c > score {
-			score = c
-		}
-	} else if len(a.tokens) == 0 && len(b.tokens) == 0 {
-		score = 1
+// contribute only through the whole-record measures. An entity without a
+// token (every attribute null, empty or punctuation) is no evidence, and no
+// evidence is not a match: it scores 0 against anything. am[i] holds the
+// match masks of a.vals[i]; everything else was derived at index time, so a
+// pair costs no allocation.
+func pairScore(a *indexed, am []matchMasks, b *indexed) float64 {
+	if len(a.tokens) == 0 || len(b.tokens) == 0 {
+		return 0
+	}
+	inter := intersection(a.tokens, b.tokens)
+	score := float64(inter) / float64(len(a.tokens)+len(b.tokens)-inter)
+	if c := float64(inter) / float64(min(len(a.tokens), len(b.tokens))); c > score {
+		score = c
 	}
 	if score >= 1 {
 		return 1 // exact containment: the fuzzy measures cannot improve it
 	}
-	// Fuzzy measures run over the cached value derivations (vals holds
-	// every identifying-length value): same math as StringSim, but
-	// normalization, tokenization, trigram sets, and rune decoding were
-	// all paid once at index time, not per candidate pair.
 	for i := range a.vals {
 		for j := range b.vals {
-			if s := valSim(&a.vals[i], &b.vals[j]); s > score {
+			if s := valSim(&a.vals[i], &am[i], &b.vals[j]); s > score {
 				score = s
 				if score == 1 {
 					return 1
@@ -365,6 +338,30 @@ func pairScore(a, b indexed) float64 {
 	return score
 }
 
+// scratch is the working memory of one Prepare that nothing outlives: it is
+// drawn from a pool, so preparing an entity allocates what the entity keeps
+// and nothing per candidate. A scratch belongs to one Prepare at a time.
+type scratch struct {
+	masks []matchMasks     // match masks of the arriving entity's vals
+	seen  map[int]struct{} // positions already gathered or ruled out
+	cands []int            // gathered positions, in first-occurrence order
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{seen: map[int]struct{}{}} }}
+
+func (sc *scratch) release() {
+	clear(sc.seen)
+	sc.cands = sc.cands[:0]
+	scratchPool.Put(sc)
+}
+
+// candidate is one gathered position with what scoring decided about it.
+type candidate struct {
+	pos    int
+	score  float64
+	accept bool // the advisor's verdict
+}
+
 // Prepared carries the pure half of one entity's resolution: its index
 // representation, blocking keys, embedding, and the scored candidate set —
 // everything computable from the resolver's committed state without
@@ -373,13 +370,11 @@ func pairScore(a, b indexed) float64 {
 // Commit in record order.
 type Prepared struct {
 	ix     indexed
-	keys   []string  // token blocking keys (token/both modes)
-	vec    []float32 // embedding (ann/both modes)
-	cands  []int     // candidate positions, in serial candidate order
-	scores []float64 // pair scores, aligned with cands
-	accept []bool    // advisor verdicts, aligned with cands
-	probes int       // ANN bucket members examined
-	skips  int       // candidate slots dropped by the MaxBlock cap
+	keys   []string    // token blocking keys (token/both modes)
+	vec    []float32   // embedding (ann/both modes)
+	cands  []candidate // scored candidates, in serial candidate order
+	probes int         // ANN bucket members examined
+	skips  int         // candidate slots dropped by the MaxBlock cap
 
 	blockDur time.Duration // candidate generation (blocking + ANN probe)
 	scoreDur time.Duration // pair scoring + advisor review
@@ -406,53 +401,59 @@ func (r *Resolver) Prepare(e *model.Entity) *Prepared {
 // arrive pre-normalized). start is when work on the entity began, so that
 // BlockDur covers indexing as well.
 func (r *Resolver) prepare(ix indexed, start time.Time) *Prepared {
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
 	p := &Prepared{ix: ix}
-	r.gather(p)
+	r.gather(p, sc)
 	p.blockDur = time.Since(start)
+	if len(sc.cands) == 0 {
+		return p
+	}
 
 	start = time.Now()
-	p.scores = make([]float64, len(p.cands))
-	p.accept = make([]bool, len(p.cands))
-	for i, ci := range p.cands {
+	sc.masks = slices.Grow(sc.masks[:0], len(p.ix.vals))[:len(p.ix.vals)]
+	for i := range p.ix.vals {
+		sc.masks[i].build(p.ix.vals[i].text)
+	}
+	arriving := view(&p.ix)
+	p.cands = make([]candidate, len(sc.cands))
+	for i, ci := range sc.cands {
 		cand := &r.ents[ci]
-		s := pairScore(p.ix, *cand)
-		p.scores[i] = s
-		p.accept[i] = r.cfg.Advisor.Accept(view(p.ix), view(*cand), s)
+		s := pairScore(&p.ix, sc.masks, cand)
+		p.cands[i] = candidate{pos: ci, score: s, accept: r.cfg.Advisor.Accept(arriving, view(cand), s)}
 	}
 	p.scoreDur = time.Since(start)
 	return p
 }
 
-// gather is candidate generation: it fills p.cands with the positions p.ix
+// gather is candidate generation: it fills sc.cands with the positions p.ix
 // will be scored against, in serial candidate order, and never with a
 // position neverPair rules out.
-func (r *Resolver) gather(p *Prepared) {
+func (r *Resolver) gather(p *Prepared, sc *scratch) {
 	if r.cfg.DisableBlocking {
 		for ci := range r.ents {
 			if !r.neverPair(&p.ix, &r.ents[ci]) {
-				p.cands = append(p.cands, ci)
+				sc.cands = append(sc.cands, ci)
 			}
 		}
 		return
 	}
-	var seen map[int]bool
 	if r.useTokenBlocks() {
 		p.keys = r.blockKeys(p.ix)
 		for _, key := range p.keys {
-			cands := r.blocks[key]
-			if len(cands) > r.cfg.MaxBlock {
-				p.skips += len(cands) - r.cfg.MaxBlock
-				cands = cands[:r.cfg.MaxBlock]
+			block := r.blocks[key]
+			if len(block) > r.cfg.MaxBlock {
+				p.skips += len(block) - r.cfg.MaxBlock
+				block = block[:r.cfg.MaxBlock]
 			}
-			for _, ci := range cands {
-				if r.neverPair(&p.ix, &r.ents[ci]) || seen[ci] {
+			for _, ci := range block {
+				if r.neverPair(&p.ix, &r.ents[ci]) {
 					continue
 				}
-				if seen == nil {
-					seen = map[int]bool{}
+				if _, dup := sc.seen[ci]; !dup {
+					sc.seen[ci] = struct{}{}
+					sc.cands = append(sc.cands, ci)
 				}
-				seen[ci] = true
-				p.cands = append(p.cands, ci)
 			}
 		}
 	}
@@ -461,12 +462,11 @@ func (r *Resolver) gather(p *Prepared) {
 		// Never-paired positions are filtered before the top-K cut: they
 		// can never match, and ranking them would let a burst of sibling
 		// records crowd real neighbors out of K (it would also make the
-		// parallel snapshot diverge from a serial pass).
-		nbrs, probed := r.ann.topK(p.vec, r.cfg.TopK, func(pos int) bool {
-			return r.neverPair(&p.ix, &r.ents[pos]) || seen[pos]
+		// parallel snapshot diverge from a serial pass). Positions the token
+		// blocks selected are in sc.seen and are not ranked again.
+		sc.cands, p.probes = r.ann.topK(sc.cands, p.vec, r.cfg.TopK, sc.seen, func(pos int) bool {
+			return r.neverPair(&p.ix, &r.ents[pos])
 		})
-		p.probes = probed
-		p.cands = append(p.cands, nbrs...)
 	}
 }
 
@@ -480,15 +480,15 @@ func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 	p.ix.id = id
 	pos := len(r.ents)
 	var found []Match
-	for i, ci := range p.cands {
-		cand := &r.ents[ci]
+	for _, c := range p.cands {
+		cand := &r.ents[c.pos]
 		if r.uf.Same(cand.id, id) {
 			continue
 		}
 		r.Comparisons++
-		if p.accept[i] {
+		if c.accept {
 			r.uf.Union(id, cand.id)
-			found = append(found, Match{A: cand.id, B: id, Score: p.scores[i]})
+			found = append(found, Match{A: cand.id, B: id, Score: c.score})
 		}
 	}
 	r.candidates += len(p.cands)

@@ -13,9 +13,11 @@
 package er
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lower-cases, trims, and collapses non-alphanumeric runs into
@@ -45,105 +47,6 @@ func Tokens(s string) []string {
 	return strings.Split(n, " ")
 }
 
-// Jaccard returns |A∩B| / |A∪B| over two token multisets (treated as
-// sets). Two empty sets are identical (1); one empty set matches nothing.
-func Jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	set := make(map[string]bool, len(a))
-	for _, t := range a {
-		set[t] = true
-	}
-	inter := 0
-	seen := make(map[string]bool, len(b))
-	for _, t := range b {
-		if seen[t] {
-			continue
-		}
-		seen[t] = true
-		if set[t] {
-			inter++
-		}
-	}
-	union := len(set) + len(seen) - inter
-	return float64(inter) / float64(union)
-}
-
-// Levenshtein returns the edit distance between two strings (runes).
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = minInt(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-func minInt(xs ...int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// LevenshteinSim normalizes edit distance into a similarity in [0,1].
-func LevenshteinSim(a, b string) float64 {
-	if a == "" && b == "" {
-		return 1
-	}
-	maxLen := len([]rune(a))
-	if l := len([]rune(b)); l > maxLen {
-		maxLen = l
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(maxLen)
-}
-
-// Trigrams returns the padded character trigrams of the normalized string.
-func Trigrams(s string) []string {
-	n := Normalize(s)
-	if n == "" {
-		return nil
-	}
-	padded := "  " + n + "  "
-	var out []string
-	runes := []rune(padded)
-	for i := 0; i+3 <= len(runes); i++ {
-		out = append(out, string(runes[i:i+3]))
-	}
-	return out
-}
-
-// TrigramSim is Jaccard similarity over character trigrams — robust to
-// token reordering and small typos.
-func TrigramSim(a, b string) float64 {
-	return Jaccard(Trigrams(a), Trigrams(b))
-}
-
 // StringSim is the combined string similarity the resolver uses: the
 // maximum of token Jaccard, trigram, and normalized edit similarity, so
 // that reordered tokens ("Arthritis, Rheumatoid"), typos, and short codes
@@ -153,118 +56,84 @@ func TrigramSim(a, b string) float64 {
 // different digit tokens ("sensor unit 0033" vs "sensor unit 0054"), the
 // fuzzy measures are withheld and only token overlap counts — serial
 // numbers differing by one digit are different things, not typos.
+//
+// It is valSim, the resolver's scorer, over two values derived on the spot.
 func StringSim(a, b string) float64 {
 	na, nb := Normalize(a), Normalize(b)
-	if na == nb {
-		return 1
-	}
-	ta, tb := Tokens(na), Tokens(nb)
-	s := Jaccard(ta, tb)
-	if !digitTokensAgree(ta, tb) {
-		return s
-	}
-	if t := TrigramSim(na, nb); t > s {
-		s = t
-	}
-	// Edit similarity only for short strings: O(len²) and meaningless for
-	// long text.
-	if len(na) <= 64 && len(nb) <= 64 {
-		if l := LevenshteinSim(na, nb); l > s {
-			s = l
-		}
-	}
-	return s
+	va, vb := newAttrVal(na, strings.Fields(na)), newAttrVal(nb, strings.Fields(nb))
+	var m matchMasks
+	m.build(na)
+	return valSim(&va, &m, &vb)
 }
 
-// digitTokensAgree reports whether the digit-bearing token sets of the two
-// token lists are equal (vacuously true when either has none).
-func digitTokensAgree(a, b []string) bool {
-	da, db := digitTokens(a), digitTokens(b)
-	if len(da) == 0 || len(db) == 0 {
-		return true
-	}
-	if len(da) != len(db) {
-		return false
-	}
-	for t := range da {
-		if !db[t] {
-			return false
-		}
-	}
-	return true
-}
-
-func digitTokens(tokens []string) map[string]bool {
-	var out map[string]bool
-	for _, t := range tokens {
-		if strings.ContainsAny(t, "0123456789") {
-			if out == nil {
-				out = map[string]bool{}
-			}
-			out[t] = true
-		}
-	}
-	return out
-}
+// maxEditLen bounds the values edit similarity is computed for, in bytes:
+// it is meaningless for long text, and a value of at most 64 bytes has at
+// most 64 runes, so its match masks fit one machine word.
+const maxEditLen = 64
 
 // attrVal caches every per-value derivation the fuzzy measures need —
-// sorted unique tokens, sorted unique padded trigrams, the digit-bearing
-// token subset, and the decoded runes — so the resolver's pair-scoring
-// hot path computes them once per entity instead of once per candidate
-// pair. text must already be normalized.
+// sorted unique tokens, the digit-bearing token subset, sorted unique
+// padded trigrams and the rune count — so the resolver's pair-scoring hot
+// path computes them once per entity instead of once per candidate pair.
+// text must already be normalized.
 type attrVal struct {
 	text   string
+	runes  int      // rune count of text
 	tokens []string // sorted, unique
 	digits []string // sorted, unique digit-bearing tokens
-	tris   []string // sorted, unique padded trigrams
-	runes  []rune
+	tris   []uint64 // sorted, unique padded trigrams (see packTrigrams)
 }
 
-func newAttrVal(text string) attrVal {
-	v := attrVal{text: text, runes: []rune(text)}
-	v.tokens = sortedUnique(strings.Fields(text))
+// newAttrVal derives the value of a normalized text from its fields, which
+// it takes ownership of.
+func newAttrVal(text string, fields []string) attrVal {
+	v := attrVal{text: text, runes: utf8.RuneCountInString(text), tokens: sortedUnique(fields)}
 	for _, t := range v.tokens {
-		if strings.ContainsAny(t, "0123456789") {
+		if hasDigit(t) {
 			v.digits = append(v.digits, t)
 		}
 	}
-	padded := make([]rune, 0, len(v.runes)+4)
-	padded = append(padded, ' ', ' ')
-	padded = append(padded, v.runes...)
-	padded = append(padded, ' ', ' ')
-	tris := make([]string, 0, len(padded)-2)
-	for i := 0; i+3 <= len(padded); i++ {
-		tris = append(tris, string(padded[i:i+3]))
-	}
-	v.tris = sortedUnique(tris)
+	v.tris = packTrigrams(text, v.runes)
 	return v
 }
 
-func sortedUnique(xs []string) []string {
-	sort.Strings(xs)
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
+// packTrigrams returns the sorted, duplicate-free character trigrams of
+// the text padded with two spaces on either side. A trigram is its three
+// runes, 21 bits each (a rune is at most 0x10FFFF), in one word, so a set
+// is one allocation and comparing two members is comparing two integers.
+// Empty text has no trigrams.
+func packTrigrams(text string, runes int) []uint64 {
+	if text == "" {
+		return nil
 	}
-	return out
+	const pad, three = uint64(' '), 1<<63 - 1
+	tris := make([]uint64, 0, runes+2)
+	w := pad<<21 | pad
+	for _, r := range text {
+		w = (w<<21 | uint64(r)) & three
+		tris = append(tris, w)
+	}
+	for i := 0; i < 2; i++ {
+		w = (w<<21 | pad) & three
+		tris = append(tris, w)
+	}
+	return sortedUnique(tris)
 }
 
-// jaccardSorted is Jaccard over two sorted duplicate-free slices — the
-// allocation-free twin of Jaccard.
-func jaccardSorted(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	i, j, inter := 0, 0, 0
+// sortedUnique sorts xs in place and drops its duplicates.
+func sortedUnique[T cmp.Ordered](xs []T) []T {
+	slices.Sort(xs)
+	return slices.Compact(xs)
+}
+
+// intersection counts the common elements of two sorted, duplicate-free
+// slices.
+func intersection[T cmp.Ordered](a, b []T) int {
+	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] == b[j]:
-			inter++
+			n++
 			i++
 			j++
 		case a[i] < b[j]:
@@ -273,31 +142,127 @@ func jaccardSorted(a, b []string) float64 {
 			j++
 		}
 	}
+	return n
+}
+
+// jaccard is |A∩B| / |A∪B| over two sorted, duplicate-free slices. Two
+// empty sets are identical (1); one empty set matches nothing.
+func jaccard[T cmp.Ordered](a, b []T) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	inter := intersection(a, b)
 	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// valSim is StringSim over pre-normalized, pre-derived values: identical
-// result, none of the per-pair derivation cost.
-func valSim(a, b *attrVal) float64 {
+// matchMasks holds, for one value of at most 64 runes (the pattern), the
+// positions of every distinct rune as a bit mask: bit i is set where the
+// pattern's rune i is that rune. They are all the bit-parallel edit distance
+// needs of the pattern, so an arriving value builds them once and is then
+// scored against every candidate without being decoded again. Normalized
+// text is mostly ASCII, which indexes a table; any other rune goes to a
+// short list searched linearly.
+type matchMasks struct {
+	ascii [utf8.RuneSelf]uint64
+	other []runeMask
+	runes int // length of the pattern
+}
+
+type runeMask struct {
+	r    rune
+	mask uint64
+}
+
+// build replaces the masks with those of text. Text longer than maxEditLen
+// is never edit-compared and gets none.
+func (m *matchMasks) build(text string) {
+	clear(m.ascii[:])
+	m.other, m.runes = m.other[:0], 0
+	if len(text) > maxEditLen {
+		return
+	}
+	for _, r := range text {
+		bit := uint64(1) << m.runes
+		m.runes++
+		if r < utf8.RuneSelf {
+			m.ascii[r] |= bit
+			continue
+		}
+		i := 0
+		for i < len(m.other) && m.other[i].r != r {
+			i++
+		}
+		if i == len(m.other) {
+			m.other = append(m.other, runeMask{r: r})
+		}
+		m.other[i].mask |= bit
+	}
+}
+
+func (m *matchMasks) of(r rune) uint64 {
+	if r < utf8.RuneSelf {
+		return m.ascii[r]
+	}
+	for i := range m.other {
+		if m.other[i].r == r {
+			return m.other[i].mask
+		}
+	}
+	return 0
+}
+
+// distance returns the edit distance (insert, delete, substitute, over
+// runes) between the pattern and text, by Myers' bit-parallel algorithm in
+// Hyyrö's formulation: one column of the dynamic-programming matrix is
+// two words, pv and mv, whose bit i says that cell i is one more, or one
+// less, than cell i-1, and a rune of text advances the whole column in a
+// dozen word operations. d follows the column's last cell, so it ends as
+// the exact distance the textbook matrix has in its corner.
+func (m *matchMasks) distance(text string) int {
+	if m.runes == 0 {
+		return utf8.RuneCountInString(text)
+	}
+	pv, mv := ^uint64(0), uint64(0)
+	last := uint64(1) << (m.runes - 1)
+	d := m.runes
+	for _, r := range text {
+		eq := m.of(r)
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			d++
+		} else if mh&last != 0 {
+			d--
+		}
+		ph = ph<<1 | 1 // the matrix's first row grows by one a column
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return d
+}
+
+// valSim is the string similarity of two derived values; am holds the
+// match masks of a.
+func valSim(a *attrVal, am *matchMasks, b *attrVal) float64 {
 	if a.text == b.text {
 		return 1
 	}
-	s := jaccardSorted(a.tokens, b.tokens)
+	s := jaccard(a.tokens, b.tokens)
 	if !sortedSetsAgree(a.digits, b.digits) {
 		return s
 	}
-	if t := jaccardSorted(a.tris, b.tris); t > s {
+	if t := jaccard(a.tris, b.tris); t > s {
 		s = t
 	}
-	if len(a.text) <= 64 && len(b.text) <= 64 {
-		maxLen := len(a.runes)
-		if len(b.runes) > maxLen {
-			maxLen = len(b.runes)
-		}
-		// Edit distance is at least the length gap; skip the O(len²) DP
-		// when even a perfect alignment could not beat the score so far.
-		if gap := 1 - float64(maxLen-minLenInt(len(a.runes), len(b.runes)))/float64(maxLen); gap > s {
-			if l := 1 - float64(levenshteinRunes(a.runes, b.runes))/float64(maxLen); l > s {
+	if len(a.text) <= maxEditLen && len(b.text) <= maxEditLen {
+		// Edit distance is at least the length gap; skip it when even a
+		// perfect alignment could not beat the score so far.
+		longer, shorter := max(a.runes, b.runes), min(a.runes, b.runes)
+		if gap := 1 - float64(longer-shorter)/float64(longer); gap > s {
+			if l := 1 - float64(am.distance(b.text))/float64(longer); l > s {
 				s = l
 			}
 		}
@@ -305,62 +270,8 @@ func valSim(a, b *attrVal) float64 {
 	return s
 }
 
-// sortedSetsAgree mirrors digitTokensAgree over sorted unique slices:
-// vacuously true when either side is empty, otherwise set equality.
+// sortedSetsAgree reports whether the digit-bearing token sets of two
+// values are equal (vacuously true when either has none).
 func sortedSetsAgree(a, b []string) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return true
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func minLenInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// levenshteinRunes is Levenshtein on pre-decoded runes with the three-way
-// minimum inlined — the variadic minInt showed up beside the DP itself in
-// ingest profiles.
-func levenshteinRunes(ra, rb []rune) int {
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			m := prev[j] + 1
-			if d := cur[j-1] + 1; d < m {
-				m = d
-			}
-			d := prev[j-1]
-			if ra[i-1] != rb[j-1] {
-				d++
-			}
-			if d < m {
-				m = d
-			}
-			cur[j] = m
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
+	return len(a) == 0 || len(b) == 0 || slices.Equal(a, b)
 }
