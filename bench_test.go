@@ -1,9 +1,8 @@
 package scdb
 
-// One testing.B benchmark per experiment in DESIGN.md's index (the paper
-// is a vision paper with no measured tables, so each benchmark covers the
-// hot path of the experiment that operationalizes one FS/OS statement).
-// Run with: go test -bench=. -benchmem
+// The testing.B benchmarks CI smoke-runs and EXPERIMENTS.md quotes. The
+// paper's FS/OS experiments are timed and tabulated by the internal/bench
+// runners (scdb-bench -run E-...), not here.
 
 import (
 	"fmt"
@@ -14,125 +13,13 @@ import (
 	"testing"
 	"time"
 
-	"scdb/internal/cluster"
-	"scdb/internal/crowd"
-	"scdb/internal/curate"
 	"scdb/internal/datagen"
-	"scdb/internal/er"
-	"scdb/internal/fusion"
 	"scdb/internal/graph"
 	"scdb/internal/model"
-	"scdb/internal/placement"
-	"scdb/internal/refine"
-	"scdb/internal/richness"
-	"scdb/internal/semantic"
 	"scdb/internal/storage"
-	"scdb/internal/txn"
-	"scdb/internal/uncertain"
 )
 
-// --- E-F2: Figure 2 fusion ---------------------------------------------
-
-func benchDB(b *testing.B, bulk int) *DB {
-	b.Helper()
-	db, err := Open(Options{
-		Axioms:    LifeSciAxioms + PopulationAxioms,
-		LinkRules: LifeSciLinkRules(),
-		Patterns:  LifeSciPatterns(),
-		// Benchmarks measure execution; result materialization is covered
-		// by BenchmarkMaterialization.
-		DisableCache: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	for _, src := range LifeSciSample(1, bulk, bulk*2/3, bulk/2) {
-		if err := db.Ingest(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return db
-}
-
-func BenchmarkFig2Fusion(b *testing.B) {
-	srcs := LifeSciSample(1, 0, 0, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		db, err := Open(Options{
-			Axioms:    LifeSciAxioms,
-			LinkRules: LifeSciLinkRules(),
-			Patterns:  LifeSciPatterns(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, src := range srcs {
-			if err := db.Ingest(src); err != nil {
-				b.Fatal(err)
-			}
-		}
-		db.Close()
-	}
-}
-
-// --- E-FS1: entity resolution -------------------------------------------
-
-func dirtyEntities(b *testing.B, nSources int) [][]*model.Entity {
-	b.Helper()
-	sets, _ := datagen.DirtyTables(7, nSources, 100, 0.7, 0.15)
-	var out [][]*model.Entity
-	next := model.EntityID(1)
-	for _, ds := range sets {
-		var es []*model.Entity
-		for _, spec := range ds.Entities {
-			es = append(es, &model.Entity{ID: next, Key: spec.Key, Source: ds.Source, Attrs: spec.Attrs})
-			next++
-		}
-		out = append(out, es)
-	}
-	return out
-}
-
-func BenchmarkERIncremental(b *testing.B) {
-	perSource := dirtyEntities(b, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := er.NewResolver(er.Config{})
-		for _, es := range perSource {
-			r.AddAll(es)
-		}
-	}
-}
-
-func BenchmarkERNoBlocking(b *testing.B) {
-	// Ablation: the same incremental resolution without the blocking
-	// index (every arrival compared against everything).
-	perSource := dirtyEntities(b, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := er.NewResolver(er.Config{DisableBlocking: true})
-		for _, es := range perSource {
-			r.AddAll(es)
-		}
-	}
-}
-
-func BenchmarkERBatch(b *testing.B) {
-	perSource := dirtyEntities(b, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The baseline re-resolves from scratch at every source arrival.
-		var all []*model.Entity
-		for _, es := range perSource {
-			all = append(all, es...)
-			er.ResolveBatch(all, er.Config{})
-		}
-	}
-}
+// --- E-ER: ingest through the curation pipeline, per blocking mode ------
 
 // erIngestStations sizes BenchmarkERIngest: SCDB_ER_STATIONS overrides
 // the 240-station default (CI smoke runs set it small).
@@ -211,270 +98,6 @@ func BenchmarkERIngest(b *testing.B) {
 	}
 }
 
-// --- E-FS2: richness ------------------------------------------------------
-
-func BenchmarkRichness(b *testing.B) {
-	g := graph.New()
-	for _, ds := range datagen.LifeSci(3, 300, 200, 100) {
-		for _, spec := range ds.Entities {
-			g.AddEntity(&model.Entity{Key: spec.Key, Source: ds.Source, Types: spec.Types, Attrs: spec.Attrs})
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		richness.MeasureAll(g)
-	}
-}
-
-// --- E-FS3: c-tables ------------------------------------------------------
-
-func ctable(nVars int) *uncertain.CTable {
-	ct := uncertain.NewCTable("bench")
-	for i := 0; i < nVars; i++ {
-		ct.AddProbabilistic(model.Record{"v": model.Int(int64(i))}, 0.5)
-	}
-	return ct
-}
-
-func ctQuery(recs []model.Record) bool { return len(recs) >= 6 }
-
-func BenchmarkCTableEval(b *testing.B) {
-	ct := ctable(12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct.QueryProb(ctQuery)
-	}
-}
-
-func BenchmarkWorldSampling(b *testing.B) {
-	ct := ctable(24) // 16M worlds: enumeration is hopeless, sampling is flat
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct.QueryProbSampled(ctQuery, 2000, int64(i))
-	}
-}
-
-// --- E-FS4: statistical enrichment ---------------------------------------
-
-func BenchmarkStatEnrich(b *testing.B) {
-	db := benchDB(b, 150)
-	g := db.inner.Graph()
-	typesOf := func(id model.EntityID) []string {
-		e, ok := g.Entity(id)
-		if !ok {
-			return nil
-		}
-		return e.Types
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tp := semantic.NewTypePredictor()
-		tp.TrainGraph(g, typesOf)
-		lp := semantic.NewLinkPredictor()
-		lp.Train(g, typesOf)
-	}
-}
-
-// --- E-FS5: unified language ----------------------------------------------
-
-func BenchmarkUnifiedQuery(b *testing.B) {
-	db := benchDB(b, 150)
-	const q = `SELECT name FROM Drug AS d WHERE REACHES(d._id, 'Osteosarcoma', 3) ORDER BY name WITH SEMANTICS`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := db.inner.Query(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLayeredBaseline(b *testing.B) {
-	db := benchDB(b, 150)
-	g := db.inner.Graph()
-	r := db.inner.Reasoner()
-	target := model.NoEntity
-	g.ForEachEntity(func(e *model.Entity) bool {
-		if s, _ := e.Attrs.Get("disease_name").AsString(); s == "Osteosarcoma" {
-			target = e.ID
-			return false
-		}
-		return true
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, id := range r.Instances("Drug") {
-			g.Reaches(id, target, 3, "")
-		}
-	}
-}
-
-// --- E-FS6: refinement ----------------------------------------------------
-
-func BenchmarkRefinement(b *testing.B) {
-	o := datagen.PopulationOntology()
-	w := fusion.New(o)
-	for i, class := range []string{"White", "Asian", "Black"} {
-		w.AddClaim(fusion.Claim{Source: class, Entity: 1, Attr: "dose",
-			Value: model.Float(3.4 + float64(i)), Context: []string{class}})
-	}
-	r := refine.New(o, nil, w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.AnswerWithRefinement(1, "dose", 5.0, 0.5)
-	}
-}
-
-// --- E-FS7: QBE -----------------------------------------------------------
-
-func BenchmarkQBE(b *testing.B) {
-	var rows []model.Record
-	for i := 0; i < 200; i++ {
-		c := []string{"anticoagulant", "nsaid", "antibiotic"}[i%3]
-		rows = append(rows, model.Record{
-			"name":  model.String(fmt.Sprintf("drug %s %04d", c, i)),
-			"class": model.String(c),
-		})
-	}
-	example := model.Record{"name": model.String("drug nsaid 0001"), "class": model.Null()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		refine.CompleteByExample(rows, example, nil, 5)
-	}
-}
-
-// --- E-FS8: crowd ----------------------------------------------------------
-
-func BenchmarkCrowd(b *testing.B) {
-	tasks := make([]crowd.Task, 40)
-	for i := range tasks {
-		cands := []model.Value{model.String("a"), model.String("b"), model.String("c")}
-		tasks[i] = crowd.Task{ID: fmt.Sprintf("t%d", i), Candidates: cands, Truth: i % 3}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := crowd.NewSimulator(int64(i))
-		for w := 0; w < 7; w++ {
-			s.AddWorker(crowd.Worker{ID: fmt.Sprintf("w%d", w), Accuracy: 0.7, Cost: 1})
-		}
-		s.Resolve(tasks, 120, crowd.AllocAdaptive)
-	}
-}
-
-// --- E-FS9: materialization -------------------------------------------------
-
-func benchMatWorkload(policy curate.MatPolicy) {
-	c := curate.NewMatCache(16, policy)
-	for i := 0; i < 400; i++ {
-		key := fmt.Sprintf("q%d", i%24)
-		if _, ok := c.Get(key); !ok {
-			c.Put(key, i, float64(1+i%7))
-		}
-	}
-}
-
-func BenchmarkMaterialization(b *testing.B) {
-	for _, policy := range []curate.MatPolicy{curate.PolicyRanked, curate.PolicyLRU} {
-		b.Run(policy.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchMatWorkload(policy)
-			}
-		})
-	}
-}
-
-// --- E-FS10: parallel worlds -------------------------------------------------
-
-func BenchmarkParallelWorlds(b *testing.B) {
-	o := datagen.PopulationOntology()
-	w := fusion.New(o)
-	classes := []string{"White", "Asian", "Black"}
-	doses := []float64{5.1, 3.4, 6.1}
-	for i := 0; i < 9; i++ {
-		w.AddClaim(fusion.Claim{Source: fmt.Sprintf("s%d", i), Entity: 1, Attr: "dose",
-			Value: model.Float(doses[i%3]), Context: []string{classes[i%3]}})
-	}
-	pred := func(v model.Value) model.Fuzzy {
-		f, _ := v.AsFloat()
-		return model.Closeness(f, 5.0, 0.5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Justified(1, "dose", pred)
-	}
-}
-
-// --- E-FS11: transactions -----------------------------------------------------
-
-func benchTxn(b *testing.B, level txn.Level) {
-	store, err := storage.Open("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer store.Close()
-	store.CreateTable("t")
-	var enrich uint64
-	m := txn.NewManager(store, func() uint64 { return enrich })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx := m.Begin(level)
-		tx.MarkSemanticRead()
-		tx.Insert("t", model.Record{"i": model.Int(int64(i))})
-		enrich++ // enrichment churn every transaction
-		tx.Commit()
-	}
-}
-
-func BenchmarkTxnSnapshot(b *testing.B) { benchTxn(b, txn.Snapshot) }
-func BenchmarkTxnRelaxed(b *testing.B)  { benchTxn(b, txn.EventualEnrichment) }
-
-// --- E-OS1: clustering ---------------------------------------------------------
-
-func clusterWorkload() (*cluster.Tracker, []storage.RowID, [][]storage.RowID) {
-	const groups, per = 16, 8
-	tr := cluster.NewTracker()
-	var ids []storage.RowID
-	groupRows := make([][]storage.RowID, groups)
-	for i := 0; i < per; i++ {
-		for g := 0; g < groups; g++ {
-			id := storage.RowID(g + i*groups + 1)
-			ids = append(ids, id)
-			groupRows[g] = append(groupRows[g], id)
-		}
-	}
-	var workload [][]storage.RowID
-	for i := 0; i < 200; i++ {
-		w := groupRows[i%groups]
-		workload = append(workload, w)
-		tr.Observe(w)
-	}
-	return tr, ids, workload
-}
-
-func BenchmarkClusterLocality(b *testing.B) {
-	tr, ids, workload := clusterWorkload()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		layout := cluster.LayoutFromClusters(tr.Cluster(10), ids)
-		cluster.WorkloadCost(layout, workload, 8)
-	}
-}
-
-func BenchmarkCompression(b *testing.B) {
-	col := make([]model.Value, 4096)
-	for i := range col {
-		col[i] = model.String(fmt.Sprintf("category-%02d", (i/256)%16))
-	}
-	b.SetBytes(int64(len(col)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := cluster.Compress(col)
-		if _, err := cluster.Decompress(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- E-OS2: traversal -------------------------------------------------------------
 
 func traversalGraph(b *testing.B) (*graph.Graph, model.EntityID) {
@@ -516,53 +139,6 @@ func BenchmarkTraversalCSR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		csr.KHop(start, 4, "")
-	}
-}
-
-// --- E-OS3: semantic optimization ------------------------------------------------
-
-func benchOptDB(b *testing.B) *DB {
-	b.Helper()
-	db, err := Open(Options{
-		Axioms:       LifeSciAxioms,
-		LinkRules:    LifeSciLinkRules(),
-		Patterns:     LifeSciPatterns(),
-		DisableCache: true, // measure execution, not materialization
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	for _, src := range LifeSciSample(1, 200, 130, 100) {
-		if err := db.Ingest(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return db
-}
-
-func BenchmarkSemanticOpt(b *testing.B) {
-	db := benchOptDB(b)
-	// The rewrite proves the query empty: execution touches no data.
-	const q = `SELECT name FROM Drug AS d WHERE ISA(d._id, 'Osteosarcoma') WITH SEMANTICS`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNoSemanticOpt(b *testing.B) {
-	db := benchOptDB(b)
-	// Same shape without WITH SEMANTICS: rewrites off, the scan and the
-	// per-row ISA checks all run.
-	const q = `SELECT name FROM Drug AS d WHERE ISA(d._id, 'Osteosarcoma')`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -668,34 +244,6 @@ func BenchmarkParallelJoin(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- E-OS4: placement ---------------------------------------------------------------
-
-func BenchmarkPlacement(b *testing.B) {
-	const groups, per, nodes = 16, 4, 4
-	var parts []placement.Partition
-	groupParts := make([][]int, groups)
-	id := 0
-	for g := 0; g < groups; g++ {
-		for k := 0; k < per; k++ {
-			parts = append(parts, placement.Partition{ID: id, Size: 1})
-			groupParts[g] = append(groupParts[g], id)
-			id++
-		}
-	}
-	var w placement.Workload
-	for i := 0; i < 300; i++ {
-		w = append(w, placement.Access{Parts: groupParts[i%groups]})
-	}
-	aff := placement.NewAffinity()
-	aff.ObserveWorkload(w)
-	cm := placement.CostModel{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := placement.AffinityPlace(parts, aff, nodes, groups*per/nodes)
-		placement.Evaluate(p, parts, w, cm, false)
 	}
 }
 

@@ -39,15 +39,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"scdb"
 	"scdb/internal/repl"
@@ -55,16 +50,10 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7483", "listen address")
+	serve := server.RegisterServeFlags(flag.CommandLine, "127.0.0.1:7483")
 	dir := flag.String("dir", "", "storage directory (empty = in-memory)")
 	load := flag.String("load", "", "sample corpus to preload: lifesci | clinical | stream")
 	parallelism := flag.Int("parallelism", 0, "executor worker-pool size (0 = one per CPU)")
-	maxInflight := flag.Int("max-inflight", 0, "concurrent statement limit (0 = default 16, -1 = unlimited)")
-	maxQueue := flag.Int("max-queue", 0, "admission wait-queue length (0 = default 64)")
-	queueTimeout := flag.Duration("queue-timeout", 0, "max admission wait (0 = default 1s)")
-	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = default 30s)")
-	maxTimeout := flag.Duration("max-timeout", 0, "cap on client deadlines (0 = default 5m)")
-	grace := flag.Duration("grace", 10*time.Second, "drain window on shutdown before forcing")
 	replicaOf := flag.String("replica-of", "", "primary address to replicate from (requires -dir)")
 	syncFlag := flag.String("sync", "none", "WAL durability with -dir: none | group | always")
 	ingestBatch := flag.Int("ingest-batch", 0, "ingest write-batch size (0 = default 1024, 1 = per-record)")
@@ -74,9 +63,6 @@ func main() {
 	erEmbedDim := flag.Int("er-embed-dim", 0, "feature-hashing embedding width (0 = default 64)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold (0 = default 16 MiB)")
 	ckptBytes := flag.Int64("checkpoint-bytes", 0, "WAL bytes between automatic checkpoints (0 = default 64 MiB, negative disables)")
-	slowThreshold := flag.Duration("slow-threshold", 0, "slow-op log threshold (0 = default 100ms, negative disables)")
-	slowLog := flag.Int("slow-log", 0, "slow-op ring capacity (0 = default 128)")
-	debugAddr := flag.String("debug-addr", "", "HTTP listener for /metrics, /slowlog, /debug/pprof (empty = off)")
 	flag.Parse()
 
 	sync, err := scdb.ParseSyncPolicy(*syncFlag)
@@ -94,17 +80,6 @@ func main() {
 		EREmbedDim:        *erEmbedDim,
 		WALSegmentBytes:   *walSegBytes,
 		CheckpointBytes:   *ckptBytes,
-	}
-	switch *load {
-	case "lifesci", "clinical":
-		opts.Axioms = scdb.LifeSciAxioms + scdb.PopulationAxioms
-		opts.LinkRules = scdb.LifeSciLinkRules()
-		opts.Patterns = scdb.LifeSciPatterns()
-	case "stream":
-		opts.Axioms = "concept Device"
-	case "":
-	default:
-		fatalf("unknown sample %q (want lifesci, clinical, or stream)", *load)
 	}
 	var db *scdb.DB
 	var replStats func() *server.WireReplStats
@@ -129,76 +104,13 @@ func main() {
 		replStats = f.Stats
 		log.Printf("replicating from %s (applied csn %d)", *replicaOf, db.CSN())
 	} else {
-		db, err = scdb.Open(opts)
+		db, err = scdb.OpenSample(*load, opts)
 		if err != nil {
 			fatalf("open: %v", err)
 		}
 		defer db.Close()
 	}
-	switch *load {
-	case "lifesci":
-		for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
-			must(db.Ingest(src))
-		}
-	case "clinical":
-		for _, src := range scdb.LifeSciSample(1, 0, 0, 0) {
-			must(db.Ingest(src))
-		}
-		for _, src := range scdb.ClinicalTrialSources(1, 20) {
-			must(db.Ingest(src))
-		}
-		for _, c := range scdb.ClinicalClaims() {
-			must(db.AddClaim(c))
-		}
-		db.RefreshRichness()
-	case "stream":
-		for _, src := range scdb.StreamSample(1, 100) {
-			must(db.Ingest(src))
-		}
-	}
-
-	srv := server.New(server.Config{
-		Addr:            *addr,
-		DB:              db,
-		MaxInFlight:     *maxInflight,
-		MaxQueue:        *maxQueue,
-		QueueTimeout:    *queueTimeout,
-		DefaultTimeout:  *timeout,
-		MaxTimeout:      *maxTimeout,
-		SlowOpThreshold: *slowThreshold,
-		SlowLogSize:     *slowLog,
-		ReplStats:       replStats,
-	})
-	if err := srv.Start(); err != nil {
-		fatalf("listen: %v", err)
-	}
-	log.Printf("scdb-server listening on %s", srv.Addr())
-
-	if *debugAddr != "" {
-		dbg := &http.Server{Addr: *debugAddr, Handler: srv.DebugHandler()}
-		go func() {
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-		defer dbg.Close()
-		log.Printf("debug listener on http://%s/debug/pprof/ (plus /metrics, /slowlog)", *debugAddr)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-	log.Printf("draining (grace %s)...", *grace)
-	ctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("forced shutdown: %v", err)
-	}
-	log.Printf("bye")
-}
-
-func must(err error) {
-	if err != nil {
+	if err := serve.Serve("scdb-server", db, replStats); err != nil {
 		fatalf("%v", err)
 	}
 }

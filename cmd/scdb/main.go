@@ -59,46 +59,11 @@ func main() {
 		return
 	}
 
-	opts := scdb.Options{Dir: *dir, Parallelism: *parallelism}
-	switch *load {
-	case "lifesci", "clinical":
-		opts.Axioms = scdb.LifeSciAxioms + scdb.PopulationAxioms
-		opts.LinkRules = scdb.LifeSciLinkRules()
-		opts.Patterns = scdb.LifeSciPatterns()
-	case "stream":
-		opts.Axioms = "concept Device"
-	case "":
-	default:
-		fatalf("unknown sample %q (want lifesci, clinical, or stream)", *load)
-	}
-
-	db, err := scdb.Open(opts)
+	db, err := scdb.OpenSample(*load, scdb.Options{Dir: *dir, Parallelism: *parallelism})
 	if err != nil {
 		fatalf("open: %v", err)
 	}
 	defer db.Close()
-
-	switch *load {
-	case "lifesci":
-		for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
-			must(db.Ingest(src))
-		}
-	case "clinical":
-		for _, src := range scdb.LifeSciSample(1, 0, 0, 0) {
-			must(db.Ingest(src))
-		}
-		for _, src := range scdb.ClinicalTrialSources(1, 20) {
-			must(db.Ingest(src))
-		}
-		for _, c := range scdb.ClinicalClaims() {
-			must(db.AddClaim(c))
-		}
-		db.RefreshRichness()
-	case "stream":
-		for _, src := range scdb.StreamSample(1, 100) {
-			must(db.Ingest(src))
-		}
-	}
 
 	if *stats {
 		printStats(db)
@@ -537,12 +502,6 @@ func printStats(db *scdb.DB) {
 func isTTY() bool {
 	fi, err := os.Stdin.Stat()
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
-}
-
-func must(err error) {
-	if err != nil {
-		fatalf("%v", err)
-	}
 }
 
 func fatalf(format string, args ...any) {

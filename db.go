@@ -6,10 +6,8 @@ import (
 	"strings"
 
 	"scdb/internal/core"
-	"scdb/internal/curate"
 	"scdb/internal/datagen"
 	"scdb/internal/er"
-	"scdb/internal/extract"
 	"scdb/internal/fusion"
 	"scdb/internal/model"
 	"scdb/internal/storage"
@@ -157,28 +155,14 @@ func Open(opts Options) (*DB, error) {
 		CheckpointBytes:    opts.CheckpointBytes,
 		RecoverParallelism: opts.RecoverParallelism,
 		ReadOnly:           opts.ReadOnly,
+		LinkRules:          opts.LinkRules,
+		Patterns:           opts.Patterns,
 		ERConfig: er.Config{
 			Threshold: opts.ResolutionThreshold,
 			Blocking:  blocking,
 			TopK:      opts.ERTopK,
 			EmbedDim:  opts.EREmbedDim,
 		},
-	}
-	for _, r := range opts.LinkRules {
-		coreOpts.LinkRules = append(coreOpts.LinkRules, curate.LinkRule{
-			Predicate:     r.Predicate,
-			EdgePredicate: r.EdgePredicate,
-			TargetAttrs:   r.TargetAttrs,
-			TargetType:    r.TargetType,
-		})
-	}
-	for _, p := range opts.Patterns {
-		coreOpts.Patterns = append(coreOpts.Patterns, extract.Pattern{
-			Trigger:        p.Trigger,
-			Predicate:      p.Predicate,
-			SubjectConcept: p.SubjectConcept,
-			ObjectConcept:  p.ObjectConcept,
-		})
 	}
 	db, err := core.Open(coreOpts)
 	if err != nil {

@@ -2,11 +2,12 @@ package scdb
 
 import (
 	"fmt"
-	"time"
 
+	"scdb/internal/core"
 	"scdb/internal/fusion"
 	"scdb/internal/model"
 	"scdb/internal/refine"
+	"scdb/internal/storage"
 )
 
 // This file carries the remaining public surface: query-by-example
@@ -234,47 +235,20 @@ func (db *DB) Tables() []string { return db.inner.Store().Tables() }
 // ("hash" or "sorted"), how many postings it holds, and how many scans it
 // has served. Auto reports whether the curator created it from observed
 // access patterns (auto indexes are dropped again when they go cold).
-type IndexStat struct {
-	Table   string
-	Attr    string
-	Kind    string
-	Entries int
-	Hits    uint64
-	Auto    bool
-}
+type IndexStat = storage.IndexStat
 
 // IndexStats lists every secondary index in the store, sorted by table
 // then attribute. Indexes are self-curated — created from observed query
 // predicates and dropped when cold — so this is an observation of the
 // database's current adaptation, not a DDL catalog.
-func (db *DB) IndexStats() []IndexStat {
-	var out []IndexStat
-	for _, s := range db.inner.IndexStats() {
-		out = append(out, IndexStat{
-			Table:   s.Table,
-			Attr:    s.Attr,
-			Kind:    s.Kind,
-			Entries: s.Entries,
-			Hits:    s.Hits,
-			Auto:    s.Auto,
-		})
-	}
-	return out
-}
+func (db *DB) IndexStats() []IndexStat { return db.inner.IndexStats() }
 
 // PlanCacheStats reports plan-cache effectiveness: hits, misses, and the
 // number of cached plans currently held.
-type PlanCacheStats struct {
-	Hits   uint64
-	Misses uint64
-	Size   int
-}
+type PlanCacheStats = core.PlanCacheStats
 
 // PlanCacheStats returns the plan cache's hit/miss counters.
-func (db *DB) PlanCacheStats() PlanCacheStats {
-	s := db.inner.PlanCacheStats()
-	return PlanCacheStats{Hits: s.Hits, Misses: s.Misses, Size: s.Size}
-}
+func (db *DB) PlanCacheStats() PlanCacheStats { return db.inner.PlanCacheStats() }
 
 // WALStats is a readout of the durability log's counters: frames and
 // bytes appended, fsync calls and time spent inside them, and — under the
@@ -284,52 +258,10 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 // snapshot CSN, sealed-segment bytes reclaimed, cumulative snapshot-write
 // time) and how long the last Open spent recovering. All zeros for an
 // in-memory database.
-type WALStats struct {
-	Frames     uint64
-	Bytes      uint64
-	Fsyncs     uint64
-	FsyncTime  time.Duration
-	Commits    uint64
-	CommitWait time.Duration
-
-	Segments            int
-	SegmentIndex        uint64
-	Checkpoints         uint64
-	CheckpointCSN       uint64
-	CheckpointReclaimed uint64
-	CheckpointTime      time.Duration
-	RecoveryTime        time.Duration
-
-	// DurableCSN is the highest commit stamp known to be on stable storage;
-	// AllocatedCSN is the current commit clock. Their gap is the crash-loss
-	// window, and replication watermarks use the same stamps.
-	DurableCSN   uint64
-	AllocatedCSN uint64
-}
+type WALStats = storage.WALStats
 
 // WALStats reports the write-ahead log's durability counters.
-func (db *DB) WALStats() WALStats {
-	s := db.inner.WALStats()
-	return WALStats{
-		Frames:     s.Frames,
-		Bytes:      s.Bytes,
-		Fsyncs:     s.Fsyncs,
-		FsyncTime:  s.FsyncTime,
-		Commits:    s.Commits,
-		CommitWait: s.CommitWait,
-
-		Segments:            s.Segments,
-		SegmentIndex:        s.SegmentIndex,
-		Checkpoints:         s.Checkpoints,
-		CheckpointCSN:       s.CheckpointCSN,
-		CheckpointReclaimed: s.CheckpointReclaimed,
-		CheckpointTime:      s.CheckpointTime,
-		RecoveryTime:        s.RecoveryTime,
-
-		DurableCSN:   s.DurableCSN,
-		AllocatedCSN: s.AllocatedCSN,
-	}
-}
+func (db *DB) WALStats() WALStats { return db.inner.WALStats() }
 
 // Checkpoint writes an incremental snapshot of the durable store at a
 // consistent commit stamp — ingest continues concurrently — and retires

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"scdb/internal/catalog"
-	"scdb/internal/cluster"
 	"scdb/internal/curate"
 	"scdb/internal/datagen"
 	"scdb/internal/er"
@@ -130,7 +129,6 @@ type DB struct {
 	txns     *txn.Manager
 	matCache *curate.MatCache
 	plans    *planCache
-	tracker  *cluster.Tracker
 	opts     Options
 
 	// csrMu guards the cached traversal snapshot (OS.2): rebuilt lazily
@@ -208,7 +206,6 @@ func Open(opts Options) (*DB, error) {
 		refiner:  refine.New(onto, g, worlds),
 		matCache: curate.NewMatCache(opts.MatCacheSize, opts.MatPolicy),
 		plans:    newPlanCache(opts.PlanCacheSize),
-		tracker:  cluster.NewTracker(),
 		opts:     opts,
 	}
 	db.txns = txn.NewManager(store, db.enrichmentVersion)

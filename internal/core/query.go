@@ -341,11 +341,11 @@ func (s dbStats) TableCard(name string) int {
 
 func (s dbStats) TotalEntities() int { return s.db.graph.NumEntities() }
 
-// queryEnv implements query.Env, query.Resolver, and query.MorselEnv over
-// the engine, scoped to one statement's answer mode. Name-to-entity lookups
-// are memoized per statement: REACHES('Osteosarcoma', ...) resolves its
-// target once, not once per candidate row. The executor evaluates
-// predicates from a pool of workers, so the memo is mutex-guarded.
+// queryEnv implements query.Env and query.Resolver over the engine, scoped
+// to one statement's answer mode. Name-to-entity lookups are memoized per
+// statement: REACHES('Osteosarcoma', ...) resolves its target once, not
+// once per candidate row. The executor evaluates predicates from a pool of
+// workers, so the memo is mutex-guarded.
 type queryEnv struct {
 	db *DB
 	// ctx is the statement's cancellation scope, threaded into every
@@ -387,55 +387,27 @@ func (e *queryEnv) HasTable(name string) bool {
 
 func (e *queryEnv) HasConcept(name string) bool { return e.db.onto.HasConcept(name) }
 
-func (e *queryEnv) ScanTable(name string) ([]model.Record, bool) {
-	if name == ClaimsTable {
-		return e.claimRows(), true
-	}
-	t, ok := e.db.store.Table(name)
-	if !ok {
-		return nil, false
-	}
-	var recs []model.Record
-	t.Scan(func(_ storage.RowID, rec model.Record) bool {
-		recs = append(recs, rec)
-		return true
-	})
-	return recs, true
-}
-
-// ScanTableMorsels implements query.MorselEnv: the scan streams fixed-size
-// chunks so binding and filtering pipeline with it on the executor's
-// workers, and a satisfied LIMIT stops it early (emit returning false).
-func (e *queryEnv) ScanTableMorsels(name string, size int, emit func([]model.Record) bool) bool {
-	if name == ClaimsTable {
-		// The virtual claims table is materialized by the fusion layer and
-		// then chunked — answer-semantics filtering dominates its cost.
-		emitChunks(e.claimRows(), size, emit)
-		return true
-	}
-	t, ok := e.db.store.Table(name)
-	if !ok {
-		return false
-	}
-	t.ScanMorselsCtx(e.ctx, e.db.store.Now(), size, func(_ []storage.RowID, recs []model.Record) bool {
-		return emit(recs)
-	})
-	return true
-}
-
-// ScanTablePushed implements query.IndexEnv: the storage layer answers
+// ScanTable implements query.Env's streaming table scan. A plain scan
+// streams fixed-size chunks so binding and filtering pipeline with it on
+// the executor's workers. With zone conjuncts the storage layer answers
 // with a candidate superset via secondary-index lookup and zone-map
 // pruning (self-creating indexes from the access traffic this very call
 // records). The virtual claims table has no storage access paths — it is
-// materialized and chunked, and the executor's re-filter does the rest.
-func (e *queryEnv) ScanTablePushed(name string, zone []query.ZoneConjunct, emit func([]model.Record) bool) (query.PushedScanInfo, bool) {
+// materialized by the fusion layer and chunked; answer-semantics filtering
+// dominates its cost, and the executor's re-filter does the rest.
+func (e *queryEnv) ScanTable(name string, zone []query.ZoneConjunct, size int, emit func([]model.Record) bool) (query.PushedScanInfo, bool) {
 	if name == ClaimsTable {
-		emitChunks(e.claimRows(), query.DefaultMorselSize, emit)
+		emitChunks(e.claimRows(), size, emit)
 		return query.PushedScanInfo{}, true
 	}
 	t, ok := e.db.store.Table(name)
 	if !ok {
 		return query.PushedScanInfo{}, false
+	}
+	fn := func(_ []storage.RowID, recs []model.Record) bool { return emit(recs) }
+	if len(zone) == 0 {
+		t.ScanMorselsCtx(e.ctx, e.db.store.Now(), size, fn)
+		return query.PushedScanInfo{}, true
 	}
 	preds := make([]storage.ZonePred, len(zone))
 	for i, z := range zone {
@@ -446,9 +418,7 @@ func (e *queryEnv) ScanTablePushed(name string, zone []query.ZoneConjunct, emit 
 		NoIndex: e.db.opts.DisableIndexScan,
 		NoAuto:  e.db.opts.DisableIndexScan,
 		Ctx:     e.ctx,
-	}, func(_ []storage.RowID, recs []model.Record) bool {
-		return emit(recs)
-	})
+	}, fn)
 	return query.PushedScanInfo{Index: si.Index, Segments: si.Segments, Pruned: si.Pruned}, true
 }
 
@@ -517,31 +487,10 @@ func (e *queryEnv) claimRows() []model.Record {
 	return rows
 }
 
-func (e *queryEnv) ScanConcept(concept string, semantic bool) ([]model.Record, bool) {
-	if !e.db.onto.HasConcept(concept) {
-		return nil, false
-	}
-	var ids []model.EntityID
-	if semantic {
-		ids = e.db.reasoner.Instances(concept)
-	} else {
-		ids = e.db.graph.EntitiesByType(concept)
-	}
-	recs := make([]model.Record, 0, len(ids))
-	for _, id := range ids {
-		rec, ok := e.conceptRecord(id, semantic)
-		if !ok {
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	return recs, true
-}
-
-// ScanConceptMorsels implements query.MorselEnv for concept scans: entity
+// ScanConcept implements query.Env's streaming concept scan: entity
 // records are built chunk by chunk so downstream operators overlap with
 // record construction, and LIMIT stops the build early.
-func (e *queryEnv) ScanConceptMorsels(concept string, semantic bool, size int, emit func([]model.Record) bool) bool {
+func (e *queryEnv) ScanConcept(concept string, semantic bool, size int, emit func([]model.Record) bool) bool {
 	if !e.db.onto.HasConcept(concept) {
 		return false
 	}

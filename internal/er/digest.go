@@ -55,6 +55,10 @@ type DigestBatch struct {
 	// watermarks to pass to the next DigestsSince call.
 	Ents    int `json:"ents"`
 	Matches int `json:"matches"`
+	// Settings are the resolver's effective settings, which the router
+	// builds its exchange from. A batch from a build that ships none
+	// decodes to the zero Config: the defaults.
+	Settings Config `json:"settings"`
 }
 
 // DigestsSince exports the entities indexed and the matches accepted at or
@@ -62,7 +66,7 @@ type DigestBatch struct {
 // synchronizes with writers the same way Stats does: the curation
 // pipeline calls this under its own mutex.
 func (r *Resolver) DigestsSince(entsSince, matchesSince int) DigestBatch {
-	b := DigestBatch{Ents: len(r.ents), Matches: len(r.matches)}
+	b := DigestBatch{Ents: len(r.ents), Matches: len(r.matches), Settings: r.cfg}
 	if entsSince < 0 {
 		entsSince = 0
 	}
@@ -136,8 +140,9 @@ type Exchange struct {
 	ufLocal *UnionFind
 }
 
-// NewExchange creates an exchange. Pass the same Config the shards run so
-// candidate generation and acceptance agree across the boundary.
+// NewExchange creates an exchange. Pass the settings the shards report
+// (DigestBatch.Settings) so candidate generation and acceptance agree
+// across the boundary.
 func NewExchange(cfg Config) *Exchange {
 	res := NewResolver(cfg)
 	res.never = func(a, b *indexed) bool { return a.shard == b.shard || a.source == b.source }

@@ -1,6 +1,7 @@
 package er
 
 import (
+	"encoding/json"
 	"testing"
 
 	"scdb/internal/model"
@@ -162,5 +163,36 @@ func TestNoEvidenceNeverMatches(t *testing.T) {
 		if x.SameRef(RefKey{Source: "s1", Key: "a"}, RefKey{Source: "s3", Key: "c"}) {
 			t.Errorf("%s: two placeholder digests merged across shards", name)
 		}
+	}
+}
+
+// TestDigestBatchCarriesSettings: the settings a router builds its exchange
+// from survive the wire, and a batch from a build that ships none (the
+// field absent) reads as a shard on the defaults.
+func TestDigestBatchCarriesSettings(t *testing.T) {
+	ann := Config{Blocking: BlockingANN, TopK: 5}
+	blob, err := json.Marshal(NewResolver(ann).DigestsSince(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got DigestBatch
+	if err := json.Unmarshal(blob, &got); err != nil {
+		t.Fatal(err)
+	}
+	if field, _, _ := ann.Diff(got.Settings); field != "" {
+		t.Errorf("settings changed on the wire at %s: %s", field, blob)
+	}
+	var old DigestBatch
+	if err := json.Unmarshal([]byte(`{"ents":0,"matches":0}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if field, _, _ := (Config{}).Diff(old.Settings); field != "" {
+		t.Errorf("a batch without settings differs from the defaults at %s", field)
+	}
+	if field, want, got := ann.Diff(old.Settings); field != "blocking" || want != BlockingANN || got != BlockingToken {
+		t.Errorf("ann vs defaults: Diff = %s, %v, %v; want blocking, ann, token", field, want, got)
+	}
+	if err := json.Unmarshal([]byte(`{"settings":{"blocking":"lsh"}}`), &old); err == nil {
+		t.Error("an unknown blocking mode must fail the decode")
 	}
 }

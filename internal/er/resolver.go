@@ -54,36 +54,47 @@ func (m BlockingMode) String() string {
 	return "token"
 }
 
-// Config tunes the resolver.
+// MarshalText and UnmarshalText spell the mode as ParseBlocking does, so a
+// mode a shard ships in its settings does not depend on the numbering.
+func (m BlockingMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+func (m *BlockingMode) UnmarshalText(b []byte) (err error) {
+	*m, err = ParseBlocking(string(b))
+	return err
+}
+
+// Config tunes the resolver. The tagged fields are the settings a
+// cross-shard exchange must share with the shards' local resolvers; a
+// shard ships them in every DigestBatch.
 type Config struct {
 	// Threshold is the minimum pair score treated as a match. Zero means
 	// the default 0.85. Ignored when Advisor is set.
-	Threshold float64
+	Threshold float64 `json:"threshold,omitempty"`
 	// Blocking selects the candidate-generation strategy (default
 	// BlockingToken).
-	Blocking BlockingMode
+	Blocking BlockingMode `json:"blocking,omitempty"`
 	// BlockPrefix is the blocking-key length in characters (runes). Each
 	// token of each string attribute contributes its prefix as a blocking
 	// key, so only entities sharing at least one key are ever compared.
 	// Zero means the default 4.
-	BlockPrefix int
+	BlockPrefix int `json:"block_prefix,omitempty"`
 	// MaxBlock caps the number of candidates considered per blocking key;
 	// oversized blocks (stop-word-like keys) are skipped beyond the cap,
 	// trading recall for bounded cost. Zero means the default 64.
-	MaxBlock int
+	MaxBlock int `json:"max_block,omitempty"`
 	// TopK is the ANN neighbor count per entity under BlockingANN/Both.
 	// Zero means DefaultTopK.
-	TopK int
+	TopK int `json:"top_k,omitempty"`
 	// EmbedDim is the feature-hashed embedding width under
 	// BlockingANN/Both. Zero means DefaultEmbedDim.
-	EmbedDim int
+	EmbedDim int `json:"embed_dim,omitempty"`
 	// Advisor reviews scored candidate pairs (nil = ThresholdAdvisor over
 	// Threshold). See CurationAdvisor for the purity contract.
-	Advisor CurationAdvisor
+	Advisor CurationAdvisor `json:"-"`
 	// DisableBlocking compares every new entity against every indexed
 	// entity — the quadratic ablation baseline for the blocking design
 	// choice (see DESIGN.md).
-	DisableBlocking bool
+	DisableBlocking bool `json:"-"`
 }
 
 func (c Config) withDefaults() Config {
@@ -106,6 +117,27 @@ func (c Config) withDefaults() Config {
 		c.Advisor = ThresholdAdvisor{Threshold: c.Threshold}
 	}
 	return c
+}
+
+// Diff names the first shipped setting on which two configurations differ
+// once defaults are applied, with both values; field is "" when they agree.
+func (c Config) Diff(o Config) (field string, mine, theirs any) {
+	c, o = c.withDefaults(), o.withDefaults()
+	switch {
+	case c.Threshold != o.Threshold:
+		return "threshold", c.Threshold, o.Threshold
+	case c.Blocking != o.Blocking:
+		return "blocking", c.Blocking, o.Blocking
+	case c.BlockPrefix != o.BlockPrefix:
+		return "block_prefix", c.BlockPrefix, o.BlockPrefix
+	case c.MaxBlock != o.MaxBlock:
+		return "max_block", c.MaxBlock, o.MaxBlock
+	case c.TopK != o.TopK:
+		return "top_k", c.TopK, o.TopK
+	case c.EmbedDim != o.EmbedDim:
+		return "embed_dim", c.EmbedDim, o.EmbedDim
+	}
+	return "", nil, nil
 }
 
 // Match is one resolved duplicate pair with its similarity score.

@@ -288,16 +288,17 @@ func TestOptimizedPlanStillCorrect(t *testing.T) {
 // execEnv is a minimal Env for the correctness check.
 type execEnv struct{}
 
-func (execEnv) ScanTable(name string) ([]model.Record, bool) {
+func (execEnv) ScanTable(name string, _ []query.ZoneConjunct, _ int, emit func([]model.Record) bool) (query.PushedScanInfo, bool) {
 	if name != "drugs" {
-		return nil, false
+		return query.PushedScanInfo{}, false
 	}
-	return []model.Record{
+	emit([]model.Record{
 		{"name": model.String("Warfarin"), "dose": model.Float(5.1), "id": model.Ref(1)},
 		{"name": model.String("Inert"), "dose": model.Float(0.5), "id": model.Ref(2)},
-	}, true
+	})
+	return query.PushedScanInfo{}, true
 }
-func (execEnv) ScanConcept(string, bool) ([]model.Record, bool) { return nil, false }
+func (execEnv) ScanConcept(string, bool, int, func([]model.Record) bool) bool { return false }
 func (execEnv) IsA(v model.Value, concept string, semantic bool) model.Truth {
 	id, ok := v.AsRef()
 	if !ok {

@@ -24,17 +24,9 @@ type endlessEnv struct {
 	emitDelay time.Duration
 }
 
-func (e *endlessEnv) ScanTableMorsels(name string, size int, emit func([]model.Record) bool) bool {
+func (e *endlessEnv) ScanTable(name string, zone []ZoneConjunct, size int, emit func([]model.Record) bool) (PushedScanInfo, bool) {
 	if name != "endless" {
-		recs, ok := e.fakeEnv.ScanTable(name)
-		if !ok {
-			return false
-		}
-		emit(recs)
-		return true
-	}
-	if size <= 0 {
-		size = DefaultMorselSize
+		return e.fakeEnv.ScanTable(name, zone, size, emit)
 	}
 	for i := int64(0); ; i++ {
 		recs := make([]model.Record, size)
@@ -46,22 +38,13 @@ func (e *endlessEnv) ScanTableMorsels(name string, size int, emit func([]model.R
 		}
 		if !emit(recs) {
 			e.stopped.Store(true)
-			return true
+			return PushedScanInfo{}, true
 		}
 		n := e.emitted.Add(1)
 		if e.onEmit != nil {
 			e.onEmit(n)
 		}
 	}
-}
-
-func (e *endlessEnv) ScanConceptMorsels(concept string, semantic bool, size int, emit func([]model.Record) bool) bool {
-	recs, ok := e.fakeEnv.ScanConcept(concept, semantic)
-	if !ok {
-		return false
-	}
-	emit(recs)
-	return true
 }
 
 func newEndlessEnv() *endlessEnv {

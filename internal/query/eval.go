@@ -13,13 +13,21 @@ import (
 // and semantic layers. The core package implements it over the real engine;
 // tests implement it over fixtures.
 type Env interface {
-	// ScanTable returns the records of a storage table, reporting whether
-	// the table exists.
-	ScanTable(name string) ([]model.Record, bool)
-	// ScanConcept returns one record per entity holding the concept
-	// (attributes plus "_id" ref and "_key"), reporting whether the
-	// concept is known. With semantic=false only asserted types count.
-	ScanConcept(concept string, semantic bool) ([]model.Record, bool)
+	// ScanTable streams the records of a storage table to emit in morsels
+	// of about size records, reporting whether the table exists. Scans
+	// pipeline into the executor without materializing the table, and a
+	// satisfied LIMIT stops one early (emit returning false). Emitted
+	// slices must stay valid after emit returns: they cross a goroutine
+	// boundary. With zone conjuncts the environment may answer any
+	// superset of the matching rows (secondary indexes, zone-map pruning)
+	// in morsels of its own choosing and says what it did in info; the
+	// executor re-applies the full predicate either way.
+	ScanTable(name string, zone []ZoneConjunct, size int, emit func([]model.Record) bool) (info PushedScanInfo, found bool)
+	// ScanConcept streams one record per entity holding the concept
+	// (attributes plus "_id" ref and "_key") under the same emit contract,
+	// reporting whether the concept is known. With semantic=false only
+	// asserted types count.
+	ScanConcept(concept string, semantic bool, size int, emit func([]model.Record) bool) (found bool)
 	// IsA reports whether the entity reference holds the concept.
 	IsA(v model.Value, concept string, semantic bool) model.Truth
 	// Reaches reports whether the entity reference reaches the entity

@@ -20,17 +20,6 @@ type Result struct {
 	Rows    [][]model.Value
 }
 
-// MorselEnv is an optional extension of Env. Environments that can stream a
-// table or concept in chunks implement it, letting scans pipeline into the
-// parallel executor without materializing whole tables, and letting LIMIT
-// stop a scan early (emit returning false). Emitted slices must remain
-// valid after emit returns (they cross a goroutine boundary). Return
-// found=false for an unknown name.
-type MorselEnv interface {
-	ScanTableMorsels(name string, size int, emit func([]model.Record) bool) (found bool)
-	ScanConceptMorsels(concept string, semantic bool, size int, emit func([]model.Record) bool) (found bool)
-}
-
 // ZoneConjunct is one sargable conjunct pushed below a scan: attr OP
 // literal, or attr IN (literals). It mirrors storage.ZonePred without the
 // import (query cannot depend on storage).
@@ -47,15 +36,6 @@ type PushedScanInfo struct {
 	Index    string
 	Segments int
 	Pruned   int
-}
-
-// IndexEnv is an optional extension of MorselEnv for environments whose
-// storage supports pushed-down scans (secondary indexes and zone-map
-// pruning). The emitted rows may be a superset of those matching the
-// conjuncts; the executor re-filters. Environments without it fall back to
-// a full scan plus the same filter — identical answers, more work.
-type IndexEnv interface {
-	ScanTablePushed(name string, zone []ZoneConjunct, emit func([]model.Record) bool) (info PushedScanInfo, found bool)
 }
 
 // ExecOptions tunes ExecuteOpts.
@@ -306,27 +286,6 @@ func (x *execCtx) bindStage(src *stream, binding string, st *OpStats) *stream {
 	})
 }
 
-// recSliceStream chunks materialized records into morsels (the fallback
-// for environments without MorselEnv).
-func recSliceStream(recs []model.Record, size int) *stream {
-	i, idx := 0, 0
-	return &stream{
-		next: func() (morsel, bool, error) {
-			if i >= len(recs) {
-				return morsel{}, false, nil
-			}
-			end := i + size
-			if end > len(recs) {
-				end = len(recs)
-			}
-			m := morsel{idx: idx, recs: recs[i:end]}
-			i, idx = end, idx+1
-			return m, true, nil
-		},
-		stop: func() {},
-	}
-}
-
 func (x *execCtx) buildRows(n *RowsNode) (*stream, []string, *OpStats, error) {
 	st := newOpStats(n)
 	sh := &rowShape{cols: n.Cols}
@@ -338,64 +297,36 @@ func (x *execCtx) buildRows(n *RowsNode) (*stream, []string, *OpStats, error) {
 	return sliceStream(rows, x.size), n.Cols, st, nil
 }
 
+// tableSource streams a table's records from the environment on a producer
+// goroutine and records what a pushed-down scan did in st.
+func (x *execCtx) tableSource(table string, zone []ZoneConjunct, st *OpStats) *stream {
+	size := x.size
+	return goSource(x.ctx, &x.wg, func(emit func([]model.Record) bool) error {
+		info, found := x.ev.env.ScanTable(table, zone, size, emit)
+		if !found {
+			return fmt.Errorf("query: unknown table %q", table)
+		}
+		// Plain writes are safe: ExecuteOpts joins this producer (x.wg)
+		// before anyone reads the stats tree.
+		st.Pruned = int64(info.Pruned)
+		st.IndexName = info.Index
+		return nil
+	})
+}
+
 func (x *execCtx) buildScan(n *ScanNode) (*stream, []string, *OpStats, error) {
 	st := newOpStats(n)
-	if me, ok := x.ev.env.(MorselEnv); ok {
-		table, size := n.Table, x.size
-		src := goSource(x.ctx, &x.wg, func(emit func([]model.Record) bool) error {
-			if !me.ScanTableMorsels(table, size, emit) {
-				return fmt.Errorf("query: unknown table %q", table)
-			}
-			return nil
-		})
-		return x.bindStage(src, n.Binding, st), nil, st, nil
-	}
-	recs, ok := x.ev.env.ScanTable(n.Table)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("query: unknown table %q", n.Table)
-	}
-	return x.bindStage(recSliceStream(recs, x.size), n.Binding, st), nil, st, nil
+	return x.bindStage(x.tableSource(n.Table, nil, st), n.Binding, st), nil, st, nil
 }
 
 // buildIndexScan is a fused scan+filter: storage streams candidate rows
-// (via index lookup and zone-map pruning when the env supports it), and
-// the worker stage binds them and re-applies the full predicate. The
-// fallbacks — MorselEnv streaming or a materialized ScanTable — run the
-// same filter over the whole table, so answers are identical whichever
-// capability the environment has.
+// (index lookup and zone-map pruning), and the worker stage binds them and
+// re-applies the full predicate, so answers do not depend on how far the
+// environment narrowed the scan.
 func (x *execCtx) buildIndexScan(n *IndexScanNode) (*stream, []string, *OpStats, error) {
 	st := newOpStats(n)
 	st.ShowPruned = true
-	var src *stream
-	switch env := x.ev.env.(type) {
-	case IndexEnv:
-		table, zone := n.Table, n.Zone
-		src = goSource(x.ctx, &x.wg, func(emit func([]model.Record) bool) error {
-			info, found := env.ScanTablePushed(table, zone, emit)
-			if !found {
-				return fmt.Errorf("query: unknown table %q", table)
-			}
-			// Plain writes are safe: ExecuteOpts joins this producer
-			// (x.wg) before anyone reads the stats tree.
-			st.Pruned = int64(info.Pruned)
-			st.IndexName = info.Index
-			return nil
-		})
-	case MorselEnv:
-		table, size := n.Table, x.size
-		src = goSource(x.ctx, &x.wg, func(emit func([]model.Record) bool) error {
-			if !env.ScanTableMorsels(table, size, emit) {
-				return fmt.Errorf("query: unknown table %q", table)
-			}
-			return nil
-		})
-	default:
-		recs, ok := x.ev.env.ScanTable(n.Table)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("query: unknown table %q", n.Table)
-		}
-		src = recSliceStream(recs, x.size)
-	}
+	src := x.tableSource(n.Table, n.Zone, st)
 	sh, pred := &rowShape{bindings: []string{n.Binding}}, n.Pred
 	s := x.stage(src, x.workers, func(m morsel) (morsel, error) {
 		t0 := time.Now()
@@ -422,22 +353,14 @@ func (x *execCtx) buildIndexScan(n *IndexScanNode) (*stream, []string, *OpStats,
 
 func (x *execCtx) buildConceptScan(n *ConceptScanNode) (*stream, []string, *OpStats, error) {
 	st := newOpStats(n)
-	semantic := n.Semantic || x.ev.semantic
-	if me, ok := x.ev.env.(MorselEnv); ok {
-		concept, size := n.Concept, x.size
-		src := goSource(x.ctx, &x.wg, func(emit func([]model.Record) bool) error {
-			if !me.ScanConceptMorsels(concept, semantic, size, emit) {
-				return fmt.Errorf("query: unknown concept %q", concept)
-			}
-			return nil
-		})
-		return x.bindStage(src, n.Binding, st), nil, st, nil
-	}
-	recs, ok := x.ev.env.ScanConcept(n.Concept, semantic)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("query: unknown concept %q", n.Concept)
-	}
-	return x.bindStage(recSliceStream(recs, x.size), n.Binding, st), nil, st, nil
+	concept, semantic, size := n.Concept, n.Semantic || x.ev.semantic, x.size
+	src := goSource(x.ctx, &x.wg, func(emit func([]model.Record) bool) error {
+		if !x.ev.env.ScanConcept(concept, semantic, size, emit) {
+			return fmt.Errorf("query: unknown concept %q", concept)
+		}
+		return nil
+	})
+	return x.bindStage(src, n.Binding, st), nil, st, nil
 }
 
 func (x *execCtx) buildFilter(n *FilterNode) (*stream, []string, *OpStats, error) {

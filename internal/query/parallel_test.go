@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"scdb/internal/model"
@@ -199,50 +198,10 @@ func TestTopKMatchesSortLimit(t *testing.T) {
 	}
 }
 
-// countingMorselEnv wraps fakeEnv with a streaming scan that counts emitted
-// chunks, to observe LIMIT cancelling the producer early. The counter is
-// atomic: a join's two scan producers run concurrently.
-type countingMorselEnv struct {
-	*fakeEnv
-	emitted atomic.Int64
-}
-
-func (c *countingMorselEnv) emitAll(recs []model.Record, size int, emit func([]model.Record) bool) {
-	for lo := 0; lo < len(recs); lo += size {
-		hi := lo + size
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		c.emitted.Add(1)
-		if !emit(recs[lo:hi]) {
-			return
-		}
-	}
-}
-
-func (c *countingMorselEnv) ScanTableMorsels(name string, size int, emit func([]model.Record) bool) bool {
-	recs, ok := c.tables[name]
-	if !ok {
-		return false
-	}
-	c.emitAll(recs, size, emit)
-	return true
-}
-
-func (c *countingMorselEnv) ScanConceptMorsels(concept string, semantic bool, size int, emit func([]model.Record) bool) bool {
-	recs, ok := c.concepts[concept]
-	if !ok {
-		return false
-	}
-	c.emitAll(recs, size, emit)
-	return true
-}
-
 // TestLimitStopsScanEarly: Scan → Limit over a streaming source must cancel
 // the scan long before it covers the table.
 func TestLimitStopsScanEarly(t *testing.T) {
-	base, _ := synthetic(10000)
-	env := &countingMorselEnv{fakeEnv: base}
+	env, _ := synthetic(10000)
 	plan := &LimitNode{Input: &ScanNode{Table: "big", Binding: "big"}, N: 5}
 	res, _, err := ExecuteOpts(plan, env, ExecOptions{Parallelism: 4, MorselSize: 10})
 	if err != nil {
@@ -256,35 +215,6 @@ func TestLimitStopsScanEarly(t *testing.T) {
 	// workers), which is bounded by a constant, not the table size.
 	if n := env.emitted.Load(); n > 50 {
 		t.Errorf("scan emitted %d chunks after LIMIT 5; early stop is broken", n)
-	}
-}
-
-// TestMorselEnvMatchesMaterialized: the streaming scan path and the
-// materializing fallback must agree on the corpus.
-func TestMorselEnvMatchesMaterialized(t *testing.T) {
-	for _, src := range differentialCorpus {
-		stmt, err := Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain := env()
-		plan, err := BuildPlan(stmt, plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := ExecuteOpts(plan, plain, ExecOptions{Semantic: stmt.Semantics, Parallelism: 1, MorselSize: 2})
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		streaming := &countingMorselEnv{fakeEnv: env()}
-		got, _, err := ExecuteOpts(plan, streaming, ExecOptions{Semantic: stmt.Semantics, Parallelism: 4, MorselSize: 2})
-		if err != nil {
-			t.Fatalf("%q (streaming): %v", src, err)
-		}
-		if renderResult(got) != renderResult(want) {
-			t.Errorf("%q: streaming scan diverged\nwant:\n%s\ngot:\n%s",
-				src, renderResult(want), renderResult(got))
-		}
 	}
 }
 

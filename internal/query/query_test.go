@@ -2,14 +2,19 @@ package query
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"scdb/internal/model"
 )
 
 // fakeEnv is a fixture environment: two tables and one concept extent over
-// a toy life-science graph.
+// a toy life-science graph. Scans stream the fixture slices in morsels;
+// emitted counts the chunks handed out, to observe LIMIT stopping a
+// producer early (atomic: a join's two scan producers run concurrently).
 type fakeEnv struct {
+	emitted atomic.Int64
+
 	tables   map[string][]model.Record
 	concepts map[string][]model.Record
 	// reach[from][target] under any predicate
@@ -19,14 +24,25 @@ type fakeEnv struct {
 	inferredTypes map[model.EntityID][]string
 }
 
-func (f *fakeEnv) ScanTable(name string) ([]model.Record, bool) {
-	r, ok := f.tables[name]
-	return r, ok
+func (f *fakeEnv) stream(recs []model.Record, size int, emit func([]model.Record) bool) {
+	for lo := 0; lo < len(recs); lo += size {
+		f.emitted.Add(1)
+		if !emit(recs[lo:min(lo+size, len(recs))]) {
+			return
+		}
+	}
 }
 
-func (f *fakeEnv) ScanConcept(c string, semantic bool) ([]model.Record, bool) {
-	r, ok := f.concepts[c]
-	return r, ok
+func (f *fakeEnv) ScanTable(name string, _ []ZoneConjunct, size int, emit func([]model.Record) bool) (PushedScanInfo, bool) {
+	recs, ok := f.tables[name]
+	f.stream(recs, size, emit)
+	return PushedScanInfo{}, ok
+}
+
+func (f *fakeEnv) ScanConcept(c string, semantic bool, size int, emit func([]model.Record) bool) bool {
+	recs, ok := f.concepts[c]
+	f.stream(recs, size, emit)
+	return ok
 }
 
 func (f *fakeEnv) HasTable(name string) bool   { _, ok := f.tables[name]; return ok }

@@ -203,13 +203,9 @@ type snapshotEnv struct {
 
 func (e *snapshotEnv) HasTable(name string) bool { return name == e.table.Name() }
 
-func (e *snapshotEnv) ScanTableMorsels(name string, size int, emit func([]model.Record) bool) bool {
+func (e *snapshotEnv) ScanTable(name string, _ []ZoneConjunct, size int, emit func([]model.Record) bool) (PushedScanInfo, bool) {
 	e.table.ScanMorsels(e.csn, size, func(_ []storage.RowID, recs []model.Record) bool { return emit(recs) })
-	return true
-}
-
-func (e *snapshotEnv) ScanConceptMorsels(string, bool, int, func([]model.Record) bool) bool {
-	return false
+	return PushedScanInfo{}, true
 }
 
 // TestBorrowedRecordsAreSnapshotStable: rows borrow storage's version records

@@ -412,15 +412,14 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		e.Release()
 		return "", "", ""
 	case V2OpERDigests:
-		ds, ok := s.cfg.DB.(erDigestSource)
-		if !ok {
+		if s.node == nil {
 			return fail(CodeBadRequest, "backend has no local resolver to export ER digests from")
 		}
 		entsSince, matchesSince, err := DecodeV2ERDigests(f.Payload)
 		if err != nil {
 			return fail(CodeBadRequest, err.Error())
 		}
-		batch := ds.ERDigests(entsSince, matchesSince)
+		batch := s.node.ERDigests(entsSince, matchesSince)
 		blob, err := json.Marshal(&batch)
 		if err != nil {
 			return fail(CodeQuery, err.Error())
@@ -573,7 +572,10 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 				return fail(CodeBadRequest, msg.err.Error())
 			}
 			chunk := msg.c
-			if len(chunk.Entities) > 0 || len(chunk.Links) > 0 || len(chunk.Texts) > 0 {
+			// A stream that ends having installed nothing still delivers
+			// once: an empty delivery registers the source and creates its
+			// table, as the ingest op does for the same source.
+			if len(chunk.Entities) > 0 || len(chunk.Links) > 0 || len(chunk.Texts) > 0 || chunk.Done && sum.Batches == 0 {
 				src := scdb.Source{
 					Name:     name,
 					Entities: chunk.Entities,

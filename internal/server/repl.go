@@ -247,8 +247,8 @@ func (r *replRegistry) list() []*replFollower {
 // stays absent for them.
 func (s *Server) replStats() *WireReplStats {
 	var w scdb.WALStats
-	if ws, ok := s.cfg.DB.(engineWAL); ok {
-		w = ws.WALStats()
+	if s.node != nil {
+		w = s.node.WALStats()
 	}
 	if s.cfg.ReplStats != nil {
 		r := s.cfg.ReplStats()
@@ -292,11 +292,10 @@ func (s *Server) replLagBytes() uint64 {
 	if len(fos) == 0 {
 		return 0
 	}
-	ws, ok := s.cfg.DB.(engineWAL)
-	if !ok {
+	if s.node == nil {
 		return 0
 	}
-	bytes := ws.WALStats().Bytes
+	bytes := s.node.WALStats().Bytes
 	var worst uint64
 	for _, fo := range fos {
 		if cb := fo.caughtBytes.Load(); bytes > cb && bytes-cb > worst {
@@ -322,8 +321,8 @@ func (s *Server) handleReplSubscribe(vc *v2conn, f V2Frame, req *v2req) (code, d
 	if err != nil {
 		return fail(CodeBadRequest, err.Error())
 	}
-	db, capable := s.replCapable()
-	if !capable {
+	db := s.node
+	if db == nil {
 		return fail(CodeBadRequest, "backend cannot source replication; subscribe to a shard primary, not the router")
 	}
 	if db.ReadOnly() {
@@ -342,7 +341,7 @@ func (s *Server) handleReplSubscribe(vc *v2conn, f V2Frame, req *v2req) (code, d
 		if err := db.Checkpoint(); err != nil {
 			return fail(CodeQuery, err.Error())
 		}
-		snapCSN, err := s.shipSnapshot(db, vc, f.ID)
+		snapCSN, err := s.shipSnapshot(st, vc, f.ID)
 		if err != nil {
 			return fail(CodeQuery, "snapshot bootstrap: "+err.Error())
 		}
@@ -448,8 +447,8 @@ func (s *Server) handleReplSubscribe(vc *v2conn, f V2Frame, req *v2req) (code, d
 
 // shipSnapshot streams the checkpoint snapshot file as chunk frames and
 // closes with the done marker, returning the snapshot's commit stamp.
-func (s *Server) shipSnapshot(db replSource, vc *v2conn, id uint32) (storage.CSN, error) {
-	fh, size, snapCSN, err := db.Store().OpenSnapshot()
+func (s *Server) shipSnapshot(st *storage.Store, vc *v2conn, id uint32) (storage.CSN, error) {
+	fh, size, snapCSN, err := st.OpenSnapshot()
 	if err != nil {
 		return 0, err
 	}

@@ -19,8 +19,8 @@ type Config struct {
 	Addr string
 	// DB is the engine the server fronts — usually an embedded *scdb.DB,
 	// but any Engine works (the shard router fronts a whole cluster
-	// through the same server). Optional engine surfaces are discovered
-	// via the capability interfaces in engine.go.
+	// through the same server). A DB that is also a Node serves the
+	// store-level ops and stats sections.
 	DB Engine
 
 	// MaxInFlight bounds concurrently executing statements (query,
@@ -107,7 +107,10 @@ func (c Config) withDefaults() Config {
 // scans, so deadlines, client disconnects, and forced shutdown all stop
 // real work, not just the response path.
 type Server struct {
-	cfg     Config
+	cfg Config
+	// node is cfg.DB's local-store surface, nil when the backend has none
+	// (the shard router).
+	node    Node
 	ln      net.Listener
 	admit   *admitter
 	metrics *metrics
@@ -170,6 +173,7 @@ func New(cfg Config) *Server {
 		conns:     map[*conn]struct{}{},
 		serveErr:  make(chan error, 1),
 	}
+	s.node, _ = cfg.DB.(Node)
 	s.registerEngineGauges()
 	return s
 }
@@ -177,9 +181,8 @@ func New(cfg Config) *Server {
 // registerEngineGauges folds the engine's own counters — storage WAL,
 // plan cache, self-curated indexes, curation totals, admission depth —
 // into the server's registry, so one metrics dump covers every layer.
-// Storage-level gauges register only when the backend has that surface
-// (the shard router has no WAL or plan cache of its own); a backend with
-// gauges of its own (router.*, shard.*) registers them here too.
+// Storage-level gauges register for a Node, router.* and shard.* gauges
+// for a backend that reports a sharding section.
 func (s *Server) registerEngineGauges() {
 	if s.cfg.DB == nil {
 		return // Listen rejects a nil DB before any dump can happen
@@ -188,25 +191,23 @@ func (s *Server) registerEngineGauges() {
 	s.reg.Gauge("admission.in_flight", func() float64 { f, _, _ := s.admit.depth(); return float64(f) })
 	s.reg.Gauge("admission.queued", func() float64 { _, q, _ := s.admit.depth(); return float64(q) })
 	s.reg.Gauge("admission.in_flight_peak", func() float64 { _, _, p := s.admit.depth(); return float64(p) })
-	if pc, ok := db.(enginePlanCache); ok {
-		s.reg.Gauge("plan_cache.hits", func() float64 { return float64(pc.PlanCacheStats().Hits) })
-		s.reg.Gauge("plan_cache.misses", func() float64 { return float64(pc.PlanCacheStats().Misses) })
-		s.reg.Gauge("plan_cache.size", func() float64 { return float64(pc.PlanCacheStats().Size) })
-	}
-	if w, ok := db.(engineWAL); ok {
-		s.reg.Gauge("wal.frames_total", func() float64 { return float64(w.WALStats().Frames) })
-		s.reg.Gauge("wal.bytes_total", func() float64 { return float64(w.WALStats().Bytes) })
-		s.reg.Gauge("wal.fsyncs_total", func() float64 { return float64(w.WALStats().Fsyncs) })
-		s.reg.Gauge("wal.fsync_time_us", func() float64 { return float64(w.WALStats().FsyncTime.Microseconds()) })
-		s.reg.Gauge("wal.commits_waited_total", func() float64 { return float64(w.WALStats().Commits) })
-		s.reg.Gauge("wal.commit_wait_us", func() float64 { return float64(w.WALStats().CommitWait.Microseconds()) })
-		s.reg.Gauge("wal.segments", func() float64 { return float64(w.WALStats().Segments) })
-		s.reg.Gauge("wal.checkpoints_total", func() float64 { return float64(w.WALStats().Checkpoints) })
-		s.reg.Gauge("wal.ckpt_bytes_reclaimed", func() float64 { return float64(w.WALStats().CheckpointReclaimed) })
-		s.reg.Gauge("wal.ckpt_ns", func() float64 { return float64(w.WALStats().CheckpointTime.Nanoseconds()) })
-		s.reg.Gauge("store.recover_ns", func() float64 { return float64(w.WALStats().RecoveryTime.Nanoseconds()) })
-		s.reg.Gauge("wal.durable_csn", func() float64 { return float64(w.WALStats().DurableCSN) })
-		s.reg.Gauge("wal.allocated_csn", func() float64 { return float64(w.WALStats().AllocatedCSN) })
+	if n := s.node; n != nil {
+		s.reg.Gauge("plan_cache.hits", func() float64 { return float64(n.PlanCacheStats().Hits) })
+		s.reg.Gauge("plan_cache.misses", func() float64 { return float64(n.PlanCacheStats().Misses) })
+		s.reg.Gauge("plan_cache.size", func() float64 { return float64(n.PlanCacheStats().Size) })
+		s.reg.Gauge("wal.frames_total", func() float64 { return float64(n.WALStats().Frames) })
+		s.reg.Gauge("wal.bytes_total", func() float64 { return float64(n.WALStats().Bytes) })
+		s.reg.Gauge("wal.fsyncs_total", func() float64 { return float64(n.WALStats().Fsyncs) })
+		s.reg.Gauge("wal.fsync_time_us", func() float64 { return float64(n.WALStats().FsyncTime.Microseconds()) })
+		s.reg.Gauge("wal.commits_waited_total", func() float64 { return float64(n.WALStats().Commits) })
+		s.reg.Gauge("wal.commit_wait_us", func() float64 { return float64(n.WALStats().CommitWait.Microseconds()) })
+		s.reg.Gauge("wal.segments", func() float64 { return float64(n.WALStats().Segments) })
+		s.reg.Gauge("wal.checkpoints_total", func() float64 { return float64(n.WALStats().Checkpoints) })
+		s.reg.Gauge("wal.ckpt_bytes_reclaimed", func() float64 { return float64(n.WALStats().CheckpointReclaimed) })
+		s.reg.Gauge("wal.ckpt_ns", func() float64 { return float64(n.WALStats().CheckpointTime.Nanoseconds()) })
+		s.reg.Gauge("store.recover_ns", func() float64 { return float64(n.WALStats().RecoveryTime.Nanoseconds()) })
+		s.reg.Gauge("wal.durable_csn", func() float64 { return float64(n.WALStats().DurableCSN) })
+		s.reg.Gauge("wal.allocated_csn", func() float64 { return float64(n.WALStats().AllocatedCSN) })
 		s.reg.Gauge("repl.followers", func() float64 { return float64(s.repl.count()) })
 		s.reg.Gauge("repl.lag_csn", func() float64 {
 			if r := s.replStats(); r != nil {
@@ -221,19 +222,24 @@ func (s *Server) registerEngineGauges() {
 			return 0
 		})
 		s.reg.Gauge("repl.lag_bytes", func() float64 { return float64(s.replLagBytes()) })
-	}
-	if ix, ok := db.(engineIndexes); ok {
-		s.reg.Gauge("index.count", func() float64 { return float64(len(ix.IndexStats())) })
+		s.reg.Gauge("index.count", func() float64 { return float64(len(n.IndexStats())) })
 		s.reg.Gauge("index.hits_total", func() float64 {
-			var n uint64
-			for _, st := range ix.IndexStats() {
-				n += st.Hits
+			var hits uint64
+			for _, st := range n.IndexStats() {
+				hits += st.Hits
 			}
-			return float64(n)
+			return float64(hits)
 		})
 	}
-	if gr, ok := db.(gaugeRegistrar); ok {
-		gr.RegisterGauges(s.reg)
+	if db.ShardingStats() != nil {
+		s.reg.Gauge("router.shards", func() float64 { return float64(db.ShardingStats().Shards) })
+		s.reg.Gauge("shard.scatter_queries_total", func() float64 { return float64(db.ShardingStats().ScatterQueries) })
+		s.reg.Gauge("shard.partial_rows_total", func() float64 { return float64(db.ShardingStats().PartialRows) })
+		s.reg.Gauge("shard.ingest_routed_rows_total", func() float64 { return float64(db.ShardingStats().RoutedRows) })
+		s.reg.Gauge("shard.exchange_rounds_total", func() float64 { return float64(db.ShardingStats().ExchangeRounds) })
+		s.reg.Gauge("shard.digests_exchanged", func() float64 { return float64(db.ShardingStats().Digests) })
+		s.reg.Gauge("shard.cross_comparisons", func() float64 { return float64(db.ShardingStats().CrossComparisons) })
+		s.reg.Gauge("shard.cross_merges", func() float64 { return float64(db.ShardingStats().CrossMerges) })
 	}
 	s.reg.Gauge("engine.tables", func() float64 { return float64(db.Stats().Tables) })
 	s.reg.Gauge("engine.entities", func() float64 { return float64(db.Stats().Entities) })
@@ -371,18 +377,14 @@ func (s *Server) Stats() StatsReply {
 	srv.InFlight, srv.Queued, srv.InFlightPeak = s.admit.depth()
 	_, srv.SlowOps = s.slow.Snapshot()
 	reply := StatsReply{
-		Engine: s.cfg.DB.Stats(),
-		Server: srv,
-		Repl:   s.replStats(),
+		Engine:   s.cfg.DB.Stats(),
+		Server:   srv,
+		Repl:     s.replStats(),
+		Sharding: s.cfg.DB.ShardingStats(),
 	}
-	if ix, ok := s.cfg.DB.(engineIndexes); ok {
-		reply.Indexes = ix.IndexStats()
-	}
-	if pc, ok := s.cfg.DB.(enginePlanCache); ok {
-		reply.PlanCache = pc.PlanCacheStats()
-	}
-	if sh, ok := s.cfg.DB.(shardingStatser); ok {
-		reply.Sharding = sh.ShardingStats()
+	if s.node != nil {
+		reply.Indexes = s.node.IndexStats()
+		reply.PlanCache = s.node.PlanCacheStats()
 	}
 	return reply
 }

@@ -20,7 +20,9 @@
 // pulls each shard's incremental ER digests (er_digests op) and feeds them
 // to an er.Exchange, which runs them through a resolver of its own — the
 // blocking keys, pair scorer and curation advisor the shards run locally —
-// across shard boundaries. The exchange's cross-merge count
+// across shard boundaries. Every digest batch carries the shard's resolver
+// settings; the router builds the exchange from them and refuses shards
+// that disagree (SettingsError). The exchange's cross-merge count
 // corrects the summed per-shard entity statistics, and SameRef answers
 // whether two keys resolved to one global entity.
 //
@@ -48,7 +50,6 @@ import (
 	"scdb/client"
 	"scdb/internal/er"
 	"scdb/internal/model"
-	"scdb/internal/obs"
 	"scdb/internal/server"
 )
 
@@ -94,10 +95,24 @@ type Config struct {
 	// IngestBatch is the chunk size of routed ingest streams (0 = the
 	// client default).
 	IngestBatch int
-	// ER must mirror the shards' resolver configuration so the cross-shard
-	// exchange generates candidates and accepts pairs exactly as a local
-	// resolver would. The zero value matches servers running defaults.
-	ER er.Config
+}
+
+// SettingsError reports a shard whose resolver runs different settings
+// than shard 0's, which the cross-shard exchange was built from: the
+// exchange can generate candidates and accept pairs as one of them does,
+// not both.
+type SettingsError struct {
+	Shard int
+	Addr  string
+	// Field is the setting's name in DigestBatch.Settings; Got is this
+	// shard's effective value, Want shard 0's.
+	Field     string
+	Got, Want any
+}
+
+func (e *SettingsError) Error() string {
+	return fmt.Sprintf("shard %d (%s): resolver setting %s is %v, shard 0 runs %v; start every shard with the same er settings",
+		e.Shard, e.Addr, e.Field, e.Got, e.Want)
 }
 
 // Router fans requests out over the shards and merges the answers. It
@@ -109,9 +124,11 @@ type Router struct {
 	batch  int
 
 	// mu serializes routed ingests, the ER exchange they feed, and the
-	// per-shard digest watermarks.
+	// per-shard digest watermarks. settings are what shard 0 reported
+	// when the exchange was built.
 	mu          sync.Mutex
 	exch        *er.Exchange
+	settings    er.Config
 	entsMark    []int
 	matchesMark []int
 	// lastEntities caches each shard's entity count from the latest stats
@@ -125,7 +142,9 @@ type Router struct {
 	digestsPulled  atomic.Uint64
 }
 
-// New builds a router over the given backends.
+// New builds a router over the given backends and runs one exchange round:
+// it learns the shards' resolver settings (a disagreement fails with a
+// *SettingsError) and catches up on whatever the shards already hold.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one backend")
@@ -137,27 +156,34 @@ func New(cfg Config) (*Router, error) {
 			addrs[i] = fmt.Sprintf("shard-%d", i)
 		}
 	}
-	return &Router{
+	r := &Router{
 		shards:       cfg.Backends,
 		addrs:        addrs,
 		batch:        cfg.IngestBatch,
-		exch:         er.NewExchange(cfg.ER),
 		entsMark:     make([]int, len(cfg.Backends)),
 		matchesMark:  make([]int, len(cfg.Backends)),
 		lastEntities: make([]int, len(cfg.Backends)),
-	}, nil
+	}
+	if err := r.exchangeLocked(); err != nil { // no one else holds r yet
+		return nil, err
+	}
+	return r, nil
 }
 
 // Dial connects to each shard address and builds a router over the
 // connections.
-func Dial(cfg Config, addrs ...string) (*Router, error) {
+func Dial(cfg Config, addrs ...string) (r *Router, err error) {
 	backends := make([]Backend, 0, len(addrs))
-	for _, a := range addrs {
-		c, err := client.Dial(a)
+	defer func() {
 		if err != nil {
 			for _, b := range backends {
 				b.Close()
 			}
+		}
+	}()
+	for _, a := range addrs {
+		c, err := client.Dial(a)
+		if err != nil {
 			return nil, fmt.Errorf("shard: dial %s: %w", a, err)
 		}
 		backends = append(backends, c)
@@ -248,12 +274,18 @@ func (r *Router) IngestCtx(ctx context.Context, src scdb.Source) error {
 }
 
 // exchangeLocked pulls each shard's digests past the router's watermarks
-// and folds them into the exchange. Caller holds r.mu.
+// and folds them into the exchange, which the first batch's settings
+// build. Caller holds r.mu.
 func (r *Router) exchangeLocked() error {
 	for i, b := range r.shards {
 		batch, err := b.ERDigests(r.entsMark[i], r.matchesMark[i])
 		if err != nil {
 			return fmt.Errorf("shard %d (%s): er digests: %w", i, r.addrs[i], err)
+		}
+		if r.exch == nil {
+			r.settings, r.exch = batch.Settings, er.NewExchange(batch.Settings)
+		} else if field, want, got := r.settings.Diff(batch.Settings); field != "" {
+			return &SettingsError{Shard: i, Addr: r.addrs[i], Field: field, Got: got, Want: want}
 		}
 		r.exch.AddBatch(i, batch)
 		r.entsMark[i], r.matchesMark[i] = batch.Ents, batch.Matches
@@ -329,8 +361,8 @@ func (r *Router) Stats() scdb.Stats {
 	return out
 }
 
-// ShardingStats is the stats op's sharding section (the capability the
-// server discovers via type assertion).
+// ShardingStats is the stats op's sharding section and the source of the
+// serving layer's router.* and shard.* gauges.
 func (r *Router) ShardingStats() *server.WireShardingStats {
 	xs := r.ExchangeStats()
 	ws := &server.WireShardingStats{
@@ -353,19 +385,6 @@ func (r *Router) ShardingStats() *server.WireShardingStats {
 		})
 	}
 	return ws
-}
-
-// RegisterGauges wires the router's own metrics into the serving layer's
-// registry (the gaugeRegistrar capability).
-func (r *Router) RegisterGauges(reg *obs.Registry) {
-	reg.Gauge("router.shards", func() float64 { return float64(len(r.shards)) })
-	reg.Gauge("shard.scatter_queries_total", func() float64 { return float64(r.scatterQueries.Load()) })
-	reg.Gauge("shard.partial_rows_total", func() float64 { return float64(r.partialRows.Load()) })
-	reg.Gauge("shard.ingest_routed_rows_total", func() float64 { return float64(r.routedRows.Load()) })
-	reg.Gauge("shard.exchange_rounds_total", func() float64 { return float64(r.exchangeRounds.Load()) })
-	reg.Gauge("shard.digests_exchanged", func() float64 { return float64(r.digestsPulled.Load()) })
-	reg.Gauge("shard.cross_comparisons", func() float64 { return float64(r.ExchangeStats().Comparisons) })
-	reg.Gauge("shard.cross_merges", func() float64 { return float64(r.ExchangeStats().CrossMerges) })
 }
 
 // encodeRow renders a row in the canonical self-delimiting binary value

@@ -44,7 +44,8 @@ func startShardServer(tb testing.TB, opts scdb.Options) string {
 // connected to it — the full client → router → shards path.
 type testCluster struct {
 	router *shard.Router
-	rc     *client.Client // speaks to the router's server
+	addr   string         // the router's server
+	rc     *client.Client // speaks to it
 }
 
 func newTestCluster(tb testing.TB, n int) *testCluster {
@@ -72,7 +73,7 @@ func newTestCluster(tb testing.TB, n int) *testCluster {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { rc.Close() })
-	return &testCluster{router: r, rc: rc}
+	return &testCluster{router: r, addr: srv.Addr().String(), rc: rc}
 }
 
 // drugNames are distinct enough that only true duplicates score past the
@@ -269,7 +270,23 @@ func TestRouterServedStats(t *testing.T) {
 	if csn == 0 {
 		t.Error("per-shard CSNs all zero after ingest")
 	}
+	if len(st.Indexes) != 0 || st.PlanCache != (scdb.PlanCacheStats{}) || st.Repl != nil {
+		t.Errorf("router stats carry a local store's sections: %+v", st)
+	}
 
+	// The Engine/Node split from the other side: a node has no sharding
+	// section, and it answers the store-level op a router refuses.
+	nc, err := client.Dial(startShardServer(t, scdb.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if nst, err := nc.Stats(); err != nil || nst.Sharding != nil {
+		t.Errorf("node stats: sharding = %+v, err = %v; want none", nst.Sharding, err)
+	}
+	if _, err := nc.ERDigests(0, 0); err != nil {
+		t.Errorf("node er_digests: %v", err)
+	}
 }
 
 // TestRouterRejectsUnroutable pins the explicit errors: text deliveries
@@ -296,6 +313,80 @@ func TestRouterRejectsUnroutable(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "crosses shards") {
 		t.Errorf("cross-shard link error = %v", err)
+	}
+
+	// The ops that need a local store are refused by a router with a typed
+	// error: it has no resolver to export and no log to ship.
+	_, err = c.rc.ERDigests(0, 0)
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != server.CodeBadRequest || !strings.Contains(se.Msg, "no local resolver") {
+		t.Errorf("er_digests at a router: err = %v, want a %q refusal", err, server.CodeBadRequest)
+	}
+	_, err = repl.Start(repl.Config{PrimaryAddr: c.addr, Dir: t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), server.CodeBadRequest) || !strings.Contains(err.Error(), "subscribe to a shard primary") {
+		t.Errorf("repl_subscribe at a router: err = %v, want a %q refusal naming the shard primary", err, server.CodeBadRequest)
+	}
+}
+
+// TestEmptyPartCreatesTable: a routed delivery whose split leaves a shard no
+// rows must still create the source's table there, or a scatter read fails
+// on that shard with "unknown source".
+func TestEmptyPartCreatesTable(t *testing.T) {
+	c := newTestCluster(t, 3)
+	src := scdb.Source{Name: "tiny", Entities: []scdb.Entity{{Key: "only", Attrs: scdb.Record{"v": int64(7)}}}}
+	if _, err := c.rc.IngestBatch(context.Background(), src, 0); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]string{
+		"SELECT COUNT(*) AS n FROM tiny":   "n\n1\n",
+		"SELECT v FROM tiny WHERE v = 7":   "v\n7\n",
+		"SELECT v FROM tiny WHERE v = 999": "v\n",
+	} {
+		rows, err := c.rc.Query(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+		} else if got := render(rows); got != want {
+			t.Errorf("%s = %q, want %q", q, got, want)
+		}
+	}
+}
+
+// TestRouterTakesResolverSettingsFromShards: a router configured with
+// nothing runs the cross-shard exchange in the mode its shards report, and
+// refuses shards that disagree.
+func TestRouterTakesResolverSettingsFromShards(t *testing.T) {
+	ann := scdb.Options{ERBlocking: "ann"}
+	addrs := []string{startShardServer(t, ann), startShardServer(t, ann), startShardServer(t, ann)}
+	r, err := shard.Dial(shard.Config{}, addrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	single, err := scdb.Open(ann)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	for _, src := range corpus() {
+		if err := r.IngestCtx(context.Background(), src); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.Ingest(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	xs := r.ExchangeStats()
+	if xs.ANNProbes == 0 || xs.CrossMerges == 0 {
+		t.Errorf("exchange did not run the shards' ann blocking: %+v", xs)
+	}
+	if got, want := r.Stats(), single.Stats(); got.Merges != want.Merges || got.Entities != want.Entities {
+		t.Errorf("cluster merges/entities = %d/%d, a single ann node has %d/%d", got.Merges, got.Entities, want.Merges, want.Entities)
+	}
+
+	_, err = shard.Dial(shard.Config{}, addrs[0], startShardServer(t, scdb.Options{ERBlocking: "both"}))
+	var se *shard.SettingsError
+	if !errors.As(err, &se) || se.Shard != 1 || se.Field != "blocking" {
+		t.Errorf("mixed blocking modes: err = %v, want a SettingsError naming shard 1 and blocking", err)
 	}
 }
 

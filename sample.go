@@ -145,3 +145,49 @@ func fromDataset(ds datagen.Dataset) Source {
 	}
 	return src
 }
+
+// OpenSample opens a database with opts and loads one of the bundled
+// sample corpora into it: "lifesci" (the Figure-2 sources), "clinical"
+// (the canonical life-science entities plus the Warfarin trial sources and
+// claims) or "stream" (the device stream). The corpus's axioms, link rules
+// and patterns replace those in opts. "" is plain Open. It is what the
+// -load flag of scdb and scdb-server runs.
+func OpenSample(name string, opts Options) (*DB, error) {
+	var srcs []Source
+	switch name {
+	case "lifesci", "clinical":
+		opts.Axioms = LifeSciAxioms + PopulationAxioms
+		opts.LinkRules = LifeSciLinkRules()
+		opts.Patterns = LifeSciPatterns()
+		srcs = LifeSciSample(1, 100, 60, 40)
+		if name == "clinical" {
+			srcs = append(LifeSciSample(1, 0, 0, 0), ClinicalTrialSources(1, 20)...)
+		}
+	case "stream":
+		opts.Axioms = "concept Device"
+		srcs = StreamSample(1, 100)
+	case "":
+	default:
+		return nil, fmt.Errorf("scdb: unknown sample %q (want lifesci, clinical, or stream)", name)
+	}
+	db, err := Open(opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, src := range srcs {
+		if err := db.Ingest(src); err != nil {
+			db.Close()
+			return nil, err
+		}
+	}
+	if name == "clinical" {
+		for _, c := range ClinicalClaims() {
+			if err := db.AddClaim(c); err != nil {
+				db.Close()
+				return nil, err
+			}
+		}
+		db.RefreshRichness()
+	}
+	return db, nil
+}

@@ -32,6 +32,8 @@ import (
 	"fmt"
 	"time"
 
+	"scdb/internal/curate"
+	"scdb/internal/extract"
 	"scdb/internal/model"
 )
 
@@ -79,22 +81,12 @@ type Source struct {
 // into entity edges: a Predicate-labeled literal is matched against
 // entities carrying the same value in TargetAttrs (optionally restricted
 // to TargetType), producing an EdgePredicate edge.
-type LinkRule struct {
-	Predicate     string
-	EdgePredicate string
-	TargetAttrs   []string
-	TargetType    string
-}
+type LinkRule = curate.LinkRule
 
 // Pattern drives information extraction: a trigger word between two
 // recognized mentions yields a Predicate edge. Subject/Object concepts
 // optionally restrict the mention types.
-type Pattern struct {
-	Trigger        string
-	Predicate      string
-	SubjectConcept string
-	ObjectConcept  string
-}
+type Pattern = extract.Pattern
 
 // Claim is one source's context-scoped statement about an entity
 // attribute — the parallel-world input of Section 4.2.
