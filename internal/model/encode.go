@@ -18,20 +18,17 @@ func AppendValue(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
 	case KindBool:
-		dst = append(dst, byte(v.i))
+		dst = append(dst, byte(v.n))
 	case KindInt, KindTime, KindRef:
-		dst = binary.AppendVarint(dst, v.i)
+		dst = binary.AppendVarint(dst, int64(v.n))
 	case KindFloat:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
-	case KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		dst = append(dst, v.s...)
-	case KindBytes:
-		dst = binary.AppendUvarint(dst, uint64(len(v.b)))
-		dst = append(dst, v.b...)
+		dst = binary.BigEndian.AppendUint64(dst, v.n)
+	case KindString, KindBytes:
+		dst = binary.AppendUvarint(dst, v.n)
+		dst = append(dst, v.raw()...)
 	case KindList:
-		dst = binary.AppendUvarint(dst, uint64(len(v.list)))
-		for _, e := range v.list {
+		dst = binary.AppendUvarint(dst, v.n)
+		for _, e := range v.elems() {
 			dst = AppendValue(dst, e)
 		}
 	}
@@ -59,7 +56,7 @@ func DecodeValue(buf []byte) (Value, int, error) {
 		if n <= 0 {
 			return Value{}, 0, fmt.Errorf("model: decode varint: malformed")
 		}
-		return Value{kind: k, i: i}, pos + n, nil
+		return Value{kind: k, n: uint64(i)}, pos + n, nil
 	case KindFloat:
 		if len(buf) < pos+8 {
 			return Value{}, 0, fmt.Errorf("model: decode float: short buffer")

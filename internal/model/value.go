@@ -11,12 +11,14 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -69,13 +71,18 @@ const NoEntity EntityID = 0
 // Value is a dynamically typed scalar, list, or entity reference. The zero
 // Value is null. Values are immutable by convention: helpers return new
 // Values rather than mutating in place.
+//
+// A Value is three words. n holds the payload of a bool (0 or 1), an int, a
+// time (UnixNano) or a ref, the bits of a float, or the length of a string,
+// bytes or list; p points at the first byte or element of a string, bytes or
+// list and is nil for every other kind. The zero-size func array keeps Value
+// non-comparable, so no == and no map key can compare p's addresses instead
+// of the contents they point at: use Equal, and Hash for keys.
 type Value struct {
+	_    [0]func()
 	kind Kind
-	i    int64 // bool (0/1), int, ref, time (UnixNano)
-	f    float64
-	s    string
-	b    []byte
-	list []Value
+	n    uint64
+	p    unsafe.Pointer
 }
 
 // Null returns the null value.
@@ -83,34 +90,68 @@ func Null() Value { return Value{} }
 
 // Bool returns a boolean value.
 func Bool(b bool) Value {
-	var i int64
+	var n uint64
 	if b {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // String returns a string value.
-func String(s string) Value { return Value{kind: KindString, s: s} }
+func String(s string) Value {
+	return Value{kind: KindString, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // Time returns a time value with nanosecond precision.
-func Time(t time.Time) Value { return Value{kind: KindTime, i: t.UnixNano()} }
+func Time(t time.Time) Value { return Value{kind: KindTime, n: uint64(t.UnixNano())} }
 
 // Bytes returns a binary value. The slice is not copied; callers must not
 // mutate it afterwards.
-func Bytes(b []byte) Value { return Value{kind: KindBytes, b: b} }
+func Bytes(b []byte) Value {
+	return Value{kind: KindBytes, n: uint64(len(b)), p: unsafe.Pointer(unsafe.SliceData(b))}
+}
 
 // List returns a list value. The slice is not copied.
-func List(vs ...Value) Value { return Value{kind: KindList, list: vs} }
+func List(vs ...Value) Value {
+	return Value{kind: KindList, n: uint64(len(vs)), p: unsafe.Pointer(unsafe.SliceData(vs))}
+}
 
 // Ref returns a reference to the entity with the given ID.
-func Ref(id EntityID) Value { return Value{kind: KindRef, i: int64(id)} }
+func Ref(id EntityID) Value { return Value{kind: KindRef, n: uint64(id)} }
+
+// word returns the inline payload of a bool, int, time or ref, and 0 for
+// every other kind: what the wrong-kind accessors have always returned.
+func (v Value) word() int64 {
+	switch v.kind {
+	case KindBool, KindInt, KindTime, KindRef:
+		return int64(v.n)
+	}
+	return 0
+}
+
+// raw returns the payload of a string or bytes value as a string sharing
+// its memory, and "" for every other kind.
+func (v Value) raw() string {
+	if v.kind != KindString && v.kind != KindBytes {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
+
+// elems returns the elements of a list value (nil for a nil list and every
+// other kind).
+func (v Value) elems() []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.p), int(v.n))
+}
 
 // Kind reports the dynamic kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -119,41 +160,53 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsBool returns the boolean payload; ok is false if v is not a bool.
-func (v Value) AsBool() (b, ok bool) { return v.i != 0, v.kind == KindBool }
+func (v Value) AsBool() (b, ok bool) { return v.word() != 0, v.kind == KindBool }
 
 // AsInt returns the integer payload; ok is false if v is not an int.
-func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) { return v.word(), v.kind == KindInt }
 
 // AsFloat returns v as a float64 when v is numeric (int or float).
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindFloat:
-		return v.f, true
+		return math.Float64frombits(v.n), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(int64(v.n)), true
 	}
 	return 0, false
 }
 
 // AsString returns the string payload; ok is false if v is not a string.
-func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
+func (v Value) AsString() (string, bool) {
+	if v.kind != KindString {
+		return "", false
+	}
+	return v.raw(), true
+}
 
 // AsTime returns the time payload; ok is false if v is not a time.
 func (v Value) AsTime() (time.Time, bool) {
 	if v.kind != KindTime {
 		return time.Time{}, false
 	}
-	return time.Unix(0, v.i).UTC(), true
+	return time.Unix(0, int64(v.n)).UTC(), true
 }
 
-// AsBytes returns the bytes payload; ok is false if v is not bytes.
-func (v Value) AsBytes() ([]byte, bool) { return v.b, v.kind == KindBytes }
+// AsBytes returns the bytes payload, which aliases the slice Bytes was
+// given (with cap equal to len); ok is false if v is not bytes.
+func (v Value) AsBytes() ([]byte, bool) {
+	if v.kind != KindBytes {
+		return nil, false
+	}
+	return unsafe.Slice((*byte)(v.p), int(v.n)), true
+}
 
-// AsList returns the list payload; ok is false if v is not a list.
-func (v Value) AsList() ([]Value, bool) { return v.list, v.kind == KindList }
+// AsList returns the list payload, which aliases the slice List was given
+// (with cap equal to len); ok is false if v is not a list.
+func (v Value) AsList() ([]Value, bool) { return v.elems(), v.kind == KindList }
 
 // AsRef returns the entity reference payload; ok is false if v is not a ref.
-func (v Value) AsRef() (EntityID, bool) { return EntityID(v.i), v.kind == KindRef }
+func (v Value) AsRef() (EntityID, bool) { return EntityID(v.word()), v.kind == KindRef }
 
 // Numeric reports whether v is an int or float.
 func (v Value) Numeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -165,29 +218,30 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.raw())
 	case KindTime:
 		t, _ := v.AsTime()
 		return t.Format(time.RFC3339Nano)
 	case KindBytes:
-		return fmt.Sprintf("0x%x", v.b)
+		return fmt.Sprintf("0x%x", v.raw())
 	case KindList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		es := v.elems()
+		parts := make([]string, len(es))
+		for i, e := range es {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case KindRef:
-		return fmt.Sprintf("@%d", v.i)
+		return "@" + strconv.FormatInt(int64(v.n), 10)
 	}
 	return "?"
 }
@@ -196,7 +250,7 @@ func (v Value) String() string {
 // form used for similarity comparison and information extraction.
 func (v Value) Text() string {
 	if v.kind == KindString {
-		return v.s
+		return v.raw()
 	}
 	return v.String()
 }
@@ -236,21 +290,13 @@ func Compare(a, b Value) (int, error) {
 	}
 	switch a.kind {
 	case KindBool, KindTime, KindRef:
-		switch {
-		case a.i < b.i:
-			return -1, nil
-		case a.i > b.i:
-			return 1, nil
-		}
-		return 0, nil
-	case KindString:
-		return strings.Compare(a.s, b.s), nil
-	case KindBytes:
-		return strings.Compare(string(a.b), string(b.b)), nil
+		return cmp.Compare(int64(a.n), int64(b.n)), nil
+	case KindString, KindBytes:
+		return strings.Compare(a.raw(), b.raw()), nil
 	case KindList:
-		n := min(len(a.list), len(b.list))
-		for i := 0; i < n; i++ {
-			c, err := Compare(a.list[i], b.list[i])
+		ae, be := a.elems(), b.elems()
+		for i := range min(len(ae), len(be)) {
+			c, err := Compare(ae[i], be[i])
 			if err != nil {
 				return 0, err
 			}
@@ -258,13 +304,7 @@ func Compare(a, b Value) (int, error) {
 				return c, nil
 			}
 		}
-		switch {
-		case len(a.list) < len(b.list):
-			return -1, nil
-		case len(a.list) > len(b.list):
-			return 1, nil
-		}
-		return 0, nil
+		return cmp.Compare(len(ae), len(be)), nil
 	}
 	return 0, &IncomparableError{a.kind, b.kind}
 }
@@ -290,17 +330,16 @@ func Equal(a, b Value) bool {
 	}
 	switch a.kind {
 	case KindBool, KindTime, KindRef:
-		return a.i == b.i
-	case KindString:
-		return a.s == b.s
-	case KindBytes:
-		return string(a.b) == string(b.b)
+		return a.n == b.n
+	case KindString, KindBytes:
+		return a.raw() == b.raw()
 	case KindList:
-		if len(a.list) != len(b.list) {
+		ae, be := a.elems(), b.elems()
+		if len(ae) != len(be) {
 			return false
 		}
-		for i := range a.list {
-			if !Equal(a.list[i], b.list[i]) {
+		for i := range ae {
+			if !Equal(ae[i], be[i]) {
 				return false
 			}
 		}
@@ -349,8 +388,9 @@ func kindRank(k Kind) int {
 }
 
 // Hash returns a 64-bit FNV-1a hash of the value's canonical encoding,
-// suitable for hash joins and deduplication. Equal values hash equally
-// (ints and floats representing the same number included).
+// suitable for hash joins and deduplication. Equal values hash equally:
+// ints and floats representing the same number, -0 and +0, and any two
+// NaNs included.
 func (v Value) Hash() uint64 {
 	const (
 		offset = 14695981039346656037
@@ -368,33 +408,41 @@ func (v Value) Hash() uint64 {
 		mix(0)
 	case KindBool:
 		mix(1)
-		mix(byte(v.i))
+		mix(byte(v.n))
 	case KindInt, KindFloat:
-		// Canonicalize numerics: hash the float64 bit pattern.
+		// Canonicalize numerics: hash the float64 bit pattern, one pattern
+		// for both zeros and one for every NaN, since Equal says they match.
 		f, _ := v.AsFloat()
+		bits := math.Float64bits(f)
+		switch {
+		case f == 0:
+			bits = 0
+		case math.IsNaN(f):
+			bits = 0x7FF8000000000001
+		}
 		mix(2)
-		mix64(math.Float64bits(f))
+		mix64(bits)
 	case KindString:
 		mix(3)
-		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
+		for s, i := v.raw(), 0; i < len(s); i++ {
+			mix(s[i])
 		}
 	case KindTime:
 		mix(4)
-		mix64(uint64(v.i))
+		mix64(v.n)
 	case KindBytes:
 		mix(5)
-		for _, b := range v.b {
-			mix(b)
+		for s, i := v.raw(), 0; i < len(s); i++ {
+			mix(s[i])
 		}
 	case KindList:
 		mix(6)
-		for _, e := range v.list {
+		for _, e := range v.elems() {
 			mix64(e.Hash())
 		}
 	case KindRef:
 		mix(7)
-		mix64(uint64(v.i))
+		mix64(v.n)
 	}
 	return h
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -190,8 +191,16 @@ func TestHashEqualValuesHashEqual(t *testing.T) {
 		{Int(5), Float(5)},
 		{String("x"), String("x")},
 		{List(Int(1), Int(2)), List(Int(1), Float(2))},
+		{Float(0), Float(math.Copysign(0, -1))},
+		{Int(0), Float(math.Copysign(0, -1))},
+		{Float(math.NaN()), Float(math.Float64frombits(0x7FF0000000000001))},
+		{Float(math.NaN()), Float(math.Float64frombits(0xFFF8000000000000))},
+		{List(Float(math.Copysign(0, -1))), List(Int(0))},
 	}
 	for _, p := range pairs {
+		if !Equal(p.a, p.b) {
+			t.Fatalf("%v and %v are not Equal", p.a, p.b)
+		}
 		if p.a.Hash() != p.b.Hash() {
 			t.Errorf("Hash(%v) != Hash(%v) though Equal", p.a, p.b)
 		}
@@ -201,6 +210,64 @@ func TestHashEqualValuesHashEqual(t *testing.T) {
 	}
 	if String("").Hash() == Null().Hash() {
 		t.Error("empty string must not collide with null")
+	}
+}
+
+// TestAppendValueGolden pins the canonical encoding of every kind: the WAL,
+// snapshots and the wire hold these bytes, so no layout change may move them.
+func TestAppendValueGolden(t *testing.T) {
+	for _, tt := range []struct {
+		v    Value
+		want string
+	}{
+		{Null(), "00"},
+		{Bool(true), "0101"},
+		{Bool(false), "0100"},
+		{Int(-42), "0253"},
+		{Int(300), "02d804"},
+		{Float(1.5), "033ff8000000000000"},
+		{Float(math.Copysign(0, -1)), "038000000000000000"},
+		{Float(math.Float64frombits(0x7FF0000000000001)), "037ff0000000000001"},
+		{String("hé"), "040368c3a9"},
+		{String(""), "0400"},
+		{Time(time.Unix(1, 0)), "0580a8d6b907"},
+		{Bytes([]byte{0xab, 0xcd}), "0602abcd"},
+		{Bytes(nil), "0600"},
+		{List(Int(1), Null()), "0702020200"},
+		{List(), "0700"},
+		{Ref(7), "080e"},
+	} {
+		if got := hex.EncodeToString(AppendValue(nil, tt.v)); got != tt.want {
+			t.Errorf("AppendValue(%v) = %s, want %s", tt.v, got, tt.want)
+		}
+	}
+}
+
+// TestPayloadAliasing: Bytes and List keep the caller's slice, as they
+// always have, and the accessors hand it back capped at its length, so an
+// append to the result can never write into the caller's spare capacity.
+func TestPayloadAliasing(t *testing.T) {
+	b := make([]byte, 2, 8)
+	got, _ := Bytes(b).AsBytes()
+	if &got[0] != &b[0] || len(got) != 2 || cap(got) != 2 {
+		t.Errorf("AsBytes: alias %v len %d cap %d", &got[0] == &b[0], len(got), cap(got))
+	}
+	vs := make([]Value, 1, 4)
+	l, _ := List(vs...).AsList()
+	if &l[0] != &vs[0] || len(l) != 1 || cap(l) != 1 {
+		t.Errorf("AsList: alias %v len %d cap %d", &l[0] == &vs[0], len(l), cap(l))
+	}
+	if b, _ := Bytes(nil).AsBytes(); b != nil {
+		t.Error("nil bytes must stay nil")
+	}
+	if b, _ := Bytes([]byte{}).AsBytes(); b == nil {
+		t.Error("empty bytes must stay non-nil")
+	}
+	if l, _ := List().AsList(); l != nil {
+		t.Error("an empty argument list must stay nil")
+	}
+	if l, _ := List([]Value{}...).AsList(); l == nil {
+		t.Error("an empty slice must stay non-nil")
 	}
 }
 

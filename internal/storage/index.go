@@ -96,16 +96,6 @@ func oddValue(v model.Value) bool {
 	return ok && math.IsNaN(f)
 }
 
-// hashKey buckets a value by its Equal-class. model.Value.Hash hashes
-// numerics by float64 bit pattern, so -0.0 and +0.0 (Equal, Compare 0)
-// would land in different buckets; canonicalize zero first.
-func hashKey(v model.Value) uint64 {
-	if f, ok := v.AsFloat(); ok && f == 0 {
-		return model.Float(0).Hash()
-	}
-	return v.Hash()
-}
-
 // valRank mirrors the kind ranking of model.Less (null, bool, numeric,
 // string, time, bytes, list, ref) so window searches can locate the
 // literal's comparison class inside the sorted run.
@@ -153,7 +143,7 @@ func (ix *Index) addLocked(v model.Value, id RowID) {
 	}
 	switch ix.kind {
 	case IndexHash:
-		k := hashKey(v)
+		k := v.Hash()
 		ix.buckets[k] = append(ix.buckets[k], e)
 	case IndexSorted:
 		ix.pending = append(ix.pending, e)
@@ -281,10 +271,10 @@ func (ix *Index) candidates(ps []ZonePred) []RowID {
 	case IndexHash:
 		switch p.Op {
 		case "=":
-			add(ix.buckets[hashKey(p.Val)])
+			add(ix.buckets[p.Val.Hash()])
 		case "in":
 			for _, v := range p.Vals {
-				add(ix.buckets[hashKey(v)])
+				add(ix.buckets[v.Hash()])
 			}
 		default:
 			for _, es := range ix.buckets { // range on a hash index: no help

@@ -2,6 +2,8 @@ package scdb
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +80,51 @@ func TestValueConversionRoundTrip(t *testing.T) {
 	}
 	if _, err := toValue(struct{}{}); err == nil {
 		t.Error("unsupported type must error")
+	}
+}
+
+// TestEqualFloatsShareHashedOperators: -0.0 equals 0, and any two NaNs are
+// Equal, so every operator that keys on Value.Hash must see one value. Hash
+// used to hash the float's bits: WHERE x = 0 found both zero rows, but
+// GROUP BY and DISTINCT split them and a hash join on 0 dropped the -0.0 row.
+func TestEqualFloatsShareHashedOperators(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 0x2)
+	for _, src := range []Source{
+		{Name: "t", Entities: []Entity{
+			{Key: "a", Attrs: Record{"name": "alpha", "x": 0.0}},
+			{Key: "b", Attrs: Record{"name": "bravo", "x": math.Copysign(0, -1)}},
+		}},
+		{Name: "u", Entities: []Entity{{Key: "c", Attrs: Record{"label": "charlie", "y": 0}}}},
+		{Name: "n", Entities: []Entity{
+			{Key: "d", Attrs: Record{"name": "delta", "x": math.NaN()}},
+			{Key: "e", Attrs: Record{"name": "echo", "x": otherNaN}},
+		}},
+	} {
+		if err := db.Ingest(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for q, want := range map[string]string{
+		"SELECT name FROM t WHERE x = 0 ORDER BY name":             "[[alpha] [bravo]]",
+		"SELECT COUNT(*) AS k FROM t GROUP BY x":                   "[[2]]",
+		"SELECT DISTINCT x FROM t":                                 "[[0]]",
+		"SELECT t.name FROM t JOIN u ON t.x = u.y ORDER BY t.name": "[[alpha] [bravo]]",
+		"SELECT COUNT(*) AS k FROM n GROUP BY x":                   "[[2]]",
+		"SELECT DISTINCT x FROM n":                                 "[[NaN]]",
+	} {
+		rows, err := db.Query(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		if got := fmt.Sprint(rows.Data); got != want {
+			t.Errorf("%s = %s, want %s", q, got, want)
+		}
 	}
 }
 
