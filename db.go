@@ -242,6 +242,14 @@ func toDataset(src Source) (datagen.Dataset, error) {
 }
 
 // Rows is a materialized query result with public values.
+//
+// The rows of a result, or of one row batch when the result came through
+// a router or over the wire, are slices of one backing array, each with
+// cap equal to len, so appending to a row copies it rather than writing
+// into the next. A column whose cells share one kind holds them in one
+// typed array, and a retained cell keeps that array alive: one batch's
+// column, or one result's column on an embedded DB. A string cell decoded
+// off the wire also keeps its frame's string table alive.
 type Rows struct {
 	Columns []string
 	Data    [][]any
@@ -294,17 +302,7 @@ func (db *DB) QueryInfoCtx(ctx context.Context, q string) (*Rows, *QueryInfo, er
 	if err != nil {
 		return nil, nil, err
 	}
-	out := &Rows{Columns: res.Columns}
-	if len(res.Rows) > 0 {
-		out.Data = make([][]any, 0, len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		row := make([]any, len(r))
-		for i, v := range r {
-			row[i] = fromValue(v)
-		}
-		out.Data = append(out.Data, row)
-	}
+	out := &Rows{Columns: res.Columns, Data: FromRows(nil, res.Rows)}
 	pub := &QueryInfo{
 		Plan:          info.Plan,
 		Rules:         info.Rules,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scdb/internal/datagen"
+	"scdb/internal/query"
 	"scdb/internal/storage"
 )
 
@@ -83,6 +84,41 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 	}
 	if info.PlanCached {
 		t.Error("schema change must invalidate the cached plan")
+	}
+}
+
+// TestPlanCacheCarriesMatKey: the materialization-cache key is the
+// statement's canonical text whether the plan cache hits or misses. A hit
+// takes it from the entry, so it must find what the miss stored; another
+// spelling misses the plan cache and renders the same key.
+func TestPlanCacheCarriesMatKey(t *testing.T) {
+	db := openLifeSciWith(t, func(o *Options) { o.DisableMatCache = false })
+	const q = "SELECT name FROM drugbank WHERE name LIKE 'W%' ORDER BY name"
+	stmt, err := query.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct{ planCached, cacheHit bool }{{false, false}, {true, true}} {
+		_, info, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.PlanCached != want.planCached || info.CacheHit != want.cacheHit {
+			t.Errorf("run %d: plan cached %v, result cached %v; want %+v", i, info.PlanCached, info.CacheHit, want)
+		}
+	}
+	db.plans.mu.Lock()
+	ent := db.plans.entries[planKey{src: q, schema: db.store.SchemaVersion(), onto: db.onto.Version()}]
+	db.plans.mu.Unlock()
+	if ent == nil || ent.key != stmt.String() {
+		t.Fatalf("plan-cache entry %+v, want key %q", ent, stmt.String())
+	}
+	_, info, err := db.Query("SELECT  name FROM drugbank  WHERE name LIKE 'W%' ORDER BY name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.PlanCached || !info.CacheHit {
+		t.Errorf("respelled statement: plan cached %v, result cached %v; want a plan miss and a result hit", info.PlanCached, info.CacheHit)
 	}
 }
 

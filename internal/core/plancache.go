@@ -27,6 +27,7 @@ type planKey struct {
 
 type planEntry struct {
 	stmt     *query.SelectStmt
+	key      string // stmt.String(), the materialization-cache key
 	plan     query.Node
 	planText string
 	rules    []string

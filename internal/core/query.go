@@ -120,10 +120,13 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 	// EXPLAIN statements are never cached, so they can't hit either.
 	var stmt *query.SelectStmt
 	var plan query.Node
+	// key is the statement's canonical text, the materialization-cache key;
+	// a plan-cache hit carries it, so only a miss renders the statement.
+	var key string
 	pk := planKey{src: src, schema: db.store.SchemaVersion(), onto: db.onto.Version()}
 	if !db.opts.DisablePlanCache {
 		if ent, ok := db.plans.get(pk); ok {
-			stmt, plan = ent.stmt, ent.plan
+			stmt, plan, key = ent.stmt, ent.plan, ent.key
 			info.Plan = ent.planText
 			info.Rules = ent.rules
 			info.EstimatedCost = ent.cost
@@ -137,6 +140,7 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 		if err != nil {
 			return nil, nil, err
 		}
+		key = stmt.String()
 	}
 	info.Mode = stmt.Mode
 
@@ -153,7 +157,6 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 	}
 	root := tr.Root("request")
 
-	key := stmt.String()
 	// Traced statements always execute: a materialization-cache hit would
 	// short-circuit the very work the trace is meant to expose. (They may
 	// still hit the plan cache — the trace reports that as plan_cached.)
@@ -186,7 +189,7 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 			// Plans and statements are immutable after optimization, so the
 			// cached entry can serve concurrent executions.
 			db.plans.put(pk, &planEntry{
-				stmt: stmt, plan: plan, planText: info.Plan, rules: info.Rules,
+				stmt: stmt, key: key, plan: plan, planText: info.Plan, rules: info.Rules,
 				cost: info.EstimatedCost, morsels: info.EstimatedMorsels,
 			})
 		}

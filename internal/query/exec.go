@@ -1001,19 +1001,26 @@ type groupPartial struct {
 }
 
 // collectAggCalls gathers the distinct aggregate calls that finalization
-// will need states for, wherever containsAggregate finds them.
-func collectAggCalls(n *AggregateNode) []*Call {
+// will need states for, wherever containsAggregate finds them, and maps
+// every such Call node of the items and HAVING to its call's state index:
+// calls spelled alike share one state, and finalization looks a node up
+// without rendering it.
+func collectAggCalls(n *AggregateNode) ([]*Call, map[*Call]int) {
 	var calls []*Call
-	seen := map[string]bool{}
+	byText := map[string]int{}
+	idx := map[*Call]int{}
 	collect := func(e Expr) (Expr, error) {
 		c, ok := e.(*Call)
 		if !ok || !aggFuncs[c.Name] {
 			return nil, nil
 		}
-		if !seen[c.String()] {
-			seen[c.String()] = true
+		i, seen := byText[c.String()]
+		if !seen {
+			i = len(calls)
+			byText[c.String()] = i
 			calls = append(calls, c)
 		}
+		idx[c] = i
 		return c, nil
 	}
 	for _, it := range n.Items {
@@ -1022,7 +1029,7 @@ func collectAggCalls(n *AggregateNode) []*Call {
 	if n.Having != nil {
 		Rewrite(n.Having, collect)
 	}
-	return calls
+	return calls, idx
 }
 
 func finalizeAgg(call *Call, g *groupAgg, idx int) (model.Value, error) {
@@ -1074,9 +1081,9 @@ func finalizeAgg(call *Call, g *groupAgg, idx int) (model.Value, error) {
 // aggregate calls finalize their state, aggregate-free subexpressions
 // evaluate on the group's representative row, and whatever node sits above
 // an aggregate is evaluated over those results.
-func (x *execCtx) evalFromStates(e Expr, g *groupAgg, callIdx map[string]int) (model.Value, error) {
+func (x *execCtx) evalFromStates(e Expr, g *groupAgg, callIdx map[*Call]int) (model.Value, error) {
 	if c, ok := e.(*Call); ok && aggFuncs[c.Name] {
-		return finalizeAgg(c, g, callIdx[c.String()])
+		return finalizeAgg(c, g, callIdx[c])
 	}
 	if !containsAggregate(e) {
 		if !g.hasRep {
@@ -1116,11 +1123,7 @@ func (x *execCtx) buildAggregate(n *AggregateNode) (*stream, []string, *OpStats,
 	for i, it := range n.Items {
 		cols[i] = it.Label()
 	}
-	calls := collectAggCalls(n)
-	callIdx := make(map[string]int, len(calls))
-	for i, c := range calls {
-		callIdx[c.String()] = i
-	}
+	calls, callIdx := collectAggCalls(n)
 
 	// Phase 1: per-morsel partial grouping on the worker pool.
 	partials, err := parMap(in, x.workers, func(m morsel) (*groupPartial, error) {

@@ -282,6 +282,33 @@ func TestHaving(t *testing.T) {
 	}
 }
 
+// TestAggregateCallsSpelledTwice: a call spelled twice — in two items, in
+// an item and HAVING, or only in HAVING — finalizes from one shared state,
+// each occurrence reading the right one.
+func TestAggregateCallsSpelledTwice(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{{
+		src: "SELECT gene, COUNT(*) AS n, COUNT(*) + 1 AS m, MAX(drug) AS hi, LENGTH(MAX(drug)) AS len " +
+			"FROM targets GROUP BY gene HAVING COUNT(*) >= 1 AND MAX(drug) > 'A' ORDER BY gene",
+		want: `"DHFR" 1 2 "Methotrexate" 12; "PTGS2" 2 3 "Ibuprofen" 9; "VKORC1" 1 2 "Warfarin" 8`,
+	}, {
+		src:  "SELECT gene, MAX(drug) AS hi FROM targets GROUP BY gene HAVING MIN(drug) < 'J' AND MIN(drug) <> MAX(drug)",
+		want: `"PTGS2" "Ibuprofen"`,
+	}} {
+		src, want := tc.src, tc.want
+		var rows []string
+		for _, r := range mustRun(t, src).Rows {
+			cells := make([]string, len(r))
+			for i, v := range r {
+				cells[i] = v.String()
+			}
+			rows = append(rows, strings.Join(cells, " "))
+		}
+		if got := strings.Join(rows, "; "); got != want {
+			t.Errorf("%s\n got %s\nwant %s", src, got, want)
+		}
+	}
+}
+
 func TestDistinctWithAggregates(t *testing.T) {
 	// Two groups share count 1 — DISTINCT over the counts collapses them.
 	res := mustRun(t, "SELECT DISTINCT COUNT(*) AS n FROM targets GROUP BY gene ORDER BY n")

@@ -41,11 +41,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"scdb"
+	"scdb/internal/box"
 	"scdb/internal/model"
 )
 
@@ -511,7 +513,9 @@ type v2Dec struct {
 
 var errV2Truncated = errors.New("wire2: truncated frame")
 
-// newV2Dec parses the leading intern table.
+// newV2Dec parses the leading intern table into one string, the entries
+// substrings of it: one allocation per frame, not one per entry. A string
+// a caller keeps keeps the frame's table alive with it.
 func newV2Dec(payload []byte) (*v2Dec, error) {
 	d := &v2Dec{b: payload}
 	n, err := d.uvarint()
@@ -523,19 +527,23 @@ func newV2Dec(payload []byte) (*v2Dec, error) {
 	if n > uint64(len(d.b)) {
 		return nil, fmt.Errorf("wire2: intern table count %d exceeds frame", n)
 	}
-	if n > 0 {
-		d.tab = make([]string, n)
-		for i := range d.tab {
-			ln, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if ln > uint64(len(d.b)) {
-				return nil, errV2Truncated
-			}
-			d.tab[i] = string(d.b[:ln])
-			d.b = d.b[ln:]
+	if n == 0 {
+		return d, nil
+	}
+	tab := d.b
+	for i := uint64(0); i < n; i++ {
+		if _, err := d.view(); err != nil {
+			return nil, err
 		}
+	}
+	tab = tab[:len(tab)-len(d.b)]
+	all, off := string(tab), 0
+	d.tab = make([]string, n)
+	for i := range d.tab {
+		ln, k := binary.Uvarint(tab[off:])
+		off += k
+		d.tab[i] = all[off : off+int(ln)]
+		off += int(ln)
 	}
 	return d, nil
 }
@@ -585,7 +593,9 @@ func (d *v2Dec) str() (string, error) {
 	return d.tab[i], nil
 }
 
-func (d *v2Dec) rawBytes() ([]byte, error) {
+// view reads a length-prefixed byte string without copying it: the result
+// aliases the payload, with cap equal to len.
+func (d *v2Dec) view() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -593,9 +603,19 @@ func (d *v2Dec) rawBytes() ([]byte, error) {
 	if n > uint64(len(d.b)) {
 		return nil, errV2Truncated
 	}
-	out := make([]byte, n)
-	copy(out, d.b[:n])
+	b := d.b[:n:n]
 	d.b = d.b[n:]
+	return b, nil
+}
+
+// rawBytes reads a length-prefixed byte string into a copy of its own.
+func (d *v2Dec) rawBytes() ([]byte, error) {
+	b, err := d.view()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out, nil
 }
 
@@ -719,7 +739,11 @@ func EncodeV2RowBatch(e *V2Enc, id uint32, batch [][]model.Value) []byte {
 }
 
 // DecodeV2RowBatch appends a batch frame's rows (public facade values) to
-// dst and returns the grown slice.
+// dst and returns the grown slice. The batch's rows share one backing
+// array, each sliced with cap equal to len. A column the frame tags with
+// one kind keeps its cells in one typed slab (package box), bytes cells
+// in one buffer, and string cells are substrings of the frame's intern
+// table; bools, all-null and mixed-kind columns box cell by cell.
 func DecodeV2RowBatch(payload []byte, dst [][]any) ([][]any, error) {
 	d, err := newV2Dec(payload)
 	if err != nil {
@@ -736,32 +760,98 @@ func DecodeV2RowBatch(payload []byte, dst [][]any) ([][]any, error) {
 	if nrows > v2MaxRowsPerBatch || ncols > v2MaxCols || nrows*ncols > v2MaxCells {
 		return nil, fmt.Errorf("wire2: batch dimensions %d x %d out of bounds", nrows, ncols)
 	}
+	// One backing array holds the batch; each row is a slice of it with cap
+	// equal to len.
+	w := int(ncols)
+	back := make([]any, int(nrows)*w)
 	base := len(dst)
-	for r := uint64(0); r < nrows; r++ {
-		dst = append(dst, make([]any, ncols))
+	dst = slices.Grow(dst, int(nrows))
+	for r := 0; r < int(nrows); r++ {
+		dst = append(dst, back[r*w:(r+1)*w:(r+1)*w])
 	}
-	for c := uint64(0); c < ncols; c++ {
+	rows := dst[base:]
+	for c := 0; c < w; c++ {
 		tag, err := d.u8()
 		if err != nil {
 			return nil, err
 		}
-		if tag == v2kList {
+		switch tag {
+		case v2kList:
 			return nil, errors.New("wire2: list column must be mixed-tagged")
+		case v2kInt:
+			err = decodeColumn(d, rows, c, 8, func(d *v2Dec) (int64, error) {
+				v, err := d.u64le()
+				return int64(v), err
+			})
+		case v2kFloat:
+			err = decodeColumn(d, rows, c, 8, (*v2Dec).f64)
+		case v2kStr:
+			err = decodeColumn(d, rows, c, 1, (*v2Dec).str)
+		case v2kTime:
+			err = decodeColumn(d, rows, c, 8, func(d *v2Dec) (time.Time, error) {
+				v, err := d.u64le()
+				return time.Unix(0, int64(v)).UTC(), err
+			})
+		case v2kRef:
+			err = decodeColumn(d, rows, c, 8, func(d *v2Dec) (scdb.EntityRef, error) {
+				v, err := d.u64le()
+				return scdb.EntityRef(v), err
+			})
+		case v2kBytes:
+			err = d.bytesColumn(rows, c)
+		default: // all null, bools or mixed kinds: one value at a time
+			for _, row := range rows {
+				if tag == v2kMixed {
+					row[c], err = d.value(0)
+				} else {
+					row[c], err = d.valueOfKind(tag, 0)
+				}
+				if err != nil {
+					break
+				}
+			}
 		}
-		for r := uint64(0); r < nrows; r++ {
-			var v any
-			if tag == v2kMixed {
-				v, err = d.value(0)
-			} else {
-				v, err = d.valueOfKind(tag, 0)
-			}
-			if err != nil {
-				return nil, err
-			}
-			dst[base+int(r)][c] = v
+		if err != nil {
+			return nil, err
 		}
 	}
 	return dst, nil
+}
+
+// decodeColumn reads a homogeneous column into one slab. Every cell costs
+// at least minBytes, which is checked before the slab is allocated.
+func decodeColumn[T box.Cell](d *v2Dec, rows [][]any, c, minBytes int, read func(*v2Dec) (T, error)) error {
+	if len(d.b) < len(rows)*minBytes {
+		return errV2Truncated
+	}
+	s := box.New[T](len(rows))
+	for _, row := range rows {
+		v, err := read(d)
+		if err != nil {
+			return err
+		}
+		row[c] = s.Add(v)
+	}
+	return nil
+}
+
+// bytesColumn reads a bytes column into one buffer, sized by a first pass
+// over the lengths; each cell is a slice of it with cap equal to len.
+func (d *v2Dec) bytesColumn(rows [][]any, c int) error {
+	probe, size := *d, 0
+	for range rows {
+		b, err := probe.view()
+		if err != nil {
+			return err
+		}
+		size += len(b)
+	}
+	buf := make([]byte, 0, size)
+	return decodeColumn(d, rows, c, 1, func(d *v2Dec) ([]byte, error) {
+		b, err := d.view()
+		buf = append(buf, b...)
+		return buf[len(buf)-len(b) : len(buf) : len(buf)], err
+	})
 }
 
 // --- requests -----------------------------------------------------------
@@ -783,7 +873,7 @@ func DecodeV2Query(payload []byte) (q string, timeoutMS int64, err error) {
 	if err != nil {
 		return "", 0, err
 	}
-	b, err := d.rawBytes()
+	b, err := d.view()
 	if err != nil {
 		return "", 0, err
 	}
@@ -1127,7 +1217,7 @@ func DecodeV2Error(payload []byte) (code, msg string, err error) {
 	if err != nil {
 		return "", "", err
 	}
-	mb, err := d.rawBytes()
+	mb, err := d.view()
 	if err != nil {
 		return "", "", err
 	}
@@ -1335,7 +1425,7 @@ func DecodeV2Result(payload []byte) (*V2Result, error) {
 			sum.ElapsedUS, sum.RowsPerSec = int64(us), rps
 			res.Ingest = sum
 		}
-		tb, err := d.rawBytes()
+		tb, err := d.view()
 		if err != nil {
 			return nil, err
 		}

@@ -23,6 +23,7 @@ package shard
 // shard count or arrival order.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -58,13 +59,7 @@ func (r *Router) Explain(q string) (*scdb.QueryInfo, error) {
 func (r *Router) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
 	rows := &scdb.Rows{}
 	cols, info, err := r.QueryBatchesCtx(ctx, q, func(_ []string, batch [][]model.Value) bool {
-		for _, vals := range batch {
-			row := make([]any, len(vals))
-			for i, v := range vals {
-				row[i] = scdb.FromValue(v)
-			}
-			rows.Data = append(rows.Data, row)
-		}
+		rows.Data = scdb.FromRows(rows.Data, batch)
 		return true
 	})
 	if err != nil {
@@ -91,7 +86,7 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 		if err != nil {
 			return nil, nil, err
 		}
-		rows, err := values(res, nil, len(res.Columns))
+		rows, err := values(nil, res, nil, len(res.Columns))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -141,15 +136,18 @@ func (r *Router) fanout(ctx context.Context, q string) ([]*scdb.Rows, error) {
 	return res, nil
 }
 
-// values converts one shard's rows to model values of the given width,
-// placing the shard's column i at pos[i] (nil: in place).
-func values(rs *scdb.Rows, pos []int, width int) ([][]model.Value, error) {
-	out := make([][]model.Value, len(rs.Data))
-	for i, row := range rs.Data {
+// values appends one shard's rows to dst as model values of the given
+// width, placing the shard's column i at pos[i] (nil: in place). The rows
+// share one backing array.
+func values(dst [][]model.Value, rs *scdb.Rows, pos []int, width int) ([][]model.Value, error) {
+	back := make([]model.Value, len(rs.Data)*width)
+	dst = slices.Grow(dst, len(rs.Data))
+	for _, row := range rs.Data {
 		if len(row) != len(rs.Columns) {
 			return nil, fmt.Errorf("shard: partial row has %d values under %d columns", len(row), len(rs.Columns))
 		}
-		vals := make([]model.Value, width)
+		vals := back[:width:width]
+		back = back[width:]
 		for j, c := range row {
 			v, err := scdb.ToValue(c)
 			if err != nil {
@@ -160,9 +158,9 @@ func values(rs *scdb.Rows, pos []int, width int) ([][]model.Value, error) {
 			}
 			vals[j] = v
 		}
-		out[i] = vals
+		dst = append(dst, vals)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // gather concatenates the shards' rows under cols, in canonical order: the
@@ -188,15 +186,25 @@ func gather(res []*scdb.Rows, cols []string, star bool) ([][]model.Value, error)
 		} else if len(rs.Columns) != len(cols) {
 			return nil, fmt.Errorf("shard: partial result has columns %v, want %v", rs.Columns, cols)
 		}
-		part, err := values(rs, pos, len(cols))
-		if err != nil {
+		var err error
+		if rows, err = values(rows, rs, pos, len(cols)); err != nil {
 			return nil, err
 		}
-		rows = append(rows, part...)
 	}
-	keys := make([]string, len(rows))
+	// Every row's canonical key, its cells in the self-delimiting binary
+	// value encoding, goes into one buffer; keys[i] is row i's.
+	var buf []byte
+	ends := make([]int, len(rows))
 	for i, vals := range rows {
-		keys[i] = encodeRow(vals)
+		for _, v := range vals {
+			buf = model.AppendValue(buf, v)
+		}
+		ends[i] = len(buf)
+	}
+	keys := make([][]byte, len(rows))
+	start := 0
+	for i, end := range ends {
+		keys[i], start = buf[start:end], end
 	}
 	sort.Sort(byKey{keys, rows})
 	return rows, nil
@@ -204,12 +212,12 @@ func gather(res []*scdb.Rows, cols []string, star bool) ([][]model.Value, error)
 
 // byKey sorts rows by their aligned canonical keys.
 type byKey struct {
-	keys []string
+	keys [][]byte
 	rows [][]model.Value
 }
 
 func (b byKey) Len() int           { return len(b.keys) }
-func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Less(i, j int) bool { return bytes.Compare(b.keys[i], b.keys[j]) < 0 }
 func (b byKey) Swap(i, j int) {
 	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 	b.rows[i], b.rows[j] = b.rows[j], b.rows[i]

@@ -49,7 +49,6 @@ import (
 	"scdb"
 	"scdb/client"
 	"scdb/internal/er"
-	"scdb/internal/model"
 	"scdb/internal/server"
 )
 
@@ -385,14 +384,4 @@ func (r *Router) ShardingStats() *server.WireShardingStats {
 		})
 	}
 	return ws
-}
-
-// encodeRow renders a row in the canonical self-delimiting binary value
-// encoding — the total order gathered rows are sorted by.
-func encodeRow(vals []model.Value) string {
-	var buf []byte
-	for _, v := range vals {
-		buf = model.AppendValue(buf, v)
-	}
-	return string(buf)
 }

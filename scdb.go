@@ -30,8 +30,10 @@ package scdb
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"scdb/internal/box"
 	"scdb/internal/curate"
 	"scdb/internal/extract"
 	"scdb/internal/model"
@@ -183,9 +185,99 @@ func fromValue(v model.Value) any {
 // binary form row merging sorts by; application code rarely needs it.
 func ToValue(v any) (model.Value, error) { return toValue(v) }
 
-// FromValue converts an internal model value back to its public form,
-// reversing ToValue.
-func FromValue(v model.Value) any { return fromValue(v) }
+// FromRows appends rows to dst in public form, as fromValue converts each
+// cell. The appended rows share one backing array, each sliced with cap
+// equal to len, and a column whose non-null cells share one kind keeps
+// them in one typed slab (package box), so a result costs a few objects
+// per column instead of one per cell. Nulls and bools box for free; lists
+// and mixed-kind columns convert cell by cell. Bytes cells are copies
+// carved from one buffer per column. DB.QueryInfoCtx and the shard router
+// build their results with it.
+func FromRows(dst [][]any, rows [][]model.Value) [][]any {
+	cells, width := 0, 0
+	for _, r := range rows {
+		cells += len(r)
+		width = max(width, len(r))
+	}
+	back := make([]any, cells)
+	base := len(dst)
+	dst = slices.Grow(dst, len(rows))
+	for _, r := range rows {
+		dst = append(dst, back[:len(r):len(r)])
+		back = back[len(r):]
+	}
+	out := dst[base:]
+	for c := 0; c < width; c++ {
+		switch kind, n := columnKind(rows, c); kind {
+		case model.KindString:
+			fillColumn(out, rows, c, box.New[string](n), model.Value.AsString)
+		case model.KindInt:
+			fillColumn(out, rows, c, box.New[int64](n), model.Value.AsInt)
+		case model.KindFloat:
+			fillColumn(out, rows, c, box.New[float64](n), model.Value.AsFloat)
+		case model.KindTime:
+			fillColumn(out, rows, c, box.New[time.Time](n), model.Value.AsTime)
+		case model.KindRef:
+			fillColumn(out, rows, c, box.New[EntityRef](n), func(v model.Value) (EntityRef, bool) {
+				id, ok := v.AsRef()
+				return EntityRef(id), ok
+			})
+		case model.KindBytes:
+			size := 0
+			for _, r := range rows {
+				if c < len(r) {
+					b, _ := r[c].AsBytes()
+					size += len(b)
+				}
+			}
+			buf := make([]byte, 0, size)
+			fillColumn(out, rows, c, box.New[[]byte](n), func(v model.Value) ([]byte, bool) {
+				b, ok := v.AsBytes()
+				if len(b) == 0 {
+					return b, ok // nil and empty stay apart, as fromValue keeps them
+				}
+				buf = append(buf, b...)
+				return buf[len(buf)-len(b) : len(buf) : len(buf)], ok
+			})
+		default:
+			for i, r := range rows {
+				if c < len(r) {
+					out[i][c] = fromValue(r[c])
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// columnKind returns the kind column c's non-null cells share and their
+// count, or KindList, which converts cell by cell, when the kinds differ.
+func columnKind(rows [][]model.Value, c int) (model.Kind, int) {
+	kind, n := model.KindNull, 0
+	for _, r := range rows {
+		if c >= len(r) || r[c].IsNull() {
+			continue
+		}
+		if n > 0 && r[c].Kind() != kind {
+			return model.KindList, 0
+		}
+		kind = r[c].Kind()
+		n++
+	}
+	return kind, n
+}
+
+// fillColumn boxes column c's cells into s; get reports false for the
+// column's nulls, which stay nil.
+func fillColumn[T box.Cell](out [][]any, rows [][]model.Value, c int, s box.Slab[T], get func(model.Value) (T, bool)) {
+	for i, r := range rows {
+		if c < len(r) {
+			if v, ok := get(r[c]); ok {
+				out[i][c] = s.Add(v)
+			}
+		}
+	}
+}
 
 // toRecord converts a public record.
 func toRecord(r Record) (model.Record, error) {
