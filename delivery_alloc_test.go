@@ -1,0 +1,113 @@
+package scdb
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// deliveryStream builds deliveries shaped like the standing benchmark's
+// ingest stream: four feeds in turn, each entity a three-word lower-case
+// name and a four-letter city, and about 30 % of a delivery re-mentioning
+// an entity another feed delivered earlier, with a typo, two words swapped
+// or one dropped.
+func deliveryStream(seed int64, n, per int) []Source {
+	rng := rand.New(rand.NewSource(seed))
+	word := func(l int) string {
+		b := make([]byte, l)
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	vocab := make([]string, 20000)
+	for i := range vocab {
+		vocab[i] = word(5 + rng.Intn(6))
+	}
+	cities := make([]string, 40)
+	for i := range cities {
+		cities[i] = word(4)
+	}
+	type mention struct {
+		feed  int
+		words [3]string
+		city  string
+	}
+	feeds := [...]string{"feed_a", "feed_b", "feed_c", "feed_d"}
+	var pool []mention
+	serial := make([]int, len(feeds))
+	out := make([]Source, 0, n)
+	for d := 0; d < n; d++ {
+		feed := d % len(feeds)
+		src := Source{Name: feeds[feed], Entities: make([]Entity, 0, per)}
+		var fresh []mention
+		for e := 0; e < per; e++ {
+			var m mention
+			if i := rng.Intn(max(len(pool), 1)); len(pool) > 0 && pool[i].feed != feed && rng.Float64() < 0.3 {
+				m = pool[i]
+				switch rng.Intn(3) {
+				case 0:
+					b := []byte(m.words[0])
+					b[0] = 'a' + (b[0]-'a'+1)%26
+					m.words[0] = string(b)
+				case 1:
+					m.words[0], m.words[1] = m.words[1], m.words[0]
+				default:
+					m.words[2] = ""
+				}
+			} else {
+				m = mention{feed: feed, city: cities[rng.Intn(len(cities))]}
+				for i := range m.words {
+					m.words[i] = vocab[rng.Intn(len(vocab))]
+				}
+				fresh = append(fresh, m)
+			}
+			serial[feed]++
+			src.Entities = append(src.Entities, Entity{
+				Key:   fmt.Sprintf("%s-%06d", feeds[feed][5:], serial[feed]),
+				Attrs: Record{"name": strings.TrimSpace(strings.Join(m.words[:], " ")), "city": m.city},
+			})
+		}
+		pool = append(pool, fresh...)
+		out = append(out, src)
+	}
+	return out
+}
+
+// TestDeliveryAllocBudget is the ingest allocation gate: one 200-entity
+// delivery through IngestCtx on a durable store, after a warm-up that gives
+// the resolver blocks worth searching. The attribute map an arrival brings
+// is kept by the graph rather than copied, each of its values is normalized
+// once for the resolver, the attribute index and the gazetteer, and its
+// batch is encoded into one buffer, so a delivery costs at most 30 objects
+// an entity (24 on go1.24/linux/amd64). The same test measured 41 at commit 2f5c776, before
+// any of that.
+func TestDeliveryAllocBudget(t *testing.T) {
+	const per, warm, runs = 200, 40, 8
+	db, err := Open(Options{Dir: t.TempDir(), Sync: SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	stream := deliveryStream(7, warm+runs+1, per)
+	ctx := context.Background()
+	for _, src := range stream[:warm] {
+		if err := db.IngestCtx(ctx, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := db.IngestCtx(ctx, stream[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	perEntity := allocs / per
+	t.Logf("one %d-entity delivery allocates %.0f objects, %.1f an entity", per, allocs, perEntity)
+	if perEntity > 30 {
+		t.Errorf("a delivery allocates %.1f objects an entity, budget 30; the same delivery cost 41 at commit 2f5c776", perEntity)
+	}
+}

@@ -178,19 +178,6 @@ func (p *Pipeline) IngestDataset(ds datagen.Dataset) error {
 	return p.IngestDatasetOpts(ds, IngestOptions{})
 }
 
-// normEntry is one precomputed (raw, normalized) string attribute value,
-// the decode stage's contribution to attribute indexing.
-type normEntry struct {
-	raw  string
-	norm string
-}
-
-// decodedBatch is the decode stage's output for one chunk of entity specs.
-type decodedBatch struct {
-	recs  []model.Record
-	norms [][]normEntry
-}
-
 // buildInstanceRecord turns a spec into the instance-layer row (attributes
 // plus _key and asserted types, so the relation layer is rebuildable).
 func buildInstanceRecord(spec datagen.EntitySpec) model.Record {
@@ -206,34 +193,13 @@ func buildInstanceRecord(spec datagen.EntitySpec) model.Record {
 	return rec
 }
 
-// computeNorms extracts and normalizes the spec's string attribute values
-// (the CPU-heavy half of attribute indexing; pure, so it parallelizes).
-func computeNorms(attrs model.Record) []normEntry {
-	var norms []normEntry
-	for _, k := range attrs.Keys() {
-		s, ok := attrs[k].AsString()
-		if !ok || s == "" {
-			continue
-		}
-		norm := er.Normalize(s)
-		if norm == "" {
-			continue
-		}
-		norms = append(norms, normEntry{raw: s, norm: norm})
-	}
-	return norms
-}
-
-func decodeChunk(chunk []datagen.EntitySpec) decodedBatch {
-	d := decodedBatch{
-		recs:  make([]model.Record, len(chunk)),
-		norms: make([][]normEntry, len(chunk)),
-	}
+// decodeChunk builds the instance-layer rows of one chunk of entity specs.
+func decodeChunk(chunk []datagen.EntitySpec) []model.Record {
+	recs := make([]model.Record, len(chunk))
 	for i, spec := range chunk {
-		d.recs[i] = buildInstanceRecord(spec)
-		d.norms[i] = computeNorms(spec.Attrs)
+		recs[i] = buildInstanceRecord(spec)
 	}
-	return d
+	return recs
 }
 
 // IngestDatasetOpts runs the staged curation pass: decode fans out on a
@@ -268,7 +234,7 @@ func (p *Pipeline) IngestDatasetOpts(ds datagen.Dataset, opt IngestOptions) erro
 		hi := min(lo+batchSize, len(ds.Entities))
 		chunks = append(chunks, ds.Entities[lo:hi])
 	}
-	decoded := make([]decodedBatch, len(chunks))
+	decoded := make([][]model.Record, len(chunks))
 	var ready []chan struct{}
 	if workers > 1 && len(chunks) > 1 {
 		ready = make([]chan struct{}, len(chunks))
@@ -322,21 +288,21 @@ func (p *Pipeline) IngestDatasetOpts(ds datagen.Dataset, opt IngestOptions) erro
 			decoded[ci] = decodeChunk(chunks[ci])
 			decodeBusy.Add(int64(time.Since(start)))
 		}
-		d := &decoded[ci]
+		recs := decoded[ci]
 
 		// Stage 2 — instance layer: one latch acquisition, one zone-map and
 		// index maintenance pass, one multi-record log frame per batch.
 		start := time.Now()
 		if batchSize == 1 {
-			if _, err := table.Insert(d.recs[0]); err != nil {
+			if _, err := table.Insert(recs[0]); err != nil {
 				return err
 			}
-		} else if _, err := table.InsertBatch(d.recs); err != nil {
+		} else if _, err := table.InsertBatch(recs); err != nil {
 			return err
 		}
-		p.stats.Records += len(d.recs)
+		p.stats.Records += len(recs)
 		if p.cat != nil {
-			for _, rec := range d.recs {
+			for _, rec := range recs {
 				p.cat.Observe(ds.Source, rec)
 			}
 		}
@@ -355,7 +321,7 @@ func (p *Pipeline) IngestDatasetOpts(ds datagen.Dataset, opt IngestOptions) erro
 			scoreBusy += prep.ScoreDur()
 		}
 		for i, spec := range chunks[ci] {
-			if err := p.relatePrepared(ds.Source, spec, d.norms[i], preps[i], &touched); err != nil {
+			if err := p.relatePrepared(ds.Source, spec, preps[i], &touched); err != nil {
 				return err
 			}
 		}
@@ -416,8 +382,7 @@ func (p *Pipeline) IngestDatasetOpts(ds datagen.Dataset, opt IngestOptions) erro
 func (p *Pipeline) prepareChunk(source string, chunk []datagen.EntitySpec, workers int) []*er.Prepared {
 	preps := make([]*er.Prepared, len(chunk))
 	prep := func(i int) {
-		spec := chunk[i]
-		preps[i] = p.resolver.Prepare(&model.Entity{Key: spec.Key, Source: source, Types: spec.Types, Attrs: spec.Attrs, Confidence: 1})
+		preps[i] = p.resolver.Prepare(arrival(source, chunk[i]))
 	}
 	if workers <= 1 || len(chunk) < 2 {
 		for i := range chunk {
@@ -447,29 +412,34 @@ func (p *Pipeline) prepareChunk(source string, chunk []datagen.EntitySpec, worke
 
 // relateSpec runs the relation layer for one entity: graph insertion,
 // attribute indexing, and incremental ER against everything already
-// curated. The serial entry point (replay/rebuild); live ingest goes
-// through prepareChunk + relatePrepared.
-func (p *Pipeline) relateSpec(source string, spec datagen.EntitySpec, norms []normEntry, touched *[]model.EntityID) error {
-	return p.relatePrepared(source, spec, norms, nil, touched)
+// curated. The serial entry point (replay/rebuild); live ingest prepares a
+// chunk at a time (prepareChunk) and then relates each spec in order.
+func (p *Pipeline) relateSpec(source string, spec datagen.EntitySpec, touched *[]model.EntityID) error {
+	return p.relatePrepared(source, spec, p.resolver.Prepare(arrival(source, spec)), touched)
+}
+
+// arrival is the entity a spec delivers, before it has an ID.
+func arrival(source string, spec datagen.EntitySpec) *model.Entity {
+	return &model.Entity{Key: spec.Key, Source: source, Types: spec.Types, Attrs: spec.Attrs, Confidence: 1}
 }
 
 // relatePrepared is the order-sensitive half of the relation layer for
 // one entity: graph insertion, attribute indexing, and the resolver's
-// ordered commit. prep carries the pre-scored candidate set computed
-// against the pre-chunk snapshot; it is valid only for a key new to the
-// graph — a re-delivered key merges attributes into the existing entity,
-// so the record is re-scored serially from the resolved entity, exactly
-// as a serial pass would. nil prep always takes the serial path.
-func (p *Pipeline) relatePrepared(source string, spec datagen.EntitySpec, norms []normEntry, prep *er.Prepared, touched *[]model.EntityID) error {
+// ordered commit. prep is the spec's Prepare against the state before its
+// chunk. Its normalized attribute texts are the ones the attribute index
+// and the gazetteer keep. Its candidate set is valid only for a key new to
+// the graph — a re-delivered key merges attributes into the existing
+// entity, so the record is re-scored serially from the resolved entity,
+// exactly as a serial pass would.
+func (p *Pipeline) relatePrepared(source string, spec datagen.EntitySpec, prep *er.Prepared, touched *[]model.EntityID) error {
 	_, existed := p.graph.FindByKey(source, spec.Key)
-	e := &model.Entity{Key: spec.Key, Source: source, Types: spec.Types, Attrs: spec.Attrs, Confidence: 1}
-	id := p.graph.AddEntity(e)
+	id := p.graph.AddEntity(arrival(source, spec))
 	p.stats.Entities++
 	*touched = append(*touched, id)
-	p.indexNorms(id, norms)
+	p.indexNorms(id, spec.Attrs, prep.Attrs())
 
 	var matches []er.Match
-	if prep == nil || existed {
+	if existed {
 		resolved, _ := p.graph.Entity(id)
 		matches = p.resolver.Add(&model.Entity{ID: id, Key: spec.Key, Source: source, Attrs: resolved.Attrs, Types: resolved.Types})
 	} else {
@@ -491,7 +461,7 @@ func (p *Pipeline) relatePrepared(source string, spec datagen.EntitySpec, norms 
 // without touching the instance layer again). Caller holds p.mu.
 func (p *Pipeline) replayDataset(ds datagen.Dataset, touched *[]model.EntityID) error {
 	for _, spec := range ds.Entities {
-		if err := p.relateSpec(ds.Source, spec, computeNorms(spec.Attrs), touched); err != nil {
+		if err := p.relateSpec(ds.Source, spec, touched); err != nil {
 			return err
 		}
 	}
@@ -632,10 +602,12 @@ func (p *Pipeline) lookupValue(text string) model.EntityID {
 	return best
 }
 
-// indexNorms adds the entity's precomputed normalized attribute values to
-// the lookup index and the gazetteer. The gazetteer concept comes from the
-// graph entity (a re-delivered key may have merged into richer types).
-func (p *Pipeline) indexNorms(id model.EntityID, norms []normEntry) {
+// indexNorms adds the entity's string attribute values to the lookup index
+// and the gazetteer, each under the normal form the resolver made of it
+// (norms, sorted by name: er.Prepared.Attrs), so a value is normalized once
+// and all three hold one string. The gazetteer concept comes from the graph
+// entity (a re-delivered key may have merged into richer types).
+func (p *Pipeline) indexNorms(id model.EntityID, attrs model.Record, norms er.Attrs) {
 	e, ok := p.graph.Entity(id)
 	if !ok {
 		return
@@ -644,9 +616,13 @@ func (p *Pipeline) indexNorms(id model.EntityID, norms []normEntry) {
 	if len(e.Types) > 0 {
 		concept = e.Types[0]
 	}
-	for _, ne := range norms {
-		p.attrIndex[ne.norm] = append(p.attrIndex[ne.norm], id)
-		p.gaz.Add(ne.raw, concept)
+	for _, at := range norms {
+		raw, ok := attrs[at.Name].AsString()
+		if !ok {
+			continue // the text of a number or a time is not looked up
+		}
+		p.attrIndex[at.Text] = append(p.attrIndex[at.Text], id)
+		p.gaz.Add(at.Text, raw, concept)
 	}
 }
 

@@ -2,15 +2,15 @@ package er
 
 // EntityView is the read-only projection of a candidate entity handed to a
 // CurationAdvisor: the source name, the sorted deduplicated normalized
-// value tokens, and the normalized string attributes. The slices and map
-// are shared with the resolver's index and must not be mutated. The
+// value tokens, and the normalized attribute texts sorted by name. The
+// slices are shared with the resolver's index and must not be mutated. The
 // entity's graph ID is deliberately absent — pair review runs before the
 // arriving entity's ID is assigned on the parallel scoring path, and an
 // ID-dependent verdict would break the serial/parallel equivalence.
 type EntityView struct {
 	Source string
 	Tokens []string
-	Attrs  map[string]string
+	Attrs  Attrs
 }
 
 // CurationAdvisor decides whether a scored candidate pair is a duplicate.

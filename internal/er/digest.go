@@ -33,8 +33,9 @@ type Digest struct {
 	// blocking keys and the embedding both derive from them, so the
 	// receiver reconstructs candidate generation without further state.
 	Tokens []string `json:"tokens,omitempty"`
-	// Attrs maps attribute name → normalized value string.
-	Attrs map[string]string `json:"attrs,omitempty"`
+	// Attrs are the normalized attribute texts, sorted by name; on the wire
+	// an object from name to text.
+	Attrs Attrs `json:"attrs,omitempty"`
 }
 
 // RefKey names an entity across process boundaries.
@@ -108,12 +109,9 @@ func (r *Resolver) refOf(id model.EntityID) (RefKey, bool) {
 // similarity derivations (tokens, trigram set) are recomputed.
 func digestIndexed(d Digest) indexed {
 	ix := indexed{key: d.Key, source: d.Source, tokens: d.Tokens, attrs: d.Attrs}
-	if ix.attrs == nil {
-		ix.attrs = map[string]string{}
-	}
-	for _, text := range d.Attrs { // in any order: a pair's score is a maximum over vals
-		if len(text) >= minIdentifyingLen {
-			ix.vals = append(ix.vals, newAttrVal(text, strings.Fields(text)))
+	for _, at := range d.Attrs {
+		if len(at.Text) >= minIdentifyingLen {
+			ix.vals = append(ix.vals, newAttrVal(at.Text, strings.Fields(at.Text)))
 		}
 	}
 	return ix

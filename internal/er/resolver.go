@@ -155,7 +155,7 @@ type indexed struct {
 	source string
 	shard  int // owning shard, inside the cross-shard Exchange; 0 locally
 	tokens []string
-	attrs  map[string]string
+	attrs  Attrs
 	// vals caches the per-value similarity derivations (tokens, trigram
 	// set, rune count) of every identifying-length value, so pair scoring —
 	// the ingest hot path — never re-normalizes or re-tokenizes a value per
@@ -275,24 +275,26 @@ func (r *Resolver) Stats() Stats {
 // normalized and split once; the entity's tokens are gathered in a buffer
 // that stays on the stack for an entity of ordinary width.
 func index(e *model.Entity) indexed {
-	ix := indexed{id: e.ID, key: e.Key, source: e.Source, attrs: make(map[string]string, len(e.Attrs))}
-	var buf [32]string
-	tokens := buf[:0]
-	// In any order: tokens are sorted below, and a pair's score is a maximum
-	// over vals.
+	ix := indexed{id: e.ID, key: e.Key, source: e.Source}
 	for k, v := range e.Attrs {
 		if v.IsNull() {
 			continue
 		}
-		text := Normalize(v.Text())
-		if text == "" {
-			continue
+		if text := Normalize(v.Text()); text != "" {
+			if ix.attrs == nil {
+				ix.attrs = make(Attrs, 0, len(e.Attrs))
+			}
+			ix.attrs = append(ix.attrs, AttrText{Name: k, Text: text})
 		}
-		ix.attrs[k] = text
-		fields := strings.Fields(text)
+	}
+	sortAttrs(ix.attrs)
+	var buf [32]string
+	tokens := buf[:0]
+	for _, at := range ix.attrs {
+		fields := strings.Fields(at.Text)
 		tokens = append(tokens, fields...)
-		if len(text) >= minIdentifyingLen {
-			ix.vals = append(ix.vals, newAttrVal(text, fields))
+		if len(at.Text) >= minIdentifyingLen {
+			ix.vals = append(ix.vals, newAttrVal(at.Text, fields))
 		}
 	}
 	ix.tokens = slices.Clone(sortedUnique(tokens))
@@ -420,6 +422,11 @@ func (p *Prepared) ScoreDur() time.Duration { return p.scoreDur }
 
 // Candidates reports the size of the gathered candidate set.
 func (p *Prepared) Candidates() int { return len(p.cands) }
+
+// Attrs returns the normalized texts of the entity's attributes, sorted by
+// name: the one normal form made of each value, for callers that index the
+// same values. They are shared with the resolver and must not be mutated.
+func (p *Prepared) Attrs() Attrs { return p.ix.attrs }
 
 // Prepare runs candidate generation and pair scoring for one arriving
 // entity against the resolver's committed state, without mutating it. The

@@ -45,15 +45,15 @@ func NewGazetteer() *Gazetteer {
 	return &Gazetteer{entries: map[string]entry{}, maxTokens: 1}
 }
 
-// Add registers a name with its concept. Longer (multi-token) names are
-// matched preferentially.
-func (g *Gazetteer) Add(name, concept string) {
-	norm := er.Normalize(name)
+// Add registers a name with its concept under norm, the name's normal form
+// (er.Normalize(name)), which the caller already holds. Longer (multi-token)
+// names are matched preferentially.
+func (g *Gazetteer) Add(norm, name, concept string) {
 	if norm == "" {
 		return
 	}
 	g.entries[norm] = entry{canonical: name, concept: concept}
-	if n := len(strings.Split(norm, " ")); n > g.maxTokens {
+	if n := strings.Count(norm, " ") + 1; n > g.maxTokens {
 		g.maxTokens = n
 	}
 }

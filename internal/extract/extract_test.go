@@ -2,17 +2,22 @@ package extract
 
 import (
 	"testing"
+
+	"scdb/internal/er"
 )
+
+// add registers a name as the pipeline does, under its normal form.
+func add(g *Gazetteer, name, concept string) { g.Add(er.Normalize(name), name, concept) }
 
 func lifesciGaz() *Gazetteer {
 	g := NewGazetteer()
-	g.Add("Warfarin", "Drug")
-	g.Add("Ibuprofen", "Drug")
-	g.Add("Methotrexate", "Drug")
-	g.Add("Rheumatoid Arthritis", "Disease")
-	g.Add("Osteosarcoma", "Disease")
-	g.Add("DHFR", "Gene")
-	g.Add("PTGS2", "Gene")
+	add(g, "Warfarin", "Drug")
+	add(g, "Ibuprofen", "Drug")
+	add(g, "Methotrexate", "Drug")
+	add(g, "Rheumatoid Arthritis", "Disease")
+	add(g, "Osteosarcoma", "Disease")
+	add(g, "DHFR", "Gene")
+	add(g, "PTGS2", "Gene")
 	return g
 }
 
@@ -65,12 +70,12 @@ func TestFindMentionsLongestMatch(t *testing.T) {
 
 func TestGazetteerEdge(t *testing.T) {
 	g := NewGazetteer()
-	g.Add("", "X")
-	g.Add("   ", "X")
+	add(g, "", "X")
+	add(g, "   ", "X")
 	if g.Len() != 0 {
 		t.Error("blank names must be ignored")
 	}
-	g.Add("A b C", "T")
+	add(g, "A b C", "T")
 	if g.Len() != 1 {
 		t.Error("Add failed")
 	}

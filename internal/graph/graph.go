@@ -65,6 +65,10 @@ func keyOf(source, key string) string { return source + "\x00" + key }
 // entity with the same (source, key) already exists, the existing entity is
 // updated in place: attributes are merged (new values win over nulls only)
 // and types are unioned — this is the idempotent re-ingestion path.
+//
+// A new entity borrows e.Attrs rather than copying it: the caller must not
+// write to the map afterwards. The graph never writes to an entity's map
+// either; a merge that fills an attribute replaces it (mergeAttrsLocked).
 func (g *Graph) AddEntity(e *model.Entity) model.EntityID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -78,12 +82,10 @@ func (g *Graph) AddEntity(e *model.Entity) model.EntityID {
 	}
 	g.nextID++
 	id := g.nextID
-	c := e.Clone()
+	c := *e
 	c.ID = id
-	if c.Attrs == nil {
-		c.Attrs = model.Record{}
-	}
-	g.entities[id] = c
+	c.Types = append([]string(nil), e.Types...)
+	g.entities[id] = &c
 	if e.Key != "" {
 		g.byKey[keyOf(e.Source, e.Key)] = id
 	}
@@ -93,12 +95,21 @@ func (g *Graph) AddEntity(e *model.Entity) model.EntityID {
 
 // mergeAttrsLocked folds src's attributes and types into dst: existing
 // non-null attributes are kept (first writer wins; conflict handling is the
-// fusion layer's job), nulls and missing attributes are filled.
+// fusion layer's job), nulls and missing attributes are filled. A fill
+// builds a new map and puts it in place of dst's, so no map the graph has
+// handed out, or borrowed from a caller, is ever written.
 func (g *Graph) mergeAttrsLocked(dst, src *model.Entity) {
+	var filled model.Record
 	for k, v := range src.Attrs {
 		if cur, ok := dst.Attrs[k]; !ok || cur.IsNull() {
-			dst.Attrs[k] = v
+			if filled == nil {
+				filled = dst.Attrs.Clone()
+			}
+			filled[k] = v
 		}
+	}
+	if filled != nil {
+		dst.Attrs = filled
 	}
 	for _, t := range src.Types {
 		dst.AddType(t)

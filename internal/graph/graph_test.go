@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -145,6 +146,71 @@ func TestMerge(t *testing.T) {
 	}
 	if err := g.Merge(a, 999); err == nil {
 		t.Error("merge of unknown entity must fail")
+	}
+}
+
+// TestBorrowedAttrsNeverWritten: a new entity keeps the caller's attribute
+// map rather than a copy, so every fill — a re-delivery of its key and a
+// merge into it — must build a new map and leave the caller's as it was.
+func TestBorrowedAttrsNeverWritten(t *testing.T) {
+	enc := func(r model.Record) string { return string(model.AppendRecord(nil, r)) }
+	g := New()
+	first := model.Record{"name": model.String("Warfarin"), "formula": model.Null()}
+	firstWas := enc(first)
+	a := g.AddEntity(&model.Entity{Key: "DB01", Source: "drugbank", Attrs: first, Confidence: 1})
+	if e, _ := g.Entity(a); reflect.ValueOf(e.Attrs).UnsafePointer() != reflect.ValueOf(first).UnsafePointer() {
+		t.Fatal("AddEntity copied the attribute map instead of borrowing it")
+	}
+
+	// Re-delivery fills the null formula and adds the mass.
+	again := model.Record{"formula": model.String("C19H16O4"), "mass": model.Float(308.3)}
+	againWas := enc(again)
+	if id := g.AddEntity(&model.Entity{Key: "DB01", Source: "drugbank", Attrs: again}); id != a {
+		t.Fatalf("re-delivery got id %d, want %d", id, a)
+	}
+	if enc(first) != firstWas || enc(again) != againWas {
+		t.Fatalf("re-delivery wrote to a caller's map: first %v, again %v", first, again)
+	}
+	e, _ := g.Entity(a)
+	want := model.Record{"name": model.String("Warfarin"), "formula": model.String("C19H16O4"), "mass": model.Float(308.3)}
+	if enc(e.Attrs) != enc(want) {
+		t.Fatalf("merged attributes %v, want %v", e.Attrs, want)
+	}
+
+	// A merge fills the kept entity's map from the duplicate's.
+	keepAttrs := model.Record{"symbol": model.String("TP53")}
+	dupAttrs := model.Record{"symbol": model.String("tp53"), "chromosome": model.Int(17)}
+	keepWas, dupWas := enc(keepAttrs), enc(dupAttrs)
+	k := g.AddEntity(&model.Entity{Key: "P04637", Source: "uniprot", Attrs: keepAttrs})
+	d := g.AddEntity(&model.Entity{Key: "TP53", Source: "hgnc", Attrs: dupAttrs})
+	if err := g.Merge(k, d); err != nil {
+		t.Fatal(err)
+	}
+	if enc(keepAttrs) != keepWas || enc(dupAttrs) != dupWas {
+		t.Fatalf("merge wrote to a caller's map: keep %v, dup %v", keepAttrs, dupAttrs)
+	}
+	e, _ = g.Entity(k)
+	if want := (model.Record{"symbol": model.String("TP53"), "chromosome": model.Int(17)}); enc(e.Attrs) != enc(want) {
+		t.Fatalf("merged attributes %v, want %v", e.Attrs, want)
+	}
+
+	// A map the graph made and handed out is not written either: a reader
+	// holding it keeps what it read, and the next fill replaces it.
+	held := e.Attrs
+	heldWas := enc(held)
+	g.AddEntity(&model.Entity{Key: "P04637", Source: "uniprot", Attrs: model.Record{"length": model.Int(393)}})
+	if enc(held) != heldWas {
+		t.Fatalf("a fill wrote to a map a reader holds: %v", held)
+	}
+	if e, _ = g.Entity(k); e.Attrs.Get("length").IsNull() || e.Attrs.Get("chromosome").IsNull() {
+		t.Fatalf("a fill lost a value: %v", e.Attrs)
+	}
+
+	// An entity that arrives without attributes gets them on its first fill.
+	n := g.AddEntity(&model.Entity{Key: "bare", Source: "s"})
+	g.AddEntity(&model.Entity{Key: "bare", Source: "s", Attrs: model.Record{"name": model.String("x")}})
+	if e, _ = g.Entity(n); enc(e.Attrs) != enc(model.Record{"name": model.String("x")}) {
+		t.Fatalf("fill of an entity without attributes: %v", e.Attrs)
 	}
 }
 

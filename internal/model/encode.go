@@ -11,6 +11,10 @@ import (
 // scheme: one kind byte followed by a kind-specific payload with varint
 // lengths. It is self-delimiting, so values can be concatenated.
 
+// SmallRecord is the width up to which a record's attribute names are
+// sorted in a stack array rather than a fresh slice.
+const SmallRecord = 16
+
 // AppendValue appends the binary encoding of v to dst and returns the
 // extended slice.
 func AppendValue(dst []byte, v Value) []byte {
@@ -105,10 +109,13 @@ func DecodeValue(buf []byte) (Value, int, error) {
 
 // AppendRecord appends the binary encoding of r to dst: a uvarint field
 // count followed by (name, value) pairs in sorted-key order, so encodings
-// are canonical and hashable.
+// are canonical and hashable. The names of a record of up to
+// SmallRecord attributes are sorted on the stack, so encoding one into a
+// buffer with room for it allocates nothing.
 func AppendRecord(dst []byte, r Record) []byte {
+	var buf [SmallRecord]string
 	dst = binary.AppendUvarint(dst, uint64(len(r)))
-	for _, k := range r.Keys() {
+	for _, k := range r.AppendKeys(buf[:0]) {
 		dst = binary.AppendUvarint(dst, uint64(len(k)))
 		dst = append(dst, k...)
 		dst = AppendValue(dst, r[k])

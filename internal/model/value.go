@@ -14,7 +14,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -454,12 +454,19 @@ type Record map[string]Value
 
 // Keys returns the record's attribute names in sorted order.
 func (r Record) Keys() []string {
-	keys := make([]string, 0, len(r))
+	return r.AppendKeys(make([]string, 0, len(r)))
+}
+
+// AppendKeys appends the record's attribute names to dst in sorted order
+// and returns the extended slice. Given a buffer with room for them, such
+// as a small array on the caller's stack, it allocates nothing.
+func (r Record) AppendKeys(dst []string) []string {
+	n := len(dst)
 	for k := range r {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Clone returns a shallow copy of the record (values are immutable, so a

@@ -62,6 +62,10 @@ type Reasoner struct {
 	inferred  map[model.EntityID]map[string]string // entity → concept → justification
 	witnesses map[model.EntityID][]Witness
 	inconsist map[model.EntityID][]Inconsistency
+	// totals counts the entries of the three maps, kept where an entity's
+	// entries are replaced or dropped, so a pass reports them without
+	// walking every entity.
+	totals Stats
 }
 
 // New creates a reasoner over the given graph and ontology. No inference
@@ -85,17 +89,27 @@ func (r *Reasoner) Materialize() Stats {
 // the incremental path (FS.1's "adaptively manage instance relations in
 // light of new information"). Callers pass the entities they touched;
 // domain/range inference also depends on edges, so the direct neighbors of
-// each changed entity are re-inferred too.
+// each changed entity are re-inferred too. Inferences are held under
+// canonical IDs only: a touched ID or neighbor that a merge made an alias
+// is re-inferred as its canonical entity, and its own entries are dropped.
 func (r *Reasoner) MaterializeEntities(ids []model.EntityID) Stats {
 	affected := make(map[model.EntityID]bool, len(ids)*2)
-	for _, id := range ids {
-		id = r.g.Resolve(id)
+	var merged []model.EntityID
+	add := func(id model.EntityID) model.EntityID {
+		if c := r.g.Resolve(id); c != id {
+			merged = append(merged, id)
+			id = c
+		}
 		affected[id] = true
+		return id
+	}
+	for _, id := range ids {
+		id = add(id)
 		for _, nb := range r.g.Neighbors(id, "") {
-			affected[nb] = true
+			add(nb)
 		}
 		for _, nb := range r.g.Incoming(id) {
-			affected[nb] = true
+			add(nb)
 		}
 	}
 	order := make([]model.EntityID, 0, len(affected))
@@ -106,21 +120,40 @@ func (r *Reasoner) MaterializeEntities(ids []model.EntityID) Stats {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for _, id := range merged {
+		r.dropLocked(id)
+	}
 	for _, id := range order {
 		r.inferEntityLocked(id)
 	}
-	s := r.statsLocked()
+	s := r.totals
 	s.Entities = len(order)
 	return s
+}
+
+// dropLocked forgets every inference held for id.
+func (r *Reasoner) dropLocked(id model.EntityID) {
+	setEntryLocked(r.inferred, &r.totals.InferredTypes, id, nil)
+	setEntryLocked(r.witnesses, &r.totals.Witnesses, id, nil)
+	setEntryLocked(r.inconsist, &r.totals.Inconsistencies, id, nil)
+}
+
+// setEntryLocked replaces id's entry in m, or deletes it when v is empty,
+// and moves the running total by the change in the entry's size.
+func setEntryLocked[V map[string]string | []Witness | []Inconsistency](m map[model.EntityID]V, total *int, id model.EntityID, v V) {
+	*total += len(v) - len(m[id])
+	if len(v) > 0 {
+		m[id] = v
+	} else {
+		delete(m, id)
+	}
 }
 
 // inferEntityLocked recomputes all inferences for one entity.
 func (r *Reasoner) inferEntityLocked(id model.EntityID) {
 	e, ok := r.g.Entity(id)
 	if !ok {
-		delete(r.inferred, id)
-		delete(r.witnesses, id)
-		delete(r.inconsist, id)
+		r.dropLocked(id)
 		return
 	}
 	inf := make(map[string]string)
@@ -153,11 +186,7 @@ func (r *Reasoner) inferEntityLocked(id model.EntityID) {
 			}
 		}
 	}
-	if len(inf) > 0 {
-		r.inferred[id] = inf
-	} else {
-		delete(r.inferred, id)
-	}
+	setEntryLocked(r.inferred, &r.totals.InferredTypes, id, inf)
 
 	// Existential witnesses: for every restriction C ⊑ ∃R.D on any held
 	// type, check for a concrete R-edge (or sub-role edge) to an entity of
@@ -183,10 +212,8 @@ func (r *Reasoner) inferEntityLocked(id model.EntityID) {
 			}
 			return wits[i].Filler < wits[j].Filler
 		})
-		r.witnesses[id] = wits
-	} else {
-		delete(r.witnesses, id)
 	}
+	setEntryLocked(r.witnesses, &r.totals.Witnesses, id, wits)
 
 	// Inconsistencies: pairwise disjointness over all held types.
 	var incons []Inconsistency
@@ -197,11 +224,7 @@ func (r *Reasoner) inferEntityLocked(id model.EntityID) {
 			}
 		}
 	}
-	if len(incons) > 0 {
-		r.inconsist[id] = incons
-	} else {
-		delete(r.inconsist, id)
-	}
+	setEntryLocked(r.inconsist, &r.totals.Inconsistencies, id, incons)
 }
 
 func (r *Reasoner) addWithAncestorsLocked(e *model.Entity, inf map[string]string, c, why string) {
@@ -268,25 +291,11 @@ func (r *Reasoner) hasRoleFillerLocked(id model.EntityID, role, filler string, s
 	return false
 }
 
-func (r *Reasoner) statsLocked() Stats {
-	s := Stats{}
-	for _, m := range r.inferred {
-		s.InferredTypes += len(m)
-	}
-	for _, w := range r.witnesses {
-		s.Witnesses += len(w)
-	}
-	for _, i := range r.inconsist {
-		s.Inconsistencies += len(i)
-	}
-	return s
-}
-
 // Stats returns the current inference counts without re-inferring.
 func (r *Reasoner) Stats() Stats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.statsLocked()
+	return r.totals
 }
 
 // EntityTypes returns the entity's asserted plus inferred types, sorted.

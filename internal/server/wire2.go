@@ -961,6 +961,9 @@ func (e *V2Enc) texts(texts []string) {
 	}
 }
 
+// entities decodes an ingest frame's entities. String, integer and float
+// attribute cells go to per-frame slabs of their kind (package box, sized
+// as cellSlab says); other kinds box cell by cell.
 func (d *v2Dec) entities() ([]scdb.Entity, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -969,6 +972,7 @@ func (d *v2Dec) entities() ([]scdb.Entity, error) {
 	if n > uint64(len(d.b)) {
 		return nil, errV2Truncated
 	}
+	var cells attrSlabs
 	out := make([]scdb.Entity, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var ent scdb.Entity
@@ -998,12 +1002,13 @@ func (d *v2Dec) entities() ([]scdb.Entity, error) {
 		}
 		if na > 0 {
 			ent.Attrs = make(scdb.Record, na)
+			cells.begun, cells.left, cells.most = int(i)+1, int(n-i), len(d.b)/2
 			for j := uint64(0); j < na; j++ {
 				k, err := d.str()
 				if err != nil {
 					return nil, err
 				}
-				v, err := d.value(0)
+				v, err := d.attrValue(&cells)
 				if err != nil {
 					return nil, err
 				}
@@ -1013,6 +1018,76 @@ func (d *v2Dec) entities() ([]scdb.Entity, error) {
 		out = append(out, ent)
 	}
 	return out, nil
+}
+
+// attrSlabs are one frame's slabs of attribute cells, one per kind, and
+// where the frame's decoding stands: the entities begun and left, the
+// current one counted in both, and the most cells the rest of the frame
+// can hold (every cell costs at least two bytes, its key's and its kind's).
+type attrSlabs struct {
+	begun, left, most int
+	strs              cellSlab[string]
+	ints              cellSlab[int64]
+	floats            cellSlab[float64]
+}
+
+// cellSlab is the slab of one kind's cells. It is made at the kind's first
+// cell with room for one cell an entity left. When it fills, the next is
+// made for the entities left at the rate of cells an entity the frame has
+// shown since that first cell. A frame of like entities takes at most two
+// slabs a kind and reserves about the cells it holds.
+type cellSlab[T box.Cell] struct {
+	slab  box.Slab[T]
+	free  int // room left in slab
+	cells int // cells of the kind so far
+	since int // attrSlabs.begun at the kind's first cell
+}
+
+func (s *cellSlab[T]) add(c *attrSlabs, v T) any {
+	if s.free == 0 {
+		per := 1
+		if s.cells == 0 {
+			s.since = c.begun
+		} else {
+			seen := c.begun - s.since + 1
+			per = (s.cells + seen - 1) / seen
+		}
+		s.free = max(1, min(per*c.left, c.most))
+		s.slab = box.New[T](s.free)
+	}
+	s.free--
+	s.cells++
+	return s.slab.Add(v)
+}
+
+// attrValue decodes one kind-tagged attribute value into its public facade
+// form, placing a string, integer or float in the frame's slab of its kind.
+func (d *v2Dec) attrValue(c *attrSlabs) (any, error) {
+	k, err := d.u8()
+	if err != nil {
+		return nil, err
+	}
+	switch k {
+	case v2kStr:
+		s, err := d.str()
+		if err != nil {
+			return nil, err
+		}
+		return c.strs.add(c, s), nil
+	case v2kInt:
+		v, err := d.u64le()
+		if err != nil {
+			return nil, err
+		}
+		return c.ints.add(c, int64(v)), nil
+	case v2kFloat:
+		f, err := d.f64()
+		if err != nil {
+			return nil, err
+		}
+		return c.floats.add(c, f), nil
+	}
+	return d.valueOfKind(k, 0)
 }
 
 func (d *v2Dec) links() ([]scdb.Link, error) {

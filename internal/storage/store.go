@@ -311,13 +311,11 @@ func (t *Table) InsertBatch(recs []model.Record) ([]RowID, error) {
 		return nil, nil
 	}
 	durable := t.store.wal != nil
-	var enc [][]byte
+	var entries []batchEntry
 	if durable {
 		// Encode outside the lock: serialization is the expensive part.
-		enc = make([][]byte, len(recs))
-		for i, rec := range recs {
-			enc[i] = model.AppendRecord(nil, rec)
-		}
+		entries = make([]batchEntry, len(recs))
+		encodeEntries(entries, func(buf []byte, i int) []byte { return model.AppendRecord(buf, recs[i]) })
 	}
 	csn := t.store.beginWrite()
 	defer t.store.endWrite(csn)
@@ -333,14 +331,34 @@ func (t *Table) InsertBatch(recs []model.Record) ([]RowID, error) {
 	}
 	t.mu.Unlock()
 	if durable {
-		entries := make([]batchEntry, len(recs))
-		for i := range recs {
-			entries[i] = batchEntry{op: opInsert, rowID: uint64(ids[i]), data: enc[i]}
+		for i := range entries {
+			entries[i].op, entries[i].rowID = opInsert, uint64(ids[i])
 		}
 		return ids, t.store.wal.logBatch(t.name, csn, entries)
 	}
 	return ids, nil
 }
+
+// encodeEntries encodes a batch's records into one buffer and points each
+// entry's data at its part of it; enc(buf, i) appends entry i's record to
+// buf, or nothing for an entry that carries none. The buffer starts at
+// entryBytes an entry, so a batch of ordinary rows fills it without growing.
+func encodeEntries(entries []batchEntry, enc func(buf []byte, i int) []byte) {
+	buf := make([]byte, 0, entryBytes*len(entries))
+	ends := make([]int, len(entries))
+	for i := range entries {
+		buf = enc(buf, i)
+		ends[i] = len(buf)
+	}
+	start := 0
+	for i, end := range ends {
+		entries[i].data = buf[start:end:end]
+		start = end
+	}
+}
+
+// entryBytes is the room encodeEntries reserves for each record of a batch.
+const entryBytes = 64
 
 // BatchOpKind selects the mutation of one BatchOp.
 type BatchOpKind byte
@@ -413,11 +431,12 @@ func (t *Table) ApplyBatch(ops []BatchOp) error {
 	}
 	t.mu.Unlock()
 	if t.store.wal != nil && len(applied) > 0 {
-		for i := range applied {
-			if applied[i].op != opDelete {
-				applied[i].data = model.AppendRecord(nil, ops[i].Rec)
+		encodeEntries(applied, func(buf []byte, i int) []byte {
+			if applied[i].op == opDelete {
+				return buf
 			}
-		}
+			return model.AppendRecord(buf, ops[i].Rec)
+		})
 		if err := t.store.wal.logBatch(t.name, csn, applied); err != nil {
 			return err
 		}
