@@ -15,7 +15,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -181,9 +180,11 @@ func (c *Client) Explain(q string) (*scdb.QueryInfo, error) {
 	return info, err
 }
 
-// Ingest ships one source delivery through the server's curation pipeline.
+// Ingest ships one source delivery through the server's curation pipeline
+// as an ingest_batch stream of one chunk, so its entities, links and texts
+// install as one delivery.
 func (c *Client) Ingest(src scdb.Source) error {
-	_, err := c.ingestV2(nil, src, false)
+	_, err := c.ingest(nil, src, 0, false)
 	return err
 }
 
@@ -191,7 +192,11 @@ func (c *Client) Ingest(src scdb.Source) error {
 // curation pipeline's span tree (decode fan-out, batch install with WAL
 // fsync wait, relation, integration, inference) as indented JSON.
 func (c *Client) IngestTraced(src scdb.Source) (string, error) {
-	return c.ingestV2(nil, src, true)
+	res, err := c.ingest(nil, src, 0, true)
+	if err != nil {
+		return "", err
+	}
+	return res.Trace, nil
 }
 
 // IngestSummary reports what a streamed IngestBatch installed.
@@ -211,47 +216,10 @@ func (c *Client) IngestBatch(ctx context.Context, src scdb.Source, batchSize int
 	if batchSize <= 0 {
 		batchSize = DefaultIngestBatch
 	}
-	ctx, ms := ctxAndTimeout(ctx)
-	id, ca := c.newCallV2()
-	fail := func(err error) (*IngestSummary, error) {
-		c.forgetV2(id)
-		return nil, err
-	}
-	e := server.GetV2Enc()
-	err := c.writeFramesV2(server.EncodeV2IngestBatchHeader(e, id, src.Name, ms, false))
-	e.Release()
-	if err != nil {
-		return fail(err)
-	}
-	for lo := 0; lo < len(src.Entities); lo += batchSize {
-		hi := min(lo+batchSize, len(src.Entities))
-		e := server.GetV2Enc()
-		frame, err := server.EncodeV2IngestChunk(e, id, server.V2Chunk{Entities: src.Entities[lo:hi]})
-		if err == nil {
-			err = c.writeFramesV2(frame)
-		}
-		e.Release()
-		if err != nil {
-			return fail(err)
-		}
-	}
-	e = server.GetV2Enc()
-	frame, err := server.EncodeV2IngestChunk(e, id, server.V2Chunk{Links: src.Links, Texts: src.Texts, Done: true})
-	if err == nil {
-		err = c.writeFramesV2(frame)
-	}
-	e.Release()
-	if err != nil {
-		return fail(err)
-	}
-	res, err := c.waitV2(ctx, id, ca)
+	res, err := c.ingest(ctx, src, batchSize, false)
 	if err != nil {
 		return nil, err
 	}
-	if res.Ingest == nil {
-		return nil, errors.New("scdb client: ingest_batch response without summary")
-	}
-	c.noteCSN(res.CSN)
 	return res.Ingest, nil
 }
 

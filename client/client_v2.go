@@ -218,28 +218,49 @@ func (c *Client) queryV2(ctx context.Context, op byte, q string) (*scdb.Rows, *s
 	return &scdb.Rows{Columns: res.Columns, Data: ca.rows}, info, nil
 }
 
-func (c *Client) ingestV2(ctx context.Context, src scdb.Source, trace bool) (string, error) {
+// ingest streams src as one ingest_batch request. With batchSize > 0 the
+// entities go out in chunks of that size and the links and texts in the
+// final chunk; with 0 the whole source is the final chunk. A chunk that
+// cannot be encoded after the header went out cancels the stream, so the
+// server releases its admission slot at once.
+func (c *Client) ingest(ctx context.Context, src scdb.Source, batchSize int, trace bool) (*server.V2Result, error) {
 	ctx, ms := ctxAndTimeout(ctx)
 	id, ca := c.newCallV2()
 	e := server.GetV2Enc()
-	frame, err := server.EncodeV2Ingest(e, id, src, ms, trace)
-	if err != nil {
-		e.Release()
-		c.forgetV2(id)
-		return "", err
-	}
-	err = c.writeFramesV2(frame)
+	err := c.writeFramesV2(server.EncodeV2IngestBatchHeader(e, id, src.Name, ms, trace))
 	e.Release()
+	last := server.V2Chunk{Links: src.Links, Texts: src.Texts, Done: true}
+	if batchSize == 0 {
+		last.Entities = src.Entities
+	}
+	for lo := 0; err == nil && batchSize > 0 && lo < len(src.Entities); lo += batchSize {
+		err = c.writeChunkV2(id, server.V2Chunk{Entities: src.Entities[lo:min(lo+batchSize, len(src.Entities))]})
+	}
+	if err == nil {
+		err = c.writeChunkV2(id, last)
+	}
 	if err != nil {
+		c.sendCancelV2(id)
 		c.forgetV2(id)
-		return "", err
+		return nil, err
 	}
 	res, err := c.waitV2(ctx, id, ca)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	c.noteCSN(res.CSN)
-	return res.Trace, nil
+	return res, nil
+}
+
+// writeChunkV2 encodes and writes one chunk of an ingest stream.
+func (c *Client) writeChunkV2(id uint32, chunk server.V2Chunk) error {
+	e := server.GetV2Enc()
+	defer e.Release()
+	frame, err := server.EncodeV2IngestChunk(e, id, chunk)
+	if err != nil {
+		return err
+	}
+	return c.writeFramesV2(frame)
 }
 
 // blobV2 runs one control-plane op (stats, metrics, slowlog) and returns

@@ -18,11 +18,10 @@
 //	                  (requires -dir; the node serves reads and refuses
 //	                  writes with the read_only code)
 //	-er-blocking MODE er candidate generation: token | ann | both
-//	-er-topk N        ann neighbors per entity (0 = default 8)
-//	-er-embed-dim N   feature-hashing embedding width (0 = default 64)
 //	-wal-segment-bytes N   WAL segment rotation threshold (0 = 16 MiB)
 //	-checkpoint-bytes N    bytes between automatic checkpoints (0 = 64 MiB,
-//	                       negative disables; \checkpoint still works)
+//	                       negative disables; \checkpoint still works); a
+//	                       replica checkpoints between applied batches
 //	-slow-threshold D slow-op log threshold (0 = default 100ms, -1ns disables)
 //	-slow-log N       slow-op ring capacity (0 = default 128)
 //	-debug-addr ADDR  optional HTTP listener: /metrics /slowlog /debug/pprof
@@ -59,8 +58,6 @@ func main() {
 	ingestBatch := flag.Int("ingest-batch", 0, "ingest write-batch size (0 = default 1024, 1 = per-record)")
 	ingestPar := flag.Int("ingest-parallelism", 0, "ingest decode worker-pool size (0 = one per CPU)")
 	erBlocking := flag.String("er-blocking", "", "er candidate generation: token | ann | both (default token)")
-	erTopK := flag.Int("er-topk", 0, "ann neighbors per entity (0 = default 8)")
-	erEmbedDim := flag.Int("er-embed-dim", 0, "feature-hashing embedding width (0 = default 64)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold (0 = default 16 MiB)")
 	ckptBytes := flag.Int64("checkpoint-bytes", 0, "WAL bytes between automatic checkpoints (0 = default 64 MiB, negative disables)")
 	flag.Parse()
@@ -76,8 +73,6 @@ func main() {
 		IngestBatchSize:   *ingestBatch,
 		IngestParallelism: *ingestPar,
 		ERBlocking:        *erBlocking,
-		ERTopK:            *erTopK,
-		EREmbedDim:        *erEmbedDim,
 		WALSegmentBytes:   *walSegBytes,
 		CheckpointBytes:   *ckptBytes,
 	}
@@ -92,7 +87,6 @@ func main() {
 		}
 		f, err := repl.Start(repl.Config{
 			PrimaryAddr: *replicaOf,
-			Dir:         *dir,
 			Opts:        opts,
 			Logf:        log.Printf,
 		})

@@ -15,6 +15,7 @@ import (
 )
 
 // Options configures Open. The zero value is a usable in-memory database.
+// A zero field takes the default of the layer that reads it.
 type Options struct {
 	// Dir enables durability: the store keeps an append-only log and
 	// snapshots there. Empty means in-memory.
@@ -37,8 +38,6 @@ type Options struct {
 	LinkRules []LinkRule
 	// Patterns drive information extraction over Source.Texts.
 	Patterns []Pattern
-	// ResolutionThreshold tunes entity resolution (default 0.85).
-	ResolutionThreshold float64
 	// ERBlocking selects the entity-resolution candidate-generation
 	// strategy: "token" (token-prefix blocks, the default), "ann"
 	// (feature-hashed embedding index, top-K cosine neighbors — bounded
@@ -46,17 +45,6 @@ type Options struct {
 	// (union of the two, maximum recall). Results change only in which
 	// duplicate pairs are discovered; see DESIGN.md.
 	ERBlocking string
-	// ERTopK is the ANN neighbor count per arriving entity under "ann" or
-	// "both" blocking (<=0 = default 8).
-	ERTopK int
-	// EREmbedDim is the feature-hashed embedding width under "ann" or
-	// "both" blocking (<=0 = default 64).
-	EREmbedDim int
-	// CacheSize bounds the materialization cache (default 256 entries).
-	CacheSize int
-	// DisableSemanticOptimizer turns the ontology-driven query rewrites
-	// off (for ablation measurements).
-	DisableSemanticOptimizer bool
 	// DisableCache turns result materialization off.
 	DisableCache bool
 	// Parallelism sizes the morsel-driven query executor's worker pool.
@@ -79,11 +67,6 @@ type Options struct {
 	// IngestParallelism sizes Ingest's record-decode worker pool (<=0 =
 	// one per CPU; 1 = serial). Results are identical for every setting.
 	IngestParallelism int
-	// PlanCacheSize bounds the optimized-plan cache, keyed by statement
-	// text at a given schema and ontology version (<=0 = default 256).
-	// Results are identical for every setting; only re-planning cost
-	// differs.
-	PlanCacheSize int
 	// WALSegmentBytes is the log segment rotation threshold for durable
 	// databases (0 = 16 MiB). Appends crossing it seal the active segment
 	// file and open the next; checkpoints delete sealed segments they
@@ -92,11 +75,8 @@ type Options struct {
 	// CheckpointBytes triggers an automatic incremental checkpoint after
 	// that many log bytes since the last one (0 = 64 MiB, negative
 	// disables automatic checkpoints; Checkpoint still works manually).
+	// A replica applies it between replicated batches.
 	CheckpointBytes int64
-	// RecoverParallelism sizes recovery's worker pools for snapshot
-	// loading, log replay, and index rebuild (0 = one per CPU, 1 =
-	// serial). Recovered state is identical for every setting.
-	RecoverParallelism int
 	// ReadOnly opens the database as a read replica: Ingest and AddClaim
 	// return ErrReadOnly, and nothing is ever written locally except
 	// replicated log frames applied through the replication plumbing
@@ -104,30 +84,49 @@ type Options struct {
 	ReadOnly bool
 }
 
+// engineOptions is the one place a facade option becomes an engine option.
+func (opts Options) engineOptions() (core.Options, error) {
+	blocking, err := er.ParseBlocking(opts.ERBlocking)
+	if err != nil {
+		return core.Options{}, err
+	}
+	return core.Options{
+		Dir:               opts.Dir,
+		LinkRules:         opts.LinkRules,
+		Patterns:          opts.Patterns,
+		ERConfig:          er.Config{Blocking: blocking},
+		DisableMatCache:   opts.DisableCache,
+		Parallelism:       opts.Parallelism,
+		MorselSize:        opts.MorselSize,
+		IngestBatchSize:   opts.IngestBatchSize,
+		IngestParallelism: opts.IngestParallelism,
+		ReadOnly:          opts.ReadOnly,
+		Storage: storage.Options{
+			Sync:            opts.Sync,
+			SegmentBytes:    opts.WALSegmentBytes,
+			CheckpointBytes: opts.CheckpointBytes,
+		},
+	}, nil
+}
+
 // SyncPolicy selects when a durable database's committed log frames reach
 // stable storage.
-type SyncPolicy int
+type SyncPolicy = storage.SyncPolicy
 
 const (
 	// SyncNone buffers log frames in user space; they reach disk on
 	// checkpoint and close. Fastest; a crash loses the buffered tail.
-	SyncNone SyncPolicy = iota
+	SyncNone = storage.SyncNone
 	// SyncGroup makes every commit wait for a shared flush+fsync:
 	// concurrent commits coalesce into one disk round-trip (group commit).
-	SyncGroup
+	SyncGroup = storage.SyncGroup
 	// SyncAlways flushes and fsyncs inline on every commit.
-	SyncAlways
+	SyncAlways = storage.SyncAlways
 )
 
 // ParseSyncPolicy maps the flag spelling ("none", "group", "always") to a
 // policy; "" means SyncNone.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	p, err := storage.ParseSyncPolicy(s)
-	return SyncPolicy(p), err
-}
-
-// String names the policy as ParseSyncPolicy spells it.
-func (p SyncPolicy) String() string { return storage.SyncPolicy(p).String() }
+var ParseSyncPolicy = storage.ParseSyncPolicy
 
 // DB is a self-curating database handle.
 type DB struct {
@@ -136,33 +135,9 @@ type DB struct {
 
 // Open creates or reopens a database.
 func Open(opts Options) (*DB, error) {
-	blocking, err := er.ParseBlocking(opts.ERBlocking)
+	coreOpts, err := opts.engineOptions()
 	if err != nil {
 		return nil, err
-	}
-	coreOpts := core.Options{
-		Dir:                opts.Dir,
-		MatCacheSize:       opts.CacheSize,
-		DisableSemanticOpt: opts.DisableSemanticOptimizer,
-		DisableMatCache:    opts.DisableCache,
-		Parallelism:        opts.Parallelism,
-		MorselSize:         opts.MorselSize,
-		Sync:               storage.SyncPolicy(opts.Sync),
-		IngestBatchSize:    opts.IngestBatchSize,
-		IngestParallelism:  opts.IngestParallelism,
-		PlanCacheSize:      opts.PlanCacheSize,
-		WALSegmentBytes:    opts.WALSegmentBytes,
-		CheckpointBytes:    opts.CheckpointBytes,
-		RecoverParallelism: opts.RecoverParallelism,
-		ReadOnly:           opts.ReadOnly,
-		LinkRules:          opts.LinkRules,
-		Patterns:           opts.Patterns,
-		ERConfig: er.Config{
-			Threshold: opts.ResolutionThreshold,
-			Blocking:  blocking,
-			TopK:      opts.ERTopK,
-			EmbedDim:  opts.EREmbedDim,
-		},
 	}
 	db, err := core.Open(coreOpts)
 	if err != nil {

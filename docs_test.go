@@ -189,15 +189,21 @@ func TestPackagesDocumented(t *testing.T) {
 // usageFlag matches one flag in the usage text the flag package prints.
 var usageFlag = regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
 
+// flagRow matches a row of an OPERATIONS.md flag table.
+var flagRow = regexp.MustCompile("(?m)^\\| `-([a-z][a-z0-9-]*)` \\|")
+
 // TestOperationsCoversServingFlags requires every flag of the two
 // serving binaries to appear in OPERATIONS.md as `-name`, so a new
-// flag cannot ship undocumented. It asks each binary for its usage, so
-// it sees the flag set the binary registers wherever the definitions live.
+// flag cannot ship undocumented, and every flag-table row to name a flag
+// one of them registers, so a deleted flag's row cannot linger. It asks
+// each binary for its usage, so it sees the flag set the binary registers
+// wherever the definitions live.
 func TestOperationsCoversServingFlags(t *testing.T) {
 	ops, err := os.ReadFile("OPERATIONS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
+	registered := map[string]bool{}
 	for _, cmd := range []string{"./cmd/scdb-server", "./cmd/scdb-router"} {
 		usage, err := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "run", cmd, "-h").CombinedOutput()
 		if err != nil {
@@ -208,9 +214,19 @@ func TestOperationsCoversServingFlags(t *testing.T) {
 			t.Fatalf("%s -h lists %d flags; regexp stale?\n%s", cmd, len(flags), usage)
 		}
 		for _, m := range flags {
+			registered[m[1]] = true
 			if !strings.Contains(string(ops), "`-"+m[1]+"`") {
 				t.Errorf("flag -%s of %s is not documented in OPERATIONS.md", m[1], cmd)
 			}
+		}
+	}
+	rows := flagRow.FindAllStringSubmatch(string(ops), -1)
+	if len(rows) < 5 {
+		t.Fatalf("OPERATIONS.md has %d flag-table rows; regexp stale?", len(rows))
+	}
+	for _, m := range rows {
+		if !registered[m[1]] {
+			t.Errorf("OPERATIONS.md documents -%s, which neither serving binary registers", m[1])
 		}
 	}
 }

@@ -122,10 +122,10 @@ func TestPlanCacheCarriesMatKey(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBoundedAndDisabled: the cache never exceeds its capacity,
-// and DisablePlanCache re-plans every statement.
-func TestPlanCacheBoundedAndDisabled(t *testing.T) {
-	db := openLifeSciWith(t, func(o *Options) { o.PlanCacheSize = 2 })
+// TestPlanCacheBounded: the cache never exceeds its capacity.
+func TestPlanCacheBounded(t *testing.T) {
+	db := openLifeSciWith(t, nil)
+	db.plans = newPlanCache(2)
 	for i := 0; i < 5; i++ {
 		q := fmt.Sprintf("SELECT name FROM drugbank ORDER BY name LIMIT %d", i+1)
 		if _, _, err := db.Query(q); err != nil {
@@ -134,21 +134,6 @@ func TestPlanCacheBoundedAndDisabled(t *testing.T) {
 	}
 	if st := db.PlanCacheStats(); st.Size > 2 {
 		t.Errorf("cache size %d exceeds capacity 2", st.Size)
-	}
-
-	off := openLifeSciWith(t, func(o *Options) { o.DisablePlanCache = true })
-	const q = "SELECT name FROM drugbank ORDER BY name"
-	for i := 0; i < 2; i++ {
-		_, info, err := off.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.PlanCached {
-			t.Errorf("run %d: DisablePlanCache must re-plan", i)
-		}
-	}
-	if st := off.PlanCacheStats(); st.Size != 0 {
-		t.Errorf("disabled cache holds %d plans", st.Size)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestOldStoreAnswersIdentically(t *testing.T) {
 	}
 	opts := lifesciOptions(dir)
 	opts.DisableMatCache = true
-	opts.Sync = storage.SyncGroup
+	opts.Storage.Sync = storage.SyncGroup
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

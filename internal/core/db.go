@@ -37,6 +37,8 @@ const ClaimsTable = "claims"
 type Options struct {
 	// Dir is the storage directory; empty means in-memory.
 	Dir string
+	// Storage configures the store opened at Dir.
+	Storage storage.Options
 	// Ontology seeds the semantic layer (nil starts empty; axioms may
 	// also be loaded from the catalog or added later).
 	Ontology *ontology.Ontology
@@ -46,10 +48,6 @@ type Options struct {
 	Patterns []extract.Pattern
 	// ERConfig tunes incremental entity resolution.
 	ERConfig er.Config
-	// MatCacheSize bounds the materialization cache (0 = default 256).
-	MatCacheSize int
-	// MatPolicy selects its retention policy (default PolicyRanked).
-	MatPolicy curate.MatPolicy
 	// DisableSemanticOpt turns the OS.3 rewrites off (ablation).
 	DisableSemanticOpt bool
 	// DisableMatCache turns materialization off (ablation).
@@ -70,13 +68,6 @@ type Options struct {
 	// DisableIndexScan executes IndexScans as plain zone scans and stops
 	// index self-creation (differential baseline; plans are unchanged).
 	DisableIndexScan bool
-	// DisablePlanCache re-plans every statement (ablation).
-	DisablePlanCache bool
-	// PlanCacheSize bounds the plan cache (0 = default 256).
-	PlanCacheSize int
-	// Sync selects the storage commit durability policy (default
-	// storage.SyncNone: buffered log writes, flushed on checkpoint/close).
-	Sync storage.SyncPolicy
 	// IngestBatchSize is records per storage write batch during ingest
 	// (0 = curate.DefaultIngestBatch; 1 = per-record writes, the serial
 	// baseline). Final state is identical for every setting.
@@ -84,17 +75,6 @@ type Options struct {
 	// IngestParallelism sizes the ingest decode worker pool (0 = one per
 	// CPU; 1 decodes inline). Final state is identical for every setting.
 	IngestParallelism int
-	// WALSegmentBytes is the WAL segment rotation threshold (0 =
-	// storage.DefaultSegmentBytes).
-	WALSegmentBytes int64
-	// CheckpointBytes triggers an automatic incremental checkpoint after
-	// that many WAL bytes since the last one (0 =
-	// storage.DefaultCheckpointBytes, negative disables automatic
-	// checkpoints).
-	CheckpointBytes int64
-	// RecoverParallelism sizes recovery's worker pools (0 = one per CPU,
-	// 1 = serial). Recovered state is identical for every setting.
-	RecoverParallelism int
 	// ReadOnly opens the engine as a read replica: ingest and claim
 	// persistence return ErrReadOnly, the catalog is opened without
 	// creating its system tables, and Close skips the catalog/ontology
@@ -146,12 +126,7 @@ type DB struct {
 
 // Open assembles the engine.
 func Open(opts Options) (*DB, error) {
-	store, err := storage.OpenOptions(opts.Dir, storage.Options{
-		Sync:               opts.Sync,
-		SegmentBytes:       opts.WALSegmentBytes,
-		CheckpointBytes:    opts.CheckpointBytes,
-		RecoverParallelism: opts.RecoverParallelism,
-	})
+	store, err := storage.OpenOptions(opts.Dir, opts.Storage)
 	if err != nil {
 		return nil, err
 	}
@@ -204,8 +179,8 @@ func Open(opts Options) (*DB, error) {
 		pipeline: pipe,
 		worlds:   worlds,
 		refiner:  refine.New(onto, g, worlds),
-		matCache: curate.NewMatCache(opts.MatCacheSize, opts.MatPolicy),
-		plans:    newPlanCache(opts.PlanCacheSize),
+		matCache: curate.NewMatCache(0, curate.PolicyRanked), // curate's default capacity
+		plans:    newPlanCache(planCacheSize),
 		opts:     opts,
 	}
 	db.txns = txn.NewManager(store, db.enrichmentVersion)

@@ -86,10 +86,10 @@ func TestIngestStateEquivalence(t *testing.T) {
 		{"batch-3", func(o *Options) { o.IngestBatchSize = 3 }},
 		{"parallel-8", func(o *Options) { o.IngestParallelism = 8 }},
 		{"batch-7-parallel-4", func(o *Options) { o.IngestBatchSize = 7; o.IngestParallelism = 4 }},
-		{"durable-sync-group", func(o *Options) { o.Dir = t.TempDir(); o.Sync = storage.SyncGroup }},
+		{"durable-sync-group", func(o *Options) { o.Dir = t.TempDir(); o.Storage.Sync = storage.SyncGroup }},
 		{"durable-sync-always-batch-5", func(o *Options) {
 			o.Dir = t.TempDir()
-			o.Sync = storage.SyncAlways
+			o.Storage.Sync = storage.SyncAlways
 			o.IngestBatchSize = 5
 		}},
 		{"durable-sync-none-parallel-4", func(o *Options) {

@@ -45,12 +45,10 @@ type planCache struct {
 	misses  uint64
 }
 
-const defaultPlanCacheSize = 256
+// planCacheSize bounds an engine's plan cache.
+const planCacheSize = 256
 
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = defaultPlanCacheSize
-	}
 	return &planCache{cap: capacity, entries: make(map[planKey]*planEntry)}
 }
 

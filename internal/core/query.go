@@ -124,15 +124,13 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 	// a plan-cache hit carries it, so only a miss renders the statement.
 	var key string
 	pk := planKey{src: src, schema: db.store.SchemaVersion(), onto: db.onto.Version()}
-	if !db.opts.DisablePlanCache {
-		if ent, ok := db.plans.get(pk); ok {
-			stmt, plan, key = ent.stmt, ent.plan, ent.key
-			info.Plan = ent.planText
-			info.Rules = ent.rules
-			info.EstimatedCost = ent.cost
-			info.EstimatedMorsels = ent.morsels
-			info.PlanCached = true
-		}
+	if ent, ok := db.plans.get(pk); ok {
+		stmt, plan, key = ent.stmt, ent.plan, ent.key
+		info.Plan = ent.planText
+		info.Rules = ent.rules
+		info.EstimatedCost = ent.cost
+		info.EstimatedMorsels = ent.morsels
+		info.PlanCached = true
 	}
 	if stmt == nil {
 		var err error
@@ -185,7 +183,7 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 		info.Rules = rep.Rules
 		info.EstimatedCost = rep.EstimatedCost
 		info.EstimatedMorsels = rep.EstimatedMorsels
-		if !stmt.Explain && !db.opts.DisablePlanCache {
+		if !stmt.Explain {
 			// Plans and statements are immutable after optimization, so the
 			// cached entry can serve concurrent executions.
 			db.plans.put(pk, &planEntry{

@@ -35,53 +35,42 @@ import (
 	"scdb/internal/storage"
 )
 
-// Config configures a Follower. PrimaryAddr and Dir are required.
+// Config configures a Follower. PrimaryAddr and Opts.Dir are required.
 type Config struct {
 	// PrimaryAddr is the primary scdb-server's wire address.
 	PrimaryAddr string
-	// Dir is the follower's own durable directory (wiped and rebuilt when
-	// a snapshot bootstrap is needed).
-	Dir string
-	// Opts are the engine options for the local read-only database; Dir,
-	// ReadOnly, and CheckpointBytes are overridden (the follower
-	// checkpoints manually between applied batches — the background
-	// checkpointer's barrier would deadlock against replication apply,
-	// which bypasses the write tracker).
+	// Opts are the engine options for the local read-only database. Opts.Dir
+	// is the follower's own durable directory, wiped and rebuilt when a
+	// snapshot bootstrap is needed. ReadOnly is forced on. CheckpointBytes
+	// sets the follower's own checkpoint cadence, which it runs between
+	// applied batches: the background checkpointer's barrier would
+	// deadlock against replication apply, which bypasses the write
+	// tracker.
 	Opts scdb.Options
-
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
-	// RedialWait is the backoff between reconnect attempts (default 500ms).
-	RedialWait time.Duration
 	// RefreshEvery is the derived-layer rebuild cadence (default 2s;
 	// negative disables automatic refresh).
 	RefreshEvery time.Duration
-	// CheckpointBytes triggers a local checkpoint after that much log has
-	// been re-appended (default 64 MiB; negative disables).
-	CheckpointBytes int64
-	// MaxFrame bounds received frames (default server.DefaultMaxFrame).
-	MaxFrame int
 	// Logf, when set, receives connection lifecycle messages.
 	Logf func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 5 * time.Second
+const (
+	// dialTimeout bounds each connection attempt to the primary.
+	dialTimeout = 5 * time.Second
+	// redialWait is the backoff between reconnect attempts.
+	redialWait = 500 * time.Millisecond
+)
+
+// checkpointEvery is the follower's checkpoint cadence in log bytes: the
+// storage default for zero, none (0) for a negative setting.
+func checkpointEvery(opts scdb.Options) uint64 {
+	switch {
+	case opts.CheckpointBytes < 0:
+		return 0
+	case opts.CheckpointBytes == 0:
+		return storage.DefaultCheckpointBytes
 	}
-	if c.RedialWait == 0 {
-		c.RedialWait = 500 * time.Millisecond
-	}
-	if c.RefreshEvery == 0 {
-		c.RefreshEvery = 2 * time.Second
-	}
-	if c.CheckpointBytes == 0 {
-		c.CheckpointBytes = 64 << 20
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = server.DefaultMaxFrame
-	}
-	return c
+	return uint64(opts.CheckpointBytes)
 }
 
 // Follower is a running replication subscriber plus its local read-only
@@ -108,9 +97,11 @@ type Follower struct {
 // replay loop. It returns once the local database is open and subscribed;
 // catching up proceeds in the background.
 func Start(cfg Config) (*Follower, error) {
-	cfg = cfg.withDefaults()
-	if cfg.PrimaryAddr == "" || cfg.Dir == "" {
-		return nil, errors.New("repl: Config.PrimaryAddr and Config.Dir are required")
+	if cfg.RefreshEvery == 0 {
+		cfg.RefreshEvery = 2 * time.Second
+	}
+	if cfg.PrimaryAddr == "" || cfg.Opts.Dir == "" {
+		return nil, errors.New("repl: Config.PrimaryAddr and Config.Opts.Dir are required")
 	}
 	f := &Follower{cfg: cfg, done: make(chan struct{})}
 
@@ -221,9 +212,8 @@ func (f *Follower) logf(format string, args ...any) {
 
 func (f *Follower) openDB() (*scdb.DB, error) {
 	opts := f.cfg.Opts
-	opts.Dir = f.cfg.Dir
 	opts.ReadOnly = true
-	opts.CheckpointBytes = -1 // manual checkpoints between batches only
+	opts.CheckpointBytes = -1 // no background checkpointer: run checkpoints between batches
 	return scdb.Open(opts)
 }
 
@@ -252,11 +242,11 @@ func (f *Follower) setFatal(err error) {
 // dialSubscribe opens a v2 connection and sends the subscription request
 // with the current applied CSN.
 func (f *Follower) dialSubscribe() (net.Conn, *bufio.Reader, error) {
-	conn, err := net.DialTimeout("tcp", f.cfg.PrimaryAddr, f.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", f.cfg.PrimaryAddr, dialTimeout)
 	if err != nil {
 		return nil, nil, err
 	}
-	conn.SetDeadline(time.Now().Add(f.cfg.DialTimeout))
+	conn.SetDeadline(time.Now().Add(dialTimeout))
 	if err := server.WriteClientHello(conn); err != nil {
 		conn.Close()
 		return nil, nil, err
@@ -281,7 +271,7 @@ func (f *Follower) dialSubscribe() (net.Conn, *bufio.Reader, error) {
 // readBatch reads the next stream frame and decodes it. An error frame
 // from the server is surfaced as an error carrying its code and message.
 func (f *Follower) readBatch(br *bufio.Reader) (*server.V2ReplBatch, error) {
-	fr, err := server.ReadV2Frame(br, f.cfg.MaxFrame)
+	fr, err := server.ReadV2Frame(br, server.DefaultMaxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -302,13 +292,14 @@ func (f *Follower) readBatch(br *bufio.Reader) (*server.V2ReplBatch, error) {
 // into Dir's snapshot file, atomically renamed into place, leaving the
 // directory ready for openDB to recover from.
 func (f *Follower) receiveSnapshot(br *bufio.Reader, first *server.V2ReplBatch) error {
-	if err := os.RemoveAll(f.cfg.Dir); err != nil {
+	dir := f.cfg.Opts.Dir
+	if err := os.RemoveAll(dir); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := storage.SnapshotPath(f.cfg.Dir)
+	path := storage.SnapshotPath(dir)
 	tmp, err := os.Create(path + ".tmp")
 	if err != nil {
 		return err
@@ -349,6 +340,7 @@ func (f *Follower) run(conn net.Conn, br *bufio.Reader, pending *server.V2ReplBa
 	var (
 		lastRefresh   = time.Now()
 		refreshedAt   = f.applied.Load()
+		ckptEvery     = checkpointEvery(f.cfg.Opts)
 		lastCkptBytes = f.db.WALStats().Bytes
 	)
 	for {
@@ -416,8 +408,8 @@ func (f *Follower) run(conn net.Conn, br *bufio.Reader, pending *server.V2ReplBa
 				lastRefresh = time.Now()
 				refreshedAt = f.applied.Load()
 			}
-			if f.cfg.CheckpointBytes > 0 {
-				if bytes := f.db.WALStats().Bytes; bytes-lastCkptBytes >= uint64(f.cfg.CheckpointBytes) {
+			if ckptEvery > 0 {
+				if bytes := f.db.WALStats().Bytes; bytes-lastCkptBytes >= ckptEvery {
 					if err := f.db.Checkpoint(); err != nil {
 						f.logf("repl: local checkpoint: %v", err)
 					}
@@ -435,7 +427,7 @@ func (f *Follower) run(conn net.Conn, br *bufio.Reader, pending *server.V2ReplBa
 			if f.isClosed() {
 				return
 			}
-			time.Sleep(f.cfg.RedialWait)
+			time.Sleep(redialWait)
 			if f.isClosed() {
 				return
 			}

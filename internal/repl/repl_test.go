@@ -82,12 +82,12 @@ func (n *followerNode) stop() {
 func startFollowerNode(tb testing.TB, primaryAddr, dir string, mut func(*scdb.Options)) *followerNode {
 	tb.Helper()
 	opts := lifesciOptions()
+	opts.Dir = dir
 	if mut != nil {
 		mut(&opts)
 	}
 	f, err := repl.Start(repl.Config{
 		PrimaryAddr:  primaryAddr,
-		Dir:          dir,
 		Opts:         opts,
 		RefreshEvery: -1, // tests refresh deterministically
 	})
@@ -266,6 +266,29 @@ func TestReplicaDifferential(t *testing.T) {
 	}
 	if pst.Repl == nil || pst.Repl.Role != "primary" || len(pst.Repl.Followers) != 2 {
 		t.Fatalf("primary stats: %+v", pst.Repl)
+	}
+}
+
+// TestReplicaHonorsCheckpointBytes: a follower checkpoints its own store
+// on the cadence Opts.CheckpointBytes sets, and never when it is negative.
+func TestReplicaHonorsCheckpointBytes(t *testing.T) {
+	db, paddr := startPrimary(t, nil)
+	every := startFollowerNode(t, paddr, t.TempDir(), func(o *scdb.Options) { o.CheckpointBytes = 4 << 10 })
+	never := startFollowerNode(t, paddr, t.TempDir(), func(o *scdb.Options) { o.CheckpointBytes = -1 })
+	for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
+		if err := db.Ingest(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCaughtUp(t, every, db)
+	waitCaughtUp(t, never, db)
+	if b := every.f.DB().WALStats().Bytes; b < 4<<10 {
+		t.Fatalf("follower applied %d log bytes, want at least %d", b, 4<<10)
+	}
+	waitUntil(t, 15*time.Second, func() bool { return every.f.DB().WALStats().Checkpoints > 0 },
+		"a follower with CheckpointBytes 4 KiB to checkpoint")
+	if n := never.f.DB().WALStats().Checkpoints; n != 0 {
+		t.Fatalf("follower with CheckpointBytes -1 checkpointed %d times", n)
 	}
 }
 

@@ -428,7 +428,7 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		vc.write(EncodeV2BlobResult(e, f.ID, V2OpERDigests, blob))
 		e.Release()
 		return "", "", ""
-	case V2OpQuery, V2OpExplain, V2OpIngest, V2OpIngestBatch:
+	case V2OpQuery, V2OpExplain, V2OpIngestBatch:
 		// Fall through to the admitted path below.
 	default:
 		return fail(CodeBadRequest, fmt.Sprintf("unknown op 0x%02x", f.Op))
@@ -515,31 +515,6 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		}
 		return "", detail, ""
 
-	case V2OpIngest:
-		src, timeoutMS, trace, err := DecodeV2Ingest(f.Payload)
-		if err != nil {
-			return fail(CodeBadRequest, err.Error())
-		}
-		detail = "source:" + src.Name
-		ctx, cancel, tr, root, err := s.admitV2(vc, req, OpIngest, trace, timeoutMS, decodeDur)
-		defer cancel()
-		if err != nil {
-			c, msg := errorCode(err)
-			return fail(c, msg)
-		}
-		defer s.admit.release()
-		start := time.Now()
-		if err := s.cfg.DB.IngestCtx(ctx, src); err != nil {
-			c, msg := errorCode(err)
-			return fail(c, msg)
-		}
-		s.metrics.observeIngest(len(src.Entities), time.Since(start))
-		root.End()
-		e := GetV2Enc()
-		vc.write(EncodeV2IngestResult(e, f.ID, V2OpIngest, nil, traceJSON(tr), s.cfg.DB.CSN()))
-		e.Release()
-		return "", detail, ""
-
 	case V2OpIngestBatch:
 		name, timeoutMS, trace, err := DecodeV2IngestBatchHeader(f.Payload)
 		if err != nil {
@@ -574,7 +549,7 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 			chunk := msg.c
 			// A stream that ends having installed nothing still delivers
 			// once: an empty delivery registers the source and creates its
-			// table, as the ingest op does for the same source.
+			// table, as an embedded Ingest of the same source does.
 			if len(chunk.Entities) > 0 || len(chunk.Links) > 0 || len(chunk.Texts) > 0 || chunk.Done && sum.Batches == 0 {
 				src := scdb.Source{
 					Name:     name,
@@ -603,7 +578,7 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		root.End()
 		sum.CSN = s.cfg.DB.CSN()
 		e := GetV2Enc()
-		vc.write(EncodeV2IngestResult(e, f.ID, V2OpIngestBatch, &sum, traceJSON(tr), sum.CSN))
+		vc.write(EncodeV2IngestResult(e, f.ID, sum, traceJSON(tr), sum.CSN))
 		e.Release()
 		return "", detail, ""
 	}

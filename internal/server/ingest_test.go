@@ -2,10 +2,14 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"scdb"
+	"scdb/client"
 	"scdb/internal/server"
 )
 
@@ -93,26 +97,105 @@ func TestIngestBatchStream(t *testing.T) {
 	}
 }
 
-// TestIngestBatchErrors exercises the failure paths: a nameless stream is
-// rejected but fully drained, so the connection survives.
-func TestIngestBatchErrors(t *testing.T) {
-	db := openDB(t, scdb.Options{})
-	_, addr := startServer(t, db, nil)
-	c := dial(t, addr)
-
-	nameless := streamSource(5)
+// TestIngestIsOneStreamedOp: Ingest, IngestTraced and IngestBatch all open
+// the ingest_batch stream and leave identical corpora; Ingest sends a
+// source whole, as one delivery. A nameless source is a typed error from
+// every method and leaves the connection framed for the deliveries after
+// it; a value the client cannot encode cancels the stream it opened. The
+// retired one-frame op 0x04 is an unknown op.
+func TestIngestIsOneStreamedOp(t *testing.T) {
+	feed := streamSource(20)
+	feed.Texts = []string{"device 3 is a peer of device 0"}
+	mirror := streamSource(12)
+	mirror.Name = "mirror"
+	sources := []scdb.Source{feed, mirror}
+	nameless := feed
 	nameless.Name = ""
-	_, err := c.IngestBatch(context.Background(), nameless, 2)
-	if err == nil {
-		t.Fatal("nameless source accepted")
+	unencodable := scdb.Source{Name: "bad", Entities: []scdb.Entity{{Key: "k", Attrs: scdb.Record{"x": struct{}{}}}}}
+
+	methods := []struct {
+		name    string
+		deliver func(*client.Client, scdb.Source) error
+	}{
+		{"Ingest", (*client.Client).Ingest},
+		{"IngestTraced", func(c *client.Client, src scdb.Source) error {
+			trace, err := c.IngestTraced(src)
+			if err == nil && strings.Count(trace, `"span": "ingest.install"`) != 1 {
+				err = fmt.Errorf("traced %s is not one delivery:\n%s", src.Name, trace)
+			}
+			return err
+		}},
+		{"IngestBatch", func(c *client.Client, src scdb.Source) error {
+			_, err := c.IngestBatch(context.Background(), src, 7)
+			return err
+		}},
 	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("connection poisoned by rejected stream: %v", err)
+	var want string
+	for _, m := range methods {
+		_, addr := startServer(t, openDB(t, scdb.Options{Axioms: "concept Device"}), nil)
+		c := dial(t, addr)
+		for _, n := range methods {
+			var se *client.ServerError
+			if err := n.deliver(c, nameless); !errors.As(err, &se) || se.Code != server.CodeBadRequest {
+				t.Errorf("nameless source through %s: %v, want a %s error", n.name, err, server.CodeBadRequest)
+			}
+			if n.deliver(c, unencodable) == nil {
+				t.Errorf("an unencodable value through %s was accepted", n.name)
+			}
+		}
+		for _, src := range sources {
+			if err := m.deliver(c, src); err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
+		}
+		waitUntil(t, 4*time.Second, func() bool { st, err := c.Stats(); return err == nil && st.Server.InFlight == 0 },
+			"canceled streams to release their admission slots")
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.name == "Ingest" && st.Server.Ingest.Batches != uint64(len(sources)) {
+			t.Errorf("Ingest installed %d batches for %d sources", st.Server.Ingest.Batches, len(sources))
+		}
+		e := st.Engine
+		got := fmt.Sprintf("entities=%d edges=%d merges=%d inferred=%d\n", e.Entities, e.Edges, e.Merges, e.InferredTypes)
+		for _, q := range []string{
+			"SELECT name, slot FROM feed ORDER BY slot",
+			"SELECT name, slot FROM mirror ORDER BY slot",
+			"SELECT COUNT(*) AS n FROM Device",
+		} {
+			rows, err := c.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", m.name, q, err)
+			}
+			got += render(rows)
+		}
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("%s left a different corpus:\n%s\nwant:\n%s", m.name, got, want)
+		}
 	}
-	// The stream still works afterwards.
-	src := streamSource(5)
-	src.Name = "feed"
-	if _, err := c.IngestBatch(context.Background(), src, 2); err != nil {
-		t.Fatalf("stream after rejection: %v", err)
+
+	_, addr := startServer(t, openDB(t, scdb.Options{}), nil)
+	nc := hello(t, addr)
+	if _, err := nc.Write(v2Header(6, 0x04, 9)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := server.ReadV2Frame(nc, server.DefaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, err := server.DecodeV2Error(f.Payload); f.Op != server.V2OpError || f.ID != 9 || err != nil || code != server.CodeBadRequest {
+		t.Fatalf("op 0x04: frame op 0x%02x id %d code %q (%v), want a bad_request error for id 9", f.Op, f.ID, code, err)
+	}
+	e := server.GetV2Enc()
+	_, err = nc.Write(server.EncodeV2Simple(e, 10, server.V2OpPing))
+	e.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err = server.ReadV2Frame(nc, server.DefaultMaxFrame); err != nil || f.Op != server.V2OpResult || f.ID != 10 {
+		t.Fatalf("ping after op 0x04: op 0x%02x id %d (%v)", f.Op, f.ID, err)
 	}
 }

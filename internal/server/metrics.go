@@ -35,7 +35,7 @@ type ServerStats struct {
 	// Conns is open connections; ConnsTotal is lifetime accepts.
 	Conns      int    `json:"conns"`
 	ConnsTotal uint64 `json:"conns_total"`
-	// Ingest covers the batch write path (ingest and ingest_batch).
+	// Ingest covers the batch write path (ingest_batch).
 	Ingest IngestMetrics `json:"ingest"`
 	// SlowOps is the lifetime count of operations recorded by the slow-op
 	// log (including entries its ring has since evicted).

@@ -18,14 +18,15 @@ const (
 	OpPing    = "ping"
 	OpQuery   = "query"
 	OpExplain = "explain"
-	OpIngest  = "ingest"
 	OpStats   = "stats"
-	// OpIngestBatch streams one source delivery as a sequence of chunk
-	// frames following the request header, which carries only the source
-	// name; each chunk installs as one batched delivery to that source, and
-	// the whole stream holds a single admission slot. The final chunk sets
-	// Done and conventionally carries the links and texts, after every
-	// entity chunk, so cross-chunk references resolve without retries.
+	// OpIngestBatch is the one ingest op. It streams one source delivery
+	// as a sequence of chunk frames following the request header, which
+	// carries only the source name; each chunk installs as one batched
+	// delivery to that source, and the whole stream holds a single
+	// admission slot. The final chunk sets Done and conventionally carries
+	// the links and texts, after every entity chunk, so cross-chunk
+	// references resolve without retries; a source sent whole is that one
+	// final chunk.
 	OpIngestBatch = "ingest_batch"
 	// OpMetrics answers with the server's full metrics registry rendered
 	// as sorted "name value" text.

@@ -117,10 +117,11 @@ func ReadServerHello(r io.Reader) (byte, error) {
 // matched to requests by id, and V2OpResult echoes the request op as its
 // first body byte so a response can't be misread against the wrong call.
 const (
-	V2OpPing        byte = 0x01
-	V2OpQuery       byte = 0x02
-	V2OpExplain     byte = 0x03
-	V2OpIngest      byte = 0x04
+	V2OpPing    byte = 0x01
+	V2OpQuery   byte = 0x02
+	V2OpExplain byte = 0x03
+	// 0x04 carried a whole source in one frame; it is not reused, and a
+	// server answers it as an unknown op.
 	V2OpIngestBatch byte = 0x05
 	// V2OpIngestChunk carries one chunk of an ingest_batch stream. Chunks
 	// are self-delimiting frames routed by request id, so a failed stream
@@ -174,8 +175,6 @@ func v2OpName(op byte) string {
 		return OpQuery
 	case V2OpExplain:
 		return OpExplain
-	case V2OpIngest:
-		return OpIngest
 	case V2OpIngestBatch:
 		return OpIngestBatch
 	case V2OpStats:
@@ -1142,54 +1141,6 @@ func (d *v2Dec) texts() ([]string, error) {
 	return out, nil
 }
 
-// EncodeV2Ingest builds a one-shot ingest request carrying a whole source.
-func EncodeV2Ingest(e *V2Enc, id uint32, src scdb.Source, timeoutMS int64, trace bool) ([]byte, error) {
-	e.uvarint(uint64(timeoutMS))
-	if trace {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	e.str(src.Name)
-	if err := e.entities(src.Entities); err != nil {
-		return nil, err
-	}
-	if err := e.links(src.Links); err != nil {
-		return nil, err
-	}
-	e.texts(src.Texts)
-	return e.Frame(V2OpIngest, 0, id), nil
-}
-
-// DecodeV2Ingest parses a one-shot ingest request.
-func DecodeV2Ingest(payload []byte) (src scdb.Source, timeoutMS int64, trace bool, err error) {
-	d, err := newV2Dec(payload)
-	if err != nil {
-		return scdb.Source{}, 0, false, err
-	}
-	t, err := d.uvarint()
-	if err != nil {
-		return scdb.Source{}, 0, false, err
-	}
-	tb, err := d.u8()
-	if err != nil {
-		return scdb.Source{}, 0, false, err
-	}
-	if src.Name, err = d.str(); err != nil {
-		return scdb.Source{}, 0, false, err
-	}
-	if src.Entities, err = d.entities(); err != nil {
-		return scdb.Source{}, 0, false, err
-	}
-	if src.Links, err = d.links(); err != nil {
-		return scdb.Source{}, 0, false, err
-	}
-	if src.Texts, err = d.texts(); err != nil {
-		return scdb.Source{}, 0, false, err
-	}
-	return src, int64(t), tb != 0, nil
-}
-
 // EncodeV2IngestBatchHeader opens a chunked ingest stream for the named
 // source; V2OpIngestChunk frames with the same id follow.
 func EncodeV2IngestBatchHeader(e *V2Enc, id uint32, name string, timeoutMS int64, trace bool) []byte {
@@ -1371,9 +1322,9 @@ type V2Result struct {
 	Columns []string        // query
 	Info    *scdb.QueryInfo // query, explain
 	Ingest  *IngestSummary  // ingest_batch
-	Trace   string          // ingest, ingest_batch (traced)
+	Trace   string          // ingest_batch (traced)
 	Blob    []byte          // stats/slowlog JSON, metrics text
-	CSN     uint64          // ping, ingest, ingest_batch
+	CSN     uint64          // ping, ingest_batch
 }
 
 // EncodeV2PingResult answers a ping with the node's current commit stamp
@@ -1403,19 +1354,15 @@ func EncodeV2ExplainResult(e *V2Enc, id uint32, info *scdb.QueryInfo) []byte {
 	return e.Frame(V2OpResult, 0, id)
 }
 
-// EncodeV2IngestResult answers ingest (kind V2OpIngest, no summary) and
-// ingest_batch (kind V2OpIngestBatch, with summary).
-func EncodeV2IngestResult(e *V2Enc, id uint32, kind byte, sum *IngestSummary, trace string, csn uint64) []byte {
-	e.u8(kind)
-	if sum == nil {
-		e.u8(0)
-	} else {
-		e.u8(1)
-		e.uvarint(uint64(sum.Batches))
-		e.uvarint(uint64(sum.Rows))
-		e.uvarint(uint64(sum.ElapsedUS))
-		e.f64(sum.RowsPerSec)
-	}
+// EncodeV2IngestResult answers an ingest_batch stream: its summary (after
+// a presence byte, always 1), the trace and the commit stamp.
+func EncodeV2IngestResult(e *V2Enc, id uint32, sum IngestSummary, trace string, csn uint64) []byte {
+	e.u8(V2OpIngestBatch)
+	e.u8(1)
+	e.uvarint(uint64(sum.Batches))
+	e.uvarint(uint64(sum.Rows))
+	e.uvarint(uint64(sum.ElapsedUS))
+	e.f64(sum.RowsPerSec)
 	e.rawBytes([]byte(trace))
 	e.uvarint(csn)
 	return e.Frame(V2OpResult, 0, id)
@@ -1473,33 +1420,31 @@ func DecodeV2Result(payload []byte) (*V2Result, error) {
 			return nil, err
 		}
 		return res, nil
-	case V2OpIngest, V2OpIngestBatch:
+	case V2OpIngestBatch:
 		has, err := d.u8()
 		if err != nil {
 			return nil, err
 		}
-		if has != 0 {
-			sum := &IngestSummary{}
-			b, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			r, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			us, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			rps, err := d.f64()
-			if err != nil {
-				return nil, err
-			}
-			sum.Batches, sum.Rows = int(b), int(r)
-			sum.ElapsedUS, sum.RowsPerSec = int64(us), rps
-			res.Ingest = sum
+		if has == 0 {
+			return nil, errors.New("wire2: ingest_batch result without summary")
 		}
+		b, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		r, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		us, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		rps, err := d.f64()
+		if err != nil {
+			return nil, err
+		}
+		res.Ingest = &IngestSummary{Batches: int(b), Rows: int(r), ElapsedUS: int64(us), RowsPerSec: rps}
 		tb, err := d.view()
 		if err != nil {
 			return nil, err

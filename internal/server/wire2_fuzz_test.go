@@ -28,7 +28,6 @@ func FuzzWireV2(f *testing.F) {
 		}
 		// Payload layer: the same bytes through every payload decoder.
 		server.DecodeV2Query(data)
-		server.DecodeV2Ingest(data)
 		server.DecodeV2IngestBatchHeader(data)
 		server.DecodeV2IngestChunk(data)
 		server.DecodeV2Error(data)

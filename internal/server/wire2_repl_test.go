@@ -141,13 +141,13 @@ func TestWireV2ReplResultCSN(t *testing.T) {
 	}
 
 	e = server.GetV2Enc()
-	f = readFrameBytes(t, server.EncodeV2IngestResult(e, 6, server.V2OpIngest, nil, "trace-body", 99))
+	f = readFrameBytes(t, server.EncodeV2IngestResult(e, 6, server.IngestSummary{Batches: 1, Rows: 3}, "trace-body", 99))
 	e.Release()
 	res, err = server.DecodeV2Result(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kind != server.V2OpIngest || res.Trace != "trace-body" || res.CSN != 99 {
+	if res.Kind != server.V2OpIngestBatch || res.Ingest.Rows != 3 || res.Trace != "trace-body" || res.CSN != 99 {
 		t.Fatalf("ingest result kind=%#x trace=%q csn=%d", res.Kind, res.Trace, res.CSN)
 	}
 

@@ -116,17 +116,26 @@ func TestWireV2RequestRoundTrips(t *testing.T) {
 		},
 		Texts: []string{"aspirin treats headache"},
 	}
+	// A whole source travels as the header plus one done chunk, what
+	// Client.Ingest sends.
 	e = server.GetV2Enc()
-	frame2, err := server.EncodeV2Ingest(e, 12, src, 0, true)
+	name, ms, trace, err := server.DecodeV2IngestBatchHeader(readFrameBytes(t, server.EncodeV2IngestBatchHeader(e, 12, src.Name, 0, true)).Payload)
+	e.Release()
+	if err != nil || name != "feed" || ms != 0 || !trace {
+		t.Fatalf("ingest header round trip: name=%q ms=%d trace=%v err=%v", name, ms, trace, err)
+	}
+	whole := server.V2Chunk{Entities: src.Entities, Links: src.Links, Texts: src.Texts, Done: true}
+	e = server.GetV2Enc()
+	frame2, err := server.EncodeV2IngestChunk(e, 12, whole)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ms, trace, err := server.DecodeV2Ingest(readFrameBytes(t, frame2).Payload)
+	got, err := server.DecodeV2IngestChunk(readFrameBytes(t, frame2).Payload)
 	e.Release()
-	if err != nil || ms != 0 || !trace {
-		t.Fatalf("ingest round trip: ms=%d trace=%v err=%v", ms, trace, err)
+	if err != nil || !got.Done {
+		t.Fatalf("ingest chunk round trip: done=%v err=%v", got.Done, err)
 	}
-	if got.Name != "feed" || len(got.Entities) != 1 || len(got.Links) != 2 || len(got.Texts) != 1 {
+	if len(got.Entities) != 1 || len(got.Links) != 2 || len(got.Texts) != 1 {
 		t.Fatalf("ingest shape: %+v", got)
 	}
 	if got.Entities[0].Attrs["mass"] != 180.157 || got.Entities[0].Attrs["n"] != int64(3) {
@@ -139,8 +148,8 @@ func TestWireV2RequestRoundTrips(t *testing.T) {
 	// Identical sources encode to identical bytes (attr keys are sorted),
 	// which the checked-in fuzz corpus depends on.
 	ea, eb := server.GetV2Enc(), server.GetV2Enc()
-	fa, _ := server.EncodeV2Ingest(ea, 12, src, 0, true)
-	fb, _ := server.EncodeV2Ingest(eb, 12, src, 0, true)
+	fa, _ := server.EncodeV2IngestChunk(ea, 12, whole)
+	fb, _ := server.EncodeV2IngestChunk(eb, 12, whole)
 	if !bytes.Equal(fa, fb) {
 		t.Error("ingest encoding is not deterministic")
 	}

@@ -322,7 +322,7 @@ func TestRouterRejectsUnroutable(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != server.CodeBadRequest || !strings.Contains(se.Msg, "no local resolver") {
 		t.Errorf("er_digests at a router: err = %v, want a %q refusal", err, server.CodeBadRequest)
 	}
-	_, err = repl.Start(repl.Config{PrimaryAddr: c.addr, Dir: t.TempDir()})
+	_, err = repl.Start(repl.Config{PrimaryAddr: c.addr, Opts: scdb.Options{Dir: t.TempDir()}})
 	if err == nil || !strings.Contains(err.Error(), server.CodeBadRequest) || !strings.Contains(err.Error(), "subscribe to a shard primary") {
 		t.Errorf("repl_subscribe at a router: err = %v, want a %q refusal naming the shard primary", err, server.CodeBadRequest)
 	}
@@ -483,7 +483,7 @@ func TestReadYourWritesAcrossShards(t *testing.T) {
 		defer cancel()
 		srv1.Shutdown(ctx)
 	})
-	f, err := repl.Start(repl.Config{PrimaryAddr: srv1.Addr().String(), Dir: t.TempDir(), RefreshEvery: -1})
+	f, err := repl.Start(repl.Config{PrimaryAddr: srv1.Addr().String(), Opts: scdb.Options{Dir: t.TempDir()}, RefreshEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

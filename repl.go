@@ -34,12 +34,6 @@ func (db *DB) ReplApply(entries []storage.ReplEntry, watermark uint64) error {
 	return db.inner.Store().ApplyRepl(entries, storage.CSN(watermark))
 }
 
-// StoreCheckpoint checkpoints the instance layer without flushing the
-// catalog. A follower calls this between applied batches (its catalog rows
-// are the primary's, and a local flush would corrupt the replicated
-// clock); primaries should use Checkpoint instead.
-func (db *DB) StoreCheckpoint() error { return db.inner.Store().Checkpoint() }
-
 // RefreshDerived rebuilds the relation and semantic layers (graph,
 // ontology, reasoner, claim worlds) from the instance layer and swaps them
 // in atomically. A follower calls this periodically: instance-layer reads

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -46,6 +47,44 @@ func TestOpenZeroOptions(t *testing.T) {
 	}
 	if len(rows.Data) != 1 || rows.Data[0][0].(int64) != 1 {
 		t.Errorf("rows = %v", rows.Data)
+	}
+}
+
+// TestOptionsReachTheirLayer: every facade option changes the engine
+// options Open builds, so a field the conversion forgets fails here.
+// Axioms is exempt: Open parses it into the ontology after the engine opens.
+func TestOptionsReachTheirLayer(t *testing.T) {
+	zero, err := Options{}.engineOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "Axioms" {
+			continue
+		}
+		var opts Options
+		v := reflect.ValueOf(&opts).Elem().Field(i)
+		switch {
+		case v.Kind() == reflect.String:
+			v.SetString("ann") // a blocking mode, and a directory name
+		case v.Kind() == reflect.Bool:
+			v.SetBool(true)
+		case v.CanInt():
+			v.SetInt(1)
+		case v.Kind() == reflect.Slice:
+			v.Set(reflect.MakeSlice(f.Type, 1, 1))
+		default:
+			t.Fatalf("Options.%s: no non-zero value for kind %s", f.Name, v.Kind())
+		}
+		got, err := opts.engineOptions()
+		if err != nil {
+			t.Fatalf("Options.%s: %v", f.Name, err)
+		}
+		if reflect.DeepEqual(got, zero) {
+			t.Errorf("Options.%s does not reach the engine options", f.Name)
+		}
 	}
 }
 
