@@ -253,13 +253,13 @@ func BenchmarkParallelJoin(b *testing.B) {
 // one source "items" of 20,000 rows; key, three-word name, skewed region,
 // slot = row number, qty, price) on a default engine, and warms it until the
 // auto-indexes on _key and slot exist.
-func benchReadMixDB(b *testing.B, rng *rand.Rand, rows int) *DB {
-	b.Helper()
+func benchReadMixDB(tb testing.TB, rng *rand.Rand, rows int) *DB {
+	tb.Helper()
 	db, err := Open(Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { db.Close() })
+	tb.Cleanup(func() { db.Close() })
 	src := Source{Name: "items", Entities: make([]Entity, rows)}
 	for i := range src.Entities {
 		u := rng.Float64()
@@ -272,15 +272,15 @@ func benchReadMixDB(b *testing.B, rng *rand.Rand, rows int) *DB {
 		}}
 	}
 	if err := db.Ingest(src); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; len(db.IndexStats()) < 2; i++ {
 		if i == 50 {
-			b.Fatalf("no auto-indexes after %d warm-up rounds: %v", i, db.IndexStats())
+			tb.Fatalf("no auto-indexes after %d warm-up rounds: %v", i, db.IndexStats())
 		}
 		for class := range readMixClasses {
 			if _, err := db.Query(readMixStmt(class, rng, rows)); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}

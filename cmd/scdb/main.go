@@ -11,7 +11,7 @@
 //	-q QUERY        run one SCQL query and exit (repeatable via args);
 //	                the first statement that fails ends the run with status 1
 //	-explain QUERY  print the optimized plan and rewrites, then exit
-//	-analyze QUERY  execute the query and print per-operator statistics
+//	-analyze QUERY  run the query under EXPLAIN ANALYZE: per-operator statistics
 //	-parallelism N  executor worker-pool size (0 = one per CPU)
 //	-stats          print engine statistics after loading
 //
@@ -460,20 +460,24 @@ func runQuery(db engine, q string) bool {
 	return true
 }
 
-// runAnalyze executes a query and prints its per-operator runtime profile
-// (the EXPLAIN ANALYZE tree) followed by the row count.
+// runAnalyze executes q under EXPLAIN ANALYZE and prints its per-operator
+// runtime profile, then the statement's row count: the root operator's out=
+// counter.
 func runAnalyze(db engine, q string) bool {
-	rows, info, err := db.QueryInfo(q)
+	rows, _, err := db.QueryInfo("EXPLAIN ANALYZE " + q)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		return false
 	}
-	if info.OperatorStats != "" {
-		fmt.Print(info.OperatorStats)
-	} else if info.CacheHit {
-		fmt.Println("(materialized result — no operator stats)")
+	n := "?"
+	for i, r := range rows.Data {
+		line := fmt.Sprint(r...)
+		fmt.Println(line)
+		if _, rest, ok := strings.Cut(line, " out="); ok && i == 0 {
+			n, _, _ = strings.Cut(rest, " ")
+		}
 	}
-	fmt.Printf("(%d rows)\n", len(rows.Data))
+	fmt.Printf("(%s rows)\n", n)
 	return true
 }
 

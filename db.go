@@ -230,7 +230,13 @@ type Rows struct {
 	Data    [][]any
 }
 
-// QueryInfo reports how a query was answered.
+// QueryInfo reports how a query was answered. CacheHit, PlanCached and
+// EstimatedCost are set for every statement. Plan, Rules and OperatorStats
+// are the statement's explanation: they are filled only for a statement
+// that asks for one (an EXPLAIN, EXPLAIN ANALYZE or TRACE prefix, or
+// Explain), and stay empty for a plain statement, so a read pays for its
+// rows and not for text. To profile a statement, run it under EXPLAIN
+// ANALYZE.
 type QueryInfo struct {
 	// Plan is the optimized plan tree, one node per line.
 	Plan string
@@ -246,7 +252,8 @@ type QueryInfo struct {
 	EstimatedCost float64
 	// OperatorStats is the per-operator runtime profile (rows in/out,
 	// morsels, wall time) of the executed plan, rendered as a tree — the
-	// same text EXPLAIN ANALYZE returns. Empty for cache hits.
+	// same text EXPLAIN ANALYZE returns as its rows. Set for EXPLAIN
+	// ANALYZE and TRACE only.
 	OperatorStats string
 }
 

@@ -178,8 +178,10 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 	}
 }
 
-// TestQueryInfoOperatorStats: ordinary executed queries also carry the
-// profile, and EstimatedMorsels flows from the optimizer.
+// TestQueryInfoOperatorStats: a plain statement carries no explanation (no
+// plan text, no rewrite log, no operator stats) but still reports its cost
+// estimate and EstimatedMorsels; EXPLAIN ANALYZE carries the stats tree,
+// whose root counts the statement's rows, and TRACE the plan and the tree.
 func TestQueryInfoOperatorStats(t *testing.T) {
 	opts := lifesciOptions("")
 	opts.DisableMatCache = true
@@ -193,25 +195,52 @@ func TestQueryInfoOperatorStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, info, err := db.Query("SELECT name FROM drugbank ORDER BY name")
+	const q = "SELECT name FROM drugbank WHERE name >= 'A' ORDER BY name"
+	for _, src := range []string{q, q} { // a plan-cache miss, then a hit
+		res, info, err := db.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.OperatorStats != nil || info.Plan != "" || len(info.Rules) != 0 {
+			t.Errorf("plain statement (plan cached %v) carries an explanation: stats %v, plan %q, rules %v",
+				info.PlanCached, info.OperatorStats, info.Plan, info.Rules)
+		}
+		if info.EstimatedMorsels <= 0 || info.EstimatedCost <= 0 || len(res.Rows) == 0 {
+			t.Errorf("EstimatedMorsels = %d, EstimatedCost = %v, rows = %d", info.EstimatedMorsels, info.EstimatedCost, len(res.Rows))
+		}
+	}
+	plain, _, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, info, err := db.Query("EXPLAIN ANALYZE " + q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.OperatorStats == nil {
-		t.Fatal("executed query must carry operator stats")
+		t.Fatal("EXPLAIN ANALYZE must carry operator stats")
 	}
-	if info.OperatorStats.RowsOut != int64(len(res.Rows)) {
-		t.Errorf("stats RowsOut = %d, rows = %d", info.OperatorStats.RowsOut, len(res.Rows))
+	if info.OperatorStats.RowsOut != int64(len(plain.Rows)) {
+		t.Errorf("stats RowsOut = %d, rows = %d", info.OperatorStats.RowsOut, len(plain.Rows))
 	}
-	if info.EstimatedMorsels <= 0 {
-		t.Errorf("EstimatedMorsels = %d, want > 0", info.EstimatedMorsels)
+	if info.Plan == "" || len(info.Rules) == 0 {
+		t.Errorf("EXPLAIN ANALYZE plan %q, rules %v", info.Plan, info.Rules)
 	}
-	ex, err := db.Explain("SELECT name FROM drugbank ORDER BY name")
+	for range 2 { // a plan-cache miss, then a hit
+		_, info, err = db.Query("TRACE " + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.OperatorStats == nil || info.Plan == "" || len(info.Rules) == 0 {
+			t.Errorf("TRACE (plan cached %v) stats %v, plan %q, rules %v", info.PlanCached, info.OperatorStats, info.Plan, info.Rules)
+		}
+	}
+	ex, err := db.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.EstimatedMorsels <= 0 {
-		t.Errorf("Explain EstimatedMorsels = %d, want > 0", ex.EstimatedMorsels)
+	if ex.EstimatedMorsels <= 0 || ex.Plan == "" || len(ex.Rules) == 0 {
+		t.Errorf("Explain EstimatedMorsels = %d, plan %q, rules %v", ex.EstimatedMorsels, ex.Plan, ex.Rules)
 	}
 }
 

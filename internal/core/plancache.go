@@ -29,8 +29,8 @@ type planEntry struct {
 	stmt     *query.SelectStmt
 	key      string // stmt.String(), the materialization-cache key
 	plan     query.Node
-	planText string
-	rules    []string
+	planText string   // empty unless the statement is a TRACE
+	rules    []string // likewise
 	cost     float64
 	morsels  int
 	lastUsed uint64

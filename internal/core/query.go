@@ -16,9 +16,12 @@ import (
 	"scdb/internal/storage"
 )
 
-// QueryInfo reports how a query was answered: the final plan, the
-// optimizer rewrites, cache behaviour, the answer mode, and — when the
-// statement executed — the per-operator runtime statistics tree.
+// QueryInfo reports how a query was answered: cache behaviour, the cost
+// estimate and the answer mode, and for a statement that asks to be
+// explained (EXPLAIN, EXPLAIN ANALYZE, TRACE, DB.Explain) the final plan,
+// the optimizer rewrites and, when it executed, the per-operator runtime
+// statistics tree. A plain statement leaves Plan, Rules and OperatorStats
+// empty: nothing renders text no caller reads.
 type QueryInfo struct {
 	Plan             string
 	Rules            []string
@@ -179,13 +182,16 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 		}
 		var rep *optimizer.Report
 		plan, rep = optimizer.Optimize(plan, db.optimizerOptions(stmt))
-		info.Plan = query.Explain(plan)
-		info.Rules = rep.Rules
+		if explained(stmt) {
+			info.Plan = query.Explain(plan)
+			info.Rules = rep.Rules
+		}
 		info.EstimatedCost = rep.EstimatedCost
 		info.EstimatedMorsels = rep.EstimatedMorsels
 		if !stmt.Explain {
 			// Plans and statements are immutable after optimization, so the
-			// cached entry can serve concurrent executions.
+			// cached entry can serve concurrent executions. Only a TRACE
+			// entry carries plan text and rules.
 			db.plans.put(pk, &planEntry{
 				stmt: stmt, key: key, plan: plan, planText: info.Plan, rules: info.Rules,
 				cost: info.EstimatedCost, morsels: info.EstimatedMorsels,
@@ -231,7 +237,9 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 	if err != nil {
 		return nil, nil, err
 	}
-	info.OperatorStats = st
+	if explained(stmt) {
+		info.OperatorStats = st
+	}
 	if stmt.Explain { // EXPLAIN ANALYZE: rows are the annotated plan
 		return streamText(planResult(st.Render()))
 	}
@@ -254,7 +262,7 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 // across workers, so these are attached as completed duration-only spans
 // rather than wall-clock children.
 func addOpSpans(parent *obs.Span, st *query.OpStats) {
-	s := parent.ChildDur("op:"+st.Label, time.Duration(atomic.LoadInt64((*int64)(&st.Elapsed))))
+	s := parent.ChildDur("op:"+st.Node.Label(), time.Duration(atomic.LoadInt64((*int64)(&st.Elapsed))))
 	s.SetInt("rows_in", atomic.LoadInt64(&st.RowsIn))
 	s.SetInt("rows_out", atomic.LoadInt64(&st.RowsOut))
 	s.SetInt("morsels", atomic.LoadInt64(&st.Morsels))
@@ -305,7 +313,9 @@ func (db *DB) Explain(src string) (*QueryInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, rep := optimizer.Optimize(plan, db.optimizerOptions(stmt))
+	opts := db.optimizerOptions(stmt)
+	opts.Explain = true
+	plan, rep := optimizer.Optimize(plan, opts)
 	return &QueryInfo{
 		Plan:             query.Explain(plan),
 		Rules:            rep.Rules,
@@ -315,6 +325,10 @@ func (db *DB) Explain(src string) (*QueryInfo, error) {
 	}, nil
 }
 
+// explained reports whether a statement asks for its explanation: the plan
+// text, the rewrite log and the operator-stats tree.
+func explained(stmt *query.SelectStmt) bool { return stmt.Explain || stmt.Trace }
+
 // optimizerOptions wires the semantic layer into the optimizer. Semantic
 // rewrites are only sound when ISA consults inference (WITH SEMANTICS), so
 // they follow the statement's flag.
@@ -322,6 +336,7 @@ func (db *DB) optimizerOptions(stmt *query.SelectStmt) optimizer.Options {
 	return optimizer.Options{
 		DisableSemantic:    !stmt.Semantics || db.opts.DisableSemanticOpt,
 		DisableAccessPaths: db.opts.DisableAccessPaths,
+		Explain:            explained(stmt),
 		Semantics:          db.onto,
 		Stats:              dbStats{db},
 	}

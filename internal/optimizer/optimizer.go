@@ -50,13 +50,17 @@ type Options struct {
 	// into IndexScan (differential baseline: no index use, no zone-map
 	// pruning, since only IndexScan reaches storage.ScanWhere).
 	DisableAccessPaths bool
-	Semantics          Semantics
-	Stats              Stats
+	// Explain records each rewrite applied in Report.Rules (EXPLAIN, TRACE).
+	// Without it Rules stays empty and no rewrite renders an expression.
+	Explain   bool
+	Semantics Semantics
+	Stats     Stats
 }
 
 // Report records the rewrites applied, for EXPLAIN output and the
 // experiment harness.
 type Report struct {
+	// Rules is the rewrite log, filled only under Options.Explain.
 	Rules []string
 	// EstimatedCost is the cost estimate of the final plan (arbitrary
 	// units: rows touched, plus a dispatch charge per morsel scheduled on
@@ -65,15 +69,19 @@ type Report struct {
 	// EstimatedMorsels is how many morsels the parallel executor is
 	// expected to schedule for this plan.
 	EstimatedMorsels int
+
+	explain bool
 }
 
+// log appends one rewrite to the log. Call sites test rep.explain first, so
+// a statement nobody explains never boxes the arguments.
 func (r *Report) log(format string, args ...any) {
 	r.Rules = append(r.Rules, fmt.Sprintf(format, args...))
 }
 
 // Optimize rewrites the plan and returns it with a report.
 func Optimize(n query.Node, opts Options) (query.Node, *Report) {
-	rep := &Report{}
+	rep := &Report{explain: opts.Explain}
 	if !opts.DisableClassic {
 		n = rewriteExprs(n, func(e query.Expr) query.Expr { return foldConstants(e, rep) })
 	}
@@ -100,7 +108,9 @@ func pushTopK(n query.Node, rep *Report) query.Node {
 	case *query.LimitNode:
 		input := pushTopK(n.Input, rep)
 		if s, ok := input.(*query.SortNode); ok {
-			rep.log("topk: fuse Limit %d over Sort into TopK", n.N)
+			if rep.explain {
+				rep.log("topk: fuse Limit %d over Sort into TopK", n.N)
+			}
 			return &query.TopKNode{Input: s.Input, Keys: s.Keys, N: n.N}
 		}
 		return &query.LimitNode{Input: input, N: n.N}
@@ -144,7 +154,9 @@ func foldConstants(e query.Expr, rep *Report) query.Expr {
 		rl, rok := r.(*query.Literal)
 		if lok && rok {
 			if v, ok := evalConstBinary(e.Op, ll.Val, rl.Val); ok {
-				rep.log("fold: %s → %s", nb, (&query.Literal{Val: v}))
+				if rep.explain {
+					rep.log("fold: %s → %s", nb, (&query.Literal{Val: v}))
+				}
 				return &query.Literal{Val: v}
 			}
 		}
@@ -194,16 +206,24 @@ func literalBool(e query.Expr) (bool, bool) {
 func foldBool(op string, lit bool, other query.Expr, rep *Report) query.Expr {
 	switch {
 	case op == "AND" && lit:
-		rep.log("fold: TRUE AND x → x")
+		if rep.explain {
+			rep.log("fold: TRUE AND x → x")
+		}
 		return other
 	case op == "AND" && !lit:
-		rep.log("fold: FALSE AND x → FALSE")
+		if rep.explain {
+			rep.log("fold: FALSE AND x → FALSE")
+		}
 		return &query.Literal{Val: model.Bool(false)}
 	case op == "OR" && lit:
-		rep.log("fold: TRUE OR x → TRUE")
+		if rep.explain {
+			rep.log("fold: TRUE OR x → TRUE")
+		}
 		return &query.Literal{Val: model.Bool(true)}
 	default:
-		rep.log("fold: FALSE OR x → x")
+		if rep.explain {
+			rep.log("fold: FALSE OR x → x")
+		}
 		return other
 	}
 }
@@ -378,12 +398,16 @@ func semanticRewrite(n query.Node, sem Semantics, rep *Report) query.Node {
 			// Unsatisfiable conjunction → empty plan.
 			for i := 0; i < len(g.concepts); i++ {
 				if !sem.Satisfiable(g.concepts[i]) {
-					rep.log("unsat: concept %q is unsatisfiable", g.concepts[i])
+					if rep.explain {
+						rep.log("unsat: concept %q is unsatisfiable", g.concepts[i])
+					}
 					return &query.EmptyNode{Reason: fmt.Sprintf("ISA(%s, %q) is unsatisfiable", arg, g.concepts[i])}
 				}
 				for j := i + 1; j < len(g.concepts); j++ {
 					if sem.AreDisjoint(g.concepts[i], g.concepts[j]) {
-						rep.log("unsat: %q ⊓ %q is empty", g.concepts[i], g.concepts[j])
+						if rep.explain {
+							rep.log("unsat: %q ⊓ %q is empty", g.concepts[i], g.concepts[j])
+						}
 						return &query.EmptyNode{Reason: fmt.Sprintf("%q and %q are disjoint", g.concepts[i], g.concepts[j])}
 					}
 				}
@@ -397,7 +421,9 @@ func semanticRewrite(n query.Node, sem Semantics, rep *Report) query.Node {
 					// concepts[i] ⊑ concepts[j] ⇒ ISA(concepts[j]) redundant.
 					if g.concepts[i] != g.concepts[j] && sem.Subsumes(g.concepts[j], g.concepts[i]) {
 						drop[g.indices[j]] = true
-						rep.log("collapse: drop ISA(%s, %q) — implied by ISA(%s, %q)", arg, g.concepts[j], arg, g.concepts[i])
+						if rep.explain {
+							rep.log("collapse: drop ISA(%s, %q) — implied by ISA(%s, %q)", arg, g.concepts[j], arg, g.concepts[i])
+						}
 					}
 				}
 			}
@@ -415,17 +441,23 @@ func semanticRewrite(n query.Node, sem Semantics, rep *Report) query.Node {
 				}
 				switch {
 				case sem.AreDisjoint(concept, scan.Concept):
-					rep.log("unsat: scan %q disjoint from ISA %q", scan.Concept, concept)
+					if rep.explain {
+						rep.log("unsat: scan %q disjoint from ISA %q", scan.Concept, concept)
+					}
 					return &query.EmptyNode{Reason: fmt.Sprintf("%q and %q are disjoint", scan.Concept, concept)}
 				case sem.Subsumes(concept, scan.Concept):
 					// Scanning C already guarantees ISA(D) for C ⊑ D.
 					drop[i] = true
-					rep.log("collapse: drop ISA(%s, %q) — scan of %q implies it", arg, concept, scan.Concept)
+					if rep.explain {
+						rep.log("collapse: drop ISA(%s, %q) — scan of %q implies it", arg, concept, scan.Concept)
+					}
 				case sem.Subsumes(scan.Concept, concept):
 					// Tighten the scan to the subclass extent.
 					input = &query.ConceptScanNode{Concept: concept, Binding: scan.Binding, Semantic: scan.Semantic}
 					drop[i] = true
-					rep.log("tighten: scan %q narrowed to %q", scan.Concept, concept)
+					if rep.explain {
+						rep.log("tighten: scan %q narrowed to %q", scan.Concept, concept)
+					}
 				}
 			}
 		}
@@ -455,7 +487,9 @@ func semanticRewrite(n query.Node, sem Semantics, rep *Report) query.Node {
 		return &query.LimitNode{Input: semanticRewrite(n.Input, sem, rep), N: n.N}
 	case *query.ConceptScanNode:
 		if !sem.Satisfiable(n.Concept) {
-			rep.log("unsat: concept %q is unsatisfiable", n.Concept)
+			if rep.explain {
+				rep.log("unsat: concept %q is unsatisfiable", n.Concept)
+			}
 			return &query.EmptyNode{Reason: fmt.Sprintf("concept %q is unsatisfiable", n.Concept)}
 		}
 	}
@@ -544,10 +578,14 @@ func pushDownFilters(n query.Node, rep *Report) query.Node {
 			switch {
 			case known && len(bs) > 0 && subset(bs, lb):
 				toL = append(toL, c)
-				rep.log("pushdown: %s below join (left)", c)
+				if rep.explain {
+					rep.log("pushdown: %s below join (left)", c)
+				}
 			case known && len(bs) > 0 && subset(bs, rb):
 				toR = append(toR, c)
-				rep.log("pushdown: %s below join (right)", c)
+				if rep.explain {
+					rep.log("pushdown: %s below join (right)", c)
+				}
 			default:
 				stay = append(stay, c)
 			}
@@ -640,7 +678,9 @@ func pushScanPredicates(n query.Node, rep *Report) query.Node {
 			for _, c := range conjuncts(n.Pred) {
 				if zc, ok := zoneConjunct(c, scan.Binding); ok {
 					zone = append(zone, zc)
-					rep.log("accesspath: push %s into scan of %s", c, scan.Table)
+					if rep.explain {
+						rep.log("accesspath: push %s into scan of %s", c, scan.Table)
+					}
 				}
 			}
 			if len(zone) > 0 {
@@ -673,7 +713,9 @@ func orderJoins(n query.Node, opts Options, rep *Report) query.Node {
 		l := orderJoins(n.L, opts, rep)
 		r := orderJoins(n.R, opts, rep)
 		if EstimateCard(l, opts) > EstimateCard(r, opts) {
-			rep.log("reorder: swap join inputs (est %d > %d)", EstimateCard(l, opts), EstimateCard(r, opts))
+			if rep.explain {
+				rep.log("reorder: swap join inputs (est %d > %d)", EstimateCard(l, opts), EstimateCard(r, opts))
+			}
 			l, r = r, l
 		}
 		return &query.JoinNode{L: l, R: r, On: n.On}

@@ -57,7 +57,23 @@ func plan(t *testing.T, src string) query.Node {
 }
 
 func defaultOpts() Options {
-	return Options{Semantics: onto(), Stats: stats{tables: map[string]int{"drugs": 500, "targets": 50}}}
+	return Options{Explain: true, Semantics: onto(), Stats: stats{tables: map[string]int{"drugs": 500, "targets": 50}}}
+}
+
+// TestRulesOnlyWhenExplained: without Explain the optimizer logs nothing and
+// rewrites the plan exactly as it does with the log on.
+func TestRulesOnlyWhenExplained(t *testing.T) {
+	const q = `SELECT name FROM drugs AS d JOIN targets AS t ON d.id = t.drug WHERE d.dose > 2 + 3 AND ISA(d.id, 'Drug') AND ISA(d.id, 'Chemical') ORDER BY name LIMIT 3`
+	logged, rep := Optimize(plan(t, q), defaultOpts())
+	quiet := defaultOpts()
+	quiet.Explain = false
+	silent, srep := Optimize(plan(t, q), quiet)
+	if len(rep.Rules) == 0 || len(srep.Rules) != 0 {
+		t.Errorf("rules with Explain %v, without %v", rep.Rules, srep.Rules)
+	}
+	if query.Explain(logged) != query.Explain(silent) || rep.EstimatedCost != srep.EstimatedCost {
+		t.Errorf("the log changed the plan:\n%s\nvs\n%s", query.Explain(logged), query.Explain(silent))
+	}
 }
 
 func hasRule(rep *Report, substr string) bool {

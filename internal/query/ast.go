@@ -12,6 +12,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"scdb/internal/model"
@@ -27,15 +28,29 @@ type Literal struct {
 	Val model.Value
 }
 
-func (l *Literal) String() string { return sqlValue(l.Val) }
+func (l *Literal) String() string { return exprString(l) }
 
-// sqlValue renders a value in SCQL literal syntax (single-quoted strings
-// with ” escaping); other kinds use their natural rendering.
-func sqlValue(v model.Value) string {
-	if s, ok := v.AsString(); ok {
-		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+// writeValue renders a value in SCQL literal syntax (single-quoted strings
+// with a quote escaped by doubling it); other kinds use their natural
+// rendering.
+func writeValue(b *strings.Builder, v model.Value) {
+	s, ok := v.AsString()
+	if !ok {
+		b.WriteString(v.String())
+		return
 	}
-	return v.String()
+	b.WriteByte('\'')
+	for {
+		i := strings.IndexByte(s, '\'')
+		if i < 0 {
+			break
+		}
+		b.WriteString(s[:i+1])
+		b.WriteByte('\'')
+		s = s[i+1:]
+	}
+	b.WriteString(s)
+	b.WriteByte('\'')
 }
 
 // ColRef references a column, optionally qualified by a binding (table
@@ -46,10 +61,10 @@ type ColRef struct {
 }
 
 func (c *ColRef) String() string {
-	if c.Binding != "" {
-		return quoteName(c.Binding) + "." + quoteName(c.Name)
+	if c.Binding == "" && isPlainIdent(c.Name) {
+		return c.Name
 	}
-	return quoteName(c.Name)
+	return exprString(c)
 }
 
 // Unary is -x or NOT x.
@@ -58,7 +73,7 @@ type Unary struct {
 	X  Expr
 }
 
-func (u *Unary) String() string { return fmt.Sprintf("(%s %s)", u.Op, u.X) }
+func (u *Unary) String() string { return exprString(u) }
 
 // Binary is a binary operation: arithmetic (+ - * /), comparison
 // (= != < <= > >=), or logical (AND OR).
@@ -67,7 +82,7 @@ type Binary struct {
 	L, R Expr
 }
 
-func (b *Binary) String() string { return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R) }
+func (b *Binary) String() string { return exprString(b) }
 
 // IsNull is "x IS NULL" (or IS NOT NULL when Negate).
 type IsNull struct {
@@ -75,12 +90,7 @@ type IsNull struct {
 	Negate bool
 }
 
-func (i *IsNull) String() string {
-	if i.Negate {
-		return fmt.Sprintf("(%s IS NOT NULL)", i.X)
-	}
-	return fmt.Sprintf("(%s IS NULL)", i.X)
-}
+func (i *IsNull) String() string { return exprString(i) }
 
 // InList is "x IN (v1, v2, ...)".
 type InList struct {
@@ -88,13 +98,7 @@ type InList struct {
 	Vals []model.Value
 }
 
-func (i *InList) String() string {
-	parts := make([]string, len(i.Vals))
-	for j, v := range i.Vals {
-		parts[j] = sqlValue(v)
-	}
-	return fmt.Sprintf("(%s IN (%s))", i.X, strings.Join(parts, ", "))
-}
+func (i *InList) String() string { return exprString(i) }
 
 // Like is "x LIKE pattern" with % and _ wildcards.
 type Like struct {
@@ -102,9 +106,7 @@ type Like struct {
 	Pattern string
 }
 
-func (l *Like) String() string {
-	return fmt.Sprintf("(%s LIKE %s)", l.X, sqlValue(model.String(l.Pattern)))
-}
+func (l *Like) String() string { return exprString(l) }
 
 // Call is a function call: aggregates (COUNT, SUM, AVG, MIN, MAX) and the
 // semantic/graph builtins (ISA, REACHES, LINKED, CLOSE, TYPES).
@@ -114,15 +116,85 @@ type Call struct {
 	Star bool // COUNT(*)
 }
 
-func (c *Call) String() string {
-	if c.Star {
-		return c.Name + "(*)"
+func (c *Call) String() string { return exprString(c) }
+
+// exprString renders one expression through writeExpr.
+func exprString(e Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e)
+	return b.String()
+}
+
+// writeExpr renders an expression's canonical text into b: every operator
+// application parenthesized, names quoted where they would not lex back as
+// plain identifiers, literals in SCQL syntax. The statement text it builds
+// is the materialization-cache key, so its bytes must not change.
+func writeExpr(b *strings.Builder, e Expr) {
+	switch e := e.(type) {
+	case *Literal:
+		writeValue(b, e.Val)
+	case *ColRef:
+		if e.Binding != "" {
+			writeName(b, e.Binding)
+			b.WriteByte('.')
+		}
+		writeName(b, e.Name)
+	case *Unary:
+		b.WriteByte('(')
+		b.WriteString(e.Op)
+		b.WriteByte(' ')
+		writeExpr(b, e.X)
+		b.WriteByte(')')
+	case *Binary:
+		b.WriteByte('(')
+		writeExpr(b, e.L)
+		b.WriteByte(' ')
+		b.WriteString(e.Op)
+		b.WriteByte(' ')
+		writeExpr(b, e.R)
+		b.WriteByte(')')
+	case *IsNull:
+		b.WriteByte('(')
+		writeExpr(b, e.X)
+		if e.Negate {
+			b.WriteString(" IS NOT NULL)")
+		} else {
+			b.WriteString(" IS NULL)")
+		}
+	case *InList:
+		b.WriteByte('(')
+		writeExpr(b, e.X)
+		b.WriteString(" IN (")
+		for i, v := range e.Vals {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			writeValue(b, v)
+		}
+		b.WriteString("))")
+	case *Like:
+		b.WriteByte('(')
+		writeExpr(b, e.X)
+		b.WriteString(" LIKE ")
+		writeValue(b, model.String(e.Pattern))
+		b.WriteByte(')')
+	case *Call:
+		b.WriteString(e.Name)
+		if e.Star {
+			b.WriteString("(*)")
+			return
+		}
+		b.WriteByte('(')
+		for i, a := range e.Args {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			writeExpr(b, a)
+		}
+		b.WriteByte(')')
+	default:
+		b.WriteString(e.String())
 	}
-	parts := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		parts[i] = a.String()
-	}
-	return fmt.Sprintf("%s(%s)", c.Name, strings.Join(parts, ", "))
 }
 
 // SelectItem is one projected expression with an optional alias.
@@ -216,8 +288,11 @@ type SelectStmt struct {
 
 // String reassembles a canonical form of the statement (for EXPLAIN and
 // the refinement engine, which manipulates statements programmatically).
+// The text is the materialization-cache key: two spellings of one
+// statement render alike.
 func (s *SelectStmt) String() string {
 	var b strings.Builder
+	b.Grow(128) // a typical statement in one allocation, not five
 	if s.Trace {
 		b.WriteString("TRACE ")
 	}
@@ -234,51 +309,56 @@ func (s *SelectStmt) String() string {
 	if s.Star {
 		b.WriteString("*")
 	} else {
-		parts := make([]string, len(s.Items))
 		for i, it := range s.Items {
-			parts[i] = it.Expr.String()
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			writeExpr(&b, it.Expr)
 			if it.Alias != "" {
-				parts[i] += " AS " + quoteName(it.Alias)
+				b.WriteString(" AS ")
+				writeName(&b, it.Alias)
 			}
 		}
-		b.WriteString(strings.Join(parts, ", "))
 	}
-	b.WriteString(" FROM " + quoteName(s.From.Name))
-	if s.From.Alias != "" {
-		b.WriteString(" AS " + quoteName(s.From.Alias))
-	}
+	b.WriteString(" FROM ")
+	writeTable(&b, s.From)
 	for _, j := range s.Joins {
-		b.WriteString(" JOIN " + quoteName(j.Table.Name))
-		if j.Table.Alias != "" {
-			b.WriteString(" AS " + quoteName(j.Table.Alias))
-		}
-		b.WriteString(" ON " + j.On.String())
+		b.WriteString(" JOIN ")
+		writeTable(&b, j.Table)
+		b.WriteString(" ON ")
+		writeExpr(&b, j.On)
 	}
 	if s.Where != nil {
-		b.WriteString(" WHERE " + s.Where.String())
+		b.WriteString(" WHERE ")
+		writeExpr(&b, s.Where)
 	}
-	if len(s.GroupBy) > 0 {
-		parts := make([]string, len(s.GroupBy))
-		for i, g := range s.GroupBy {
-			parts[i] = g.String()
+	for i, g := range s.GroupBy {
+		if i == 0 {
+			b.WriteString(" GROUP BY ")
+		} else {
+			b.WriteString(", ")
 		}
-		b.WriteString(" GROUP BY " + strings.Join(parts, ", "))
+		writeExpr(&b, g)
 	}
 	if s.Having != nil {
-		b.WriteString(" HAVING " + s.Having.String())
+		b.WriteString(" HAVING ")
+		writeExpr(&b, s.Having)
 	}
-	if len(s.OrderBy) > 0 {
-		parts := make([]string, len(s.OrderBy))
-		for i, o := range s.OrderBy {
-			parts[i] = o.Expr.String()
-			if o.Desc {
-				parts[i] += " DESC"
-			}
+	for i, o := range s.OrderBy {
+		if i == 0 {
+			b.WriteString(" ORDER BY ")
+		} else {
+			b.WriteString(", ")
 		}
-		b.WriteString(" ORDER BY " + strings.Join(parts, ", "))
+		writeExpr(&b, o.Expr)
+		if o.Desc {
+			b.WriteString(" DESC")
+		}
 	}
+	var num [32]byte
 	if s.Limit >= 0 {
-		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
+		b.WriteString(" LIMIT ")
+		b.Write(strconv.AppendInt(num[:0], int64(s.Limit), 10))
 	}
 	if s.Semantics {
 		b.WriteString(" WITH SEMANTICS")
@@ -287,28 +367,45 @@ func (s *SelectStmt) String() string {
 	case AnswerCertain:
 		b.WriteString(" UNDER CERTAIN")
 	case AnswerFuzzy:
-		fmt.Fprintf(&b, " UNDER FUZZY(%g)", s.FuzzyThreshold)
+		b.WriteString(" UNDER FUZZY(")
+		b.Write(strconv.AppendFloat(num[:0], s.FuzzyThreshold, 'g', -1, 64))
+		b.WriteByte(')')
 	}
 	return b.String()
 }
 
-// quoteName wraps any name that would not lex back as a plain identifier
-// (spaces, punctuation, leading digits, keywords) in double quotes.
-func quoteName(n string) string {
-	if isPlainIdent(n) {
-		return n
+// writeTable renders a FROM or JOIN source: its name and any alias.
+func writeTable(b *strings.Builder, t TableRef) {
+	writeName(b, t.Name)
+	if t.Alias != "" {
+		b.WriteString(" AS ")
+		writeName(b, t.Alias)
 	}
-	return `"` + n + `"`
 }
 
+// writeName writes a name, wrapped in double quotes when it would not lex
+// back as a plain identifier (spaces, punctuation, leading digits,
+// keywords).
+func writeName(b *strings.Builder, n string) {
+	if isPlainIdent(n) {
+		b.WriteString(n)
+		return
+	}
+	b.WriteByte('"')
+	b.WriteString(n)
+	b.WriteByte('"')
+}
+
+// isPlainIdent reports whether n lexes back as one identifier: ASCII
+// letters, digits and underscores, no leading digit, not a keyword.
 func isPlainIdent(n string) bool {
-	if n == "" || keywords[strings.ToUpper(n)] {
+	if n == "" {
 		return false
 	}
-	for i, r := range n {
-		switch {
-		case r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z'):
-		case r >= '0' && r <= '9':
+	for i := 0; i < len(n); i++ {
+		switch c := n[i]; {
+		case c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
+		case c >= '0' && c <= '9':
 			if i == 0 {
 				return false
 			}
@@ -316,5 +413,6 @@ func isPlainIdent(n string) bool {
 			return false
 		}
 	}
-	return true
+	_, kw := keywordOf(n)
+	return !kw
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scdb/internal/model"
@@ -907,14 +908,6 @@ type aggState struct {
 	numErr  error
 }
 
-func newAggStates(n int) []aggState {
-	states := make([]aggState, n)
-	for i := range states {
-		states[i].allInt = true
-	}
-	return states
-}
-
 func (a *aggState) add(ev *evalCtx, call *Call, r Row) {
 	if a.evalErr != nil {
 		return
@@ -983,21 +976,153 @@ func (a *aggState) mergeFrom(b *aggState, call *Call) {
 	}
 }
 
-// groupAgg is one group's accumulated state: row count, the representative
-// row (first in row order, used for non-aggregate expressions), and one
-// aggState per collected aggregate call.
+// groupAgg is one group's accumulated state: the hash of its key values,
+// its row count, and the representative row (first in row order, used for
+// non-aggregate expressions). Its key values and aggregate states live in
+// its groupTable's slabs, at the group's index.
 type groupAgg struct {
+	hash   uint64
 	n      int64
 	rep    Row
 	hasRep bool
-	states []aggState
 }
 
-// groupPartial is one morsel's grouping result; order lists group hashes by
-// first encounter.
-type groupPartial struct {
-	order  []uint64
-	groups map[uint64]*groupAgg
+// groupTable is one morsel's grouping result, and after the merge the whole
+// input's: the groups in first-encounter order, one slab of key values
+// (nkeys a group) and one of aggregate states (ncalls a group), and an
+// open-addressing index over the groups. Groups whose keys hash alike chain
+// along one probe sequence and are told apart by model.Equal on their key
+// values, so a 64-bit collision never merges two groups.
+type groupTable struct {
+	hash          func([]model.Value) uint64
+	nkeys, ncalls int
+	slots         []int32 // group index + 1, 0 when empty; a power of two long
+	groups        []groupAgg
+	keys          []model.Value
+	states        []aggState
+}
+
+// newGroupTable makes an empty table with room for groups groups (at least
+// 8; the slabs grow by doubling). hash is keysHash everywhere but in a test
+// that forces collisions.
+func newGroupTable(nkeys, ncalls, groups int, hash func([]model.Value) uint64) *groupTable {
+	groups = max(groups, 8)
+	slots := 16
+	for slots < 2*groups {
+		slots *= 2
+	}
+	return &groupTable{
+		hash: hash, nkeys: nkeys, ncalls: ncalls,
+		slots:  make([]int32, slots),
+		groups: make([]groupAgg, 0, groups),
+		keys:   make([]model.Value, 0, groups*nkeys),
+		states: make([]aggState, 0, groups*ncalls),
+	}
+}
+
+// keysHash combines the hashes of a group's key values.
+func keysHash(keys []model.Value) uint64 {
+	h := uint64(1469598103934665603)
+	for _, v := range keys {
+		h = h*1099511628211 ^ v.Hash()
+	}
+	return h
+}
+
+func (t *groupTable) keysOf(i int) []model.Value {
+	return t.keys[i*t.nkeys : (i+1)*t.nkeys]
+}
+
+func (t *groupTable) statesOf(i int) []aggState {
+	return t.states[i*t.ncalls : (i+1)*t.ncalls]
+}
+
+// find returns the index of the group whose key values equal keys (whose
+// hash is h), adding one with fresh states when there is none; added
+// reports which. keys is copied, never kept.
+func (t *groupTable) find(h uint64, keys []model.Value) (i int, added bool) {
+	mask := uint64(len(t.slots) - 1)
+	for s := h & mask; ; s = (s + 1) & mask {
+		g := int(t.slots[s]) - 1
+		if g < 0 {
+			if 2*(len(t.groups)+1) > len(t.slots) {
+				t.grow()
+				return t.find(h, keys)
+			}
+			t.slots[s] = int32(len(t.groups) + 1)
+			t.groups = append(t.groups, groupAgg{hash: h})
+			t.keys = append(t.keys, keys...)
+			for range t.ncalls {
+				t.states = append(t.states, aggState{allInt: true})
+			}
+			return len(t.groups) - 1, true
+		}
+		if t.groups[g].hash == h && slices.EqualFunc(t.keysOf(g), keys, model.Equal) {
+			return g, false
+		}
+	}
+}
+
+// grow doubles the index and re-slots every group.
+func (t *groupTable) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	mask := uint64(len(t.slots) - 1)
+	for g := range t.groups {
+		s := t.groups[g].hash & mask
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = int32(g + 1)
+	}
+}
+
+// groupRows folds one morsel's rows into t: each row joins the group of its
+// GROUP BY values, its count and the calls' states.
+func (x *execCtx) groupRows(t *groupTable, n *AggregateNode, calls []*Call, rows []Row) error {
+	keys := make([]model.Value, len(n.GroupBy))
+	for _, r := range rows {
+		for i, g := range n.GroupBy {
+			v, err := x.ev.Eval(g, r)
+			if err != nil {
+				return err
+			}
+			keys[i] = v
+		}
+		i, added := t.find(t.hash(keys), keys)
+		ga := &t.groups[i]
+		if added {
+			ga.rep, ga.hasRep = r, true
+		}
+		ga.n++
+		states := t.statesOf(i)
+		for c, call := range calls {
+			states[c].add(x.ev, call, r)
+		}
+	}
+	return nil
+}
+
+// mergeGroups folds the per-morsel tables into the first in morsel order:
+// group order and float accumulation order depend only on morsel
+// boundaries, never on the worker count.
+func mergeGroups(partials []*groupTable, calls []*Call) *groupTable {
+	total := partials[0]
+	for _, p := range partials[1:] {
+		for g := range p.groups {
+			i, added := total.find(p.groups[g].hash, p.keysOf(g))
+			if added {
+				total.groups[i] = p.groups[g]
+				copy(total.statesOf(i), p.statesOf(g))
+				continue
+			}
+			total.groups[i].n += p.groups[g].n
+			states, from := total.statesOf(i), p.statesOf(g)
+			for c := range states {
+				states[c].mergeFrom(&from[c], calls[c])
+			}
+		}
+	}
+	return total
 }
 
 // collectAggCalls gathers the distinct aggregate calls that finalization
@@ -1014,10 +1139,11 @@ func collectAggCalls(n *AggregateNode) ([]*Call, map[*Call]int) {
 		if !ok || !aggFuncs[c.Name] {
 			return nil, nil
 		}
-		i, seen := byText[c.String()]
+		text := c.String()
+		i, seen := byText[text]
 		if !seen {
 			i = len(calls)
-			byText[c.String()] = i
+			byText[text] = i
 			calls = append(calls, c)
 		}
 		idx[c] = i
@@ -1032,7 +1158,7 @@ func collectAggCalls(n *AggregateNode) ([]*Call, map[*Call]int) {
 	return calls, idx
 }
 
-func finalizeAgg(call *Call, g *groupAgg, idx int) (model.Value, error) {
+func finalizeAgg(call *Call, g *groupAgg, a *aggState) (model.Value, error) {
 	if call.Star {
 		if call.Name != "COUNT" {
 			return model.Value{}, fmt.Errorf("query: %s(*) is not valid", call.Name)
@@ -1042,7 +1168,6 @@ func finalizeAgg(call *Call, g *groupAgg, idx int) (model.Value, error) {
 	if len(call.Args) != 1 {
 		return model.Value{}, fmt.Errorf("query: %s takes exactly 1 argument", call.Name)
 	}
-	a := &g.states[idx]
 	if a.evalErr != nil {
 		return model.Value{}, a.evalErr
 	}
@@ -1081,9 +1206,9 @@ func finalizeAgg(call *Call, g *groupAgg, idx int) (model.Value, error) {
 // aggregate calls finalize their state, aggregate-free subexpressions
 // evaluate on the group's representative row, and whatever node sits above
 // an aggregate is evaluated over those results.
-func (x *execCtx) evalFromStates(e Expr, g *groupAgg, callIdx map[*Call]int) (model.Value, error) {
+func (x *execCtx) evalFromStates(e Expr, g *groupAgg, states []aggState, callIdx map[*Call]int) (model.Value, error) {
 	if c, ok := e.(*Call); ok && aggFuncs[c.Name] {
-		return finalizeAgg(c, g, callIdx[c])
+		return finalizeAgg(c, g, &states[callIdx[c]])
 	}
 	if !containsAggregate(e) {
 		if !g.hasRep {
@@ -1103,7 +1228,7 @@ func (x *execCtx) evalFromStates(e Expr, g *groupAgg, callIdx map[*Call]int) (mo
 		if sub == e {
 			return nil, nil
 		}
-		v, err := x.evalFromStates(sub, g, callIdx)
+		v, err := x.evalFromStates(sub, g, states, callIdx)
 		return &Literal{Val: v}, err
 	})
 	if err != nil {
@@ -1125,73 +1250,46 @@ func (x *execCtx) buildAggregate(n *AggregateNode) (*stream, []string, *OpStats,
 	}
 	calls, callIdx := collectAggCalls(n)
 
-	// Phase 1: per-morsel partial grouping on the worker pool.
-	partials, err := parMap(in, x.workers, func(m morsel) (*groupPartial, error) {
+	// Phase 1: per-morsel partial grouping on the worker pool. Each table
+	// starts with room for as many groups as the last morsel to finish
+	// found: the slabs are sized once, not grown group by group.
+	var seen atomic.Int64
+	partials, err := parMap(in, x.workers, func(m morsel) (*groupTable, error) {
 		if err := x.ctx.Err(); err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
-		gp := &groupPartial{groups: map[uint64]*groupAgg{}}
-		for _, r := range m.rows {
-			keysHash := uint64(1469598103934665603)
-			for _, g := range n.GroupBy {
-				v, err := x.ev.Eval(g, r)
-				if err != nil {
-					return nil, err
-				}
-				keysHash = keysHash*1099511628211 ^ v.Hash()
-			}
-			ga, ok := gp.groups[keysHash]
-			if !ok {
-				ga = &groupAgg{rep: r, hasRep: true, states: newAggStates(len(calls))}
-				gp.groups[keysHash] = ga
-				gp.order = append(gp.order, keysHash)
-			}
-			ga.n++
-			for i, c := range calls {
-				ga.states[i].add(x.ev, c, r)
-			}
+		gt := newGroupTable(len(n.GroupBy), len(calls), int(seen.Load()), keysHash)
+		if err := x.groupRows(gt, n, calls, m.rows); err != nil {
+			return nil, err
 		}
+		seen.Store(int64(len(gt.groups)))
 		st.tally(len(m.rows), 0, time.Since(t0))
-		return gp, nil
+		return gt, nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
-	// Phase 2: merge partials in morsel order — group order and float
-	// accumulation order depend only on morsel boundaries, never on the
-	// worker count.
+	// Phase 2: merge partials in morsel order.
 	t0 := time.Now()
-	total := &groupPartial{groups: map[uint64]*groupAgg{}}
-	for _, gp := range partials {
-		for _, h := range gp.order {
-			g := gp.groups[h]
-			t, ok := total.groups[h]
-			if !ok {
-				total.groups[h] = g
-				total.order = append(total.order, h)
-				continue
-			}
-			t.n += g.n
-			for i := range t.states {
-				t.states[i].mergeFrom(&g.states[i], calls[i])
-			}
-		}
+	if len(partials) == 0 {
+		partials = append(partials, newGroupTable(len(n.GroupBy), len(calls), 0, keysHash))
 	}
+	total := mergeGroups(partials, calls)
 	// A global aggregate over zero rows still yields one group.
-	if len(total.order) == 0 && len(n.GroupBy) == 0 {
-		total.groups[0] = &groupAgg{states: newAggStates(len(calls))}
-		total.order = append(total.order, 0)
+	if len(total.groups) == 0 && len(n.GroupBy) == 0 {
+		total.find(keysHash(nil), nil)
 	}
 
 	// Phase 3: HAVING and finalization, serial in group order.
 	sh := &rowShape{cols: cols}
-	var out []Row
-	for _, h := range total.order {
-		g := total.groups[h]
+	out := make([]Row, 0, len(total.groups))
+	slab := make([]model.Value, 0, len(total.groups)*len(n.Items))
+	for gi := range total.groups {
+		g, states := &total.groups[gi], total.statesOf(gi)
 		if n.Having != nil {
-			hv, err := x.evalFromStates(n.Having, g, callIdx)
+			hv, err := x.evalFromStates(n.Having, g, states, callIdx)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -1203,13 +1301,14 @@ func (x *execCtx) buildAggregate(n *AggregateNode) (*stream, []string, *OpStats,
 				continue
 			}
 		}
-		vals := make([]model.Value, len(n.Items))
-		for i, it := range n.Items {
-			if vals[i], err = x.evalFromStates(it.Expr, g, callIdx); err != nil {
+		for _, it := range n.Items {
+			v, err := x.evalFromStates(it.Expr, g, states, callIdx)
+			if err != nil {
 				return nil, nil, nil, err
 			}
+			slab = append(slab, v)
 		}
-		out = append(out, Row{sh: sh, vals: vals})
+		out = append(out, Row{sh: sh, vals: slab[len(slab)-len(n.Items) : len(slab) : len(slab)]})
 	}
 	st.tallyRows(0, len(out), time.Since(t0))
 	return sliceStream(out, x.size), cols, st, nil

@@ -12,8 +12,10 @@ import (
 // because several workers tally into the same node concurrently. Elapsed is
 // the operator's busy time summed over all workers (so it can exceed wall
 // clock on a parallel run, exactly like MonetDB's per-operator profile).
+// Node is the plan node the stats describe; its label is rendered only by
+// Render and the trace, never while the statement runs.
 type OpStats struct {
-	Label    string
+	Node     Node
 	RowsIn   int64
 	RowsOut  int64
 	Morsels  int64
@@ -29,7 +31,7 @@ type OpStats struct {
 	IndexName  string // secondary index used, "" for a plain zone scan
 }
 
-func newOpStats(n Node) *OpStats { return &OpStats{Label: n.Label()} }
+func newOpStats(n Node) *OpStats { return &OpStats{Node: n} }
 
 // tally records one morsel's worth of work.
 func (s *OpStats) tally(in, out int, d time.Duration) {
@@ -57,7 +59,7 @@ func (s *OpStats) Render() string {
 
 func (s *OpStats) render(b *strings.Builder, depth int) {
 	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(s.Label)
+	b.WriteString(s.Node.Label())
 	fmt.Fprintf(b, "  (in=%d out=%d morsels=%d",
 		atomic.LoadInt64(&s.RowsIn), atomic.LoadInt64(&s.RowsOut),
 		atomic.LoadInt64(&s.Morsels))

@@ -65,13 +65,26 @@ func TestNetworkDifferential(t *testing.T) {
 		}
 	}
 
-	// The info surface travels too.
+	// The info surface travels too: a plain statement carries no
+	// explanation, EXPLAIN ANALYZE carries the plan, the rewrites and the
+	// operator-stats tree.
 	_, info, err := c.QueryInfo(scqlCorpus[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Plan == "" {
-		t.Error("network QueryInfo returned no plan")
+	if info.Plan != "" || len(info.Rules) != 0 || info.OperatorStats != "" {
+		t.Errorf("network QueryInfo of a plain statement: plan=%q rules=%v stats=%q", info.Plan, info.Rules, info.OperatorStats)
+	}
+	_, ainfo, err := c.QueryInfo("EXPLAIN ANALYZE " + scqlCorpus[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, local, err := embedded.QueryInfo("EXPLAIN ANALYZE " + scqlCorpus[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ainfo.Plan == "" || ainfo.Plan != local.Plan || ainfo.OperatorStats == "" || ainfo.EstimatedCost <= 0 {
+		t.Errorf("network EXPLAIN ANALYZE: plan=%q (embedded %q) stats=%q cost=%v", ainfo.Plan, local.Plan, ainfo.OperatorStats, ainfo.EstimatedCost)
 	}
 	einfo, err := c.Explain(scqlCorpus[2])
 	if err != nil {

@@ -102,10 +102,8 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 	if err != nil {
 		return nil, nil, err
 	}
-	info := &scdb.QueryInfo{
-		Plan: fmt.Sprintf("ScatterGather(shards=%d)\n  %s", len(r.shards), stmt.String()),
-	}
-	return cols, info, nil
+	// A plain statement carries no explanation, as on an engine.
+	return cols, &scdb.QueryInfo{}, nil
 }
 
 // fanout runs q on every shard concurrently and returns the per-shard

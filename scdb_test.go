@@ -188,8 +188,15 @@ func TestQuickstartFlow(t *testing.T) {
 	if len(rows.Data) < 2 {
 		t.Errorf("rows = %v", rows.Data)
 	}
-	if info.Plan == "" {
-		t.Error("plan missing")
+	if info.Plan != "" {
+		t.Errorf("a plain statement carries plan text:\n%s", info.Plan)
+	}
+	ex, err := db.Explain(`SELECT name FROM Drug AS d WHERE REACHES(d._id, 'Osteosarcoma', 3) ORDER BY name WITH SEMANTICS`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Plan == "" {
+		t.Error("Explain: plan missing")
 	}
 	// Witnesses: Aminopterin's inferred target.
 	found := false
