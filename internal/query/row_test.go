@@ -204,7 +204,7 @@ type snapshotEnv struct {
 func (e *snapshotEnv) HasTable(name string) bool { return name == e.table.Name() }
 
 func (e *snapshotEnv) ScanTable(name string, _ []ZoneConjunct, size int, emit func([]model.Record) bool) (PushedScanInfo, bool) {
-	e.table.ScanMorsels(e.csn, size, func(_ []storage.RowID, recs []model.Record) bool { return emit(recs) })
+	e.table.ScanMorselsCtx(nil, e.csn, size, func(_ []storage.RowID, recs []model.Record) bool { return emit(recs) })
 	return PushedScanInfo{}, true
 }
 
@@ -233,7 +233,7 @@ func TestBorrowedRecordsAreSnapshotStable(t *testing.T) {
 	}
 	e := &snapshotEnv{fakeEnv: env(), table: tb, csn: store.Now()}
 	var borrowed, copies []model.Record
-	tb.ScanMorsels(e.csn, 1024, func(_ []storage.RowID, recs []model.Record) bool {
+	tb.ScanMorselsCtx(nil, e.csn, 1024, func(_ []storage.RowID, recs []model.Record) bool {
 		for _, rec := range recs {
 			borrowed, copies = append(borrowed, rec), append(copies, rec.Clone())
 		}

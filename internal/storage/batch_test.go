@@ -85,44 +85,50 @@ func TestInsertBatchMatchesPerRecord(t *testing.T) {
 	}
 }
 
-// TestApplyBatchMixedOps covers insert/update/delete in one frame plus the
-// applied-prefix error contract.
-func TestApplyBatchMixedOps(t *testing.T) {
+// TestMixedBatchFrameReplays: a batch frame may mix inserts, updates and
+// deletes, and stores written by earlier builds hold such frames. Recovery
+// and the follower must both read one back as its entries in order, all at
+// the frame's one stamp — including an insert and an update of the same row.
+func TestMixedBatchFrameReplays(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenOptions(dir, Options{Sync: SyncAlways})
+	p, err := OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, _ := s.CreateTable("t")
-	ops := []BatchOp{
-		{Kind: BatchInsert, Rec: mkRec(1)},
-		{Kind: BatchInsert, Rec: mkRec(2)},
-		{Kind: BatchInsert, Rec: mkRec(3)},
-	}
-	if err := tb.ApplyBatch(ops); err != nil {
+	tb, _ := p.CreateTable("t")
+	if _, err := tb.InsertBatch([]model.Record{mkRec(1), mkRec(2), mkRec(3)}); err != nil {
 		t.Fatal(err)
 	}
-	if ops[0].ID != 1 || ops[2].ID != 3 {
-		t.Fatalf("assigned ids %d,%d,%d", ops[0].ID, ops[1].ID, ops[2].ID)
-	}
-	if err := tb.ApplyBatch([]BatchOp{
-		{Kind: BatchUpdate, ID: 1, Rec: mkRec(10)},
-		{Kind: BatchDelete, ID: 2},
-		{Kind: BatchInsert, Rec: mkRec(4)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Failing op: the applied prefix must survive, including across reopen.
-	err = tb.ApplyBatch([]BatchOp{
-		{Kind: BatchInsert, Rec: mkRec(5)},
-		{Kind: BatchUpdate, ID: 999, Rec: mkRec(0)},
-		{Kind: BatchInsert, Rec: mkRec(6)},
+	csn := p.beginWrite()
+	err = p.wal.logBatch("t", csn, []batchEntry{
+		{op: opUpdate, rowID: 1, data: model.AppendRecord(nil, mkRec(10))},
+		{op: opDelete, rowID: 2},
+		{op: opInsert, rowID: 4, data: model.AppendRecord(nil, mkRec(4))},
+		{op: opUpdate, rowID: 4, data: model.AppendRecord(nil, mkRec(40))},
 	})
-	if err == nil {
-		t.Fatal("expected error from update of unknown row")
+	p.endWrite(csn)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := dumpStore(t, s)
-	if err := s.Close(); err != nil {
+
+	oracle, _ := Open("")
+	ot, _ := oracle.CreateTable("t")
+	for i := 1; i <= 3; i++ {
+		ot.Insert(mkRec(i))
+	}
+	ot.Update(1, mkRec(10))
+	ot.Delete(2)
+	ot.Insert(mkRec(4))
+	ot.Update(4, mkRec(40))
+	want := dumpStore(t, oracle)
+
+	f, err := OpenOptions(t.TempDir(), Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	shipAll(t, p, f)
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	re, err := Open(dir)
@@ -130,17 +136,20 @@ func TestApplyBatchMixedOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dumpStore(t, re); got != want {
-		t.Fatalf("recovered state differs:\n%s\nvs\n%s", got, want)
-	}
-	tb2, _ := re.Table("t")
-	if rec, ok := tb2.Get(5); !ok {
-		t.Fatal("applied prefix of failed batch lost")
-	} else if v, _ := rec.Get("i").AsInt(); v != 5 {
-		t.Fatalf("prefix row holds %v", rec)
-	}
-	if _, ok := tb2.Get(2); ok {
-		t.Fatal("deleted row visible after recovery")
+	for name, s := range map[string]*Store{"recovered": re, "follower": f} {
+		if got := dumpStore(t, s); got != want {
+			t.Fatalf("%s state differs from the oracle:\n%s\nvs\n%s", name, got, want)
+		}
+		st, _ := s.Table("t")
+		if _, ok := st.GetAt(2, csn-1); !ok {
+			t.Errorf("%s: row 2 deleted below the frame's stamp", name)
+		}
+		if _, ok := st.GetAt(4, csn-1); ok {
+			t.Errorf("%s: row 4 visible below the frame's stamp", name)
+		}
+		if got := chainLen(st, 4); got != 2 {
+			t.Errorf("%s: row 4 holds %d versions, want 2", name, got)
+		}
 	}
 }
 
@@ -290,8 +299,8 @@ func TestGroupCommitDurability(t *testing.T) {
 // TestCrashRecoveryTruncationDifferential is the torn-batch differential:
 // ingest batched, truncate the log at arbitrary byte offsets, recover, and
 // the surviving state must be byte-identical to a per-record oracle at
-// some whole-batch boundary (multi-record frames are atomic: one checksum
-// covers the batch, so recovery keeps all of it or none of it).
+// some frame boundary (multi-record frames are atomic: one checksum covers
+// the batch, so recovery keeps all of it or none of it).
 func TestCrashRecoveryTruncationDifferential(t *testing.T) {
 	const batchSize, nBatches = 7, 12
 	dir := t.TempDir()
@@ -304,7 +313,7 @@ func TestCrashRecoveryTruncationDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Oracle: after each durable batch, the per-record state it implies.
+	// Oracle: after each durable frame, the per-record state it implies.
 	oracle, err := Open("")
 	if err != nil {
 		t.Fatal(err)
@@ -315,25 +324,30 @@ func TestCrashRecoveryTruncationDifferential(t *testing.T) {
 	next := 0
 	for b := 0; b < nBatches; b++ {
 		if b%3 == 2 {
-			// Mixed frame: update and delete rows from earlier batches.
-			ops := []BatchOp{
-				{Kind: BatchUpdate, ID: RowID(b), Rec: mkRec(9000 + b)},
-				{Kind: BatchDelete, ID: RowID(b + 1)},
-				{Kind: BatchInsert, Rec: mkRec(next)},
-			}
-			next++
-			if err := tb.ApplyBatch(ops); err != nil {
+			// Mixed round: update and delete rows from earlier batches, then
+			// a one-record batch. Each is its own frame, so every frame
+			// boundary is an oracle state.
+			if err := tb.Update(RowID(b), mkRec(9000+b)); err != nil {
 				t.Fatal(err)
 			}
 			if err := ot.Update(RowID(b), mkRec(9000+b)); err != nil {
 				t.Fatal(err)
 			}
+			states = append(states, dumpStore(t, oracle))
+			if err := tb.Delete(RowID(b + 1)); err != nil {
+				t.Fatal(err)
+			}
 			if err := ot.Delete(RowID(b + 1)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ot.Insert(mkRec(next - 1)); err != nil {
+			states = append(states, dumpStore(t, oracle))
+			if _, err := tb.InsertBatch([]model.Record{mkRec(next)}); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := ot.Insert(mkRec(next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
 		} else {
 			recs := make([]model.Record, batchSize)
 			for i := range recs {
@@ -384,7 +398,7 @@ func TestCrashRecoveryTruncationDifferential(t *testing.T) {
 		}
 		// A cut before the create-table frame leaves an empty store.
 		if !matched && got != "" {
-			t.Fatalf("cut=%d: recovered state matches no whole-batch oracle prefix:\n%s", cut, got)
+			t.Fatalf("cut=%d: recovered state matches no frame-boundary oracle prefix:\n%s", cut, got)
 		}
 	}
 }

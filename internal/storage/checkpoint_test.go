@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -211,8 +212,8 @@ func TestAutoCheckpointTriggers(t *testing.T) {
 	}
 }
 
-// TestRecoverParallelismEquivalence: recovered state is identical whether
-// replay/rebuild run serially or fanned out.
+// TestRecoverParallelismEquivalence: recovered state is identical to the
+// live state whether replay and rebuild run on one worker or fan out.
 func TestRecoverParallelismEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenOptions(dir, Options{Sync: SyncAlways, SegmentBytes: 512, CheckpointBytes: -1})
@@ -239,20 +240,20 @@ func TestRecoverParallelismEquivalence(t *testing.T) {
 			}
 		}
 	}
+	want := dumpStore(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var dumps []string
-	for _, par := range []int{1, 4} {
-		re, err := OpenOptions(dir, Options{RecoverParallelism: par, CheckpointBytes: -1})
+	for _, par := range []int{1, 2, 8} {
+		re, err := openStore(dir, Options{CheckpointBytes: -1}, par)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
-		dumps = append(dumps, dumpStore(t, re))
+		got := dumpStore(t, re)
 		re.Close()
-	}
-	if dumps[0] != dumps[1] {
-		t.Fatalf("serial and parallel recovery disagree:\n%s\nvs\n%s", dumps[0], dumps[1])
+		if got != want {
+			t.Fatalf("par=%d: recovered state differs from live state:\n%s\nvs\n%s", par, got, want)
+		}
 	}
 }
 
@@ -571,7 +572,7 @@ func TestIndexCatalogPersisted(t *testing.T) {
 }
 
 // BenchmarkRecovery measures Open() on a prebuilt directory: full-log
-// replay (serial vs parallel) against checkpoint-bounded replay. The
+// replay against checkpoint-bounded replay, each at 1, 2 and 8 workers. The
 // checkpointed open must be O(data since the last checkpoint), not O(all
 // data ever written).
 func BenchmarkRecovery(b *testing.B) {
@@ -624,15 +625,15 @@ func BenchmarkRecovery(b *testing.B) {
 		b.Helper()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s, err := OpenOptions(dir, Options{RecoverParallelism: par, CheckpointBytes: -1})
+			s, err := openStore(dir, Options{CheckpointBytes: -1}, par)
 			if err != nil {
 				b.Fatal(err)
 			}
 			s.Close()
 		}
 	}
-	// par=4 is explicit (not 0 = per-CPU) so the worker pools engage even
-	// on single-CPU hosts; the speedup scales with real cores.
+	// Worker counts are explicit (not one per CPU) so the fan-out engages
+	// even on single-CPU hosts; the speedup scales with real cores.
 	// SCDB_RECOVERY_ROWS overrides the 20k default (CI smoke runs set it
 	// small).
 	rows := 20000
@@ -641,8 +642,16 @@ func BenchmarkRecovery(b *testing.B) {
 			rows = n
 		}
 	}
-	b.Run("wal-only/serial", func(b *testing.B) { open(b, build(b, rows, false, 0), 1) })
-	b.Run("wal-only/parallel", func(b *testing.B) { open(b, build(b, rows, false, 0), 4) })
-	b.Run("checkpointed/serial", func(b *testing.B) { open(b, build(b, rows, true, 100), 1) })
-	b.Run("checkpointed/parallel", func(b *testing.B) { open(b, build(b, rows, true, 100), 4) })
+	for _, mode := range []struct {
+		name string
+		ckpt bool
+		tail int
+	}{{"wal-only", false, 0}, {"checkpointed", true, 100}} {
+		b.Run(mode.name, func(b *testing.B) {
+			dir := build(b, rows, mode.ckpt, mode.tail)
+			for _, par := range []int{1, 2, 8} {
+				b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) { open(b, dir, par) })
+			}
+		})
+	}
 }

@@ -729,27 +729,6 @@ func TestIndexConcurrent(t *testing.T) {
 	}
 }
 
-// TestColumnizeAt pins the projection to an explicit snapshot.
-func TestColumnizeAt(t *testing.T) {
-	s, _ := Open("")
-	defer s.Close()
-	tb, _ := s.CreateTable("t")
-	id, _ := tb.Insert(rec("a", 1))
-	before := s.Now()
-	tb.Update(id, rec("a", 2))
-	cs := ColumnizeAt(tb, before, "a")
-	if cs.Len() != 1 {
-		t.Fatalf("Len = %d", cs.Len())
-	}
-	if v, _ := cs.Columns["a"][0].AsInt(); v != 1 {
-		t.Fatalf("at old csn: a = %v, want 1", cs.Columns["a"][0])
-	}
-	cs = Columnize(tb, "a")
-	if v, _ := cs.Columns["a"][0].AsInt(); v != 2 {
-		t.Fatalf("at now: a = %v, want 2", cs.Columns["a"][0])
-	}
-}
-
 // TestWALRecoveryRebuildsZones checks that zone maps exist (and prune) after
 // reopening a durable store, where recovery installs rows without going
 // through the write path.

@@ -1,47 +1,44 @@
 package storage
 
-// Bounded parallel recovery. Open loads the newest snapshot (if any),
-// replays only WAL segments at or above the snapshot's horizon — skipping
-// individual frames whose commit stamp the snapshot already covers — and
-// rebuilds zone maps plus the persisted auto-index catalog. Snapshot table
-// sections, per-table replay, and the access-path rebuild all fan out
-// across a worker pool (Options.RecoverParallelism), so open time is
-// O(data since the last checkpoint) and scales with cores.
+// Recovery. Open loads the newest snapshot (if any), reads only WAL
+// segments at or above the snapshot's horizon — skipping frames whose
+// commit stamp the snapshot already covers — and rebuilds zone maps plus
+// the persisted auto-index catalog, so open time is O(data since the last
+// checkpoint).
 //
-// Replay applies frames at their recorded commit stamps: WAL append order
-// is not CSN order (stamps are allocated before the table latch, frames
-// appended after it), so each version is inserted into its row's chain in
-// stamp order rather than re-stamped.
+// The log is read back by one rule, shared with the replica follower
+// (repl.go): each frame expands into row mutations (ReplEntry.mutations),
+// and Table.applyLogged installs them in commit-stamp order. WAL append
+// order is not stamp order — stamps are allocated before the table latch
+// and frames appended after it is released — so recovery first collects
+// each table's mutations above the snapshot stamp, then, in one fan-out
+// over tables, decodes the table's snapshot section, stable-sorts its
+// mutations by stamp, applies them and rebuilds its access paths. The
+// replayed segments' bytes stay in memory until that fan-out ends, so
+// recovery's peak holds the un-checkpointed log beside the tables it
+// rebuilds.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"scdb/internal/model"
 )
 
-// logEntry is one decoded log frame.
-type logEntry struct {
-	op    byte
-	csn   CSN
-	table string
-	rowID uint64
-	data  []byte
-}
-
 // parseFrames walks framed entries in data starting at offset start,
 // calling fn for each intact frame. It returns the offset of the first
 // torn frame (short header/payload, bad checksum, oversized length) — the
 // point at which the segment should be truncated — or an error if fn or
 // payload decoding failed on an intact frame.
-func parseFrames(data []byte, start int64, fn func(logEntry) error) (valid int64, err error) {
+func parseFrames(data []byte, start int64, fn func(ReplEntry) error) (valid int64, err error) {
 	off := start
 	for {
 		if int64(len(data))-off < 12 {
@@ -70,42 +67,113 @@ func parseFrames(data []byte, start int64, fn func(logEntry) error) (valid int64
 }
 
 // decodeEntry decodes one frame payload.
-func decodeEntry(payload []byte) (logEntry, error) {
+func decodeEntry(payload []byte) (ReplEntry, error) {
 	if len(payload) < 1 {
-		return logEntry{}, fmt.Errorf("storage: empty log payload")
+		return ReplEntry{}, fmt.Errorf("storage: empty log payload")
 	}
-	e := logEntry{op: payload[0]}
+	e := ReplEntry{Op: payload[0]}
 	pos := 1
 	c, n := binary.Uvarint(payload[pos:])
 	if n <= 0 {
-		return logEntry{}, fmt.Errorf("storage: malformed commit stamp")
+		return ReplEntry{}, fmt.Errorf("storage: malformed commit stamp")
 	}
 	pos += n
-	e.csn = CSN(c)
+	e.CSN = CSN(c)
 	l, n := binary.Uvarint(payload[pos:])
 	if n <= 0 || uint64(len(payload)-pos-n) < l {
-		return logEntry{}, fmt.Errorf("storage: malformed table name")
+		return ReplEntry{}, fmt.Errorf("storage: malformed table name")
 	}
 	pos += n
-	e.table = string(payload[pos : pos+int(l)])
+	e.Table = string(payload[pos : pos+int(l)])
 	pos += int(l)
 	id, n := binary.Uvarint(payload[pos:])
 	if n <= 0 {
-		return logEntry{}, fmt.Errorf("storage: malformed row id")
+		return ReplEntry{}, fmt.Errorf("storage: malformed row id")
 	}
 	pos += n
-	e.rowID = id
+	e.RowID = id
 	dl, n := binary.Uvarint(payload[pos:])
 	if n <= 0 || uint64(len(payload)-pos-n) < dl {
-		return logEntry{}, fmt.Errorf("storage: malformed data length")
+		return ReplEntry{}, fmt.Errorf("storage: malformed data length")
 	}
 	pos += n
-	e.data = payload[pos : pos+int(dl)]
+	e.Data = payload[pos : pos+int(dl)]
 	return e, nil
 }
 
-// idxSpec and accSpec carry the persisted self-curation catalog from a v2
-// snapshot to the rebuild phase.
+// mutations calls fn for each row mutation the frame carries, in order: a
+// batch frame's sub-entries, or the frame itself for a single-row frame.
+// Every mutation shares the frame's commit stamp.
+func (e *ReplEntry) mutations(fn func(batchEntry) error) error {
+	if e.Op != opBatch {
+		return fn(batchEntry{op: e.Op, rowID: e.RowID, data: e.Data})
+	}
+	rest := e.Data
+	for i := uint64(0); i < e.RowID; i++ {
+		if len(rest) < 1 {
+			return fmt.Errorf("storage: malformed batch frame for %q", e.Table)
+		}
+		pos := 1
+		id, n := binary.Uvarint(rest[pos:])
+		if n <= 0 {
+			return fmt.Errorf("storage: malformed batch row id")
+		}
+		pos += n
+		dl, n := binary.Uvarint(rest[pos:])
+		if n <= 0 || uint64(len(rest)-pos-n) < dl {
+			return fmt.Errorf("storage: malformed batch data length")
+		}
+		pos += n
+		if err := fn(batchEntry{op: rest[0], rowID: id, data: rest[pos : pos+int(dl)]}); err != nil {
+			return err
+		}
+		rest = rest[pos+int(dl):]
+	}
+	return nil
+}
+
+// applyLogged installs one logged row mutation at its commit stamp, keeping
+// live and nextID up to date, and returns the record it wrote (nil for a
+// delete). It is the one replay rule for recovery and the follower. Both
+// apply a table's mutations in stamp order, so an insert finds no row and
+// an update or delete finds one. The caller owns t: recovery because one
+// worker rebuilds each table, the follower by holding t.mu.
+func (t *Table) applyLogged(m batchEntry, csn CSN) (model.Record, error) {
+	id := RowID(m.rowID)
+	r := t.rows[id]
+	switch m.op {
+	case opInsert, opUpdate:
+		rec, _, err := model.DecodeRecord(m.data)
+		if err != nil {
+			return nil, err
+		}
+		if m.op == opUpdate {
+			if r == nil {
+				return nil, fmt.Errorf("storage: log update of unknown row %d in %q", id, t.name)
+			}
+			r.addVersion(version{rec: rec, from: csn})
+			return rec, nil
+		}
+		if r != nil {
+			return nil, fmt.Errorf("storage: log insert of existing row %d in %q", id, t.name)
+		}
+		t.rows[id] = &row{versions: []version{{rec: rec, from: csn}}}
+		t.nextID = max(t.nextID, m.rowID)
+		t.live++
+		return rec, nil
+	case opDelete:
+		if r == nil || r.versions[len(r.versions)-1].rec == nil {
+			return nil, fmt.Errorf("storage: log delete of unknown row %d in %q", id, t.name)
+		}
+		r.addVersion(version{rec: nil, from: csn})
+		t.live--
+		return nil, nil
+	}
+	return nil, fmt.Errorf("storage: unknown log op %d", m.op)
+}
+
+// idxSpec carries one persisted index from a snapshot section to the
+// rebuild that follows the table's replay.
 type idxSpec struct {
 	attr   string
 	kind   IndexKind
@@ -113,25 +181,27 @@ type idxSpec struct {
 	hits   uint64
 }
 
-type accSpec struct {
-	attr    string
-	eq, rng uint64
+// tableReplay is what recovery gathers for one table before the fan-out:
+// its snapshot section, if the snapshot has one, and its logged mutations
+// above the snapshot stamp, in log order.
+type tableReplay struct {
+	t       *Table
+	section []byte
+	muts    []stampedMutation
 }
 
-type tableAux struct {
-	idx []idxSpec
-	acc []accSpec
+// stampedMutation is one logged row mutation with its frame's stamp.
+type stampedMutation struct {
+	csn CSN
+	batchEntry
 }
 
-// recover loads the snapshot, replays segments above its horizon, and
-// rebuilds access paths. It returns the segment index the WAL should
-// append to and how many segment files will exist once it is opened.
-func (s *Store) recover(opt Options) (activeIdx uint64, segCount int, err error) {
+// recover loads the snapshot, replays segments above its horizon on par
+// workers, and rebuilds access paths. It returns the segment index the WAL
+// should append to and how many segment files will exist once it is
+// opened.
+func (s *Store) recover(par int) (activeIdx uint64, segCount int, err error) {
 	start := nanotime()
-	par := opt.RecoverParallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
 	// Reject a store in a format this build cannot read before anything
 	// below renames, truncates or deletes a file in it.
 	idxs, err := listSegments(s.dir)
@@ -146,25 +216,19 @@ func (s *Store) recover(opt Options) (activeIdx uint64, segCount int, err error)
 	// rename; the previous snapshot (if any) is still the good one.
 	os.Remove(filepath.Join(s.dir, snapshotName+".tmp"))
 
-	snapCSN, horizon, aux, err := s.loadSnapshot(par)
+	replays := map[string]*tableReplay{}
+	snapCSN, horizon, err := s.loadSnapshot(replays)
 	if err != nil {
 		return 0, 0, err
 	}
 
-	// Retire segments below the checkpoint horizon. Normally the
-	// checkpoint deleted them already; a crash between the snapshot
-	// rename and the deletion leaves them behind.
-	keep := idxs[:0]
-	for _, idx := range idxs {
-		if idx < horizon {
-			os.Remove(segPath(s.dir, idx))
-			continue
-		}
-		keep = append(keep, idx)
-	}
-	idxs = keep
-
-	idxs, maxCSN, err := s.replaySegments(idxs, snapCSN, par)
+	// Segments below the checkpoint horizon are covered by the snapshot.
+	// Normally the checkpoint deleted them already; a crash between the
+	// snapshot rename and the deletion leaves them behind, and they go once
+	// the snapshot has decoded.
+	first, _ := slices.BinarySearch(idxs, horizon)
+	retired := idxs[:first]
+	idxs, maxCSN, err := s.readSegments(idxs[first:], snapCSN, replays)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -182,24 +246,54 @@ func (s *Store) recover(opt Options) (activeIdx uint64, segCount int, err error)
 		segCount = 1 // openActiveSegment will create it
 	}
 
-	s.rebuildAll(aux, par)
+	tables := make([]*tableReplay, 0, len(replays))
+	for _, r := range replays {
+		tables = append(tables, r)
+	}
+	if err := fanOut(len(tables), par, func(i int) error { return tables[i].run(snapCSN) }); err != nil {
+		return 0, 0, err
+	}
+	for _, idx := range retired {
+		os.Remove(segPath(s.dir, idx))
+	}
 	s.recoverNS.Store(nanotime() - start)
 	return activeIdx, segCount, nil
 }
 
-// replaySegments replays the given segments in index order through a
-// per-table-ordered applier. A torn tail truncates its segment; if that
-// segment is not the last, every later segment is deleted too — replay is
-// a strict prefix of the log, and appends resume where it ends. Returns
-// the surviving segment list and the highest commit stamp applied.
-func (s *Store) replaySegments(idxs []uint64, snapCSN CSN, par int) ([]uint64, CSN, error) {
-	ap := newApplier(s, par)
+// readSegments reads the given segments in index order and files every
+// frame above snapCSN with its table. A torn tail truncates its segment; if
+// that segment is not the last, every later segment is deleted too — replay
+// is a strict prefix of the log, and appends resume where it ends. Returns
+// the surviving segment list and the highest commit stamp read.
+func (s *Store) readSegments(idxs []uint64, snapCSN CSN, replays map[string]*tableReplay) ([]uint64, CSN, error) {
 	var maxCSN CSN
+	collect := func(e ReplEntry) error {
+		if e.CSN <= snapCSN {
+			return nil // already covered by the snapshot
+		}
+		maxCSN = max(maxCSN, e.CSN)
+		if e.Op == opCreateTable {
+			if _, ok := replays[e.Table]; !ok {
+				t := newTable(s, e.Table)
+				s.tables[e.Table] = t
+				s.schemaVer.Add(1)
+				replays[e.Table] = &tableReplay{t: t}
+			}
+			return nil
+		}
+		r, ok := replays[e.Table]
+		if !ok {
+			return fmt.Errorf("storage: log references unknown table %q", e.Table)
+		}
+		return e.mutations(func(m batchEntry) error {
+			r.muts = append(r.muts, stampedMutation{csn: e.CSN, batchEntry: m})
+			return nil
+		})
+	}
 	for i, idx := range idxs {
 		p := segPath(s.dir, idx)
 		data, err := os.ReadFile(p)
 		if err != nil {
-			ap.finish()
 			return idxs, maxCSN, err
 		}
 		// A header shorter than the magic is a crash mid-creation
@@ -207,339 +301,162 @@ func (s *Store) replaySegments(idxs []uint64, snapCSN CSN, par int) ([]uint64, C
 		// segment holds no frames and truncates to empty below.
 		var valid int64
 		if len(data) >= len(segMagic) {
-			valid, err = parseFrames(data, int64(len(segMagic)), func(e logEntry) error {
-				if e.csn <= snapCSN {
-					return nil // already covered by the snapshot
-				}
-				if e.csn > maxCSN {
-					maxCSN = e.csn
-				}
-				return ap.dispatch(e)
-			})
-		}
-		if err != nil {
-			ap.finish()
-			return idxs, maxCSN, err
+			if valid, err = parseFrames(data, int64(len(segMagic)), collect); err != nil {
+				return idxs, maxCSN, err
+			}
 		}
 		if valid < int64(len(data)) {
 			// Torn tail: truncate so future appends start at a clean
 			// frame, and drop anything after the tear.
 			if err := os.Truncate(p, valid); err != nil {
-				ap.finish()
 				return idxs, maxCSN, err
 			}
 			for _, later := range idxs[i+1:] {
 				os.Remove(segPath(s.dir, later))
 			}
-			idxs = idxs[:i+1]
-			break
+			return idxs[:i+1], maxCSN, nil
 		}
-	}
-	if err := ap.finish(); err != nil {
-		return idxs, maxCSN, err
 	}
 	return idxs, maxCSN, nil
 }
 
-// applier routes replay mutations to per-table-sticky workers so frames
-// against one table apply in log order while distinct tables proceed in
-// parallel. Table creation happens inline on the dispatching goroutine —
-// workers never touch the store's table map. With par <= 1 everything
-// applies inline.
-type applier struct {
-	s       *Store
-	chans   []chan applyJob
-	wg      sync.WaitGroup
-	failed  atomic.Bool
-	errOnce sync.Once
-	err     error
-}
-
-type applyJob struct {
-	t     *Table
-	op    byte
-	rowID uint64
-	data  []byte
-	csn   CSN
-}
-
-func newApplier(s *Store, par int) *applier {
-	ap := &applier{s: s}
-	if par > 1 {
-		ap.chans = make([]chan applyJob, par)
-		for i := range ap.chans {
-			ch := make(chan applyJob, 256)
-			ap.chans[i] = ch
-			ap.wg.Add(1)
-			go func() {
-				defer ap.wg.Done()
-				for job := range ch {
-					if ap.failed.Load() {
-						continue
-					}
-					if err := applyOp(job.t, job.op, job.rowID, job.data, job.csn); err != nil {
-						ap.fail(err)
-					}
-				}
-			}()
-		}
-	}
-	return ap
-}
-
-func (ap *applier) fail(err error) {
-	ap.errOnce.Do(func() { ap.err = err })
-	ap.failed.Store(true)
-}
-
-// dispatch decodes one frame into per-row mutations and routes them.
-func (ap *applier) dispatch(e logEntry) error {
-	if ap.failed.Load() {
-		return ap.finishErr()
-	}
-	s := ap.s
-	if e.op == opCreateTable {
-		if _, ok := s.tables[e.table]; !ok {
-			s.tables[e.table] = &Table{name: e.table, store: s, rows: make(map[RowID]*row)}
-			s.schemaVer.Add(1)
-		}
-		return nil
-	}
-	t, ok := s.tables[e.table]
-	if !ok {
-		return fmt.Errorf("storage: log references unknown table %q", e.table)
-	}
-	csn := e.csn
-	if e.op == opBatch {
-		// One commit stamp for the whole batch, as the live path used.
-		rest := e.data
-		for i := uint64(0); i < e.rowID; i++ {
-			if len(rest) < 1 {
-				return fmt.Errorf("storage: malformed batch frame for %q", e.table)
-			}
-			op := rest[0]
-			pos := 1
-			id, n := binary.Uvarint(rest[pos:])
-			if n <= 0 {
-				return fmt.Errorf("storage: malformed batch row id")
-			}
-			pos += n
-			dl, n := binary.Uvarint(rest[pos:])
-			if n <= 0 || uint64(len(rest)-pos-n) < dl {
-				return fmt.Errorf("storage: malformed batch data length")
-			}
-			pos += n
-			data := rest[pos : pos+int(dl)]
-			rest = rest[pos+int(dl):]
-			if err := ap.route(applyJob{t: t, op: op, rowID: id, data: data, csn: csn}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return ap.route(applyJob{t: t, op: e.op, rowID: e.rowID, data: e.data, csn: csn})
-}
-
-func (ap *applier) route(job applyJob) error {
-	if len(ap.chans) == 0 {
-		return applyOp(job.t, job.op, job.rowID, job.data, job.csn)
-	}
-	// Inline FNV-1a over the table name: one table always maps to one
-	// worker, preserving per-table apply order.
-	h := uint32(2166136261)
-	for i := 0; i < len(job.t.name); i++ {
-		h = (h ^ uint32(job.t.name[i])) * 16777619
-	}
-	ap.chans[h%uint32(len(ap.chans))] <- job
-	return nil
-}
-
-// finish drains the workers and returns the first apply error, if any.
-func (ap *applier) finish() error {
-	for _, ch := range ap.chans {
-		close(ch)
-	}
-	ap.wg.Wait()
-	ap.chans = nil
-	return ap.err
-}
-
-// finishErr waits for workers without closing twice (dispatch path).
-func (ap *applier) finishErr() error {
-	if err := ap.finish(); err != nil {
-		return err
-	}
-	return errors.New("storage: replay failed")
-}
-
-// applyOp replays one mutation against a table at the given stamp. Only
-// the owning replay worker touches t, so no latch is taken; versions are
-// inserted in stamp order because cross-table WAL order is not CSN order.
-func applyOp(t *Table, op byte, rowID uint64, data []byte, csn CSN) error {
-	switch op {
-	case opInsert:
-		rec, _, err := model.DecodeRecord(data)
-		if err != nil {
+// run rebuilds one table: its snapshot section, then its logged mutations
+// in stamp order (stable, so a frame's sub-entries and a transaction's
+// frames keep their log order), then its zone maps and restored index
+// catalog. One worker owns the table, so no latch is taken.
+func (r *tableReplay) run(snapCSN CSN) error {
+	t := r.t
+	var idx []idxSpec
+	if r.section != nil {
+		var err error
+		if idx, err = t.decodeSection(r.section, snapCSN); err != nil {
 			return err
 		}
-		id := RowID(rowID)
-		t.rows[id] = &row{versions: []version{{rec: rec, from: csn}}}
-		if uint64(id) > t.nextID {
-			t.nextID = uint64(id)
-		}
-		t.live++
-	case opUpdate:
-		rec, _, err := model.DecodeRecord(data)
-		if err != nil {
+	}
+	slices.SortStableFunc(r.muts, func(a, b stampedMutation) int { return cmp.Compare(a.csn, b.csn) })
+	for _, m := range r.muts {
+		if _, err := t.applyLogged(m.batchEntry, m.csn); err != nil {
 			return err
 		}
-		r, ok := t.rows[RowID(rowID)]
-		if !ok {
-			return fmt.Errorf("storage: log update of unknown row %d in %q", rowID, t.name)
-		}
-		r.addVersion(version{rec: rec, from: csn})
-	case opDelete:
-		r, ok := t.rows[RowID(rowID)]
-		if !ok {
-			return fmt.Errorf("storage: log delete of unknown row %d in %q", rowID, t.name)
-		}
-		r.addVersion(version{rec: nil, from: csn})
-		t.live--
-	default:
-		return fmt.Errorf("storage: unknown log op %d", op)
+	}
+	t.rebuildZonesLocked()
+	for _, spec := range idx {
+		t.restoreIndexLocked(spec)
 	}
 	return nil
 }
 
-// loadSnapshot reads the snapshot file, if present, and returns its commit
-// stamp, horizon segment, and the persisted self-curation catalog.
+// fanOut runs fn(0) … fn(n-1) on at most par goroutines and returns the
+// error of the lowest index that failed.
+func fanOut(n, par int, fn func(int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range max(1, min(par, n)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
+}
+
+// loadSnapshot reads the snapshot file, if present: it creates each table
+// it holds, hands the table's section to replays for the fan-out to decode,
+// and returns the snapshot's commit stamp and horizon segment.
 // (checkFormats has already vouched for its magic.)
-func (s *Store) loadSnapshot(par int) (CSN, uint64, map[string]*tableAux, error) {
+func (s *Store) loadSnapshot(replays map[string]*tableReplay) (CSN, uint64, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, snapshotName))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return 0, 0, nil, nil
+			return 0, 0, nil
 		}
-		return 0, 0, nil, err
+		return 0, 0, err
 	}
 	pos := len(snapMagic)
 	snapCSN, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("storage: corrupt snapshot csn")
+		return 0, 0, fmt.Errorf("storage: corrupt snapshot csn")
 	}
 	pos += n
 	horizon, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("storage: corrupt snapshot horizon")
+		return 0, 0, fmt.Errorf("storage: corrupt snapshot horizon")
 	}
 	pos += n
 	nTables, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("storage: corrupt snapshot header")
+		return 0, 0, fmt.Errorf("storage: corrupt snapshot header")
 	}
 	pos += n
-
-	type sec struct {
-		name string
-		data []byte
-	}
-	secs := make([]sec, 0, nTables)
 	for i := uint64(0); i < nTables; i++ {
 		l, n := binary.Uvarint(data[pos:])
 		if n <= 0 || uint64(len(data)-pos-n) < l {
-			return 0, 0, nil, fmt.Errorf("storage: corrupt snapshot table name")
+			return 0, 0, fmt.Errorf("storage: corrupt snapshot table name")
 		}
 		pos += n
 		name := string(data[pos : pos+int(l)])
 		pos += int(l)
 		sl, n := binary.Uvarint(data[pos:])
 		if n <= 0 || uint64(len(data)-pos-n) < sl {
-			return 0, 0, nil, fmt.Errorf("storage: corrupt snapshot section for %q", name)
+			return 0, 0, fmt.Errorf("storage: corrupt snapshot section for %q", name)
 		}
 		pos += n
-		secs = append(secs, sec{name: name, data: data[pos : pos+int(sl)]})
+		t := newTable(s, name)
+		s.tables[name] = t
+		replays[name] = &tableReplay{t: t, section: data[pos : pos+int(sl)]}
 		pos += int(sl)
 	}
-
-	aux := make(map[string]*tableAux, len(secs))
-	tables := make([]*Table, len(secs))
-	auxes := make([]*tableAux, len(secs))
-	errs := make([]error, len(secs))
-	if par > 1 && len(secs) > 1 {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					tables[i], auxes[i], errs[i] = s.decodeSection(secs[i].name, secs[i].data, CSN(snapCSN))
-				}
-			}()
-		}
-		for i := range secs {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	} else {
-		for i := range secs {
-			tables[i], auxes[i], errs[i] = s.decodeSection(secs[i].name, secs[i].data, CSN(snapCSN))
-		}
-	}
-	for i := range secs {
-		if errs[i] != nil {
-			return 0, 0, nil, errs[i]
-		}
-		s.tables[secs[i].name] = tables[i]
-		aux[secs[i].name] = auxes[i]
-	}
 	s.csn.Store(snapCSN)
-	return CSN(snapCSN), horizon, aux, nil
+	return CSN(snapCSN), horizon, nil
 }
 
-// decodeSection decodes one table's v2 snapshot section.
-func (s *Store) decodeSection(name string, data []byte, snapCSN CSN) (*Table, *tableAux, error) {
-	t := &Table{name: name, store: s, rows: make(map[RowID]*row)}
-	aux := &tableAux{}
+// decodeSection decodes one table's v2 snapshot section into t: its rows at
+// snapCSN, next row ID and access counters. The persisted indexes are
+// returned for the rebuild that follows replay.
+func (t *Table) decodeSection(data []byte, snapCSN CSN) ([]idxSpec, error) {
+	name := t.name
 	pos := 0
 	nextID, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("storage: corrupt snapshot next-id for %q", name)
+		return nil, fmt.Errorf("storage: corrupt snapshot next-id for %q", name)
 	}
 	pos += n
 	t.nextID = nextID
 	nRows, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("storage: corrupt snapshot row count for %q", name)
+		return nil, fmt.Errorf("storage: corrupt snapshot row count for %q", name)
 	}
 	pos += n
 	for j := uint64(0); j < nRows; j++ {
 		id, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("storage: corrupt snapshot row id")
+			return nil, fmt.Errorf("storage: corrupt snapshot row id")
 		}
 		pos += n
 		rec, used, err := model.DecodeRecord(data[pos:])
 		if err != nil {
-			return nil, nil, fmt.Errorf("storage: corrupt snapshot record: %w", err)
+			return nil, fmt.Errorf("storage: corrupt snapshot record: %w", err)
 		}
 		pos += used
 		t.rows[RowID(id)] = &row{versions: []version{{rec: rec, from: snapCSN}}}
-		if id > t.nextID {
-			t.nextID = id
-		}
+		t.nextID = max(t.nextID, id)
 		t.live++
 	}
 	nIdx, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("storage: corrupt snapshot index catalog for %q", name)
+		return nil, fmt.Errorf("storage: corrupt snapshot index catalog for %q", name)
 	}
 	pos += n
+	var idx []idxSpec
 	for j := uint64(0); j < nIdx; j++ {
 		l, n := binary.Uvarint(data[pos:])
 		if n <= 0 || uint64(len(data)-pos-n) < l+2 {
-			return nil, nil, fmt.Errorf("storage: corrupt snapshot index entry for %q", name)
+			return nil, fmt.Errorf("storage: corrupt snapshot index entry for %q", name)
 		}
 		pos += n
 		attr := string(data[pos : pos+int(l)])
@@ -549,80 +466,36 @@ func (s *Store) decodeSection(name string, data []byte, snapCSN CSN) (*Table, *t
 		pos += 2
 		hits, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("storage: corrupt snapshot index hits for %q", name)
+			return nil, fmt.Errorf("storage: corrupt snapshot index hits for %q", name)
 		}
 		pos += n
-		aux.idx = append(aux.idx, idxSpec{attr: attr, kind: kind, pinned: pinned, hits: hits})
+		idx = append(idx, idxSpec{attr: attr, kind: kind, pinned: pinned, hits: hits})
 	}
 	nAcc, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("storage: corrupt snapshot access stats for %q", name)
+		return nil, fmt.Errorf("storage: corrupt snapshot access stats for %q", name)
 	}
 	pos += n
+	t.initCurationLocked()
 	for j := uint64(0); j < nAcc; j++ {
 		l, n := binary.Uvarint(data[pos:])
 		if n <= 0 || uint64(len(data)-pos-n) < l {
-			return nil, nil, fmt.Errorf("storage: corrupt snapshot access entry for %q", name)
+			return nil, fmt.Errorf("storage: corrupt snapshot access entry for %q", name)
 		}
 		pos += n
 		attr := string(data[pos : pos+int(l)])
 		pos += int(l)
 		eq, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("storage: corrupt snapshot access eq for %q", name)
+			return nil, fmt.Errorf("storage: corrupt snapshot access eq for %q", name)
 		}
 		pos += n
 		rng, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("storage: corrupt snapshot access rng for %q", name)
+			return nil, fmt.Errorf("storage: corrupt snapshot access rng for %q", name)
 		}
 		pos += n
-		aux.acc = append(aux.acc, accSpec{attr: attr, eq: eq, rng: rng})
+		t.access[attr] = &accessStat{eq: eq, rng: rng}
 	}
-	return t, aux, nil
-}
-
-// rebuildAll recomputes zone maps and rebuilds the persisted index catalog
-// and access counters for every table, fanned out across par workers.
-// Recovery owns the store exclusively here, but each table is still
-// processed by exactly one worker.
-func (s *Store) rebuildAll(aux map[string]*tableAux, par int) {
-	names := s.tablesLocked()
-	rebuild := func(name string) {
-		t := s.tables[name]
-		t.rebuildZonesLocked()
-		a := aux[name]
-		if a == nil {
-			return
-		}
-		t.initCurationLocked()
-		for _, spec := range a.idx {
-			t.restoreIndexLocked(spec)
-		}
-		for _, spec := range a.acc {
-			t.access[spec.attr] = &accessStat{eq: spec.eq, rng: spec.rng}
-		}
-	}
-	if par > 1 && len(names) > 1 {
-		var wg sync.WaitGroup
-		work := make(chan string)
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for name := range work {
-					rebuild(name)
-				}
-			}()
-		}
-		for _, name := range names {
-			work <- name
-		}
-		close(work)
-		wg.Wait()
-		return
-	}
-	for _, name := range names {
-		rebuild(name)
-	}
+	return idx, nil
 }

@@ -6,14 +6,19 @@ package storage
 // A primary ships its log as decoded frames. The shipping loop computes a
 // watermark with StableCSN — every mutation at or below it is installed and
 // appended to the log — then drains frames from the segment files with
-// TailWAL. A follower applies shipped frames with ApplyRepl, which installs
-// each mutation at its recorded commit stamp (mirroring recovery's replay,
-// but under the table latch and with live access-path maintenance, because
-// the follower serves queries continuously), re-logs the frame into the
-// follower's own WAL, and finally publishes the batch watermark as the
-// follower's commit clock. Readers at Now() therefore never observe a
-// partially applied batch, and a follower crash leaves an exact CSN-prefix
-// of the primary's history in its local log.
+// TailWAL. A follower applies shipped frames with ApplyRepl, re-logs each
+// into its own WAL, and finally publishes the batch watermark as its commit
+// clock. Readers at Now() therefore never observe a partially applied
+// batch, and a follower crash leaves an exact CSN-prefix of the primary's
+// history in its local log.
+//
+// The follower installs the log by the one rule recovery uses
+// (recovery.go): every row mutation goes through Table.applyLogged in
+// commit-stamp order. A shipped batch is sorted by stamp, and a watermark
+// only ever covers a complete prefix, so no later batch holds a lower
+// stamp. What differs from recovery stays here: the follower takes the
+// table latch and maintains zone maps and indexes as it goes, because it
+// serves queries while frames land.
 //
 // Checkpoints interact with shipping through segment pins: a subscriber
 // pins the segment it is reading, and Checkpoint caps its deletion horizon
@@ -31,8 +36,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"scdb/internal/model"
 )
 
 // ReplEntry is one decoded WAL frame in shipping form. Op and Data use the
@@ -166,10 +169,8 @@ func (s *Store) TailWAL(pos WALPos, maxBytes int64) (entries []ReplEntry, next W
 	if pos.Off == 0 {
 		pos.Off = int64(len(segMagic))
 	}
-	collect := func(e logEntry) error {
-		entries = append(entries, ReplEntry{
-			Op: e.op, CSN: e.csn, Table: e.table, RowID: e.rowID, Data: e.data,
-		})
+	collect := func(e ReplEntry) error {
+		entries = append(entries, e)
 		return nil
 	}
 	// Read only the tail past the cursor, bounded by maxBytes; a segment is
@@ -320,11 +321,11 @@ func (s *Store) pinnedHorizon(horizon uint64) uint64 {
 // Now() never see a partial batch.
 //
 // Entries are applied in ascending stamp order (stable for equal stamps —
-// a transaction's write set shares one stamp across frames), each mutation
-// is re-logged to the follower's own WAL at its recorded stamp, and batch
-// frames are preserved as single frames. The follower's log is therefore
-// stamp-sorted: a crash leaves an exact stamp-prefix, and recovery's
-// max-CSN clock restore resubscribes precisely where shipping stopped.
+// a transaction's write set shares one stamp across frames), each frame is
+// re-logged to the follower's own WAL at its recorded stamp, and batch
+// frames stay single frames. The follower's log is therefore stamp-sorted:
+// a crash leaves an exact stamp-prefix, and recovery's max-CSN clock
+// restore resubscribes precisely where shipping stopped.
 func (s *Store) ApplyRepl(entries []ReplEntry, watermark CSN) error {
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].CSN < entries[j].CSN })
 	for i := range entries {
@@ -343,110 +344,37 @@ func (s *Store) ApplyRepl(entries []ReplEntry, watermark CSN) error {
 	}
 }
 
+// applyReplEntry installs one shipped frame under the table latch, keeping
+// zone maps and indexes live, then re-logs it at its recorded stamp.
 func (s *Store) applyReplEntry(e *ReplEntry) error {
 	if e.Op == opCreateTable {
 		s.mu.Lock()
 		if _, ok := s.tables[e.Table]; !ok {
-			s.tables[e.Table] = &Table{name: e.Table, store: s, rows: make(map[RowID]*row)}
+			s.tables[e.Table] = newTable(s, e.Table)
 			s.schemaVer.Add(1)
 		}
 		s.mu.Unlock()
-		if s.wal != nil {
-			return s.wal.log(opCreateTable, e.CSN, e.Table, 0, nil)
+	} else {
+		t, ok := s.Table(e.Table)
+		if !ok {
+			return fmt.Errorf("storage: replicated frame references unknown table %q", e.Table)
 		}
-		return nil
-	}
-	t, ok := s.Table(e.Table)
-	if !ok {
-		return fmt.Errorf("storage: replicated frame references unknown table %q", e.Table)
-	}
-	if e.Op == opBatch {
-		rest := e.Data
 		t.mu.Lock()
-		for i := uint64(0); i < e.RowID; i++ {
-			if len(rest) < 1 {
-				t.mu.Unlock()
-				return fmt.Errorf("storage: malformed replicated batch for %q", e.Table)
-			}
-			op := rest[0]
-			pos := 1
-			id, n := binary.Uvarint(rest[pos:])
-			if n <= 0 {
-				t.mu.Unlock()
-				return fmt.Errorf("storage: malformed replicated batch row id")
-			}
-			pos += n
-			dl, n := binary.Uvarint(rest[pos:])
-			if n <= 0 || uint64(len(rest)-pos-n) < dl {
-				t.mu.Unlock()
-				return fmt.Errorf("storage: malformed replicated batch data length")
-			}
-			pos += n
-			if err := t.applyReplLocked(op, id, rest[pos:pos+int(dl)], e.CSN); err != nil {
-				t.mu.Unlock()
+		err := e.mutations(func(m batchEntry) error {
+			rec, err := t.applyLogged(m, e.CSN)
+			if err != nil {
 				return err
 			}
-			rest = rest[pos+int(dl):]
-		}
+			t.noteWriteLocked(RowID(m.rowID), rec, m.op == opInsert)
+			return nil
+		})
 		t.mu.Unlock()
-		if s.wal != nil {
-			return s.wal.log(opBatch, e.CSN, e.Table, e.RowID, e.Data)
+		if err != nil {
+			return err
 		}
-		return nil
-	}
-	t.mu.Lock()
-	err := t.applyReplLocked(e.Op, e.RowID, e.Data, e.CSN)
-	t.mu.Unlock()
-	if err != nil {
-		return err
 	}
 	if s.wal != nil {
 		return s.wal.log(e.Op, e.CSN, e.Table, e.RowID, e.Data)
-	}
-	return nil
-}
-
-// applyReplLocked mirrors recovery's applyOp, but under the table latch and
-// with live access-path maintenance — the follower serves queries while
-// frames land, so zone maps and indexes must track inserts and updates
-// exactly as the primary's write path does. Caller holds t.mu.
-func (t *Table) applyReplLocked(op byte, rowID uint64, data []byte, csn CSN) error {
-	switch op {
-	case opInsert:
-		rec, _, err := model.DecodeRecord(data)
-		if err != nil {
-			return err
-		}
-		id := RowID(rowID)
-		if _, exists := t.rows[id]; exists {
-			return fmt.Errorf("storage: replicated insert of existing row %d in %q", rowID, t.name)
-		}
-		t.rows[id] = &row{versions: []version{{rec: rec, from: csn}}}
-		if rowID > t.nextID {
-			t.nextID = rowID
-		}
-		t.live++
-		t.noteWriteLocked(id, rec, true)
-	case opUpdate:
-		rec, _, err := model.DecodeRecord(data)
-		if err != nil {
-			return err
-		}
-		r, ok := t.rows[RowID(rowID)]
-		if !ok {
-			return fmt.Errorf("storage: replicated update of unknown row %d in %q", rowID, t.name)
-		}
-		r.addVersion(version{rec: rec, from: csn})
-		t.noteWriteLocked(RowID(rowID), rec, false)
-	case opDelete:
-		r, ok := t.rows[RowID(rowID)]
-		if !ok || r.versions[len(r.versions)-1].rec == nil {
-			return fmt.Errorf("storage: replicated delete of unknown row %d in %q", rowID, t.name)
-		}
-		r.addVersion(version{rec: nil, from: csn})
-		t.live--
-	default:
-		return fmt.Errorf("storage: unknown replicated op %d", op)
 	}
 	return nil
 }

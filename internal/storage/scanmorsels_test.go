@@ -56,7 +56,7 @@ func TestScanMorselsMatchesScanAt(t *testing.T) {
 		for _, size := range []int{1, 3, 17, 100, 1000, 0} {
 			var gotIDs []RowID
 			var gotRecs []model.Record
-			tb.ScanMorsels(csn, size, func(ids []RowID, recs []model.Record) bool {
+			tb.ScanMorselsCtx(nil, csn, size, func(ids []RowID, recs []model.Record) bool {
 				gotIDs = append(gotIDs, ids...)
 				gotRecs = append(gotRecs, recs...)
 				return true
@@ -84,7 +84,7 @@ func TestScanMorselsMatchesScanAt(t *testing.T) {
 func TestScanMorselsEarlyStop(t *testing.T) {
 	_, tb := morselTable(t)
 	chunks, rows := 0, 0
-	tb.ScanMorsels(tb.store.Now(), 10, func(ids []RowID, recs []model.Record) bool {
+	tb.ScanMorselsCtx(nil, tb.store.Now(), 10, func(ids []RowID, recs []model.Record) bool {
 		chunks++
 		rows += len(ids)
 		return chunks < 2
@@ -102,7 +102,7 @@ func TestScanMorselsEarlyStop(t *testing.T) {
 func TestScanMorselsRetainable(t *testing.T) {
 	_, tb := morselTable(t)
 	var chunks [][]model.Record
-	tb.ScanMorsels(tb.store.Now(), 8, func(ids []RowID, recs []model.Record) bool {
+	tb.ScanMorselsCtx(nil, tb.store.Now(), 8, func(ids []RowID, recs []model.Record) bool {
 		chunks = append(chunks, recs)
 		return true
 	})

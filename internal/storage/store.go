@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,8 +56,8 @@ func (r *row) at(csn CSN) model.Record {
 // addVersion inserts v keeping the chain sorted by commit stamp. Chains
 // are almost always appended to in order; the sorted insert covers
 // concurrent writers whose stamps were allocated in the opposite order of
-// their table-latch acquisition, and replay, where WAL order is not CSN
-// order.
+// their table-latch acquisition. Replay installs in stamp order, so it
+// only ever appends.
 func (r *row) addVersion(v version) {
 	if n := len(r.versions); n > 0 && r.versions[n-1].from > v.from {
 		i := sort.Search(n, func(k int) bool { return r.versions[k].from > v.from })
@@ -136,10 +137,11 @@ type Options struct {
 	// DefaultCheckpointBytes, negative disables automatic checkpoints;
 	// manual Checkpoint always works).
 	CheckpointBytes int64
-	// RecoverParallelism sizes recovery's worker pools for snapshot
-	// loading, per-table replay, and access-path rebuild (0 = one per
-	// CPU, 1 = serial). Recovered state is identical for every setting.
-	RecoverParallelism int
+}
+
+// newTable makes an empty table of s.
+func newTable(s *Store, name string) *Table {
+	return &Table{name: name, store: s, rows: make(map[RowID]*row)}
 }
 
 func newStore(dir string) *Store {
@@ -156,8 +158,15 @@ func Open(dir string) (*Store, error) {
 	return OpenOptions(dir, Options{})
 }
 
-// OpenOptions opens (or creates) a store with explicit options.
+// OpenOptions opens (or creates) a store with explicit options. Recovery
+// rebuilds tables on one worker per CPU.
 func OpenOptions(dir string, opt Options) (*Store, error) {
+	return openStore(dir, opt, runtime.NumCPU())
+}
+
+// openStore is OpenOptions with recovery's worker count, which in-package
+// tests vary.
+func openStore(dir string, opt Options, par int) (*Store, error) {
 	s := newStore(dir)
 	if dir == "" {
 		return s, nil
@@ -165,7 +174,7 @@ func OpenOptions(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", dir, err)
 	}
-	activeIdx, segCount, err := s.recover(opt)
+	activeIdx, segCount, err := s.recover(par)
 	if err != nil {
 		return nil, fmt.Errorf("storage: recover %s: %w", dir, err)
 	}
@@ -206,12 +215,6 @@ func (s *Store) Now() CSN { return CSN(s.csn.Load()) }
 // next advances the commit clock and returns the new stamp.
 func (s *Store) next() CSN { return CSN(s.csn.Add(1)) }
 
-// AllocateCSN advances the commit clock and returns the stamp without
-// tracking it. Checkpoints do NOT wait for writes installed under such a
-// stamp; callers that install data at it should use BeginCommit/EndCommit
-// instead so a concurrent checkpoint cannot snapshot past them.
-func (s *Store) AllocateCSN() CSN { return s.next() }
-
 // SchemaVersion returns a counter that changes whenever the catalog does
 // (table creation, including during recovery). Query-plan caches key on it
 // so a schema change invalidates every cached plan.
@@ -227,7 +230,7 @@ func (s *Store) CreateTable(name string) (*Table, error) {
 	}
 	csn := s.beginWrite()
 	defer s.endWrite(csn)
-	t := &Table{name: name, store: s, rows: make(map[RowID]*row)}
+	t := newTable(s, name)
 	s.tables[name] = t
 	s.schemaVer.Add(1)
 	if s.wal != nil {
@@ -280,13 +283,6 @@ func (s *Store) Tables() []string {
 func (t *Table) Insert(rec model.Record) (RowID, error) {
 	csn := t.store.beginWrite()
 	defer t.store.endWrite(csn)
-	return t.InsertAt(rec, csn)
-}
-
-// InsertAt appends a new row stamped with the given CSN. It is used by the
-// transaction layer to install a whole write set under one commit stamp
-// (obtained from BeginCommit, so checkpoints wait for it).
-func (t *Table) InsertAt(rec model.Record, csn CSN) (RowID, error) {
 	t.mu.Lock()
 	t.nextID++
 	id := RowID(t.nextID)
@@ -313,9 +309,22 @@ func (t *Table) InsertBatch(recs []model.Record) ([]RowID, error) {
 	durable := t.store.wal != nil
 	var entries []batchEntry
 	if durable {
-		// Encode outside the lock: serialization is the expensive part.
+		// Encode outside the lock: serialization is the expensive part. The
+		// records go back to back into one buffer, entryBytes reserved a
+		// record so ordinary rows fill it without growing, and each entry's
+		// data is its part of it.
 		entries = make([]batchEntry, len(recs))
-		encodeEntries(entries, func(buf []byte, i int) []byte { return model.AppendRecord(buf, recs[i]) })
+		buf := make([]byte, 0, entryBytes*len(recs))
+		ends := make([]int, len(recs))
+		for i, rec := range recs {
+			buf = model.AppendRecord(buf, rec)
+			ends[i] = len(buf)
+		}
+		start := 0
+		for i, end := range ends {
+			entries[i].data = buf[start:end:end]
+			start = end
+		}
 	}
 	csn := t.store.beginWrite()
 	defer t.store.endWrite(csn)
@@ -339,110 +348,8 @@ func (t *Table) InsertBatch(recs []model.Record) ([]RowID, error) {
 	return ids, nil
 }
 
-// encodeEntries encodes a batch's records into one buffer and points each
-// entry's data at its part of it; enc(buf, i) appends entry i's record to
-// buf, or nothing for an entry that carries none. The buffer starts at
-// entryBytes an entry, so a batch of ordinary rows fills it without growing.
-func encodeEntries(entries []batchEntry, enc func(buf []byte, i int) []byte) {
-	buf := make([]byte, 0, entryBytes*len(entries))
-	ends := make([]int, len(entries))
-	for i := range entries {
-		buf = enc(buf, i)
-		ends[i] = len(buf)
-	}
-	start := 0
-	for i, end := range ends {
-		entries[i].data = buf[start:end:end]
-		start = end
-	}
-}
-
-// entryBytes is the room encodeEntries reserves for each record of a batch.
+// entryBytes is the room InsertBatch reserves for each record of a batch.
 const entryBytes = 64
-
-// BatchOpKind selects the mutation of one BatchOp.
-type BatchOpKind byte
-
-// Batch operation kinds.
-const (
-	BatchInsert BatchOpKind = iota
-	BatchUpdate
-	BatchDelete
-)
-
-// BatchOp is one mutation in an ApplyBatch call. Inserts get their
-// assigned row ID written back into ID; updates and deletes target ID.
-type BatchOp struct {
-	Kind BatchOpKind
-	ID   RowID
-	Rec  model.Record // nil for deletes
-}
-
-// ApplyBatch applies a mixed sequence of mutations under one table-lock
-// acquisition, one commit stamp, and one multi-record log frame. Ops are
-// applied strictly in order; on the first failing op the already-applied
-// prefix is logged and the error returned, matching what the equivalent
-// sequence of individual calls would have left behind.
-func (t *Table) ApplyBatch(ops []BatchOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	csn := t.store.beginWrite()
-	defer t.store.endWrite(csn)
-	applied := make([]batchEntry, 0, len(ops))
-	var opErr error
-	t.mu.Lock()
-	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case BatchInsert:
-			t.nextID++
-			op.ID = RowID(t.nextID)
-			t.rows[op.ID] = &row{versions: []version{{rec: op.Rec, from: csn}}}
-			t.live++
-			t.noteWriteLocked(op.ID, op.Rec, true)
-			applied = append(applied, batchEntry{op: opInsert, rowID: uint64(op.ID)})
-		case BatchUpdate:
-			r, ok := t.rows[op.ID]
-			if !ok {
-				opErr = fmt.Errorf("storage: %s: update of unknown row %d", t.name, op.ID)
-			} else if r.versions[len(r.versions)-1].rec == nil {
-				opErr = fmt.Errorf("storage: %s: update of deleted row %d", t.name, op.ID)
-			} else {
-				r.addVersion(version{rec: op.Rec, from: csn})
-				t.noteWriteLocked(op.ID, op.Rec, false)
-				applied = append(applied, batchEntry{op: opUpdate, rowID: uint64(op.ID)})
-			}
-		case BatchDelete:
-			r, ok := t.rows[op.ID]
-			if !ok || r.versions[len(r.versions)-1].rec == nil {
-				opErr = fmt.Errorf("storage: %s: delete of unknown row %d", t.name, op.ID)
-			} else {
-				r.addVersion(version{rec: nil, from: csn})
-				t.live--
-				applied = append(applied, batchEntry{op: opDelete, rowID: uint64(op.ID)})
-			}
-		default:
-			opErr = fmt.Errorf("storage: unknown batch op kind %d", op.Kind)
-		}
-		if opErr != nil {
-			break
-		}
-	}
-	t.mu.Unlock()
-	if t.store.wal != nil && len(applied) > 0 {
-		encodeEntries(applied, func(buf []byte, i int) []byte {
-			if applied[i].op == opDelete {
-				return buf
-			}
-			return model.AppendRecord(buf, ops[i].Rec)
-		})
-		if err := t.store.wal.logBatch(t.name, csn, applied); err != nil {
-			return err
-		}
-	}
-	return opErr
-}
 
 // ReserveID allocates a row ID without creating a row, so transactional
 // inserts can hand out their final IDs before commit. Aborted reservations
@@ -575,19 +482,14 @@ func (t *Table) ScanAt(csn CSN, fn func(RowID, model.Record) bool) {
 	}
 }
 
-// ScanMorsels visits every row visible at csn in RowID order, delivered in
-// chunks of at most size rows. Unlike ScanAt, the version-chain walk locks
-// the table once per chunk rather than once per row, and the emitted
+// ScanMorselsCtx visits every row visible at csn in RowID order, delivered
+// in chunks of at most size rows. Unlike ScanAt, the version-chain walk
+// locks the table once per chunk rather than once per row, and the emitted
 // slices are freshly allocated so callers may retain them (the parallel
 // query executor hands them to worker goroutines). Returning false from fn
-// stops the scan.
-func (t *Table) ScanMorsels(csn CSN, size int, fn func(ids []RowID, recs []model.Record) bool) {
-	t.ScanMorselsCtx(nil, csn, size, fn)
-}
-
-// ScanMorselsCtx is ScanMorsels with cooperative cancellation: the scan
-// checks ctx between chunks and stops producing once it is done, so a
-// canceled query releases the table promptly. A nil ctx never cancels.
+// stops the scan. The scan checks ctx between chunks and stops producing
+// once it is done, so a canceled query releases the table promptly. A nil
+// ctx never cancels.
 func (t *Table) ScanMorselsCtx(ctx context.Context, csn CSN, size int, fn func(ids []RowID, recs []model.Record) bool) {
 	if size <= 0 {
 		size = 1024
@@ -653,18 +555,6 @@ func (t *Table) LastModified(id RowID) (CSN, bool) {
 		return 0, false
 	}
 	return r.versions[len(r.versions)-1].from, true
-}
-
-// VersionCount returns the total number of versions held for the row,
-// exposed for vacuum decisions and tests.
-func (t *Table) VersionCount(id RowID) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r, ok := t.rows[id]
-	if !ok {
-		return 0
-	}
-	return len(r.versions)
 }
 
 // Vacuum drops versions that are invisible at every CSN >= horizon,

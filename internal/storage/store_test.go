@@ -144,9 +144,20 @@ func TestMVCCSnapshots(t *testing.T) {
 	if _, ok := tb.GetAt(id, 0); ok {
 		t.Error("before insert must be invisible")
 	}
-	if tb.VersionCount(id) != 3 {
-		t.Errorf("VersionCount = %d", tb.VersionCount(id))
+	if n := chainLen(tb, id); n != 3 {
+		t.Errorf("version chain holds %d versions, want 3", n)
 	}
+}
+
+// chainLen returns how many versions the row's chain holds, 0 once vacuum
+// has dropped the row.
+func chainLen(tb *Table, id RowID) int {
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	if r, ok := tb.rows[id]; ok {
+		return len(r.versions)
+	}
+	return 0
 }
 
 func TestScanOrderAndEarlyStop(t *testing.T) {
@@ -209,8 +220,8 @@ func TestVacuum(t *testing.T) {
 	for i := 2; i <= 5; i++ {
 		tb.Update(id, rec("v", i))
 	}
-	if tb.VersionCount(id) != 5 {
-		t.Fatalf("VersionCount = %d", tb.VersionCount(id))
+	if n := chainLen(tb, id); n != 5 {
+		t.Fatalf("version chain holds %d versions, want 5", n)
 	}
 	removed := tb.Vacuum(s.Now())
 	if removed != 4 {
@@ -223,7 +234,7 @@ func TestVacuum(t *testing.T) {
 	// Deleting then vacuuming past the tombstone removes the row entirely.
 	tb.Delete(id)
 	tb.Vacuum(s.Now())
-	if tb.VersionCount(id) != 0 {
+	if chainLen(tb, id) != 0 {
 		t.Error("tombstoned row must be dropped by vacuum")
 	}
 }
@@ -518,13 +529,14 @@ func TestReservedInserts(t *testing.T) {
 	if id1 == id2 {
 		t.Fatal("reservations must be distinct")
 	}
-	csn := s.AllocateCSN()
+	csn := s.BeginCommit()
 	if err := tb.InsertReservedAt(id2, rec("v", 2), csn); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.InsertReservedAt(id2, rec("v", 3), csn); err == nil {
 		t.Error("double install of a reserved ID must fail")
 	}
+	s.EndCommit(csn)
 	// Interleaved plain inserts never collide with reservations.
 	id3, _ := tb.Insert(rec("v", 4))
 	if id3 == id1 || id3 == id2 {
@@ -653,33 +665,5 @@ func TestEnsureTableOnRecoveredStore(t *testing.T) {
 func TestOpenUnwritableDirFails(t *testing.T) {
 	if _, err := Open("/proc/definitely/not/writable"); err == nil {
 		t.Error("open in unwritable location must fail")
-	}
-}
-
-func TestColumnize(t *testing.T) {
-	s, _ := Open("")
-	defer s.Close()
-	tb, _ := s.CreateTable("t")
-	tb.Insert(rec("a", 1, "b", "x"))
-	tb.Insert(rec("a", 2))
-	tb.Insert(rec("b", "y", "c", true))
-
-	cs := Columnize(tb)
-	if cs.Len() != 3 {
-		t.Fatalf("Len = %d", cs.Len())
-	}
-	wantNames := []string{"a", "b", "c"}
-	got := cs.ColumnNames()
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("ColumnNames = %v, want %v", got, wantNames)
-	}
-	a := cs.Columns["a"]
-	if !model.Equal(a[0], model.Int(1)) || !model.Equal(a[1], model.Int(2)) || !a[2].IsNull() {
-		t.Errorf("column a = %v", a)
-	}
-	// Projection of a subset.
-	cs2 := Columnize(tb, "b")
-	if len(cs2.Columns) != 1 || len(cs2.Columns["b"]) != 3 {
-		t.Error("subset projection broken")
 	}
 }

@@ -271,7 +271,8 @@ func (w *wal) log(op byte, csn CSN, table string, rowID uint64, data []byte) err
 	return w.commit(seq)
 }
 
-// batchEntry is one mutation inside a multi-record frame.
+// batchEntry is one row mutation of the log: an entry of a multi-record
+// frame, or what a single-row frame carries (ReplEntry.mutations).
 type batchEntry struct {
 	op    byte
 	rowID uint64
