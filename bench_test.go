@@ -379,14 +379,14 @@ func benchLookup(b *testing.B, tb *storage.Table, now storage.CSN, opt storage.S
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		matched := 0
-		tb.ScanWhere(now, []storage.ZonePred{pred}, opt, func(ids []storage.RowID, recs []model.Record) bool {
+		c := tb.ScanWhere(now, []storage.ZonePred{pred}, opt)
+		for recs := c.Next(); recs != nil; recs = c.Next() {
 			for _, rec := range recs {
 				if model.Equal(rec.Get("k"), pred.Val) {
 					matched++
 				}
 			}
-			return true
-		})
+		}
 		if matched != 100 {
 			b.Fatalf("matched %d rows, want 100", matched)
 		}

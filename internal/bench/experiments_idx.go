@@ -46,14 +46,15 @@ func RunIndexSweep() *Table {
 			lookup := func(opt storage.ScanOptions) func() {
 				return func() {
 					matched := 0
-					info = tb.ScanWhere(now, []storage.ZonePred{pred}, opt, func(_ []storage.RowID, recs []model.Record) bool {
+					c := tb.ScanWhere(now, []storage.ZonePred{pred}, opt)
+					for recs := c.Next(); recs != nil; recs = c.Next() {
 						for _, rec := range recs {
 							if model.Equal(rec.Get("k"), pred.Val) {
 								matched++
 							}
 						}
-						return true
-					})
+					}
+					info = c.Info()
 					if matched != bucket {
 						panic(fmt.Sprintf("E-IDX: matched %d, want %d", matched, bucket))
 					}

@@ -403,56 +403,41 @@ func (e *queryEnv) HasTable(name string) bool {
 
 func (e *queryEnv) HasConcept(name string) bool { return e.db.onto.HasConcept(name) }
 
-// ScanTable implements query.Env's streaming table scan. A plain scan
-// streams fixed-size chunks so binding and filtering pipeline with it on
-// the executor's workers. With zone conjuncts the storage layer answers
-// with a candidate superset via secondary-index lookup and zone-map
-// pruning (self-creating indexes from the access traffic this very call
-// records). The virtual claims table has no storage access paths — it is
+// ScanTable implements query.Env's table scan. A plain scan yields
+// fixed-size chunks so binding and filtering pipeline with it. With zone
+// conjuncts the storage layer answers with a candidate superset via
+// secondary-index lookup and zone-map pruning (self-creating indexes from
+// the access traffic this very call records, once, as it opens the scan).
+// The virtual claims table has no storage access paths — it is
 // materialized by the fusion layer and chunked; answer-semantics filtering
 // dominates its cost, and the executor's re-filter does the rest.
-func (e *queryEnv) ScanTable(name string, zone []query.ZoneConjunct, size int, emit func([]model.Record) bool) (query.PushedScanInfo, bool) {
+func (e *queryEnv) ScanTable(name string, zone []query.ZoneConjunct, size int) (query.ScanCursor, bool) {
 	if name == ClaimsTable {
-		emitChunks(e.claimRows(), size, emit)
-		return query.PushedScanInfo{}, true
+		return &query.RecordChunks{Recs: e.claimRows(), Size: size}, true
 	}
 	t, ok := e.db.store.Table(name)
 	if !ok {
-		return query.PushedScanInfo{}, false
+		return nil, false
 	}
-	fn := func(_ []storage.RowID, recs []model.Record) bool { return emit(recs) }
 	if len(zone) == 0 {
-		t.ScanMorselsCtx(e.ctx, e.db.store.Now(), size, fn)
-		return query.PushedScanInfo{}, true
+		return &tableCursor{t.ScanMorselsCtx(e.ctx, e.db.store.Now(), size)}, true
 	}
 	preds := make([]storage.ZonePred, len(zone))
 	for i, z := range zone {
-		preds[i] = storage.ZonePred{Attr: z.Attr, Op: z.Op, Val: z.Val, Vals: z.Vals}
+		preds[i] = storage.ZonePred(z)
 	}
-	si := t.ScanWhere(e.db.store.Now(), preds, storage.ScanOptions{
+	return &tableCursor{t.ScanWhere(e.db.store.Now(), preds, storage.ScanOptions{
 		NoPrune: e.db.opts.DisableZonePruning,
 		NoIndex: e.db.opts.DisableIndexScan,
 		NoAuto:  e.db.opts.DisableIndexScan,
 		Ctx:     e.ctx,
-	}, fn)
-	return query.PushedScanInfo{Index: si.Index, Segments: si.Segments, Pruned: si.Pruned}, true
+	})}, true
 }
 
-// emitChunks feeds an already-materialized record set to emit in morsels.
-func emitChunks(recs []model.Record, size int, emit func([]model.Record) bool) {
-	if size <= 0 {
-		size = 1024
-	}
-	for lo := 0; lo < len(recs); lo += size {
-		hi := lo + size
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		if !emit(recs[lo:hi]) {
-			return
-		}
-	}
-}
+// tableCursor is a storage scan as the executor pulls it.
+type tableCursor struct{ storage.Cursor }
+
+func (c *tableCursor) Info() query.PushedScanInfo { return query.PushedScanInfo(c.Cursor.Info()) }
 
 // claimRows materializes the claims virtual table under the statement's
 // answer semantics (Section 4.2):
@@ -503,44 +488,51 @@ func (e *queryEnv) claimRows() []model.Record {
 	return rows
 }
 
-// ScanConcept implements query.Env's streaming concept scan: entity
-// records are built chunk by chunk so downstream operators overlap with
-// record construction, and LIMIT stops the build early.
-func (e *queryEnv) ScanConcept(concept string, semantic bool, size int, emit func([]model.Record) bool) bool {
+// ScanConcept implements query.Env's concept scan: entity records are
+// built a chunk per pull, so LIMIT stops the build early.
+func (e *queryEnv) ScanConcept(concept string, semantic bool, size int) (query.ScanCursor, bool) {
 	if !e.db.onto.HasConcept(concept) {
-		return false
+		return nil, false
 	}
-	var ids []model.EntityID
+	c := &conceptCursor{e: e, semantic: semantic, size: size}
 	if semantic {
-		ids = e.db.reasoner.Instances(concept)
+		c.ids = e.db.reasoner.Instances(concept)
 	} else {
-		ids = e.db.graph.EntitiesByType(concept)
+		c.ids = e.db.graph.EntitiesByType(concept)
 	}
-	if size <= 0 {
-		size = 1024
+	if c.size <= 0 {
+		c.size = query.DefaultMorselSize
 	}
-	batch := make([]model.Record, 0, size)
-	for _, id := range ids {
-		rec, ok := e.conceptRecord(id, semantic)
-		if !ok {
-			continue
-		}
-		batch = append(batch, rec)
-		if len(batch) >= size {
-			if e.ctx != nil && e.ctx.Err() != nil {
-				return true
-			}
-			if !emit(batch) {
-				return true
-			}
-			batch = make([]model.Record, 0, size)
-		}
-	}
-	if len(batch) > 0 {
-		emit(batch)
-	}
-	return true
+	return c, true
 }
+
+// conceptCursor builds the records of a concept's entities, size of them a
+// pull, until ids runs out or the statement's context ends.
+type conceptCursor struct {
+	e        *queryEnv
+	ids      []model.EntityID // the entities not built yet
+	semantic bool
+	size     int
+}
+
+func (c *conceptCursor) Next() []model.Record {
+	if c.e.ctx.Err() != nil {
+		return nil
+	}
+	var batch []model.Record
+	for len(c.ids) > 0 && len(batch) < c.size {
+		if rec, ok := c.e.conceptRecord(c.ids[0], c.semantic); ok {
+			if batch == nil {
+				batch = make([]model.Record, 0, c.size)
+			}
+			batch = append(batch, rec)
+		}
+		c.ids = c.ids[1:]
+	}
+	return batch
+}
+
+func (c *conceptCursor) Info() query.PushedScanInfo { return query.PushedScanInfo{} }
 
 // conceptRecord projects one entity into the concept-scan row shape.
 func (e *queryEnv) conceptRecord(id model.EntityID, semantic bool) (model.Record, bool) {

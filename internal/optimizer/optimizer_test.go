@@ -288,11 +288,11 @@ func TestOptimizedPlanStillCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt, _ := Optimize(raw, defaultOpts())
-	rRaw, err := query.Execute(raw, env, true)
+	rRaw, _, err := query.ExecuteOpts(raw, env, query.ExecOptions{Semantic: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rOpt, err := query.Execute(opt, env, true)
+	rOpt, _, err := query.ExecuteOpts(opt, env, query.ExecOptions{Semantic: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,17 +304,16 @@ func TestOptimizedPlanStillCorrect(t *testing.T) {
 // execEnv is a minimal Env for the correctness check.
 type execEnv struct{}
 
-func (execEnv) ScanTable(name string, _ []query.ZoneConjunct, _ int, emit func([]model.Record) bool) (query.PushedScanInfo, bool) {
+func (execEnv) ScanTable(name string, _ []query.ZoneConjunct, size int) (query.ScanCursor, bool) {
 	if name != "drugs" {
-		return query.PushedScanInfo{}, false
+		return nil, false
 	}
-	emit([]model.Record{
+	return &query.RecordChunks{Recs: []model.Record{
 		{"name": model.String("Warfarin"), "dose": model.Float(5.1), "id": model.Ref(1)},
 		{"name": model.String("Inert"), "dose": model.Float(0.5), "id": model.Ref(2)},
-	})
-	return query.PushedScanInfo{}, true
+	}, Size: size}, true
 }
-func (execEnv) ScanConcept(string, bool, int, func([]model.Record) bool) bool { return false }
+func (execEnv) ScanConcept(string, bool, int) (query.ScanCursor, bool) { return nil, false }
 func (execEnv) IsA(v model.Value, concept string, semantic bool) model.Truth {
 	id, ok := v.AsRef()
 	if !ok {

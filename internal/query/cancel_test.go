@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,45 +11,57 @@ import (
 	"scdb/internal/model"
 )
 
-// endlessEnv streams the "endless" table forever — until the executor's
-// emit returns false. It is the fixture for cancellation tests: a query
-// over it can only finish by being canceled.
+// endlessEnv scans the "endless" table forever: its cursor yields a morsel
+// on every pull and never runs out. It is the fixture for cancellation
+// tests: a query over it can only finish by being canceled. It counts its
+// pulls, and the pulls made after ctx ended.
 type endlessEnv struct {
 	*fakeEnv
-	emitted atomic.Int64
-	stopped atomic.Bool
-	// onEmit, when set, runs after every emitted morsel (used to trigger
+	ctx   context.Context
+	pulls atomic.Int64
+	late  atomic.Int64
+	// onPull, when set, runs after every pull (used to trigger
 	// cancellation from inside the stream).
-	onEmit func(n int64)
-	// emitDelay throttles the producer (deadline tests).
-	emitDelay time.Duration
+	onPull func(n int64)
+	// pullDelay throttles the scan (deadline tests).
+	pullDelay time.Duration
 }
 
-func (e *endlessEnv) ScanTable(name string, zone []ZoneConjunct, size int, emit func([]model.Record) bool) (PushedScanInfo, bool) {
+type endlessCursor struct {
+	e    *endlessEnv
+	size int
+}
+
+func (c *endlessCursor) Next() []model.Record {
+	e := c.e
+	if e.ctx.Err() != nil {
+		e.late.Add(1)
+	}
+	if e.pullDelay > 0 {
+		time.Sleep(e.pullDelay)
+	}
+	n := e.pulls.Add(1)
+	recs := make([]model.Record, c.size)
+	for j := range recs {
+		recs[j] = model.Record{"x": model.Int(n), "name": model.String("row")}
+	}
+	if e.onPull != nil {
+		e.onPull(n)
+	}
+	return recs
+}
+
+func (c *endlessCursor) Info() PushedScanInfo { return PushedScanInfo{} }
+
+func (e *endlessEnv) ScanTable(name string, zone []ZoneConjunct, size int) (ScanCursor, bool) {
 	if name != "endless" {
-		return e.fakeEnv.ScanTable(name, zone, size, emit)
+		return e.fakeEnv.ScanTable(name, zone, size)
 	}
-	for i := int64(0); ; i++ {
-		recs := make([]model.Record, size)
-		for j := range recs {
-			recs[j] = model.Record{"x": model.Int(i), "name": model.String("row")}
-		}
-		if e.emitDelay > 0 {
-			time.Sleep(e.emitDelay)
-		}
-		if !emit(recs) {
-			e.stopped.Store(true)
-			return PushedScanInfo{}, true
-		}
-		n := e.emitted.Add(1)
-		if e.onEmit != nil {
-			e.onEmit(n)
-		}
-	}
+	return &endlessCursor{e: e, size: size}, true
 }
 
-func newEndlessEnv() *endlessEnv {
-	e := &endlessEnv{fakeEnv: env()}
+func newEndlessEnv(ctx context.Context) *endlessEnv {
+	e := &endlessEnv{fakeEnv: env(), ctx: ctx}
 	// Register the table name so the planner resolves FROM endless.
 	e.fakeEnv.tables["endless"] = []model.Record{{"x": model.Int(0)}}
 	return e
@@ -67,92 +80,88 @@ func planFor(t *testing.T, e Resolver, src string) Node {
 	return plan
 }
 
+// runCanceled executes plan over e at workers workers and asserts what a
+// canceled query owes: the context's error surfaces and no result; the scan
+// is pulled at most workers×5 times after the context ended (each worker
+// finishes the morsel it holds, and no stage runs further ahead than its
+// ring); and no goroutine the query started outlives ExecuteOpts.
+func runCanceled(t *testing.T, e *endlessEnv, src string, workers int, want error) {
+	t.Helper()
+	plan := planFor(t, e, src)
+	base := runtime.NumGoroutine()
+	start := time.Now()
+	res, _, err := ExecuteOpts(plan, e, ExecOptions{Parallelism: workers, MorselSize: 4, Ctx: e.ctx})
+	if !errors.Is(err, want) {
+		t.Fatalf("%s: err = %v, want %v", src, err, want)
+	}
+	if res != nil {
+		t.Errorf("%s: canceled query returned a result", src)
+	}
+	if n := e.late.Load(); n > int64(workers*5) {
+		t.Errorf("%s: scan pulled %d times after cancellation, want at most %d", src, n, workers*5)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("%s: cancellation took %v", src, d)
+	}
+	// ExecuteOpts joins every worker; a joined goroutine may still be
+	// unwinding its last deferred call.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines after ExecuteOpts returned, %d before", src, runtime.NumGoroutine(), base)
+		}
+	}
+}
+
 // TestCancelStopsExecutor: canceling the context mid-query makes every
-// worker exit within one morsel boundary and unwinds the scan producer —
-// the query over an endless stream returns context.Canceled instead of
-// running forever.
+// worker exit within one morsel boundary and stops pulling the scan — the
+// query over an endless stream returns context.Canceled instead of running
+// forever.
 func TestCancelStopsExecutor(t *testing.T) {
-	e := newEndlessEnv()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	e.onEmit = func(n int64) {
+	e := newEndlessEnv(ctx)
+	e.onPull = func(n int64) {
 		if n == 8 {
 			cancel()
 		}
 	}
-	plan := planFor(t, e, "SELECT COUNT(*) AS n FROM endless WHERE x >= 0")
-	start := time.Now()
-	res, _, err := ExecuteOpts(plan, e, ExecOptions{Parallelism: 4, MorselSize: 4, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Errorf("canceled query returned a result")
-	}
-	// ExecuteOpts joins all workers and producers before returning, so by
-	// now the endless scan must have unwound via emit returning false.
-	if !e.stopped.Load() {
-		t.Error("scan producer did not stop")
-	}
-	// The producer may run ahead by the channel buffer plus the stage
-	// backpressure window, but not unboundedly.
-	if n := e.emitted.Load(); n > 512 {
-		t.Errorf("producer emitted %d morsels after cancellation", n)
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Errorf("cancellation took %v", d)
-	}
+	runCanceled(t, e, "SELECT COUNT(*) AS n FROM endless WHERE x >= 0", 4, context.Canceled)
 }
 
 // TestDeadlineStopsExecutor: a context deadline behaves like cancellation,
 // surfacing context.DeadlineExceeded within a morsel boundary.
 func TestDeadlineStopsExecutor(t *testing.T) {
-	e := newEndlessEnv()
-	e.emitDelay = time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	plan := planFor(t, e, "SELECT x FROM endless WHERE x >= 0")
-	_, _, err := ExecuteOpts(plan, e, ExecOptions{Parallelism: 2, MorselSize: 8, Ctx: ctx})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if !e.stopped.Load() {
-		t.Error("scan producer did not stop")
-	}
+	e := newEndlessEnv(ctx)
+	e.pullDelay = time.Millisecond
+	runCanceled(t, e, "SELECT x FROM endless WHERE x >= 0", 2, context.DeadlineExceeded)
 }
 
-// TestCancelBeforeExecute: an already-canceled context fails fast without
-// emitting more than the pipeline's initial prefetch.
+// TestCancelBeforeExecute: an already-canceled context fails at the first
+// morsel, on the caller's goroutine.
 func TestCancelBeforeExecute(t *testing.T) {
-	e := newEndlessEnv()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	plan := planFor(t, e, "SELECT x FROM endless")
-	_, _, err := ExecuteOpts(plan, e, ExecOptions{Parallelism: 4, MorselSize: 4, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := e.emitted.Load(); n > 64 {
-		t.Errorf("pre-canceled query emitted %d morsels", n)
+	e := newEndlessEnv(ctx)
+	runCanceled(t, e, "SELECT x FROM endless", 4, context.Canceled)
+	if n := e.pulls.Load(); n != 1 {
+		t.Errorf("pre-canceled query pulled the scan %d times, want 1", n)
 	}
 }
 
-// TestCancelDuringAggregate: the parMap fan-in path (aggregation partials)
-// observes cancellation too.
+// TestCancelDuringAggregate: the aggregation partials' stage observes
+// cancellation too.
 func TestCancelDuringAggregate(t *testing.T) {
-	e := newEndlessEnv()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	e.onEmit = func(n int64) {
+	e := newEndlessEnv(ctx)
+	e.onPull = func(n int64) {
 		if n == 4 {
 			cancel()
 		}
 	}
-	plan := planFor(t, e, "SELECT x, COUNT(*) AS n FROM endless GROUP BY x")
-	_, _, err := ExecuteOpts(plan, e, ExecOptions{Parallelism: 4, MorselSize: 4, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
+	runCanceled(t, e, "SELECT x, COUNT(*) AS n FROM endless GROUP BY x", 4, context.Canceled)
 }
 
 // TestNilCtxBackground: a nil Ctx means no cancellation — results match the

@@ -13,21 +13,21 @@ import (
 // and semantic layers. The core package implements it over the real engine;
 // tests implement it over fixtures.
 type Env interface {
-	// ScanTable streams the records of a storage table to emit in morsels
-	// of about size records, reporting whether the table exists. Scans
-	// pipeline into the executor without materializing the table, and a
-	// satisfied LIMIT stops one early (emit returning false). Emitted
-	// slices must stay valid after emit returns: they cross a goroutine
-	// boundary. With zone conjuncts the environment may answer any
-	// superset of the matching rows (secondary indexes, zone-map pruning)
-	// in morsels of its own choosing and says what it did in info; the
-	// executor re-applies the full predicate either way.
-	ScanTable(name string, zone []ZoneConjunct, size int, emit func([]model.Record) bool) (info PushedScanInfo, found bool)
-	// ScanConcept streams one record per entity holding the concept
-	// (attributes plus "_id" ref and "_key") under the same emit contract,
-	// reporting whether the concept is known. With semantic=false only
-	// asserted types count.
-	ScanConcept(concept string, semantic bool, size int, emit func([]model.Record) bool) (found bool)
+	// ScanTable opens a scan of a storage table that yields its records in
+	// morsels of about size records, reporting whether the table exists.
+	// The executor pulls the cursor on whichever goroutine needs the next
+	// morsel, so a scan never materializes the table, and a satisfied LIMIT
+	// stops one early by pulling no further. With zone conjuncts the
+	// environment may answer any superset of the matching rows (secondary
+	// indexes, zone-map pruning) in morsels of its own choosing and says
+	// what it did in the cursor's Info; the executor re-applies the full
+	// predicate either way.
+	ScanTable(name string, zone []ZoneConjunct, size int) (cur ScanCursor, found bool)
+	// ScanConcept opens a scan that yields one record per entity holding
+	// the concept (attributes plus "_id" ref and "_key") under the same
+	// contract, reporting whether the concept is known. With semantic=false
+	// only asserted types count.
+	ScanConcept(concept string, semantic bool, size int) (cur ScanCursor, found bool)
 	// IsA reports whether the entity reference holds the concept.
 	IsA(v model.Value, concept string, semantic bool) model.Truth
 	// Reaches reports whether the entity reference reaches the entity
@@ -43,6 +43,40 @@ type Env interface {
 	// ML extension of the unified language FS.5 asks about.
 	PredictType(v model.Value) model.Value
 }
+
+// ScanCursor is an opened scan. The executor never pulls one from two
+// goroutines at once.
+type ScanCursor interface {
+	// Next returns the next morsel of records, or nil once the scan is
+	// exhausted or the statement's context ended. A returned slice stays
+	// valid after later pulls: the executor hands it to its workers.
+	Next() []model.Record
+	// Info reports what a pushed-down scan has done so far.
+	Info() PushedScanInfo
+}
+
+// RecordChunks is a ScanCursor over records already in memory, Size of them
+// a morsel (a Size of zero or less means DefaultMorselSize).
+type RecordChunks struct {
+	Recs []model.Record
+	Size int
+}
+
+func (c *RecordChunks) Next() []model.Record {
+	if len(c.Recs) == 0 {
+		return nil
+	}
+	size := c.Size
+	if size <= 0 {
+		size = DefaultMorselSize
+	}
+	n := min(size, len(c.Recs))
+	m := c.Recs[:n:n]
+	c.Recs = c.Recs[n:]
+	return m
+}
+
+func (c *RecordChunks) Info() PushedScanInfo { return PushedScanInfo{} }
 
 // Row is one tuple flowing through the executor. A bound row borrows the
 // storage records it was scanned from, one frame per FROM binding (a join
@@ -142,6 +176,16 @@ func (r Row) Lookup(binding, name string) (model.Value, error) {
 type evalCtx struct {
 	env      Env
 	semantic bool
+}
+
+// holds reports whether pred is true of r: false and unknown both fail it.
+func (c *evalCtx) holds(pred Expr, r Row) (bool, error) {
+	v, err := c.Eval(pred, r)
+	if err != nil {
+		return false, err
+	}
+	t, err := truth3(v)
+	return t == model.True, err
 }
 
 // truth3 interprets a value as three-valued truth: null is Unknown.

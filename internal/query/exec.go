@@ -43,16 +43,18 @@ type PushedScanInfo struct {
 type ExecOptions struct {
 	// Semantic enables inferred types in ISA/ConceptScan (WITH SEMANTICS).
 	Semantic bool
-	// Parallelism is the worker-pool size; <=0 means GOMAXPROCS, 1 runs
-	// every operator inline. Results are identical for every value.
+	// Parallelism is the worker-pool size of each stage; <=0 means
+	// GOMAXPROCS. A stage runs on the caller's goroutine until a second
+	// morsel exists, so 1 runs every operator inline. Results are identical
+	// for every value.
 	Parallelism int
 	// MorselSize overrides the rows-per-morsel granule (<=0 = default).
 	// It must be held constant for results involving multi-morsel float
 	// aggregation to be bit-identical across runs.
 	MorselSize int
-	// Ctx cancels the query: every worker observes it between morsels and
-	// scan producers stop emitting, so a canceled or deadline-expired query
-	// frees its workers within one morsel boundary. Nil means Background.
+	// Ctx cancels the query: every stage checks it before each morsel and
+	// scan cursors end, so a canceled or deadline-expired query frees its
+	// workers within one morsel boundary. Nil means Background.
 	Ctx context.Context
 	// EmitBatch switches ExecuteOpts to streaming delivery: result rows are
 	// handed to the sink in columnar batches as morsels drain off the
@@ -70,18 +72,12 @@ type ExecOptions struct {
 // connection), not by an engine failure.
 var ErrEmitStopped = errors.New("query: batch sink stopped consumption")
 
-// Execute runs the plan serially — the exact legacy behavior. semantic
-// enables inferred types in ISA/ConceptScan (the WITH SEMANTICS modifier).
-func Execute(n Node, env Env, semantic bool) (*Result, error) {
-	res, _, err := ExecuteOpts(n, env, ExecOptions{Semantic: semantic, Parallelism: 1})
-	return res, err
-}
-
 // ExecuteOpts runs the plan with morsel-driven parallelism and returns the
-// per-operator stats tree alongside the result. Scans emit fixed-size
-// morsels; Filter/Project/probe stages run per-morsel on a worker pool;
-// pipeline breakers (Join build, Aggregate, Distinct merge, Sort, TopK)
-// merge per-morsel partial states in morsel order, so the output is
+// per-operator stats tree alongside the result. Scans are cursors pulled
+// morsel by morsel; Filter/Project/probe stages run per-morsel, on the
+// caller's goroutine until a second morsel exists and on a worker pool
+// after; pipeline breakers (Join build, Aggregate, Distinct merge, Sort,
+// TopK) merge per-morsel partial states in morsel order, so the output is
 // identical for every Parallelism value.
 func ExecuteOpts(n Node, env Env, opts ExecOptions) (*Result, *OpStats, error) {
 	workers := opts.Parallelism
@@ -96,7 +92,7 @@ func ExecuteOpts(n Node, env Env, opts ExecOptions) (*Result, *OpStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	x := &execCtx{ev: &evalCtx{env: env, semantic: opts.Semantic}, workers: workers, size: size, ctx: ctx}
+	x := &execCtx{ev: evalCtx{env: env, semantic: opts.Semantic}, workers: workers, size: size, ctx: ctx}
 	s, cols, st, err := x.build(n)
 	if err != nil {
 		x.wg.Wait()
@@ -106,7 +102,7 @@ func ExecuteOpts(n Node, env Env, opts ExecOptions) (*Result, *OpStats, error) {
 		// Streaming delivery: the plan fixed its output schema, so each
 		// drained morsel can be materialized and emitted without waiting for
 		// the rest of the result.
-		err := emitStream(ctx, s, cols, opts.EmitBatch)
+		err := emitStream(s, cols, opts.EmitBatch)
 		s.stop()
 		x.wg.Wait()
 		if err != nil {
@@ -114,10 +110,10 @@ func ExecuteOpts(n Node, env Env, opts ExecOptions) (*Result, *OpStats, error) {
 		}
 		return &Result{Columns: cols}, st, nil
 	}
-	rows, err := drainRows(ctx, s)
-	// Join every worker and producer goroutine before returning: they hold
-	// references into the environment, which may only be valid while the
-	// caller's locks are held.
+	rows, err := drainRows(s)
+	// Join every stage worker before returning: they hold references into
+	// the environment, which may only be valid while the caller's locks are
+	// held.
 	s.stop()
 	x.wg.Wait()
 	if err != nil {
@@ -186,69 +182,45 @@ func (r Row) display(col string) model.Value {
 }
 
 // emitStream drains a stream morsel by morsel, materializing each against
-// the fixed column schema and handing it to the sink. The context is
-// observed between morsels, exactly like drainRows.
-func emitStream(ctx context.Context, s *stream, cols []string, emit func([]string, [][]model.Value) bool) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			s.stop()
-			return err
-		}
-		m, ok, err := s.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
+// the fixed column schema and handing it to the sink.
+func emitStream(s stream, cols []string, emit func([]string, [][]model.Value) bool) error {
+	return pull(s, func(m morsel) error {
 		if len(m.rows) == 0 {
-			continue
+			return nil
 		}
 		batch := make([][]model.Value, 0, len(m.rows))
 		for _, r := range m.rows {
 			batch = append(batch, materializeRow(cols, r))
 		}
 		if !emit(cols, batch) {
-			s.stop()
 			return ErrEmitStopped
 		}
-	}
+		return nil
+	})
 }
 
 // execCtx carries the per-query execution configuration. ev is read-only
 // after construction and therefore safe to share across workers.
 type execCtx struct {
-	ev      *evalCtx
+	ev      evalCtx
 	workers int
 	size    int
 	ctx     context.Context
-	wg      sync.WaitGroup // joins stage workers and scan producers
-}
-
-// stage wraps parStage with a per-morsel cancellation check: a canceled
-// context surfaces as the stage's error before the next morsel is
-// processed, so workers exit within one morsel boundary.
-func (x *execCtx) stage(in *stream, workers int, fn func(morsel) (morsel, error)) *stream {
-	return parStage(in, workers, &x.wg, func(m morsel) (morsel, error) {
-		if err := x.ctx.Err(); err != nil {
-			return morsel{}, err
-		}
-		return fn(m)
-	})
+	wg      sync.WaitGroup // joins stage workers
 }
 
 // build lowers a plan node to a morsel stream; cols is non-nil once a
 // projection or aggregation fixed the output schema (binding "" labels).
-func (x *execCtx) build(n Node) (s *stream, cols []string, st *OpStats, err error) {
+func (x *execCtx) build(n Node) (s stream, cols []string, st *OpStats, err error) {
 	switch n := n.(type) {
 	case *ScanNode:
-		return x.buildScan(n)
+		return x.buildScan(n, n.Table, n.Binding, nil, nil)
 	case *IndexScanNode:
-		return x.buildIndexScan(n)
+		return x.buildScan(n, n.Table, n.Binding, n.Zone, n.Pred)
 	case *ConceptScanNode:
 		return x.buildConceptScan(n)
 	case *EmptyNode:
-		return emptyStream(), nil, newOpStats(n), nil
+		return &sliceStream{}, nil, newOpStats(n), nil
 	case *RowsNode:
 		return x.buildRows(n)
 	case *FilterNode:
@@ -271,23 +243,7 @@ func (x *execCtx) build(n Node) (s *stream, cols []string, st *OpStats, err erro
 	return nil, nil, nil, fmt.Errorf("query: cannot execute %T", n)
 }
 
-// bindStage turns record morsels from a scan source into bound rows on the
-// worker pool. A row's one frame is a window on the morsel's records: binding
-// a row copies nothing and allocates nothing.
-func (x *execCtx) bindStage(src *stream, binding string, st *OpStats) *stream {
-	sh := &rowShape{bindings: []string{binding}}
-	return x.stage(src, x.workers, func(m morsel) (morsel, error) {
-		t0 := time.Now()
-		rows := make([]Row, len(m.recs))
-		for i := range rows {
-			rows[i] = Row{sh: sh, recs: m.recs[i : i+1 : i+1]}
-		}
-		st.tally(len(rows), len(rows), time.Since(t0))
-		return morsel{rows: rows}, nil
-	})
-}
-
-func (x *execCtx) buildRows(n *RowsNode) (*stream, []string, *OpStats, error) {
+func (x *execCtx) buildRows(n *RowsNode) (stream, []string, *OpStats, error) {
 	st := newOpStats(n)
 	sh := &rowShape{cols: n.Cols}
 	rows := make([]Row, len(n.Rows))
@@ -295,149 +251,162 @@ func (x *execCtx) buildRows(n *RowsNode) (*stream, []string, *OpStats, error) {
 		rows[i] = Row{sh: sh, vals: vals}
 	}
 	st.tallyRows(len(rows), len(rows), 0)
-	return sliceStream(rows, x.size), n.Cols, st, nil
+	return &sliceStream{rows, x.size}, n.Cols, st, nil
 }
 
-// tableSource streams a table's records from the environment on a producer
-// goroutine and records what a pushed-down scan did in st.
-func (x *execCtx) tableSource(table string, zone []ZoneConjunct, st *OpStats) *stream {
-	size := x.size
-	return goSource(x.ctx, &x.wg, func(emit func([]model.Record) bool) error {
-		info, found := x.ev.env.ScanTable(table, zone, size, emit)
-		if !found {
-			return fmt.Errorf("query: unknown table %q", table)
-		}
-		// Plain writes are safe: ExecuteOpts joins this producer (x.wg)
-		// before anyone reads the stats tree.
-		st.Pruned = int64(info.Pruned)
-		st.IndexName = info.Index
-		return nil
-	})
+// scanOp binds a scan's record morsels to rows: a row's one frame is a
+// window on the morsel's records, so binding copies nothing and allocates
+// nothing. Over an IndexScan it is a fused scan+filter: the environment
+// narrows the scan to candidate rows (index lookup and zone-map pruning),
+// and pred re-applies the full predicate, so answers do not depend on how
+// far it narrowed.
+type scanOp struct {
+	stage
+	src     scanSource
+	binding [1]string // sh.bindings, without an allocation of its own
+	sh      rowShape
+	pred    Expr // nil for a plain scan
 }
 
-func (x *execCtx) buildScan(n *ScanNode) (*stream, []string, *OpStats, error) {
-	st := newOpStats(n)
-	return x.bindStage(x.tableSource(n.Table, nil, st), n.Binding, st), nil, st, nil
+func (x *execCtx) newScanOp(cur ScanCursor, binding string, pred Expr, st *OpStats) *scanOp {
+	o := &scanOp{src: scanSource{cur: cur, ctx: x.ctx, st: st}, pred: pred}
+	o.binding[0] = binding
+	o.sh.bindings = o.binding[:]
+	o.init(x, &o.src, o)
+	return o
 }
 
-// buildIndexScan is a fused scan+filter: storage streams candidate rows
-// (index lookup and zone-map pruning), and the worker stage binds them and
-// re-applies the full predicate, so answers do not depend on how far the
-// environment narrowed the scan.
-func (x *execCtx) buildIndexScan(n *IndexScanNode) (*stream, []string, *OpStats, error) {
-	st := newOpStats(n)
-	st.ShowPruned = true
-	src := x.tableSource(n.Table, n.Zone, st)
-	sh, pred := &rowShape{bindings: []string{n.Binding}}, n.Pred
-	s := x.stage(src, x.workers, func(m morsel) (morsel, error) {
-		t0 := time.Now()
-		out := make([]Row, 0, len(m.recs))
-		for i := range m.recs {
-			r := Row{sh: sh, recs: m.recs[i : i+1 : i+1]}
-			v, err := x.ev.Eval(pred, r)
+func (o *scanOp) process(m morsel) (morsel, error) {
+	t0 := time.Now()
+	out := make([]Row, 0, len(m.recs))
+	for i := range m.recs {
+		r := Row{sh: &o.sh, recs: m.recs[i : i+1 : i+1]}
+		if o.pred != nil {
+			ok, err := o.x.ev.holds(o.pred, r)
 			if err != nil {
 				return morsel{}, err
 			}
-			t, err := truth3(v)
-			if err != nil {
-				return morsel{}, err
-			}
-			if t == model.True {
-				out = append(out, r)
+			if !ok {
+				continue
 			}
 		}
-		st.tally(len(m.recs), len(out), time.Since(t0))
-		return morsel{rows: out}, nil
-	})
-	return s, nil, st, nil
+		out = append(out, r)
+	}
+	o.src.st.tally(len(m.recs), len(out), time.Since(t0))
+	return morsel{rows: out}, nil
 }
 
-func (x *execCtx) buildConceptScan(n *ConceptScanNode) (*stream, []string, *OpStats, error) {
+// buildScan opens a table scan (Scan, or IndexScan with its pushed zone
+// conjuncts) and binds it; the scan's stats record what a pushed-down scan
+// did.
+func (x *execCtx) buildScan(n Node, table, binding string, zone []ZoneConjunct, pred Expr) (stream, []string, *OpStats, error) {
+	cur, found := x.ev.env.ScanTable(table, zone, x.size)
+	if !found {
+		return nil, nil, nil, fmt.Errorf("query: unknown table %q", table)
+	}
 	st := newOpStats(n)
-	concept, semantic, size := n.Concept, n.Semantic || x.ev.semantic, x.size
-	src := goSource(x.ctx, &x.wg, func(emit func([]model.Record) bool) error {
-		if !x.ev.env.ScanConcept(concept, semantic, size, emit) {
-			return fmt.Errorf("query: unknown concept %q", concept)
-		}
-		return nil
-	})
-	return x.bindStage(src, n.Binding, st), nil, st, nil
+	st.ShowPruned = pred != nil
+	st.IndexName = cur.Info().Index
+	return x.newScanOp(cur, binding, pred, st), nil, st, nil
 }
 
-func (x *execCtx) buildFilter(n *FilterNode) (*stream, []string, *OpStats, error) {
+func (x *execCtx) buildConceptScan(n *ConceptScanNode) (stream, []string, *OpStats, error) {
+	cur, found := x.ev.env.ScanConcept(n.Concept, n.Semantic || x.ev.semantic, x.size)
+	if !found {
+		return nil, nil, nil, fmt.Errorf("query: unknown concept %q", n.Concept)
+	}
+	st := newOpStats(n)
+	return x.newScanOp(cur, n.Binding, nil, st), nil, st, nil
+}
+
+// filterOp keeps the rows its predicate holds for.
+type filterOp struct {
+	stage
+	pred Expr
+	st   *OpStats
+}
+
+func (o *filterOp) process(m morsel) (morsel, error) {
+	t0 := time.Now()
+	var out []Row
+	for _, r := range m.rows {
+		ok, err := o.x.ev.holds(o.pred, r)
+		if err != nil {
+			return morsel{}, err
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	o.st.tally(len(m.rows), len(out), time.Since(t0))
+	return morsel{rows: out}, nil
+}
+
+func (x *execCtx) buildFilter(n *FilterNode) (stream, []string, *OpStats, error) {
 	in, cols, cst, err := x.build(n.Input)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n)
-	st.Children = []*OpStats{cst}
-	pred := n.Pred
-	s := x.stage(in, x.workers, func(m morsel) (morsel, error) {
-		t0 := time.Now()
-		var out []Row
-		for _, r := range m.rows {
-			v, err := x.ev.Eval(pred, r)
-			if err != nil {
-				return morsel{}, err
-			}
-			t, err := truth3(v)
-			if err != nil {
-				return morsel{}, err
-			}
-			if t == model.True {
-				out = append(out, r)
-			}
-		}
-		st.tally(len(m.rows), len(out), time.Since(t0))
-		return morsel{rows: out}, nil
-	})
-	return s, cols, st, nil
+	st := newOpStats(n, cst)
+	o := &filterOp{pred: n.Pred, st: st}
+	o.init(x, in, o)
+	return o, cols, st, nil
 }
 
-func (x *execCtx) buildProject(n *ProjectNode) (*stream, []string, *OpStats, error) {
+// projectOp evaluates the select items into one slot per label.
+type projectOp struct {
+	stage
+	sh    rowShape
+	items []SelectItem
+	st    *OpStats
+}
+
+func (o *projectOp) process(m morsel) (morsel, error) {
+	t0 := time.Now()
+	items := o.items
+	out := make([]Row, len(m.rows))
+	// The morsel's output cells are one slab, a row's values a window on it.
+	slab := make([]model.Value, len(m.rows)*len(items))
+	for j, r := range m.rows {
+		vals := slab[j*len(items) : (j+1)*len(items) : (j+1)*len(items)]
+		for i, it := range items {
+			v, err := o.x.ev.Eval(it.Expr, r)
+			if err != nil {
+				return morsel{}, err
+			}
+			vals[i] = v
+		}
+		out[j] = Row{sh: &o.sh, vals: vals}
+	}
+	o.st.tally(len(m.rows), len(out), time.Since(t0))
+	return morsel{rows: out}, nil
+}
+
+func (x *execCtx) buildProject(n *ProjectNode) (stream, []string, *OpStats, error) {
 	in, _, cst, err := x.build(n.Input)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n)
-	st.Children = []*OpStats{cst}
+	st := newOpStats(n, cst)
 	if n.Star {
 		// SELECT * derives its schema from the full input, so this is a
 		// pipeline breaker.
-		rows, err := drainRows(x.ctx, in)
+		rows, err := drainRows(in)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		t0 := time.Now()
 		cols := unionColumns(rows)
 		st.tallyRows(len(rows), len(rows), time.Since(t0))
-		return sliceStream(rows, x.size), cols, st, nil
+		return &sliceStream{rows, x.size}, cols, st, nil
 	}
 	cols := make([]string, len(n.Items))
 	for i, it := range n.Items {
 		cols[i] = it.Label()
 	}
-	sh, items := &rowShape{cols: cols}, n.Items
-	s := x.stage(in, x.workers, func(m morsel) (morsel, error) {
-		t0 := time.Now()
-		out := make([]Row, len(m.rows))
-		// The morsel's output cells are one slab, a row's values a window on it.
-		slab := make([]model.Value, len(m.rows)*len(items))
-		for j, r := range m.rows {
-			vals := slab[j*len(items) : (j+1)*len(items) : (j+1)*len(items)]
-			for i, it := range items {
-				v, err := x.ev.Eval(it.Expr, r)
-				if err != nil {
-					return morsel{}, err
-				}
-				vals[i] = v
-			}
-			out[j] = Row{sh: sh, vals: vals}
-		}
-		st.tally(len(m.rows), len(out), time.Since(t0))
-		return morsel{rows: out}, nil
-	})
-	return s, cols, st, nil
+	o := &projectOp{sh: rowShape{cols: cols}, items: n.Items, st: st}
+	o.init(x, in, o)
+	return o, cols, st, nil
 }
 
 // equiJoinCols recognizes "a.x = b.y" predicates joining the two sides.
@@ -454,7 +423,7 @@ func equiJoinCols(on Expr) (l, r *ColRef, ok bool) {
 	return lc, rc, true
 }
 
-func (x *execCtx) buildJoin(n *JoinNode) (*stream, []string, *OpStats, error) {
+func (x *execCtx) buildJoin(n *JoinNode) (stream, []string, *OpStats, error) {
 	ls, _, lst, err := x.build(n.L)
 	if err != nil {
 		return nil, nil, nil, err
@@ -464,47 +433,53 @@ func (x *execCtx) buildJoin(n *JoinNode) (*stream, []string, *OpStats, error) {
 		ls.stop()
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n)
-	st.Children = []*OpStats{lst, rst}
-	lrows, err := drainRows(x.ctx, ls)
+	st := newOpStats(n, lst, rst)
+	lrows, err := drainRows(ls)
 	if err != nil {
 		rs.stop()
 		return nil, nil, nil, err
 	}
-	rrows, err := drainRows(x.ctx, rs)
+	rrows, err := drainRows(rs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if lc, rc, ok := equiJoinCols(n.On); ok {
-		return x.buildHashJoin(n, st, lrows, rrows, lc, rc)
+		return x.buildHashJoin(st, lrows, rrows, lc, rc)
 	}
 	// Nested-loop join with three-valued predicate: stream the left side,
 	// each morsel scanning the full right side.
 	st.tallyRows(len(lrows)+len(rrows), 0, 0)
-	on, sh := n.On, joinShape(lrows, rrows)
-	s := x.stage(sliceStream(lrows, x.size), x.workers, func(m morsel) (morsel, error) {
-		t0 := time.Now()
-		var out []Row
-		for _, lr := range m.rows {
-			for _, rr := range rrows {
-				merged := lr.merge(rr, sh)
-				v, err := x.ev.Eval(on, merged)
-				if err != nil {
-					return morsel{}, err
-				}
-				t, err := truth3(v)
-				if err != nil {
-					return morsel{}, err
-				}
-				if t == model.True {
-					out = append(out, merged)
-				}
+	o := &loopJoinOp{right: rrows, on: n.On, sh: joinShape(lrows, rrows), st: st}
+	o.init(x, &sliceStream{lrows, x.size}, o)
+	return o, nil, st, nil
+}
+
+// loopJoinOp pairs each left row of a morsel with every right row.
+type loopJoinOp struct {
+	stage
+	right []Row
+	on    Expr
+	sh    *rowShape
+	st    *OpStats
+}
+
+func (o *loopJoinOp) process(m morsel) (morsel, error) {
+	t0 := time.Now()
+	var out []Row
+	for _, lr := range m.rows {
+		for _, rr := range o.right {
+			merged := lr.merge(rr, o.sh)
+			ok, err := o.x.ev.holds(o.on, merged)
+			if err != nil {
+				return morsel{}, err
+			}
+			if ok {
+				out = append(out, merged)
 			}
 		}
-		st.tally(0, len(out), time.Since(t0))
-		return morsel{rows: out}, nil
-	})
-	return s, nil, st, nil
+	}
+	o.st.tally(0, len(out), time.Since(t0))
+	return morsel{rows: out}, nil
 }
 
 // joinShape is the shape of l-then-r merged rows; every row of one side
@@ -516,12 +491,45 @@ func joinShape(l, r []Row) *rowShape {
 	return l[0].sh.concat(r[0].sh)
 }
 
-// buildHashJoin builds the hash table over the smaller side in parallel
-// partitions, then probes per-morsel on the worker pool. Partition maps are
-// each populated by one worker scanning the build side in index order, so
-// bucket ordering — and therefore output ordering — matches the serial
-// build exactly.
-func (x *execCtx) buildHashJoin(n *JoinNode, st *OpStats, lrows, rrows []Row, lc, rc *ColRef) (*stream, []string, *OpStats, error) {
+// hashJoinOp probes a morsel of the probe side against the build side's
+// partitioned hash table.
+type hashJoinOp struct {
+	stage
+	build      []Row
+	parts      []map[uint64][]int // by key hash modulo len(parts)
+	pCol, bCol *ColRef
+	sh         *rowShape
+	st         *OpStats
+}
+
+func (o *hashJoinOp) process(m morsel) (morsel, error) {
+	t0 := time.Now()
+	var out []Row
+	nparts := uint64(len(o.parts))
+	for _, pr := range m.rows {
+		v, err := pr.Lookup(o.pCol.Binding, o.pCol.Name)
+		if err != nil || v.IsNull() {
+			continue
+		}
+		h := v.Hash()
+		for _, bi := range o.parts[h%nparts][h] {
+			br := o.build[bi]
+			bv, _ := br.Lookup(o.bCol.Binding, o.bCol.Name)
+			if model.Equal(v, bv) {
+				out = append(out, pr.merge(br, o.sh))
+			}
+		}
+	}
+	o.st.tally(0, len(out), time.Since(t0))
+	return morsel{rows: out}, nil
+}
+
+// buildHashJoin builds the hash table over the smaller side, then probes
+// per-morsel. A build side of more than one morsel is hashed and
+// partitioned on the worker pool: each partition map is populated by one
+// worker scanning the build side in index order, so bucket ordering — and
+// therefore output ordering — matches the serial build exactly.
+func (x *execCtx) buildHashJoin(st *OpStats, lrows, rrows []Row, lc, rc *ColRef) (stream, []string, *OpStats, error) {
 	t0 := time.Now()
 	// Orient columns to sides: a qualified reference fails on the side that
 	// does not know its binding.
@@ -538,13 +546,13 @@ func (x *execCtx) buildHashJoin(n *JoinNode, st *OpStats, lrows, rrows []Row, lc
 		build, probe = lrows, rrows
 		bCol, pCol = probeCol, buildCol
 	}
-	// Phase 1: hash the build keys in parallel.
+	// Phase 1: hash the build keys.
 	type buildKey struct {
 		h  uint64
 		ok bool
 	}
 	bkeys := make([]buildKey, len(build))
-	x.parRange(len(build), func(lo, hi int) {
+	x.parRange(len(build), x.size, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v, err := build[i].Lookup(bCol.Binding, bCol.Name)
 			if err == nil && !v.IsNull() {
@@ -553,111 +561,100 @@ func (x *execCtx) buildHashJoin(n *JoinNode, st *OpStats, lrows, rrows []Row, lc
 		}
 	})
 	// Phase 2: one partition map per worker, each scanning all keys and
-	// keeping its own residue class.
-	nparts := uint64(x.workers)
+	// keeping its own residue class; a build side of one morsel is one
+	// partition.
+	nparts := 1
+	if len(build) > x.size {
+		nparts = x.workers
+	}
 	parts := make([]map[uint64][]int, nparts)
-	var wg sync.WaitGroup
-	for w := range parts {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+	x.parRange(nparts, 1, func(lo, hi int) {
+		for w := lo; w < hi; w++ {
 			m := map[uint64][]int{}
 			for i, k := range bkeys {
-				if k.ok && k.h%nparts == uint64(w) {
+				if k.ok && k.h%uint64(nparts) == uint64(w) {
 					m[k.h] = append(m[k.h], i)
 				}
 			}
 			parts[w] = m
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	st.tallyRows(len(lrows)+len(rrows), 0, time.Since(t0))
 
-	sh := joinShape(probe, build)
-	s := x.stage(sliceStream(probe, x.size), x.workers, func(m morsel) (morsel, error) {
-		t0 := time.Now()
-		var out []Row
-		for _, pr := range m.rows {
-			v, err := pr.Lookup(pCol.Binding, pCol.Name)
-			if err != nil || v.IsNull() {
-				continue
-			}
-			h := v.Hash()
-			for _, bi := range parts[h%nparts][h] {
-				br := build[bi]
-				bv, _ := br.Lookup(bCol.Binding, bCol.Name)
-				if model.Equal(v, bv) {
-					out = append(out, pr.merge(br, sh))
-				}
-			}
-		}
-		st.tally(0, len(out), time.Since(t0))
-		return morsel{rows: out}, nil
-	})
-	return s, nil, st, nil
+	o := &hashJoinOp{build: build, parts: parts, pCol: pCol, bCol: bCol, sh: joinShape(probe, build), st: st}
+	o.init(x, &sliceStream{probe, x.size}, o)
+	return o, nil, st, nil
 }
 
-// parRange splits [0, n) into contiguous chunks across the worker pool.
-func (x *execCtx) parRange(n int, fn func(lo, hi int)) {
-	w := x.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
+// parRange splits [0, n) into contiguous chunks of at least minChunk
+// across the worker pool; n of one chunk or less runs inline.
+func (x *execCtx) parRange(n, minChunk int, fn func(lo, hi int)) {
+	if n <= minChunk || x.workers <= 1 {
 		if n > 0 {
 			fn(0, n)
 		}
 		return
 	}
-	chunk := (n + w - 1) / w
+	chunk := max((n+x.workers-1)/x.workers, minChunk)
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 }
 
-func (x *execCtx) buildDistinct(n *DistinctNode) (*stream, []string, *OpStats, error) {
+// hashOp attaches each row's DISTINCT hash.
+type hashOp struct{ stage }
+
+func (o *hashOp) process(m morsel) (morsel, error) {
+	hs := make([]uint64, len(m.rows))
+	for i, r := range m.rows {
+		hs[i] = rowHash(r)
+	}
+	m.hashes = hs
+	return m, nil
+}
+
+// dedupeOp keeps each row's first occurrence, in morsel order.
+type dedupeOp struct {
+	stage
+	d  deduper
+	st *OpStats
+}
+
+func (o *dedupeOp) process(m morsel) (morsel, error) {
+	t0 := time.Now()
+	var out []Row
+	for i, r := range m.rows {
+		if o.d.keep(r, m.hashes[i]) {
+			// A survivor must not pin the morsel slab Project carved it
+			// from: a result is retained by the materialization cache.
+			r.vals = slices.Clone(r.vals)
+			out = append(out, r)
+		}
+	}
+	o.st.tally(len(m.rows), len(out), time.Since(t0))
+	return morsel{rows: out}, nil
+}
+
+func (x *execCtx) buildDistinct(n *DistinctNode) (stream, []string, *OpStats, error) {
 	in, cols, cst, err := x.build(n.Input)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n)
-	st.Children = []*OpStats{cst}
+	st := newOpStats(n, cst)
 	// Hash rows in parallel; dedupe serially in morsel order (first
 	// occurrence wins, as in the serial executor).
-	hashed := x.stage(in, x.workers, func(m morsel) (morsel, error) {
-		hs := make([]uint64, len(m.rows))
-		for i, r := range m.rows {
-			hs[i] = rowHash(r)
-		}
-		m.hashes = hs
-		return m, nil
-	})
-	d := &deduper{buckets: map[uint64][]Row{}}
-	s := x.stage(hashed, 1, func(m morsel) (morsel, error) {
-		t0 := time.Now()
-		var out []Row
-		for i, r := range m.rows {
-			if d.keep(r, m.hashes[i]) {
-				// A survivor must not pin the morsel slab Project carved it
-				// from: a result is retained by the materialization cache.
-				r.vals = slices.Clone(r.vals)
-				out = append(out, r)
-			}
-		}
-		st.tally(len(m.rows), len(out), time.Since(t0))
-		return morsel{rows: out}, nil
-	})
-	return s, cols, st, nil
+	h := &hashOp{}
+	h.init(x, in, h)
+	o := &dedupeOp{d: deduper{buckets: map[uint64][]Row{}}, st: st}
+	o.init(x, h, o)
+	o.workers = 1
+	return o, cols, st, nil
 }
 
 // deduper keeps first row occurrences, comparing full rows within each
@@ -698,28 +695,39 @@ func rowsEqual(a, b Row) bool {
 	return slices.EqualFunc(a.vals, b.vals, model.Equal)
 }
 
-// attachKeys evaluates the sort keys for every row on the worker pool,
-// attaching them to the morsel for a downstream Sort or TopK consumer.
-func (x *execCtx) attachKeys(in *stream, keys []OrderKey, st *OpStats) *stream {
-	return x.stage(in, x.workers, func(m morsel) (morsel, error) {
-		t0 := time.Now()
-		ks := make([][]model.Value, len(m.rows))
-		slab := make([]model.Value, len(m.rows)*len(keys)) // every row's key tuple
-		for i, r := range m.rows {
-			kv := slab[i*len(keys) : (i+1)*len(keys) : (i+1)*len(keys)]
-			for j, k := range keys {
-				v, err := x.ev.Eval(k.Expr, r)
-				if err != nil {
-					return morsel{}, err
-				}
-				kv[j] = v
+// keysOp evaluates the sort keys of every row, attaching them to the morsel
+// for a downstream Sort or TopK consumer.
+type keysOp struct {
+	stage
+	keys []OrderKey
+	st   *OpStats
+}
+
+func (o *keysOp) process(m morsel) (morsel, error) {
+	t0 := time.Now()
+	keys := o.keys
+	ks := make([][]model.Value, len(m.rows))
+	slab := make([]model.Value, len(m.rows)*len(keys)) // every row's key tuple
+	for i, r := range m.rows {
+		kv := slab[i*len(keys) : (i+1)*len(keys) : (i+1)*len(keys)]
+		for j, k := range keys {
+			v, err := o.x.ev.Eval(k.Expr, r)
+			if err != nil {
+				return morsel{}, err
 			}
-			ks[i] = kv
+			kv[j] = v
 		}
-		m.keys = ks
-		st.tally(len(m.rows), 0, time.Since(t0))
-		return m, nil
-	})
+		ks[i] = kv
+	}
+	m.keys = ks
+	o.st.tally(len(m.rows), 0, time.Since(t0))
+	return m, nil
+}
+
+func (x *execCtx) attachKeys(in stream, keys []OrderKey, st *OpStats) stream {
+	o := &keysOp{keys: keys, st: st}
+	o.init(x, in, o)
+	return o
 }
 
 type keyedRow struct {
@@ -745,26 +753,21 @@ func keyedLess(keys []OrderKey, a, b *keyedRow) bool {
 	return a.idx < b.idx
 }
 
-func (x *execCtx) buildSort(n *SortNode) (*stream, []string, *OpStats, error) {
+func (x *execCtx) buildSort(n *SortNode) (stream, []string, *OpStats, error) {
 	in, cols, cst, err := x.build(n.Input)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n)
-	st.Children = []*OpStats{cst}
-	keyed := x.attachKeys(in, n.Keys, st)
+	st := newOpStats(n, cst)
 	var flat []keyedRow
-	for {
-		m, ok, err := keyed.next()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if !ok {
-			break
-		}
+	err = pull(x.attachKeys(in, n.Keys, st), func(m morsel) error {
 		for i, r := range m.rows {
 			flat = append(flat, keyedRow{row: r, keys: m.keys[i], idx: len(flat)})
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	t0 := time.Now()
 	sort.Slice(flat, func(a, b int) bool { return keyedLess(n.Keys, &flat[a], &flat[b]) })
@@ -773,7 +776,7 @@ func (x *execCtx) buildSort(n *SortNode) (*stream, []string, *OpStats, error) {
 		rows[i] = flat[i].row
 	}
 	st.tallyRows(0, len(rows), time.Since(t0))
-	return sliceStream(rows, x.size), cols, st, nil
+	return &sliceStream{rows, x.size}, cols, st, nil
 }
 
 // topK keeps the n first rows of the sort order in a max-heap: the root is
@@ -815,30 +818,25 @@ func (h *topK) offer(kr keyedRow) {
 	}
 }
 
-func (x *execCtx) buildTopK(n *TopKNode) (*stream, []string, *OpStats, error) {
+func (x *execCtx) buildTopK(n *TopKNode) (stream, []string, *OpStats, error) {
 	in, cols, cst, err := x.build(n.Input)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n)
-	st.Children = []*OpStats{cst}
-	keyed := x.attachKeys(in, n.Keys, st)
+	st := newOpStats(n, cst)
 	h := &topK{keys: n.Keys, n: n.N}
 	idx := 0
-	for {
-		m, ok, err := keyed.next()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if !ok {
-			break
-		}
+	err = pull(x.attachKeys(in, n.Keys, st), func(m morsel) error {
 		t0 := time.Now()
 		for i, r := range m.rows {
 			h.offer(keyedRow{row: r, keys: m.keys[i], idx: idx})
 			idx++
 		}
 		st.tallyRows(0, 0, time.Since(t0))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	t0 := time.Now()
 	items := h.items
@@ -848,46 +846,46 @@ func (x *execCtx) buildTopK(n *TopKNode) (*stream, []string, *OpStats, error) {
 		rows[i] = items[i].row
 	}
 	st.tallyRows(0, len(rows), time.Since(t0))
-	return sliceStream(rows, x.size), cols, st, nil
+	return &sliceStream{rows, x.size}, cols, st, nil
 }
 
-func (x *execCtx) buildLimit(n *LimitNode) (*stream, []string, *OpStats, error) {
+// limitOp passes the first n rows and then stops pulling; its upstream
+// stages park their workers as soon as it has them.
+type limitOp struct {
+	in       stream
+	n, taken int
+	st       *OpStats
+}
+
+func (l *limitOp) next() (morsel, bool, error) {
+	if l.taken >= l.n {
+		return morsel{}, false, nil
+	}
+	m, ok, err := l.in.next()
+	if err != nil || !ok {
+		return morsel{}, false, err
+	}
+	inRows := len(m.rows)
+	if l.taken+len(m.rows) > l.n {
+		m.rows = m.rows[:l.n-l.taken]
+	}
+	l.taken += len(m.rows)
+	if l.taken >= l.n {
+		l.in.stop()
+	}
+	l.st.tally(inRows, len(m.rows), 0)
+	return m, true, nil
+}
+
+func (l *limitOp) stop() { l.in.stop() }
+
+func (x *execCtx) buildLimit(n *LimitNode) (stream, []string, *OpStats, error) {
 	in, cols, cst, err := x.build(n.Input)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n)
-	st.Children = []*OpStats{cst}
-	taken, stopped := 0, false
-	s := &stream{
-		next: func() (morsel, bool, error) {
-			if taken >= n.N {
-				if !stopped {
-					stopped = true
-					in.stop()
-				}
-				return morsel{}, false, nil
-			}
-			m, ok, err := in.next()
-			if err != nil || !ok {
-				return morsel{}, false, err
-			}
-			inRows := len(m.rows)
-			if taken+len(m.rows) > n.N {
-				m.rows = m.rows[:n.N-taken]
-			}
-			taken += len(m.rows)
-			if taken >= n.N && !stopped {
-				// Enough rows: cancel the upstream producers right away.
-				stopped = true
-				in.stop()
-			}
-			st.tally(inRows, len(m.rows), 0)
-			return m, true, nil
-		},
-		stop: in.stop,
-	}
-	return s, cols, st, nil
+	st := newOpStats(n, cst)
+	return &limitOp{in: in, n: n.N, st: st}, cols, st, nil
 }
 
 // --- aggregation -------------------------------------------------------
@@ -1096,7 +1094,7 @@ func (x *execCtx) groupRows(t *groupTable, n *AggregateNode, calls []*Call, rows
 		ga.n++
 		states := t.statesOf(i)
 		for c, call := range calls {
-			states[c].add(x.ev, call, r)
+			states[c].add(&x.ev, call, r)
 		}
 	}
 	return nil
@@ -1237,35 +1235,47 @@ func (x *execCtx) evalFromStates(e Expr, g *groupAgg, states []aggState, callIdx
 	return x.ev.Eval(folded, Row{})
 }
 
-func (x *execCtx) buildAggregate(n *AggregateNode) (*stream, []string, *OpStats, error) {
+// groupOp folds each morsel into its own GROUP BY partial. Each table
+// starts with room for as many groups as the last morsel to finish found:
+// the slabs are sized once, not grown group by group.
+type groupOp struct {
+	stage
+	n     *AggregateNode
+	calls []*Call
+	seen  atomic.Int64
+	st    *OpStats
+}
+
+func (o *groupOp) process(m morsel) (morsel, error) {
+	t0 := time.Now()
+	gt := newGroupTable(len(o.n.GroupBy), len(o.calls), int(o.seen.Load()), keysHash)
+	if err := o.x.groupRows(gt, o.n, o.calls, m.rows); err != nil {
+		return morsel{}, err
+	}
+	o.seen.Store(int64(len(gt.groups)))
+	o.st.tally(len(m.rows), 0, time.Since(t0))
+	return morsel{groups: gt}, nil
+}
+
+func (x *execCtx) buildAggregate(n *AggregateNode) (stream, []string, *OpStats, error) {
 	in, _, cst, err := x.build(n.Input)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n)
-	st.Children = []*OpStats{cst}
+	st := newOpStats(n, cst)
 	cols := make([]string, len(n.Items))
 	for i, it := range n.Items {
 		cols[i] = it.Label()
 	}
 	calls, callIdx := collectAggCalls(n)
 
-	// Phase 1: per-morsel partial grouping on the worker pool. Each table
-	// starts with room for as many groups as the last morsel to finish
-	// found: the slabs are sized once, not grown group by group.
-	var seen atomic.Int64
-	partials, err := parMap(in, x.workers, func(m morsel) (*groupTable, error) {
-		if err := x.ctx.Err(); err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		gt := newGroupTable(len(n.GroupBy), len(calls), int(seen.Load()), keysHash)
-		if err := x.groupRows(gt, n, calls, m.rows); err != nil {
-			return nil, err
-		}
-		seen.Store(int64(len(gt.groups)))
-		st.tally(len(m.rows), 0, time.Since(t0))
-		return gt, nil
+	// Phase 1: per-morsel partial grouping.
+	g := &groupOp{n: n, calls: calls, st: st}
+	g.init(x, in, g)
+	var partials []*groupTable
+	err = pull(g, func(m morsel) error {
+		partials = append(partials, m.groups)
+		return nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -1311,7 +1321,7 @@ func (x *execCtx) buildAggregate(n *AggregateNode) (*stream, []string, *OpStats,
 		out = append(out, Row{sh: sh, vals: slab[len(slab)-len(n.Items) : len(slab) : len(slab)]})
 	}
 	st.tallyRows(0, len(out), time.Since(t0))
-	return sliceStream(out, x.size), cols, st, nil
+	return &sliceStream{out, x.size}, cols, st, nil
 }
 
 // --- shared helpers ----------------------------------------------------

@@ -38,7 +38,7 @@ func TestGroupCollision(t *testing.T) {
 		{Name: "COUNT", Args: []Expr{v}}, {Name: "SUM", Args: []Expr{v}},
 		{Name: "MIN", Args: []Expr{v}}, {Name: "MAX", Args: []Expr{v}},
 	}
-	x := &execCtx{ev: &evalCtx{}}
+	x := &execCtx{}
 
 	// The oracle: groups in first-encounter order, found by a linear scan.
 	type group struct {

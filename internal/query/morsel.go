@@ -2,7 +2,9 @@ package query
 
 import (
 	"context"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"scdb/internal/model"
 )
@@ -13,236 +15,258 @@ import (
 // while staying cache-resident.
 const DefaultMorselSize = 1024
 
-// morsel is a fixed-size chunk of rows flowing through the executor. idx is
-// the morsel's sequence number within its stream; stages renumber their
-// output so every stream is densely indexed from 0. recs carries raw
-// records between a streaming scan source and the binding stage.
+// morsel is a chunk of rows flowing through the executor. recs carries raw
+// records between a scan cursor and the stage that binds them; the
+// attachments carry one operator's per-morsel work to the next.
 type morsel struct {
-	idx    int
 	rows   []Row
 	recs   []model.Record
 	hashes []uint64        // per-row hashes, attached by Distinct's hashing stage
 	keys   [][]model.Value // per-row sort keys, attached by Sort/TopK's key stage
+	groups *groupTable     // the morsel's GROUP BY partial, attached by Aggregate
 }
 
-// stream is a pull iterator of morsels. next returns the next morsel in
-// index order; ok=false means end of stream (err then carries the first
-// error, if any). stop cancels the stream early: producers unwind and
-// upstream stages cascade the cancellation. next is not safe for concurrent
-// callers — parStage serializes its pulls.
-type stream struct {
-	next func() (m morsel, ok bool, err error)
-	stop func()
-}
-
-// emptyStream produces nothing.
-func emptyStream() *stream {
-	return &stream{
-		next: func() (morsel, bool, error) { return morsel{}, false, nil },
-		stop: func() {},
-	}
+// stream is a pull iterator of morsels, implemented by each operator's
+// state. next returns the next morsel in order; ok=false means end of
+// stream (err then carries the first error, if any). Whoever pulls runs
+// the operator and everything upstream of it that runs inline: the caller
+// in a serial chain, or a stage worker holding its stage's pull lock, so
+// next never has two callers at once. stop tells the stream nobody will
+// pull it again, so parallel stages upstream park their workers; it may be
+// called from any goroutine, while a pull is under way.
+type stream interface {
+	next() (m morsel, ok bool, err error)
+	stop()
 }
 
 // sliceStream chunks materialized rows into morsels of the given size.
-func sliceStream(rows []Row, size int) *stream {
-	i, idx := 0, 0
-	return &stream{
-		next: func() (morsel, bool, error) {
-			if i >= len(rows) {
-				return morsel{}, false, nil
-			}
-			end := i + size
-			if end > len(rows) {
-				end = len(rows)
-			}
-			m := morsel{idx: idx, rows: rows[i:end]}
-			i, idx = end, idx+1
-			return m, true, nil
-		},
-		stop: func() {},
-	}
+type sliceStream struct {
+	rows []Row
+	size int
 }
 
-// goSource runs produce in a goroutine and exposes the emitted record
-// chunks as a stream. Emitted slices must stay valid after emit returns
-// (they cross a channel). produce's emit returns false once the consumer
-// stopped or ctx was canceled — either way the producer unwinds its scan;
-// produce's error is surfaced at end of stream. The producer goroutine
-// registers in wg so the executor can join it before returning.
-func goSource(ctx context.Context, wg *sync.WaitGroup, produce func(emit func([]model.Record) bool) error) *stream {
-	ch := make(chan []model.Record, 4)
-	done := make(chan struct{})
-	var once sync.Once
-	stop := func() { once.Do(func() { close(done) }) }
-	var srcErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		err := produce(func(recs []model.Record) bool {
-			select {
-			case ch <- recs:
-				return true
-			case <-done:
-				return false
-			case <-ctx.Done():
-				return false
-			}
-		})
-		if err == nil {
-			// A scan that unwound because ctx ended did not finish: without
-			// this the consumer sees a clean end of stream and returns the
-			// rows so far as the answer.
-			err = ctx.Err()
-		}
-		srcErr = err // happens-before the close below
-		close(ch)
-	}()
-	idx := 0
-	return &stream{
-		next: func() (morsel, bool, error) {
-			recs, ok := <-ch
-			if !ok {
-				return morsel{}, false, srcErr
-			}
-			m := morsel{idx: idx, recs: recs}
-			idx++
-			return m, true, nil
-		},
-		stop: stop,
+func (s *sliceStream) next() (morsel, bool, error) {
+	if len(s.rows) == 0 {
+		return morsel{}, false, nil
 	}
+	n := min(s.size, len(s.rows))
+	m := morsel{rows: s.rows[:n:n]}
+	s.rows = s.rows[n:]
+	return m, true, nil
 }
 
-// drainRows materializes a stream, observing ctx between morsels so a
-// canceled query stops pulling (and stops the producers) promptly.
-func drainRows(ctx context.Context, s *stream) ([]Row, error) {
-	var rows []Row
+func (s *sliceStream) stop() {}
+
+// scanSource is a scan cursor as a stream of record morsels. The cursor
+// runs on the goroutine that pulls; a scan the context ended surfaces the
+// context's error, not a clean end of stream that would return the rows so
+// far as the answer.
+type scanSource struct {
+	cur ScanCursor
+	ctx context.Context
+	st  *OpStats
+}
+
+func (s *scanSource) next() (morsel, bool, error) {
+	recs := s.cur.Next()
+	// Plain writes are safe: pulls are serialized, and ExecuteOpts joins
+	// every worker before anyone reads the stats tree.
+	s.st.Pruned = int64(s.cur.Info().Pruned)
+	if recs == nil {
+		return morsel{}, false, s.ctx.Err()
+	}
+	return morsel{recs: recs}, true, nil
+}
+
+func (s *scanSource) stop() {}
+
+// pull hands every morsel of s to fn, in order, until s ends or s or fn
+// fails, and returns the first error.
+func pull(s stream, fn func(morsel) error) error {
 	for {
-		if err := ctx.Err(); err != nil {
-			s.stop()
-			return nil, err
-		}
 		m, ok, err := s.next()
-		if err != nil {
-			return nil, err
+		if err != nil || !ok {
+			return err
 		}
-		if !ok {
-			return rows, nil
+		if err := fn(m); err != nil {
+			return err
 		}
-		rows = append(rows, m.rows...)
 	}
 }
 
-// parStage applies fn to every morsel of in on a pool of workers, restoring
-// index order on output. Output is byte-identical to the workers==1 case
-// for any worker count: morsels are pulled in sequence, processed
-// independently, and reassembled through a reorder buffer; the first error
-// in morsel order wins, exactly as a serial loop would surface it.
-func parStage(in *stream, workers int, wg *sync.WaitGroup, fn func(morsel) (morsel, error)) *stream {
-	if workers <= 1 {
-		idx := 0
-		return &stream{
-			next: func() (morsel, bool, error) {
-				m, ok, err := in.next()
-				if err != nil || !ok {
-					return morsel{}, false, err
-				}
-				out, err := fn(m)
-				if err != nil {
-					in.stop()
-					return morsel{}, false, err
-				}
-				out.idx = idx
-				idx++
-				return out, true, nil
-			},
-			stop: in.stop,
+// drainRows materializes a stream. A stream of one morsel hands back that
+// morsel's rows as they are.
+func drainRows(s stream) ([]Row, error) {
+	var rows []Row
+	err := pull(s, func(m morsel) error {
+		if rows == nil {
+			rows = slices.Clip(m.rows)
+		} else {
+			rows = append(rows, m.rows...)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Workers may run at most ~4 morsels per worker ahead of the consumer:
-	// enough to keep the pool busy, bounded so the reorder buffer stays
-	// small and a downstream LIMIT's stop arrives before the stage has
-	// raced through the whole input.
-	p := &parState{in: in, fn: fn, results: map[int]stageOut{}, ahead: workers * 4}
-	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
+	return rows, nil
+}
+
+// morselOp is an operator's work on one morsel.
+type morselOp interface {
+	process(m morsel) (morsel, error)
+}
+
+// stage runs an operator over its input morsel by morsel. It pulls and
+// processes on the caller's goroutine; once a second morsel exists, and
+// workers > 1, it hands the rest of the input to a pool of workers (a
+// parState). Output is byte-identical for every worker count: morsels are
+// pulled in sequence, processed independently, and reassembled in order;
+// the first error in morsel order wins, exactly as the serial loop
+// surfaces it. Each morsel first checks the statement's context, so a
+// canceled query stops within one morsel.
+type stage struct {
+	in      stream
+	op      morselOp
+	x       *execCtx
+	workers int
+	started bool // a morsel was pulled on the caller's goroutine
+	stopped atomic.Bool
+	par     atomic.Pointer[parState] // nil while the stage runs inline
+}
+
+// init makes s op's stage over in, at the statement's worker count.
+func (s *stage) init(x *execCtx, in stream, op morselOp) {
+	s.x, s.in, s.op, s.workers = x, in, op, x.workers
+}
+
+func (s *stage) run(m morsel) (morsel, error) {
+	if err := s.x.ctx.Err(); err != nil {
+		return morsel{}, err
+	}
+	return s.op.process(m)
+}
+
+func (s *stage) next() (morsel, bool, error) {
+	if p := s.par.Load(); p != nil {
+		return p.next()
+	}
+	m, ok, err := s.in.next()
+	if err != nil || !ok {
+		return morsel{}, false, err
+	}
+	if s.started && s.workers > 1 {
+		return s.goParallel(m).next()
+	}
+	s.started = true
+	out, err := s.run(m)
+	if err != nil {
+		s.in.stop()
+		return morsel{}, false, err
+	}
+	return out, true, nil
+}
+
+func (s *stage) stop() {
+	s.stopped.Store(true)
+	if p := s.par.Load(); p != nil {
+		p.halt()
+	}
+	s.in.stop()
+}
+
+// goParallel starts the stage's workers, handing them m — the second
+// morsel or later, already pulled — as the first they take.
+func (s *stage) goParallel(m morsel) *parState {
+	// Workers may run at most 4 morsels per worker ahead of the consumer:
+	// enough to keep the pool busy, bounded so the ring stays small and a
+	// downstream LIMIT's stop arrives before the stage has raced through
+	// the whole input.
+	p := &parState{s: s, ring: make([]stageOut, s.workers*4), stash: m, stashed: true}
+	p.cond.L = &p.mu
+	s.par.Store(p)
+	for range s.workers {
+		s.x.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer s.x.wg.Done()
 			p.work()
 		}()
 	}
-	return &stream{next: p.next, stop: p.stopAll}
+	if s.stopped.Load() {
+		p.halt() // a stop raced the hand-over
+	}
+	return p
 }
 
 type stageOut struct {
-	m   morsel
-	err error
+	m    morsel
+	err  error
+	done bool
 }
 
-// parState is the shared state of one parallel stage: pullMu serializes
-// pulls from the upstream stream (assigning dense indices), mu guards the
-// reorder buffer and lifecycle flags.
+// parState is a stage's worker pool: pullMu serializes pulls from the
+// input (assigning morsel numbers in order), mu guards the ring and the
+// lifecycle flags. Morsel i's output waits in ring[i%len(ring)] until the
+// consumer takes it; backpressure keeps every morsel in flight within
+// len(ring) of the consumer, so no two share a slot.
 type parState struct {
-	in *stream
-	fn func(morsel) (morsel, error)
-
-	pullMu sync.Mutex
+	s       *stage
+	pullMu  sync.Mutex
+	stash   morsel // the morsel that started the pool, until a worker takes it
+	stashed bool
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	results map[int]stageOut
-	ahead   int // max morsels in flight past the consumer (backpressure)
-	pulled  int
+	cond    sync.Cond
+	ring    []stageOut
+	pulled  int // morsels the workers numbered so far, from the stash on
+	nextIdx int // the morsel the consumer waits for
 	inDone  bool
 	inErr   error
 	erred   bool
 	stopped bool
-	nextIdx int
 }
+
+func (p *parState) quit() bool { return p.stopped || p.erred || p.inDone }
 
 func (p *parState) work() {
 	for {
-		p.mu.Lock()
-		quit := p.stopped || p.erred || p.inDone
-		p.mu.Unlock()
-		if quit {
-			return
-		}
 		p.pullMu.Lock()
 		p.mu.Lock()
 		// Backpressure: holding pullMu (so no sibling overtakes), wait for
 		// the consumer to catch up before pulling further input. The
 		// consumer only needs mu, which Wait releases.
-		for !p.stopped && !p.erred && !p.inDone && p.pulled-p.nextIdx >= p.ahead {
+		for !p.quit() && p.pulled-p.nextIdx >= len(p.ring) {
 			p.cond.Wait()
 		}
-		if p.stopped || p.erred || p.inDone {
+		if p.quit() {
 			p.mu.Unlock()
 			p.pullMu.Unlock()
 			return
 		}
 		p.mu.Unlock()
-		m, ok, err := p.in.next()
+		m, ok, err := p.stash, true, error(nil)
+		if p.stashed {
+			p.stash, p.stashed = morsel{}, false
+		} else {
+			m, ok, err = p.s.in.next()
+		}
+		p.mu.Lock()
 		if !ok || err != nil {
-			p.mu.Lock()
-			p.inDone = true
-			p.inErr = err
+			p.inDone, p.inErr = true, err
 			p.mu.Unlock()
 			p.pullMu.Unlock()
 			p.cond.Broadcast()
 			return
 		}
-		p.mu.Lock()
 		idx := p.pulled
 		p.pulled++
 		p.mu.Unlock()
 		p.pullMu.Unlock()
 
-		out, ferr := p.fn(m)
-		out.idx = idx
+		out, err := p.s.run(m)
 		p.mu.Lock()
-		p.results[idx] = stageOut{out, ferr}
-		if ferr != nil {
+		p.ring[idx%len(p.ring)] = stageOut{out, err, true}
+		if err != nil {
 			p.erred = true
 		}
 		p.mu.Unlock()
@@ -254,19 +278,20 @@ func (p *parState) next() (morsel, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if r, ok := p.results[p.nextIdx]; ok {
-			delete(p.results, p.nextIdx)
-			if r.err != nil {
+		if r := &p.ring[p.nextIdx%len(p.ring)]; r.done {
+			out := *r
+			*r = stageOut{}
+			if out.err != nil {
 				p.stopped = true
 				p.mu.Unlock()
-				p.in.stop()
+				p.s.in.stop()
 				p.cond.Broadcast()
 				p.mu.Lock()
-				return morsel{}, false, r.err
+				return morsel{}, false, out.err
 			}
 			p.nextIdx++
 			p.cond.Broadcast() // wake workers parked on backpressure
-			return r.m, true, nil
+			return out.m, true, nil
 		}
 		if p.inDone && p.nextIdx >= p.pulled {
 			return morsel{}, false, p.inErr
@@ -278,104 +303,10 @@ func (p *parState) next() (morsel, bool, error) {
 	}
 }
 
-func (p *parState) stopAll() {
+// halt parks the workers: none pulls again, and the consumer sees the end.
+func (p *parState) halt() {
 	p.mu.Lock()
 	p.stopped = true
 	p.mu.Unlock()
 	p.cond.Broadcast()
-	p.in.stop()
-}
-
-// parMap applies fn to every morsel on a worker pool and returns the
-// results in morsel order — the fan-in primitive for pipeline breakers
-// (sort keys, aggregation partials). Error semantics match a serial loop:
-// the error from the lowest-indexed failing morsel wins, and an upstream
-// stream error only surfaces if no processed morsel before it failed.
-func parMap[T any](in *stream, workers int, fn func(morsel) (T, error)) ([]T, error) {
-	if workers <= 1 {
-		var out []T
-		for {
-			m, ok, err := in.next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return out, nil
-			}
-			v, ferr := fn(m)
-			if ferr != nil {
-				in.stop()
-				return nil, ferr
-			}
-			out = append(out, v)
-		}
-	}
-	var (
-		pullMu   sync.Mutex
-		mu       sync.Mutex
-		results  = map[int]T{}
-		errIdx   = -1
-		firstErr error
-		inErr    error
-		pulled   int
-		done     bool
-		wg       sync.WaitGroup
-	)
-	worker := func() {
-		defer wg.Done()
-		for {
-			pullMu.Lock()
-			mu.Lock()
-			quit := done || errIdx >= 0
-			mu.Unlock()
-			if quit {
-				pullMu.Unlock()
-				return
-			}
-			m, ok, err := in.next()
-			if !ok || err != nil {
-				mu.Lock()
-				done = true
-				if err != nil {
-					inErr = err
-				}
-				mu.Unlock()
-				pullMu.Unlock()
-				return
-			}
-			mu.Lock()
-			idx := pulled
-			pulled++
-			mu.Unlock()
-			pullMu.Unlock()
-
-			v, ferr := fn(m)
-			mu.Lock()
-			if ferr != nil {
-				if errIdx < 0 || idx < errIdx {
-					errIdx, firstErr = idx, ferr
-				}
-			} else {
-				results[idx] = v
-			}
-			mu.Unlock()
-		}
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go worker()
-	}
-	wg.Wait()
-	if errIdx >= 0 {
-		in.stop()
-		return nil, firstErr
-	}
-	if inErr != nil {
-		return nil, inErr
-	}
-	out := make([]T, pulled)
-	for i := range out {
-		out[i] = results[i]
-	}
-	return out, nil
 }

@@ -2,8 +2,8 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"scdb/internal/model"
@@ -60,11 +60,16 @@ var differentialCorpus = []string{
 // runOpts plans src against the fixture and executes it with opts.
 func runOpts(t *testing.T, src string, opts ExecOptions) (*Result, error) {
 	t.Helper()
+	return runOn(t, env(), src, opts)
+}
+
+// runOn plans src against e and executes it with opts.
+func runOn(t *testing.T, e *fakeEnv, src string, opts ExecOptions) (*Result, error) {
+	t.Helper()
 	stmt, err := Parse(src)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", src, err)
 	}
-	e := env()
 	plan, err := BuildPlan(stmt, e)
 	if err != nil {
 		return nil, err
@@ -72,6 +77,31 @@ func runOpts(t *testing.T, src string, opts ExecOptions) (*Result, error) {
 	opts.Semantic = stmt.Semantics
 	res, _, err := ExecuteOpts(plan, e, opts)
 	return res, err
+}
+
+// edgeCorpus runs over the "edge" table, whose size straddles the hand-over
+// from a stage's inline loop to its workers.
+var edgeCorpus = []string{
+	"SELECT * FROM edge",
+	"SELECT k, v FROM edge WHERE v >= 0",
+	"SELECT COUNT(*) AS n, SUM(v) AS s FROM edge",
+	"SELECT k, COUNT(*) AS n FROM edge GROUP BY k ORDER BY k",
+	"SELECT DISTINCT k FROM edge",
+	"SELECT v FROM edge ORDER BY v DESC LIMIT 2",
+	"SELECT v FROM edge LIMIT 1",
+	"SELECT a.v, b.v FROM edge AS a JOIN edge AS b ON a.k = b.k ORDER BY a.v, b.v",
+	"SELECT a.v, b.v FROM edge AS a JOIN edge AS b ON a.v < b.v",
+}
+
+// edgeEnv is the fixture plus an "edge" table of n rows.
+func edgeEnv(n int) *fakeEnv {
+	e := env()
+	recs := make([]model.Record, n)
+	for i := range recs {
+		recs[i] = model.Record{"k": model.Int(int64(i % 3)), "v": model.Int(int64(i))}
+	}
+	e.tables["edge"] = recs
+	return e
 }
 
 // TestParallelDifferential: for every corpus statement, every worker count
@@ -94,6 +124,34 @@ func TestParallelDifferential(t *testing.T) {
 					t.Errorf("%q: parallelism %d size %d diverged:\nserial:\n%s\nparallel:\n%s",
 						src, workers, size, want, g)
 				}
+			}
+		}
+	}
+	// Tables of 0, 1, size and size+1 rows: no morsel, one, one full, and
+	// the second morsel that starts each stage's workers.
+	for _, size := range []int{1, 2, 16} {
+		for _, n := range []int{0, 1, size, size + 1} {
+			e := edgeEnv(n)
+			for _, src := range edgeCorpus {
+				base, err := runOn(t, e, src, ExecOptions{Parallelism: 1, MorselSize: size})
+				if err != nil {
+					t.Fatalf("serial %q (%d rows, size %d): %v", src, n, size, err)
+				}
+				want := renderResult(base)
+				for _, workers := range []int{2, 8} {
+					got, err := runOn(t, e, src, ExecOptions{Parallelism: workers, MorselSize: size})
+					if err != nil {
+						t.Fatalf("parallel(%d) %q (%d rows, size %d): %v", workers, src, n, size, err)
+					}
+					if g := renderResult(got); g != want {
+						t.Errorf("%q over %d rows: parallelism %d size %d diverged:\nserial:\n%s\nparallel:\n%s",
+							src, n, workers, size, want, g)
+					}
+				}
+			}
+			res, err := runOn(t, e, "SELECT COUNT(*) AS n FROM edge", ExecOptions{Parallelism: 8, MorselSize: size})
+			if err != nil || len(res.Rows) != 1 || !model.Equal(res.Rows[0][0], model.Int(int64(n))) {
+				t.Errorf("COUNT(*) over %d rows at size %d: %v, %v", n, size, res, err)
 			}
 		}
 	}
@@ -124,6 +182,43 @@ func TestParallelErrorParity(t *testing.T) {
 			if serr.Error() != perr.Error() {
 				t.Errorf("%q: error diverged: serial %q, parallel(%d) %q",
 					src, serr, workers, perr)
+			}
+		}
+	}
+	// Morsels of two rows, with a bad value in morsel 0 (which the caller's
+	// goroutine runs) or in morsel 1 (the first a worker takes), and a
+	// second bad value two morsels later that must never be the one
+	// reported. Over Project and Filter the failing stage is the first;
+	// under ORDER BY and COUNT a downstream stage sees its input fail after
+	// one good morsel.
+	e := env()
+	withBad := func(at ...int) []model.Record {
+		recs := make([]model.Record, 8)
+		for i := range recs {
+			recs[i] = model.Record{"v": model.Int(int64(i))}
+		}
+		for j, i := range at {
+			recs[i] = model.Record{"v": model.String(fmt.Sprintf("bad-%d", j))}
+		}
+		return recs
+	}
+	e.tables["err0"], e.tables["err1"] = withBad(0, 4), withBad(2, 6)
+	for _, table := range []string{"err0", "err1"} {
+		for _, src := range []string{
+			"SELECT v - 1 AS w FROM " + table,
+			"SELECT v FROM " + table + " WHERE v - 1 > 0",
+			"SELECT v - 1 AS w FROM " + table + " ORDER BY w",
+			"SELECT COUNT(*) AS n FROM " + table + " WHERE v - 1 > 0",
+		} {
+			_, serr := runOn(t, e, src, ExecOptions{Parallelism: 1, MorselSize: 2})
+			if serr == nil || !strings.Contains(serr.Error(), "bad-0") {
+				t.Fatalf("%q: serial err = %v, want the first bad value's", src, serr)
+			}
+			for _, workers := range []int{2, 8} {
+				_, perr := runOn(t, e, src, ExecOptions{Parallelism: workers, MorselSize: 2})
+				if perr == nil || perr.Error() != serr.Error() {
+					t.Errorf("%q: error diverged: serial %q, parallel(%d) %v", src, serr, workers, perr)
+				}
 			}
 		}
 	}
@@ -203,18 +298,18 @@ func TestTopKMatchesSortLimit(t *testing.T) {
 func TestLimitStopsScanEarly(t *testing.T) {
 	env, _ := synthetic(10000)
 	plan := &LimitNode{Input: &ScanNode{Table: "big", Binding: "big"}, N: 5}
-	res, _, err := ExecuteOpts(plan, env, ExecOptions{Parallelism: 4, MorselSize: 10})
+	const workers = 4
+	res, _, err := ExecuteOpts(plan, env, ExecOptions{Parallelism: workers, MorselSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(res.Rows))
 	}
-	// 10000 rows / 10 per morsel = 1000 chunks; the limit needs 1. Allow
-	// generous slack for pipeline buffering (channel depth + in-flight
-	// workers), which is bounded by a constant, not the table size.
-	if n := env.emitted.Load(); n > 50 {
-		t.Errorf("scan emitted %d chunks after LIMIT 5; early stop is broken", n)
+	// 10000 rows / 10 per morsel = 1000 chunks; the limit needs 1. The
+	// window a cancellation allows, workers×5, bounds the rest.
+	if n := env.pulls.Load(); n > workers*5 {
+		t.Errorf("scan pulled %d chunks for LIMIT 5; early stop is broken", n)
 	}
 }
 
@@ -313,37 +408,21 @@ func TestParallelDefaultWorkers(t *testing.T) {
 	}
 }
 
-// TestParMapOrdering: parMap returns results in morsel order regardless of
-// completion order.
-func TestParMapOrdering(t *testing.T) {
-	rows := make([]Row, 100)
-	got, err := parMap(sliceStream(rows, 1), 8, func(m morsel) (int, error) {
-		return m.idx, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order at %d: %v", i, v)
-		}
-	}
-}
+// passOp hands each morsel on as it is.
+type passOp struct{}
 
-// TestParStageOrdering: parStage restores morsel order under contention.
+func (passOp) process(m morsel) (morsel, error) { return m, nil }
+
+// TestParStageOrdering: a stage restores morsel order under contention.
 func TestParStageOrdering(t *testing.T) {
 	rows := make([]Row, 500)
 	for i := range rows {
 		rows[i] = Row{vals: []model.Value{model.Int(int64(i))}}
 	}
-	var wg sync.WaitGroup
-	s := parStage(sliceStream(rows, 7), 8, &wg, func(m morsel) (morsel, error) {
-		return m, nil
-	})
-	out, err := drainRows(context.Background(), s)
+	x := &execCtx{workers: 8, size: 7, ctx: context.Background()}
+	var s stage
+	s.init(x, &sliceStream{rows, 7}, passOp{})
+	out, err := drainRows(&s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,5 +435,33 @@ func TestParStageOrdering(t *testing.T) {
 			t.Fatalf("row %d carries %d; order not restored", i, v)
 		}
 	}
-	wg.Wait()
+	s.stop()
+	x.wg.Wait()
+}
+
+// TestSingleMorselAllocParity: a point-shaped plan (project over an
+// index-scan filter) over an input of one morsel runs inline whatever the
+// worker count — the scan is a cursor the caller pulls, and a stage starts
+// its workers only for a second morsel — so it allocates the same at
+// Parallelism 1 and 4. A scan on a producer goroutine, or a pool started
+// with its stage, fails this at any input size.
+func TestSingleMorselAllocParity(t *testing.T) {
+	e := env()
+	plan := &ProjectNode{
+		Input: &IndexScanNode{Table: "drugs", Binding: "drugs", Pred: &Binary{Op: "=", L: &ColRef{Name: "name"}, R: &Literal{Val: model.String("Warfarin")}}},
+		Items: []SelectItem{{Expr: &ColRef{Name: "dose"}}},
+	}
+	allocs := func(workers int) float64 {
+		return testing.AllocsPerRun(200, func() {
+			res, _, err := ExecuteOpts(plan, e, ExecOptions{Parallelism: workers})
+			if err != nil || len(res.Rows) != 1 {
+				t.Fatalf("Parallelism %d: %v, %v", workers, res, err)
+			}
+		})
+	}
+	serial, parallel := allocs(1), allocs(4)
+	t.Logf("one-morsel point plan: %.0f objects at Parallelism 1, %.0f at 4", serial, parallel)
+	if serial != parallel {
+		t.Errorf("one-morsel point plan allocates %.0f objects at Parallelism 4, %.0f at 1", parallel, serial)
+	}
 }

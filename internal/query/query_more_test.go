@@ -191,18 +191,18 @@ func TestRowsNode(t *testing.T) {
 	}
 	var plan Node = &DistinctNode{Input: rows}
 	plan = &SortNode{Input: plan, Keys: []OrderKey{{Expr: &ColRef{Binding: "a", Name: "key"}}, {Expr: &ColRef{Name: "n"}, Desc: true}}}
-	res, err := Execute(plan, nil, false)
+	res, _, err := ExecuteOpts(plan, nil, ExecOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 || !model.Equal(res.Rows[0][0], model.String("k1")) || !model.Equal(res.Rows[1][1], model.Int(1)) {
 		t.Errorf("rows = %v (columns %v)", res.Rows, res.Columns)
 	}
-	if _, err := Execute(&SortNode{Input: rows, Keys: []OrderKey{{Expr: &ColRef{Name: "key"}}}}, nil, false); err != nil {
+	if _, _, err := ExecuteOpts(&SortNode{Input: rows, Keys: []OrderKey{{Expr: &ColRef{Name: "key"}}}}, nil, ExecOptions{Parallelism: 1}); err != nil {
 		t.Errorf("unqualified reference to a dotted label: %v", err)
 	}
 	graph := &ProjectNode{Input: rows, Items: []SelectItem{{Expr: &Call{Name: "ISA", Args: []Expr{&ColRef{Name: "n"}, &Literal{Val: model.String("Drug")}}}}}}
-	if _, err := Execute(graph, nil, false); err == nil || !strings.Contains(err.Error(), "entity graph") {
+	if _, _, err := ExecuteOpts(graph, nil, ExecOptions{Parallelism: 1}); err == nil || !strings.Contains(err.Error(), "entity graph") {
 		t.Errorf("graph builtin without an Env: err = %v", err)
 	}
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // fakeEnv is a fixture environment: two tables and one concept extent over
-// a toy life-science graph. Scans stream the fixture slices in morsels;
-// emitted counts the chunks handed out, to observe LIMIT stopping a
-// producer early (atomic: a join's two scan producers run concurrently).
+// a toy life-science graph. Scans yield the fixture slices in morsels;
+// pulls counts the morsels handed out, to observe LIMIT stopping a scan
+// early (atomic: stage workers pull a scan from several goroutines).
 type fakeEnv struct {
-	emitted atomic.Int64
+	pulls atomic.Int64
 
 	tables   map[string][]model.Record
 	concepts map[string][]model.Record
@@ -24,25 +24,35 @@ type fakeEnv struct {
 	inferredTypes map[model.EntityID][]string
 }
 
-func (f *fakeEnv) stream(recs []model.Record, size int, emit func([]model.Record) bool) {
-	for lo := 0; lo < len(recs); lo += size {
-		f.emitted.Add(1)
-		if !emit(recs[lo:min(lo+size, len(recs))]) {
-			return
-		}
+// fakeCursor chunks a fixture slice, counting its pulls on the env.
+type fakeCursor struct {
+	RecordChunks
+	pulls *atomic.Int64
+}
+
+func (c *fakeCursor) Next() []model.Record {
+	m := c.RecordChunks.Next()
+	if m != nil {
+		c.pulls.Add(1)
 	}
+	return m
 }
 
-func (f *fakeEnv) ScanTable(name string, _ []ZoneConjunct, size int, emit func([]model.Record) bool) (PushedScanInfo, bool) {
+func (f *fakeEnv) cursor(recs []model.Record, ok bool, size int) (ScanCursor, bool) {
+	if !ok {
+		return nil, false
+	}
+	return &fakeCursor{RecordChunks{recs, size}, &f.pulls}, true
+}
+
+func (f *fakeEnv) ScanTable(name string, _ []ZoneConjunct, size int) (ScanCursor, bool) {
 	recs, ok := f.tables[name]
-	f.stream(recs, size, emit)
-	return PushedScanInfo{}, ok
+	return f.cursor(recs, ok, size)
 }
 
-func (f *fakeEnv) ScanConcept(c string, semantic bool, size int, emit func([]model.Record) bool) bool {
+func (f *fakeEnv) ScanConcept(c string, semantic bool, size int) (ScanCursor, bool) {
 	recs, ok := f.concepts[c]
-	f.stream(recs, size, emit)
-	return ok
+	return f.cursor(recs, ok, size)
 }
 
 func (f *fakeEnv) HasTable(name string) bool   { _, ok := f.tables[name]; return ok }
@@ -163,7 +173,8 @@ func runQuery(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Execute(plan, e, stmt.Semantics)
+	res, _, err := ExecuteOpts(plan, e, ExecOptions{Semantic: stmt.Semantics, Parallelism: 1})
+	return res, err
 }
 
 func TestParseRoundTrip(t *testing.T) {

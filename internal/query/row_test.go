@@ -56,11 +56,15 @@ func TestRowSemantics(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return Execute(plan, e, false)
+			res, _, err := ExecuteOpts(plan, e, ExecOptions{Parallelism: 1})
+			return res, err
 		}
 	}
 	plan := func(n Node) func() (*Result, error) {
-		return func() (*Result, error) { return Execute(n, nil, false) }
+		return func() (*Result, error) {
+			res, _, err := ExecuteOpts(n, nil, ExecOptions{Parallelism: 1})
+			return res, err
+		}
 	}
 	for _, tc := range []struct {
 		name    string
@@ -203,10 +207,13 @@ type snapshotEnv struct {
 
 func (e *snapshotEnv) HasTable(name string) bool { return name == e.table.Name() }
 
-func (e *snapshotEnv) ScanTable(name string, _ []ZoneConjunct, size int, emit func([]model.Record) bool) (PushedScanInfo, bool) {
-	e.table.ScanMorselsCtx(nil, e.csn, size, func(_ []storage.RowID, recs []model.Record) bool { return emit(recs) })
-	return PushedScanInfo{}, true
+func (e *snapshotEnv) ScanTable(name string, _ []ZoneConjunct, size int) (ScanCursor, bool) {
+	return &snapshotCursor{e.table.ScanMorselsCtx(nil, e.csn, size)}, true
 }
+
+type snapshotCursor struct{ storage.Cursor }
+
+func (c *snapshotCursor) Info() PushedScanInfo { return PushedScanInfo(c.Cursor.Info()) }
 
 // TestBorrowedRecordsAreSnapshotStable: rows borrow storage's version records
 // and copy nothing, which is sound only while storage never writes a published
@@ -233,12 +240,12 @@ func TestBorrowedRecordsAreSnapshotStable(t *testing.T) {
 	}
 	e := &snapshotEnv{fakeEnv: env(), table: tb, csn: store.Now()}
 	var borrowed, copies []model.Record
-	tb.ScanMorselsCtx(nil, e.csn, 1024, func(_ []storage.RowID, recs []model.Record) bool {
+	c := tb.ScanMorselsCtx(nil, e.csn, 1024)
+	for recs := c.Next(); recs != nil; recs = c.Next() {
 		for _, rec := range recs {
 			borrowed, copies = append(borrowed, rec), append(copies, rec.Clone())
 		}
-		return true
-	})
+	}
 
 	writer := make(chan error, 1)
 	go func() {

@@ -24,14 +24,27 @@ type OpStats struct {
 
 	// Access-path counters, populated by IndexScan operators. ShowPruned
 	// distinguishes "prunable operator, zero pruned" from operators where
-	// pruning does not apply. Written by the scan producer before the
-	// executor joins it, so plain fields are safe.
+	// pruning does not apply. Written by whoever pulls the scan, pulls being
+	// serialized, and read only once the executor has joined its workers,
+	// so plain fields are safe.
 	ShowPruned bool
 	Pruned     int64  // zone-map segments (morsels) skipped before workers
 	IndexName  string // secondary index used, "" for a plain zone scan
 }
 
-func newOpStats(n Node) *OpStats { return &OpStats{Node: n} }
+// newOpStats makes n's stats node over its children's, the node and its
+// Children backing in one allocation (no operator has more than two).
+func newOpStats(n Node, children ...*OpStats) *OpStats {
+	s := &struct {
+		OpStats
+		kids [2]*OpStats
+	}{}
+	s.Node = n
+	if len(children) > 0 {
+		s.Children = append(s.kids[:0], children...)
+	}
+	return &s.OpStats
+}
 
 // tally records one morsel's worth of work.
 func (s *OpStats) tally(in, out int, d time.Duration) {

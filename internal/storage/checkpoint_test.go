@@ -520,7 +520,7 @@ func TestIndexCatalogPersisted(t *testing.T) {
 	scan := func(tb *Table, attr string, n int) {
 		for k := 0; k < n; k++ {
 			preds := []ZonePred{{Attr: attr, Op: "=", Val: model.Int(int64(k % 10))}}
-			tb.ScanWhere(s.Now(), preds, ScanOptions{}, func([]RowID, []model.Record) bool { return true })
+			scanInfo(tb, s.Now(), preds, ScanOptions{})
 		}
 	}
 	scan(tb, "i", 3)

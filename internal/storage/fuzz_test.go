@@ -46,18 +46,8 @@ func FuzzIndexMaintenance(f *testing.F) {
 		check := func(step int) {
 			now := s.Now()
 			for _, p := range preds {
-				want := oracle(tb, now, p)
-				got := answerVia(tb, now, p, ScanOptions{})
-				if len(got) != len(want) {
-					t.Fatalf("step %d: %s %s %s: indexed %d rows, oracle %d",
-						step, p.Attr, p.Op, p.Val, len(got), len(want))
-				}
-				for id := range want {
-					if _, ok := got[id]; !ok {
-						t.Fatalf("step %d: %s %s %s: indexed path missed row %d",
-							step, p.Attr, p.Op, p.Val, id)
-					}
-				}
+				sameRecords(t, fmt.Sprintf("step %d: %s %s %s: indexed path", step, p.Attr, p.Op, p.Val),
+					answerVia(tb, now, p, ScanOptions{}), oracle(tb, now, p))
 			}
 		}
 

@@ -332,8 +332,8 @@ type ScanOptions struct {
 	NoPrune bool // keep every segment even when its zone map refutes a pred
 	NoIndex bool // never use a secondary index
 	NoAuto  bool // don't record accesses or auto-create indexes
-	// Ctx cancels the scan cooperatively: emitSegments checks it between
-	// zone segments and stops producing once it is done. Nil never cancels.
+	// Ctx cancels the scan cooperatively: the cursor checks it between zone
+	// segments and ends once it is done. Nil never cancels.
 	Ctx context.Context
 }
 
@@ -495,9 +495,8 @@ func (t *Table) maybeAutoIndexLocked(preds []ZonePred) {
 // so has no single bucket).
 func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, []ZonePred) {
 	var best *Index
-	var bestPred ZonePred
-	bestScore := -1
-	for _, p := range preds {
+	bestScore, bestAt := -1, 0
+	for i, p := range preds {
 		ix := t.indexes[p.Attr]
 		if ix == nil {
 			continue
@@ -517,9 +516,13 @@ func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, []ZonePred) {
 			}
 		}
 		if score > bestScore {
-			bestScore, best, bestPred = score, ix, p
+			bestScore, best, bestAt = score, ix, i
 		}
 	}
+	if best == nil {
+		return nil, nil
+	}
+	bestPred := preds[bestAt]
 	if bestScore == 0 {
 		// One bound of a range on a sorted index: take the opposite bound on
 		// the same attribute too, so the scan gathers the range and not the
@@ -530,7 +533,7 @@ func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, []ZonePred) {
 			}
 		}
 	}
-	return best, []ZonePred{bestPred}
+	return best, preds[bestAt : bestAt+1 : bestAt+1]
 }
 
 // restoreIndexLocked recreates one index from a checkpoint snapshot's
@@ -591,14 +594,15 @@ func (s *Store) IndexStats() []IndexStat {
 	return out
 }
 
-// ScanWhere is the pushed-down scan: it visits rows visible at csn that
-// can satisfy the conjunction of preds, in RowID order, chunked on zone-
-// segment boundaries. The emitted set is a superset of the matching rows
-// (candidates come from a superset index and conservative zone maps), so
-// callers re-apply the full predicate; emitted slices are freshly
-// allocated. It also drives self-curation: accesses are counted and
-// indexes auto-created here. Returning false from fn stops the scan.
-func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions, fn func(ids []RowID, recs []model.Record) bool) ScanInfo {
+// ScanWhere opens the pushed-down scan: its cursor yields the rows visible
+// at csn that can satisfy the conjunction of preds, in RowID order, one
+// zone segment a chunk, skipping the segments the zone maps refute. The
+// yielded set is a superset of the matching rows (candidates come from a
+// superset index and conservative zone maps), so callers re-apply the full
+// predicate. Opening drives self-curation, once per scan: accesses are
+// counted, indexes auto-created and chosen, and the candidate RowIDs
+// gathered here.
+func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions) Cursor {
 	var info ScanInfo
 	var idx *Index
 	var idxPreds []ZonePred
@@ -642,53 +646,7 @@ func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions, fn func(id
 		t.mu.RUnlock()
 		slices.Sort(ids)
 	}
-	t.emitSegments(csn, ids, preds, opt, fn, &info)
-	return info
-}
-
-// emitSegments walks sorted candidate RowIDs one zone segment at a time,
-// pruning refuted segments and emitting the visible records of the rest.
-func (t *Table) emitSegments(csn CSN, ids []RowID, preds []ZonePred, opt ScanOptions, fn func([]RowID, []model.Record) bool, info *ScanInfo) {
-	for i := 0; i < len(ids); {
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			return
-		}
-		seg := zoneSegFor(ids[i])
-		j := i
-		for j < len(ids) && zoneSegFor(ids[j]) == seg {
-			j++
-		}
-		info.Segments++
-		t.mu.RLock()
-		if !opt.NoPrune && t.segRefutedLocked(seg, preds) {
-			t.mu.RUnlock()
-			info.Pruned++
-			i = j
-			continue
-		}
-		outIDs := make([]RowID, 0, j-i)
-		outRecs := make([]model.Record, 0, j-i)
-		for _, id := range ids[i:j] {
-			r, ok := t.rows[id]
-			if !ok {
-				continue
-			}
-			rec := r.at(csn)
-			if rec == nil {
-				continue
-			}
-			outIDs = append(outIDs, id)
-			outRecs = append(outRecs, rec)
-		}
-		t.mu.RUnlock()
-		i = j
-		if len(outIDs) == 0 {
-			continue
-		}
-		if !fn(outIDs, outRecs) {
-			return
-		}
-	}
+	return Cursor{t: t, ctx: opt.Ctx, csn: csn, ids: ids, preds: preds, prune: !opt.NoPrune, info: info}
 }
 
 // segRefutedLocked reports whether any conjunct is refuted by the

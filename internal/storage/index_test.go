@@ -48,43 +48,35 @@ func predMatches(p ZonePred, r model.Record) bool {
 	return false
 }
 
-// answerVia runs ScanWhere under opt and filters the emitted superset down
-// to the rows that actually match, keyed by RowID.
-func answerVia(tb *Table, csn CSN, p ZonePred, opt ScanOptions) map[RowID]model.Record {
-	got := map[RowID]model.Record{}
-	tb.ScanWhere(csn, []ZonePred{p}, opt, func(ids []RowID, recs []model.Record) bool {
-		for i, id := range ids {
-			if predMatches(p, recs[i]) {
-				got[id] = recs[i]
-			}
-		}
-		return true
-	})
-	return got
+// answerVia runs ScanWhere under opt and filters the yielded superset down
+// to the rows that actually match, in the order the scan yielded them.
+func answerVia(tb *Table, csn CSN, p ZonePred, opt ScanOptions) []model.Record {
+	c := tb.ScanWhere(csn, []ZonePred{p}, opt)
+	recs, _ := drain(&c)
+	return matching(p, recs)
 }
 
-// oracle computes the same answer with a plain full snapshot scan.
-func oracle(tb *Table, csn CSN, p ZonePred) map[RowID]model.Record {
-	got := map[RowID]model.Record{}
-	tb.ScanAt(csn, func(id RowID, rec model.Record) bool {
+// oracle computes the same answer with a plain full snapshot scan, in RowID
+// order.
+func oracle(tb *Table, csn CSN, p ZonePred) []model.Record {
+	return matching(p, scanAt(tb, csn))
+}
+
+func matching(p ZonePred, recs []model.Record) []model.Record {
+	var got []model.Record
+	for _, rec := range recs {
 		if predMatches(p, rec) {
-			got[id] = rec
+			got = append(got, rec)
 		}
-		return true
-	})
+	}
 	return got
 }
 
-func sameAnswer(t *testing.T, label string, got, want map[RowID]model.Record) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d rows, want %d", label, len(got), len(want))
-	}
-	for id := range want {
-		if _, ok := got[id]; !ok {
-			t.Fatalf("%s: missing row %d", label, id)
-		}
-	}
+// scanInfo drains a pushed-down scan and reports what it did.
+func scanInfo(tb *Table, csn CSN, preds []ZonePred, opt ScanOptions) ScanInfo {
+	c := tb.ScanWhere(csn, preds, opt)
+	drain(&c)
+	return c.Info()
 }
 
 func TestIndexEqualityAndRange(t *testing.T) {
@@ -118,10 +110,10 @@ func TestIndexEqualityAndRange(t *testing.T) {
 	for _, p := range preds {
 		want := oracle(tb, now, p)
 		got := answerVia(tb, now, p, ScanOptions{})
-		sameAnswer(t, fmt.Sprintf("%s %s", p.Attr, p.Op), got, want)
+		sameRecords(t, fmt.Sprintf("%s %s", p.Attr, p.Op), got, want)
 	}
 	// The equality on h must actually have used the hash index.
-	info := tb.ScanWhere(now, []ZonePred{preds[0]}, ScanOptions{}, func([]RowID, []model.Record) bool { return true })
+	info := scanInfo(tb, now, []ZonePred{preds[0]}, ScanOptions{})
 	if info.Index != "t.h(hash)" {
 		t.Fatalf("Index = %q, want t.h(hash)", info.Index)
 	}
@@ -158,7 +150,7 @@ func TestIndexOddValues(t *testing.T) {
 	for _, p := range preds {
 		want := oracle(tb, now, p)
 		got := answerVia(tb, now, p, ScanOptions{})
-		sameAnswer(t, fmt.Sprintf("%s %s %s", p.Attr, p.Op, p.Val), got, want)
+		sameRecords(t, fmt.Sprintf("%s %s %s", p.Attr, p.Op, p.Val), got, want)
 	}
 }
 
@@ -235,9 +227,9 @@ func TestIndexMVCCDifferential(t *testing.T) {
 		for _, p := range preds {
 			want := oracle(tb, csn, p)
 			label := fmt.Sprintf("csn=%d %s %s %s", csn, p.Attr, p.Op, p.Val)
-			sameAnswer(t, label+" indexed", answerVia(tb, csn, p, ScanOptions{}), want)
-			sameAnswer(t, label+" no-index", answerVia(tb, csn, p, ScanOptions{NoIndex: true}), want)
-			sameAnswer(t, label+" no-prune", answerVia(tb, csn, p, ScanOptions{NoPrune: true, NoIndex: true}), want)
+			sameRecords(t, label+" indexed", answerVia(tb, csn, p, ScanOptions{}), want)
+			sameRecords(t, label+" no-index", answerVia(tb, csn, p, ScanOptions{NoIndex: true}), want)
+			sameRecords(t, label+" no-prune", answerVia(tb, csn, p, ScanOptions{NoPrune: true, NoIndex: true}), want)
 		}
 	}
 }
@@ -387,14 +379,15 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	covers := func(what string, ids []RowID, ps []ZonePred, csns []CSN) {
 		t.Helper()
 		for _, csn := range csns {
-			for id, rec := range oracle(tb, csn, ps[0]) {
-				if len(ps) == 2 && !predMatches(ps[1], rec) {
-					continue
+			tb.ScanAt(csn, func(id RowID, rec model.Record) bool {
+				if !predMatches(ps[0], rec) || len(ps) == 2 && !predMatches(ps[1], rec) {
+					return true
 				}
 				if _, ok := slices.BinarySearch(ids, id); !ok {
 					t.Fatalf("%s %s: csn=%d: oracle row %d missing from candidates", what, label(ps), csn, id)
 				}
-			}
+				return true
+			})
 		}
 	}
 
@@ -570,29 +563,22 @@ func TestZonePruning(t *testing.T) {
 	p := ZonePred{Attr: "n", Op: "<", Val: model.Int(100)}
 	// Values are clustered by insertion order, so all but the first segment
 	// refute n < 100.
-	var info ScanInfo
-	got := map[RowID]model.Record{}
-	info = tb.ScanWhere(now, []ZonePred{p}, ScanOptions{NoIndex: true, NoAuto: true}, func(ids []RowID, recs []model.Record) bool {
-		for i, id := range ids {
-			if predMatches(p, recs[i]) {
-				got[id] = recs[i]
-			}
-		}
-		return true
-	})
+	c := tb.ScanWhere(now, []ZonePred{p}, ScanOptions{NoIndex: true, NoAuto: true})
+	recs, _ := drain(&c)
+	got, info := matching(p, recs), c.Info()
 	if info.Segments != 8 {
 		t.Fatalf("Segments = %d, want 8", info.Segments)
 	}
 	if info.Pruned != 7 {
 		t.Fatalf("Pruned = %d, want 7", info.Pruned)
 	}
-	sameAnswer(t, "pruned scan", got, oracle(tb, now, p))
+	sameRecords(t, "pruned scan", got, oracle(tb, now, p))
 
 	// An attribute absent from a segment prunes it outright.
 	tb.Insert(rec("extra", 1))
 	now = s.Now()
 	pe := ZonePred{Attr: "extra", Op: "=", Val: model.Int(1)}
-	info = tb.ScanWhere(now, []ZonePred{pe}, ScanOptions{NoIndex: true, NoAuto: true}, func([]RowID, []model.Record) bool { return true })
+	info = scanInfo(tb, now, []ZonePred{pe}, ScanOptions{NoIndex: true, NoAuto: true})
 	if info.Pruned != 8 {
 		t.Fatalf("Pruned = %d, want 8 (attr absent from first 8 segments)", info.Pruned)
 	}
@@ -602,7 +588,7 @@ func TestZonePruning(t *testing.T) {
 		tb.Delete(id)
 	}
 	tb.Vacuum(s.Now())
-	info = tb.ScanWhere(s.Now(), []ZonePred{p}, ScanOptions{NoIndex: true, NoAuto: true}, func([]RowID, []model.Record) bool { return true })
+	info = scanInfo(tb, s.Now(), []ZonePred{p}, ScanOptions{NoIndex: true, NoAuto: true})
 	if info.Pruned != info.Segments {
 		t.Fatalf("after vacuum of matching segment: Pruned = %d of %d", info.Pruned, info.Segments)
 	}
@@ -620,7 +606,7 @@ func TestAutoIndexLifecycle(t *testing.T) {
 	}
 	now := s.Now()
 	scan := func(p ZonePred) ScanInfo {
-		return tb.ScanWhere(now, []ZonePred{p}, ScanOptions{}, func([]RowID, []model.Record) bool { return true })
+		return scanInfo(tb, now, []ZonePred{p}, ScanOptions{})
 	}
 	eq := ZonePred{Attr: "a", Op: "=", Val: model.Int(3)}
 	for i := 0; i < autoIndexAccesses-1; i++ {
@@ -668,7 +654,7 @@ func TestAutoIndexLifecycle(t *testing.T) {
 		small.Insert(rec("a", i))
 	}
 	for i := 0; i < 3*autoIndexAccesses; i++ {
-		small.ScanWhere(s.Now(), []ZonePred{eq}, ScanOptions{}, func([]RowID, []model.Record) bool { return true })
+		scanInfo(small, s.Now(), []ZonePred{eq}, ScanOptions{})
 	}
 	if n := len(small.IndexStats()); n != 0 {
 		t.Fatalf("tiny table earned an index, stats %d", n)
@@ -725,7 +711,7 @@ func TestIndexConcurrent(t *testing.T) {
 		{Attr: "k", Op: "=", Val: model.Int(5)},
 		{Attr: "v", Op: ">", Val: model.Float(50)},
 	} {
-		sameAnswer(t, fmt.Sprintf("%s %s", p.Attr, p.Op), answerVia(tb, now, p, ScanOptions{}), oracle(tb, now, p))
+		sameRecords(t, fmt.Sprintf("%s %s", p.Attr, p.Op), answerVia(tb, now, p, ScanOptions{}), oracle(tb, now, p))
 	}
 }
 
@@ -757,9 +743,9 @@ func TestWALRecoveryRebuildsZones(t *testing.T) {
 	}
 	tb2, _ := s2.Table("t")
 	p := ZonePred{Attr: "n", Op: ">=", Val: model.Int(n - 10)}
-	info := tb2.ScanWhere(s2.Now(), []ZonePred{p}, ScanOptions{NoIndex: true, NoAuto: true}, func([]RowID, []model.Record) bool { return true })
+	info := scanInfo(tb2, s2.Now(), []ZonePred{p}, ScanOptions{NoIndex: true, NoAuto: true})
 	if info.Pruned != 1 {
 		t.Fatalf("after recovery: Pruned = %d, want 1", info.Pruned)
 	}
-	sameAnswer(t, "recovered", answerVia(tb2, s2.Now(), p, ScanOptions{}), oracle(tb2, s2.Now(), p))
+	sameRecords(t, "recovered", answerVia(tb2, s2.Now(), p, ScanOptions{}), oracle(tb2, s2.Now(), p))
 }

@@ -7,30 +7,27 @@ import (
 	"scdb/internal/model"
 )
 
-// TestScanMorselsCtxCancel: a context canceled mid-scan stops the chunk
-// walk — no further morsels are emitted.
+// TestScanMorselsCtxCancel: a context canceled mid-scan ends the cursor —
+// the next pull yields nothing.
 func TestScanMorselsCtxCancel(t *testing.T) {
 	_, tb := morselTable(t)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := tb.ScanMorselsCtx(ctx, tb.store.Now(), 10)
 	chunks := 0
-	tb.ScanMorselsCtx(ctx, tb.store.Now(), 10, func(ids []RowID, recs []model.Record) bool {
+	for c.Next() != nil {
 		chunks++
 		if chunks == 2 {
 			cancel()
 		}
-		return true
-	})
+	}
 	if chunks != 2 {
-		t.Errorf("emitted %d chunks after cancel at 2", chunks)
+		t.Errorf("yielded %d chunks after cancel at 2", chunks)
 	}
 	// A nil ctx scans everything.
-	total := 0
-	tb.ScanMorselsCtx(nil, tb.store.Now(), 10, func(ids []RowID, recs []model.Record) bool {
-		total += len(ids)
-		return true
-	})
-	if total != tb.Len() {
-		t.Errorf("nil-ctx scan saw %d rows, table has %d", total, tb.Len())
+	c = tb.ScanMorselsCtx(nil, tb.store.Now(), 10)
+	if all, _ := drain(&c); len(all) != tb.Len() {
+		t.Errorf("nil-ctx scan saw %d rows, table has %d", len(all), tb.Len())
 	}
 }
 
@@ -54,25 +51,14 @@ func TestScanWhereCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	emitted := 0
-	tb.ScanWhere(s.Now(), []ZonePred{{Attr: "v", Op: ">=", Val: model.Int(0)}},
-		ScanOptions{Ctx: ctx, NoAuto: true},
-		func(ids []RowID, recs []model.Record) bool {
-			emitted += len(ids)
-			return true
-		})
-	if emitted != 0 {
-		t.Errorf("pre-canceled ScanWhere emitted %d rows", emitted)
+	preds := []ZonePred{{Attr: "v", Op: ">=", Val: model.Int(0)}}
+	c := tb.ScanWhere(s.Now(), preds, ScanOptions{Ctx: ctx, NoAuto: true})
+	if got, _ := drain(&c); len(got) != 0 {
+		t.Errorf("pre-canceled ScanWhere yielded %d rows", len(got))
 	}
 	// Sanity: without cancellation the same scan sees every row.
-	emitted = 0
-	tb.ScanWhere(s.Now(), []ZonePred{{Attr: "v", Op: ">=", Val: model.Int(0)}},
-		ScanOptions{NoAuto: true},
-		func(ids []RowID, recs []model.Record) bool {
-			emitted += len(ids)
-			return true
-		})
-	if emitted != 5000 {
-		t.Errorf("uncanceled ScanWhere emitted %d rows, want 5000", emitted)
+	c = tb.ScanWhere(s.Now(), preds, ScanOptions{NoAuto: true})
+	if got, _ := drain(&c); len(got) != 5000 {
+		t.Errorf("uncanceled ScanWhere yielded %d rows, want 5000", len(got))
 	}
 }

@@ -1,13 +1,15 @@
 package storage
 
 import (
+	"bytes"
 	"testing"
 
 	"scdb/internal/model"
 )
 
 // morselTable builds a table with inserts, updates, and deletes so the
-// version chains are non-trivial.
+// version chains are non-trivial. Every row carries its insertion number
+// under "i", so a scan's RowID order reads off its records.
 func morselTable(t *testing.T) (*Store, *Table) {
 	t.Helper()
 	s, err := Open("")
@@ -40,87 +42,83 @@ func morselTable(t *testing.T) (*Store, *Table) {
 	return s, tb
 }
 
+// drain pulls a cursor to its end, returning its records in order and the
+// chunks they came in.
+func drain(c *Cursor) (recs []model.Record, chunks [][]model.Record) {
+	for chunk := c.Next(); chunk != nil; chunk = c.Next() {
+		recs = append(recs, chunk...)
+		chunks = append(chunks, chunk)
+	}
+	return recs, chunks
+}
+
+// scanAt is ScanAt's answer: the records visible at csn in RowID order.
+func scanAt(tb *Table, csn CSN) []model.Record {
+	var recs []model.Record
+	tb.ScanAt(csn, func(_ RowID, r model.Record) bool {
+		recs = append(recs, r)
+		return true
+	})
+	return recs
+}
+
+// sameRecords fails unless got and want hold the same records in the same
+// order.
+func sameRecords(t *testing.T, label string, got, want []model.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(model.AppendRecord(nil, got[i]), model.AppendRecord(nil, want[i])) {
+			t.Fatalf("%s: row %d is %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
 // TestScanMorselsMatchesScanAt: chunked scans must visit exactly the rows
 // and versions ScanAt visits, in the same order, for any chunk size and at
-// historical snapshots.
+// historical snapshots; every chunk but the last holds at least size rows.
 func TestScanMorselsMatchesScanAt(t *testing.T) {
 	s, tb := morselTable(t)
 	for _, csn := range []CSN{s.Now(), s.Now() / 2, 1} {
-		var wantIDs []RowID
-		var wantRecs []model.Record
-		tb.ScanAt(csn, func(id RowID, r model.Record) bool {
-			wantIDs = append(wantIDs, id)
-			wantRecs = append(wantRecs, r)
-			return true
-		})
+		want := scanAt(tb, csn)
 		for _, size := range []int{1, 3, 17, 100, 1000, 0} {
-			var gotIDs []RowID
-			var gotRecs []model.Record
-			tb.ScanMorselsCtx(nil, csn, size, func(ids []RowID, recs []model.Record) bool {
-				gotIDs = append(gotIDs, ids...)
-				gotRecs = append(gotRecs, recs...)
-				return true
-			})
-			if len(gotIDs) != len(wantIDs) {
-				t.Fatalf("csn %d size %d: %d rows, want %d", csn, size, len(gotIDs), len(wantIDs))
-			}
-			for i := range wantIDs {
-				if gotIDs[i] != wantIDs[i] {
-					t.Fatalf("csn %d size %d: row %d id %d, want %d", csn, size, i, gotIDs[i], wantIDs[i])
-				}
-				for k, v := range wantRecs[i] {
-					if !model.Equal(gotRecs[i][k], v) {
-						t.Fatalf("csn %d size %d: row %d key %q = %v, want %v",
-							csn, size, i, k, gotRecs[i][k], v)
-					}
+			c := tb.ScanMorselsCtx(nil, csn, size)
+			got, chunks := drain(&c)
+			sameRecords(t, "scan", got, want)
+			for i, c := range chunks[:max(len(chunks)-1, 0)] {
+				if len(c) < size {
+					t.Fatalf("csn %d size %d: chunk %d holds %d rows", csn, size, i, len(c))
 				}
 			}
 		}
 	}
 }
 
-// TestScanMorselsEarlyStop: returning false stops the scan after the
-// current chunk.
+// TestScanMorselsEarlyStop: a consumer that stops pulling stops the scan —
+// two pulls read no further than the blocks they needed.
 func TestScanMorselsEarlyStop(t *testing.T) {
 	_, tb := morselTable(t)
-	chunks, rows := 0, 0
-	tb.ScanMorselsCtx(nil, tb.store.Now(), 10, func(ids []RowID, recs []model.Record) bool {
-		chunks++
-		rows += len(ids)
-		return chunks < 2
-	})
-	if chunks != 2 {
-		t.Errorf("chunks = %d, want 2", chunks)
-	}
+	c := tb.ScanMorselsCtx(nil, tb.store.Now(), 10)
+	rows := len(c.Next()) + len(c.Next())
 	if rows > 2*2*10 {
 		t.Errorf("rows = %d; early stop leaked chunks", rows)
 	}
+	if c.pos > 2*2*10 {
+		t.Errorf("two pulls read %d row IDs", c.pos)
+	}
 }
 
-// TestScanMorselsRetainable: emitted slices must stay valid after the
-// callback returns (the executor hands them across goroutines).
+// TestScanMorselsRetainable: yielded slices must stay valid after later
+// pulls (the executor hands them across goroutines).
 func TestScanMorselsRetainable(t *testing.T) {
 	_, tb := morselTable(t)
-	var chunks [][]model.Record
-	tb.ScanMorselsCtx(nil, tb.store.Now(), 8, func(ids []RowID, recs []model.Record) bool {
-		chunks = append(chunks, recs)
-		return true
-	})
+	c := tb.ScanMorselsCtx(nil, tb.store.Now(), 8)
+	_, chunks := drain(&c)
 	var flat []model.Record
 	for _, c := range chunks {
 		flat = append(flat, c...)
 	}
-	i := 0
-	tb.ScanAt(tb.store.Now(), func(id RowID, r model.Record) bool {
-		for k, v := range r {
-			if !model.Equal(flat[i][k], v) {
-				t.Fatalf("retained chunk diverged at row %d key %q", i, k)
-			}
-		}
-		i++
-		return true
-	})
-	if i != len(flat) {
-		t.Fatalf("row counts differ: %d vs %d", i, len(flat))
-	}
+	sameRecords(t, "retained chunks", flat, scanAt(tb, tb.store.Now()))
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -482,66 +483,101 @@ func (t *Table) ScanAt(csn CSN, fn func(RowID, model.Record) bool) {
 	}
 }
 
-// ScanMorselsCtx visits every row visible at csn in RowID order, delivered
-// in chunks of at most size rows. Unlike ScanAt, the version-chain walk
-// locks the table once per chunk rather than once per row, and the emitted
-// slices are freshly allocated so callers may retain them (the parallel
-// query executor hands them to worker goroutines). Returning false from fn
-// stops the scan. The scan checks ctx between chunks and stops producing
-// once it is done, so a canceled query releases the table promptly. A nil
-// ctx never cancels.
-func (t *Table) ScanMorselsCtx(ctx context.Context, csn CSN, size int, fn func(ids []RowID, recs []model.Record) bool) {
+// ScanMorselsCtx opens a scan of every row visible at csn, in RowID order,
+// in chunks of at least size rows (the last may be shorter). Unlike ScanAt,
+// the cursor locks the table once per size RowIDs rather than once per row.
+// It checks ctx between them and ends once ctx is done, so a canceled query
+// releases the table promptly. A nil ctx never cancels.
+func (t *Table) ScanMorselsCtx(ctx context.Context, csn CSN, size int) Cursor {
 	if size <= 0 {
 		size = 1024
 	}
 	t.mu.RLock()
-	all := make([]RowID, 0, len(t.rows))
+	ids := make([]RowID, 0, len(t.rows))
 	for id := range t.rows {
-		all = append(all, id)
+		ids = append(ids, id)
 	}
 	t.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	ids := make([]RowID, 0, size)
-	recs := make([]model.Record, 0, size)
-	flush := func() bool {
-		if len(ids) == 0 {
-			return true
-		}
-		ok := fn(ids, recs)
-		ids = make([]RowID, 0, size)
-		recs = make([]model.Record, 0, size)
-		return ok
-	}
-	for lo := 0; lo < len(all); lo += size {
-		if ctx != nil && ctx.Err() != nil {
-			return
-		}
-		hi := lo + size
-		if hi > len(all) {
-			hi = len(all)
-		}
-		t.mu.RLock()
-		for _, id := range all[lo:hi] {
-			r, ok := t.rows[id]
-			if !ok {
-				continue
-			}
-			rec := r.at(csn)
-			if rec == nil {
-				continue
-			}
-			ids = append(ids, id)
-			recs = append(recs, rec)
-		}
-		t.mu.RUnlock()
-		if len(ids) >= size {
-			if !flush() {
-				return
-			}
-		}
-	}
-	flush()
+	slices.Sort(ids)
+	return Cursor{t: t, ctx: ctx, csn: csn, ids: ids, size: size}
 }
+
+// Cursor is an opened scan: the candidate RowIDs chosen when it was opened,
+// walked on whichever goroutine pulls it. Each pull reads the records
+// visible at the scan's stamp, one block of RowIDs under the table's read
+// lock at a time: a zone segment for ScanWhere, size RowIDs for
+// ScanMorselsCtx. The cursor checks its context between blocks.
+type Cursor struct {
+	t     *Table
+	ctx   context.Context
+	csn   CSN
+	ids   []RowID // candidates in RowID order; ids[pos:] are not read yet
+	pos   int
+	size  int        // ScanMorselsCtx: rows per chunk; 0 chunks on zone segments
+	preds []ZonePred // conjuncts a segment's zone map may refute
+	prune bool
+	info  ScanInfo
+}
+
+// Next returns the next chunk of visible records, or nil once the
+// candidates are exhausted or the context is done. A pushed-down scan's
+// chunk is one zone segment's records; a plain scan reads blocks of size
+// RowIDs until the chunk holds at least size records. The slice is freshly
+// allocated, so callers may keep it: the query executor hands it to its
+// workers.
+func (c *Cursor) Next() []model.Record {
+	var recs []model.Record
+	for c.pos < len(c.ids) && (len(recs) == 0 || len(recs) < c.size) {
+		if c.ctx != nil && c.ctx.Err() != nil {
+			c.pos = len(c.ids)
+			return nil
+		}
+		lo, hi := c.pos, c.blockEnd()
+		c.pos = hi
+		c.t.mu.RLock()
+		if c.size == 0 {
+			seg := zoneSegFor(c.ids[lo])
+			c.info.Segments++
+			if c.prune && c.t.segRefutedLocked(seg, c.preds) {
+				c.t.mu.RUnlock()
+				c.info.Pruned++
+				continue
+			}
+		}
+		if recs == nil {
+			recs = make([]model.Record, 0, max(c.size, hi-lo))
+		}
+		for _, id := range c.ids[lo:hi] {
+			if r, ok := c.t.rows[id]; ok {
+				if rec := r.at(c.csn); rec != nil {
+					recs = append(recs, rec)
+				}
+			}
+		}
+		c.t.mu.RUnlock()
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	return recs
+}
+
+// blockEnd is the end of the block of candidates starting at pos: the next
+// size of them, or the rest of pos's zone segment.
+func (c *Cursor) blockEnd() int {
+	if c.size > 0 {
+		return min(c.pos+c.size, len(c.ids))
+	}
+	seg, end := zoneSegFor(c.ids[c.pos]), c.pos+1
+	for end < len(c.ids) && zoneSegFor(c.ids[end]) == seg {
+		end++
+	}
+	return end
+}
+
+// Info reports what the scan has done so far: the index it chose when it
+// was opened, and the zone segments it has considered and pruned.
+func (c *Cursor) Info() ScanInfo { return c.info }
 
 // LastModified returns the commit stamp of the row's newest version
 // (including tombstones). It is how the transaction layer validates
