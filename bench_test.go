@@ -63,10 +63,10 @@ func BenchmarkERIngest(b *testing.B) {
 			var comparisons, hit int
 			for i := 0; i < b.N; i++ {
 				db, err := Open(Options{
-					Axioms:            "concept Device",
-					DisableCache:      true,
-					ERBlocking:        m.blocking,
-					IngestParallelism: m.par,
+					Axioms:       "concept Device",
+					DisableCache: true,
+					ERBlocking:   m.blocking,
+					Parallelism:  m.par,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -431,7 +431,7 @@ func benchIngestStore(b *testing.B) *storage.Table {
 }
 
 // BenchmarkIngest compares the instance-layer write paths on a durable
-// group-commit store and the curation pipeline's serial vs batched ingest.
+// group-commit store, and one delivery through the curation pipeline.
 // Run with -benchtime=1x; each iteration writes ingestRows() rows and the
 // rows/s metric is what E-ING records. Per-record commits pay ~1 fsync per
 // row; the batch path pays ~1 per 1024 rows; concurrent writers coalesce
@@ -501,45 +501,32 @@ func BenchmarkIngest(b *testing.B) {
 
 	// End-to-end curation: one delivery of rows/20 entities through the
 	// full pipeline (storage + catalog + graph + ER + inference) on a
-	// durable group-commit engine, serial per-record vs batched.
-	curation := func(batchSize, parallelism int) func(*testing.B) {
-		n := rows / 20
-		if n < 100 {
-			n = 100
+	// durable group-commit engine.
+	b.Run("curation-batched", func(b *testing.B) {
+		n := max(rows/20, 100)
+		src := Source{Name: "feed"}
+		for i := 0; i < n; i++ {
+			src.Entities = append(src.Entities, Entity{
+				Key:   fmt.Sprintf("e-%06d", i),
+				Types: []string{"Device"},
+				Attrs: Record{"name": fmt.Sprintf("dev-%06d", i), "slot": int64(i)},
+			})
 		}
-		return func(b *testing.B) {
-			src := Source{Name: "feed"}
-			for i := 0; i < n; i++ {
-				src.Entities = append(src.Entities, Entity{
-					Key:   fmt.Sprintf("e-%06d", i),
-					Types: []string{"Device"},
-					Attrs: Record{"name": fmt.Sprintf("dev-%06d", i), "slot": int64(i)},
-				})
+		var total time.Duration
+		for i := 0; i < b.N; i++ {
+			db, err := Open(Options{Dir: b.TempDir(), Axioms: "concept Device", Sync: SyncGroup})
+			if err != nil {
+				b.Fatal(err)
 			}
-			var total time.Duration
-			for i := 0; i < b.N; i++ {
-				db, err := Open(Options{
-					Dir:               b.TempDir(),
-					Axioms:            "concept Device",
-					Sync:              SyncGroup,
-					IngestBatchSize:   batchSize,
-					IngestParallelism: parallelism,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				start := time.Now()
-				if err := db.Ingest(src); err != nil {
-					b.Fatal(err)
-				}
-				total += time.Since(start)
-				db.Close()
+			start := time.Now()
+			if err := db.Ingest(src); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(n)*float64(b.N)/total.Seconds(), "rows/s")
+			total += time.Since(start)
+			db.Close()
 		}
-	}
-	b.Run("curation-serial", curation(1, 1))
-	b.Run("curation-batched", curation(0, 0))
+		b.ReportMetric(float64(n)*float64(b.N)/total.Seconds(), "rows/s")
+	})
 }
 
 // BenchmarkIndexBuild times one bulk build of a sorted index over a loaded

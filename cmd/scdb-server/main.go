@@ -7,7 +7,8 @@
 //	-addr HOST:PORT   listen address (default 127.0.0.1:7483)
 //	-dir DIR          open a durable database at DIR (default: in-memory)
 //	-load NAME        preload a sample corpus: lifesci | clinical | stream
-//	-parallelism N    executor worker-pool size (0 = one per CPU)
+//	-parallelism N    executor and ingest-scoring worker-pool size
+//	                  (0 = one per CPU)
 //	-max-inflight N   concurrent statement limit (-1 = no admission control)
 //	-max-queue N      admission wait-queue length
 //	-queue-timeout D  max admission wait (e.g. 500ms)
@@ -52,11 +53,9 @@ func main() {
 	serve := server.RegisterServeFlags(flag.CommandLine, "127.0.0.1:7483")
 	dir := flag.String("dir", "", "storage directory (empty = in-memory)")
 	load := flag.String("load", "", "sample corpus to preload: lifesci | clinical | stream")
-	parallelism := flag.Int("parallelism", 0, "executor worker-pool size (0 = one per CPU)")
+	parallelism := flag.Int("parallelism", 0, "executor and ingest-scoring worker-pool size (0 = one per CPU)")
 	replicaOf := flag.String("replica-of", "", "primary address to replicate from (requires -dir)")
 	syncFlag := flag.String("sync", "none", "WAL durability with -dir: none | group | always")
-	ingestBatch := flag.Int("ingest-batch", 0, "ingest write-batch size (0 = default 1024, 1 = per-record)")
-	ingestPar := flag.Int("ingest-parallelism", 0, "ingest decode worker-pool size (0 = one per CPU)")
 	erBlocking := flag.String("er-blocking", "", "er candidate generation: token | ann | both (default token)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold (0 = default 16 MiB)")
 	ckptBytes := flag.Int64("checkpoint-bytes", 0, "WAL bytes between automatic checkpoints (0 = default 64 MiB, negative disables)")
@@ -67,14 +66,12 @@ func main() {
 		fatalf("%v", err)
 	}
 	opts := scdb.Options{
-		Dir:               *dir,
-		Parallelism:       *parallelism,
-		Sync:              sync,
-		IngestBatchSize:   *ingestBatch,
-		IngestParallelism: *ingestPar,
-		ERBlocking:        *erBlocking,
-		WALSegmentBytes:   *walSegBytes,
-		CheckpointBytes:   *ckptBytes,
+		Dir:             *dir,
+		Parallelism:     *parallelism,
+		Sync:            sync,
+		ERBlocking:      *erBlocking,
+		WALSegmentBytes: *walSegBytes,
+		CheckpointBytes: *ckptBytes,
 	}
 	var db *scdb.DB
 	var replStats func() *server.WireReplStats

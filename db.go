@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"scdb/internal/core"
+	"scdb/internal/curate"
 	"scdb/internal/datagen"
 	"scdb/internal/er"
 	"scdb/internal/fusion"
@@ -47,9 +48,10 @@ type Options struct {
 	ERBlocking string
 	// DisableCache turns result materialization off.
 	DisableCache bool
-	// Parallelism sizes the morsel-driven query executor's worker pool.
-	// <=0 uses one worker per CPU; 1 executes queries serially. Query
-	// results are identical for every setting.
+	// Parallelism sizes the morsel-driven query executor's worker pool and
+	// Ingest's entity-resolution scoring fan-out. <=0 uses one worker per
+	// CPU; 1 executes queries and scores serially. Query results and
+	// curation state are identical for every setting.
 	Parallelism int
 	// MorselSize overrides the executor's rows-per-morsel granule (<=0 =
 	// default 1024). Smaller morsels mean finer-grained cancellation at
@@ -59,14 +61,6 @@ type Options struct {
 	// set); in-memory databases ignore it. State is identical for every
 	// setting — only the crash window differs.
 	Sync SyncPolicy
-	// IngestBatchSize chunks Ingest's instance-layer writes: each chunk
-	// pays one table latch, one index pass, and one log frame. <=0 uses
-	// the default (1024); 1 writes per record. Results are identical for
-	// every setting.
-	IngestBatchSize int
-	// IngestParallelism sizes Ingest's record-decode worker pool (<=0 =
-	// one per CPU; 1 = serial). Results are identical for every setting.
-	IngestParallelism int
 	// WALSegmentBytes is the log segment rotation threshold for durable
 	// databases (0 = 16 MiB). Appends crossing it seal the active segment
 	// file and open the next; checkpoints delete sealed segments they
@@ -91,16 +85,14 @@ func (opts Options) engineOptions() (core.Options, error) {
 		return core.Options{}, err
 	}
 	return core.Options{
-		Dir:               opts.Dir,
-		LinkRules:         opts.LinkRules,
-		Patterns:          opts.Patterns,
-		ERConfig:          er.Config{Blocking: blocking},
-		DisableMatCache:   opts.DisableCache,
-		Parallelism:       opts.Parallelism,
-		MorselSize:        opts.MorselSize,
-		IngestBatchSize:   opts.IngestBatchSize,
-		IngestParallelism: opts.IngestParallelism,
-		ReadOnly:          opts.ReadOnly,
+		Dir:             opts.Dir,
+		LinkRules:       opts.LinkRules,
+		Patterns:        opts.Patterns,
+		ERConfig:        er.Config{Blocking: blocking},
+		DisableMatCache: opts.DisableCache,
+		Parallelism:     opts.Parallelism,
+		MorselSize:      opts.MorselSize,
+		ReadOnly:        opts.ReadOnly,
 		Storage: storage.Options{
 			Sync:            opts.Sync,
 			SegmentBytes:    opts.WALSegmentBytes,
@@ -165,15 +157,16 @@ func (db *DB) AddAxioms(axioms string) error {
 // Ingest runs one source delivery through the curation pipeline:
 // instance-layer storage, schema observation, entity/edge creation, link
 // discovery, incremental entity resolution, information extraction, and
-// incremental semantic inference.
+// incremental semantic inference. A delivery it cannot curate is refused
+// whole, with ErrInvalidDelivery.
 func (db *DB) Ingest(src Source) error {
 	return db.IngestCtx(context.Background(), src)
 }
 
 // IngestCtx is Ingest with an observability scope: a context carrying a
 // trace (as created by the service layer for traced ingest requests)
-// receives per-stage spans for the curation pass — decode fan-out, batch
-// install with WAL fsync wait, relation/ER, integration, and incremental
+// receives per-stage spans for the curation pass — decode, batch install
+// with WAL fsync wait, relation/ER, integration, and incremental
 // inference. Cancellation is not observed mid-pass; a delivery lands
 // atomically with respect to curation state.
 func (db *DB) IngestCtx(ctx context.Context, src Source) error {
@@ -413,6 +406,11 @@ func (db *DB) JustifiedAnswer(entity, attr string, target, tol float64) (Answer,
 	}
 	return out, nil
 }
+
+// ErrInvalidDelivery is returned by Ingest for a delivery it refuses
+// before writing any of it: an entity without a key, or a link naming a key
+// that is neither in the delivery nor already ingested for its source.
+var ErrInvalidDelivery = curate.ErrInvalidDelivery
 
 // ErrConflict is returned by Tx.Commit on a write-write conflict
 // (first-committer-wins).

@@ -52,9 +52,11 @@ type Options struct {
 	DisableSemanticOpt bool
 	// DisableMatCache turns materialization off (ablation).
 	DisableMatCache bool
-	// Parallelism sizes the morsel-driven executor's worker pool. <=0 means
-	// one worker per CPU; 1 executes every operator inline. Results are
-	// identical for every setting.
+	// Parallelism sizes the morsel-driven executor's worker pool and the
+	// ingest relate stage's scoring fan-out. <=0 means one worker per CPU;
+	// 1 executes every operator inline and scores on the ingesting
+	// goroutine. Results and curation state are identical for every
+	// setting.
 	Parallelism int
 	// MorselSize overrides the executor's rows-per-morsel granule (<=0 =
 	// the query package default of 1024). Mostly a testing knob.
@@ -68,13 +70,6 @@ type Options struct {
 	// DisableIndexScan executes IndexScans as plain zone scans and stops
 	// index self-creation (differential baseline; plans are unchanged).
 	DisableIndexScan bool
-	// IngestBatchSize is records per storage write batch during ingest
-	// (0 = curate.DefaultIngestBatch; 1 = per-record writes, the serial
-	// baseline). Final state is identical for every setting.
-	IngestBatchSize int
-	// IngestParallelism sizes the ingest decode worker pool (0 = one per
-	// CPU; 1 decodes inline). Final state is identical for every setting.
-	IngestParallelism int
 	// ReadOnly opens the engine as a read replica: ingest and claim
 	// persistence return ErrReadOnly, the catalog is opened without
 	// creating its system tables, and Close skips the catalog/ontology
@@ -98,14 +93,8 @@ type DB struct {
 	ingestMu sync.Mutex
 	closed   bool // under ingestMu+mu; Close is idempotent
 
-	store    *storage.Store
-	cat      *catalog.Catalog
-	graph    *graph.Graph
-	onto     *ontology.Ontology
-	reasoner *reason.Reasoner
-	pipeline *curate.Pipeline
-	worlds   *fusion.Worlds
-	refiner  *refine.Refiner
+	store *storage.Store
+	derived
 	txns     *txn.Manager
 	matCache *curate.MatCache
 	plans    *planCache
@@ -124,70 +113,85 @@ type DB struct {
 	tpVer uint64
 }
 
+// derived is what an engine derives from its store: the catalog view, the
+// relation and semantic layers, the curation pipeline that keeps them, and
+// the claim worlds with their refiner. RefreshDerived swaps the whole set.
+type derived struct {
+	cat      *catalog.Catalog
+	onto     *ontology.Ontology
+	graph    *graph.Graph
+	reasoner *reason.Reasoner
+	pipeline *curate.Pipeline
+	worlds   *fusion.Worlds
+	refiner  *refine.Refiner
+}
+
+// buildDerived is the one assembly of the derived layers, for Open and
+// RefreshDerived: it opens the catalog over store (read-only on a replica),
+// re-curates the stored inputs into a fresh graph and reasoner
+// (RebuildFromStore, a no-op on a fresh store), and loads the claim base.
+// A nil onto means the catalog's persisted ontology.
+func buildDerived(store *storage.Store, opts Options, onto *ontology.Ontology) (derived, error) {
+	var d derived
+	var err error
+	if opts.ReadOnly {
+		d.cat, err = catalog.OpenReadOnly(store)
+	} else {
+		d.cat, err = catalog.Open(store)
+	}
+	if err != nil {
+		return d, err
+	}
+	if onto == nil {
+		if onto, err = d.cat.LoadOntology(); err != nil {
+			return d, err
+		}
+	}
+	d.onto = onto
+	d.graph = graph.New()
+	d.reasoner = reason.New(d.graph, onto)
+	d.pipeline, err = curate.NewPipeline(curate.Config{
+		Store:       store,
+		Catalog:     d.cat,
+		Graph:       d.graph,
+		Ontology:    onto,
+		Reasoner:    d.reasoner,
+		LinkRules:   opts.LinkRules,
+		Patterns:    opts.Patterns,
+		ERConfig:    opts.ERConfig,
+		Parallelism: opts.Parallelism,
+	})
+	if err != nil {
+		return d, err
+	}
+	if err := d.pipeline.RebuildFromStore(); err != nil {
+		return d, err
+	}
+	d.worlds = fusion.New(onto)
+	d.refiner = refine.New(onto, d.graph, d.worlds)
+	loadClaims(store, d.graph, d.worlds)
+	return d, nil
+}
+
 // Open assembles the engine.
 func Open(opts Options) (*DB, error) {
 	store, err := storage.OpenOptions(opts.Dir, opts.Storage)
 	if err != nil {
 		return nil, err
 	}
-	var cat *catalog.Catalog
-	if opts.ReadOnly {
-		cat, err = catalog.OpenReadOnly(store)
-	} else {
-		cat, err = catalog.Open(store)
-	}
+	d, err := buildDerived(store, opts, opts.Ontology)
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	onto := opts.Ontology
-	if onto == nil {
-		if onto, err = cat.LoadOntology(); err != nil {
-			store.Close()
-			return nil, err
-		}
-	}
-	g := graph.New()
-	reasoner := reason.New(g, onto)
-	pipe, err := curate.NewPipeline(curate.Config{
-		Store:     store,
-		Catalog:   cat,
-		Graph:     g,
-		Ontology:  onto,
-		Reasoner:  reasoner,
-		LinkRules: opts.LinkRules,
-		Patterns:  opts.Patterns,
-		ERConfig:  opts.ERConfig,
-	})
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	// Re-derive the relation and semantic layers from the instance layer
-	// (no-op on a fresh store).
-	if err := pipe.RebuildFromStore(); err != nil {
-		store.Close()
-		return nil, err
-	}
-	worlds := fusion.New(onto)
 	db := &DB{
 		store:    store,
-		cat:      cat,
-		graph:    g,
-		onto:     onto,
-		reasoner: reasoner,
-		pipeline: pipe,
-		worlds:   worlds,
-		refiner:  refine.New(onto, g, worlds),
+		derived:  d,
 		matCache: curate.NewMatCache(0, curate.PolicyRanked), // curate's default capacity
 		plans:    newPlanCache(planCacheSize),
 		opts:     opts,
 	}
 	db.txns = txn.NewManager(store, db.enrichmentVersion)
-	if err := db.loadClaims(); err != nil {
-		store.Close()
-		return nil, err
-	}
 	return db, nil
 }
 
@@ -195,15 +199,9 @@ func Open(opts Options) (*DB, error) {
 // referenced by (source, key), which survives merges.
 const claimsTable = "_claims"
 
-func (db *DB) loadClaims() error {
-	loadClaimsInto(db.store, db.graph, db.worlds)
-	return nil
-}
-
-// loadClaimsInto restores the persisted claim base into a claim store,
-// resolving entity references against the given graph. Shared by Open and
-// RefreshDerived (which rebuilds graph and worlds from scratch).
-func loadClaimsInto(store *storage.Store, g *graph.Graph, worlds *fusion.Worlds) {
+// loadClaims restores the persisted claim base into a claim store,
+// resolving entity references against the given graph.
+func loadClaims(store *storage.Store, g *graph.Graph, worlds *fusion.Worlds) {
 	tb, ok := store.Table(claimsTable)
 	if !ok {
 		return
@@ -363,21 +361,17 @@ func (db *DB) Ingest(ds datagen.Dataset) error {
 
 // IngestCtx is Ingest with an observability scope: when ctx carries an
 // obs trace (a TRACE-style ingest request, or the debug tooling), the
-// curation pipeline attaches per-stage spans — decode fan-out, batch
-// install with WAL fsync wait, relation/ER, integration, inference — to
-// it. Cancellation is not yet observed mid-pass; a delivery is atomic
-// with respect to the curation state.
+// curation pipeline attaches per-stage spans — decode, batch install with
+// WAL fsync wait, relation/ER, integration, inference — to it.
+// Cancellation is not yet observed mid-pass; a delivery is atomic with
+// respect to the curation state.
 func (db *DB) IngestCtx(ctx context.Context, ds datagen.Dataset) error {
 	if db.opts.ReadOnly {
 		return ErrReadOnly
 	}
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
-	if err := db.pipeline.IngestDatasetOpts(ds, curate.IngestOptions{
-		BatchSize:   db.opts.IngestBatchSize,
-		Parallelism: db.opts.IngestParallelism,
-		Trace:       obs.FromContext(ctx),
-	}); err != nil {
+	if err := db.pipeline.Ingest(ds, obs.FromContext(ctx)); err != nil {
 		return err
 	}
 	db.mu.Lock()

@@ -12,9 +12,9 @@ import (
 )
 
 // ingestCorpus is the delivery sequence the ingest differentials replay:
-// the Figure-2 life-science sources at bulk size (so batches of every
-// tested size produce multiple chunks), then a stream of single-entity
-// deliveries with cross-platform duplicates to keep incremental ER busy.
+// the Figure-2 life-science sources at bulk size, then a stream of
+// single-entity deliveries with cross-platform duplicates to keep
+// incremental ER busy.
 func ingestCorpus() []datagen.Dataset {
 	dss := datagen.LifeSci(1, 40, 30, 20)
 	return append(dss, datagen.Stream(7, 60)...)
@@ -65,17 +65,14 @@ func ingestWith(t *testing.T, tweak func(*Options)) *DB {
 	return db
 }
 
-// TestIngestStateEquivalence is the batched-vs-serial differential
-// (acceptance gate): every combination of the new ingest knobs — batch
-// size, decode parallelism, sync policy — must converge to byte-identical
-// query answers and engine counters against the serial per-record
-// baseline, including after a durable close/reopen (batch-frame recovery
-// plus curation rebuild over batched meta rows).
+// TestIngestStateEquivalence is the parallel-vs-serial differential: the
+// relate stage's scoring fan-out and every sync policy must converge to
+// byte-identical query answers and engine counters against a one-worker
+// pass, including after a durable close/reopen (batch-frame recovery plus
+// curation rebuild over batched meta rows). The chunk-size variants live
+// in curate, where the chunk size is in reach.
 func TestIngestStateEquivalence(t *testing.T) {
-	baseline := ingestWith(t, func(o *Options) {
-		o.IngestBatchSize = 1
-		o.IngestParallelism = 1
-	})
+	baseline := ingestWith(t, func(o *Options) { o.Parallelism = 1 })
 	want := corpusFingerprint(t, baseline)
 
 	variants := []struct {
@@ -83,18 +80,11 @@ func TestIngestStateEquivalence(t *testing.T) {
 		tweak func(*Options)
 	}{
 		{"batched-default", nil},
-		{"batch-3", func(o *Options) { o.IngestBatchSize = 3 }},
-		{"parallel-8", func(o *Options) { o.IngestParallelism = 8 }},
-		{"batch-7-parallel-4", func(o *Options) { o.IngestBatchSize = 7; o.IngestParallelism = 4 }},
+		{"parallel-8", func(o *Options) { o.Parallelism = 8 }},
 		{"durable-sync-group", func(o *Options) { o.Dir = t.TempDir(); o.Storage.Sync = storage.SyncGroup }},
-		{"durable-sync-always-batch-5", func(o *Options) {
-			o.Dir = t.TempDir()
-			o.Storage.Sync = storage.SyncAlways
-			o.IngestBatchSize = 5
-		}},
 		{"durable-sync-none-parallel-4", func(o *Options) {
 			o.Dir = t.TempDir()
-			o.IngestParallelism = 4
+			o.Parallelism = 4
 		}},
 	}
 	for _, v := range variants {

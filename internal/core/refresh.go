@@ -12,16 +12,7 @@ package core
 // (MVCC at the applied watermark); entity/ontology-aware answers are as
 // fresh as the last refresh.
 
-import (
-	"errors"
-
-	"scdb/internal/catalog"
-	"scdb/internal/curate"
-	"scdb/internal/fusion"
-	"scdb/internal/graph"
-	"scdb/internal/reason"
-	"scdb/internal/refine"
-)
+import "errors"
 
 // ErrReadOnly rejects writes against a read replica; route them to the
 // primary instead.
@@ -61,46 +52,13 @@ func (db *DB) RefreshDerived() error {
 	if closed {
 		return nil
 	}
-	var (
-		cat *catalog.Catalog
-		err error
-	)
-	if db.opts.ReadOnly {
-		cat, err = catalog.OpenReadOnly(db.store)
-	} else {
-		cat, err = catalog.Open(db.store)
-	}
+	d, err := buildDerived(db.store, db.opts, onto)
 	if err != nil {
 		return err
 	}
-	if db.opts.Ontology != nil {
-		onto = db.opts.Ontology
-	}
-	g := graph.New()
-	reasoner := reason.New(g, onto)
-	pipe, err := curate.NewPipeline(curate.Config{
-		Store:     db.store,
-		Catalog:   cat,
-		Graph:     g,
-		Ontology:  onto,
-		Reasoner:  reasoner,
-		LinkRules: db.opts.LinkRules,
-		Patterns:  db.opts.Patterns,
-		ERConfig:  db.opts.ERConfig,
-	})
-	if err != nil {
-		return err
-	}
-	if err := pipe.RebuildFromStore(); err != nil {
-		return err
-	}
-	worlds := fusion.New(onto)
-	refiner := refine.New(onto, g, worlds)
-	loadClaimsInto(db.store, g, worlds)
 
 	db.mu.Lock()
-	db.cat, db.onto, db.graph, db.reasoner = cat, onto, g, reasoner
-	db.pipeline, db.worlds, db.refiner = pipe, worlds, refiner
+	db.derived = d
 	db.matCache.InvalidateAll()
 	// The fresh ontology's version counter can collide with a stale plan
 	// key's, so version keying alone cannot age those plans out.

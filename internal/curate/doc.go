@@ -2,16 +2,13 @@
 // "gradual curation process that transforms the raw data into a new
 // unified entity that has knowledge-like characteristics" (Section 1).
 //
-// One IngestDataset call runs the full layer stack for a source delivery,
-// as a staged pipeline over record batches:
+// One Ingest call runs the full layer stack for a source delivery, a chunk
+// of records at a time:
 //
-//	decode stage     – pure per-record work (instance-record construction,
-//	                   ER normalization) runs on a worker pool, morsel-
-//	                   parallel, before any curation state is touched;
-//	instance layer   – each decoded batch lands in storage through the
-//	                   batch write path (one latch acquisition, one
-//	                   multi-record log frame) and the catalog observes
-//	                   its schema (no DDL);
+//	decode           – each record becomes its instance-layer row;
+//	instance layer   – the chunk lands in storage through the batch write
+//	                   path (one latch acquisition, one multi-record log
+//	                   frame) and the catalog observes its schema (no DDL);
 //	relation layer   – entities and edges enter the graph; literal
 //	                   foreign references are resolved to entity edges via
 //	                   link rules (online instance-level integration, with
@@ -23,17 +20,19 @@
 //	semantic layer   – the reasoner incrementally re-materializes inferred
 //	                   types, existential witnesses, and inconsistencies.
 //
-// The relation stage stays strictly in record order — incremental ER
-// merge decisions depend on arrival order, and the differential tests
-// require batched and per-record ingest to converge to identical state —
-// so only the decode stage fans out.
+// Only ER's candidate generation and pair scoring fan out, across the
+// engine's worker count; everything that changes curation state runs in
+// record order, because incremental ER merge decisions depend on arrival
+// order. RebuildFromStore, which runs on every open and replica refresh,
+// relates the stored records through the same stage, so a reopened store
+// curates as the live one did.
 //
-// A pass is observable end to end: IngestOptions.Trace attaches per-stage
-// spans (decode busy time across the worker pool, batch install with WAL
-// fsync wait, relation/ER, integration, incremental inference) to the
-// request's obs trace, so the cost of curation — the part of the write
-// path a conventional engine doesn't have — is first-class in the ops
-// surface rather than folded into an opaque ingest latency.
+// A pass is observable end to end: Ingest's trace argument receives
+// per-stage spans (decode, batch install with WAL fsync wait,
+// relation/ER, integration, incremental inference) under the request's obs
+// trace, so the cost of curation — the part of the write path a
+// conventional engine doesn't have — is first-class in the ops surface
+// rather than folded into an opaque ingest latency.
 //
 // The package also provides the ranked materialization cache of FS.9
 // ("context-aware materialization of ranked & discovered data").

@@ -39,11 +39,12 @@ func iotIngest(t *testing.T, mode er.BlockingMode, par int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Small chunks force several per delivery, so parallel Prepare runs
+	// against mid-delivery snapshots.
+	p.workers, p.chunk = par, 16
 	sets, _ := datagen.IoTSensors(11, 3, 36, 2, 0.25)
 	for _, ds := range sets {
-		// Small batches force several chunks per delivery, so parallel
-		// Prepare runs against mid-delivery snapshots.
-		if err := p.IngestDatasetOpts(ds, IngestOptions{Parallelism: par, BatchSize: 16}); err != nil {
+		if err := p.Ingest(ds, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,8 +1,10 @@
 package curate
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,6 +80,8 @@ type Pipeline struct {
 	gaz      *extract.Gazetteer
 	patterns []extract.Pattern
 	rules    []LinkRule
+	workers  int // Prepare fan-out of the relate stage
+	chunk    int // records per chunk: ingestChunk (in-package tests shrink it)
 
 	mu sync.Mutex // serializes curation passes; guards all fields below
 
@@ -103,6 +107,9 @@ type Config struct {
 	Patterns  []extract.Pattern
 	// ERConfig tunes incremental entity resolution.
 	ERConfig er.Config
+	// Parallelism sizes the relate stage's Prepare fan-out: <=0 means one
+	// worker per CPU. Curation state is identical for every setting.
+	Parallelism int
 }
 
 // NewPipeline creates the pipeline.
@@ -114,6 +121,10 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if r == nil {
 		r = reason.New(cfg.Graph, cfg.Ontology)
 	}
+	workers := cfg.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	return &Pipeline{
 		store:       cfg.Store,
 		cat:         cfg.Catalog,
@@ -124,6 +135,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		gaz:         extract.NewGazetteer(),
 		patterns:    cfg.Patterns,
 		rules:       cfg.LinkRules,
+		workers:     workers,
+		chunk:       ingestChunk,
 		attrIndex:   map[string][]model.EntityID{},
 		seenSources: map[string]bool{},
 	}, nil
@@ -154,28 +167,48 @@ func (p *Pipeline) Reasoner() *reason.Reasoner { return p.reasoner }
 // Resolver exposes the incremental ER state.
 func (p *Pipeline) Resolver() *er.Resolver { return p.resolver }
 
-// DefaultIngestBatch is the records-per-batch granule when IngestOptions
-// leaves BatchSize zero — matching the storage scan morsel size.
-const DefaultIngestBatch = 1024
+// ingestChunk is the records-per-chunk granule of a curation pass, live or
+// rebuilt: one storage write batch and one Prepare fan-out. It matches the
+// storage scan morsel size.
+const ingestChunk = 1024
 
-// IngestOptions tunes the batched ingest path.
-type IngestOptions struct {
-	// BatchSize is records per storage write batch (<=0 = DefaultIngestBatch;
-	// 1 degrades to the per-record write path, the serial baseline).
-	BatchSize int
-	// Parallelism sizes the decode worker pool (<=0 = one per CPU; 1
-	// decodes inline). Final state is identical for every setting.
-	Parallelism int
-	// Trace, when non-nil, receives per-stage spans for this pass:
-	// decode fan-out busy time, batch install (with WAL fsync wait),
-	// relation/ER, integration, and incremental inference.
-	Trace *obs.Trace
-}
+// ErrInvalidDelivery rejects a delivery before any of it is written: an
+// entity without a key, or a link naming a key that is neither in the
+// delivery nor already curated for its source.
+var ErrInvalidDelivery = errors.New("curate: invalid delivery")
 
-// IngestDataset runs the full curation pass for one source delivery with
-// default batching.
-func (p *Pipeline) IngestDataset(ds datagen.Dataset) error {
-	return p.IngestDatasetOpts(ds, IngestOptions{})
+// validate checks a delivery against what Ingest and RebuildFromStore
+// can curate, so a rejected delivery leaves nothing behind. Caller holds
+// p.mu.
+func (p *Pipeline) validate(ds datagen.Dataset) error {
+	for _, spec := range ds.Entities {
+		if spec.Key == "" {
+			return fmt.Errorf("%w: entity without a key in %s", ErrInvalidDelivery, ds.Source)
+		}
+	}
+	if len(ds.Links) == 0 {
+		return nil
+	}
+	keys := make(map[string]bool, len(ds.Entities))
+	for _, spec := range ds.Entities {
+		keys[spec.Key] = true
+	}
+	known := func(key string) bool {
+		if keys[key] {
+			return true
+		}
+		_, ok := p.graph.FindByKey(ds.Source, key)
+		return ok
+	}
+	for _, l := range ds.Links {
+		if !known(l.FromKey) {
+			return fmt.Errorf("%w: link from unknown key %q in %s", ErrInvalidDelivery, l.FromKey, ds.Source)
+		}
+		if l.ToKey != "" && !known(l.ToKey) {
+			return fmt.Errorf("%w: link to unknown key %q in %s", ErrInvalidDelivery, l.ToKey, ds.Source)
+		}
+	}
+	return nil
 }
 
 // buildInstanceRecord turns a spec into the instance-layer row (attributes
@@ -193,82 +226,34 @@ func buildInstanceRecord(spec datagen.EntitySpec) model.Record {
 	return rec
 }
 
-// decodeChunk builds the instance-layer rows of one chunk of entity specs.
-func decodeChunk(chunk []datagen.EntitySpec) []model.Record {
-	recs := make([]model.Record, len(chunk))
-	for i, spec := range chunk {
-		recs[i] = buildInstanceRecord(spec)
-	}
-	return recs
-}
-
-// IngestDatasetOpts runs the staged curation pass: decode fans out on a
-// worker pool and streams batches to the serialized install/relate stages,
-// so batch k+1 decodes while batch k installs. The final state is
-// byte-identical to a serial per-record pass (the differential tests pin
-// this), because every order-sensitive step — storage row IDs, catalog
-// observation, graph insertion, incremental ER — runs in record order.
-func (p *Pipeline) IngestDatasetOpts(ds datagen.Dataset, opt IngestOptions) error {
-	batchSize := opt.BatchSize
-	if batchSize <= 0 {
-		batchSize = DefaultIngestBatch
-	}
-	workers := opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Tracing: the root is the service layer's request span when this pass
-	// came over the wire, or a fresh "ingest" root for embedded callers.
-	// All span calls no-op when opt.Trace is nil; decodeBusy sums worker
-	// busy time across the pool so the decode stage reports CPU cost, not
-	// wall clock.
-	tr := opt.Trace
-	root := tr.Root("ingest")
-	root.SetStr("source", ds.Source)
-	var decodeBusy atomic.Int64
-
-	// Stage 1 — decode. Chunks hand out in index order; ready[ci] closes
-	// when chunk ci is decoded.
-	var chunks [][]datagen.EntitySpec
-	for lo := 0; lo < len(ds.Entities); lo += batchSize {
-		hi := min(lo+batchSize, len(ds.Entities))
-		chunks = append(chunks, ds.Entities[lo:hi])
-	}
-	decoded := make([][]model.Record, len(chunks))
-	var ready []chan struct{}
-	if workers > 1 && len(chunks) > 1 {
-		ready = make([]chan struct{}, len(chunks))
-		for i := range ready {
-			ready[i] = make(chan struct{})
-		}
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for ci := range jobs {
-					start := time.Now()
-					decoded[ci] = decodeChunk(chunks[ci])
-					decodeBusy.Add(int64(time.Since(start)))
-					close(ready[ci])
-				}
-			}()
-		}
-		go func() {
-			for ci := range chunks {
-				jobs <- ci
-			}
-			close(jobs)
-		}()
-	}
-
+// Ingest runs the curation pass for one source delivery, a chunk of
+// records at a time: each chunk is decoded, lands in the instance layer
+// through one batch write, and is related (relateChunk); then the
+// delivery's links and texts are integrated and the touched entities
+// re-inferred. Every order-sensitive step — storage row IDs, catalog
+// observation, graph insertion, incremental ER — runs in record order, so
+// the state does not depend on the chunk size or the worker count (the
+// differential tests pin this). tr, when non-nil, receives one span per
+// stage: decode, batch install (with WAL fsync wait), relation/ER with
+// its blocking and scoring busy time, integration, and inference.
+func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.validate(ds); err != nil {
+		return err
+	}
+	// The root is the service layer's request span when this pass came
+	// over the wire, or a fresh "ingest" root for embedded callers. All
+	// span calls no-op when tr is nil.
+	root := tr.Root("ingest")
+	root.SetStr("source", ds.Source)
 	p.stats.Datasets++
 	if p.cat != nil {
 		if err := p.cat.RegisterSource(catalog.SourceInfo{Name: ds.Source, Kind: "dataset"}); err != nil {
 			return err
 		}
 	}
-	if err := p.recordIngestMeta(ds, batchSize); err != nil {
+	if err := p.recordIngestMeta(ds); err != nil {
 		return err
 	}
 	table, err := p.store.EnsureTable(ds.Source)
@@ -278,26 +263,22 @@ func (p *Pipeline) IngestDatasetOpts(ds datagen.Dataset, opt IngestOptions) erro
 	walBefore := p.store.WALStats()
 	entBefore, mergeBefore := p.stats.Entities, p.stats.Merges
 	erBefore := p.resolver.Stats()
-	var installDur, relateDur, blockBusy, scoreBusy time.Duration
+	var decodeDur, installDur, relateDur, blockBusy, scoreBusy time.Duration
 	var touched []model.EntityID
-	for ci := range chunks {
-		if ready != nil {
-			<-ready[ci]
-		} else {
-			start := time.Now()
-			decoded[ci] = decodeChunk(chunks[ci])
-			decodeBusy.Add(int64(time.Since(start)))
-		}
-		recs := decoded[ci]
-
-		// Stage 2 — instance layer: one latch acquisition, one zone-map and
-		// index maintenance pass, one multi-record log frame per batch.
+	chunks := 0
+	for chunk := range slices.Chunk(ds.Entities, p.chunk) {
+		chunks++
 		start := time.Now()
-		if batchSize == 1 {
-			if _, err := table.Insert(recs[0]); err != nil {
-				return err
-			}
-		} else if _, err := table.InsertBatch(recs); err != nil {
+		recs := make([]model.Record, len(chunk))
+		for i, spec := range chunk {
+			recs[i] = buildInstanceRecord(spec)
+		}
+		decodeDur += time.Since(start)
+
+		// Instance layer: one latch acquisition, one zone-map and index
+		// maintenance pass, one multi-record log frame per chunk.
+		start = time.Now()
+		if _, err := table.InsertBatch(recs); err != nil {
 			return err
 		}
 		p.stats.Records += len(recs)
@@ -308,34 +289,23 @@ func (p *Pipeline) IngestDatasetOpts(ds datagen.Dataset, opt IngestOptions) erro
 		}
 		installDur += time.Since(start)
 
-		// Stage 3 — relation layer. Candidate generation and pair scoring
-		// are pure reads over the resolver's committed state, so they fan
-		// out across the worker pool; graph insertion, union-find merge,
-		// and attribute/ANN indexing then replay strictly in record order
-		// (the same ordered-commit shape as the decode stage), keeping the
-		// final state byte-identical to a serial pass.
 		start = time.Now()
-		preps := p.prepareChunk(ds.Source, chunks[ci], workers)
-		for _, prep := range preps {
-			blockBusy += prep.BlockDur()
-			scoreBusy += prep.ScoreDur()
+		block, score, err := p.relateChunk(ds.Source, chunk, &touched)
+		if err != nil {
+			return err
 		}
-		for i, spec := range chunks[ci] {
-			if err := p.relatePrepared(ds.Source, spec, preps[i], &touched); err != nil {
-				return err
-			}
-		}
+		blockBusy += block
+		scoreBusy += score
 		relateDur += time.Since(start)
 	}
 	if tr != nil {
 		walAfter := p.store.WALStats()
-		dec := root.ChildDur("ingest.decode", time.Duration(decodeBusy.Load()))
+		dec := root.ChildDur("ingest.decode", decodeDur)
 		dec.SetInt("records", int64(len(ds.Entities)))
-		dec.SetInt("chunks", int64(len(chunks)))
-		dec.SetInt("workers", int64(workers))
+		dec.SetInt("chunks", int64(chunks))
 		inst := root.ChildDur("ingest.install", installDur)
 		inst.SetInt("rows", int64(len(ds.Entities)))
-		inst.SetInt("batches", int64(len(chunks)))
+		inst.SetInt("batches", int64(chunks))
 		inst.SetInt("wal_frames", int64(walAfter.Frames-walBefore.Frames))
 		inst.SetInt("wal_bytes", int64(walAfter.Bytes-walBefore.Bytes))
 		inst.SetDur("wal_fsync_wait_us", walAfter.CommitWait-walBefore.CommitWait)
@@ -349,7 +319,7 @@ func (p *Pipeline) IngestDatasetOpts(ds datagen.Dataset, opt IngestOptions) erro
 		blk.SetInt("block_skips", int64(erAfter.BlockSkips-erBefore.BlockSkips))
 		sc := root.ChildDur("ingest.score", scoreBusy)
 		sc.SetInt("comparisons", int64(erAfter.Comparisons-erBefore.Comparisons))
-		sc.SetInt("workers", int64(workers))
+		sc.SetInt("workers", int64(p.workers))
 	}
 	integ := root.Child("ingest.integrate")
 	if err := p.integrate(ds, &touched); err != nil {
@@ -374,48 +344,41 @@ func (p *Pipeline) IngestDatasetOpts(ds datagen.Dataset, opt IngestOptions) erro
 	return nil
 }
 
-// prepareChunk runs the resolver's pure half — candidate generation and
-// pair scoring — for every spec of the chunk, fanned out across the
-// worker pool when it is sized for it. Workers only read the resolver's
-// committed state (the chunk commits after this barrier), so the results
-// are independent of the worker count.
-func (p *Pipeline) prepareChunk(source string, chunk []datagen.EntitySpec, workers int) []*er.Prepared {
+// relateChunk is the relation stage of one chunk of one source's specs,
+// for live ingest and RebuildFromStore alike. Candidate generation and pair
+// scoring (Prepare) only read the resolver's committed state, so they fan
+// out across p.workers, the calling goroutine among them; graph insertion,
+// union-find merge and attribute/ANN indexing then run strictly in record
+// order (relatePrepared). Prepare never pairs two records of one source, so
+// preparing a chunk against the state before it finds what a
+// record-at-a-time pass would. It returns the chunk's blocking and scoring
+// busy time.
+func (p *Pipeline) relateChunk(source string, chunk []datagen.EntitySpec, touched *[]model.EntityID) (block, score time.Duration, err error) {
 	preps := make([]*er.Prepared, len(chunk))
-	prep := func(i int) {
-		preps[i] = p.resolver.Prepare(arrival(source, chunk[i]))
-	}
-	if workers <= 1 || len(chunk) < 2 {
-		for i := range chunk {
-			prep(i)
-		}
-		return preps
-	}
 	var next atomic.Int64
+	prepare := func() {
+		for i := int(next.Add(1)) - 1; i < len(chunk); i = int(next.Add(1)) - 1 {
+			preps[i] = p.resolver.Prepare(arrival(source, chunk[i]))
+		}
+	}
 	var wg sync.WaitGroup
-	n := min(workers, len(chunk))
-	wg.Add(n)
-	for w := 0; w < n; w++ {
+	for w := 1; w < min(p.workers, len(chunk)); w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunk) {
-					return
-				}
-				prep(i)
-			}
+			prepare()
 		}()
 	}
+	prepare()
 	wg.Wait()
-	return preps
-}
-
-// relateSpec runs the relation layer for one entity: graph insertion,
-// attribute indexing, and incremental ER against everything already
-// curated. The serial entry point (replay/rebuild); live ingest prepares a
-// chunk at a time (prepareChunk) and then relates each spec in order.
-func (p *Pipeline) relateSpec(source string, spec datagen.EntitySpec, touched *[]model.EntityID) error {
-	return p.relatePrepared(source, spec, p.resolver.Prepare(arrival(source, spec)), touched)
+	for i, spec := range chunk {
+		block += preps[i].BlockDur()
+		score += preps[i].ScoreDur()
+		if err := p.relatePrepared(source, spec, preps[i], touched); err != nil {
+			return block, score, err
+		}
+	}
+	return block, score, nil
 }
 
 // arrival is the entity a spec delivers, before it has an ID.
@@ -453,19 +416,6 @@ func (p *Pipeline) relatePrepared(source string, spec datagen.EntitySpec, prep *
 		*touched = append(*touched, m.A)
 	}
 	return nil
-}
-
-// replayDataset runs the relation-layer half of curation: entities into
-// the graph, incremental ER, link discovery, and extraction. It is shared
-// by live ingestion and RebuildFromStore (which replays stored inputs
-// without touching the instance layer again). Caller holds p.mu.
-func (p *Pipeline) replayDataset(ds datagen.Dataset, touched *[]model.EntityID) error {
-	for _, spec := range ds.Entities {
-		if err := p.relateSpec(ds.Source, spec, touched); err != nil {
-			return err
-		}
-	}
-	return p.integrate(ds, touched)
 }
 
 // integrate runs the dataset's link specs, text extraction, and the

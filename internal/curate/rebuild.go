@@ -2,6 +2,7 @@ package curate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,10 +33,9 @@ const (
 // record.
 const typesAttr = "_types"
 
-// recordIngestMeta persists what IngestDataset needs for replay. Rows go
-// through the batch write path in batchSize chunks (1 = per-record, the
-// serial baseline). Caller holds p.mu.
-func (p *Pipeline) recordIngestMeta(ds datagen.Dataset, batchSize int) error {
+// recordIngestMeta persists what Ingest needs for replay. Link and text
+// rows go through the batch write path a chunk at a time. Caller holds p.mu.
+func (p *Pipeline) recordIngestMeta(ds datagen.Dataset) error {
 	ot, err := p.store.EnsureTable(OrderTable)
 	if err != nil {
 		return err
@@ -72,7 +72,7 @@ func (p *Pipeline) recordIngestMeta(ds datagen.Dataset, batchSize int) error {
 			}
 			recs[i] = rec
 		}
-		if err := insertChunked(lt, recs, batchSize); err != nil {
+		if err := p.insertChunks(lt, recs); err != nil {
 			return err
 		}
 	}
@@ -90,27 +90,17 @@ func (p *Pipeline) recordIngestMeta(ds datagen.Dataset, batchSize int) error {
 				"text":   model.String(text),
 			}
 		}
-		if err := insertChunked(tt, recs, batchSize); err != nil {
+		if err := p.insertChunks(tt, recs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// insertChunked writes recs through InsertBatch in batchSize chunks, or
-// one by one when batchSize is 1.
-func insertChunked(t *storage.Table, recs []model.Record, batchSize int) error {
-	if batchSize == 1 {
-		for _, rec := range recs {
-			if _, err := t.Insert(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for lo := 0; lo < len(recs); lo += batchSize {
-		hi := min(lo+batchSize, len(recs))
-		if _, err := t.InsertBatch(recs[lo:hi]); err != nil {
+// insertChunks writes recs through InsertBatch a chunk at a time.
+func (p *Pipeline) insertChunks(t *storage.Table, recs []model.Record) error {
+	for chunk := range slices.Chunk(recs, p.chunk) {
+		if _, err := t.InsertBatch(chunk); err != nil {
 			return err
 		}
 	}
@@ -118,8 +108,10 @@ func insertChunked(t *storage.Table, recs []model.Record, batchSize int) error {
 }
 
 // RebuildFromStore re-derives the relation and semantic layers from the
-// instance layer: sources are replayed in first-ingest order with their
-// recorded links and texts. Call once on open, before any new ingest.
+// instance layer: sources are replayed in first-ingest order, each source's
+// stored records through the live relate stage (relateChunk) a chunk at a
+// time, then its recorded links and texts. Call once on open, before any
+// new ingest.
 func (p *Pipeline) RebuildFromStore() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -143,7 +135,7 @@ func (p *Pipeline) RebuildFromStore() error {
 		if !ok {
 			continue
 		}
-		ds := datagen.Dataset{Source: source, Links: links[source], Texts: texts[source]}
+		var specs []datagen.EntitySpec
 		tb.Scan(func(_ storage.RowID, rec model.Record) bool {
 			key, ok := rec.Get("_key").AsString()
 			if !ok || key == "" {
@@ -165,10 +157,16 @@ func (p *Pipeline) RebuildFromStore() error {
 					spec.Attrs[k] = v
 				}
 			}
-			ds.Entities = append(ds.Entities, spec)
+			specs = append(specs, spec)
 			return true
 		})
-		if err := p.replayDataset(ds, &touched); err != nil {
+		for chunk := range slices.Chunk(specs, p.chunk) {
+			if _, _, err := p.relateChunk(source, chunk, &touched); err != nil {
+				return fmt.Errorf("curate: rebuild of %q: %w", source, err)
+			}
+		}
+		ds := datagen.Dataset{Source: source, Links: links[source], Texts: texts[source]}
+		if err := p.integrate(ds, &touched); err != nil {
 			return fmt.Errorf("curate: rebuild of %q: %w", source, err)
 		}
 	}

@@ -16,7 +16,7 @@
 //     admission wait, planning (with plan-cache outcome), and the morsel
 //     executor's per-operator profile. Ingest requests opt in with
 //     their trace flag, which adds the curation pipeline's stage spans
-//     (decode fan-out, batch install with WAL fsync wait, relation/ER,
+//     (decode, batch install with WAL fsync wait, relation/ER,
 //     integration, inference) to the response.
 //   - Every instrument — per-op latency histograms, admission counters,
 //     ingest throughput, plan-cache, WAL, and index gauges — lives in one
