@@ -137,15 +137,8 @@ func (c *Client) Ping() error {
 // applied watermark. A router compares it against a session's LastCSN to
 // decide whether the replica is fresh enough to serve that session's reads.
 func (c *Client) PingCSN() (uint64, error) {
-	id, ca := c.newCallV2()
-	e := server.GetV2Enc()
-	err := c.writeFramesV2(server.EncodeV2Simple(e, id, server.V2OpPing))
-	e.Release()
-	if err != nil {
-		c.forgetV2(id)
-		return 0, err
-	}
-	res, err := c.waitV2(context.Background(), id, ca)
+	ca, e := c.newCallV2()
+	res, err := c.roundTrip(context.Background(), ca, e, server.EncodeV2Simple(e, ca.id, server.V2OpPing))
 	if err != nil {
 		return 0, err
 	}
@@ -171,13 +164,7 @@ func (c *Client) QueryInfo(q string) (*scdb.Rows, *scdb.QueryInfo, error) {
 
 // QueryInfoCtx is QueryInfo with a deadline.
 func (c *Client) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
-	return c.queryV2(ctx, server.V2OpQuery, q)
-}
-
-// Explain returns the optimized plan without executing.
-func (c *Client) Explain(q string) (*scdb.QueryInfo, error) {
-	_, info, err := c.queryV2(nil, server.V2OpExplain, q)
-	return info, err
+	return c.queryV2(ctx, q)
 }
 
 // Ingest ships one source delivery through the server's curation pipeline
@@ -189,8 +176,8 @@ func (c *Client) Ingest(src scdb.Source) error {
 }
 
 // IngestTraced is Ingest with tracing on: the response carries the
-// curation pipeline's span tree (decode fan-out, batch install with WAL
-// fsync wait, relation, integration, inference) as indented JSON.
+// curation pipeline's span tree (decode, batch install with WAL fsync
+// wait, relation, integration, inference) as indented JSON.
 func (c *Client) IngestTraced(src scdb.Source) (string, error) {
 	res, err := c.ingest(nil, src, 0, true)
 	if err != nil {
@@ -230,15 +217,8 @@ func (c *Client) IngestBatch(ctx context.Context, src scdb.Source, batchSize int
 // so entities living on different shards still merge; application code
 // rarely needs it.
 func (c *Client) ERDigests(entsSince, matchesSince int) (er.DigestBatch, error) {
-	id, ca := c.newCallV2()
-	e := server.GetV2Enc()
-	err := c.writeFramesV2(server.EncodeV2ERDigests(e, id, entsSince, matchesSince))
-	e.Release()
-	if err != nil {
-		c.forgetV2(id)
-		return er.DigestBatch{}, err
-	}
-	res, err := c.waitV2(context.Background(), id, ca)
+	ca, e := c.newCallV2()
+	res, err := c.roundTrip(context.Background(), ca, e, server.EncodeV2ERDigests(e, ca.id, entsSince, matchesSince))
 	if err != nil {
 		return er.DigestBatch{}, err
 	}

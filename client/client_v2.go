@@ -17,6 +17,7 @@ import (
 // v2call is one in-flight request. The reader goroutine owns rows/res/
 // code/msg/err until it closes ready; the caller reads them only after.
 type v2call struct {
+	id        uint32
 	rows      [][]any
 	res       *server.V2Result
 	code, msg string
@@ -102,15 +103,16 @@ func (c *Client) failAllV2(err error) {
 	}
 }
 
-// newCallV2 allocates a request id and registers the call for routing.
-func (c *Client) newCallV2() (uint32, *v2call) {
+// newCallV2 allocates a request id, registers the call for routing and
+// hands out an encoder for its request frame.
+func (c *Client) newCallV2() (*v2call, *server.V2Enc) {
 	ca := &v2call{ready: make(chan struct{})}
 	c.v2.pmu.Lock()
 	c.v2.nextID++
-	id := c.v2.nextID
-	c.v2.calls[id] = ca
+	ca.id = c.v2.nextID
+	c.v2.calls[ca.id] = ca
 	c.v2.pmu.Unlock()
-	return id, ca
+	return ca, server.GetV2Enc()
 }
 
 func (c *Client) forgetV2(id uint32) {
@@ -152,17 +154,17 @@ func (c *Client) sendCancelV2(id uint32) {
 // request; the canceled request still gets its error response. If the
 // server overshoots the grace, the call is forgotten — the reader drops
 // its late frames — and the connection stays usable.
-func (c *Client) waitV2(ctx context.Context, id uint32, ca *v2call) (*server.V2Result, error) {
+func (c *Client) waitV2(ctx context.Context, ca *v2call) (*server.V2Result, error) {
 	select {
 	case <-ca.ready:
 	case <-ctx.Done():
 		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			c.sendCancelV2(id)
+			c.sendCancelV2(ca.id)
 		}
 		select {
 		case <-ca.ready:
 		case <-time.After(deadlineGrace):
-			c.forgetV2(id)
+			c.forgetV2(ca.id)
 			return nil, ctx.Err()
 		}
 	}
@@ -194,26 +196,29 @@ func ctxAndTimeout(ctx context.Context) (context.Context, int64) {
 	return ctx, ms
 }
 
-func (c *Client) queryV2(ctx context.Context, op byte, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
-	ctx, ms := ctxAndTimeout(ctx)
-	id, ca := c.newCallV2()
-	e := server.GetV2Enc()
-	err := c.writeFramesV2(server.EncodeV2Query(e, id, op, q, ms))
+// roundTrip is one request and its answer: it writes the request frame,
+// encoded into e under ca's id, releases e and waits for the call's final
+// frame.
+func (c *Client) roundTrip(ctx context.Context, ca *v2call, e *server.V2Enc, frame []byte) (*server.V2Result, error) {
+	err := c.writeFramesV2(frame)
 	e.Release()
 	if err != nil {
-		c.forgetV2(id)
-		return nil, nil, err
+		c.forgetV2(ca.id)
+		return nil, err
 	}
-	res, err := c.waitV2(ctx, id, ca)
+	return c.waitV2(ctx, ca)
+}
+
+func (c *Client) queryV2(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
+	ctx, ms := ctxAndTimeout(ctx)
+	ca, e := c.newCallV2()
+	res, err := c.roundTrip(ctx, ca, e, server.EncodeV2Query(e, ca.id, server.V2OpQuery, q, ms))
 	if err != nil {
 		return nil, nil, err
 	}
 	info := res.Info
 	if info == nil {
 		info = &scdb.QueryInfo{}
-	}
-	if op == server.V2OpExplain {
-		return nil, info, nil
 	}
 	return &scdb.Rows{Columns: res.Columns, Data: ca.rows}, info, nil
 }
@@ -225,26 +230,25 @@ func (c *Client) queryV2(ctx context.Context, op byte, q string) (*scdb.Rows, *s
 // server releases its admission slot at once.
 func (c *Client) ingest(ctx context.Context, src scdb.Source, batchSize int, trace bool) (*server.V2Result, error) {
 	ctx, ms := ctxAndTimeout(ctx)
-	id, ca := c.newCallV2()
-	e := server.GetV2Enc()
-	err := c.writeFramesV2(server.EncodeV2IngestBatchHeader(e, id, src.Name, ms, trace))
+	ca, e := c.newCallV2()
+	err := c.writeFramesV2(server.EncodeV2IngestBatchHeader(e, ca.id, src.Name, ms, trace))
 	e.Release()
 	last := server.V2Chunk{Links: src.Links, Texts: src.Texts, Done: true}
 	if batchSize == 0 {
 		last.Entities = src.Entities
 	}
 	for lo := 0; err == nil && batchSize > 0 && lo < len(src.Entities); lo += batchSize {
-		err = c.writeChunkV2(id, server.V2Chunk{Entities: src.Entities[lo:min(lo+batchSize, len(src.Entities))]})
+		err = c.writeChunkV2(ca.id, server.V2Chunk{Entities: src.Entities[lo:min(lo+batchSize, len(src.Entities))]})
 	}
 	if err == nil {
-		err = c.writeChunkV2(id, last)
+		err = c.writeChunkV2(ca.id, last)
 	}
 	if err != nil {
-		c.sendCancelV2(id)
-		c.forgetV2(id)
+		c.sendCancelV2(ca.id)
+		c.forgetV2(ca.id)
 		return nil, err
 	}
-	res, err := c.waitV2(ctx, id, ca)
+	res, err := c.waitV2(ctx, ca)
 	if err != nil {
 		return nil, err
 	}
@@ -266,15 +270,8 @@ func (c *Client) writeChunkV2(id uint32, chunk server.V2Chunk) error {
 // blobV2 runs one control-plane op (stats, metrics, slowlog) and returns
 // its blob body.
 func (c *Client) blobV2(op byte) ([]byte, error) {
-	id, ca := c.newCallV2()
-	e := server.GetV2Enc()
-	err := c.writeFramesV2(server.EncodeV2Simple(e, id, op))
-	e.Release()
-	if err != nil {
-		c.forgetV2(id)
-		return nil, err
-	}
-	res, err := c.waitV2(context.Background(), id, ca)
+	ca, e := c.newCallV2()
+	res, err := c.roundTrip(context.Background(), ca, e, server.EncodeV2Simple(e, ca.id, op))
 	if err != nil {
 		return nil, err
 	}

@@ -152,9 +152,6 @@ func (cl *Cluster) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scd
 	}
 }
 
-// Explain returns the primary's optimized plan without executing.
-func (cl *Cluster) Explain(q string) (*scdb.QueryInfo, error) { return cl.primary.Explain(q) }
-
 // PingCSN reports the primary's current commit stamp.
 func (cl *Cluster) PingCSN() (uint64, error) { return cl.primary.PingCSN() }
 

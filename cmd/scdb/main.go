@@ -15,18 +15,26 @@
 //	-parallelism N  executor worker-pool size (0 = one per CPU)
 //	-stats          print engine statistics after loading
 //
-// With no -q/-explain/-analyze, scdb reads SCQL statements from stdin,
-// one per line (lines starting with \ are shell commands: \stats,
-// \witnesses, \sources, \indexes, \analyze Q, \trace Q, \quit). EXPLAIN,
-// EXPLAIN ANALYZE, and TRACE also work as ordinary statement prefixes.
-// Against a server (-connect), \metrics dumps the metrics registry and
-// \slow prints the slow-op log.
+// With no -q/-explain/-analyze, scdb reads SCQL statements from stdin, one
+// per line; EXPLAIN, EXPLAIN ANALYZE and TRACE work as statement prefixes.
+// A line starting with \ is a shell command. In both modes:
+//
+//	\explain Q   the optimized plan, its rewrites and cost (EXPLAIN Q)
+//	\analyze Q   per-operator statistics and the row count (EXPLAIN ANALYZE Q)
+//	\trace Q     the statement's span tree (TRACE Q)
+//	\quit        leave the shell (also \q)
+//
+// Embedded, the shell also has \stats, \witnesses, \sources, \conflicts,
+// \indexes, \tables and \schema T. Against a server (-connect) it has
+// \stats (engine and server counters), \replicas, \metrics (the metrics
+// registry) and \slow (the slow-op log).
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -37,87 +45,156 @@ import (
 )
 
 // engine is the query surface shared by the embedded DB and the network
-// client, so the shell renders both the same way.
+// client, so one shell serves both.
 type engine interface {
 	QueryInfo(q string) (*scdb.Rows, *scdb.QueryInfo, error)
-	Explain(q string) (*scdb.QueryInfo, error)
 }
 
+// command is one backslash command: its name, the argument it takes ("" for
+// none; the banner shows it) and what it runs.
+type command struct {
+	name, arg string
+	run       func(arg string)
+}
+
+var (
+	connect     = flag.String("connect", "", "scdb-server address (host:port); skips embedding a database")
+	dir         = flag.String("dir", "", "storage directory (empty = in-memory)")
+	load        = flag.String("load", "", "sample corpus to load: lifesci | clinical | stream")
+	query       = flag.String("q", "", "run one query and exit")
+	explain     = flag.String("explain", "", "explain one query and exit")
+	analyze     = flag.String("analyze", "", "execute one query, print per-operator stats, and exit")
+	parallelism = flag.Int("parallelism", 0, "executor worker-pool size (0 = one per CPU)")
+	stats       = flag.Bool("stats", false, "print engine statistics after loading")
+)
+
 func main() {
-	connect := flag.String("connect", "", "scdb-server address (host:port); skips embedding a database")
-	dir := flag.String("dir", "", "storage directory (empty = in-memory)")
-	load := flag.String("load", "", "sample corpus to load: lifesci | clinical | stream")
-	q := flag.String("q", "", "run one query and exit")
-	explain := flag.String("explain", "", "explain one query and exit")
-	analyze := flag.String("analyze", "", "execute one query, print per-operator stats, and exit")
-	parallelism := flag.Int("parallelism", 0, "executor worker-pool size (0 = one per CPU)")
-	stats := flag.Bool("stats", false, "print engine statistics after loading")
 	flag.Parse()
+	os.Exit(run())
+}
 
+// run opens the mode's engine, answers the flags or runs the shell, and
+// returns the exit status once the engine is closed.
+func run() int {
+	var db engine
+	var cmds []command
+	title := "scdb shell"
 	if *connect != "" {
-		runRemote(*connect, *q, *explain, *analyze, flag.Args())
-		return
-	}
-
-	db, err := scdb.OpenSample(*load, scdb.Options{Dir: *dir, Parallelism: *parallelism})
-	if err != nil {
-		fatalf("open: %v", err)
-	}
-	defer db.Close()
-
-	if *stats {
-		printStats(db)
-	}
-	if *explain != "" {
-		info, err := db.Explain(*explain)
+		c, err := client.Dial(*connect)
 		if err != nil {
-			fatalf("explain: %v", err)
+			fatalf("connect %s: %v", *connect, err)
 		}
-		fmt.Print(info.Plan)
-		for _, r := range info.Rules {
-			fmt.Println("rewrite:", r)
+		defer c.Close()
+		if err := c.Ping(); err != nil {
+			fatalf("ping %s: %v", *connect, err)
 		}
-		fmt.Printf("estimated cost: %.0f\n", info.EstimatedCost)
-		return
-	}
-	if *analyze != "" {
-		if !runAnalyze(db, *analyze) {
-			os.Exit(1)
+		db, cmds, title = c, remoteCommands(c), fmt.Sprintf("scdb shell (remote %s)", *connect)
+	} else {
+		edb, err := scdb.OpenSample(*load, scdb.Options{Dir: *dir, Parallelism: *parallelism})
+		if err != nil {
+			fatalf("open: %v", err)
 		}
-		return
-	}
-	if ran, ok := oneShot(db, *q, flag.Args()); ran {
-		if !ok {
-			os.Exit(1)
+		defer edb.Close()
+		if *stats {
+			printStats(edb)
 		}
-		return
+		db, cmds = edb, embeddedCommands(edb)
 	}
 
-	// Interactive / stdin batch mode.
-	sc := bufio.NewScanner(os.Stdin)
+	ok := true
+	switch {
+	case *explain != "":
+		ok = printExplain(db, *explain)
+	case *analyze != "":
+		ok = runAnalyze(db, *analyze)
+	default:
+		var ran bool
+		if ran, ok = oneShot(db, *query, flag.Args()); !ran {
+			shell(os.Stdin, db, title, cmds, isTTY())
+		}
+	}
+	if !ok {
+		return 1
+	}
+	return 0
+}
+
+// shell reads statements and commands from in, one per line, until \quit
+// or the end of input. cmds are the mode's own commands; the loop adds
+// \explain, \analyze and \trace, which go through the engine like a
+// statement. With prompt set it prints the banner and a prompt per line.
+func shell(in io.Reader, db engine, title string, cmds []command, prompt bool) {
+	cmds = append(cmds,
+		command{`\explain`, "Q", func(q string) { printExplain(db, q) }},
+		command{`\analyze`, "Q", func(q string) { runAnalyze(db, q) }},
+		command{`\trace`, "Q", func(q string) { runTrace(db, q) }},
+	)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if isTTY() {
-		fmt.Println(`scdb shell — SCQL statements, or \stats \witnesses \sources \conflicts \indexes \schema T \explain Q \analyze Q \trace Q \tables \quit`)
+	if prompt {
+		fmt.Println(banner(title, cmds))
 		fmt.Print("scdb> ")
 	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
-		case line == "":
 		case line == `\quit` || line == `\q`:
 			return
-		case line == `\stats`:
-			printStats(db)
-		case line == `\witnesses`:
+		case strings.HasPrefix(line, `\`):
+			runCommand(cmds, line)
+		case line != "":
+			runQuery(db, line)
+		}
+		if prompt {
+			fmt.Print("scdb> ")
+		}
+	}
+}
+
+// runCommand runs the command line names, if it takes the argument given
+// (or none when it takes none).
+func runCommand(cmds []command, line string) {
+	name, arg, _ := strings.Cut(line, " ")
+	arg = strings.TrimSpace(arg)
+	for _, c := range cmds {
+		if c.name == name && (c.arg == "") == (arg == "") {
+			c.run(arg)
+			return
+		}
+	}
+	fmt.Fprintf(os.Stderr, "unknown command %s\n", line)
+}
+
+// banner lists the shell's commands, so it says what the table holds.
+func banner(title string, cmds []command) string {
+	var b strings.Builder
+	b.WriteString(title + " — SCQL statements, or")
+	for _, c := range cmds {
+		b.WriteString(" " + c.name)
+		if c.arg != "" {
+			b.WriteString(" " + c.arg)
+		}
+	}
+	b.WriteString(` \quit`)
+	return b.String()
+}
+
+// embeddedCommands introspect the curation state of an embedded database.
+func embeddedCommands(db *scdb.DB) []command {
+	return []command{
+		{`\stats`, "", func(string) { printStats(db) }},
+		{`\witnesses`, "", func(string) {
 			for _, w := range db.Witnesses() {
 				fmt.Printf("%s must have %s to some %s (via %s)\n", w.Entity, w.Role, w.Filler, w.Because)
 			}
-		case line == `\sources`:
+		}},
+		{`\sources`, "", func(string) {
 			rich := db.RefreshRichness()
 			for _, src := range sortedKeys(rich) {
 				fmt.Printf("%-16s richness %.3f\n", src, rich[src])
 			}
-		case line == `\conflicts`:
+		}},
+		{`\conflicts`, "", func(string) {
 			for _, c := range db.Conflicts() {
 				kind := "contradiction"
 				if c.Reconcilable {
@@ -128,28 +205,14 @@ func main() {
 					fmt.Printf("  %-14s from %s\n", v, strings.Join(c.Values[v], ", "))
 				}
 			}
-		case line == `\indexes`:
-			idx := db.IndexStats()
-			if len(idx) == 0 {
-				fmt.Println("(no indexes — they are created automatically from observed access patterns)")
-				break
-			}
-			fmt.Printf("%-20s %-16s %-7s %8s %6s %s\n", "table", "attribute", "kind", "entries", "hits", "origin")
-			for _, s := range idx {
-				origin := "pinned"
-				if s.Auto {
-					origin = "auto"
-				}
-				fmt.Printf("%-20s %-16s %-7s %8d %6d %s\n", s.Table, s.Attr, s.Kind, s.Entries, s.Hits, origin)
-			}
-			pc := db.PlanCacheStats()
-			fmt.Printf("plan cache: %d plans, %d hits, %d misses\n", pc.Size, pc.Hits, pc.Misses)
-		case line == `\tables`:
+		}},
+		{`\indexes`, "", func(string) { printIndexes(db) }},
+		{`\tables`, "", func(string) {
 			for _, name := range db.Tables() {
 				fmt.Println(name)
 			}
-		case strings.HasPrefix(line, `\schema `):
-			table := strings.TrimSpace(strings.TrimPrefix(line, `\schema `))
+		}},
+		{`\schema`, "T", func(table string) {
 			for _, a := range db.Schema(table) {
 				kinds := make([]string, 0, len(a.Kinds))
 				for _, k := range sortedKeys(a.Kinds) {
@@ -157,101 +220,44 @@ func main() {
 				}
 				fmt.Printf("%-16s filled %-5d %s\n", a.Name, a.Filled, strings.Join(kinds, " "))
 			}
-		case strings.HasPrefix(line, `\explain `):
-			q := strings.TrimSpace(strings.TrimPrefix(line, `\explain `))
-			info, err := db.Explain(q)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				break
-			}
-			fmt.Print(info.Plan)
-			for _, r := range info.Rules {
-				fmt.Println("rewrite:", r)
-			}
-			fmt.Printf("estimated cost: %.0f\n", info.EstimatedCost)
-		case strings.HasPrefix(line, `\analyze `):
-			runAnalyze(db, strings.TrimSpace(strings.TrimPrefix(line, `\analyze `)))
-		case strings.HasPrefix(line, `\trace `):
-			runTrace(db, strings.TrimSpace(strings.TrimPrefix(line, `\trace `)))
-		case strings.HasPrefix(line, `\`):
-			fmt.Fprintf(os.Stderr, "unknown command %s\n", line)
-		default:
-			runQuery(db, line)
-		}
-		if isTTY() {
-			fmt.Print("scdb> ")
-		}
+		}},
 	}
 }
 
-// runRemote is the shell against a running scdb-server: the same query
-// rendering, with server-side statistics behind \stats. Curation
-// introspection commands need the embedded engine and are not offered.
-func runRemote(addr, q, explain, analyze string, args []string) {
-	c, err := client.Dial(addr)
-	if err != nil {
-		fatalf("connect %s: %v", addr, err)
-	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		fatalf("ping %s: %v", addr, err)
-	}
-	if explain != "" {
-		printExplain(c, explain)
-		return
-	}
-	if analyze != "" {
-		if !runAnalyze(c, analyze) {
-			os.Exit(1)
-		}
-		return
-	}
-	if ran, ok := oneShot(c, q, args); ran {
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if isTTY() {
-		fmt.Printf(`scdb shell (remote %s) — SCQL statements, or \stats \replicas \metrics \slow \explain Q \analyze Q \trace Q \quit`+"\n", addr)
-		fmt.Print("scdb> ")
-	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
-		case line == `\quit` || line == `\q`:
-			return
-		case line == `\stats`:
-			printServerStats(c)
-		case line == `\replicas`:
-			printReplicas(c)
-		case line == `\metrics`:
+// remoteCommands read a server's counters; curation introspection needs
+// the embedded engine and is not offered.
+func remoteCommands(c *client.Client) []command {
+	return []command{
+		{`\stats`, "", func(string) { printServerStats(c) }},
+		{`\replicas`, "", func(string) { printReplicas(c) }},
+		{`\metrics`, "", func(string) {
 			dump, err := c.Metrics()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
-				break
+				return
 			}
 			fmt.Print(dump)
-		case line == `\slow`:
-			printSlowLog(c)
-		case strings.HasPrefix(line, `\explain `):
-			printExplain(c, strings.TrimSpace(strings.TrimPrefix(line, `\explain `)))
-		case strings.HasPrefix(line, `\analyze `):
-			runAnalyze(c, strings.TrimSpace(strings.TrimPrefix(line, `\analyze `)))
-		case strings.HasPrefix(line, `\trace `):
-			runTrace(c, strings.TrimSpace(strings.TrimPrefix(line, `\trace `)))
-		case strings.HasPrefix(line, `\`):
-			fmt.Fprintf(os.Stderr, "unknown or embedded-only command %s\n", line)
-		default:
-			runQuery(c, line)
-		}
-		if isTTY() {
-			fmt.Print("scdb> ")
-		}
+		}},
+		{`\slow`, "", func(string) { printSlowLog(c) }},
 	}
+}
+
+func printIndexes(db *scdb.DB) {
+	idx := db.IndexStats()
+	if len(idx) == 0 {
+		fmt.Println("(no indexes — they are created automatically from observed access patterns)")
+		return
+	}
+	fmt.Printf("%-20s %-16s %-7s %8s %6s %s\n", "table", "attribute", "kind", "entries", "hits", "origin")
+	for _, s := range idx {
+		origin := "pinned"
+		if s.Auto {
+			origin = "auto"
+		}
+		fmt.Printf("%-20s %-16s %-7s %8d %6d %s\n", s.Table, s.Attr, s.Kind, s.Entries, s.Hits, origin)
+	}
+	pc := db.PlanCacheStats()
+	fmt.Printf("plan cache: %d plans, %d hits, %d misses\n", pc.Size, pc.Hits, pc.Misses)
 }
 
 func printServerStats(c *client.Client) {
@@ -374,17 +380,20 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-func printExplain(db engine, q string) {
-	info, err := db.Explain(q)
+// printExplain prints q's EXPLAIN answer: the plan, the rewrites and the
+// estimated cost. It reports whether the statement could be explained.
+func printExplain(db engine, q string) bool {
+	_, info, err := db.QueryInfo("EXPLAIN " + q)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
-		return
+		return false
 	}
 	fmt.Print(info.Plan)
 	for _, r := range info.Rules {
 		fmt.Println("rewrite:", r)
 	}
 	fmt.Printf("estimated cost: %.0f\n", info.EstimatedCost)
+	return true
 }
 
 // oneShot runs the -q statement and then the positional ones, stopping at

@@ -14,12 +14,19 @@ import (
 // printed.
 func captureStdout(t *testing.T, fn func()) string {
 	t.Helper()
-	old := os.Stdout
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *f redirected to a pipe and returns what fn wrote
+// to it.
+func capture(t *testing.T, f **os.File, fn func()) string {
+	t.Helper()
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	done := make(chan string)
 	go func() {
 		var buf bytes.Buffer
@@ -28,7 +35,7 @@ func captureStdout(t *testing.T, fn func()) string {
 	}()
 	fn()
 	w.Close()
-	os.Stdout = old
+	*f = old
 	return <-done
 }
 
@@ -111,6 +118,43 @@ func TestPrintStats(t *testing.T) {
 	for _, want := range []string{"tables=", "entities=2", "concepts="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats missing %q: %s", want, out)
+		}
+	}
+}
+
+// TestShellLoop drives the one read loop through a reader: the loop's own
+// \explain, \analyze and \trace, an unknown command reported on stderr, and
+// \quit ending the session before the lines after it.
+func TestShellLoop(t *testing.T) {
+	db := testDB(t)
+	in := strings.NewReader(strings.Join([]string{
+		`\explain SELECT name FROM things WHERE n > 1`,
+		`\analyze SELECT name FROM things`,
+		`\trace SELECT name FROM things`,
+		`\nope`,
+		`\stats extra`,
+		`\quit`,
+		`\stats`,
+	}, "\n"))
+	var stdout string
+	stderr := capture(t, &os.Stderr, func() {
+		stdout = captureStdout(t, func() { shell(in, db, "scdb shell", embeddedCommands(db), false) })
+	})
+	for _, want := range []string{"Scan things", "estimated cost:", "out=2", "(2 rows)", `"span": "request"`} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout missing %q:\n%s", want, stdout)
+		}
+	}
+	if strings.Contains(stdout, "tables=") {
+		t.Errorf("a command after \\quit ran:\n%s", stdout)
+	}
+	if stderr != "unknown command \\nope\nunknown command \\stats extra\n" {
+		t.Errorf("stderr = %q, want the two unknown commands", stderr)
+	}
+	b := banner("scdb shell", embeddedCommands(db))
+	for _, c := range embeddedCommands(db) {
+		if !strings.Contains(b, c.name) {
+			t.Errorf("banner %q misses %s", b, c.name)
 		}
 	}
 }

@@ -277,7 +277,11 @@ func (db *DB) QueryInfoCtx(ctx context.Context, q string) (*Rows, *QueryInfo, er
 	if err != nil {
 		return nil, nil, err
 	}
-	out := &Rows{Columns: res.Columns, Data: FromRows(nil, res.Rows)}
+	return &Rows{Columns: res.Columns, Data: FromRows(nil, res.Rows)}, publicInfo(info), nil
+}
+
+// publicInfo is the one place the engine's QueryInfo becomes the facade's.
+func publicInfo(info *core.QueryInfo) *QueryInfo {
 	pub := &QueryInfo{
 		Plan:          info.Plan,
 		Rules:         info.Rules,
@@ -288,7 +292,7 @@ func (db *DB) QueryInfoCtx(ctx context.Context, q string) (*Rows, *QueryInfo, er
 	if info.OperatorStats != nil {
 		pub.OperatorStats = info.OperatorStats.Render()
 	}
-	return out, pub, nil
+	return pub
 }
 
 // QueryBatchesCtx executes one statement and streams its result rows to
@@ -305,26 +309,14 @@ func (db *DB) QueryBatchesCtx(ctx context.Context, q string, emit func(cols []st
 	if err != nil {
 		return nil, nil, err
 	}
-	pub := &QueryInfo{
-		Plan:          info.Plan,
-		Rules:         info.Rules,
-		CacheHit:      info.CacheHit,
-		PlanCached:    info.PlanCached,
-		EstimatedCost: info.EstimatedCost,
-	}
-	if info.OperatorStats != nil {
-		pub.OperatorStats = info.OperatorStats.Render()
-	}
-	return cols, pub, nil
+	return cols, publicInfo(info), nil
 }
 
-// Explain returns the optimized plan without executing.
+// Explain returns the optimized plan without executing: it is the EXPLAIN
+// statement's answer.
 func (db *DB) Explain(q string) (*QueryInfo, error) {
-	info, err := db.inner.Explain(q)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryInfo{Plan: info.Plan, Rules: info.Rules, EstimatedCost: info.EstimatedCost}, nil
+	_, info, err := db.QueryInfo("EXPLAIN " + q)
+	return info, err
 }
 
 // AddClaim records a parallel-world claim. The entity is looked up by any

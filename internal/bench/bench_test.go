@@ -7,9 +7,9 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"E-ER", "E-F2", "E-FS1", "E-FS10", "E-FS11", "E-FS2", "E-FS3",
+		"E-F2", "E-FS1", "E-FS10", "E-FS11", "E-FS2", "E-FS3",
 		"E-FS4", "E-FS5", "E-FS6", "E-FS7", "E-FS8", "E-FS9",
-		"E-IDX", "E-OS1", "E-OS2", "E-OS3", "E-OS4",
+		"E-OS1", "E-OS2", "E-OS3", "E-OS4",
 	}
 	got := Experiments()
 	if len(got) != len(want) {

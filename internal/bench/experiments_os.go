@@ -184,12 +184,12 @@ func RunSemanticOpt() *Table {
 		{"collapsible pair", `SELECT name FROM drugbank AS b JOIN Drug AS d ON b._key = d._key WHERE ISA(d._id, 'Drug') AND ISA(d._id, 'Chemical') WITH SEMANTICS`},
 	}
 	for _, q := range suite {
-		infoOn, err := dbOn.Explain(q.q)
+		_, infoOn, err := dbOn.Query("EXPLAIN " + q.q)
 		if err != nil {
 			t.Rows = append(t.Rows, []string{q.name, err.Error(), "", "", "", ""})
 			continue
 		}
-		infoOff, err := dbOff.Explain(q.q)
+		_, infoOff, err := dbOff.Query("EXPLAIN " + q.q)
 		if err != nil {
 			t.Rows = append(t.Rows, []string{q.name, err.Error(), "", "", "", ""})
 			continue

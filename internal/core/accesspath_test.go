@@ -224,7 +224,7 @@ func TestExplainAnalyzeIndexScan(t *testing.T) {
 		t.Fatal("no operator stats")
 	}
 	// The plain plan shows the pushed predicate on the IndexScan node.
-	ex, err := db.Explain("SELECT name FROM drugbank WHERE name = 'Warfarin'")
+	ex, err := explain(db, "SELECT name FROM drugbank WHERE name = 'Warfarin'")
 	if err != nil {
 		t.Fatal(err)
 	}

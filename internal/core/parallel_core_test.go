@@ -235,12 +235,12 @@ func TestQueryInfoOperatorStats(t *testing.T) {
 			t.Errorf("TRACE (plan cached %v) stats %v, plan %q, rules %v", info.PlanCached, info.OperatorStats, info.Plan, info.Rules)
 		}
 	}
-	ex, err := db.Explain(q)
+	ex, err := explain(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex.EstimatedMorsels <= 0 || ex.Plan == "" || len(ex.Rules) == 0 {
-		t.Errorf("Explain EstimatedMorsels = %d, plan %q, rules %v", ex.EstimatedMorsels, ex.Plan, ex.Rules)
+		t.Errorf("EXPLAIN EstimatedMorsels = %d, plan %q, rules %v", ex.EstimatedMorsels, ex.Plan, ex.Rules)
 	}
 }
 
@@ -248,7 +248,7 @@ func TestQueryInfoOperatorStats(t *testing.T) {
 // unfused semantics.
 func TestTopKFusionInEngine(t *testing.T) {
 	db := openLifeSci(t)
-	info, err := db.Explain("SELECT name FROM drugbank ORDER BY name LIMIT 3")
+	info, err := explain(db, "SELECT name FROM drugbank ORDER BY name LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}

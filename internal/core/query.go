@@ -18,7 +18,7 @@ import (
 
 // QueryInfo reports how a query was answered: cache behaviour, the cost
 // estimate and the answer mode, and for a statement that asks to be
-// explained (EXPLAIN, EXPLAIN ANALYZE, TRACE, DB.Explain) the final plan,
+// explained (EXPLAIN, EXPLAIN ANALYZE, TRACE) the final plan,
 // the optimizer rewrites and, when it executed, the per-operator runtime
 // statistics tree. A plain statement leaves Plan, Rules and OperatorStats
 // empty: nothing renders text no caller reads.
@@ -298,31 +298,6 @@ func planResult(text string) *query.Result {
 		res.Rows = append(res.Rows, []model.Value{model.String(line)})
 	}
 	return res
-}
-
-// Explain returns the optimized plan and rewrite log without executing.
-func (db *DB) Explain(src string) (*QueryInfo, error) {
-	stmt, err := query.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	env := &queryEnv{db: db, ctx: context.Background(), mode: stmt.Mode, fuzzyT: stmt.FuzzyThreshold}
-	plan, err := query.BuildPlan(stmt, env)
-	if err != nil {
-		return nil, err
-	}
-	opts := db.optimizerOptions(stmt)
-	opts.Explain = true
-	plan, rep := optimizer.Optimize(plan, opts)
-	return &QueryInfo{
-		Plan:             query.Explain(plan),
-		Rules:            rep.Rules,
-		EstimatedCost:    rep.EstimatedCost,
-		EstimatedMorsels: rep.EstimatedMorsels,
-		Mode:             stmt.Mode,
-	}, nil
 }
 
 // explained reports whether a statement asks for its explanation: the plan

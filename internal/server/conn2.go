@@ -373,6 +373,21 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		vc.writeError(f.ID, code, msg)
 		return code, detail, msg
 	}
+	// blob answers a control-plane op with its body: v as JSON, or v itself
+	// when it is already bytes (the metrics text).
+	blob := func(v any) (string, string, string) {
+		body, ok := v.([]byte)
+		if !ok {
+			var err error
+			if body, err = json.Marshal(v); err != nil {
+				return fail(CodeQuery, err.Error())
+			}
+		}
+		e := GetV2Enc()
+		vc.write(EncodeV2BlobResult(e, f.ID, f.Op, body))
+		e.Release()
+		return "", "", ""
+	}
 
 	// Control-plane ops answer before admission: they must stay responsive
 	// while the data plane is saturated.
@@ -389,28 +404,11 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		return s.handleReplSubscribe(vc, f, req)
 	case V2OpStats:
 		st := s.Stats()
-		blob, err := json.Marshal(&st)
-		if err != nil {
-			return fail(CodeQuery, err.Error())
-		}
-		e := GetV2Enc()
-		vc.write(EncodeV2BlobResult(e, f.ID, V2OpStats, blob))
-		e.Release()
-		return "", "", ""
+		return blob(&st)
 	case V2OpMetrics:
-		e := GetV2Enc()
-		vc.write(EncodeV2BlobResult(e, f.ID, V2OpMetrics, []byte(s.MetricsDump())))
-		e.Release()
-		return "", "", ""
+		return blob([]byte(s.MetricsDump()))
 	case V2OpSlowLog:
-		blob, err := json.Marshal(s.slowLogReply())
-		if err != nil {
-			return fail(CodeQuery, err.Error())
-		}
-		e := GetV2Enc()
-		vc.write(EncodeV2BlobResult(e, f.ID, V2OpSlowLog, blob))
-		e.Release()
-		return "", "", ""
+		return blob(s.slowLogReply())
 	case V2OpERDigests:
 		if s.node == nil {
 			return fail(CodeBadRequest, "backend has no local resolver to export ER digests from")
@@ -420,46 +418,27 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 			return fail(CodeBadRequest, err.Error())
 		}
 		batch := s.node.ERDigests(entsSince, matchesSince)
-		blob, err := json.Marshal(&batch)
-		if err != nil {
-			return fail(CodeQuery, err.Error())
-		}
-		e := GetV2Enc()
-		vc.write(EncodeV2BlobResult(e, f.ID, V2OpERDigests, blob))
-		e.Release()
-		return "", "", ""
-	case V2OpQuery, V2OpExplain, V2OpIngestBatch:
+		return blob(&batch)
+	case V2OpQuery, V2OpIngestBatch:
 		// Fall through to the admitted path below.
 	default:
 		return fail(CodeBadRequest, fmt.Sprintf("unknown op 0x%02x", f.Op))
 	}
 
 	switch f.Op {
-	case V2OpQuery, V2OpExplain:
+	case V2OpQuery:
 		q, timeoutMS, err := DecodeV2Query(f.Payload)
 		if err != nil {
 			return fail(CodeBadRequest, err.Error())
 		}
 		detail = q
-		ctx, cancel, _, _, err := s.admitV2(vc, req, v2OpName(f.Op), f.Op == V2OpQuery && isTraceStmt(q), timeoutMS, decodeDur)
+		ctx, cancel, _, _, err := s.admitV2(vc, req, OpQuery, isTraceStmt(q), timeoutMS, decodeDur)
 		defer cancel()
 		if err != nil {
 			c, msg := errorCode(err)
 			return fail(c, msg)
 		}
 		defer s.admit.release()
-
-		if f.Op == V2OpExplain {
-			info, err := s.cfg.DB.Explain(q)
-			if err != nil {
-				c, msg := errorCode(err)
-				return fail(c, msg)
-			}
-			e := GetV2Enc()
-			vc.write(EncodeV2ExplainResult(e, f.ID, info))
-			e.Release()
-			return "", detail, ""
-		}
 
 		// Streaming query: row batches are encoded straight off the
 		// executor and written as they materialize, holding back one frame

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -86,12 +87,31 @@ func TestNetworkDifferential(t *testing.T) {
 	if ainfo.Plan == "" || ainfo.Plan != local.Plan || ainfo.OperatorStats == "" || ainfo.EstimatedCost <= 0 {
 		t.Errorf("network EXPLAIN ANALYZE: plan=%q (embedded %q) stats=%q cost=%v", ainfo.Plan, local.Plan, ainfo.OperatorStats, ainfo.EstimatedCost)
 	}
-	einfo, err := c.Explain(scqlCorpus[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if einfo.Plan == "" || einfo.EstimatedCost <= 0 {
-		t.Errorf("network Explain: plan=%q cost=%v", einfo.Plan, einfo.EstimatedCost)
+
+	// One explain path: DB.Explain, the EXPLAIN statement embedded and the
+	// EXPLAIN statement over the wire give one plan, rewrite log and cost.
+	for _, q := range scqlCorpus {
+		explained, err := embedded.Explain(q)
+		if err != nil {
+			t.Fatalf("embedded Explain %q: %v", q, err)
+		}
+		_, stmt, err := embedded.QueryInfo("EXPLAIN " + q)
+		if err != nil {
+			t.Fatalf("embedded EXPLAIN %q: %v", q, err)
+		}
+		_, wire, err := c.QueryInfo("EXPLAIN " + q)
+		if err != nil {
+			t.Fatalf("network EXPLAIN %q: %v", q, err)
+		}
+		if explained.Plan == "" {
+			t.Errorf("%q: empty plan", q)
+		}
+		for _, got := range []*scdb.QueryInfo{stmt, wire} {
+			if got.Plan != explained.Plan || !slices.Equal(got.Rules, explained.Rules) || got.EstimatedCost != explained.EstimatedCost {
+				t.Errorf("%q explained two ways:\nExplain: %q %v %v\nEXPLAIN: %q %v %v", q,
+					explained.Plan, explained.Rules, explained.EstimatedCost, got.Plan, got.Rules, got.EstimatedCost)
+			}
+		}
 	}
 }
 

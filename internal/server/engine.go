@@ -21,7 +21,6 @@ type Engine interface {
 	// which is equally monotone.
 	CSN() uint64
 	QueryBatchesCtx(ctx context.Context, q string, emit func(cols []string, batch [][]model.Value) bool) ([]string, *scdb.QueryInfo, error)
-	Explain(q string) (*scdb.QueryInfo, error)
 	IngestCtx(ctx context.Context, src scdb.Source) error
 	Stats() scdb.Stats
 	// ShardingStats is the stats op's sharding section and the source of

@@ -102,7 +102,8 @@ func TestIngestBatchStream(t *testing.T) {
 // source whole, as one delivery. A nameless source is a typed error from
 // every method and leaves the connection framed for the deliveries after
 // it; a value the client cannot encode cancels the stream it opened. The
-// retired one-frame op 0x04 is an unknown op.
+// retired ops, 0x03 (explain) and 0x04 (a one-frame ingest), are unknown
+// ops that leave the connection answering.
 func TestIngestIsOneStreamedOp(t *testing.T) {
 	feed := streamSource(20)
 	feed.Texts = []string{"device 3 is a peer of device 0"}
@@ -179,23 +180,26 @@ func TestIngestIsOneStreamedOp(t *testing.T) {
 
 	_, addr := startServer(t, openDB(t, scdb.Options{}), nil)
 	nc := hello(t, addr)
-	if _, err := nc.Write(v2Header(6, 0x04, 9)); err != nil {
-		t.Fatal(err)
-	}
-	f, err := server.ReadV2Frame(nc, server.DefaultMaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, _, err := server.DecodeV2Error(f.Payload); f.Op != server.V2OpError || f.ID != 9 || err != nil || code != server.CodeBadRequest {
-		t.Fatalf("op 0x04: frame op 0x%02x id %d code %q (%v), want a bad_request error for id 9", f.Op, f.ID, code, err)
-	}
-	e := server.GetV2Enc()
-	_, err = nc.Write(server.EncodeV2Simple(e, 10, server.V2OpPing))
-	e.Release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f, err = server.ReadV2Frame(nc, server.DefaultMaxFrame); err != nil || f.Op != server.V2OpResult || f.ID != 10 {
-		t.Fatalf("ping after op 0x04: op 0x%02x id %d (%v)", f.Op, f.ID, err)
+	for i, op := range []byte{0x03, 0x04} {
+		id := uint32(10 * (i + 1))
+		if _, err := nc.Write(v2Header(6, op, id)); err != nil {
+			t.Fatal(err)
+		}
+		f, err := server.ReadV2Frame(nc, server.DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, _, err := server.DecodeV2Error(f.Payload); f.Op != server.V2OpError || f.ID != id || err != nil || code != server.CodeBadRequest {
+			t.Fatalf("op 0x%02x: frame op 0x%02x id %d code %q (%v), want a bad_request error for id %d", op, f.Op, f.ID, code, err, id)
+		}
+		e := server.GetV2Enc()
+		_, err = nc.Write(server.EncodeV2Simple(e, id+1, server.V2OpPing))
+		e.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, err = server.ReadV2Frame(nc, server.DefaultMaxFrame); err != nil || f.Op != server.V2OpResult || f.ID != id+1 {
+			t.Fatalf("ping after op 0x%02x: op 0x%02x id %d (%v)", op, f.Op, f.ID, err)
+		}
 	}
 }

@@ -15,10 +15,9 @@ var ErrFrameTooLarge = errors.New("frame exceeds size limit")
 // Op names: the labels of the per-op metrics and the slow-op log
 // (v2OpName maps frame op codes onto them).
 const (
-	OpPing    = "ping"
-	OpQuery   = "query"
-	OpExplain = "explain"
-	OpStats   = "stats"
+	OpPing  = "ping"
+	OpQuery = "query"
+	OpStats = "stats"
 	// OpIngestBatch is the one ingest op. It streams one source delivery
 	// as a sequence of chunk frames following the request header, which
 	// carries only the source name; each chunk installs as one batched

@@ -1,0 +1,73 @@
+package server_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"scdb"
+)
+
+// TestNetworkReadAllocBudget is the network read allocation gate: a point
+// read over a 5,000-row table through client.QueryInfoCtx to an in-process
+// server, with new text each run so the plan and result caches miss, and a
+// PingCSN. Both sides of the wire count, so this holds the client's one
+// round trip and the server's request path to at most 110 objects a read
+// and 14 a ping. The same runs cost 100 and 12 objects (go1.24/linux/amd64)
+// at commit 538dfce, before the client's calls shared one round trip and
+// the explain op was retired.
+func TestNetworkReadAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 5,000-row table")
+	}
+	const rows, runs = 5000, 200
+	db := openDB(t, scdb.Options{})
+	tx := db.Begin(scdb.Snapshot)
+	for i := 0; i < rows; i++ {
+		if _, err := tx.Insert("items", scdb.Record{"k": fmt.Sprintf("it-%05d", i), "name": fmt.Sprintf("item %d", i), "qty": int64(i % 100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, db, nil)
+	c := dial(t, addr)
+	ctx := context.Background()
+	i := 0
+	read := func() {
+		i++
+		res, info, err := c.QueryInfoCtx(ctx, fmt.Sprintf("SELECT name, qty FROM items WHERE k = 'it-%05d'", i%rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.PlanCached || info.CacheHit || len(res.Data) != 1 {
+			t.Fatalf("run %d: plan cached %v, result cached %v, %d rows", i, info.PlanCached, info.CacheHit, len(res.Data))
+		}
+	}
+	// Warm up until the point reads have built their index.
+	for len(db.IndexStats()) == 0 {
+		if i == 50 {
+			t.Fatal("no auto-index after 50 point reads")
+		}
+		read()
+	}
+	for _, tc := range []struct {
+		name           string
+		run            func()
+		budget, parent float64
+	}{
+		{"point read", read, 110, 100},
+		{"PingCSN", func() {
+			if _, err := c.PingCSN(); err != nil {
+				t.Fatal(err)
+			}
+		}, 14, 12},
+	} {
+		allocs := testing.AllocsPerRun(runs, tc.run)
+		t.Logf("%s: %.0f objects", tc.name, allocs)
+		if allocs > tc.budget && !raceEnabled {
+			t.Errorf("%s allocates %.0f objects, budget %.0f; it cost %.0f at commit 538dfce", tc.name, allocs, tc.budget, tc.parent)
+		}
+	}
+}

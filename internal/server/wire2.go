@@ -117,11 +117,11 @@ func ReadServerHello(r io.Reader) (byte, error) {
 // matched to requests by id, and V2OpResult echoes the request op as its
 // first body byte so a response can't be misread against the wrong call.
 const (
-	V2OpPing    byte = 0x01
-	V2OpQuery   byte = 0x02
-	V2OpExplain byte = 0x03
-	// 0x04 carried a whole source in one frame; it is not reused, and a
-	// server answers it as an unknown op.
+	V2OpPing  byte = 0x01
+	V2OpQuery byte = 0x02
+	// 0x03 asked for a plan (the EXPLAIN statement answers that) and 0x04
+	// carried a whole source in one frame; neither is reused, and a server
+	// answers both as unknown ops.
 	V2OpIngestBatch byte = 0x05
 	// V2OpIngestChunk carries one chunk of an ingest_batch stream. Chunks
 	// are self-delimiting frames routed by request id, so a failed stream
@@ -173,8 +173,6 @@ func v2OpName(op byte) string {
 		return OpPing
 	case V2OpQuery:
 		return OpQuery
-	case V2OpExplain:
-		return OpExplain
 	case V2OpIngestBatch:
 		return OpIngestBatch
 	case V2OpStats:
@@ -546,8 +544,6 @@ func newV2Dec(payload []byte) (*v2Dec, error) {
 	}
 	return d, nil
 }
-
-func (d *v2Dec) empty() bool { return len(d.b) == 0 }
 
 func (d *v2Dec) u8() (byte, error) {
 	if len(d.b) < 1 {
@@ -1320,7 +1316,7 @@ func (d *v2Dec) info() (*scdb.QueryInfo, error) {
 type V2Result struct {
 	Kind    byte
 	Columns []string        // query
-	Info    *scdb.QueryInfo // query, explain
+	Info    *scdb.QueryInfo // query
 	Ingest  *IngestSummary  // ingest_batch
 	Trace   string          // ingest_batch (traced)
 	Blob    []byte          // stats/slowlog JSON, metrics text
@@ -1343,13 +1339,6 @@ func EncodeV2QueryResult(e *V2Enc, id uint32, cols []string, info *scdb.QueryInf
 	for _, c := range cols {
 		e.str(c)
 	}
-	e.info(info)
-	return e.Frame(V2OpResult, 0, id)
-}
-
-// EncodeV2ExplainResult answers an explain.
-func EncodeV2ExplainResult(e *V2Enc, id uint32, info *scdb.QueryInfo) []byte {
-	e.u8(V2OpExplain)
 	e.info(info)
 	return e.Frame(V2OpResult, 0, id)
 }
@@ -1390,11 +1379,8 @@ func DecodeV2Result(payload []byte) (*V2Result, error) {
 	res := &V2Result{Kind: kind}
 	switch kind {
 	case V2OpPing:
-		// The trailing CSN is absent on pre-replication servers.
-		if !d.empty() {
-			if res.CSN, err = d.uvarint(); err != nil {
-				return nil, err
-			}
+		if res.CSN, err = d.uvarint(); err != nil {
+			return nil, err
 		}
 		return res, nil
 	case V2OpQuery:
@@ -1411,11 +1397,6 @@ func DecodeV2Result(payload []byte) (*V2Result, error) {
 				return nil, err
 			}
 		}
-		if res.Info, err = d.info(); err != nil {
-			return nil, err
-		}
-		return res, nil
-	case V2OpExplain:
 		if res.Info, err = d.info(); err != nil {
 			return nil, err
 		}
@@ -1450,11 +1431,11 @@ func DecodeV2Result(payload []byte) (*V2Result, error) {
 			return nil, err
 		}
 		res.Trace = string(tb)
-		// The trailing CSN is absent on pre-replication servers.
-		if !d.empty() {
-			if res.CSN, err = d.uvarint(); err != nil {
-				return nil, err
-			}
+		// The commit stamp is required: a result that lost it must not
+		// read as stamp 0, which would leave a session's read-your-writes
+		// mark behind its own write.
+		if res.CSN, err = d.uvarint(); err != nil {
+			return nil, err
 		}
 		return res, nil
 	case V2OpStats, V2OpMetrics, V2OpSlowLog, V2OpERDigests:

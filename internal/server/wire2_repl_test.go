@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"scdb/internal/server"
@@ -127,12 +128,13 @@ func TestWireV2ReplMalformed(t *testing.T) {
 }
 
 // TestWireV2ReplResultCSN: ping and ingest results carry the node's commit
-// stamp, and a stampless (pre-replication) result still decodes.
+// stamp, and a result that lost it fails as truncated rather than reading
+// as stamp 0.
 func TestWireV2ReplResultCSN(t *testing.T) {
 	e := server.GetV2Enc()
-	f := readFrameBytes(t, server.EncodeV2PingResult(e, 5, 4242))
+	ping := readFrameBytes(t, server.EncodeV2PingResult(e, 5, 4242)).Payload
 	e.Release()
-	res, err := server.DecodeV2Result(f.Payload)
+	res, err := server.DecodeV2Result(ping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +143,9 @@ func TestWireV2ReplResultCSN(t *testing.T) {
 	}
 
 	e = server.GetV2Enc()
-	f = readFrameBytes(t, server.EncodeV2IngestResult(e, 6, server.IngestSummary{Batches: 1, Rows: 3}, "trace-body", 99))
+	ingest := readFrameBytes(t, server.EncodeV2IngestResult(e, 6, server.IngestSummary{Batches: 1, Rows: 3}, "trace-body", 99)).Payload
 	e.Release()
-	res, err = server.DecodeV2Result(f.Payload)
+	res, err = server.DecodeV2Result(ingest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +153,11 @@ func TestWireV2ReplResultCSN(t *testing.T) {
 		t.Fatalf("ingest result kind=%#x trace=%q csn=%d", res.Kind, res.Trace, res.CSN)
 	}
 
-	// A pre-replication peer omits the trailing stamp: tolerated as 0.
-	res, err = server.DecodeV2Result(f.Payload[:len(f.Payload)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CSN != 0 {
-		t.Fatalf("stampless result csn=%d, want 0", res.CSN)
+	// Without its stamp a result would leave a session's read-your-writes
+	// mark behind its write: it is truncated.
+	for name, p := range map[string][]byte{"ping": ping, "ingest": ingest} {
+		if _, err := server.DecodeV2Result(p[:len(p)-1]); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("%s result without its last stamp byte: %v, want a truncated-frame error", name, err)
+		}
 	}
 }

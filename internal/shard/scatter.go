@@ -48,13 +48,6 @@ var merges = map[string]string{"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX"
 // emitFunc receives a result in batches; returning false stops the query.
 type emitFunc = func(cols []string, batch [][]model.Value) bool
 
-// Explain returns shard 0's optimized plan for the statement — every shard
-// runs the same engine over the same schema, so one shard's plan stands in
-// for all of them.
-func (r *Router) Explain(q string) (*scdb.QueryInfo, error) {
-	return r.shards[0].Explain(q)
-}
-
 // QueryInfoCtx executes one SCQL statement across the cluster.
 func (r *Router) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
 	rows := &scdb.Rows{}
@@ -79,8 +72,9 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 	if err != nil {
 		return nil, nil, err
 	}
-	// Plan/trace introspection is about the engine, not the data; one
-	// shard's answer represents the cluster.
+	// Plan/trace introspection is about the engine, not the data: every
+	// shard runs the same engine over the same schema, so shard 0's answer
+	// represents the cluster.
 	if stmt.Explain || stmt.Trace {
 		res, info, err := r.shards[0].QueryInfoCtx(ctx, q)
 		if err != nil {

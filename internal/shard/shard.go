@@ -72,7 +72,6 @@ func ShardOf(key string, shards int) int {
 // with read-your-writes routing) both satisfy it.
 type Backend interface {
 	QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error)
-	Explain(q string) (*scdb.QueryInfo, error)
 	IngestBatch(ctx context.Context, src scdb.Source, batchSize int) (*client.IngestSummary, error)
 	ERDigests(entsSince, matchesSince int) (er.DigestBatch, error)
 	PingCSN() (uint64, error)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -44,6 +45,7 @@ func startShardServer(tb testing.TB, opts scdb.Options) string {
 // connected to it — the full client → router → shards path.
 type testCluster struct {
 	router *shard.Router
+	shards []string       // the shard servers, in routing order
 	addr   string         // the router's server
 	rc     *client.Client // speaks to it
 }
@@ -73,7 +75,7 @@ func newTestCluster(tb testing.TB, n int) *testCluster {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { rc.Close() })
-	return &testCluster{router: r, addr: srv.Addr().String(), rc: rc}
+	return &testCluster{router: r, shards: addrs, addr: srv.Addr().String(), rc: rc}
 }
 
 // drugNames are distinct enough that only true duplicates score past the
@@ -236,6 +238,34 @@ func TestClusterDifferential(t *testing.T) {
 	}
 	if xs := c1.router.ExchangeStats(); xs.CrossMerges != 0 {
 		t.Errorf("1-shard cluster reports cross merges: %+v", xs)
+	}
+}
+
+// TestRouterExplainsAsShardZero: EXPLAIN through the router answers with
+// shard 0's plan, rows and explanation, since every shard runs the same
+// engine over the same schema.
+func TestRouterExplainsAsShardZero(t *testing.T) {
+	c := newTestCluster(t, 3)
+	ingestCorpus(t, c)
+	s0, err := client.Dial(c.shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s0.Close()
+	for _, q := range differentialQueries {
+		rows, info, err := c.rc.QueryInfo("EXPLAIN " + q)
+		if err != nil {
+			t.Fatalf("router EXPLAIN %s: %v", q, err)
+		}
+		wrows, want, err := s0.QueryInfo("EXPLAIN " + q)
+		if err != nil {
+			t.Fatalf("shard 0 EXPLAIN %s: %v", q, err)
+		}
+		if want.Plan == "" || render(rows) != render(wrows) || info.Plan != want.Plan ||
+			!slices.Equal(info.Rules, want.Rules) || info.EstimatedCost != want.EstimatedCost {
+			t.Errorf("%s: router EXPLAIN differs from shard 0's:\n%s%q %v %v\nshard 0:\n%s%q %v %v", q,
+				render(rows), info.Plan, info.Rules, info.EstimatedCost, render(wrows), want.Plan, want.Rules, want.EstimatedCost)
+		}
 	}
 }
 
