@@ -88,7 +88,7 @@ func (opts Options) engineOptions() (core.Options, error) {
 		Dir:             opts.Dir,
 		LinkRules:       opts.LinkRules,
 		Patterns:        opts.Patterns,
-		ERConfig:        er.Config{Blocking: blocking},
+		ERBlocking:      blocking,
 		DisableMatCache: opts.DisableCache,
 		Parallelism:     opts.Parallelism,
 		MorselSize:      opts.MorselSize,

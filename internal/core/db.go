@@ -46,8 +46,8 @@ type Options struct {
 	LinkRules []curate.LinkRule
 	// Patterns drive information extraction over unstructured text.
 	Patterns []extract.Pattern
-	// ERConfig tunes incremental entity resolution.
-	ERConfig er.Config
+	// ERBlocking selects entity resolution's candidate generation.
+	ERBlocking er.BlockingMode
 	// DisableSemanticOpt turns the OS.3 rewrites off (ablation).
 	DisableSemanticOpt bool
 	// DisableMatCache turns materialization off (ablation).
@@ -158,7 +158,7 @@ func buildDerived(store *storage.Store, opts Options, onto *ontology.Ontology) (
 		Reasoner:    d.reasoner,
 		LinkRules:   opts.LinkRules,
 		Patterns:    opts.Patterns,
-		ERConfig:    opts.ERConfig,
+		Blocking:    opts.ERBlocking,
 		Parallelism: opts.Parallelism,
 	})
 	if err != nil {

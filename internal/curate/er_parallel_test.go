@@ -17,8 +17,8 @@ import (
 // given scoring parallelism and returns a byte-comparable signature of
 // everything ER decides: pipeline counters (including the resolver's
 // Comparisons/Candidates/skip counters), the match log, and the cluster
-// structure.
-func iotIngest(t *testing.T, mode er.BlockingMode, par int) string {
+// structure. skips is the resolver's BlockSkips.
+func iotIngest(t *testing.T, mode er.BlockingMode, par int) (sig string, skips int) {
 	t.Helper()
 	s, err := storage.Open("")
 	if err != nil {
@@ -34,7 +34,7 @@ func iotIngest(t *testing.T, mode er.BlockingMode, par int) string {
 		Catalog:  cat,
 		Graph:    graph.New(),
 		Ontology: ontology.New(),
-		ERConfig: er.Config{Blocking: mode, MaxBlock: 16},
+		Blocking: mode,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,21 +48,27 @@ func iotIngest(t *testing.T, mode er.BlockingMode, par int) string {
 			t.Fatal(err)
 		}
 	}
+	st := p.Stats()
 	return fmt.Sprintf("stats=%+v\nmatches=%v\nclusters=%v",
-		p.Stats(), p.Resolver().Matches(), p.Resolver().Clusters())
+		st, p.Resolver().Matches(), p.Resolver().Clusters()), st.ER.BlockSkips
 }
 
 // TestParallelScoringDifferential: candidate generation and pair scoring
 // fan out across workers, but corpus answers — merges, match log, cluster
 // structure, and every work counter — must be byte-identical to the
-// serial pass at any parallelism, for every blocking mode. Run with
-// -race, this is also the data-race gate for the parallel relate stage.
+// serial pass at any parallelism, for every blocking mode. The corpus
+// overflows the block cap, so the token modes also exercise the cut. Run
+// with -race, this is also the data-race gate for the parallel relate stage.
 func TestParallelScoringDifferential(t *testing.T) {
 	for _, mode := range []er.BlockingMode{er.BlockingToken, er.BlockingANN, er.BlockingBoth} {
 		t.Run(mode.String(), func(t *testing.T) {
-			serial := iotIngest(t, mode, 1)
+			serial, skips := iotIngest(t, mode, 1)
+			t.Logf("%d block skips", skips)
+			if mode != er.BlockingANN && skips == 0 {
+				t.Errorf("no block overflowed the cap; the corpus does not exercise the cut")
+			}
 			for _, par := range []int{2, 4, 8} {
-				if got := iotIngest(t, mode, par); got != serial {
+				if got, _ := iotIngest(t, mode, par); got != serial {
 					t.Errorf("parallelism %d diverges from serial:\n--- serial ---\n%s\n--- par=%d ---\n%s", par, serial, par, got)
 				}
 			}

@@ -105,8 +105,8 @@ type Config struct {
 	Reasoner  *reason.Reasoner
 	LinkRules []LinkRule
 	Patterns  []extract.Pattern
-	// ERConfig tunes incremental entity resolution.
-	ERConfig er.Config
+	// Blocking selects entity resolution's candidate generation.
+	Blocking er.BlockingMode
 	// Parallelism sizes the relate stage's Prepare fan-out: <=0 means one
 	// worker per CPU. Curation state is identical for every setting.
 	Parallelism int
@@ -131,7 +131,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		graph:       cfg.Graph,
 		onto:        cfg.Ontology,
 		reasoner:    r,
-		resolver:    er.NewResolver(cfg.ERConfig),
+		resolver:    er.NewResolver(er.Config{Blocking: cfg.Blocking}),
 		gaz:         extract.NewGazetteer(),
 		patterns:    cfg.Patterns,
 		rules:       cfg.LinkRules,

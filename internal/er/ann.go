@@ -8,19 +8,16 @@ import "sort"
 // hyperplane), once per table. Entities sharing a signature in any table
 // land in one bucket, and a query gathers its buckets' members and
 // reranks them by exact cosine to keep the top K. Insertion is O(tables ·
-// bits · dim) — incremental, matching the resolver's one-entity-at-a-time
-// ingestion — and the hyperplanes are generated from a fixed seed, so the
-// index is deterministic across processes.
+// bits · embedDim) — incremental, matching the resolver's
+// one-entity-at-a-time ingestion — and the hyperplanes are generated from a
+// fixed seed, so the index is deterministic across processes.
 const (
 	annTables = 8 // independent hash tables (recall amplification)
 	annBits   = 8 // hyperplanes (signature bits) per table
+	topK      = 8 // ANN neighbors kept per entity under BlockingANN/Both
 )
 
-// DefaultTopK is the ANN neighbor count used when Config.TopK is zero.
-const DefaultTopK = 8
-
 type annIndex struct {
-	dim     int
 	planes  [][]float32          // annTables*annBits hyperplanes, row-major
 	buckets []map[uint32][]int32 // per table: signature → entity positions
 	vecs    [][]float32          // position → embedding (append-only)
@@ -33,15 +30,14 @@ func splitmix64(state *uint64) uint64 {
 	return mix64(*state)
 }
 
-func newANNIndex(dim int) *annIndex {
+func newANNIndex() *annIndex {
 	a := &annIndex{
-		dim:     dim,
 		planes:  make([][]float32, annTables*annBits),
 		buckets: make([]map[uint32][]int32, annTables),
 	}
 	seed := uint64(0x5cdb5cdb5cdb5cdb)
 	for i := range a.planes {
-		p := make([]float32, dim)
+		p := make([]float32, embedDim)
 		for j := range p {
 			// Uniform in [-1, 1): direction is all that matters for a
 			// sign test, so no Gaussian shaping is needed.
@@ -77,7 +73,7 @@ func (a *annIndex) add(pos int, vec []float32) {
 	}
 }
 
-// topK appends to dst up to k indexed positions nearest to vec by cosine,
+// topK appends to dst up to topK indexed positions nearest to vec by cosine,
 // gathered from the query's LSH buckets and reranked exactly. A position in
 // seen (one the resolver's token blocks already selected) is not a
 // candidate, nor is one never reports (a same-source entity); every bucket
@@ -85,8 +81,8 @@ func (a *annIndex) add(pos int, vec []float32) {
 // once. probed reports how many bucket members were ranked — the
 // er.ann_probes work metric. Order is deterministic: cosine descending,
 // position ascending on ties.
-func (a *annIndex) topK(dst []int, vec []float32, k int, seen map[int]struct{}, never func(pos int) bool) (nbrs []int, probed int) {
-	if k <= 0 || len(a.vecs) == 0 {
+func (a *annIndex) topK(dst []int, vec []float32, seen map[int]struct{}, never func(pos int) bool) (nbrs []int, probed int) {
+	if len(a.vecs) == 0 {
 		return dst, 0
 	}
 	type scored struct {
@@ -114,8 +110,8 @@ func (a *annIndex) topK(dst []int, vec []float32, k int, seen map[int]struct{}, 
 		}
 		return cands[i].pos < cands[j].pos
 	})
-	if len(cands) > k {
-		cands = cands[:k]
+	if len(cands) > topK {
+		cands = cands[:topK]
 	}
 	for _, c := range cands {
 		dst = append(dst, c.pos)

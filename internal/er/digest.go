@@ -12,7 +12,7 @@ package er
 // or same shard". Because scoring is pure and union-find closure is
 // order-independent, the set of clusters the cluster converges to is the
 // set a single node would have produced — the property the differential
-// tests pin down (modulo MaxBlock truncation, which can select different
+// tests pin down (modulo maxBlock truncation, which can select different
 // candidate subsets when a block is split across shards; see DESIGN.md).
 
 import (
@@ -56,9 +56,10 @@ type DigestBatch struct {
 	// watermarks to pass to the next DigestsSince call.
 	Ents    int `json:"ents"`
 	Matches int `json:"matches"`
-	// Settings are the resolver's effective settings, which the router
-	// builds its exchange from. A batch from a build that ships none
-	// decodes to the zero Config: the defaults.
+	// Settings carry the resolver's blocking mode, which the router builds
+	// its exchange from; on the wire {"blocking":…}, or {} for token. A
+	// batch that ships none decodes to token, and fields an older build
+	// shipped besides the mode are ignored.
 	Settings Config `json:"settings"`
 }
 
@@ -67,7 +68,7 @@ type DigestBatch struct {
 // synchronizes with writers the same way Stats does: the curation
 // pipeline calls this under its own mutex.
 func (r *Resolver) DigestsSince(entsSince, matchesSince int) DigestBatch {
-	b := DigestBatch{Ents: len(r.ents), Matches: len(r.matches), Settings: r.cfg}
+	b := DigestBatch{Ents: len(r.ents), Matches: len(r.matches), Settings: Config{Blocking: r.cfg.Blocking}}
 	if entsSince < 0 {
 		entsSince = 0
 	}
@@ -139,8 +140,8 @@ type Exchange struct {
 }
 
 // NewExchange creates an exchange. Pass the settings the shards report
-// (DigestBatch.Settings) so candidate generation and acceptance agree
-// across the boundary.
+// (DigestBatch.Settings) so candidate generation agrees across the
+// boundary.
 func NewExchange(cfg Config) *Exchange {
 	res := NewResolver(cfg)
 	res.never = func(a, b *indexed) bool { return a.shard == b.shard || a.source == b.source }

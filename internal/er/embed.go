@@ -2,11 +2,10 @@ package er
 
 import "math"
 
-// DefaultEmbedDim is the feature-hashed embedding width used when
-// Config.EmbedDim is zero: wide enough that unrelated records rarely
-// collide on sign patterns, small enough that a dot product costs less
-// than one pairScore call.
-const DefaultEmbedDim = 64
+// embedDim is the feature-hashed embedding width: wide enough that unrelated
+// records rarely collide on sign patterns, small enough that a dot product
+// costs less than one pairScore call.
+const embedDim = 64
 
 // The embedder is deliberately model-free: token and character-trigram
 // features of the indexed entity are hashed into a fixed-dimension vector
@@ -52,12 +51,12 @@ func addFeature(acc []float32, h uint64, w float32) {
 }
 
 // embedTokens hashes the token and trigram features of a token list into
-// a dim-wide L2-normalized vector. Tokens are whole-word features;
+// an embedDim-wide L2-normalized vector. Tokens are whole-word features;
 // boundary-padded trigrams of each token carry typo robustness (a
 // one-character edit disturbs at most three trigrams). The function is
 // pure: identical tokens produce identical vectors.
-func embedTokens(tokens []string, dim int) []float32 {
-	acc := make([]float32, dim)
+func embedTokens(tokens []string) []float32 {
+	acc := make([]float32, embedDim)
 	// Digit-bearing tokens are identifiers, not fuzzy-matchable text (the
 	// scorer withholds fuzzy measures when they disagree — see
 	// sortedSetsAgree in valSim), and their values are often per-record noise

@@ -26,7 +26,7 @@ func TestRunePrefix(t *testing.T) {
 	}
 }
 
-// Regression: blockKeys used to byte-slice k[:BlockPrefix], splitting a
+// Regression: blockKeys used to byte-slice k[:blockPrefix], splitting a
 // multi-byte UTF-8 rune that straddles the boundary and emitting invalid
 // keys on non-ASCII attributes ("abcé" became "abc\xc3"). Keys must be
 // valid UTF-8 rune prefixes, and non-ASCII near-duplicates must land in
@@ -82,7 +82,7 @@ func (v vetoAdvisor) Accept(a, b EntityView, score float64) bool {
 
 func TestCurationAdvisorPluggable(t *testing.T) {
 	attrs := map[string]string{"name": "methotrexate trexall"}
-	base := NewResolver(Config{Threshold: 0.8})
+	base := NewResolver(Config{})
 	base.Add(ent(1, "drugbank", attrs))
 	if m := base.Add(ent(2, "ctd", attrs)); len(m) != 1 {
 		t.Fatalf("threshold advisor should accept the pair: %v", m)
@@ -163,9 +163,11 @@ func iotRecall(r *Resolver, ids map[string]model.EntityID, truth []datagen.Dirty
 // an early-character typo (hashing it into a different block) and every
 // other label token is so common its block overflows the per-key cap —
 // while the trigram embedding barely moves, so ANN candidate generation
-// must dominate token blocking, and the union mode must dominate both.
+// must dominate token blocking, and the union mode must dominate both. The
+// corpus is large enough (960 stations) that the shipped block cap
+// truncates the vocabulary blocks.
 func TestBlockingRecallDifferential(t *testing.T) {
-	sets, truth := datagen.IoTSensors(7, 2, 240, 1, 0.3)
+	sets, truth := datagen.IoTSensors(7, 2, 960, 1, 0.3)
 	mode := func(cfg Config) (float64, Stats) {
 		r, ids := ingestIoT(cfg, sets)
 		if p := iotPrecision(r, ids); p < 0.9 {
@@ -174,9 +176,9 @@ func TestBlockingRecallDifferential(t *testing.T) {
 		return iotRecall(r, ids, truth), r.Stats()
 	}
 	quadRecall, quadStats := mode(Config{DisableBlocking: true})
-	tokRecall, tokStats := mode(Config{Blocking: BlockingToken, MaxBlock: 16})
-	annRecall, annStats := mode(Config{Blocking: BlockingANN, MaxBlock: 16})
-	bothRecall, bothStats := mode(Config{Blocking: BlockingBoth, MaxBlock: 16})
+	tokRecall, tokStats := mode(Config{Blocking: BlockingToken})
+	annRecall, annStats := mode(Config{Blocking: BlockingANN})
+	bothRecall, bothStats := mode(Config{Blocking: BlockingBoth})
 
 	t.Logf("recall: quadratic=%.3f token=%.3f ann=%.3f both=%.3f", quadRecall, tokRecall, annRecall, bothRecall)
 	t.Logf("comparisons: quadratic=%d token=%d ann=%d both=%d", quadStats.Comparisons, tokStats.Comparisons, annStats.Comparisons, bothStats.Comparisons)
@@ -225,13 +227,13 @@ func TestBlockingModeParsing(t *testing.T) {
 // TestEmbedDeterminism: identical token sets embed identically, similar
 // strings land closer than dissimilar ones, and vectors are unit-norm.
 func TestEmbedDeterminism(t *testing.T) {
-	a := embedTokens([]string{"calibrated", "thermal", "station"}, DefaultEmbedDim)
-	b := embedTokens([]string{"calibrated", "thermal", "station"}, DefaultEmbedDim)
+	a := embedTokens([]string{"calibrated", "thermal", "station"})
+	b := embedTokens([]string{"calibrated", "thermal", "station"})
 	if dot(a, b) < 0.999 {
 		t.Fatalf("identical inputs must embed identically, cos=%f", dot(a, b))
 	}
-	typo := embedTokens([]string{"calibratde", "thermal", "station"}, DefaultEmbedDim)
-	far := embedTokens([]string{"orbital", "acoustic", "sensor"}, DefaultEmbedDim)
+	typo := embedTokens([]string{"calibratde", "thermal", "station"})
+	far := embedTokens([]string{"orbital", "acoustic", "sensor"})
 	if dot(a, typo) <= dot(a, far) {
 		t.Errorf("typo neighbor (cos=%f) must be closer than unrelated (cos=%f)", dot(a, typo), dot(a, far))
 	}

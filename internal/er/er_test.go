@@ -146,7 +146,7 @@ func ent(id model.EntityID, source string, attrs map[string]string) *model.Entit
 }
 
 func TestIncrementalResolution(t *testing.T) {
-	r := NewResolver(Config{Threshold: 0.8})
+	r := NewResolver(Config{})
 	// DrugBank-style schema.
 	m := r.Add(ent(1, "drugbank", map[string]string{"name": "Methotrexate", "targets": "DHFR"}))
 	if m != nil {
@@ -183,7 +183,7 @@ func TestSameSourceNeverMatches(t *testing.T) {
 }
 
 func TestTypoMatch(t *testing.T) {
-	r := NewResolver(Config{Threshold: 0.85})
+	r := NewResolver(Config{})
 	r.Add(ent(1, "a", map[string]string{"name": "Acetaminophen"}))
 	m := r.Add(ent(2, "b", map[string]string{"drug": "Acetaminophe"})) // dropped char
 	if len(m) != 1 {
@@ -226,8 +226,8 @@ func TestBatchEqualsIncrementalClusters(t *testing.T) {
 			ent(6, "c", map[string]string{"name": "Methotrexate"}),
 		}
 	}
-	_, batchMatches := ResolveBatch(mk(), Config{Threshold: 0.8})
-	inc := NewResolver(Config{Threshold: 0.8})
+	_, batchMatches := ResolveBatch(mk(), Config{})
+	inc := NewResolver(Config{})
 	incMatches := inc.AddAll(mk())
 	if len(batchMatches) != len(incMatches) {
 		t.Errorf("batch %d matches, incremental %d", len(batchMatches), len(incMatches))

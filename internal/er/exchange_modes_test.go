@@ -33,8 +33,8 @@ func handCorpus() []*model.Entity {
 }
 
 // dirtyCorpus is a datagen corpus of three sources with typo'd
-// cross-source duplicates, small enough that no block reaches MaxBlock (the
-// documented case where a split block can select other candidates).
+// cross-source duplicates, small enough that no block reaches the block cap
+// (the documented case where a split block can select other candidates).
 func dirtyCorpus() []*model.Entity {
 	sets, _ := datagen.DirtyTables(5, 3, 18, 0.8, 0.3)
 	return entitiesOf(sets)

@@ -166,33 +166,35 @@ func TestNoEvidenceNeverMatches(t *testing.T) {
 	}
 }
 
-// TestDigestBatchCarriesSettings: the settings a router builds its exchange
-// from survive the wire, and a batch from a build that ships none (the
-// field absent) reads as a shard on the defaults.
+// TestDigestBatchCarriesSettings: a batch ships the blocking mode alone; a
+// batch shaped by a build that shipped the tuning values beside it, or none
+// at all, still decodes to its mode; and an unknown mode fails the decode.
 func TestDigestBatchCarriesSettings(t *testing.T) {
-	ann := Config{Blocking: BlockingANN, TopK: 5}
-	blob, err := json.Marshal(NewResolver(ann).DigestsSince(0, 0))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		mode BlockingMode
+		want string
+	}{{BlockingANN, `{"blocking":"ann"}`}, {BlockingToken, `{}`}} {
+		blob, err := json.Marshal(NewResolver(Config{Blocking: c.mode}).DigestsSince(0, 0).Settings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(blob) != c.want {
+			t.Errorf("%v settings marshal to %s, want %s", c.mode, blob, c.want)
+		}
 	}
-	var got DigestBatch
-	if err := json.Unmarshal(blob, &got); err != nil {
-		t.Fatal(err)
+	for blob, want := range map[string]BlockingMode{
+		`{"settings":{"threshold":0.85,"blocking":"ann","block_prefix":4,"max_block":64,"top_k":8,"embed_dim":64}}`: BlockingANN,
+		`{"ents":0,"matches":0}`: BlockingToken,
+	} {
+		var got DigestBatch
+		if err := json.Unmarshal([]byte(blob), &got); err != nil {
+			t.Errorf("%s: %v", blob, err)
+		} else if got.Settings.Blocking != want {
+			t.Errorf("%s decodes to %v, want %v", blob, got.Settings.Blocking, want)
+		}
 	}
-	if field, _, _ := ann.Diff(got.Settings); field != "" {
-		t.Errorf("settings changed on the wire at %s: %s", field, blob)
-	}
-	var old DigestBatch
-	if err := json.Unmarshal([]byte(`{"ents":0,"matches":0}`), &old); err != nil {
-		t.Fatal(err)
-	}
-	if field, _, _ := (Config{}).Diff(old.Settings); field != "" {
-		t.Errorf("a batch without settings differs from the defaults at %s", field)
-	}
-	if field, want, got := ann.Diff(old.Settings); field != "blocking" || want != BlockingANN || got != BlockingToken {
-		t.Errorf("ann vs defaults: Diff = %s, %v, %v; want blocking, ann, token", field, want, got)
-	}
-	if err := json.Unmarshal([]byte(`{"settings":{"blocking":"lsh"}}`), &old); err == nil {
+	var bad DigestBatch
+	if err := json.Unmarshal([]byte(`{"settings":{"blocking":"lsh"}}`), &bad); err == nil {
 		t.Error("an unknown blocking mode must fail the decode")
 	}
 }

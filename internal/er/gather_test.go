@@ -1,7 +1,7 @@
 package er_test
 
 // The never-pair rule (same source; inside an Exchange also same shard) holds
-// at candidate generation, after a token block's MaxBlock cut. These tests pin
+// at candidate generation, after a token block's cap cut. These tests pin
 // both halves: what is no longer gathered, and that every decision — matches,
 // clusters, comparisons, block skips — is the one made when never-pairs were
 // gathered and then skipped.
@@ -22,9 +22,9 @@ var gatherModes = []struct {
 	name string
 	cfg  er.Config
 }{
-	{"token", er.Config{MaxBlock: 16}},
-	{"ann", er.Config{Blocking: er.BlockingANN, MaxBlock: 16}},
-	{"both", er.Config{Blocking: er.BlockingBoth, MaxBlock: 16}},
+	{"token", er.Config{}},
+	{"ann", er.Config{Blocking: er.BlockingANN}},
+	{"both", er.Config{Blocking: er.BlockingBoth}},
 	{"disabled", er.Config{DisableBlocking: true}},
 }
 
@@ -47,10 +47,10 @@ type namedCorpus struct {
 	ents []*model.Entity
 }
 
-// gatherCorpora are the multi-source fixtures: the corpus of
-// TestBlockingRecallDifferential (two gateways reporting the same 240
-// stations, whose vocabulary blocks overflow MaxBlock 16 — so the order of cut
-// and filter decides who is scored) and the exchange suite's dirtyCorpus.
+// gatherCorpora are the multi-source fixtures: two gateways reporting the
+// same 240 stations, whose vocabulary blocks overflow the block cap of 64 —
+// so the order of cut and filter decides who is scored — and the exchange
+// suite's dirtyCorpus, whose blocks stay under the cap.
 func gatherCorpora() []namedCorpus {
 	iot, _ := datagen.IoTSensors(7, 2, 240, 1, 0.3)
 	return []namedCorpus{{"iot", entitiesOf(iot)}, {"dirty", dirtyCorpus()}}
@@ -71,7 +71,7 @@ func TestSingleSourceGathersNothing(t *testing.T) {
 				mode.name, len(ents), st.Candidates, st.Comparisons, st.Matches)
 		}
 		if mode.name == "token" && st.BlockSkips == 0 {
-			t.Errorf("%s: no block overflowed; the load does not exercise the MaxBlock cut", mode.name)
+			t.Errorf("%s: no block overflowed; the load does not exercise the block cap", mode.name)
 		}
 	}
 }
@@ -101,15 +101,16 @@ type decisions struct {
 
 // TestGatherKeepsEveryDecision pins matches, clusters, comparisons and block
 // skips on the multi-source fixtures to the values of the commit before the
-// rule moved (PR 16, ac1bd55), where never-pairs were gathered and skipped.
+// rule moved (ac1bd55), where never-pairs were gathered and skipped, run at
+// its default block cap of 64.
 func TestGatherKeepsEveryDecision(t *testing.T) {
 	want := map[string]decisions{
-		"token/iot":      {204, 14893, 232402, "204:9f5ed400e81ea116"},
-		"token/dirty":    {31, 641, 465, "18:b688aa2f2d07da70"},
+		"token/iot":      {241, 34282, 157064, "239:6fd3a2778e1065e9"},
+		"token/dirty":    {31, 759, 0, "18:b688aa2f2d07da70"},
 		"ann/iot":        {228, 1915, 0, "228:954d5c7ff18fdbc1"},
 		"ann/dirty":      {29, 142, 0, "17:5670a059facde390"},
-		"both/iot":       {238, 16803, 232402, "236:2fb0e0d0d972f962"},
-		"both/dirty":     {31, 654, 465, "18:b688aa2f2d07da70"},
+		"both/iot":       {241, 35703, 157064, "239:6fd3a2778e1065e9"},
+		"both/dirty":     {31, 764, 0, "18:b688aa2f2d07da70"},
 		"disabled/iot":   {241, 57600, 0, "239:6fd3a2778e1065e9"},
 		"disabled/dirty": {31, 785, 0, "18:b688aa2f2d07da70"},
 	}
@@ -140,12 +141,12 @@ type exchangeDecisions struct {
 // neighbours of a digest are same-shard or same-source and are not gathered.
 func TestExchangeGatherKeepsEveryDecision(t *testing.T) {
 	want := map[string]exchangeDecisions{
-		"token/iot":      {480, 9392, 130, 232402, 274, 130},
-		"token/dirty":    {49, 430, 21, 465, 18, 18},
+		"token/iot":      {480, 22771, 165, 157064, 239, 165},
+		"token/dirty":    {49, 503, 21, 0, 18, 18},
 		"ann/iot":        {480, 2446, 154, 0, 252, 154},
 		"ann/dirty":      {49, 107, 21, 0, 20, 18},
-		"both/iot":       {480, 11384, 162, 232402, 242, 162},
-		"both/dirty":     {49, 442, 21, 465, 18, 18},
+		"both/iot":       {480, 23894, 165, 157064, 239, 165},
+		"both/dirty":     {49, 507, 21, 0, 18, 18},
 		"disabled/iot":   {480, 38385, 165, 0, 239, 165},
 		"disabled/dirty": {49, 518, 21, 0, 18, 18},
 	}

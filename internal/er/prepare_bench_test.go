@@ -14,7 +14,7 @@ import (
 // stream: 5,000 entities of four sources, each a three-word name (the one
 // identifying value) and a four-letter city. Names draw from a vocabulary
 // large enough that their blocks stay small; a city is a stop-word-like key
-// whose block overflows MaxBlock and stays capped, and it is where nearly
+// whose block overflows the block cap and stays capped, and it is where nearly
 // all of an arrival's candidates come from. Two cities are laid out by hand:
 // the capped block of "qqqa" opens with 60 members an arrival of feed_d can be
 // scored against and 4 it cannot, and "qqqb" holds 10 and 4.
@@ -94,7 +94,7 @@ func TestPrepareAllocBudget(t *testing.T) {
 	many := fixtureEntity(0, "feed_d", f.typo(3000), "qqqa")
 	few := fixtureEntity(0, "feed_d", f.typo(3001), "qqqb")
 	if st := f.res.Stats(); st.BlockSkips == 0 {
-		t.Fatal("no block overflowed MaxBlock; the fixture has no capped block")
+		t.Fatal("no block overflowed the block cap; the fixture has no capped block")
 	}
 	nMany, nFew := f.res.Prepare(many).Candidates(), f.res.Prepare(few).Candidates()
 	if nMany < 50 || nFew == 0 || nFew > nMany/4 {

@@ -17,7 +17,7 @@ const (
 	// BlockingToken (the zero value) is classic token-prefix blocking:
 	// candidates share at least one token prefix. Cheap and byte-stable —
 	// the compatibility baseline — but blind to typos in every leading
-	// prefix and unbounded on stop-word-like keys until the MaxBlock cap
+	// prefix and unbounded on stop-word-like keys until the maxBlock cap
 	// truncates them.
 	BlockingToken BlockingMode = iota
 	// BlockingANN replaces token blocks with the embedding index: the
@@ -63,81 +63,36 @@ func (m *BlockingMode) UnmarshalText(b []byte) (err error) {
 	return err
 }
 
-// Config tunes the resolver. The tagged fields are the settings a
-// cross-shard exchange must share with the shards' local resolvers; a
-// shard ships them in every DigestBatch.
+// The resolver's tuning is fixed: entity resolution works across schemata
+// without prior knowledge of them, so nothing here is an operator's setting.
+const (
+	// threshold is the minimum pair score the default advisor treats as a
+	// match.
+	threshold = 0.85
+	// blockPrefix is the blocking-key length in characters (runes). Each
+	// token of each string attribute contributes its prefix as a blocking
+	// key, so only entities sharing at least one key are ever compared.
+	blockPrefix = 4
+	// maxBlock caps the number of candidates considered per blocking key;
+	// oversized blocks (stop-word-like keys) are skipped beyond the cap,
+	// trading recall for bounded cost.
+	maxBlock = 64
+)
+
+// Config configures the resolver. Blocking is the one setting a cross-shard
+// exchange must share with the shards' local resolvers; a shard ships it in
+// every DigestBatch.
 type Config struct {
-	// Threshold is the minimum pair score treated as a match. Zero means
-	// the default 0.85. Ignored when Advisor is set.
-	Threshold float64 `json:"threshold,omitempty"`
 	// Blocking selects the candidate-generation strategy (default
 	// BlockingToken).
 	Blocking BlockingMode `json:"blocking,omitempty"`
-	// BlockPrefix is the blocking-key length in characters (runes). Each
-	// token of each string attribute contributes its prefix as a blocking
-	// key, so only entities sharing at least one key are ever compared.
-	// Zero means the default 4.
-	BlockPrefix int `json:"block_prefix,omitempty"`
-	// MaxBlock caps the number of candidates considered per blocking key;
-	// oversized blocks (stop-word-like keys) are skipped beyond the cap,
-	// trading recall for bounded cost. Zero means the default 64.
-	MaxBlock int `json:"max_block,omitempty"`
-	// TopK is the ANN neighbor count per entity under BlockingANN/Both.
-	// Zero means DefaultTopK.
-	TopK int `json:"top_k,omitempty"`
-	// EmbedDim is the feature-hashed embedding width under
-	// BlockingANN/Both. Zero means DefaultEmbedDim.
-	EmbedDim int `json:"embed_dim,omitempty"`
-	// Advisor reviews scored candidate pairs (nil = ThresholdAdvisor over
-	// Threshold). See CurationAdvisor for the purity contract.
+	// Advisor reviews scored candidate pairs (nil = ThresholdAdvisor at the
+	// resolver's threshold). See CurationAdvisor for the purity contract.
 	Advisor CurationAdvisor `json:"-"`
 	// DisableBlocking compares every new entity against every indexed
 	// entity — the quadratic ablation baseline for the blocking design
 	// choice (see DESIGN.md).
 	DisableBlocking bool `json:"-"`
-}
-
-func (c Config) withDefaults() Config {
-	if c.Threshold == 0 {
-		c.Threshold = 0.85
-	}
-	if c.BlockPrefix == 0 {
-		c.BlockPrefix = 4
-	}
-	if c.MaxBlock == 0 {
-		c.MaxBlock = 64
-	}
-	if c.TopK == 0 {
-		c.TopK = DefaultTopK
-	}
-	if c.EmbedDim == 0 {
-		c.EmbedDim = DefaultEmbedDim
-	}
-	if c.Advisor == nil {
-		c.Advisor = ThresholdAdvisor{Threshold: c.Threshold}
-	}
-	return c
-}
-
-// Diff names the first shipped setting on which two configurations differ
-// once defaults are applied, with both values; field is "" when they agree.
-func (c Config) Diff(o Config) (field string, mine, theirs any) {
-	c, o = c.withDefaults(), o.withDefaults()
-	switch {
-	case c.Threshold != o.Threshold:
-		return "threshold", c.Threshold, o.Threshold
-	case c.Blocking != o.Blocking:
-		return "blocking", c.Blocking, o.Blocking
-	case c.BlockPrefix != o.BlockPrefix:
-		return "block_prefix", c.BlockPrefix, o.BlockPrefix
-	case c.MaxBlock != o.MaxBlock:
-		return "max_block", c.MaxBlock, o.MaxBlock
-	case c.TopK != o.TopK:
-		return "top_k", c.TopK, o.TopK
-	case c.EmbedDim != o.EmbedDim:
-		return "embed_dim", c.EmbedDim, o.EmbedDim
-	}
-	return "", nil, nil
 }
 
 // Match is one resolved duplicate pair with its similarity score.
@@ -194,7 +149,7 @@ type Resolver struct {
 
 	candidates int // scorable candidate pairs gathered (pre union-find filtering)
 	annProbes  int // ANN bucket members examined during rerank
-	blockSkips int // candidate slots dropped by the MaxBlock cap
+	blockSkips int // candidate slots dropped by the maxBlock cap
 
 	// never, when set, replaces the same-source rule of neverPair (the
 	// cross-shard Exchange adds "same shard").
@@ -205,8 +160,8 @@ type Resolver struct {
 // internally duplicate-free, so two records of one source never match. The
 // rule holds in one place, candidate generation (gather): a never-pair is not
 // gathered, so everything Prepare scores and Commit counts is scorable. A
-// token block applies it after the MaxBlock cut — the cut takes the block's
-// first MaxBlock members whoever they are, and only then are the never-pairs
+// token block applies it after the maxBlock cut — the cut takes the block's
+// first maxBlock members whoever they are, and only then are the never-pairs
 // among them dropped — because filtering first would hand their slots to
 // later, scorable members and change which pairs merge.
 func (r *Resolver) neverPair(a, b *indexed) bool {
@@ -218,14 +173,17 @@ func (r *Resolver) neverPair(a, b *indexed) bool {
 
 // NewResolver creates a resolver with the given configuration.
 func NewResolver(cfg Config) *Resolver {
+	if cfg.Advisor == nil {
+		cfg.Advisor = ThresholdAdvisor{Threshold: threshold}
+	}
 	r := &Resolver{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		blocks: make(map[string][]int),
 		byID:   make(map[model.EntityID]int),
 		uf:     NewUnionFind(),
 	}
 	if r.useANN() {
-		r.ann = newANNIndex(r.cfg.EmbedDim)
+		r.ann = newANNIndex()
 	}
 	return r
 }
@@ -251,7 +209,7 @@ type Stats struct {
 	ANNProbes int
 	// Blocks is the number of distinct blocking keys indexed.
 	Blocks int
-	// BlockSkips counts candidate slots dropped by the MaxBlock cap
+	// BlockSkips counts candidate slots dropped by the maxBlock cap
 	// (oversized, stop-word-like blocks).
 	BlockSkips int
 	// Matches is the number of duplicate pairs accepted so far.
@@ -324,7 +282,7 @@ func runePrefix(s string, n int) string {
 func (r *Resolver) blockKeys(ix indexed) []string {
 	keys := make([]string, 0, len(ix.tokens))
 	for _, t := range ix.tokens {
-		if k := runePrefix(t, r.cfg.BlockPrefix); len(keys) == 0 || keys[len(keys)-1] != k {
+		if k := runePrefix(t, blockPrefix); len(keys) == 0 || keys[len(keys)-1] != k {
 			keys = append(keys, k)
 		}
 	}
@@ -408,7 +366,7 @@ type Prepared struct {
 	vec    []float32   // embedding (ann/both modes)
 	cands  []candidate // scored candidates, in serial candidate order
 	probes int         // ANN bucket members examined
-	skips  int         // candidate slots dropped by the MaxBlock cap
+	skips  int         // candidate slots dropped by the maxBlock cap
 
 	blockDur time.Duration // candidate generation (blocking + ANN probe)
 	scoreDur time.Duration // pair scoring + advisor review
@@ -481,9 +439,9 @@ func (r *Resolver) gather(p *Prepared, sc *scratch) {
 		p.keys = r.blockKeys(p.ix)
 		for _, key := range p.keys {
 			block := r.blocks[key]
-			if len(block) > r.cfg.MaxBlock {
-				p.skips += len(block) - r.cfg.MaxBlock
-				block = block[:r.cfg.MaxBlock]
+			if len(block) > maxBlock {
+				p.skips += len(block) - maxBlock
+				block = block[:maxBlock]
 			}
 			for _, ci := range block {
 				if r.neverPair(&p.ix, &r.ents[ci]) {
@@ -497,13 +455,13 @@ func (r *Resolver) gather(p *Prepared, sc *scratch) {
 		}
 	}
 	if r.useANN() {
-		p.vec = embedTokens(p.ix.tokens, r.cfg.EmbedDim)
+		p.vec = embedTokens(p.ix.tokens)
 		// Never-paired positions are filtered before the top-K cut: they
 		// can never match, and ranking them would let a burst of sibling
 		// records crowd real neighbors out of K (it would also make the
 		// parallel snapshot diverge from a serial pass). Positions the token
 		// blocks selected are in sc.seen and are not ranked again.
-		sc.cands, p.probes = r.ann.topK(sc.cands, p.vec, r.cfg.TopK, sc.seen, func(pos int) bool {
+		sc.cands, p.probes = r.ann.topK(sc.cands, p.vec, sc.seen, func(pos int) bool {
 			return r.neverPair(&p.ix, &r.ents[pos])
 		})
 	}

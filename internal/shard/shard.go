@@ -20,11 +20,12 @@
 // pulls each shard's incremental ER digests (er_digests op) and feeds them
 // to an er.Exchange, which runs them through a resolver of its own — the
 // blocking keys, pair scorer and curation advisor the shards run locally —
-// across shard boundaries. Every digest batch carries the shard's resolver
-// settings; the router builds the exchange from them and refuses shards
-// that disagree (SettingsError). The exchange's cross-merge count
-// corrects the summed per-shard entity statistics, and SameRef answers
-// whether two keys resolved to one global entity.
+// across shard boundaries. Every digest batch carries the shard's blocking
+// mode, the resolver's one setting; the router builds the exchange in that
+// mode and refuses a shard that runs another (SettingsError). The
+// exchange's cross-merge count corrects the summed per-shard entity
+// statistics, and SameRef answers whether two keys resolved to one global
+// entity.
 //
 // Consistency: the router tracks one commit stamp per shard (the client
 // connections' LastCSN high-water marks) — a vector of CSNs rather than a
@@ -35,7 +36,7 @@
 // Determinism: gathered rows enter the final phase sorted by their binary
 // value encoding, so a 1-shard and an N-shard cluster return byte-identical
 // answers over the same corpus. The known caveats — float SUM/AVG
-// association order, MaxBlock truncation when an ER block splits across
+// association order, block-cap truncation when an ER block splits across
 // shards, ties at a pushed-down LIMIT boundary, statements refused as
 // ErrNotRoutable — are documented in DESIGN.md §Cluster architecture.
 package shard
@@ -95,22 +96,19 @@ type Config struct {
 	IngestBatch int
 }
 
-// SettingsError reports a shard whose resolver runs different settings
-// than shard 0's, which the cross-shard exchange was built from: the
-// exchange can generate candidates and accept pairs as one of them does,
-// not both.
+// SettingsError reports a shard whose resolver runs a different blocking
+// mode than shard 0's, which the cross-shard exchange was built from: the
+// exchange can generate candidates as one of them does, not both.
 type SettingsError struct {
 	Shard int
 	Addr  string
-	// Field is the setting's name in DigestBatch.Settings; Got is this
-	// shard's effective value, Want shard 0's.
-	Field     string
-	Got, Want any
+	// Got is this shard's blocking mode, Want shard 0's.
+	Got, Want er.BlockingMode
 }
 
 func (e *SettingsError) Error() string {
-	return fmt.Sprintf("shard %d (%s): resolver setting %s is %v, shard 0 runs %v; start every shard with the same er settings",
-		e.Shard, e.Addr, e.Field, e.Got, e.Want)
+	return fmt.Sprintf("shard %d (%s): resolver runs blocking %v, shard 0 runs %v; start every shard with the same -er-blocking",
+		e.Shard, e.Addr, e.Got, e.Want)
 }
 
 // Router fans requests out over the shards and merges the answers. It
@@ -122,11 +120,11 @@ type Router struct {
 	batch  int
 
 	// mu serializes routed ingests, the ER exchange they feed, and the
-	// per-shard digest watermarks. settings are what shard 0 reported
+	// per-shard digest watermarks. blocking is the mode shard 0 reported
 	// when the exchange was built.
 	mu          sync.Mutex
 	exch        *er.Exchange
-	settings    er.Config
+	blocking    er.BlockingMode
 	entsMark    []int
 	matchesMark []int
 	// lastEntities caches each shard's entity count from the latest stats
@@ -141,7 +139,7 @@ type Router struct {
 }
 
 // New builds a router over the given backends and runs one exchange round:
-// it learns the shards' resolver settings (a disagreement fails with a
+// it learns the shards' blocking mode (a disagreement fails with a
 // *SettingsError) and catches up on whatever the shards already hold.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
@@ -272,8 +270,8 @@ func (r *Router) IngestCtx(ctx context.Context, src scdb.Source) error {
 }
 
 // exchangeLocked pulls each shard's digests past the router's watermarks
-// and folds them into the exchange, which the first batch's settings
-// build. Caller holds r.mu.
+// and folds them into the exchange, which the first batch's blocking mode
+// builds. Caller holds r.mu.
 func (r *Router) exchangeLocked() error {
 	for i, b := range r.shards {
 		batch, err := b.ERDigests(r.entsMark[i], r.matchesMark[i])
@@ -281,9 +279,9 @@ func (r *Router) exchangeLocked() error {
 			return fmt.Errorf("shard %d (%s): er digests: %w", i, r.addrs[i], err)
 		}
 		if r.exch == nil {
-			r.settings, r.exch = batch.Settings, er.NewExchange(batch.Settings)
-		} else if field, want, got := r.settings.Diff(batch.Settings); field != "" {
-			return &SettingsError{Shard: i, Addr: r.addrs[i], Field: field, Got: got, Want: want}
+			r.blocking, r.exch = batch.Settings.Blocking, er.NewExchange(batch.Settings)
+		} else if got := batch.Settings.Blocking; got != r.blocking {
+			return &SettingsError{Shard: i, Addr: r.addrs[i], Got: got, Want: r.blocking}
 		}
 		r.exch.AddBatch(i, batch)
 		r.entsMark[i], r.matchesMark[i] = batch.Ents, batch.Matches

@@ -415,8 +415,8 @@ func TestRouterTakesResolverSettingsFromShards(t *testing.T) {
 
 	_, err = shard.Dial(shard.Config{}, addrs[0], startShardServer(t, scdb.Options{ERBlocking: "both"}))
 	var se *shard.SettingsError
-	if !errors.As(err, &se) || se.Shard != 1 || se.Field != "blocking" {
-		t.Errorf("mixed blocking modes: err = %v, want a SettingsError naming shard 1 and blocking", err)
+	if !errors.As(err, &se) || se.Shard != 1 || se.Got != er.BlockingBoth || se.Want != er.BlockingANN {
+		t.Errorf("mixed blocking modes: err = %v, want a SettingsError naming shard 1, both and ann", err)
 	}
 }
 
