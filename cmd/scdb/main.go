@@ -19,15 +19,18 @@
 // per line; EXPLAIN, EXPLAIN ANALYZE and TRACE work as statement prefixes.
 // A line starting with \ is a shell command. In both modes:
 //
+//	\witnesses   the inferred existentials (SELECT … FROM witnesses())
+//	\conflicts   the disagreeing claims (SELECT … FROM conflicts())
+//	\sources     each source's measured richness (SELECT … FROM richness())
 //	\explain Q   the optimized plan, its rewrites and cost (EXPLAIN Q)
 //	\analyze Q   per-operator statistics and the row count (EXPLAIN ANALYZE Q)
 //	\trace Q     the statement's span tree (TRACE Q)
 //	\quit        leave the shell (also \q)
 //
-// Embedded, the shell also has \stats, \witnesses, \sources, \conflicts,
-// \indexes, \tables and \schema T. Against a server (-connect) it has
-// \stats (engine and server counters), \replicas, \metrics (the metrics
-// registry) and \slow (the slow-op log).
+// Embedded, the shell also has \stats, \indexes, \tables and \schema T.
+// Against a server (-connect) it has \stats (engine and server counters),
+// \replicas, \metrics (the metrics registry) and \slow (the slow-op log).
+// Through a router the first three are refused as not routable.
 package main
 
 import (
@@ -120,15 +123,10 @@ func run() int {
 }
 
 // shell reads statements and commands from in, one per line, until \quit
-// or the end of input. cmds are the mode's own commands; the loop adds
-// \explain, \analyze and \trace, which go through the engine like a
-// statement. With prompt set it prints the banner and a prompt per line.
+// or the end of input. cmds are the mode's own commands; the loop adds the
+// shared ones. With prompt set it prints the banner and a prompt per line.
 func shell(in io.Reader, db engine, title string, cmds []command, prompt bool) {
-	cmds = append(cmds,
-		command{`\explain`, "Q", func(q string) { printExplain(db, q) }},
-		command{`\analyze`, "Q", func(q string) { runAnalyze(db, q) }},
-		command{`\trace`, "Q", func(q string) { runTrace(db, q) }},
-	)
+	cmds = append(cmds, sharedCommands(db)...)
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if prompt {
@@ -179,33 +177,25 @@ func banner(title string, cmds []command) string {
 	return b.String()
 }
 
-// embeddedCommands introspect the curation state of an embedded database.
+// sharedCommands are the same statements on every surface: each runs
+// through the engine as SCQL.
+func sharedCommands(db engine) []command {
+	fixed := func(q string) func(string) { return func(string) { runQuery(db, q) } }
+	return []command{
+		{`\witnesses`, "", fixed("SELECT entity, role, filler, because FROM witnesses()")},
+		{`\conflicts`, "", fixed("SELECT entity, attr, value, sources, reconcilable FROM conflicts()")},
+		{`\sources`, "", fixed("SELECT source, score FROM richness() ORDER BY source")},
+		{`\explain`, "Q", func(q string) { printExplain(db, q) }},
+		{`\analyze`, "Q", func(q string) { runAnalyze(db, q) }},
+		{`\trace`, "Q", func(q string) { runTrace(db, q) }},
+	}
+}
+
+// embeddedCommands introspect the storage and plan state of an embedded
+// database.
 func embeddedCommands(db *scdb.DB) []command {
 	return []command{
 		{`\stats`, "", func(string) { printStats(db) }},
-		{`\witnesses`, "", func(string) {
-			for _, w := range db.Witnesses() {
-				fmt.Printf("%s must have %s to some %s (via %s)\n", w.Entity, w.Role, w.Filler, w.Because)
-			}
-		}},
-		{`\sources`, "", func(string) {
-			rich := db.RefreshRichness()
-			for _, src := range sortedKeys(rich) {
-				fmt.Printf("%-16s richness %.3f\n", src, rich[src])
-			}
-		}},
-		{`\conflicts`, "", func(string) {
-			for _, c := range db.Conflicts() {
-				kind := "contradiction"
-				if c.Reconcilable {
-					kind = "parallel worlds"
-				}
-				fmt.Printf("%s.%s (%s):\n", c.Entity, c.Attr, kind)
-				for _, v := range sortedKeys(c.Values) {
-					fmt.Printf("  %-14s from %s\n", v, strings.Join(c.Values[v], ", "))
-				}
-			}
-		}},
 		{`\indexes`, "", func(string) { printIndexes(db) }},
 		{`\tables`, "", func(string) {
 			for _, name := range db.Tables() {
@@ -224,8 +214,7 @@ func embeddedCommands(db *scdb.DB) []command {
 	}
 }
 
-// remoteCommands read a server's counters; curation introspection needs
-// the embedded engine and is not offered.
+// remoteCommands read a server's counters.
 func remoteCommands(c *client.Client) []command {
 	return []command{
 		{`\stats`, "", func(string) { printServerStats(c) }},
@@ -266,11 +255,7 @@ func printServerStats(c *client.Client) {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		return
 	}
-	e := st.Engine
-	fmt.Printf("tables=%d entities=%d edges=%d concepts=%d inferred=%d witnesses=%d inconsistencies=%d merges=%d cache-hit=%.0f%%\n",
-		e.Tables, e.Entities, e.Edges, e.Concepts, e.InferredTypes,
-		e.Witnesses, e.Inconsistencies, e.Merges, 100*e.CacheHitRate)
-	printCurationLine(e.ER)
+	printEngine(st.Engine)
 	s := st.Server
 	fmt.Printf("server: conns=%d in-flight=%d (peak %d) queued=%d rejected=%d canceled=%d\n",
 		s.Conns, s.InFlight, s.InFlightPeak, s.Queued, s.Rejected, s.Canceled)
@@ -490,20 +475,19 @@ func runAnalyze(db engine, q string) bool {
 	return true
 }
 
-func printCurationLine(er scdb.ERStats) {
-	if er.Comparisons == 0 && er.Candidates == 0 && er.Blocks == 0 {
-		return
-	}
-	fmt.Printf("curation: comparisons=%d candidates=%d ann-probes=%d blocks=%d oversized-skips=%d\n",
-		er.Comparisons, er.Candidates, er.ANNProbes, er.Blocks, er.BlockSkips)
-}
-
-func printStats(db *scdb.DB) {
-	st := db.Stats()
+// printEngine prints an engine's counters, embedded or a server's.
+func printEngine(st scdb.Stats) {
 	fmt.Printf("tables=%d entities=%d edges=%d concepts=%d inferred=%d witnesses=%d inconsistencies=%d merges=%d cache-hit=%.0f%%\n",
 		st.Tables, st.Entities, st.Edges, st.Concepts, st.InferredTypes,
 		st.Witnesses, st.Inconsistencies, st.Merges, 100*st.CacheHitRate)
-	printCurationLine(st.ER)
+	if er := st.ER; er.Comparisons != 0 || er.Candidates != 0 || er.Blocks != 0 {
+		fmt.Printf("curation: comparisons=%d candidates=%d ann-probes=%d blocks=%d oversized-skips=%d\n",
+			er.Comparisons, er.Candidates, er.ANNProbes, er.Blocks, er.BlockSkips)
+	}
+}
+
+func printStats(db *scdb.DB) {
+	printEngine(db.Stats())
 	if w := db.WALStats(); w.Segments > 0 {
 		fmt.Printf("wal: segments=%d active=%d bytes=%d checkpoints=%d ckpt-csn=%d reclaimed=%d durable-csn=%d allocated-csn=%d recovery=%s\n",
 			w.Segments, w.SegmentIndex, w.Bytes, w.Checkpoints, w.CheckpointCSN,

@@ -131,6 +131,7 @@ func TestShellLoop(t *testing.T) {
 		`\explain SELECT name FROM things WHERE n > 1`,
 		`\analyze SELECT name FROM things`,
 		`\trace SELECT name FROM things`,
+		`\sources`,
 		`\nope`,
 		`\stats extra`,
 		`\quit`,
@@ -140,7 +141,7 @@ func TestShellLoop(t *testing.T) {
 	stderr := capture(t, &os.Stderr, func() {
 		stdout = captureStdout(t, func() { shell(in, db, "scdb shell", embeddedCommands(db), false) })
 	})
-	for _, want := range []string{"Scan things", "estimated cost:", "out=2", "(2 rows)", `"span": "request"`} {
+	for _, want := range []string{"Scan things", "estimated cost:", "out=2", "(2 rows)", `"span": "request"`, "source  score", "things"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout)
 		}
@@ -151,8 +152,9 @@ func TestShellLoop(t *testing.T) {
 	if stderr != "unknown command \\nope\nunknown command \\stats extra\n" {
 		t.Errorf("stderr = %q, want the two unknown commands", stderr)
 	}
-	b := banner("scdb shell", embeddedCommands(db))
-	for _, c := range embeddedCommands(db) {
+	cmds := append(embeddedCommands(db), sharedCommands(db)...)
+	b := banner("scdb shell", cmds)
+	for _, c := range cmds {
 		if !strings.Contains(b, c.name) {
 			t.Errorf("banner %q misses %s", b, c.name)
 		}

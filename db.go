@@ -3,7 +3,6 @@ package scdb
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"scdb/internal/core"
 	"scdb/internal/curate"
@@ -136,7 +135,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	if opts.Axioms != "" {
-		if err := db.Ontology().Parse(strings.NewReader(opts.Axioms)); err != nil {
+		if err := db.AddAxioms(opts.Axioms); err != nil {
 			db.Close()
 			return nil, err
 		}
@@ -149,9 +148,10 @@ func (db *DB) Close() error { return db.inner.Close() }
 
 // AddAxioms appends ontology axioms (same format as Options.Axioms).
 // Curation picks them up on the next ingest; existing inferences are
-// re-derived lazily.
+// re-derived lazily. Cached answers are dropped: the next statement sees
+// the axioms.
 func (db *DB) AddAxioms(axioms string) error {
-	return db.inner.Ontology().Parse(strings.NewReader(axioms))
+	return db.inner.AddAxioms(axioms)
 }
 
 // Ingest runs one source delivery through the curation pipeline:
@@ -325,7 +325,7 @@ func (db *DB) AddClaim(c Claim) error {
 	if db.inner.ReadOnly() {
 		return ErrReadOnly
 	}
-	e, ok := db.inner.LookupEntity("", c.Entity)
+	e, ok := db.inner.LookupEntity(c.Entity)
 	if !ok {
 		return fmt.Errorf("scdb: claim about unknown entity %q", c.Entity)
 	}
@@ -346,57 +346,10 @@ func (db *DB) AddClaim(c Claim) error {
 
 // RefreshRichness measures every source's richness (information content,
 // connectivity, density — FS.2) and uses the scores to weight claims in
-// fusion. It returns source → score.
-func (db *DB) RefreshRichness() map[string]float64 {
-	out := map[string]float64{}
-	for _, m := range db.inner.RefreshRichness() {
-		out[m.Source] = m.Score
-	}
-	return out
-}
-
-// Answer is the outcome of the context-aware query loop.
-type Answer struct {
-	// NaiveCertain is the classical certain answer (all worlds agree).
-	NaiveCertain bool
-	// JustifiedDegree is the parallel-world justification in [0,1].
-	JustifiedDegree float64
-	// Explanation names the supporting context and sources.
-	Explanation string
-	// ByContext gives each context class's degree.
-	ByContext map[string]float64
-	// Refinements lists the follow-up questions the system raised.
-	Refinements []string
-	// Sensitive reports whether the attribute varies across disjoint
-	// context classes; NarrowRange whether its values span a narrow band.
-	Sensitive   bool
-	NarrowRange bool
-}
-
-// JustifiedAnswer runs the paper's context-aware loop for "is target an
-// acceptable value of attr for this entity?": the naive certain answer,
-// the automatically raised refinements, and the justified parallel-world
-// answer under fuzzy closeness with tolerance tol.
-func (db *DB) JustifiedAnswer(entity, attr string, target, tol float64) (Answer, error) {
-	ca, err := db.inner.JustifiedAnswer(entity, attr, target, tol)
-	if err != nil {
-		return Answer{}, err
-	}
-	out := Answer{
-		NaiveCertain:    ca.NaiveCertain,
-		JustifiedDegree: float64(ca.Justified.Degree),
-		Explanation:     ca.Justified.Explanation,
-		ByContext:       map[string]float64{},
-		Sensitive:       ca.Sensitive,
-		NarrowRange:     ca.NarrowRange,
-	}
-	for ctx, d := range ca.Justified.ByContext {
-		out.ByContext[ctx] = float64(d)
-	}
-	for _, r := range ca.Refinements {
-		out.Refinements = append(out.Refinements, r.Question)
-	}
-	return out, nil
+// fusion. The richness() relation reads the same measurements without
+// re-weighting anything.
+func (db *DB) RefreshRichness() {
+	db.inner.RefreshRichness()
 }
 
 // ErrInvalidDelivery is returned by Ingest for a delivery it refuses
@@ -549,53 +502,4 @@ func (db *DB) Stats() Stats {
 			BlockSkips:  s.ER.BlockSkips,
 		},
 	}
-}
-
-// Witness is an inferred existential: the entity must have Role to some
-// instance of Filler although no concrete edge is known (the paper's
-// Acetaminophen example).
-type Witness struct {
-	Entity  string
-	Role    string
-	Filler  string
-	Because string
-}
-
-// Witnesses returns all current existential witnesses, with entities
-// rendered by their best-known name.
-func (db *DB) Witnesses() []Witness {
-	var out []Witness
-	for _, w := range db.inner.Reasoner().AllWitnesses() {
-		out = append(out, Witness{
-			Entity:  db.entityLabel(w.Entity),
-			Role:    w.Role,
-			Filler:  w.Filler,
-			Because: w.Because,
-		})
-	}
-	return out
-}
-
-// Inconsistencies returns current semantic inconsistencies as
-// human-readable strings.
-func (db *DB) Inconsistencies() []string {
-	var out []string
-	for _, ic := range db.inner.Reasoner().Inconsistencies() {
-		out = append(out, fmt.Sprintf("%s belongs to disjoint concepts %q and %q",
-			db.entityLabel(ic.Entity), ic.ConceptA, ic.ConceptB))
-	}
-	return out
-}
-
-func (db *DB) entityLabel(id model.EntityID) string {
-	e, ok := db.inner.Graph().Entity(id)
-	if !ok {
-		return fmt.Sprintf("entity(%d)", id)
-	}
-	for _, attr := range []string{"name", "symbol", "label", "disease_name", "gene_symbol"} {
-		if s, ok := e.Attrs.Get(attr).AsString(); ok && s != "" {
-			return s
-		}
-	}
-	return e.Key
 }

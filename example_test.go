@@ -41,9 +41,10 @@ func Example() {
 	// Output: Widget 9.5
 }
 
-// ExampleDB_JustifiedAnswer reproduces the paper's Warfarin question: the
-// naive certain answer is false, the parallel-world answer is justified.
-func ExampleDB_JustifiedAnswer() {
+// ExampleDB_Query_justify reproduces the paper's Warfarin question through
+// the justify() relation: the naive certain answer is false, the
+// parallel-world answer is justified.
+func ExampleDB_Query_justify() {
 	db, err := scdb.Open(scdb.Options{
 		Axioms:    scdb.LifeSciAxioms + scdb.PopulationAxioms,
 		LinkRules: scdb.LifeSciLinkRules(),
@@ -60,19 +61,24 @@ func ExampleDB_JustifiedAnswer() {
 		db.AddClaim(c)
 	}
 
-	ans, _ := db.JustifiedAnswer("Warfarin", "effective_dose_mg", 5.0, 0.5)
-	fmt.Printf("naive certain: %v\n", ans.NaiveCertain)
-	fmt.Printf("justified: %.2f\n", ans.JustifiedDegree)
-	fmt.Printf("sensitive to context: %v\n", ans.Sensitive)
+	rows, err := db.Query(`SELECT naive_certain, degree, sensitive FROM justify('Warfarin', 'effective_dose_mg', 5.0, 0.5) LIMIT 1`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ans := rows.Data[0]
+	fmt.Printf("naive certain: %v\n", ans[0])
+	fmt.Printf("justified: %.2f\n", ans[1])
+	fmt.Printf("sensitive to context: %v\n", ans[2])
 	// Output:
 	// naive certain: false
 	// justified: 0.80
 	// sensitive to context: true
 }
 
-// ExampleDB_Witnesses shows the existential inference from the paper:
-// every Drug must have a target, even before one is known.
-func ExampleDB_Witnesses() {
+// ExampleDB_Query_witnesses shows the existential inference from the
+// paper through the witnesses() relation: every Drug must have a target,
+// even before one is known.
+func ExampleDB_Query_witnesses() {
 	db, err := scdb.Open(scdb.Options{
 		Axioms: "sub Aspirin_Class Drug\nexists Drug hasTarget Gene\nconcept Gene",
 	})
@@ -86,8 +92,12 @@ func ExampleDB_Witnesses() {
 			{Key: "d1", Types: []string{"Drug"}, Attrs: scdb.Record{"name": "Newdrug"}},
 		},
 	})
-	for _, w := range db.Witnesses() {
-		fmt.Printf("%s must have %s to some %s\n", w.Entity, w.Role, w.Filler)
+	rows, err := db.Query("SELECT entity, role, filler FROM witnesses()")
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, w := range rows.Data {
+		fmt.Printf("%s must have %s to some %s\n", w[0], w[1], w[2])
 	}
 	// Output: Newdrug must have hasTarget to some Gene
 }

@@ -43,26 +43,28 @@ func main() {
 	// Weight the sources by measured richness (FS.2 feeding FS.9).
 	db.RefreshRichness()
 
+	// The loop's answer is a relation: one row per context class, each
+	// carrying the whole answer beside its class's degree.
 	fmt.Println("Query: is 5.0 mg an effective Warfarin dose (tolerance 0.5 mg)?")
-	ans, err := db.JustifiedAnswer("Warfarin", "effective_dose_mg", 5.0, 0.5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\n  naive certain answer:  %v   (the paper's point: disagreement → false)\n", ans.NaiveCertain)
-	fmt.Printf("  justified answer:      degree %.2f — %s\n", ans.JustifiedDegree, ans.Explanation)
+	rows, err := db.Query(`SELECT context, context_degree, naive_certain, degree, explanation, sensitive, narrow_range, refinements
+		FROM justify('Warfarin', 'effective_dose_mg', 5.0, 0.5) ORDER BY context`)
+	must(err)
+	ans := rows.Data[0]
+	fmt.Printf("\n  naive certain answer:  %v   (the paper's point: disagreement → false)\n", ans[2])
+	fmt.Printf("  justified answer:      degree %.2f — %s\n", ans[3], ans[4])
 	fmt.Println("\n  per-context support:")
-	for ctx, d := range ans.ByContext {
-		fmt.Printf("    %-8s %.2f\n", ctx, d)
+	for _, r := range rows.Data {
+		fmt.Printf("    %-8s %.2f\n", r[0], r[1])
 	}
 	fmt.Println("\n  refinements the system raised on its own:")
-	for _, q := range ans.Refinements {
+	for _, q := range ans[7].([]any) {
 		fmt.Printf("    - %s\n", q)
 	}
-	fmt.Printf("\n  sensitivity discovered: %v   narrow therapeutic range: %v\n", ans.Sensitive, ans.NarrowRange)
+	fmt.Printf("\n  sensitivity discovered: %v   narrow therapeutic range: %v\n", ans[5], ans[6])
 
 	// The same story through SCQL's answer modes over the claims table.
 	fmt.Println("\nSCQL answer modes over the claim base:")
-	rows, err := db.Query("SELECT value, source, context FROM claims ORDER BY value")
+	rows, err = db.Query("SELECT value, source, context FROM claims ORDER BY value")
 	must(err)
 	fmt.Printf("  default:        %d rows (all parallel worlds)\n", len(rows.Data))
 	rows, err = db.Query("SELECT value FROM claims UNDER CERTAIN")
@@ -83,17 +85,21 @@ func main() {
 	// Conflicts are first-class: the engine can tell a contradiction from
 	// parallel worlds, and can fall back to the crowd (FS.8) when asked.
 	fmt.Println("\nConflict ledger:")
-	for _, c := range db.Conflicts() {
+	rows, err = db.Query(`SELECT entity, attr, COUNT(*) AS n, reconcilable FROM conflicts()
+		GROUP BY entity, attr, reconcilable ORDER BY entity, attr`)
+	must(err)
+	for _, c := range rows.Data {
 		kind := "contradiction"
-		if c.Reconcilable {
+		if c[3] == true {
 			kind = "parallel worlds (disjoint contexts)"
 		}
-		fmt.Printf("  %s.%s — %d values — %s\n", c.Entity, c.Attr, len(c.Values), kind)
+		fmt.Printf("  %s.%s — %d values — %s\n", c[0], c[1], c[2], kind)
 	}
-	crowdAns, err := db.CrowdResolve("Warfarin", "effective_dose_mg", 15, 0.85, 7)
+	rows, err = db.Query("SELECT value, agreement, asks FROM crowd('Warfarin', 'effective_dose_mg', 15, 0.85, 7)")
 	must(err)
+	crowd := rows.Data[0]
 	fmt.Printf("\nCrowd check (budget 15, workers 85%% accurate): %v mg, agreement %.0f%%, %d asks\n",
-		crowdAns.Value, 100*crowdAns.Agreement, crowdAns.Asks)
+		crowd[0], 100*crowd[1].(float64), crowd[2])
 }
 
 func must(err error) {

@@ -34,15 +34,15 @@ func main() {
 	}
 
 	// 2. Random-walk discovery: what is connected to Methotrexate?
-	found, err := db.Discover("Methotrexate", 12, 7)
+	rows, err := db.Query("SELECT entity FROM discover('Methotrexate', 12, 7) ORDER BY step")
 	must(err)
 	fmt.Println("\nDiscovered from Methotrexate (seeded walk):")
-	for i, label := range found {
+	for i, r := range rows.Data {
 		if i == 6 {
-			fmt.Printf("  ... and %d more\n", len(found)-6)
+			fmt.Printf("  ... and %d more\n", len(rows.Data)-6)
 			break
 		}
-		fmt.Printf("  %s\n", label)
+		fmt.Printf("  %s\n", r[0])
 	}
 
 	// 3. Query-by-example: a partial record fills its own gaps from
@@ -58,13 +58,17 @@ func main() {
 	must(db.AddClaim(scdb.Claim{Source: "blog", Entity: "Ibuprofen", Attr: "otc", Value: true}))
 	must(db.AddClaim(scdb.Claim{Source: "registry", Entity: "Ibuprofen", Attr: "otc", Value: false}))
 	fmt.Println("\nConflicts:")
-	for _, c := range db.Conflicts() {
-		fmt.Printf("  %s.%s: %d values, reconcilable=%v\n", c.Entity, c.Attr, len(c.Values), c.Reconcilable)
+	rows, err = db.Query(`SELECT entity, attr, COUNT(*) AS n, reconcilable FROM conflicts()
+		GROUP BY entity, attr, reconcilable ORDER BY entity, attr`)
+	must(err)
+	for _, c := range rows.Data {
+		fmt.Printf("  %s.%s: %d values, reconcilable=%v\n", c[0], c[1], c[2], c[3])
 	}
 	db.RefreshRichness()
-	ans, err := db.CrowdResolve("Ibuprofen", "otc", 10, 0.9, 3)
+	rows, err = db.Query("SELECT value, agreement, asks FROM crowd('Ibuprofen', 'otc', 10, 0.9, 3)")
 	must(err)
-	fmt.Printf("Crowd says otc=%v (agreement %.0f%%, %d asks)\n", ans.Value, 100*ans.Agreement, ans.Asks)
+	ans := rows.Data[0]
+	fmt.Printf("Crowd says otc=%v (agreement %.0f%%, %d asks)\n", ans[0], 100*ans[1].(float64), ans[2])
 }
 
 func must(err error) {

@@ -27,9 +27,7 @@ exists Product soldBy Vendor
 			TargetType:    "Vendor",
 		}},
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	defer db.Close()
 
 	// Source 1: a product catalog. Note the literal vendor reference.
@@ -57,9 +55,7 @@ exists Product soldBy Vendor
 
 	// SCQL across both layers: relational filter + graph reachability.
 	rows, err := db.Query(`SELECT name, price FROM Gadget AS g WHERE REACHES(g._id, 'Acme Corp', 1) ORDER BY price WITH SEMANTICS`)
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	fmt.Println("Gadgets sold by Acme Corp:")
 	for _, row := range rows.Data {
 		fmt.Printf("  %-12v $%v\n", row[0], row[1])
@@ -68,15 +64,15 @@ exists Product soldBy Vendor
 	// The semantic layer noticed that Mystery Box, being a Product, must
 	// have a vendor — even though none is known yet.
 	fmt.Println("\nExistential witnesses (inferred but unresolved facts):")
-	for _, w := range db.Witnesses() {
-		fmt.Printf("  %s must have %s to some %s (because it is a %s)\n", w.Entity, w.Role, w.Filler, w.Because)
+	rows, err = db.Query(`SELECT entity, role, filler, because FROM witnesses()`)
+	must(err)
+	for _, w := range rows.Data {
+		fmt.Printf("  %s must have %s to some %s (because it is a %s)\n", w[0], w[1], w[2], w[3])
 	}
 
 	// Meta-data is data: the observed schema is an ordinary table.
 	rows, err = db.Query(`SELECT attribute, kind, count FROM _catalog_tables WHERE "table" = 'catalog' ORDER BY attribute, kind`)
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	// The catalog flushes on Close; force it for the demo by querying the
 	// in-memory view through Stats instead when empty.
 	fmt.Println("\nObserved schema rows for 'catalog':", len(rows.Data))

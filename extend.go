@@ -4,15 +4,17 @@ import (
 	"fmt"
 
 	"scdb/internal/core"
-	"scdb/internal/fusion"
 	"scdb/internal/model"
 	"scdb/internal/refine"
 	"scdb/internal/storage"
 )
 
 // This file carries the remaining public surface: query-by-example
-// completion (FS.7), claim resolution policies (FS.9/FS.10), schema
-// introspection (meta-data as data), and durability maintenance.
+// completion (FS.7), predicted-link enrichment (FS.4), schema
+// introspection (meta-data as data), and durability maintenance. The
+// paper's answers themselves are SCQL relations (witnesses(), conflicts(),
+// resolve(…), justify(…), discover(…), crowd(…), suggest_links(…),
+// richness(); see DESIGN.md).
 
 // Completion is the result of completing one example record.
 type Completion struct {
@@ -47,149 +49,6 @@ func (db *DB) Complete(table string, example Record, want []string, k int) (Comp
 	}
 	for key, n := range c.Support {
 		out.Support[key] = n
-	}
-	return out, nil
-}
-
-// ResolutionPolicy selects how ResolveClaim reconciles conflicting claims.
-type ResolutionPolicy int
-
-const (
-	// Vote picks the most frequently claimed value.
-	Vote ResolutionPolicy = iota
-	// RichnessWeighted weights claims by measured source richness (run
-	// RefreshRichness first).
-	RichnessWeighted
-	// MostConfident picks the single highest-confidence claim.
-	MostConfident
-)
-
-// ResolveClaim reconciles the recorded claims about (entity, attr) into
-// one value plus the share of weight behind it.
-func (db *DB) ResolveClaim(entity, attr string, policy ResolutionPolicy) (value any, support float64, err error) {
-	e, ok := db.inner.LookupEntity("", entity)
-	if !ok {
-		return nil, 0, fmt.Errorf("scdb: unknown entity %q", entity)
-	}
-	var p fusion.Policy
-	switch policy {
-	case Vote:
-		p = fusion.PolicyVote
-	case RichnessWeighted:
-		p = fusion.PolicyRichnessWeighted
-	case MostConfident:
-		p = fusion.PolicyMostConfident
-	default:
-		return nil, 0, fmt.Errorf("scdb: unknown resolution policy %d", policy)
-	}
-	v, deg, err := db.inner.Worlds().Resolve(e.ID, attr, p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return fromValue(v), float64(deg), nil
-}
-
-// Conflict describes one attribute with disagreeing claims.
-type Conflict struct {
-	Entity string
-	Attr   string
-	// Values lists the distinct claimed values with their sources.
-	Values map[string][]string
-	// Reconcilable is true when the disagreeing claims live in pairwise
-	// disjoint context classes — parallel worlds rather than errors.
-	Reconcilable bool
-}
-
-// Conflicts lists every attribute with disagreeing claims.
-func (db *DB) Conflicts() []Conflict {
-	var out []Conflict
-	for _, cf := range db.inner.Worlds().Conflicts() {
-		c := Conflict{
-			Entity:       db.entityLabel(cf.Entity),
-			Attr:         cf.Attr,
-			Values:       map[string][]string{},
-			Reconcilable: cf.Reconcilable,
-		}
-		for _, claim := range cf.Claims {
-			key := fmt.Sprintf("%v", fromValue(claim.Value))
-			c.Values[key] = append(c.Values[key], claim.Source)
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-// Discover runs the paper's random-walk discovery (FS.6: "formulate the
-// discovery and refinement process as a random walk problem") from the
-// named seed entity: a seeded walk biased toward unvisited neighbors,
-// returning the labels of discovered entities in first-visit order.
-// Deterministic per seed.
-func (db *DB) Discover(entity string, steps int, seed int64) ([]string, error) {
-	e, ok := db.inner.LookupEntity("", entity)
-	if !ok {
-		return nil, fmt.Errorf("scdb: unknown entity %q", entity)
-	}
-	var out []string
-	for _, id := range db.inner.Refiner().RandomWalk(e.ID, steps, seed) {
-		out = append(out, db.entityLabel(id))
-	}
-	return out, nil
-}
-
-// CrowdAnswer reports a crowd-resolved claim conflict.
-type CrowdAnswer struct {
-	Value     any
-	Agreement float64
-	Asks      int
-	Spent     float64
-}
-
-// CrowdResolve asks a simulated crowd (FS.8) to pick among the distinct
-// claimed values for (entity, attr), spending at most budget unit-cost
-// asks with workers of the given accuracy. The simulation treats the
-// richness-weighted fusion winner as ground truth — the crowd checks
-// fusion's work. Deterministic per seed.
-func (db *DB) CrowdResolve(entity, attr string, budget, workerAccuracy float64, seed int64) (CrowdAnswer, error) {
-	e, ok := db.inner.LookupEntity("", entity)
-	if !ok {
-		return CrowdAnswer{}, fmt.Errorf("scdb: unknown entity %q", entity)
-	}
-	out, err := db.inner.CrowdResolve(e.ID, attr, budget, workerAccuracy, seed, -1)
-	if err != nil {
-		return CrowdAnswer{}, err
-	}
-	return CrowdAnswer{
-		Value:     fromValue(out.Value),
-		Agreement: out.Agreement,
-		Asks:      out.Asks,
-		Spent:     out.Spent,
-	}, nil
-}
-
-// SuggestedLink is one predicted edge.
-type SuggestedLink struct {
-	From       string
-	Predicate  string
-	To         string
-	Confidence float64
-}
-
-// SuggestLinks proposes up to k missing pred-edges from the named entity,
-// learned from co-occurrence patterns in the curated graph (FS.4).
-// Suggestions are never certainties; their confidence is below 1.
-func (db *DB) SuggestLinks(entity, predicate string, k int) ([]SuggestedLink, error) {
-	e, ok := db.inner.LookupEntity("", entity)
-	if !ok {
-		return nil, fmt.Errorf("scdb: unknown entity %q", entity)
-	}
-	var out []SuggestedLink
-	for _, s := range db.inner.SuggestLinks(e.ID, predicate, k) {
-		out = append(out, SuggestedLink{
-			From:       db.entityLabel(s.From),
-			Predicate:  s.Predicate,
-			To:         db.entityLabel(s.To),
-			Confidence: float64(s.Confidence),
-		})
 	}
 	return out, nil
 }

@@ -49,6 +49,16 @@ func TestCompletePublicAPI(t *testing.T) {
 	}
 }
 
+// rowsOf runs q and returns its rows, failing the test on an error.
+func rowsOf(t *testing.T, db *DB, q string) [][]any {
+	t.Helper()
+	rows, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return rows.Data
+}
+
 func TestResolveClaimPolicies(t *testing.T) {
 	db := openSample(t)
 	for _, c := range []Claim{
@@ -60,28 +70,22 @@ func TestResolveClaimPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, support, err := db.ResolveClaim("Warfarin", "color", Vote)
-	if err != nil {
-		t.Fatal(err)
+	got := rowsOf(t, db, "SELECT value, support FROM resolve('Warfarin', 'color', 'vote')")
+	if len(got) != 1 || got[0][0] != "white" || got[0][1].(float64) < 0.6 {
+		t.Errorf("vote = %v", got)
 	}
-	if v != "white" || support < 0.6 {
-		t.Errorf("vote = %v (%v)", v, support)
+	got = rowsOf(t, db, "SELECT value FROM resolve('Warfarin', 'color', 'confident')")
+	if len(got) != 1 || got[0][0] != "ivory" {
+		t.Errorf("most confident = %v", got)
 	}
-	v, _, err = db.ResolveClaim("Warfarin", "color", MostConfident)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != "ivory" {
-		t.Errorf("most confident = %v", v)
-	}
-	if _, _, err := db.ResolveClaim("Nothing", "color", Vote); err == nil {
-		t.Error("unknown entity must fail")
-	}
-	if _, _, err := db.ResolveClaim("Warfarin", "absent", Vote); err == nil {
-		t.Error("attribute without claims must fail")
-	}
-	if _, _, err := db.ResolveClaim("Warfarin", "color", ResolutionPolicy(99)); err == nil {
-		t.Error("unknown policy must fail")
+	for _, q := range []string{
+		"SELECT * FROM resolve('Nothing', 'color', 'vote')",   // unknown entity
+		"SELECT * FROM resolve('Warfarin', 'absent', 'vote')", // no claims
+		"SELECT * FROM resolve('Warfarin', 'color', 'tally')", // unknown policy
+	} {
+		if _, err := db.Query(q); err == nil {
+			t.Errorf("%s must fail", q)
+		}
 	}
 }
 
@@ -92,46 +96,42 @@ func TestConflictsPublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	conflicts := db.Conflicts()
-	if len(conflicts) != 1 {
-		t.Fatalf("conflicts = %+v", conflicts)
+	got := rowsOf(t, db, "SELECT entity, attr, value, sources, reconcilable FROM conflicts()")
+	if len(got) != 3 {
+		t.Fatalf("conflict rows = %v", got)
 	}
-	cf := conflicts[0]
-	if cf.Entity != "Warfarin" || cf.Attr != "effective_dose_mg" {
-		t.Errorf("conflict = %+v", cf)
+	for _, r := range got {
+		if r[0] != "Warfarin" || r[1] != "effective_dose_mg" {
+			t.Errorf("conflict row = %v", r)
+		}
+		if r[4] != true {
+			t.Error("disjoint population contexts must be reconcilable")
+		}
 	}
-	if !cf.Reconcilable {
-		t.Error("disjoint population contexts must be reconcilable")
-	}
-	if len(cf.Values) != 3 {
-		t.Errorf("values = %v", cf.Values)
-	}
-	if srcs := cf.Values["5.1"]; len(srcs) != 1 || srcs[0] != "trials-us" {
-		t.Errorf("5.1 sources = %v", srcs)
+	// One row per distinct value, in value order.
+	if srcs := got[1][3].([]any); got[1][2] != 5.1 || len(srcs) != 1 || srcs[0] != "trials-us" {
+		t.Errorf("5.1 row = %v", got[1])
 	}
 }
 
 func TestDiscoverPublic(t *testing.T) {
 	db := openSample(t)
-	found, err := db.Discover("Methotrexate", 10, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const q = "SELECT step, entity FROM discover('Methotrexate', 10, 42) ORDER BY step"
+	found := rowsOf(t, db, q)
 	if len(found) == 0 {
 		t.Fatal("walk discovered nothing")
 	}
-	// Determinism per seed.
-	again, _ := db.Discover("Methotrexate", 10, 42)
-	if len(found) != len(again) {
-		t.Error("walk not deterministic")
+	// Determinism per seed, through a cache-free second run.
+	if again := rowsOf(t, db, q+" LIMIT 100"); fmt.Sprint(again) != fmt.Sprint(found) {
+		t.Errorf("walk not deterministic: %v then %v", found, again)
 	}
 	// Methotrexate's neighborhood includes its target or its disease.
-	joined := strings.Join(found, "|")
+	joined := fmt.Sprint(found)
 	if !strings.Contains(joined, "DHFR") && !strings.Contains(joined, "Osteosarcoma") &&
 		!strings.Contains(joined, "Rheumatoid Arthritis") {
 		t.Errorf("unexpected discoveries: %v", found)
 	}
-	if _, err := db.Discover("Nobody", 5, 1); err == nil {
+	if _, err := db.Query("SELECT * FROM discover('Nobody', 5, 1)"); err == nil {
 		t.Error("unknown entity must fail")
 	}
 }
@@ -147,26 +147,25 @@ func TestCrowdResolvePublic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ans, err := db.CrowdResolve("Warfarin", "class", 20, 0.9, 42)
-	if err != nil {
-		t.Fatal(err)
+	const q = "SELECT value, agreement, asks, spent FROM crowd('Warfarin', 'class', 20, 0.9, 42)"
+	ans := rowsOf(t, db, q)
+	if len(ans) != 1 || ans[0][0] != "anticoagulant" {
+		t.Fatalf("crowd picked %v", ans)
 	}
-	if ans.Value != "anticoagulant" {
-		t.Errorf("crowd picked %v", ans.Value)
+	if ans[0][2].(int64) == 0 || ans[0][3].(float64) > 20 || ans[0][1].(float64) <= 0 {
+		t.Errorf("outcome = %v", ans)
 	}
-	if ans.Asks == 0 || ans.Spent > 20 || ans.Agreement <= 0 {
-		t.Errorf("outcome = %+v", ans)
+	// Determinism per seed, through a cache-free second run.
+	if again := rowsOf(t, db, q+" LIMIT 1"); fmt.Sprint(again) != fmt.Sprint(ans) {
+		t.Errorf("crowd resolution not seed-deterministic: %v then %v", ans, again)
 	}
-	// Determinism per seed.
-	again, _ := db.CrowdResolve("Warfarin", "class", 20, 0.9, 42)
-	if again.Asks != ans.Asks || again.Value != ans.Value {
-		t.Error("crowd resolution not seed-deterministic")
-	}
-	if _, err := db.CrowdResolve("Warfarin", "no-claims", 20, 0.9, 1); err == nil {
-		t.Error("attribute without claims must fail")
-	}
-	if _, err := db.CrowdResolve("Nobody", "class", 20, 0.9, 1); err == nil {
-		t.Error("unknown entity must fail")
+	for _, q := range []string{
+		"SELECT * FROM crowd('Warfarin', 'no-claims', 20, 0.9, 1)",
+		"SELECT * FROM crowd('Nobody', 'class', 20, 0.9, 1)",
+	} {
+		if _, err := db.Query(q); err == nil {
+			t.Errorf("%s must fail", q)
+		}
 	}
 }
 
@@ -200,20 +199,17 @@ domain treats Drug
 		t.Fatal(err)
 	}
 
-	sugg, err := db.SuggestLinks("compound drug0", "treats", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sugg := rowsOf(t, db, `SELECT "from", predicate, "to", confidence FROM suggest_links('compound drug0', 'treats', 3)`)
 	if len(sugg) == 0 {
 		t.Fatal("no suggestions")
 	}
-	if sugg[0].To != "Arthritis" {
-		t.Errorf("top suggestion = %+v", sugg[0])
+	if sugg[0][0] != "compound drug0" || sugg[0][1] != "treats" || sugg[0][2] != "Arthritis" {
+		t.Errorf("top suggestion = %v", sugg[0])
 	}
-	if sugg[0].Confidence <= 0 || sugg[0].Confidence >= 1 {
-		t.Errorf("confidence = %v", sugg[0].Confidence)
+	if c := sugg[0][3].(float64); c <= 0 || c >= 1 {
+		t.Errorf("confidence = %v", c)
 	}
-	if _, err := db.SuggestLinks("nobody", "treats", 3); err == nil {
+	if _, err := db.Query("SELECT * FROM suggest_links('nobody', 'treats', 3)"); err == nil {
 		t.Error("unknown entity must fail")
 	}
 

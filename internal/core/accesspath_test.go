@@ -61,7 +61,7 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 
 	// A TBox mutation bumps the ontology version: the old key never matches
 	// again, so the next run re-plans against the new semantics.
-	db.Ontology().DeclareConcept("FreshConcept")
+	db.onto.DeclareConcept("FreshConcept")
 	if _, info, err = db.Query(q); err != nil {
 		t.Fatal(err)
 	}

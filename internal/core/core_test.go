@@ -141,7 +141,7 @@ func TestSemanticOptimizerWired(t *testing.T) {
 
 func TestClaimsTableAnswerModes(t *testing.T) {
 	db := openLifeSci(t)
-	warfarin, ok := db.LookupEntity("drugbank", "DB00682")
+	warfarin, ok := db.graph.FindByKey("drugbank", "DB00682")
 	if !ok {
 		t.Fatal("warfarin missing")
 	}
@@ -157,9 +157,9 @@ func TestClaimsTableAnswerModes(t *testing.T) {
 	// Population classes must be disjoint for context classing.
 	po := datagen.PopulationOntology()
 	for _, pair := range [][2]string{{"White", "Asian"}, {"White", "Black"}, {"Asian", "Black"}} {
-		db.Ontology().SubConceptOf(pair[0], "Population")
-		db.Ontology().SubConceptOf(pair[1], "Population")
-		db.Ontology().Disjoint(pair[0], pair[1])
+		db.onto.SubConceptOf(pair[0], "Population")
+		db.onto.SubConceptOf(pair[1], "Population")
+		db.onto.Disjoint(pair[0], pair[1])
 	}
 	_ = po
 
@@ -191,9 +191,9 @@ func TestClaimsTableAnswerModes(t *testing.T) {
 
 func TestJustifiedAnswerEndToEnd(t *testing.T) {
 	db := openLifeSci(t)
-	warfarin, _ := db.LookupEntity("drugbank", "DB00682")
+	warfarin, _ := db.graph.FindByKey("drugbank", "DB00682")
 	for _, pair := range [][2]string{{"White", "Asian"}, {"White", "Black"}, {"Asian", "Black"}} {
-		db.Ontology().Disjoint(pair[0], pair[1])
+		db.onto.Disjoint(pair[0], pair[1])
 	}
 	for _, c := range []struct {
 		src, pop string
@@ -201,23 +201,27 @@ func TestJustifiedAnswerEndToEnd(t *testing.T) {
 	}{
 		{"trials-us", "White", 5.1}, {"trials-asia", "Asian", 3.4}, {"trials-africa", "Black", 6.1},
 	} {
-		db.Ontology().SubConceptOf(c.pop, "Population")
+		db.onto.SubConceptOf(c.pop, "Population")
 		db.AddClaim(fusion.Claim{Source: c.src, Entity: warfarin.ID, Attr: "dose", Value: model.Float(c.dose), Context: []string{c.pop}})
 	}
-	ans, err := db.JustifiedAnswer("Warfarin", "dose", 5.0, 0.5)
+	res, _, err := db.Query(`SELECT naive_certain, degree, refinements, sensitive FROM justify('Warfarin', 'dose', 5.0, 0.5)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans.NaiveCertain {
+	if len(res.Rows) != 3 {
+		t.Fatalf("want a row per population class, got %v", res.Rows)
+	}
+	ans := res.Rows[0]
+	if naive, _ := ans[0].AsBool(); naive {
 		t.Error("naive certain must be false")
 	}
-	if ans.Justified.Degree < 0.79 || ans.Justified.Degree > 0.81 {
-		t.Errorf("justified degree = %v", ans.Justified.Degree)
+	if d, _ := ans[1].AsFloat(); d < 0.79 || d > 0.81 {
+		t.Errorf("justified degree = %v", d)
 	}
-	if len(ans.Refinements) == 0 || !ans.Sensitive {
-		t.Errorf("refinement loop incomplete: %+v", ans)
+	if refs, _ := ans[2].AsList(); len(refs) == 0 || !model.Equal(ans[3], model.Bool(true)) {
+		t.Errorf("refinement loop incomplete: %v", ans)
 	}
-	if _, err := db.JustifiedAnswer("Nonexistium", "dose", 1, 1); err == nil {
+	if _, _, err := db.Query(`SELECT * FROM justify('Nonexistium', 'dose', 1, 1)`); err == nil {
 		t.Error("unknown entity must error")
 	}
 }
@@ -290,7 +294,7 @@ func TestRefreshRichnessFeedsFusion(t *testing.T) {
 		t.Fatalf("richness sources = %d", len(all))
 	}
 	for _, m := range all {
-		if db.Worlds().Richness(m.Source) != m.Score {
+		if db.worlds.Richness(m.Source) != m.Score {
 			t.Errorf("richness for %s not propagated", m.Source)
 		}
 	}
@@ -330,7 +334,7 @@ func TestPersistenceAcrossOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !db2.Ontology().Subsumes("Chemical", "Drug") {
+	if !db2.onto.Subsumes("Chemical", "Drug") {
 		t.Error("ontology not recovered from catalog")
 	}
 	res, _, err := db2.Query("SELECT COUNT(*) AS n FROM drugbank")
@@ -361,7 +365,7 @@ func TestRelationLayerRebuiltOnOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warfarin, _ := db.LookupEntity("drugbank", "DB00682")
+	warfarin, _ := db.graph.FindByKey("drugbank", "DB00682")
 	db.AddClaim(fusion.Claim{Source: "trials-us", Entity: warfarin.ID, Attr: "dose", Value: model.Float(5.1), Context: []string{"White"}})
 	before := db.Stats()
 	if err := db.Close(); err != nil {
@@ -394,11 +398,11 @@ func TestRelationLayerRebuiltOnOpen(t *testing.T) {
 		t.Errorf("reachability after rebuild = %v", res.Rows)
 	}
 	// The claim survived, attached to the rebuilt entity.
-	w2, ok := db2.LookupEntity("drugbank", "DB00682")
+	w2, ok := db2.graph.FindByKey("drugbank", "DB00682")
 	if !ok {
 		t.Fatal("warfarin missing after rebuild")
 	}
-	claims := db2.Worlds().ClaimsAbout(w2.ID, "dose")
+	claims := db2.worlds.ClaimsAbout(w2.ID, "dose")
 	if len(claims) != 1 || claims[0].Source != "trials-us" {
 		t.Errorf("claims after rebuild = %v", claims)
 	}
@@ -597,7 +601,7 @@ func TestPredictFunctionInEngine(t *testing.T) {
 func TestAccessorsAndTableRecords(t *testing.T) {
 	db := openLifeSci(t)
 	if db.Graph() == nil || db.Reasoner() == nil || db.Catalog() == nil ||
-		db.Store() == nil || db.Refiner() == nil || db.Pipeline() == nil {
+		db.Store() == nil || db.Pipeline() == nil {
 		t.Fatal("nil layer accessor")
 	}
 	recs, ok := db.TableRecords("drugbank")
@@ -614,14 +618,14 @@ func TestAccessorsAndTableRecords(t *testing.T) {
 
 func TestLookupEntityByName(t *testing.T) {
 	db := openLifeSci(t)
-	e, ok := db.LookupEntity("", "warfarin") // case-insensitive text match
+	e, ok := db.LookupEntity("warfarin") // case-insensitive text match
 	if !ok {
 		t.Fatal("lookup by name failed")
 	}
 	if n, _ := e.Attrs.Get("name").AsString(); n != "Warfarin" {
 		t.Errorf("looked up %v", e)
 	}
-	if _, ok := db.LookupEntity("", "definitely-not-present"); ok {
+	if _, ok := db.LookupEntity("definitely-not-present"); ok {
 		t.Error("unknown name must not resolve")
 	}
 }

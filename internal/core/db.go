@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"scdb/internal/catalog"
@@ -28,10 +29,6 @@ import (
 	"scdb/internal/storage"
 	"scdb/internal/txn"
 )
-
-// ClaimsTable is the virtual table exposing the parallel-world claim base
-// to SCQL (FROM claims ... UNDER CERTAIN / UNDER FUZZY(t)).
-const ClaimsTable = "claims"
 
 // Options configures Open.
 type Options struct {
@@ -396,7 +393,8 @@ func (db *DB) AddClaim(c fusion.Claim) {
 }
 
 // RefreshRichness measures every source's richness (FS.2) and feeds the
-// scores into claim fusion as source weights.
+// scores into claim fusion as source weights, which re-weights every cached
+// answer that fuses claims.
 func (db *DB) RefreshRichness() []richness.Metrics {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -404,14 +402,22 @@ func (db *DB) RefreshRichness() []richness.Metrics {
 	for _, m := range all {
 		db.worlds.SetRichness(m.Source, m.Score)
 	}
+	db.matCache.InvalidateAll()
 	return all
+}
+
+// AddAxioms parses axioms into the ontology, one per line. They can change
+// any answer, so the materialization cache goes too, even when a line fails
+// after earlier lines took effect.
+func (db *DB) AddAxioms(axioms string) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	defer db.matCache.InvalidateAll()
+	return db.onto.Parse(strings.NewReader(axioms))
 }
 
 // Graph exposes the relation layer (read-mostly analytical use).
 func (db *DB) Graph() *graph.Graph { return db.graph }
-
-// Ontology exposes the semantic layer's TBox/RBox.
-func (db *DB) Ontology() *ontology.Ontology { return db.onto }
 
 // Reasoner exposes the ABox reasoner.
 func (db *DB) Reasoner() *reason.Reasoner { return db.reasoner }
@@ -421,12 +427,6 @@ func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 
 // Store exposes the instance layer.
 func (db *DB) Store() *storage.Store { return db.store }
-
-// Worlds exposes the parallel-world claim base.
-func (db *DB) Worlds() *fusion.Worlds { return db.worlds }
-
-// Refiner exposes the context-aware refinement engine.
-func (db *DB) Refiner() *refine.Refiner { return db.refiner }
 
 // Pipeline exposes curation statistics.
 func (db *DB) Pipeline() *curate.Pipeline { return db.pipeline }
@@ -497,19 +497,11 @@ func (db *DB) TableRecords(name string) ([]model.Record, bool) {
 	return recs, true
 }
 
-// LookupEntity finds an entity by source-local key, or by any indexed
-// string attribute value when source is empty.
-func (db *DB) LookupEntity(source, key string) (*model.Entity, bool) {
+// LookupEntity finds an entity by any indexed string attribute value.
+func (db *DB) LookupEntity(text string) (*model.Entity, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if source != "" {
-		return db.graph.FindByKey(source, key)
-	}
-	id := db.lookupByText(key)
-	if id == model.NoEntity {
-		return nil, false
-	}
-	return db.graph.Entity(id)
+	return db.graph.Entity(db.lookupByText(text))
 }
 
 // lookupByText grounds a name to an entity via the graph (linear scan over
@@ -529,23 +521,6 @@ func (db *DB) lookupByText(text string) model.EntityID {
 		return true
 	})
 	return best
-}
-
-// JustifiedAnswer runs the paper's context-aware loop for "is target an
-// effective value of attr for the named entity?" — naive certain answer,
-// automatic refinements, and the justified parallel-world answer.
-func (db *DB) JustifiedAnswer(entityName, attr string, target, tol float64) (refine.ContextAnswer, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	id := db.lookupByText(entityName)
-	if id == model.NoEntity {
-		// Claims may reference entities that only exist in the claim base.
-		if len(db.worlds.ClaimsAbout(0, attr)) == 0 {
-			return refine.ContextAnswer{}, fmt.Errorf("core: unknown entity %q", entityName)
-		}
-		id = 0
-	}
-	return db.refiner.AnswerWithRefinement(id, attr, target, tol), nil
 }
 
 // Stats summarizes the engine.

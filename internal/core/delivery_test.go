@@ -68,7 +68,7 @@ func TestRejectedDeliveryWritesNothing(t *testing.T) {
 	if n := rowCount(t, re, "s"); n != 2 {
 		t.Errorf("rows after reopen = %d, want 2", n)
 	}
-	if _, ok := re.LookupEntity("s", "k2"); ok {
+	if _, ok := re.graph.FindByKey("s", "k2"); ok {
 		t.Error("the refused delivery's entity came back")
 	}
 	if got := re.Graph().NumEdges(); got != edges {

@@ -1,105 +1,26 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
-	"scdb/internal/crowd"
-	"scdb/internal/fusion"
 	"scdb/internal/graph"
 	"scdb/internal/model"
 	"scdb/internal/semantic"
 )
 
-// This file integrates the optional enrichment channels into the engine:
-// simulated crowdsourcing for claim conflicts (FS.8) and statistical link
-// prediction feeding the relation layer (FS.4) — the "non-deterministic
-// predictive inference power" whose transactional consequences FS.11
-// studies.
+// This file integrates statistical link prediction into the relation layer
+// (FS.4) — the "non-deterministic predictive inference power" whose
+// transactional consequences FS.11 studies. Its read side is the
+// suggest_links() relation (relations.go).
 
-// CrowdOutcome reports one crowd-resolved conflict.
-type CrowdOutcome struct {
-	Value     model.Value
-	Agreement float64
-	Asks      int
-	Spent     float64
-}
-
-// CrowdResolve poses a conflicting claim to a simulated crowd: the
-// distinct claimed values become the candidates, workers are drawn with
-// the given accuracy, and the majority answer within budget wins. The
-// trueIdx names which candidate (in value order) the simulator treats as
-// correct; pass -1 to use the richness-weighted fusion winner as ground
-// truth (the usual mode: the crowd checks fusion's work).
-func (db *DB) CrowdResolve(entity model.EntityID, attr string, budget float64, workerAccuracy float64, seed int64, trueIdx int) (CrowdOutcome, error) {
-	db.mu.RLock()
-	claims := db.worlds.ClaimsAbout(entity, attr)
-	db.mu.RUnlock()
-	if len(claims) == 0 {
-		return CrowdOutcome{}, fmt.Errorf("core: no claims about entity %d attr %q", entity, attr)
-	}
-	seen := map[uint64]bool{}
-	var cands []model.Value
-	for _, c := range claims {
-		if h := c.Value.Hash(); !seen[h] {
-			seen[h] = true
-			cands = append(cands, c.Value)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return model.Less(cands[i], cands[j]) })
-	if trueIdx < 0 {
-		db.mu.RLock()
-		winner, _, err := db.worlds.Resolve(entity, attr, fusion.PolicyRichnessWeighted)
-		db.mu.RUnlock()
-		if err != nil {
-			return CrowdOutcome{}, err
-		}
-		for i, c := range cands {
-			if model.Equal(c, winner) {
-				trueIdx = i
-				break
-			}
-		}
-	}
-	if trueIdx < 0 || trueIdx >= len(cands) {
-		return CrowdOutcome{}, fmt.Errorf("core: crowd truth index %d out of range", trueIdx)
-	}
-	sim := crowd.NewSimulator(seed)
-	for w := 0; w < 7; w++ {
-		sim.AddWorker(crowd.Worker{ID: fmt.Sprintf("w%d", w), Accuracy: workerAccuracy, Cost: 1})
-	}
-	task := crowd.Task{ID: fmt.Sprintf("%d/%s", entity, attr), Candidates: cands, Truth: trueIdx}
-	out := sim.Resolve([]crowd.Task{task}, budget, crowd.AllocAdaptive)
-	res := CrowdOutcome{Asks: out.Asks, Spent: out.Spent}
-	if v, ok := out.Answers[task.ID]; ok {
-		res.Value = v
-		res.Agreement = out.Agreement[task.ID]
-	}
-	return res, nil
-}
-
-// PredictedLink is one suggested edge with its confidence.
-type PredictedLink struct {
-	From       model.EntityID
-	Predicate  string
-	To         model.EntityID
-	Confidence model.Fuzzy
-}
-
-// SuggestLinks trains the co-occurrence link predictor on the current
-// graph and proposes up to k missing pred-edges from the entity, using the
-// reasoner's (asserted + inferred) types.
-func (db *DB) SuggestLinks(from model.EntityID, pred string, k int) []PredictedLink {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+// linkPredictor trains the co-occurrence link predictor on the current
+// graph over the reasoner's (asserted + inferred) types, which it returns
+// for the predictor's suggestions to read.
+func (db *DB) linkPredictor() (*semantic.LinkPredictor, func(model.EntityID) []string) {
 	lp := semantic.NewLinkPredictor()
 	typesOf := db.reasoner.EntityTypes
 	lp.Train(db.graph, typesOf)
-	var out []PredictedLink
-	for _, s := range lp.Suggest(db.graph, from, pred, typesOf, k) {
-		out = append(out, PredictedLink{From: s.From, Predicate: s.Predicate, To: s.To, Confidence: s.Confidence})
-	}
-	return out
+	return lp, typesOf
 }
 
 // EnrichPredictedLinks adds every suggestion with confidence >= minConf as
@@ -111,9 +32,7 @@ func (db *DB) SuggestLinks(from model.EntityID, pred string, k int) []PredictedL
 func (db *DB) EnrichPredictedLinks(pred string, perEntity int, minConf model.Fuzzy) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	lp := semantic.NewLinkPredictor()
-	typesOf := db.reasoner.EntityTypes
-	lp.Train(db.graph, typesOf)
+	lp, typesOf := db.linkPredictor()
 
 	domains := db.onto.DomainsOf(pred)
 	var candidates []model.EntityID

@@ -175,6 +175,9 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 	}
 	env := &queryEnv{db: db, ctx: ctx, mode: stmt.Mode, fuzzyT: stmt.FuzzyThreshold}
 	if plan == nil {
+		if err := checkCalls(stmt); err != nil {
+			return nil, nil, err
+		}
 		var err error
 		plan, err = query.BuildPlan(stmt, env)
 		if err != nil {
@@ -321,8 +324,8 @@ func (db *DB) optimizerOptions(stmt *query.SelectStmt) optimizer.Options {
 type dbStats struct{ db *DB }
 
 func (s dbStats) TableCard(name string) int {
-	if name == ClaimsTable {
-		return len(s.db.worlds.Claims())
+	if r := relations[name]; r.bare {
+		return r.card(s.db)
 	}
 	if t, ok := s.db.store.Table(name); ok {
 		return t.Len()
@@ -369,7 +372,7 @@ func (e *queryEnv) lookupName(text string) model.EntityID {
 }
 
 func (e *queryEnv) HasTable(name string) bool {
-	if name == ClaimsTable {
+	if relations[name].bare {
 		return true
 	}
 	_, ok := e.db.store.Table(name)
@@ -383,12 +386,12 @@ func (e *queryEnv) HasConcept(name string) bool { return e.db.onto.HasConcept(na
 // conjuncts the storage layer answers with a candidate superset via
 // secondary-index lookup and zone-map pruning (self-creating indexes from
 // the access traffic this very call records, once, as it opens the scan).
-// The virtual claims table has no storage access paths — it is
-// materialized by the fusion layer and chunked; answer-semantics filtering
-// dominates its cost, and the executor's re-filter does the rest.
+// A bare relation (claims) has no storage access paths — it is built and
+// chunked; the executor's re-filter applies the zone conjuncts.
 func (e *queryEnv) ScanTable(name string, zone []query.ZoneConjunct, size int) (query.ScanCursor, bool) {
-	if name == ClaimsTable {
-		return &query.RecordChunks{Recs: e.claimRows(), Size: size}, true
+	if r := relations[name]; r.bare {
+		cur, err := r.scan(e, nil, size)
+		return cur, err == nil
 	}
 	t, ok := e.db.store.Table(name)
 	if !ok {
@@ -413,55 +416,6 @@ func (e *queryEnv) ScanTable(name string, zone []query.ZoneConjunct, size int) (
 type tableCursor struct{ storage.Cursor }
 
 func (c *tableCursor) Info() query.PushedScanInfo { return query.PushedScanInfo(c.Cursor.Info()) }
-
-// claimRows materializes the claims virtual table under the statement's
-// answer semantics (Section 4.2):
-//
-//	default       — every claim as a row;
-//	UNDER CERTAIN — only claims from (entity, attr) groups where all
-//	                sources agree (the classical certain answer);
-//	UNDER FUZZY t — claims whose value is justified to degree >= t within
-//	                some context class (parallel-world justification).
-func (e *queryEnv) claimRows() []model.Record {
-	w := e.db.worlds
-	var rows []model.Record
-	for _, c := range w.Claims() {
-		include := false
-		justification := 1.0
-		switch e.mode {
-		case query.AnswerDefault:
-			include = true
-		case query.AnswerCertain:
-			val := c.Value
-			include = w.NaiveCertain(c.Entity, c.Attr, func(v model.Value) bool {
-				return model.Equal(v, val)
-			})
-		case query.AnswerFuzzy:
-			val := c.Value
-			j := w.Justified(c.Entity, c.Attr, func(v model.Value) model.Fuzzy {
-				if model.Equal(v, val) {
-					return 1
-				}
-				return 0
-			})
-			justification = float64(j.Degree)
-			include = j.Degree.AtLeast(e.fuzzyT)
-		}
-		if !include {
-			continue
-		}
-		rows = append(rows, model.Record{
-			"entity":        model.Ref(c.Entity),
-			"attr":          model.String(c.Attr),
-			"value":         c.Value,
-			"source":        model.String(c.Source),
-			"context":       model.String(strings.Join(c.Context, "+")),
-			"confidence":    model.Float(float64(c.Confidence)),
-			"justification": model.Float(justification),
-		})
-	}
-	return rows
-}
 
 // ScanConcept implements query.Env's concept scan: entity records are
 // built a chunk per pull, so LIMIT stops the build early.

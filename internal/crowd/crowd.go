@@ -56,9 +56,6 @@ func NewSimulator(seed int64) *Simulator {
 // AddWorker registers a worker.
 func (s *Simulator) AddWorker(w Worker) { s.workers = append(s.workers, w) }
 
-// Workers returns the registered pool.
-func (s *Simulator) Workers() []Worker { return s.workers }
-
 // Ask has the worker answer the task: the truth with probability
 // w.Accuracy, otherwise a uniformly chosen wrong candidate.
 func (s *Simulator) Ask(t Task, w Worker) model.Value {

@@ -204,32 +204,12 @@ func (o *Ontology) HasConcept(name string) bool {
 	return ok
 }
 
-// HasRole reports whether the role is known to the RBox.
-func (o *Ontology) HasRole(name string) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	_, ok := o.roles[name]
-	return ok
-}
-
 // Concepts returns all concept names, sorted.
 func (o *Ontology) Concepts() []string {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	names := make([]string, 0, len(o.concepts))
 	for n := range o.concepts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Roles returns all role names, sorted.
-func (o *Ontology) Roles() []string {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	names := make([]string, 0, len(o.roles))
-	for n := range o.roles {
 		names = append(names, n)
 	}
 	sort.Strings(names)

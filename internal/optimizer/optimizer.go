@@ -673,7 +673,8 @@ func pushScanPredicates(n query.Node, rep *Report) query.Node {
 	switch n := n.(type) {
 	case *query.FilterNode:
 		input := pushScanPredicates(n.Input, rep)
-		if scan, ok := input.(*query.ScanNode); ok {
+		// A function's rows are computed, not stored: no access path to pick.
+		if scan, ok := input.(*query.ScanNode); ok && !scan.Call {
 			var zone []query.ZoneConjunct
 			for _, c := range conjuncts(n.Pred) {
 				if zc, ok := zoneConjunct(c, scan.Binding); ok {
@@ -743,7 +744,8 @@ func orderJoins(n query.Node, opts Options, rep *Report) query.Node {
 func EstimateCard(n query.Node, opts Options) int {
 	switch n := n.(type) {
 	case *query.ScanNode:
-		if opts.Stats != nil {
+		// A function's row count is unknown until it runs.
+		if opts.Stats != nil && !n.Call {
 			return opts.Stats.TableCard(n.Table)
 		}
 		return 1000

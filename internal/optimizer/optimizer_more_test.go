@@ -171,6 +171,10 @@ func TestEstimateCardEdgeCases(t *testing.T) {
 	if c := EstimateCard(&query.ConceptScanNode{Concept: "X", Binding: "x"}, Options{}); c != 1000 {
 		t.Errorf("default concept card = %d", c)
 	}
+	// A function is not the table of its name.
+	if c := EstimateCard(&query.ScanNode{Table: "drugs", Binding: "drugs", Call: true}, opts); c != 1000 {
+		t.Errorf("function card = %d, want the default", c)
+	}
 	// Concept without stats falls back to total entities.
 	o := onto()
 	if c := EstimateCard(&query.ConceptScanNode{Concept: "Unknown", Binding: "x"}, Options{Semantics: o, Stats: stats{}}); c != 1000 {
@@ -243,5 +247,30 @@ func TestFoldInListAndLike(t *testing.T) {
 	folded := foldConstants(stmt.Where, rep)
 	if !strings.Contains(folded.String(), "2 IN") {
 		t.Errorf("IN operand not folded: %s", folded)
+	}
+}
+
+// TestFunctionScanKeepsItsFilter: a function has no access path, so a
+// sargable filter over a call stays a filter; over a table it fuses.
+func TestFunctionScanKeepsItsFilter(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		fuse bool
+	}{
+		{`SELECT name FROM drugs WHERE dose > 5`, true},
+		{`SELECT name FROM drugs() WHERE dose > 5`, false},
+	} {
+		stmt, err := query.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := query.BuildPlan(stmt, fixtureResolver())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, _ := Optimize(p, defaultOpts())
+		if fused := strings.Contains(query.Explain(opt), "IndexScan"); fused != c.fuse {
+			t.Errorf("%s fused into an IndexScan: %v\n%s", c.src, fused, query.Explain(opt))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -314,6 +315,9 @@ func (execEnv) ScanTable(name string, _ []query.ZoneConjunct, size int) (query.S
 	}, Size: size}, true
 }
 func (execEnv) ScanConcept(string, bool, int) (query.ScanCursor, bool) { return nil, false }
+func (execEnv) ScanFunction(name string, _ []model.Value, _ int) (query.ScanCursor, error) {
+	return nil, fmt.Errorf("no function %s", name)
+}
 func (execEnv) IsA(v model.Value, concept string, semantic bool) model.Truth {
 	id, ok := v.AsRef()
 	if !ok {

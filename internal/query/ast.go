@@ -165,12 +165,7 @@ func writeExpr(b *strings.Builder, e Expr) {
 		b.WriteByte('(')
 		writeExpr(b, e.X)
 		b.WriteString(" IN (")
-		for i, v := range e.Vals {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			writeValue(b, v)
-		}
+		writeValues(b, e.Vals)
 		b.WriteString("))")
 	case *Like:
 		b.WriteByte('(')
@@ -211,13 +206,18 @@ func (s SelectItem) Label() string {
 	return s.Expr.String()
 }
 
-// TableRef names a FROM or JOIN source with an optional alias. The name
+// TableRef names a FROM or JOIN source with an optional alias. A bare name
 // resolves to a storage table or, failing that, an ontology concept
 // (scanning the entities holding it) — the unification of tabular and
-// semantic data in one FROM clause.
+// semantic data in one FROM clause. A call, name(lit, …), is a
+// relation-valued function the environment serves, never a table; a bare
+// name is never a function.
 type TableRef struct {
 	Name  string
 	Alias string
+	// Call marks name(Args…); a call may take no arguments.
+	Call bool
+	Args []model.Value
 }
 
 // Binding returns the name expressions use to reference this source.
@@ -284,6 +284,15 @@ type SelectStmt struct {
 	// Mode and FuzzyThreshold come from UNDER CERTAIN / UNDER FUZZY(t).
 	Mode           AnswerMode
 	FuzzyThreshold float64
+}
+
+// Sources lists the statement's FROM source and then its JOIN sources.
+func (s *SelectStmt) Sources() []TableRef {
+	out := []TableRef{s.From}
+	for _, j := range s.Joins {
+		out = append(out, j.Table)
+	}
+	return out
 }
 
 // String reassembles a canonical form of the statement (for EXPLAIN and
@@ -374,12 +383,35 @@ func (s *SelectStmt) String() string {
 	return b.String()
 }
 
-// writeTable renders a FROM or JOIN source: its name and any alias.
+// writeTable renders a FROM or JOIN source: its name, a call's arguments
+// and any alias.
 func writeTable(b *strings.Builder, t TableRef) {
-	writeName(b, t.Name)
+	writeSource(b, t.Name, t.Call, t.Args)
 	if t.Alias != "" {
 		b.WriteString(" AS ")
 		writeName(b, t.Alias)
+	}
+}
+
+// writeSource writes a source's name and, for a call, its parenthesized
+// literal arguments.
+func writeSource(b *strings.Builder, name string, call bool, args []model.Value) {
+	writeName(b, name)
+	if !call {
+		return
+	}
+	b.WriteByte('(')
+	writeValues(b, args)
+	b.WriteByte(')')
+}
+
+// writeValues writes literals separated by commas.
+func writeValues(b *strings.Builder, vals []model.Value) {
+	for i, v := range vals {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeValue(b, v)
 	}
 }
 

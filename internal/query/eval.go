@@ -23,6 +23,9 @@ type Env interface {
 	// what it did in the cursor's Info; the executor re-applies the full
 	// predicate either way.
 	ScanTable(name string, zone []ZoneConjunct, size int) (cur ScanCursor, found bool)
+	// ScanFunction opens a scan of what FROM name(args…) answers, under the
+	// same contract; an unknown function or a bad argument is an error.
+	ScanFunction(name string, args []model.Value, size int) (ScanCursor, error)
 	// ScanConcept opens a scan that yields one record per entity holding
 	// the concept (attributes plus "_id" ref and "_key") under the same
 	// contract, reporting whether the concept is known. With semantic=false

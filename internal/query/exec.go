@@ -214,6 +214,14 @@ type execCtx struct {
 func (x *execCtx) build(n Node) (s stream, cols []string, st *OpStats, err error) {
 	switch n := n.(type) {
 	case *ScanNode:
+		if n.Call {
+			cur, err := x.ev.env.ScanFunction(n.Table, n.Args, x.size)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			st := newOpStats(n)
+			return x.newScanOp(cur, n.Binding, nil, st), nil, st, nil
+		}
 		return x.buildScan(n, n.Table, n.Binding, nil, nil)
 	case *IndexScanNode:
 		return x.buildScan(n, n.Table, n.Binding, n.Zone, n.Pred)

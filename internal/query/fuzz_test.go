@@ -18,6 +18,9 @@ func FuzzParse(f *testing.F) {
 		"\x00\xff garbage",
 		"SELECT",
 		"",
+		"SELECT * FROM justify('Warfarin', 'dose', 5.0, -0.5) AS j JOIN witnesses() ON j.context = witnesses.entity",
+		"SELECT value FROM resolve('x', NULL, TRUE, 'it''s') r",
+		"SELECT * FROM f(1,",
 	} {
 		f.Add(seed)
 	}

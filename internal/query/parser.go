@@ -256,6 +256,21 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		return TableRef{}, err
 	}
 	tr := TableRef{Name: name}
+	if p.accept(tokOp, "(") {
+		tr.Call = true
+		for !p.accept(tokOp, ")") {
+			if len(tr.Args) > 0 {
+				if _, err := p.expect(tokOp, ","); err != nil {
+					return TableRef{}, err
+				}
+			}
+			v, err := p.parseLiteralValue()
+			if err != nil {
+				return TableRef{}, err
+			}
+			tr.Args = append(tr.Args, v)
+		}
+	}
 	if p.accept(tokKeyword, "AS") {
 		alias, err := p.parseName()
 		if err != nil {

@@ -43,6 +43,21 @@ func randomExpr(r *rand.Rand, depth int) Expr {
 	}
 }
 
+// randomSource is a table, or a function call over random literals.
+func randomSource(r *rand.Rand, alias string) TableRef {
+	if r.Intn(2) == 0 {
+		return TableRef{Name: "drugs", Alias: alias}
+	}
+	t := TableRef{Name: []string{"witnesses", "justify", "suggest_links"}[r.Intn(3)], Alias: alias, Call: true}
+	for i := r.Intn(5); i > 0; i-- {
+		t.Args = append(t.Args, []model.Value{
+			model.Int(r.Int63n(1000) - 500), model.Float(0.5), model.Float(-2.25),
+			model.String("it's"), model.String(""), model.Bool(true), model.Null(),
+		}[r.Intn(7)])
+	}
+	return t
+}
+
 // TestPropertyExprRoundTrip: rendering a random expression and re-parsing
 // it yields the same canonical form — the property the refinement engine
 // (which manipulates statements as strings) depends on.
@@ -73,7 +88,10 @@ func TestPropertyExprRoundTrip(t *testing.T) {
 func TestPropertyStatementRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		stmt := &SelectStmt{From: TableRef{Name: "drugs", Alias: "d"}, Limit: -1}
+		stmt := &SelectStmt{From: randomSource(r, "d"), Limit: -1}
+		if r.Intn(3) == 0 {
+			stmt.Joins = []JoinClause{{Table: randomSource(r, []string{"", "j"}[r.Intn(2)]), On: randomExpr(r, 1)}}
+		}
 		if r.Intn(2) == 0 {
 			stmt.Star = true
 		} else {

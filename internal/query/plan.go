@@ -15,13 +15,23 @@ type Node interface {
 	Label() string
 }
 
-// ScanNode reads a storage table.
+// ScanNode reads a storage table, a relation the environment derives, or,
+// with Call set, the rows of the relation-valued function Table for Args.
 type ScanNode struct {
 	Table   string
 	Binding string
+	Call    bool
+	Args    []model.Value
 }
 
-func (n *ScanNode) Label() string { return fmt.Sprintf("Scan %s AS %s", n.Table, n.Binding) }
+func (n *ScanNode) Label() string {
+	if !n.Call {
+		return fmt.Sprintf("Scan %s AS %s", n.Table, n.Binding)
+	}
+	var b strings.Builder
+	writeSource(&b, n.Table, true, n.Args)
+	return "Scan " + b.String() + " AS " + n.Binding
+}
 
 // IndexScanNode reads a storage table through a pushed-down predicate: the
 // storage layer picks a secondary index for one sargable conjunct (if one
@@ -311,6 +321,8 @@ func CheckOrderBy(stmt *SelectStmt) error {
 
 func sourceNode(t TableRef, r Resolver, semantic bool) (Node, error) {
 	switch {
+	case t.Call:
+		return &ScanNode{Table: t.Name, Binding: t.Binding(), Call: true, Args: t.Args}, nil
 	case r.HasTable(t.Name):
 		return &ScanNode{Table: t.Name, Binding: t.Binding()}, nil
 	case r.HasConcept(t.Name):

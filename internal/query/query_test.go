@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -48,6 +49,24 @@ func (f *fakeEnv) cursor(recs []model.Record, ok bool, size int) (ScanCursor, bo
 func (f *fakeEnv) ScanTable(name string, _ []ZoneConjunct, size int) (ScanCursor, bool) {
 	recs, ok := f.tables[name]
 	return f.cursor(recs, ok, size)
+}
+
+// ScanFunction serves one fixture function, series(n): n rows numbered
+// from 1 in column i.
+func (f *fakeEnv) ScanFunction(name string, args []model.Value, size int) (ScanCursor, error) {
+	n, ok := int64(0), false
+	if len(args) == 1 {
+		n, ok = args[0].AsInt()
+	}
+	if name != "series" || !ok {
+		return nil, fmt.Errorf("query test: no function %s%v", name, args)
+	}
+	recs := make([]model.Record, n)
+	for i := range recs {
+		recs[i] = model.Record{"i": model.Int(int64(i + 1))}
+	}
+	cur, _ := f.cursor(recs, true, size)
+	return cur, nil
 }
 
 func (f *fakeEnv) ScanConcept(c string, semantic bool, size int) (ScanCursor, bool) {
@@ -189,6 +208,8 @@ func TestParseRoundTrip(t *testing.T) {
 		"SELECT name FROM drugs WHERE dose IS NOT NULL",
 		"SELECT name FROM drugs UNDER CERTAIN",
 		"SELECT name FROM drugs UNDER FUZZY(0.8) WITH SEMANTICS",
+		"SELECT * FROM witnesses()",
+		"SELECT value FROM justify('Warfarin', 'dose', 5.0, -0.5) AS j JOIN drugs d ON j.value = d.dose",
 	}
 	for _, src := range srcs {
 		stmt, err := Parse(src)
@@ -221,11 +242,53 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM drugs UNDER FUZZY(2)",
 		"SELECT 'unterminated FROM drugs",
 		"SELECT * FROM drugs WHERE a ! b",
+		"SELECT * FROM f(",
+		"SELECT * FROM f(a)",
+		"SELECT * FROM f(1 + 2)",
+		"SELECT * FROM f(1,)",
+		"SELECT * FROM f(,1)",
+		"SELECT * FROM f(1 2)",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) must fail", src)
 		}
+	}
+}
+
+// TestFunctionSource: a call in FROM or JOIN scans the environment's
+// function with its literal arguments, binds like a table and is never
+// mistaken for one.
+func TestFunctionSource(t *testing.T) {
+	res := mustRun(t, "SELECT s.i, d.name FROM series(2) AS s JOIN drugs AS d ON d.dose > s.i * 100 ORDER BY s.i")
+	if len(res.Rows) != 1 || !model.Equal(res.Rows[0][0], model.Int(1)) || !model.Equal(res.Rows[0][1], model.String("Ibuprofen")) {
+		t.Errorf("series(2) joined with drugs = %v", res.Rows)
+	}
+	res = mustRun(t, "SELECT i FROM series(5) WHERE i > 3 ORDER BY i DESC")
+	if len(res.Rows) != 2 || !model.Equal(res.Rows[0][0], model.Int(5)) {
+		t.Errorf("series(5) filtered = %v", res.Rows)
+	}
+	stmt, err := Parse("SELECT i FROM series(2) WHERE i = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src := stmt.From; !src.Call || src.Name != "series" || src.Binding() != "series" || len(src.Args) != 1 {
+		t.Errorf("parsed source = %+v", src)
+	}
+	plan, err := BuildPlan(stmt, env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Explain(plan); !strings.Contains(got, "Scan series(2) AS series") {
+		t.Errorf("plan:\n%s", got)
+	}
+	for _, q := range []string{"SELECT * FROM series()", "SELECT * FROM series('x')", "SELECT * FROM drugs()"} {
+		if _, err := runQuery(q); err == nil {
+			t.Errorf("%s must fail", q)
+		}
+	}
+	if _, err := runQuery("SELECT * FROM series"); err == nil || !strings.Contains(err.Error(), "unknown source") {
+		t.Errorf("a bare name must not resolve to a function: %v", err)
 	}
 }
 

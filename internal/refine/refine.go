@@ -37,9 +37,6 @@ const (
 	// KindRangeProbe asks whether the attribute's claimed values span a
 	// narrow range ("Does Warfarin have a narrow therapeutic range?").
 	KindRangeProbe
-	// KindDiscovery proposes exploring entities found by graph walks from
-	// the query's seeds.
-	KindDiscovery
 )
 
 // String names the kind.
@@ -51,8 +48,6 @@ func (k Kind) String() string {
 		return "drill-down"
 	case KindRangeProbe:
 		return "range-probe"
-	case KindDiscovery:
-		return "discovery"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -62,8 +57,6 @@ type Refinement struct {
 	Kind     Kind
 	Question string   // human-readable formulation
 	Context  []string // concepts the refinement is scoped to
-	// Entities lists discovered entities for KindDiscovery.
-	Entities []model.EntityID
 }
 
 // Refiner generates refinements from the ontology, the relation graph, and
@@ -238,19 +231,6 @@ func (r *Refiner) RandomWalk(seed model.EntityID, steps int, rngSeed int64) []mo
 		cur = pick
 	}
 	return order
-}
-
-// Discover wraps RandomWalk as a refinement.
-func (r *Refiner) Discover(seed model.EntityID, steps int, rngSeed int64) *Refinement {
-	found := r.RandomWalk(seed, steps, rngSeed)
-	if len(found) == 0 {
-		return nil
-	}
-	return &Refinement{
-		Kind:     KindDiscovery,
-		Question: fmt.Sprintf("Explore %d entities connected to the query seed", len(found)),
-		Entities: found,
-	}
 }
 
 // ContextAnswer is the outcome of the full refinement loop.

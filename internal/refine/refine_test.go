@@ -152,10 +152,6 @@ func TestRandomWalkDiscovery(t *testing.T) {
 	if got := r.RandomWalk(999, 5, 1); got != nil {
 		t.Error("walk from unknown entity must be nil")
 	}
-	ref := r.Discover(ids[0], 20, 42)
-	if ref == nil || ref.Kind != KindDiscovery || len(ref.Entities) != len(found) {
-		t.Errorf("Discover = %+v", ref)
-	}
 }
 
 // --- QBE ---------------------------------------------------------------

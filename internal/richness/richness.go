@@ -11,7 +11,9 @@
 package richness
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"scdb/internal/graph"
@@ -154,14 +156,15 @@ func Score(m Metrics) float64 {
 // meanNormalizedEntropy averages H(attr)/log2(total) over attributes with
 // at least two observed values.
 func meanNormalizedEntropy(counts map[string]map[uint64]int, totals map[string]int) float64 {
+	// Sums run in a fixed order, so a source measures alike on every run.
 	sum, n := 0.0, 0
-	for attr, cm := range counts {
+	for _, attr := range slices.Sorted(maps.Keys(counts)) {
 		total := totals[attr]
 		if total < 2 {
 			continue
 		}
 		h := 0.0
-		for _, c := range cm {
+		for _, c := range slices.Sorted(maps.Values(counts[attr])) {
 			p := float64(c) / float64(total)
 			h -= p * math.Log2(p)
 		}

@@ -159,8 +159,8 @@ func (p *TypePredictor) Predict(e *model.Entity, topK int) []Prediction {
 	return preds
 }
 
-// SuggestedLink is one predicted edge with its confidence.
-type SuggestedLink struct {
+// Suggestion is one predicted edge with its confidence.
+type Suggestion struct {
 	From       model.EntityID
 	Predicate  string
 	To         model.EntityID
@@ -221,7 +221,7 @@ func (l *LinkPredictor) PatternSupport(subjType, pred, objType string) int {
 // (via any predicate, both directions) scaled by pattern support.
 // Confidence is normalized to (0,1): suggestions are enrichment candidates,
 // never hard facts.
-func (l *LinkPredictor) Suggest(g *graph.Graph, from model.EntityID, pred string, typesOf func(model.EntityID) []string, topK int) []SuggestedLink {
+func (l *LinkPredictor) Suggest(g *graph.Graph, from model.EntityID, pred string, typesOf func(model.EntityID) []string, topK int) []Suggestion {
 	if topK <= 0 || l.predObs[pred] == 0 {
 		return nil
 	}
@@ -282,10 +282,10 @@ func (l *LinkPredictor) Suggest(g *graph.Graph, from model.EntityID, pred string
 		cands = cands[:topK]
 	}
 	maxScore := cands[0].score
-	out := make([]SuggestedLink, len(cands))
+	out := make([]Suggestion, len(cands))
 	for i, c := range cands {
 		// Scale into (0, 0.95]: predicted links never reach certainty.
-		out[i] = SuggestedLink{
+		out[i] = Suggestion{
 			From:       from,
 			Predicate:  pred,
 			To:         c.id,

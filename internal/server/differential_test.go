@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,9 +11,10 @@ import (
 )
 
 // scqlCorpus is the engine corpus (internal/core keeps the master copy):
-// storage tables, joins, aggregates, the claims virtual table under each
-// answer mode, concept scans, and the graph/semantic predicates.
-var scqlCorpus = []string{
+// storage tables, joins, aggregates, the claims relation under each answer
+// mode, concept scans and the graph/semantic predicates; then every
+// relation-valued function.
+var scqlCorpus = append([]string{
 	"SELECT * FROM drugbank ORDER BY name",
 	"SELECT name FROM drugbank WHERE name LIKE 'W%' ORDER BY name",
 	"SELECT d.name, c.disease_name FROM drugbank AS d JOIN ctd AS c ON d.name = c.chemical_name ORDER BY d.name, c.disease_name",
@@ -28,12 +30,27 @@ var scqlCorpus = []string{
 	"SELECT attr, justification FROM claims ORDER BY attr LIMIT 5 UNDER FUZZY(0.5)",
 	"SELECT name FROM drugbank ORDER BY name LIMIT 2",
 	"SELECT COUNT(*) AS n FROM drugbank WHERE name IS NOT NULL",
+}, relationCorpus...)
+
+// relationCorpus calls every relation-valued function; each answers rows
+// on the differential's data but inconsistencies(), which has none.
+var relationCorpus = []string{
+	"SELECT entity, role, filler, because FROM witnesses()",
+	"SELECT entity, concept_a, concept_b FROM inconsistencies()",
+	"SELECT entity, attr, value, sources, reconcilable FROM conflicts()",
+	"SELECT value, support FROM resolve('Warfarin', 'effective_dose_mg', 'richness')",
+	"SELECT * FROM justify('Warfarin', 'effective_dose_mg', 5.0, 0.5) ORDER BY context",
+	"SELECT step, entity FROM discover('Methotrexate', 12, 7) ORDER BY step",
+	"SELECT value, agreement, asks, spent FROM crowd('Warfarin', 'effective_dose_mg', 15, 0.85, 7)",
+	`SELECT "from", predicate, "to", confidence FROM suggest_links('Aminopterin', 'targets', 3)`,
+	"SELECT * FROM richness() ORDER BY source",
 }
 
 // TestNetworkDifferential: the full SCQL corpus must come back
 // byte-identical whether the engine is embedded or reached over the wire
-// — and the server-side database is populated entirely through network
-// ingest, so both directions of the wire's value encoding are exercised.
+// — and the server-side database is populated through network ingest, so
+// both directions of the wire's value encoding are exercised. Claims have
+// no wire op; both databases get the clinical claims in process.
 func TestNetworkDifferential(t *testing.T) {
 	embedded := openDB(t, lifesciOptions())
 	for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
@@ -50,11 +67,21 @@ func TestNetworkDifferential(t *testing.T) {
 			t.Fatalf("network ingest %s: %v", src.Name, err)
 		}
 	}
+	for _, db := range []*scdb.DB{embedded, remote} {
+		for _, cl := range scdb.ClinicalClaims() {
+			if err := db.AddClaim(cl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	for _, q := range scqlCorpus {
 		want, err := embedded.Query(q)
 		if err != nil {
 			t.Fatalf("embedded %q: %v", q, err)
+		}
+		if len(want.Data) == 0 && slices.Contains(relationCorpus, q) && !strings.Contains(q, "inconsistencies()") {
+			t.Errorf("%q answers no rows", q)
 		}
 		got, err := c.Query(q)
 		if err != nil {

@@ -72,6 +72,12 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 	if err != nil {
 		return nil, nil, err
 	}
+	// A function reads entity identity or the whole corpus: shards split both.
+	for _, t := range stmt.Sources() {
+		if t.Call {
+			return nil, nil, fmt.Errorf("%w: FROM %s() reads entities or the whole corpus, which shards split", ErrNotRoutable, t.Name)
+		}
+	}
 	// Plan/trace introspection is about the engine, not the data: every
 	// shard runs the same engine over the same schema, so shard 0's answer
 	// represents the cluster.

@@ -433,15 +433,33 @@ func TestNotRoutable(t *testing.T) {
 		"SELECT category FROM pharma_a GROUP BY category HAVING price > 3",
 		"SELECT * FROM pharma_a GROUP BY category",
 		"SELECT DISTINCT category FROM pharma_a ORDER BY price",
+		// The engine's answers read entity identity or the whole corpus.
+		"SELECT * FROM witnesses()",
+		"SELECT * FROM inconsistencies()",
+		"SELECT * FROM conflicts()",
+		"SELECT * FROM resolve('Aspirin', 'price', 'vote')",
+		"SELECT * FROM justify('Aspirin', 'price', 5.0, 0.5)",
+		"SELECT * FROM discover('Aspirin', 5, 1)",
+		"SELECT * FROM crowd('Aspirin', 'price', 10, 0.9, 1)",
+		"SELECT * FROM suggest_links('Aspirin', 'targets', 3)",
+		"EXPLAIN SELECT p.name FROM pharma_a AS p JOIN richness() AS r ON p.name = r.source",
 	} {
-		if _, _, err := c.router.QueryInfoCtx(context.Background(), q); !errors.Is(err, shard.ErrNotRoutable) {
-			t.Errorf("%s: err = %v, want ErrNotRoutable", q, err)
+		rows, _, err := c.router.QueryInfoCtx(context.Background(), q)
+		if !errors.Is(err, shard.ErrNotRoutable) || rows != nil {
+			t.Errorf("%s: rows %v, err = %v, want ErrNotRoutable", q, rows, err)
 		}
-		_, err := c.rc.Query(q)
+		_, err = c.rc.Query(q)
 		var se *client.ServerError
 		if !errors.As(err, &se) || se.Code != server.CodeQuery || !strings.Contains(se.Msg, "not routable") {
 			t.Errorf("%s over the wire: err = %v, want a %q error naming it not routable", q, err, server.CodeQuery)
 		}
+	}
+	if _, _, err := c.router.QueryInfoCtx(context.Background(), "SELECT * FROM pharma_a JOIN richness() ON name = source"); err == nil || !strings.Contains(err.Error(), "richness()") {
+		t.Errorf("err = %v, want it to name the function", err)
+	}
+	// The bare claims relation routes as before.
+	if _, _, err := c.router.QueryInfoCtx(context.Background(), "SELECT COUNT(*) AS n FROM claims"); err != nil {
+		t.Errorf("claims through the router: %v", err)
 	}
 	// An aggregated selection sorts its output on a router as on an engine,
 	// and a key over a column the output dropped is the same error on both.

@@ -40,16 +40,9 @@ func refStmtString(s *query.SelectStmt) string {
 		}
 		b.WriteString(strings.Join(parts, ", "))
 	}
-	b.WriteString(" FROM " + refQuote(s.From.Name))
-	if s.From.Alias != "" {
-		b.WriteString(" AS " + refQuote(s.From.Alias))
-	}
+	b.WriteString(" FROM " + refTable(s.From))
 	for _, j := range s.Joins {
-		b.WriteString(" JOIN " + refQuote(j.Table.Name))
-		if j.Table.Alias != "" {
-			b.WriteString(" AS " + refQuote(j.Table.Alias))
-		}
-		b.WriteString(" ON " + refExpr(j.On))
+		b.WriteString(" JOIN " + refTable(j.Table) + " ON " + refExpr(j.On))
 	}
 	if s.Where != nil {
 		b.WriteString(" WHERE " + refExpr(s.Where))
@@ -87,6 +80,21 @@ func refStmtString(s *query.SelectStmt) string {
 		fmt.Fprintf(&b, " UNDER FUZZY(%g)", s.FuzzyThreshold)
 	}
 	return b.String()
+}
+
+func refTable(t query.TableRef) string {
+	out := refQuote(t.Name)
+	if t.Call {
+		parts := make([]string, len(t.Args))
+		for i, v := range t.Args {
+			parts[i] = refValue(v)
+		}
+		out += "(" + strings.Join(parts, ", ") + ")"
+	}
+	if t.Alias != "" {
+		out += " AS " + refQuote(t.Alias)
+	}
+	return out
 }
 
 func refExpr(e query.Expr) string {
@@ -178,6 +186,9 @@ func TestStatementTextUnchanged(t *testing.T) {
 		`SELECT name FROM Drug AS d WHERE REACHES(d._id, 'Osteosarcoma', 3) ORDER BY name LIMIT 12345 WITH SEMANTICS UNDER FUZZY(0.125)`,
 		`SELECT * FROM claims UNDER CERTAIN WITH SEMANTICS`,
 		`SELECT a FROM t WHERE a = 100000000000000000000.0 OR a = 0.1 OR a = 3.0`,
+		`SELECT * FROM witnesses()`,
+		`SELECT j.context FROM justify('Warfarin', 'it''s', 5.0, -0.5) j JOIN "my func"(1, NULL, TRUE) AS "from" ON j.a = "from".b`,
+		`SELECT value FROM resolve('Warfarin', 'color', 'vote') UNDER FUZZY(0.5)`,
 	}, differentialQueries...)
 	g := stmtGen{rand.New(rand.NewSource(1))}
 	for i := 0; i < 2000; i++ {

@@ -199,14 +199,9 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Error("Explain: plan missing")
 	}
 	// Witnesses: Aminopterin's inferred target.
-	found := false
-	for _, w := range db.Witnesses() {
-		if w.Entity == "Aminopterin" && w.Role == "hasTarget" && w.Filler == "Gene" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Aminopterin witness missing: %v", db.Witnesses())
+	w := rowsOf(t, db, "SELECT entity FROM witnesses() WHERE entity = 'Aminopterin' AND role = 'hasTarget' AND filler = 'Gene'")
+	if len(w) != 1 {
+		t.Errorf("Aminopterin witness missing: %v", rowsOf(t, db, "SELECT * FROM witnesses()"))
 	}
 	st := db.Stats()
 	if st.Entities == 0 || st.Merges == 0 || st.Concepts == 0 {
@@ -221,24 +216,26 @@ func TestWarfarinScenarioPublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ans, err := db.JustifiedAnswer("Warfarin", "effective_dose_mg", 5.0, 0.5)
-	if err != nil {
-		t.Fatal(err)
+	ans := rowsOf(t, db, `SELECT context, context_degree, naive_certain, degree, explanation, sensitive, refinements
+		FROM justify('Warfarin', 'effective_dose_mg', 5.0, 0.5)`)
+	if len(ans) != 3 || ans[0][0] != "Asian" || ans[2][0] != "White" || ans[2][1].(float64) < 0.79 {
+		t.Errorf("per-context rows = %v", ans)
 	}
-	if ans.NaiveCertain {
+	a := ans[0]
+	if a[2] != false {
 		t.Error("naive certain answer must be false")
 	}
-	if ans.JustifiedDegree < 0.79 || ans.JustifiedDegree > 0.81 {
-		t.Errorf("justified degree = %v", ans.JustifiedDegree)
+	if d := a[3].(float64); d < 0.79 || d > 0.81 {
+		t.Errorf("justified degree = %v", d)
 	}
-	if !ans.Sensitive {
+	if a[5] != true {
 		t.Error("sensitivity must be discovered")
 	}
-	if len(ans.Refinements) == 0 {
+	if len(a[6].([]any)) == 0 {
 		t.Error("refinements missing")
 	}
-	if !strings.Contains(ans.Explanation, "White") {
-		t.Errorf("explanation = %q", ans.Explanation)
+	if !strings.Contains(a[4].(string), "White") {
+		t.Errorf("explanation = %q", a[4])
 	}
 	// The claims table under the answer modes.
 	rows, err := db.Query("SELECT value FROM claims UNDER CERTAIN")
@@ -317,13 +314,14 @@ func TestPublicTransactions(t *testing.T) {
 
 func TestRefreshRichnessPublic(t *testing.T) {
 	db := openSample(t)
-	scores := db.RefreshRichness()
+	db.RefreshRichness()
+	scores := rowsOf(t, db, "SELECT source, score FROM richness()")
 	if len(scores) < 3 {
 		t.Errorf("scores = %v", scores)
 	}
-	for src, s := range scores {
-		if s < 0 || s > 1 {
-			t.Errorf("score[%s] = %v", src, s)
+	for _, r := range scores {
+		if s := r[1].(float64); s < 0 || s > 1 {
+			t.Errorf("score[%s] = %v", r[0], s)
 		}
 	}
 }
