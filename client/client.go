@@ -222,11 +222,10 @@ func (c *Client) ERDigests(entsSince, matchesSince int) (er.DigestBatch, error) 
 	if err != nil {
 		return er.DigestBatch{}, err
 	}
-	var b er.DigestBatch
-	if err := json.Unmarshal(res.Blob, &b); err != nil {
-		return er.DigestBatch{}, err
+	if res.Digests == nil {
+		return er.DigestBatch{}, fmt.Errorf("scdb client: er_digests answered with a result of kind 0x%02x", res.Kind)
 	}
-	return b, nil
+	return *res.Digests, nil
 }
 
 // Stats fetches the engine snapshot plus the server's live metrics.

@@ -27,21 +27,20 @@ import (
 // attribute strings), keyed by the stable (source, key) identity instead
 // of the shard-local graph ID, which has no meaning on other nodes.
 type Digest struct {
-	Source string `json:"source"`
-	Key    string `json:"key"`
+	Source string
+	Key    string
 	// Tokens are the normalized, sorted, deduplicated value tokens — the
 	// blocking keys and the embedding both derive from them, so the
 	// receiver reconstructs candidate generation without further state.
-	Tokens []string `json:"tokens,omitempty"`
-	// Attrs are the normalized attribute texts, sorted by name; on the wire
-	// an object from name to text.
-	Attrs Attrs `json:"attrs,omitempty"`
+	Tokens []string
+	// Attrs are the normalized attribute texts, sorted by name.
+	Attrs Attrs
 }
 
 // RefKey names an entity across process boundaries.
 type RefKey struct {
-	Source string `json:"source"`
-	Key    string `json:"key"`
+	Source string
+	Key    string
 }
 
 // DigestBatch is one incremental pull of a shard's resolver state: the
@@ -49,18 +48,18 @@ type RefKey struct {
 // last watermarks, plus the new watermarks. Merges convey the shard's
 // local cluster structure pair by pair; the receiver's union-find takes
 // the transitive closure, so shipping only the increments is lossless.
+// An er_digests reply carries it in the wire's binary codec
+// (server.EncodeV2DigestsResult).
 type DigestBatch struct {
-	Digests []Digest    `json:"digests,omitempty"`
-	Merges  [][2]RefKey `json:"merges,omitempty"`
+	Digests []Digest
+	Merges  [][2]RefKey
 	// Ents and Matches are the resolver's totals after this batch — the
 	// watermarks to pass to the next DigestsSince call.
-	Ents    int `json:"ents"`
-	Matches int `json:"matches"`
+	Ents    int
+	Matches int
 	// Settings carry the resolver's blocking mode, which the router builds
-	// its exchange from; on the wire {"blocking":…}, or {} for token. A
-	// batch that ships none decodes to token, and fields an older build
-	// shipped besides the mode are ignored.
-	Settings Config `json:"settings"`
+	// its exchange from.
+	Settings Config
 }
 
 // DigestsSince exports the entities indexed and the matches accepted at or
@@ -74,6 +73,12 @@ func (r *Resolver) DigestsSince(entsSince, matchesSince int) DigestBatch {
 	}
 	if matchesSince < 0 {
 		matchesSince = 0
+	}
+	if n := len(r.ents) - entsSince; n > 0 {
+		b.Digests = make([]Digest, 0, n)
+	}
+	if n := len(r.matches) - matchesSince; n > 0 {
+		b.Merges = make([][2]RefKey, 0, n)
 	}
 	for i := entsSince; i < len(r.ents); i++ {
 		ix := &r.ents[i]

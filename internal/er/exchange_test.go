@@ -1,7 +1,6 @@
 package er
 
 import (
-	"encoding/json"
 	"testing"
 
 	"scdb/internal/model"
@@ -163,38 +162,5 @@ func TestNoEvidenceNeverMatches(t *testing.T) {
 		if x.SameRef(RefKey{Source: "s1", Key: "a"}, RefKey{Source: "s3", Key: "c"}) {
 			t.Errorf("%s: two placeholder digests merged across shards", name)
 		}
-	}
-}
-
-// TestDigestBatchCarriesSettings: a batch ships the blocking mode alone; a
-// batch shaped by a build that shipped the tuning values beside it, or none
-// at all, still decodes to its mode; and an unknown mode fails the decode.
-func TestDigestBatchCarriesSettings(t *testing.T) {
-	for _, c := range []struct {
-		mode BlockingMode
-		want string
-	}{{BlockingANN, `{"blocking":"ann"}`}, {BlockingToken, `{}`}} {
-		blob, err := json.Marshal(NewResolver(Config{Blocking: c.mode}).DigestsSince(0, 0).Settings)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(blob) != c.want {
-			t.Errorf("%v settings marshal to %s, want %s", c.mode, blob, c.want)
-		}
-	}
-	for blob, want := range map[string]BlockingMode{
-		`{"settings":{"threshold":0.85,"blocking":"ann","block_prefix":4,"max_block":64,"top_k":8,"embed_dim":64}}`: BlockingANN,
-		`{"ents":0,"matches":0}`: BlockingToken,
-	} {
-		var got DigestBatch
-		if err := json.Unmarshal([]byte(blob), &got); err != nil {
-			t.Errorf("%s: %v", blob, err)
-		} else if got.Settings.Blocking != want {
-			t.Errorf("%s decodes to %v, want %v", blob, got.Settings.Blocking, want)
-		}
-	}
-	var bad DigestBatch
-	if err := json.Unmarshal([]byte(`{"settings":{"blocking":"lsh"}}`), &bad); err == nil {
-		t.Error("an unknown blocking mode must fail the decode")
 	}
 }

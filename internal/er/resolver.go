@@ -10,7 +10,9 @@ import (
 	"scdb/internal/model"
 )
 
-// BlockingMode selects how candidate sets are generated.
+// BlockingMode selects how candidate sets are generated. An er_digests
+// reply carries the mode as one byte of this numbering, so a new mode goes
+// at the end.
 type BlockingMode int
 
 const (
@@ -54,15 +56,6 @@ func (m BlockingMode) String() string {
 	return "token"
 }
 
-// MarshalText and UnmarshalText spell the mode as ParseBlocking does, so a
-// mode a shard ships in its settings does not depend on the numbering.
-func (m BlockingMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
-
-func (m *BlockingMode) UnmarshalText(b []byte) (err error) {
-	*m, err = ParseBlocking(string(b))
-	return err
-}
-
 // The resolver's tuning is fixed: entity resolution works across schemata
 // without prior knowledge of them, so nothing here is an operator's setting.
 const (
@@ -85,14 +78,14 @@ const (
 type Config struct {
 	// Blocking selects the candidate-generation strategy (default
 	// BlockingToken).
-	Blocking BlockingMode `json:"blocking,omitempty"`
+	Blocking BlockingMode
 	// Advisor reviews scored candidate pairs (nil = ThresholdAdvisor at the
 	// resolver's threshold). See CurationAdvisor for the purity contract.
-	Advisor CurationAdvisor `json:"-"`
+	Advisor CurationAdvisor
 	// DisableBlocking compares every new entity against every indexed
 	// entity — the quadratic ablation baseline for the blocking design
 	// choice (see DESIGN.md).
-	DisableBlocking bool `json:"-"`
+	DisableBlocking bool
 }
 
 // Match is one resolved duplicate pair with its similarity score.
@@ -255,7 +248,9 @@ func index(e *model.Entity) indexed {
 			ix.vals = append(ix.vals, newAttrVal(at.Text, fields))
 		}
 	}
-	ix.tokens = slices.Clone(sortedUnique(tokens))
+	if len(tokens) > 0 { // none stays nil, as a digest decodes it
+		ix.tokens = slices.Clone(sortedUnique(tokens))
+	}
 	return ix
 }
 

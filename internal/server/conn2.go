@@ -418,7 +418,10 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 			return fail(CodeBadRequest, err.Error())
 		}
 		batch := s.node.ERDigests(entsSince, matchesSince)
-		return blob(&batch)
+		e := GetV2Enc()
+		vc.write(EncodeV2DigestsResult(e, f.ID, &batch))
+		e.Release()
+		return "", "", ""
 	case V2OpQuery, V2OpIngestBatch:
 		// Fall through to the admitted path below.
 	default:

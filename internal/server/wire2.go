@@ -48,6 +48,7 @@ import (
 
 	"scdb"
 	"scdb/internal/box"
+	"scdb/internal/er"
 	"scdb/internal/model"
 )
 
@@ -147,8 +148,8 @@ const (
 	V2OpReplAck byte = 0x0C
 	// V2OpERDigests pulls the node's incremental ER evidence past the
 	// request's two watermarks (entities, matches). The shard router calls
-	// it after routed ingests; the JSON-bodied reply rides a blob result
-	// like stats, since digests are a rare control-plane exchange.
+	// it after every routed ingest; the reply is a typed digest batch
+	// (EncodeV2DigestsResult).
 	V2OpERDigests byte = 0x0D
 
 	// V2OpRowBatch is a server frame carrying one columnar batch of query
@@ -895,15 +896,15 @@ func DecodeV2ERDigests(payload []byte) (entsSince, matchesSince int, err error) 
 	if err != nil {
 		return 0, 0, err
 	}
-	a, err := d.uvarint()
-	if err != nil {
+	// A watermark past math.MaxInt would wrap negative and export the
+	// whole resolver as if it were (0, 0).
+	if entsSince, err = d.count(); err != nil {
 		return 0, 0, err
 	}
-	b, err := d.uvarint()
-	if err != nil {
+	if matchesSince, err = d.count(); err != nil {
 		return 0, 0, err
 	}
-	return int(a), int(b), nil
+	return entsSince, matchesSince, nil
 }
 
 func (e *V2Enc) entities(ents []scdb.Entity) error {
@@ -1320,6 +1321,7 @@ type V2Result struct {
 	Ingest  *IngestSummary  // ingest_batch
 	Trace   string          // ingest_batch (traced)
 	Blob    []byte          // stats/slowlog JSON, metrics text
+	Digests *er.DigestBatch // er_digests
 	CSN     uint64          // ping, ingest_batch
 }
 
@@ -1355,6 +1357,207 @@ func EncodeV2IngestResult(e *V2Enc, id uint32, sum IngestSummary, trace string, 
 	e.rawBytes([]byte(trace))
 	e.uvarint(csn)
 	return e.Frame(V2OpResult, 0, id)
+}
+
+// v2DigestsFormat opens an er_digests reply body. A reply that carried its
+// batch as a length-prefixed JSON blob opened with the blob's non-zero
+// length instead, so each side tells the two apart by this byte.
+const v2DigestsFormat = 0
+
+// ErrDigestsFormat is the error an er_digests reply in another format
+// decodes to: the peer runs a build whose digest exchange is not this one.
+var ErrDigestsFormat = errors.New("wire2: er_digests reply in an unknown format (router and shards must run one build)")
+
+// EncodeV2DigestsResult answers er_digests with the batch:
+//
+//	u8 format (0), uvarint ents, uvarint matches, u8 blocking mode,
+//	uvarint n, n × (source, key, uvarint nt, nt tokens,
+//	                uvarint na, na × (name, text)),
+//	uvarint m, m × (source, key, source, key)
+//
+// where every string is an intern index.
+func EncodeV2DigestsResult(e *V2Enc, id uint32, b *er.DigestBatch) []byte {
+	e.u8(V2OpERDigests)
+	e.u8(v2DigestsFormat)
+	e.uvarint(uint64(b.Ents))
+	e.uvarint(uint64(b.Matches))
+	e.u8(byte(b.Settings.Blocking))
+	e.uvarint(uint64(len(b.Digests)))
+	for i := range b.Digests {
+		dg := &b.Digests[i]
+		e.str(dg.Source)
+		e.str(dg.Key)
+		e.uvarint(uint64(len(dg.Tokens)))
+		for _, t := range dg.Tokens {
+			e.str(t)
+		}
+		e.uvarint(uint64(len(dg.Attrs)))
+		for _, at := range dg.Attrs {
+			e.str(at.Name)
+			e.str(at.Text)
+		}
+	}
+	e.uvarint(uint64(len(b.Merges)))
+	for _, m := range b.Merges {
+		e.str(m[0].Source)
+		e.str(m[0].Key)
+		e.str(m[1].Source)
+		e.str(m[1].Key)
+	}
+	return e.Frame(V2OpResult, 0, id)
+}
+
+// digests decodes an er_digests reply body. The tokens of every digest
+// share one slab and the attributes another, each digest holding a
+// full-slice window of them; every string is a substring of the frame's
+// intern table. Counts are checked against the bytes left before anything
+// is made.
+func (d *v2Dec) digests() (*er.DigestBatch, error) {
+	format, err := d.u8()
+	if err != nil {
+		return nil, err
+	}
+	if format != v2DigestsFormat {
+		return nil, fmt.Errorf("%w: format byte 0x%02x", ErrDigestsFormat, format)
+	}
+	b := &er.DigestBatch{}
+	if b.Ents, err = d.count(); err != nil {
+		return nil, err
+	}
+	if b.Matches, err = d.count(); err != nil {
+		return nil, err
+	}
+	mode, err := d.u8()
+	if err != nil {
+		return nil, err
+	}
+	if mode > byte(er.BlockingBoth) {
+		return nil, fmt.Errorf("wire2: unknown blocking mode %d", mode)
+	}
+	b.Settings.Blocking = er.BlockingMode(mode)
+
+	n, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	ntok, nattr, err := d.slabSizes(n)
+	if err != nil {
+		return nil, err
+	}
+	toks, attrs := make([]string, ntok), make(er.Attrs, nattr)
+	if n > 0 {
+		b.Digests = make([]er.Digest, n)
+	}
+	for i := range b.Digests {
+		dg := &b.Digests[i]
+		if dg.Source, err = d.str(); err != nil {
+			return nil, err
+		}
+		if dg.Key, err = d.str(); err != nil {
+			return nil, err
+		}
+		nt, _ := d.uvarint() // slabSizes read the counts already
+		if nt > 0 {
+			dg.Tokens, toks = toks[:nt:nt], toks[nt:]
+			for j := range dg.Tokens {
+				if dg.Tokens[j], err = d.str(); err != nil {
+					return nil, err
+				}
+			}
+		}
+		na, _ := d.uvarint()
+		if na > 0 {
+			dg.Attrs, attrs = attrs[:na:na], attrs[na:]
+			for j := range dg.Attrs {
+				if dg.Attrs[j].Name, err = d.str(); err != nil {
+					return nil, err
+				}
+				if dg.Attrs[j].Text, err = d.str(); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+
+	m, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if m > uint64(len(d.b))/4 {
+		return nil, errV2Truncated
+	}
+	if m > 0 {
+		b.Merges = make([][2]er.RefKey, m)
+	}
+	for i := range b.Merges {
+		for j := range b.Merges[i] {
+			ref := &b.Merges[i][j]
+			if ref.Source, err = d.str(); err != nil {
+				return nil, err
+			}
+			if ref.Key, err = d.str(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b, nil
+}
+
+// slabSizes walks the n digests ahead of d without moving it and returns
+// how many tokens and attributes they hold. Every digest costs at least
+// four bytes, so a count the frame cannot hold fails the walk.
+func (d *v2Dec) slabSizes(n uint64) (ntok, nattr int, err error) {
+	w := *d
+	for i := uint64(0); i < n; i++ {
+		if err := w.skip(2); err != nil { // source, key
+			return 0, 0, err
+		}
+		nt, err := w.uvarint()
+		if err != nil {
+			return 0, 0, err
+		}
+		if err := w.skip(nt); err != nil {
+			return 0, 0, err
+		}
+		na, err := w.uvarint()
+		if err != nil {
+			return 0, 0, err
+		}
+		if na > uint64(len(w.b))/2 {
+			return 0, 0, errV2Truncated
+		}
+		if err := w.skip(2 * na); err != nil {
+			return 0, 0, err
+		}
+		ntok += int(nt)
+		nattr += int(na)
+	}
+	return ntok, nattr, nil
+}
+
+// skip reads past k uvarints; k beyond the bytes left is truncation.
+func (d *v2Dec) skip(k uint64) error {
+	if k > uint64(len(d.b)) {
+		return errV2Truncated
+	}
+	for ; k > 0; k-- {
+		if _, err := d.uvarint(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// count reads a uvarint that must fit an int.
+func (d *v2Dec) count() (int, error) {
+	v, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > math.MaxInt {
+		return 0, fmt.Errorf("wire2: %d out of range", v)
+	}
+	return int(v), nil
 }
 
 // EncodeV2BlobResult answers stats/metrics/slowlog: the body is an opaque
@@ -1438,8 +1641,13 @@ func DecodeV2Result(payload []byte) (*V2Result, error) {
 			return nil, err
 		}
 		return res, nil
-	case V2OpStats, V2OpMetrics, V2OpSlowLog, V2OpERDigests:
+	case V2OpStats, V2OpMetrics, V2OpSlowLog:
 		if res.Blob, err = d.rawBytes(); err != nil {
+			return nil, err
+		}
+		return res, nil
+	case V2OpERDigests:
+		if res.Digests, err = d.digests(); err != nil {
 			return nil, err
 		}
 		return res, nil
