@@ -13,7 +13,8 @@ package client
 // Only transport failures fail a read over to another node: a replica
 // whose connection breaks is marked down and redialed after RetryDown.
 // Server-side errors (bad SCQL, deadline, busy) are deterministic answers
-// and are returned to the caller unchanged.
+// and are returned to the caller unchanged, except a replica's read_only:
+// the statement was a curation statement, and it goes to the primary.
 
 import (
 	"context"
@@ -143,6 +144,10 @@ func (cl *Cluster) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scd
 		rows, info, err := cl.queryReplica(r, ctx, q)
 		if err == nil {
 			return rows, info, nil
+		}
+		if errors.Is(err, ErrReadOnly) {
+			// A curation statement writes: the primary takes it.
+			return cl.primary.QueryInfoCtx(ctx, q)
 		}
 		var se *ServerError
 		if errors.As(err, &se) {

@@ -17,7 +17,9 @@
 //
 // With no -q/-explain/-analyze, scdb reads SCQL statements from stdin, one
 // per line; EXPLAIN, EXPLAIN ANALYZE and TRACE work as statement prefixes.
-// A line starting with \ is a shell command. In both modes:
+// The curation statements INSERT INTO claims (…) VALUES (…), ADD AXIOMS
+// '…' and REFRESH RICHNESS tell the database what a curator knows, in
+// both modes. A line starting with \ is a shell command. In both modes:
 //
 //	\witnesses   the inferred existentials (SELECT … FROM witnesses())
 //	\conflicts   the disagreeing claims (SELECT … FROM conflicts())

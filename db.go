@@ -8,7 +8,6 @@ import (
 	"scdb/internal/curate"
 	"scdb/internal/datagen"
 	"scdb/internal/er"
-	"scdb/internal/fusion"
 	"scdb/internal/model"
 	"scdb/internal/storage"
 	"scdb/internal/txn"
@@ -32,7 +31,9 @@ type Options struct {
 	//	domain R C         subjects of R are C
 	//	range R C          objects of R are C
 	//
-	// Multi-word names use underscores ("Approved_Drugs").
+	// Multi-word names use underscores ("Approved_Drugs"). A durable
+	// database stores the lines it lacks at Open; the statement
+	// ADD AXIOMS 'line', … adds more later.
 	Axioms string
 	// LinkRules drive online literal-to-entity link discovery.
 	LinkRules []LinkRule
@@ -70,10 +71,10 @@ type Options struct {
 	// disables automatic checkpoints; Checkpoint still works manually).
 	// A replica applies it between replicated batches.
 	CheckpointBytes int64
-	// ReadOnly opens the database as a read replica: Ingest and AddClaim
-	// return ErrReadOnly, and nothing is ever written locally except
-	// replicated log frames applied through the replication plumbing
-	// (repl.go). Requires Dir.
+	// ReadOnly opens the database as a read replica: Ingest and the
+	// curation statements return ErrReadOnly, and nothing is ever written
+	// locally except replicated log frames applied through the replication
+	// plumbing (repl.go). Requires Dir.
 	ReadOnly bool
 }
 
@@ -85,6 +86,7 @@ func (opts Options) engineOptions() (core.Options, error) {
 	}
 	return core.Options{
 		Dir:             opts.Dir,
+		Axioms:          opts.Axioms,
 		LinkRules:       opts.LinkRules,
 		Patterns:        opts.Patterns,
 		ERBlocking:      blocking,
@@ -134,25 +136,11 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Axioms != "" {
-		if err := db.AddAxioms(opts.Axioms); err != nil {
-			db.Close()
-			return nil, err
-		}
-	}
 	return &DB{inner: db}, nil
 }
 
-// Close flushes meta-data and closes the store.
+// Close flushes the observed schema and closes the store.
 func (db *DB) Close() error { return db.inner.Close() }
-
-// AddAxioms appends ontology axioms (same format as Options.Axioms).
-// Curation picks them up on the next ingest; existing inferences are
-// re-derived lazily. Cached answers are dropped: the next statement sees
-// the axioms.
-func (db *DB) AddAxioms(axioms string) error {
-	return db.inner.AddAxioms(axioms)
-}
 
 // Ingest runs one source delivery through the curation pipeline:
 // instance-layer storage, schema observation, entity/edge creation, link
@@ -250,7 +238,10 @@ type QueryInfo struct {
 	OperatorStats string
 }
 
-// Query executes one SCQL statement.
+// Query executes one SCQL statement. Besides SELECT, the curation
+// statements INSERT INTO claims (…) VALUES (…), ADD AXIOMS 'line', … and
+// REFRESH RICHNESS tell the database what a curator knows (DESIGN.md):
+// each writes its rows to the log, then answers one row counting them.
 func (db *DB) Query(q string) (*Rows, error) {
 	rows, _, err := db.QueryInfo(q)
 	return rows, err
@@ -317,39 +308,6 @@ func (db *DB) QueryBatchesCtx(ctx context.Context, q string, emit func(cols []st
 func (db *DB) Explain(q string) (*QueryInfo, error) {
 	_, info, err := db.QueryInfo("EXPLAIN " + q)
 	return info, err
-}
-
-// AddClaim records a parallel-world claim. The entity is looked up by any
-// indexed name or key.
-func (db *DB) AddClaim(c Claim) error {
-	if db.inner.ReadOnly() {
-		return ErrReadOnly
-	}
-	e, ok := db.inner.LookupEntity(c.Entity)
-	if !ok {
-		return fmt.Errorf("scdb: claim about unknown entity %q", c.Entity)
-	}
-	v, err := toValue(c.Value)
-	if err != nil {
-		return err
-	}
-	db.inner.AddClaim(fusion.Claim{
-		Source:     c.Source,
-		Entity:     e.ID,
-		Attr:       c.Attr,
-		Value:      v,
-		Context:    c.Context,
-		Confidence: model.Fuzzy(c.Confidence),
-	})
-	return nil
-}
-
-// RefreshRichness measures every source's richness (information content,
-// connectivity, density — FS.2) and uses the scores to weight claims in
-// fusion. The richness() relation reads the same measurements without
-// re-weighting anything.
-func (db *DB) RefreshRichness() {
-	db.inner.RefreshRichness()
 }
 
 // ErrInvalidDelivery is returned by Ingest for a delivery it refuses

@@ -57,8 +57,8 @@ func ExampleDB_Query_justify() {
 	for _, src := range scdb.LifeSciSample(1, 0, 0, 0) {
 		db.Ingest(src)
 	}
-	for _, c := range scdb.ClinicalClaims() {
-		db.AddClaim(c)
+	if _, err := db.Query(scdb.ClinicalClaims); err != nil {
+		log.Fatal(err)
 	}
 
 	rows, err := db.Query(`SELECT naive_certain, degree, sensitive FROM justify('Warfarin', 'effective_dose_mg', 5.0, 0.5) LIMIT 1`)

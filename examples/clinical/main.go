@@ -36,12 +36,12 @@ func main() {
 	for _, src := range scdb.ClinicalTrialSources(11, 20) {
 		must(db.Ingest(src))
 	}
-	// ...and each source asserts its context-scoped effective dose.
-	for _, c := range scdb.ClinicalClaims() {
-		must(db.AddClaim(c))
+	// ...each source asserts its context-scoped effective dose, and the
+	// sources are weighted by measured richness (FS.2 feeding FS.9).
+	for _, stmt := range []string{scdb.ClinicalClaims, "REFRESH RICHNESS"} {
+		_, err := db.Query(stmt)
+		must(err)
 	}
-	// Weight the sources by measured richness (FS.2 feeding FS.9).
-	db.RefreshRichness()
 
 	// The loop's answer is a relation: one row per context class, each
 	// carrying the whole answer beside its class's degree.

@@ -55,8 +55,9 @@ func main() {
 		comp.Completed["_types"], comp.Confidence["_types"])
 
 	// 4. Conflicting claims: ledger + crowd fallback.
-	must(db.AddClaim(scdb.Claim{Source: "blog", Entity: "Ibuprofen", Attr: "otc", Value: true}))
-	must(db.AddClaim(scdb.Claim{Source: "registry", Entity: "Ibuprofen", Attr: "otc", Value: false}))
+	_, err = db.Query(`INSERT INTO claims (entity, attr, value, source)
+		VALUES ('Ibuprofen', 'otc', TRUE, 'blog'), ('Ibuprofen', 'otc', FALSE, 'registry')`)
+	must(err)
 	fmt.Println("\nConflicts:")
 	rows, err = db.Query(`SELECT entity, attr, COUNT(*) AS n, reconcilable FROM conflicts()
 		GROUP BY entity, attr, reconcilable ORDER BY entity, attr`)
@@ -64,7 +65,8 @@ func main() {
 	for _, c := range rows.Data {
 		fmt.Printf("  %s.%s: %d values, reconcilable=%v\n", c[0], c[1], c[2], c[3])
 	}
-	db.RefreshRichness()
+	_, err = db.Query("REFRESH RICHNESS")
+	must(err)
 	rows, err = db.Query("SELECT value, agreement, asks FROM crowd('Ibuprofen', 'otc', 10, 0.9, 3)")
 	must(err)
 	ans := rows.Data[0]

@@ -61,15 +61,9 @@ func rowsOf(t *testing.T, db *DB, q string) [][]any {
 
 func TestResolveClaimPolicies(t *testing.T) {
 	db := openSample(t)
-	for _, c := range []Claim{
-		{Source: "a", Entity: "Warfarin", Attr: "color", Value: "white", Confidence: 0.5},
-		{Source: "b", Entity: "Warfarin", Attr: "color", Value: "white", Confidence: 0.5},
-		{Source: "c", Entity: "Warfarin", Attr: "color", Value: "ivory", Confidence: 0.99},
-	} {
-		if err := db.AddClaim(c); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rowsOf(t, db, `INSERT INTO claims (entity, attr, value, source, confidence) VALUES
+		('Warfarin', 'color', 'white', 'a', 0.5), ('Warfarin', 'color', 'white', 'b', 0.5),
+		('Warfarin', 'color', 'ivory', 'c', 0.99)`)
 	got := rowsOf(t, db, "SELECT value, support FROM resolve('Warfarin', 'color', 'vote')")
 	if len(got) != 1 || got[0][0] != "white" || got[0][1].(float64) < 0.6 {
 		t.Errorf("vote = %v", got)
@@ -91,11 +85,7 @@ func TestResolveClaimPolicies(t *testing.T) {
 
 func TestConflictsPublicAPI(t *testing.T) {
 	db := openSample(t)
-	for _, c := range ClinicalClaims() {
-		if err := db.AddClaim(c); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rowsOf(t, db, ClinicalClaims)
 	got := rowsOf(t, db, "SELECT entity, attr, value, sources, reconcilable FROM conflicts()")
 	if len(got) != 3 {
 		t.Fatalf("conflict rows = %v", got)
@@ -138,15 +128,8 @@ func TestDiscoverPublic(t *testing.T) {
 
 func TestCrowdResolvePublic(t *testing.T) {
 	db := openSample(t)
-	for _, c := range []Claim{
-		{Source: "a", Entity: "Warfarin", Attr: "class", Value: "anticoagulant"},
-		{Source: "b", Entity: "Warfarin", Attr: "class", Value: "anticoagulant"},
-		{Source: "c", Entity: "Warfarin", Attr: "class", Value: "rodenticide"},
-	} {
-		if err := db.AddClaim(c); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rowsOf(t, db, `INSERT INTO claims (entity, attr, value, source) VALUES ('Warfarin', 'class', 'anticoagulant', 'a'),
+		('Warfarin', 'class', 'anticoagulant', 'b'), ('Warfarin', 'class', 'rodenticide', 'c')`)
 	const q = "SELECT value, agreement, asks, spent FROM crowd('Warfarin', 'class', 20, 0.9, 42)"
 	ans := rowsOf(t, db, q)
 	if len(ans) != 1 || ans[0][0] != "anticoagulant" {

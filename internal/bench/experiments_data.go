@@ -16,7 +16,7 @@ import (
 // the given bulk scale.
 func lifesciDB(seed int64, nDrugs, nGenes, nDiseases int) (*core.DB, error) {
 	db, err := core.Open(core.Options{
-		Ontology: datagen.LifeSciOntology(),
+		Axioms: datagen.LifeSciAxioms,
 		LinkRules: []curate.LinkRule{
 			{Predicate: "targets_symbol", EdgePredicate: "targets", TargetAttrs: []string{"symbol", "gene_symbol"}, TargetType: "Gene"},
 			{Predicate: "treats_name", EdgePredicate: "treats", TargetAttrs: []string{"disease_name"}},

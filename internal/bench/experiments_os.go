@@ -146,7 +146,7 @@ func RunSemanticOpt() *Table {
 	}
 	open := func(disable bool) (*core.DB, error) {
 		db, err := core.Open(core.Options{
-			Ontology: datagen.LifeSciOntology(),
+			Axioms: datagen.LifeSciAxioms,
 			LinkRules: []curate.LinkRule{
 				{Predicate: "targets_symbol", EdgePredicate: "targets", TargetAttrs: []string{"symbol", "gene_symbol"}, TargetType: "Gene"},
 				{Predicate: "treats_name", EdgePredicate: "treats", TargetAttrs: []string{"disease_name"}},

@@ -6,9 +6,10 @@
 // maintains each table's union schema — attribute names, the value kinds
 // seen in them, and fill counts — as ordinary rows in system tables of the
 // same store that holds the data (`_catalog_tables`, `_catalog_sources`,
-// `_catalog_ontology`). The ontology is persisted the same way, as axiom
-// rows. Meta-data is therefore queryable with SCQL like any other table,
-// and schema evolution is just new observations.
+// `_catalog_ontology`, `_catalog_richness`). The ontology is persisted the
+// same way, as axiom rows appended when the axioms are told. Meta-data is
+// therefore queryable with SCQL like any other table, and schema evolution
+// is just new observations.
 package catalog
 
 import (
@@ -28,6 +29,9 @@ const (
 	TablesTable   = "_catalog_tables"
 	SourcesTable  = "_catalog_sources"
 	OntologyTable = "_catalog_ontology"
+	// RichnessTable holds each richness refresh's source weights, as
+	// (refresh, source, score) rows.
+	RichnessTable = "_catalog_richness"
 )
 
 // AttrInfo describes one attribute of a table's observed union schema.
@@ -57,54 +61,31 @@ type Catalog struct {
 	sources map[string]SourceInfo
 }
 
-// Open creates the catalog over a store, ensuring the system tables exist
-// and loading previously persisted meta-data.
-func Open(store *storage.Store) (*Catalog, error) {
+// Open creates the catalog over a store and loads its persisted
+// meta-data. A writable catalog first ensures the system tables exist; a
+// read-only one writes nothing and skips absent tables, because a read
+// replica must not append local frames: its commit clock is the primary's.
+func Open(store *storage.Store, readOnly bool) (*Catalog, error) {
 	c := &Catalog{
 		store:   store,
 		schemas: map[string]map[string]*AttrInfo{},
 		counts:  map[string]int{},
 		sources: map[string]SourceInfo{},
 	}
-	for _, t := range []string{TablesTable, SourcesTable, OntologyTable} {
-		if _, err := store.EnsureTable(t); err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
+	if !readOnly {
+		for _, t := range []string{TablesTable, SourcesTable, OntologyTable} {
+			if _, err := store.EnsureTable(t); err != nil {
+				return nil, fmt.Errorf("catalog: %w", err)
+			}
 		}
 	}
-	if err := c.load(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// OpenReadOnly creates the catalog over a store without writing to it:
-// absent system tables are skipped rather than created. A read replica
-// must not append local frames — its commit clock is the primary's — so
-// this is the only correct way to open a catalog over a replicated store.
-func OpenReadOnly(store *storage.Store) (*Catalog, error) {
-	c := &Catalog{
-		store:   store,
-		schemas: map[string]map[string]*AttrInfo{},
-		counts:  map[string]int{},
-		sources: map[string]SourceInfo{},
-	}
-	if err := c.load(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// load restores the in-memory views from the system tables (absent ones —
-// a fresh store, or a read-only open before the primary's catalog frames
-// arrive — contribute nothing).
-func (c *Catalog) load() error {
-	if tt, ok := c.store.Table(TablesTable); ok {
+	if tt, ok := store.Table(TablesTable); ok {
 		c.loadTables(tt)
 	}
-	if st, ok := c.store.Table(SourcesTable); ok {
+	if st, ok := store.Table(SourcesTable); ok {
 		c.loadSources(st)
 	}
-	return nil
+	return c, nil
 }
 
 func (c *Catalog) loadTables(tt *storage.Table) {
@@ -185,25 +166,6 @@ func (c *Catalog) Schema(table string) []AttrInfo {
 		out = append(out, cp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// RecordCount returns how many records the catalog observed for the table.
-func (c *Catalog) RecordCount(table string) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.counts[table]
-}
-
-// TablesObserved returns the tables with observed schemas, sorted.
-func (c *Catalog) TablesObserved() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.schemas))
-	for t := range c.schemas {
-		out = append(out, t)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -319,20 +281,33 @@ func (c *Catalog) replaceTable(name string, rows []model.Record) error {
 	return nil
 }
 
-// SaveOntology persists the ontology as axiom rows.
-func (c *Catalog) SaveOntology(o *ontology.Ontology) error {
-	var sb strings.Builder
-	if err := o.Dump(&sb); err != nil {
-		return err
+// AppendAxioms stores the axiom lines the ontology table does not hold
+// yet, in one batch, and returns them. Rows are only ever appended: axioms
+// are monotone, and LoadOntology unions every row.
+func (c *Catalog) AppendAxioms(lines []string) ([]string, error) {
+	tb, err := c.store.EnsureTable(OntologyTable)
+	if err != nil {
+		return nil, err
 	}
+	stored := map[string]bool{}
+	tb.Scan(func(_ storage.RowID, rec model.Record) bool {
+		ax, _ := rec.Get("axiom").AsString()
+		stored[ax] = true
+		return true
+	})
+	var added []string
 	var rows []model.Record
-	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
-		if line == "" {
-			continue
+	for _, l := range lines {
+		if !stored[l] {
+			stored[l] = true
+			added = append(added, l)
+			rows = append(rows, model.Record{"axiom": model.String(l)})
 		}
-		rows = append(rows, model.Record{"axiom": model.String(line)})
 	}
-	return c.replaceTable(OntologyTable, rows)
+	if _, err := tb.InsertBatch(rows); err != nil {
+		return nil, err
+	}
+	return added, nil
 }
 
 // LoadOntology rebuilds the ontology from the persisted axiom rows.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"scdb/internal/model"
-	"scdb/internal/ontology"
 	"scdb/internal/storage"
 )
 
@@ -14,7 +13,7 @@ func open(t *testing.T, dir string) (*storage.Store, *Catalog) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Open(s)
+	c, err := Open(s, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +41,8 @@ func TestObserveBuildsUnionSchema(t *testing.T) {
 	if dose.Kinds["float"] != 1 || dose.Kinds["null"] != 1 {
 		t.Errorf("dose kinds = %v (heterogeneity must be recorded)", dose.Kinds)
 	}
-	if c.RecordCount("drugs") != 3 {
-		t.Errorf("RecordCount = %d", c.RecordCount("drugs"))
-	}
-	if got := c.TablesObserved(); len(got) != 1 || got[0] != "drugs" {
-		t.Errorf("TablesObserved = %v", got)
+	if n := flushedRecords(t, s, c, "drugs"); n != 3 {
+		t.Errorf("records = %d", n)
 	}
 	if got := c.Schema("missing"); len(got) != 0 {
 		t.Errorf("missing table schema = %v", got)
@@ -115,8 +111,8 @@ func TestCatalogPersistence(t *testing.T) {
 	if len(schema) != 2 {
 		t.Fatalf("recovered schema = %+v", schema)
 	}
-	if c2.RecordCount("drugs") != 2 {
-		t.Errorf("recovered count = %d", c2.RecordCount("drugs"))
+	if n := flushedRecords(t, s2, c2, "drugs"); n != 2 {
+		t.Errorf("recovered count = %d", n)
 	}
 	srcs := c2.Sources()
 	if len(srcs) != 1 || srcs[0].Name != "drugbank" {
@@ -127,12 +123,9 @@ func TestCatalogPersistence(t *testing.T) {
 func TestOntologyRoundTrip(t *testing.T) {
 	s, c := open(t, "")
 	defer s.Close()
-	o := ontology.New()
-	o.SubConceptOf("Drug", "Chemical")
-	o.Disjoint("Chemical", "Disease")
-	o.AddExistential("Drug", "hasTarget", "Gene")
-	if err := c.SaveOntology(o); err != nil {
-		t.Fatal(err)
+	lines := []string{"sub Drug Chemical", "disjoint Chemical Disease", "exists Drug hasTarget Gene"}
+	if added, err := c.AppendAxioms(lines); err != nil || len(added) != 3 {
+		t.Fatalf("AppendAxioms = %v, %v", added, err)
 	}
 	o2, err := c.LoadOntology()
 	if err != nil {
@@ -147,15 +140,32 @@ func TestOntologyRoundTrip(t *testing.T) {
 	if len(o2.Existentials("Drug")) != 1 {
 		t.Error("existential lost")
 	}
-	// Saving again replaces, not duplicates.
-	if err := c.SaveOntology(o); err != nil {
-		t.Fatal(err)
+	// Appending again stores only the line the table lacks.
+	if added, err := c.AppendAxioms(append(lines, "concept Gene")); err != nil || len(added) != 1 {
+		t.Fatalf("second AppendAxioms = %v, %v", added, err)
 	}
-	// sub, disjoint, exists, plus the bare "concept Gene" declaration.
 	tb, _ := s.Table(OntologyTable)
 	if tb.Len() != 4 {
 		t.Errorf("axiom rows = %d, want 4", tb.Len())
 	}
+}
+
+// flushedRecords flushes the catalog and reads the record count its
+// tables rows hold for table.
+func flushedRecords(t *testing.T, s *storage.Store, c *Catalog, table string) int {
+	t.Helper()
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tb, _ := s.Table(TablesTable)
+	n := int64(-1)
+	tb.Scan(func(_ storage.RowID, rec model.Record) bool {
+		if tn, _ := rec.Get("table").AsString(); tn == table {
+			n, _ = rec.Get("records").AsInt()
+		}
+		return true
+	})
+	return int(n)
 }
 
 func TestLoadOntologyEmpty(t *testing.T) {

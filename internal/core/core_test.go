@@ -8,16 +8,34 @@ import (
 	"scdb/internal/curate"
 	"scdb/internal/datagen"
 	"scdb/internal/extract"
-	"scdb/internal/fusion"
 	"scdb/internal/model"
+	"scdb/internal/query"
+	"scdb/internal/richness"
 	"scdb/internal/txn"
 )
+
+// doseClaims are the paper's three population-scoped dose claims on
+// Warfarin.
+const doseClaims = `INSERT INTO claims (entity, attr, value, source, context) VALUES
+	('Warfarin', 'dose', 5.1, 'trials-us', 'White'),
+	('Warfarin', 'dose', 3.4, 'trials-asia', 'Asian'),
+	('Warfarin', 'dose', 6.1, 'trials-africa', 'Black')`
+
+// mustQuery runs a statement that must succeed.
+func mustQuery(t *testing.T, db *DB, q string) *query.Result {
+	t.Helper()
+	res, _, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return res
+}
 
 // lifesciOptions is the standard engine configuration over Figure-2 data.
 func lifesciOptions(dir string) Options {
 	return Options{
-		Dir:      dir,
-		Ontology: datagen.LifeSciOntology(),
+		Dir:    dir,
+		Axioms: datagen.LifeSciAxioms,
 		LinkRules: []curate.LinkRule{
 			{Predicate: "targets_symbol", EdgePredicate: "targets", TargetAttrs: []string{"symbol", "gene_symbol"}, TargetType: "Gene"},
 			{Predicate: "treats_name", EdgePredicate: "treats", TargetAttrs: []string{"disease_name"}},
@@ -141,27 +159,14 @@ func TestSemanticOptimizerWired(t *testing.T) {
 
 func TestClaimsTableAnswerModes(t *testing.T) {
 	db := openLifeSci(t)
-	warfarin, ok := db.graph.FindByKey("drugbank", "DB00682")
-	if !ok {
-		t.Fatal("warfarin missing")
-	}
 	// The paper's parallel worlds: population-scoped dose claims.
-	for _, c := range []struct {
-		src, pop string
-		dose     float64
-	}{
-		{"trials-us", "White", 5.1}, {"trials-asia", "Asian", 3.4}, {"trials-africa", "Black", 6.1},
-	} {
-		db.AddClaim(fusion.Claim{Source: c.src, Entity: warfarin.ID, Attr: "dose", Value: model.Float(c.dose), Context: []string{c.pop}})
-	}
+	mustQuery(t, db, doseClaims)
 	// Population classes must be disjoint for context classing.
-	po := datagen.PopulationOntology()
 	for _, pair := range [][2]string{{"White", "Asian"}, {"White", "Black"}, {"Asian", "Black"}} {
 		db.onto.SubConceptOf(pair[0], "Population")
 		db.onto.SubConceptOf(pair[1], "Population")
 		db.onto.Disjoint(pair[0], pair[1])
 	}
-	_ = po
 
 	res, _, err := db.Query(`SELECT value, context FROM claims ORDER BY value`)
 	if err != nil {
@@ -191,19 +196,13 @@ func TestClaimsTableAnswerModes(t *testing.T) {
 
 func TestJustifiedAnswerEndToEnd(t *testing.T) {
 	db := openLifeSci(t)
-	warfarin, _ := db.graph.FindByKey("drugbank", "DB00682")
 	for _, pair := range [][2]string{{"White", "Asian"}, {"White", "Black"}, {"Asian", "Black"}} {
 		db.onto.Disjoint(pair[0], pair[1])
 	}
-	for _, c := range []struct {
-		src, pop string
-		dose     float64
-	}{
-		{"trials-us", "White", 5.1}, {"trials-asia", "Asian", 3.4}, {"trials-africa", "Black", 6.1},
-	} {
-		db.onto.SubConceptOf(c.pop, "Population")
-		db.AddClaim(fusion.Claim{Source: c.src, Entity: warfarin.ID, Attr: "dose", Value: model.Float(c.dose), Context: []string{c.pop}})
+	for _, pop := range []string{"White", "Asian", "Black"} {
+		db.onto.SubConceptOf(pop, "Population")
 	}
+	mustQuery(t, db, doseClaims)
 	res, _, err := db.Query(`SELECT naive_certain, degree, refinements, sensitive FROM justify('Warfarin', 'dose', 5.0, 0.5)`)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +280,7 @@ func TestTransactionsWithEnrichmentChurn(t *testing.T) {
 	if info.EnrichmentStaleness == 0 {
 		t.Error("staleness bound missing")
 	}
-	st := db.TxnStats()
+	st := db.txns.Stats()
 	if st.EnrichmentAborts != 1 || st.Commits != 1 {
 		t.Errorf("txn stats = %+v", st)
 	}
@@ -289,14 +288,20 @@ func TestTransactionsWithEnrichmentChurn(t *testing.T) {
 
 func TestRefreshRichnessFeedsFusion(t *testing.T) {
 	db := openLifeSci(t)
-	all := db.RefreshRichness()
-	if len(all) < 3 {
-		t.Fatalf("richness sources = %d", len(all))
+	res := mustQuery(t, db, "REFRESH RICHNESS")
+	all := richness.MeasureAll(db.graph)
+	if len(all) < 3 || !model.Equal(res.Rows[0][0], model.Int(int64(len(all)))) {
+		t.Fatalf("REFRESH RICHNESS = %v, sources = %d", res.Rows, len(all))
 	}
 	for _, m := range all {
 		if db.worlds.Richness(m.Source) != m.Score {
 			t.Errorf("richness for %s not propagated", m.Source)
 		}
+	}
+	// The weights are rows of the refresh's number.
+	res = mustQuery(t, db, "SELECT COUNT(*) FROM _catalog_richness WHERE refresh = 1")
+	if !model.Equal(res.Rows[0][0], model.Int(int64(len(all)))) {
+		t.Errorf("refresh rows = %v, want %d", res.Rows, len(all))
 	}
 }
 
@@ -328,7 +333,7 @@ func TestPersistenceAcrossOpen(t *testing.T) {
 
 	// Reopen without seeding an ontology: it must come from the catalog.
 	opts := lifesciOptions(dir)
-	opts.Ontology = nil
+	opts.Axioms = ""
 	db2, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -365,15 +370,14 @@ func TestRelationLayerRebuiltOnOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warfarin, _ := db.graph.FindByKey("drugbank", "DB00682")
-	db.AddClaim(fusion.Claim{Source: "trials-us", Entity: warfarin.ID, Attr: "dose", Value: model.Float(5.1), Context: []string{"White"}})
+	mustQuery(t, db, "INSERT INTO claims (entity, attr, value, source, context) VALUES ('Warfarin', 'dose', 5.1, 'trials-us', 'White')")
 	before := db.Stats()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	opts := lifesciOptions(dir)
-	opts.Ontology = nil // ontology must come back from the catalog too
+	opts.Axioms = "" // ontology must come back from the catalog too
 	db2, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -591,7 +595,7 @@ func TestPredictFunctionInEngine(t *testing.T) {
 		t.Error("model must retrain after graph mutation")
 	}
 	// Engine with no typed entities has no model; PREDICT yields null.
-	empty, _ := Open(Options{Ontology: datagen.LifeSciOntology()})
+	empty, _ := Open(Options{Axioms: datagen.LifeSciAxioms})
 	defer empty.Close()
 	if empty.typePredictor() != nil {
 		t.Error("untrained engine must have no model")
@@ -618,14 +622,14 @@ func TestAccessorsAndTableRecords(t *testing.T) {
 
 func TestLookupEntityByName(t *testing.T) {
 	db := openLifeSci(t)
-	e, ok := db.LookupEntity("warfarin") // case-insensitive text match
+	e, ok := db.graph.Entity(db.lookupByText("warfarin")) // case-insensitive text match
 	if !ok {
 		t.Fatal("lookup by name failed")
 	}
 	if n, _ := e.Attrs.Get("name").AsString(); n != "Warfarin" {
 		t.Errorf("looked up %v", e)
 	}
-	if _, ok := db.LookupEntity("definitely-not-present"); ok {
+	if db.lookupByText("definitely-not-present") != model.NoEntity {
 		t.Error("unknown name must not resolve")
 	}
 }

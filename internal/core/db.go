@@ -8,7 +8,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 
@@ -24,7 +23,6 @@ import (
 	"scdb/internal/ontology"
 	"scdb/internal/reason"
 	"scdb/internal/refine"
-	"scdb/internal/richness"
 	"scdb/internal/semantic"
 	"scdb/internal/storage"
 	"scdb/internal/txn"
@@ -36,9 +34,10 @@ type Options struct {
 	Dir string
 	// Storage configures the store opened at Dir.
 	Storage storage.Options
-	// Ontology seeds the semantic layer (nil starts empty; axioms may
-	// also be loaded from the catalog or added later).
-	Ontology *ontology.Ontology
+	// Axioms seeds the ontology, one axiom a line (ontology.Parse's
+	// format). A writable open stores the lines the catalog lacks; the
+	// ontology is the catalog's axioms and these. ADD AXIOMS adds more.
+	Axioms string
 	// LinkRules drive online literal-to-entity link discovery.
 	LinkRules []curate.LinkRule
 	// Patterns drive information extraction over unstructured text.
@@ -67,9 +66,9 @@ type Options struct {
 	// DisableIndexScan executes IndexScans as plain zone scans and stops
 	// index self-creation (differential baseline; plans are unchanged).
 	DisableIndexScan bool
-	// ReadOnly opens the engine as a read replica: ingest and claim
-	// persistence return ErrReadOnly, the catalog is opened without
-	// creating its system tables, and Close skips the catalog/ontology
+	// ReadOnly opens the engine as a read replica: ingest and the
+	// curation statements return ErrReadOnly, the catalog is opened
+	// without creating its system tables, and Close skips the catalog
 	// flush — the store's content (and its commit clock) belong to the
 	// primary and arrive only through replication apply.
 	ReadOnly bool
@@ -121,28 +120,36 @@ type derived struct {
 	pipeline *curate.Pipeline
 	worlds   *fusion.Worlds
 	refiner  *refine.Refiner
+	// refresh numbers the newest richness refresh the worlds weigh by (0:
+	// none, fusion unweighted).
+	refresh int64
 }
 
 // buildDerived is the one assembly of the derived layers, for Open and
 // RefreshDerived: it opens the catalog over store (read-only on a replica),
-// re-curates the stored inputs into a fresh graph and reasoner
-// (RebuildFromStore, a no-op on a fresh store), and loads the claim base.
-// A nil onto means the catalog's persisted ontology.
-func buildDerived(store *storage.Store, opts Options, onto *ontology.Ontology) (derived, error) {
+// stores the seed axioms it lacks (writable only), re-curates the stored
+// inputs into a fresh graph and reasoner (RebuildFromStore, a no-op on a
+// fresh store), and loads the claim base with its richness weights. The
+// ontology is the catalog's axioms and the seed, so a follower's refresh
+// picks up what its primary was told.
+func buildDerived(store *storage.Store, opts Options) (derived, error) {
 	var d derived
-	var err error
-	if opts.ReadOnly {
-		d.cat, err = catalog.OpenReadOnly(store)
-	} else {
-		d.cat, err = catalog.Open(store)
+	seed, err := ontology.Lines(opts.Axioms)
+	if err != nil {
+		return d, err
+	}
+	if d.cat, err = catalog.Open(store, opts.ReadOnly); err == nil && !opts.ReadOnly {
+		_, err = d.cat.AppendAxioms(seed)
 	}
 	if err != nil {
 		return d, err
 	}
-	if onto == nil {
-		if onto, err = d.cat.LoadOntology(); err != nil {
-			return d, err
-		}
+	onto, err := d.cat.LoadOntology()
+	if err != nil {
+		return d, err
+	}
+	if err := onto.Parse(strings.NewReader(opts.Axioms)); err != nil {
+		return d, err
 	}
 	d.onto = onto
 	d.graph = graph.New()
@@ -167,6 +174,7 @@ func buildDerived(store *storage.Store, opts Options, onto *ontology.Ontology) (
 	d.worlds = fusion.New(onto)
 	d.refiner = refine.New(onto, d.graph, d.worlds)
 	loadClaims(store, d.graph, d.worlds)
+	d.refresh = loadRichness(store, d.worlds)
 	return d, nil
 }
 
@@ -176,7 +184,7 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := buildDerived(store, opts, opts.Ontology)
+	d, err := buildDerived(store, opts)
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -229,39 +237,37 @@ func loadClaims(store *storage.Store, g *graph.Graph, worlds *fusion.Worlds) {
 	})
 }
 
-// persistClaim appends the claim to the claims table.
-func (db *DB) persistClaim(c fusion.Claim) error {
-	e, ok := db.graph.Entity(c.Entity)
+// loadRichness weights the claim base by the newest richness refresh's
+// scores and returns its number (0: the store was never refreshed).
+func loadRichness(store *storage.Store, worlds *fusion.Worlds) int64 {
+	tb, ok := store.Table(catalog.RichnessTable)
 	if !ok {
-		return fmt.Errorf("core: claim about unknown entity %d", c.Entity)
+		return 0
 	}
-	tb, err := db.store.EnsureTable(claimsTable)
-	if err != nil {
-		return err
-	}
-	ctx := make([]model.Value, len(c.Context))
-	for i, s := range c.Context {
-		ctx[i] = model.String(s)
-	}
-	conf := c.Confidence
-	if conf == 0 {
-		conf = 1
-	}
-	_, err = tb.Insert(model.Record{
-		"claim_source":  model.String(c.Source),
-		"entity_source": model.String(e.Source),
-		"entity_key":    model.String(e.Key),
-		"attr":          model.String(c.Attr),
-		"value":         c.Value,
-		"context":       model.List(ctx...),
-		"conf":          model.Float(float64(conf)),
+	var newest int64
+	scores := map[string]float64{}
+	tb.Scan(func(_ storage.RowID, rec model.Record) bool {
+		n, _ := rec.Get("refresh").AsInt()
+		if n > newest {
+			newest = n
+			clear(scores)
+		}
+		if n == newest {
+			src, _ := rec.Get("source").AsString()
+			scores[src], _ = rec.Get("score").AsFloat()
+		}
+		return true
 	})
-	return err
+	for src, score := range scores {
+		worlds.SetRichness(src, score)
+	}
+	return newest
 }
 
-// Close persists the catalog and ontology, then closes the store. It
+// Close persists the catalog's observed schema, then closes the store. It
 // waits out an in-flight Ingest (ingestMu) so curation never writes to a
-// closed log.
+// closed log. Axioms, claims and richness weights were written when they
+// were told.
 func (db *DB) Close() error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
@@ -273,10 +279,6 @@ func (db *DB) Close() error {
 	db.closed = true
 	if !db.opts.ReadOnly {
 		if err := db.cat.Flush(); err != nil {
-			db.store.Close()
-			return err
-		}
-		if err := db.cat.SaveOntology(db.onto); err != nil {
 			db.store.Close()
 			return err
 		}
@@ -377,45 +379,6 @@ func (db *DB) IngestCtx(ctx context.Context, ds datagen.Dataset) error {
 	return nil
 }
 
-// AddClaim records a parallel-world claim (one source's context-scoped
-// statement about an entity attribute) and persists it.
-func (db *DB) AddClaim(c fusion.Claim) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.worlds.AddClaim(c)
-	// Persistence is best-effort bookkeeping: an unknown entity (claims
-	// created directly against synthetic IDs in tests) stays in-memory.
-	// Replicas never persist — their claim rows arrive from the primary.
-	if !db.opts.ReadOnly {
-		_ = db.persistClaim(c)
-	}
-	db.matCache.InvalidateAll()
-}
-
-// RefreshRichness measures every source's richness (FS.2) and feeds the
-// scores into claim fusion as source weights, which re-weights every cached
-// answer that fuses claims.
-func (db *DB) RefreshRichness() []richness.Metrics {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	all := richness.MeasureAll(db.graph)
-	for _, m := range all {
-		db.worlds.SetRichness(m.Source, m.Score)
-	}
-	db.matCache.InvalidateAll()
-	return all
-}
-
-// AddAxioms parses axioms into the ontology, one per line. They can change
-// any answer, so the materialization cache goes too, even when a line fails
-// after earlier lines took effect.
-func (db *DB) AddAxioms(axioms string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	defer db.matCache.InvalidateAll()
-	return db.onto.Parse(strings.NewReader(axioms))
-}
-
 // Graph exposes the relation layer (read-mostly analytical use).
 func (db *DB) Graph() *graph.Graph { return db.graph }
 
@@ -439,9 +402,6 @@ func (db *DB) ERDigests(entsSince, matchesSince int) er.DigestBatch {
 
 // Begin starts a transaction (FS.11).
 func (db *DB) Begin(level txn.Level) *txn.Txn { return db.txns.Begin(level) }
-
-// TxnStats returns transaction outcome counters.
-func (db *DB) TxnStats() txn.Stats { return db.txns.Stats() }
 
 // Vacuum reclaims record versions below the oldest live transaction's
 // snapshot and returns how many were removed.
@@ -495,13 +455,6 @@ func (db *DB) TableRecords(name string) ([]model.Record, bool) {
 		return true
 	})
 	return recs, true
-}
-
-// LookupEntity finds an entity by any indexed string attribute value.
-func (db *DB) LookupEntity(text string) (*model.Entity, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.graph.Entity(db.lookupByText(text))
 }
 
 // lookupByText grounds a name to an entity via the graph (linear scan over

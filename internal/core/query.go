@@ -112,6 +112,18 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	res, info, cur, err := db.read(ctx, src, emit)
+	if cur != nil {
+		// A curation statement writes, so it runs under the write lock,
+		// once read has let go of the read lock.
+		return db.curate(cur, emit)
+	}
+	return res, info, err
+}
+
+// read answers a statement under the db.mu read lock. A curation
+// statement is neither cached nor executed here: read hands it back.
+func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]model.Value) bool) (*query.Result, *QueryInfo, *query.CurateStmt, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	info := &QueryInfo{}
@@ -139,7 +151,10 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 		var err error
 		stmt, err = query.Parse(src)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
+		}
+		if stmt.Curate != nil {
+			return nil, nil, stmt.Curate, nil
 		}
 		key = stmt.String()
 	}
@@ -167,21 +182,21 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 			res := v.(*query.Result)
 			if emit != nil {
 				if err := emitResultChunks(res, db.opts.MorselSize, emit); err != nil {
-					return nil, info, err
+					return nil, info, nil, err
 				}
 			}
-			return res, info, nil
+			return res, info, nil, nil
 		}
 	}
 	env := &queryEnv{db: db, ctx: ctx, mode: stmt.Mode, fuzzyT: stmt.FuzzyThreshold}
 	if plan == nil {
 		if err := checkCalls(stmt); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		var err error
 		plan, err = query.BuildPlan(stmt, env)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		var rep *optimizer.Report
 		plan, rep = optimizer.Optimize(plan, db.optimizerOptions(stmt))
@@ -206,13 +221,13 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 	planSpan.SetInt("est_morsels", int64(info.EstimatedMorsels))
 	// streamText hands a materialized text result (plans, traces) to the
 	// sink in chunks, so streaming callers see one uniform shape.
-	streamText := func(res *query.Result) (*query.Result, *QueryInfo, error) {
+	streamText := func(res *query.Result) (*query.Result, *QueryInfo, *query.CurateStmt, error) {
 		if emit != nil {
 			if err := emitResultChunks(res, db.opts.MorselSize, emit); err != nil {
-				return nil, info, err
+				return nil, info, nil, err
 			}
 		}
-		return res, info, nil
+		return res, info, nil, nil
 	}
 	if stmt.Explain && !stmt.Analyze {
 		return streamText(planResult(info.Plan))
@@ -238,7 +253,7 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 	res, st, err := query.ExecuteOpts(plan, env, opts)
 	execSpan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if explained(stmt) {
 		info.OperatorStats = st
@@ -257,7 +272,7 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 	if !db.opts.DisableMatCache {
 		db.matCache.Put(key, res, info.EstimatedCost)
 	}
-	return res, info, nil
+	return res, info, nil, nil
 }
 
 // addOpSpans mirrors the executor's per-operator statistics tree as trace

@@ -4,8 +4,8 @@ package core
 //
 // A replica's instance layer advances continuously as replicated WAL
 // frames are applied directly to the store, below the engine. The relation
-// and semantic layers (graph, ontology, reasoner, claim worlds) are
-// derived state: they are rebuilt wholesale by RefreshDerived rather than
+// and semantic layers (graph, ontology, reasoner, claim worlds with their
+// richness weights) are derived state: they are rebuilt wholesale by RefreshDerived rather than
 // maintained incrementally, because the curation pipeline's incremental
 // paths assume they observed every record exactly once at ingest time.
 // SELECT-style reads over the instance layer are therefore always fresh
@@ -43,16 +43,11 @@ func (db *DB) RefreshDerived() error {
 	defer db.ingestMu.Unlock()
 	db.mu.RLock()
 	closed := db.closed
-	// Keep the live ontology rather than reloading the catalog's persisted
-	// copy: axioms handed to Open (or AddAxioms) live only in memory, and a
-	// reload would silently drop them. The live object already unions the
-	// catalog copy loaded at open time with every axiom parsed since.
-	onto := db.onto
 	db.mu.RUnlock()
 	if closed {
 		return nil
 	}
-	d, err := buildDerived(db.store, db.opts, onto)
+	d, err := buildDerived(db.store, db.opts)
 	if err != nil {
 		return err
 	}

@@ -351,7 +351,7 @@ func suggestRows(e *queryEnv, args []model.Value) ([][]model.Value, error) {
 }
 
 // richnessRows measures every source's richness (FS.2), richest first. It
-// only measures: RefreshRichness is what weights fusion by the scores.
+// only measures: REFRESH RICHNESS is what weights fusion by the scores.
 func richnessRows(e *queryEnv, _ []model.Value) ([][]model.Value, error) {
 	var rows [][]model.Value
 	for _, m := range richness.MeasureAll(e.db.graph) {

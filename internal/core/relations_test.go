@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"scdb/internal/datagen"
-	"scdb/internal/fusion"
 	"scdb/internal/model"
 )
 
@@ -14,22 +13,9 @@ import (
 func openWarfarinClaims(t *testing.T) *DB {
 	t.Helper()
 	db := openLifeSci(t)
-	warfarin, ok := db.graph.FindByKey("drugbank", "DB00682")
-	if !ok {
-		t.Fatal("warfarin missing")
-	}
-	if err := db.AddAxioms("sub White Population\nsub Asian Population\nsub Black Population\n" +
-		"disjoint White Asian\ndisjoint White Black\ndisjoint Asian Black"); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		src, pop string
-		dose     float64
-	}{
-		{"trials-us", "White", 5.1}, {"trials-asia", "Asian", 3.4}, {"trials-africa", "Black", 6.1},
-	} {
-		db.AddClaim(fusion.Claim{Source: c.src, Entity: warfarin.ID, Attr: "dose", Value: model.Float(c.dose), Context: []string{c.pop}})
-	}
+	mustQuery(t, db, "ADD AXIOMS 'sub White Population', 'sub Asian Population', 'sub Black Population', "+
+		"'disjoint White Asian', 'disjoint White Black', 'disjoint Asian Black'")
+	mustQuery(t, db, doseClaims)
 	return db
 }
 

@@ -25,7 +25,7 @@ func iotIngest(t *testing.T, mode er.BlockingMode, par int) (sig string, skips i
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	cat, err := catalog.Open(s)
+	cat, err := catalog.Open(s, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,16 +143,6 @@ func (c *MatCache) remove(e *matEntry) {
 	c.stats.Evictions++
 }
 
-// Invalidate drops an entry (curation changed its inputs).
-func (c *MatCache) Invalidate(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		delete(c.entries, e.key)
-		c.lru.Remove(e.lruElem)
-	}
-}
-
 // InvalidateAll clears the cache (enrichment version changed).
 func (c *MatCache) InvalidateAll() {
 	c.mu.Lock()

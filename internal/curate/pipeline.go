@@ -590,9 +590,3 @@ func (p *Pipeline) refreshConceptStats() {
 		p.onto.SetInstanceCount(c, n)
 	}
 }
-
-// EnrichmentVersion combines the graph and ontology versions — the
-// enrichment clock FS.11's transaction validation watches.
-func (p *Pipeline) EnrichmentVersion() uint64 {
-	return p.graph.Version() + p.onto.Version()
-}

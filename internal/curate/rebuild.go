@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"scdb/internal/datagen"
 	"scdb/internal/model"
@@ -265,10 +264,4 @@ func (p *Pipeline) loadReplayInputs() (map[string][]datagen.LinkSpec, map[string
 		}
 	}
 	return links, texts, maxSeq, nil
-}
-
-// IsSystemTable reports whether the name belongs to the engine's internal
-// bookkeeping (catalog or curation replay tables).
-func IsSystemTable(name string) bool {
-	return strings.HasPrefix(name, "_catalog") || strings.HasPrefix(name, "_curate") || strings.HasPrefix(name, "_claims")
 }

@@ -124,17 +124,3 @@ func TestRebuildSkipsTransactionalRows(t *testing.T) {
 		t.Errorf("rebuilt entities = %d, want 1 (keyless rows skipped)", g2.NumEntities())
 	}
 }
-
-func TestIsSystemTable(t *testing.T) {
-	for name, want := range map[string]bool{
-		"_catalog_tables": true,
-		"_curate_links":   true,
-		"_claims":         true,
-		"drugbank":        false,
-		"notes":           false,
-	} {
-		if got := IsSystemTable(name); got != want {
-			t.Errorf("IsSystemTable(%q) = %v", name, got)
-		}
-	}
-}

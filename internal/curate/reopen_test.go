@@ -104,7 +104,7 @@ func TestPropertyRebuildEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
 			f := func(seed int64) bool {
 				db, err := core.Open(core.Options{
-					Ontology:    datagen.LifeSciOntology(),
+					Axioms:      datagen.LifeSciAxioms,
 					LinkRules:   reopenRules,
 					Patterns:    reopenPatterns,
 					Parallelism: par,

@@ -8,6 +8,7 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"scdb/internal/model"
 	"scdb/internal/ontology"
@@ -41,49 +42,58 @@ type Dataset struct {
 	Texts []string
 }
 
-// LifeSciOntology builds the Figure-2 TBox: the drug/disease taxonomy,
-// the Chemical/Disease disjointness, the Drug ⊑ ∃hasTarget.Gene
-// existential, and the targets/affects role hierarchy.
-func LifeSciOntology() *ontology.Ontology {
-	o := ontology.New()
-	o.SubConceptOf("Approved Drugs", "Drug")
-	o.SubConceptOf("Drug", "Chemical")
-	o.SubConceptOf("Carboxylic Acids", "Chemical")
-	o.SubConceptOf("Heterocyclic", "Chemical")
-	o.SubConceptOf("Phenylpropionates", "Carboxylic Acids")
-	o.SubConceptOf("Neoplasms", "Disease")
-	o.SubConceptOf("Immune System", "Disease")
-	o.SubConceptOf("Joint Diseases", "Disease")
-	o.SubConceptOf("Autoimmune", "Immune System")
-	o.SubConceptOf("Arthritis", "Joint Diseases")
-	o.SubConceptOf("Rheumatoid Arthritis", "Arthritis")
-	o.SubConceptOf("Rheumatoid Arthritis", "Autoimmune")
-	o.SubConceptOf("Sarcoma", "Neoplasms")
-	o.SubConceptOf("Osteosarcoma", "Sarcoma")
-	o.Disjoint("Chemical", "Disease")
-	o.Disjoint("Gene", "Chemical")
-	o.Disjoint("Gene", "Disease")
-	o.AddExistential("Drug", "hasTarget", "Gene")
-	o.SubRoleOf("targets", "hasTarget")
-	o.SubRoleOf("targets", "affects")
-	o.InverseOf("targets", "targetedBy")
-	o.Domain("targets", "Drug")
-	o.Range("targets", "Gene")
-	o.Range("treats", "Disease")
-	o.DeclareConcept("Gene")
-	return o
-}
+// LifeSciAxioms is the Figure-2 TBox, one axiom a line (ontology.Parse's
+// format): the chemical/disease taxonomies, their disjointness, the Drug ⊑
+// ∃hasTarget.Gene existential, and the targets/affects role hierarchy.
+const LifeSciAxioms = `
+sub Approved_Drugs Drug
+sub Drug Chemical
+sub Carboxylic_Acids Chemical
+sub Heterocyclic Chemical
+sub Phenylpropionates Carboxylic_Acids
+sub Neoplasms Disease
+sub Immune_System Disease
+sub Joint_Diseases Disease
+sub Autoimmune Immune_System
+sub Arthritis Joint_Diseases
+sub Rheumatoid_Arthritis Arthritis
+sub Rheumatoid_Arthritis Autoimmune
+sub Sarcoma Neoplasms
+sub Osteosarcoma Sarcoma
+disjoint Chemical Disease
+disjoint Gene Chemical
+disjoint Gene Disease
+exists Drug hasTarget Gene
+subrole targets hasTarget
+subrole targets affects
+inverse targets targetedBy
+domain targets Drug
+range targets Gene
+range treats Disease
+concept Gene
+`
 
-// PopulationOntology builds the Warfarin example's disjoint population
-// classes.
-func PopulationOntology() *ontology.Ontology {
+// PopulationAxioms is the Warfarin example's disjoint population classes.
+const PopulationAxioms = `
+sub White Population
+sub Asian Population
+sub Black Population
+disjoint White Asian
+disjoint White Black
+disjoint Asian Black
+`
+
+// LifeSciOntology parses LifeSciAxioms.
+func LifeSciOntology() *ontology.Ontology { return parsed(LifeSciAxioms) }
+
+// PopulationOntology parses PopulationAxioms.
+func PopulationOntology() *ontology.Ontology { return parsed(PopulationAxioms) }
+
+func parsed(axioms string) *ontology.Ontology {
 	o := ontology.New()
-	for _, c := range []string{"White", "Asian", "Black"} {
-		o.SubConceptOf(c, "Population")
+	if err := o.Parse(strings.NewReader(axioms)); err != nil {
+		panic(err) // the constants above parse
 	}
-	o.Disjoint("White", "Asian")
-	o.Disjoint("White", "Black")
-	o.Disjoint("Asian", "Black")
 	return o
 }
 

@@ -270,24 +270,6 @@ func (o *Ontology) Subsumes(d, c string) bool {
 	return o.ancestorSet(c)[d]
 }
 
-// Descendants returns every concept C with C ⊑* D (excluding D), sorted.
-func (o *Ontology) Descendants(d string) []string {
-	o.mu.Lock()
-	names := make([]string, 0, len(o.concepts))
-	for n := range o.concepts {
-		names = append(names, n)
-	}
-	o.mu.Unlock()
-	var res []string
-	for _, n := range names {
-		if n != d && o.Subsumes(d, n) {
-			res = append(res, n)
-		}
-	}
-	sort.Strings(res)
-	return res
-}
-
 // Children returns the direct subconcepts of d, sorted.
 func (o *Ontology) Children(d string) []string {
 	o.mu.RLock()
@@ -341,22 +323,6 @@ func (o *Ontology) Satisfiable(c string) bool {
 	for i := 0; i < len(all); i++ {
 		for j := i + 1; j < len(all); j++ {
 			if o.AreDisjoint(all[i], all[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SatisfiableConjunction reports whether an entity could belong to all the
-// given concepts simultaneously.
-func (o *Ontology) SatisfiableConjunction(cs ...string) bool {
-	for i := 0; i < len(cs); i++ {
-		if !o.Satisfiable(cs[i]) {
-			return false
-		}
-		for j := i + 1; j < len(cs); j++ {
-			if o.AreDisjoint(cs[i], cs[j]) {
 				return false
 			}
 		}
@@ -606,51 +572,19 @@ func (o *Ontology) Parse(r io.Reader) error {
 	return sc.Err()
 }
 
-// Dump writes the ontology back out in the Parse format, sorted, so the
-// catalog can persist it as data.
-func (o *Ontology) Dump(w io.Writer) error {
-	escape := func(s string) string { return strings.ReplaceAll(s, " ", "_") }
+// Lines returns text's axioms in the Parse format, one a line, each with
+// its words single-spaced, blank and comment lines dropped. It parses them
+// into a throwaway ontology first, so a line that does not parse fails the
+// whole text.
+func Lines(text string) ([]string, error) {
+	if err := New().Parse(strings.NewReader(text)); err != nil {
+		return nil, err
+	}
 	var lines []string
-	o.mu.RLock()
-	for name, c := range o.concepts {
-		if len(c.parents) == 0 && len(c.disjoint) == 0 && len(c.existentials) == 0 {
-			lines = append(lines, "concept "+escape(name))
-		}
-		for p := range c.parents {
-			lines = append(lines, "sub "+escape(name)+" "+escape(p))
-		}
-		for d := range c.disjoint {
-			if name < d {
-				lines = append(lines, "disjoint "+escape(name)+" "+escape(d))
-			}
-		}
-		for _, e := range c.existentials {
-			lines = append(lines, "exists "+escape(name)+" "+escape(e.Role)+" "+escape(e.Filler))
+	for _, l := range strings.Split(text, "\n") {
+		if f := strings.Fields(l); len(f) > 0 && !strings.HasPrefix(f[0], "#") {
+			lines = append(lines, strings.Join(f, " "))
 		}
 	}
-	for name, r := range o.roles {
-		for p := range r.parents {
-			lines = append(lines, "subrole "+escape(name)+" "+escape(p))
-		}
-		if r.transitive {
-			lines = append(lines, "trans "+escape(name))
-		}
-		if r.inverse != "" && name < r.inverse {
-			lines = append(lines, "inverse "+escape(name)+" "+escape(r.inverse))
-		}
-		for _, c := range r.domain {
-			lines = append(lines, "domain "+escape(name)+" "+escape(c))
-		}
-		for _, c := range r.rng {
-			lines = append(lines, "range "+escape(name)+" "+escape(c))
-		}
-	}
-	o.mu.RUnlock()
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
+	return lines, nil
 }

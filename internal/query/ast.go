@@ -254,7 +254,8 @@ const (
 	AnswerFuzzy
 )
 
-// SelectStmt is a parsed SCQL SELECT.
+// SelectStmt is a parsed SCQL statement: a SELECT, or a curation
+// statement when Curate is set.
 type SelectStmt struct {
 	Star     bool
 	Distinct bool
@@ -284,6 +285,72 @@ type SelectStmt struct {
 	// Mode and FuzzyThreshold come from UNDER CERTAIN / UNDER FUZZY(t).
 	Mode           AnswerMode
 	FuzzyThreshold float64
+
+	// Curate is set for a curation statement, which writes what a curator
+	// tells the database instead of reading; every other field is zero.
+	Curate *CurateStmt
+}
+
+// CurateKind names a curation statement's form.
+type CurateKind int
+
+const (
+	CurateInsert   CurateKind = iota // INSERT INTO table (column, …) VALUES (literal, …), …
+	CurateAxioms                     // ADD AXIOMS 'axiom', …
+	CurateRichness                   // REFRESH RICHNESS
+)
+
+// CurateStmt is a parsed curation statement.
+type CurateStmt struct {
+	Kind CurateKind
+	// Table, Columns and Rows are an INSERT's; every row has one value a
+	// column.
+	Table   string
+	Columns []string
+	Rows    [][]model.Value
+	// Axioms are ADD AXIOMS' lines.
+	Axioms []string
+}
+
+// Name is the statement's leading words, for messages.
+func (c *CurateStmt) Name() string {
+	return [...]string{"INSERT INTO " + c.Table, "ADD AXIOMS", "REFRESH RICHNESS"}[c.Kind]
+}
+
+// String renders the statement in the form Parse reads back.
+func (c *CurateStmt) String() string {
+	var b strings.Builder
+	switch c.Kind {
+	case CurateInsert:
+		b.WriteString("INSERT INTO ")
+		writeName(&b, c.Table)
+		b.WriteString(" (")
+		for i, col := range c.Columns {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			writeName(&b, col)
+		}
+		b.WriteString(") VALUES (")
+		for i, row := range c.Rows {
+			if i > 0 {
+				b.WriteString("), (")
+			}
+			writeValues(&b, row)
+		}
+		b.WriteByte(')')
+	case CurateAxioms:
+		b.WriteString("ADD AXIOMS ")
+		for i, ax := range c.Axioms {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			writeValue(&b, model.String(ax))
+		}
+	default:
+		b.WriteString(c.Name())
+	}
+	return b.String()
 }
 
 // Sources lists the statement's FROM source and then its JOIN sources.
@@ -300,6 +367,9 @@ func (s *SelectStmt) Sources() []TableRef {
 // The text is the materialization-cache key: two spellings of one
 // statement render alike.
 func (s *SelectStmt) String() string {
+	if s.Curate != nil {
+		return s.Curate.String()
+	}
 	var b strings.Builder
 	b.Grow(128) // a typical statement in one allocation, not five
 	if s.Trace {

@@ -21,6 +21,10 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM justify('Warfarin', 'dose', 5.0, -0.5) AS j JOIN witnesses() ON j.context = witnesses.entity",
 		"SELECT value FROM resolve('x', NULL, TRUE, 'it''s') r",
 		"SELECT * FROM f(1,",
+		"INSERT INTO claims (entity, attr, value, source, context, confidence) VALUES ('Warfarin', 'dose', 5.1, 'us', 'White', 0.9), ('Warfarin', 'dose', -3.4, 'it''s', '', 1)",
+		"ADD AXIOMS 'concept ProbeThing', 'sub Drug ProbeThing'",
+		"REFRESH RICHNESS",
+		"EXPLAIN INSERT INTO claims (entity) VALUES ('x')",
 	} {
 		f.Add(seed)
 	}

@@ -8,7 +8,8 @@ import (
 	"scdb/internal/model"
 )
 
-// Parse parses one SCQL SELECT statement.
+// Parse parses one SCQL statement: a SELECT, or a curation statement
+// (INSERT INTO, ADD AXIOMS, REFRESH RICHNESS).
 func Parse(src string) (*SelectStmt, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -24,8 +25,17 @@ func Parse(src string) (*SelectStmt, error) {
 		explain = true
 		analyze = p.accept(tokKeyword, "ANALYZE")
 	}
-	stmt, err := p.parseSelect()
-	if err != nil {
+	var stmt *SelectStmt
+	if p.atWord("INSERT") || p.atWord("ADD") || p.atWord("REFRESH") {
+		if trace || explain {
+			return nil, p.errf("%s cannot be explained or traced", strings.ToUpper(p.cur().text))
+		}
+		c, err := p.parseCurate()
+		if err != nil {
+			return nil, err
+		}
+		stmt = &SelectStmt{Limit: -1, Curate: c}
+	} else if stmt, err = p.parseSelect(); err != nil {
 		return nil, err
 	}
 	stmt.Trace = trace
@@ -86,7 +96,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if p.accept(tokOp, "*") {
 		stmt.Star = true
 	} else {
-		for {
+		for len(stmt.Items) == 0 || p.accept(tokOp, ",") {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -100,9 +110,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 				item.Alias = id
 			}
 			stmt.Items = append(stmt.Items, item)
-			if !p.accept(tokOp, ",") {
-				break
-			}
 		}
 	}
 
@@ -142,15 +149,12 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if _, err := p.expect(tokKeyword, "BY"); err != nil {
 			return nil, err
 		}
-		for {
+		for len(stmt.GroupBy) == 0 || p.accept(tokOp, ",") {
 			g, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			stmt.GroupBy = append(stmt.GroupBy, g)
-			if !p.accept(tokOp, ",") {
-				break
-			}
 		}
 	}
 
@@ -166,7 +170,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if _, err := p.expect(tokKeyword, "BY"); err != nil {
 			return nil, err
 		}
-		for {
+		for len(stmt.OrderBy) == 0 || p.accept(tokOp, ",") {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -178,9 +182,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 				p.accept(tokKeyword, "ASC")
 			}
 			stmt.OrderBy = append(stmt.OrderBy, key)
-			if !p.accept(tokOp, ",") {
-				break
-			}
 		}
 	}
 
@@ -238,6 +239,82 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	return stmt, nil
 }
 
+// atWord reports whether the current token is the identifier w, in any
+// case. The curation statements' words are not keywords, so they stay
+// usable as names (FROM richness()).
+func (p *parser) atWord(w string) bool {
+	t := p.cur()
+	return t.kind == tokIdent && strings.EqualFold(t.text, w)
+}
+
+func (p *parser) expectWord(w string) error {
+	if !p.atWord(w) {
+		return p.errf("expected %s, found %q", w, p.cur().text)
+	}
+	p.pos++
+	return nil
+}
+
+// parseCurate parses a curation statement:
+//
+//	INSERT INTO name (column, …) VALUES (literal, …), …
+//	ADD AXIOMS 'axiom', …
+//	REFRESH RICHNESS
+func (p *parser) parseCurate() (*CurateStmt, error) {
+	switch strings.ToUpper(p.next().text) {
+	case "ADD":
+		if err := p.expectWord("AXIOMS"); err != nil {
+			return nil, err
+		}
+		c := &CurateStmt{Kind: CurateAxioms}
+		for len(c.Axioms) == 0 || p.accept(tokOp, ",") {
+			t, err := p.expect(tokString, "")
+			if err != nil {
+				return nil, err
+			}
+			c.Axioms = append(c.Axioms, t.text)
+		}
+		return c, nil
+	case "REFRESH":
+		return &CurateStmt{Kind: CurateRichness}, p.expectWord("RICHNESS")
+	}
+	if err := p.expectWord("INTO"); err != nil {
+		return nil, err
+	}
+	table, err := p.parseName()
+	if err != nil {
+		return nil, err
+	}
+	c := &CurateStmt{Kind: CurateInsert, Table: table}
+	if _, err := p.expect(tokOp, "("); err != nil {
+		return nil, err
+	}
+	for len(c.Columns) == 0 || p.accept(tokOp, ",") {
+		col, err := p.parseName()
+		if err != nil {
+			return nil, err
+		}
+		c.Columns = append(c.Columns, col)
+	}
+	if _, err := p.expect(tokOp, ")"); err != nil {
+		return nil, err
+	}
+	if err := p.expectWord("VALUES"); err != nil {
+		return nil, err
+	}
+	for len(c.Rows) == 0 || p.accept(tokOp, ",") {
+		row, err := p.parseLiterals()
+		if err != nil {
+			return nil, err
+		}
+		if len(row) != len(c.Columns) {
+			return nil, p.errf("a row of %d values for %d columns", len(row), len(c.Columns))
+		}
+		c.Rows = append(c.Rows, row)
+	}
+	return c, nil
+}
+
 // parseName parses an identifier or quoted identifier.
 func (p *parser) parseName() (string, error) {
 	if p.at(tokIdent, "") || p.at(tokQuoted, "") {
@@ -256,19 +333,10 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		return TableRef{}, err
 	}
 	tr := TableRef{Name: name}
-	if p.accept(tokOp, "(") {
+	if p.at(tokOp, "(") {
 		tr.Call = true
-		for !p.accept(tokOp, ")") {
-			if len(tr.Args) > 0 {
-				if _, err := p.expect(tokOp, ","); err != nil {
-					return TableRef{}, err
-				}
-			}
-			v, err := p.parseLiteralValue()
-			if err != nil {
-				return TableRef{}, err
-			}
-			tr.Args = append(tr.Args, v)
+		if tr.Args, err = p.parseLiterals(); err != nil {
+			return TableRef{}, err
 		}
 	}
 	if p.accept(tokKeyword, "AS") {
@@ -349,21 +417,11 @@ func (p *parser) parseComparison() (Expr, error) {
 		}
 		return &IsNull{X: l, Negate: negate}, nil
 	case p.accept(tokKeyword, "IN"):
-		if _, err := p.expect(tokOp, "("); err != nil {
-			return nil, err
+		vals, err := p.parseLiterals()
+		if err == nil && len(vals) == 0 {
+			err = p.errf("IN needs a value")
 		}
-		var vals []model.Value
-		for {
-			v, err := p.parseLiteralValue()
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, v)
-			if !p.accept(tokOp, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokOp, ")"); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		return &InList{X: l, Vals: vals}, nil
@@ -455,11 +513,33 @@ func (p *parser) parseLiteralValue() (model.Value, error) {
 			return model.Int(-i), nil
 		}
 		if f, ok := v.AsFloat(); ok {
-			return model.Float(-f), nil
+			return model.Float(0 - f), nil // -0.0 is zero, which renders back as 0
 		}
 		return model.Value{}, p.errf("cannot negate %s", v)
 	}
 	return model.Value{}, p.errf("expected literal, found %q", t.text)
+}
+
+// parseLiterals parses a parenthesized list of literals, which may be
+// empty.
+func (p *parser) parseLiterals() ([]model.Value, error) {
+	if _, err := p.expect(tokOp, "("); err != nil {
+		return nil, err
+	}
+	var vals []model.Value
+	for !p.accept(tokOp, ")") {
+		if len(vals) > 0 {
+			if _, err := p.expect(tokOp, ","); err != nil {
+				return nil, err
+			}
+		}
+		v, err := p.parseLiteralValue()
+		if err != nil {
+			return nil, err
+		}
+		vals = append(vals, v)
+	}
+	return vals, nil
 }
 
 func numberValue(text string) (model.Value, error) {
@@ -510,15 +590,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 				return call, nil
 			}
 			if !p.accept(tokOp, ")") {
-				for {
+				for len(call.Args) == 0 || p.accept(tokOp, ",") {
 					a, err := p.parseExpr()
 					if err != nil {
 						return nil, err
 					}
 					call.Args = append(call.Args, a)
-					if !p.accept(tokOp, ",") {
-						break
-					}
 				}
 				if _, err := p.expect(tokOp, ")"); err != nil {
 					return nil, err

@@ -210,6 +210,12 @@ func TestParseRoundTrip(t *testing.T) {
 		"SELECT name FROM drugs UNDER FUZZY(0.8) WITH SEMANTICS",
 		"SELECT * FROM witnesses()",
 		"SELECT value FROM justify('Warfarin', 'dose', 5.0, -0.5) AS j JOIN drugs d ON j.value = d.dose",
+		"INSERT INTO claims (entity, attr, value, source) VALUES ('Warfarin', 'dose', 5.1, 'us'), ('Warfarin', 'dose', -3.4, 'it''s')",
+		"insert into claims (entity, \"context\", confidence) values (NULL, 'White+Asian', 0.5)",
+		"ADD AXIOMS 'concept ProbeThing', 'sub Drug ProbeThing'",
+		"add axioms 'sub Drug ProbeThing'",
+		"REFRESH RICHNESS",
+		"SELECT * FROM richness() AS insert JOIN add ON insert.source = add.refresh",
 	}
 	for _, src := range srcs {
 		stmt, err := Parse(src)
@@ -248,6 +254,22 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM f(1,)",
 		"SELECT * FROM f(,1)",
 		"SELECT * FROM f(1 2)",
+		"EXPLAIN INSERT INTO claims (entity) VALUES ('x')",
+		"EXPLAIN ANALYZE REFRESH RICHNESS",
+		"TRACE ADD AXIOMS 'concept X'",
+		"INSERT claims (entity) VALUES ('x')",
+		"INSERT INTO claims VALUES ('x')",
+		"INSERT INTO claims () VALUES ()",
+		"INSERT INTO claims (entity, attr) VALUES ('x')",
+		"INSERT INTO claims (entity) VALUES ('x', 'y')",
+		"INSERT INTO claims (entity) VALUES ('x'),",
+		"INSERT INTO claims (entity) VALUES (1 + 2)",
+		"INSERT INTO claims (entity) ('x')",
+		"ADD AXIOMS",
+		"ADD AXIOMS concept",
+		"ADD 'concept X'",
+		"REFRESH",
+		"REFRESH RICHNESS now",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

@@ -171,6 +171,17 @@ var replCorpus = []string{
 	"SELECT name FROM drugbank WHERE ISA(_id, 'Chemical') ORDER BY name WITH SEMANTICS",
 	"SELECT attr, COUNT(*) AS n FROM claims GROUP BY attr ORDER BY attr",
 	"SELECT COUNT(*) AS n FROM drugbank WHERE name IS NOT NULL",
+	"SELECT COUNT(*) AS n FROM ProbeThing WITH SEMANTICS",
+	"SELECT attr, value, source, context, confidence, justification FROM claims ORDER BY source UNDER FUZZY(0)",
+	"SELECT value, support FROM resolve('Warfarin', 'effective_dose_mg', 'richness')",
+}
+
+// curation is what the primary is told: claims, an axiom and the richness
+// weights. A follower derives each from the log at its next refresh.
+var curation = []string{
+	scdb.ClinicalClaims,
+	"ADD AXIOMS 'concept ProbeThing', 'sub Drug ProbeThing'",
+	"REFRESH RICHNESS",
 }
 
 // benchQuery is the same mid-weight join E-SRV measures, so E-REPL's
@@ -192,10 +203,16 @@ func TestReplicaDifferential(t *testing.T) {
 	n1 := startFollowerNode(t, paddr, t.TempDir(), nil)
 	n2 := startFollowerNode(t, paddr, t.TempDir(), nil)
 
-	// Second wave streams live to already-subscribed followers.
+	// Second wave streams live to already-subscribed followers, and so do
+	// the curation statements.
 	for _, src := range scdb.LifeSciSample(2, 40, 25, 15) {
 		if err := db.Ingest(src); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for _, q := range curation {
+		if _, err := db.Query(q); err != nil {
+			t.Fatalf("primary %q: %v", q, err)
 		}
 	}
 	waitCaughtUp(t, n1, db)
@@ -248,6 +265,11 @@ func TestReplicaDifferential(t *testing.T) {
 	if !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("replica ingest error = %v, want ErrReadOnly", err)
 	}
+	for _, q := range curation {
+		if _, err := c1.Query(q); !errors.Is(err, client.ErrReadOnly) {
+			t.Errorf("replica %.30q error = %v, want ErrReadOnly", q, err)
+		}
+	}
 
 	// The stats surface reports roles and zero lag at quiescence.
 	st, err := c1.Stats()
@@ -266,6 +288,83 @@ func TestReplicaDifferential(t *testing.T) {
 	}
 	if pst.Repl == nil || pst.Repl.Role != "primary" || len(pst.Repl.Followers) != 2 {
 		t.Fatalf("primary stats: %+v", pst.Repl)
+	}
+}
+
+// TestFollowerLearnsWhatThePrimaryWasTold: an axiom and richness weights
+// the primary was told reach a follower with its next refresh. A follower
+// used to keep its own ontology across refreshes, and never had weights.
+func TestFollowerLearnsWhatThePrimaryWasTold(t *testing.T) {
+	db, paddr := startPrimary(t, nil)
+	for _, src := range scdb.LifeSciSample(1, 0, 0, 0) {
+		if err := db.Ingest(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := startFollowerNode(t, paddr, t.TempDir(), nil)
+	const colors = "SELECT source, justification FROM claims WHERE attr = 'color' ORDER BY source UNDER FUZZY(0)"
+	for _, q := range []string{
+		`INSERT INTO claims (entity, attr, value, source) VALUES ('Warfarin', 'color', 'white', 'drugbank'),
+			('Warfarin', 'color', 'ivory', 'ctd'), ('Warfarin', 'color', 'ivory', 'uniprot')`,
+		"ADD AXIOMS 'concept ProbeThing', 'sub Drug ProbeThing'",
+		"REFRESH RICHNESS",
+	} {
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCaughtUp(t, n, db)
+	if err := n.f.DB().RefreshDerived(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"SELECT COUNT(*) AS n FROM ProbeThing WITH SEMANTICS", colors} {
+		want, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := n.f.DB().Query(q)
+		if err != nil {
+			t.Fatalf("follower %q: %v", q, err)
+		}
+		if render(got) != render(want) {
+			t.Errorf("%q on the follower:\n%s\nprimary:\n%s", q, render(got), render(want))
+		}
+	}
+	if got, _ := n.f.DB().Query(colors); got != nil && fmt.Sprint(got.Data[1][1]) == "0.3333333333333333" {
+		t.Errorf("follower fuses unweighted: %v", got.Data)
+	}
+}
+
+// TestClusterSendsStatementsToThePrimary: a curation statement a replica
+// refuses with read_only goes to the primary.
+func TestClusterSendsStatementsToThePrimary(t *testing.T) {
+	db, paddr := startPrimary(t, nil)
+	for _, src := range scdb.LifeSciSample(1, 0, 0, 0) {
+		if err := db.Ingest(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := startFollowerNode(t, paddr, t.TempDir(), nil)
+	waitCaughtUp(t, n, db)
+	cl, err := client.DialCluster(paddr, n.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	const insert = "INSERT INTO claims (entity, attr, value, source) VALUES ('Warfarin', 'color', 'white', 'drugbank')"
+	if _, err := dialNode(t, n.addr).Query(insert); !errors.Is(err, client.ErrReadOnly) {
+		t.Fatalf("replica answered %v, want ErrReadOnly", err)
+	}
+	rows, err := cl.Query(insert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows.Data[0][0] != int64(1) {
+		t.Errorf("INSERT answered %v", rows.Data)
+	}
+	rows, err = db.Query("SELECT COUNT(*) AS n FROM claims")
+	if err != nil || rows.Data[0][0] != int64(1) {
+		t.Errorf("primary claims = %v, %v", rows, err)
 	}
 }
 

@@ -30,7 +30,16 @@ var scqlCorpus = append([]string{
 	"SELECT attr, justification FROM claims ORDER BY attr LIMIT 5 UNDER FUZZY(0.5)",
 	"SELECT name FROM drugbank ORDER BY name LIMIT 2",
 	"SELECT COUNT(*) AS n FROM drugbank WHERE name IS NOT NULL",
+	"SELECT COUNT(*) AS n FROM ProbeThing WITH SEMANTICS",
 }, relationCorpus...)
+
+// curationCorpus tells a database what a curator knows: the clinical
+// claims, an axiom and the richness weights.
+var curationCorpus = []string{
+	scdb.ClinicalClaims,
+	"ADD AXIOMS 'concept ProbeThing', 'sub Drug ProbeThing'",
+	"REFRESH RICHNESS",
+}
 
 // relationCorpus calls every relation-valued function; each answers rows
 // on the differential's data but inconsistencies(), which has none.
@@ -48,9 +57,9 @@ var relationCorpus = []string{
 
 // TestNetworkDifferential: the full SCQL corpus must come back
 // byte-identical whether the engine is embedded or reached over the wire
-// — and the server-side database is populated through network ingest, so
-// both directions of the wire's value encoding are exercised. Claims have
-// no wire op; both databases get the clinical claims in process.
+// — and the server-side database is populated through network ingest and
+// told the curation statements over the wire, so both directions of the
+// wire's value encoding are exercised.
 func TestNetworkDifferential(t *testing.T) {
 	embedded := openDB(t, lifesciOptions())
 	for _, src := range scdb.LifeSciSample(1, 100, 60, 40) {
@@ -67,11 +76,17 @@ func TestNetworkDifferential(t *testing.T) {
 			t.Fatalf("network ingest %s: %v", src.Name, err)
 		}
 	}
-	for _, db := range []*scdb.DB{embedded, remote} {
-		for _, cl := range scdb.ClinicalClaims() {
-			if err := db.AddClaim(cl); err != nil {
-				t.Fatal(err)
-			}
+	for _, q := range curationCorpus {
+		want, err := embedded.Query(q)
+		if err != nil {
+			t.Fatalf("embedded %q: %v", q, err)
+		}
+		got, err := c.Query(q)
+		if err != nil {
+			t.Fatalf("network %q: %v", q, err)
+		}
+		if render(got) != render(want) {
+			t.Errorf("%q answered differently over the wire:\nembedded:\n%s\nnetwork:\n%s", q, render(want), render(got))
 		}
 	}
 

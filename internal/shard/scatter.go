@@ -72,6 +72,12 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 	if err != nil {
 		return nil, nil, err
 	}
+	// A curation statement is told to one engine: a claim names an entity,
+	// richness measures a whole corpus, and axioms would need a broadcast
+	// every shard applies exactly once.
+	if stmt.Curate != nil {
+		return nil, nil, fmt.Errorf("%w: %s is told to one engine, not to the cluster", ErrNotRoutable, stmt.Curate.Name())
+	}
 	// A function reads entity identity or the whole corpus: shards split both.
 	for _, t := range stmt.Sources() {
 		if t.Call {

@@ -443,6 +443,10 @@ func TestNotRoutable(t *testing.T) {
 		"SELECT * FROM crowd('Aspirin', 'price', 10, 0.9, 1)",
 		"SELECT * FROM suggest_links('Aspirin', 'targets', 3)",
 		"EXPLAIN SELECT p.name FROM pharma_a AS p JOIN richness() AS r ON p.name = r.source",
+		// A curation statement is told to one engine.
+		"INSERT INTO claims (entity, attr, value, source) VALUES ('Aspirin', 'price', 3, 'audit')",
+		"ADD AXIOMS 'concept ProbeThing'",
+		"REFRESH RICHNESS",
 	} {
 		rows, _, err := c.router.QueryInfoCtx(context.Background(), q)
 		if !errors.Is(err, shard.ErrNotRoutable) || rows != nil {
@@ -456,6 +460,26 @@ func TestNotRoutable(t *testing.T) {
 	}
 	if _, _, err := c.router.QueryInfoCtx(context.Background(), "SELECT * FROM pharma_a JOIN richness() ON name = source"); err == nil || !strings.Contains(err.Error(), "richness()") {
 		t.Errorf("err = %v, want it to name the function", err)
+	}
+	if _, _, err := c.router.QueryInfoCtx(context.Background(), "ADD AXIOMS 'concept ProbeThing'"); err == nil || !strings.Contains(err.Error(), "ADD AXIOMS") {
+		t.Errorf("err = %v, want it to name the statement", err)
+	}
+	// No shard was told anything.
+	for _, addr := range c.shards {
+		sc, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := sc.Query("SELECT COUNT(*) AS n FROM claims")
+		if err != nil || rows.Data[0][0] != int64(0) {
+			t.Errorf("shard %s claims: %v, %v", addr, rows, err)
+		}
+		for _, q := range []string{"SELECT * FROM ProbeThing", "SELECT * FROM _catalog_richness"} {
+			if _, err := sc.Query(q); err == nil {
+				t.Errorf("shard %s answered %s", addr, q)
+			}
+		}
+		sc.Close()
 	}
 	// The bare claims relation routes as before.
 	if _, _, err := c.router.QueryInfoCtx(context.Background(), "SELECT COUNT(*) AS n FROM claims"); err != nil {

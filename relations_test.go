@@ -2,6 +2,7 @@ package scdb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,77 +32,74 @@ func cachedAndUncached(t *testing.T, opts Options, setup func(*DB)) [2]*DB {
 	return dbs
 }
 
+// addAxioms is the ADD AXIOMS statement telling text's axioms, a literal
+// a line.
+func addAxioms(text string) string {
+	var lits []string
+	for _, l := range strings.Split(strings.TrimSpace(text), "\n") {
+		lits = append(lits, "'"+l+"'")
+	}
+	return "ADD AXIOMS " + strings.Join(lits, ", ")
+}
+
+// colorClaims disagree on Warfarin's color: drugbank says white, ctd and
+// uniprot ivory.
+const colorClaims = `INSERT INTO claims (entity, attr, value, source) VALUES
+	('Warfarin', 'color', 'white', 'drugbank'), ('Warfarin', 'color', 'ivory', 'ctd'),
+	('Warfarin', 'color', 'ivory', 'uniprot')`
+
 // TestAddAxiomsDropsCachedAnswers: axioms that make the population
 // contexts disjoint turn the claim base into parallel worlds, so a cached
 // answer from before them is stale.
 func TestAddAxiomsDropsCachedAnswers(t *testing.T) {
 	const q = "SELECT value, context, justification FROM claims ORDER BY value UNDER FUZZY(0.9)"
 	dbs := cachedAndUncached(t, Options{Axioms: LifeSciAxioms}, func(db *DB) {
-		for _, c := range ClinicalClaims() {
-			if err := db.AddClaim(c); err != nil {
-				t.Fatal(err)
-			}
-		}
+		rowsOf(t, db, ClinicalClaims)
 		if got := rowsOf(t, db, q); len(got) != 0 {
 			t.Errorf("before the population axioms: %v", got)
 		}
-		if err := db.AddAxioms(PopulationAxioms); err != nil {
-			t.Fatal(err)
-		}
+		rowsOf(t, db, addAxioms(PopulationAxioms))
 	})
 	cached, uncached := fmt.Sprint(rowsOf(t, dbs[0], q)), fmt.Sprint(rowsOf(t, dbs[1], q))
 	if want := "[[3.4 Asian 1] [5.1 White 1] [6.1 Black 1]]"; uncached != want || cached != uncached {
-		t.Errorf("after AddAxioms: cached %s, uncached %s, want %s", cached, uncached, want)
+		t.Errorf("after ADD AXIOMS: cached %s, uncached %s, want %s", cached, uncached, want)
 	}
 }
 
 // TestRefreshRichnessDropsCachedAnswers: richness re-weights fusion, so
-// a justification cached before RefreshRichness is stale.
+// a justification cached before REFRESH RICHNESS is stale.
 func TestRefreshRichnessDropsCachedAnswers(t *testing.T) {
 	const q = "SELECT source, justification FROM claims WHERE attr = 'color' ORDER BY source UNDER FUZZY(0)"
 	dbs := cachedAndUncached(t, Options{Axioms: LifeSciAxioms + PopulationAxioms}, func(db *DB) {
-		for _, src := range []string{"drugbank", "ctd", "uniprot"} {
-			value := "ivory"
-			if src == "drugbank" {
-				value = "white"
-			}
-			if err := db.AddClaim(Claim{Source: src, Entity: "Warfarin", Attr: "color", Value: value}); err != nil {
-				t.Fatal(err)
-			}
-		}
+		rowsOf(t, db, colorClaims)
 		rowsOf(t, db, q)
-		db.RefreshRichness()
+		rowsOf(t, db, "REFRESH RICHNESS")
 	})
 	cached, uncached := fmt.Sprint(rowsOf(t, dbs[0], q)), fmt.Sprint(rowsOf(t, dbs[1], q))
 	if cached != uncached {
-		t.Errorf("after RefreshRichness: cached %s, uncached %s", cached, uncached)
+		t.Errorf("after REFRESH RICHNESS: cached %s, uncached %s", cached, uncached)
 	}
 	if even := "[[ctd 0.6666666666666666] [drugbank 0.3333333333333333] [uniprot 0.6666666666666666]]"; uncached == even {
-		t.Errorf("RefreshRichness did not re-weight the claims: %s", uncached)
+		t.Errorf("REFRESH RICHNESS did not re-weight the claims: %s", uncached)
 	}
 }
 
 // TestRelationsUnderConcurrentWrites runs the claim relations against
-// concurrent AddClaim and Ingest (run it under -race). Their rows are built
+// concurrent INSERT INTO claims and Ingest (run it under -race). Their rows are built
 // under the statement's read lock, so a writer never appends to the claim
 // base under a reader, and a body that took the lock again would deadlock
 // behind the writer queued for it: the watchdog reports that.
 func TestRelationsUnderConcurrentWrites(t *testing.T) {
 	db := openSample(t)
-	for _, c := range ClinicalClaims() {
-		if err := db.AddClaim(c); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rowsOf(t, db, ClinicalClaims)
 	var writers, readers sync.WaitGroup
 	writing := make(chan struct{})
 	writers.Add(2)
 	go func() {
 		defer writers.Done()
 		for i := 0; i < 100; i++ {
-			c := Claim{Source: fmt.Sprintf("late-%d", i%3), Entity: "Warfarin", Attr: "effective_dose_mg",
-				Value: 3 + float64(i%4), Context: []string{"White"}}
-			if err := db.AddClaim(c); err != nil {
+			if _, err := db.Query(fmt.Sprintf("INSERT INTO claims (entity, attr, value, source, context) "+
+				"VALUES ('Warfarin', 'effective_dose_mg', %d, 'late-%d', 'White')", 3+i%4, i%3)); err != nil {
 				t.Error(err)
 				return
 			}

@@ -13,43 +13,10 @@ import (
 // LifeSciAxioms is the Figure-2 ontology in Options.Axioms format: the
 // chemical/disease taxonomies, their disjointness, the Drug ⊑
 // ∃hasTarget.Gene existential, and the targets role hierarchy.
-const LifeSciAxioms = `
-sub Approved_Drugs Drug
-sub Drug Chemical
-sub Carboxylic_Acids Chemical
-sub Heterocyclic Chemical
-sub Phenylpropionates Carboxylic_Acids
-sub Neoplasms Disease
-sub Immune_System Disease
-sub Joint_Diseases Disease
-sub Autoimmune Immune_System
-sub Arthritis Joint_Diseases
-sub Rheumatoid_Arthritis Arthritis
-sub Rheumatoid_Arthritis Autoimmune
-sub Sarcoma Neoplasms
-sub Osteosarcoma Sarcoma
-disjoint Chemical Disease
-disjoint Gene Chemical
-disjoint Gene Disease
-exists Drug hasTarget Gene
-subrole targets hasTarget
-subrole targets affects
-inverse targets targetedBy
-domain targets Drug
-range targets Gene
-range treats Disease
-concept Gene
-`
+const LifeSciAxioms = datagen.LifeSciAxioms
 
 // PopulationAxioms is the Warfarin example's disjoint population classes.
-const PopulationAxioms = `
-sub White Population
-sub Asian Population
-sub Black Population
-disjoint White Asian
-disjoint White Black
-disjoint Asian Black
-`
+const PopulationAxioms = datagen.PopulationAxioms
 
 // LifeSciLinkRules resolves the sample sources' literal references
 // (targets_symbol, treats_name) into entity edges.
@@ -80,18 +47,14 @@ func LifeSciSample(seed int64, nDrugs, nGenes, nDiseases int) []Source {
 	return out
 }
 
-// ClinicalClaims generates the Section-4.2 Warfarin scenario as claims:
-// three demographically biased sources reporting effective doses of 5.1,
-// 3.4, and 6.1 mg, each scoped to its population class. The entity name
-// is "Warfarin"; ingest a source that defines it first (LifeSciSample
-// does) and add PopulationAxioms.
-func ClinicalClaims() []Claim {
-	return []Claim{
-		{Source: "trials-us", Entity: "Warfarin", Attr: "effective_dose_mg", Value: 5.1, Context: []string{"White"}},
-		{Source: "trials-asia", Entity: "Warfarin", Attr: "effective_dose_mg", Value: 3.4, Context: []string{"Asian"}},
-		{Source: "trials-africa", Entity: "Warfarin", Attr: "effective_dose_mg", Value: 6.1, Context: []string{"Black"}},
-	}
-}
+// ClinicalClaims is the Section-4.2 Warfarin scenario as a statement:
+// three demographically biased sources report effective doses of 5.1, 3.4
+// and 6.1 mg, each scoped to its population class. Ingest a source that
+// defines Warfarin first (LifeSciSample does) and add PopulationAxioms.
+const ClinicalClaims = `INSERT INTO claims (entity, attr, value, source, context) VALUES
+	('Warfarin', 'effective_dose_mg', 5.1, 'trials-us', 'White'),
+	('Warfarin', 'effective_dose_mg', 3.4, 'trials-asia', 'Asian'),
+	('Warfarin', 'effective_dose_mg', 6.1, 'trials-africa', 'Black')`
 
 // ClinicalTrialSources generates the per-country trial record tables
 // backing the claims (n records per source, dose-jittered).
@@ -148,10 +111,10 @@ func fromDataset(ds datagen.Dataset) Source {
 
 // OpenSample opens a database with opts and loads one of the bundled
 // sample corpora into it: "lifesci" (the Figure-2 sources), "clinical"
-// (the canonical life-science entities plus the Warfarin trial sources and
-// claims) or "stream" (the device stream). The corpus's axioms, link rules
-// and patterns replace those in opts. "" is plain Open. It is what the
-// -load flag of scdb and scdb-server runs.
+// (the canonical life-science entities plus the Warfarin trial sources,
+// their claims and richness weights) or "stream" (the device stream). The
+// corpus's axioms, link rules and patterns replace those in opts. "" is
+// plain Open. It is what the -load flag of scdb and scdb-server runs.
 func OpenSample(name string, opts Options) (*DB, error) {
 	var srcs []Source
 	switch name {
@@ -181,13 +144,12 @@ func OpenSample(name string, opts Options) (*DB, error) {
 		}
 	}
 	if name == "clinical" {
-		for _, c := range ClinicalClaims() {
-			if err := db.AddClaim(c); err != nil {
+		for _, stmt := range []string{ClinicalClaims, "REFRESH RICHNESS"} {
+			if _, err := db.Query(stmt); err != nil {
 				db.Close()
 				return nil, err
 			}
 		}
-		db.RefreshRichness()
 	}
 	return db, nil
 }

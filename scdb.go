@@ -90,22 +90,6 @@ type LinkRule = curate.LinkRule
 // optionally restrict the mention types.
 type Pattern = extract.Pattern
 
-// Claim is one source's context-scoped statement about an entity
-// attribute — the parallel-world input of Section 4.2.
-type Claim struct {
-	// Source names the claiming source; Entity names the subject (any
-	// indexed name or key).
-	Source string
-	Entity string
-	Attr   string
-	Value  any
-	// Context lists the semantic concepts the claim is scoped to
-	// (population class, locale, ...).
-	Context []string
-	// Confidence defaults to 1.
-	Confidence float64
-}
-
 // toValue converts a public value to the internal representation.
 func toValue(v any) (model.Value, error) {
 	switch v := v.(type) {

@@ -211,10 +211,8 @@ func TestQuickstartFlow(t *testing.T) {
 
 func TestWarfarinScenarioPublicAPI(t *testing.T) {
 	db := openSample(t)
-	for _, c := range ClinicalClaims() {
-		if err := db.AddClaim(c); err != nil {
-			t.Fatal(err)
-		}
+	if got := rowsOf(t, db, ClinicalClaims); len(got) != 1 || got[0][0] != int64(3) {
+		t.Errorf("INSERT answered %v, want [[3]]", got)
 	}
 	ans := rowsOf(t, db, `SELECT context, context_degree, naive_certain, degree, explanation, sensitive, refinements
 		FROM justify('Warfarin', 'effective_dose_mg', 5.0, 0.5)`)
@@ -252,7 +250,7 @@ func TestWarfarinScenarioPublicAPI(t *testing.T) {
 	if len(rows.Data) != 3 {
 		t.Errorf("fuzzy rows = %v", rows.Data)
 	}
-	if err := db.AddClaim(Claim{Source: "s", Entity: "NoSuchThing", Attr: "a", Value: 1}); err == nil {
+	if _, err := db.Query("INSERT INTO claims (entity, attr, value, source) VALUES ('NoSuchThing', 'a', 1, 's')"); err == nil {
 		t.Error("claim about unknown entity must fail")
 	}
 }
@@ -266,10 +264,8 @@ func TestExplainAndAxioms(t *testing.T) {
 	if !strings.Contains(info.Plan, "Empty") {
 		t.Errorf("plan = %s", info.Plan)
 	}
-	if err := db.AddAxioms("sub Biologic Drug"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddAxioms("garbage axiom line here"); err == nil {
+	rowsOf(t, db, "ADD AXIOMS 'sub Biologic Drug'")
+	if _, err := db.Query("ADD AXIOMS 'garbage axiom line here'"); err == nil {
 		t.Error("bad axiom must fail")
 	}
 }
@@ -314,7 +310,7 @@ func TestPublicTransactions(t *testing.T) {
 
 func TestRefreshRichnessPublic(t *testing.T) {
 	db := openSample(t)
-	db.RefreshRichness()
+	rowsOf(t, db, "REFRESH RICHNESS")
 	scores := rowsOf(t, db, "SELECT source, score FROM richness()")
 	if len(scores) < 3 {
 		t.Errorf("scores = %v", scores)
