@@ -10,7 +10,6 @@
 //	                  every router for a cluster must list the same shards
 //	                  in the same order)
 //	-addr HOST:PORT   listen address (default 127.0.0.1:7484)
-//	-ingest-batch N   chunk size of routed ingest streams (0 = client default)
 //	-max-inflight N   concurrent statement limit (-1 = no admission control)
 //	-max-queue N      admission wait-queue length
 //	-queue-timeout D  max admission wait (e.g. 500ms)
@@ -52,7 +51,6 @@ import (
 func main() {
 	serve := server.RegisterServeFlags(flag.CommandLine, "127.0.0.1:7484")
 	shards := flag.String("shards", "", "comma-separated shard primary addresses, in shard order (required)")
-	ingestBatch := flag.Int("ingest-batch", 0, "routed ingest chunk size (0 = client default)")
 	flag.Parse()
 
 	var addrs []string
@@ -65,7 +63,7 @@ func main() {
 		fatalf("-shards is required (comma-separated shard primary addresses)")
 	}
 
-	router, err := shard.Dial(shard.Config{IngestBatch: *ingestBatch}, addrs...)
+	router, err := shard.Dial(shard.Config{}, addrs...)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -19,7 +19,13 @@
 // per line; EXPLAIN, EXPLAIN ANALYZE and TRACE work as statement prefixes.
 // The curation statements INSERT INTO claims (…) VALUES (…), ADD AXIOMS
 // '…' and REFRESH RICHNESS tell the database what a curator knows, in
-// both modes. A line starting with \ is a shell command. In both modes:
+// both modes. The engine's answers are relation-valued functions called in
+// FROM or JOIN with literal arguments, in both modes: witnesses(),
+// inconsistencies(), conflicts(), resolve(entity, attr, policy),
+// justify(entity, attr, target, tol), discover(entity, steps, seed),
+// crowd(entity, attr, budget, accuracy, seed), suggest_links(entity,
+// predicate, k), richness() and worlds(entity, attr). A line starting
+// with \ is a shell command. In both modes:
 //
 //	\witnesses   the inferred existentials (SELECT … FROM witnesses())
 //	\conflicts   the disagreeing claims (SELECT … FROM conflicts())

@@ -13,6 +13,7 @@ import (
 	"scdb/internal/model"
 	"scdb/internal/query"
 	"scdb/internal/richness"
+	"scdb/internal/uncertain"
 )
 
 // The engine's read-only relations, scanned through SCQL like any table:
@@ -59,6 +60,8 @@ var relations = map[string]relation{
 		params: []param{{"entity", argEntity}, {"predicate", argText}, {"k", argInt}}},
 	"richness": {rows: richnessRows, cols: []string{"source", "entities", "edges", "avg_degree", "density",
 		"distinct_predicates", "fill_rate", "value_entropy", "connectivity", "score"}},
+	"worlds": {rows: worldRows, cols: []string{"world", "context", "probability", "value", "source", "marginal"},
+		params: []param{{"entity", argEntity}, {"attr", argText}}},
 }
 
 // argKind is the kind of literal a parameter takes. An integer may be a
@@ -197,9 +200,15 @@ func distinctValues(claims []fusion.Claim) ([]model.Value, map[uint64][]string) 
 //
 //	default       — every claim as a row;
 //	UNDER CERTAIN — only claims from (entity, attr) groups where all
-//	                sources agree (the classical certain answer);
+//	                sources agree: the classical certain answer, blind to
+//	                context, which justify()'s naive_certain also prints;
 //	UNDER FUZZY t — claims whose value is justified to degree >= t within
 //	                some context class (parallel-world justification).
+//
+// UNDER CERTAIN is the one certain-answer rule. The possible-worlds
+// reading, a value that holds in every world of non-zero probability, is
+// marginal = 1 in worlds(): a value claimed in every context class keeps it
+// even when a class also claims another value, which UNDER CERTAIN drops.
 func claimRows(e *queryEnv, _ []model.Value) ([][]model.Value, error) {
 	w := e.db.worlds
 	var rows [][]model.Value
@@ -226,6 +235,39 @@ func claimRows(e *queryEnv, _ []model.Value) ([][]model.Value, error) {
 		rows = append(rows, []model.Value{model.Ref(c.Entity), model.String(c.Attr), c.Value, model.String(c.Source),
 			model.String(strings.Join(c.Context, "+")), model.Float(float64(c.Confidence)), model.Float(justification)})
 	}
+	return rows, nil
+}
+
+// worldRows lays out the possible worlds of the claims about (entity,
+// attr) (FS.3, FS.10): fusion's c-table has one world per context class,
+// weighted by the class's share of richness × confidence, and a row per
+// claim the world holds, by world in context-label order. marginal is the
+// value's probability over all worlds.
+func worldRows(e *queryEnv, args []model.Value) ([][]model.Value, error) {
+	id, _ := args[0].AsRef()
+	ct, err := e.db.worlds.ToCTable(id, textArg(args[1]))
+	if err != nil {
+		return nil, err
+	}
+	values := func(recs []model.Record) []model.Value {
+		vals := make([]model.Value, len(recs))
+		for i, r := range recs {
+			vals[i] = r["value"]
+		}
+		return vals
+	}
+	marginal := map[uint64]float64{}
+	for _, a := range ct.Answers(values) {
+		marginal[a.Value.Hash()] = a.Prob
+	}
+	var rows [][]model.Value
+	ct.Space.EnumWorlds(func(a uncertain.Assignment, p float64) bool {
+		for _, r := range ct.Instantiate(a) {
+			rows = append(rows, []model.Value{model.Int(int64(a[fusion.WorldVar])), r["context"], model.Float(p),
+				r["value"], r["source"], model.Float(marginal[r["value"].Hash()])})
+		}
+		return true
+	})
 	return rows, nil
 }
 

@@ -33,6 +33,8 @@ func TestFunctionErrors(t *testing.T) {
 		{"SELECT * FROM claims()", "unknown function claims()", true},
 		{"SELECT * FROM witnesses(1)", "witnesses() takes 0 arguments, got 1", true},
 		{"SELECT * FROM resolve('Warfarin', 'dose')", "resolve(entity, attr, policy) takes 3 arguments, got 2", true},
+		{"SELECT * FROM worlds('Warfarin')", "worlds(entity, attr) takes 2 arguments, got 1", true},
+		{"SELECT * FROM worlds('Warfarin', 5)", "argument attr must be text", true},
 		{"SELECT * FROM justify('Warfarin', 'dose', 'five', 0.5)", "argument target must be a number", true},
 		{"SELECT * FROM discover('Warfarin', 2.5, 1)", "argument steps must be an integer", true},
 		{"SELECT * FROM discover(7, 3, 1)", "argument entity must be text", true},
@@ -44,6 +46,8 @@ func TestFunctionErrors(t *testing.T) {
 		{"SELECT * FROM resolve('Warfarin', 'dose', 'tally')", "policy must be 'vote', 'richness' or 'confident'", false},
 		{"SELECT * FROM resolve('Warfarin', 'weight', 'vote')", "no claims", false},
 		{"SELECT * FROM crowd('Warfarin', 'weight', 10, 0.9, 1)", "no claims", false},
+		{"SELECT * FROM worlds('Warfarin', 'weight')", "no claims", false},
+		{"SELECT * FROM worlds('Nonexistium', 'dose')", `unknown entity "Nonexistium"`, false},
 	} {
 		_, _, err := db.Query(c.q)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -270,57 +270,6 @@ func TestDisableBlockingAblation(t *testing.T) {
 	}
 }
 
-func TestAlignAttributes(t *testing.T) {
-	a := []model.Record{
-		{"name": model.String("Warfarin"), "gene": model.String("TP53")},
-		{"name": model.String("Ibuprofen"), "gene": model.String("PTGS2")},
-		{"name": model.String("Methotrexate"), "gene": model.String("DHFR")},
-	}
-	b := []model.Record{
-		{"chemical": model.String("warfarin"), "target": model.String("TP53"), "country": model.String("US")},
-		{"chemical": model.String("ibuprofen"), "target": model.String("PTGS2"), "country": model.String("DE")},
-	}
-	al := AlignAttributes(a, b, 0.3)
-	if al.Pairs["name"] != "chemical" {
-		t.Errorf("name aligned to %q", al.Pairs["name"])
-	}
-	if al.Pairs["gene"] != "target" {
-		t.Errorf("gene aligned to %q", al.Pairs["gene"])
-	}
-	if _, ok := al.Pairs["country"]; ok {
-		t.Error("unmatched B attribute must not appear as A key")
-	}
-	if al.Scores["name"] <= 0 {
-		t.Error("scores must be recorded")
-	}
-	// Below threshold nothing aligns.
-	if got := AlignAttributes(a, b, 0.99); len(got.Pairs) != 1 {
-		// target/gene overlap is 2/3 ≈ 0.67; name/chemical = 2/3.
-		if len(got.Pairs) != 0 {
-			t.Errorf("high threshold alignment = %v", got.Pairs)
-		}
-	}
-}
-
-func TestAlignGreedyOneToOne(t *testing.T) {
-	// Two A attributes match the same B attribute: only the better one wins.
-	a := []model.Record{
-		{"n1": model.String("x"), "n2": model.String("x")},
-		{"n1": model.String("y"), "n2": model.String("z")},
-	}
-	b := []model.Record{
-		{"m": model.String("x")},
-		{"m": model.String("y")},
-	}
-	al := AlignAttributes(a, b, 0.1)
-	if len(al.Pairs) != 1 {
-		t.Errorf("one-to-one violated: %v", al.Pairs)
-	}
-	if al.Pairs["n1"] != "m" {
-		t.Errorf("greedy winner = %v", al.Pairs)
-	}
-}
-
 func TestPropertySimilaritiesBounded(t *testing.T) {
 	f := func(a, b string) bool {
 		if len(a) > 100 {

@@ -380,13 +380,17 @@ func (w *Worlds) Resolve(entity model.EntityID, attr string, p Policy) (model.Va
 	return win.v, model.Fuzzy(win.weight / total).Clamp(), nil
 }
 
+// WorldVar is the one variable of ToCTable's space: its alternative i is
+// the world of the i-th context class in label order.
+const WorldVar = uncertain.Var("world")
+
 // ToCTable bridges parallel worlds into the possible-worlds formalism
 // (FS.10 asks whether the c-table representation suffices for parallel
-// worlds): each context class becomes one alternative of a single choice
-// variable ("which premise applies"), weighted by the class's share of
-// source richness, and each claim becomes a tuple conditioned on its
-// class's alternative. The resulting c-table supports the uncertain
-// package's certain/possible/probabilistic answers.
+// worlds): each context class becomes one alternative of WorldVar ("which
+// premise applies"), weighted by the class's share of richness ×
+// confidence, and each claim becomes a tuple {attr, value, source,
+// context} conditioned on its class's alternative. worlds() in SCQL lays
+// it out with each value's probability.
 func (w *Worlds) ToCTable(entity model.EntityID, attr string) (*uncertain.CTable, error) {
 	cs := w.ClaimsAbout(entity, attr)
 	if len(cs) == 0 {
@@ -408,8 +412,7 @@ func (w *Worlds) ToCTable(entity model.EntityID, attr string) (*uncertain.CTable
 		probs[i] /= total
 	}
 	ct := uncertain.NewCTable(fmt.Sprintf("parallel-%d-%s", entity, attr))
-	const worldVar = uncertain.Var("world")
-	if err := ct.Space.AddChoice(worldVar, probs); err != nil {
+	if err := ct.Space.AddChoice(WorldVar, probs); err != nil {
 		return nil, err
 	}
 	for i, cl := range classes {
@@ -419,7 +422,7 @@ func (w *Worlds) ToCTable(entity model.EntityID, attr string) (*uncertain.CTable
 				"value":   c.Value,
 				"source":  model.String(c.Source),
 				"context": model.String(cl.label),
-			}, uncertain.Eq(worldVar, i))
+			}, uncertain.Eq(WorldVar, i))
 		}
 	}
 	return ct, nil

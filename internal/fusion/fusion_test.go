@@ -218,7 +218,7 @@ func TestToCTableBridgesToPossibleWorlds(t *testing.T) {
 		t.Errorf("P(close dose exists) = %g, want 0.5", p)
 	}
 	// In every world exactly one claim applies.
-	if !ct.Certain(func(recs []model.Record) bool { return len(recs) == 1 }) {
+	if ct.QueryProb(func(recs []model.Record) bool { return len(recs) == 1 }) != 1 {
 		t.Error("each world must carry exactly one claim")
 	}
 	if _, err := w.ToCTable(warfarin, "absent"); err == nil {

@@ -155,9 +155,6 @@ func (c *CSR) Pos(id model.EntityID) int32 {
 	return -1
 }
 
-// IDAt returns the entity at the given layout position.
-func (c *CSR) IDAt(pos int32) model.EntityID { return c.ids[pos] }
-
 // TraversalStats quantifies the memory-locality of one traversal: Visited
 // counts reached vertices; Lines counts 64-byte cache-line fetches under a
 // one-line cache model (a fetch is charged whenever an access lands on a
@@ -298,48 +295,4 @@ func (g *Graph) Reaches(start, target model.EntityID, k int, pred string) bool {
 		}
 	}
 	return false
-}
-
-// Path returns one shortest path of entity IDs from start to target within
-// k hops (inclusive of both endpoints), or nil if unreachable. Used for
-// evidence-based answers: the paper insists answers be "justified", and a
-// concrete path is the justification for a reachability claim.
-func (g *Graph) Path(start, target model.EntityID, k int, pred string) []model.EntityID {
-	start, target = g.Resolve(start), g.Resolve(target)
-	if start == target {
-		return []model.EntityID{start}
-	}
-	parent := map[model.EntityID]model.EntityID{start: start}
-	frontier := []model.EntityID{start}
-	for hop := 0; hop < k && len(frontier) > 0; hop++ {
-		var next []model.EntityID
-		for _, id := range frontier {
-			for _, e := range g.Edges(id) {
-				if pred != "" && e.Predicate != pred {
-					continue
-				}
-				to, ok := e.To.AsRef()
-				if !ok {
-					continue
-				}
-				to = g.Resolve(to)
-				if _, seen := parent[to]; seen {
-					continue
-				}
-				parent[to] = id
-				if to == target {
-					var path []model.EntityID
-					for cur := target; ; cur = parent[cur] {
-						path = append([]model.EntityID{cur}, path...)
-						if cur == start {
-							return path
-						}
-					}
-				}
-				next = append(next, to)
-			}
-		}
-		frontier = next
-	}
-	return nil
 }

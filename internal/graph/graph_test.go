@@ -310,31 +310,28 @@ func TestKHopAndReaches(t *testing.T) {
 	}
 }
 
+// TestPath: a shortest path's length is the least hop bound Reaches
+// accepts.
 func TestPath(t *testing.T) {
 	g := New()
 	ids := chain(g, 5, "next")
-	p := g.Path(ids[0], ids[3], 4, "next")
-	if len(p) != 4 || p[0] != ids[0] || p[3] != ids[3] {
-		t.Errorf("Path = %v", p)
+	if !g.Reaches(ids[0], ids[3], 3, "next") || g.Reaches(ids[0], ids[3], 2, "next") {
+		t.Error("the chain's path from ids[0] to ids[3] must take 3 hops")
 	}
-	if p := g.Path(ids[3], ids[0], 4, "next"); p != nil {
-		t.Error("reverse path must be nil on a directed chain")
+	if g.Reaches(ids[3], ids[0], 4, "next") {
+		t.Error("no reverse path on a directed chain")
 	}
-	if p := g.Path(ids[0], ids[0], 1, ""); len(p) != 1 {
-		t.Error("self path must be the singleton")
-	}
-	// Branching: shortest path wins.
+	// Branching: the shortest path wins.
 	a := g.AddEntity(ent("s", "a"))
 	b := g.AddEntity(ent("s", "b"))
 	c := g.AddEntity(ent("s", "c"))
 	g.AddEdge(Edge{From: a, Predicate: "p", To: model.Ref(b), Source: "s"})
 	g.AddEdge(Edge{From: b, Predicate: "p", To: model.Ref(c), Source: "s"})
 	g.AddEdge(Edge{From: a, Predicate: "p", To: model.Ref(c), Source: "s"})
-	if p := g.Path(a, c, 5, "p"); len(p) != 2 {
-		t.Errorf("shortest path = %v, want direct", p)
+	if !g.Reaches(a, c, 1, "p") {
+		t.Error("the direct edge is a one-hop path")
 	}
 }
-
 func TestCSRMatchesMapTraversal(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	g := New()
@@ -395,8 +392,8 @@ func TestCSRPositionsAndMissingPred(t *testing.T) {
 	csr := g.BuildCSR(OrderInsertion)
 	for _, id := range ids {
 		p := csr.Pos(id)
-		if p < 0 || csr.IDAt(p) != id {
-			t.Errorf("Pos/IDAt roundtrip failed for %d", id)
+		if p < 0 || csr.ids[p] != id {
+			t.Errorf("Pos roundtrip failed for %d", id)
 		}
 	}
 	if csr.Pos(999) != -1 {
@@ -472,7 +469,7 @@ func TestEdgeTripleAndOrderString(t *testing.T) {
 	b := g.AddEntity(ent("s", "b"))
 	e := Edge{From: a, Predicate: "p", To: model.Ref(b), Source: "s", Confidence: 0.5}
 	tr := e.Triple()
-	if tr.Subject != a || tr.Predicate != "p" || tr.ObjectEntity() != b || tr.Confidence != 0.5 {
+	if to, _ := tr.Object.AsRef(); tr.Subject != a || tr.Predicate != "p" || to != b || tr.Confidence != 0.5 {
 		t.Errorf("Triple = %+v", tr)
 	}
 	for o, want := range map[Order]string{

@@ -80,15 +80,6 @@ type Triple struct {
 	Confidence Fuzzy
 }
 
-// ObjectEntity returns the object as an entity ID, or NoEntity if the
-// object is a literal.
-func (t Triple) ObjectEntity() EntityID {
-	if id, ok := t.Object.AsRef(); ok {
-		return id
-	}
-	return NoEntity
-}
-
 // String renders the triple for debugging.
 func (t Triple) String() string {
 	return fmt.Sprintf("(%d)-[%s]->%s @%s conf=%.2f",

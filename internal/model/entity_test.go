@@ -49,12 +49,12 @@ func TestEntityString(t *testing.T) {
 
 func TestTripleObjectEntity(t *testing.T) {
 	tr := Triple{Subject: 1, Predicate: "targets", Object: Ref(2), Source: "drugbank", Confidence: 1}
-	if tr.ObjectEntity() != 2 {
-		t.Error("ObjectEntity on ref broken")
+	if id, ok := tr.Object.AsRef(); !ok || id != 2 {
+		t.Error("a ref object must name its entity")
 	}
 	lit := Triple{Subject: 1, Predicate: "dosage_mg", Object: Float(5.1)}
-	if lit.ObjectEntity() != NoEntity {
-		t.Error("ObjectEntity on literal must be NoEntity")
+	if _, ok := lit.Object.AsRef(); ok {
+		t.Error("a literal object names no entity")
 	}
 	if !strings.Contains(tr.String(), "targets") {
 		t.Errorf("Triple.String = %q", tr.String())

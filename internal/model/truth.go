@@ -97,13 +97,6 @@ func (f Fuzzy) Or(o Fuzzy) Fuzzy {
 // Not is the standard fuzzy negation 1-f.
 func (f Fuzzy) Not() Fuzzy { return 1 - f }
 
-// AndProduct is the product t-norm, used when independent evidence should
-// compound rather than saturate.
-func (f Fuzzy) AndProduct(o Fuzzy) Fuzzy { return f * o }
-
-// OrProbSum is the probabilistic s-norm f+o-f*o, the dual of AndProduct.
-func (f Fuzzy) OrProbSum(o Fuzzy) Fuzzy { return f + o - f*o }
-
 // AtLeast reports whether the degree clears threshold t; it is how fuzzy
 // answers are collapsed to crisp answers ("UNDER FUZZY(t)" in SCQL).
 func (f Fuzzy) AtLeast(t float64) bool { return float64(f) >= t }

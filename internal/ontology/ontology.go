@@ -427,25 +427,6 @@ func (o *Ontology) SubsumesRole(p, r string) bool {
 	return false
 }
 
-// IsTransitive reports whether the role is declared transitive.
-func (o *Ontology) IsTransitive(r string) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	rn, ok := o.roles[r]
-	return ok && rn.transitive
-}
-
-// Inverse returns the declared inverse role, if any.
-func (o *Ontology) Inverse(r string) (string, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	rn, ok := o.roles[r]
-	if !ok || rn.inverse == "" {
-		return "", false
-	}
-	return rn.inverse, true
-}
-
 // DomainsOf returns the declared domains of the role, including those of
 // its role ancestors.
 func (o *Ontology) DomainsOf(r string) []string {

@@ -156,16 +156,16 @@ func TestRoles(t *testing.T) {
 	if !o.SubsumesRole("targets", "targets") {
 		t.Error("role subsumes itself")
 	}
-	if !o.IsTransitive("subClassOf") || o.IsTransitive("targets") {
+	if !isTransitive(o, "subClassOf") || isTransitive(o, "targets") {
 		t.Error("transitivity flags wrong")
 	}
-	if inv, ok := o.Inverse("targets"); !ok || inv != "targetedBy" {
+	if inv, ok := inverse(o, "targets"); !ok || inv != "targetedBy" {
 		t.Error("inverse lost")
 	}
-	if inv, ok := o.Inverse("targetedBy"); !ok || inv != "targets" {
+	if inv, ok := inverse(o, "targetedBy"); !ok || inv != "targets" {
 		t.Error("inverse must be symmetric")
 	}
-	if _, ok := o.Inverse("affects"); ok {
+	if _, ok := inverse(o, "affects"); ok {
 		t.Error("affects has no inverse")
 	}
 	if got := o.DomainsOf("targets"); len(got) != 1 || got[0] != "Drug" {
@@ -264,7 +264,7 @@ concept Orphan
 	if !o.HasConcept("Orphan") {
 		t.Error("concept declaration lost")
 	}
-	if !o.IsTransitive("partOf") {
+	if !isTransitive(o, "partOf") {
 		t.Error("parsed transitivity broken")
 	}
 
@@ -279,13 +279,13 @@ concept Orphan
 		t.Fatalf("re-parse of lines: %v\n%s", err, lines)
 	}
 	if !o2.Subsumes("Chemical", "Approved Drugs") || !o2.AreDisjoint("Drug", "Disease") ||
-		!o2.IsTransitive("partOf") || !o2.HasConcept("Orphan") {
+		!isTransitive(o2, "partOf") || !o2.HasConcept("Orphan") {
 		t.Error("lines/parse round trip lost axioms")
 	}
 	if _, err := Lines(src + "sub Drug\n"); err == nil {
 		t.Error("a line that does not parse must fail the text")
 	}
-	if inv, ok := o2.Inverse("targetedBy"); !ok || inv != "targets" {
+	if inv, ok := inverse(o2, "targetedBy"); !ok || inv != "targets" {
 		t.Error("round trip lost inverse")
 	}
 }
@@ -298,4 +298,14 @@ func TestParseErrors(t *testing.T) {
 	if err := o.Parse(strings.NewReader("sub OnlyOne")); err == nil {
 		t.Error("wrong arity must error")
 	}
+}
+
+// isTransitive and inverse read a role's parsed trans and inverse axioms.
+func isTransitive(o *Ontology, r string) bool { return o.roles[r] != nil && o.roles[r].transitive }
+
+func inverse(o *Ontology, r string) (string, bool) {
+	if o.roles[r] == nil || o.roles[r].inverse == "" {
+		return "", false
+	}
+	return o.roles[r].inverse, true
 }

@@ -400,69 +400,3 @@ func (r *Reasoner) Inconsistencies() []Inconsistency {
 	}
 	return res
 }
-
-// NeighborsSem returns the entities related to id by the role under the
-// RBox semantics: concrete edges labeled with any specialization of role,
-// inverse edges when the role has a declared inverse, and — when the role
-// is transitive — the transitive closure of the above.
-func (r *Reasoner) NeighborsSem(id model.EntityID, role string) []model.EntityID {
-	direct := func(id model.EntityID) []model.EntityID {
-		var out []model.EntityID
-		for _, e := range r.g.Edges(id) {
-			if !r.o.SubsumesRole(role, e.Predicate) {
-				continue
-			}
-			if to, ok := e.To.AsRef(); ok {
-				out = append(out, r.g.Resolve(to))
-			}
-		}
-		if inv, ok := r.o.Inverse(role); ok {
-			for _, from := range r.g.Incoming(id) {
-				for _, e := range r.g.Edges(from) {
-					to, ok := e.To.AsRef()
-					if !ok || r.g.Resolve(to) != r.g.Resolve(id) {
-						continue
-					}
-					if r.o.SubsumesRole(inv, e.Predicate) {
-						out = append(out, r.g.Resolve(from))
-					}
-				}
-			}
-		}
-		return out
-	}
-	id = r.g.Resolve(id)
-	if !r.o.IsTransitive(role) {
-		return dedupe(direct(id))
-	}
-	// Transitive closure.
-	seen := map[model.EntityID]bool{id: true}
-	var res []model.EntityID
-	frontier := []model.EntityID{id}
-	for len(frontier) > 0 {
-		var next []model.EntityID
-		for _, cur := range frontier {
-			for _, nb := range direct(cur) {
-				if !seen[nb] {
-					seen[nb] = true
-					next = append(next, nb)
-					res = append(res, nb)
-				}
-			}
-		}
-		frontier = next
-	}
-	return res
-}
-
-func dedupe(ids []model.EntityID) []model.EntityID {
-	seen := make(map[model.EntityID]bool, len(ids))
-	out := ids[:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
-}

@@ -186,53 +186,6 @@ func TestInstances(t *testing.T) {
 	_ = ids
 }
 
-func TestNeighborsSemSubrolesAndInverse(t *testing.T) {
-	g := graph.New()
-	o := ontology.New()
-	o.SubRoleOf("targets", "affects")
-	o.InverseOf("targets", "targetedBy")
-	a := g.AddEntity(&model.Entity{Key: "a", Source: "s", Attrs: model.Record{}})
-	b := g.AddEntity(&model.Entity{Key: "b", Source: "s", Attrs: model.Record{}})
-	g.AddEdge(graph.Edge{From: a, Predicate: "targets", To: model.Ref(b), Source: "s"})
-	r := New(g, o)
-	r.Materialize()
-
-	// Asking for "affects" must see the "targets" edge (role hierarchy).
-	if nb := r.NeighborsSem(a, "affects"); len(nb) != 1 || nb[0] != b {
-		t.Errorf("affects neighbors = %v", nb)
-	}
-	// Asking for the inverse must traverse backwards.
-	if nb := r.NeighborsSem(b, "targetedBy"); len(nb) != 1 || nb[0] != a {
-		t.Errorf("inverse neighbors = %v", nb)
-	}
-	if nb := r.NeighborsSem(b, "targets"); nb != nil {
-		t.Errorf("no forward targets from b: %v", nb)
-	}
-}
-
-func TestNeighborsSemTransitive(t *testing.T) {
-	g := graph.New()
-	o := ontology.New()
-	o.Transitive("partOf")
-	var ids []model.EntityID
-	for i := 0; i < 4; i++ {
-		ids = append(ids, g.AddEntity(&model.Entity{Key: string(rune('a' + i)), Source: "s", Attrs: model.Record{}}))
-	}
-	for i := 0; i+1 < 4; i++ {
-		g.AddEdge(graph.Edge{From: ids[i], Predicate: "partOf", To: model.Ref(ids[i+1]), Source: "s"})
-	}
-	r := New(g, o)
-	if nb := r.NeighborsSem(ids[0], "partOf"); len(nb) != 3 {
-		t.Errorf("transitive closure = %v, want 3 reachable", nb)
-	}
-	// Non-transitive role only sees one hop.
-	o2 := ontology.New()
-	r2 := New(g, o2)
-	if nb := r2.NeighborsSem(ids[0], "partOf"); len(nb) != 1 {
-		t.Errorf("non-transitive neighbors = %v", nb)
-	}
-}
-
 func TestMergedEntityReasoning(t *testing.T) {
 	g, o, ids := fixture()
 	// Another source's record of Acetaminophen, merged by ER.

@@ -133,57 +133,3 @@ func CompleteByExample(rows []model.Record, example model.Record, want []string,
 	}
 	return comp
 }
-
-// CompleteIteratively runs CompleteByExample repeatedly, feeding each
-// round's completions back as example attributes (the partial answer
-// "becomes an example ... for raising additional queries") until no new
-// attribute gets filled or maxRounds is hit. It returns the final
-// completion and the number of rounds used.
-func CompleteIteratively(rows []model.Record, example model.Record, want []string, k, maxRounds int) (Completion, int) {
-	if maxRounds <= 0 {
-		maxRounds = 3
-	}
-	current := example.Clone()
-	final := Completion{Completed: current, Confidence: map[string]model.Fuzzy{}, Support: map[string]int{}}
-	rounds := 0
-	remaining := append([]string(nil), want...)
-	for rounds < maxRounds {
-		targets := wantOrNulls(current, remaining)
-		if len(targets) == 0 {
-			break
-		}
-		c := CompleteByExample(rows, current, targets, k)
-		rounds++
-		filled := 0
-		var still []string
-		for _, attr := range targets {
-			if v, ok := c.Completed[attr]; ok && !v.IsNull() && current.Get(attr).IsNull() {
-				current[attr] = v
-				final.Confidence[attr] = c.Confidence[attr]
-				final.Support[attr] = c.Support[attr]
-				filled++
-			} else if current.Get(attr).IsNull() {
-				still = append(still, attr)
-			}
-		}
-		remaining = still
-		if filled == 0 || len(remaining) == 0 {
-			break
-		}
-	}
-	final.Completed = current
-	return final, rounds
-}
-
-func wantOrNulls(example model.Record, want []string) []string {
-	if len(want) > 0 {
-		return want
-	}
-	var out []string
-	for _, k := range example.Keys() {
-		if example[k].IsNull() {
-			out = append(out, k)
-		}
-	}
-	return out
-}

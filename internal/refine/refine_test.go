@@ -210,22 +210,3 @@ func TestCompleteByExampleDoesNotMutateInput(t *testing.T) {
 		t.Error("input example mutated")
 	}
 }
-
-func TestCompleteIteratively(t *testing.T) {
-	// target can only be inferred after class is filled: rows similar by
-	// name fill class in round 1; class match then strengthens target.
-	example := model.Record{"name": model.String("Naproxen"), "class": model.Null(), "target": model.Null()}
-	c, rounds := CompleteIteratively(qbeRows(), example, nil, 3, 5)
-	if rounds < 1 {
-		t.Errorf("rounds = %d", rounds)
-	}
-	if c.Completed.Get("class").IsNull() || c.Completed.Get("target").IsNull() {
-		t.Errorf("iterative completion incomplete: %v", c.Completed)
-	}
-	// Terminates on nothing-to-do.
-	done := model.Record{"name": model.String("x")}
-	_, rounds = CompleteIteratively(qbeRows(), done, nil, 3, 5)
-	if rounds != 0 {
-		t.Errorf("no-null example rounds = %d", rounds)
-	}
-}

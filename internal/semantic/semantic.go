@@ -210,12 +210,6 @@ func (l *LinkPredictor) Train(g *graph.Graph, typesOf func(model.EntityID) []str
 	return n
 }
 
-// PatternSupport returns how often the (subjType, pred, objType) pattern
-// was observed.
-func (l *LinkPredictor) PatternSupport(subjType, pred, objType string) int {
-	return l.patterns[pred][subjType][objType]
-}
-
 // Suggest proposes up to topK missing pred-edges from the entity: targets
 // whose type completes a trained pattern, ranked by common-neighbor count
 // (via any predicate, both directions) scaled by pattern support.

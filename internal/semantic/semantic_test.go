@@ -128,8 +128,8 @@ func TestLinkPredictorSuggestsPatternAndNeighbors(t *testing.T) {
 	if n := lp.Train(g, assertedTypes(g)); n == 0 {
 		t.Fatal("no edges trained")
 	}
-	if lp.PatternSupport("Drug", "targets", "Gene") != 8 {
-		t.Errorf("pattern support = %d, want 8", lp.PatternSupport("Drug", "targets", "Gene"))
+	if n := lp.patterns["targets"]["Drug"]["Gene"]; n != 8 {
+		t.Errorf("pattern support = %d, want 8", n)
 	}
 	sugg := lp.Suggest(g, d0, "targets", assertedTypes(g), 3)
 	if len(sugg) == 0 {

@@ -53,6 +53,7 @@ var relationCorpus = []string{
 	"SELECT value, agreement, asks, spent FROM crowd('Warfarin', 'effective_dose_mg', 15, 0.85, 7)",
 	`SELECT "from", predicate, "to", confidence FROM suggest_links('Aminopterin', 'targets', 3)`,
 	"SELECT * FROM richness() ORDER BY source",
+	"SELECT world, context, probability, value, source, marginal FROM worlds('Warfarin', 'effective_dose_mg')",
 }
 
 // TestNetworkDifferential: the full SCQL corpus must come back

@@ -91,9 +91,6 @@ type Config struct {
 	// Addrs optionally labels the backends (for the stats op); aligned
 	// with Backends when set.
 	Addrs []string
-	// IngestBatch is the chunk size of routed ingest streams (0 = the
-	// client default).
-	IngestBatch int
 }
 
 // SettingsError reports a shard whose resolver runs a different blocking
@@ -117,7 +114,6 @@ func (e *SettingsError) Error() string {
 type Router struct {
 	shards []Backend
 	addrs  []string
-	batch  int
 
 	// mu serializes routed ingests, the ER exchange they feed, and the
 	// per-shard digest watermarks. blocking is the mode shard 0 reported
@@ -155,7 +151,6 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		shards:       cfg.Backends,
 		addrs:        addrs,
-		batch:        cfg.IngestBatch,
 		entsMark:     make([]int, len(cfg.Backends)),
 		matchesMark:  make([]int, len(cfg.Backends)),
 		lastEntities: make([]int, len(cfg.Backends)),
@@ -256,7 +251,7 @@ func (r *Router) IngestCtx(ctx context.Context, src scdb.Source) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = r.shards[i].IngestBatch(ctx, parts[i], r.batch)
+			_, errs[i] = r.shards[i].IngestBatch(ctx, parts[i], 0) // client.DefaultIngestBatch rows a chunk
 		}(i)
 	}
 	wg.Wait()

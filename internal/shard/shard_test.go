@@ -56,7 +56,7 @@ func newTestCluster(tb testing.TB, n int) *testCluster {
 	for i := range addrs {
 		addrs[i] = startShardServer(tb, scdb.Options{})
 	}
-	r, err := shard.Dial(shard.Config{IngestBatch: 5}, addrs...)
+	r, err := shard.Dial(shard.Config{}, addrs...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -442,6 +442,7 @@ func TestNotRoutable(t *testing.T) {
 		"SELECT * FROM discover('Aspirin', 5, 1)",
 		"SELECT * FROM crowd('Aspirin', 'price', 10, 0.9, 1)",
 		"SELECT * FROM suggest_links('Aspirin', 'targets', 3)",
+		"SELECT * FROM worlds('Aspirin', 'price')",
 		"EXPLAIN SELECT p.name FROM pharma_a AS p JOIN richness() AS r ON p.name = r.source",
 		// A curation statement is told to one engine.
 		"INSERT INTO claims (entity, attr, value, source) VALUES ('Aspirin', 'price', 3, 'audit')",

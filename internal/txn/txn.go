@@ -167,9 +167,6 @@ func (m *Manager) finish(id uint64) {
 // ID returns the transaction's identifier.
 func (t *Txn) ID() uint64 { return t.id }
 
-// ReadCSN returns the snapshot the transaction reads at.
-func (t *Txn) ReadCSN() storage.CSN { return t.readCSN }
-
 // MarkSemanticRead records that the transaction consulted the relation or
 // semantic layer (a reasoner call, a graph traversal, an ISA predicate).
 // Under Snapshot isolation this arms enrichment-phantom validation.

@@ -1,24 +1,20 @@
-// Package uncertain implements the representation and query semantics for
+// Package uncertain implements the possible-worlds representation of
 // uncertain and incomplete data (paper Section 4.2, FS.3 and FS.10): a
-// conditional-table (c-table) model in which each tuple carries a boolean
-// condition over discrete random variables, a discrete probability space of
-// possible worlds P = (W, P), marked nulls whose valuation v(t_i) is itself
-// a random variable, and query answering that classifies answers as certain
-// (true in every world), possible (true in some world), or probabilistic
-// (weighted by the total probability of the worlds where they hold).
+// conditional table (c-table) in which each tuple carries a condition over
+// discrete random variables, a discrete probability space of possible
+// worlds P = (W, P), and marked nulls whose valuation v(t_i) is itself a
+// random variable. A query runs on each world's complete instance and is
+// answered by the total probability of the worlds where it holds, exactly
+// by enumeration or estimated from sampled worlds; Answers gives each
+// distinct answer value its probability.
 //
-// The package unifies the "isolated forms of uncertainty" FS.3 complains
-// about: probabilistic tuples (a condition with a weighted variable), fuzzy
-// tuples (a confidence degree lifted to a Bernoulli variable), and
-// incompleteness (marked nulls with candidate valuations under the open- or
-// closed-world assumption).
+// The one formalism carries the "isolated forms of uncertainty" FS.3
+// complains about: probabilistic tuples (a condition on a weighted
+// variable), fuzzy confidences (a degree lifted to a Bernoulli variable),
+// and incompleteness (marked nulls with weighted candidate valuations).
+// fusion.Worlds.ToCTable builds one from parallel worlds, and SCQL's
+// worlds(entity, attr) lays it out.
 package uncertain
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
 
 // Var names a discrete random variable in the probability space.
 type Var string
@@ -27,126 +23,21 @@ type Var string
 // total assignment identifies one possible world.
 type Assignment map[Var]int
 
-// condOp enumerates condition node kinds.
-type condOp uint8
-
-const (
-	opTrue condOp = iota
-	opEq
-	opAnd
-	opOr
-	opNot
-)
-
-// Cond is a boolean condition over variables — the c_i attached to tuple
-// t_i in the c-table formalism. The zero value is not valid; use the
-// constructors.
+// Cond is a condition over variables — the c_i attached to tuple t_i in
+// the c-table formalism: always true, or one variable's alternative. The
+// zero value is not valid; use the constructors.
 type Cond struct {
-	op   condOp
-	v    Var
-	val  int
-	kids []*Cond
+	always bool
+	v      Var
+	val    int
 }
 
 // True returns the always-true condition (tuples certain to exist).
-func True() *Cond { return &Cond{op: opTrue} }
+func True() *Cond { return &Cond{always: true} }
 
 // Eq returns the atomic condition v = val.
-func Eq(v Var, val int) *Cond { return &Cond{op: opEq, v: v, val: val} }
-
-// And returns the conjunction of the given conditions.
-func And(kids ...*Cond) *Cond {
-	if len(kids) == 0 {
-		return True()
-	}
-	if len(kids) == 1 {
-		return kids[0]
-	}
-	return &Cond{op: opAnd, kids: kids}
-}
-
-// Or returns the disjunction of the given conditions.
-func Or(kids ...*Cond) *Cond {
-	if len(kids) == 0 {
-		return True()
-	}
-	if len(kids) == 1 {
-		return kids[0]
-	}
-	return &Cond{op: opOr, kids: kids}
-}
-
-// Not returns the negation of the condition.
-func Not(c *Cond) *Cond { return &Cond{op: opNot, kids: []*Cond{c}} }
+func Eq(v Var, val int) *Cond { return &Cond{v: v, val: val} }
 
 // Eval evaluates the condition under a (total) assignment. Variables absent
 // from the assignment default to alternative 0.
-func (c *Cond) Eval(a Assignment) bool {
-	switch c.op {
-	case opTrue:
-		return true
-	case opEq:
-		return a[c.v] == c.val
-	case opAnd:
-		for _, k := range c.kids {
-			if !k.Eval(a) {
-				return false
-			}
-		}
-		return true
-	case opOr:
-		for _, k := range c.kids {
-			if k.Eval(a) {
-				return true
-			}
-		}
-		return false
-	case opNot:
-		return !c.kids[0].Eval(a)
-	}
-	return false
-}
-
-// Vars returns the sorted set of variables the condition mentions.
-func (c *Cond) Vars() []Var {
-	set := map[Var]bool{}
-	c.collectVars(set)
-	vars := make([]Var, 0, len(set))
-	for v := range set {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	return vars
-}
-
-func (c *Cond) collectVars(set map[Var]bool) {
-	if c.op == opEq {
-		set[c.v] = true
-	}
-	for _, k := range c.kids {
-		k.collectVars(set)
-	}
-}
-
-// String renders the condition for debugging and EXPLAIN output.
-func (c *Cond) String() string {
-	switch c.op {
-	case opTrue:
-		return "⊤"
-	case opEq:
-		return fmt.Sprintf("%s=%d", c.v, c.val)
-	case opAnd, opOr:
-		sep := " ∧ "
-		if c.op == opOr {
-			sep = " ∨ "
-		}
-		parts := make([]string, len(c.kids))
-		for i, k := range c.kids {
-			parts[i] = k.String()
-		}
-		return "(" + strings.Join(parts, sep) + ")"
-	case opNot:
-		return "¬" + c.kids[0].String()
-	}
-	return "?"
-}
+func (c *Cond) Eval(a Assignment) bool { return c.always || a[c.v] == c.val }

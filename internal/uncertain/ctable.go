@@ -48,11 +48,6 @@ func NewCTable(name string) *CTable {
 	return &CTable{Name: name, Space: NewSpace()}
 }
 
-// AddCertain appends a tuple that exists in every world.
-func (c *CTable) AddCertain(rec model.Record) {
-	c.Tuples = append(c.Tuples, CTuple{Rec: rec, Cond: True()})
-}
-
 // AddConditioned appends a tuple guarded by an explicit condition over
 // already-declared variables.
 func (c *CTable) AddConditioned(rec model.Record, cond *Cond) {
@@ -98,108 +93,6 @@ func (c *CTable) Instantiate(a Assignment) []model.Record {
 	return out
 }
 
-// Select returns a new c-table containing the tuples whose predicate is not
-// definitely False on the static (null-preserving) record, with conditions
-// carried over. Predicates over marked nulls evaluate to Unknown under
-// three-valued logic and are therefore retained — the sound pruning; exact
-// per-world evaluation happens in Answers/QueryProb.
-func (c *CTable) Select(pred func(model.Record) model.Truth) *CTable {
-	out := &CTable{Name: c.Name + "/σ", Space: c.Space}
-	for _, t := range c.Tuples {
-		if pred(t.Rec) != model.False {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out
-}
-
-// Project returns a new c-table keeping only the given attributes. Marked
-// nulls on projected-away attributes are dropped; those on kept attributes
-// survive.
-func (c *CTable) Project(attrs ...string) *CTable {
-	out := &CTable{Name: c.Name + "/π", Space: c.Space}
-	for _, t := range c.Tuples {
-		rec := model.Record{}
-		var nv map[string]Var
-		for _, a := range attrs {
-			rec[a] = t.Rec.Get(a)
-			if v, ok := t.NullVars[a]; ok {
-				if nv == nil {
-					nv = map[string]Var{}
-				}
-				nv[a] = v
-			}
-		}
-		out.Tuples = append(out.Tuples, CTuple{Rec: rec, Cond: t.Cond, NullVars: nv})
-	}
-	return out
-}
-
-// Join completes the c-table algebra: tuples of c and other whose static
-// records satisfy the predicate pair up, with conditions conjoined (the
-// pair exists exactly in the worlds where both operands exist). Both
-// tables must share one probability space. merge combines the two records
-// (nil uses a prefix-disambiguated union). Marked nulls carry over with
-// their attribute names; on collision the left side wins.
-func (c *CTable) Join(other *CTable, on func(a, b model.Record) model.Truth, merge func(a, b model.Record) model.Record) (*CTable, error) {
-	if c.Space != other.Space {
-		return nil, fmt.Errorf("uncertain: join requires a shared probability space")
-	}
-	if merge == nil {
-		merge = func(a, b model.Record) model.Record {
-			out := a.Clone()
-			for k, v := range b {
-				if _, taken := out[k]; taken {
-					out["right."+k] = v
-				} else {
-					out[k] = v
-				}
-			}
-			return out
-		}
-	}
-	out := &CTable{Name: c.Name + "⋈" + other.Name, Space: c.Space}
-	for _, ta := range c.Tuples {
-		for _, tb := range other.Tuples {
-			if on(ta.Rec, tb.Rec) == model.False {
-				continue
-			}
-			nt := CTuple{Rec: merge(ta.Rec, tb.Rec), Cond: And(ta.Cond, tb.Cond)}
-			if len(ta.NullVars)+len(tb.NullVars) > 0 {
-				nt.NullVars = map[string]Var{}
-				for k, v := range tb.NullVars {
-					nt.NullVars[k] = v
-				}
-				for k, v := range ta.NullVars {
-					nt.NullVars[k] = v
-				}
-			}
-			out.Tuples = append(out.Tuples, nt)
-		}
-	}
-	return out, nil
-}
-
-// TupleProb returns the exact probability that a tuple equal to rec appears
-// in the instance: Σ P(I_i) over worlds I_i containing rec.
-func (c *CTable) TupleProb(rec model.Record) float64 {
-	total := 0.0
-	c.Space.EnumWorlds(func(a Assignment, p float64) bool {
-		for _, t := range c.Tuples {
-			inst := t.instantiate(c.Space, a)
-			if inst == nil {
-				continue
-			}
-			if recordsEqual(inst, rec) {
-				total += p
-				break
-			}
-		}
-		return true
-	})
-	return total
-}
-
 // QueryProb returns the exact probability that the boolean query holds,
 // evaluated per world on the complete instance.
 func (c *CTable) QueryProb(q func([]model.Record) bool) float64 {
@@ -213,48 +106,6 @@ func (c *CTable) QueryProb(q func([]model.Record) bool) float64 {
 	return total
 }
 
-// QueryProbGiven returns the conditional probability P(q | evidence): the
-// probability of the query among the worlds where the evidence condition
-// holds — the Bayesian update that lets discovered facts (a resolved null,
-// a confirmed tuple) sharpen every other answer. It errors when the
-// evidence has probability zero.
-func (c *CTable) QueryProbGiven(q func([]model.Record) bool, evidence *Cond) (float64, error) {
-	num, den := 0.0, 0.0
-	c.Space.EnumWorlds(func(a Assignment, p float64) bool {
-		if !evidence.Eval(a) {
-			return true
-		}
-		den += p
-		if q(c.Instantiate(a)) {
-			num += p
-		}
-		return true
-	})
-	if den == 0 {
-		return 0, fmt.Errorf("uncertain: conditioning on zero-probability evidence %s", evidence)
-	}
-	return num / den, nil
-}
-
-// MarginalGiven returns P(v = alt | evidence) over the space.
-func (s *Space) MarginalGiven(v Var, alt int, evidence *Cond) (float64, error) {
-	num, den := 0.0, 0.0
-	s.EnumWorlds(func(a Assignment, p float64) bool {
-		if !evidence.Eval(a) {
-			return true
-		}
-		den += p
-		if a[v] == alt {
-			num += p
-		}
-		return true
-	})
-	if den == 0 {
-		return 0, fmt.Errorf("uncertain: conditioning on zero-probability evidence %s", evidence)
-	}
-	return num / den, nil
-}
-
 // QueryProbSampled estimates QueryProb from n Monte-Carlo worlds.
 func (c *CTable) QueryProbSampled(q func([]model.Record) bool, n int, seed int64) float64 {
 	r := rand.New(rand.NewSource(seed))
@@ -265,33 +116,6 @@ func (c *CTable) QueryProbSampled(q func([]model.Record) bool, n int, seed int64
 		}
 	}
 	return float64(hit) / float64(n)
-}
-
-// Certain reports whether the boolean query holds in every world — the
-// certain-answer semantics certain(Q, D) = ∩ Q(D_i).
-func (c *CTable) Certain(q func([]model.Record) bool) bool {
-	certain := true
-	c.Space.EnumWorlds(func(a Assignment, p float64) bool {
-		if !q(c.Instantiate(a)) {
-			certain = false
-			return false
-		}
-		return true
-	})
-	return certain
-}
-
-// Possible reports whether the boolean query holds in at least one world.
-func (c *CTable) Possible(q func([]model.Record) bool) bool {
-	possible := false
-	c.Space.EnumWorlds(func(a Assignment, p float64) bool {
-		if q(c.Instantiate(a)) {
-			possible = true
-			return false
-		}
-		return true
-	})
-	return possible
 }
 
 // Answer is one distinct query answer with its total probability.
@@ -336,28 +160,4 @@ func (c *CTable) Answers(q func([]model.Record) []model.Value) []Answer {
 		return model.Less(out[i].Value, out[j].Value)
 	})
 	return out
-}
-
-// CertainAnswers returns the answers with probability 1 (within 1e-9) —
-// true in every world.
-func (c *CTable) CertainAnswers(q func([]model.Record) []model.Value) []model.Value {
-	var out []model.Value
-	for _, a := range c.Answers(q) {
-		if a.Prob >= 1-1e-9 {
-			out = append(out, a.Value)
-		}
-	}
-	return out
-}
-
-func recordsEqual(a, b model.Record) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if !model.Equal(v, b[k]) {
-			return false
-		}
-	}
-	return true
 }

@@ -68,12 +68,6 @@ func (s *Space) AddValueChoice(v Var, vals []model.Value, probs []float64) error
 	return nil
 }
 
-// Vars returns the declared variables in declaration order.
-func (s *Space) Vars() []Var { return s.vars }
-
-// Domain returns the number of alternatives of the variable.
-func (s *Space) Domain(v Var) int { return len(s.probs[v]) }
-
 // ValueOf returns the value alternative alt stands for, when v is a
 // null-valuation variable; otherwise it returns null.
 func (s *Space) ValueOf(v Var, alt int) model.Value {
@@ -141,43 +135,4 @@ func (s *Space) SampleWorld(r *rand.Rand) Assignment {
 		a[v] = alt
 	}
 	return a
-}
-
-// WorldProb returns the probability of the given (total) assignment.
-func (s *Space) WorldProb(a Assignment) float64 {
-	p := 1.0
-	for _, v := range s.vars {
-		alt := a[v]
-		if alt < 0 || alt >= len(s.probs[v]) {
-			return 0
-		}
-		p *= s.probs[v][alt]
-	}
-	return p
-}
-
-// CondProb returns the exact probability that the condition holds, by
-// enumeration. For spaces too large to enumerate use CondProbSampled.
-func (s *Space) CondProb(c *Cond) float64 {
-	total := 0.0
-	s.EnumWorlds(func(a Assignment, p float64) bool {
-		if c.Eval(a) {
-			total += p
-		}
-		return true
-	})
-	return total
-}
-
-// CondProbSampled estimates the probability that the condition holds from n
-// Monte-Carlo samples drawn with the given seed.
-func (s *Space) CondProbSampled(c *Cond, n int, seed int64) float64 {
-	r := rand.New(rand.NewSource(seed))
-	hit := 0
-	for i := 0; i < n; i++ {
-		if c.Eval(s.SampleWorld(r)) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(n)
 }

@@ -1,6 +1,7 @@
 package uncertain
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,26 +19,14 @@ func TestCondEvalAndString(t *testing.T) {
 		{True(), true},
 		{Eq("x", 1), true},
 		{Eq("x", 0), false},
-		{And(Eq("x", 1), Eq("y", 0)), true},
-		{And(Eq("x", 1), Eq("y", 1)), false},
-		{Or(Eq("x", 0), Eq("y", 0)), true},
-		{Or(Eq("x", 0), Eq("y", 1)), false},
-		{Not(Eq("x", 1)), false},
-		{Not(Not(Eq("x", 1))), true},
-		{And(), true},
-		{Or(), true},
+		{Eq("y", 0), true},
+		{Eq("z", 0), true}, // an absent variable takes alternative 0
+		{Eq("z", 1), false},
 	}
-	for _, c := range cases {
+	for i, c := range cases {
 		if got := c.c.Eval(a); got != c.want {
-			t.Errorf("%s under %v = %v, want %v", c.c, a, got, c.want)
+			t.Errorf("case %d under %v = %v, want %v", i, a, got, c.want)
 		}
-	}
-	if s := And(Eq("x", 1), Not(Eq("y", 2))).String(); s != "(x=1 ∧ ¬y=2)" {
-		t.Errorf("String = %q", s)
-	}
-	vars := Or(Eq("b", 1), And(Eq("a", 0), Eq("c", 2))).Vars()
-	if len(vars) != 3 || vars[0] != "a" || vars[1] != "b" || vars[2] != "c" {
-		t.Errorf("Vars = %v", vars)
 	}
 }
 
@@ -63,12 +52,6 @@ func TestSpaceDeclarations(t *testing.T) {
 	}
 	if s.NumWorlds() != 6 {
 		t.Errorf("NumWorlds = %d", s.NumWorlds())
-	}
-	if s.Domain("y") != 3 || s.Domain("x") != 2 {
-		t.Error("Domain broken")
-	}
-	if len(s.Vars()) != 2 {
-		t.Errorf("Vars = %v", s.Vars())
 	}
 }
 
@@ -109,17 +92,19 @@ func TestEnumWorldsSkipsZeroProb(t *testing.T) {
 }
 
 func TestCondProbExactAndSampled(t *testing.T) {
-	s := NewSpace()
-	s.AddBool("x", 0.3)
-	s.AddBool("y", 0.5)
+	c := NewCTable("t")
+	c.AddProbabilistic(model.Record{"v": model.Int(1)}, 0.3)
+	c.AddProbabilistic(model.Record{"v": model.Int(2)}, 0.5)
+	both := func(recs []model.Record) bool { return len(recs) == 2 }
+	either := func(recs []model.Record) bool { return len(recs) >= 1 }
 	// P(x ∧ y) = 0.15, P(x ∨ y) = 0.65
-	if p := s.CondProb(And(Eq("x", 1), Eq("y", 1))); math.Abs(p-0.15) > 1e-12 {
+	if p := c.QueryProb(both); math.Abs(p-0.15) > 1e-12 {
 		t.Errorf("P(x∧y) = %g", p)
 	}
-	if p := s.CondProb(Or(Eq("x", 1), Eq("y", 1))); math.Abs(p-0.65) > 1e-12 {
+	if p := c.QueryProb(either); math.Abs(p-0.65) > 1e-12 {
 		t.Errorf("P(x∨y) = %g", p)
 	}
-	if p := s.CondProbSampled(Or(Eq("x", 1), Eq("y", 1)), 20000, 1); math.Abs(p-0.65) > 0.02 {
+	if p := c.QueryProbSampled(either, 20000, 1); math.Abs(p-0.65) > 0.02 {
 		t.Errorf("sampled P = %g, want ≈0.65", p)
 	}
 }
@@ -128,27 +113,44 @@ func TestWorldProb(t *testing.T) {
 	s := NewSpace()
 	s.AddBool("x", 0.3)
 	s.AddChoice("y", []float64{0.2, 0.8})
-	if p := s.WorldProb(Assignment{"x": 1, "y": 0}); math.Abs(p-0.06) > 1e-12 {
-		t.Errorf("WorldProb = %g", p)
+	got := map[[2]int]float64{}
+	s.EnumWorlds(func(a Assignment, p float64) bool {
+		got[[2]int{a["x"], a["y"]}] = p
+		return true
+	})
+	if p := got[[2]int{1, 0}]; math.Abs(p-0.06) > 1e-12 {
+		t.Errorf("P(x=1, y=0) = %g", p)
 	}
-	if p := s.WorldProb(Assignment{"x": 5, "y": 0}); p != 0 {
-		t.Errorf("out-of-domain assignment prob = %g", p)
+	if len(got) != 4 {
+		t.Errorf("worlds = %v", got)
+	}
+}
+
+// has reports whether some record's attribute attr equals want.
+func has(attr string, want model.Value) func([]model.Record) bool {
+	return func(recs []model.Record) bool {
+		for _, r := range recs {
+			if model.Equal(r[attr], want) {
+				return true
+			}
+		}
+		return false
 	}
 }
 
 func TestCTableCertainAndProbabilistic(t *testing.T) {
 	c := NewCTable("drugs")
-	c.AddCertain(model.Record{"name": model.String("Warfarin")})
+	c.AddConditioned(model.Record{"name": model.String("Warfarin")}, True())
 	if _, err := c.AddProbabilistic(model.Record{"name": model.String("Maybe")}, 0.4); err != nil {
 		t.Fatal(err)
 	}
-	if p := c.TupleProb(model.Record{"name": model.String("Warfarin")}); p != 1 {
+	if p := c.QueryProb(has("name", model.String("Warfarin"))); p != 1 {
 		t.Errorf("certain tuple prob = %g", p)
 	}
-	if p := c.TupleProb(model.Record{"name": model.String("Maybe")}); math.Abs(p-0.4) > 1e-12 {
+	if p := c.QueryProb(has("name", model.String("Maybe"))); math.Abs(p-0.4) > 1e-12 {
 		t.Errorf("probabilistic tuple prob = %g", p)
 	}
-	if p := c.TupleProb(model.Record{"name": model.String("Absent")}); p != 0 {
+	if p := c.QueryProb(has("name", model.String("Absent"))); p != 0 {
 		t.Errorf("absent tuple prob = %g", p)
 	}
 }
@@ -166,7 +168,7 @@ func TestCTableMarkedNulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	// In every world exactly one completion exists.
-	if !c.Certain(func(recs []model.Record) bool { return len(recs) == 1 }) {
+	if c.QueryProb(func(recs []model.Record) bool { return len(recs) == 1 }) != 1 {
 		t.Error("exactly one tuple per world")
 	}
 	p := c.QueryProb(func(recs []model.Record) bool {
@@ -182,60 +184,47 @@ func TestCTableMarkedNulls(t *testing.T) {
 	}
 }
 
+// TestCertainPossible: a query is certain when it holds with probability
+// 1 and possible when with probability above 0.
 func TestCertainPossible(t *testing.T) {
 	c := NewCTable("t")
-	c.AddCertain(model.Record{"v": model.Int(1)})
+	c.AddConditioned(model.Record{"v": model.Int(1)}, True())
 	c.AddProbabilistic(model.Record{"v": model.Int(2)}, 0.5)
-
-	has := func(want int64) func([]model.Record) bool {
-		return func(recs []model.Record) bool {
-			for _, r := range recs {
-				if i, _ := r["v"].AsInt(); i == want {
-					return true
-				}
-			}
-			return false
+	for _, q := range []struct {
+		v        int64
+		certain  bool
+		possible bool
+	}{{1, true, true}, {2, false, true}, {3, false, false}} {
+		p := c.QueryProb(has("v", model.Int(q.v)))
+		if (p == 1) != q.certain || (p > 0) != q.possible {
+			t.Errorf("v=%d: P = %g, want certain %v, possible %v", q.v, p, q.certain, q.possible)
 		}
-	}
-	if !c.Certain(has(1)) {
-		t.Error("v=1 must be certain")
-	}
-	if c.Certain(has(2)) {
-		t.Error("v=2 must not be certain")
-	}
-	if !c.Possible(has(2)) {
-		t.Error("v=2 must be possible")
-	}
-	if c.Possible(has(3)) {
-		t.Error("v=3 must be impossible")
 	}
 }
 
+// TestSelectThreeValued: a predicate over a marked null is Unknown on the
+// static record; per-world evaluation resolves it.
 func TestSelectThreeValued(t *testing.T) {
 	c := NewCTable("t")
-	c.AddCertain(model.Record{"v": model.Int(10)})
-	c.AddCertain(model.Record{"v": model.Int(1)})
+	c.AddConditioned(model.Record{"v": model.Int(10)}, True())
 	c.AddWithNull(model.Record{}, "v",
 		[]model.Value{model.Int(0), model.Int(20)}, []float64{0.5, 0.5})
-
-	sel := c.Select(func(r model.Record) model.Truth {
+	over5 := func(r model.Record) model.Truth {
 		v := r.Get("v")
 		if v.IsNull() {
 			return model.Unknown
 		}
 		i, _ := v.AsInt()
 		return model.TruthOf(i > 5)
-	})
-	// v=1 is definitely out; v=10 stays; the null tuple stays as Unknown.
-	if len(sel.Tuples) != 2 {
-		t.Fatalf("selected %d tuples", len(sel.Tuples))
 	}
-	// The space is shared, so per-world evaluation resolves the Unknown:
-	// the null tuple satisfies v > 5 only in the world where it is 20.
-	p := sel.QueryProb(func(recs []model.Record) bool {
+	if got := over5(c.Tuples[1].Rec); got != model.Unknown {
+		t.Errorf("static null-holding record: %v, want unknown", got)
+	}
+	// The null tuple satisfies v > 5 only in the world where it is 20.
+	p := c.QueryProb(func(recs []model.Record) bool {
 		n := 0
 		for _, r := range recs {
-			if i, _ := r["v"].AsInt(); i > 5 {
+			if over5(r) == model.True {
 				n++
 			}
 		}
@@ -246,26 +235,52 @@ func TestSelectThreeValued(t *testing.T) {
 	}
 }
 
+// TestProject: a query that reads an attribute sees a marked null's
+// valuation in every world; one that reads another does not.
 func TestProject(t *testing.T) {
 	c := NewCTable("t")
-	c.AddCertain(model.Record{"a": model.Int(1), "b": model.Int(2)})
+	c.AddConditioned(model.Record{"a": model.Int(1), "b": model.Int(2)}, True())
 	c.AddWithNull(model.Record{"a": model.Int(3)}, "b",
 		[]model.Value{model.Int(4)}, []float64{1})
-	p := c.Project("a")
-	if len(p.Tuples) != 2 {
-		t.Fatal("projection must keep tuples")
+	project := func(attr string) string {
+		return fmt.Sprint(c.Answers(func(recs []model.Record) []model.Value {
+			var out []model.Value
+			for _, r := range recs {
+				out = append(out, r[attr])
+			}
+			return out
+		}))
 	}
-	for _, tp := range p.Tuples {
-		if _, ok := tp.Rec["b"]; ok {
-			t.Error("projected-away attribute present")
-		}
-		if len(tp.NullVars) != 0 {
-			t.Error("null var on dropped attribute must not survive")
-		}
+	if got := project("a"); got != "[{1 1} {3 1}]" {
+		t.Errorf("a = %s", got)
 	}
-	p2 := c.Project("b")
-	if p2.Tuples[1].NullVars["b"] == "" {
-		t.Error("null var on kept attribute must survive")
+	if got := project("b"); got != "[{2 1} {4 1}]" {
+		t.Errorf("b = %s, want the null valued 4", got)
+	}
+}
+
+// TestCTableJoin: a join runs on each world's complete instance, so a
+// drug-trial pair exists exactly where both operands do.
+func TestCTableJoin(t *testing.T) {
+	c := NewCTable("drugs+trials")
+	c.AddProbabilistic(model.Record{"drug": model.String("Warfarin"), "class": model.String("anticoagulant")}, 0.8)
+	c.AddConditioned(model.Record{"drug": model.String("Warfarin"), "dose": model.Float(5.1)}, True())
+	c.AddConditioned(model.Record{"drug": model.String("Ibuprofen"), "dose": model.Float(200)}, True())
+	pairs := func(recs []model.Record) []model.Value {
+		var out []model.Value
+		for _, d := range recs {
+			for _, tr := range recs {
+				if !d.Get("class").IsNull() && !tr.Get("dose").IsNull() && model.Equal(d["drug"], tr["drug"]) {
+					out = append(out, model.List(d["class"], tr["dose"]))
+				}
+			}
+		}
+		return out
+	}
+	ans := c.Answers(pairs)
+	if len(ans) != 1 || math.Abs(ans[0].Prob-0.8) > 1e-12 ||
+		!model.Equal(ans[0].Value, model.List(model.String("anticoagulant"), model.Float(5.1))) {
+		t.Errorf("pairs = %v, want (anticoagulant, 5.1) with P 0.8", ans)
 	}
 }
 
@@ -288,109 +303,10 @@ func TestAnswersDistribution(t *testing.T) {
 	if f, _ := ans[0].Value.AsFloat(); f != 5.1 || math.Abs(ans[0].Prob-0.4) > 1e-12 {
 		t.Errorf("top answer = %v", ans[0])
 	}
-	if got := c.CertainAnswers(func(recs []model.Record) []model.Value {
+	if got := c.Answers(func(recs []model.Record) []model.Value {
 		return []model.Value{recs[0]["drug"]}
-	}); len(got) != 1 || !model.Equal(got[0], model.String("Warfarin")) {
-		t.Errorf("certain answers = %v", got)
-	}
-}
-
-func TestCTableJoin(t *testing.T) {
-	// Drugs and trials over one space: the joined pair exists only where
-	// both operands do.
-	drugs := NewCTable("drugs")
-	vd, _ := drugs.AddProbabilistic(model.Record{"drug": model.String("Warfarin"), "class": model.String("anticoagulant")}, 0.8)
-	trials := &CTable{Name: "trials", Space: drugs.Space}
-	trials.AddCertain(model.Record{"drug": model.String("Warfarin"), "dose": model.Float(5.1)})
-	trials.AddCertain(model.Record{"drug": model.String("Ibuprofen"), "dose": model.Float(200)})
-
-	on := func(a, b model.Record) model.Truth {
-		return model.TruthOf(model.Equal(a.Get("drug"), b.Get("drug")))
-	}
-	j, err := drugs.Join(trials, on, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(j.Tuples) != 1 {
-		t.Fatalf("joined tuples = %d", len(j.Tuples))
-	}
-	// The join pair carries both attributes and the conjoined condition.
-	rec := j.Tuples[0].Rec
-	if !model.Equal(rec.Get("class"), model.String("anticoagulant")) ||
-		!model.Equal(rec.Get("dose"), model.Float(5.1)) {
-		t.Errorf("joined record = %v", rec)
-	}
-	p := j.TupleProb(rec)
-	if math.Abs(p-0.8) > 1e-12 {
-		t.Errorf("P(pair) = %g, want 0.8", p)
-	}
-	_ = vd
-	// Mismatched spaces are rejected.
-	other := NewCTable("other")
-	if _, err := drugs.Join(other, on, nil); err == nil {
-		t.Error("join across spaces must fail")
-	}
-}
-
-func TestCTableJoinAttributeCollision(t *testing.T) {
-	a := NewCTable("a")
-	a.AddCertain(model.Record{"k": model.Int(1), "v": model.String("left")})
-	b := &CTable{Name: "b", Space: a.Space}
-	b.AddCertain(model.Record{"k": model.Int(1), "v": model.String("right")})
-	j, err := a.Join(b, func(x, y model.Record) model.Truth {
-		return model.TruthOf(model.Equal(x.Get("k"), y.Get("k")))
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := j.Tuples[0].Rec
-	if !model.Equal(rec.Get("v"), model.String("left")) || !model.Equal(rec.Get("right.v"), model.String("right")) {
-		t.Errorf("collision handling = %v", rec)
-	}
-}
-
-func TestConditionalProbability(t *testing.T) {
-	// Two independent probabilistic tuples; condition on one being present.
-	c := NewCTable("t")
-	vx, _ := c.AddProbabilistic(model.Record{"v": model.Int(1)}, 0.3)
-	c.AddProbabilistic(model.Record{"v": model.Int(2)}, 0.5)
-
-	both := func(recs []model.Record) bool { return len(recs) == 2 }
-	// P(both) = 0.15; P(both | x present) = 0.5.
-	p, err := c.QueryProbGiven(both, Eq(vx, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.5) > 1e-12 {
-		t.Errorf("P(both | x) = %g, want 0.5", p)
-	}
-	// Conditioning on a tautology equals the unconditional probability.
-	p, _ = c.QueryProbGiven(both, True())
-	if math.Abs(p-0.15) > 1e-12 {
-		t.Errorf("P(both | ⊤) = %g, want 0.15", p)
-	}
-	// Zero-probability evidence errors.
-	if _, err := c.QueryProbGiven(both, And(Eq(vx, 1), Eq(vx, 0))); err == nil {
-		t.Error("contradictory evidence must error")
-	}
-}
-
-func TestMarginalGiven(t *testing.T) {
-	// The Warfarin null sharpens when evidence rules out one completion.
-	c := NewCTable("trials")
-	v, _ := c.AddWithNull(model.Record{"drug": model.String("Warfarin")}, "dose",
-		[]model.Value{model.Float(3.4), model.Float(5.1), model.Float(6.1)},
-		[]float64{0.25, 0.5, 0.25})
-	// Evidence: the dose is not 3.4 (alternative 0 excluded).
-	p, err := c.Space.MarginalGiven(v, 1, Not(Eq(v, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.5/0.75) > 1e-12 {
-		t.Errorf("P(dose=5.1 | dose≠3.4) = %g, want %g", p, 0.5/0.75)
-	}
-	if _, err := c.Space.MarginalGiven(v, 1, And(Eq(v, 0), Eq(v, 1))); err == nil {
-		t.Error("impossible evidence must error")
+	}); len(got) != 1 || !model.Equal(got[0].Value, model.String("Warfarin")) || got[0].Prob != 1 {
+		t.Errorf("drug answers = %v, want Warfarin in every world", got)
 	}
 }
 
@@ -410,23 +326,23 @@ func TestSampledQueryProbConverges(t *testing.T) {
 func TestPropertyCondProbDeMorgan(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := NewSpace()
-		var vars []Var
+		c := NewCTable("t")
 		for i := 0; i < 3; i++ {
-			v := Var(string(rune('a' + i)))
-			s.AddBool(v, r.Float64())
-			vars = append(vars, v)
+			c.AddProbabilistic(model.Record{"i": model.Int(int64(i))}, r.Float64())
 		}
-		c1 := Eq(vars[0], 1)
-		c2 := Or(Eq(vars[1], 1), Eq(vars[2], 0))
-		// P(¬(c1∧c2)) == P(¬c1 ∨ ¬c2)
-		lhs := s.CondProb(Not(And(c1, c2)))
-		rhs := s.CondProb(Or(Not(c1), Not(c2)))
+		q1 := has("i", model.Int(0))
+		q2 := func(recs []model.Record) bool { return has("i", model.Int(1))(recs) || !has("i", model.Int(2))(recs) }
+		not := func(q func([]model.Record) bool) func([]model.Record) bool {
+			return func(recs []model.Record) bool { return !q(recs) }
+		}
+		// P(¬(q1∧q2)) == P(¬q1 ∨ ¬q2)
+		lhs := c.QueryProb(not(func(recs []model.Record) bool { return q1(recs) && q2(recs) }))
+		rhs := c.QueryProb(func(recs []model.Record) bool { return not(q1)(recs) || not(q2)(recs) })
 		if math.Abs(lhs-rhs) > 1e-9 {
 			return false
 		}
-		// Complement law.
-		return math.Abs(s.CondProb(c1)+s.CondProb(Not(c1))-1) < 1e-9
+		// Complement law: the worlds' probabilities sum to 1.
+		return math.Abs(c.QueryProb(q1)+c.QueryProb(not(q1))-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

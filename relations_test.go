@@ -131,6 +131,7 @@ func TestRelationsUnderConcurrentWrites(t *testing.T) {
 					"SELECT * FROM conflicts() LIMIT %d",
 					"SELECT * FROM resolve('Warfarin', 'effective_dose_mg', 'richness') LIMIT %d",
 					"SELECT * FROM justify('Warfarin', 'effective_dose_mg', 5.0, 0.5) LIMIT %d",
+					"SELECT * FROM worlds('Warfarin', 'effective_dose_mg') LIMIT %d",
 				} {
 					if _, err := db.Query(fmt.Sprintf(q, 100+i)); err != nil {
 						t.Error(err)

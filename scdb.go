@@ -20,9 +20,14 @@
 // Queries use SCQL — a SQL-like language extended with semantic predicates
 // (ISA), graph reachability (REACHES, LINKED), fuzzy closeness (CLOSE),
 // inference activation (WITH SEMANTICS), and parallel-world answer modes
-// (UNDER CERTAIN, UNDER FUZZY(t)). The optimizer exploits the ontology:
-// redundant semantic predicates collapse, unsatisfiable ones prove queries
-// empty, and concept statistics drive selectivity.
+// over the claims (UNDER CERTAIN keeps a claim only where every claim about
+// its attribute agrees; UNDER FUZZY(t)). The engine's own answers are
+// relation-valued functions in FROM, among them worlds(entity, attr), the
+// claims laid out as probability-weighted possible worlds (FS.3, FS.10),
+// where a value claimed in every world has marginal 1. The optimizer
+// exploits the ontology: redundant semantic predicates collapse,
+// unsatisfiable ones prove queries empty, and concept statistics drive
+// selectivity.
 //
 // See the examples directory for runnable walkthroughs, DESIGN.md for the
 // architecture, and EXPERIMENTS.md for the reproduced experiments.
