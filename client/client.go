@@ -14,7 +14,6 @@ package client
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -226,38 +225,4 @@ func (c *Client) ERDigests(entsSince, matchesSince int) (er.DigestBatch, error) 
 		return er.DigestBatch{}, fmt.Errorf("scdb client: er_digests answered with a result of kind 0x%02x", res.Kind)
 	}
 	return *res.Digests, nil
-}
-
-// Stats fetches the engine snapshot plus the server's live metrics.
-func (c *Client) Stats() (server.StatsReply, error) {
-	var st server.StatsReply
-	blob, err := c.blobV2(server.V2OpStats)
-	if err == nil {
-		err = json.Unmarshal(blob, &st)
-	}
-	if err != nil {
-		return server.StatsReply{}, err
-	}
-	return st, nil
-}
-
-// Metrics fetches the server's metrics registry as sorted "name value"
-// text — the same body the debug listener serves at /metrics.
-func (c *Client) Metrics() (string, error) {
-	blob, err := c.blobV2(server.V2OpMetrics)
-	return string(blob), err
-}
-
-// SlowLog fetches the server's slow-op ring, oldest first, along with the
-// configured threshold and the lifetime count of slow operations.
-func (c *Client) SlowLog() (server.SlowLogReply, error) {
-	var sl server.SlowLogReply
-	blob, err := c.blobV2(server.V2OpSlowLog)
-	if err == nil {
-		err = json.Unmarshal(blob, &sl)
-	}
-	if err != nil {
-		return server.SlowLogReply{}, err
-	}
-	return sl, nil
 }

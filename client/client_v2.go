@@ -266,14 +266,3 @@ func (c *Client) writeChunkV2(id uint32, chunk server.V2Chunk) error {
 	}
 	return c.writeFramesV2(frame)
 }
-
-// blobV2 runs one control-plane op (stats, metrics, slowlog) and returns
-// its blob body.
-func (c *Client) blobV2(op byte) ([]byte, error) {
-	ca, e := c.newCallV2()
-	res, err := c.roundTrip(context.Background(), ca, e, server.EncodeV2Simple(e, ca.id, op))
-	if err != nil {
-		return nil, err
-	}
-	return res.Blob, nil
-}

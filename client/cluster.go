@@ -24,7 +24,6 @@ import (
 
 	"scdb"
 	"scdb/internal/er"
-	"scdb/internal/server"
 )
 
 // replicaNode is one follower endpoint and its cached freshness.
@@ -73,7 +72,7 @@ func DialCluster(primary string, replicas ...string) (*Cluster, error) {
 	return cl, nil
 }
 
-// Primary returns the primary connection for direct use (stats, ingest
+// Primary returns the primary connection for direct use (its sys.* relations, ingest
 // streams, anything that must not be routed).
 func (cl *Cluster) Primary() *Client { return cl.primary }
 
@@ -159,9 +158,6 @@ func (cl *Cluster) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scd
 
 // PingCSN reports the primary's current commit stamp.
 func (cl *Cluster) PingCSN() (uint64, error) { return cl.primary.PingCSN() }
-
-// Stats fetches the primary's stats reply.
-func (cl *Cluster) Stats() (server.StatsReply, error) { return cl.primary.Stats() }
 
 // ERDigests pulls the primary's incremental ER evidence (see
 // Client.ERDigests); replicas never resolve, so the primary is the one

@@ -26,8 +26,9 @@
 // canonically ordered rows,
 // ingest streams split by entity key and route to the owning shards, and
 // after each routed ingest the router exchanges ER digests between shards
-// so entities split across shards still resolve. The stats op gains a
-// sharding section (shard count, per-shard CSNs, cross-merge counters).
+// so entities split across shards still resolve. The router describes
+// itself: its sys.metrics adds the routing counters (router.*, shard.*)
+// and sys.shards lists the shards with their CSNs.
 //
 // Replication subscriptions are refused at the router — replicas follow
 // individual shard primaries, not the cluster. The router has no resolver

@@ -13,7 +13,6 @@
 //	-explain QUERY  print the optimized plan and rewrites, then exit
 //	-analyze QUERY  run the query under EXPLAIN ANALYZE: per-operator statistics
 //	-parallelism N  executor worker-pool size (0 = one per CPU)
-//	-stats          print engine statistics after loading
 //
 // With no -q/-explain/-analyze, scdb reads SCQL statements from stdin, one
 // per line; EXPLAIN, EXPLAIN ANALYZE and TRACE work as statement prefixes.
@@ -24,9 +23,18 @@
 // inconsistencies(), conflicts(), resolve(entity, attr, policy),
 // justify(entity, attr, target, tol), discover(entity, steps, seed),
 // crowd(entity, attr, budget, accuracy, seed), suggest_links(entity,
-// predicate, k), richness() and worlds(entity, attr). A line starting
-// with \ is a shell command. In both modes:
+// predicate, k), richness() and worlds(entity, attr). The database
+// describes itself in the system relations FROM sys.metrics, sys.tables,
+// sys.columns, sys.indexes, sys.slowlog, sys.replicas and, on a router,
+// sys.shards; each describes the node that answers it. A line starting
+// with \ is a shell command, one fixed statement on every surface:
 //
+//	\stats       every instrument of the node (SELECT … FROM sys.metrics)
+//	\tables      the tables and their row counts (SELECT … FROM sys.tables)
+//	\schema T    T's observed schema (SELECT … FROM sys.columns)
+//	\indexes     the self-curated indexes (SELECT … FROM sys.indexes)
+//	\replicas    the followers of a primary (SELECT … FROM sys.replicas)
+//	\slow        the slow-op log (SELECT … FROM sys.slowlog)
 //	\witnesses   the inferred existentials (SELECT … FROM witnesses())
 //	\conflicts   the disagreeing claims (SELECT … FROM conflicts())
 //	\sources     each source's measured richness (SELECT … FROM richness())
@@ -35,10 +43,8 @@
 //	\trace Q     the statement's span tree (TRACE Q)
 //	\quit        leave the shell (also \q)
 //
-// Embedded, the shell also has \stats, \indexes, \tables and \schema T.
-// Against a server (-connect) it has \stats (engine and server counters),
-// \replicas, \metrics (the metrics registry) and \slow (the slow-op log).
-// Through a router the first three are refused as not routable.
+// A relation a node does not hold is an unknown source: a router has no
+// sys.tables, and only a server has sys.slowlog and sys.replicas.
 package main
 
 import (
@@ -47,9 +53,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
-	"time"
 
 	"scdb"
 	"scdb/client"
@@ -76,7 +80,6 @@ var (
 	explain     = flag.String("explain", "", "explain one query and exit")
 	analyze     = flag.String("analyze", "", "execute one query, print per-operator stats, and exit")
 	parallelism = flag.Int("parallelism", 0, "executor worker-pool size (0 = one per CPU)")
-	stats       = flag.Bool("stats", false, "print engine statistics after loading")
 )
 
 func main() {
@@ -88,7 +91,6 @@ func main() {
 // returns the exit status once the engine is closed.
 func run() int {
 	var db engine
-	var cmds []command
 	title := "scdb shell"
 	if *connect != "" {
 		c, err := client.Dial(*connect)
@@ -99,17 +101,14 @@ func run() int {
 		if err := c.Ping(); err != nil {
 			fatalf("ping %s: %v", *connect, err)
 		}
-		db, cmds, title = c, remoteCommands(c), fmt.Sprintf("scdb shell (remote %s)", *connect)
+		db, title = c, fmt.Sprintf("scdb shell (remote %s)", *connect)
 	} else {
 		edb, err := scdb.OpenSample(*load, scdb.Options{Dir: *dir, Parallelism: *parallelism})
 		if err != nil {
 			fatalf("open: %v", err)
 		}
 		defer edb.Close()
-		if *stats {
-			printStats(edb)
-		}
-		db, cmds = edb, embeddedCommands(edb)
+		db = edb
 	}
 
 	ok := true
@@ -121,7 +120,7 @@ func run() int {
 	default:
 		var ran bool
 		if ran, ok = oneShot(db, *query, flag.Args()); !ran {
-			shell(os.Stdin, db, title, cmds, isTTY())
+			shell(os.Stdin, db, title, isTTY())
 		}
 	}
 	if !ok {
@@ -131,10 +130,10 @@ func run() int {
 }
 
 // shell reads statements and commands from in, one per line, until \quit
-// or the end of input. cmds are the mode's own commands; the loop adds the
-// shared ones. With prompt set it prints the banner and a prompt per line.
-func shell(in io.Reader, db engine, title string, cmds []command, prompt bool) {
-	cmds = append(cmds, sharedCommands(db)...)
+// or the end of input. With prompt set it prints the banner and a prompt
+// per line.
+func shell(in io.Reader, db engine, title string, prompt bool) {
+	cmds := commands(db)
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if prompt {
@@ -185,166 +184,27 @@ func banner(title string, cmds []command) string {
 	return b.String()
 }
 
-// sharedCommands are the same statements on every surface: each runs
-// through the engine as SCQL.
-func sharedCommands(db engine) []command {
+// commands is the shell's one command table: each runs one statement
+// through the engine, so it means the same embedded, over the wire and
+// through a router.
+func commands(db engine) []command {
 	fixed := func(q string) func(string) { return func(string) { runQuery(db, q) } }
 	return []command{
+		{`\stats`, "", fixed("SELECT name, value FROM sys.metrics ORDER BY name")},
+		{`\tables`, "", fixed("SELECT name, rows FROM sys.tables ORDER BY name")},
+		{`\schema`, "T", func(table string) {
+			runQuery(db, `SELECT name, filled, kinds FROM sys.columns WHERE "table" = '`+
+				strings.ReplaceAll(table, "'", "''")+`' ORDER BY name`)
+		}},
+		{`\indexes`, "", fixed(`SELECT "table", attr, kind, entries, hits, auto FROM sys.indexes`)},
+		{`\replicas`, "", fixed("SELECT remote, sent_csn, ack_csn, lag_csn, lag_bytes FROM sys.replicas ORDER BY remote")},
+		{`\slow`, "", fixed("SELECT start, dur_us, op, detail, err FROM sys.slowlog")},
 		{`\witnesses`, "", fixed("SELECT entity, role, filler, because FROM witnesses()")},
 		{`\conflicts`, "", fixed("SELECT entity, attr, value, sources, reconcilable FROM conflicts()")},
 		{`\sources`, "", fixed("SELECT source, score FROM richness() ORDER BY source")},
 		{`\explain`, "Q", func(q string) { printExplain(db, q) }},
 		{`\analyze`, "Q", func(q string) { runAnalyze(db, q) }},
 		{`\trace`, "Q", func(q string) { runTrace(db, q) }},
-	}
-}
-
-// embeddedCommands introspect the storage and plan state of an embedded
-// database.
-func embeddedCommands(db *scdb.DB) []command {
-	return []command{
-		{`\stats`, "", func(string) { printStats(db) }},
-		{`\indexes`, "", func(string) { printIndexes(db) }},
-		{`\tables`, "", func(string) {
-			for _, name := range db.Tables() {
-				fmt.Println(name)
-			}
-		}},
-		{`\schema`, "T", func(table string) {
-			for _, a := range db.Schema(table) {
-				kinds := make([]string, 0, len(a.Kinds))
-				for _, k := range sortedKeys(a.Kinds) {
-					kinds = append(kinds, fmt.Sprintf("%s×%d", k, a.Kinds[k]))
-				}
-				fmt.Printf("%-16s filled %-5d %s\n", a.Name, a.Filled, strings.Join(kinds, " "))
-			}
-		}},
-	}
-}
-
-// remoteCommands read a server's counters.
-func remoteCommands(c *client.Client) []command {
-	return []command{
-		{`\stats`, "", func(string) { printServerStats(c) }},
-		{`\replicas`, "", func(string) { printReplicas(c) }},
-		{`\metrics`, "", func(string) {
-			dump, err := c.Metrics()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				return
-			}
-			fmt.Print(dump)
-		}},
-		{`\slow`, "", func(string) { printSlowLog(c) }},
-	}
-}
-
-func printIndexes(db *scdb.DB) {
-	idx := db.IndexStats()
-	if len(idx) == 0 {
-		fmt.Println("(no indexes — they are created automatically from observed access patterns)")
-		return
-	}
-	fmt.Printf("%-20s %-16s %-7s %8s %6s %s\n", "table", "attribute", "kind", "entries", "hits", "origin")
-	for _, s := range idx {
-		origin := "pinned"
-		if s.Auto {
-			origin = "auto"
-		}
-		fmt.Printf("%-20s %-16s %-7s %8d %6d %s\n", s.Table, s.Attr, s.Kind, s.Entries, s.Hits, origin)
-	}
-	pc := db.PlanCacheStats()
-	fmt.Printf("plan cache: %d plans, %d hits, %d misses\n", pc.Size, pc.Hits, pc.Misses)
-}
-
-func printServerStats(c *client.Client) {
-	st, err := c.Stats()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return
-	}
-	printEngine(st.Engine)
-	s := st.Server
-	fmt.Printf("server: conns=%d in-flight=%d (peak %d) queued=%d rejected=%d canceled=%d\n",
-		s.Conns, s.InFlight, s.InFlightPeak, s.Queued, s.Rejected, s.Canceled)
-	if s.SlowOps > 0 {
-		fmt.Printf("slow ops: %d (see \\slow)\n", s.SlowOps)
-	}
-	for _, op := range sortedKeys(s.Ops) {
-		m := s.Ops[op]
-		fmt.Printf("  %-8s n=%-6d err=%-4d mean=%.0fµs p50≤%dµs p95≤%dµs p99≤%dµs max=%dµs\n",
-			op, m.Count, m.Errors, m.MeanUS, m.P50US, m.P95US, m.P99US, m.MaxUS)
-	}
-	if ing := s.Ingest; ing.Batches > 0 {
-		fmt.Printf("ingest: batches=%d rows=%d batch-size mean=%.0f p50≤%d p95≤%d max=%d rows/s mean=%.0f p50≤%d p95≤%d max=%d\n",
-			ing.Batches, ing.Rows, ing.MeanBatch, ing.P50Batch, ing.P95Batch, ing.MaxBatch,
-			ing.MeanRowsPS, ing.P50RowsPS, ing.P95RowsPS, ing.MaxRowsPS)
-	}
-	pc := st.PlanCache
-	fmt.Printf("plan cache: %d plans, %d hits, %d misses\n", pc.Size, pc.Hits, pc.Misses)
-	if r := st.Repl; r != nil {
-		if r.Role == "replica" {
-			fmt.Printf("repl: replica applied-csn=%d lag-csn=%d lag-seconds=%.1f\n",
-				r.AppliedCSN, r.LagCSN, r.LagSeconds)
-		} else {
-			fmt.Printf("repl: primary durable-csn=%d allocated-csn=%d followers=%d lag-csn=%d\n",
-				r.DurableCSN, r.AllocatedCSN, len(r.Followers), r.LagCSN)
-		}
-	}
-	if sh := st.Sharding; sh != nil {
-		fmt.Printf("sharding: shards=%d scatter-queries=%d partial-rows=%d routed-rows=%d exchange-rounds=%d digests=%d cross-comparisons=%d cross-merges=%d\n",
-			sh.Shards, sh.ScatterQueries, sh.PartialRows, sh.RoutedRows,
-			sh.ExchangeRounds, sh.Digests, sh.CrossComparisons, sh.CrossMerges)
-		for i, n := range sh.Nodes {
-			fmt.Printf("  shard %-2d %-24s csn=%-8d entities=%d\n", i, n.Addr, n.LastCSN, n.Entities)
-		}
-	}
-}
-
-// printReplicas renders the replication topology as the queried node sees
-// it: a primary lists its subscribed followers with per-follower lag; a
-// replica reports its own applied watermark.
-func printReplicas(c *client.Client) {
-	st, err := c.Stats()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return
-	}
-	r := st.Repl
-	if r == nil {
-		fmt.Println("replication: not active (standalone primary, no followers subscribed)")
-		return
-	}
-	if r.Role == "replica" {
-		fmt.Printf("role=replica applied-csn=%d primary-csn=%d lag-csn=%d lag-seconds=%.1f\n",
-			r.AppliedCSN, r.AllocatedCSN, r.LagCSN, r.LagSeconds)
-		return
-	}
-	fmt.Printf("role=primary durable-csn=%d allocated-csn=%d followers=%d\n",
-		r.DurableCSN, r.AllocatedCSN, len(r.Followers))
-	for _, f := range r.Followers {
-		fmt.Printf("  %-21s sent-csn=%-8d ack-csn=%-8d lag-csn=%-6d lag-bytes=%d\n",
-			f.Remote, f.SentCSN, f.AckCSN, f.LagCSN, f.LagBytes)
-	}
-}
-
-func printSlowLog(c *client.Client) {
-	reply, err := c.SlowLog()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		return
-	}
-	fmt.Printf("threshold=%dµs total=%d retained=%d\n",
-		reply.ThresholdUS, reply.Total, len(reply.Entries))
-	for _, e := range reply.Entries {
-		line := fmt.Sprintf("%s %dµs %s", e.Start, e.DurUS, e.Op)
-		if e.Detail != "" {
-			line += " " + e.Detail
-		}
-		if e.Err != "" {
-			line += " err=" + e.Err
-		}
-		fmt.Println(line)
 	}
 }
 
@@ -361,16 +221,6 @@ func runTrace(db engine, q string) {
 			fmt.Println(v)
 		}
 	}
-}
-
-// sortedKeys keeps map-backed shell output deterministic.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // printExplain prints q's EXPLAIN answer: the plan, the rewrites and the
@@ -481,27 +331,6 @@ func runAnalyze(db engine, q string) bool {
 	}
 	fmt.Printf("(%s rows)\n", n)
 	return true
-}
-
-// printEngine prints an engine's counters, embedded or a server's.
-func printEngine(st scdb.Stats) {
-	fmt.Printf("tables=%d entities=%d edges=%d concepts=%d inferred=%d witnesses=%d inconsistencies=%d merges=%d cache-hit=%.0f%%\n",
-		st.Tables, st.Entities, st.Edges, st.Concepts, st.InferredTypes,
-		st.Witnesses, st.Inconsistencies, st.Merges, 100*st.CacheHitRate)
-	if er := st.ER; er.Comparisons != 0 || er.Candidates != 0 || er.Blocks != 0 {
-		fmt.Printf("curation: comparisons=%d candidates=%d ann-probes=%d blocks=%d oversized-skips=%d\n",
-			er.Comparisons, er.Candidates, er.ANNProbes, er.Blocks, er.BlockSkips)
-	}
-}
-
-func printStats(db *scdb.DB) {
-	printEngine(db.Stats())
-	if w := db.WALStats(); w.Segments > 0 {
-		fmt.Printf("wal: segments=%d active=%d bytes=%d checkpoints=%d ckpt-csn=%d reclaimed=%d durable-csn=%d allocated-csn=%d recovery=%s\n",
-			w.Segments, w.SegmentIndex, w.Bytes, w.Checkpoints, w.CheckpointCSN,
-			w.CheckpointReclaimed, w.DurableCSN, w.AllocatedCSN,
-			w.RecoveryTime.Round(time.Microsecond))
-	}
 }
 
 func isTTY() bool {

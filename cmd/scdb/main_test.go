@@ -112,12 +112,20 @@ func TestOneShotReportsFailure(t *testing.T) {
 	}
 }
 
+// TestPrintStats: \stats prints the node's sys.metrics, the engine's
+// numbers among them, a row per instrument.
 func TestPrintStats(t *testing.T) {
 	db := testDB(t)
-	out := captureStdout(t, func() { printStats(db) })
-	for _, want := range []string{"tables=", "entities=2", "concepts="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stats missing %q: %s", want, out)
+	out := captureStdout(t, func() { runCommand(commands(db), `\stats`) })
+	rows := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			rows[f[0]] = f[1]
+		}
+	}
+	for name, want := range map[string]string{"engine.tables": "", "engine.entities": "2", "engine.concepts": ""} {
+		if got, ok := rows[name]; !ok || want != "" && got != want {
+			t.Errorf("stats row %s = %q, want %q:\n%s", name, got, want, out)
 		}
 	}
 }
@@ -132,6 +140,8 @@ func TestShellLoop(t *testing.T) {
 		`\analyze SELECT name FROM things`,
 		`\trace SELECT name FROM things`,
 		`\sources`,
+		`\tables`,
+		`\schema things`,
 		`\nope`,
 		`\stats extra`,
 		`\quit`,
@@ -139,20 +149,21 @@ func TestShellLoop(t *testing.T) {
 	}, "\n"))
 	var stdout string
 	stderr := capture(t, &os.Stderr, func() {
-		stdout = captureStdout(t, func() { shell(in, db, "scdb shell", embeddedCommands(db), false) })
+		stdout = captureStdout(t, func() { shell(in, db, "scdb shell", false) })
 	})
-	for _, want := range []string{"Scan things", "estimated cost:", "out=2", "(2 rows)", `"span": "request"`, "source  score", "things"} {
+	for _, want := range []string{"Scan things", "estimated cost:", "out=2", "(2 rows)", `"span": "request"`, "source  score", "things",
+		"_catalog_tables", "[int×2]"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout)
 		}
 	}
-	if strings.Contains(stdout, "tables=") {
+	if strings.Contains(stdout, "engine.tables") {
 		t.Errorf("a command after \\quit ran:\n%s", stdout)
 	}
 	if stderr != "unknown command \\nope\nunknown command \\stats extra\n" {
 		t.Errorf("stderr = %q, want the two unknown commands", stderr)
 	}
-	cmds := append(embeddedCommands(db), sharedCommands(db)...)
+	cmds := commands(db)
 	b := banner("scdb shell", cmds)
 	for _, c := range cmds {
 		if !strings.Contains(b, c.name) {

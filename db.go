@@ -9,6 +9,7 @@ import (
 	"scdb/internal/datagen"
 	"scdb/internal/er"
 	"scdb/internal/model"
+	"scdb/internal/obs"
 	"scdb/internal/storage"
 	"scdb/internal/txn"
 )
@@ -408,56 +409,15 @@ func (tx *Tx) Abort() { tx.inner.Abort() }
 
 // ERStats reports entity-resolution work counters — the cost side of
 // curation that Merges alone hides.
-type ERStats struct {
-	// Comparisons counts candidate pairs scored since open.
-	Comparisons int
-	// Candidates counts the scorable candidate pairs gathered by
-	// blocking/ANN before cluster filtering; same-source pairs are never
-	// gathered, so a single-source load counts zero.
-	Candidates int
-	// ANNProbes counts embedding-index bucket members examined during
-	// top-K rerank (zero under "token" blocking).
-	ANNProbes int
-	// Blocks is the number of distinct token blocking keys indexed.
-	Blocks int
-	// BlockSkips counts candidate slots dropped by the per-key block cap
-	// (oversized, stop-word-like blocks).
-	BlockSkips int
-}
+type ERStats = er.Stats
 
 // Stats summarizes the engine.
-type Stats struct {
-	Tables          int
-	Entities        int
-	Edges           int
-	Concepts        int
-	InferredTypes   int
-	Witnesses       int
-	Inconsistencies int
-	Merges          int
-	CacheHitRate    float64
-	ER              ERStats
-}
+type Stats = core.Stats
 
 // Stats returns a snapshot of the engine's state.
-func (db *DB) Stats() Stats {
-	s := db.inner.Stats()
-	return Stats{
-		Tables:          s.Tables,
-		Entities:        s.Entities,
-		Edges:           s.Edges,
-		Concepts:        s.Concepts,
-		InferredTypes:   s.InferredTypes,
-		Witnesses:       s.Witnesses,
-		Inconsistencies: s.Inconsistencies,
-		Merges:          s.Merges,
-		CacheHitRate:    s.CacheHitRate,
-		ER: ERStats{
-			Comparisons: s.ER.Comparisons,
-			Candidates:  s.ER.Candidates,
-			ANNProbes:   s.ER.ANNProbes,
-			Blocks:      s.ER.Blocks,
-			BlockSkips:  s.ER.BlockSkips,
-		},
-	}
-}
+func (db *DB) Stats() Stats { return db.inner.Stats() }
+
+// Registry is the node's self-description: its instruments and system
+// relations, which FROM sys.<name> reads and a server fronting the database
+// adds its own to.
+func (db *DB) Registry() *obs.Registry { return db.inner.Registry() }

@@ -230,28 +230,3 @@ func TestOperationsCoversServingFlags(t *testing.T) {
 		}
 	}
 }
-
-// routerGauge matches the metric names registered for a router backend.
-var routerGauge = regexp.MustCompile(`Gauge\("((?:router|shard)\.[a-z_.]+)"`)
-
-// TestOperationsCoversRouterMetrics requires every router-registered
-// gauge to have a row in the OPERATIONS.md metrics reference.
-func TestOperationsCoversRouterMetrics(t *testing.T) {
-	ops, err := os.ReadFile("OPERATIONS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := os.ReadFile(filepath.FromSlash("internal/server/server.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := routerGauge.FindAllStringSubmatch(string(src), -1)
-	if len(names) == 0 {
-		t.Fatal("no router gauges found in internal/server/server.go; regexp stale?")
-	}
-	for _, m := range names {
-		if !strings.Contains(string(ops), "`"+m[1]+"`") {
-			t.Errorf("metric %s is not documented in OPERATIONS.md", m[1])
-		}
-	}
-}

@@ -28,9 +28,12 @@ func main() {
 
 	// 1. No DDL ever ran, yet every table has a schema — observed, with
 	// heterogeneity recorded rather than rejected.
+	// The schema is data: the system relation sys.columns.
 	fmt.Println("Observed schema of 'drugbank' (no CREATE TABLE anywhere):")
-	for _, a := range db.Schema("drugbank") {
-		fmt.Printf("  %-16s filled %3d  kinds %v\n", a.Name, a.Filled, a.Kinds)
+	schema, err := db.Query(`SELECT name, filled, kinds FROM sys.columns WHERE "table" = 'drugbank' ORDER BY name`)
+	must(err)
+	for _, a := range schema.Data {
+		fmt.Printf("  %-16s filled %3d  kinds %v\n", a...)
 	}
 
 	// 2. Random-walk discovery: what is connected to Methotrexate?

@@ -10,9 +10,10 @@ import (
 )
 
 // This file carries the remaining public surface: query-by-example
-// completion (FS.7), predicted-link enrichment (FS.4), schema
-// introspection (meta-data as data), and durability maintenance. The
-// paper's answers themselves are SCQL relations (witnesses(), conflicts(),
+// completion (FS.7), predicted-link enrichment (FS.4), and durability
+// maintenance. Meta-data is data: the observed schema, the tables and the
+// indexes are the system relations sys.columns, sys.tables and sys.indexes,
+// and the paper's answers are SCQL relations (witnesses(), conflicts(),
 // resolve(…), justify(…), discover(…), crowd(…), suggest_links(…),
 // richness(); see DESIGN.md).
 
@@ -62,33 +63,6 @@ func (db *DB) Complete(table string, example Record, want []string, k int) (Comp
 func (db *DB) EnrichPredictedLinks(predicate string, perEntity int, minConf float64) (int, error) {
 	return db.inner.EnrichPredictedLinks(predicate, perEntity, model.Fuzzy(minConf))
 }
-
-// AttrInfo describes one attribute of a table's observed union schema.
-type AttrInfo struct {
-	Name string
-	// Kinds counts the value kinds observed per attribute (heterogeneity
-	// is recorded, not rejected).
-	Kinds map[string]int
-	// Filled counts records with a non-null value.
-	Filled int
-}
-
-// Schema returns the observed union schema of a table — the catalog's
-// no-DDL view of what arrived.
-func (db *DB) Schema(table string) []AttrInfo {
-	var out []AttrInfo
-	for _, a := range db.inner.Catalog().Schema(table) {
-		info := AttrInfo{Name: a.Name, Filled: a.Filled, Kinds: map[string]int{}}
-		for k, n := range a.Kinds {
-			info.Kinds[k] = n
-		}
-		out = append(out, info)
-	}
-	return out
-}
-
-// Tables returns every table in the store, system tables included.
-func (db *DB) Tables() []string { return db.inner.Store().Tables() }
 
 // IndexStat describes one secondary index: where it lives, its kind
 // ("hash" or "sorted"), how many postings it holds, and how many scans it

@@ -237,36 +237,37 @@ func TestPredictInPublicSCQL(t *testing.T) {
 	}
 }
 
+// TestSchemaAndTables reads the observed schema and the table list as the
+// system relations sys.columns and sys.tables.
 func TestSchemaAndTables(t *testing.T) {
 	db := openSample(t)
-	schema := db.Schema("drugbank")
+	schema := rowsOf(t, db, `SELECT name, filled, kinds FROM sys.columns WHERE "table" = 'drugbank'`)
 	if len(schema) == 0 {
 		t.Fatal("no schema observed")
 	}
 	found := false
 	for _, a := range schema {
-		if a.Name == "name" {
+		if a[0] == "name" {
 			found = true
-			if a.Filled != 5 {
-				t.Errorf("name filled = %d", a.Filled)
+			if a[1] != int64(5) {
+				t.Errorf("name filled = %v", a[1])
 			}
-			if a.Kinds["string"] != 5 {
-				t.Errorf("name kinds = %v", a.Kinds)
+			if fmt.Sprint(a[2]) != "[string×5]" {
+				t.Errorf("name kinds = %v", a[2])
 			}
 		}
 	}
 	if !found {
 		t.Error("name attribute missing from schema")
 	}
-	tables := db.Tables()
-	has := map[string]bool{}
-	for _, t := range tables {
-		has[t] = true
+	has := map[any]bool{}
+	for _, r := range rowsOf(t, db, "SELECT name FROM sys.tables") {
+		has[r[0]] = true
 	}
 	if !has["drugbank"] || !has["_catalog_tables"] {
-		t.Errorf("tables = %v", tables)
+		t.Errorf("tables = %v", has)
 	}
-	if got := db.Schema("never-seen"); len(got) != 0 {
+	if got := rowsOf(t, db, `SELECT name FROM sys.columns WHERE "table" = 'never-seen'`); len(got) != 0 {
 		t.Errorf("schema of unknown table = %v", got)
 	}
 }

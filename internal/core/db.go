@@ -95,6 +95,8 @@ type DB struct {
 	matCache *curate.MatCache
 	plans    *planCache
 	opts     Options
+	// reg is the node's self-description (system.go).
+	reg *obs.Registry
 
 	// csrMu guards the cached traversal snapshot (OS.2): rebuilt lazily
 	// whenever the graph version moves.
@@ -195,8 +197,10 @@ func Open(opts Options) (*DB, error) {
 		matCache: curate.NewMatCache(0, curate.PolicyRanked), // curate's default capacity
 		plans:    newPlanCache(planCacheSize),
 		opts:     opts,
+		reg:      obs.NewRegistry(),
 	}
 	db.txns = txn.NewManager(store, db.enrichmentVersion)
+	db.register()
 	return db, nil
 }
 

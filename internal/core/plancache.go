@@ -33,6 +33,7 @@ type planEntry struct {
 	rules    []string // likewise
 	cost     float64
 	morsels  int
+	system   bool // the statement reads system relations
 	lastUsed uint64
 }
 

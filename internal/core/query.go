@@ -112,18 +112,26 @@ func (db *DB) queryCtx(ctx context.Context, src string, emit func([]string, [][]
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	res, info, cur, err := db.read(ctx, src, emit)
-	if cur != nil {
+	res, info, back, err := db.read(ctx, src, emit, nil)
+	switch {
+	case back == nil:
+		return res, info, err
+	case back.Curate != nil:
 		// A curation statement writes, so it runs under the write lock,
 		// once read has let go of the read lock.
-		return db.curate(cur, emit)
+		return db.curate(back.Curate, emit)
 	}
+	// The statement reads system relations, whose gauges take the read
+	// lock themselves: their rows are built before read takes it again.
+	res, info, _, err = db.read(ctx, src, emit, SystemRelations(db.reg, back))
 	return res, info, err
 }
 
-// read answers a statement under the db.mu read lock. A curation
-// statement is neither cached nor executed here: read hands it back.
-func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]model.Value) bool) (*query.Result, *QueryInfo, *query.CurateStmt, error) {
+// read answers a statement under the db.mu read lock, over sys, the rows of
+// the system relations it reads. A curation statement, and one that reads
+// system relations when sys is nil, is neither cached nor executed here:
+// read hands it back.
+func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]model.Value) bool, sys query.Relations) (*query.Result, *QueryInfo, *query.SelectStmt, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	info := &QueryInfo{}
@@ -138,9 +146,12 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	// key is the statement's canonical text, the materialization-cache key;
 	// a plan-cache hit carries it, so only a miss renders the statement.
 	var key string
+	// system marks a statement over system relations: its rows are built
+	// per statement, so the materialization cache never holds them.
+	var system bool
 	pk := planKey{src: src, schema: db.store.SchemaVersion(), onto: db.onto.Version()}
 	if ent, ok := db.plans.get(pk); ok {
-		stmt, plan, key = ent.stmt, ent.plan, ent.key
+		stmt, plan, key, system = ent.stmt, ent.plan, ent.key, ent.system
 		info.Plan = ent.planText
 		info.Rules = ent.rules
 		info.EstimatedCost = ent.cost
@@ -154,9 +165,12 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 			return nil, nil, nil, err
 		}
 		if stmt.Curate != nil {
-			return nil, nil, stmt.Curate, nil
+			return nil, nil, stmt, nil
 		}
-		key = stmt.String()
+		key, system = stmt.String(), readsSystem(stmt)
+	}
+	if system && sys == nil && (stmt.Analyze || !stmt.Explain) {
+		return nil, nil, stmt, nil
 	}
 	info.Mode = stmt.Mode
 
@@ -176,7 +190,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	// Traced statements always execute: a materialization-cache hit would
 	// short-circuit the very work the trace is meant to expose. (They may
 	// still hit the plan cache — the trace reports that as plan_cached.)
-	if !stmt.Explain && !stmt.Trace && !db.opts.DisableMatCache {
+	if !stmt.Explain && !stmt.Trace && !system && !db.opts.DisableMatCache {
 		if v, ok := db.matCache.Get(key); ok {
 			info.CacheHit = true
 			res := v.(*query.Result)
@@ -188,7 +202,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 			return res, info, nil, nil
 		}
 	}
-	env := &queryEnv{db: db, ctx: ctx, mode: stmt.Mode, fuzzyT: stmt.FuzzyThreshold}
+	env := &queryEnv{db: db, ctx: ctx, mode: stmt.Mode, fuzzyT: stmt.FuzzyThreshold, sys: sys}
 	if plan == nil {
 		if err := checkCalls(stmt); err != nil {
 			return nil, nil, nil, err
@@ -212,7 +226,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 			// entry carries plan text and rules.
 			db.plans.put(pk, &planEntry{
 				stmt: stmt, key: key, plan: plan, planText: info.Plan, rules: info.Rules,
-				cost: info.EstimatedCost, morsels: info.EstimatedMorsels,
+				cost: info.EstimatedCost, morsels: info.EstimatedMorsels, system: system,
 			})
 		}
 	}
@@ -221,7 +235,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	planSpan.SetInt("est_morsels", int64(info.EstimatedMorsels))
 	// streamText hands a materialized text result (plans, traces) to the
 	// sink in chunks, so streaming callers see one uniform shape.
-	streamText := func(res *query.Result) (*query.Result, *QueryInfo, *query.CurateStmt, error) {
+	streamText := func(res *query.Result) (*query.Result, *QueryInfo, *query.SelectStmt, error) {
 		if emit != nil {
 			if err := emitResultChunks(res, db.opts.MorselSize, emit); err != nil {
 				return nil, info, nil, err
@@ -269,7 +283,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	if stream {
 		res.Rows = streamed
 	}
-	if !db.opts.DisableMatCache {
+	if !system && !db.opts.DisableMatCache {
 		db.matCache.Put(key, res, info.EstimatedCost)
 	}
 	return res, info, nil, nil
@@ -362,6 +376,8 @@ type queryEnv struct {
 	ctx    context.Context
 	mode   query.AnswerMode
 	fuzzyT float64
+	// sys holds the rows of the system relations the statement reads.
+	sys query.Relations
 
 	namesMu sync.Mutex
 	names   map[string]model.EntityID
@@ -387,7 +403,7 @@ func (e *queryEnv) lookupName(text string) model.EntityID {
 }
 
 func (e *queryEnv) HasTable(name string) bool {
-	if relations[name].bare {
+	if relations[name].bare || obs.IsSystem(name) && e.db.reg.HasRelation(name) {
 		return true
 	}
 	_, ok := e.db.store.Table(name)
@@ -401,9 +417,15 @@ func (e *queryEnv) HasConcept(name string) bool { return e.db.onto.HasConcept(na
 // conjuncts the storage layer answers with a candidate superset via
 // secondary-index lookup and zone-map pruning (self-creating indexes from
 // the access traffic this very call records, once, as it opens the scan).
-// A bare relation (claims) has no storage access paths — it is built and
-// chunked; the executor's re-filter applies the zone conjuncts.
+// A bare relation (claims) or a system relation has no storage access
+// paths — it is built and chunked; the executor's re-filter applies the
+// zone conjuncts.
 func (e *queryEnv) ScanTable(name string, zone []query.ZoneConjunct, size int) (query.ScanCursor, bool) {
+	if e.sys != nil {
+		if cur, ok := e.sys.ScanTable(name, nil, size); ok {
+			return cur, true
+		}
+	}
 	if r := relations[name]; r.bare {
 		cur, err := r.scan(e, nil, size)
 		return cur, err == nil

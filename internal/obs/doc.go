@@ -3,9 +3,10 @@
 // single surface every layer reports through — the server's request
 // lifecycle, the planner, the morsel executor's operator profile, the
 // curation pipeline's ingest stages, and the WAL's durability counters all
-// land here, and the service layer exports it over the wire (TRACE
-// statements, the "metrics" and "slowlog" ops) and over the optional debug
-// HTTP listener (/metrics, /slowlog, pprof, expvar).
+// land here. A node describes itself through it: SCQL reads its registry
+// as the sys.* system relations, TRACE statements answer with span trees,
+// and the optional debug HTTP listener serves /metrics, /slowlog, pprof
+// and expvar.
 //
 // # Tracing
 //
@@ -28,10 +29,12 @@
 // # Metrics
 //
 // A Registry is a flat, name-keyed set of counters (monotonic),
-// gauges (sampled at dump time via callback), and log2 histograms.
-// Everything dumps in one pass as "name value" lines in sorted order, so
-// two dumps of the same state are byte-identical — the format scraped off
-// the "metrics" wire op and the debug listener's /metrics endpoint.
+// gauges (sampled at read time via callback), and log2 histograms, and of
+// row tables a caller registers (Table). Relation answers a system
+// relation: sys.metrics lists every instrument as a (name, value) row in
+// name order, and any other name is a registered table. Dump renders the
+// instruments as "name value" lines in the same order, so two dumps of the
+// same state are byte-identical — the debug listener's /metrics body.
 // Histogram is a fixed-size power-of-two-bucket histogram (the same shape
 // the service layer always used for latencies); it is internally
 // synchronized and safe for concurrent observers.
@@ -41,5 +44,5 @@
 // SlowLog is a bounded ring of the most recent operations that crossed a
 // duration threshold. Recording is lock-cheap and eviction is implicit
 // (the ring overwrites oldest-first), so it can stay enabled in
-// production; the service layer exposes it via the "slowlog" op.
+// production; the service layer exposes it as sys.slowlog.
 package obs

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestSpanLifecycleAndNesting(t *testing.T) {
@@ -180,6 +181,23 @@ func TestDumpGaugeOutsideLock(t *testing.T) {
 	}
 }
 
+// TestGaugesReadOnce: a gauge group is one snapshot per registry read,
+// however many names it answers, so its rows agree with each other.
+func TestGaugesReadOnce(t *testing.T) {
+	r := NewRegistry()
+	reads := 0
+	r.Gauges([]string{"g.a", "g.b", "g.c"}, func(vals []float64) {
+		reads++
+		vals[0], vals[1], vals[2] = float64(reads), float64(10*reads), float64(100*reads)
+	})
+	if got, want := r.Dump(), "g.a 1\ng.b 10\ng.c 100\n"; got != want {
+		t.Fatalf("dump = %q, want %q", got, want)
+	}
+	if _, rows, _ := r.Relation("sys.metrics"); len(rows) != 3 || reads != 2 {
+		t.Fatalf("sys.metrics: %d rows after %d reads of the group, want 3 rows and 2 reads", len(rows), reads)
+	}
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 100; i++ {
@@ -251,6 +269,20 @@ func TestSlowLogErrAndTruncation(t *testing.T) {
 	}
 	if len(entries[0].Detail) != maxDetail+3 {
 		t.Fatalf("detail not truncated: %d bytes", len(entries[0].Detail))
+	}
+	// A multibyte rune straddling the cut stays whole: the cut moves back
+	// to its first byte.
+	l.Observe("query", "SELECT 'x"+strings.Repeat("é", 300), time.Now(), time.Second, nil)
+	entries, _ = l.Snapshot()
+	if d := entries[1].Detail; !utf8.ValidString(d) || len(d) != maxDetail-1+3 || !strings.HasSuffix(d, "é...") {
+		t.Fatalf("multibyte detail cut badly: %d bytes, valid %v, tail %q", len(d), utf8.ValidString(d), d[len(d)-8:])
+	}
+	// Bytes that are not UTF-8 (continuation bytes only) stop the walk a
+	// rune's width back instead of running off the front.
+	l.Observe("query", strings.Repeat("\x80", 600), time.Now(), time.Second, nil)
+	entries, _ = l.Snapshot()
+	if d := entries[1].Detail; len(d) != maxDetail-utf8.UTFMax+3 {
+		t.Fatalf("invalid detail cut at %d bytes", len(d))
 	}
 }
 

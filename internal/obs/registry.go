@@ -3,11 +3,12 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"scdb/internal/model"
 )
 
 // HistBuckets is the bucket count of the fixed log2 histogram: bucket i
@@ -125,7 +126,8 @@ func (s HistSnapshot) Quantile(q float64) uint64 {
 	return s.Max
 }
 
-// Registry is a flat, name-keyed set of instruments. Names follow the
+// Registry is a node's description of itself: a flat, name-keyed set of
+// instruments and the system relations built on them. Names follow the
 // snake_case dotted convention documented in OPERATIONS.md
 // (e.g. "server.requests_total", "wal.fsync_wait_us"). Instruments are
 // get-or-create: the first caller of a name allocates it, later callers
@@ -133,16 +135,32 @@ func (s HistSnapshot) Quantile(q float64) uint64 {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]func() float64
+	gauges   map[string]gaugeGroup
 	hists    map[string]*Histogram
+	tables   map[string]table
+}
+
+// gaugeGroup is gauges sampled together: one call of read fills vals[i]
+// for names[i].
+type gaugeGroup struct {
+	names []string
+	read  func(vals []float64)
+}
+
+// table is a registered system relation: its columns and a callback
+// building its rows, a value per column.
+type table struct {
+	cols []string
+	rows func() [][]model.Value
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]func() float64{},
+		gauges:   map[string]gaugeGroup{},
 		hists:    map[string]*Histogram{},
+		tables:   map[string]table{},
 	}
 }
 
@@ -161,14 +179,22 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge registers a callback sampled at dump time. Re-registering a name
+// Gauge registers a callback sampled at read time. Re-registering a name
 // replaces the callback (useful when a component is swapped out).
 func (r *Registry) Gauge(name string, fn func() float64) {
+	r.Gauges([]string{name}, func(vals []float64) { vals[0] = fn() })
+}
+
+// Gauges registers gauges sampled together at read time: one call of read
+// fills vals[i] for names[i], so a registry read takes one snapshot for the
+// group and its values agree with each other. Re-registering a group under
+// the same first name replaces it.
+func (r *Registry) Gauges(names []string, read func(vals []float64)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.gauges[name] = fn
+	r.gauges[names[0]] = gaugeGroup{names, read}
 	r.mu.Unlock()
 }
 
@@ -187,45 +213,119 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Dump renders every instrument as "name value" lines in sorted order, so
-// two dumps of identical state are byte-identical. Histograms expand to
-// _count, _sum, _max, _mean, _p50, _p95, and _p99 lines. This is the text
-// served by the "metrics" wire op and the debug listener's /metrics.
-func (r *Registry) Dump() string {
+// Table registers the system relation name (sys.<name>): its columns and a
+// callback building its rows at read time. Re-registering replaces it.
+func (r *Registry) Table(name string, cols []string, rows func() [][]model.Value) {
 	if r == nil {
-		return ""
+		return
 	}
 	r.mu.Lock()
-	lines := make([]string, 0, len(r.counters)+len(r.gauges)+7*len(r.hists))
-	for name, c := range r.counters {
-		lines = append(lines, name+" "+strconv.FormatUint(c.Value(), 10))
+	r.tables[name] = table{cols, rows}
+	r.mu.Unlock()
+}
+
+// metricsRelation is the system relation that lists the instruments, a
+// (name, value) row each.
+const metricsRelation = "sys.metrics"
+
+// IsSystem reports whether a FROM name is a system relation's.
+func IsSystem(name string) bool { return strings.HasPrefix(name, "sys.") }
+
+// HasRelation reports whether the registry answers the system relation
+// name.
+func (r *Registry) HasRelation(name string) bool {
+	if r == nil {
+		return false
 	}
-	gauges := make(map[string]func() float64, len(r.gauges))
-	for name, fn := range r.gauges {
-		gauges[name] = fn
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, ok := r.tables[name]
+	return ok || name == metricsRelation
+}
+
+// Relation answers the system relation name: sys.metrics lists every
+// instrument as a (name, value) row in name order; any other name is a
+// registered table. The rows are built now, outside the registry's lock.
+func (r *Registry) Relation(name string) (cols []string, rows [][]model.Value, ok bool) {
+	if name == metricsRelation {
+		for _, s := range r.samples() {
+			rows = append(rows, []model.Value{model.String(s.name), model.Float(s.value)})
+		}
+		return []string{"name", "value"}, rows, r != nil
+	}
+	if r == nil {
+		return nil, nil, false
+	}
+	r.mu.Lock()
+	t, ok := r.tables[name]
+	r.mu.Unlock()
+	if !ok {
+		return nil, nil, false
+	}
+	return t.cols, t.rows(), true
+}
+
+// sample is one instrument's reading; a histogram reads as seven.
+type sample struct {
+	name  string
+	value float64
+}
+
+// samples reads every instrument in name order. Histograms expand to
+// _count, _sum, _max, _mean, _p50, _p95 and _p99.
+func (r *Registry) samples() []sample {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	out := make([]sample, 0, len(r.counters)+len(r.gauges)+7*len(r.hists))
+	for name, c := range r.counters {
+		out = append(out, sample{name, float64(c.Value())})
+	}
+	groups := make([]gaugeGroup, 0, len(r.gauges))
+	for _, g := range r.gauges {
+		groups = append(groups, g)
 	}
 	for name, h := range r.hists {
 		s := h.Snapshot()
-		lines = append(lines,
-			name+"_count "+strconv.FormatUint(s.Count, 10),
-			name+"_sum "+strconv.FormatUint(s.Sum, 10),
-			name+"_max "+strconv.FormatUint(s.Max, 10),
-			name+"_mean "+formatFloat(s.Mean()),
-			name+"_p50 "+strconv.FormatUint(s.Quantile(0.50), 10),
-			name+"_p95 "+strconv.FormatUint(s.Quantile(0.95), 10),
-			name+"_p99 "+strconv.FormatUint(s.Quantile(0.99), 10),
+		out = append(out,
+			sample{name + "_count", float64(s.Count)},
+			sample{name + "_sum", float64(s.Sum)},
+			sample{name + "_max", float64(s.Max)},
+			sample{name + "_mean", s.Mean()},
+			sample{name + "_p50", float64(s.Quantile(0.50))},
+			sample{name + "_p95", float64(s.Quantile(0.95))},
+			sample{name + "_p99", float64(s.Quantile(0.99))},
 		)
 	}
 	r.mu.Unlock()
 	// Gauge callbacks are caller code and run outside the lock: one that
 	// takes a lock its owner holds while registering an instrument (the
 	// server's conns_open gauge against metrics.cell) would otherwise
-	// deadlock the dump.
-	for name, fn := range gauges {
-		lines = append(lines, name+" "+formatFloat(fn()))
+	// deadlock the read.
+	for _, g := range groups {
+		vals := make([]float64, len(g.names))
+		g.read(vals)
+		for i, name := range g.names {
+			out = append(out, sample{name, vals[i]})
+		}
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// Dump renders every instrument as "name value" lines in name order, so
+// two dumps of identical state are byte-identical: the text the debug
+// listener serves at /metrics.
+func (r *Registry) Dump() string {
+	if r == nil {
+		return ""
+	}
+	var b strings.Builder
+	for _, s := range r.samples() {
+		b.WriteString(s.name + " " + formatFloat(s.value) + "\n")
+	}
+	return b.String()
 }
 
 func formatFloat(v float64) string {

@@ -3,6 +3,7 @@ package obs
 import (
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // SlowEntry is one recorded slow operation.
@@ -54,7 +55,14 @@ func (l *SlowLog) Observe(op, detail string, start time.Time, dur time.Duration,
 		return
 	}
 	if len(detail) > maxDetail {
-		detail = detail[:maxDetail] + "..."
+		// Never split a rune: the detail is a sys.slowlog text cell. A
+		// rune is at most utf8.UTFMax bytes, so the walk back stops there
+		// on text that is not UTF-8.
+		cut := maxDetail
+		for cut > maxDetail-utf8.UTFMax && !utf8.RuneStart(detail[cut]) {
+			cut--
+		}
+		detail = detail[:cut] + "..."
 	}
 	e := SlowEntry{Op: op, Detail: detail, Start: start, Dur: dur}
 	if err != nil {

@@ -81,6 +81,44 @@ func (c *RecordChunks) Next() []model.Record {
 
 func (c *RecordChunks) Info() PushedScanInfo { return PushedScanInfo{} }
 
+// Records makes a record of each row, its values keyed by cols.
+func Records(cols []string, rows [][]model.Value) []model.Record {
+	recs := make([]model.Record, len(rows))
+	for i, vals := range rows {
+		recs[i] = make(model.Record, len(cols))
+		for j, c := range cols {
+			recs[i][c] = vals[j]
+		}
+	}
+	return recs
+}
+
+// Relations is an Env over named in-memory relations, their records
+// scanned as tables. It holds no entity graph and no function: a concept
+// or a call is an unknown source, and an entity predicate over a value
+// answers as an engine's does over a value that is no entity reference,
+// unknown or null.
+type Relations map[string][]model.Record
+
+func (r Relations) HasTable(name string) bool { _, ok := r[name]; return ok }
+func (Relations) HasConcept(string) bool      { return false }
+
+func (r Relations) ScanTable(name string, _ []ZoneConjunct, size int) (ScanCursor, bool) {
+	recs, ok := r[name]
+	return &RecordChunks{Recs: recs, Size: size}, ok
+}
+
+func (Relations) ScanFunction(name string, _ []model.Value, _ int) (ScanCursor, error) {
+	return nil, fmt.Errorf("query: unknown function %s()", name)
+}
+
+func (Relations) ScanConcept(string, bool, int) (ScanCursor, bool)     { return nil, false }
+func (Relations) IsA(model.Value, string, bool) model.Truth            { return model.Unknown }
+func (Relations) Reaches(model.Value, string, int, string) model.Truth { return model.Unknown }
+func (Relations) Linked(model.Value, model.Value, string) model.Truth  { return model.Unknown }
+func (Relations) TypesOf(model.Value, bool) model.Value                { return model.Null() }
+func (Relations) PredictType(model.Value) model.Value                  { return model.Null() }
+
 // Row is one tuple flowing through the executor. A bound row borrows the
 // storage records it was scanned from, one frame per FROM binding (a join
 // concatenates frames); an output row of Project, Aggregate or RowsNode

@@ -332,6 +332,14 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	if err != nil {
 		return TableRef{}, err
 	}
+	// One qualifier, as in sys.metrics: the dotted name is the source's.
+	if p.accept(tokOp, ".") {
+		sub, err := p.parseName()
+		if err != nil {
+			return TableRef{}, err
+		}
+		name += "." + sub
+	}
 	tr := TableRef{Name: name}
 	if p.at(tokOp, "(") {
 		tr.Call = true

@@ -182,9 +182,9 @@ func (f *Follower) Close() error {
 	return f.db.Close()
 }
 
-// Stats reports the follower's replication position for the stats op: the
-// applied watermark, the distance to the last primary watermark seen, and
-// how stale that sighting is.
+// Stats reports the follower's replication position for the server's
+// repl.* gauges: the distance from its applied watermark to the last
+// primary watermark seen, and how stale that sighting is.
 func (f *Follower) Stats() *server.WireReplStats {
 	applied := f.applied.Load()
 	pw := f.primaryW.Load()
@@ -196,12 +196,7 @@ func (f *Follower) Stats() *server.WireReplStats {
 	if lb := f.lastBatch.Load(); lb > 0 && (lag > 0 || !f.connected.Load()) {
 		lagSec = time.Since(time.Unix(0, lb)).Seconds()
 	}
-	return &server.WireReplStats{
-		Role:       "replica",
-		AppliedCSN: applied,
-		LagCSN:     lag,
-		LagSeconds: lagSec,
-	}
+	return &server.WireReplStats{LagCSN: lag, LagSeconds: lagSec}
 }
 
 func (f *Follower) logf(format string, args ...any) {

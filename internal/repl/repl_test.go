@@ -139,6 +139,20 @@ func dialNode(tb testing.TB, addr string) *client.Client {
 	return c
 }
 
+// metricsOf reads a node's sys.metrics over the wire, name to value.
+func metricsOf(tb testing.TB, c *client.Client) map[string]float64 {
+	tb.Helper()
+	rows, err := c.Query("SELECT name, value FROM sys.metrics")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := make(map[string]float64, len(rows.Data))
+	for _, r := range rows.Data {
+		m[r[0].(string)] = r[1].(float64)
+	}
+	return m
+}
+
 // render flattens a result the way the CLI does, making byte-identical
 // comparison meaningful across nodes.
 func render(rows *scdb.Rows) string {
@@ -272,23 +286,18 @@ func TestReplicaDifferential(t *testing.T) {
 		}
 	}
 
-	// The stats surface reports roles and zero lag at quiescence.
-	st, err := c1.Stats()
+	// The replica reports its applied watermark and zero lag at
+	// quiescence; the primary lists both followers in sys.replicas.
+	st := metricsOf(t, c1)
+	if st["wal.allocated_csn"] != float64(pcsn) || st["repl.lag_csn"] != 0 {
+		t.Fatalf("replica lag: applied=%v lag=%v (primary %d)", st["wal.allocated_csn"], st["repl.lag_csn"], pcsn)
+	}
+	followers, err := pc.Query("SELECT remote, ack_csn FROM sys.replicas")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Repl == nil || st.Repl.Role != "replica" {
-		t.Fatalf("replica stats: %+v", st.Repl)
-	}
-	if st.Repl.AppliedCSN != uint64(pcsn) || st.Repl.LagCSN != 0 {
-		t.Fatalf("replica lag: applied=%d lag=%d (primary %d)", st.Repl.AppliedCSN, st.Repl.LagCSN, pcsn)
-	}
-	pst, err := pc.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pst.Repl == nil || pst.Repl.Role != "primary" || len(pst.Repl.Followers) != 2 {
-		t.Fatalf("primary stats: %+v", pst.Repl)
+	if pst := metricsOf(t, pc); len(followers.Data) != 2 || pst["repl.followers"] != 2 {
+		t.Fatalf("primary followers: %v, repl.followers %v", followers.Data, pst["repl.followers"])
 	}
 }
 
@@ -493,10 +502,7 @@ func TestReadYourWrites(t *testing.T) {
 	// Once the replica covers the session mark, routed reads land on it.
 	waitCaughtUp(t, n, db)
 	fc := dialNode(t, n.addr)
-	before, err := fc.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := metricsOf(t, fc)
 	for i := 0; i < 10; i++ {
 		if _, err := cl.Query("SELECT COUNT(*) AS n FROM sessions"); err != nil {
 			t.Fatal(err)
@@ -504,14 +510,10 @@ func TestReadYourWrites(t *testing.T) {
 	}
 	// The server records a query's metric after writing its answer, so
 	// the count may trail the last answer briefly.
-	want := before.Server.Ops["query"].Count + 10
+	want := before["server.op.query.latency_us_count"] + 10
 	waitUntil(t, 5*time.Second, func() bool {
-		after, err := fc.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return after.Server.Ops["query"].Count >= want
-	}, fmt.Sprintf("the replica to count >= %d queries", want))
+		return metricsOf(t, fc)["server.op.query.latency_us_count"] >= want
+	}, fmt.Sprintf("the replica to count >= %v queries", want))
 }
 
 // TestReplicaFailover: killing the replica mid-run never yields a wrong

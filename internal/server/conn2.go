@@ -8,7 +8,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -373,22 +372,6 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		vc.writeError(f.ID, code, msg)
 		return code, detail, msg
 	}
-	// blob answers a control-plane op with its body: v as JSON, or v itself
-	// when it is already bytes (the metrics text).
-	blob := func(v any) (string, string, string) {
-		body, ok := v.([]byte)
-		if !ok {
-			var err error
-			if body, err = json.Marshal(v); err != nil {
-				return fail(CodeQuery, err.Error())
-			}
-		}
-		e := GetV2Enc()
-		vc.write(EncodeV2BlobResult(e, f.ID, f.Op, body))
-		e.Release()
-		return "", "", ""
-	}
-
 	// Control-plane ops answer before admission: they must stay responsive
 	// while the data plane is saturated.
 	switch f.Op {
@@ -402,13 +385,6 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		// tail the log; they never hold an executor) and outlast every
 		// other request on the connection.
 		return s.handleReplSubscribe(vc, f, req)
-	case V2OpStats:
-		st := s.Stats()
-		return blob(&st)
-	case V2OpMetrics:
-		return blob([]byte(s.MetricsDump()))
-	case V2OpSlowLog:
-		return blob(s.slowLogReply())
 	case V2OpERDigests:
 		if s.node == nil {
 			return fail(CodeBadRequest, "backend has no local resolver to export ER digests from")

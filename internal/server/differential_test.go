@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"scdb"
-	"scdb/internal/server"
 )
 
 // scqlCorpus is the engine corpus (internal/core keeps the master copy):
@@ -158,8 +157,8 @@ func TestNetworkDifferential(t *testing.T) {
 	}
 }
 
-// TestStatsOverWire: the Stats op carries the engine snapshot, index and
-// plan-cache pass-through, and the server's own counters.
+// TestStatsOverWire: the node's sys.metrics carries the engine's numbers,
+// the plan cache's and the server's own counters, read over the wire.
 func TestStatsOverWire(t *testing.T) {
 	db := openDB(t, lifesciOptions())
 	for _, src := range scdb.LifeSciSample(1, 20, 10, 5) {
@@ -172,24 +171,26 @@ func TestStatsOverWire(t *testing.T) {
 	if _, err := c.Query("SELECT COUNT(*) AS n FROM drugbank"); err != nil {
 		t.Fatal(err)
 	}
-	// The server counts the query after writing its result frame, so a
-	// stats op pipelined right behind the answer can run first (the same
-	// window TestMetricsOpOverWire polls across).
-	var st server.StatsReply
+	// The server counts a query after writing its result frame, so a read
+	// right behind the answer can run first; the reads count as queries
+	// too.
+	var m map[string]float64
+	reads := 0
 	waitUntil(t, 4*time.Second, func() bool {
-		var err error
-		if st, err = c.Stats(); err != nil {
-			t.Fatal(err)
-		}
-		return st.Server.Ops["query"].Count == 1
+		m = metrics(t, c)
+		reads++
+		return m["server.op.query.latency_us_count"] >= 1
 	}, "the query to reach the per-op counters")
-	if st.Engine.Tables == 0 || st.Engine.Entities == 0 {
-		t.Errorf("engine stats empty: %+v", st.Engine)
+	if n := m["server.op.query.latency_us_count"]; n > float64(reads) {
+		t.Errorf("query count %v after one query and %d reads", n, reads)
 	}
-	if st.Server.Conns != 1 || st.Server.ConnsTotal != 1 {
-		t.Errorf("conns=%d total=%d, want 1/1", st.Server.Conns, st.Server.ConnsTotal)
+	if m["engine.tables"] == 0 || m["engine.entities"] == 0 {
+		t.Errorf("engine numbers empty: %v", m)
 	}
-	if st.PlanCache.Hits+st.PlanCache.Misses == 0 {
+	if m["server.conns_open"] != 1 || m["server.conns_total"] != 1 {
+		t.Errorf("conns=%v total=%v, want 1/1", m["server.conns_open"], m["server.conns_total"])
+	}
+	if m["plan_cache.hits"]+m["plan_cache.misses"] == 0 {
 		t.Error("plan-cache counters did not travel")
 	}
 }

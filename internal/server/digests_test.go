@@ -123,10 +123,10 @@ func TestERDigestsRejectsOutOfRangeWatermark(t *testing.T) {
 // empty blob that fails to unmarshal.
 func TestDigestsReplyFormatSkew(t *testing.T) {
 	old := `{"digests":[{"source":"s","key":"k","tokens":["kelp"],"attrs":{"name":"kelp"}}],"ents":1,"matches":0,"settings":{}}`
-	e := server.GetV2Enc()
-	frame := server.EncodeV2BlobResult(e, 1, server.V2OpERDigests, []byte(old))
-	_, err := server.DecodeV2Result(frame[10:])
-	e.Release()
+	// Its payload: an empty intern table, the result kind and the
+	// length-prefixed blob.
+	payload := binary.AppendUvarint([]byte{0, server.V2OpERDigests}, uint64(len(old)))
+	_, err := server.DecodeV2Result(append(payload, old...))
 	if !errors.Is(err, server.ErrDigestsFormat) {
 		t.Errorf("an older shard's reply: %v, want ErrDigestsFormat", err)
 	}
@@ -134,7 +134,7 @@ func TestDigestsReplyFormatSkew(t *testing.T) {
 	db := pullFixture(t)
 	_, addr := startServer(t, db, nil)
 	nc := hello(t, addr)
-	e = server.GetV2Enc()
+	e := server.GetV2Enc()
 	_, err = nc.Write(server.EncodeV2ERDigests(e, 1, 0, 0))
 	e.Release()
 	if err != nil {

@@ -19,12 +19,16 @@
 //     (decode, batch install with WAL fsync wait, relation/ER,
 //     integration, inference) to the response.
 //   - Every instrument — per-op latency histograms, admission counters,
-//     ingest throughput, plan-cache, WAL, and index gauges — lives in one
-//     obs.Registry; the "metrics" op (and the debug listener's /metrics)
-//     dumps it as stable sorted text, and the "stats" op renders the same
-//     state as structured JSON.
+//     ingest throughput, the slow-op count — lives in the node's one
+//     obs.Registry, the engine's (Engine.Registry), beside the engine's
+//     own plan-cache, WAL, index and curation gauges. SCQL reads it:
+//     FROM sys.metrics lists every instrument, and the server adds the
+//     tables sys.slowlog and, over a local store, sys.replicas. A sys.*
+//     read is an ordinary statement through the query op, admitted like
+//     one. Server.Stats renders the same instruments as a typed snapshot.
 //   - Requests at or above Config.SlowOpThreshold land in a ring-buffer
-//     slow-op log, queryable with the "slowlog" op.
+//     slow-op log, which sys.slowlog reads.
 //   - DebugHandler serves /metrics, /slowlog, pprof, and expvar over
-//     HTTP for an opt-in listener (scdb-server's -debug-addr).
+//     HTTP for an opt-in listener (scdb-server's -debug-addr), which skips
+//     admission: the view of a saturated node.
 package server

@@ -6,6 +6,7 @@ import (
 	"scdb"
 	"scdb/internal/er"
 	"scdb/internal/model"
+	"scdb/internal/obs"
 	"scdb/internal/storage"
 )
 
@@ -22,22 +23,19 @@ type Engine interface {
 	CSN() uint64
 	QueryBatchesCtx(ctx context.Context, q string, emit func(cols []string, batch [][]model.Value) bool) ([]string, *scdb.QueryInfo, error)
 	IngestCtx(ctx context.Context, src scdb.Source) error
-	Stats() scdb.Stats
-	// ShardingStats is the stats op's sharding section and the source of
-	// the router.* and shard.* gauges. A single node answers nil.
-	ShardingStats() *WireShardingStats
+	// Registry is the node's self-description, which FROM sys.<name>
+	// reads; the server registers its own instruments and tables into it.
+	Registry() *obs.Registry
 }
 
 // Node is what the service layer needs from a backend that owns a local
-// store: the storage-level stats sections and gauges, replication sourcing
-// (WAL tailing and snapshots read the store directly), and the er_digests
+// store: replication sourcing (WAL tailing and snapshots read the store
+// directly, WALStats the stamps replication reports) and the er_digests
 // export of the local resolver. server.New resolves it once; a backend
-// that is not a Node (the shard router) omits those stats sections and
-// refuses repl_subscribe and er_digests with a typed error — replicas
-// follow individual shard primaries, not the router.
+// that is not a Node (the shard router) has no sys.replicas or repl.*
+// gauges, and refuses repl_subscribe and er_digests with a typed error —
+// replicas follow individual shard primaries, not the router.
 type Node interface {
-	PlanCacheStats() scdb.PlanCacheStats
-	IndexStats() []scdb.IndexStat
 	WALStats() scdb.WALStats
 	ReadOnly() bool
 	Store() *storage.Store

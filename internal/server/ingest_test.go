@@ -84,16 +84,13 @@ func TestIngestBatchStream(t *testing.T) {
 		t.Fatalf("ping after stream: %v", err)
 	}
 
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	m := metrics(t, c)
+	if m["server.ingest_rows_total"] != n || m["server.ingest_batch_rows_count"] == 0 ||
+		m["server.ingest_batch_rows_max"] == 0 || m["server.ingest_rows_per_sec_max"] == 0 {
+		t.Fatalf("ingest metrics not populated: %v", m)
 	}
-	ing := st.Server.Ingest
-	if ing.Rows != n || ing.Batches == 0 || ing.MaxBatch == 0 || ing.MaxRowsPS == 0 {
-		t.Fatalf("ingest metrics not populated: %+v", ing)
-	}
-	if _, ok := st.Server.Ops[server.OpIngestBatch]; !ok {
-		t.Fatalf("no op metrics for %s: %+v", server.OpIngestBatch, st.Server.Ops)
+	if _, ok := m["server.op."+server.OpIngestBatch+".latency_us_count"]; !ok {
+		t.Fatalf("no op metrics for %s: %v", server.OpIngestBatch, m)
 	}
 }
 
@@ -133,7 +130,7 @@ func TestIngestIsOneStreamedOp(t *testing.T) {
 	}
 	var want string
 	for _, m := range methods {
-		_, addr := startServer(t, openDB(t, scdb.Options{Axioms: "concept Device"}), nil)
+		srv, addr := startServer(t, openDB(t, scdb.Options{Axioms: "concept Device"}), nil)
 		c := dial(t, addr)
 		for _, n := range methods {
 			var se *client.ServerError
@@ -149,17 +146,14 @@ func TestIngestIsOneStreamedOp(t *testing.T) {
 				t.Fatalf("%s: %v", m.name, err)
 			}
 		}
-		waitUntil(t, 4*time.Second, func() bool { st, err := c.Stats(); return err == nil && st.Server.InFlight == 0 },
+		waitUntil(t, 4*time.Second, func() bool { return srv.Stats().Server.InFlight == 0 },
 			"canceled streams to release their admission slots")
-		st, err := c.Stats()
-		if err != nil {
-			t.Fatal(err)
+		st := metrics(t, c)
+		if m.name == "Ingest" && st["server.ingest_batch_rows_count"] != float64(len(sources)) {
+			t.Errorf("Ingest installed %v batches for %d sources", st["server.ingest_batch_rows_count"], len(sources))
 		}
-		if m.name == "Ingest" && st.Server.Ingest.Batches != uint64(len(sources)) {
-			t.Errorf("Ingest installed %d batches for %d sources", st.Server.Ingest.Batches, len(sources))
-		}
-		e := st.Engine
-		got := fmt.Sprintf("entities=%d edges=%d merges=%d inferred=%d\n", e.Entities, e.Edges, e.Merges, e.InferredTypes)
+		got := fmt.Sprintf("entities=%v edges=%v merges=%v inferred=%v\n",
+			st["engine.entities"], st["engine.edges"], st["engine.merges_total"], st["engine.inferred_types"])
 		for _, q := range []string{
 			"SELECT name, slot FROM feed ORDER BY slot",
 			"SELECT name, slot FROM mirror ORDER BY slot",

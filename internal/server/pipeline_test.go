@@ -21,7 +21,7 @@ import (
 // that responses are matched by request id, not arrival order.
 func TestPipelineOutOfOrder(t *testing.T) {
 	db := openBig(t, 4000)
-	_, addr := startServer(t, db, nil)
+	srv, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 
 	queryDone := make(chan error, 1)
@@ -29,10 +29,8 @@ func TestPipelineOutOfOrder(t *testing.T) {
 		_, err := c.Query(slowJoin)
 		queryDone <- err
 	}()
-	probe := dial(t, addr)
 	waitUntil(t, 4*time.Second, func() bool {
-		st, err := probe.Stats()
-		return err == nil && st.Server.InFlight == 1
+		return srv.Stats().Server.InFlight == 1
 	}, "slow query to start")
 
 	// The slow join runs for seconds; the pipelined ping must not wait
@@ -59,7 +57,7 @@ func TestPipelineOutOfOrder(t *testing.T) {
 // exceed one, which a strictly request-response connection can never do.
 func TestPipelineConcurrentQueries(t *testing.T) {
 	db := openBig(t, 800)
-	_, addr := startServer(t, db, nil)
+	srv, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 
 	const n = 8
@@ -78,10 +76,7 @@ func TestPipelineConcurrentQueries(t *testing.T) {
 			t.Fatalf("pipelined query %d: %v", i, err)
 		}
 	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := srv.Stats()
 	if st.Server.InFlightPeak < 2 {
 		t.Errorf("in-flight peak = %d over one pipelined connection, want >= 2", st.Server.InFlightPeak)
 	}
@@ -95,7 +90,7 @@ func TestPipelineConcurrentQueries(t *testing.T) {
 // connection itself survive.
 func TestPipelineDeadlineMidStream(t *testing.T) {
 	db := openBig(t, 4000)
-	_, addr := startServer(t, db, nil)
+	srv, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -118,8 +113,7 @@ func TestPipelineDeadlineMidStream(t *testing.T) {
 		t.Fatalf("ping after mid-pipeline deadline: %v", err)
 	}
 	waitUntil(t, 4*time.Second, func() bool {
-		st, err := c.Stats()
-		return err == nil && st.Server.InFlight == 0
+		return srv.Stats().Server.InFlight == 0
 	}, "deadline-stopped executor to unwind")
 }
 
@@ -128,7 +122,7 @@ func TestPipelineDeadlineMidStream(t *testing.T) {
 // connection stays framed and reusable.
 func TestPipelineCancelOp(t *testing.T) {
 	db := openBig(t, 4000)
-	_, addr := startServer(t, db, nil)
+	srv, addr := startServer(t, db, nil)
 	c := dial(t, addr)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -138,8 +132,7 @@ func TestPipelineCancelOp(t *testing.T) {
 		done <- err
 	}()
 	waitUntil(t, 4*time.Second, func() bool {
-		st, err := c.Stats()
-		return err == nil && st.Server.InFlight == 1
+		return srv.Stats().Server.InFlight == 1
 	}, "query to start")
 
 	cancel()
@@ -151,8 +144,8 @@ func TestPipelineCancelOp(t *testing.T) {
 		t.Fatalf("ping after cancel op: %v", err)
 	}
 	waitUntil(t, 4*time.Second, func() bool {
-		st, err := c.Stats()
-		return err == nil && st.Server.InFlight == 0 && st.Server.Canceled >= 1
+		st := srv.Stats()
+		return st.Server.InFlight == 0 && st.Server.Canceled >= 1
 	}, "canceled executor to unwind")
 }
 
@@ -161,7 +154,7 @@ func TestPipelineCancelOp(t *testing.T) {
 // executor work, no stuck admission slots.
 func TestPipelineDisconnectInFlight(t *testing.T) {
 	db := openBig(t, 4000)
-	_, addr := startServer(t, db, func(cfg *server.Config) {
+	srv, addr := startServer(t, db, func(cfg *server.Config) {
 		cfg.MaxInFlight = 8
 	})
 	victim, err := client.Dial(addr)
@@ -178,17 +171,15 @@ func TestPipelineDisconnectInFlight(t *testing.T) {
 			victim.Query(slowJoin) // fails on close; error checked via metrics
 		}()
 	}
-	probe := dial(t, addr)
 	waitUntil(t, 4*time.Second, func() bool {
-		st, err := probe.Stats()
-		return err == nil && st.Server.InFlight == n
+		return srv.Stats().Server.InFlight == n
 	}, "all pipelined queries to start")
 
 	victim.Close()
 	wg.Wait()
 	waitUntil(t, 4*time.Second, func() bool {
-		st, err := probe.Stats()
-		return err == nil && st.Server.InFlight == 0 && st.Server.Canceled >= n
+		st := srv.Stats()
+		return st.Server.InFlight == 0 && st.Server.Canceled >= n
 	}, "disconnect to cancel every in-flight request")
 }
 

@@ -1,10 +1,6 @@
 package server
 
-import (
-	"errors"
-
-	"scdb"
-)
+import "errors"
 
 // DefaultMaxFrame bounds a single frame's payload (8 MiB).
 const DefaultMaxFrame = 8 << 20
@@ -17,7 +13,6 @@ var ErrFrameTooLarge = errors.New("frame exceeds size limit")
 const (
 	OpPing  = "ping"
 	OpQuery = "query"
-	OpStats = "stats"
 	// OpIngestBatch is the one ingest op. It streams one source delivery
 	// as a sequence of chunk frames following the request header, which
 	// carries only the source name; each chunk installs as one batched
@@ -27,12 +22,6 @@ const (
 	// references resolve without retries; a source sent whole is that one
 	// final chunk.
 	OpIngestBatch = "ingest_batch"
-	// OpMetrics answers with the server's full metrics registry rendered
-	// as sorted "name value" text.
-	OpMetrics = "metrics"
-	// OpSlowLog answers with the slow-op ring log (SlowLogReply): the most
-	// recent operations that crossed the server's threshold.
-	OpSlowLog = "slowlog"
 	// OpERDigests exports the node's incremental ER evidence past the
 	// request's entity and match watermarks. The shard router pulls these
 	// after routed ingests to run the cross-shard entity-resolution
@@ -52,27 +41,6 @@ const (
 	CodeReadOnly   = "read_only"   // this node is a read replica; write to the primary
 )
 
-// SlowLogReply is the slowlog response body.
-type SlowLogReply struct {
-	// ThresholdUS is the recording threshold; zero when the log is
-	// disabled.
-	ThresholdUS int64 `json:"threshold_us"`
-	// Total counts every slow op recorded over the server's lifetime,
-	// including entries the ring has evicted.
-	Total uint64 `json:"total"`
-	// Entries are the retained slow ops, oldest first.
-	Entries []WireSlowEntry `json:"entries,omitempty"`
-}
-
-// WireSlowEntry is one slow operation on the wire.
-type WireSlowEntry struct {
-	Op     string `json:"op"`
-	Detail string `json:"detail,omitempty"`
-	Start  string `json:"start"` // RFC3339Nano
-	DurUS  int64  `json:"dur_us"`
-	Err    string `json:"err,omitempty"`
-}
-
 // IngestSummary reports a completed ingest_batch stream.
 type IngestSummary struct {
 	// Batches is the number of non-empty chunks installed.
@@ -87,54 +55,68 @@ type IngestSummary struct {
 	CSN uint64 `json:"csn,omitempty"`
 }
 
-// StatsReply is the Stats response body: the engine snapshot plus the
-// service layer's own live metrics.
+// StatsReply is Server.Stats' snapshot: the service layer's live
+// counters, typed, for an in-process probe. A probe of a saturated server
+// reads it, because a sys.metrics statement would count itself in flight;
+// everything else a node knows about itself is its sys.* relations.
 type StatsReply struct {
-	Engine    scdb.Stats          `json:"engine"`
-	Indexes   []scdb.IndexStat    `json:"indexes,omitempty"`
-	PlanCache scdb.PlanCacheStats `json:"plan_cache"`
-	Server    ServerStats         `json:"server"`
-	// Repl is present once the node participates in replication: a primary
-	// reports its connected followers, a replica its applied watermark and
-	// lag behind the primary.
-	Repl *WireReplStats `json:"repl,omitempty"`
-	// Sharding is present when the backend is a shard router: cluster
-	// topology and cross-shard curation counters.
-	Sharding *WireShardingStats `json:"sharding,omitempty"`
+	Server ServerStats
 }
 
-// WireShardingStats and WireShardNode are the stats op's sharding section.
-// The types live in the facade because Engine, which *scdb.DB implements,
-// returns them.
-type (
-	WireShardingStats = scdb.ShardingStats
-	WireShardNode     = scdb.ShardNode
-)
+// WireShardingStats is a shard router's cluster view, the source of its
+// sys.shards relation and its router.* and shard.* gauges.
+type WireShardingStats struct {
+	// Shards is the cluster width; records route to shard
+	// hash(key) mod Shards.
+	Shards int
+	// ScatterQueries counts queries fanned out to every shard;
+	// PartialRows the per-shard partial result rows merged router-side.
+	ScatterQueries uint64
+	PartialRows    uint64
+	// RoutedRows counts ingested entity records split across shards.
+	RoutedRows uint64
+	// ExchangeRounds counts cross-shard ER digest exchanges; Digests the
+	// entity digests pulled; CrossComparisons the candidate pairs scored
+	// router-side; CrossMerges the accepted merges joining entities that
+	// live on different shards.
+	ExchangeRounds   uint64
+	Digests          uint64
+	CrossComparisons uint64
+	CrossMerges      uint64
+	// Nodes lists the shards in routing order.
+	Nodes []WireShardNode
+}
 
-// WireReplStats reports replication state in the stats op.
+// WireShardNode is one shard as seen by the router.
+type WireShardNode struct {
+	Addr string
+	// LastCSN is the highest commit stamp the router has observed from
+	// this shard (its read-your-writes floor).
+	LastCSN uint64
+	// Entities is the shard's local entity count from the router's last
+	// poll (Router.Stats or a sys.shards read); zero until then.
+	Entities int
+}
+
+// WireReplStats is a node's replication state, the source of its repl.*
+// gauges and sys.replicas.
 type WireReplStats struct {
-	// Role is "primary" (has or had subscribed followers) or "replica".
-	Role string `json:"role"`
-	// DurableCSN/AllocatedCSN mirror WALStats on this node.
-	DurableCSN   uint64 `json:"durable_csn"`
-	AllocatedCSN uint64 `json:"allocated_csn"`
 	// Followers lists the primary's live subscriptions.
-	Followers []WireFollowerStat `json:"followers,omitempty"`
-	// AppliedCSN is a replica's applied watermark (equal to AllocatedCSN).
-	AppliedCSN uint64 `json:"applied_csn,omitempty"`
+	Followers []WireFollowerStat
 	// LagCSN/LagSeconds: a replica's distance behind the last primary
-	// watermark it has seen, and how stale that sighting is.
-	LagCSN     uint64  `json:"lag_csn"`
-	LagSeconds float64 `json:"lag_seconds"`
+	// watermark it has seen, and how stale that sighting is; on a primary,
+	// LagCSN is its furthest follower's.
+	LagCSN     uint64
+	LagSeconds float64
 }
 
 // WireFollowerStat is one follower subscription as seen by the primary.
 type WireFollowerStat struct {
-	Remote string `json:"remote"`
+	Remote string
 	// SentCSN is the last shipped watermark; AckCSN the follower's last
 	// acknowledged applied CSN; LagCSN the primary clock minus AckCSN.
-	SentCSN  uint64 `json:"sent_csn"`
-	AckCSN   uint64 `json:"ack_csn"`
-	LagCSN   uint64 `json:"lag_csn"`
-	LagBytes uint64 `json:"lag_bytes"`
+	SentCSN  uint64
+	AckCSN   uint64
+	LagCSN   uint64
+	LagBytes uint64
 }

@@ -6,7 +6,7 @@ package server
 // then decoded WAL frames batched under a stability watermark, with empty
 // heartbeat batches while the log is idle. The follower reports its applied
 // CSN back up the same stream as V2OpReplAck frames; the primary folds the
-// acks into the stats op and the repl.* gauges.
+// acks into sys.replicas and the repl.* gauges.
 //
 // Frame shipping is exact-once by position: the handler tails the segmented
 // log from one cursor and pins the segment it reads, so checkpoints never
@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scdb"
 	"scdb/internal/storage"
 )
 
@@ -240,29 +239,20 @@ func (r *replRegistry) list() []*replFollower {
 	return out
 }
 
-// replStats builds the stats-op replication section: the follower hook's
-// view on a replica, the registry's view on a primary with live
-// subscriptions, nil otherwise. Backends without a WAL (the shard router)
-// never participate — subscriptions are rejected up front — so the section
-// stays absent for them.
-func (s *Server) replStats() *WireReplStats {
-	var w scdb.WALStats
-	if s.node != nil {
-		w = s.node.WALStats()
-	}
+// replStats is the node's replication state for the repl.* gauges and
+// sys.replicas: the follower hook's view on a replica, the live
+// subscriptions on a primary. Only a server over a local store calls it;
+// the shard router rejects subscriptions up front.
+func (s *Server) replStats() WireReplStats {
 	if s.cfg.ReplStats != nil {
-		r := s.cfg.ReplStats()
-		if r != nil {
-			r.DurableCSN, r.AllocatedCSN = w.DurableCSN, w.AllocatedCSN
+		if r := s.cfg.ReplStats(); r != nil {
+			return *r
 		}
-		return r
+		return WireReplStats{}
 	}
-	fos := s.repl.list()
-	if len(fos) == 0 {
-		return nil
-	}
-	r := &WireReplStats{Role: "primary", DurableCSN: w.DurableCSN, AllocatedCSN: w.AllocatedCSN}
-	for _, fo := range fos {
+	var r WireReplStats
+	w := s.node.WALStats()
+	for _, fo := range s.repl.list() {
 		ack := fo.ackCSN.Load()
 		var lag uint64
 		if w.AllocatedCSN > ack {
@@ -284,25 +274,6 @@ func (s *Server) replStats() *WireReplStats {
 		})
 	}
 	return r
-}
-
-// replLagBytes is the worst follower's lag-bytes (the repl.lag_bytes gauge).
-func (s *Server) replLagBytes() uint64 {
-	fos := s.repl.list()
-	if len(fos) == 0 {
-		return 0
-	}
-	if s.node == nil {
-		return 0
-	}
-	bytes := s.node.WALStats().Bytes
-	var worst uint64
-	for _, fo := range fos {
-		if cb := fo.caughtBytes.Load(); bytes > cb && bytes-cb > worst {
-			worst = bytes - cb
-		}
-	}
-	return worst
 }
 
 // --- subscription handler ------------------------------------------------

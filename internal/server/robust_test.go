@@ -139,7 +139,7 @@ func TestOversizedFrame(t *testing.T) {
 // counter must tick in a small fraction of that.
 func TestDisconnectCancelsQuery(t *testing.T) {
 	db := openBig(t, 4000)
-	_, addr := startServer(t, db, nil)
+	srv, addr := startServer(t, db, nil)
 
 	victim, err := client.Dial(addr)
 	if err != nil {
@@ -151,10 +151,8 @@ func TestDisconnectCancelsQuery(t *testing.T) {
 		errc <- err
 	}()
 
-	probe := dial(t, addr)
 	waitUntil(t, 4*time.Second, func() bool {
-		st, err := probe.Stats()
-		return err == nil && st.Server.InFlight == 1
+		return srv.Stats().Server.InFlight == 1
 	}, "query to start")
 
 	start := time.Now()
@@ -163,8 +161,8 @@ func TestDisconnectCancelsQuery(t *testing.T) {
 		t.Fatal("query on a closed connection should error")
 	}
 	waitUntil(t, 4*time.Second, func() bool {
-		st, err := probe.Stats()
-		return err == nil && st.Server.InFlight == 0 && st.Server.Canceled >= 1
+		st := srv.Stats()
+		return st.Server.InFlight == 0 && st.Server.Canceled >= 1
 	}, "executor to unwind after disconnect")
 	if d := time.Since(start); d > 4*time.Second {
 		t.Errorf("cancellation took %s", d)
@@ -198,7 +196,7 @@ func TestRequestDeadline(t *testing.T) {
 // in-flight peak never exceeds the limit, and rejections are counted.
 func TestAdmissionShedsLoad(t *testing.T) {
 	db := openBig(t, 1000)
-	_, addr := startServer(t, db, func(c *server.Config) {
+	srv, addr := startServer(t, db, func(c *server.Config) {
 		c.MaxInFlight = 1
 		c.MaxQueue = 1
 		c.QueueTimeout = 100 * time.Millisecond
@@ -233,10 +231,7 @@ func TestAdmissionShedsLoad(t *testing.T) {
 	if busy == 0 {
 		t.Error("no query was shed as busy")
 	}
-	st, err := dial(t, addr).Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := srv.Stats()
 	if st.Server.InFlightPeak > 1 {
 		t.Errorf("in-flight peak %d exceeds limit 1", st.Server.InFlightPeak)
 	}
@@ -263,10 +258,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			results <- err
 		}()
 	}
-	probe := dial(t, addr)
 	waitUntil(t, 4*time.Second, func() bool {
-		st, err := probe.Stats()
-		return err == nil && st.Server.InFlight == clients
+		return srv.Stats().Server.InFlight == clients
 	}, "all queries in flight")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -296,10 +289,8 @@ func TestForcedShutdownCancels(t *testing.T) {
 		_, err := c.Query(slowJoin)
 		errc <- err
 	}()
-	probe := dial(t, addr)
 	waitUntil(t, 4*time.Second, func() bool {
-		st, err := probe.Stats()
-		return err == nil && st.Server.InFlight == 1
+		return srv.Stats().Server.InFlight == 1
 	}, "query to start")
 
 	start := time.Now()

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"scdb/internal/model"
 	"scdb/internal/obs"
 )
 
@@ -20,7 +21,7 @@ type Config struct {
 	// DB is the engine the server fronts — usually an embedded *scdb.DB,
 	// but any Engine works (the shard router fronts a whole cluster
 	// through the same server). A DB that is also a Node serves the
-	// store-level ops and stats sections.
+	// store-level ops and sys.replicas.
 	DB Engine
 
 	// MaxInFlight bounds concurrently executing statements (query,
@@ -60,10 +61,9 @@ type Config struct {
 	SlowOpThreshold time.Duration
 	SlowLogSize     int
 
-	// ReplStats, when set, supplies the replication section of the stats
-	// op and the repl.lag_* gauges. A follower process sets it to report
-	// its applied watermark and lag; a primary leaves it nil (the server
-	// builds primary-side stats from its live subscriptions).
+	// ReplStats, when set, supplies the repl.lag_* gauges. A follower
+	// process sets it to report its lag; a primary leaves it nil (the
+	// server builds primary-side stats from its live subscriptions).
 	ReplStats func() *WireReplStats
 }
 
@@ -161,7 +161,10 @@ func (c *conn) addActive(d int) int {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	reg := obs.NewRegistry()
+	var reg *obs.Registry // nil without a DB, which Listen refuses
+	if cfg.DB != nil {
+		reg = cfg.DB.Registry()
+	}
 	s := &Server{
 		cfg:       cfg,
 		admit:     newAdmitter(cfg.MaxInFlight, cfg.MaxQueue),
@@ -174,96 +177,51 @@ func New(cfg Config) *Server {
 		serveErr:  make(chan error, 1),
 	}
 	s.node, _ = cfg.DB.(Node)
-	s.registerEngineGauges()
+	s.register()
 	return s
 }
 
-// registerEngineGauges folds the engine's own counters — storage WAL,
-// plan cache, self-curated indexes, curation totals, admission depth —
-// into the server's registry, so one metrics dump covers every layer.
-// Storage-level gauges register for a Node, router.* and shard.* gauges
-// for a backend that reports a sharding section.
-func (s *Server) registerEngineGauges() {
-	if s.cfg.DB == nil {
-		return // Listen rejects a nil DB before any dump can happen
+// register adds the service layer to the node's registry: admission depth,
+// the slow-op log's count and threshold and its rows as sys.slowlog, and,
+// over a local store, replication lag and the followers as sys.replicas.
+func (s *Server) register() {
+	reg := s.reg
+	reg.Gauges([]string{"admission.in_flight", "admission.queued", "admission.in_flight_peak"}, func(vals []float64) {
+		f, q, p := s.admit.depth()
+		vals[0], vals[1], vals[2] = float64(f), float64(q), float64(p)
+	})
+	reg.Gauge("server.slow_ops_total", func() float64 { _, n := s.slow.Snapshot(); return float64(n) })
+	reg.Gauge("server.slow_threshold_us", func() float64 { return float64(s.slow.Threshold().Microseconds()) })
+	reg.Table("sys.slowlog", []string{"start", "dur_us", "op", "detail", "err"}, func() [][]model.Value {
+		entries, _ := s.slow.Snapshot()
+		rows := make([][]model.Value, len(entries))
+		for i, e := range entries {
+			rows[i] = []model.Value{model.String(e.Start.Format(time.RFC3339Nano)), model.Int(e.Dur.Microseconds()),
+				model.String(e.Op), model.String(e.Detail), model.String(e.Err)}
+		}
+		return rows
+	})
+	if s.node == nil {
+		return // the shard router: replicas follow its shards
 	}
-	db := s.cfg.DB
-	s.reg.Gauge("admission.in_flight", func() float64 { f, _, _ := s.admit.depth(); return float64(f) })
-	s.reg.Gauge("admission.queued", func() float64 { _, q, _ := s.admit.depth(); return float64(q) })
-	s.reg.Gauge("admission.in_flight_peak", func() float64 { _, _, p := s.admit.depth(); return float64(p) })
-	if n := s.node; n != nil {
-		s.reg.Gauge("plan_cache.hits", func() float64 { return float64(n.PlanCacheStats().Hits) })
-		s.reg.Gauge("plan_cache.misses", func() float64 { return float64(n.PlanCacheStats().Misses) })
-		s.reg.Gauge("plan_cache.size", func() float64 { return float64(n.PlanCacheStats().Size) })
-		s.reg.Gauge("wal.frames_total", func() float64 { return float64(n.WALStats().Frames) })
-		s.reg.Gauge("wal.bytes_total", func() float64 { return float64(n.WALStats().Bytes) })
-		s.reg.Gauge("wal.fsyncs_total", func() float64 { return float64(n.WALStats().Fsyncs) })
-		s.reg.Gauge("wal.fsync_time_us", func() float64 { return float64(n.WALStats().FsyncTime.Microseconds()) })
-		s.reg.Gauge("wal.commits_waited_total", func() float64 { return float64(n.WALStats().Commits) })
-		s.reg.Gauge("wal.commit_wait_us", func() float64 { return float64(n.WALStats().CommitWait.Microseconds()) })
-		s.reg.Gauge("wal.segments", func() float64 { return float64(n.WALStats().Segments) })
-		s.reg.Gauge("wal.checkpoints_total", func() float64 { return float64(n.WALStats().Checkpoints) })
-		s.reg.Gauge("wal.ckpt_bytes_reclaimed", func() float64 { return float64(n.WALStats().CheckpointReclaimed) })
-		s.reg.Gauge("wal.ckpt_ns", func() float64 { return float64(n.WALStats().CheckpointTime.Nanoseconds()) })
-		s.reg.Gauge("store.recover_ns", func() float64 { return float64(n.WALStats().RecoveryTime.Nanoseconds()) })
-		s.reg.Gauge("wal.durable_csn", func() float64 { return float64(n.WALStats().DurableCSN) })
-		s.reg.Gauge("wal.allocated_csn", func() float64 { return float64(n.WALStats().AllocatedCSN) })
-		s.reg.Gauge("repl.followers", func() float64 { return float64(s.repl.count()) })
-		s.reg.Gauge("repl.lag_csn", func() float64 {
-			if r := s.replStats(); r != nil {
-				return float64(r.LagCSN)
-			}
-			return 0
-		})
-		s.reg.Gauge("repl.lag_seconds", func() float64 {
-			if r := s.replStats(); r != nil {
-				return r.LagSeconds
-			}
-			return 0
-		})
-		s.reg.Gauge("repl.lag_bytes", func() float64 { return float64(s.replLagBytes()) })
-		s.reg.Gauge("index.count", func() float64 { return float64(len(n.IndexStats())) })
-		s.reg.Gauge("index.hits_total", func() float64 {
-			var hits uint64
-			for _, st := range n.IndexStats() {
-				hits += st.Hits
-			}
-			return float64(hits)
-		})
-	}
-	if db.ShardingStats() != nil {
-		s.reg.Gauge("router.shards", func() float64 { return float64(db.ShardingStats().Shards) })
-		s.reg.Gauge("shard.scatter_queries_total", func() float64 { return float64(db.ShardingStats().ScatterQueries) })
-		s.reg.Gauge("shard.partial_rows_total", func() float64 { return float64(db.ShardingStats().PartialRows) })
-		s.reg.Gauge("shard.ingest_routed_rows_total", func() float64 { return float64(db.ShardingStats().RoutedRows) })
-		s.reg.Gauge("shard.exchange_rounds_total", func() float64 { return float64(db.ShardingStats().ExchangeRounds) })
-		s.reg.Gauge("shard.digests_exchanged", func() float64 { return float64(db.ShardingStats().Digests) })
-		s.reg.Gauge("shard.cross_comparisons", func() float64 { return float64(db.ShardingStats().CrossComparisons) })
-		s.reg.Gauge("shard.cross_merges", func() float64 { return float64(db.ShardingStats().CrossMerges) })
-	}
-	s.reg.Gauge("engine.tables", func() float64 { return float64(db.Stats().Tables) })
-	s.reg.Gauge("engine.entities", func() float64 { return float64(db.Stats().Entities) })
-	s.reg.Gauge("engine.edges", func() float64 { return float64(db.Stats().Edges) })
-	s.reg.Gauge("engine.merges_total", func() float64 { return float64(db.Stats().Merges) })
-	s.reg.Gauge("engine.inconsistencies", func() float64 { return float64(db.Stats().Inconsistencies) })
-	s.reg.Gauge("er.comparisons", func() float64 { return float64(db.Stats().ER.Comparisons) })
-	s.reg.Gauge("er.candidates", func() float64 { return float64(db.Stats().ER.Candidates) })
-	s.reg.Gauge("er.ann_probes", func() float64 { return float64(db.Stats().ER.ANNProbes) })
-	s.reg.Gauge("er.blocks", func() float64 { return float64(db.Stats().ER.Blocks) })
-	s.reg.Gauge("er.block_skips", func() float64 { return float64(db.Stats().ER.BlockSkips) })
+	reg.Gauge("repl.followers", func() float64 { return float64(s.repl.count()) })
+	reg.Gauges([]string{"repl.lag_csn", "repl.lag_seconds", "repl.lag_bytes"}, func(vals []float64) {
+		r := s.replStats()
+		var worst uint64
+		for _, f := range r.Followers {
+			worst = max(worst, f.LagBytes)
+		}
+		vals[0], vals[1], vals[2] = float64(r.LagCSN), r.LagSeconds, float64(worst)
+	})
+	reg.Table("sys.replicas", []string{"remote", "sent_csn", "ack_csn", "lag_csn", "lag_bytes"}, func() [][]model.Value {
+		var rows [][]model.Value
+		for _, f := range s.replStats().Followers {
+			rows = append(rows, []model.Value{model.String(f.Remote), model.Int(int64(f.SentCSN)), model.Int(int64(f.AckCSN)),
+				model.Int(int64(f.LagCSN)), model.Int(int64(f.LagBytes))})
+		}
+		return rows
+	})
 }
-
-// Registry exposes the server's metrics registry (the debug listener and
-// tests read it; MetricsDump is the stable text form).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// MetricsDump renders every registered instrument as sorted "name value"
-// text — the body of the metrics op and the debug /metrics endpoint.
-func (s *Server) MetricsDump() string { return s.reg.Dump() }
-
-// SlowLog returns the retained slow-op entries (oldest first) and the
-// lifetime count of recorded slow operations.
-func (s *Server) SlowLog() ([]obs.SlowEntry, uint64) { return s.slow.Snapshot() }
 
 // Listen binds the listener; Addr is final after it returns.
 func (s *Server) Listen() error {
@@ -371,22 +329,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Stats snapshots the service layer and the engine beneath it.
+// Stats snapshots the service layer's live counters.
 func (s *Server) Stats() StatsReply {
 	srv := s.metrics.snapshot()
 	srv.InFlight, srv.Queued, srv.InFlightPeak = s.admit.depth()
-	_, srv.SlowOps = s.slow.Snapshot()
-	reply := StatsReply{
-		Engine:   s.cfg.DB.Stats(),
-		Server:   srv,
-		Repl:     s.replStats(),
-		Sharding: s.cfg.DB.ShardingStats(),
-	}
-	if s.node != nil {
-		reply.Indexes = s.node.IndexStats()
-		reply.PlanCache = s.node.PlanCacheStats()
-	}
-	return reply
+	return StatsReply{Server: srv}
 }
 
 func (s *Server) handleConn(c *conn) {
@@ -443,25 +390,6 @@ func traceJSON(tr *obs.Trace) string {
 		return ""
 	}
 	return tr.JSON()
-}
-
-// slowLogReply snapshots the slow-op log in wire form.
-func (s *Server) slowLogReply() *SlowLogReply {
-	entries, total := s.slow.Snapshot()
-	out := &SlowLogReply{
-		ThresholdUS: s.slow.Threshold().Microseconds(),
-		Total:       total,
-	}
-	for _, e := range entries {
-		out.Entries = append(out.Entries, WireSlowEntry{
-			Op:     e.Op,
-			Detail: e.Detail,
-			Start:  e.Start.Format(time.RFC3339Nano),
-			DurUS:  e.Dur.Microseconds(),
-			Err:    e.Err,
-		})
-	}
-	return out
 }
 
 // requestCtx derives the per-request context: the client's timeout

@@ -103,6 +103,20 @@ func render(rows *scdb.Rows) string {
 	return b.String()
 }
 
+// metrics reads the node's sys.metrics over the wire, name to value.
+func metrics(t *testing.T, c *client.Client) map[string]float64 {
+	t.Helper()
+	rows, err := c.Query("SELECT name, value FROM sys.metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := make(map[string]float64, len(rows.Data))
+	for _, r := range rows.Data {
+		m[r[0].(string)] = r[1].(float64)
+	}
+	return m
+}
+
 // waitUntil polls cond up to d.
 func waitUntil(t *testing.T, d time.Duration, cond func() bool, what string) {
 	t.Helper()

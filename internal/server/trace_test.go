@@ -174,9 +174,10 @@ func TestTracedIngestOverWire(t *testing.T) {
 	}
 }
 
-// TestMetricsOpOverWire checks the metrics op dumps the consolidated
-// registry: server, engine, and WAL instruments in one sorted listing.
-func TestMetricsOpOverWire(t *testing.T) {
+// TestSysMetricsOverWire reads the node's one registry as sys.metrics over
+// the wire: server, engine and WAL instruments in one name-ordered
+// relation, where a read counts itself as a query in flight.
+func TestSysMetricsOverWire(t *testing.T) {
 	db := openBig(t, 8)
 	_, addr := startServer(t, db, nil)
 	c := dial(t, addr)
@@ -184,50 +185,42 @@ func TestMetricsOpOverWire(t *testing.T) {
 	if _, err := c.Query("SELECT COUNT(*) AS n FROM big AS b"); err != nil {
 		t.Fatal(err)
 	}
-	// The server records the query's latency and releases its admission
-	// slot after writing the result frame, so a metrics op pipelined right
-	// behind the answer can run first: poll until both have landed.
-	var dump string
+	// The server records the query's latency after writing the result
+	// frame, so a read pipelined right behind the answer can run first:
+	// poll until it has landed.
+	var rows *scdb.Rows
 	waitUntil(t, 4*time.Second, func() bool {
 		var err error
-		if dump, err = c.Metrics(); err != nil {
+		if rows, err = c.Query("SELECT name, value FROM sys.metrics"); err != nil {
 			t.Fatal(err)
 		}
-		return strings.Contains(dump, "server.op.query.latency_us_count 1") &&
-			strings.Contains(dump, "admission.in_flight 0")
-	}, "the query's latency count and slot release to reach the metrics dump")
+		return strings.Contains(render(rows), "server.op.query.latency_us_count|")
+	}, "the query's latency count to reach sys.metrics")
+	dump := render(rows)
 	for _, name := range []string{
-		"server.op.query.latency_us_count 1",
-		"server.conns_open 1",
-		"admission.in_flight 0",
-		"plan_cache.size",
-		"engine.tables",
-		"wal.frames_total 0",
+		"server.conns_open|1\n",
+		"admission.in_flight|1\n", // the read itself
+		"plan_cache.size|",
+		"engine.tables|",
+		"wal.frames_total|0\n",
 	} {
 		if !strings.Contains(dump, name) {
-			t.Fatalf("metrics dump missing %q:\n%s", name, dump)
+			t.Fatalf("sys.metrics missing %q:\n%s", name, dump)
 		}
 	}
-	lines := strings.Split(strings.TrimRight(dump, "\n"), "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i-1] >= lines[i] {
-			t.Fatalf("metrics dump not sorted at line %d: %q >= %q", i, lines[i-1], lines[i])
+	for i := 1; i < len(rows.Data); i++ {
+		if a, b := rows.Data[i-1][0].(string), rows.Data[i][0].(string); a >= b {
+			t.Fatalf("sys.metrics not in name order at row %d: %q >= %q", i, a, b)
 		}
 	}
-	// Dumps are byte-stable when nothing has changed.
-	again, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The second metrics request itself bumps conns/op counters only after
-	// the response is rendered, so compare engine sections instead.
-	if !strings.Contains(again, "engine.tables") {
-		t.Fatalf("second dump lost engine gauges:\n%s", again)
+	// The value column is a float even where every value is whole.
+	if _, ok := rows.Data[0][1].(float64); !ok {
+		t.Fatalf("value %v is %T, want float64", rows.Data[0][1], rows.Data[0][1])
 	}
 }
 
 // TestSlowLogOverWire drops the threshold to one nanosecond so every
-// request qualifies, then reads the ring back over the wire.
+// request qualifies, then reads the ring back over the wire as sys.slowlog.
 func TestSlowLogOverWire(t *testing.T) {
 	db := openBig(t, 8)
 	_, addr := startServer(t, db, func(cfg *server.Config) {
@@ -241,35 +234,37 @@ func TestSlowLogOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Like its latency count, a request's slow-log entry lands after its
-	// result frame is written (see TestMetricsOpOverWire): poll for it.
-	var reply server.SlowLogReply
+	// result frame is written (see TestSysMetricsOverWire): poll for it.
+	// Every read is slow too, and lands in the ring behind the query.
+	var ring [][]any
 	pollSlowLog := func(what string, ok func() bool) {
 		t.Helper()
 		waitUntil(t, 4*time.Second, func() bool {
-			var err error
-			if reply, err = c.SlowLog(); err != nil {
+			rows, err := c.Query("SELECT op, detail, dur_us, start FROM sys.slowlog")
+			if err != nil {
 				t.Fatal(err)
 			}
+			ring = rows.Data
 			return ok()
 		}, what)
 	}
-	var entry *server.WireSlowEntry
+	var entry []any
 	pollSlowLog("the query's slow-log entry", func() bool {
-		for i, e := range reply.Entries {
-			if e.Op == server.OpQuery && e.Detail == q {
-				entry = &reply.Entries[i]
+		for _, e := range ring {
+			if e[0] == server.OpQuery && e[1] == q {
+				entry = e
 			}
 		}
 		return entry != nil
 	})
-	if reply.ThresholdUS != 0 { // 1ns rounds down to 0µs
-		t.Fatalf("threshold_us = %d, want 0", reply.ThresholdUS)
+	if m := metrics(t, c); m["server.slow_threshold_us"] != 0 { // 1ns rounds down to 0µs
+		t.Fatalf("server.slow_threshold_us = %v, want 0", m["server.slow_threshold_us"])
 	}
-	if entry.DurUS < 0 {
-		t.Fatalf("slow entry has negative duration: %+v", entry)
+	if entry[2].(int64) < 0 {
+		t.Fatalf("slow entry has negative duration: %v", entry)
 	}
-	if _, err := time.Parse(time.RFC3339Nano, entry.Start); err != nil {
-		t.Fatalf("slow entry start %q not RFC3339Nano: %v", entry.Start, err)
+	if _, err := time.Parse(time.RFC3339Nano, entry[3].(string)); err != nil {
+		t.Fatalf("slow entry start %q not RFC3339Nano: %v", entry[3], err)
 	}
 
 	// Ring capacity bounds retention while the lifetime total keeps
@@ -279,14 +274,16 @@ func TestSlowLogOverWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pollSlowLog("the lifetime total to count every request", func() bool { return reply.Total >= 7 })
-	if len(reply.Entries) > 4 {
-		t.Fatalf("ring retained %d entries, capacity 4", len(reply.Entries))
+	waitUntil(t, 4*time.Second, func() bool { return metrics(t, c)["server.slow_ops_total"] >= 7 },
+		"the lifetime total to count every request")
+	pollSlowLog("the ring", func() bool { return true })
+	if len(ring) > 4 {
+		t.Fatalf("ring retained %d entries, capacity 4", len(ring))
 	}
 }
 
-// TestSlowLogDisabled checks a negative threshold turns the log off: the
-// op still answers, with an empty ring.
+// TestSlowLogDisabled checks a negative threshold turns the log off:
+// sys.slowlog still answers, with an empty ring.
 func TestSlowLogDisabled(t *testing.T) {
 	db := openBig(t, 8)
 	_, addr := startServer(t, db, func(cfg *server.Config) {
@@ -296,11 +293,11 @@ func TestSlowLogDisabled(t *testing.T) {
 	if _, err := c.Query("SELECT COUNT(*) AS n FROM big AS b"); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := c.SlowLog()
+	rows, err := c.Query("SELECT op FROM sys.slowlog")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Total != 0 || len(reply.Entries) != 0 {
-		t.Fatalf("disabled slowlog recorded entries: %+v", reply)
+	if total := metrics(t, c)["server.slow_ops_total"]; total != 0 || len(rows.Data) != 0 {
+		t.Fatalf("disabled slowlog recorded entries: total %v, rows %v", total, rows.Data)
 	}
 }

@@ -129,9 +129,9 @@ const (
 	// never leaves the connection unframeable: chunks for a finished or
 	// unknown request are simply discarded.
 	V2OpIngestChunk byte = 0x06
-	V2OpStats       byte = 0x07
-	V2OpMetrics     byte = 0x08
-	V2OpSlowLog     byte = 0x09
+	// 0x07, 0x08 and 0x09 asked for the stats, the metrics text and the
+	// slow-op log; the node's sys.* relations answer those through the
+	// query op. None is reused, and a server answers each as an unknown op.
 	// V2OpCancel asks the server to cancel the identified in-flight
 	// request. The canceled request still gets its (error) response, so
 	// cancellation never desynchronizes the stream.
@@ -176,12 +176,6 @@ func v2OpName(op byte) string {
 		return OpQuery
 	case V2OpIngestBatch:
 		return OpIngestBatch
-	case V2OpStats:
-		return OpStats
-	case V2OpMetrics:
-		return OpMetrics
-	case V2OpSlowLog:
-		return OpSlowLog
 	case V2OpERDigests:
 		return OpERDigests
 	case V2OpCancel:
@@ -876,8 +870,7 @@ func DecodeV2Query(payload []byte) (q string, timeoutMS int64, err error) {
 	return string(b), int64(t), nil
 }
 
-// EncodeV2Simple builds a bodiless request frame (ping, stats, metrics,
-// slowlog, cancel).
+// EncodeV2Simple builds a bodiless request frame (ping, cancel).
 func EncodeV2Simple(e *V2Enc, id uint32, op byte) []byte {
 	return e.Frame(op, 0, id)
 }
@@ -1320,7 +1313,6 @@ type V2Result struct {
 	Info    *scdb.QueryInfo // query
 	Ingest  *IngestSummary  // ingest_batch
 	Trace   string          // ingest_batch (traced)
-	Blob    []byte          // stats/slowlog JSON, metrics text
 	Digests *er.DigestBatch // er_digests
 	CSN     uint64          // ping, ingest_batch
 }
@@ -1560,15 +1552,6 @@ func (d *v2Dec) count() (int, error) {
 	return int(v), nil
 }
 
-// EncodeV2BlobResult answers stats/metrics/slowlog: the body is an opaque
-// blob (JSON for stats and slowlog, registry text for metrics). These are
-// rare control-plane ops, so they ride v2 frames without a binary schema.
-func EncodeV2BlobResult(e *V2Enc, id uint32, kind byte, blob []byte) []byte {
-	e.u8(kind)
-	e.rawBytes(blob)
-	return e.Frame(V2OpResult, 0, id)
-}
-
 // DecodeV2Result parses any V2OpResult payload.
 func DecodeV2Result(payload []byte) (*V2Result, error) {
 	d, err := newV2Dec(payload)
@@ -1638,11 +1621,6 @@ func DecodeV2Result(payload []byte) (*V2Result, error) {
 		// read as stamp 0, which would leave a session's read-your-writes
 		// mark behind its own write.
 		if res.CSN, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		return res, nil
-	case V2OpStats, V2OpMetrics, V2OpSlowLog:
-		if res.Blob, err = d.rawBytes(); err != nil {
 			return nil, err
 		}
 		return res, nil

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -66,6 +67,15 @@ func oldReply(b er.DigestBatch) []byte {
 	return blob
 }
 
+// oldFrame is an older build's er_digests reply frame: an empty intern
+// table, the result kind and the batch as a length-prefixed blob.
+func oldFrame(id uint32, blob []byte) []byte {
+	payload := binary.AppendUvarint([]byte{0, server.V2OpERDigests}, uint64(len(blob)))
+	frame := binary.BigEndian.AppendUint32(nil, uint32(6+len(payload)+len(blob)))
+	frame = binary.BigEndian.AppendUint32(append(frame, server.V2OpResult, 0), id)
+	return append(append(frame, payload...), blob...)
+}
+
 // serve speaks the protocol on one listener until it closes.
 func (s *digestShard) serve(ln net.Listener) {
 	for {
@@ -95,7 +105,7 @@ func (s *digestShard) serve(ln net.Listener) {
 					s.mu.Lock()
 					b := s.res.DigestsSince(ents, matches)
 					if s.old {
-						_, err = nc.Write(server.EncodeV2BlobResult(e, f.ID, server.V2OpERDigests, oldReply(b)))
+						_, err = nc.Write(oldFrame(f.ID, oldReply(b)))
 					} else {
 						_, err = nc.Write(server.EncodeV2DigestsResult(e, f.ID, &b))
 					}

@@ -32,7 +32,9 @@ import (
 	"sync"
 
 	"scdb"
+	"scdb/internal/core"
 	"scdb/internal/model"
+	"scdb/internal/obs"
 	"scdb/internal/query"
 )
 
@@ -78,11 +80,26 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 	if stmt.Curate != nil {
 		return nil, nil, fmt.Errorf("%w: %s is told to one engine, not to the cluster", ErrNotRoutable, stmt.Curate.Name())
 	}
-	// A function reads entity identity or the whole corpus: shards split both.
+	// A function reads entity identity or the whole corpus: shards split
+	// both. A system relation describes the router itself.
+	system := 0
 	for _, t := range stmt.Sources() {
 		if t.Call {
 			return nil, nil, fmt.Errorf("%w: FROM %s() reads entities or the whole corpus, which shards split", ErrNotRoutable, t.Name)
 		}
+		if obs.IsSystem(t.Name) {
+			system++
+		}
+	}
+	if system > 0 {
+		switch {
+		case system < len(stmt.Sources()):
+			return nil, nil, fmt.Errorf("%w: a sys.* relation describes the router, which holds no table to join it to", ErrNotRoutable)
+		case stmt.Explain || stmt.Trace:
+			return nil, nil, fmt.Errorf("%w: the router explains no statement over its own sys.* relations", ErrNotRoutable)
+		}
+		cols, err := r.answerSystem(ctx, stmt, emit)
+		return cols, &scdb.QueryInfo{}, err
 	}
 	// Plan/trace introspection is about the engine, not the data: every
 	// shard runs the same engine over the same schema, so shard 0's answer
@@ -110,6 +127,21 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 	}
 	// A plain statement carries no explanation, as on an engine.
 	return cols, &scdb.QueryInfo{}, nil
+}
+
+// answerSystem runs a statement over the router's own system relations in
+// the ordinary executor, as finalPhase runs gathered rows.
+func (r *Router) answerSystem(ctx context.Context, stmt *query.SelectStmt, emit emitFunc) ([]string, error) {
+	rels := core.SystemRelations(r.reg, stmt)
+	plan, err := query.BuildPlan(stmt, rels)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := query.ExecuteOpts(plan, rels, query.ExecOptions{Ctx: ctx, Parallelism: 1, Semantic: stmt.Semantics, EmitBatch: emit})
+	if err != nil {
+		return nil, err
+	}
+	return res.Columns, nil
 }
 
 // fanout runs q on every shard concurrently and returns the per-shard

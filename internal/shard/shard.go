@@ -12,7 +12,9 @@
 // gathered rows in the ordinary executor. The router is an in-process
 // server.Engine, so cmd/scdb-router serves the same wire protocol as a
 // single node — clients cannot tell a cluster from one big server, except
-// that the stats op grows a sharding section.
+// by its system relations: a sys.* relation describes the node that
+// answers it, so the router answers from its own registry (sys.shards
+// lists the shards) and refuses a statement that joins one to a table.
 //
 // The part sharding would otherwise break is entity resolution: two records
 // of the same real-world entity can land on different shards, where no
@@ -49,7 +51,10 @@ import (
 
 	"scdb"
 	"scdb/client"
+	"scdb/internal/core"
 	"scdb/internal/er"
+	"scdb/internal/model"
+	"scdb/internal/obs"
 	"scdb/internal/server"
 )
 
@@ -76,7 +81,6 @@ type Backend interface {
 	IngestBatch(ctx context.Context, src scdb.Source, batchSize int) (*client.IngestSummary, error)
 	ERDigests(entsSince, matchesSince int) (er.DigestBatch, error)
 	PingCSN() (uint64, error)
-	Stats() (server.StatsReply, error)
 	LastCSN() uint64
 	Close() error
 }
@@ -88,8 +92,8 @@ type Config struct {
 	// front of the same cluster must list the same shards in the same
 	// order.
 	Backends []Backend
-	// Addrs optionally labels the backends (for the stats op); aligned
-	// with Backends when set.
+	// Addrs optionally labels the backends (for sys.shards); aligned with
+	// Backends when set.
 	Addrs []string
 }
 
@@ -123,9 +127,12 @@ type Router struct {
 	blocking    er.BlockingMode
 	entsMark    []int
 	matchesMark []int
-	// lastEntities caches each shard's entity count from the latest stats
-	// pull (display only; see ShardingStats).
+	// lastEntities caches each shard's entity count from the latest poll
+	// (display only; see ShardingStats).
 	lastEntities []int
+	// reg is the router's self-description: FROM sys.<name> through the
+	// router reads it, not the shards'.
+	reg *obs.Registry
 
 	scatterQueries atomic.Uint64
 	partialRows    atomic.Uint64
@@ -154,12 +161,44 @@ func New(cfg Config) (*Router, error) {
 		entsMark:     make([]int, len(cfg.Backends)),
 		matchesMark:  make([]int, len(cfg.Backends)),
 		lastEntities: make([]int, len(cfg.Backends)),
+		reg:          obs.NewRegistry(),
 	}
 	if err := r.exchangeLocked(); err != nil { // no one else holds r yet
 		return nil, err
 	}
+	r.register()
 	return r, nil
 }
+
+// register fills the router's registry: the cluster's Stats, summed over
+// the shards, the routing counters, and the shards as sys.shards.
+func (r *Router) register() {
+	core.RegisterStats(r.reg, r.Stats)
+	r.reg.Gauge("router.shards", func() float64 { return float64(len(r.shards)) })
+	for name, n := range map[string]*atomic.Uint64{
+		"shard.scatter_queries_total":    &r.scatterQueries,
+		"shard.partial_rows_total":       &r.partialRows,
+		"shard.ingest_routed_rows_total": &r.routedRows,
+		"shard.exchange_rounds_total":    &r.exchangeRounds,
+		"shard.digests_exchanged":        &r.digestsPulled,
+	} {
+		r.reg.Gauge(name, func() float64 { return float64(n.Load()) })
+	}
+	r.reg.Gauge("shard.cross_comparisons", func() float64 { return float64(r.ExchangeStats().Comparisons) })
+	r.reg.Gauge("shard.cross_merges", func() float64 { return float64(r.ExchangeStats().CrossMerges) })
+	r.reg.Table("sys.shards", []string{"shard", "addr", "last_csn", "entities"}, func() [][]model.Value {
+		r.poll() // fresh entity counts
+		var rows [][]model.Value
+		for i, n := range r.ShardingStats().Nodes {
+			rows = append(rows, []model.Value{model.Int(int64(i)), model.String(n.Addr), model.Int(int64(n.LastCSN)), model.Int(int64(n.Entities))})
+		}
+		return rows
+	})
+}
+
+// Registry is the router's self-description, which FROM sys.<name> reads;
+// a server fronting the router registers its own instruments into it.
+func (r *Router) Registry() *obs.Registry { return r.reg }
 
 // Dial connects to each shard address and builds a router over the
 // connections.
@@ -303,44 +342,38 @@ func (r *Router) ExchangeStats() er.ExchangeStats {
 }
 
 // Stats aggregates the shards' engine snapshots into one cluster view.
-// Additive counts (entities, edges, merges, inference results, ER work)
-// sum; Entities is then corrected by the exchange's cross-merge count —
-// entities joined across shards are one entity, counted once — and the
-// same count adds to Merges. Tables and Concepts take the max (every shard
-// observes every source, so the counts coincide; max also reads correctly
-// if a shard is briefly behind). CacheHitRate averages. A shard that fails
-// its stats call contributes nothing to this best-effort snapshot.
+// Additive counts (entities, edges, merges, claims, inference results, ER
+// work) sum; Entities is then corrected by the exchange's cross-merge
+// count — entities joined across shards are one entity, counted once — and
+// the same count adds to Merges, as the exchange's accepted pairs add to
+// ER.Matches. Tables and Concepts take the max (every shard observes every
+// source, so the counts coincide; max also reads correctly if a shard is
+// briefly behind). CacheHitRate averages. A shard that fails the read
+// contributes nothing to this best-effort snapshot.
 func (r *Router) Stats() scdb.Stats {
 	var out scdb.Stats
 	var hit float64
-	polled := 0
-	for i, b := range r.shards {
-		reply, err := b.Stats()
-		if err != nil {
-			continue
-		}
-		s := reply.Engine
-		polled++
+	polled := r.poll()
+	for _, s := range polled {
 		out.Entities += s.Entities
 		out.Edges += s.Edges
 		out.InferredTypes += s.InferredTypes
 		out.Witnesses += s.Witnesses
 		out.Inconsistencies += s.Inconsistencies
 		out.Merges += s.Merges
+		out.Claims += s.Claims
 		out.ER.Comparisons += s.ER.Comparisons
 		out.ER.Candidates += s.ER.Candidates
 		out.ER.ANNProbes += s.ER.ANNProbes
 		out.ER.Blocks += s.ER.Blocks
 		out.ER.BlockSkips += s.ER.BlockSkips
+		out.ER.Matches += s.ER.Matches
 		out.Tables = max(out.Tables, s.Tables)
 		out.Concepts = max(out.Concepts, s.Concepts)
 		hit += s.CacheHitRate
-		r.mu.Lock()
-		r.lastEntities[i] = s.Entities
-		r.mu.Unlock()
 	}
-	if polled > 0 {
-		out.CacheHitRate = hit / float64(polled)
+	if len(polled) > 0 {
+		out.CacheHitRate = hit / float64(len(polled))
 	}
 	xs := r.ExchangeStats()
 	out.Entities -= xs.CrossMerges
@@ -349,11 +382,36 @@ func (r *Router) Stats() scdb.Stats {
 	out.ER.Candidates += xs.Candidates
 	out.ER.ANNProbes += xs.ANNProbes
 	out.ER.BlockSkips += xs.BlockSkips
+	out.ER.Matches += xs.Accepted
 	return out
 }
 
-// ShardingStats is the stats op's sharding section and the source of the
-// serving layer's router.* and shard.* gauges.
+// poll reads each shard's engine snapshot off its sys.metrics, one
+// statement per shard, and keeps each entity count for ShardingStats. A
+// shard that fails the read is left out.
+func (r *Router) poll() []scdb.Stats {
+	var out []scdb.Stats
+	for i, b := range r.shards {
+		rows, _, err := b.QueryInfoCtx(context.Background(), "SELECT name, value FROM sys.metrics")
+		if err != nil {
+			continue
+		}
+		metrics := make(map[string]float64, len(rows.Data))
+		for _, row := range rows.Data {
+			name, _ := row[0].(string)
+			metrics[name], _ = row[1].(float64)
+		}
+		s := core.StatsFrom(metrics)
+		out = append(out, s)
+		r.mu.Lock()
+		r.lastEntities[i] = s.Entities
+		r.mu.Unlock()
+	}
+	return out
+}
+
+// ShardingStats is Server.Stats' sharding section and the source of the
+// router.* and shard.* gauges and sys.shards.
 func (r *Router) ShardingStats() *server.WireShardingStats {
 	xs := r.ExchangeStats()
 	ws := &server.WireShardingStats{

@@ -269,50 +269,69 @@ func TestRouterExplainsAsShardZero(t *testing.T) {
 	}
 }
 
-// TestRouterServedStats checks the wire-visible sharding section.
+// metricsOf reads a node's sys.metrics over the wire, name to value.
+func metricsOf(t *testing.T, c *client.Client) map[string]float64 {
+	t.Helper()
+	rows, err := c.Query("SELECT name, value FROM sys.metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := make(map[string]float64, len(rows.Data))
+	for _, r := range rows.Data {
+		m[r[0].(string)] = r[1].(float64)
+	}
+	return m
+}
+
+// TestRouterServedStats checks the wire-visible routing counters: the
+// router's sys.metrics and sys.shards describe the router, and a node's
+// describe the node.
 func TestRouterServedStats(t *testing.T) {
 	c := newTestCluster(t, 3)
 	ingestCorpus(t, c)
 	if _, err := c.rc.Query("SELECT key FROM pharma_a"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.rc.Stats()
+	m := metricsOf(t, c.rc)
+	if m["router.shards"] != 3 {
+		t.Errorf("router.shards = %v", m["router.shards"])
+	}
+	if m["shard.scatter_queries_total"] == 0 || m["shard.partial_rows_total"] == 0 || m["shard.ingest_routed_rows_total"] == 0 {
+		t.Errorf("scatter counters flat: %v", m)
+	}
+	if m["shard.exchange_rounds_total"] == 0 || m["shard.digests_exchanged"] == 0 || m["shard.cross_merges"] == 0 {
+		t.Errorf("exchange counters flat: %v", m)
+	}
+	nodes, err := c.rc.Query("SELECT shard, last_csn FROM sys.shards")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := st.Sharding
-	if sh == nil {
-		t.Fatal("router stats missing sharding section")
+	var csn int64
+	for _, n := range nodes.Data {
+		csn += n[1].(int64)
 	}
-	if sh.Shards != 3 || len(sh.Nodes) != 3 {
-		t.Errorf("sharding = %+v", sh)
+	if len(nodes.Data) != 3 || csn == 0 {
+		t.Errorf("sys.shards = %v, want 3 shards with commit stamps after ingest", nodes.Data)
 	}
-	if sh.ScatterQueries == 0 || sh.PartialRows == 0 || sh.RoutedRows == 0 {
-		t.Errorf("scatter counters flat: %+v", sh)
-	}
-	if sh.ExchangeRounds == 0 || sh.Digests == 0 || sh.CrossMerges == 0 {
-		t.Errorf("exchange counters flat: %+v", sh)
-	}
-	var csn uint64
-	for _, n := range sh.Nodes {
-		csn += n.LastCSN
-	}
-	if csn == 0 {
-		t.Error("per-shard CSNs all zero after ingest")
-	}
-	if len(st.Indexes) != 0 || st.PlanCache != (scdb.PlanCacheStats{}) || st.Repl != nil {
-		t.Errorf("router stats carry a local store's sections: %+v", st)
+	for name := range m {
+		for _, local := range []string{"plan_cache.", "index.", "wal.", "repl."} {
+			if strings.HasPrefix(name, local) {
+				t.Errorf("the router's sys.metrics carries a local store's %s", name)
+			}
+		}
 	}
 
-	// The Engine/Node split from the other side: a node has no sharding
-	// section, and it answers the store-level op a router refuses.
+	// The Engine/Node split from the other side: a node has no routing
+	// counters, and it answers the store-level op a router refuses.
 	nc, err := client.Dial(startShardServer(t, scdb.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if nst, err := nc.Stats(); err != nil || nst.Sharding != nil {
-		t.Errorf("node stats: sharding = %+v, err = %v; want none", nst.Sharding, err)
+	for name := range metricsOf(t, nc) {
+		if strings.HasPrefix(name, "router.") || strings.HasPrefix(name, "shard.") {
+			t.Errorf("a node's sys.metrics carries the router's %s", name)
+		}
 	}
 	if _, err := nc.ERDigests(0, 0); err != nil {
 		t.Errorf("node er_digests: %v", err)

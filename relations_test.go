@@ -84,11 +84,13 @@ func TestRefreshRichnessDropsCachedAnswers(t *testing.T) {
 	}
 }
 
-// TestRelationsUnderConcurrentWrites runs the claim relations against
-// concurrent INSERT INTO claims and Ingest (run it under -race). Their rows are built
-// under the statement's read lock, so a writer never appends to the claim
-// base under a reader, and a body that took the lock again would deadlock
-// behind the writer queued for it: the watchdog reports that.
+// TestRelationsUnderConcurrentWrites runs the claim relations and the
+// engine's system relations against concurrent INSERT INTO claims and
+// Ingest (run it under -race). Claim rows are built under the statement's
+// read lock, so a writer never appends to the claim base under a reader,
+// and a body that took the lock again would deadlock behind the writer
+// queued for it: the watchdog reports that. System rows are built before
+// the statement takes the lock, because their gauges take it (Stats).
 func TestRelationsUnderConcurrentWrites(t *testing.T) {
 	db := openSample(t)
 	rowsOf(t, db, ClinicalClaims)
@@ -132,6 +134,10 @@ func TestRelationsUnderConcurrentWrites(t *testing.T) {
 					"SELECT * FROM resolve('Warfarin', 'effective_dose_mg', 'richness') LIMIT %d",
 					"SELECT * FROM justify('Warfarin', 'effective_dose_mg', 5.0, 0.5) LIMIT %d",
 					"SELECT * FROM worlds('Warfarin', 'effective_dose_mg') LIMIT %d",
+					"SELECT * FROM sys.metrics LIMIT %d",
+					"SELECT * FROM sys.tables LIMIT %d",
+					"SELECT * FROM sys.columns LIMIT %d",
+					"SELECT * FROM sys.indexes LIMIT %d",
 				} {
 					if _, err := db.Query(fmt.Sprintf(q, 100+i)); err != nil {
 						t.Error(err)

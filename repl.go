@@ -54,42 +54,3 @@ func (db *DB) InvalidateCaches() { db.inner.InvalidateCaches() }
 func (db *DB) ERDigests(entsSince, matchesSince int) er.DigestBatch {
 	return db.inner.ERDigests(entsSince, matchesSince)
 }
-
-// ShardingStats is a shard router's cluster view: the sharding section of
-// the stats op.
-type ShardingStats struct {
-	// Shards is the cluster width; records route to shard
-	// hash(key) mod Shards.
-	Shards int `json:"shards"`
-	// ScatterQueries counts queries fanned out to every shard;
-	// PartialRows the per-shard partial result rows merged router-side.
-	ScatterQueries uint64 `json:"scatter_queries"`
-	PartialRows    uint64 `json:"partial_rows"`
-	// RoutedRows counts ingested entity records split across shards.
-	RoutedRows uint64 `json:"routed_rows"`
-	// ExchangeRounds counts cross-shard ER digest exchanges; Digests the
-	// entity digests pulled; CrossComparisons the candidate pairs scored
-	// router-side; CrossMerges the accepted merges joining entities that
-	// live on different shards.
-	ExchangeRounds   uint64 `json:"exchange_rounds"`
-	Digests          uint64 `json:"digests"`
-	CrossComparisons uint64 `json:"cross_comparisons"`
-	CrossMerges      uint64 `json:"cross_merges"`
-	// Nodes lists the shards in routing order.
-	Nodes []ShardNode `json:"nodes,omitempty"`
-}
-
-// ShardNode is one shard as seen by the router.
-type ShardNode struct {
-	Addr string `json:"addr"`
-	// LastCSN is the highest commit stamp the router has observed from
-	// this shard (its read-your-writes floor).
-	LastCSN uint64 `json:"last_csn"`
-	// Entities is the shard's local entity count from the router's last
-	// stats pull; zero until the router has polled it.
-	Entities int `json:"entities,omitempty"`
-}
-
-// ShardingStats answers nil: one engine is not a cluster. The method
-// completes server.Engine, which the shard router answers with its view.
-func (db *DB) ShardingStats() *ShardingStats { return nil }

@@ -24,7 +24,10 @@
 // its attribute agrees; UNDER FUZZY(t)). The engine's own answers are
 // relation-valued functions in FROM, among them worlds(entity, attr), the
 // claims laid out as probability-weighted possible worlds (FS.3, FS.10),
-// where a value claimed in every world has marginal 1. The optimizer
+// where a value claimed in every world has marginal 1. The database
+// describes itself the same way: FROM sys.metrics, sys.tables, sys.columns
+// and sys.indexes read its instruments, tables, observed schema and
+// indexes (DB.Registry). The optimizer
 // exploits the ontology: redundant semantic predicates collapse,
 // unsatisfiable ones prove queries empty, and concept statistics drive
 // selectivity.
