@@ -31,7 +31,7 @@
 //
 //	\stats       every instrument of the node (SELECT … FROM sys.metrics)
 //	\tables      the tables and their row counts (SELECT … FROM sys.tables)
-//	\schema T    T's observed schema (SELECT … FROM sys.columns)
+//	\schema T    T's schema, read from its rows (SELECT … FROM sys.columns)
 //	\indexes     the self-curated indexes (SELECT … FROM sys.indexes)
 //	\replicas    the followers of a primary (SELECT … FROM sys.replicas)
 //	\slow        the slow-op log (SELECT … FROM sys.slowlog)

@@ -152,7 +152,7 @@ func TestShellLoop(t *testing.T) {
 		stdout = captureStdout(t, func() { shell(in, db, "scdb shell", false) })
 	})
 	for _, want := range []string{"Scan things", "estimated cost:", "out=2", "(2 rows)", `"span": "request"`, "source  score", "things",
-		"_catalog_tables", "[int×2]"} {
+		"_catalog_ontology", "[int×2]"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout)
 		}

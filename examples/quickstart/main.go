@@ -70,12 +70,13 @@ exists Product soldBy Vendor
 		fmt.Printf("  %s must have %s to some %s (because it is a %s)\n", w[0], w[1], w[2], w[3])
 	}
 
-	// Meta-data is data: the observed schema is an ordinary table.
-	rows, err = db.Query(`SELECT attribute, kind, count FROM _catalog_tables WHERE "table" = 'catalog' ORDER BY attribute, kind`)
+	// Meta-data is data: the schema is read from the stored rows.
+	rows, err = db.Query(`SELECT name, filled, kinds FROM sys.columns WHERE "table" = 'catalog' ORDER BY name`)
 	must(err)
-	// The catalog flushes on Close; force it for the demo by querying the
-	// in-memory view through Stats instead when empty.
-	fmt.Println("\nObserved schema rows for 'catalog':", len(rows.Data))
+	fmt.Println("\nSchema of 'catalog' (no CREATE TABLE anywhere):")
+	for _, c := range rows.Data {
+		fmt.Printf("  %-8v filled %v  %v\n", c[0], c[1], c[2])
+	}
 
 	st := db.Stats()
 	fmt.Printf("\nEngine: %d tables, %d entities, %d edges, %d concepts, %d witnesses\n",

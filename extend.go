@@ -11,11 +11,11 @@ import (
 
 // This file carries the remaining public surface: query-by-example
 // completion (FS.7), predicted-link enrichment (FS.4), and durability
-// maintenance. Meta-data is data: the observed schema, the tables and the
-// indexes are the system relations sys.columns, sys.tables and sys.indexes,
-// and the paper's answers are SCQL relations (witnesses(), conflicts(),
-// resolve(…), justify(…), discover(…), crowd(…), suggest_links(…),
-// richness(); see DESIGN.md).
+// maintenance. Meta-data is data: the schema the rows give, the tables
+// and the indexes are the system relations sys.columns, sys.tables and
+// sys.indexes, and the paper's answers are SCQL relations (witnesses(),
+// conflicts(), resolve(…), justify(…), discover(…), crowd(…),
+// suggest_links(…), richness(); see DESIGN.md).
 
 // Completion is the result of completing one example record.
 type Completion struct {
@@ -98,20 +98,12 @@ func (db *DB) WALStats() WALStats { return db.inner.WALStats() }
 
 // Checkpoint writes an incremental snapshot of the durable store at a
 // consistent commit stamp — ingest continues concurrently — and retires
-// sealed log segments the snapshot covers, bounding recovery time. The
-// background checkpointer runs this automatically once CheckpointBytes of
-// log have accumulated; calling it manually is always safe. It is a no-op
-// for in-memory databases.
-func (db *DB) Checkpoint() error {
-	// A replica's catalog rows are the primary's — flushing local counts
-	// would append local frames and corrupt the replicated clock.
-	if !db.inner.ReadOnly() {
-		if err := db.inner.Catalog().Flush(); err != nil {
-			return err
-		}
-	}
-	return db.inner.Store().Checkpoint()
-}
+// sealed log segments the snapshot covers, bounding recovery time. It is
+// the checkpoint the background checkpointer runs once CheckpointBytes of
+// log have accumulated, and it appends no log frame of its own, so calling
+// it manually is always safe, on a replica too. It is a no-op for
+// in-memory databases.
+func (db *DB) Checkpoint() error { return db.inner.Store().Checkpoint() }
 
 // Vacuum drops record versions that are invisible to every live
 // transaction and every future reader, reclaiming memory. Returns the

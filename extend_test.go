@@ -264,7 +264,7 @@ func TestSchemaAndTables(t *testing.T) {
 	for _, r := range rowsOf(t, db, "SELECT name FROM sys.tables") {
 		has[r[0]] = true
 	}
-	if !has["drugbank"] || !has["_catalog_tables"] {
+	if !has["drugbank"] || !has["_catalog_ontology"] {
 		t.Errorf("tables = %v", has)
 	}
 	if got := rowsOf(t, db, `SELECT name FROM sys.columns WHERE "table" = 'never-seen'`); len(got) != 0 {

@@ -349,13 +349,13 @@ func TestPersistenceAcrossOpen(t *testing.T) {
 	if n, _ := res.Rows[0][0].AsInt(); n != 5 {
 		t.Errorf("recovered drugbank rows = %d", n)
 	}
-	// The catalog's own tables are queryable (meta-data is data).
-	res, _, err = db2.Query("SELECT COUNT(*) AS n FROM _catalog_tables")
+	// The schema is queryable after the reopen (meta-data is data).
+	res, _, err = db2.Query("SELECT COUNT(*) AS n FROM sys.columns")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := res.Rows[0][0].AsInt(); n == 0 {
-		t.Error("catalog rows must be queryable")
+		t.Error("schema rows must be queryable")
 	}
 }
 
@@ -604,7 +604,7 @@ func TestPredictFunctionInEngine(t *testing.T) {
 
 func TestAccessorsAndTableRecords(t *testing.T) {
 	db := openLifeSci(t)
-	if db.Graph() == nil || db.Reasoner() == nil || db.Catalog() == nil ||
+	if db.Graph() == nil || db.Reasoner() == nil ||
 		db.Store() == nil || db.Pipeline() == nil {
 		t.Fatal("nil layer accessor")
 	}

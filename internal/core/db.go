@@ -35,8 +35,8 @@ type Options struct {
 	// Storage configures the store opened at Dir.
 	Storage storage.Options
 	// Axioms seeds the ontology, one axiom a line (ontology.Parse's
-	// format). A writable open stores the lines the catalog lacks; the
-	// ontology is the catalog's axioms and these. ADD AXIOMS adds more.
+	// format). A writable open stores the lines the ontology table lacks;
+	// the ontology is the stored axioms and these. ADD AXIOMS adds more.
 	Axioms string
 	// LinkRules drive online literal-to-entity link discovery.
 	LinkRules []curate.LinkRule
@@ -67,9 +67,8 @@ type Options struct {
 	// index self-creation (differential baseline; plans are unchanged).
 	DisableIndexScan bool
 	// ReadOnly opens the engine as a read replica: ingest and the
-	// curation statements return ErrReadOnly, the catalog is opened
-	// without creating its system tables, and Close skips the catalog
-	// flush — the store's content (and its commit clock) belong to the
+	// curation statements return ErrReadOnly, and Open stores no seed
+	// axioms — the store's content (and its commit clock) belong to the
 	// primary and arrive only through replication apply.
 	ReadOnly bool
 }
@@ -111,11 +110,10 @@ type DB struct {
 	tpVer uint64
 }
 
-// derived is what an engine derives from its store: the catalog view, the
+// derived is what an engine derives from its store: the ontology, the
 // relation and semantic layers, the curation pipeline that keeps them, and
 // the claim worlds with their refiner. RefreshDerived swaps the whole set.
 type derived struct {
-	cat      *catalog.Catalog
 	onto     *ontology.Ontology
 	graph    *graph.Graph
 	reasoner *reason.Reasoner
@@ -128,25 +126,23 @@ type derived struct {
 }
 
 // buildDerived is the one assembly of the derived layers, for Open and
-// RefreshDerived: it opens the catalog over store (read-only on a replica),
-// stores the seed axioms it lacks (writable only), re-curates the stored
-// inputs into a fresh graph and reasoner (RebuildFromStore, a no-op on a
-// fresh store), and loads the claim base with its richness weights. The
-// ontology is the catalog's axioms and the seed, so a follower's refresh
-// picks up what its primary was told.
+// RefreshDerived: it stores the seed axioms the store lacks (writable
+// only), re-curates the stored inputs into a fresh graph and reasoner
+// (RebuildFromStore, a no-op on a fresh store), and loads the claim base
+// with its richness weights. The ontology is the stored axioms and the
+// seed, so a follower's refresh picks up what its primary was told.
 func buildDerived(store *storage.Store, opts Options) (derived, error) {
 	var d derived
 	seed, err := ontology.Lines(opts.Axioms)
 	if err != nil {
 		return d, err
 	}
-	if d.cat, err = catalog.Open(store, opts.ReadOnly); err == nil && !opts.ReadOnly {
-		_, err = d.cat.AppendAxioms(seed)
+	if !opts.ReadOnly {
+		if _, err := catalog.AppendAxioms(store, seed); err != nil {
+			return d, err
+		}
 	}
-	if err != nil {
-		return d, err
-	}
-	onto, err := d.cat.LoadOntology()
+	onto, err := catalog.LoadOntology(store)
 	if err != nil {
 		return d, err
 	}
@@ -158,7 +154,6 @@ func buildDerived(store *storage.Store, opts Options) (derived, error) {
 	d.reasoner = reason.New(d.graph, onto)
 	d.pipeline, err = curate.NewPipeline(curate.Config{
 		Store:       store,
-		Catalog:     d.cat,
 		Graph:       d.graph,
 		Ontology:    onto,
 		Reasoner:    d.reasoner,
@@ -268,10 +263,10 @@ func loadRichness(store *storage.Store, worlds *fusion.Worlds) int64 {
 	return newest
 }
 
-// Close persists the catalog's observed schema, then closes the store. It
-// waits out an in-flight Ingest (ingestMu) so curation never writes to a
-// closed log. Axioms, claims and richness weights were written when they
-// were told.
+// Close syncs and closes the store; it writes nothing of its own. It waits
+// out an in-flight Ingest (ingestMu) so curation never writes to a closed
+// log. Axioms, claims and richness weights were written when they were
+// told.
 func (db *DB) Close() error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
@@ -281,12 +276,6 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	if !db.opts.ReadOnly {
-		if err := db.cat.Flush(); err != nil {
-			db.store.Close()
-			return err
-		}
-	}
 	if err := db.store.Sync(); err != nil {
 		db.store.Close()
 		return err
@@ -352,10 +341,10 @@ func (db *DB) enrichmentVersion() uint64 {
 // Ingest runs a source delivery through the curation pipeline. The heavy
 // phases — decode, batched instance writes, ER, link discovery,
 // extraction, re-inference — run OUTSIDE db.mu: the pipeline serializes
-// itself, and every structure it feeds (store, catalog, graph, ontology,
-// reasoner) carries its own latch, so queries keep executing against
-// consistent, progressively enriched state while a delivery lands (FS.11's
-// continuous curation). db.mu is taken only for the final install step:
+// itself, and every structure it feeds (store, graph, ontology, reasoner)
+// carries its own latch, so queries keep executing against consistent,
+// progressively enriched state while a delivery lands (FS.11's continuous
+// curation). db.mu is taken only for the final install step:
 // invalidating the materialization cache, which also waits out in-flight
 // readers so no stale result survives the enrichment.
 func (db *DB) Ingest(ds datagen.Dataset) error {
@@ -388,9 +377,6 @@ func (db *DB) Graph() *graph.Graph { return db.graph }
 
 // Reasoner exposes the ABox reasoner.
 func (db *DB) Reasoner() *reason.Reasoner { return db.reasoner }
-
-// Catalog exposes the unified meta-data.
-func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 
 // Store exposes the instance layer.
 func (db *DB) Store() *storage.Store { return db.store }

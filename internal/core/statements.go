@@ -110,15 +110,15 @@ func (db *DB) insertClaims(st *query.CurateStmt) (int, error) {
 }
 
 // addAxioms parses every line into a throwaway ontology first, so one bad
-// line fails the statement; the catalog stores the lines it lacks, and
-// only those join the live ontology. Curation uses them from the next
+// line fails the statement; the ontology table stores the lines it lacks,
+// and only those join the live ontology. Curation uses them from the next
 // ingest on; an inference already drawn is re-derived lazily.
 func (db *DB) addAxioms(st *query.CurateStmt) (int, error) {
 	lines, err := ontology.Lines(strings.Join(st.Axioms, "\n"))
 	if err != nil {
 		return 0, err
 	}
-	added, err := db.cat.AppendAxioms(lines)
+	added, err := catalog.AppendAxioms(db.store, lines)
 	if err != nil {
 		return 0, err
 	}

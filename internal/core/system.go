@@ -8,6 +8,7 @@ import (
 	"scdb/internal/model"
 	"scdb/internal/obs"
 	"scdb/internal/query"
+	"scdb/internal/storage"
 )
 
 // The engine describes itself in SCQL. Open creates the node's one
@@ -19,8 +20,9 @@ import (
 // system relation wins over a same-named table, as claims does.
 //
 // Lock rule: gauges and system tables read the engine through its locking
-// accessors (Stats, IndexStats), so a statement builds the system relations
-// it reads before it takes db.mu (queryCtx), never under it.
+// accessors (Stats, IndexStats) and the store under its own latches, so a
+// statement builds the system relations it reads before it takes db.mu
+// (queryCtx), never under it.
 
 // statsGauges names each count of Stats as a gauge.
 var statsGauges = []struct {
@@ -135,21 +137,14 @@ func (db *DB) register() {
 		}
 		return rows
 	})
-	// sys.columns is the catalog's observed union schema: a row per
-	// attribute of each table, its non-null count and its value kinds
-	// counted as "kind×n", kinds in name order.
+	// sys.columns is read off the rows themselves, all tables at one
+	// commit stamp: it holds nothing between reads.
 	reg.Table("sys.columns", []string{"table", "name", "filled", "kinds"}, func() [][]model.Value {
-		db.mu.RLock()
-		cat := db.cat
-		db.mu.RUnlock()
+		csn := db.store.Now()
 		var rows [][]model.Value
-		for _, table := range db.store.Tables() {
-			for _, a := range cat.Schema(table) {
-				var kinds []string
-				for _, k := range slices.Sorted(maps.Keys(a.Kinds)) {
-					kinds = append(kinds, fmt.Sprintf("%s×%d", k, a.Kinds[k]))
-				}
-				rows = append(rows, []model.Value{model.String(table), model.String(a.Name), model.Int(int64(a.Filled)), textList(kinds)})
+		for _, name := range db.store.Tables() {
+			if t, ok := db.store.Table(name); ok {
+				rows = append(rows, columnRows(t, csn)...)
 			}
 		}
 		return rows
@@ -162,4 +157,39 @@ func (db *DB) register() {
 		}
 		return rows
 	})
+}
+
+// columnRows is one pass over the rows of t visible at csn: a sys.columns
+// row per attribute in name order, with its non-null count and its value
+// kinds counted as "kind×n", kinds in name order.
+func columnRows(t *storage.Table, csn storage.CSN) [][]model.Value {
+	type column struct {
+		filled int
+		kinds  map[string]int
+	}
+	cols := map[string]*column{}
+	t.ScanAt(csn, func(_ storage.RowID, rec model.Record) bool {
+		for name, v := range rec {
+			c := cols[name]
+			if c == nil {
+				c = &column{kinds: map[string]int{}}
+				cols[name] = c
+			}
+			if !v.IsNull() {
+				c.filled++
+			}
+			c.kinds[v.Kind().String()]++
+		}
+		return true
+	})
+	rows := make([][]model.Value, 0, len(cols))
+	for _, name := range slices.Sorted(maps.Keys(cols)) {
+		c := cols[name]
+		var kinds []string
+		for _, k := range slices.Sorted(maps.Keys(c.kinds)) {
+			kinds = append(kinds, fmt.Sprintf("%s×%d", k, c.kinds[k]))
+		}
+		rows = append(rows, []model.Value{model.String(t.Name()), model.String(name), model.Int(int64(c.filled)), textList(kinds)})
+	}
+	return rows
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"scdb/internal/catalog"
 	"scdb/internal/datagen"
 	"scdb/internal/extract"
 	"scdb/internal/graph"
@@ -20,15 +19,10 @@ func lifesciPipeline(t *testing.T) (*Pipeline, *graph.Graph, *storage.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	cat, err := catalog.Open(s, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := graph.New()
 	o := datagen.LifeSciOntology()
 	p, err := NewPipeline(Config{
 		Store:    s,
-		Catalog:  cat,
 		Graph:    g,
 		Ontology: o,
 		LinkRules: []LinkRule{
@@ -194,19 +188,6 @@ func TestSemanticEnrichment(t *testing.T) {
 	// Stats flowed into the ontology for the optimizer.
 	if n, ok := p.onto.InstanceCount("Drug"); !ok || n < 5 {
 		t.Errorf("Drug instance count = %d %v", n, ok)
-	}
-}
-
-func TestCatalogObservedSchemas(t *testing.T) {
-	p, _, _ := lifesciPipeline(t)
-	ingestLifeSci(t, p)
-	schema := p.cat.Schema("drugbank")
-	names := map[string]bool{}
-	for _, a := range schema {
-		names[a.Name] = true
-	}
-	if !names["name"] || !names["_key"] {
-		t.Errorf("drugbank schema = %v", schema)
 	}
 }
 

@@ -8,7 +8,7 @@
 //	decode           – each record becomes its instance-layer row;
 //	instance layer   – the chunk lands in storage through the batch write
 //	                   path (one latch acquisition, one multi-record log
-//	                   frame) and the catalog observes its schema (no DDL);
+//	                   frame); there is no DDL, the rows are the schema;
 //	relation layer   – entities and edges enter the graph; literal
 //	                   foreign references are resolved to entity edges via
 //	                   link rules (online instance-level integration, with

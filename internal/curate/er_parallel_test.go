@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"scdb/internal/catalog"
 	"scdb/internal/datagen"
 	"scdb/internal/er"
 	"scdb/internal/graph"
@@ -25,13 +24,8 @@ func iotIngest(t *testing.T, mode er.BlockingMode, par int) (sig string, skips i
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	cat, err := catalog.Open(s, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p, err := NewPipeline(Config{
 		Store:    s,
-		Catalog:  cat,
 		Graph:    graph.New(),
 		Ontology: ontology.New(),
 		Blocking: mode,

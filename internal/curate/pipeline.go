@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scdb/internal/catalog"
 	"scdb/internal/datagen"
 	"scdb/internal/er"
 	"scdb/internal/extract"
@@ -65,14 +64,13 @@ type pendingLink struct {
 // Pipeline wires the layers together. Curation passes serialize on the
 // pipeline's own mutex (the resolver, attribute index, pending links, and
 // counters have no latches of their own); the structures it feeds — store,
-// catalog, graph, ontology, reasoner — each carry their own, so queries
+// graph, ontology, reasoner — each carry their own, so queries
 // keep reading them while a pass runs.
 //
 // Lock order: pipeline.mu is never acquired while holding the engine's
 // db.mu — core takes them in pipeline-then-db order only.
 type Pipeline struct {
 	store    *storage.Store
-	cat      *catalog.Catalog
 	graph    *graph.Graph
 	onto     *ontology.Ontology
 	reasoner *reason.Reasoner
@@ -99,7 +97,6 @@ type Pipeline struct {
 // Config assembles a pipeline.
 type Config struct {
 	Store     *storage.Store
-	Catalog   *catalog.Catalog
 	Graph     *graph.Graph
 	Ontology  *ontology.Ontology
 	Reasoner  *reason.Reasoner
@@ -127,7 +124,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	return &Pipeline{
 		store:       cfg.Store,
-		cat:         cfg.Catalog,
 		graph:       cfg.Graph,
 		onto:        cfg.Ontology,
 		reasoner:    r,
@@ -230,10 +226,10 @@ func buildInstanceRecord(spec datagen.EntitySpec) model.Record {
 // records at a time: each chunk is decoded, lands in the instance layer
 // through one batch write, and is related (relateChunk); then the
 // delivery's links and texts are integrated and the touched entities
-// re-inferred. Every order-sensitive step — storage row IDs, catalog
-// observation, graph insertion, incremental ER — runs in record order, so
-// the state does not depend on the chunk size or the worker count (the
-// differential tests pin this). tr, when non-nil, receives one span per
+// re-inferred. Every order-sensitive step — storage row IDs, graph
+// insertion, incremental ER — runs in record order, so the state does not
+// depend on the chunk size or the worker count (the differential tests pin
+// this). tr, when non-nil, receives one span per
 // stage: decode, batch install (with WAL fsync wait), relation/ER with
 // its blocking and scoring busy time, integration, and inference.
 func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
@@ -248,11 +244,6 @@ func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 	root := tr.Root("ingest")
 	root.SetStr("source", ds.Source)
 	p.stats.Datasets++
-	if p.cat != nil {
-		if err := p.cat.RegisterSource(catalog.SourceInfo{Name: ds.Source, Kind: "dataset"}); err != nil {
-			return err
-		}
-	}
 	if err := p.recordIngestMeta(ds); err != nil {
 		return err
 	}
@@ -282,11 +273,6 @@ func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 			return err
 		}
 		p.stats.Records += len(recs)
-		if p.cat != nil {
-			for _, rec := range recs {
-				p.cat.Observe(ds.Source, rec)
-			}
-		}
 		installDur += time.Since(start)
 
 		start = time.Now()

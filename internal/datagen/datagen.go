@@ -354,11 +354,6 @@ func perturb(r *rand.Rand, s string) string {
 	return string(b)
 }
 
-// StreamEvent is one event of the continuous-ingestion example.
-type StreamEvent struct {
-	Dataset Dataset
-}
-
 // Stream generates a deterministic sequence of single-entity datasets
 // mimicking devices/posts arriving one at a time, with duplicates across
 // "platforms" so incremental ER keeps working.

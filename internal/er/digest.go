@@ -202,24 +202,24 @@ func (x *Exchange) SameRef(a, b RefKey) bool {
 // ExchangeStats snapshots the exchange's work counters.
 type ExchangeStats struct {
 	// Digests counts entities exchanged (one per distinct (source, key)).
-	Digests int `json:"digests"`
+	Digests int
 	// Comparisons/Candidates/Accepted count cross-shard pair scoring work,
 	// in the same units as the local resolver's Stats: Candidates are the
 	// scorable pairs gathered, so same-shard and same-source digests, which
 	// the exchange never pairs, are not in it.
-	Comparisons int `json:"comparisons"`
-	Candidates  int `json:"candidates"`
-	Accepted    int `json:"accepted"`
+	Comparisons int
+	Candidates  int
+	Accepted    int
 	// ANNProbes/BlockSkips mirror the local resolver's counters for the
 	// exchange's own candidate generation.
-	ANNProbes  int `json:"ann_probes"`
-	BlockSkips int `json:"block_skips"`
+	ANNProbes  int
+	BlockSkips int
 	// Clusters is the global entity count across the whole cluster: local
 	// and cross-shard merges both collapse clusters.
-	Clusters int `json:"clusters"`
+	Clusters int
 	// CrossMerges is how many merges exist only because of the exchange —
 	// the correction to subtract from the summed per-shard entity counts.
-	CrossMerges int `json:"cross_merges"`
+	CrossMerges int
 }
 
 // Stats computes the current counters. Cluster counting walks every

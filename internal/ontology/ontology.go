@@ -4,8 +4,8 @@
 // domain/range axioms, and existential restrictions (C ⊑ ∃R.D) — the
 // fragment of SHIN the paper's examples exercise.
 //
-// The ontology is itself data: the catalog stores its axioms as triples in
-// system tables, honouring the paper's unification of data and meta-data.
+// The ontology is itself data: the catalog stores its axioms as rows of a
+// system table, honouring the paper's unification of data and meta-data.
 // This package holds the in-memory, classification-ready form.
 package ontology
 

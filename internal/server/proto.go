@@ -44,15 +44,15 @@ const (
 // IngestSummary reports a completed ingest_batch stream.
 type IngestSummary struct {
 	// Batches is the number of non-empty chunks installed.
-	Batches int `json:"batches"`
+	Batches int
 	// Rows is the number of entity records installed.
-	Rows int `json:"rows"`
+	Rows int
 	// ElapsedUS spans the first chunk read to the last install.
-	ElapsedUS int64 `json:"elapsed_us"`
+	ElapsedUS int64
 	// RowsPerSec is Rows over the elapsed wall clock.
-	RowsPerSec float64 `json:"rows_per_sec"`
+	RowsPerSec float64
 	// CSN is the commit stamp after the last installed chunk.
-	CSN uint64 `json:"csn,omitempty"`
+	CSN uint64
 }
 
 // StatsReply is Server.Stats' snapshot: the service layer's live

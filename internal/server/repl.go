@@ -307,8 +307,8 @@ func (s *Server) handleReplSubscribe(vc *v2conn, f V2Frame, req *v2req) (code, d
 		return fail(CodeQuery, err.Error())
 	}
 	if need {
-		// A fresh checkpoint flushes the catalog's system rows into the
-		// snapshot, so the stream that follows is entirely shippable.
+		// A fresh checkpoint makes the shipped snapshot current, so the
+		// follower replays only the frames after it.
 		if err := db.Checkpoint(); err != nil {
 			return fail(CodeQuery, err.Error())
 		}

@@ -6,8 +6,8 @@
 // through a layered pipeline — the paper's holistic data model:
 //
 //   - instance layer: records land in a multi-versioned store with an
-//     append-only log; schemas are observed, never declared (the catalog
-//     stores meta-data as data);
+//     append-only log; schemas are read from the rows, never declared, and
+//     the meta-data a curator tells is stored as rows too;
 //   - relation layer: every record becomes an entity in a property graph;
 //     literal foreign references are discovered and linked online;
 //     incremental entity resolution merges duplicates across sources;
@@ -26,8 +26,8 @@
 // claims laid out as probability-weighted possible worlds (FS.3, FS.10),
 // where a value claimed in every world has marginal 1. The database
 // describes itself the same way: FROM sys.metrics, sys.tables, sys.columns
-// and sys.indexes read its instruments, tables, observed schema and
-// indexes (DB.Registry). The optimizer
+// and sys.indexes read its instruments, tables, the schema its rows give
+// and its indexes (DB.Registry). The optimizer
 // exploits the ontology: redundant semantic predicates collapse,
 // unsatisfiable ones prove queries empty, and concept statistics drive
 // selectivity.

@@ -125,14 +125,41 @@ func TestRichnessSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestCheckpointAppendsNoFrame: a manual checkpoint is the store's own,
+// the one the background checkpointer runs. It used to rewrite the
+// catalog's schema rows first, appending frames on an idle store.
+func TestCheckpointAppendsNoFrame(t *testing.T) {
+	opts := durableOptions(t)
+	db := openAt(t, opts, opts.Dir)
+	for _, src := range LifeSciSample(1, 0, 0, 0) {
+		if err := db.Ingest(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := db.WALStats()
+	for i := 0; i < 2; i++ {
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := db.WALStats()
+	if after.Frames != before.Frames {
+		t.Errorf("two checkpoints of an idle store appended %d frames", after.Frames-before.Frames)
+	}
+	if after.Checkpoints != before.Checkpoints+2 {
+		t.Errorf("checkpoints %d → %d, want two more", before.Checkpoints, after.Checkpoints)
+	}
+}
+
 // crashQueries read what the curation statements tell: the claims, the
 // richness measurements, the weighted fusion and a concept the axioms
-// build.
+// build; and the schema every table's rows give.
 var crashQueries = []string{
 	"SELECT entity, attr, value, source, context, confidence, justification FROM claims",
 	"SELECT * FROM richness() ORDER BY source",
 	"SELECT value, support FROM resolve('Warfarin', 'effective_dose_mg', 'richness')",
 	"SELECT _key FROM Probe ORDER BY _key WITH SEMANTICS",
+	`SELECT "table", name, filled, kinds FROM sys.columns ORDER BY "table", name`,
 }
 
 // crashHistory is a seeded history: the sample's sources and the clinical

@@ -151,10 +151,8 @@ func TestSystemRelations(t *testing.T) {
 		if got := lines(mustQuery(t, s.q, `SELECT "table", attr, kind, entries, hits, auto FROM sys.indexes`)); got != want.String() {
 			t.Errorf("%s sys.indexes:\n%s\nIndexStats:\n%s", s.name, got, want.String())
 		}
-		if s.name != "replica" {
-			if got := lines(mustQuery(t, s.q, `SELECT "table", name, filled, kinds FROM sys.columns WHERE "table" IN ('ctd', 'drugbank', 'uniprot') ORDER BY "table", name`)); got != lifesciColumns {
-				t.Errorf("%s sys.columns:\n%s\nSchema returned:\n%s", s.name, got, lifesciColumns)
-			}
+		if got := lines(mustQuery(t, s.q, `SELECT "table", name, filled, kinds FROM sys.columns WHERE "table" IN ('ctd', 'drugbank', 'uniprot') ORDER BY "table", name`)); got != lifesciColumns {
+			t.Errorf("%s sys.columns:\n%s\nSchema returned:\n%s", s.name, got, lifesciColumns)
 		}
 	}
 	if len(primary.IndexStats()) == 0 {
