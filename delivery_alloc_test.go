@@ -80,10 +80,11 @@ func deliveryStream(seed int64, n, per int) []Source {
 // delivery through IngestCtx on a durable store, after a warm-up that gives
 // the resolver blocks worth searching. The attribute map an arrival brings
 // is kept by the graph rather than copied, each of its values is normalized
-// once for the resolver, the attribute index and the gazetteer, and its
-// batch is encoded into one buffer, so a delivery costs at most 30 objects
-// an entity (24 on go1.24/linux/amd64). The same test measured 41 at commit 2f5c776, before
-// any of that.
+// once for the resolver, the attribute index and the gazetteer, its batch is
+// encoded into one buffer, and the resolver indexes it in one object per
+// kind of state it keeps, so a delivery costs at most 16 objects an entity
+// (13.5 on go1.24/linux/amd64; 24 while the resolver made an object per
+// value). The same test measured 41 at commit 2f5c776, before any of that.
 func TestDeliveryAllocBudget(t *testing.T) {
 	const per, warm, runs = 200, 40, 8
 	db, err := Open(Options{Dir: t.TempDir(), Sync: SyncGroup})
@@ -107,7 +108,11 @@ func TestDeliveryAllocBudget(t *testing.T) {
 	})
 	perEntity := allocs / per
 	t.Logf("one %d-entity delivery allocates %.0f objects, %.1f an entity", per, allocs, perEntity)
-	if perEntity > 30 {
-		t.Errorf("a delivery allocates %.1f objects an entity, budget 30; the same delivery cost 41 at commit 2f5c776", perEntity)
+	budget := 16.0
+	if raceEnabled {
+		budget = 30 // 20.3 here; 28.7 before the pooled Prepared
+	}
+	if perEntity > budget {
+		t.Errorf("a delivery allocates %.1f objects an entity, budget %.0f; the same delivery cost 41 at commit 2f5c776", perEntity, budget)
 	}
 }

@@ -1,10 +1,5 @@
 package er
 
-import (
-	"cmp"
-	"slices"
-)
-
 // AttrText is one attribute of an indexed entity: its name and its
 // normalized text.
 type AttrText struct {
@@ -17,8 +12,3 @@ type AttrText struct {
 // a slice, not a map, because an entity has a handful of attributes and the
 // resolver holds one set per entity it has ever indexed.
 type Attrs []AttrText
-
-// sortAttrs sorts a by name; the names must already be unique.
-func sortAttrs(a Attrs) {
-	slices.SortFunc(a, func(x, y AttrText) int { return cmp.Compare(x.Name, y.Name) })
-}

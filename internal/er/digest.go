@@ -16,7 +16,6 @@ package er
 // candidate subsets when a block is split across shards; see DESIGN.md).
 
 import (
-	"strings"
 	"time"
 
 	"scdb/internal/model"
@@ -112,14 +111,11 @@ func (r *Resolver) refOf(id model.EntityID) (RefKey, bool) {
 
 // digestIndexed rebuilds the resolver's internal representation from a
 // digest: tokens and attrs arrive pre-normalized, so only the per-value
-// similarity derivations (tokens, trigram set) are recomputed.
+// similarity derivations (tokens, trigram set) are recomputed, into one
+// arena each as index makes them.
 func digestIndexed(d Digest) indexed {
 	ix := indexed{key: d.Key, source: d.Source, tokens: d.Tokens, attrs: d.Attrs}
-	for _, at := range d.Attrs {
-		if len(at.Text) >= minIdentifyingLen {
-			ix.vals = append(ix.vals, newAttrVal(at.Text, strings.Fields(at.Text)))
-		}
-	}
+	ix.derive(false)
 	return ix
 }
 

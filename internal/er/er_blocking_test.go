@@ -34,7 +34,7 @@ func TestRunePrefix(t *testing.T) {
 func TestBlockKeysMultiByteRunes(t *testing.T) {
 	r := NewResolver(Config{})
 	ix := index(ent(1, "src", map[string]string{"name": "abcédef überwachungsstation"}))
-	keys := r.blockKeys(ix)
+	keys := blockKeys(nil, &ix)
 	want := map[string]bool{"abcé": false, "über": false}
 	for _, k := range keys {
 		if !utf8.ValidString(k) {

@@ -29,7 +29,8 @@ func checkKernel(t *testing.T, a, b string) {
 				t.Errorf("distance(%q, %q) = %d, textbook %d", x, y, got, want)
 			}
 		}
-		vx, vy := newAttrVal(x, strings.Fields(x)), newAttrVal(y, strings.Fields(y))
+		vx, _, _ := deriveVal(x, nil, nil)
+		vy, _, _ := deriveVal(y, nil, nil)
 		if got, want := jaccard(vx.tris, vy.tris), textbookJaccard(textbookTrigrams(x), textbookTrigrams(y)); got != want {
 			t.Errorf("trigram jaccard(%q, %q) = %v, textbook %v", x, y, got, want)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"scdb/internal/model"
@@ -86,9 +87,13 @@ func (f *prepareFixture) typo(of int) string {
 // keeps — its index representation, its keys, one slice of scored candidates
 // — and so does not grow with the candidates: nothing is allocated per
 // pair. With two DP rows per pair and a string per trigram it was about 165
-// objects for 51 candidates. Then four goroutines prepare against the frozen
-// resolver at once, as the pipeline's workers do; under -race that is what
-// pins that a pooled scratch is never in two hands.
+// objects for 51 candidates. In the steady state, where each Prepare draws
+// the Prepared an earlier Commit consumed, an arrival costs its five index
+// objects and the match it finds; with a string, a field slice and a trigram
+// set per value and a postings array per block it was 14 to 15. The
+// exchange adds a digest for its three derived objects, where it took 9. Then four goroutines prepare
+// against the frozen resolver at once, as the pipeline's workers do; under
+// -race that is what pins that a pooled scratch is never in two hands.
 func TestPrepareAllocBudget(t *testing.T) {
 	f := newPrepareFixture(Config{})
 	many := fixtureEntity(0, "feed_d", f.typo(3000), "qqqa")
@@ -108,12 +113,74 @@ func TestPrepareAllocBudget(t *testing.T) {
 	// The race build's sync.Pool drops a quarter of what is Put, on purpose,
 	// so there a count is an average over rebuilt scratches.
 	if !raceEnabled {
-		if aMany > 40 {
-			t.Errorf("Prepare with %d candidates allocates %.0f objects, budget 40", nMany, aMany)
+		if aMany > 12 {
+			t.Errorf("Prepare with %d candidates allocates %.0f objects, budget 12", nMany, aMany)
 		}
 		if aMany != aFew {
 			t.Errorf("Prepare allocates %.0f objects with %d candidates and %.0f with %d; want the same", aMany, nMany, aFew, nFew)
 		}
+	}
+
+	// Steady state: each run prepares and commits a fresh typo of an indexed
+	// name, in a capped city block (many candidates) or a city of its own
+	// (few), so every arrival finds its one match. The typos are of names
+	// feed_d did not deliver, which a feed_d arrival is never paired with.
+	const runs = 200
+	next, target := fixtureEntities, 1000
+	arrivals := func(city func(i int) string) []*model.Entity {
+		es := make([]*model.Entity, runs+1)
+		for i := range es {
+			if fixtureFeeds[target%4] == "feed_d" {
+				target++
+			}
+			es[i] = fixtureEntity(0, "feed_d", f.typo(target), city(i))
+			target++
+		}
+		return es
+	}
+	steady := func(es []*model.Entity) (allocs float64, cands int) {
+		i := 0
+		allocs = testing.AllocsPerRun(runs, func() {
+			p := f.res.Prepare(es[i])
+			cands += p.Candidates()
+			next++
+			if len(f.res.Commit(p, model.EntityID(next))) != 1 {
+				t.Fatalf("arrival %d found no match", i)
+			}
+			i++
+		})
+		return allocs, cands / (runs + 1)
+	}
+	cMany, perMany := steady(arrivals(func(int) string { return "qqqa" }))
+	cFew, perFew := steady(arrivals(func(i int) string { return fmt.Sprintf("zz%c%c", 'a'+i/26%26, 'a'+i%26) }))
+	t.Logf("Prepare and Commit allocate %.0f objects an arrival with %d candidates, %.0f with %d", cMany, perMany, cFew, perFew)
+	if perMany < 50 || perFew > 8 {
+		t.Fatalf("steady arrivals gather %d and %d candidates, want at least 50 and a few", perMany, perFew)
+	}
+	if !raceEnabled {
+		if cMany > 6 || cFew > 6 {
+			t.Errorf("Prepare and Commit allocate %.0f and %.0f objects an arrival, budget 6", cMany, cFew)
+		}
+	}
+
+	// The exchange: a digest of another shard's entity re-mentioning an
+	// indexed name, against the digests of the whole fixture: its three
+	// derived objects and its match, 4 on go1.24/linux/amd64.
+	x := NewExchange(Config{})
+	x.AddBatch(0, f.res.DigestsSince(0, 0))
+	digests := make([]Digest, runs+1)
+	for i := range digests {
+		ix := index(fixtureEntity(0, "feed_e", f.typo(i), "qqqa"))
+		digests[i] = Digest{Source: "feed_e", Key: fmt.Sprintf("e%d", i), Tokens: ix.tokens, Attrs: ix.attrs}
+	}
+	i := 0
+	aDigest := testing.AllocsPerRun(runs, func() {
+		x.addDigest(1, digests[i])
+		i++
+	})
+	t.Logf("Exchange.addDigest allocates %.0f objects a digest", aDigest)
+	if !raceEnabled && aDigest > 5 {
+		t.Errorf("Exchange.addDigest allocates %.0f objects a digest, budget 5", aDigest)
 	}
 
 	want := f.res.Prepare(many)
@@ -170,5 +237,65 @@ func BenchmarkResolverPrepare(b *testing.B) {
 			}
 			b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
 		})
+	}
+}
+
+// TestPreparedPoolOwnership runs relateChunk's shape: four goroutines
+// prepare a chunk while a fifth takes each Prepared in record order and
+// commits it, so the Prepareds Commit consumes go back to the pool while the
+// preparers draw from it. The commits go to a second resolver built like
+// the first, whose committed prefix is the same, so the preparers read a
+// resolver nothing writes. Every Prepared must reach Commit as a serial
+// Prepare made it; under -race, a Prepared in two hands is a reported race.
+func TestPreparedPoolOwnership(t *testing.T) {
+	frozen, live := newPrepareFixture(Config{}), newPrepareFixture(Config{})
+	chunk := make([]*model.Entity, 64)
+	for i := range chunk {
+		name, city := frozen.freshName(), "qqqa"
+		if i%3 == 0 {
+			name = frozen.typo(i * 50)
+		}
+		if i%4 == 0 {
+			city = "qqqb"
+		}
+		chunk[i] = fixtureEntity(0, "feed_d", name, city)
+	}
+	describe := func(p *Prepared) string {
+		return fmt.Sprint(p.ix.attrs, p.ix.tokens, p.ix.vals, p.keys, p.cands)
+	}
+	want := make([]string, len(chunk))
+	for i, e := range chunk {
+		want[i] = describe(frozen.res.Prepare(e))
+	}
+	id := fixtureEntities
+	for round := 0; round < 20; round++ {
+		ready := make([]chan *Prepared, len(chunk))
+		for i := range ready {
+			ready[i] = make(chan *Prepared, 1)
+		}
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(chunk); i = int(next.Add(1)) - 1 {
+					ready[i] <- frozen.res.Prepare(chunk[i])
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range chunk {
+				p := <-ready[i]
+				if got := describe(p); got != want[i] {
+					t.Errorf("round %d: arrival %d reached Commit as\n%s\nwant\n%s", round, i, got, want[i])
+				}
+				id++
+				live.res.Commit(p, model.EntityID(id))
+			}
+		}()
+		wg.Wait()
 	}
 }

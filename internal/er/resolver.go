@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"scdb/internal/model"
 )
@@ -96,7 +97,11 @@ type Match struct {
 
 // indexed holds what the resolver retains per entity: the normalized value
 // tokens, the per-attribute normalized strings, and the source-local key
-// (the cross-process identity DigestsSince exports for cross-shard ER).
+// (the cross-process identity DigestsSince exports for cross-shard ER). An
+// indexed entity is five objects whatever its width: the attribute texts are
+// substrings of one normal-form string, every token slice (the entity's and
+// each value's) is a range of one token arena, every trigram set a range of
+// one trigram arena, and attrs and vals are one slice each.
 type indexed struct {
 	id     model.EntityID
 	key    string
@@ -128,7 +133,8 @@ type indexed struct {
 // state.
 type Resolver struct {
 	cfg     Config
-	blocks  map[string][]int // blocking key → indexes into ents
+	blocks  map[string]block // blocking key → its postings
+	slab    []int32          // unused room small blocks are carved from
 	ents    []indexed
 	byID    map[model.EntityID]int
 	uf      *UnionFind
@@ -171,7 +177,7 @@ func NewResolver(cfg Config) *Resolver {
 	}
 	r := &Resolver{
 		cfg:    cfg,
-		blocks: make(map[string][]int),
+		blocks: make(map[string]block),
 		byID:   make(map[model.EntityID]int),
 		uf:     NewUnionFind(),
 	}
@@ -222,36 +228,100 @@ func (r *Resolver) Stats() Stats {
 	}
 }
 
-// index extracts the comparable representation of an entity. Each value is
-// normalized and split once; the entity's tokens are gathered in a buffer
-// that stays on the stack for an entity of ordinary width.
+// index extracts the comparable representation of an entity. The values
+// are normalized into one buffer that becomes the entity's one normal-form
+// string, and derive splits and packs them into one arena each; the working
+// lists stay on the stack for an entity of ordinary width.
 func index(e *model.Entity) indexed {
 	ix := indexed{id: e.ID, key: e.Key, source: e.Source}
+	type pending struct {
+		name, raw string
+		lo, hi    int // the normal form's bytes in buf
+	}
+	var pbuf [16]pending
+	ps := pbuf[:0]
 	for k, v := range e.Attrs {
-		if v.IsNull() {
-			continue
-		}
-		if text := Normalize(v.Text()); text != "" {
-			if ix.attrs == nil {
-				ix.attrs = make(Attrs, 0, len(e.Attrs))
-			}
-			ix.attrs = append(ix.attrs, AttrText{Name: k, Text: text})
+		if !v.IsNull() {
+			ps = append(ps, pending{name: k, raw: v.Text()})
 		}
 	}
-	sortAttrs(ix.attrs)
-	var buf [32]string
-	tokens := buf[:0]
-	for _, at := range ix.attrs {
-		fields := strings.Fields(at.Text)
-		tokens = append(tokens, fields...)
-		if len(at.Text) >= minIdentifyingLen {
-			ix.vals = append(ix.vals, newAttrVal(at.Text, fields))
+	slices.SortFunc(ps, func(x, y pending) int { return strings.Compare(x.name, y.name) })
+	var nbuf [256]byte
+	buf, n := nbuf[:0], 0
+	for i := range ps {
+		ps[i].lo = len(buf)
+		buf = appendNormal(buf, ps[i].raw)
+		if ps[i].hi = len(buf); ps[i].hi > ps[i].lo {
+			n++
 		}
 	}
-	if len(tokens) > 0 { // none stays nil, as a digest decodes it
-		ix.tokens = slices.Clone(sortedUnique(tokens))
+	if n == 0 {
+		return ix
 	}
+	norm := string(buf)
+	ix.attrs = make(Attrs, 0, n)
+	for _, p := range ps {
+		if p.hi > p.lo {
+			ix.attrs = append(ix.attrs, AttrText{Name: p.name, Text: norm[p.lo:p.hi]})
+		}
+	}
+	ix.derive(true)
 	return ix
+}
+
+// derive fills ix.vals from ix.attrs, and ix.tokens too when withTokens is
+// set (a digest brings its own). A first pass counts what the arenas will
+// hold, so each is allocated once at its size: the token arena holds every
+// identifying value's tokens and digits and then the entity's token set, the
+// trigram arena every identifying value's trigrams. A non-identifying value's
+// fields are in the arena only as members of the entity's token set.
+func (ix *indexed) derive(withTokens bool) {
+	nvals, ntoks, ntris := 0, 0, 0
+	for _, at := range ix.attrs {
+		n, digits := 0, 0
+		for f := range fields(at.Text) {
+			n++
+			if hasDigit(f) {
+				digits++
+			}
+		}
+		if withTokens {
+			ntoks += n
+		}
+		if len(at.Text) >= minIdentifyingLen {
+			nvals++
+			ntoks += n + digits
+			ntris += utf8.RuneCountInString(at.Text) + 2
+		}
+	}
+	var toks []string
+	var tris []uint64
+	if ntoks > 0 {
+		toks = make([]string, 0, ntoks)
+	}
+	if nvals > 0 {
+		ix.vals = make([]attrVal, 0, nvals)
+		tris = make([]uint64, 0, ntris)
+	}
+	for _, at := range ix.attrs {
+		if len(at.Text) >= minIdentifyingLen {
+			var v attrVal
+			v, toks, tris = deriveVal(at.Text, toks, tris)
+			ix.vals = append(ix.vals, v)
+		}
+	}
+	if !withTokens {
+		return
+	}
+	lo := len(toks)
+	for _, at := range ix.attrs {
+		for f := range fields(at.Text) {
+			toks = append(toks, f)
+		}
+	}
+	if set := sortedUnique(toks[lo:]); len(set) > 0 { // none stays nil, as a digest decodes it
+		ix.tokens = set[:len(set):len(set)]
+	}
 }
 
 // runePrefix returns the first n runes of s. Byte slicing would split a
@@ -271,17 +341,65 @@ func runePrefix(s string, n int) string {
 	return s
 }
 
-// blockKeys derives the blocking keys of an indexed entity: the prefix of
-// every token. The tokens are sorted, so their prefixes are too, and equal
-// keys are neighbours.
-func (r *Resolver) blockKeys(ix indexed) []string {
-	keys := make([]string, 0, len(ix.tokens))
+// blockKeys appends the blocking keys of an indexed entity to keys: the
+// prefix of every token. The tokens are sorted, so their prefixes are too,
+// and equal keys are neighbours.
+func blockKeys(keys []string, ix *indexed) []string {
 	for _, t := range ix.tokens {
 		if k := runePrefix(t, blockPrefix); len(keys) == 0 || keys[len(keys)-1] != k {
 			keys = append(keys, k)
 		}
 	}
 	return keys
+}
+
+// block is one blocking key's postings. gather never reads a member past the
+// maxBlock cut and BlockSkips needs only how many there are, so a block keeps
+// the positions of its first maxBlock members and its member count.
+type block struct {
+	pos []int32 // the first min(n, maxBlock) members' positions, in order
+	n   int     // members
+}
+
+// slabSize is how many positions a slab holds, and smallBlock the largest
+// postings array carved from one: a block starts at two slots and doubles,
+// from the slab up to smallBlock and from the heap past it. A block that
+// grows abandons its old slots, at most 2+4 of them, in the slab.
+const (
+	slabSize   = 1024
+	smallBlock = 8
+)
+
+// addToBlock appends pos to the block of key.
+func (r *Resolver) addToBlock(key string, pos int) {
+	b := r.blocks[key]
+	b.n++
+	if len(b.pos) == maxBlock {
+		r.blocks[key] = b
+		return
+	}
+	if len(b.pos) == cap(b.pos) {
+		c := min(max(2*cap(b.pos), 2), maxBlock)
+		grown := r.carve(c)
+		copy(grown, b.pos)
+		b.pos = grown[:len(b.pos)]
+	}
+	b.pos = append(b.pos, int32(pos))
+	r.blocks[key] = b
+}
+
+// carve returns room for n positions: from the slab when n is at most
+// smallBlock, from the heap otherwise.
+func (r *Resolver) carve(n int) []int32 {
+	if n > smallBlock {
+		return make([]int32, n)
+	}
+	if len(r.slab) < n {
+		r.slab = make([]int32, slabSize)
+	}
+	room := r.slab[:n:n]
+	r.slab = r.slab[n:]
+	return room
 }
 
 // minIdentifyingLen is the minimum normalized length for an attribute
@@ -354,7 +472,9 @@ type candidate struct {
 // everything computable from the resolver's committed state without
 // mutating it. Prepare calls for distinct entities may run concurrently
 // (against the same frozen resolver); each Prepared is then handed to
-// Commit in record order.
+// Commit in record order. Commit consumes it: the index representation and
+// the embedding pass to the resolver, and the Prepared, with its keys and
+// candidate arrays, goes back to a pool the next Prepare draws from.
 type Prepared struct {
 	ix     indexed
 	keys   []string    // token blocking keys (token/both modes)
@@ -381,6 +501,8 @@ func (p *Prepared) Candidates() int { return len(p.cands) }
 // same values. They are shared with the resolver and must not be mutated.
 func (p *Prepared) Attrs() Attrs { return p.ix.attrs }
 
+var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
+
 // Prepare runs candidate generation and pair scoring for one arriving
 // entity against the resolver's committed state, without mutating it. The
 // entity's ID need not be final yet (Commit assigns it).
@@ -395,7 +517,8 @@ func (r *Resolver) Prepare(e *model.Entity) *Prepared {
 func (r *Resolver) prepare(ix indexed, start time.Time) *Prepared {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
-	p := &Prepared{ix: ix}
+	p := preparedPool.Get().(*Prepared)
+	p.ix = ix
 	r.gather(p, sc)
 	p.blockDur = time.Since(start)
 	if len(sc.cands) == 0 {
@@ -408,7 +531,7 @@ func (r *Resolver) prepare(ix indexed, start time.Time) *Prepared {
 		sc.masks[i].build(p.ix.vals[i].text)
 	}
 	arriving := view(&p.ix)
-	p.cands = make([]candidate, len(sc.cands))
+	p.cands = slices.Grow(p.cands[:0], len(sc.cands))[:len(sc.cands)]
 	for i, ci := range sc.cands {
 		cand := &r.ents[ci]
 		s := pairScore(&p.ix, sc.masks, cand)
@@ -431,14 +554,12 @@ func (r *Resolver) gather(p *Prepared, sc *scratch) {
 		return
 	}
 	if r.useTokenBlocks() {
-		p.keys = r.blockKeys(p.ix)
+		p.keys = blockKeys(p.keys[:0], &p.ix)
 		for _, key := range p.keys {
-			block := r.blocks[key]
-			if len(block) > maxBlock {
-				p.skips += len(block) - maxBlock
-				block = block[:maxBlock]
-			}
-			for _, ci := range block {
+			b := r.blocks[key]
+			p.skips += b.n - len(b.pos)
+			for _, pos := range b.pos {
+				ci := int(pos)
 				if r.neverPair(&p.ix, &r.ents[ci]) {
 					continue
 				}
@@ -467,7 +588,8 @@ func (r *Resolver) gather(p *Prepared, sc *scratch) {
 // skipped (without counting), accepted pairs are unioned, and the entity
 // is indexed (blocks, ANN, union-find) for future arrivals. The resulting
 // state — clusters, matches, and the Comparisons counter — is identical
-// to a serial Add of the same record sequence.
+// to a serial Add of the same record sequence. Commit consumes p: it is dead
+// once Commit returns, and the caller must not read or commit it again.
 func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 	p.ix.id = id
 	pos := len(r.ents)
@@ -487,7 +609,7 @@ func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 	r.annProbes += p.probes
 	r.blockSkips += p.skips
 	for _, key := range p.keys {
-		r.blocks[key] = append(r.blocks[key], pos)
+		r.addToBlock(key, pos)
 	}
 	if r.useANN() {
 		r.ann.add(pos, p.vec)
@@ -496,6 +618,8 @@ func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 	r.byID[id] = pos
 	r.uf.Find(id)
 	r.matches = append(r.matches, found...)
+	*p = Prepared{keys: p.keys[:0], cands: p.cands[:0]}
+	preparedPool.Put(p)
 	return found
 }
 

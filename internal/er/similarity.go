@@ -14,6 +14,7 @@ package er
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 	"strings"
 	"unicode"
@@ -23,19 +24,30 @@ import (
 // Normalize lower-cases, trims, and collapses non-alphanumeric runs into
 // single spaces — the canonical form all similarity measures operate on.
 func Normalize(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
+	var buf [64]byte
+	return string(appendNormal(buf[:0], s))
+}
+
+// appendNormal appends the normal form of s to dst: each rune lower-cased as
+// strings.ToLower does, letters and digits kept, every other run (invalid
+// UTF-8 among it) one space, and no space at either end. It is the one
+// normalizer; Normalize and the resolver's index both call it.
+func appendNormal(dst []byte, s string) []byte {
+	start := len(dst)
 	lastSpace := true
-	for _, r := range strings.ToLower(s) {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(r)
+	for _, r := range s {
+		if r = unicode.ToLower(r); unicode.IsLetter(r) || unicode.IsDigit(r) {
+			dst = utf8.AppendRune(dst, r)
 			lastSpace = false
 		} else if !lastSpace {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 			lastSpace = true
 		}
 	}
-	return strings.TrimRight(b.String(), " ")
+	if len(dst) > start && dst[len(dst)-1] == ' ' {
+		dst = dst[:len(dst)-1]
+	}
+	return dst
 }
 
 // Tokens splits a normalized string into its word tokens.
@@ -57,10 +69,12 @@ func Tokens(s string) []string {
 // fuzzy measures are withheld and only token overlap counts — serial
 // numbers differing by one digit are different things, not typos.
 //
-// It is valSim, the resolver's scorer, over two values derived on the spot.
+// It is valSim, the resolver's scorer, over two values derived as the
+// resolver derives them.
 func StringSim(a, b string) float64 {
 	na, nb := Normalize(a), Normalize(b)
-	va, vb := newAttrVal(na, strings.Fields(na)), newAttrVal(nb, strings.Fields(nb))
+	va, _, _ := deriveVal(na, nil, nil)
+	vb, _, _ := deriveVal(nb, nil, nil)
 	var m matchMasks
 	m.build(na)
 	return valSim(&va, &m, &vb)
@@ -81,43 +95,82 @@ type attrVal struct {
 	runes  int      // rune count of text
 	tokens []string // sorted, unique
 	digits []string // sorted, unique digit-bearing tokens
-	tris   []uint64 // sorted, unique padded trigrams (see packTrigrams)
+	tris   []uint64 // sorted, unique padded trigrams (see appendTrigrams)
 }
 
-// newAttrVal derives the value of a normalized text from its fields, which
-// it takes ownership of.
-func newAttrVal(text string, fields []string) attrVal {
-	v := attrVal{text: text, runes: utf8.RuneCountInString(text), tokens: sortedUnique(fields)}
+// deriveVal derives the value of a normalized text. Its tokens and digits go
+// at the end of toks and its trigrams at the end of tris, and the grown
+// arenas are returned; each of the value's slices is a full slice expression,
+// so no later append to an arena writes into it. An arena with the capacity
+// for the value is not reallocated.
+func deriveVal(text string, toks []string, tris []uint64) (attrVal, []string, []uint64) {
+	v := attrVal{text: text, runes: utf8.RuneCountInString(text)}
+	lo := len(toks)
+	for f := range fields(text) {
+		toks = append(toks, f)
+	}
+	toks = toks[:lo+len(sortedUnique(toks[lo:]))]
+	v.tokens = toks[lo:len(toks):len(toks)]
+	lo = len(toks)
 	for _, t := range v.tokens {
 		if hasDigit(t) {
-			v.digits = append(v.digits, t)
+			toks = append(toks, t)
 		}
 	}
-	v.tris = packTrigrams(text, v.runes)
-	return v
+	if len(toks) > lo {
+		v.digits = toks[lo:len(toks):len(toks)]
+	}
+	lo = len(tris)
+	if tris = appendTrigrams(tris, text); len(tris) > lo {
+		v.tris = tris[lo:len(tris):len(tris)]
+	}
+	return v, toks, tris
 }
 
-// packTrigrams returns the sorted, duplicate-free character trigrams of
-// the text padded with two spaces on either side. A trigram is its three
-// runes, 21 bits each (a rune is at most 0x10FFFF), in one word, so a set
-// is one allocation and comparing two members is comparing two integers.
-// Empty text has no trigrams.
-func packTrigrams(text string, runes int) []uint64 {
+// fields yields the fields of s as strings.Fields splits them: the maximal
+// runs of runes that are not unicode.IsSpace.
+func fields(s string) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		start := -1
+		for i, r := range s {
+			if !unicode.IsSpace(r) {
+				if start < 0 {
+					start = i
+				}
+			} else if start >= 0 {
+				if !yield(s[start:i]) {
+					return
+				}
+				start = -1
+			}
+		}
+		if start >= 0 {
+			yield(s[start:])
+		}
+	}
+}
+
+// appendTrigrams appends to dst the sorted, duplicate-free character
+// trigrams of the text padded with two spaces on either side. A trigram is
+// its three runes, 21 bits each (a rune is at most 0x10FFFF), in one word,
+// so comparing two members is comparing two integers. Empty text has no
+// trigrams.
+func appendTrigrams(dst []uint64, text string) []uint64 {
 	if text == "" {
-		return nil
+		return dst
 	}
 	const pad, three = uint64(' '), 1<<63 - 1
-	tris := make([]uint64, 0, runes+2)
+	lo := len(dst)
 	w := pad<<21 | pad
 	for _, r := range text {
 		w = (w<<21 | uint64(r)) & three
-		tris = append(tris, w)
+		dst = append(dst, w)
 	}
 	for i := 0; i < 2; i++ {
 		w = (w<<21 | pad) & three
-		tris = append(tris, w)
+		dst = append(dst, w)
 	}
-	return sortedUnique(tris)
+	return dst[:lo+len(sortedUnique(dst[lo:]))]
 }
 
 // sortedUnique sorts xs in place and drops its duplicates.

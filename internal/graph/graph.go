@@ -14,7 +14,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"scdb/internal/model"
@@ -39,7 +38,7 @@ func (e Edge) Triple() model.Triple {
 type Graph struct {
 	mu       sync.RWMutex
 	entities map[model.EntityID]*model.Entity
-	byKey    map[string]model.EntityID // "source\x00key" → id
+	byKey    map[sourceKey]model.EntityID
 	out      map[model.EntityID][]Edge
 	in       map[model.EntityID][]model.EntityID // reverse adjacency (entity objects only)
 	aliases  map[model.EntityID]model.EntityID   // merged → canonical
@@ -52,14 +51,16 @@ type Graph struct {
 func New() *Graph {
 	return &Graph{
 		entities: make(map[model.EntityID]*model.Entity),
-		byKey:    make(map[string]model.EntityID),
+		byKey:    make(map[sourceKey]model.EntityID),
 		out:      make(map[model.EntityID][]Edge),
 		in:       make(map[model.EntityID][]model.EntityID),
 		aliases:  make(map[model.EntityID]model.EntityID),
 	}
 }
 
-func keyOf(source, key string) string { return source + "\x00" + key }
+// sourceKey is an entity's source-local natural key: its source and its key,
+// which no byte of either can make collide with another pair's.
+type sourceKey struct{ source, key string }
 
 // AddEntity inserts the entity, assigning and returning its ID. If an
 // entity with the same (source, key) already exists, the existing entity is
@@ -73,7 +74,7 @@ func (g *Graph) AddEntity(e *model.Entity) model.EntityID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if e.Key != "" {
-		if id, ok := g.byKey[keyOf(e.Source, e.Key)]; ok {
+		if id, ok := g.byKey[sourceKey{e.Source, e.Key}]; ok {
 			id = g.resolveLocked(id)
 			g.mergeAttrsLocked(g.entities[id], e)
 			g.version++
@@ -87,7 +88,7 @@ func (g *Graph) AddEntity(e *model.Entity) model.EntityID {
 	c.Types = append([]string(nil), e.Types...)
 	g.entities[id] = &c
 	if e.Key != "" {
-		g.byKey[keyOf(e.Source, e.Key)] = id
+		g.byKey[sourceKey{e.Source, e.Key}] = id
 	}
 	g.version++
 	return id
@@ -148,7 +149,7 @@ func (g *Graph) resolveLocked(id model.EntityID) model.EntityID {
 func (g *Graph) FindByKey(source, key string) (*model.Entity, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	id, ok := g.byKey[keyOf(source, key)]
+	id, ok := g.byKey[sourceKey{source, key}]
 	if !ok {
 		return nil, false
 	}
@@ -353,9 +354,7 @@ func (g *Graph) Sources() []string {
 	g.mu.RLock()
 	set := map[string]bool{}
 	for k := range g.byKey {
-		if i := strings.IndexByte(k, 0); i >= 0 {
-			set[k[:i]] = true
-		}
+		set[k.source] = true
 	}
 	for _, edges := range g.out {
 		for _, e := range edges {
@@ -376,17 +375,16 @@ func (g *Graph) Sources() []string {
 // records resolve to their canonical entity).
 func (g *Graph) SourceEntities(source string) []model.EntityID {
 	g.mu.RLock()
-	prefix := source + "\x00"
 	keys := make([]string, 0)
 	for k := range g.byKey {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
+		if k.source == source {
+			keys = append(keys, k.key)
 		}
 	}
 	sort.Strings(keys)
 	out := make([]model.EntityID, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, g.resolveLocked(g.byKey[k]))
+		out = append(out, g.resolveLocked(g.byKey[sourceKey{source, k}]))
 	}
 	g.mu.RUnlock()
 	return out

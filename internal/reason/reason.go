@@ -156,13 +156,13 @@ func (r *Reasoner) inferEntityLocked(id model.EntityID) {
 		r.dropLocked(id)
 		return
 	}
-	inf := make(map[string]string)
+	var inf map[string]string // made by the first inference; most entities have none
 
 	// Subsumption closure of asserted types.
 	for _, t := range e.Types {
 		for _, anc := range r.o.Ancestors(t) {
 			if !e.HasType(anc) {
-				inf[anc] = fmt.Sprintf("subsumption: %s ⊑* %s", t, anc)
+				setInference(&inf, anc, fmt.Sprintf("subsumption: %s ⊑* %s", t, anc))
 			}
 		}
 	}
@@ -172,7 +172,7 @@ func (r *Reasoner) inferEntityLocked(id model.EntityID) {
 	// under the role hierarchy, so p's ancestors contribute too.
 	for _, edge := range r.g.Edges(id) {
 		for _, d := range r.o.DomainsOf(edge.Predicate) {
-			r.addWithAncestorsLocked(e, inf, d, fmt.Sprintf("domain of %s", edge.Predicate))
+			r.addWithAncestorsLocked(e, &inf, d, fmt.Sprintf("domain of %s", edge.Predicate))
 		}
 	}
 	for _, from := range r.g.Incoming(id) {
@@ -182,7 +182,7 @@ func (r *Reasoner) inferEntityLocked(id model.EntityID) {
 				continue
 			}
 			for _, rng := range r.o.RangesOf(edge.Predicate) {
-				r.addWithAncestorsLocked(e, inf, rng, fmt.Sprintf("range of %s", edge.Predicate))
+				r.addWithAncestorsLocked(e, &inf, rng, fmt.Sprintf("range of %s", edge.Predicate))
 			}
 		}
 	}
@@ -227,19 +227,30 @@ func (r *Reasoner) inferEntityLocked(id model.EntityID) {
 	setEntryLocked(r.inconsist, &r.totals.Inconsistencies, id, incons)
 }
 
-func (r *Reasoner) addWithAncestorsLocked(e *model.Entity, inf map[string]string, c, why string) {
+// addWithAncestorsLocked infers c and its ancestors for e where e neither
+// asserts nor already infers them. *inf is made by its first write.
+func (r *Reasoner) addWithAncestorsLocked(e *model.Entity, inf *map[string]string, c, why string) {
 	if !e.HasType(c) {
-		if _, dup := inf[c]; !dup {
-			inf[c] = why
+		if _, dup := (*inf)[c]; !dup {
+			setInference(inf, c, why)
 		}
 	}
 	for _, anc := range r.o.Ancestors(c) {
 		if !e.HasType(anc) {
-			if _, dup := inf[anc]; !dup {
-				inf[anc] = why + " (then subsumption)"
+			if _, dup := (*inf)[anc]; !dup {
+				setInference(inf, anc, why+" (then subsumption)")
 			}
 		}
 	}
+}
+
+// setInference records why type t is inferred, making *inf first if it is
+// nil.
+func setInference(inf *map[string]string, t, why string) {
+	if *inf == nil {
+		*inf = make(map[string]string)
+	}
+	(*inf)[t] = why
 }
 
 // typesOfLocked returns asserted + inferred types, sorted.

@@ -178,6 +178,33 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// TestSourceKeyPairsDoNotCollide: an entity is named by its (source, key)
+// pair, and two distinct pairs are two entities whatever bytes they hold.
+// Joining them with a NUL made source "a" with key "b\x00c" and source
+// "a\x00b" with key "c" one entity, so the second lost its name.
+func TestSourceKeyPairsDoNotCollide(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, src := range []Source{
+		{Name: "a", Entities: []Entity{{Key: "b\x00c", Types: []string{"Thing"}, Attrs: Record{"name": "alpha widget"}}}},
+		{Name: "a\x00b", Entities: []Entity{{Key: "c", Types: []string{"Thing"}, Attrs: Record{"name": "omega gizmo"}}}},
+	} {
+		if err := db.Ingest(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := db.Query(`SELECT name FROM Thing AS t ORDER BY name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(rows.Data); got != "[[alpha widget] [omega gizmo]]" {
+		t.Errorf("Thing holds %s, want the two entities [[alpha widget] [omega gizmo]]", got)
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	db := openSample(t)
 	// Cross-layer SCQL: concept source + reachability + semantics.
