@@ -147,7 +147,10 @@ func (db *DB) Close() error { return db.inner.Close() }
 // instance-layer storage, schema observation, entity/edge creation, link
 // discovery, incremental entity resolution, information extraction, and
 // incremental semantic inference. A delivery it cannot curate is refused
-// whole, with ErrInvalidDelivery.
+// whole, with ErrInvalidDelivery. An entity's stored row holds two columns
+// of its own beside the delivered attributes, _key (the entity's Key) and
+// _types (its Types), so a delivery that names an attribute _key or _types
+// is refused too.
 func (db *DB) Ingest(src Source) error {
 	return db.IngestCtx(context.Background(), src)
 }
@@ -312,8 +315,10 @@ func (db *DB) Explain(q string) (*QueryInfo, error) {
 }
 
 // ErrInvalidDelivery is returned by Ingest for a delivery it refuses
-// before writing any of it: an entity without a key, or a link naming a key
-// that is neither in the delivery nor already ingested for its source.
+// before writing any of it: an entity without a key, an entity with an
+// attribute named _key or _types (the stored row's own columns), or a link
+// naming a key that is neither in the delivery nor already ingested for
+// its source.
 var ErrInvalidDelivery = curate.ErrInvalidDelivery
 
 // ErrConflict is returned by Tx.Commit on a write-write conflict

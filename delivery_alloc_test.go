@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -79,7 +80,8 @@ func deliveryStream(seed int64, n, per int) []Source {
 // TestDeliveryAllocBudget is the ingest allocation gate: one 200-entity
 // delivery through IngestCtx on a durable store, after a warm-up that gives
 // the resolver blocks worth searching. The attribute map an arrival brings
-// is kept by the graph rather than copied, each of its values is normalized
+// is copied once, into its stored row, and the graph borrows that row; each
+// of its values is normalized
 // once for the resolver, the attribute index and the gazetteer, its batch is
 // encoded into one buffer, and the resolver indexes it in one object per
 // kind of state it keeps, so a delivery costs at most 16 objects an entity
@@ -114,5 +116,41 @@ func TestDeliveryAllocBudget(t *testing.T) {
 	}
 	if perEntity > budget {
 		t.Errorf("a delivery allocates %.1f objects an entity, budget %.0f; the same delivery cost 41 at commit 2f5c776", perEntity, budget)
+	}
+}
+
+// TestEntityHeapBudget is the heap gate for what curation keeps of an
+// entity: 100 in-memory deliveries of 200 entities, and the HeapInuse they
+// leave behind after a collection, per entity. The graph entity's
+// attributes are its stored row, not a second map: 1,790 to 1,860 bytes an
+// entity on go1.24/linux/amd64 over six runs, where a graph map of its own
+// beside the row kept 2,140 to 2,190. The race build's instrumentation
+// inflates the heap, so the gate runs without it.
+func TestEntityHeapBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race build's heap is not the one the budget measures")
+	}
+	const deliveries, per = 100, 200
+	stream := deliveryStream(7, deliveries, per)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, src := range stream {
+		if err := db.Ingest(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(stream)
+	perEntity := float64(int64(after.HeapInuse)-int64(before.HeapInuse)) / (deliveries * per)
+	t.Logf("%d entities keep %.0f bytes of heap an entity", deliveries*per, perEntity)
+	if budget := 2000.0; perEntity > budget {
+		t.Errorf("curation keeps %.0f bytes of heap an entity, budget %.0f; a graph map of its own beside the stored row kept about 2,170", perEntity, budget)
 	}
 }

@@ -448,13 +448,16 @@ func (db *DB) TableRecords(name string) ([]model.Record, bool) {
 }
 
 // lookupByText grounds a name to an entity via the graph (linear scan over
-// string attributes; the pipeline's index is not exposed, and lookups by
-// name are interactive-path only).
+// string attributes, a stored row's own columns left out; the pipeline's
+// index is not exposed, and lookups by name are interactive-path only).
 func (db *DB) lookupByText(text string) model.EntityID {
 	norm := er.Normalize(text)
 	best := model.NoEntity
 	db.graph.ForEachEntity(func(e *model.Entity) bool {
 		for _, k := range e.Attrs.Keys() {
+			if model.IsRowColumn(k) {
+				continue
+			}
 			if s, ok := e.Attrs[k].AsString(); ok && er.Normalize(s) == norm {
 				if best == model.NoEntity || e.ID < best {
 					best = e.ID

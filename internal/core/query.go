@@ -508,9 +508,9 @@ func (e *queryEnv) conceptRecord(id model.EntityID, semantic bool) (model.Record
 	}
 	rec := ent.Attrs.Clone()
 	rec["_id"] = model.Ref(ent.ID)
-	rec["_key"] = model.String(ent.Key)
+	rec[model.KeyAttr] = model.String(ent.Key)
 	rec["_source"] = model.String(ent.Source)
-	rec["_types"] = e.typesList(ent.ID, semantic)
+	rec[model.TypesAttr] = e.typesList(ent.ID, semantic)
 	return rec, true
 }
 

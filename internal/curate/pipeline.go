@@ -169,8 +169,9 @@ func (p *Pipeline) Resolver() *er.Resolver { return p.resolver }
 const ingestChunk = 1024
 
 // ErrInvalidDelivery rejects a delivery before any of it is written: an
-// entity without a key, or a link naming a key that is neither in the
-// delivery nor already curated for its source.
+// entity without a key, an attribute named like one of the stored row's
+// own columns (model.IsRowColumn: _key, _types), or a link naming a key
+// that is neither in the delivery nor already curated for its source.
 var ErrInvalidDelivery = errors.New("curate: invalid delivery")
 
 // validate checks a delivery against what Ingest and RebuildFromStore
@@ -180,6 +181,11 @@ func (p *Pipeline) validate(ds datagen.Dataset) error {
 	for _, spec := range ds.Entities {
 		if spec.Key == "" {
 			return fmt.Errorf("%w: entity without a key in %s", ErrInvalidDelivery, ds.Source)
+		}
+		for name := range spec.Attrs {
+			if model.IsRowColumn(name) {
+				return fmt.Errorf("%w: entity %q in %s names the reserved attribute %q", ErrInvalidDelivery, spec.Key, ds.Source, name)
+			}
 		}
 	}
 	if len(ds.Links) == 0 {
@@ -208,16 +214,18 @@ func (p *Pipeline) validate(ds datagen.Dataset) error {
 }
 
 // buildInstanceRecord turns a spec into the instance-layer row (attributes
-// plus _key and asserted types, so the relation layer is rebuildable).
+// plus _key and asserted types, so the relation layer is rebuildable). The
+// row is the one attribute map curation keeps: storage owns it and the
+// graph entity borrows it.
 func buildInstanceRecord(spec datagen.EntitySpec) model.Record {
 	rec := spec.Attrs.Clone()
-	rec["_key"] = model.String(spec.Key)
+	rec[model.KeyAttr] = model.String(spec.Key)
 	if len(spec.Types) > 0 {
 		tvals := make([]model.Value, len(spec.Types))
 		for i, t := range spec.Types {
 			tvals[i] = model.String(t)
 		}
-		rec[typesAttr] = model.List(tvals...)
+		rec[model.TypesAttr] = model.List(tvals...)
 	}
 	return rec
 }
@@ -276,7 +284,7 @@ func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 		installDur += time.Since(start)
 
 		start = time.Now()
-		block, score, err := p.relateChunk(ds.Source, chunk, &touched)
+		block, score, err := p.relateChunk(ds.Source, chunk, recs, &touched)
 		if err != nil {
 			return err
 		}
@@ -331,20 +339,22 @@ func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 }
 
 // relateChunk is the relation stage of one chunk of one source's specs,
-// for live ingest and RebuildFromStore alike. Candidate generation and pair
-// scoring (Prepare) only read the resolver's committed state, so they fan
-// out across p.workers, the calling goroutine among them; graph insertion,
-// union-find merge and attribute/ANN indexing then run strictly in record
-// order (relatePrepared). Prepare never pairs two records of one source, so
+// for live ingest and RebuildFromStore alike. rows[i] is chunk[i]'s stored
+// row and the arrival's attributes: the graph entity and the store hold one
+// map, and a spec's own map is never read or written here. Candidate
+// generation and pair scoring (Prepare) only read the resolver's committed
+// state, so they fan out across p.workers, the calling goroutine among
+// them; graph insertion, union-find merge and attribute/ANN indexing then
+// run strictly in record order (relatePrepared). Prepare never pairs two records of one source, so
 // preparing a chunk against the state before it finds what a
 // record-at-a-time pass would. It returns the chunk's blocking and scoring
 // busy time.
-func (p *Pipeline) relateChunk(source string, chunk []datagen.EntitySpec, touched *[]model.EntityID) (block, score time.Duration, err error) {
+func (p *Pipeline) relateChunk(source string, chunk []datagen.EntitySpec, rows []model.Record, touched *[]model.EntityID) (block, score time.Duration, err error) {
 	preps := make([]*er.Prepared, len(chunk))
 	var next atomic.Int64
 	prepare := func() {
 		for i := int(next.Add(1)) - 1; i < len(chunk); i = int(next.Add(1)) - 1 {
-			preps[i] = p.resolver.Prepare(arrival(source, chunk[i]))
+			preps[i] = p.resolver.Prepare(arrival(source, chunk[i], rows[i]))
 		}
 	}
 	var wg sync.WaitGroup
@@ -360,16 +370,17 @@ func (p *Pipeline) relateChunk(source string, chunk []datagen.EntitySpec, touche
 	for i, spec := range chunk {
 		block += preps[i].BlockDur()
 		score += preps[i].ScoreDur()
-		if err := p.relatePrepared(source, spec, preps[i], touched); err != nil {
+		if err := p.relatePrepared(source, spec, rows[i], preps[i], touched); err != nil {
 			return block, score, err
 		}
 	}
 	return block, score, nil
 }
 
-// arrival is the entity a spec delivers, before it has an ID.
-func arrival(source string, spec datagen.EntitySpec) *model.Entity {
-	return &model.Entity{Key: spec.Key, Source: source, Types: spec.Types, Attrs: spec.Attrs, Confidence: 1}
+// arrival is the entity a spec delivers, before it has an ID, its
+// attributes the spec's stored row.
+func arrival(source string, spec datagen.EntitySpec, row model.Record) *model.Entity {
+	return &model.Entity{Key: spec.Key, Source: source, Types: spec.Types, Attrs: row, Confidence: 1}
 }
 
 // relatePrepared is the order-sensitive half of the relation layer for
@@ -380,12 +391,12 @@ func arrival(source string, spec datagen.EntitySpec) *model.Entity {
 // the graph — a re-delivered key merges attributes into the existing
 // entity, so the record is re-scored serially from the resolved entity,
 // exactly as a serial pass would.
-func (p *Pipeline) relatePrepared(source string, spec datagen.EntitySpec, prep *er.Prepared, touched *[]model.EntityID) error {
+func (p *Pipeline) relatePrepared(source string, spec datagen.EntitySpec, row model.Record, prep *er.Prepared, touched *[]model.EntityID) error {
 	_, existed := p.graph.FindByKey(source, spec.Key)
-	id := p.graph.AddEntity(arrival(source, spec))
+	id := p.graph.AddEntity(arrival(source, spec, row))
 	p.stats.Entities++
 	*touched = append(*touched, id)
-	p.indexNorms(id, spec.Attrs, prep.Attrs())
+	p.indexNorms(id, row, prep.Attrs())
 
 	var matches []er.Match
 	if existed {

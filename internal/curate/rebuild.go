@@ -28,10 +28,6 @@ const (
 	TextsTable = "_curate_texts"
 )
 
-// typesAttr stores an entity's asserted types inside its instance-layer
-// record.
-const typesAttr = "_types"
-
 // recordIngestMeta persists what Ingest needs for replay. Link and text
 // rows go through the batch write path a chunk at a time. Caller holds p.mu.
 func (p *Pipeline) recordIngestMeta(ds datagen.Dataset) error {
@@ -134,33 +130,30 @@ func (p *Pipeline) RebuildFromStore() error {
 		if !ok {
 			continue
 		}
+		// A row is its entity's attributes as it is: the graph borrows it,
+		// as it does a live arrival's.
 		var specs []datagen.EntitySpec
+		var rows []model.Record
 		tb.Scan(func(_ storage.RowID, rec model.Record) bool {
-			key, ok := rec.Get("_key").AsString()
+			key, ok := rec.Get(model.KeyAttr).AsString()
 			if !ok || key == "" {
 				return true // transactional rows are instance-only
 			}
-			spec := datagen.EntitySpec{Key: key, Attrs: model.Record{}}
-			for k, v := range rec {
-				switch k {
-				case "_key":
-				case typesAttr:
-					if l, ok := v.AsList(); ok {
-						for _, tv := range l {
-							if s, ok := tv.AsString(); ok {
-								spec.Types = append(spec.Types, s)
-							}
-						}
+			spec := datagen.EntitySpec{Key: key}
+			if l, ok := rec.Get(model.TypesAttr).AsList(); ok {
+				for _, tv := range l {
+					if s, ok := tv.AsString(); ok {
+						spec.Types = append(spec.Types, s)
 					}
-				default:
-					spec.Attrs[k] = v
 				}
 			}
 			specs = append(specs, spec)
+			rows = append(rows, rec)
 			return true
 		})
-		for chunk := range slices.Chunk(specs, p.chunk) {
-			if _, _, err := p.relateChunk(source, chunk, &touched); err != nil {
+		for lo := 0; lo < len(specs); lo += p.chunk {
+			hi := min(lo+p.chunk, len(specs))
+			if _, _, err := p.relateChunk(source, specs[lo:hi], rows[lo:hi], &touched); err != nil {
 				return fmt.Errorf("curate: rebuild of %q: %w", source, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package curate
 
 import (
+	"reflect"
 	"testing"
 
 	"scdb/internal/datagen"
@@ -122,5 +123,68 @@ func TestRebuildSkipsTransactionalRows(t *testing.T) {
 	}
 	if g2.NumEntities() != 1 {
 		t.Errorf("rebuilt entities = %d, want 1 (keyless rows skipped)", g2.NumEntities())
+	}
+}
+
+// TestEntityBorrowsStoredRow: a curated entity's attributes are its stored
+// row, not a second map. After a live ingest, and again after a rebuild
+// from the store, every entity that neither a merge nor a re-delivery
+// filled holds the very map its row holds.
+func TestEntityBorrowsStoredRow(t *testing.T) {
+	s, err := storage.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	dss := append(datagen.LifeSci(1, 20, 15, 10), datagen.Stream(3, 40)...)
+	live, g1 := pipelineOver(t, s)
+	for _, ds := range dss {
+		if err := live.Ingest(ds, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuilt, g2 := pipelineOver(t, s)
+	if err := rebuilt.RebuildFromStore(); err != nil {
+		t.Fatal(err)
+	}
+	enc := func(r model.Record) string {
+		vis := model.Record{}
+		for k, v := range r {
+			if !model.IsRowColumn(k) {
+				vis[k] = v
+			}
+		}
+		return string(model.AppendRecord(nil, vis))
+	}
+	for _, c := range []struct {
+		name string
+		p    *Pipeline
+		g    *graph.Graph
+	}{{"live", live, g1}, {"rebuilt", rebuilt, g2}} {
+		shared, filled := 0, 0
+		order, _, _ := c.p.loadOrder()
+		for _, src := range order {
+			tb, _ := s.Table(src)
+			tb.Scan(func(_ storage.RowID, row model.Record) bool {
+				key, _ := row.Get(model.KeyAttr).AsString()
+				e, ok := c.g.FindByKey(src, key)
+				if !ok || e.Source != src || e.Key != key {
+					return true // merged into another source's entity
+				}
+				if enc(e.Attrs) != enc(row) {
+					filled++
+					return true
+				}
+				if reflect.ValueOf(e.Attrs).UnsafePointer() != reflect.ValueOf(row).UnsafePointer() {
+					t.Errorf("%s: %s/%s holds a copy of its stored row", c.name, src, key)
+				}
+				shared++
+				return true
+			})
+		}
+		if shared == 0 || filled == 0 {
+			t.Fatalf("%s: %d entities share their row and %d were filled; the corpus must have both", c.name, shared, filled)
+		}
+		t.Logf("%s: %d entities share their stored row, %d were filled", c.name, shared, filled)
 	}
 }

@@ -151,7 +151,9 @@ func randomText(rng *rand.Rand) string {
 // compared, so an arena one entity's slices share with another's, or an
 // append that writes into a neighbour's range, shows as a mismatch. The
 // digests' texts are raw, not normal forms, so they reach the field
-// splitter with every space rune.
+// splitter with every space rune. Each entity is also indexed as its
+// stored row, with _key and _types beside its attributes, by a resolver of
+// its own, and must index exactly as without them.
 func TestIndexMatchesReference(t *testing.T) {
 	const n = 1000
 	rng := rand.New(rand.NewSource(40))
@@ -175,9 +177,15 @@ func TestIndexMatchesReference(t *testing.T) {
 		}
 		es[i] = &model.Entity{ID: model.EntityID(i + 1), Key: fmt.Sprintf("k%d", i), Source: fmt.Sprintf("s%d", i%3), Attrs: rec}
 	}
-	r := NewResolver(Config{})
-	for _, e := range es {
+	r, rows := NewResolver(Config{}), NewResolver(Config{})
+	for i, e := range es {
 		r.Add(e)
+		row := e.Attrs.Clone()
+		row[model.KeyAttr] = model.String(e.Key)
+		if i%2 == 0 {
+			row[model.TypesAttr] = model.List(model.String("Drug"), model.String("Chemical"))
+		}
+		rows.Add(&model.Entity{ID: e.ID, Key: e.Key, Source: e.Source, Attrs: row})
 	}
 	x := NewExchange(Config{})
 	digests := make([]Digest, n)
@@ -198,6 +206,9 @@ func TestIndexMatchesReference(t *testing.T) {
 		want := textbookIndex(textbookAttrs(e), nil, true)
 		if diff := sameIndex(&r.ents[i], &want); diff != "" {
 			t.Fatalf("index(%v): %s", e.Attrs, diff)
+		}
+		if diff := sameIndex(&rows.ents[i], &want); diff != "" {
+			t.Fatalf("index of %v's stored row: %s", e.Attrs, diff)
 		}
 	}
 	for i, d := range digests {

@@ -231,7 +231,8 @@ func (r *Resolver) Stats() Stats {
 // index extracts the comparable representation of an entity. The values
 // are normalized into one buffer that becomes the entity's one normal-form
 // string, and derive splits and packs them into one arena each; the working
-// lists stay on the stack for an entity of ordinary width.
+// lists stay on the stack for an entity of ordinary width. A stored row's
+// own columns (model.IsRowColumn) are not the entity's attributes.
 func index(e *model.Entity) indexed {
 	ix := indexed{id: e.ID, key: e.Key, source: e.Source}
 	type pending struct {
@@ -241,7 +242,7 @@ func index(e *model.Entity) indexed {
 	var pbuf [16]pending
 	ps := pbuf[:0]
 	for k, v := range e.Attrs {
-		if !v.IsNull() {
+		if !v.IsNull() && !model.IsRowColumn(k) {
 			ps = append(ps, pending{name: k, raw: v.Text()})
 		}
 	}

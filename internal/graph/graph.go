@@ -98,10 +98,14 @@ func (g *Graph) AddEntity(e *model.Entity) model.EntityID {
 // non-null attributes are kept (first writer wins; conflict handling is the
 // fusion layer's job), nulls and missing attributes are filled. A fill
 // builds a new map and puts it in place of dst's, so no map the graph has
-// handed out, or borrowed from a caller, is ever written.
+// handed out, or borrowed from a caller, is ever written. src's stored-row
+// columns (model.IsRowColumn) are its own and never fill dst's.
 func (g *Graph) mergeAttrsLocked(dst, src *model.Entity) {
 	var filled model.Record
 	for k, v := range src.Attrs {
+		if model.IsRowColumn(k) {
+			continue
+		}
 		if cur, ok := dst.Attrs[k]; !ok || cur.IsNull() {
 			if filled == nil {
 				filled = dst.Attrs.Clone()

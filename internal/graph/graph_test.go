@@ -214,6 +214,34 @@ func TestBorrowedAttrsNeverWritten(t *testing.T) {
 	}
 }
 
+// TestMergeLeavesRowColumns: an entity's attributes are its stored row, so
+// _key and _types are the row's own. A merge in which only the duplicate
+// carries _types, and a re-delivery that brings types the first delivery
+// lacked, fill the visible attributes and neither of those.
+func TestMergeLeavesRowColumns(t *testing.T) {
+	enc := func(r model.Record) string { return string(model.AppendRecord(nil, r)) }
+	g := New()
+	k := g.AddEntity(&model.Entity{Key: "P04637", Source: "uniprot", Attrs: model.Record{
+		model.KeyAttr: model.String("P04637"), "symbol": model.String("TP53"), "note": model.Null()}})
+	d := g.AddEntity(&model.Entity{Key: "TP53", Source: "hgnc", Types: []string{"Gene"}, Attrs: model.Record{
+		model.KeyAttr: model.String("TP53"), model.TypesAttr: model.List(model.String("Gene")),
+		"symbol": model.String("tp53"), "note": model.String("tumour suppressor")}})
+	if err := g.Merge(k, d); err != nil {
+		t.Fatal(err)
+	}
+	want := model.Record{model.KeyAttr: model.String("P04637"), "symbol": model.String("TP53"), "note": model.String("tumour suppressor")}
+	if e, _ := g.Entity(k); enc(e.Attrs) != enc(want) || !e.HasType("Gene") {
+		t.Fatalf("kept entity after the merge: %v %v, want %v [Gene]", e.Attrs, e.Types, want)
+	}
+
+	g.AddEntity(&model.Entity{Key: "P04637", Source: "uniprot", Types: []string{"Protein"}, Attrs: model.Record{
+		model.KeyAttr: model.String("P04637"), model.TypesAttr: model.List(model.String("Protein")), "length": model.Int(393)}})
+	want["length"] = model.Int(393)
+	if e, _ := g.Entity(k); enc(e.Attrs) != enc(want) || !e.HasType("Protein") {
+		t.Fatalf("kept entity after a re-delivery: %v %v, want %v [Gene Protein]", e.Attrs, e.Types, want)
+	}
+}
+
 func TestMergeChainResolution(t *testing.T) {
 	g := New()
 	a := g.AddEntity(ent("s", "a"))

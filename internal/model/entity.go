@@ -24,13 +24,29 @@ type Entity struct {
 	// belong to (inferred memberships are materialized by the reasoner and
 	// tracked separately so they can be retracted).
 	Types []string
-	// Attrs carries the instance-layer attributes.
+	// Attrs carries the instance-layer attributes. For a curated entity it
+	// is the stored row itself, system columns included (IsRowColumn).
 	Attrs Record
 	// Confidence is the degree of belief in the entity's existence,
 	// typically 1 for ingested records and <1 for extracted or predicted
 	// entities.
 	Confidence Fuzzy
 }
+
+// A curated source's stored row is its delivered attributes plus two
+// columns of its own: KeyAttr holds the entity's Key and TypesAttr its
+// asserted types, so the relation layer can be rebuilt from the rows. A
+// graph entity's Attrs is that row, so every reader of an entity's
+// attributes skips the two (IsRowColumn), and a delivery may not name
+// either.
+const (
+	KeyAttr   = "_key"
+	TypesAttr = "_types"
+)
+
+// IsRowColumn reports whether name is one of a stored row's own columns,
+// KeyAttr or TypesAttr, rather than a delivered attribute.
+func IsRowColumn(name string) bool { return name == KeyAttr || name == TypesAttr }
 
 // Clone returns a deep-enough copy: Types and Attrs are copied, values are
 // shared (immutable).

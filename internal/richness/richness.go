@@ -65,6 +65,9 @@ func Measure(g *graph.Graph, source string) Metrics {
 			continue
 		}
 		for k, v := range e.Attrs {
+			if model.IsRowColumn(k) {
+				continue
+			}
 			attrs[k] = true
 			if v.IsNull() {
 				continue

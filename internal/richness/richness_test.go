@@ -150,3 +150,31 @@ func TestScoreBounds(t *testing.T) {
 		t.Error("empty metrics score must be 0")
 	}
 }
+
+// TestRowColumnsNotMeasured: a curated entity's attributes are its stored
+// row, _key and _types included. A source measures alike whether its
+// entities hold those rows or copies without the two columns.
+func TestRowColumnsNotMeasured(t *testing.T) {
+	rows, plain := graph.New(), graph.New()
+	for _, g := range []*graph.Graph{rows, plain} {
+		buildSource(g, "rich", 12, 8, 0.5, true)
+	}
+	for i := 0; i < 12; i++ {
+		key := fmt.Sprintf("typed-%d", i)
+		attrs := model.Record{"name": model.String(fmt.Sprintf("n%d", i%4))}
+		if i%3 == 0 {
+			attrs["note"] = model.Null()
+		}
+		row := attrs.Clone()
+		row[model.KeyAttr] = model.String(key)
+		if i%2 == 0 {
+			row[model.TypesAttr] = model.List(model.String("Drug"))
+		}
+		rows.AddEntity(&model.Entity{Key: key, Source: "typed", Attrs: row, Confidence: 1})
+		plain.AddEntity(&model.Entity{Key: key, Source: "typed", Attrs: attrs, Confidence: 1})
+	}
+	got, want := MeasureAll(rows), MeasureAll(plain)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("measured over stored rows:\n%+v\nover their attributes:\n%+v", got, want)
+	}
+}

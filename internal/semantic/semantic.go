@@ -54,12 +54,13 @@ func NewTypePredictor() *TypePredictor {
 }
 
 // entityTokens extracts the normalized token bag of an entity's attribute
-// values (attribute names included, since schema words carry signal too).
+// values (attribute names included, since schema words carry signal too),
+// leaving out a stored row's own columns.
 func entityTokens(e *model.Entity) []string {
 	var out []string
 	for _, k := range e.Attrs.Keys() {
 		v := e.Attrs[k]
-		if v.IsNull() {
+		if v.IsNull() || model.IsRowColumn(k) {
 			continue
 		}
 		out = append(out, er.Tokens(k)...)

@@ -173,3 +173,18 @@ func TestLinkPredictorUntrainedPredicate(t *testing.T) {
 		t.Error("topK=0 must return nil")
 	}
 }
+
+// TestRowColumnsNotTokens: a curated entity's attributes are its stored
+// row; the type predictor reads the same tokens from it as from a copy
+// without _key and _types.
+func TestRowColumnsNotTokens(t *testing.T) {
+	attrs := model.Record{"name": model.String("Warfarin Sodium"), "dosage_mg": model.Float(5), "note": model.Null()}
+	row := attrs.Clone()
+	row[model.KeyAttr] = model.String("DB00682 warfarin")
+	row[model.TypesAttr] = model.List(model.String("Drug"), model.String("Chemical"))
+	got := entityTokens(&model.Entity{Key: "DB00682 warfarin", Attrs: row})
+	want := entityTokens(&model.Entity{Key: "DB00682 warfarin", Attrs: attrs})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("tokens of the stored row %q, of its attributes %q", got, want)
+	}
+}
