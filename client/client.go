@@ -52,6 +52,8 @@ func (e *ServerError) Is(target error) bool {
 		return e.Code == server.CodeCanceled
 	case ErrReadOnly:
 		return e.Code == server.CodeReadOnly
+	case scdb.ErrInvalidDelivery:
+		return e.Code == server.CodeInvalidDelivery
 	}
 	return false
 }

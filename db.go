@@ -162,35 +162,39 @@ func (db *DB) Ingest(src Source) error {
 // inference. Cancellation is not observed mid-pass; a delivery lands
 // atomically with respect to curation state.
 func (db *DB) IngestCtx(ctx context.Context, src Source) error {
-	ds, err := toDataset(src)
+	d, err := toDelivery(src)
 	if err != nil {
 		return err
 	}
-	return db.inner.IngestCtx(ctx, ds)
+	return db.inner.IngestCtx(ctx, d)
 }
 
-func toDataset(src Source) (datagen.Dataset, error) {
+// toDelivery converts a public source into the engine's delivery. Each
+// entity's attributes are converted straight into a map with room for the
+// stored row's own two columns: the engine adds them, and that map is the
+// row it stores.
+func toDelivery(src Source) (curate.Delivery, error) {
 	if src.Name == "" {
-		return datagen.Dataset{}, fmt.Errorf("scdb: source needs a name")
+		return curate.Delivery{}, fmt.Errorf("scdb: source needs a name")
 	}
-	ds := datagen.Dataset{Source: src.Name, Texts: src.Texts}
-	for _, e := range src.Entities {
-		attrs, err := toRecord(e.Attrs)
+	d := curate.Delivery{Source: src.Name, Texts: src.Texts, Entities: make([]curate.Arrival, len(src.Entities))}
+	for i, e := range src.Entities {
+		attrs, err := toRecord(e.Attrs, 2)
 		if err != nil {
-			return datagen.Dataset{}, fmt.Errorf("scdb: entity %q: %w", e.Key, err)
+			return curate.Delivery{}, fmt.Errorf("scdb: entity %q: %w", e.Key, err)
 		}
-		ds.Entities = append(ds.Entities, datagen.EntitySpec{Key: e.Key, Types: e.Types, Attrs: attrs})
+		d.Entities[i] = curate.Arrival{Key: e.Key, Types: e.Types, Attrs: attrs}
 	}
 	for _, l := range src.Links {
 		var lit model.Value
 		if l.ToKey == "" {
 			v, err := toValue(l.Value)
 			if err != nil {
-				return datagen.Dataset{}, fmt.Errorf("scdb: link %s-[%s]: %w", l.FromKey, l.Predicate, err)
+				return curate.Delivery{}, fmt.Errorf("scdb: link %s-[%s]: %w", l.FromKey, l.Predicate, err)
 			}
 			lit = v
 		}
-		ds.Links = append(ds.Links, datagen.LinkSpec{
+		d.Links = append(d.Links, datagen.LinkSpec{
 			FromKey:    l.FromKey,
 			Predicate:  l.Predicate,
 			ToKey:      l.ToKey,
@@ -198,7 +202,7 @@ func toDataset(src Source) (datagen.Dataset, error) {
 			Confidence: l.Confidence,
 		})
 	}
-	return ds, nil
+	return d, nil
 }
 
 // Rows is a materialized query result with public values.
@@ -359,7 +363,7 @@ func (db *DB) Begin(level IsolationLevel) *Tx {
 // Insert buffers a row; the returned ID is final and remains valid after
 // commit.
 func (tx *Tx) Insert(table string, rec Record) (uint64, error) {
-	r, err := toRecord(rec)
+	r, err := toRecord(rec, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -369,7 +373,7 @@ func (tx *Tx) Insert(table string, rec Record) (uint64, error) {
 
 // Update buffers an overwrite.
 func (tx *Tx) Update(table string, id uint64, rec Record) error {
-	r, err := toRecord(rec)
+	r, err := toRecord(rec, 0)
 	if err != nil {
 		return err
 	}

@@ -79,14 +79,16 @@ func deliveryStream(seed int64, n, per int) []Source {
 
 // TestDeliveryAllocBudget is the ingest allocation gate: one 200-entity
 // delivery through IngestCtx on a durable store, after a warm-up that gives
-// the resolver blocks worth searching. The attribute map an arrival brings
-// is copied once, into its stored row, and the graph borrows that row; each
-// of its values is normalized
-// once for the resolver, the attribute index and the gazetteer, its batch is
-// encoded into one buffer, and the resolver indexes it in one object per
-// kind of state it keeps, so a delivery costs at most 16 objects an entity
-// (13.5 on go1.24/linux/amd64; 24 while the resolver made an object per
-// value). The same test measured 41 at commit 2f5c776, before any of that.
+// the resolver blocks worth searching. The facade converts an arrival's
+// attributes into one map, and that map is its stored row, which the graph
+// borrows; a batch's rows come from one slab; each of its values is
+// normalized once for the resolver, the attribute index and the gazetteer,
+// its batch is encoded into one buffer, and the resolver indexes it in one
+// object per kind of state it keeps, so a delivery costs at most 11 objects
+// an entity (9.5 on go1.24/linux/amd64; 13.5 while the row was a clone of
+// the converted map and storage made two objects a row, 24 while the
+// resolver made an object per value). The same test measured 41 at commit
+// 2f5c776, before any of that.
 func TestDeliveryAllocBudget(t *testing.T) {
 	const per, warm, runs = 200, 40, 8
 	db, err := Open(Options{Dir: t.TempDir(), Sync: SyncGroup})
@@ -110,9 +112,9 @@ func TestDeliveryAllocBudget(t *testing.T) {
 	})
 	perEntity := allocs / per
 	t.Logf("one %d-entity delivery allocates %.0f objects, %.1f an entity", per, allocs, perEntity)
-	budget := 16.0
+	budget := 11.0
 	if raceEnabled {
-		budget = 30 // 20.3 here; 28.7 before the pooled Prepared
+		budget = 22 // 16.0 here; 20.3 before the row was built once, 28.7 before the pooled Prepared
 	}
 	if perEntity > budget {
 		t.Errorf("a delivery allocates %.1f objects an entity, budget %.0f; the same delivery cost 41 at commit 2f5c776", perEntity, budget)

@@ -347,23 +347,27 @@ func (db *DB) enrichmentVersion() uint64 {
 // curation). db.mu is taken only for the final install step:
 // invalidating the materialization cache, which also waits out in-flight
 // readers so no stale result survives the enrichment.
+//
+// Ingest borrows ds: each entity's attributes are copied into a row of
+// the engine's own (curate.NewDelivery), so the dataset is never written.
 func (db *DB) Ingest(ds datagen.Dataset) error {
-	return db.IngestCtx(context.Background(), ds)
+	return db.IngestCtx(context.Background(), curate.NewDelivery(ds))
 }
 
-// IngestCtx is Ingest with an observability scope: when ctx carries an
-// obs trace (a TRACE-style ingest request, or the debug tooling), the
-// curation pipeline attaches per-stage spans — decode, batch install with
-// WAL fsync wait, relation/ER, integration, inference — to it.
-// Cancellation is not yet observed mid-pass; a delivery is atomic with
-// respect to the curation state.
-func (db *DB) IngestCtx(ctx context.Context, ds datagen.Dataset) error {
+// IngestCtx is Ingest of a delivery whose attribute maps the engine owns
+// from here on: each becomes its entity's stored row (curate.Arrival).
+// When ctx carries an obs trace (a TRACE-style ingest request, or the
+// debug tooling), the curation pipeline attaches per-stage spans —
+// decode, batch install with WAL fsync wait, relation/ER, integration,
+// inference — to it. Cancellation is not yet observed mid-pass; a delivery
+// is atomic with respect to the curation state.
+func (db *DB) IngestCtx(ctx context.Context, d curate.Delivery) error {
 	if db.opts.ReadOnly {
 		return ErrReadOnly
 	}
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
-	if err := db.pipeline.Ingest(ds, obs.FromContext(ctx)); err != nil {
+	if err := db.pipeline.Ingest(d, obs.FromContext(ctx)); err != nil {
 		return err
 	}
 	db.mu.Lock()

@@ -43,7 +43,7 @@ func lifesciPipeline(t *testing.T) (*Pipeline, *graph.Graph, *storage.Store) {
 func ingestLifeSci(t *testing.T, p *Pipeline) {
 	t.Helper()
 	for _, ds := range datagen.LifeSci(1, 0, 0, 0) {
-		if err := p.Ingest(ds, nil); err != nil {
+		if err := p.Ingest(NewDelivery(ds), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,14 +234,14 @@ func TestLookupValueAmbiguityResolvesToLowestCanonical(t *testing.T) {
 	p, g, _ := lifesciPipeline(t)
 	// Two sources share a value; lookup must resolve deterministically.
 	for i, src := range []string{"s1", "s2"} {
-		if err := p.Ingest(datagen.Dataset{
+		if err := p.Ingest(NewDelivery(datagen.Dataset{
 			Source: src,
 			Entities: []datagen.EntitySpec{{
 				Key:   fmt.Sprintf("k%d", i),
 				Types: []string{"Gene"},
 				Attrs: model.Record{"symbol": model.String("SHARED"), "extra": model.String(fmt.Sprintf("distinct %d value", i))},
 			}},
-		}, nil); err != nil {
+		}), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,7 +38,7 @@ func iotIngest(t *testing.T, mode er.BlockingMode, par int) (sig string, skips i
 	p.workers, p.chunk = par, 16
 	sets, _ := datagen.IoTSensors(11, 3, 36, 2, 0.25)
 	for _, ds := range sets {
-		if err := p.Ingest(ds, nil); err != nil {
+		if err := p.Ingest(NewDelivery(ds), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ func chunkedIngest(t *testing.T, s *storage.Store, chunk, workers int) *Pipeline
 	p, _ := pipelineOver(t, s)
 	p.chunk, p.workers = chunk, workers
 	for _, ds := range append(datagen.LifeSci(1, 40, 30, 20), datagen.Stream(7, 60)...) {
-		if err := p.Ingest(ds, nil); err != nil {
+		if err := p.Ingest(NewDelivery(ds), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -169,70 +169,115 @@ func (p *Pipeline) Resolver() *er.Resolver { return p.resolver }
 const ingestChunk = 1024
 
 // ErrInvalidDelivery rejects a delivery before any of it is written: an
-// entity without a key, an attribute named like one of the stored row's
-// own columns (model.IsRowColumn: _key, _types), or a link naming a key
-// that is neither in the delivery nor already curated for its source.
+// entity CheckEntity refuses, or a link naming a key that is neither in the
+// delivery nor already curated for its source.
 var ErrInvalidDelivery = errors.New("curate: invalid delivery")
 
-// validate checks a delivery against what Ingest and RebuildFromStore
-// can curate, so a rejected delivery leaves nothing behind. Caller holds
-// p.mu.
-func (p *Pipeline) validate(ds datagen.Dataset) error {
-	for _, spec := range ds.Entities {
-		if spec.Key == "" {
-			return fmt.Errorf("%w: entity without a key in %s", ErrInvalidDelivery, ds.Source)
-		}
-		for name := range spec.Attrs {
-			if model.IsRowColumn(name) {
-				return fmt.Errorf("%w: entity %q in %s names the reserved attribute %q", ErrInvalidDelivery, spec.Key, ds.Source, name)
-			}
-		}
+// CheckEntity is the per-entity rule of a delivery: an entity has a key,
+// and none of its attributes is named like one of the stored row's own
+// columns (model.IsRowColumn: _key, _types). The pipeline's validation and
+// the router, which checks a public record before it splits a delivery,
+// both call it before anything is written.
+func CheckEntity[V any](source, key string, attrs map[string]V) error {
+	if key == "" {
+		return fmt.Errorf("%w: entity without a key in %s", ErrInvalidDelivery, source)
 	}
-	if len(ds.Links) == 0 {
-		return nil
-	}
-	keys := make(map[string]bool, len(ds.Entities))
-	for _, spec := range ds.Entities {
-		keys[spec.Key] = true
-	}
-	known := func(key string) bool {
-		if keys[key] {
-			return true
-		}
-		_, ok := p.graph.FindByKey(ds.Source, key)
-		return ok
-	}
-	for _, l := range ds.Links {
-		if !known(l.FromKey) {
-			return fmt.Errorf("%w: link from unknown key %q in %s", ErrInvalidDelivery, l.FromKey, ds.Source)
-		}
-		if l.ToKey != "" && !known(l.ToKey) {
-			return fmt.Errorf("%w: link to unknown key %q in %s", ErrInvalidDelivery, l.ToKey, ds.Source)
+	for name := range attrs {
+		if model.IsRowColumn(name) {
+			return fmt.Errorf("%w: entity %q in %s names the reserved attribute %q", ErrInvalidDelivery, key, source, name)
 		}
 	}
 	return nil
 }
 
-// buildInstanceRecord turns a spec into the instance-layer row (attributes
-// plus _key and asserted types, so the relation layer is rebuildable). The
-// row is the one attribute map curation keeps: storage owns it and the
-// graph entity borrows it.
-func buildInstanceRecord(spec datagen.EntitySpec) model.Record {
-	rec := spec.Attrs.Clone()
-	rec[model.KeyAttr] = model.String(spec.Key)
-	if len(spec.Types) > 0 {
-		tvals := make([]model.Value, len(spec.Types))
-		for i, t := range spec.Types {
+// Delivery is one source delivery as the pipeline takes it.
+type Delivery struct {
+	Source   string
+	Entities []Arrival
+	Links    []datagen.LinkSpec
+	// Texts carries unstructured documents (for extraction), may be nil.
+	Texts []string
+}
+
+// Arrival is one entity of a delivery. Its Attrs map is the pipeline's
+// from Ingest on: Ingest adds the stored row's own columns, _key and
+// _types, to it, and that map is the row storage keeps and the graph
+// borrows. A map made with room for len(attrs)+2 entries takes both
+// without growing.
+type Arrival struct {
+	Key   string
+	Types []string
+	Attrs model.Record
+}
+
+// NewDelivery is a delivery of a dataset its caller keeps: each entity's
+// attributes are copied into a map of the pipeline's own, so ingesting the
+// delivery never writes the dataset.
+func NewDelivery(ds datagen.Dataset) Delivery {
+	d := Delivery{Source: ds.Source, Entities: make([]Arrival, len(ds.Entities)), Links: ds.Links, Texts: ds.Texts}
+	for i, spec := range ds.Entities {
+		attrs := make(model.Record, len(spec.Attrs)+2)
+		for name, v := range spec.Attrs {
+			attrs[name] = v
+		}
+		d.Entities[i] = Arrival{Key: spec.Key, Types: spec.Types, Attrs: attrs}
+	}
+	return d
+}
+
+// validate checks a delivery against what Ingest and RebuildFromStore
+// can curate, so a rejected delivery leaves nothing behind. Caller holds
+// p.mu.
+func (p *Pipeline) validate(d Delivery) error {
+	for _, a := range d.Entities {
+		if err := CheckEntity(d.Source, a.Key, a.Attrs); err != nil {
+			return err
+		}
+	}
+	if len(d.Links) == 0 {
+		return nil
+	}
+	keys := make(map[string]bool, len(d.Entities))
+	for _, a := range d.Entities {
+		keys[a.Key] = true
+	}
+	known := func(key string) bool {
+		if keys[key] {
+			return true
+		}
+		_, ok := p.graph.FindByKey(d.Source, key)
+		return ok
+	}
+	for _, l := range d.Links {
+		if !known(l.FromKey) {
+			return fmt.Errorf("%w: link from unknown key %q in %s", ErrInvalidDelivery, l.FromKey, d.Source)
+		}
+		if l.ToKey != "" && !known(l.ToKey) {
+			return fmt.Errorf("%w: link to unknown key %q in %s", ErrInvalidDelivery, l.ToKey, d.Source)
+		}
+	}
+	return nil
+}
+
+// addRowColumns makes an arrival's attributes its instance-layer row:
+// _key and the asserted types join them, so the relation layer is
+// rebuildable from the row alone.
+func addRowColumns(a Arrival) model.Record {
+	a.Attrs[model.KeyAttr] = model.String(a.Key)
+	if len(a.Types) > 0 {
+		tvals := make([]model.Value, len(a.Types))
+		for i, t := range a.Types {
 			tvals[i] = model.String(t)
 		}
-		rec[model.TypesAttr] = model.List(tvals...)
+		a.Attrs[model.TypesAttr] = model.List(tvals...)
 	}
-	return rec
+	return a.Attrs
 }
 
 // Ingest runs the curation pass for one source delivery, a chunk of
-// records at a time: each chunk is decoded, lands in the instance layer
-// through one batch write, and is related (relateChunk); then the
+// records at a time: each chunk's arrivals become their stored rows
+// (addRowColumns, in the arrivals' own maps), land in the instance layer
+// through one batch write, and are related (relateChunk); then the
 // delivery's links and texts are integrated and the touched entities
 // re-inferred. Every order-sensitive step — storage row IDs, graph
 // insertion, incremental ER — runs in record order, so the state does not
@@ -240,22 +285,22 @@ func buildInstanceRecord(spec datagen.EntitySpec) model.Record {
 // this). tr, when non-nil, receives one span per
 // stage: decode, batch install (with WAL fsync wait), relation/ER with
 // its blocking and scoring busy time, integration, and inference.
-func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
+func (p *Pipeline) Ingest(d Delivery, tr *obs.Trace) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.validate(ds); err != nil {
+	if err := p.validate(d); err != nil {
 		return err
 	}
 	// The root is the service layer's request span when this pass came
 	// over the wire, or a fresh "ingest" root for embedded callers. All
 	// span calls no-op when tr is nil.
 	root := tr.Root("ingest")
-	root.SetStr("source", ds.Source)
+	root.SetStr("source", d.Source)
 	p.stats.Datasets++
-	if err := p.recordIngestMeta(ds); err != nil {
+	if err := p.recordIngestMeta(d.Source, d.Links, d.Texts); err != nil {
 		return err
 	}
-	table, err := p.store.EnsureTable(ds.Source)
+	table, err := p.store.EnsureTable(d.Source)
 	if err != nil {
 		return err
 	}
@@ -265,12 +310,12 @@ func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 	var decodeDur, installDur, relateDur, blockBusy, scoreBusy time.Duration
 	var touched []model.EntityID
 	chunks := 0
-	for chunk := range slices.Chunk(ds.Entities, p.chunk) {
+	for chunk := range slices.Chunk(d.Entities, p.chunk) {
 		chunks++
 		start := time.Now()
 		recs := make([]model.Record, len(chunk))
-		for i, spec := range chunk {
-			recs[i] = buildInstanceRecord(spec)
+		for i, a := range chunk {
+			recs[i] = addRowColumns(a)
 		}
 		decodeDur += time.Since(start)
 
@@ -284,7 +329,7 @@ func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 		installDur += time.Since(start)
 
 		start = time.Now()
-		block, score, err := p.relateChunk(ds.Source, chunk, recs, &touched)
+		block, score, err := p.relateChunk(d.Source, chunk, &touched)
 		if err != nil {
 			return err
 		}
@@ -295,10 +340,10 @@ func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 	if tr != nil {
 		walAfter := p.store.WALStats()
 		dec := root.ChildDur("ingest.decode", decodeDur)
-		dec.SetInt("records", int64(len(ds.Entities)))
+		dec.SetInt("records", int64(len(d.Entities)))
 		dec.SetInt("chunks", int64(chunks))
 		inst := root.ChildDur("ingest.install", installDur)
-		inst.SetInt("rows", int64(len(ds.Entities)))
+		inst.SetInt("rows", int64(len(d.Entities)))
 		inst.SetInt("batches", int64(chunks))
 		inst.SetInt("wal_frames", int64(walAfter.Frames-walBefore.Frames))
 		inst.SetInt("wal_bytes", int64(walAfter.Bytes-walBefore.Bytes))
@@ -316,7 +361,7 @@ func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 		sc.SetInt("workers", int64(p.workers))
 	}
 	integ := root.Child("ingest.integrate")
-	if err := p.integrate(ds, &touched); err != nil {
+	if err := p.integrate(d.Source, d.Links, d.Texts, &touched); err != nil {
 		integ.End()
 		return err
 	}
@@ -338,10 +383,9 @@ func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 	return nil
 }
 
-// relateChunk is the relation stage of one chunk of one source's specs,
-// for live ingest and RebuildFromStore alike. rows[i] is chunk[i]'s stored
-// row and the arrival's attributes: the graph entity and the store hold one
-// map, and a spec's own map is never read or written here. Candidate
+// relateChunk is the relation stage of one chunk of one source's arrivals,
+// for live ingest and RebuildFromStore alike. Each arrival's Attrs is its
+// stored row: the graph entity and the store hold one map. Candidate
 // generation and pair scoring (Prepare) only read the resolver's committed
 // state, so they fan out across p.workers, the calling goroutine among
 // them; graph insertion, union-find merge and attribute/ANN indexing then
@@ -349,12 +393,12 @@ func (p *Pipeline) Ingest(ds datagen.Dataset, tr *obs.Trace) error {
 // preparing a chunk against the state before it finds what a
 // record-at-a-time pass would. It returns the chunk's blocking and scoring
 // busy time.
-func (p *Pipeline) relateChunk(source string, chunk []datagen.EntitySpec, rows []model.Record, touched *[]model.EntityID) (block, score time.Duration, err error) {
+func (p *Pipeline) relateChunk(source string, chunk []Arrival, touched *[]model.EntityID) (block, score time.Duration, err error) {
 	preps := make([]*er.Prepared, len(chunk))
 	var next atomic.Int64
 	prepare := func() {
 		for i := int(next.Add(1)) - 1; i < len(chunk); i = int(next.Add(1)) - 1 {
-			preps[i] = p.resolver.Prepare(arrival(source, chunk[i], rows[i]))
+			preps[i] = p.resolver.Prepare(entity(source, chunk[i]))
 		}
 	}
 	var wg sync.WaitGroup
@@ -367,41 +411,41 @@ func (p *Pipeline) relateChunk(source string, chunk []datagen.EntitySpec, rows [
 	}
 	prepare()
 	wg.Wait()
-	for i, spec := range chunk {
+	for i, a := range chunk {
 		block += preps[i].BlockDur()
 		score += preps[i].ScoreDur()
-		if err := p.relatePrepared(source, spec, rows[i], preps[i], touched); err != nil {
+		if err := p.relatePrepared(source, a, preps[i], touched); err != nil {
 			return block, score, err
 		}
 	}
 	return block, score, nil
 }
 
-// arrival is the entity a spec delivers, before it has an ID, its
-// attributes the spec's stored row.
-func arrival(source string, spec datagen.EntitySpec, row model.Record) *model.Entity {
-	return &model.Entity{Key: spec.Key, Source: source, Types: spec.Types, Attrs: row, Confidence: 1}
+// entity is the graph entity an arrival delivers, before it has an ID,
+// its attributes the arrival's stored row.
+func entity(source string, a Arrival) *model.Entity {
+	return &model.Entity{Key: a.Key, Source: source, Types: a.Types, Attrs: a.Attrs, Confidence: 1}
 }
 
 // relatePrepared is the order-sensitive half of the relation layer for
 // one entity: graph insertion, attribute indexing, and the resolver's
-// ordered commit. prep is the spec's Prepare against the state before its
+// ordered commit. prep is the arrival's Prepare against the state before its
 // chunk. Its normalized attribute texts are the ones the attribute index
 // and the gazetteer keep. Its candidate set is valid only for a key new to
 // the graph — a re-delivered key merges attributes into the existing
 // entity, so the record is re-scored serially from the resolved entity,
 // exactly as a serial pass would.
-func (p *Pipeline) relatePrepared(source string, spec datagen.EntitySpec, row model.Record, prep *er.Prepared, touched *[]model.EntityID) error {
-	_, existed := p.graph.FindByKey(source, spec.Key)
-	id := p.graph.AddEntity(arrival(source, spec, row))
+func (p *Pipeline) relatePrepared(source string, a Arrival, prep *er.Prepared, touched *[]model.EntityID) error {
+	_, existed := p.graph.FindByKey(source, a.Key)
+	id := p.graph.AddEntity(entity(source, a))
 	p.stats.Entities++
 	*touched = append(*touched, id)
-	p.indexNorms(id, row, prep.Attrs())
+	p.indexNorms(id, a.Attrs, prep.Attrs())
 
 	var matches []er.Match
 	if existed {
 		resolved, _ := p.graph.Entity(id)
-		matches = p.resolver.Add(&model.Entity{ID: id, Key: spec.Key, Source: source, Attrs: resolved.Attrs, Types: resolved.Types})
+		matches = p.resolver.Add(&model.Entity{ID: id, Key: a.Key, Source: source, Attrs: resolved.Attrs, Types: resolved.Types})
 	} else {
 		matches = p.resolver.Commit(prep, id)
 	}
@@ -415,25 +459,25 @@ func (p *Pipeline) relatePrepared(source string, spec datagen.EntitySpec, row mo
 	return nil
 }
 
-// integrate runs the dataset's link specs, text extraction, and the
+// integrate runs a delivery's link specs, text extraction, and the
 // pending-link retry — the relation-layer tail after entities landed.
-func (p *Pipeline) integrate(ds datagen.Dataset, touched *[]model.EntityID) error {
+func (p *Pipeline) integrate(source string, links []datagen.LinkSpec, texts []string, touched *[]model.EntityID) error {
 	// Intra-dataset entity edges.
-	for _, l := range ds.Links {
-		from, ok := p.graph.FindByKey(ds.Source, l.FromKey)
+	for _, l := range links {
+		from, ok := p.graph.FindByKey(source, l.FromKey)
 		if !ok {
-			return fmt.Errorf("curate: link from unknown key %q in %s", l.FromKey, ds.Source)
+			return fmt.Errorf("curate: link from unknown key %q in %s", l.FromKey, source)
 		}
 		conf := model.Fuzzy(l.Confidence)
 		if conf == 0 {
 			conf = 1
 		}
 		if l.ToKey != "" {
-			to, ok := p.graph.FindByKey(ds.Source, l.ToKey)
+			to, ok := p.graph.FindByKey(source, l.ToKey)
 			if !ok {
-				return fmt.Errorf("curate: link to unknown key %q in %s", l.ToKey, ds.Source)
+				return fmt.Errorf("curate: link to unknown key %q in %s", l.ToKey, source)
 			}
-			if err := p.graph.AddEdge(graph.Edge{From: from.ID, Predicate: l.Predicate, To: model.Ref(to.ID), Source: ds.Source, Confidence: conf}); err != nil {
+			if err := p.graph.AddEdge(graph.Edge{From: from.ID, Predicate: l.Predicate, To: model.Ref(to.ID), Source: source, Confidence: conf}); err != nil {
 				return err
 			}
 			p.stats.Edges++
@@ -441,24 +485,24 @@ func (p *Pipeline) integrate(ds datagen.Dataset, touched *[]model.EntityID) erro
 			continue
 		}
 		// Literal edge: try link rules, else store the literal.
-		if p.applyRules(from.ID, ds.Source, l.Predicate, l.Literal, conf, touched) {
+		if p.applyRules(from.ID, source, l.Predicate, l.Literal, conf, touched) {
 			continue
 		}
-		if err := p.graph.AddEdge(graph.Edge{From: from.ID, Predicate: l.Predicate, To: l.Literal, Source: ds.Source, Confidence: conf}); err != nil {
+		if err := p.graph.AddEdge(graph.Edge{From: from.ID, Predicate: l.Predicate, To: l.Literal, Source: source, Confidence: conf}); err != nil {
 			return err
 		}
 		p.stats.LiteralEdges++
 	}
 
 	// Unstructured text → extractions → edges.
-	for _, text := range ds.Texts {
+	for _, text := range texts {
 		for _, ex := range extract.ExtractRelations(text, p.gaz, p.patterns) {
 			subj := p.lookupValue(ex.Subject.Canonical)
 			obj := p.lookupValue(ex.Object.Canonical)
 			if subj == model.NoEntity || obj == model.NoEntity || subj == obj {
 				continue
 			}
-			if err := p.graph.AddEdge(graph.Edge{From: subj, Predicate: ex.Predicate, To: model.Ref(obj), Source: ds.Source + ":text", Confidence: model.Fuzzy(ex.Confidence)}); err != nil {
+			if err := p.graph.AddEdge(graph.Edge{From: subj, Predicate: ex.Predicate, To: model.Ref(obj), Source: source + ":text", Confidence: model.Fuzzy(ex.Confidence)}); err != nil {
 				return err
 			}
 			p.stats.Extractions++

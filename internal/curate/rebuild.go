@@ -28,34 +28,35 @@ const (
 	TextsTable = "_curate_texts"
 )
 
-// recordIngestMeta persists what Ingest needs for replay. Link and text
-// rows go through the batch write path a chunk at a time. Caller holds p.mu.
-func (p *Pipeline) recordIngestMeta(ds datagen.Dataset) error {
+// recordIngestMeta persists what Ingest needs for replay: the source's
+// first-ingest order, its links and its texts. Link and text rows go
+// through the batch write path a chunk at a time. Caller holds p.mu.
+func (p *Pipeline) recordIngestMeta(source string, links []datagen.LinkSpec, texts []string) error {
 	ot, err := p.store.EnsureTable(OrderTable)
 	if err != nil {
 		return err
 	}
-	if !p.seenSources[ds.Source] {
-		p.seenSources[ds.Source] = true
+	if !p.seenSources[source] {
+		p.seenSources[source] = true
 		p.seq++
 		if _, err := ot.Insert(model.Record{
 			"seq":    model.Int(int64(p.seq)),
-			"source": model.String(ds.Source),
+			"source": model.String(source),
 		}); err != nil {
 			return err
 		}
 	}
-	if len(ds.Links) > 0 {
+	if len(links) > 0 {
 		lt, err := p.store.EnsureTable(LinksTable)
 		if err != nil {
 			return err
 		}
-		recs := make([]model.Record, len(ds.Links))
-		for i, l := range ds.Links {
+		recs := make([]model.Record, len(links))
+		for i, l := range links {
 			p.seq++
 			rec := model.Record{
 				"seq":       model.Int(int64(p.seq)),
-				"source":    model.String(ds.Source),
+				"source":    model.String(source),
 				"from_key":  model.String(l.FromKey),
 				"predicate": model.String(l.Predicate),
 				"conf":      model.Float(l.Confidence),
@@ -71,17 +72,17 @@ func (p *Pipeline) recordIngestMeta(ds datagen.Dataset) error {
 			return err
 		}
 	}
-	if len(ds.Texts) > 0 {
+	if len(texts) > 0 {
 		tt, err := p.store.EnsureTable(TextsTable)
 		if err != nil {
 			return err
 		}
-		recs := make([]model.Record, len(ds.Texts))
-		for i, text := range ds.Texts {
+		recs := make([]model.Record, len(texts))
+		for i, text := range texts {
 			p.seq++
 			recs[i] = model.Record{
 				"seq":    model.Int(int64(p.seq)),
-				"source": model.String(ds.Source),
+				"source": model.String(source),
 				"text":   model.String(text),
 			}
 		}
@@ -132,33 +133,29 @@ func (p *Pipeline) RebuildFromStore() error {
 		}
 		// A row is its entity's attributes as it is: the graph borrows it,
 		// as it does a live arrival's.
-		var specs []datagen.EntitySpec
-		var rows []model.Record
+		var arrivals []Arrival
 		tb.Scan(func(_ storage.RowID, rec model.Record) bool {
 			key, ok := rec.Get(model.KeyAttr).AsString()
 			if !ok || key == "" {
 				return true // transactional rows are instance-only
 			}
-			spec := datagen.EntitySpec{Key: key}
+			a := Arrival{Key: key, Attrs: rec}
 			if l, ok := rec.Get(model.TypesAttr).AsList(); ok {
 				for _, tv := range l {
 					if s, ok := tv.AsString(); ok {
-						spec.Types = append(spec.Types, s)
+						a.Types = append(a.Types, s)
 					}
 				}
 			}
-			specs = append(specs, spec)
-			rows = append(rows, rec)
+			arrivals = append(arrivals, a)
 			return true
 		})
-		for lo := 0; lo < len(specs); lo += p.chunk {
-			hi := min(lo+p.chunk, len(specs))
-			if _, _, err := p.relateChunk(source, specs[lo:hi], rows[lo:hi], &touched); err != nil {
+		for chunk := range slices.Chunk(arrivals, p.chunk) {
+			if _, _, err := p.relateChunk(source, chunk, &touched); err != nil {
 				return fmt.Errorf("curate: rebuild of %q: %w", source, err)
 			}
 		}
-		ds := datagen.Dataset{Source: source, Links: links[source], Texts: texts[source]}
-		if err := p.integrate(ds, &touched); err != nil {
+		if err := p.integrate(source, links[source], texts[source], &touched); err != nil {
 			return fmt.Errorf("curate: rebuild of %q: %w", source, err)
 		}
 	}

@@ -42,7 +42,7 @@ func TestRebuildReproducesGraph(t *testing.T) {
 	defer s.Close()
 	p1, g1 := pipelineOver(t, s)
 	for _, ds := range datagen.LifeSci(1, 20, 15, 10) {
-		if err := p1.Ingest(ds, nil); err != nil {
+		if err := p1.Ingest(NewDelivery(ds), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,13 +79,13 @@ func TestRebuildReproducesGraph(t *testing.T) {
 		t.Errorf("warfarin edges: %d vs %d", len(g1.Edges(w1.ID)), len(g2.Edges(w2.ID)))
 	}
 	// New ingests after a rebuild use fresh sequence numbers.
-	if err := p2.Ingest(datagen.Dataset{
+	if err := p2.Ingest(NewDelivery(datagen.Dataset{
 		Source: "drugbank",
 		Entities: []datagen.EntitySpec{{Key: "DBNEW", Types: []string{"Drug"},
 			Attrs: model.Record{"name": model.String("post rebuild")}}},
 		Links: []datagen.LinkSpec{{FromKey: "DBNEW", Predicate: "targets_symbol",
 			Literal: model.String("DHFR"), Confidence: 1}},
-	}, nil); err != nil {
+	}), nil); err != nil {
 		t.Fatal(err)
 	}
 	if g2.NumEntities() != g1.NumEntities()+1 {
@@ -109,10 +109,10 @@ func TestRebuildSkipsTransactionalRows(t *testing.T) {
 	s, _ := storage.Open("")
 	defer s.Close()
 	p1, _ := pipelineOver(t, s)
-	p1.Ingest(datagen.Dataset{
+	p1.Ingest(NewDelivery(datagen.Dataset{
 		Source:   "src",
 		Entities: []datagen.EntitySpec{{Key: "k", Attrs: model.Record{"name": model.String("real")}}},
-	}, nil)
+	}), nil)
 	// A row without _key (as a transaction would write) is instance-only.
 	tb, _ := s.Table("src")
 	tb.Insert(model.Record{"note": model.String("not curated")})
@@ -139,7 +139,7 @@ func TestEntityBorrowsStoredRow(t *testing.T) {
 	dss := append(datagen.LifeSci(1, 20, 15, 10), datagen.Stream(3, 40)...)
 	live, g1 := pipelineOver(t, s)
 	for _, ds := range dss {
-		if err := live.Ingest(ds, nil); err != nil {
+		if err := live.Ingest(NewDelivery(ds), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -340,6 +340,8 @@ func errorCode(err error) (code, msg string) {
 		code = CodeCanceled
 	case errors.Is(err, scdb.ErrReadOnly):
 		code = CodeReadOnly
+	case errors.Is(err, scdb.ErrInvalidDelivery):
+		code = CodeInvalidDelivery
 	}
 	return code, err.Error()
 }

@@ -39,6 +39,9 @@ const (
 	CodeQuery      = "query"       // the engine rejected the statement
 	CodeShutdown   = "shutdown"    // the server is draining
 	CodeReadOnly   = "read_only"   // this node is a read replica; write to the primary
+	// CodeInvalidDelivery: the engine refused an ingest before writing any
+	// of it (scdb.ErrInvalidDelivery).
+	CodeInvalidDelivery = "invalid_delivery"
 )
 
 // IngestSummary reports a completed ingest_batch stream.

@@ -187,7 +187,8 @@ func v2OpName(op byte) string {
 }
 
 // Error code bytes (V2OpError payloads); V2CodeString maps them back to
-// the Code* strings clients switch on.
+// the Code* strings clients switch on. A code byte a client does not know
+// reads as CodeQuery, so a new code stays an error to an older client.
 const (
 	v2CodeBusy byte = iota + 1
 	v2CodeDeadline
@@ -196,6 +197,7 @@ const (
 	v2CodeQuery
 	v2CodeShutdown
 	v2CodeReadOnly
+	v2CodeInvalidDelivery
 )
 
 func v2CodeByte(code string) byte {
@@ -212,6 +214,8 @@ func v2CodeByte(code string) byte {
 		return v2CodeShutdown
 	case CodeReadOnly:
 		return v2CodeReadOnly
+	case CodeInvalidDelivery:
+		return v2CodeInvalidDelivery
 	}
 	return v2CodeQuery
 }
@@ -231,6 +235,8 @@ func V2CodeString(b byte) string {
 		return CodeShutdown
 	case v2CodeReadOnly:
 		return CodeReadOnly
+	case v2CodeInvalidDelivery:
+		return CodeInvalidDelivery
 	}
 	return CodeQuery
 }

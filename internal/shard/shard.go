@@ -52,6 +52,7 @@ import (
 	"scdb"
 	"scdb/client"
 	"scdb/internal/core"
+	"scdb/internal/curate"
 	"scdb/internal/er"
 	"scdb/internal/model"
 	"scdb/internal/obs"
@@ -260,6 +261,13 @@ func (r *Router) CSN() uint64 {
 // shard-local), as are unstructured Texts (extraction cannot be routed by
 // key) — deliver those to a shard directly if shard-local edges are
 // acceptable.
+//
+// An entity the per-entity rule refuses (curate.CheckEntity: a keyless
+// entity, or an attribute named _key or _types) refuses the whole delivery
+// with scdb.ErrInvalidDelivery before any shard receives a part, so no
+// shard is left half-written. A link to a key no shard has seen needs the
+// owning shard's graph to tell, so that refusal stays the shard's, and the
+// shards that accepted their parts keep them.
 func (r *Router) IngestCtx(ctx context.Context, src scdb.Source) error {
 	n := len(r.shards)
 	parts := make([]scdb.Source, n)
@@ -270,6 +278,9 @@ func (r *Router) IngestCtx(ctx context.Context, src scdb.Source) error {
 		return fmt.Errorf("shard: texts cannot be routed by entity key; deliver them to one shard directly")
 	}
 	for _, e := range src.Entities {
+		if err := curate.CheckEntity(src.Name, e.Key, e.Attrs); err != nil {
+			return err
+		}
 		s := ShardOf(e.Key, n)
 		parts[s].Entities = append(parts[s].Entities, e)
 	}

@@ -432,7 +432,14 @@ func (t *Table) decodeSection(data []byte, snapCSN CSN) ([]idxSpec, error) {
 		return nil, fmt.Errorf("storage: corrupt snapshot row count for %q", name)
 	}
 	pos += n
-	for j := uint64(0); j < nRows; j++ {
+	// A row takes at least two bytes (its ID and its field count), so a
+	// count the section's bytes cannot hold is corrupt, and the slab is
+	// never sized by a count the bytes do not back.
+	if nRows > uint64(len(data)-pos)/2 {
+		return nil, fmt.Errorf("storage: corrupt snapshot row count %d for %q: %d bytes left", nRows, name, len(data)-pos)
+	}
+	slab := newRows(int(nRows))
+	for j := range slab {
 		id, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
 			return nil, fmt.Errorf("storage: corrupt snapshot row id")
@@ -443,7 +450,8 @@ func (t *Table) decodeSection(data []byte, snapCSN CSN) ([]idxSpec, error) {
 			return nil, fmt.Errorf("storage: corrupt snapshot record: %w", err)
 		}
 		pos += used
-		t.rows[RowID(id)] = &row{versions: []version{{rec: rec, from: snapCSN}}}
+		slab[j].versions[0] = version{rec: rec, from: snapCSN}
+		t.rows[RowID(id)] = &slab[j]
 		t.nextID = max(t.nextID, id)
 		t.live++
 	}

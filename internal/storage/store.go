@@ -44,6 +44,20 @@ type row struct {
 	versions []version
 }
 
+// newRows carves n rows, each with room for its first version, from one
+// []row and one []version, so a batch of rows costs two objects rather
+// than two a row. Each row's versions is capped at its own element: a
+// later update, delete or sorted insert reallocates the chain and never
+// writes a neighbour's. A slab lives while any of its rows does.
+func newRows(n int) []row {
+	rows := make([]row, n)
+	vers := make([]version, n)
+	for i := range rows {
+		rows[i].versions = vers[i : i+1 : i+1]
+	}
+	return rows
+}
+
 // at returns the record visible at csn, or nil if none.
 func (r *row) at(csn CSN) model.Record {
 	for i := len(r.versions) - 1; i >= 0; i-- {
@@ -58,16 +72,22 @@ func (r *row) at(csn CSN) model.Record {
 // are almost always appended to in order; the sorted insert covers
 // concurrent writers whose stamps were allocated in the opposite order of
 // their table-latch acquisition. Replay installs in stamp order, so it
-// only ever appends.
+// only ever appends. A chain that outgrows its array moves to a new one
+// and clears the old: that may be a slab's element (newRows), which lives
+// on with its neighbours and must not keep this row's records alive.
 func (r *row) addVersion(v version) {
+	old := r.versions
 	if n := len(r.versions); n > 0 && r.versions[n-1].from > v.from {
 		i := sort.Search(n, func(k int) bool { return r.versions[k].from > v.from })
 		r.versions = append(r.versions, version{})
 		copy(r.versions[i+1:], r.versions[i:])
 		r.versions[i] = v
-		return
+	} else {
+		r.versions = append(r.versions, v)
 	}
-	r.versions = append(r.versions, v)
+	if len(old) == cap(old) {
+		clear(old)
+	}
 }
 
 // Table is a named collection of multi-versioned rows.
@@ -330,12 +350,14 @@ func (t *Table) InsertBatch(recs []model.Record) ([]RowID, error) {
 	csn := t.store.beginWrite()
 	defer t.store.endWrite(csn)
 	ids := make([]RowID, len(recs))
+	slab := newRows(len(recs))
 	t.mu.Lock()
 	for i, rec := range recs {
 		t.nextID++
 		id := RowID(t.nextID)
 		ids[i] = id
-		t.rows[id] = &row{versions: []version{{rec: rec, from: csn}}}
+		slab[i].versions[0] = version{rec: rec, from: csn}
+		t.rows[id] = &slab[i]
 		t.live++
 		t.noteWriteLocked(id, rec, true)
 	}
@@ -615,6 +637,7 @@ func (t *Table) Vacuum(horizon CSN) int {
 			r.versions = append([]version(nil), r.versions[keepFrom:]...)
 		}
 		if len(r.versions) == 1 && r.versions[0].rec == nil {
+			r.versions = nil // its slab, if any, outlives it
 			delete(t.rows, id)
 			removed++
 		}

@@ -271,9 +271,10 @@ func fillColumn[T box.Cell](out [][]any, rows [][]model.Value, c int, s box.Slab
 	}
 }
 
-// toRecord converts a public record.
-func toRecord(r Record) (model.Record, error) {
-	out := make(model.Record, len(r))
+// toRecord converts a public record into a map with room for extra more
+// attributes.
+func toRecord(r Record, extra int) (model.Record, error) {
+	out := make(model.Record, len(r)+extra)
 	for k, v := range r {
 		mv, err := toValue(v)
 		if err != nil {
