@@ -138,7 +138,7 @@ func BenchmarkTraversalCSR(b *testing.B) {
 	csr := g.BuildCSR(graph.OrderBFS)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		csr.KHop(start, 4, "")
+		csr.KHop(start, 4, nil)
 	}
 }
 

@@ -43,38 +43,24 @@ func RunFig2() *Table {
 		return t
 	}
 	defer db.Close()
-	g := db.Graph()
-	r := db.Reasoner()
 
-	ok := func(name string, v bool) {
-		t.Rows = append(t.Rows, []string{name, b2s(v)})
-	}
-	mtx, _ := g.FindByKey("drugbank", "DB00563")
-	dhfrTargets := false
-	for _, nb := range g.Neighbors(mtx.ID, "targets") {
-		e, _ := g.Entity(nb)
-		if s, _ := e.Attrs.Get("symbol").AsString(); s == "DHFR" {
-			dhfrTargets = true
+	// Each check is read the way a user asks it: as a statement, whose
+	// row count answers it (an error counts -1, so it fails every check).
+	ok := func(name, q string, holds func(rows int) bool) {
+		n := -1
+		if res, _, err := db.Query(q); err == nil {
+			n = len(res.Rows)
 		}
-		if s, _ := e.Attrs.Get("gene_symbol").AsString(); s == "DHFR" {
-			dhfrTargets = true
-		}
+		t.Rows = append(t.Rows, []string{name, b2s(holds(n))})
 	}
-	ok("Methotrexate targets DHFR (link discovered)", dhfrTargets)
-
-	warf, _ := g.FindByKey("drugbank", "DB00682")
-	osteo, _ := g.FindByKey("ctd", "mesh:D012516")
-	ok("Warfarin reaches Osteosarcoma ≤3 hops", g.Reaches(warf.ID, g.Resolve(osteo.ID), 3, ""))
-
-	ace, _ := g.FindByKey("drugbank", "DB00316")
-	ok("Acetaminophen witness discharged by extraction", len(r.Witnesses(ace.ID)) == 0)
-	amino, _ := g.FindByKey("drugbank", "DB01118")
-	ok("Aminopterin ∃hasTarget.Gene witness stands", len(r.Witnesses(amino.ID)) == 1)
-	ok("Acetaminophen inferred Chemical (subsumption)", r.HasType(ace.ID, "Chemical"))
-
-	up, _ := g.FindByKey("uniprot", "P35354")
-	ctd, _ := g.FindByKey("ctd", "gene:PTGS2")
-	ok("PTGS2 merged across UniProt and CTD", up.ID == ctd.ID)
+	some := func(n int) bool { return n > 0 }
+	ok("Methotrexate targets DHFR (link discovered)", `SELECT g._key FROM Drug AS d JOIN Gene AS g ON LINKED(d._id, g._id, 'targets') WHERE d.name = 'Methotrexate' AND (g.symbol = 'DHFR' OR g.gene_symbol = 'DHFR')`, some)
+	ok("Warfarin reaches Osteosarcoma ≤3 hops", `SELECT d._key FROM Drug AS d WHERE d.name = 'Warfarin' AND REACHES(d._id, 'Osteosarcoma', 3)`, some)
+	ok("Acetaminophen witness discharged by extraction", `SELECT role FROM witnesses() WHERE entity = 'Acetaminophen'`, func(n int) bool { return n == 0 })
+	ok("Aminopterin ∃hasTarget.Gene witness stands", `SELECT role FROM witnesses() WHERE entity = 'Aminopterin' AND role = 'hasTarget' AND filler = 'Gene'`, func(n int) bool { return n == 1 })
+	ok("Acetaminophen inferred Chemical (subsumption)", `SELECT d._key FROM Drug AS d WHERE d.name = 'Acetaminophen' AND ISA(d._id, 'Chemical') WITH SEMANTICS`, some)
+	// Merged, one Gene entity carries both sources' attributes.
+	ok("PTGS2 merged across UniProt and CTD", `SELECT g._key FROM Gene AS g WHERE g.symbol = 'PTGS2' AND g.gene_symbol = 'PTGS2'`, func(n int) bool { return n == 1 })
 
 	st := db.Stats()
 	t.Rows = append(t.Rows,

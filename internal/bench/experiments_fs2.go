@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"scdb/internal/curate"
 	"scdb/internal/datagen"
@@ -61,7 +62,7 @@ func RunUnifiedLanguage() *Table {
 		drugs := r.Instances("Drug") // pass 1: semantic
 		count := 0
 		for _, id := range drugs { // pass 2: graph
-			if g.Reaches(id, target, 3, "") {
+			if reached, _ := g.KHop(id, 3, ""); slices.Contains(reached, target) {
 				count++ // pass 3 would project the name relationally
 			}
 		}

@@ -123,7 +123,7 @@ func RunTraversalLocality() *Table {
 		t.Rows = append(t.Rows, []string{"adjacency map", d(k), d(mapStats.Visited), d(mapStats.Lines)})
 		for _, order := range []graph.Order{graph.OrderInsertion, graph.OrderBFS, graph.OrderDegree} {
 			csr := g.BuildCSR(order)
-			_, st := csr.KHop(start, k, "")
+			_, st := csr.KHop(start, k, nil)
 			t.Rows = append(t.Rows, []string{"CSR/" + order.String(), d(k), d(st.Visited), d(st.Lines)})
 		}
 	}

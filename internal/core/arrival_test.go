@@ -19,8 +19,10 @@ import (
 // before a batch's records were encoded into one buffer. It holds
 // LifeSci(1, 12, 10, 8), Stream(5, 30) and a re-delivered "patch" source,
 // ingested in batches of 7 under SyncGroup; oldstore.answers is what that
-// code answered after reopening it. The on-disk format and every curation
-// decision replayed from it must not have moved.
+// code answered after reopening it, but for the graph-predicate statements
+// the corpus gained when they moved onto concept scans, whose answers were
+// added by the next code that answered them all. The on-disk format and
+// every curation decision replayed from it must not have moved.
 func TestOldStoreAnswersIdentically(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join("testdata", "oldstore")

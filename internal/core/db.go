@@ -99,9 +99,8 @@ type DB struct {
 
 	// csrMu guards the cached traversal snapshot (OS.2): rebuilt lazily
 	// whenever the graph version moves.
-	csrMu  sync.Mutex
-	csr    *graph.CSR
-	csrVer uint64
+	csrMu sync.Mutex
+	csr   *graph.CSR
 
 	// tpMu guards the cached type-prediction model (FS.4/FS.5's PREDICT
 	// function), retrained lazily when the graph version moves.
@@ -284,19 +283,14 @@ func (db *DB) Close() error {
 }
 
 // csrSnapshot returns a CSR snapshot of the current graph, rebuilding it
-// in BFS order when the graph changed since the last build. Returns nil
-// for tiny graphs where the build cost outweighs the traversal win.
+// in BFS order when the graph changed since the last build. It is what
+// REACHES and LINKED walk, at every graph size.
 func (db *DB) csrSnapshot() *graph.CSR {
-	const minEntities = 32
-	if db.graph.NumEntities() < minEntities {
-		return nil
-	}
 	ver := db.graph.Version()
 	db.csrMu.Lock()
 	defer db.csrMu.Unlock()
-	if db.csr == nil || db.csrVer != ver {
+	if db.csr == nil || db.csr.Version() != ver {
 		db.csr = db.graph.BuildCSR(graph.OrderBFS)
-		db.csrVer = ver
 	}
 	return db.csr
 }

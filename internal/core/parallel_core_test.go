@@ -48,7 +48,9 @@ func renderRows(res *query.Result) string {
 
 // engineCorpus covers every layer the engine's queryEnv serves: storage
 // tables, the claims virtual table under each answer mode, concept scans
-// with and without inference, and the graph/semantic predicates.
+// with and without inference, and the graph/semantic predicates over
+// concept scans, whose rows carry the _id they read (a source table's row
+// has none).
 var engineCorpus = []string{
 	"SELECT * FROM drugbank ORDER BY name",
 	"SELECT name FROM drugbank WHERE name LIKE 'W%' ORDER BY name",
@@ -58,8 +60,11 @@ var engineCorpus = []string{
 	"SELECT DISTINCT disease_name FROM ctd WHERE disease_name IS NOT NULL ORDER BY disease_name",
 	"SELECT _key FROM Chemical ORDER BY _key WITH SEMANTICS",
 	"SELECT _key FROM Drug ORDER BY _key LIMIT 4",
-	"SELECT name FROM drugbank WHERE ISA(_id, 'Chemical') ORDER BY name WITH SEMANTICS",
-	"SELECT name FROM drugbank WHERE REACHES(_id, 'Osteosarcoma', 3) ORDER BY name",
+	"SELECT d.name FROM Drug AS d WHERE ISA(d._id, 'Chemical') ORDER BY d.name WITH SEMANTICS",
+	"SELECT d.name FROM Drug AS d WHERE REACHES(d._id, 'Osteosarcoma', 3) ORDER BY d.name",
+	"SELECT d._key, g._key FROM Drug AS d JOIN Gene AS g ON LINKED(d._id, g._id, 'targets') ORDER BY d._key, g._key",
+	"SELECT g._key, h._key FROM Gene AS g JOIN Gene AS h ON LINKED(g._id, h._id) ORDER BY g._key, h._key",
+	"SELECT d._key, g._key FROM Drug AS d JOIN Gene AS g ON LINKED(d._id, g._id, 'hasTarget') ORDER BY d._key, g._key WITH SEMANTICS",
 	"SELECT attr, COUNT(*) AS n FROM claims GROUP BY attr ORDER BY attr",
 	"SELECT attr FROM claims ORDER BY attr LIMIT 5 UNDER CERTAIN",
 	"SELECT attr, justification FROM claims ORDER BY attr LIMIT 5 UNDER FUZZY(0.5)",
@@ -78,6 +83,9 @@ func TestEngineParallelDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serial %q: %v", src, err)
 		}
+		if graphPredicate(src) && len(want.Rows) == 0 {
+			t.Errorf("%q answers no rows", src)
+		}
 		got, _, err := parallel.Query(src)
 		if err != nil {
 			t.Fatalf("parallel %q: %v", src, err)
@@ -90,14 +98,19 @@ func TestEngineParallelDifferential(t *testing.T) {
 }
 
 // TestLookupNameMemoConcurrency: REACHES resolves its target through the
-// per-statement name memo; with workers evaluating predicates concurrently
-// the memo must be safe. Run under -race to catch regressions.
+// per-statement name memo, and REACHES and LINKED take the statement's
+// snapshot and predicate masks from its walk memo; with workers evaluating
+// predicates concurrently both memos must be safe. Run under -race to
+// catch regressions.
 func TestLookupNameMemoConcurrency(t *testing.T) {
 	db := openLifeSciOpts(t, 4, 2)
-	const q = "SELECT name FROM drugbank WHERE REACHES(_id, 'Osteosarcoma', 3) OR REACHES(_id, 'Inflammation', 2) ORDER BY name"
+	const q = "SELECT d.name FROM Drug AS d WHERE REACHES(d._id, 'Osteosarcoma', 3) OR REACHES(d._id, 'Inflammation', 2) OR LINKED(d._id, d._id, 'hasTarget') ORDER BY d.name WITH SEMANTICS"
 	want, _, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(want.Rows) == 0 {
+		t.Fatal("the statement answers no rows, so it never reaches the memo")
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -120,6 +133,13 @@ func TestLookupNameMemoConcurrency(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// graphPredicate reports whether a statement asks ISA, REACHES or LINKED.
+// A differential holds each such statement to at least one row: one that
+// answers none compares nothing.
+func graphPredicate(src string) bool {
+	return strings.Contains(src, "ISA(") || strings.Contains(src, "REACHES(") || strings.Contains(src, "LINKED(")
 }
 
 type queryMismatch struct{}

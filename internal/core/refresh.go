@@ -61,7 +61,7 @@ func (db *DB) RefreshDerived() error {
 	db.mu.Unlock()
 
 	db.csrMu.Lock()
-	db.csr, db.csrVer = nil, 0
+	db.csr = nil
 	db.csrMu.Unlock()
 	db.tpMu.Lock()
 	db.tp, db.tpVer = nil, 0

@@ -113,11 +113,13 @@ func TestFigure2PathReachable(t *testing.T) {
 	if !ok {
 		t.Fatal("Osteosarcoma missing")
 	}
-	if !g.Reaches(warfarin.ID, g.Resolve(osteo.ID), 3, "") {
+	csr := g.BuildCSR(graph.OrderBFS)
+	from, to := g.Resolve(warfarin.ID), g.Resolve(osteo.ID)
+	if !csr.Reaches(from, to, 3, nil) {
 		t.Error("Warfarin must reach Osteosarcoma within 3 hops (targets → associatedWith)")
 	}
 	// The path has 3 nodes: 2 hops, not 1.
-	if g.Reaches(warfarin.ID, g.Resolve(osteo.ID), 1, "") || !g.Reaches(warfarin.ID, g.Resolve(osteo.ID), 2, "") {
+	if csr.Reaches(from, to, 1, nil) || !csr.Reaches(from, to, 2, nil) {
 		t.Error("Warfarin's path to Osteosarcoma must take exactly 2 hops")
 	}
 }

@@ -4,6 +4,10 @@
 // domain/range axioms, and existential restrictions (C ⊑ ∃R.D) — the
 // fragment of SHIN the paper's examples exercise.
 //
+// Sub-roles are read by the reasoner and, under WITH SEMANTICS, by SCQL's
+// REACHES and LINKED. Transitive and inverse roles are parsed and stored,
+// but nothing reads them yet.
+//
 // The ontology is itself data: the catalog stores its axioms as rows of a
 // system table, honouring the paper's unification of data and meta-data.
 // This package holds the in-memory, classification-ready form.
@@ -380,8 +384,9 @@ func (o *Ontology) Existentials(c string) []Existential {
 	return res
 }
 
-// RoleAncestors returns every role P with R ⊑* P, excluding R, sorted.
-func (o *Ontology) RoleAncestors(r string) []string {
+// roleAncestors returns the (cached) set of roles P with R ⊑* P,
+// excluding R. Callers only read it.
+func (o *Ontology) roleAncestors(r string) map[string]bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.roleAncCache == nil {
@@ -406,55 +411,35 @@ func (o *Ontology) RoleAncestors(r string) []string {
 		visit(r)
 		o.roleAncCache[r] = set
 	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return set
 }
 
-// SubsumesRole reports whether R ⊑* P. A role subsumes itself.
-func (o *Ontology) SubsumesRole(p, r string) bool {
-	if p == r {
-		return true
-	}
-	for _, a := range o.RoleAncestors(r) {
-		if a == p {
-			return true
-		}
-	}
-	return false
-}
+// SubsumesRole reports whether R ⊑* P. A role subsumes itself. It is the
+// one reading of the role hierarchy: the reasoner's and WITH SEMANTICS'.
+func (o *Ontology) SubsumesRole(p, r string) bool { return p == r || o.roleAncestors(r)[p] }
 
 // DomainsOf returns the declared domains of the role, including those of
 // its role ancestors.
 func (o *Ontology) DomainsOf(r string) []string {
-	names := append(o.RoleAncestors(r), r)
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	var res []string
-	for _, n := range names {
-		if rn, ok := o.roles[n]; ok {
-			for _, d := range rn.domain {
-				res = appendUnique(res, d)
-			}
-		}
-	}
-	sort.Strings(res)
-	return res
+	return o.inherited(r, func(rn *role) []string { return rn.domain })
 }
 
 // RangesOf returns the declared ranges of the role, including those of its
 // role ancestors.
 func (o *Ontology) RangesOf(r string) []string {
-	names := append(o.RoleAncestors(r), r)
+	return o.inherited(r, func(rn *role) []string { return rn.rng })
+}
+
+// inherited collects what of lists for r and its role ancestors, sorted
+// and without repeats.
+func (o *Ontology) inherited(r string, of func(*role) []string) []string {
+	anc := o.roleAncestors(r)
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	var res []string
-	for _, n := range names {
-		if rn, ok := o.roles[n]; ok {
-			for _, c := range rn.rng {
+	for n, rn := range o.roles {
+		if n == r || anc[n] {
+			for _, c := range of(rn) {
 				res = appendUnique(res, c)
 			}
 		}

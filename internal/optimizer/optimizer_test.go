@@ -325,7 +325,7 @@ func (execEnv) IsA(v model.Value, concept string, semantic bool) model.Truth {
 	}
 	return model.TruthOf(id == 1 && (concept == "Drug" || concept == "Chemical"))
 }
-func (execEnv) Reaches(model.Value, string, int, string) model.Truth { return model.False }
-func (execEnv) Linked(model.Value, model.Value, string) model.Truth  { return model.False }
-func (execEnv) TypesOf(model.Value, bool) model.Value                { return model.Null() }
-func (execEnv) PredictType(model.Value) model.Value                  { return model.Null() }
+func (execEnv) Reaches(model.Value, string, int, string, bool) model.Truth { return model.False }
+func (execEnv) Linked(model.Value, model.Value, string, bool) model.Truth  { return model.False }
+func (execEnv) TypesOf(model.Value, bool) model.Value                      { return model.Null() }
+func (execEnv) PredictType(model.Value) model.Value                        { return model.Null() }

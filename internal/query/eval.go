@@ -34,11 +34,12 @@ type Env interface {
 	// IsA reports whether the entity reference holds the concept.
 	IsA(v model.Value, concept string, semantic bool) model.Truth
 	// Reaches reports whether the entity reference reaches the entity
-	// named target (by key or name) within k hops over pred ("" = any).
-	Reaches(from model.Value, target string, k int, pred string) model.Truth
-	// Linked reports whether an edge with pred ("" = any) connects the two
-	// entity references.
-	Linked(a, b model.Value, pred string) model.Truth
+	// named target (by key or name) within k hops over pred ("" = any);
+	// with semantic, pred's sub-roles count as pred.
+	Reaches(from model.Value, target string, k int, pred string, semantic bool) model.Truth
+	// Linked reports whether an edge with pred ("" = any; with semantic,
+	// or one of its sub-roles) connects the two entity references.
+	Linked(a, b model.Value, pred string, semantic bool) model.Truth
 	// TypesOf returns the entity's types as a list value.
 	TypesOf(v model.Value, semantic bool) model.Value
 	// PredictType returns the statistical layer's best type prediction for
@@ -112,12 +113,12 @@ func (Relations) ScanFunction(name string, _ []model.Value, _ int) (ScanCursor, 
 	return nil, fmt.Errorf("query: unknown function %s()", name)
 }
 
-func (Relations) ScanConcept(string, bool, int) (ScanCursor, bool)     { return nil, false }
-func (Relations) IsA(model.Value, string, bool) model.Truth            { return model.Unknown }
-func (Relations) Reaches(model.Value, string, int, string) model.Truth { return model.Unknown }
-func (Relations) Linked(model.Value, model.Value, string) model.Truth  { return model.Unknown }
-func (Relations) TypesOf(model.Value, bool) model.Value                { return model.Null() }
-func (Relations) PredictType(model.Value) model.Value                  { return model.Null() }
+func (Relations) ScanConcept(string, bool, int) (ScanCursor, bool)           { return nil, false }
+func (Relations) IsA(model.Value, string, bool) model.Truth                  { return model.Unknown }
+func (Relations) Reaches(model.Value, string, int, string, bool) model.Truth { return model.Unknown }
+func (Relations) Linked(model.Value, model.Value, string, bool) model.Truth  { return model.Unknown }
+func (Relations) TypesOf(model.Value, bool) model.Value                      { return model.Null() }
+func (Relations) PredictType(model.Value) model.Value                        { return model.Null() }
 
 // Row is one tuple flowing through the executor. A bound row borrows the
 // storage records it was scanned from, one frame per FROM binding (a join
@@ -508,7 +509,7 @@ func (c *evalCtx) evalCall(e *Call, row Row) (model.Value, error) {
 				return model.Value{}, fmt.Errorf("query: REACHES predicate must be a string")
 			}
 		}
-		return truthValue(c.env.Reaches(argv[0], target, int(k), pred)), nil
+		return truthValue(c.env.Reaches(argv[0], target, int(k), pred, c.semantic)), nil
 	case "LINKED":
 		if len(argv) < 2 || len(argv) > 3 {
 			return model.Value{}, fmt.Errorf("query: LINKED(a, b [, pred]) takes 2-3 arguments")
@@ -521,7 +522,7 @@ func (c *evalCtx) evalCall(e *Call, row Row) (model.Value, error) {
 				return model.Value{}, fmt.Errorf("query: LINKED predicate must be a string")
 			}
 		}
-		return truthValue(c.env.Linked(argv[0], argv[1], pred)), nil
+		return truthValue(c.env.Linked(argv[0], argv[1], pred, c.semantic)), nil
 	case "CLOSE":
 		if len(argv) != 3 {
 			return model.Value{}, fmt.Errorf("query: CLOSE(x, target, tol) takes 3 arguments")

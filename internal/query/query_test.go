@@ -97,7 +97,7 @@ func (f *fakeEnv) IsA(v model.Value, concept string, semantic bool) model.Truth 
 	return model.False
 }
 
-func (f *fakeEnv) Reaches(from model.Value, target string, k int, pred string) model.Truth {
+func (f *fakeEnv) Reaches(from model.Value, target string, k int, pred string, semantic bool) model.Truth {
 	id, ok := from.AsRef()
 	if !ok {
 		return model.Unknown
@@ -105,7 +105,7 @@ func (f *fakeEnv) Reaches(from model.Value, target string, k int, pred string) m
 	return model.TruthOf(f.reach[id][target])
 }
 
-func (f *fakeEnv) Linked(a, b model.Value, pred string) model.Truth {
+func (f *fakeEnv) Linked(a, b model.Value, pred string, semantic bool) model.Truth {
 	ia, ok1 := a.AsRef()
 	ib, ok2 := b.AsRef()
 	if !ok1 || !ok2 {

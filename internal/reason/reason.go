@@ -123,8 +123,16 @@ func (r *Reasoner) MaterializeEntities(ids []model.EntityID) Stats {
 	for _, id := range merged {
 		r.dropLocked(id)
 	}
+	// Types first, for every affected entity, and only then what reads
+	// them: an existential's filler may be inferred later in ID order than
+	// the entity whose witness it discharges.
 	for _, id := range order {
-		r.inferEntityLocked(id)
+		r.inferTypesLocked(id)
+	}
+	for _, id := range order {
+		if e, ok := r.g.Entity(id); ok {
+			r.inferFactsLocked(e)
+		}
 	}
 	s := r.totals
 	s.Entities = len(order)
@@ -149,8 +157,8 @@ func setEntryLocked[V map[string]string | []Witness | []Inconsistency](m map[mod
 	}
 }
 
-// inferEntityLocked recomputes all inferences for one entity.
-func (r *Reasoner) inferEntityLocked(id model.EntityID) {
+// inferTypesLocked recomputes the entity's inferred types.
+func (r *Reasoner) inferTypesLocked(id model.EntityID) {
 	e, ok := r.g.Entity(id)
 	if !ok {
 		r.dropLocked(id)
@@ -187,12 +195,17 @@ func (r *Reasoner) inferEntityLocked(id model.EntityID) {
 		}
 	}
 	setEntryLocked(r.inferred, &r.totals.InferredTypes, id, inf)
+}
 
+// inferFactsLocked recomputes the entity's witnesses and inconsistencies
+// from the types every affected entity now holds.
+func (r *Reasoner) inferFactsLocked(e *model.Entity) {
+	id := e.ID
 	// Existential witnesses: for every restriction C ⊑ ∃R.D on any held
 	// type, check for a concrete R-edge (or sub-role edge) to an entity of
 	// type D; absent one, record a witness.
 	var wits []Witness
-	allTypes := r.typesOfLocked(e, inf)
+	allTypes := r.typesOfLocked(e, r.inferred[id])
 	seen := map[ontology.Existential]bool{}
 	for _, t := range allTypes {
 		for _, ex := range r.o.Existentials(t) {
@@ -200,7 +213,7 @@ func (r *Reasoner) inferEntityLocked(id model.EntityID) {
 				continue
 			}
 			seen[ex] = true
-			if !r.hasRoleFillerLocked(id, ex.Role, ex.Filler, inf) {
+			if !r.hasRoleFillerLocked(id, ex.Role, ex.Filler) {
 				wits = append(wits, Witness{Entity: id, Role: ex.Role, Filler: ex.Filler, Because: t})
 			}
 		}
@@ -272,8 +285,8 @@ func (r *Reasoner) typesOfLocked(e *model.Entity, inf map[string]string) []strin
 
 // hasRoleFillerLocked reports whether the entity has a concrete edge whose
 // predicate specializes role and whose target holds the filler concept
-// (asserted, previously inferred, or by subsumption).
-func (r *Reasoner) hasRoleFillerLocked(id model.EntityID, role, filler string, selfInf map[string]string) bool {
+// (asserted, inferred, or by subsumption).
+func (r *Reasoner) hasRoleFillerLocked(id model.EntityID, role, filler string) bool {
 	for _, edge := range r.g.Edges(id) {
 		if !r.o.SubsumesRole(role, edge.Predicate) {
 			continue
@@ -298,7 +311,6 @@ func (r *Reasoner) hasRoleFillerLocked(id model.EntityID, role, filler string, s
 			}
 		}
 	}
-	_ = selfInf
 	return false
 }
 

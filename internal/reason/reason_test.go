@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,6 +116,39 @@ func TestWitnessRetractsWhenEdgeArrives(t *testing.T) {
 	if w := r.Witnesses(ids["Acetaminophen"]); w != nil {
 		t.Errorf("witness must retract once a concrete edge exists: %v", w)
 	}
+}
+
+// TestWitnessSeesFillerInferredInSamePass: y -r-> z, both A, with A ⊑ ∃r.D
+// and D the range of r. z is D only by inference, and z follows y in ID
+// order, so one pass must infer every affected entity's types before it
+// checks any existential: y's is discharged by z, and only z's stands. A
+// second full pass must agree with the first.
+func TestWitnessSeesFillerInferredInSamePass(t *testing.T) {
+	g := graph.New()
+	o := ontology.New()
+	o.DeclareConcept("A")
+	o.DeclareConcept("D")
+	o.Range("r", "D")
+	o.AddExistential("A", "r", "D")
+	y := g.AddEntity(&model.Entity{Key: "y", Source: "s", Types: []string{"A"}, Attrs: model.Record{}})
+	z := g.AddEntity(&model.Entity{Key: "z", Source: "s", Types: []string{"A"}, Attrs: model.Record{}})
+	g.AddEdge(graph.Edge{From: y, Predicate: "r", To: model.Ref(z), Source: "s"})
+
+	r := New(g, o)
+	want := []Witness{{Entity: z, Role: "r", Filler: "D", Because: "A"}}
+	check := func(step string) {
+		t.Helper()
+		if got := r.AllWitnesses(); !slices.Equal(got, want) {
+			t.Errorf("%s: witnesses = %v, want %v", step, got, want)
+		}
+		if !r.HasType(z, "D") {
+			t.Errorf("%s: z must be D by the range of r", step)
+		}
+	}
+	r.MaterializeEntities([]model.EntityID{y, z})
+	check("delivery")
+	r.Materialize()
+	check("second pass")
 }
 
 func TestInconsistencyDetection(t *testing.T) {
