@@ -317,6 +317,10 @@ func (g *Graph) Version() uint64 {
 func (g *Graph) EntityIDs() []model.EntityID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	return g.entityIDsLocked()
+}
+
+func (g *Graph) entityIDsLocked() []model.EntityID {
 	ids := make([]model.EntityID, 0, len(g.entities))
 	for id := range g.entities {
 		ids = append(ids, id)
