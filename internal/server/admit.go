@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 )
 
 // ErrBusy is the typed load-shedding error: admission control rejected the
@@ -31,15 +33,14 @@ func newAdmitter(limit, maxQueue int) *admitter {
 	return &admitter{limit: limit, maxQueue: maxQueue}
 }
 
-// acquire blocks until a slot is granted or the context ends. A nil error
-// means the caller holds a slot and must release it.
-func (a *admitter) acquire(ctx context.Context) error {
+// acquire blocks until a slot is granted, the context ends or, once queued,
+// wait passes (wait <= 0: only the context bounds it); only a queued request
+// arms a timer. A nil error means the caller holds a slot to release.
+func (a *admitter) acquire(ctx context.Context, wait time.Duration) error {
 	a.mu.Lock()
 	if a.limit <= 0 || a.inflight < a.limit {
 		a.inflight++
-		if a.inflight > a.peak {
-			a.peak = a.inflight
-		}
+		a.peak = max(a.peak, a.inflight)
 		a.mu.Unlock()
 		return nil
 	}
@@ -51,26 +52,31 @@ func (a *admitter) acquire(ctx context.Context) error {
 	a.queue = append(a.queue, grant)
 	a.mu.Unlock()
 
+	var expired <-chan time.Time
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
 	case <-grant:
 		return nil
 	case <-ctx.Done():
-		a.mu.Lock()
-		for i, ch := range a.queue {
-			if ch == grant {
-				a.queue = append(a.queue[:i], a.queue[i+1:]...)
-				a.mu.Unlock()
-				return fmt.Errorf("%w: deadline expired after queueing behind %d requests", ErrBusy, i)
-			}
-		}
-		a.mu.Unlock()
-		// The grant raced the cancellation: a releaser already removed us
-		// from the queue and is closing the channel. Take the slot and
-		// give it straight back so the count stays exact.
-		<-grant
-		a.release()
-		return fmt.Errorf("%w: deadline expired while queued", ErrBusy)
+	case <-expired:
 	}
+	a.mu.Lock()
+	if i := slices.Index(a.queue, grant); i >= 0 {
+		a.queue = slices.Delete(a.queue, i, i+1)
+		a.mu.Unlock()
+		return fmt.Errorf("%w: deadline expired after queueing behind %d requests", ErrBusy, i)
+	}
+	a.mu.Unlock()
+	// The grant raced the deadline: a releaser already removed us from the
+	// queue and is closing the channel. Take the slot and give it straight
+	// back so the count stays exact.
+	<-grant
+	a.release()
+	return fmt.Errorf("%w: deadline expired while queued", ErrBusy)
 }
 
 // release returns a slot: the head waiter inherits it if one is queued,

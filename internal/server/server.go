@@ -31,8 +31,8 @@ type Config struct {
 	// MaxQueue bounds waiters beyond MaxInFlight before arrivals are shed
 	// with ErrBusy (default 64).
 	MaxQueue int
-	// QueueTimeout caps time spent waiting for admission when the request
-	// carries no deadline of its own (default 1s).
+	// QueueTimeout bounds every admission wait, as the request's deadline
+	// does (default 1s; negative: only the deadline bounds it).
 	QueueTimeout time.Duration
 
 	// DefaultTimeout applies when a request carries no timeout (default
@@ -406,20 +406,13 @@ func (s *Server) requestCtx(timeoutMS int64) (context.Context, context.CancelFun
 	return context.WithTimeout(s.baseCtx, timeout)
 }
 
-// acquireSlot runs the admission wait for one request: bounded in-flight
-// with FIFO queueing, the wait itself bounded by QueueTimeout (and the
-// request's own deadline, so a queued request cannot outlive itself) and
-// recorded as the admission_wait span under root. On success the caller
-// owns one slot and must call s.admit.release().
+// acquireSlot runs one request's admission wait (admitter.acquire), bounded
+// by QueueTimeout and the request's own deadline, as the admission_wait span
+// under root. On success the caller owns one slot and must call
+// s.admit.release().
 func (s *Server) acquireSlot(ctx context.Context, root *obs.Span) error {
-	admitCtx := ctx
-	if _, ok := ctx.Deadline(); !ok || s.cfg.QueueTimeout > 0 {
-		var acancel context.CancelFunc
-		admitCtx, acancel = context.WithTimeout(ctx, s.cfg.QueueTimeout)
-		defer acancel()
-	}
 	admitSpan := root.Child("admission_wait")
-	err := s.admit.acquire(admitCtx)
+	err := s.admit.acquire(ctx, s.cfg.QueueTimeout)
 	admitSpan.End()
 	if err != nil {
 		return err

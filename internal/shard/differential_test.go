@@ -17,7 +17,8 @@ import (
 
 // stmtGen draws statements over pharma_a from a small grammar: items from
 // {group column, COUNT(*), COUNT/SUM/AVG/MIN/MAX(col), arithmetic and scalar
-// operators over them} × GROUP BY {none, one, two columns} × WHERE × HAVING
+// operators over them} × GROUP BY {none, one, two columns} × WHERE (keyed
+// or not) × HAVING
 // × DISTINCT × ORDER BY × LIMIT, plus plain selections. Every statement
 // orders by all of its output columns, so rows that tie are byte-identical
 // and the answer has one rendering on every topology; a plain selection
@@ -63,14 +64,23 @@ func (g stmtGen) item() string {
 	)
 }
 
+// where draws a condition, a _key = '<corpus key>' conjunct, both or
+// neither; two of the keys drawn are absent from the corpus.
 func (g stmtGen) where() string {
+	var conds []string
 	if g.chance(0.5) {
+		conds = append(conds, g.pick(
+			"price > 30", "price <= 60", "category != 'cat1'", "rating IS NOT NULL",
+			"q = 2", "price > 1000", "name LIKE '%in%'",
+		))
+	}
+	if g.chance(0.2) {
+		conds = append(conds, fmt.Sprintf("_key = 'A-%02d'", g.r.Intn(len(drugNames)+2)))
+	}
+	if len(conds) == 0 {
 		return ""
 	}
-	return " WHERE " + g.pick(
-		"price > 30", "price <= 60", "category != 'cat1'", "rating IS NOT NULL",
-		"q = 2", "price > 1000", "name LIKE '%in%'",
-	)
+	return " WHERE " + strings.Join(conds, " AND ")
 }
 
 func (g stmtGen) having(groups []string) string {
@@ -189,7 +199,8 @@ func sortedLines(rows *scdb.Rows) string {
 
 // TestClusterDifferentialGenerated compares an embedded engine, a 1-shard
 // and a 3-shard cluster over the same corpus, statement by statement: the
-// fixed differentialQueries, then statements drawn from stmtGen. Answers
+// fixed differentialQueries and keyedQueries, then statements drawn from
+// stmtGen. Answers
 // must agree byte for byte, and when one side fails all must.
 func TestClusterDifferentialGenerated(t *testing.T) {
 	seed := int64(1)
@@ -241,7 +252,7 @@ func TestClusterDifferentialGenerated(t *testing.T) {
 			t.Errorf("seed %d: %s diverges:\nembedded:\n%s\n1 shard:\n%s", seed, q, g0, g1)
 		}
 	}
-	for _, q := range differentialQueries {
+	for _, q := range slices.Concat(differentialQueries, keyedQueries) {
 		compare(q)
 	}
 	// The drifts this test was written against, whatever the seed draws.

@@ -2,11 +2,11 @@ package shard
 
 // Scatter-gather query execution: decompose, gather, canonical sort,
 // ordinary executor. The router parses each statement and ships a rewritten
-// partial query to every shard. What it does with the gathered rows is not
-// written here: it is a plan over one in-memory relation (query.RowsNode)
-// that query.ExecuteOpts runs, so grouping, aggregate arithmetic, HAVING,
-// projection, DISTINCT, ORDER BY and LIMIT mean across shards exactly what
-// they mean on one node.
+// partial query to the shards it targets (below). What it does with the
+// gathered rows is not written here: it is a plan over one in-memory
+// relation (query.RowsNode) that query.ExecuteOpts runs, so grouping,
+// aggregate arithmetic, HAVING, projection, DISTINCT, ORDER BY and LIMIT
+// mean across shards exactly what they mean on one node.
 //
 // Plain selections ship with ORDER BY/LIMIT stripped (or, when both are
 // present, pushed down as per-shard top-K); DISTINCT, ORDER BY and LIMIT then
@@ -16,6 +16,17 @@ package shard
 // split into SUM and COUNT. The final phase groups by the g<i> columns and
 // replaces each original call by the aggregate in merges over its a<i>
 // column — the only aggregate knowledge in this package.
+//
+// Keyed routing: a statement whose WHERE has a top-level AND conjunct
+// [binding.]_key = 'k' (either side of the =) asks ShardOf(k, N) alone,
+// and so do its EXPLAIN and TRACE; every other statement asks every shard,
+// and EXPLAIN and TRACE ask shard 0. The answer is the one every shard
+// would give: every row whose _key is k lives on the owning shard, joins
+// are shard-local, a SELECT * schema is the union over the matching rows,
+// and the other shards' global-aggregate partials over no rows merge to
+// the owner's answer. Gather, the canonical sort and the final phase run
+// as for a scatter, so a keyed read no longer needs, or fails with, a
+// shard that does not own its key.
 //
 // Determinism: gathered rows are sorted by their binary value encoding
 // before they enter the executor, so group first-appearance, DISTINCT's
@@ -101,11 +112,17 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 		cols, err := r.answerSystem(ctx, stmt, emit)
 		return cols, &scdb.QueryInfo{}, err
 	}
+	targets := r.all
+	owner, keyed := keyedShard(stmt.Where, len(r.shards))
+	if keyed {
+		targets = r.all[owner : owner+1]
+	}
 	// Plan/trace introspection is about the engine, not the data: every
-	// shard runs the same engine over the same schema, so shard 0's answer
-	// represents the cluster.
+	// shard runs the same engine over the same schema, so the first target
+	// — the key's owner, else shard 0 — answers for the cluster, with the
+	// rows a keyed statement really reads.
 	if stmt.Explain || stmt.Trace {
-		res, info, err := r.shards[0].QueryInfoCtx(ctx, q)
+		res, info, err := r.shards[targets[0]].QueryInfoCtx(ctx, q)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -116,11 +133,14 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 		return res.Columns, info, emitChunks(res.Columns, rows, emit)
 	}
 	r.scatterQueries.Add(1)
+	if keyed {
+		r.keyedQueries.Add(1)
+	}
 	var cols []string
 	if len(stmt.GroupBy) > 0 || hasAggregate(stmt.Items) {
-		cols, err = r.scatterAgg(ctx, stmt, emit)
+		cols, err = r.scatterAgg(ctx, stmt, targets, emit)
 	} else {
-		cols, err = r.scatterRows(ctx, stmt, emit)
+		cols, err = r.scatterRows(ctx, stmt, targets, emit)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -144,24 +164,68 @@ func (r *Router) answerSystem(ctx context.Context, stmt *query.SelectStmt, emit 
 	return res.Columns, nil
 }
 
-// fanout runs q on every shard concurrently and returns the per-shard
-// results in shard order.
-func (r *Router) fanout(ctx context.Context, q string) ([]*scdb.Rows, error) {
-	n := len(r.shards)
-	res := make([]*scdb.Rows, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range r.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res[i], _, errs[i] = r.shards[i].QueryInfoCtx(ctx, q)
-		}(i)
+// keyedShard reports the shard that owns every row where can hold: the
+// owner of k when a top-level AND conjunct of where is [binding.]_key =
+// 'k', with the string literal on either side of the =. Any other
+// condition, OR and NOT included, names no shard.
+func keyedShard(where query.Expr, shards int) (int, bool) {
+	b, ok := where.(*query.Binary)
+	if !ok {
+		return 0, false
 	}
-	wg.Wait()
+	switch b.Op {
+	case "AND":
+		if s, ok := keyedShard(b.L, shards); ok {
+			return s, true
+		}
+		return keyedShard(b.R, shards)
+	case "=":
+		k, ok := keyLiteral(b.L, b.R)
+		if !ok {
+			k, ok = keyLiteral(b.R, b.L)
+		}
+		if ok {
+			return ShardOf(k, shards), true
+		}
+	}
+	return 0, false
+}
+
+// keyLiteral returns k when col is a reference to the _key column and lit
+// the string literal k.
+func keyLiteral(col, lit query.Expr) (string, bool) {
+	c, ok := col.(*query.ColRef)
+	if !ok || c.Name != model.KeyAttr {
+		return "", false
+	}
+	l, ok := lit.(*query.Literal)
+	if !ok {
+		return "", false
+	}
+	return l.Val.AsString()
+}
+
+// fanout runs q on the target shards and returns their results in target
+// order: one target on the caller's goroutine, more concurrently.
+func (r *Router) fanout(ctx context.Context, q string, targets []int) ([]*scdb.Rows, error) {
+	res := make([]*scdb.Rows, len(targets))
+	errs := make([]error, len(targets))
+	if len(targets) == 1 {
+		res[0], _, errs[0] = r.shards[targets[0]].QueryInfoCtx(ctx, q)
+	} else {
+		var wg sync.WaitGroup
+		for i, s := range targets {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res[i], _, errs[i] = r.shards[s].QueryInfoCtx(ctx, q)
+			}()
+		}
+		wg.Wait()
+	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("shard %d (%s): %w", i, r.addrs[i], err)
+			return nil, fmt.Errorf("shard %d (%s): %w", targets[i], r.addrs[targets[i]], err)
 		}
 	}
 	total := 0
@@ -316,7 +380,7 @@ func readsProjection(e query.Expr, items []query.SelectItem, byAlias bool) bool 
 }
 
 // scatterRows handles selections without aggregation.
-func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, emit emitFunc) ([]string, error) {
+func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, targets []int, emit emitFunc) ([]string, error) {
 	ship, final := *stmt, *stmt
 	// An engine sorts a plain selection before it projects, so ORDER BY may
 	// read a column the projection drops; the gathered rows carry only the
@@ -358,7 +422,7 @@ func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, emit e
 		ship.OrderBy = nil
 		ship.Limit = -1
 	}
-	res, err := r.fanout(ctx, ship.String())
+	res, err := r.fanout(ctx, ship.String(), targets)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +483,7 @@ func aggregateIn(e query.Expr) bool {
 // scatterAgg handles aggregations with the classic two-phase rewrite: the
 // shards compute partials per group, and the final phase is an ordinary
 // aggregation over the gathered partial rows.
-func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt, emit emitFunc) ([]string, error) {
+func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt, targets []int, emit emitFunc) ([]string, error) {
 	if stmt.Star {
 		return nil, fmt.Errorf("%w: SELECT * with GROUP BY", ErrNotRoutable)
 	}
@@ -506,7 +570,7 @@ func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt, emit em
 		}
 	}
 
-	res, err := r.fanout(ctx, ship.String())
+	res, err := r.fanout(ctx, ship.String(), targets)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,9 @@
 // the chunked ingest_batch stream) and every shard curates only its own
 // records — local schema observation, local graph, local incremental ER,
 // local inference. Queries fan out to every shard as partials (aggregates
-// per group, per-shard top-K), and the statement's final phase — the
+// per group, per-shard top-K) — or, when a top-level _key = 'k' conjunct
+// fixes where every answering row lives, to ShardOf(k, N) alone — and the
+// statement's final phase — the
 // merging aggregation, HAVING, DISTINCT, ORDER BY, LIMIT — runs over the
 // gathered rows in the ordinary executor. The router is an in-process
 // server.Engine, so cmd/scdb-router serves the same wire protocol as a
@@ -119,6 +121,9 @@ func (e *SettingsError) Error() string {
 type Router struct {
 	shards []Backend
 	addrs  []string
+	// all lists the shard indices in order: every shard's targets, and
+	// all[s:s+1] a keyed statement's.
+	all []int
 
 	// mu serializes routed ingests, the ER exchange they feed, and the
 	// per-shard digest watermarks. blocking is the mode shard 0 reported
@@ -136,6 +141,7 @@ type Router struct {
 	reg *obs.Registry
 
 	scatterQueries atomic.Uint64
+	keyedQueries   atomic.Uint64
 	partialRows    atomic.Uint64
 	routedRows     atomic.Uint64
 	exchangeRounds atomic.Uint64
@@ -159,10 +165,14 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		shards:       cfg.Backends,
 		addrs:        addrs,
+		all:          make([]int, len(cfg.Backends)),
 		entsMark:     make([]int, len(cfg.Backends)),
 		matchesMark:  make([]int, len(cfg.Backends)),
 		lastEntities: make([]int, len(cfg.Backends)),
 		reg:          obs.NewRegistry(),
+	}
+	for i := range r.all {
+		r.all[i] = i
 	}
 	if err := r.exchangeLocked(); err != nil { // no one else holds r yet
 		return nil, err
@@ -178,6 +188,7 @@ func (r *Router) register() {
 	r.reg.Gauge("router.shards", func() float64 { return float64(len(r.shards)) })
 	for name, n := range map[string]*atomic.Uint64{
 		"shard.scatter_queries_total":    &r.scatterQueries,
+		"shard.keyed_queries_total":      &r.keyedQueries,
 		"shard.partial_rows_total":       &r.partialRows,
 		"shard.ingest_routed_rows_total": &r.routedRows,
 		"shard.exchange_rounds_total":    &r.exchangeRounds,

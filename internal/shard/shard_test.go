@@ -210,7 +210,7 @@ func TestClusterDifferential(t *testing.T) {
 		t.Fatal("no truth pair spans shards; corpus does not exercise cross-shard ER")
 	}
 
-	for _, q := range differentialQueries {
+	for _, q := range slices.Concat(differentialQueries, keyedQueries) {
 		r1, err := c1.rc.Query(q)
 		if err != nil {
 			t.Fatalf("1-shard %s: %v", q, err)
@@ -243,29 +243,52 @@ func TestClusterDifferential(t *testing.T) {
 
 // TestRouterExplainsAsShardZero: EXPLAIN through the router answers with
 // shard 0's plan, rows and explanation, since every shard runs the same
-// engine over the same schema.
+// engine over the same schema — except for a keyed statement, which the
+// router sends to the shard that owns its key, and whose EXPLAIN is that
+// shard's, so that it explains the lookup that finds the row.
 func TestRouterExplainsAsShardZero(t *testing.T) {
 	c := newTestCluster(t, 3)
 	ingestCorpus(t, c)
-	s0, err := client.Dial(c.shards[0])
-	if err != nil {
-		t.Fatal(err)
+	shards := make([]*client.Client, len(c.shards))
+	for i, addr := range c.shards {
+		sc, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		shards[i] = sc
 	}
-	defer s0.Close()
-	for _, q := range differentialQueries {
+	check := func(q string, s int) {
+		t.Helper()
 		rows, info, err := c.rc.QueryInfo("EXPLAIN " + q)
 		if err != nil {
 			t.Fatalf("router EXPLAIN %s: %v", q, err)
 		}
-		wrows, want, err := s0.QueryInfo("EXPLAIN " + q)
+		wrows, want, err := shards[s].QueryInfo("EXPLAIN " + q)
 		if err != nil {
-			t.Fatalf("shard 0 EXPLAIN %s: %v", q, err)
+			t.Fatalf("shard %d EXPLAIN %s: %v", s, q, err)
 		}
 		if want.Plan == "" || render(rows) != render(wrows) || info.Plan != want.Plan ||
 			!slices.Equal(info.Rules, want.Rules) || info.EstimatedCost != want.EstimatedCost {
-			t.Errorf("%s: router EXPLAIN differs from shard 0's:\n%s%q %v %v\nshard 0:\n%s%q %v %v", q,
-				render(rows), info.Plan, info.Rules, info.EstimatedCost, render(wrows), want.Plan, want.Rules, want.EstimatedCost)
+			t.Errorf("%s: router EXPLAIN differs from shard %d's:\n%s%q %v %v\nshard %d:\n%s%q %v %v", q, s,
+				render(rows), info.Plan, info.Rules, info.EstimatedCost, s, render(wrows), want.Plan, want.Rules, want.EstimatedCost)
 		}
+	}
+	for _, q := range differentialQueries {
+		check(q, 0)
+	}
+	for _, q := range keyedQueries {
+		check(q, shard.ShardOf(keyIn(t, q), len(c.shards)))
+	}
+	// EXPLAIN ANALYZE runs the statement where the router sends it: a keyed
+	// lookup finds its row on the owner, which is not shard 0.
+	q := "EXPLAIN ANALYZE " + keyedQueries[0]
+	_, info, err := c.rc.QueryInfo(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root, _, _ := strings.Cut(info.OperatorStats, "\n"); !strings.Contains(root, " out=1 ") {
+		t.Errorf("%s: root operator %q, want it to return the key's one row", q, root)
 	}
 }
 
