@@ -434,7 +434,7 @@ func entity(source string, a Arrival) *model.Entity {
 // and the gazetteer keep. Its candidate set is valid only for a key new to
 // the graph — a re-delivered key merges attributes into the existing
 // entity, so the record is re-scored serially from the resolved entity,
-// exactly as a serial pass would.
+// exactly as a serial pass would, and prep goes back unused.
 func (p *Pipeline) relatePrepared(source string, a Arrival, prep *er.Prepared, touched *[]model.EntityID) error {
 	_, existed := p.graph.FindByKey(source, a.Key)
 	id := p.graph.AddEntity(entity(source, a))
@@ -444,6 +444,7 @@ func (p *Pipeline) relatePrepared(source string, a Arrival, prep *er.Prepared, t
 
 	var matches []er.Match
 	if existed {
+		prep.Release()
 		resolved, _ := p.graph.Entity(id)
 		matches = p.resolver.Add(&model.Entity{ID: id, Key: a.Key, Source: source, Attrs: resolved.Attrs, Types: resolved.Types})
 	} else {

@@ -1,6 +1,9 @@
 package er
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // The ANN index approximates "which already-curated entities are nearest
 // in embedding space?" with random-hyperplane LSH: each entity's unit
@@ -20,7 +23,7 @@ const (
 type annIndex struct {
 	planes  [][]float32          // annTables*annBits hyperplanes, row-major
 	buckets []map[uint32][]int32 // per table: signature → entity positions
-	vecs    [][]float32          // position → embedding (append-only)
+	vecs    [][]float32          // position → embedding, carved from the resolver's arena (append-only)
 }
 
 // splitmix64 steps the seed and returns the next pseudo-random word — the
@@ -73,23 +76,25 @@ func (a *annIndex) add(pos int, vec []float32) {
 	}
 }
 
+// ranked is one bucket member of an ANN probe with its cosine to the query.
+type ranked struct {
+	pos int
+	sim float64
+}
+
 // topK appends to dst up to topK indexed positions nearest to vec by cosine,
-// gathered from the query's LSH buckets and reranked exactly. A position in
-// seen (one the resolver's token blocks already selected) is not a
-// candidate, nor is one never reports (a same-source entity); every bucket
-// member examined joins seen, so a position several tables share is ranked
-// once. probed reports how many bucket members were ranked — the
-// er.ann_probes work metric. Order is deterministic: cosine descending,
-// position ascending on ties.
-func (a *annIndex) topK(dst []int, vec []float32, seen map[int]struct{}, never func(pos int) bool) (nbrs []int, probed int) {
+// gathered from the query's LSH buckets into *rank (the caller's scratch)
+// and reranked exactly. A position in seen (one the resolver's token blocks
+// already selected) is not a candidate, nor is one never reports (a
+// same-source entity); every bucket member examined joins seen, so a
+// position several tables share is ranked once. probed reports how many
+// bucket members were ranked — the er.ann_probes work metric. Order is
+// deterministic: cosine descending, position ascending on ties.
+func (a *annIndex) topK(dst []int, rank *[]ranked, vec []float32, seen map[int]struct{}, never func(pos int) bool) (nbrs []int, probed int) {
 	if len(a.vecs) == 0 {
 		return dst, 0
 	}
-	type scored struct {
-		pos int
-		sim float64
-	}
-	var cands []scored
+	cands := (*rank)[:0]
 	for t := 0; t < annTables; t++ {
 		for _, p := range a.buckets[t][a.signature(t, vec)] {
 			pos := int(p)
@@ -100,21 +105,18 @@ func (a *annIndex) topK(dst []int, vec []float32, seen map[int]struct{}, never f
 			if never(pos) {
 				continue
 			}
-			cands = append(cands, scored{pos: pos, sim: dot(vec, a.vecs[pos])})
+			cands = append(cands, ranked{pos: pos, sim: dot(vec, a.vecs[pos])})
 		}
 	}
-	probed = len(cands)
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].sim != cands[j].sim {
-			return cands[i].sim > cands[j].sim
+	slices.SortFunc(cands, func(x, y ranked) int {
+		if c := cmp.Compare(y.sim, x.sim); c != 0 {
+			return c
 		}
-		return cands[i].pos < cands[j].pos
+		return cmp.Compare(x.pos, y.pos)
 	})
-	if len(cands) > topK {
-		cands = cands[:topK]
-	}
-	for _, c := range cands {
+	for _, c := range cands[:min(len(cands), topK)] {
 		dst = append(dst, c.pos)
 	}
-	return dst, probed
+	*rank = cands
+	return dst, len(cands)
 }

@@ -110,12 +110,17 @@ func (r *Resolver) refOf(id model.EntityID) (RefKey, bool) {
 }
 
 // digestIndexed rebuilds the resolver's internal representation from a
-// digest: tokens and attrs arrive pre-normalized, so only the per-value
-// similarity derivations (tokens, trigram set) are recomputed, into one
-// arena each as index makes them.
-func digestIndexed(d Digest) indexed {
+// digest: tokens and attrs arrive pre-normalized and are kept as they are
+// (a decoded batch caps each digest's at its length), so only the per-value
+// similarity derivations (vals, their tokens and trigram sets) are
+// recomputed, into ranges carved from the arena as index carves them.
+func digestIndexed(d Digest, a *arena) indexed {
 	ix := indexed{key: d.Key, source: d.Source, tokens: d.Tokens, attrs: d.Attrs}
-	ix.derive(false)
+	var n need
+	for _, at := range ix.attrs {
+		n.value(at.Text, false)
+	}
+	ix.derive(a.carve(n), false)
 	return ix
 }
 
@@ -178,7 +183,7 @@ func (x *Exchange) addDigest(shard int, d Digest) int {
 	if pos, ok := x.byRef[ref]; ok {
 		return pos
 	}
-	ix := digestIndexed(d)
+	ix := digestIndexed(d, &x.res.arena)
 	ix.shard = shard
 	pos := len(x.res.ents)
 	x.res.Commit(x.res.prepare(ix, time.Now()), xid(pos))

@@ -1,6 +1,9 @@
 package er
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // embedDim is the feature-hashed embedding width: wide enough that unrelated
 // records rarely collide on sign patterns, small enough that a dot product
@@ -51,12 +54,14 @@ func addFeature(acc []float32, h uint64, w float32) {
 }
 
 // embedTokens hashes the token and trigram features of a token list into
-// an embedDim-wide L2-normalized vector. Tokens are whole-word features;
+// an embedDim-wide L2-normalized vector, in acc's array when it has room
+// (a pooled Prepared's), and returns it. Tokens are whole-word features;
 // boundary-padded trigrams of each token carry typo robustness (a
 // one-character edit disturbs at most three trigrams). The function is
 // pure: identical tokens produce identical vectors.
-func embedTokens(tokens []string) []float32 {
-	acc := make([]float32, embedDim)
+func embedTokens(acc []float32, tokens []string) []float32 {
+	acc = slices.Grow(acc[:0], embedDim)[:embedDim]
+	clear(acc)
 	// Digit-bearing tokens are identifiers, not fuzzy-matchable text (the
 	// scorer withholds fuzzy measures when they disagree — see
 	// sortedSetsAgree in valSim), and their values are often per-record noise

@@ -33,7 +33,7 @@ func TestRunePrefix(t *testing.T) {
 // the same block and match.
 func TestBlockKeysMultiByteRunes(t *testing.T) {
 	r := NewResolver(Config{})
-	ix := index(ent(1, "src", map[string]string{"name": "abcédef überwachungsstation"}))
+	ix := index(ent(1, "src", map[string]string{"name": "abcédef überwachungsstation"}), &r.arena)
 	keys := blockKeys(nil, &ix)
 	want := map[string]bool{"abcé": false, "über": false}
 	for _, k := range keys {
@@ -227,13 +227,13 @@ func TestBlockingModeParsing(t *testing.T) {
 // TestEmbedDeterminism: identical token sets embed identically, similar
 // strings land closer than dissimilar ones, and vectors are unit-norm.
 func TestEmbedDeterminism(t *testing.T) {
-	a := embedTokens([]string{"calibrated", "thermal", "station"})
-	b := embedTokens([]string{"calibrated", "thermal", "station"})
+	a := embedTokens(nil, []string{"calibrated", "thermal", "station"})
+	b := embedTokens(nil, []string{"calibrated", "thermal", "station"})
 	if dot(a, b) < 0.999 {
 		t.Fatalf("identical inputs must embed identically, cos=%f", dot(a, b))
 	}
-	typo := embedTokens([]string{"calibratde", "thermal", "station"})
-	far := embedTokens([]string{"orbital", "acoustic", "sensor"})
+	typo := embedTokens(nil, []string{"calibratde", "thermal", "station"})
+	far := embedTokens(nil, []string{"orbital", "acoustic", "sensor"})
 	if dot(a, typo) <= dot(a, far) {
 		t.Errorf("typo neighbor (cos=%f) must be closer than unrelated (cos=%f)", dot(a, typo), dot(a, far))
 	}

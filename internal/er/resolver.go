@@ -6,7 +6,7 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unicode/utf8"
+	"unsafe"
 
 	"scdb/internal/model"
 )
@@ -98,10 +98,11 @@ type Match struct {
 // indexed holds what the resolver retains per entity: the normalized value
 // tokens, the per-attribute normalized strings, and the source-local key
 // (the cross-process identity DigestsSince exports for cross-shard ER). An
-// indexed entity is five objects whatever its width: the attribute texts are
-// substrings of one normal-form string, every token slice (the entity's and
-// each value's) is a range of one token arena, every trigram set a range of
-// one trigram arena, and attrs and vals are one slice each.
+// indexed entity allocates nothing of its own: its attribute texts are
+// substrings of one normal-form string over the resolver's arena bytes, and
+// its attrs, vals, every token slice (the entity's and each value's) and
+// every trigram set are ranges carved from the same arena, each capped at
+// its length.
 type indexed struct {
 	id     model.EntityID
 	key    string
@@ -140,6 +141,7 @@ type Resolver struct {
 	uf      *UnionFind
 	ann     *annIndex
 	matches []Match
+	arena   arena // what ents and ann keep, carved for each arrival
 	// Comparisons counts candidate pairs logically scored — the work
 	// metric the incremental-vs-batch experiment (E-FS1) reports. It is
 	// counted at commit time under the serial skip rules, so it is
@@ -228,12 +230,14 @@ func (r *Resolver) Stats() Stats {
 	}
 }
 
-// index extracts the comparable representation of an entity. The values
-// are normalized into one buffer that becomes the entity's one normal-form
-// string, and derive splits and packs them into one arena each; the working
-// lists stay on the stack for an entity of ordinary width. A stored row's
-// own columns (model.IsRowColumn) are not the entity's attributes.
-func index(e *model.Entity) indexed {
+// index extracts the comparable representation of an entity. The values are
+// normalized into one buffer, which stays on the stack for an entity of
+// ordinary width; a first pass counts every range the entity keeps, and then
+// one carve from the arena holds them all: the normal-form bytes, which
+// become the entity's one normal-form string, its attrs, and what derive
+// makes. A stored row's own columns (model.IsRowColumn) are not the entity's
+// attributes.
+func index(e *model.Entity, a *arena) indexed {
 	ix := indexed{id: e.ID, key: e.Key, source: e.Source}
 	type pending struct {
 		name, raw string
@@ -248,62 +252,45 @@ func index(e *model.Entity) indexed {
 	}
 	slices.SortFunc(ps, func(x, y pending) int { return strings.Compare(x.name, y.name) })
 	var nbuf [256]byte
-	buf, n := nbuf[:0], 0
+	buf := nbuf[:0]
 	for i := range ps {
 		ps[i].lo = len(buf)
 		buf = appendNormal(buf, ps[i].raw)
-		if ps[i].hi = len(buf); ps[i].hi > ps[i].lo {
-			n++
+		ps[i].hi = len(buf)
+	}
+	// Counted over the buffer itself, which nothing writes before the copy.
+	n := need{bytes: len(buf)}
+	for _, p := range ps {
+		if p.hi > p.lo {
+			n.attrs++
+			n.value(unsafe.String(&buf[p.lo], p.hi-p.lo), true)
 		}
 	}
-	if n == 0 {
+	if n.attrs == 0 {
 		return ix
 	}
-	norm := string(buf)
-	ix.attrs = make(Attrs, 0, n)
+	rm := a.carve(n)
+	b := append(rm.bytes, buf...)
+	norm := unsafe.String(unsafe.SliceData(b), len(b))
+	ix.attrs = rm.attrs
 	for _, p := range ps {
 		if p.hi > p.lo {
 			ix.attrs = append(ix.attrs, AttrText{Name: p.name, Text: norm[p.lo:p.hi]})
 		}
 	}
-	ix.derive(true)
+	ix.derive(rm, true)
 	return ix
 }
 
 // derive fills ix.vals from ix.attrs, and ix.tokens too when withTokens is
-// set (a digest brings its own). A first pass counts what the arenas will
-// hold, so each is allocated once at its size: the token arena holds every
-// identifying value's tokens and digits and then the entity's token set, the
-// trigram arena every identifying value's trigrams. A non-identifying value's
-// fields are in the arena only as members of the entity's token set.
-func (ix *indexed) derive(withTokens bool) {
-	nvals, ntoks, ntris := 0, 0, 0
-	for _, at := range ix.attrs {
-		n, digits := 0, 0
-		for f := range fields(at.Text) {
-			n++
-			if hasDigit(f) {
-				digits++
-			}
-		}
-		if withTokens {
-			ntoks += n
-		}
-		if len(at.Text) >= minIdentifyingLen {
-			nvals++
-			ntoks += n + digits
-			ntris += utf8.RuneCountInString(at.Text) + 2
-		}
-	}
-	var toks []string
-	var tris []uint64
-	if ntoks > 0 {
-		toks = make([]string, 0, ntoks)
-	}
-	if nvals > 0 {
-		ix.vals = make([]attrVal, 0, nvals)
-		tris = make([]uint64, 0, ntris)
-	}
+// set (a digest brings its own), in rm, carved to what need.value counted
+// for the same attrs: the token range holds every identifying value's tokens
+// and digits and then the entity's token set, the trigram range every
+// identifying value's trigrams. A non-identifying value's fields are in the
+// token range only as members of the entity's token set.
+func (ix *indexed) derive(rm room, withTokens bool) {
+	toks, tris := rm.strs, rm.tris
+	ix.vals = rm.vals
 	for _, at := range ix.attrs {
 		if len(at.Text) >= minIdentifyingLen {
 			var v attrVal
@@ -316,7 +303,7 @@ func (ix *indexed) derive(withTokens bool) {
 	}
 	lo := len(toks)
 	for _, at := range ix.attrs {
-		for f := range fields(at.Text) {
+		for f, i := nextField(at.Text, 0); f != ""; f, i = nextField(at.Text, i) {
 			toks = append(toks, f)
 		}
 	}
@@ -451,13 +438,14 @@ type scratch struct {
 	masks []matchMasks     // match masks of the arriving entity's vals
 	seen  map[int]struct{} // positions already gathered or ruled out
 	cands []int            // gathered positions, in first-occurrence order
+	rank  []ranked         // the ANN probe's bucket members, by cosine
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{seen: map[int]struct{}{}} }}
 
 func (sc *scratch) release() {
 	clear(sc.seen)
-	sc.cands = sc.cands[:0]
+	sc.cands, sc.rank = sc.cands[:0], sc.rank[:0]
 	scratchPool.Put(sc)
 }
 
@@ -473,13 +461,14 @@ type candidate struct {
 // everything computable from the resolver's committed state without
 // mutating it. Prepare calls for distinct entities may run concurrently
 // (against the same frozen resolver); each Prepared is then handed to
-// Commit in record order. Commit consumes it: the index representation and
-// the embedding pass to the resolver, and the Prepared, with its keys and
-// candidate arrays, goes back to a pool the next Prepare draws from.
+// Commit in record order, or to Release. Commit consumes it: the index
+// representation passes to the resolver and a copy of the embedding to the
+// ANN index, and the Prepared, with its keys, embedding and candidate
+// arrays, goes back to a pool the next Prepare draws from.
 type Prepared struct {
 	ix     indexed
 	keys   []string    // token blocking keys (token/both modes)
-	vec    []float32   // embedding (ann/both modes)
+	vec    []float32   // embedding (ann/both modes); Commit keeps a copy
 	cands  []candidate // scored candidates, in serial candidate order
 	probes int         // ANN bucket members examined
 	skips  int         // candidate slots dropped by the maxBlock cap
@@ -504,12 +493,23 @@ func (p *Prepared) Attrs() Attrs { return p.ix.attrs }
 
 var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
 
+// Release returns p to the pool without committing it, for a caller that
+// resolves the entity another way (the curation pipeline re-scores a
+// re-delivered key through Add). p is dead once Release returns. What
+// Prepare carved from the resolver's arena for p's index stays there: its
+// normal forms may be held by the caller (Attrs), and the arena never hands
+// a range out twice.
+func (p *Prepared) Release() {
+	*p = Prepared{keys: p.keys[:0], vec: p.vec, cands: p.cands[:0]}
+	preparedPool.Put(p)
+}
+
 // Prepare runs candidate generation and pair scoring for one arriving
 // entity against the resolver's committed state, without mutating it. The
 // entity's ID need not be final yet (Commit assigns it).
 func (r *Resolver) Prepare(e *model.Entity) *Prepared {
 	start := time.Now()
-	return r.prepare(index(e), start)
+	return r.prepare(index(e, &r.arena), start)
 }
 
 // prepare is Prepare from an already-indexed entity (the Exchange's digests
@@ -572,13 +572,13 @@ func (r *Resolver) gather(p *Prepared, sc *scratch) {
 		}
 	}
 	if r.useANN() {
-		p.vec = embedTokens(p.ix.tokens)
+		p.vec = embedTokens(p.vec, p.ix.tokens)
 		// Never-paired positions are filtered before the top-K cut: they
 		// can never match, and ranking them would let a burst of sibling
 		// records crowd real neighbors out of K (it would also make the
 		// parallel snapshot diverge from a serial pass). Positions the token
 		// blocks selected are in sc.seen and are not ranked again.
-		sc.cands, p.probes = r.ann.topK(sc.cands, p.vec, sc.seen, func(pos int) bool {
+		sc.cands, p.probes = r.ann.topK(sc.cands, &sc.rank, p.vec, sc.seen, func(pos int) bool {
 			return r.neverPair(&p.ix, &r.ents[pos])
 		})
 	}
@@ -590,11 +590,11 @@ func (r *Resolver) gather(p *Prepared, sc *scratch) {
 // is indexed (blocks, ANN, union-find) for future arrivals. The resulting
 // state — clusters, matches, and the Comparisons counter — is identical
 // to a serial Add of the same record sequence. Commit consumes p: it is dead
-// once Commit returns, and the caller must not read or commit it again.
+// once Commit returns, and the caller must not read or commit it again. The
+// matches it returns are the tail of Matches, capped at its length, or nil.
 func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 	p.ix.id = id
-	pos := len(r.ents)
-	var found []Match
+	pos, lo := len(r.ents), len(r.matches)
 	for _, c := range p.cands {
 		cand := &r.ents[c.pos]
 		if r.uf.Same(cand.id, id) {
@@ -603,7 +603,7 @@ func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 		r.Comparisons++
 		if c.accept {
 			r.uf.Union(id, cand.id)
-			found = append(found, Match{A: cand.id, B: id, Score: c.score})
+			r.matches = append(r.matches, Match{A: cand.id, B: id, Score: c.score})
 		}
 	}
 	r.candidates += len(p.cands)
@@ -613,15 +613,16 @@ func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 		r.addToBlock(key, pos)
 	}
 	if r.useANN() {
-		r.ann.add(pos, p.vec)
+		r.ann.add(pos, r.arena.keepVec(p.vec))
 	}
 	r.ents = append(r.ents, p.ix)
 	r.byID[id] = pos
 	r.uf.Find(id)
-	r.matches = append(r.matches, found...)
-	*p = Prepared{keys: p.keys[:0], cands: p.cands[:0]}
-	preparedPool.Put(p)
-	return found
+	p.Release()
+	if n := len(r.matches); n > lo {
+		return r.matches[lo:n:n]
+	}
+	return nil
 }
 
 // Add is the serial convenience over the Prepare/Commit split: one entity

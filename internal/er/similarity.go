@@ -14,7 +14,6 @@ package er
 
 import (
 	"cmp"
-	"iter"
 	"slices"
 	"strings"
 	"unicode"
@@ -106,7 +105,7 @@ type attrVal struct {
 func deriveVal(text string, toks []string, tris []uint64) (attrVal, []string, []uint64) {
 	v := attrVal{text: text, runes: utf8.RuneCountInString(text)}
 	lo := len(toks)
-	for f := range fields(text) {
+	for f, i := nextField(text, 0); f != ""; f, i = nextField(text, i) {
 		toks = append(toks, f)
 	}
 	toks = toks[:lo+len(sortedUnique(toks[lo:]))]
@@ -127,27 +126,27 @@ func deriveVal(text string, toks []string, tris []uint64) (attrVal, []string, []
 	return v, toks, tris
 }
 
-// fields yields the fields of s as strings.Fields splits them: the maximal
-// runs of runes that are not unicode.IsSpace.
-func fields(s string) iter.Seq[string] {
-	return func(yield func(string) bool) {
-		start := -1
-		for i, r := range s {
-			if !unicode.IsSpace(r) {
-				if start < 0 {
-					start = i
-				}
-			} else if start >= 0 {
-				if !yield(s[start:i]) {
-					return
-				}
-				start = -1
+// nextField returns the first field of s that starts at or after byte i,
+// as strings.Fields splits them — a maximal run of runes that are not
+// unicode.IsSpace — and the byte just past it; f is "" when none is left.
+// It is a plain function rather than an iterator so that a caller's string
+// does not escape through a closure: the resolver counts the fields of a
+// normal form still in a stack buffer.
+func nextField(s string, i int) (f string, end int) {
+	start := -1
+	for j, r := range s[i:] {
+		if !unicode.IsSpace(r) {
+			if start < 0 {
+				start = i + j
 			}
-		}
-		if start >= 0 {
-			yield(s[start:])
+		} else if start >= 0 {
+			return s[start : i+j], i + j
 		}
 	}
+	if start >= 0 {
+		return s[start:], len(s)
+	}
+	return "", len(s)
 }
 
 // appendTrigrams appends to dst the sorted, duplicate-free character

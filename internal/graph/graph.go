@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"scdb/internal/model"
 )
@@ -44,8 +45,19 @@ type Graph struct {
 	aliases  map[model.EntityID]model.EntityID   // merged → canonical
 	nextID   model.EntityID
 	nEdges   int
-	version  uint64 // bumped on every mutation; lets snapshots detect staleness
+	version  uint64         // bumped on every mutation; lets snapshots detect staleness
+	slab     []model.Entity // unused room new entities are carved from
 }
+
+// entitySlab is how many entities one slab holds: as many as fit in 8 KB
+// beside the 8-byte header an array of pointers that large carries, so a
+// slab takes the 8 KB size class and not the next. A slab lives while any of
+// its entities does, and a merged-away entity keeps its element as it is
+// (Merge), because a reader of Entity may still hold the pointer: what a
+// merge retains is the one element, unsafe.Sizeof(model.Entity{}) (80)
+// bytes, and its Types copy. Its Attrs is the stored row, which the store
+// holds.
+const entitySlab = (8<<10 - 8) / int(unsafe.Sizeof(model.Entity{}))
 
 // New creates an empty graph.
 func New() *Graph {
@@ -83,10 +95,15 @@ func (g *Graph) AddEntity(e *model.Entity) model.EntityID {
 	}
 	g.nextID++
 	id := g.nextID
-	c := *e
+	if len(g.slab) == 0 {
+		g.slab = make([]model.Entity, entitySlab)
+	}
+	c := &g.slab[0]
+	g.slab = g.slab[1:]
+	*c = *e
 	c.ID = id
 	c.Types = append([]string(nil), e.Types...)
-	g.entities[id] = &c
+	g.entities[id] = c
 	if e.Key != "" {
 		g.byKey[sourceKey{e.Source, e.Key}] = id
 	}
