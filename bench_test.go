@@ -359,7 +359,7 @@ func benchLookupTable(b *testing.B, indexed bool) (*storage.Store, *storage.Tabl
 		b.Fatal(err)
 	}
 	if indexed {
-		if err := tb.CreateIndex("k", storage.IndexHash); err != nil {
+		if err := tb.CreateIndex("k"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -529,9 +529,9 @@ func BenchmarkIngest(b *testing.B) {
 	})
 }
 
-// BenchmarkIndexBuild times one bulk build of a sorted index over a loaded
+// BenchmarkIndexBuild times one bulk build of an index over a loaded
 // table of random floats — what a reader waits for, under the table's write
-// lock, when self-curation creates or upgrades an index (and what Vacuum and
+// lock, when self-curation creates an index (and what Vacuum and
 // recovery pay per index).
 func BenchmarkIndexBuild(b *testing.B) {
 	for _, rows := range []int{20_000, 100_000} {
@@ -555,7 +555,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if err := tb.CreateIndex("v", storage.IndexSorted); err != nil {
+				if err := tb.CreateIndex("v"); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -196,7 +196,7 @@ func commands(db engine) []command {
 			runQuery(db, `SELECT name, filled, kinds FROM sys.columns WHERE "table" = '`+
 				strings.ReplaceAll(table, "'", "''")+`' ORDER BY name`)
 		}},
-		{`\indexes`, "", fixed(`SELECT "table", attr, kind, entries, hits, auto FROM sys.indexes`)},
+		{`\indexes`, "", fixed(`SELECT "table", attr, entries, hits, auto FROM sys.indexes`)},
 		{`\replicas`, "", fixed("SELECT remote, sent_csn, ack_csn, lag_csn, lag_bytes FROM sys.replicas ORDER BY remote")},
 		{`\slow`, "", fixed("SELECT start, dur_us, op, detail, err FROM sys.slowlog")},
 		{`\witnesses`, "", fixed("SELECT entity, role, filler, because FROM witnesses()")},

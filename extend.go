@@ -64,10 +64,11 @@ func (db *DB) EnrichPredictedLinks(predicate string, perEntity int, minConf floa
 	return db.inner.EnrichPredictedLinks(predicate, perEntity, model.Fuzzy(minConf))
 }
 
-// IndexStat describes one secondary index: where it lives, its kind
-// ("hash" or "sorted"), how many postings it holds, and how many scans it
-// has served. Auto reports whether the curator created it from observed
-// access patterns (auto indexes are dropped again when they go cold).
+// IndexStat describes one secondary index: where it lives, how many
+// postings it holds, and how many scans it has served. Auto reports whether
+// the curator created it from observed access patterns (auto indexes are
+// dropped again when they go cold). Every index is a sorted run, so Kind is
+// always "sorted"; the field stays because the benchmark module reads it.
 type IndexStat = storage.IndexStat
 
 // IndexStats lists every secondary index in the store, sorted by table

@@ -7,7 +7,6 @@ import (
 
 	"scdb/internal/datagen"
 	"scdb/internal/query"
-	"scdb/internal/storage"
 )
 
 // openLifeSciWith opens a lifesci engine with extra option tweaks and the
@@ -171,7 +170,7 @@ func TestAccessPathDifferential(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing table %q", tbl)
 		}
-		if err := tb.CreateIndex("name", storage.IndexHash); err != nil {
+		if err := tb.CreateIndex("name"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +206,7 @@ func TestAccessPathDifferential(t *testing.T) {
 func TestExplainAnalyzeIndexScan(t *testing.T) {
 	db := openLifeSciWith(t, nil)
 	tb, _ := db.Store().Table("drugbank")
-	if err := tb.CreateIndex("name", storage.IndexHash); err != nil {
+	if err := tb.CreateIndex("name"); err != nil {
 		t.Fatal(err)
 	}
 	res, info, err := db.Query("EXPLAIN ANALYZE SELECT name FROM drugbank WHERE name = 'Warfarin'")
@@ -215,7 +214,7 @@ func TestExplainAnalyzeIndexScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := renderRows(res)
-	for _, want := range []string{"IndexScan drugbank", "pruned=", "index: drugbank.name(hash)"} {
+	for _, want := range []string{"IndexScan drugbank", "pruned=", "index: drugbank.name"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("EXPLAIN ANALYZE missing %q:\n%s", want, text)
 		}

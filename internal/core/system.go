@@ -149,10 +149,10 @@ func (db *DB) register() {
 		}
 		return rows
 	})
-	reg.Table("sys.indexes", []string{"table", "attr", "kind", "entries", "hits", "auto"}, func() [][]model.Value {
+	reg.Table("sys.indexes", []string{"table", "attr", "entries", "hits", "auto"}, func() [][]model.Value {
 		var rows [][]model.Value
 		for _, ix := range db.IndexStats() {
-			rows = append(rows, []model.Value{model.String(ix.Table), model.String(ix.Attr), model.String(ix.Kind),
+			rows = append(rows, []model.Value{model.String(ix.Table), model.String(ix.Attr),
 				model.Int(int64(ix.Entries)), model.Int(int64(ix.Hits)), model.Bool(ix.Auto)})
 		}
 		return rows

@@ -30,11 +30,6 @@ type Edge struct {
 	Confidence model.Fuzzy
 }
 
-// Triple converts the edge to the model's triple form.
-func (e Edge) Triple() model.Triple {
-	return model.Triple{Subject: e.From, Predicate: e.Predicate, Object: e.To, Source: e.Source, Confidence: e.Confidence}
-}
-
 // Graph is the mutable relation-layer store. It is safe for concurrent use.
 type Graph struct {
 	mu       sync.RWMutex

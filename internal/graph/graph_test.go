@@ -519,15 +519,7 @@ func TestSourcesAndSourceEntities(t *testing.T) {
 	}
 }
 
-func TestEdgeTripleAndOrderString(t *testing.T) {
-	g := New()
-	a := g.AddEntity(ent("s", "a"))
-	b := g.AddEntity(ent("s", "b"))
-	e := Edge{From: a, Predicate: "p", To: model.Ref(b), Source: "s", Confidence: 0.5}
-	tr := e.Triple()
-	if to, _ := tr.Object.AsRef(); tr.Subject != a || tr.Predicate != "p" || to != b || tr.Confidence != 0.5 {
-		t.Errorf("Triple = %+v", tr)
-	}
+func TestOrderString(t *testing.T) {
 	for o, want := range map[Order]string{
 		OrderInsertion: "insertion", OrderBFS: "bfs", OrderDegree: "degree", Order(9): "order(9)",
 	} {

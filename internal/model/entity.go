@@ -82,22 +82,3 @@ func (e *Entity) String() string {
 	return fmt.Sprintf("entity(%d %q src=%s types=[%s] %s)",
 		e.ID, e.Key, e.Source, strings.Join(e.Types, ","), e.Attrs)
 }
-
-// Triple is one edge of the relation layer: a directed, labeled, weighted
-// statement "Subject --Predicate--> Object". Objects may be entities (Ref
-// values) or literals; this is how the holistic model stores data and
-// meta-data uniformly — ontology axioms, statistics, and provenance are
-// themselves triples in system sources.
-type Triple struct {
-	Subject    EntityID
-	Predicate  string
-	Object     Value
-	Source     string
-	Confidence Fuzzy
-}
-
-// String renders the triple for debugging.
-func (t Triple) String() string {
-	return fmt.Sprintf("(%d)-[%s]->%s @%s conf=%.2f",
-		t.Subject, t.Predicate, t.Object, t.Source, float64(t.Confidence))
-}

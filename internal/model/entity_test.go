@@ -46,17 +46,3 @@ func TestEntityString(t *testing.T) {
 		}
 	}
 }
-
-func TestTripleObjectEntity(t *testing.T) {
-	tr := Triple{Subject: 1, Predicate: "targets", Object: Ref(2), Source: "drugbank", Confidence: 1}
-	if id, ok := tr.Object.AsRef(); !ok || id != 2 {
-		t.Error("a ref object must name its entity")
-	}
-	lit := Triple{Subject: 1, Predicate: "dosage_mg", Object: Float(5.1)}
-	if _, ok := lit.Object.AsRef(); ok {
-		t.Error("a literal object names no entity")
-	}
-	if !strings.Contains(tr.String(), "targets") {
-		t.Errorf("Triple.String = %q", tr.String())
-	}
-}

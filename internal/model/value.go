@@ -2,7 +2,7 @@
 // self-curating database: dynamically typed values with systematic null
 // handling (Codd's three-valued logic, extended per the paper's "systematic
 // treatment of null values" rule), fuzzy truth degrees, confidence-annotated
-// data, records, entities, and triples.
+// data, records, and entities.
 //
 // The paper argues that each data item must be allowed to be "noisy, fuzzy,
 // uncertain, or incomplete so that it can be manipulated systematically"

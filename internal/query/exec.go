@@ -1132,7 +1132,7 @@ func mergeGroups(partials []*groupTable, calls []*Call) *groupTable {
 }
 
 // collectAggCalls gathers the distinct aggregate calls that finalization
-// will need states for, wherever containsAggregate finds them, and maps
+// will need states for, wherever ContainsAggregate finds them, and maps
 // every such Call node of the items and HAVING to its call's state index:
 // calls spelled alike share one state, and finalization looks a node up
 // without rendering it.
@@ -1216,7 +1216,7 @@ func (x *execCtx) evalFromStates(e Expr, g *groupAgg, states []aggState, callIdx
 	if c, ok := e.(*Call); ok && aggFuncs[c.Name] {
 		return finalizeAgg(c, g, &states[callIdx[c]])
 	}
-	if !containsAggregate(e) {
+	if !ContainsAggregate(e) {
 		if !g.hasRep {
 			// A global aggregate over no rows has no row to read: columns
 			// are null there, and constants are still themselves.

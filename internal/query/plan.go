@@ -235,7 +235,7 @@ func BuildPlan(stmt *SelectStmt, r Resolver) (Node, error) {
 
 	hasAgg := false
 	for _, it := range stmt.Items {
-		if containsAggregate(it.Expr) {
+		if ContainsAggregate(it.Expr) {
 			hasAgg = true
 			break
 		}
@@ -331,36 +331,36 @@ func sourceNode(t TableRef, r Resolver, semantic bool) (Node, error) {
 	return nil, fmt.Errorf("query: unknown source %q (neither table nor concept)", t.Name)
 }
 
-// containsAggregate reports whether the expression mentions an aggregate
+// ContainsAggregate reports whether the expression mentions an aggregate
 // function.
-func containsAggregate(e Expr) bool {
+func ContainsAggregate(e Expr) bool {
 	switch e := e.(type) {
 	case *Call:
 		if aggFuncs[e.Name] {
 			return true
 		}
 		for _, a := range e.Args {
-			if containsAggregate(a) {
+			if ContainsAggregate(a) {
 				return true
 			}
 		}
 	case *Unary:
-		return containsAggregate(e.X)
+		return ContainsAggregate(e.X)
 	case *Binary:
-		return containsAggregate(e.L) || containsAggregate(e.R)
+		return ContainsAggregate(e.L) || ContainsAggregate(e.R)
 	case *IsNull:
-		return containsAggregate(e.X)
+		return ContainsAggregate(e.X)
 	case *InList:
-		return containsAggregate(e.X)
+		return ContainsAggregate(e.X)
 	case *Like:
-		return containsAggregate(e.X)
+		return ContainsAggregate(e.X)
 	}
 	return false
 }
 
 // Rewrite returns e with f applied top-down. Where f returns a replacement,
 // the subtree becomes it and is not descended; elsewhere the node is rebuilt
-// over its rewritten operands, which are the operands containsAggregate
+// over its rewritten operands, which are the operands ContainsAggregate
 // looks through. The executor folds finalized aggregates into grouped
 // expressions with it, and the shard router rewrites a statement's
 // expressions over its gathered partials.

@@ -140,7 +140,7 @@ func TestAggregateArithmetic(t *testing.T) {
 	}
 }
 
-// The planner admits an aggregate under any operator (containsAggregate);
+// The planner admits an aggregate under any operator (ContainsAggregate);
 // grouped evaluation must reach it under the same operators.
 func TestAggregateUnderEveryOperator(t *testing.T) {
 	for src, want := range map[string]model.Value{

@@ -137,7 +137,7 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 		r.keyedQueries.Add(1)
 	}
 	var cols []string
-	if len(stmt.GroupBy) > 0 || hasAggregate(stmt.Items) {
+	if len(stmt.GroupBy) > 0 || slices.ContainsFunc(stmt.Items, func(it query.SelectItem) bool { return query.ContainsAggregate(it.Expr) }) {
 		cols, err = r.scatterAgg(ctx, stmt, targets, emit)
 	} else {
 		cols, err = r.scatterRows(ctx, stmt, targets, emit)
@@ -390,7 +390,7 @@ func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, target
 	// error on an engine; it stays, for the final phase to report.
 	hidden := 0
 	for i, k := range stmt.OrderBy {
-		if stmt.Star || aggregateIn(k.Expr) || readsProjection(k.Expr, stmt.Items, stmt.Distinct) {
+		if stmt.Star || query.ContainsAggregate(k.Expr) || readsProjection(k.Expr, stmt.Items, stmt.Distinct) {
 			continue
 		}
 		if stmt.Distinct {
@@ -455,29 +455,6 @@ func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, target
 		return cols, emitChunks(cols, rows, emit)
 	}
 	return cols[:len(cols)-hidden], finalPhase(ctx, &query.RowsNode{Cols: cols, Rows: rows}, &final, emit)
-}
-
-// hasAggregate reports whether a projection contains an aggregate call.
-func hasAggregate(items []query.SelectItem) bool {
-	for _, it := range items {
-		if aggregateIn(it.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-// aggregateIn reports whether e contains an aggregate call.
-func aggregateIn(e query.Expr) bool {
-	found := false
-	query.Rewrite(e, func(e query.Expr) (query.Expr, error) {
-		if c, ok := e.(*query.Call); ok && merges[c.Name] != "" {
-			found = true
-			return e, nil
-		}
-		return nil, nil
-	})
-	return found
 }
 
 // scatterAgg handles aggregations with the classic two-phase rewrite: the

@@ -164,13 +164,18 @@ func (s *Store) Checkpoint() error {
 //	           uvarint nIndexes, per idx:  uvarint len(attr) | attr |
 //	                                       kind byte | pinned byte | uvarint hits
 //	           uvarint nAccess,  per attr: uvarint len(attr) | attr |
-//	                                       uvarint eq | uvarint rng
+//	                                       uvarint count | uvarint 0
 //
-// The per-table section length lets recovery decode table sections in
-// parallel. nextID is persisted so row IDs are never reused even when the
-// highest rows were deleted and vacuumed before the checkpoint. The index
-// catalog and access counters are the self-curation state: hot indexes
-// come back immediately after a restart instead of being re-learned.
+// The kind byte and the second access counter are left from when there
+// were two index structures and equality and range touches were counted
+// apart: a writer writes 1 and 0, a reader ignores the byte and sums the
+// counters, so a snapshot from either time restores every index as the one
+// sorted run. The per-table section length lets recovery decode table
+// sections in parallel. nextID is persisted so row IDs are never reused
+// even when the highest rows were deleted and vacuumed before the
+// checkpoint. The index catalog and access counters are the self-curation
+// state: hot indexes come back immediately after a restart instead of
+// being re-learned.
 func (s *Store) writeSnapshot(snapCSN CSN, horizon uint64) error {
 	tmp := filepath.Join(s.dir, snapshotName+".tmp")
 	f, err := os.Create(tmp)
@@ -266,7 +271,7 @@ func (t *Table) appendSectionLocked(out *bytes.Buffer, snapCSN CSN) {
 		ix := t.indexes[a]
 		buf = binary.AppendUvarint(buf[:0], uint64(len(a)))
 		buf = append(buf, a...)
-		buf = append(buf, byte(ix.kind))
+		buf = append(buf, 1) // the kind byte, see the format above
 		pin := byte(0)
 		if ix.pinned {
 			pin = 1
@@ -284,11 +289,10 @@ func (t *Table) appendSectionLocked(out *bytes.Buffer, snapCSN CSN) {
 	buf = binary.AppendUvarint(buf[:0], uint64(len(accs)))
 	out.Write(buf)
 	for _, a := range accs {
-		st := t.access[a]
 		buf = binary.AppendUvarint(buf[:0], uint64(len(a)))
 		buf = append(buf, a...)
-		buf = binary.AppendUvarint(buf, st.eq)
-		buf = binary.AppendUvarint(buf, st.rng)
+		buf = binary.AppendUvarint(buf, t.access[a])
+		buf = binary.AppendUvarint(buf, 0)
 		out.Write(buf)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -373,16 +374,31 @@ func TestCheckpointSegmentCrashDifferential(t *testing.T) {
 		}
 	}
 
-	// A torn tail in a non-final segment (filesystem damage rather than a
-	// crash): recovery must truncate there and drop every later segment,
-	// still landing on a whole-batch state.
+	// A torn tail in a non-final segment is filesystem damage rather than a
+	// crash: rotation fsynced the segment before the next one took a frame.
+	// Recovery must fail with ErrCorrupt and leave every file as it was.
 	if len(segs) > 1 {
 		first := segs[0]
 		data := files[segName(first)]
 		crash := mkCrash(func(img map[string][]byte) {
 			img[segName(first)] = data[:len(data)-1]
 		})
-		check("mid-segment-tear", crash)
+		if re, err := Open(crash); !errors.Is(err, ErrCorrupt) {
+			if re != nil {
+				re.Close()
+			}
+			t.Fatalf("mid-segment-tear: Open = %v, want ErrCorrupt", err)
+		}
+		for _, idx := range segs {
+			got, err := os.ReadFile(filepath.Join(crash, segName(idx)))
+			want := files[segName(idx)]
+			if idx == first {
+				want = data[:len(data)-1]
+			}
+			if err != nil || string(got) != string(want) {
+				t.Fatalf("mid-segment-tear: a failed Open changed %s (%v)", segName(idx), err)
+			}
+		}
 	}
 
 	// Crash mid-rotation: the next segment exists with a partial or
@@ -514,7 +530,7 @@ func TestIndexCatalogPersisted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tb.CreateIndex("i", IndexSorted); err != nil {
+	if err := tb.CreateIndex("i"); err != nil {
 		t.Fatal(err)
 	}
 	scan := func(tb *Table, attr string, n int) {
@@ -568,6 +584,79 @@ func TestIndexCatalogPersisted(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("persisted access counters did not seed auto-indexing: %+v", rt.IndexStats())
+	}
+}
+
+// TestTwoKindCatalogRestores: testdata/indexkinds is a store written by the
+// code before every index became one sorted run, when an index was a hash
+// index or a sorted one and access touches were counted as equality and
+// range apart. Its snapshot's table t holds an auto hash index on h, an auto
+// sorted index on r and a pinned hash index on p (h and p hold NaN and list
+// values too, p strings and ints), and access counts of one equality and
+// one range touch on q; 30 rows follow the checkpoint in the log. All three
+// indexes must come back with their pins and hit counts, each answering as
+// a scan without indexes does, and q's two counters must count as one.
+func TestTwoKindCatalogRestores(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "indexkinds")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		copyFile(t, filepath.Join(src, e.Name()), filepath.Join(dir, e.Name()))
+	}
+	s, err := OpenOptions(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tb, ok := s.Table("t")
+	if !ok {
+		t.Fatal("table t not restored")
+	}
+	want := []IndexStat{
+		{Table: "t", Attr: "h", Kind: "sorted", Entries: 230, Hits: 2, Auto: true},
+		{Table: "t", Attr: "p", Kind: "sorted", Entries: 230, Hits: 3, Auto: false},
+		{Table: "t", Attr: "r", Kind: "sorted", Entries: 226, Hits: 3, Auto: true},
+	}
+	if got := tb.IndexStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored catalog:\n got %+v\nwant %+v", got, want)
+	}
+
+	now := s.Now()
+	nan := model.Float(math.NaN())
+	for _, p := range []ZonePred{
+		{Attr: "h", Op: "=", Val: model.Int(4)},
+		{Attr: "h", Op: "=", Val: nan},
+		{Attr: "h", Op: "in", Vals: []model.Value{model.Int(1), nan, model.List(model.Int(1), model.String("x"))}},
+		{Attr: "h", Op: ">=", Val: model.Int(17)},
+		{Attr: "p", Op: "=", Val: model.String("v07")},
+		{Attr: "p", Op: "in", Vals: []model.Value{model.String("v01"), model.Int(7)}},
+		{Attr: "p", Op: "<", Val: model.String("v03")},
+		{Attr: "r", Op: "<", Val: model.Float(20)},
+		{Attr: "r", Op: ">", Val: model.Int(100)},
+		{Attr: "r", Op: "=", Val: nan},
+	} {
+		label := fmt.Sprintf("%s %s %v %v", p.Attr, p.Op, p.Val, p.Vals)
+		c := tb.ScanWhere(now, []ZonePred{p}, ScanOptions{NoAuto: true})
+		recs, _ := drain(&c)
+		if c.Info().Index != "t."+p.Attr {
+			t.Fatalf("%s: scan used index %q, want t.%s", label, c.Info().Index, p.Attr)
+		}
+		plain := answerVia(tb, now, p, ScanOptions{NoAuto: true, NoIndex: true})
+		if len(plain) == 0 {
+			t.Fatalf("%s: matches no row; the predicate tests nothing", label)
+		}
+		sameRecords(t, label, matching(p, recs), plain)
+	}
+
+	// One equality and one range touch were persisted for q: two more
+	// touches reach the threshold of four.
+	q := ZonePred{Attr: "q", Op: "=", Val: model.Int(3)}
+	scanInfo(tb, now, []ZonePred{q}, ScanOptions{})
+	if info := scanInfo(tb, now, []ZonePred{q}, ScanOptions{}); info.Index != "t.q" {
+		t.Fatalf("q's persisted touches did not count: Index = %q, stats %+v", info.Index, tb.IndexStats())
 	}
 }
 

@@ -25,8 +25,8 @@ func FuzzIndexMaintenance(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.CreateIndex("a", IndexHash)
-		tb.CreateIndex("b", IndexSorted)
+		tb.CreateIndex("a")
+		tb.CreateIndex("b")
 
 		pool := []model.Value{
 			model.Int(0), model.Int(1), model.Int(7), model.Int(-3),
@@ -115,8 +115,8 @@ func runIndexMaintenanceSequence(t *testing.T, data []byte) {
 	s, _ := Open("")
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
-	tb.CreateIndex("a", IndexHash)
-	tb.CreateIndex("b", IndexSorted)
+	tb.CreateIndex("a")
+	tb.CreateIndex("b")
 	pool := []model.Value{
 		model.Int(0), model.Int(1), model.Int(7), model.Float(math.NaN()),
 		model.String("x"), model.List(model.Int(1)), model.Null(),

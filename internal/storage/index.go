@@ -4,26 +4,27 @@ package storage
 // attribute values to RowIDs and is deliberately a *superset* structure:
 // it holds one entry per non-null value ever written in any version, and
 // lookups return candidate RowIDs whose visible-at-CSN records the caller
-// re-filters with the full predicate. That keeps maintenance append-only
-// (hash: O(1) per write; sorted: a 256-entry buffer merged linearly into the
-// run, O(n/256 + log 256) amortised per write), makes every index correct
-// as-of any CSN for free, and lets Vacuum rebuild compactly from the retained
-// version chains. Every build — auto-create, hash→sorted upgrade, Vacuum,
-// recovery, CreateIndex — is one pass plus one sort, O(n log n).
+// re-filters with the full predicate. Every index is one structure: a run
+// sorted by value with a 256-entry pending buffer merged linearly into it,
+// O(n/256 + log 256) amortised per write. It serves =, IN and ranges alike.
+// Maintenance is append-only, every index is correct as-of any CSN for free,
+// and Vacuum rebuilds compactly from the retained version chains. Every
+// build — auto-create, Vacuum, recovery, CreateIndex — is one pass plus one
+// sort, O(n log n).
 //
 // Indexes are self-curated (the paper's OS.1/OS.3: the database curates
-// its own physical design): per-attribute access counters trip auto-
-// creation, range traffic upgrades a hash index to a sorted one, and
-// indexes that go cold are dropped at Vacuum. There is no DDL surface;
-// CreateIndex exists for tests and pins the index against cold-drop.
+// its own physical design): a per-attribute access counter trips auto-
+// creation, and indexes that go cold are dropped at Vacuum. There is no DDL
+// surface; CreateIndex exists for tests and pins the index against
+// cold-drop.
 //
 // Comparison semantics force care at the edges. The query evaluator's
 // =/</<=/>/>= go through model.Compare, under which NaN compares equal to
 // every numeric, while IN goes through model.Equal (NaN equals only NaN).
-// Values that would break bucket equality or sorted-order search — NaN
-// floats and list values (whose Compare can be 0 without Equal, or error
-// mid-class) — live in a small "odd" side list appended to every candidate
-// set, so the superset property holds without special-casing lookups.
+// Values that would break sorted-order search — NaN floats and list values
+// (whose Compare can be 0 without Equal, or error mid-class) — live in a
+// small "odd" side list appended to every candidate set, so the superset
+// property holds without special-casing lookups.
 
 import (
 	"cmp"
@@ -35,22 +36,6 @@ import (
 
 	"scdb/internal/model"
 )
-
-// IndexKind selects the index structure: hash buckets for equality/IN, or
-// a sorted run (with an unsorted pending buffer) for ranges too.
-type IndexKind int
-
-const (
-	IndexHash IndexKind = iota
-	IndexSorted
-)
-
-func (k IndexKind) String() string {
-	if k == IndexSorted {
-		return "sorted"
-	}
-	return "hash"
-}
 
 // Self-curation thresholds.
 const (
@@ -71,18 +56,16 @@ type idxEntry struct {
 // never mutate — the pending buffer is scanned linearly, not merged).
 type Index struct {
 	attr   string
-	kind   IndexKind
-	label  string // "table.attr(kind)" for ScanInfo, set by buildIndexLocked
+	label  string // "table.attr" for ScanInfo, set by buildIndexLocked
 	pinned bool   // explicitly created; never cold-dropped
 
 	hits     uint64 // scans that chose this index
 	lastHits uint64 // hits as of the previous vacuum
 	strikes  int    // consecutive vacuums without new hits
 
-	buckets map[uint64][]idxEntry // hash kind
-	sorted  []idxEntry            // sorted kind: ordered by entryCmp
-	pending []idxEntry            // sorted kind: recent inserts, unordered
-	odd     []idxEntry            // NaN floats and list values (either kind)
+	sorted  []idxEntry // ordered by entryCmp
+	pending []idxEntry // recent inserts, unordered
+	odd     []idxEntry // NaN floats and list values
 }
 
 // oddValue reports values excluded from the main structures: NaN floats
@@ -141,15 +124,9 @@ func (ix *Index) addLocked(v model.Value, id RowID) {
 		ix.odd = append(ix.odd, e)
 		return
 	}
-	switch ix.kind {
-	case IndexHash:
-		k := v.Hash()
-		ix.buckets[k] = append(ix.buckets[k], e)
-	case IndexSorted:
-		ix.pending = append(ix.pending, e)
-		if len(ix.pending) >= pendingMergeLimit {
-			ix.mergeLocked()
-		}
+	ix.pending = append(ix.pending, e)
+	if len(ix.pending) >= pendingMergeLimit {
+		ix.mergeLocked()
 	}
 }
 
@@ -173,11 +150,7 @@ func (ix *Index) mergeLocked() {
 }
 
 func (ix *Index) entries() int {
-	n := len(ix.sorted) + len(ix.pending) + len(ix.odd)
-	for _, es := range ix.buckets {
-		n += len(es)
-	}
-	return n
+	return len(ix.sorted) + len(ix.pending) + len(ix.odd)
 }
 
 // window returns the bounds [lo, hi) of the part of the sorted run that can
@@ -257,8 +230,8 @@ func pendingMatches(p ZonePred, v model.Value) bool {
 
 // candidates returns a sorted, deduplicated superset of the RowIDs whose
 // visible record can satisfy every conjunct of ps: the one chooseIndexLocked
-// chose, or the two bounds of a range on a sorted index, whose windows are
-// intersected. Caller holds the table read lock.
+// chose, or the two bounds of a range, whose windows are intersected.
+// Caller holds the table read lock.
 func (ix *Index) candidates(ps []ZonePred) []RowID {
 	p := ps[0]
 	ids := make([]RowID, 0, 64)
@@ -267,40 +240,24 @@ func (ix *Index) candidates(ps []ZonePred) []RowID {
 			ids = append(ids, e.id)
 		}
 	}
-	switch ix.kind {
-	case IndexHash:
-		switch p.Op {
-		case "=":
-			add(ix.buckets[p.Val.Hash()])
-		case "in":
-			for _, v := range p.Vals {
-				add(ix.buckets[v.Hash()])
-			}
-		default:
-			for _, es := range ix.buckets { // range on a hash index: no help
-				add(es)
-			}
+	if p.Op == "in" {
+		for _, v := range p.Vals {
+			lo, hi := ix.window("=", v)
+			add(ix.sorted[lo:hi])
 		}
-	case IndexSorted:
-		if p.Op == "in" {
-			for _, v := range p.Vals {
-				lo, hi := ix.window("=", v)
-				add(ix.sorted[lo:hi])
-			}
-		} else {
-			lo, hi := 0, len(ix.sorted)
-			for _, b := range ps {
-				l, h := ix.window(b.Op, b.Val)
-				lo, hi = max(lo, l), min(hi, h)
-			}
-			if lo < hi {
-				add(ix.sorted[lo:hi])
-			}
+	} else {
+		lo, hi := 0, len(ix.sorted)
+		for _, b := range ps {
+			l, h := ix.window(b.Op, b.Val)
+			lo, hi = max(lo, l), min(hi, h)
 		}
-		for _, e := range ix.pending {
-			if !slices.ContainsFunc(ps, func(p ZonePred) bool { return !pendingMatches(p, e.val) }) {
-				ids = append(ids, e.id)
-			}
+		if lo < hi {
+			add(ix.sorted[lo:hi])
+		}
+	}
+	for _, e := range ix.pending {
+		if !slices.ContainsFunc(ps, func(p ZonePred) bool { return !pendingMatches(p, e.val) }) {
+			ids = append(ids, e.id)
 		}
 	}
 	add(ix.odd)
@@ -308,18 +265,13 @@ func (ix *Index) candidates(ps []ZonePred) []RowID {
 	return slices.Compact(ids)
 }
 
-// accessStat counts predicate touches per attribute — the self-curation
-// signal that trips auto-creation.
-type accessStat struct {
-	eq  uint64 // equality and IN predicates
-	rng uint64 // ordering predicates
-}
-
 // IndexStat is the introspection row surfaced through the facade and the
 // CLI's \indexes command.
 type IndexStat struct {
-	Table   string
-	Attr    string
+	Table string
+	Attr  string
+	// Kind is always "sorted", the one index structure. It stays because
+	// the benchmark module reads it.
 	Kind    string
 	Entries int
 	Hits    uint64
@@ -339,7 +291,7 @@ type ScanOptions struct {
 
 // ScanInfo reports what a pushed-down scan actually did.
 type ScanInfo struct {
-	Index    string // "table.attr(kind)", or "" for a plain zone scan
+	Index    string // "table.attr", or "" for a plain zone scan
 	Segments int    // zone segments considered
 	Pruned   int    // segments skipped by zone-map refutation
 }
@@ -352,7 +304,7 @@ func (t *Table) initCurationLocked() {
 		t.indexes = make(map[string]*Index)
 	}
 	if t.access == nil {
-		t.access = make(map[string]*accessStat)
+		t.access = make(map[string]uint64)
 	}
 }
 
@@ -379,25 +331,18 @@ func (t *Table) noteWriteLocked(id RowID, rec model.Record, newRow bool) {
 	}
 }
 
-// buildIndexLocked (re)builds ix, as ix.kind, from every retained version,
-// so the index answers correctly as-of any still-readable CSN. It is the one
-// build path — auto-create, hash→sorted upgrade, Vacuum, recovery and
-// CreateIndex: the sorted kind collects its postings in one pass and sorts
-// them once; hash buckets (and odd values of either kind) fill through
-// addLocked, which is O(1) per posting already.
+// buildIndexLocked (re)builds ix from every retained version, so the index
+// answers correctly as-of any still-readable CSN. It is the one build path —
+// auto-create, Vacuum, recovery and CreateIndex: it collects the postings in
+// one pass and sorts them once.
 func (t *Table) buildIndexLocked(ix *Index) {
-	ix.label = t.name + "." + ix.attr + "(" + ix.kind.String() + ")"
-	ix.buckets, ix.sorted, ix.pending, ix.odd = nil, nil, nil, nil
-	var run []idxEntry
-	if ix.kind == IndexHash {
-		ix.buckets = make(map[uint64][]idxEntry)
-	} else {
-		n := 0
-		for _, r := range t.rows {
-			n += len(r.versions)
-		}
-		run = make([]idxEntry, 0, n)
+	ix.label = t.name + "." + ix.attr
+	ix.sorted, ix.pending, ix.odd = nil, nil, nil
+	n := 0
+	for _, r := range t.rows {
+		n += len(r.versions)
 	}
+	run := make([]idxEntry, 0, n)
 	for id, r := range t.rows {
 		for _, ver := range r.versions {
 			if ver.rec == nil {
@@ -406,8 +351,8 @@ func (t *Table) buildIndexLocked(ix *Index) {
 			v := ver.rec.Get(ix.attr)
 			switch {
 			case v.IsNull():
-			case ix.kind == IndexHash || oddValue(v):
-				ix.addLocked(v, id)
+			case oddValue(v):
+				ix.odd = append(ix.odd, idxEntry{val: v, id: id})
 			default:
 				run = append(run, idxEntry{val: v, id: id})
 			}
@@ -463,36 +408,26 @@ func (t *Table) vacuumIndexesLocked() {
 	}
 }
 
-// maybeAutoIndexLocked creates (or upgrades) indexes whose access counters
-// tripped the threshold. Range traffic on a hash index upgrades it to
-// sorted; pinned indexes are left alone.
+// maybeAutoIndexLocked creates the indexes whose access counters tripped
+// the threshold.
 func (t *Table) maybeAutoIndexLocked(preds []ZonePred) {
 	for _, p := range preds {
-		st := t.access[p.Attr]
-		if st == nil || st.eq+st.rng < autoIndexAccesses || t.live < autoIndexMinRows {
+		if t.access[p.Attr] < autoIndexAccesses || t.live < autoIndexMinRows {
 			continue
 		}
-		kind := IndexHash
-		if st.rng > 0 {
-			kind = IndexSorted
-		}
-		if ix, ok := t.indexes[p.Attr]; ok {
-			if !ix.pinned && ix.kind == IndexHash && kind == IndexSorted {
-				ix.kind = IndexSorted
-				t.buildIndexLocked(ix)
-			}
+		if _, ok := t.indexes[p.Attr]; ok {
 			continue
 		}
-		ix := &Index{attr: p.Attr, kind: kind}
+		ix := &Index{attr: p.Attr}
 		t.indexes[p.Attr] = ix
 		t.buildIndexLocked(ix)
 	}
 }
 
 // chooseIndexLocked picks the best (index, predicate) pair: equality beats
-// IN beats range; a hash index is never used for ranges, nor for an
-// equality against a NaN literal (which Compare-matches every numeric and
-// so has no single bucket).
+// IN beats range. An equality against a NaN literal needs no exception:
+// window("=", NaN) spans the whole numeric class, which is what the
+// evaluator's Compare matches.
 func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, []ZonePred) {
 	var best *Index
 	bestScore, bestAt := -1, 0
@@ -501,19 +436,12 @@ func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, []ZonePred) {
 		if ix == nil {
 			continue
 		}
-		score := -1
+		score := 0
 		switch p.Op {
 		case "=":
-			f, isNum := p.Val.AsFloat()
-			if ix.kind == IndexSorted || !(isNum && math.IsNaN(f)) {
-				score = 2
-			}
+			score = 2
 		case "in":
 			score = 1
-		default:
-			if ix.kind == IndexSorted {
-				score = 0
-			}
 		}
 		if score > bestScore {
 			bestScore, best, bestAt = score, ix, i
@@ -524,8 +452,8 @@ func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, []ZonePred) {
 	}
 	bestPred := preds[bestAt]
 	if bestScore == 0 {
-		// One bound of a range on a sorted index: take the opposite bound on
-		// the same attribute too, so the scan gathers the range and not the
+		// One bound of a range: take the opposite bound on the same
+		// attribute too, so the scan gathers the range and not the
 		// half-line ("<" and "<=" start alike, and so do ">" and ">=").
 		for _, p := range preds {
 			if p.Attr == bestPred.Attr && (p.Op[0] == '<' || p.Op[0] == '>') && p.Op[0] != bestPred.Op[0] {
@@ -537,28 +465,28 @@ func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, []ZonePred) {
 }
 
 // restoreIndexLocked recreates one index from a checkpoint snapshot's
-// persisted catalog (recovery.go): same attribute, kind, pin, and hit
-// count, rebuilt over the recovered rows so a hot index serves its first
+// persisted catalog (recovery.go): same attribute, pin, and hit count,
+// rebuilt over the recovered rows so a hot index serves its first
 // post-restart scan instead of being re-learned from cold counters.
 func (t *Table) restoreIndexLocked(spec idxSpec) {
 	if _, ok := t.indexes[spec.attr]; ok {
 		return
 	}
-	ix := &Index{attr: spec.attr, kind: spec.kind, pinned: spec.pinned, hits: spec.hits, lastHits: spec.hits}
+	ix := &Index{attr: spec.attr, pinned: spec.pinned, hits: spec.hits, lastHits: spec.hits}
 	t.indexes[spec.attr] = ix
 	t.buildIndexLocked(ix)
 }
 
 // CreateIndex builds a pinned index on attr. Auto-curation normally makes
 // this unnecessary; it exists for tests and deliberate pinning.
-func (t *Table) CreateIndex(attr string, kind IndexKind) error {
+func (t *Table) CreateIndex(attr string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.initCurationLocked()
 	if _, ok := t.indexes[attr]; ok {
 		return fmt.Errorf("storage: %s: index on %q already exists", t.name, attr)
 	}
-	ix := &Index{attr: attr, kind: kind, pinned: true}
+	ix := &Index{attr: attr, pinned: true}
 	t.indexes[attr] = ix
 	t.buildIndexLocked(ix)
 	return nil
@@ -573,7 +501,7 @@ func (t *Table) IndexStats() []IndexStat {
 		out = append(out, IndexStat{
 			Table:   t.name,
 			Attr:    attr,
-			Kind:    ix.kind.String(),
+			Kind:    "sorted",
 			Entries: ix.entries(),
 			Hits:    ix.hits,
 			Auto:    !ix.pinned,
@@ -610,16 +538,7 @@ func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions) Cursor {
 	t.initCurationLocked()
 	if !opt.NoAuto {
 		for _, p := range preds {
-			st := t.access[p.Attr]
-			if st == nil {
-				st = &accessStat{}
-				t.access[p.Attr] = st
-			}
-			if p.Op == "=" || p.Op == "in" {
-				st.eq++
-			} else {
-				st.rng++
-			}
+			t.access[p.Attr]++
 		}
 		t.maybeAutoIndexLocked(preds)
 	}

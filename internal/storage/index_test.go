@@ -83,13 +83,13 @@ func TestIndexEqualityAndRange(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
-	if err := tb.CreateIndex("h", IndexHash); err != nil {
+	if err := tb.CreateIndex("h"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.CreateIndex("r", IndexSorted); err != nil {
+	if err := tb.CreateIndex("r"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.CreateIndex("h", IndexHash); err == nil {
+	if err := tb.CreateIndex("h"); err == nil {
 		t.Fatal("duplicate CreateIndex must fail")
 	}
 	for i := 0; i < 500; i++ {
@@ -112,22 +112,22 @@ func TestIndexEqualityAndRange(t *testing.T) {
 		got := answerVia(tb, now, p, ScanOptions{})
 		sameRecords(t, fmt.Sprintf("%s %s", p.Attr, p.Op), got, want)
 	}
-	// The equality on h must actually have used the hash index.
+	// The equality on h must actually have used the index on h.
 	info := scanInfo(tb, now, []ZonePred{preds[0]}, ScanOptions{})
-	if info.Index != "t.h(hash)" {
-		t.Fatalf("Index = %q, want t.h(hash)", info.Index)
+	if info.Index != "t.h" {
+		t.Fatalf("Index = %q, want t.h", info.Index)
 	}
 }
 
 // TestIndexOddValues covers the comparison-semantics edge cases: NaN floats
-// (Compare-equal to every numeric), -0.0/+0.0 (Equal but with different
-// hash bit patterns), and list values (excluded from sorted order).
+// (Compare-equal to every numeric), -0.0/+0.0 (Equal, and neither sorts
+// before the other), and list values (excluded from sorted order).
 func TestIndexOddValues(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
-	tb.CreateIndex("a", IndexHash)
-	tb.CreateIndex("b", IndexSorted)
+	tb.CreateIndex("a")
+	tb.CreateIndex("b")
 	nan := model.Float(math.NaN())
 	vals := []model.Value{
 		model.Int(1), model.Float(2.5), nan, model.Float(math.Copysign(0, -1)),
@@ -141,7 +141,7 @@ func TestIndexOddValues(t *testing.T) {
 	preds := []ZonePred{
 		{Attr: "a", Op: "=", Val: model.Int(0)},   // must find -0.0, +0.0, 0, and NaN
 		{Attr: "a", Op: "=", Val: nan},            // NaN literal matches every numeric
-		{Attr: "b", Op: "=", Val: nan},            // sorted path, same semantics
+		{Attr: "b", Op: "=", Val: nan},            // same on b
 		{Attr: "b", Op: "<", Val: model.Float(2)}, // NaN compares equal, not less
 		{Attr: "b", Op: ">=", Val: model.Int(0)},
 		{Attr: "a", Op: "in", Vals: []model.Value{nan, model.Int(1)}}, // IN is Equal: NaN only matches NaN
@@ -163,8 +163,8 @@ func TestIndexMVCCDifferential(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
-	tb.CreateIndex("k", IndexHash)
-	tb.CreateIndex("v", IndexSorted)
+	tb.CreateIndex("k")
+	tb.CreateIndex("v")
 
 	randVal := func() model.Value {
 		switch rng.Intn(12) {
@@ -236,10 +236,10 @@ func TestIndexMVCCDifferential(t *testing.T) {
 
 // TestIndexBulkEqualsIncremental pins the two ways an index comes to hold
 // its postings against each other. Every record carries the same value under
-// a, b (and ha, hb): the index on a exists before the writes and is
-// maintained posting by posting through addLocked and the linear merge; the
-// index on b is created after them, by the bulk build; a Vacuum that trims
-// nothing then rebuilds both. All three must return the same candidate set
+// a and b: the index on a exists before the writes and is maintained posting
+// by posting through addLocked and the linear merge; the index on b is
+// created after them, by the bulk build; a Vacuum that trims nothing then
+// rebuilds both. All three must return the same candidate set
 // for every predicate, and that set must hold the oracle's rows at every
 // snapshot. A trimming Vacuum closes with the oracle check alone.
 func TestIndexBulkEqualsIncremental(t *testing.T) {
@@ -247,8 +247,7 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
-	tb.CreateIndex("a", IndexSorted)
-	tb.CreateIndex("ha", IndexHash)
+	tb.CreateIndex("a")
 
 	epoch := time.Unix(1_700_000_000, 0)
 	randVal := func() model.Value {
@@ -277,7 +276,7 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	}
 	record := func() model.Record {
 		v := randVal()
-		return model.Record{"a": v, "b": v, "ha": v, "hb": v}
+		return model.Record{"a": v, "b": v}
 	}
 	var live []RowID
 	var snaps []CSN
@@ -309,12 +308,11 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	if n := len(tb.indexes["a"].sorted); n < 4*pendingMergeLimit {
 		t.Fatalf("incremental index merged only %d postings; the test must cross several merges", n)
 	}
-	tb.CreateIndex("b", IndexSorted)
-	tb.CreateIndex("hb", IndexHash)
+	tb.CreateIndex("b")
 
 	// Each entry is the conjuncts of one scan over attr "a" (withAttr
 	// retargets them): one conjunct, or the two bounds of a range, which
-	// chooseIndexLocked hands a sorted index together.
+	// chooseIndexLocked hands the index together.
 	var preds [][]ZonePred
 	lits := []model.Value{
 		model.Int(-5), model.Int(0), model.Float(math.Copysign(0, -1)), model.Float(7.25), model.Int(12),
@@ -340,10 +338,11 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 			{Attr: "a", Op: r[2].(string), Val: r[3].(model.Value)},
 		})
 	}
-	// No NaN inside an IN list: there the two structures are differently
-	// loose (window("=", NaN) spans the numeric class, the pending buffer
-	// tests model.Equal), so the candidate sets are both supersets but not
-	// the same one. TestIndexOddValues and TestIndexMVCCDifferential cover it.
+	// No NaN inside an IN list: there the run and the pending buffer are
+	// differently loose (window("=", NaN) spans the numeric class, the
+	// pending buffer tests model.Equal), so the candidate sets are both
+	// supersets but not the same one. TestIndexOddValues and
+	// TestIndexMVCCDifferential cover it.
 	preds = append(preds,
 		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Int(3), model.Float(3.5), model.String("s05")}}},
 		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Float(0), model.Bool(false), model.Time(epoch)}}},
@@ -363,16 +362,16 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 		return strings.Join(parts, " AND ")
 	}
 	// cands is what a scan with these conjuncts gathers from the index on
-	// attr, or nil when chooseIndexLocked would not use that index for them.
+	// attr.
 	cands := func(attr string, ps []ZonePred) []RowID {
 		tb.mu.RLock()
 		defer tb.mu.RUnlock()
 		ix, chosen := tb.chooseIndexLocked(withAttr(ps, attr))
 		if ix == nil {
-			return nil
+			t.Fatalf("%s: no index chosen on %s", label(ps), attr)
 		}
 		if len(ps) == 2 && len(chosen) != 2 {
-			t.Fatalf("%s: a range reached the sorted index as %d conjuncts", label(ps), len(chosen))
+			t.Fatalf("%s: a range reached the index as %d conjuncts", label(ps), len(chosen))
 		}
 		return ix.candidates(chosen)
 	}
@@ -391,25 +390,16 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 		}
 	}
 
-	// Each pair is (maintained incrementally, built in bulk), compared on the
-	// predicates ScanWhere would send to such an index at all: a hash index
-	// serves no range and no "= NaN" (which has no single bucket).
-	pairs := [][2]string{{"a", "b"}, {"ha", "hb"}}
-	served := map[string][][]ZonePred{}
-	incremental := map[string][][]RowID{}
-	for _, pair := range pairs {
-		for _, p := range preds {
-			inc, bulk := cands(pair[0], p), cands(pair[1], p)
-			if bulk == nil {
-				continue
-			}
-			served[pair[1]] = append(served[pair[1]], p)
-			if !slices.Equal(inc, bulk) {
-				t.Fatalf("%s vs %s, %s: incremental has %d candidates, bulk %d", pair[0], pair[1], label(p), len(inc), len(bulk))
-			}
-			covers(pair[1], bulk, p, snaps)
-			incremental[pair[1]] = append(incremental[pair[1]], inc)
+	// The index maintained incrementally (a) and the one built in bulk (b)
+	// gather the same candidates for every predicate.
+	incremental := make([][]RowID, len(preds))
+	for i, p := range preds {
+		inc, bulk := cands("a", p), cands("b", p)
+		if !slices.Equal(inc, bulk) {
+			t.Fatalf("a vs b, %s: incremental has %d candidates, bulk %d", label(p), len(inc), len(bulk))
 		}
+		covers("b", bulk, p, snaps)
+		incremental[i] = inc
 	}
 
 	// The second bound does narrow the gather: a range holds fewer candidates
@@ -425,11 +415,9 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	if removed := tb.Vacuum(0); removed != 0 {
 		t.Fatalf("Vacuum(0) removed %d versions", removed)
 	}
-	for _, pair := range pairs {
-		for i, p := range served[pair[1]] {
-			if rebuilt := cands(pair[1], p); !slices.Equal(rebuilt, incremental[pair[1]][i]) {
-				t.Fatalf("%s after Vacuum, %s: %d candidates, incremental had %d", pair[1], label(p), len(rebuilt), len(incremental[pair[1]][i]))
-			}
+	for i, p := range preds {
+		if rebuilt := cands("b", p); !slices.Equal(rebuilt, incremental[i]) {
+			t.Fatalf("b after Vacuum, %s: %d candidates, incremental had %d", label(p), len(rebuilt), len(incremental[i]))
 		}
 	}
 
@@ -438,10 +426,8 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	if removed := tb.Vacuum(mid); removed == 0 {
 		t.Fatal("trimming Vacuum removed nothing")
 	}
-	for _, pair := range pairs {
-		for _, p := range served[pair[1]] {
-			covers(pair[1]+" trimmed", cands(pair[1], p), p, snaps[len(snaps)/2:])
-		}
+	for _, p := range preds {
+		covers("b trimmed", cands("b", p), p, snaps[len(snaps)/2:])
 	}
 }
 
@@ -466,7 +452,7 @@ func sortedBuildTime(t *testing.T, n int) time.Duration {
 	var d [3]time.Duration
 	for i := range d {
 		start := time.Now()
-		if err := tb.CreateIndex(fmt.Sprintf("v%d", i), IndexSorted); err != nil {
+		if err := tb.CreateIndex(fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatal(err)
 		}
 		d[i] = time.Since(start)
@@ -532,7 +518,7 @@ func TestIndexMaintenanceCost(t *testing.T) {
 		defer s.Close()
 		tb, _ := s.CreateTable("t")
 		if indexed {
-			tb.CreateIndex("v", IndexSorted)
+			tb.CreateIndex("v")
 		}
 		start := time.Now()
 		for _, r := range recs {
@@ -595,8 +581,8 @@ func TestZonePruning(t *testing.T) {
 }
 
 // TestAutoIndexLifecycle exercises self-curation end to end: repeated
-// predicates on a big-enough table create an index, range traffic upgrades
-// hash to sorted, and vacuums after the traffic stops drop it again.
+// predicates on a big-enough table create an index, range traffic is served
+// by that same index, and vacuums after the traffic stops drop it again.
 func TestAutoIndexLifecycle(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
@@ -614,19 +600,24 @@ func TestAutoIndexLifecycle(t *testing.T) {
 			t.Fatalf("access %d: index %q created too early", i, info.Index)
 		}
 	}
-	if info := scan(eq); info.Index != "t.a(hash)" {
-		t.Fatalf("after %d accesses: Index = %q, want t.a(hash)", autoIndexAccesses, info.Index)
+	if info := scan(eq); info.Index != "t.a" {
+		t.Fatalf("after %d accesses: Index = %q, want t.a", autoIndexAccesses, info.Index)
 	}
 	stats := tb.IndexStats()
-	if len(stats) != 1 || !stats[0].Auto || stats[0].Kind != "hash" {
+	if len(stats) != 1 || !stats[0].Auto || stats[0].Kind != "sorted" {
 		t.Fatalf("IndexStats = %+v", stats)
 	}
 
-	// Range traffic upgrades the auto hash index to sorted.
+	// Range traffic is served by the index equality traffic created, with
+	// the same answer as a scan without it.
 	rg := ZonePred{Attr: "a", Op: "<", Val: model.Int(4)}
-	if info := scan(rg); info.Index != "t.a(sorted)" {
-		t.Fatalf("after range access: Index = %q, want t.a(sorted)", info.Index)
+	if info := scan(rg); info.Index != "t.a" {
+		t.Fatalf("after range access: Index = %q, want t.a", info.Index)
 	}
+	if n := len(tb.IndexStats()); n != 1 {
+		t.Fatalf("range traffic changed the index set, stats %v", tb.IndexStats())
+	}
+	sameRecords(t, "range via t.a", answerVia(tb, now, rg, ScanOptions{}), oracle(tb, now, rg))
 
 	// No further hits: the first vacuum still sees fresh hits, then two
 	// hit-free vacuums strike it out.
@@ -641,7 +632,7 @@ func TestAutoIndexLifecycle(t *testing.T) {
 	}
 
 	// Pinned indexes are never cold-dropped.
-	tb.CreateIndex("b", IndexSorted)
+	tb.CreateIndex("b")
 	for i := 0; i < indexColdStrikes+2; i++ {
 		tb.Vacuum(s.Now())
 	}
@@ -667,8 +658,8 @@ func TestIndexConcurrent(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
-	tb.CreateIndex("k", IndexHash)
-	tb.CreateIndex("v", IndexSorted)
+	tb.CreateIndex("k")
+	tb.CreateIndex("v")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

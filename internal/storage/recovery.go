@@ -33,27 +33,41 @@ import (
 	"scdb/internal/model"
 )
 
+// ErrCorrupt reports a bad frame in a WAL segment that a later segment's
+// intact frame proves was durable: rotation fsyncs a segment before any
+// frame goes to the next, so the bad bytes are damage, not a torn tail.
+// Open fails with it, wrapped with the segment and byte offset, and leaves
+// every file as it was.
+var ErrCorrupt = errors.New("storage: corrupt log segment")
+
+// frameAt returns the payload of the frame at offset off in data, or false
+// when the frame is torn: a short header or payload, an oversized length or
+// a checksum mismatch.
+func frameAt(data []byte, off int64) ([]byte, bool) {
+	if int64(len(data))-off < 12 {
+		return nil, false
+	}
+	n := int64(binary.BigEndian.Uint32(data[off : off+4]))
+	sum := binary.BigEndian.Uint64(data[off+4 : off+12])
+	if n > 1<<30 || int64(len(data))-off-12 < n {
+		return nil, false
+	}
+	payload := data[off+12 : off+12+n]
+	h := fnv.New64a()
+	h.Write(payload)
+	return payload, h.Sum64() == sum
+}
+
 // parseFrames walks framed entries in data starting at offset start,
 // calling fn for each intact frame. It returns the offset of the first
-// torn frame (short header/payload, bad checksum, oversized length) — the
-// point at which the segment should be truncated — or an error if fn or
-// payload decoding failed on an intact frame.
+// torn frame — the point at which the segment should be truncated — or an
+// error if fn or payload decoding failed on an intact frame.
 func parseFrames(data []byte, start int64, fn func(ReplEntry) error) (valid int64, err error) {
 	off := start
 	for {
-		if int64(len(data))-off < 12 {
-			return off, nil // torn header
-		}
-		n := int64(binary.BigEndian.Uint32(data[off : off+4]))
-		sum := binary.BigEndian.Uint64(data[off+4 : off+12])
-		if n > 1<<30 || int64(len(data))-off-12 < n {
-			return off, nil // corrupt length or torn payload
-		}
-		payload := data[off+12 : off+12+n]
-		h := fnv.New64a()
-		h.Write(payload)
-		if h.Sum64() != sum {
-			return off, nil // checksum mismatch: treat as torn
+		payload, ok := frameAt(data, off)
+		if !ok {
+			return off, nil
 		}
 		e, err := decodeEntry(payload)
 		if err != nil {
@@ -62,7 +76,7 @@ func parseFrames(data []byte, start int64, fn func(ReplEntry) error) (valid int6
 		if err := fn(e); err != nil {
 			return off, err
 		}
-		off += 12 + n
+		off += 12 + int64(len(payload))
 	}
 }
 
@@ -176,7 +190,6 @@ func (t *Table) applyLogged(m batchEntry, csn CSN) (model.Record, error) {
 // rebuild that follows the table's replay.
 type idxSpec struct {
 	attr   string
-	kind   IndexKind
 	pinned bool
 	hits   uint64
 }
@@ -211,10 +224,6 @@ func (s *Store) recover(par int) (activeIdx uint64, segCount int, err error) {
 	if err := checkFormats(s.dir, idxs); err != nil {
 		return 0, 0, err
 	}
-
-	// A leftover snapshot .tmp is a checkpoint that died before its
-	// rename; the previous snapshot (if any) is still the good one.
-	os.Remove(filepath.Join(s.dir, snapshotName+".tmp"))
 
 	replays := map[string]*tableReplay{}
 	snapCSN, horizon, err := s.loadSnapshot(replays)
@@ -256,6 +265,9 @@ func (s *Store) recover(par int) (activeIdx uint64, segCount int, err error) {
 	for _, idx := range retired {
 		os.Remove(segPath(s.dir, idx))
 	}
+	// A leftover snapshot .tmp is a checkpoint that died before its
+	// rename; the previous snapshot (if any) is still the good one.
+	os.Remove(filepath.Join(s.dir, snapshotName+".tmp"))
 	s.recoverNS.Store(nanotime() - start)
 	return activeIdx, segCount, nil
 }
@@ -263,8 +275,11 @@ func (s *Store) recover(par int) (activeIdx uint64, segCount int, err error) {
 // readSegments reads the given segments in index order and files every
 // frame above snapCSN with its table. A torn tail truncates its segment; if
 // that segment is not the last, every later segment is deleted too — replay
-// is a strict prefix of the log, and appends resume where it ends. Returns
-// the surviving segment list and the highest commit stamp read.
+// is a strict prefix of the log, and appends resume where it ends. A tear
+// is a torn tail only if no later segment holds an intact frame (a crash
+// mid-rotation leaves a header-only segment after it); otherwise it is
+// ErrCorrupt and nothing is truncated or deleted. Returns the surviving
+// segment list and the highest commit stamp read.
 func (s *Store) readSegments(idxs []uint64, snapCSN CSN, replays map[string]*tableReplay) ([]uint64, CSN, error) {
 	var maxCSN CSN
 	collect := func(e ReplEntry) error {
@@ -306,6 +321,15 @@ func (s *Store) readSegments(idxs []uint64, snapCSN CSN, replays map[string]*tab
 			}
 		}
 		if valid < int64(len(data)) {
+			for _, later := range idxs[i+1:] {
+				durable, err := holdsFrame(segPath(s.dir, later))
+				if err != nil {
+					return idxs, maxCSN, err
+				}
+				if durable {
+					return idxs, maxCSN, fmt.Errorf("%w: segment %d at byte %d: segment %d after it holds frames", ErrCorrupt, idx, valid, later)
+				}
+			}
 			// Torn tail: truncate so future appends start at a clean
 			// frame, and drop anything after the tear.
 			if err := os.Truncate(p, valid); err != nil {
@@ -318,6 +342,16 @@ func (s *Store) readSegments(idxs []uint64, snapCSN CSN, replays map[string]*tab
 		}
 	}
 	return idxs, maxCSN, nil
+}
+
+// holdsFrame reports whether the segment at path opens with an intact frame.
+func holdsFrame(path string) (bool, error) {
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) < len(segMagic) {
+		return false, err
+	}
+	_, ok := frameAt(data, int64(len(segMagic)))
+	return ok, nil
 }
 
 // run rebuilds one table: its snapshot section, then its logged mutations
@@ -469,15 +503,14 @@ func (t *Table) decodeSection(data []byte, snapCSN CSN) ([]idxSpec, error) {
 		pos += n
 		attr := string(data[pos : pos+int(l)])
 		pos += int(l)
-		kind := IndexKind(data[pos])
-		pinned := data[pos+1] == 1
+		pinned := data[pos+1] == 1 // data[pos] is the kind byte, ignored
 		pos += 2
 		hits, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
 			return nil, fmt.Errorf("storage: corrupt snapshot index hits for %q", name)
 		}
 		pos += n
-		idx = append(idx, idxSpec{attr: attr, kind: kind, pinned: pinned, hits: hits})
+		idx = append(idx, idxSpec{attr: attr, pinned: pinned, hits: hits})
 	}
 	nAcc, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
@@ -493,17 +526,14 @@ func (t *Table) decodeSection(data []byte, snapCSN CSN) ([]idxSpec, error) {
 		pos += n
 		attr := string(data[pos : pos+int(l)])
 		pos += int(l)
-		eq, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("storage: corrupt snapshot access eq for %q", name)
+		for range 2 { // the attribute's counter is the sum of the two
+			c, n := binary.Uvarint(data[pos:])
+			if n <= 0 {
+				return nil, fmt.Errorf("storage: corrupt snapshot access count for %q", name)
+			}
+			pos += n
+			t.access[attr] += c
 		}
-		pos += n
-		rng, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("storage: corrupt snapshot access rng for %q", name)
-		}
-		pos += n
-		t.access[attr] = &accessStat{eq: eq, rng: rng}
 	}
 	return idx, nil
 }

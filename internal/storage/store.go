@@ -101,9 +101,9 @@ type Table struct {
 	live   int // rows visible at latest CSN
 
 	// Self-curated access paths (index.go, zonemap.go), lazily initialized.
-	zones   map[uint64]*zoneSeg    // per-segment statistics for pruning
-	indexes map[string]*Index      // secondary indexes by attribute
-	access  map[string]*accessStat // predicate traffic per attribute
+	zones   map[uint64]*zoneSeg // per-segment statistics for pruning
+	indexes map[string]*Index   // secondary indexes by attribute
+	access  map[string]uint64   // predicate traffic per attribute
 }
 
 // Name returns the table's name.

@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -434,6 +437,123 @@ func TestMidLogCorruptionStopsReplay(t *testing.T) {
 	}
 	if err := s2.Sync(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCorruptSealedSegment: a bad frame in a segment that a later segment's
+// intact frame follows was durable (rotation fsyncs a segment before it
+// opens the next), so it is damage, not a torn tail. Open fails with
+// ErrCorrupt and leaves every file as it was. A tear followed only by a
+// header-only or half-written header segment, as a crash mid-rotation
+// leaves it, is still a torn tail: it truncates and the later file goes.
+func TestCorruptSealedSegment(t *testing.T) {
+	const rows = 200
+	build := func(t *testing.T) (string, []uint64) {
+		t.Helper()
+		dir := t.TempDir()
+		s, err := OpenOptions(dir, Options{Sync: SyncAlways, SegmentBytes: 1024, CheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, _ := s.CreateTable("t")
+		for i := 0; i < rows; i++ {
+			if _, err := tb.Insert(rec("i", i, "name", fmt.Sprintf("row-%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) < 4 {
+			t.Fatalf("%d segments, want at least 4", len(segs))
+		}
+		return dir, segs
+	}
+	image := func(t *testing.T, dir string) map[string]string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+
+	t.Run("flipped byte in a sealed segment", func(t *testing.T) {
+		dir, segs := build(t)
+		p := segPath(dir, segs[1])
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x40
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := image(t, dir)
+		s, err := OpenOptions(dir, Options{CheckpointBytes: -1})
+		if err == nil {
+			s.Close()
+			t.Fatal("Open succeeded over a corrupt sealed segment")
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open: %v, want ErrCorrupt", err)
+		}
+		if want := fmt.Sprintf("segment %d at byte", segs[1]); !strings.Contains(err.Error(), want) {
+			t.Errorf("Open: %v, want it to name %q", err, want)
+		}
+		if after := image(t, dir); !maps.Equal(before, after) {
+			t.Fatal("a failed Open changed the store's files")
+		}
+	})
+
+	for _, tc := range []struct {
+		name   string
+		header []byte
+	}{
+		{"tear before a header-only segment", segMagic},
+		{"tear before a half-written header", segMagic[:3]},
+		{"tear before an empty segment", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, segs := build(t)
+			last := segs[len(segs)-1]
+			p := segPath(dir, last)
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, data[:len(data)-3], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			next := segPath(dir, last+1)
+			if err := os.WriteFile(next, tc.header, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenOptions(dir, Options{CheckpointBytes: -1})
+			if err != nil {
+				t.Fatalf("a tear at a rotation must truncate: %v", err)
+			}
+			defer s.Close()
+			tb, _ := s.Table("t")
+			if n := tb.Len(); n != rows-1 {
+				t.Errorf("Len = %d, want %d: only the torn frame goes", n, rows-1)
+			}
+			if _, err := os.Stat(next); !os.IsNotExist(err) {
+				t.Errorf("the segment after the tear survived: %v", err)
+			}
+		})
 	}
 }
 
