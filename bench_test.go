@@ -364,10 +364,10 @@ func benchLookupTable(b *testing.B, indexed bool) (*storage.Store, *storage.Tabl
 		}
 	}
 	for i := 0; i < 100_000; i++ {
-		if _, err := tb.Insert(model.Record{
+		if _, err := tb.InsertBatch([]model.Record{{
 			"k": model.Int(int64(i % 1000)),
 			"v": model.Int(int64(i)),
-		}); err != nil {
+		}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -444,7 +444,7 @@ func BenchmarkIngest(b *testing.B) {
 			tb := benchIngestStore(b)
 			start := time.Now()
 			for r := 0; r < rows; r++ {
-				if _, err := tb.Insert(ingestRec(r)); err != nil {
+				if _, err := tb.InsertBatch([]model.Record{ingestRec(r)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -486,7 +486,7 @@ func BenchmarkIngest(b *testing.B) {
 				go func(w int) {
 					defer wg.Done()
 					for r := 0; r < per; r++ {
-						if _, err := tb.Insert(ingestRec(w*per + r)); err != nil {
+						if _, err := tb.InsertBatch([]model.Record{ingestRec(w*per + r)}); err != nil {
 							b.Error(err)
 							return
 						}

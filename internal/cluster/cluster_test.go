@@ -13,16 +13,16 @@ func TestTrackerObserve(t *testing.T) {
 	tr := NewTracker()
 	tr.Observe([]storage.RowID{1, 2, 3})
 	tr.Observe([]storage.RowID{1, 2})
-	if got := tr.CoAccess(1, 2); got != 2 {
-		t.Errorf("CoAccess(1,2) = %d", got)
+	if got := tr.counts[mkPair(1, 2)]; got != 2 {
+		t.Errorf("co-access(1,2) = %d", got)
 	}
-	if got := tr.CoAccess(2, 1); got != 2 {
-		t.Errorf("CoAccess must be symmetric: %d", got)
+	if got := tr.counts[mkPair(2, 1)]; got != 2 {
+		t.Errorf("co-access must be symmetric: %d", got)
 	}
-	if got := tr.CoAccess(1, 3); got != 1 {
-		t.Errorf("CoAccess(1,3) = %d", got)
+	if got := tr.counts[mkPair(1, 3)]; got != 1 {
+		t.Errorf("co-access(1,3) = %d", got)
 	}
-	if got := tr.CoAccess(1, 9); got != 0 {
+	if got := tr.counts[mkPair(1, 9)]; got != 0 {
 		t.Errorf("unobserved pair = %d", got)
 	}
 	rows := tr.Rows()
@@ -32,7 +32,7 @@ func TestTrackerObserve(t *testing.T) {
 	// Duplicate IDs in one observation don't self-pair.
 	tr2 := NewTracker()
 	tr2.Observe([]storage.RowID{5, 5})
-	if tr2.CoAccess(5, 5) != 0 {
+	if tr2.counts[mkPair(5, 5)] != 0 {
 		t.Error("self co-access recorded")
 	}
 }

@@ -71,9 +71,6 @@ func (t *Tracker) Observe(ids []storage.RowID) {
 	}
 }
 
-// CoAccess returns the co-access count of two rows.
-func (t *Tracker) CoAccess(a, b storage.RowID) int { return t.counts[mkPair(a, b)] }
-
 // Rows returns every observed row, ascending.
 func (t *Tracker) Rows() []storage.RowID {
 	out := make([]storage.RowID, 0, len(t.rows))

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -293,9 +295,27 @@ func TestRefreshRichnessFeedsFusion(t *testing.T) {
 	if len(all) < 3 || !model.Equal(res.Rows[0][0], model.Int(int64(len(all)))) {
 		t.Fatalf("REFRESH RICHNESS = %v, sources = %d", res.Rows, len(all))
 	}
-	for _, m := range all {
-		if db.worlds.Richness(m.Source) != m.Score {
-			t.Errorf("richness for %s not propagated", m.Source)
+	// One claim from each of three measured sources, each in its own
+	// disjoint population: the world a claim holds in weighs its source's
+	// share of the three scores, so worlds() answers the propagated weights.
+	mustQuery(t, db, "ADD AXIOMS 'sub White Population', 'sub Asian Population', 'sub Black Population', "+
+		"'disjoint White Asian', 'disjoint White Black', 'disjoint Asian Black'")
+	score, total := map[string]float64{}, 0.0
+	var claims []string
+	for i, m := range all[:3] {
+		score[m.Source] = m.Score
+		total += m.Score
+		claims = append(claims, fmt.Sprintf("('Warfarin', 'dose', %d, '%s', '%s')", i, m.Source, []string{"White", "Asian", "Black"}[i]))
+	}
+	mustQuery(t, db, "INSERT INTO claims (entity, attr, value, source, context) VALUES "+strings.Join(claims, ", "))
+	worlds := mustQuery(t, db, "SELECT source, probability FROM worlds('Warfarin', 'dose')").Rows
+	if len(worlds) != 3 {
+		t.Fatalf("worlds = %v, want one a claim", worlds)
+	}
+	for _, r := range worlds {
+		src, _ := r[0].AsString()
+		if p, _ := r[1].AsFloat(); math.Abs(p-score[src]/total) > 1e-12 {
+			t.Errorf("richness for %s not propagated: world probability %v, want %v", src, p, score[src]/total)
 		}
 	}
 	// The weights are rows of the refresh's number.

@@ -87,24 +87,6 @@ func (db *DB) QueryStreamCtx(ctx context.Context, src string, emit func(cols []s
 	return res.Columns, info, nil
 }
 
-// emitResultChunks streams an already-materialized result through emit in
-// morsel-size chunks.
-func emitResultChunks(res *query.Result, size int, emit func([]string, [][]model.Value) bool) error {
-	if size <= 0 {
-		size = query.DefaultMorselSize
-	}
-	for lo := 0; lo < len(res.Rows); lo += size {
-		hi := lo + size
-		if hi > len(res.Rows) {
-			hi = len(res.Rows)
-		}
-		if !emit(res.Columns, res.Rows[lo:hi]) {
-			return query.ErrEmitStopped
-		}
-	}
-	return nil
-}
-
 // queryCtx is the shared spine of QueryCtx and QueryStreamCtx. With a nil
 // emit the result is fully materialized; with emit set, executed rows
 // stream through it (and are also accumulated so the materialization cache
@@ -197,7 +179,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 			info.CacheHit = true
 			res := v.(*query.Result)
 			if emit != nil {
-				if err := emitResultChunks(res, db.opts.MorselSize, emit); err != nil {
+				if err := query.EmitChunks(res.Columns, res.Rows, db.opts.MorselSize, emit); err != nil {
 					return nil, info, nil, err
 				}
 			}
@@ -239,7 +221,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	// sink in chunks, so streaming callers see one uniform shape.
 	streamText := func(res *query.Result) (*query.Result, *QueryInfo, *query.SelectStmt, error) {
 		if emit != nil {
-			if err := emitResultChunks(res, db.opts.MorselSize, emit); err != nil {
+			if err := query.EmitChunks(res.Columns, res.Rows, db.opts.MorselSize, emit); err != nil {
 				return nil, info, nil, err
 			}
 		}

@@ -29,8 +29,8 @@ const (
 )
 
 // recordIngestMeta persists what Ingest needs for replay: the source's
-// first-ingest order, its links and its texts. Link and text rows go
-// through the batch write path a chunk at a time. Caller holds p.mu.
+// first-ingest order, its links and its texts. Every row goes through the
+// batch write path, link and text rows a chunk at a time. Caller holds p.mu.
 func (p *Pipeline) recordIngestMeta(source string, links []datagen.LinkSpec, texts []string) error {
 	ot, err := p.store.EnsureTable(OrderTable)
 	if err != nil {
@@ -39,10 +39,10 @@ func (p *Pipeline) recordIngestMeta(source string, links []datagen.LinkSpec, tex
 	if !p.seenSources[source] {
 		p.seenSources[source] = true
 		p.seq++
-		if _, err := ot.Insert(model.Record{
+		if _, err := ot.InsertBatch([]model.Record{{
 			"seq":    model.Int(int64(p.seq)),
 			"source": model.String(source),
-		}); err != nil {
+		}}); err != nil {
 			return err
 		}
 	}

@@ -115,7 +115,7 @@ func TestRebuildSkipsTransactionalRows(t *testing.T) {
 	}), nil)
 	// A row without _key (as a transaction would write) is instance-only.
 	tb, _ := s.Table("src")
-	tb.Insert(model.Record{"note": model.String("not curated")})
+	tb.InsertBatch([]model.Record{{"note": model.String("not curated")}})
 
 	p2, g2 := pipelineOver(t, s)
 	if err := p2.RebuildFromStore(); err != nil {

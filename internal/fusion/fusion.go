@@ -78,9 +78,6 @@ func (w *Worlds) weight(source string) float64 {
 // Claims returns every recorded claim in insertion order.
 func (w *Worlds) Claims() []Claim { return w.claims }
 
-// Richness returns the recorded richness score of a source (default 1).
-func (w *Worlds) Richness(source string) float64 { return w.weight(source) }
-
 // ClaimsAbout returns the claims about one attribute of one entity, in
 // insertion order.
 func (w *Worlds) ClaimsAbout(entity model.EntityID, attr string) []Claim {

@@ -72,6 +72,20 @@ type ExecOptions struct {
 // connection), not by an engine failure.
 var ErrEmitStopped = errors.New("query: batch sink stopped consumption")
 
+// EmitChunks hands a materialized result to emit size rows at a time (0
+// means DefaultMorselSize) and returns ErrEmitStopped once emit says stop.
+func EmitChunks(cols []string, rows [][]model.Value, size int, emit func([]string, [][]model.Value) bool) error {
+	if size <= 0 {
+		size = DefaultMorselSize
+	}
+	for lo := 0; lo < len(rows); lo += size {
+		if !emit(cols, rows[lo:min(lo+size, len(rows))]) {
+			return ErrEmitStopped
+		}
+	}
+	return nil
+}
+
 // ExecuteOpts runs the plan with morsel-driven parallelism and returns the
 // per-operator stats tree alongside the result. Scans are cursors pulled
 // morsel by morsel; Filter/Project/probe stages run per-morsel, on the

@@ -250,12 +250,11 @@ func TestBorrowedRecordsAreSnapshotStable(t *testing.T) {
 	writer := make(chan error, 1)
 	go func() {
 		for i, id := range ids {
-			var err error
-			if i%3 == 0 {
-				err = tb.Delete(id)
-			} else {
-				err = tb.Update(id, model.Record{"id": model.Int(int64(i)), "v": model.Int(1), "w": model.String("new")})
+			w := storage.Write{Table: tb, ID: id}
+			if i%3 != 0 {
+				w.Rec = model.Record{"id": model.Int(int64(i)), "v": model.Int(1), "w": model.String("new")}
 			}
+			_, err := store.Commit([]storage.Write{w})
 			if err != nil {
 				writer <- err
 				return

@@ -130,7 +130,7 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 		if err != nil {
 			return nil, nil, err
 		}
-		return res.Columns, info, emitChunks(res.Columns, rows, emit)
+		return res.Columns, info, query.EmitChunks(res.Columns, rows, 0, emit)
 	}
 	r.scatterQueries.Add(1)
 	if keyed {
@@ -323,16 +323,6 @@ func (b byKey) Swap(i, j int) {
 	b.rows[i], b.rows[j] = b.rows[j], b.rows[i]
 }
 
-// emitChunks hands rows to emit a morsel at a time.
-func emitChunks(cols []string, rows [][]model.Value, emit emitFunc) error {
-	for lo := 0; lo < len(rows); lo += query.DefaultMorselSize {
-		if !emit(cols, rows[lo:min(lo+query.DefaultMorselSize, len(rows))]) {
-			return query.ErrEmitStopped
-		}
-	}
-	return nil
-}
-
 // finalPhase runs the statement's DISTINCT, ORDER BY and LIMIT over root in
 // the ordinary executor and streams the result.
 func finalPhase(ctx context.Context, root query.Node, stmt *query.SelectStmt, emit emitFunc) error {
@@ -452,7 +442,7 @@ func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, target
 	// With none of the three clauses there is nothing to evaluate: a plan
 	// over the rows would be a bare RowsNode, which hands them on as they are.
 	if !stmt.Distinct && len(stmt.OrderBy) == 0 && stmt.Limit < 0 {
-		return cols, emitChunks(cols, rows, emit)
+		return cols, query.EmitChunks(cols, rows, 0, emit)
 	}
 	return cols[:len(cols)-hidden], finalPhase(ctx, &query.RowsNode{Cols: cols, Rows: rows}, &final, emit)
 }

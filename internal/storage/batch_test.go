@@ -48,7 +48,7 @@ func TestInsertBatchMatchesPerRecord(t *testing.T) {
 	}
 	st, _ := serial.CreateTable("t")
 	for _, rec := range recs {
-		if _, err := st.Insert(rec); err != nil {
+		if _, err := insert(st, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,9 +86,10 @@ func TestInsertBatchMatchesPerRecord(t *testing.T) {
 }
 
 // TestMixedBatchFrameReplays: a batch frame may mix inserts, updates and
-// deletes, and stores written by earlier builds hold such frames. Recovery
-// and the follower must both read one back as its entries in order, all at
-// the frame's one stamp — including an insert and an update of the same row.
+// deletes, as a transaction's write set does, and stores written by earlier
+// builds hold such frames with an insert and an update of the same row.
+// Recovery and the follower must both read one back as its entries in
+// order, all at the frame's one stamp.
 func TestMixedBatchFrameReplays(t *testing.T) {
 	dir := t.TempDir()
 	p, err := OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
@@ -114,12 +115,12 @@ func TestMixedBatchFrameReplays(t *testing.T) {
 	oracle, _ := Open("")
 	ot, _ := oracle.CreateTable("t")
 	for i := 1; i <= 3; i++ {
-		ot.Insert(mkRec(i))
+		insert(ot, mkRec(i))
 	}
-	ot.Update(1, mkRec(10))
-	ot.Delete(2)
-	ot.Insert(mkRec(4))
-	ot.Update(4, mkRec(40))
+	update(ot, 1, mkRec(10))
+	del(ot, 2)
+	insert(ot, mkRec(4))
+	update(ot, 4, mkRec(40))
 	want := dumpStore(t, oracle)
 
 	f, err := OpenOptions(t.TempDir(), Options{CheckpointBytes: -1})
@@ -185,13 +186,13 @@ func TestWALConcurrentWriters(t *testing.T) {
 					for i := 0; i < nOps; i++ {
 						switch {
 						case i%10 == 9 && len(mine) > 0:
-							if err := tb.Delete(mine[0]); err != nil {
+							if err := del(tb, mine[0]); err != nil {
 								errs <- err
 								return
 							}
 							mine = mine[1:]
 						case i%5 == 4 && len(mine) > 0:
-							if err := tb.Update(mine[len(mine)-1], mkRec(g*1000+i)); err != nil {
+							if err := update(tb, mine[len(mine)-1], mkRec(g*1000+i)); err != nil {
 								errs <- err
 								return
 							}
@@ -204,7 +205,7 @@ func TestWALConcurrentWriters(t *testing.T) {
 							}
 							mine = append(mine, ids...)
 						default:
-							id, err := tb.Insert(mkRec(g*1000 + i))
+							id, err := insert(tb, mkRec(g*1000+i))
 							if err != nil {
 								errs <- err
 								return
@@ -248,9 +249,9 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 }
 
-// TestGroupCommitDurability: once Insert returns under SyncGroup, the row
-// must be recoverable without Close — the whole point of waiting on the
-// flusher. The "crash" copies the live log into a fresh directory.
+// TestGroupCommitDurability: once a one-row insert returns under SyncGroup,
+// the row must be recoverable without Close — the whole point of waiting on
+// the flusher. The "crash" copies the live log into a fresh directory.
 func TestGroupCommitDurability(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenOptions(dir, Options{Sync: SyncGroup})
@@ -269,7 +270,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < nRows; i++ {
-				if _, err := tb.Insert(mkRec(g*100 + i)); err != nil {
+				if _, err := insert(tb, mkRec(g*100+i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -327,24 +328,24 @@ func TestCrashRecoveryTruncationDifferential(t *testing.T) {
 			// Mixed round: update and delete rows from earlier batches, then
 			// a one-record batch. Each is its own frame, so every frame
 			// boundary is an oracle state.
-			if err := tb.Update(RowID(b), mkRec(9000+b)); err != nil {
+			if err := update(tb, RowID(b), mkRec(9000+b)); err != nil {
 				t.Fatal(err)
 			}
-			if err := ot.Update(RowID(b), mkRec(9000+b)); err != nil {
+			if err := update(ot, RowID(b), mkRec(9000+b)); err != nil {
 				t.Fatal(err)
 			}
 			states = append(states, dumpStore(t, oracle))
-			if err := tb.Delete(RowID(b + 1)); err != nil {
+			if err := del(tb, RowID(b+1)); err != nil {
 				t.Fatal(err)
 			}
-			if err := ot.Delete(RowID(b + 1)); err != nil {
+			if err := del(ot, RowID(b+1)); err != nil {
 				t.Fatal(err)
 			}
 			states = append(states, dumpStore(t, oracle))
 			if _, err := tb.InsertBatch([]model.Record{mkRec(next)}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ot.Insert(mkRec(next)); err != nil {
+			if _, err := insert(ot, mkRec(next)); err != nil {
 				t.Fatal(err)
 			}
 			next++
@@ -358,7 +359,7 @@ func TestCrashRecoveryTruncationDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rec := range recs {
-				if _, err := ot.Insert(rec); err != nil {
+				if _, err := insert(ot, rec); err != nil {
 					t.Fatal(err)
 				}
 			}

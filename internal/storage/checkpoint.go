@@ -77,15 +77,6 @@ func (s *Store) endWrite(csn CSN) {
 	tr.mu.Unlock()
 }
 
-// BeginCommit allocates a tracked commit stamp for the transaction layer,
-// which installs a whole write set under it. The caller must EndCommit the
-// stamp once the write set is installed (success or failure); checkpoints
-// wait on it.
-func (s *Store) BeginCommit() CSN { return s.beginWrite() }
-
-// EndCommit retires a stamp obtained from BeginCommit.
-func (s *Store) EndCommit(csn CSN) { s.endWrite(csn) }
-
 // checkpointBarrier chooses the snapshot CSN and horizon segment, then
 // waits until no write at or below the CSN is still in flight.
 func (s *Store) checkpointBarrier() (CSN, uint64) {

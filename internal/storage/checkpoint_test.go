@@ -50,13 +50,13 @@ func TestIngestDuringCheckpoint(t *testing.T) {
 			for i := 0; i < nOps; i++ {
 				switch {
 				case i%11 == 10 && len(mine) > 0:
-					if err := tb.Delete(mine[0]); err != nil {
+					if err := del(tb, mine[0]); err != nil {
 						errs <- err
 						return
 					}
 					mine = mine[1:]
 				case i%5 == 4 && len(mine) > 0:
-					if err := tb.Update(mine[len(mine)-1], mkRec(g*10000+i)); err != nil {
+					if err := update(tb, mine[len(mine)-1], mkRec(g*10000+i)); err != nil {
 						errs <- err
 						return
 					}
@@ -68,7 +68,7 @@ func TestIngestDuringCheckpoint(t *testing.T) {
 					}
 					mine = append(mine, ids...)
 				default:
-					id, err := tb.Insert(mkRec(g*10000 + i))
+					id, err := insert(tb, mkRec(g*10000+i))
 					if err != nil {
 						errs <- err
 						return
@@ -129,7 +129,7 @@ func TestSegmentRotationAndRetention(t *testing.T) {
 	}
 	tb, _ := s.CreateTable("t")
 	for i := 0; i < 100; i++ {
-		if _, err := tb.Insert(mkRec(i)); err != nil {
+		if _, err := insert(tb, mkRec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestSegmentRotationAndRetention(t *testing.T) {
 	}
 
 	for i := 100; i < 150; i++ {
-		if _, err := tb.Insert(mkRec(i)); err != nil {
+		if _, err := insert(tb, mkRec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestAutoCheckpointTriggers(t *testing.T) {
 	}
 	tb, _ := s.CreateTable("t")
 	for i := 0; i < 2000 && s.WALStats().Checkpoints == 0; i++ {
-		if _, err := tb.Insert(mkRec(i)); err != nil {
+		if _, err := insert(tb, mkRec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,12 +227,12 @@ func TestRecoverParallelismEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 40; i++ {
-			id, _ := tb.Insert(mkRec(ti*1000 + i))
+			id, _ := insert(tb, mkRec(ti*1000+i))
 			if i%5 == 4 {
-				tb.Update(id, mkRec(ti*1000+i+100))
+				update(tb, id, mkRec(ti*1000+i+100))
 			}
 			if i%9 == 8 {
-				tb.Delete(id)
+				del(tb, id)
 			}
 		}
 		if ti == 1 {
@@ -286,7 +286,7 @@ func TestCheckpointSegmentCrashDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rec := range recs {
-			if _, err := ot.Insert(rec); err != nil {
+			if _, err := insert(ot, rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -477,7 +477,7 @@ func TestUnsupportedFormats(t *testing.T) {
 			}
 			tb, _ := s.CreateTable("t")
 			for i := 0; i < 3; i++ {
-				if _, err := tb.Insert(mkRec(i)); err != nil {
+				if _, err := insert(tb, mkRec(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -526,7 +526,7 @@ func TestIndexCatalogPersisted(t *testing.T) {
 	tb, _ := s.CreateTable("t")
 	for i := 0; i < 100; i++ {
 		rec := model.Record{"i": model.Int(int64(i)), "j": model.Int(int64(i % 10))}
-		if _, err := tb.Insert(rec); err != nil {
+		if _, err := insert(tb, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -688,7 +688,7 @@ func BenchmarkRecovery(b *testing.B) {
 			// to exploit.
 			for round := 0; round < 2; round++ {
 				for id := 1; id <= rows/4; id++ {
-					if err := tb.Update(RowID(id), mkRec(ti*rows+round)); err != nil {
+					if err := update(tb, RowID(id), mkRec(ti*rows+round)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -700,7 +700,7 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 			tb, _ := s.Table("a")
 			for i := 0; i < tail; i++ {
-				if _, err := tb.Insert(mkRec(rows + i)); err != nil {
+				if _, err := insert(tb, mkRec(rows+i)); err != nil {
 					b.Fatal(err)
 				}
 			}

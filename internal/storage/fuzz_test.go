@@ -58,21 +58,21 @@ func FuzzIndexMaintenance(f *testing.F) {
 			w := pool[(sel/len(pool))%len(pool)]
 			switch op % 5 {
 			case 0:
-				id, err := tb.Insert(model.Record{"a": v, "b": w})
+				id, err := insert(tb, model.Record{"a": v, "b": w})
 				if err != nil {
 					t.Fatal(err)
 				}
 				live = append(live, id)
 			case 1:
 				if len(live) > 0 {
-					if err := tb.Update(live[sel%len(live)], model.Record{"a": w, "b": v}); err != nil {
+					if err := update(tb, live[sel%len(live)], model.Record{"a": w, "b": v}); err != nil {
 						t.Fatal(err)
 					}
 				}
 			case 2:
 				if len(live) > 0 {
 					j := sel % len(live)
-					if err := tb.Delete(live[j]); err != nil {
+					if err := del(tb, live[j]); err != nil {
 						t.Fatal(err)
 					}
 					live = append(live[:j], live[j+1:]...)
@@ -127,16 +127,16 @@ func runIndexMaintenanceSequence(t *testing.T, data []byte) {
 		v := pool[sel%len(pool)]
 		switch op % 5 {
 		case 0:
-			id, _ := tb.Insert(model.Record{"a": v, "b": v})
+			id, _ := insert(tb, model.Record{"a": v, "b": v})
 			live = append(live, id)
 		case 1:
 			if len(live) > 0 {
-				tb.Update(live[sel%len(live)], model.Record{"a": v})
+				update(tb, live[sel%len(live)], model.Record{"a": v})
 			}
 		case 2:
 			if len(live) > 0 {
 				j := sel % len(live)
-				tb.Delete(live[j])
+				del(tb, live[j])
 				live = append(live[:j], live[j+1:]...)
 			}
 		case 3:

@@ -93,7 +93,7 @@ func TestIndexEqualityAndRange(t *testing.T) {
 		t.Fatal("duplicate CreateIndex must fail")
 	}
 	for i := 0; i < 500; i++ {
-		tb.Insert(rec("h", i%10, "r", float64(i), "s", fmt.Sprintf("v%03d", i%50)))
+		insert(tb, rec("h", i%10, "r", float64(i), "s", fmt.Sprintf("v%03d", i%50)))
 	}
 	now := s.Now()
 	preds := []ZonePred{
@@ -135,7 +135,7 @@ func TestIndexOddValues(t *testing.T) {
 		model.List(model.Int(1), model.Int(2)), model.List(),
 	}
 	for _, v := range vals {
-		tb.Insert(model.Record{"a": v, "b": v})
+		insert(tb, model.Record{"a": v, "b": v})
 	}
 	now := s.Now()
 	preds := []ZonePred{
@@ -187,18 +187,18 @@ func TestIndexMVCCDifferential(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		switch op := rng.Intn(100); {
 		case op < 50:
-			id, err := tb.Insert(model.Record{"k": randVal(), "v": randVal()})
+			id, err := insert(tb, model.Record{"k": randVal(), "v": randVal()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, id)
 		case op < 75 && len(live) > 0:
-			if err := tb.Update(live[rng.Intn(len(live))], model.Record{"k": randVal(), "v": randVal()}); err != nil {
+			if err := update(tb, live[rng.Intn(len(live))], model.Record{"k": randVal(), "v": randVal()}); err != nil {
 				t.Fatal(err)
 			}
 		case op < 95 && len(live) > 0:
 			i := rng.Intn(len(live))
-			if err := tb.Delete(live[i]); err != nil {
+			if err := del(tb, live[i]); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live[:i], live[i+1:]...)
@@ -284,18 +284,18 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(100); {
 		case op < 55 || len(live) == 0:
-			id, err := tb.Insert(record())
+			id, err := insert(tb, record())
 			if err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, id)
 		case op < 85:
-			if err := tb.Update(live[rng.Intn(len(live))], record()); err != nil {
+			if err := update(tb, live[rng.Intn(len(live))], record()); err != nil {
 				t.Fatal(err)
 			}
 		default:
 			i := rng.Intn(len(live))
-			if err := tb.Delete(live[i]); err != nil {
+			if err := del(tb, live[i]); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live[:i], live[i+1:]...)
@@ -522,7 +522,7 @@ func TestIndexMaintenanceCost(t *testing.T) {
 		}
 		start := time.Now()
 		for _, r := range recs {
-			if _, err := tb.Insert(r); err != nil {
+			if _, err := insert(tb, r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -543,7 +543,7 @@ func TestZonePruning(t *testing.T) {
 	tb, _ := s.CreateTable("t")
 	const n = 8 * ZoneSegmentRows
 	for i := 0; i < n; i++ {
-		tb.Insert(rec("n", i, "s", fmt.Sprintf("k%05d", i)))
+		insert(tb, rec("n", i, "s", fmt.Sprintf("k%05d", i)))
 	}
 	now := s.Now()
 	p := ZonePred{Attr: "n", Op: "<", Val: model.Int(100)}
@@ -561,7 +561,7 @@ func TestZonePruning(t *testing.T) {
 	sameRecords(t, "pruned scan", got, oracle(tb, now, p))
 
 	// An attribute absent from a segment prunes it outright.
-	tb.Insert(rec("extra", 1))
+	insert(tb, rec("extra", 1))
 	now = s.Now()
 	pe := ZonePred{Attr: "extra", Op: "=", Val: model.Int(1)}
 	info = scanInfo(tb, now, []ZonePred{pe}, ScanOptions{NoIndex: true, NoAuto: true})
@@ -571,7 +571,7 @@ func TestZonePruning(t *testing.T) {
 
 	// Deletes widen nothing; vacuum narrows the maps back down.
 	for id := RowID(1); id <= ZoneSegmentRows; id++ {
-		tb.Delete(id)
+		del(tb, id)
 	}
 	tb.Vacuum(s.Now())
 	info = scanInfo(tb, s.Now(), []ZonePred{p}, ScanOptions{NoIndex: true, NoAuto: true})
@@ -588,7 +588,7 @@ func TestAutoIndexLifecycle(t *testing.T) {
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
 	for i := 0; i < 2*autoIndexMinRows; i++ {
-		tb.Insert(rec("a", i%16, "b", i))
+		insert(tb, rec("a", i%16, "b", i))
 	}
 	now := s.Now()
 	scan := func(p ZonePred) ScanInfo {
@@ -642,7 +642,7 @@ func TestAutoIndexLifecycle(t *testing.T) {
 	// Tiny tables never earn indexes.
 	small, _ := s.CreateTable("small")
 	for i := 0; i < autoIndexMinRows/2; i++ {
-		small.Insert(rec("a", i))
+		insert(small, rec("a", i))
 	}
 	for i := 0; i < 3*autoIndexAccesses; i++ {
 		scanInfo(small, s.Now(), []ZonePred{eq}, ScanOptions{})
@@ -670,13 +670,13 @@ func TestIndexConcurrent(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				switch {
 				case len(mine) == 0 || rng.Intn(3) > 0:
-					id, _ := tb.Insert(rec("k", rng.Intn(20), "v", float64(rng.Intn(100))))
+					id, _ := insert(tb, rec("k", rng.Intn(20), "v", float64(rng.Intn(100))))
 					mine = append(mine, id)
 				case rng.Intn(2) == 0:
-					tb.Update(mine[rng.Intn(len(mine))], rec("k", rng.Intn(20), "v", float64(rng.Intn(100))))
+					update(tb, mine[rng.Intn(len(mine))], rec("k", rng.Intn(20), "v", float64(rng.Intn(100))))
 				default:
 					j := rng.Intn(len(mine))
-					tb.Delete(mine[j])
+					del(tb, mine[j])
 					mine = append(mine[:j], mine[j+1:]...)
 				}
 			}
@@ -718,7 +718,7 @@ func TestWALRecoveryRebuildsZones(t *testing.T) {
 	tb, _ := s.CreateTable("t")
 	const n = 2 * ZoneSegmentRows
 	for i := 0; i < n; i++ {
-		tb.Insert(rec("n", i))
+		insert(tb, rec("n", i))
 	}
 	schemaVer := s.SchemaVersion()
 	if err := s.Close(); err != nil {

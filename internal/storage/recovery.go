@@ -146,44 +146,67 @@ func (e *ReplEntry) mutations(fn func(batchEntry) error) error {
 	return nil
 }
 
-// applyLogged installs one logged row mutation at its commit stamp, keeping
-// live and nextID up to date, and returns the record it wrote (nil for a
-// delete). It is the one replay rule for recovery and the follower. Both
-// apply a table's mutations in stamp order, so an insert finds no row and
-// an update or delete finds one. The caller owns t: recovery because one
-// worker rebuilds each table, the follower by holding t.mu.
+// fits reports why a row mutation cannot apply to t, or nil: an insert
+// needs a row ID no row holds, an update or a delete a row whose newest
+// version is not a tombstone. With install it is the one rule every write
+// goes through: a live write set (commitPart), recovery and the follower
+// (applyLogged). The caller holds t: recovery because one worker rebuilds
+// each table, the others by holding t.mu.
+func (t *Table) fits(op byte, id RowID) error {
+	r := t.rows[id]
+	switch op {
+	case opInsert:
+		if r != nil {
+			return fmt.Errorf("storage: %s: insert of existing row %d", t.name, id)
+		}
+	case opUpdate, opDelete:
+		if r == nil || r.versions[len(r.versions)-1].rec == nil {
+			return fmt.Errorf("storage: %s: no live row %d to change", t.name, id)
+		}
+	default:
+		return fmt.Errorf("storage: unknown log op %d", op)
+	}
+	return nil
+}
+
+// install applies a row mutation that fits at its commit stamp, keeping
+// live and nextID up to date. rec is nil for a delete. An insert's row is
+// slot if the caller has one (an ingest batch's slab row), else a new one.
+func (t *Table) install(op byte, id RowID, rec model.Record, csn CSN, slot *row) {
+	switch op {
+	case opInsert:
+		if slot == nil {
+			slot = &row{versions: make([]version, 1)}
+		}
+		slot.versions[0] = version{rec: rec, from: csn}
+		t.rows[id] = slot
+		t.nextID = max(t.nextID, uint64(id))
+		t.live++
+	case opUpdate:
+		t.rows[id].addVersion(version{rec: rec, from: csn})
+	case opDelete:
+		t.rows[id].addVersion(version{from: csn})
+		t.live--
+	}
+}
+
+// applyLogged installs one logged row mutation at its commit stamp by the
+// one rule and returns the record it wrote (nil for a delete). Recovery and
+// the follower both apply a table's mutations in stamp order.
 func (t *Table) applyLogged(m batchEntry, csn CSN) (model.Record, error) {
 	id := RowID(m.rowID)
-	r := t.rows[id]
-	switch m.op {
-	case opInsert, opUpdate:
-		rec, _, err := model.DecodeRecord(m.data)
-		if err != nil {
+	if err := t.fits(m.op, id); err != nil {
+		return nil, err
+	}
+	var rec model.Record
+	if m.op != opDelete {
+		var err error
+		if rec, _, err = model.DecodeRecord(m.data); err != nil {
 			return nil, err
 		}
-		if m.op == opUpdate {
-			if r == nil {
-				return nil, fmt.Errorf("storage: log update of unknown row %d in %q", id, t.name)
-			}
-			r.addVersion(version{rec: rec, from: csn})
-			return rec, nil
-		}
-		if r != nil {
-			return nil, fmt.Errorf("storage: log insert of existing row %d in %q", id, t.name)
-		}
-		t.rows[id] = &row{versions: []version{{rec: rec, from: csn}}}
-		t.nextID = max(t.nextID, m.rowID)
-		t.live++
-		return rec, nil
-	case opDelete:
-		if r == nil || r.versions[len(r.versions)-1].rec == nil {
-			return nil, fmt.Errorf("storage: log delete of unknown row %d in %q", id, t.name)
-		}
-		r.addVersion(version{rec: nil, from: csn})
-		t.live--
-		return nil, nil
 	}
-	return nil, fmt.Errorf("storage: unknown log op %d", m.op)
+	t.install(m.op, id, rec, csn, nil)
+	return rec, nil
 }
 
 // idxSpec carries one persisted index from a snapshot section to the

@@ -93,19 +93,19 @@ func TestReplTailApplyMirror(t *testing.T) {
 	}
 	var ids []RowID
 	for i := 0; i < 400; i++ {
-		id, err := drugs.Insert(rec("name", fmt.Sprintf("d%03d", i), "i", i))
+		id, err := insert(drugs, rec("name", fmt.Sprintf("d%03d", i), "i", i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
 	for i := 0; i < 120; i++ {
-		if err := drugs.Update(ids[i], rec("name", fmt.Sprintf("d%03d", i), "upd", true)); err != nil {
+		if err := update(drugs, ids[i], rec("name", fmt.Sprintf("d%03d", i), "upd", true)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 120; i < 170; i++ {
-		if err := drugs.Delete(ids[i]); err != nil {
+		if err := del(drugs, ids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestReplIncrementalShipping(t *testing.T) {
 	}
 	for wave := 0; wave < 5; wave++ {
 		for i := 0; i < 100; i++ {
-			if _, err := tb.Insert(rec("wave", wave, "n", i)); err != nil {
+			if _, err := insert(tb, rec("wave", wave, "n", i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -215,7 +215,7 @@ func TestReplTrimAndPins(t *testing.T) {
 	}
 	fill := func() {
 		for i := 0; i < 200; i++ {
-			if _, err := tb.Insert(rec("n", i, "pad", strings.Repeat("p", 32))); err != nil {
+			if _, err := insert(tb, rec("n", i, "pad", strings.Repeat("p", 32))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,8 +9,8 @@ import (
 // TestReplayInStampOrder: a writer allocates its commit stamp before the
 // table latch and appends its frame after releasing it, so a later mutation
 // of the row it just inserted can reach the log ahead of the insert. Each
-// case builds that log by running Insert's steps split at the latch release,
-// with the update or delete in between. Reopening the directory and shipping
+// case builds that log by running a one-row insert's steps split at the
+// latch release, with the update or delete in between. Reopening the directory and shipping
 // the same log through TailWAL → ApplyRepl to a fresh store must both land
 // on the live state, byte for byte.
 func TestReplayInStampOrder(t *testing.T) {
@@ -18,8 +18,8 @@ func TestReplayInStampOrder(t *testing.T) {
 		name  string
 		early func(tb *Table, id RowID) error
 	}{
-		{"update", func(tb *Table, id RowID) error { return tb.Update(id, rec("v", 2)) }},
-		{"delete", func(tb *Table, id RowID) error { return tb.Delete(id) }},
+		{"update", func(tb *Table, id RowID) error { return update(tb, id, rec("v", 2)) }},
+		{"delete", func(tb *Table, id RowID) error { return del(tb, id) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -33,7 +33,7 @@ func TestReplayInStampOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Insert, split at the latch release.
+			// A one-row insert, split at the latch release.
 			r := rec("v", 1)
 			csn := p.beginWrite()
 			tb.mu.Lock()
@@ -50,7 +50,7 @@ func TestReplayInStampOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.endWrite(csn)
-			if _, err := tb.Insert(rec("v", 3)); err != nil {
+			if _, err := insert(tb, rec("v", 3)); err != nil {
 				t.Fatal(err)
 			}
 			live := replDump(p)

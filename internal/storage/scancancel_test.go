@@ -45,7 +45,7 @@ func TestScanWhereCtxCancel(t *testing.T) {
 	}
 	// Enough rows to span several zone segments.
 	for i := 0; i < 5000; i++ {
-		if _, err := tb.Insert(model.Record{"v": model.Int(int64(i))}); err != nil {
+		if _, err := insert(tb, model.Record{"v": model.Int(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,19 +23,19 @@ func morselTable(t *testing.T) (*Store, *Table) {
 	}
 	ids := make([]RowID, 0, 100)
 	for i := 0; i < 100; i++ {
-		id, err := tb.Insert(rec("i", i))
+		id, err := insert(tb, rec("i", i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
 	for i := 0; i < 100; i += 7 {
-		if err := tb.Update(ids[i], rec("i", i, "u", true)); err != nil {
+		if err := update(tb, ids[i], rec("i", i, "u", true)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i += 13 {
-		if err := tb.Delete(ids[i]); err != nil {
+		if err := del(tb, ids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

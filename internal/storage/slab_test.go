@@ -30,7 +30,7 @@ func TestBatchRowsNeverShareAVersion(t *testing.T) {
 	}
 	// A stamp taken before the batch commits after it: the chain it lands
 	// in needs the sorted insert.
-	older := s.BeginCommit()
+	older := s.beginWrite()
 	recs := make([]model.Record, 8)
 	for i := range recs {
 		recs[i] = rec("i", i, "name", "row")
@@ -57,16 +57,17 @@ func TestBatchRowsNeverShareAVersion(t *testing.T) {
 	}
 	before := reads()
 
-	if err := tb.Update(ids[updated], rec("i", 100, "name", "updated")); err != nil {
+	if err := update(tb, ids[updated], rec("i", 100, "name", "updated")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Delete(ids[deleted]); err != nil {
+	if err := del(tb, ids[deleted]); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.UpdateAt(ids[sorted], rec("i", 500, "name", "sorted in"), older); err != nil {
+	part := []batchEntry{{op: opUpdate, rowID: uint64(ids[sorted])}}
+	if err := tb.commitPart(older, part, []model.Record{rec("i", 500, "name", "sorted in")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.EndCommit(older)
+	s.endWrite(older)
 	if n := chainLen(tb, ids[sorted]); n != 2 {
 		t.Fatalf("the sorted insert left a chain of %d versions, want 2", n)
 	}
@@ -117,9 +118,9 @@ func TestSlabKeepsNoDeadRecords(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i, id := range ids[1:] {
 		if i%2 == 0 {
-			err = tb.Update(id, rec("i", i))
+			err = update(tb, id, rec("i", i))
 		} else {
-			err = tb.Delete(id)
+			err = del(tb, id)
 		}
 		if err != nil {
 			t.Fatal(err)

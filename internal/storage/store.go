@@ -13,6 +13,7 @@
 package storage
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -299,79 +300,140 @@ func (s *Store) Tables() []string {
 	return names
 }
 
-// Insert appends a new row and returns its ID. The mutation commits
-// immediately with its own CSN.
-func (t *Table) Insert(rec model.Record) (RowID, error) {
-	csn := t.store.beginWrite()
-	defer t.store.endWrite(csn)
-	t.mu.Lock()
-	t.nextID++
-	id := RowID(t.nextID)
-	t.rows[id] = &row{versions: []version{{rec: rec, from: csn}}}
-	t.live++
-	t.noteWriteLocked(id, rec, true)
-	t.mu.Unlock()
-	if w := t.store.wal; w != nil {
-		return id, w.log(opInsert, csn, t.name, uint64(id), model.AppendRecord(nil, rec))
-	}
-	return id, nil
-}
-
-// InsertBatch appends recs as new rows under one table-lock acquisition,
-// one commit stamp, one index/zone-map maintenance pass, and one
-// multi-record log frame — the amortized write path for bulk ingest. Under
-// SyncGroup/SyncAlways the whole batch costs a single fsync. Returns the
-// assigned row IDs, which are consecutive and identical to what len(recs)
-// individual Inserts would have produced.
+// InsertBatch appends recs as new rows: a write set of inserts that takes
+// the table's next IDs, installed and logged by commitPart under one commit
+// stamp, one table-lock acquisition and one batch frame — the amortized
+// write path for bulk ingest. Under SyncGroup/SyncAlways the whole batch
+// costs a single fsync. Returns the assigned row IDs, which are consecutive.
 func (t *Table) InsertBatch(recs []model.Record) ([]RowID, error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
-	durable := t.store.wal != nil
-	var entries []batchEntry
-	if durable {
-		// Encode outside the lock: serialization is the expensive part. The
-		// records go back to back into one buffer, entryBytes reserved a
-		// record so ordinary rows fill it without growing, and each entry's
-		// data is its part of it.
-		entries = make([]batchEntry, len(recs))
-		buf := make([]byte, 0, entryBytes*len(recs))
-		ends := make([]int, len(recs))
-		for i, rec := range recs {
-			buf = model.AppendRecord(buf, rec)
-			ends[i] = len(buf)
-		}
-		start := 0
-		for i, end := range ends {
-			entries[i].data = buf[start:end:end]
-			start = end
-		}
+	part := t.store.entriesFor(recs)
+	for i := range part {
+		part[i].op = opInsert // row ID 0: commitPart hands out the next one
 	}
 	csn := t.store.beginWrite()
 	defer t.store.endWrite(csn)
-	ids := make([]RowID, len(recs))
-	slab := newRows(len(recs))
-	t.mu.Lock()
-	for i, rec := range recs {
-		t.nextID++
-		id := RowID(t.nextID)
-		ids[i] = id
-		slab[i].versions[0] = version{rec: rec, from: csn}
-		t.rows[id] = &slab[i]
-		t.live++
-		t.noteWriteLocked(id, rec, true)
+	err := t.commitPart(csn, part, recs, newRows(len(recs)))
+	ids := make([]RowID, len(part))
+	for i, m := range part {
+		ids[i] = RowID(m.rowID)
 	}
-	t.mu.Unlock()
-	if durable {
-		for i := range entries {
-			entries[i].op, entries[i].rowID = opInsert, uint64(ids[i])
-		}
-		return ids, t.store.wal.logBatch(t.name, csn, entries)
-	}
-	return ids, nil
+	return ids, err
 }
 
-// entryBytes is the room InsertBatch reserves for each record of a batch.
+// Write is one row change of a transaction's write set: an insert under an
+// ID from ReserveID, an update, or a delete (Rec nil).
+type Write struct {
+	Table  *Table
+	ID     RowID
+	Rec    model.Record
+	Insert bool
+}
+
+// Commit installs a write set under one tracked commit stamp and returns
+// the stamp. It sorts ws by (table, row ID) and hands each table's part to
+// commitPart, so a crash keeps all of a table's part or none of it. A row
+// appears in ws at most once. A log frame names one table, so a write set
+// over several tables logs a frame a table, and a crash between those
+// frames keeps some tables' parts and not the others.
+func (s *Store) Commit(ws []Write) (CSN, error) {
+	slices.SortStableFunc(ws, func(a, b Write) int {
+		return cmp.Or(cmp.Compare(a.Table.name, b.Table.name), cmp.Compare(a.ID, b.ID))
+	})
+	recs := make([]model.Record, len(ws))
+	for i, w := range ws {
+		recs[i] = w.Rec
+	}
+	part := s.entriesFor(recs)
+	for i, w := range ws {
+		part[i].op, part[i].rowID = opUpdate, uint64(w.ID)
+		if w.Insert {
+			part[i].op = opInsert
+		} else if w.Rec == nil {
+			part[i].op = opDelete
+		}
+	}
+	csn := s.beginWrite()
+	defer s.endWrite(csn)
+	for lo := 0; lo < len(ws); {
+		hi := lo + 1
+		for hi < len(ws) && ws[hi].Table == ws[lo].Table {
+			hi++
+		}
+		if err := ws[lo].Table.commitPart(csn, part[lo:hi], recs[lo:hi], nil); err != nil {
+			return 0, err
+		}
+		lo = hi
+	}
+	return csn, nil
+}
+
+// commitPart installs one table's part of a write set at csn under t's
+// lock by the rule recovery and the follower replay the log with (fits,
+// then install), keeps zone maps and indexes live, and logs the part as one
+// batch frame. An entry with row ID 0 is an ingest insert and takes the
+// table's next ID; slab, if not nil, holds a row for each entry. The part is
+// checked whole before any of it installs, so a refused part leaves the
+// table as it was.
+func (t *Table) commitPart(csn CSN, part []batchEntry, recs []model.Record, slab []row) error {
+	t.mu.Lock()
+	for _, m := range part {
+		if m.rowID != 0 {
+			if err := t.fits(m.op, RowID(m.rowID)); err != nil {
+				t.mu.Unlock()
+				return err
+			}
+		}
+	}
+	for i := range part {
+		m := &part[i]
+		if m.rowID == 0 {
+			t.nextID++
+			m.rowID = t.nextID
+		}
+		var slot *row
+		if slab != nil {
+			slot = &slab[i]
+		}
+		t.install(m.op, RowID(m.rowID), recs[i], csn, slot)
+		t.noteWriteLocked(RowID(m.rowID), recs[i], m.op == opInsert)
+	}
+	t.mu.Unlock()
+	if w := t.store.wal; w != nil {
+		return w.logBatch(t.name, csn, part)
+	}
+	return nil
+}
+
+// entriesFor returns a log entry for each record. On a durable store each
+// entry's data is its record encoded, all of them back to back in one
+// buffer with entryBytes reserved a record so ordinary rows fill it without
+// growing; a nil record (a delete) encodes to nothing. Serialization is the
+// expensive part of a write, so it runs before any lock is taken.
+func (s *Store) entriesFor(recs []model.Record) []batchEntry {
+	entries := make([]batchEntry, len(recs))
+	if s.wal == nil {
+		return entries
+	}
+	buf := make([]byte, 0, entryBytes*len(recs))
+	ends := make([]int, len(recs))
+	for i, rec := range recs {
+		if rec != nil {
+			buf = model.AppendRecord(buf, rec)
+		}
+		ends[i] = len(buf)
+	}
+	start := 0
+	for i, end := range ends {
+		entries[i].data = buf[start:end:end]
+		start = end
+	}
+	return entries
+}
+
+// entryBytes is the room entriesFor reserves for each record.
 const entryBytes = 64
 
 // ReserveID allocates a row ID without creating a row, so transactional
@@ -382,77 +444,6 @@ func (t *Table) ReserveID() RowID {
 	defer t.mu.Unlock()
 	t.nextID++
 	return RowID(t.nextID)
-}
-
-// InsertReservedAt installs a row under a previously reserved ID with the
-// given commit stamp.
-func (t *Table) InsertReservedAt(id RowID, rec model.Record, csn CSN) error {
-	t.mu.Lock()
-	if _, exists := t.rows[id]; exists {
-		t.mu.Unlock()
-		return fmt.Errorf("storage: %s: reserved row %d already exists", t.name, id)
-	}
-	t.rows[id] = &row{versions: []version{{rec: rec, from: csn}}}
-	t.live++
-	t.noteWriteLocked(id, rec, true)
-	t.mu.Unlock()
-	if w := t.store.wal; w != nil {
-		return w.log(opInsert, csn, t.name, uint64(id), model.AppendRecord(nil, rec))
-	}
-	return nil
-}
-
-// Update replaces the row's record, committing with a fresh CSN.
-func (t *Table) Update(id RowID, rec model.Record) error {
-	csn := t.store.beginWrite()
-	defer t.store.endWrite(csn)
-	return t.UpdateAt(id, rec, csn)
-}
-
-// UpdateAt replaces the row's record under the given commit stamp.
-func (t *Table) UpdateAt(id RowID, rec model.Record, csn CSN) error {
-	t.mu.Lock()
-	r, ok := t.rows[id]
-	if !ok {
-		t.mu.Unlock()
-		return fmt.Errorf("storage: %s: update of unknown row %d", t.name, id)
-	}
-	if r.versions[len(r.versions)-1].rec == nil {
-		t.mu.Unlock()
-		return fmt.Errorf("storage: %s: update of deleted row %d", t.name, id)
-	}
-	r.addVersion(version{rec: rec, from: csn})
-	t.noteWriteLocked(id, rec, false)
-	t.mu.Unlock()
-	if w := t.store.wal; w != nil {
-		return w.log(opUpdate, csn, t.name, uint64(id), model.AppendRecord(nil, rec))
-	}
-	return nil
-}
-
-// Delete removes the row (as a tombstone version), committing with a fresh
-// CSN. Older snapshots continue to see the row.
-func (t *Table) Delete(id RowID) error {
-	csn := t.store.beginWrite()
-	defer t.store.endWrite(csn)
-	return t.DeleteAt(id, csn)
-}
-
-// DeleteAt removes the row under the given commit stamp.
-func (t *Table) DeleteAt(id RowID, csn CSN) error {
-	t.mu.Lock()
-	r, ok := t.rows[id]
-	if !ok || r.versions[len(r.versions)-1].rec == nil {
-		t.mu.Unlock()
-		return fmt.Errorf("storage: %s: delete of unknown row %d", t.name, id)
-	}
-	r.addVersion(version{rec: nil, from: csn})
-	t.live--
-	t.mu.Unlock()
-	if w := t.store.wal; w != nil {
-		return w.log(opDelete, csn, t.name, uint64(id), nil)
-	}
-	return nil
 }
 
 // Get returns the latest committed version of the row.

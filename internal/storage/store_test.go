@@ -37,6 +37,23 @@ func rec(kv ...any) model.Record {
 	return r
 }
 
+// insert, update and del commit a one-row write set each: the per-record
+// form of the store's one commit rule.
+func insert(tb *Table, r model.Record) (RowID, error) {
+	ids, err := tb.InsertBatch([]model.Record{r})
+	return ids[0], err
+}
+
+func update(tb *Table, id RowID, r model.Record) error {
+	_, err := tb.store.Commit([]Write{{Table: tb, ID: id, Rec: r}})
+	return err
+}
+
+func del(tb *Table, id RowID) error {
+	_, err := tb.store.Commit([]Write{{Table: tb, ID: id}})
+	return err
+}
+
 func TestCreateTable(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
@@ -84,7 +101,7 @@ func TestCRUD(t *testing.T) {
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
 
-	id, err := tb.Insert(rec("name", "Warfarin", "dosage", 5.1))
+	id, err := insert(tb, rec("name", "Warfarin", "dosage", 5.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +113,7 @@ func TestCRUD(t *testing.T) {
 		t.Errorf("Len = %d", tb.Len())
 	}
 
-	if err := tb.Update(id, rec("name", "Warfarin", "dosage", 3.4)); err != nil {
+	if err := update(tb, id, rec("name", "Warfarin", "dosage", 3.4)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = tb.Get(id)
@@ -104,7 +121,7 @@ func TestCRUD(t *testing.T) {
 		t.Errorf("after update dosage = %v", got["dosage"])
 	}
 
-	if err := tb.Delete(id); err != nil {
+	if err := del(tb, id); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := tb.Get(id); ok {
@@ -113,13 +130,13 @@ func TestCRUD(t *testing.T) {
 	if tb.Len() != 0 {
 		t.Errorf("Len after delete = %d", tb.Len())
 	}
-	if err := tb.Delete(id); err == nil {
+	if err := del(tb, id); err == nil {
 		t.Error("double delete must fail")
 	}
-	if err := tb.Update(id, rec("x", 1)); err == nil {
+	if err := update(tb, id, rec("x", 1)); err == nil {
 		t.Error("update of deleted row must fail")
 	}
-	if err := tb.Update(999, rec("x", 1)); err == nil {
+	if err := update(tb, 999, rec("x", 1)); err == nil {
 		t.Error("update of unknown row must fail")
 	}
 }
@@ -129,11 +146,11 @@ func TestMVCCSnapshots(t *testing.T) {
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
 
-	id, _ := tb.Insert(rec("v", 1))
+	id, _ := insert(tb, rec("v", 1))
 	csn1 := s.Now()
-	tb.Update(id, rec("v", 2))
+	update(tb, id, rec("v", 2))
 	csn2 := s.Now()
-	tb.Delete(id)
+	del(tb, id)
 
 	if got, ok := tb.GetAt(id, csn1); !ok || !model.Equal(got["v"], model.Int(1)) {
 		t.Errorf("at csn1: %v %v", got, ok)
@@ -168,7 +185,7 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
 	for i := 0; i < 10; i++ {
-		tb.Insert(rec("i", i))
+		insert(tb, rec("i", i))
 	}
 	var seen []int64
 	tb.Scan(func(id RowID, r model.Record) bool {
@@ -198,10 +215,10 @@ func TestScanAtHistorical(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
-	id1, _ := tb.Insert(rec("i", 1))
+	id1, _ := insert(tb, rec("i", 1))
 	csn := s.Now()
-	tb.Insert(rec("i", 2))
-	tb.Delete(id1)
+	insert(tb, rec("i", 2))
+	del(tb, id1)
 
 	n := 0
 	tb.ScanAt(csn, func(RowID, model.Record) bool { n++; return true })
@@ -219,9 +236,9 @@ func TestVacuum(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
-	id, _ := tb.Insert(rec("v", 1))
+	id, _ := insert(tb, rec("v", 1))
 	for i := 2; i <= 5; i++ {
-		tb.Update(id, rec("v", i))
+		update(tb, id, rec("v", i))
 	}
 	if n := chainLen(tb, id); n != 5 {
 		t.Fatalf("version chain holds %d versions, want 5", n)
@@ -235,7 +252,7 @@ func TestVacuum(t *testing.T) {
 	}
 
 	// Deleting then vacuuming past the tombstone removes the row entirely.
-	tb.Delete(id)
+	del(tb, id)
 	tb.Vacuum(s.Now())
 	if chainLen(tb, id) != 0 {
 		t.Error("tombstoned row must be dropped by vacuum")
@@ -246,9 +263,9 @@ func TestVacuumKeepsHorizonVisibility(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
 	tb, _ := s.CreateTable("t")
-	id, _ := tb.Insert(rec("v", 1))
+	id, _ := insert(tb, rec("v", 1))
 	horizon := s.Now()
-	tb.Update(id, rec("v", 2))
+	update(tb, id, rec("v", 2))
 	tb.Vacuum(horizon)
 	if got, ok := tb.GetAt(id, horizon); !ok || !model.Equal(got["v"], model.Int(1)) {
 		t.Errorf("vacuum at horizon must keep the version visible there; got %v %v", got, ok)
@@ -265,7 +282,7 @@ func TestConcurrentInsertScan(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tb.Insert(rec("w", w, "i", i))
+				insert(tb, rec("w", w, "i", i))
 			}
 		}(w)
 	}
@@ -290,10 +307,10 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb, _ := s.CreateTable("drugs")
-	id1, _ := tb.Insert(rec("name", "Warfarin", "dose", 5.1))
-	id2, _ := tb.Insert(rec("name", "Ibuprofen"))
-	tb.Update(id1, rec("name", "Warfarin", "dose", 6.1))
-	tb.Delete(id2)
+	id1, _ := insert(tb, rec("name", "Warfarin", "dose", 5.1))
+	id2, _ := insert(tb, rec("name", "Ibuprofen"))
+	update(tb, id1, rec("name", "Warfarin", "dose", 6.1))
+	del(tb, id2)
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +341,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Error("deleted row resurrected")
 	}
 	// New inserts must not collide with recovered IDs.
-	id3, _ := tb2.Insert(rec("name", "Methotrexate"))
+	id3, _ := insert(tb2, rec("name", "Methotrexate"))
 	if id3 == id1 || id3 == id2 {
 		t.Errorf("row id reuse after recovery: %d", id3)
 	}
@@ -335,13 +352,13 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	s, _ := Open(dir)
 	tb, _ := s.CreateTable("t")
 	for i := 0; i < 100; i++ {
-		tb.Insert(rec("i", i))
+		insert(tb, rec("i", i))
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-checkpoint mutations go to the fresh log.
-	tb.Insert(rec("i", 100))
+	insert(tb, rec("i", 100))
 	s.Close()
 
 	s2, err := Open(dir)
@@ -359,7 +376,7 @@ func TestTornLogTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	tb, _ := s.CreateTable("t")
-	tb.Insert(rec("i", 1))
+	insert(tb, rec("i", 1))
 	s.Close()
 
 	// Corrupt the log by appending garbage (simulates a torn write).
@@ -381,7 +398,7 @@ func TestTornLogTailTruncated(t *testing.T) {
 		t.Errorf("Len = %d", tb2.Len())
 	}
 	// The torn bytes must be gone so new appends are readable.
-	tb2.Insert(rec("i", 2))
+	insert(tb2, rec("i", 2))
 	s2.Close()
 	s3, err := Open(dir)
 	if err != nil {
@@ -398,8 +415,8 @@ func TestMidLogCorruptionStopsReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	tb, _ := s.CreateTable("t")
-	tb.Insert(rec("i", 1))
-	tb.Insert(rec("i", 2))
+	insert(tb, rec("i", 1))
+	insert(tb, rec("i", 2))
 	s.Close()
 
 	// Flip bytes in the middle of the log: replay must stop at the first
@@ -432,7 +449,7 @@ func TestMidLogCorruptionStopsReplay(t *testing.T) {
 		t.Errorf("rows = %d, impossible", tb2.Len())
 	}
 	// The store is writable after truncation at the corruption point.
-	if _, err := tb2.Insert(rec("i", 3)); err != nil {
+	if _, err := insert(tb2, rec("i", 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Sync(); err != nil {
@@ -457,7 +474,7 @@ func TestCorruptSealedSegment(t *testing.T) {
 		}
 		tb, _ := s.CreateTable("t")
 		for i := 0; i < rows; i++ {
-			if _, err := tb.Insert(rec("i", i, "name", fmt.Sprintf("row-%03d", i))); err != nil {
+			if _, err := insert(tb, rec("i", i, "name", fmt.Sprintf("row-%03d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -561,7 +578,7 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	tb, _ := s.CreateTable("t")
-	tb.Insert(rec("i", 1))
+	insert(tb, rec("i", 1))
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -600,13 +617,13 @@ func TestPropertyRandomOpsRecovery(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			switch {
 			case len(live) == 0 || r.Float64() < 0.5:
-				id, _ := tb.Insert(rec("i", i))
+				id, _ := insert(tb, rec("i", i))
 				live = append(live, id)
 			case r.Float64() < 0.5:
-				tb.Update(live[r.Intn(len(live))], rec("i", -i))
+				update(tb, live[r.Intn(len(live))], rec("i", -i))
 			default:
 				k := r.Intn(len(live))
-				tb.Delete(live[k])
+				del(tb, live[k])
 				live = append(live[:k], live[k+1:]...)
 			}
 		}
@@ -649,16 +666,14 @@ func TestReservedInserts(t *testing.T) {
 	if id1 == id2 {
 		t.Fatal("reservations must be distinct")
 	}
-	csn := s.BeginCommit()
-	if err := tb.InsertReservedAt(id2, rec("v", 2), csn); err != nil {
+	if _, err := s.Commit([]Write{{Table: tb, ID: id2, Rec: rec("v", 2), Insert: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.InsertReservedAt(id2, rec("v", 3), csn); err == nil {
+	if _, err := s.Commit([]Write{{Table: tb, ID: id2, Rec: rec("v", 3), Insert: true}}); err == nil {
 		t.Error("double install of a reserved ID must fail")
 	}
-	s.EndCommit(csn)
 	// Interleaved plain inserts never collide with reservations.
-	id3, _ := tb.Insert(rec("v", 4))
+	id3, _ := insert(tb, rec("v", 4))
 	if id3 == id1 || id3 == id2 {
 		t.Errorf("plain insert reused a reserved ID: %d", id3)
 	}
@@ -689,17 +704,17 @@ func TestLastModified(t *testing.T) {
 	if _, ok := tb.LastModified(1); ok {
 		t.Error("unknown row has no modification stamp")
 	}
-	id, _ := tb.Insert(rec("v", 1))
+	id, _ := insert(tb, rec("v", 1))
 	first, ok := tb.LastModified(id)
 	if !ok {
 		t.Fatal("stamp missing")
 	}
-	tb.Update(id, rec("v", 2))
+	update(tb, id, rec("v", 2))
 	second, _ := tb.LastModified(id)
 	if second <= first {
 		t.Errorf("stamps not monotone: %d then %d", first, second)
 	}
-	tb.Delete(id)
+	del(tb, id)
 	third, ok := tb.LastModified(id)
 	if !ok || third <= second {
 		t.Errorf("tombstone stamp = %d %v", third, ok)
@@ -714,7 +729,7 @@ func TestCheckpointEmptyAndRepeated(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb, _ := s.CreateTable("t")
-	tb.Insert(rec("v", 1))
+	insert(tb, rec("v", 1))
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -747,9 +762,9 @@ func TestCheckpointPreservesDeletes(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	tb, _ := s.CreateTable("t")
-	id1, _ := tb.Insert(rec("v", 1))
-	tb.Insert(rec("v", 2))
-	tb.Delete(id1)
+	id1, _ := insert(tb, rec("v", 1))
+	insert(tb, rec("v", 2))
+	del(tb, id1)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

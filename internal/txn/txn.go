@@ -19,6 +19,12 @@
 //     and eventually received with uncertainty"): semantic reads never
 //     abort; instead the commit reports a staleness bound — how many
 //     enrichment versions passed the transaction by.
+//
+// A commit hands its write set to the store's one commit rule
+// (storage.Store.Commit), the rule recovery and the follower replay the
+// log with: one commit stamp, and one log frame for each table written. A
+// crash therefore keeps a one-table transaction whole or drops it, but can
+// keep one table's part of a multi-table transaction without the others'.
 package txn
 
 import (
@@ -317,8 +323,8 @@ type CommitInfo struct {
 	EnrichmentStaleness uint64
 }
 
-// Commit validates and installs the write set atomically (one commit
-// stamp). Read-only Snapshot transactions with semantic reads still
+// Commit validates the write set and installs it under one commit stamp.
+// Read-only Snapshot transactions with semantic reads still
 // validate enrichment phantoms: repeatable reads are the point.
 func (t *Txn) Commit() (CommitInfo, error) {
 	if t.done {
@@ -343,11 +349,11 @@ func (t *Txn) Commit() (CommitInfo, error) {
 		}
 	}
 
-	// First-committer-wins over the write set.
+	// First-committer-wins over the write set, which then installs by the
+	// store's one commit rule: one tracked stamp, so a concurrent checkpoint
+	// waits for all of it, and one log frame a table.
+	ws := make([]storage.Write, 0, len(t.writes))
 	for k, op := range t.writes {
-		if op.isInsert {
-			continue
-		}
 		tb, ok := m.store.Table(k.table)
 		if !ok {
 			return CommitInfo{}, fmt.Errorf("txn: table %q vanished", k.table)
@@ -357,40 +363,11 @@ func (t *Txn) Commit() (CommitInfo, error) {
 			return CommitInfo{}, fmt.Errorf("%w: row %d in %q modified at CSN %d (snapshot %d)",
 				ErrConflict, k.id, k.table, last, t.readCSN)
 		}
+		ws = append(ws, storage.Write{Table: tb, ID: k.id, Rec: op.rec, Insert: op.isInsert})
 	}
-
-	// Install under one stamp. The stamp is tracked (BeginCommit) so a
-	// concurrent checkpoint waits for the whole write set to install
-	// before snapshotting at or above it.
-	csn := m.store.BeginCommit()
-	defer m.store.EndCommit(csn)
-	for _, k := range t.inserted {
-		op, ok := t.writes[k]
-		if !ok || !op.isInsert || op.rec == nil {
-			continue
-		}
-		tb, err := m.store.EnsureTable(k.table)
-		if err != nil {
-			return CommitInfo{}, err
-		}
-		if err := tb.InsertReservedAt(k.id, op.rec, csn); err != nil {
-			return CommitInfo{}, err
-		}
-	}
-	for k, op := range t.writes {
-		if op.isInsert {
-			continue
-		}
-		tb, _ := m.store.Table(k.table)
-		var err error
-		if op.rec == nil {
-			err = tb.DeleteAt(k.id, csn)
-		} else {
-			err = tb.UpdateAt(k.id, op.rec, csn)
-		}
-		if err != nil {
-			return CommitInfo{}, err
-		}
+	csn, err := m.store.Commit(ws)
+	if err != nil {
+		return CommitInfo{}, err
 	}
 	m.stats.Commits++
 	return CommitInfo{CSN: csn, EnrichmentStaleness: staleness}, nil

@@ -2,6 +2,8 @@ package txn
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,6 +28,18 @@ func setup(t *testing.T) (*storage.Store, *Manager, *atomic.Uint64) {
 }
 
 func rec(v int) model.Record { return model.Record{"v": model.Int(int64(v))} }
+
+// insert and update write one row outside any transaction, each a
+// one-row write set of its own.
+func insert(tb *storage.Table, r model.Record) (storage.RowID, error) {
+	ids, err := tb.InsertBatch([]model.Record{r})
+	return ids[0], err
+}
+
+func update(s *storage.Store, tb *storage.Table, id storage.RowID, r model.Record) error {
+	_, err := s.Commit([]storage.Write{{Table: tb, ID: id, Rec: r}})
+	return err
+}
 
 func TestCommitInsertVisible(t *testing.T) {
 	s, m, _ := setup(t)
@@ -52,11 +66,11 @@ func TestCommitInsertVisible(t *testing.T) {
 func TestSnapshotReads(t *testing.T) {
 	s, m, _ := setup(t)
 	tb, _ := s.Table("t")
-	id, _ := tb.Insert(rec(1))
+	id, _ := insert(tb, rec(1))
 
 	tx := m.Begin(Snapshot)
 	// Concurrent direct write after the snapshot.
-	tb.Update(id, rec(2))
+	update(s, tb, id, rec(2))
 	got, ok, err := tx.Get("t", id)
 	if err != nil || !ok {
 		t.Fatal(err)
@@ -70,7 +84,7 @@ func TestSnapshotReads(t *testing.T) {
 func TestReadYourOwnWrites(t *testing.T) {
 	s, m, _ := setup(t)
 	tb, _ := s.Table("t")
-	id, _ := tb.Insert(rec(1))
+	id, _ := insert(tb, rec(1))
 
 	tx := m.Begin(Snapshot)
 	tx.Update("t", id, rec(5))
@@ -108,7 +122,7 @@ func TestReadYourOwnWrites(t *testing.T) {
 func TestFirstCommitterWins(t *testing.T) {
 	s, m, _ := setup(t)
 	tb, _ := s.Table("t")
-	id, _ := tb.Insert(rec(1))
+	id, _ := insert(tb, rec(1))
 
 	t1 := m.Begin(Snapshot)
 	t2 := m.Begin(Snapshot)
@@ -132,8 +146,8 @@ func TestFirstCommitterWins(t *testing.T) {
 func TestNoConflictOnDisjointRows(t *testing.T) {
 	s, m, _ := setup(t)
 	tb, _ := s.Table("t")
-	id1, _ := tb.Insert(rec(1))
-	id2, _ := tb.Insert(rec(2))
+	id1, _ := insert(tb, rec(1))
+	id2, _ := insert(tb, rec(2))
 
 	t1 := m.Begin(Snapshot)
 	t2 := m.Begin(Snapshot)
@@ -270,12 +284,12 @@ func TestAtomicCommitStamp(t *testing.T) {
 func TestOldestSnapshotGuardsVacuum(t *testing.T) {
 	s, m, _ := setup(t)
 	tb, _ := s.Table("t")
-	id, _ := tb.Insert(rec(1))
+	id, _ := insert(tb, rec(1))
 
 	// A reader opens at v=1; concurrent updates pile up versions.
 	reader := m.Begin(Snapshot)
-	tb.Update(id, rec(2))
-	tb.Update(id, rec(3))
+	update(s, tb, id, rec(2))
+	update(s, tb, id, rec(3))
 
 	// Vacuuming at the manager's horizon must keep the reader's version.
 	removed := tb.Vacuum(m.OldestSnapshot())
@@ -331,7 +345,7 @@ func TestInsertIDStableAcrossCommit(t *testing.T) {
 func TestConcurrentWritersSerialize(t *testing.T) {
 	s, m, _ := setup(t)
 	tb, _ := s.Table("t")
-	id, _ := tb.Insert(rec(0))
+	id, _ := insert(tb, rec(0))
 
 	const writers = 8
 	var wg sync.WaitGroup
@@ -370,4 +384,118 @@ func TestConcurrentWritersSerialize(t *testing.T) {
 	if int64(st.Commits) != commits.Load() || int64(st.WriteConflicts) != conflicts.Load() {
 		t.Errorf("stats %+v vs local %d/%d", st, commits.Load(), conflicts.Load())
 	}
+}
+
+// TestTxnCommitIsOneFrame: a transaction's write set installs by the store's
+// one commit rule, under one stamp with one log frame a table, so a crash
+// keeps a table's part of it whole or not at all, and a commit pays one
+// sync-policy wait a table rather than one a row.
+func TestTxnCommitIsOneFrame(t *testing.T) {
+	open := func(t *testing.T, dir string, tables ...string) (*storage.Store, *Manager, map[string][]storage.RowID) {
+		t.Helper()
+		s, err := storage.OpenOptions(dir, storage.Options{Sync: storage.SyncAlways, CheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := map[string][]storage.RowID{}
+		for _, name := range tables {
+			tb, err := s.CreateTable(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := make([]model.Record, 10)
+			for i := range recs {
+				recs[i] = rec(i)
+			}
+			if ids[name], err = tb.InsertBatch(recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, NewManager(s, nil), ids
+	}
+	commit := func(t *testing.T, m *Manager, rows map[string][]storage.RowID, n int) {
+		t.Helper()
+		tx := m.Begin(Snapshot)
+		for table, ids := range rows {
+			for _, id := range ids[:n] {
+				if err := tx.Update(table, id, rec(100+int(id))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("every cut keeps both rows or neither", func(t *testing.T) {
+		dir := t.TempDir()
+		s, m, ids := open(t, dir, "t")
+		segs, err := filepath.Glob(filepath.Join(dir, "scdb.wal.*"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("segments %v: %v", segs, err)
+		}
+		before, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		commit(t, m, ids, 2)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		log, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn := 0
+		for cut := len(before); cut <= len(log); cut++ {
+			crash := t.TempDir()
+			if err := os.WriteFile(filepath.Join(crash, filepath.Base(segs[0])), log[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := storage.Open(crash)
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			tb, _ := re.Table("t")
+			updated := 0
+			for _, id := range ids["t"][:2] {
+				if r, _ := tb.Get(id); model.Equal(r["v"], model.Int(100+int64(id))) {
+					updated++
+				}
+			}
+			re.Close()
+			if updated == 1 || (cut == len(log) && updated != 2) {
+				torn++
+			}
+		}
+		if torn > 0 {
+			t.Errorf("%d of %d cuts of the commit reopen with a partial write set", torn, len(log)-len(before)+1)
+		}
+	})
+
+	t.Run("ten rows cost one frame and one fsync", func(t *testing.T) {
+		s, m, ids := open(t, t.TempDir(), "t")
+		defer s.Close()
+		w0 := s.WALStats()
+		commit(t, m, ids, 10)
+		w1 := s.WALStats()
+		if frames, fsyncs := w1.Frames-w0.Frames, w1.Fsyncs-w0.Fsyncs; frames != 1 || fsyncs != 1 {
+			t.Errorf("a 10-row commit wrote %d frames and %d fsyncs, want 1 and 1", frames, fsyncs)
+		}
+	})
+
+	// A frame names one table, and one frame across tables would be a new
+	// log format: a two-table write set logs a frame a table, and a crash
+	// between them can keep one table's part without the other's.
+	t.Run("one frame a table", func(t *testing.T) {
+		s, m, ids := open(t, t.TempDir(), "a", "b")
+		defer s.Close()
+		w0 := s.WALStats()
+		commit(t, m, ids, 3)
+		w1 := s.WALStats()
+		if frames := w1.Frames - w0.Frames; frames != 2 {
+			t.Errorf("a commit over two tables wrote %d frames, want 2", frames)
+		}
+	})
 }
