@@ -235,7 +235,8 @@ type QueryInfo struct {
 	CacheHit bool
 	// PlanCached reports whether the optimized plan was reused from the
 	// plan cache (parsing and optimization skipped; the statement still
-	// executed, unlike CacheHit).
+	// executed, unlike CacheHit). Statements that differ only in comparison
+	// literals (name = 'x', slot >= 10) share a plan.
 	PlanCached bool
 	// EstimatedCost is the optimizer's work estimate for the plan.
 	EstimatedCost float64

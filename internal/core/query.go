@@ -30,9 +30,10 @@ type QueryInfo struct {
 	EstimatedCost    float64
 	EstimatedMorsels int
 	CacheHit         bool
-	// PlanCached reports that lex/parse/optimize was skipped because the
-	// plan cache held this statement at the current schema and ontology
-	// versions (the statement still executed, unlike CacheHit).
+	// PlanCached reports that parse/optimize was skipped because the plan
+	// cache held this statement's shape at the current schema and ontology
+	// versions: the statement bound its literals to that plan and still
+	// executed, unlike CacheHit.
 	PlanCached    bool
 	Mode          query.AnswerMode
 	OperatorStats *query.OpStats
@@ -121,21 +122,22 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	info := &QueryInfo{}
 	planStart := time.Now()
 
-	// Plan-cache probe before any lexing: the key is the raw statement
-	// text plus the schema and ontology versions, so a hit means the
-	// cached statement and optimized plan are still valid verbatim.
-	// EXPLAIN statements are never cached, so they can't hit either.
+	// Plan-cache probe: one lexer pass cuts the statement's shape, the key,
+	// and the values of its lifted literals, the arguments this execution
+	// binds. EXPLAIN statements are never cached, so they can't hit either.
 	var stmt *query.SelectStmt
 	var plan query.Node
-	// key is the statement's canonical text, the materialization-cache key;
-	// a plan-cache hit carries it, so only a miss renders the statement.
-	var key string
 	// system marks a statement over system relations: its rows are built
 	// per statement, so the materialization cache never holds them.
 	var system bool
-	pk := planKey{src: src, schema: db.store.SchemaVersion(), onto: db.onto.Version()}
+	var keyBuf [256]byte
+	var argBuf [8]model.Value
+	pk, args, err := planKey(keyBuf[:0], argBuf[:0], db.store.SchemaVersion(), db.onto.Version(), src)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	if ent, ok := db.plans.get(pk); ok {
-		stmt, plan, key, system = ent.stmt, ent.plan, ent.key, ent.system
+		stmt, plan, system = ent.stmt, ent.plan, ent.system
 		info.Plan = ent.planText
 		info.Rules = ent.rules
 		info.EstimatedCost = ent.cost
@@ -143,15 +145,13 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 		info.PlanCached = true
 	}
 	if stmt == nil {
-		var err error
-		stmt, err = query.Parse(src)
-		if err != nil {
+		if stmt, err = query.ParseShape(src); err != nil {
 			return nil, nil, nil, err
 		}
 		if stmt.Curate != nil {
 			return nil, nil, stmt, nil
 		}
-		key, system = stmt.String(), readsSystem(stmt)
+		system = readsSystem(stmt)
 	}
 	if system && sys == nil && (stmt.Analyze || !stmt.Explain) {
 		return nil, nil, stmt, nil
@@ -174,7 +174,12 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	// Traced statements always execute: a materialization-cache hit would
 	// short-circuit the very work the trace is meant to expose. (They may
 	// still hit the plan cache — the trace reports that as plan_cached.)
-	if !stmt.Explain && !stmt.Trace && !system && !db.opts.DisableMatCache {
+	// The materialization-cache key is the statement's canonical text with
+	// this execution's values.
+	var key string
+	matCached := !stmt.Explain && !stmt.Trace && !system && !db.opts.DisableMatCache
+	if matCached {
+		key = stmt.StringWith(args)
 		if v, ok := db.matCache.Get(key); ok {
 			info.CacheHit = true
 			res := v.(*query.Result)
@@ -187,11 +192,11 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 		}
 	}
 	env := &queryEnv{db: db, ctx: ctx, mode: stmt.Mode, fuzzyT: stmt.FuzzyThreshold, sys: sys}
+	env.args = append(env.argBuf[:0], args...)
 	if plan == nil {
 		if err := checkCalls(stmt); err != nil {
 			return nil, nil, nil, err
 		}
-		var err error
 		plan, err = query.BuildPlan(stmt, env)
 		if err != nil {
 			return nil, nil, nil, err
@@ -208,8 +213,8 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 			// Plans and statements are immutable after optimization, so the
 			// cached entry can serve concurrent executions. Only a TRACE
 			// entry carries plan text and rules.
-			db.plans.put(pk, &planEntry{
-				stmt: stmt, key: key, plan: plan, planText: info.Plan, rules: info.Rules,
+			db.plans.put(string(pk), &planEntry{
+				stmt: stmt, plan: plan, planText: info.Plan, rules: info.Rules,
 				cost: info.EstimatedCost, morsels: info.EstimatedMorsels, system: system,
 			})
 		}
@@ -232,6 +237,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	}
 	execSpan := root.Child("execute")
 	opts := db.execOptions(ctx, stmt)
+	opts.Args = env.args
 	// Plain statements stream straight off the executor; EXPLAIN ANALYZE
 	// and TRACE answer with rendered text, so they materialize as before
 	// and stream that text instead.
@@ -267,7 +273,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	if stream {
 		res.Rows = streamed
 	}
-	if !system && !db.opts.DisableMatCache {
+	if matCached {
 		db.matCache.Put(key, res, info.EstimatedCost)
 	}
 	return res, info, nil, nil
@@ -362,6 +368,10 @@ type queryEnv struct {
 	fuzzyT float64
 	// sys holds the rows of the system relations the statement reads.
 	sys query.Relations
+	// args are the values the statement's Params bind, kept in argBuf when
+	// they fit, so binding allocates nothing of its own.
+	args   []model.Value
+	argBuf [4]model.Value
 
 	namesMu sync.Mutex
 	names   map[string]model.EntityID
@@ -437,7 +447,7 @@ func (e *queryEnv) ScanTable(name string, zone []query.ZoneConjunct, size int) (
 	}
 	preds := make([]storage.ZonePred, len(zone))
 	for i, z := range zone {
-		preds[i] = storage.ZonePred(z)
+		preds[i] = storage.ZonePred{Attr: z.Attr, Op: z.Op, Val: z.Val, Vals: z.Vals}
 	}
 	return &tableCursor{t.ScanWhere(e.db.store.Now(), preds, storage.ScanOptions{
 		NoPrune: e.db.opts.DisableZonePruning,

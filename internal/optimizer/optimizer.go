@@ -349,12 +349,21 @@ func isaPred(e query.Expr) (arg string, concept string, ok bool) {
 	return c.Args[0].String(), s, true
 }
 
-// conjuncts flattens an AND tree.
-func conjuncts(e query.Expr) []query.Expr {
+// conjuncts appends the conjuncts of an AND tree to dst, left to right.
+func conjuncts(dst []query.Expr, e query.Expr) []query.Expr {
 	if b, ok := e.(*query.Binary); ok && b.Op == "AND" {
-		return append(conjuncts(b.L), conjuncts(b.R)...)
+		return conjuncts(conjuncts(dst, b.L), b.R)
 	}
-	return []query.Expr{e}
+	return append(dst, e)
+}
+
+// selectivity multiplies sel by each conjunct's selectivity, left to right,
+// walking the AND tree without flattening it.
+func selectivity(sel float64, e query.Expr, opts Options) float64 {
+	if b, ok := e.(*query.Binary); ok && b.Op == "AND" {
+		return selectivity(selectivity(sel, b.L, opts), b.R, opts)
+	}
+	return sel * conjunctSelectivity(e, opts)
 }
 
 // conjoin rebuilds an AND tree (nil for the empty set).
@@ -373,7 +382,7 @@ func semanticRewrite(n query.Node, sem Semantics, rep *Report) query.Node {
 	switch n := n.(type) {
 	case *query.FilterNode:
 		input := semanticRewrite(n.Input, sem, rep)
-		cs := conjuncts(n.Pred)
+		cs := conjuncts(nil, n.Pred)
 
 		// Group ISA conjuncts by argument.
 		type isaGroup struct {
@@ -573,7 +582,7 @@ func pushDownFilters(n query.Node, rep *Report) query.Node {
 		}
 		lb, rb := bindingsOf(join.L), bindingsOf(join.R)
 		var toL, toR, stay []query.Expr
-		for _, c := range conjuncts(n.Pred) {
+		for _, c := range conjuncts(nil, n.Pred) {
 			bs, known := exprBindings(c)
 			switch {
 			case known && len(bs) > 0 && subset(bs, lb):
@@ -624,7 +633,9 @@ func pushDownFilters(n query.Node, rep *Report) query.Node {
 // col OP literal (either orientation) or col IN (literals). Null literals
 // are excluded for comparisons — they never evaluate True — but tolerated
 // inside IN lists (they can only widen the answer to Unknown, never add a
-// row, so storage may refute them freely).
+// row, so storage may refute them freely). A Param is a literal that is
+// never null (only a string or a number is lifted); the scan binds its
+// value.
 func zoneConjunct(e query.Expr, binding string) (query.ZoneConjunct, bool) {
 	colOf := func(x query.Expr) (string, bool) {
 		c, ok := x.(*query.ColRef)
@@ -633,27 +644,29 @@ func zoneConjunct(e query.Expr, binding string) (query.ZoneConjunct, bool) {
 		}
 		return c.Name, true
 	}
-	litOf := func(x query.Expr) (model.Value, bool) {
-		l, ok := x.(*query.Literal)
-		if !ok || l.Val.IsNull() {
-			return model.Value{}, false
+	litOf := func(x query.Expr) (model.Value, *query.Param, bool) {
+		switch l := x.(type) {
+		case *query.Literal:
+			return l.Val, nil, !l.Val.IsNull()
+		case *query.Param:
+			return model.Value{}, l, true
 		}
-		return l.Val, true
+		return model.Value{}, nil, false
 	}
 	switch e := e.(type) {
 	case *query.Binary:
-		flip := map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-		if _, sargable := flip[e.Op]; !sargable {
+		flipped, sargable := flip(e.Op)
+		if !sargable {
 			return query.ZoneConjunct{}, false
 		}
 		if col, ok := colOf(e.L); ok {
-			if v, ok := litOf(e.R); ok {
-				return query.ZoneConjunct{Attr: col, Op: e.Op, Val: v}, true
+			if v, p, ok := litOf(e.R); ok {
+				return query.ZoneConjunct{Attr: col, Op: e.Op, Val: v, Param: p}, true
 			}
 		}
 		if col, ok := colOf(e.R); ok {
-			if v, ok := litOf(e.L); ok {
-				return query.ZoneConjunct{Attr: col, Op: flip[e.Op], Val: v}, true
+			if v, p, ok := litOf(e.L); ok {
+				return query.ZoneConjunct{Attr: col, Op: flipped, Val: v, Param: p}, true
 			}
 		}
 	case *query.InList:
@@ -662,6 +675,24 @@ func zoneConjunct(e query.Expr, binding string) (query.ZoneConjunct, bool) {
 		}
 	}
 	return query.ZoneConjunct{}, false
+}
+
+// flip returns a sargable comparison with its operands swapped (a < b is
+// b > a); any other operator is not sargable.
+func flip(op string) (string, bool) {
+	switch op {
+	case "=":
+		return "=", true
+	case "<":
+		return ">", true
+	case "<=":
+		return ">=", true
+	case ">":
+		return "<", true
+	case ">=":
+		return "<=", true
+	}
+	return "", false
 }
 
 // pushScanPredicates fuses Filter-over-Scan into an IndexScanNode whenever
@@ -676,7 +707,7 @@ func pushScanPredicates(n query.Node, rep *Report) query.Node {
 		// A function's rows are computed, not stored: no access path to pick.
 		if scan, ok := input.(*query.ScanNode); ok && !scan.Call {
 			var zone []query.ZoneConjunct
-			for _, c := range conjuncts(n.Pred) {
+			for _, c := range conjuncts(nil, n.Pred) {
 				if zc, ok := zoneConjunct(c, scan.Binding); ok {
 					zone = append(zone, zc)
 					if rep.explain {
@@ -754,11 +785,7 @@ func EstimateCard(n query.Node, opts Options) int {
 		if opts.Stats != nil {
 			in = opts.Stats.TableCard(n.Table)
 		}
-		sel := 1.0
-		for _, c := range conjuncts(n.Pred) {
-			sel *= conjunctSelectivity(c, opts)
-		}
-		est := int(float64(in) * sel)
+		est := int(float64(in) * selectivity(1, n.Pred, opts))
 		if est < 1 && in > 0 {
 			est = 1
 		}
@@ -777,11 +804,7 @@ func EstimateCard(n query.Node, opts Options) int {
 		return 0
 	case *query.FilterNode:
 		in := EstimateCard(n.Input, opts)
-		sel := 1.0
-		for _, c := range conjuncts(n.Pred) {
-			sel *= conjunctSelectivity(c, opts)
-		}
-		est := int(float64(in) * sel)
+		est := int(float64(in) * selectivity(1, n.Pred, opts))
 		if est < 1 && in > 0 {
 			est = 1
 		}

@@ -28,7 +28,7 @@ type Literal struct {
 	Val model.Value
 }
 
-func (l *Literal) String() string { return exprString(l) }
+func (l *Literal) String() string { return exprString(l, nil) }
 
 // writeValue renders a value in SCQL literal syntax (single-quoted strings
 // with a quote escaped by doubling it); other kinds use their natural
@@ -60,12 +60,7 @@ type ColRef struct {
 	Name    string
 }
 
-func (c *ColRef) String() string {
-	if c.Binding == "" && isPlainIdent(c.Name) {
-		return c.Name
-	}
-	return exprString(c)
-}
+func (c *ColRef) String() string { return exprString(c, nil) }
 
 // Unary is -x or NOT x.
 type Unary struct {
@@ -73,7 +68,7 @@ type Unary struct {
 	X  Expr
 }
 
-func (u *Unary) String() string { return exprString(u) }
+func (u *Unary) String() string { return exprString(u, nil) }
 
 // Binary is a binary operation: arithmetic (+ - * /), comparison
 // (= != < <= > >=), or logical (AND OR).
@@ -82,7 +77,7 @@ type Binary struct {
 	L, R Expr
 }
 
-func (b *Binary) String() string { return exprString(b) }
+func (b *Binary) String() string { return exprString(b, nil) }
 
 // IsNull is "x IS NULL" (or IS NOT NULL when Negate).
 type IsNull struct {
@@ -90,7 +85,7 @@ type IsNull struct {
 	Negate bool
 }
 
-func (i *IsNull) String() string { return exprString(i) }
+func (i *IsNull) String() string { return exprString(i, nil) }
 
 // InList is "x IN (v1, v2, ...)".
 type InList struct {
@@ -98,7 +93,7 @@ type InList struct {
 	Vals []model.Value
 }
 
-func (i *InList) String() string { return exprString(i) }
+func (i *InList) String() string { return exprString(i, nil) }
 
 // Like is "x LIKE pattern" with % and _ wildcards.
 type Like struct {
@@ -106,7 +101,7 @@ type Like struct {
 	Pattern string
 }
 
-func (l *Like) String() string { return exprString(l) }
+func (l *Like) String() string { return exprString(l, nil) }
 
 // Call is a function call: aggregates (COUNT, SUM, AVG, MIN, MAX) and the
 // semantic/graph builtins (ISA, REACHES, LINKED, CLOSE, TYPES).
@@ -116,23 +111,46 @@ type Call struct {
 	Star bool // COUNT(*)
 }
 
-func (c *Call) String() string { return exprString(c) }
+func (c *Call) String() string { return exprString(c, nil) }
 
-// exprString renders one expression through writeExpr.
-func exprString(e Expr) string {
+// Param is a comparison literal the plan cache lifted out of a statement's
+// text (ParseShape): slot Index of the values an execution binds
+// (ExecOptions.Args). Val is the literal of the text that was parsed, which
+// the expression renders as when no values are bound, so a message about
+// that text reads as Parse's would.
+type Param struct {
+	Index int
+	Val   model.Value
+}
+
+func (p *Param) String() string { return exprString(p, nil) }
+
+// exprString renders one expression through writeExpr; a plain column
+// name is its own rendering.
+func exprString(e Expr, args []model.Value) string {
+	if c, ok := e.(*ColRef); ok && c.Binding == "" && isPlainIdent(c.Name) {
+		return c.Name
+	}
 	var b strings.Builder
-	writeExpr(&b, e)
+	writeExpr(&b, e, args)
 	return b.String()
 }
 
 // writeExpr renders an expression's canonical text into b: every operator
 // application parenthesized, names quoted where they would not lex back as
-// plain identifiers, literals in SCQL syntax. The statement text it builds
-// is the materialization-cache key, so its bytes must not change.
-func writeExpr(b *strings.Builder, e Expr) {
+// plain identifiers, literals in SCQL syntax, and each Param as its bound
+// value, args[Index] (its own Val when args is nil). The statement text it
+// builds is the materialization-cache key, so its bytes must not change.
+func writeExpr(b *strings.Builder, e Expr, args []model.Value) {
 	switch e := e.(type) {
 	case *Literal:
 		writeValue(b, e.Val)
+	case *Param:
+		if args == nil {
+			writeValue(b, e.Val)
+		} else {
+			writeValue(b, args[e.Index])
+		}
 	case *ColRef:
 		if e.Binding != "" {
 			writeName(b, e.Binding)
@@ -143,19 +161,19 @@ func writeExpr(b *strings.Builder, e Expr) {
 		b.WriteByte('(')
 		b.WriteString(e.Op)
 		b.WriteByte(' ')
-		writeExpr(b, e.X)
+		writeExpr(b, e.X, args)
 		b.WriteByte(')')
 	case *Binary:
 		b.WriteByte('(')
-		writeExpr(b, e.L)
+		writeExpr(b, e.L, args)
 		b.WriteByte(' ')
 		b.WriteString(e.Op)
 		b.WriteByte(' ')
-		writeExpr(b, e.R)
+		writeExpr(b, e.R, args)
 		b.WriteByte(')')
 	case *IsNull:
 		b.WriteByte('(')
-		writeExpr(b, e.X)
+		writeExpr(b, e.X, args)
 		if e.Negate {
 			b.WriteString(" IS NOT NULL)")
 		} else {
@@ -163,13 +181,13 @@ func writeExpr(b *strings.Builder, e Expr) {
 		}
 	case *InList:
 		b.WriteByte('(')
-		writeExpr(b, e.X)
+		writeExpr(b, e.X, args)
 		b.WriteString(" IN (")
 		writeValues(b, e.Vals)
 		b.WriteString("))")
 	case *Like:
 		b.WriteByte('(')
-		writeExpr(b, e.X)
+		writeExpr(b, e.X, args)
 		b.WriteString(" LIKE ")
 		writeValue(b, model.String(e.Pattern))
 		b.WriteByte(')')
@@ -184,7 +202,7 @@ func writeExpr(b *strings.Builder, e Expr) {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			writeExpr(b, a)
+			writeExpr(b, a, args)
 		}
 		b.WriteByte(')')
 	default:
@@ -199,11 +217,15 @@ type SelectItem struct {
 }
 
 // Label returns the output column name.
-func (s SelectItem) Label() string {
+func (s SelectItem) Label() string { return s.label(nil) }
+
+// label is Label with each Param written as args[Index], the name an
+// execution binding args gives the column.
+func (s SelectItem) label(args []model.Value) string {
 	if s.Alias != "" {
 		return s.Alias
 	}
-	return s.Expr.String()
+	return exprString(s.Expr, args)
 }
 
 // TableRef names a FROM or JOIN source with an optional alias. A bare name
@@ -366,7 +388,12 @@ func (s *SelectStmt) Sources() []TableRef {
 // the refinement engine, which manipulates statements programmatically).
 // The text is the materialization-cache key: two spellings of one
 // statement render alike.
-func (s *SelectStmt) String() string {
+func (s *SelectStmt) String() string { return s.StringWith(nil) }
+
+// StringWith is String with each Param written as args[Index], the values
+// one execution binds: a statement of ParseShape renders the key String
+// renders for Parse's statement of the text those values came from.
+func (s *SelectStmt) StringWith(args []model.Value) string {
 	if s.Curate != nil {
 		return s.Curate.String()
 	}
@@ -392,7 +419,7 @@ func (s *SelectStmt) String() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			writeExpr(&b, it.Expr)
+			writeExpr(&b, it.Expr, args)
 			if it.Alias != "" {
 				b.WriteString(" AS ")
 				writeName(&b, it.Alias)
@@ -405,11 +432,11 @@ func (s *SelectStmt) String() string {
 		b.WriteString(" JOIN ")
 		writeTable(&b, j.Table)
 		b.WriteString(" ON ")
-		writeExpr(&b, j.On)
+		writeExpr(&b, j.On, args)
 	}
 	if s.Where != nil {
 		b.WriteString(" WHERE ")
-		writeExpr(&b, s.Where)
+		writeExpr(&b, s.Where, args)
 	}
 	for i, g := range s.GroupBy {
 		if i == 0 {
@@ -417,11 +444,11 @@ func (s *SelectStmt) String() string {
 		} else {
 			b.WriteString(", ")
 		}
-		writeExpr(&b, g)
+		writeExpr(&b, g, args)
 	}
 	if s.Having != nil {
 		b.WriteString(" HAVING ")
-		writeExpr(&b, s.Having)
+		writeExpr(&b, s.Having, args)
 	}
 	for i, o := range s.OrderBy {
 		if i == 0 {
@@ -429,7 +456,7 @@ func (s *SelectStmt) String() string {
 		} else {
 			b.WriteString(", ")
 		}
-		writeExpr(&b, o.Expr)
+		writeExpr(&b, o.Expr, args)
 		if o.Desc {
 			b.WriteString(" DESC")
 		}

@@ -218,6 +218,7 @@ func (r Row) Lookup(binding, name string) (model.Value, error) {
 type evalCtx struct {
 	env      Env
 	semantic bool
+	args     []model.Value // the values of the plan's Params
 }
 
 // holds reports whether pred is true of r: false and unknown both fail it.
@@ -257,6 +258,8 @@ func (c *evalCtx) Eval(e Expr, row Row) (model.Value, error) {
 	switch e := e.(type) {
 	case *Literal:
 		return e.Val, nil
+	case *Param:
+		return c.args[e.Index], nil
 	case *ColRef:
 		return row.Lookup(e.Binding, e.Name)
 	case *Unary:

@@ -29,6 +29,9 @@ type ZoneConjunct struct {
 	Op   string // "=", "<", "<=", ">", ">=", "in"
 	Val  model.Value
 	Vals []model.Value // for "in"
+	// Param, when set, is the statement parameter Val stands for: the scan
+	// binds its value at execution.
+	Param *Param
 }
 
 // PushedScanInfo reports what a pushed-down scan did: the index it chose
@@ -65,6 +68,8 @@ type ExecOptions struct {
 	// union the columns, then emitted in morsel-size chunks. Emitted row
 	// slices must not be mutated by the sink.
 	EmitBatch func(cols []string, batch [][]model.Value) bool
+	// Args are the values of the plan's Params, by slot (AppendShape).
+	Args []model.Value
 }
 
 // ErrEmitStopped reports that an EmitBatch sink returned false: the query
@@ -106,7 +111,7 @@ func ExecuteOpts(n Node, env Env, opts ExecOptions) (*Result, *OpStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	x := &execCtx{ev: evalCtx{env: env, semantic: opts.Semantic}, workers: workers, size: size, ctx: ctx}
+	x := &execCtx{ev: evalCtx{env: env, semantic: opts.Semantic, args: opts.Args}, workers: workers, size: size, ctx: ctx}
 	s, cols, st, err := x.build(n)
 	if err != nil {
 		x.wg.Wait()
@@ -322,7 +327,7 @@ func (o *scanOp) process(m morsel) (morsel, error) {
 // conjuncts) and binds it; the scan's stats record what a pushed-down scan
 // did.
 func (x *execCtx) buildScan(n Node, table, binding string, zone []ZoneConjunct, pred Expr) (stream, []string, *OpStats, error) {
-	cur, found := x.ev.env.ScanTable(table, zone, x.size)
+	cur, found := x.ev.env.ScanTable(table, bindZone(zone, x.ev.args), x.size)
 	if !found {
 		return nil, nil, nil, fmt.Errorf("query: unknown table %q", table)
 	}
@@ -330,6 +335,25 @@ func (x *execCtx) buildScan(n Node, table, binding string, zone []ZoneConjunct, 
 	st.ShowPruned = pred != nil
 	st.IndexName = cur.Info().Index
 	return x.newScanOp(cur, binding, pred, st), nil, st, nil
+}
+
+// bindZone returns zone with each Param's value, args[Index], in Val. A
+// plan is shared by every execution of its shape, so a zone holding a Param
+// is bound in a copy.
+func bindZone(zone []ZoneConjunct, args []model.Value) []ZoneConjunct {
+	var bound []ZoneConjunct
+	for i, z := range zone {
+		if z.Param != nil {
+			if bound == nil {
+				bound = slices.Clone(zone)
+			}
+			bound[i].Val, bound[i].Param = args[z.Param.Index], nil
+		}
+	}
+	if bound == nil {
+		return zone
+	}
+	return bound
 }
 
 func (x *execCtx) buildConceptScan(n *ConceptScanNode) (stream, []string, *OpStats, error) {
@@ -424,7 +448,7 @@ func (x *execCtx) buildProject(n *ProjectNode) (stream, []string, *OpStats, erro
 	}
 	cols := make([]string, len(n.Items))
 	for i, it := range n.Items {
-		cols[i] = it.Label()
+		cols[i] = it.label(x.ev.args)
 	}
 	o := &projectOp{sh: rowShape{cols: cols}, items: n.Items, st: st}
 	o.init(x, in, o)
@@ -1148,9 +1172,9 @@ func mergeGroups(partials []*groupTable, calls []*Call) *groupTable {
 // collectAggCalls gathers the distinct aggregate calls that finalization
 // will need states for, wherever ContainsAggregate finds them, and maps
 // every such Call node of the items and HAVING to its call's state index:
-// calls spelled alike share one state, and finalization looks a node up
-// without rendering it.
-func collectAggCalls(n *AggregateNode) ([]*Call, map[*Call]int) {
+// calls spelled alike, with their Params bound to args, share one state,
+// and finalization looks a node up without rendering it.
+func collectAggCalls(n *AggregateNode, args []model.Value) ([]*Call, map[*Call]int) {
 	var calls []*Call
 	byText := map[string]int{}
 	idx := map[*Call]int{}
@@ -1159,7 +1183,7 @@ func collectAggCalls(n *AggregateNode) ([]*Call, map[*Call]int) {
 		if !ok || !aggFuncs[c.Name] {
 			return nil, nil
 		}
-		text := c.String()
+		text := exprString(c, args)
 		i, seen := byText[text]
 		if !seen {
 			i = len(calls)
@@ -1287,9 +1311,9 @@ func (x *execCtx) buildAggregate(n *AggregateNode) (stream, []string, *OpStats, 
 	st := newOpStats(n, cst)
 	cols := make([]string, len(n.Items))
 	for i, it := range n.Items {
-		cols[i] = it.Label()
+		cols[i] = it.label(x.ev.args)
 	}
-	calls, callIdx := collectAggCalls(n)
+	calls, callIdx := collectAggCalls(n, x.ev.args)
 
 	// Phase 1: per-morsel partial grouping.
 	g := &groupOp{n: n, calls: calls, st: st}

@@ -92,8 +92,11 @@ func runeText(s string) string {
 // of src except for keywords (their canonical spelling), string literals
 // holding a doubled quote, and literals or quoted names holding invalid
 // UTF-8. Positions count runes, not bytes.
-func lex(src string) ([]token, error) {
-	toks := make([]token, 0, len(src)/4+2)
+func lex(src string) ([]token, error) { return lexAppend(make([]token, 0, len(src)/4+2), src) }
+
+// lexAppend is lex appending to toks, so a caller may lex into a buffer of
+// its own.
+func lexAppend(toks []token, src string) ([]token, error) {
 	i, pos := 0, 0 // byte and rune offsets of the same point
 	for i < len(src) {
 		r, w := runeAt(src, i)

@@ -10,12 +10,16 @@ import (
 
 // Parse parses one SCQL statement: a SELECT, or a curation statement
 // (INSERT INTO, ADD AXIOMS, REFRESH RICHNESS).
-func Parse(src string) (*SelectStmt, error) {
+func Parse(src string) (*SelectStmt, error) { return parse(src, false) }
+
+// parse is Parse, with each lifted literal (liftedValue) a Param when lift
+// is set and the statement does not render its plan.
+func parse(src string, lift bool) (*SelectStmt, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
+	p := &parser{toks: toks, src: src, lift: lift && !renders(toks)}
 	trace := p.accept(tokKeyword, "TRACE")
 	explain, analyze := false, false
 	if p.accept(tokKeyword, "EXPLAIN") {
@@ -51,6 +55,10 @@ type parser struct {
 	toks []token
 	pos  int
 	src  string
+	// lift makes each lifted literal (liftedValue) a Param; params counts
+	// them.
+	lift   bool
+	params int
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -496,22 +504,30 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-func (p *parser) parseLiteralValue() (model.Value, error) {
-	t := p.cur()
+// tokenValue converts a literal token, a number, a string, NULL, TRUE or
+// FALSE, to its value; ok is false for any other token.
+func tokenValue(t token) (v model.Value, ok bool, err error) {
 	switch {
 	case t.kind == tokNumber:
-		p.next()
-		return numberValue(t.text)
+		v, err = numberValue(t.text)
+		return v, true, err
 	case t.kind == tokString:
-		p.next()
-		return model.String(t.text), nil
+		return model.String(t.text), true, nil
 	case t.kind == tokKeyword && t.text == "NULL":
-		p.next()
-		return model.Null(), nil
+		return model.Null(), true, nil
 	case t.kind == tokKeyword && (t.text == "TRUE" || t.text == "FALSE"):
+		return model.Bool(t.text == "TRUE"), true, nil
+	}
+	return model.Value{}, false, nil
+}
+
+func (p *parser) parseLiteralValue() (model.Value, error) {
+	t := p.cur()
+	if v, ok, err := tokenValue(t); ok {
 		p.next()
-		return model.Bool(t.text == "TRUE"), nil
-	case t.kind == tokOp && t.text == "-":
+		return v, err
+	}
+	if t.kind == tokOp && t.text == "-" {
 		p.next()
 		v, err := p.parseLiteralValue()
 		if err != nil {
@@ -567,6 +583,13 @@ func numberValue(text string) (model.Value, error) {
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
+	if p.lift {
+		if v, ok := liftedValue(p.toks, p.pos); ok {
+			p.next()
+			p.params++
+			return &Param{Index: p.params - 1, Val: v}, nil
+		}
+	}
 	switch {
 	case t.kind == tokNumber, t.kind == tokString,
 		t.kind == tokKeyword && (t.text == "NULL" || t.text == "TRUE" || t.text == "FALSE"):

@@ -325,14 +325,23 @@ func (s *Store) pinnedHorizon(horizon uint64) uint64 {
 // re-logged to the follower's own WAL at its recorded stamp, and batch
 // frames stay single frames. The follower's log is therefore stamp-sorted:
 // a crash leaves an exact stamp-prefix, and recovery's max-CSN clock
-// restore resubscribes precisely where shipping stopped.
+// restore resubscribes precisely where shipping stopped. The re-logged
+// frames commit once, per the sync policy, before the watermark publishes:
+// a shipped batch costs one fsync, not one a frame.
 func (s *Store) ApplyRepl(entries []ReplEntry, watermark CSN) error {
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].CSN < entries[j].CSN })
+	var seq uint64
 	for i := range entries {
 		if entries[i].CSN > watermark {
 			return fmt.Errorf("storage: replicated frame csn %d above watermark %d", entries[i].CSN, watermark)
 		}
-		if err := s.applyReplEntry(&entries[i]); err != nil {
+		var err error
+		if seq, err = s.applyReplEntry(&entries[i]); err != nil {
+			return err
+		}
+	}
+	if seq > 0 {
+		if err := s.wal.commit(seq); err != nil {
 			return err
 		}
 	}
@@ -345,8 +354,9 @@ func (s *Store) ApplyRepl(entries []ReplEntry, watermark CSN) error {
 }
 
 // applyReplEntry installs one shipped frame under the table latch, keeping
-// zone maps and indexes live, then re-logs it at its recorded stamp.
-func (s *Store) applyReplEntry(e *ReplEntry) error {
+// zone maps and indexes live, then frames it into the log at its recorded
+// stamp, uncommitted; it returns the frame's sequence (0 in memory).
+func (s *Store) applyReplEntry(e *ReplEntry) (uint64, error) {
 	if e.Op == opCreateTable {
 		s.mu.Lock()
 		if _, ok := s.tables[e.Table]; !ok {
@@ -357,7 +367,7 @@ func (s *Store) applyReplEntry(e *ReplEntry) error {
 	} else {
 		t, ok := s.Table(e.Table)
 		if !ok {
-			return fmt.Errorf("storage: replicated frame references unknown table %q", e.Table)
+			return 0, fmt.Errorf("storage: replicated frame references unknown table %q", e.Table)
 		}
 		t.mu.Lock()
 		err := e.mutations(func(m batchEntry) error {
@@ -370,11 +380,11 @@ func (s *Store) applyReplEntry(e *ReplEntry) error {
 		})
 		t.mu.Unlock()
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if s.wal != nil {
-		return s.wal.log(e.Op, e.CSN, e.Table, e.RowID, e.Data)
+		return s.wal.frame(e.Op, e.CSN, e.Table, e.RowID, e.Data)
 	}
-	return nil
+	return 0, nil
 }

@@ -10,17 +10,20 @@ import (
 // TestReadAllocBudget is the read allocation gate: three of the standing
 // benchmark's read statements through QueryInfoCtx on its 20,000-row items
 // corpus, their select lists reordered so that no warm-up statement shares
-// their text. Each run has new text, so the plan cache and the result cache
-// miss and the statement is lexed, parsed, optimized and executed. A plain
-// statement renders no plan, rule log or operator-stats text, the lexer
-// copies no word, a GROUP BY keeps its groups in slabs, and a read of one
-// morsel runs on the caller's goroutine (its scan a cursor, no stage
-// starting workers), so a point read costs at most 70 objects (63 on
-// go1.24/linux/amd64), a 100-row range over slot at most 90 (81) and a
-// GROUP BY region over 10,000 rows at most 260 (232). The same runs cost
-// 102, 119 and 274 at commit f0c61cd, when every scan ran on a producer
-// goroutine and every stage started its pool, and the point read and the
-// GROUP BY 195 and 1,640 at commit 43e9492.
+// their shape. A plan miss gives each run a new select alias, so its shape
+// is new: the statement is lexed, parsed, optimized and executed, and the
+// result cache misses. A plain statement renders no plan, rule log or
+// operator-stats text, the lexer copies no word, a GROUP BY keeps its groups
+// in slabs, and a read of one morsel runs on the caller's goroutine (its
+// scan a cursor, no stage starting workers), so a point read costs at most
+// 68 objects (61 on go1.24/linux/amd64), a 100-row range over slot at most
+// 78 (70) and a GROUP BY region over 10,000 rows at most 245 (221); they
+// cost 63, 81 and 232 while the optimizer flattened every AND level into a
+// fresh slice. A plan hit gives each run a new key or bound under one
+// alias: the shape's plan is cached, so the run lexes the text once, binds
+// its literals and executes, at most 35, 37 and 182 objects (31, 33 and
+// 164). While the plan cache was keyed by statement text, each new literal
+// was a new entry, and the same runs cost the full miss, 63, 81 and 232.
 func TestReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 20,000-row corpus")
@@ -29,34 +32,46 @@ func TestReadAllocBudget(t *testing.T) {
 	db := benchReadMixDB(t, rand.New(rand.NewSource(1)), rows)
 	ctx := context.Background()
 	for _, c := range []struct {
-		name           string
-		stmt           func(i int) string
-		budget, parent float64
+		name      string
+		stmt      func(alias, i int) string
+		miss, hit float64 // budgets
+		parent    float64 // what a hit run cost while plans were keyed by text
 	}{
-		{"point read", func(i int) string {
-			return fmt.Sprintf("SELECT name, region, qty, price FROM items WHERE _key = 'it-%07d'", i)
-		}, 70, 102},
-		{"100-row range", func(i int) string {
-			return fmt.Sprintf("SELECT slot, price, _key FROM items WHERE slot >= %d AND slot < %d", i, i+100)
-		}, 90, 119},
-		{"GROUP BY region", func(i int) string {
-			return fmt.Sprintf("SELECT region, COUNT(*) AS n, SUM(qty) AS q, MAX(price) AS hi, MIN(price) AS lo FROM items WHERE slot >= %d AND slot < %d GROUP BY region", i, i+rows/2)
-		}, 260, 274},
+		{"point read", func(alias, i int) string {
+			return fmt.Sprintf("SELECT name AS n%d, region, qty, price FROM items WHERE _key = 'it-%07d'", alias, i)
+		}, 68, 35, 63},
+		{"100-row range", func(alias, i int) string {
+			return fmt.Sprintf("SELECT slot AS s%d, price, _key FROM items WHERE slot >= %d AND slot < %d", alias, i, i+100)
+		}, 78, 37, 81},
+		{"GROUP BY region", func(alias, i int) string {
+			return fmt.Sprintf("SELECT region AS r%d, COUNT(*) AS n, SUM(qty) AS q, MAX(price) AS hi, MIN(price) AS lo FROM items WHERE slot >= %d AND slot < %d GROUP BY region", alias, i, i+rows/2)
+		}, 245, 182, 232},
 	} {
 		i := 0
-		allocs := testing.AllocsPerRun(runs, func() {
+		// A miss run's alias is its number; every hit run's is 0.
+		run := func(kind string, planCached bool) {
 			i++
-			res, info, err := db.QueryInfoCtx(ctx, c.stmt(i))
+			alias := i
+			if kind == "hit" {
+				alias = 0
+			}
+			res, info, err := db.QueryInfoCtx(ctx, c.stmt(alias, i))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.PlanCached || info.CacheHit || len(res.Data) == 0 {
-				t.Fatalf("%s: run %d plan cached %v, result cached %v, %d rows", c.name, i, info.PlanCached, info.CacheHit, len(res.Data))
+			if info.PlanCached != planCached || info.CacheHit || len(res.Data) == 0 {
+				t.Fatalf("%s %s: run %d plan cached %v, result cached %v, %d rows", c.name, kind, i, info.PlanCached, info.CacheHit, len(res.Data))
 			}
-		})
-		t.Logf("%s: %.0f objects", c.name, allocs)
-		if allocs > c.budget {
-			t.Errorf("%s allocates %.0f objects, budget %.0f; the same statement cost %.0f at commit f0c61cd", c.name, allocs, c.budget, c.parent)
+		}
+		miss := testing.AllocsPerRun(runs, func() { run("miss", false) })
+		run("hit", false) // plans the hit runs' shape
+		hit := testing.AllocsPerRun(runs, func() { run("hit", true) })
+		t.Logf("%s: plan miss %.0f objects, plan hit %.0f", c.name, miss, hit)
+		if miss > c.miss {
+			t.Errorf("%s plan miss allocates %.0f objects, budget %.0f", c.name, miss, c.miss)
+		}
+		if hit > c.hit {
+			t.Errorf("%s plan hit allocates %.0f objects, budget %.0f; it cost the full miss, %.0f, while plans were keyed by text", c.name, hit, c.hit, c.parent)
 		}
 	}
 }
