@@ -191,7 +191,7 @@ func refEqual(a, b refValue) bool {
 }
 
 func refLess(a, b refValue) bool {
-	ra, rb := kindRank(a.kind), kindRank(b.kind)
+	ra, rb := a.kind.Rank(), b.kind.Rank()
 	if ra != rb {
 		return ra < rb
 	}

@@ -352,7 +352,7 @@ func Equal(a, b Value) bool {
 // heterogeneous data: null sorts first, then by kind, then by Compare within
 // comparable kinds.
 func Less(a, b Value) bool {
-	ra, rb := kindRank(a.kind), kindRank(b.kind)
+	ra, rb := a.kind.Rank(), b.kind.Rank()
 	if ra != rb {
 		return ra < rb
 	}
@@ -363,9 +363,10 @@ func Less(a, b Value) bool {
 	return c < 0
 }
 
-// kindRank groups int and float into one rank so mixed numeric columns sort
-// numerically.
-func kindRank(k Kind) int {
+// Rank is the kind's class in Less's order: int and float share one rank so
+// mixed numeric columns sort numerically. Compare can succeed only between
+// values of one rank.
+func (k Kind) Rank() int {
 	switch k {
 	case KindNull:
 		return 0

@@ -900,9 +900,6 @@ func conjunctSelectivity(e query.Expr, opts Options) float64 {
 	return 0.5
 }
 
-// morselSize mirrors query.DefaultMorselSize for the cost model.
-const morselSize = 1024
-
 // EstimateCost sums the rows produced by every node plus a small dispatch
 // charge per morsel the parallel executor will schedule — a simple work
 // metric the experiments compare across optimized and unoptimized plans.
@@ -926,7 +923,7 @@ func nodeMorsels(card int) int {
 	if card <= 0 {
 		return 0
 	}
-	return (card + morselSize - 1) / morselSize
+	return (card + query.DefaultMorselSize - 1) / query.DefaultMorselSize
 }
 
 // EstimateMorsels estimates the total number of morsels the parallel

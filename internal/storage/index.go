@@ -6,7 +6,9 @@ package storage
 // lookups return candidate RowIDs whose visible-at-CSN records the caller
 // re-filters with the full predicate. Every index is one structure: a run
 // sorted by value with a 256-entry pending buffer merged linearly into it,
-// O(n/256 + log 256) amortised per write. It serves =, IN and ranges alike.
+// O(n/256 + log 256) amortised per write. A lookup decides every posting by
+// one rule, sides, for =, IN and ranges alike: binary searches over the run,
+// a filter over the buffer.
 // Maintenance is append-only, every index is correct as-of any CSN for free,
 // and Vacuum rebuilds compactly from the retained version chains. Every
 // build — auto-create, Vacuum, recovery, CreateIndex — is one pass plus one
@@ -53,7 +55,7 @@ type idxEntry struct {
 
 // Index is one secondary index. All fields are guarded by the owning
 // Table's mutex: writes under t.mu.Lock, lookups under t.mu.RLock (lookups
-// never mutate — the pending buffer is scanned linearly, not merged).
+// never mutate — the pending buffer is filtered linearly, not merged).
 type Index struct {
 	attr   string
 	label  string // "table.attr" for ScanInfo, set by buildIndexLocked
@@ -79,36 +81,11 @@ func oddValue(v model.Value) bool {
 	return ok && math.IsNaN(f)
 }
 
-// valRank mirrors the kind ranking of model.Less (null, bool, numeric,
-// string, time, bytes, list, ref) so window searches can locate the
-// literal's comparison class inside the sorted run.
-func valRank(v model.Value) int {
-	switch v.Kind() {
-	case model.KindNull:
-		return 0
-	case model.KindBool:
-		return 1
-	case model.KindInt, model.KindFloat:
-		return 2
-	case model.KindString:
-		return 3
-	case model.KindTime:
-		return 4
-	case model.KindBytes:
-		return 5
-	case model.KindList:
-		return 6
-	case model.KindRef:
-		return 7
-	}
-	return 8
-}
-
-// entryCmp orders the sorted run: by comparison class, then by
-// model.Compare inside it (total there, odd values being excluded), then by
-// RowID. It is model.Less's order with the id as tie-break.
+// entryCmp orders the sorted run: by comparison class (model.Kind.Rank),
+// then by model.Compare inside it (total there, odd values being excluded),
+// then by RowID. It is model.Less's order with the id as tie-break.
 func entryCmp(a, b idxEntry) int {
-	if ra, rb := valRank(a.val), valRank(b.val); ra != rb {
+	if ra, rb := a.val.Kind().Rank(), b.val.Kind().Rank(); ra != rb {
 		return cmp.Compare(ra, rb)
 	}
 	if c, err := model.Compare(a.val, b.val); err == nil && c != 0 {
@@ -153,110 +130,91 @@ func (ix *Index) entries() int {
 	return len(ix.sorted) + len(ix.pending) + len(ix.odd)
 }
 
-// window returns the bounds [lo, hi) of the part of the sorted run that can
-// satisfy op against lit under model.Compare (0, 0 when none can). Searches
-// stay inside the literal's comparison class (same valRank), where Compare
-// is total and consistent with the sort order; NaN literals degenerate to
-// the whole numeric class for "=" and empty windows for orderings — exactly
-// the evaluator's semantics.
-func (ix *Index) window(op string, lit model.Value) (lo, hi int) {
-	n := len(ix.sorted)
-	rl := valRank(lit)
-	classLo := sort.Search(n, func(i int) bool { return valRank(ix.sorted[i].val) >= rl })
-	classHi := sort.Search(n, func(i int) bool { return valRank(ix.sorted[i].val) > rl })
-	cmp := func(i int) int {
-		c, err := model.Compare(ix.sorted[i].val, lit)
-		if err != nil {
-			return 0 // unreachable: same class, odd values excluded
-		}
-		return c
+// side places v against lit along entryCmp's order: -2 below lit's
+// comparison class, 2 above it, and inside it model.Compare's -1, 0 or 1
+// (total there, odd values being excluded). It never decreases along the
+// sorted run. A NaN literal compares equal to every numeric, so "=" spans
+// the numeric class and the orderings hold nothing — exactly the
+// evaluator's semantics.
+func side(v, lit model.Value) int {
+	if k, kl := v.Kind(), lit.Kind(); k != kl && k.Rank() != kl.Rank() {
+		return 2 * cmp.Compare(k.Rank(), kl.Rank())
 	}
-	span := classHi - classLo
-	geq := func() int {
-		return classLo + sort.Search(span, func(k int) bool { return cmp(classLo+k) >= 0 })
-	}
-	gt := func() int {
-		return classLo + sort.Search(span, func(k int) bool { return cmp(classLo+k) > 0 })
-	}
-	switch op {
-	case "=":
-		lo, hi = geq(), gt()
-	case "<":
-		lo, hi = classLo, geq()
-	case "<=":
-		lo, hi = classLo, gt()
-	case ">":
-		lo, hi = gt(), classHi
-	case ">=":
-		lo, hi = geq(), classHi
-	}
-	if lo >= hi {
-		return 0, 0
-	}
-	return lo, hi
+	c, _ := model.Compare(v, lit)
+	return c
 }
 
-// pendingMatches mirrors the evaluator on one buffered posting: Compare
-// for orderings and "=", Equal for IN membership. pending never holds odd
-// values, so Compare against a same-class literal cannot error; a
-// cross-class error means "no match", as in the evaluator.
-func pendingMatches(p ZonePred, v model.Value) bool {
-	if p.Op == "in" {
-		for _, w := range p.Vals {
-			if model.Equal(v, w) {
-				return true
-			}
-		}
-		return false
-	}
-	c, err := model.Compare(v, p.Val)
-	if err != nil {
-		return false
-	}
-	switch p.Op {
-	case "=":
-		return c == 0
+// sides is the one lookup rule: the sides [lo, hi) of lit that satisfy op,
+// an IN list's values each taken as "=".
+func sides(op string) (lo, hi int) {
+	switch op {
+	case "=", "in":
+		return 0, 1
 	case "<":
-		return c < 0
+		return -1, 0
 	case "<=":
-		return c <= 0
+		return -1, 1
 	case ">":
-		return c > 0
+		return 1, 2
 	case ">=":
-		return c >= 0
+		return 0, 2
 	}
-	return true // unknown op: stay a superset
+	return 0, 0
+}
+
+// window returns the part of run (ordered by entryCmp) that satisfies op
+// against lit: one binary search for each of its sides. Windowing a window
+// intersects the two.
+func window(run []idxEntry, op string, lit model.Value) []idxEntry {
+	at := func(s int) int {
+		return sort.Search(len(run), func(i int) bool { return side(run[i].val, lit) >= s })
+	}
+	lo, hi := sides(op)
+	return run[at(lo):at(hi)]
+}
+
+// admits decides one posting of the unordered pending buffer by the rule
+// window searches by: v lies on an accepted side of every conjunct, and of
+// some value of an IN list.
+func admits(ps []ZonePred, v model.Value) bool {
+	for i := range ps {
+		p := &ps[i]
+		lo, hi := sides(p.Op)
+		in := func(lit model.Value) bool {
+			s := side(v, lit)
+			return lo <= s && s < hi
+		}
+		if p.Op == "in" && !slices.ContainsFunc(p.Vals, in) || p.Op != "in" && !in(p.Val) {
+			return false
+		}
+	}
+	return true
 }
 
 // candidates returns a sorted, deduplicated superset of the RowIDs whose
 // visible record can satisfy every conjunct of ps: the one chooseIndexLocked
-// chose, or the two bounds of a range, whose windows are intersected.
-// Caller holds the table read lock.
+// chose, or the two bounds of a range. The sorted run is searched and the
+// pending buffer filtered, both by sides. Caller holds the table read lock.
 func (ix *Index) candidates(ps []ZonePred) []RowID {
-	p := ps[0]
 	ids := make([]RowID, 0, 64)
 	add := func(es []idxEntry) {
 		for _, e := range es {
 			ids = append(ids, e.id)
 		}
 	}
-	if p.Op == "in" {
+	if p := ps[0]; p.Op == "in" {
 		for _, v := range p.Vals {
-			lo, hi := ix.window("=", v)
-			add(ix.sorted[lo:hi])
+			add(window(ix.sorted, "=", v))
 		}
 	} else {
-		lo, hi := 0, len(ix.sorted)
+		run := ix.sorted
 		for _, b := range ps {
-			l, h := ix.window(b.Op, b.Val)
-			lo, hi = max(lo, l), min(hi, h)
+			run = window(run, b.Op, b.Val)
 		}
-		if lo < hi {
-			add(ix.sorted[lo:hi])
-		}
+		add(run)
 	}
 	for _, e := range ix.pending {
-		if !slices.ContainsFunc(ps, func(p ZonePred) bool { return !pendingMatches(p, e.val) }) {
+		if admits(ps, e.val) {
 			ids = append(ids, e.id)
 		}
 	}

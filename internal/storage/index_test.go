@@ -338,14 +338,13 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 			{Attr: "a", Op: r[2].(string), Val: r[3].(model.Value)},
 		})
 	}
-	// No NaN inside an IN list: there the run and the pending buffer are
-	// differently loose (window("=", NaN) spans the numeric class, the
-	// pending buffer tests model.Equal), so the candidate sets are both
-	// supersets but not the same one. TestIndexOddValues and
-	// TestIndexMVCCDifferential cover it.
+	// IN lists across classes, one holding NaN (whose "=" window spans the
+	// numeric class in both runs) and one holding a list literal.
 	preds = append(preds,
 		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Int(3), model.Float(3.5), model.String("s05")}}},
 		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Float(0), model.Bool(false), model.Time(epoch)}}},
+		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Int(3), model.Float(math.NaN()), model.String("s05")}}},
+		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Float(math.NaN()), model.Bool(true), model.Time(epoch), model.List(model.Int(1))}}},
 	)
 	withAttr := func(ps []ZonePred, attr string) []ZonePred {
 		out := slices.Clone(ps)

@@ -122,7 +122,9 @@ func (s *Store) ReplStartPos() (WALPos, error) {
 // that a single frame larger than maxBytes is still read whole — every call
 // with data available makes progress. It returns the decoded entries, the
 // next read position, and atEnd — whether the read caught up with the
-// active segment's current end. A deleted segment returns ErrWALTrimmed.
+// active segment's current end. A deleted segment returns ErrWALTrimmed; a
+// frame in a sealed segment that is not intact returns ErrCorrupt, wrapped
+// with the segment and byte offset.
 // Entry Data slices alias the read buffer and are valid until the caller
 // discards them.
 func (s *Store) TailWAL(pos WALPos, maxBytes int64) (entries []ReplEntry, next WALPos, atEnd bool, err error) {
@@ -133,6 +135,7 @@ func (s *Store) TailWAL(pos WALPos, maxBytes int64) (entries []ReplEntry, next W
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
+	maxBytes = max(maxBytes, 12) // one frame header, whose length widens a short read
 	w.mu.Lock()
 	if w.closed.Load() {
 		w.mu.Unlock()
@@ -190,7 +193,7 @@ func (s *Store) TailWAL(pos WALPos, maxBytes int64) (entries []ReplEntry, next W
 		if valid, err = parseFrames(buf, 0, collect); err != nil {
 			return nil, pos, false, err
 		}
-		if truncated && valid == 0 && readLen >= 12 {
+		if truncated && valid == 0 {
 			// The first frame alone exceeds maxBytes (e.g. a large ingest
 			// batch): widen the read to its boundary so the cursor advances
 			// instead of re-truncating the same frame forever.
@@ -210,11 +213,12 @@ func (s *Store) TailWAL(pos WALPos, maxBytes int64) (entries []ReplEntry, next W
 	if pos.Seg < active {
 		// Sealed segments are immutable and fully framed; reaching their end
 		// advances to the next segment (indexes are consecutive — rotation
-		// is sequential and checkpoints delete only a prefix).
+		// is sequential and checkpoints delete only a prefix). A frame that
+		// is still not intact after the widened read never will be.
 		if next.Off >= size {
 			next = WALPos{Seg: pos.Seg + 1}
-		} else if !truncated && len(entries) == 0 {
-			return nil, pos, false, fmt.Errorf("storage: torn frame in sealed segment %d", pos.Seg)
+		} else if valid == 0 {
+			return nil, pos, false, fmt.Errorf("%w: segment %d at byte %d: frame is not intact", ErrCorrupt, pos.Seg, pos.Off)
 		}
 		return entries, next, false, nil
 	}

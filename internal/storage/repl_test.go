@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -251,6 +252,75 @@ func TestReplTrimAndPins(t *testing.T) {
 	}
 	if need, err := s.ReplNeedsSnapshot(0); err != nil || !need {
 		t.Fatalf("stale follower: needs snapshot = %v, err = %v", need, err)
+	}
+}
+
+// TestTailWALCorruptSealedFrame: a flipped byte in the middle of a sealed
+// segment makes the tail read fail with ErrCorrupt naming the segment and
+// the frame's byte offset, both when the read is cut at maxBytes (where it
+// used to return no entries, the same position and a nil error forever) and
+// when the whole segment fits in one read.
+func TestTailWALCorruptSealedFrame(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenOptions(dir, Options{SegmentBytes: 8 << 10, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tb, err := s.CreateTable("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		if _, err := insert(tb, rec("n", i, "pad", strings.Repeat("p", 32))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 4 {
+		t.Fatalf("log has %d segments, want a sealed one past the second", len(segs))
+	}
+	bad := segs[2]
+	data, err := os.ReadFile(segPath(dir, bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := int64(len(data) / 2)
+	data[flip] ^= 0xff
+	if err := os.WriteFile(segPath(dir, bad), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, maxBytes := range []int64{256, 1 << 20} {
+		pos, err := s.ReplStartPos()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, next, atEnd, err := s.TailWAL(pos, maxBytes)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("maxBytes %d: TailWAL at %+v = %v, want ErrCorrupt", maxBytes, pos, err)
+				}
+				if pos.Seg != bad || pos.Off > flip {
+					t.Fatalf("maxBytes %d: failed at %+v, the flipped byte is segment %d byte %d", maxBytes, pos, bad, flip)
+				}
+				if want := fmt.Sprintf("segment %d at byte %d", pos.Seg, pos.Off); !strings.Contains(err.Error(), want) {
+					t.Fatalf("maxBytes %d: error %q does not name %q", maxBytes, err, want)
+				}
+				break
+			}
+			if atEnd {
+				t.Fatalf("maxBytes %d: read past the corrupt frame to the log's end", maxBytes)
+			}
+			if next == pos {
+				t.Fatalf("maxBytes %d: TailWAL stalled at %+v with a nil error", maxBytes, pos)
+			}
+			pos = next
+		}
 	}
 }
 
