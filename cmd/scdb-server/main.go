@@ -55,7 +55,7 @@ func main() {
 	load := flag.String("load", "", "sample corpus to preload: lifesci | clinical | stream")
 	parallelism := flag.Int("parallelism", 0, "executor and ingest-scoring worker-pool size (0 = one per CPU)")
 	replicaOf := flag.String("replica-of", "", "primary address to replicate from (requires -dir)")
-	syncFlag := flag.String("sync", "none", "WAL durability with -dir: none | group | always")
+	syncFlag := flag.String("sync", "none", "WAL durability with -dir: none | group")
 	erBlocking := flag.String("er-blocking", "", "er candidate generation: token | ann | both (default token)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold (0 = default 16 MiB)")
 	ckptBytes := flag.Int64("checkpoint-bytes", 0, "WAL bytes between automatic checkpoints (0 = default 64 MiB, negative disables)")

@@ -111,15 +111,14 @@ const (
 	// SyncNone buffers log frames in user space; they reach disk on
 	// checkpoint and close. Fastest; a crash loses the buffered tail.
 	SyncNone = storage.SyncNone
-	// SyncGroup makes every commit wait for a shared flush+fsync:
-	// concurrent commits coalesce into one disk round-trip (group commit).
+	// SyncGroup makes every commit wait until its frame is fsynced: a lone
+	// commit fsyncs inline, and commits that arrive while a flush is in
+	// flight share the next disk round-trip (group commit).
 	SyncGroup = storage.SyncGroup
-	// SyncAlways flushes and fsyncs inline on every commit.
-	SyncAlways = storage.SyncAlways
 )
 
-// ParseSyncPolicy maps the flag spelling ("none", "group", "always") to a
-// policy; "" means SyncNone.
+// ParseSyncPolicy maps the flag spelling ("none", "group") to a policy;
+// "" means SyncNone.
 var ParseSyncPolicy = storage.ParseSyncPolicy
 
 // DB is a self-curating database handle.

@@ -262,10 +262,10 @@ func loadRichness(store *storage.Store, worlds *fusion.Worlds) int64 {
 	return newest
 }
 
-// Close syncs and closes the store; it writes nothing of its own. It waits
-// out an in-flight Ingest (ingestMu) so curation never writes to a closed
-// log. Axioms, claims and richness weights were written when they were
-// told.
+// Close closes the store, whose last flush fsyncs the log; it writes
+// nothing of its own. It waits out an in-flight Ingest (ingestMu) so
+// curation never writes to a closed log. Axioms, claims and richness
+// weights were written when they were told.
 func (db *DB) Close() error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
@@ -275,10 +275,6 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	if err := db.store.Sync(); err != nil {
-		db.store.Close()
-		return err
-	}
 	return db.store.Close()
 }
 

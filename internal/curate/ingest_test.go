@@ -72,7 +72,7 @@ func TestIngestStateEquivalence(t *testing.T) {
 	}{
 		{"batch-3", 3, 1, storage.SyncNone, false},
 		{"batch-7-parallel-4", 7, 4, storage.SyncNone, false},
-		{"durable-sync-always-batch-5", 5, 1, storage.SyncAlways, true},
+		{"durable-sync-group-batch-5", 5, 1, storage.SyncGroup, true},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -150,35 +150,10 @@ func foldConstants(e query.Expr, rep *Report) query.Expr {
 			}
 			return nb
 		}
-		ll, lok := l.(*query.Literal)
-		rl, rok := r.(*query.Literal)
-		if lok && rok {
-			if v, ok := evalConstBinary(e.Op, ll.Val, rl.Val); ok {
-				if rep.explain {
-					rep.log("fold: %s → %s", nb, (&query.Literal{Val: v}))
-				}
-				return &query.Literal{Val: v}
-			}
-		}
-		return nb
+		return foldLiteral(nb, rep, l, r)
 	case *query.Unary:
 		x := foldConstants(e.X, rep)
-		if xl, ok := x.(*query.Literal); ok {
-			switch e.Op {
-			case "-":
-				if i, ok := xl.Val.AsInt(); ok {
-					return &query.Literal{Val: model.Int(-i)}
-				}
-				if f, ok := xl.Val.AsFloat(); ok {
-					return &query.Literal{Val: model.Float(-f)}
-				}
-			case "NOT":
-				if b, ok := xl.Val.AsBool(); ok {
-					return &query.Literal{Val: model.Bool(!b)}
-				}
-			}
-		}
-		return &query.Unary{Op: e.Op, X: x}
+		return foldLiteral(&query.Unary{Op: e.Op, X: x}, rep, x)
 	case *query.Call:
 		args := make([]query.Expr, len(e.Args))
 		for i, a := range e.Args {
@@ -228,64 +203,22 @@ func foldBool(op string, lit bool, other query.Expr, rep *Report) query.Expr {
 	}
 }
 
-func evalConstBinary(op string, l, r model.Value) (model.Value, bool) {
-	switch op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return model.Null(), true
-		}
-		c, err := model.Compare(l, r)
-		if err != nil {
-			return model.Value{}, false
-		}
-		var b bool
-		switch op {
-		case "=":
-			b = c == 0
-		case "!=":
-			b = c != 0
-		case "<":
-			b = c < 0
-		case "<=":
-			b = c <= 0
-		case ">":
-			b = c > 0
-		case ">=":
-			b = c >= 0
-		}
-		return model.Bool(b), true
-	case "+", "-", "*", "/":
-		lf, lok := l.AsFloat()
-		rf, rok := r.AsFloat()
-		if !lok || !rok {
-			return model.Value{}, false
-		}
-		li, lInt := l.AsInt()
-		ri, rInt := r.AsInt()
-		switch op {
-		case "+":
-			if lInt && rInt {
-				return model.Int(li + ri), true
-			}
-			return model.Float(lf + rf), true
-		case "-":
-			if lInt && rInt {
-				return model.Int(li - ri), true
-			}
-			return model.Float(lf - rf), true
-		case "*":
-			if lInt && rInt {
-				return model.Int(li * ri), true
-			}
-			return model.Float(lf * rf), true
-		case "/":
-			if rf == 0 {
-				return model.Null(), true
-			}
-			return model.Float(lf / rf), true
+// foldLiteral replaces e by its value when every operand is a literal and
+// the evaluator answers it without error; otherwise e runs as it is.
+func foldLiteral(e query.Expr, rep *Report, operands ...query.Expr) query.Expr {
+	for _, o := range operands {
+		if _, ok := o.(*query.Literal); !ok {
+			return e
 		}
 	}
-	return model.Value{}, false
+	v, err := query.EvalConst(e)
+	if err != nil {
+		return e
+	}
+	if rep.explain {
+		rep.log("fold: %s → %s", e, &query.Literal{Val: v})
+	}
+	return &query.Literal{Val: v}
 }
 
 // rewriteExprs maps fn over every expression embedded in the plan.

@@ -25,6 +25,7 @@ func TestConstantFoldingAllOperators(t *testing.T) {
 		{"3 > 2", "true"},
 		{"2 >= 3", "false"},
 		{"x = 1 / 0", "null"},
+		{"x = 'a' + 'b'", "'ab'"},
 	}
 	for _, c := range cases {
 		stmt, err := query.Parse("SELECT * FROM drugs WHERE " + c.src)

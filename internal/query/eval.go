@@ -219,6 +219,9 @@ type evalCtx struct {
 	env      Env
 	semantic bool
 	args     []model.Value // the values of the plan's Params
+	// strict makes a comparison of incomparable kinds an error instead of
+	// the heterogeneity rule's answer (EvalConst).
+	strict bool
 }
 
 // holds reports whether pred is true of r: false and unknown both fail it.
@@ -251,6 +254,15 @@ func truthValue(t model.Truth) model.Value {
 		return model.Bool(false)
 	}
 	return model.Null()
+}
+
+// EvalConst evaluates an expression with no row, environment or
+// arguments; e holds no Param and no Call. The optimizer folds a
+// literal-only subexpression through it, so a fold answers what execution
+// would. A comparison of incomparable kinds is an error here: the
+// heterogeneity rule answers it at run time.
+func EvalConst(e Expr) (model.Value, error) {
+	return (&evalCtx{strict: true}).Eval(e, Row{})
 }
 
 // Eval evaluates the expression against a row.
@@ -367,6 +379,9 @@ func (c *evalCtx) evalBinary(e *Binary, row Row) (model.Value, error) {
 		}
 		cmp, err := model.Compare(lv, rv)
 		if err != nil {
+			if c.strict {
+				return model.Value{}, err
+			}
 			// Incomparable kinds: heterogeneity reads as Unknown, not as a
 			// query failure (the "systematic treatment" rule).
 			if e.Op == "=" {

@@ -92,7 +92,7 @@ func TestInsertBatchMatchesPerRecord(t *testing.T) {
 // order, all at the frame's one stamp.
 func TestMixedBatchFrameReplays(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
+	p, err := OpenOptions(dir, Options{Sync: SyncGroup, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestMixedBatchFrameReplays(t *testing.T) {
 // append path was serialized, concurrent writers interleaved frame bytes
 // through the shared bufio.Writer and recovery exploded. Run under -race.
 func TestWALConcurrentWriters(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncNone, SyncGroup, SyncAlways} {
+	for _, pol := range []SyncPolicy{SyncNone, SyncGroup} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			s, err := OpenOptions(dir, Options{Sync: pol})
@@ -250,8 +250,8 @@ func copyFile(t *testing.T, src, dst string) {
 }
 
 // TestGroupCommitDurability: once a one-row insert returns under SyncGroup,
-// the row must be recoverable without Close — the whole point of waiting on
-// the flusher. The "crash" copies the live log into a fresh directory.
+// the row must be recoverable without Close — the whole point of waiting for
+// the group fsync. The "crash" copies the live log into a fresh directory.
 func TestGroupCommitDurability(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenOptions(dir, Options{Sync: SyncGroup})
@@ -305,7 +305,7 @@ func TestGroupCommitDurability(t *testing.T) {
 func TestCrashRecoveryTruncationDifferential(t *testing.T) {
 	const batchSize, nBatches = 7, 12
 	dir := t.TempDir()
-	s, err := OpenOptions(dir, Options{Sync: SyncAlways})
+	s, err := OpenOptions(dir, Options{Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestIngestDuringCheckpoint(t *testing.T) {
 // and the store survives reopen at every stage.
 func TestSegmentRotationAndRetention(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenOptions(dir, Options{Sync: SyncAlways, SegmentBytes: 256, CheckpointBytes: -1})
+	s, err := OpenOptions(dir, Options{Sync: SyncGroup, SegmentBytes: 256, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSegmentRotationAndRetention(t *testing.T) {
 // background checkpointer run without any manual call.
 func TestAutoCheckpointTriggers(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: 512})
+	s, err := OpenOptions(dir, Options{Sync: SyncGroup, CheckpointBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestAutoCheckpointTriggers(t *testing.T) {
 // live state whether replay and rebuild run on one worker or fan out.
 func TestRecoverParallelismEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenOptions(dir, Options{Sync: SyncAlways, SegmentBytes: 512, CheckpointBytes: -1})
+	s, err := OpenOptions(dir, Options{Sync: SyncGroup, SegmentBytes: 512, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRecoverParallelismEquivalence(t *testing.T) {
 func TestCheckpointSegmentCrashDifferential(t *testing.T) {
 	const batchSize, nBatches = 6, 12
 	dir := t.TempDir()
-	s, err := OpenOptions(dir, Options{Sync: SyncAlways, SegmentBytes: 512, CheckpointBytes: -1})
+	s, err := OpenOptions(dir, Options{Sync: SyncGroup, SegmentBytes: 512, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestUnsupportedFormats(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
+			s, err := OpenOptions(dir, Options{Sync: SyncGroup, CheckpointBytes: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -500,7 +500,7 @@ func TestUnsupportedFormats(t *testing.T) {
 			}
 			before := readDir(dir)
 
-			_, err = OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
+			_, err = OpenOptions(dir, Options{Sync: SyncGroup, CheckpointBytes: -1})
 			if !errors.Is(err, ErrUnsupportedFormat) {
 				t.Fatalf("open = %v, want ErrUnsupportedFormat", err)
 			}
@@ -519,7 +519,7 @@ func TestUnsupportedFormats(t *testing.T) {
 // indexes don't have to be re-learned from cold counters.
 func TestIndexCatalogPersisted(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
+	s, err := OpenOptions(dir, Options{Sync: SyncGroup, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestIndexCatalogPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenOptions(dir, Options{Sync: SyncAlways, CheckpointBytes: -1})
+	re, err := OpenOptions(dir, Options{Sync: SyncGroup, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,8 +326,8 @@ func TestTailWALCorruptSealedFrame(t *testing.T) {
 
 // TestFollowerCommitsABatchOnce: a follower re-logs a shipped read of 51
 // frames (a table and 50 one-row batches) and commits them once, so the
-// apply costs one fsync under SyncAlways and under SyncGroup, where it cost
-// one a frame; a reopen of the follower holds every row.
+// apply costs one fsync under SyncGroup, where it cost one a frame; a
+// reopen of the follower holds every row.
 func TestFollowerCommitsABatchOnce(t *testing.T) {
 	p, err := OpenOptions(t.TempDir(), Options{CheckpointBytes: -1})
 	if err != nil {
@@ -355,29 +355,27 @@ func TestFollowerCommitsABatchOnce(t *testing.T) {
 	if len(entries) != 51 {
 		t.Fatalf("tail read %d frames, want 51", len(entries))
 	}
-	for _, pol := range []SyncPolicy{SyncAlways, SyncGroup} {
-		dir := t.TempDir()
-		f, err := OpenOptions(dir, Options{Sync: pol, CheckpointBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := f.WALStats().Fsyncs
-		if err := f.ApplyRepl(append([]ReplEntry(nil), entries...), w); err != nil {
-			t.Fatal(err)
-		}
-		if n := f.WALStats().Fsyncs - before; n != 1 {
-			t.Errorf("sync policy %v: applying 51 frames cost %d fsyncs, want 1", pol, n)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re, err := OpenOptions(dir, Options{CheckpointBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := replDump(re), replDump(p); got != want {
-			t.Errorf("sync policy %v: reopened follower diverged:\n%s\nwant\n%s", pol, got, want)
-		}
-		re.Close()
+	dir := t.TempDir()
+	f, err := OpenOptions(dir, Options{Sync: SyncGroup, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	before := f.WALStats().Fsyncs
+	if err := f.ApplyRepl(append([]ReplEntry(nil), entries...), w); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.WALStats().Fsyncs - before; n != 1 {
+		t.Errorf("applying 51 frames cost %d fsyncs, want 1", n)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenOptions(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := replDump(re), replDump(p); got != want {
+		t.Errorf("reopened follower diverged:\n%s\nwant\n%s", got, want)
+	}
+	re.Close()
 }

@@ -163,7 +163,7 @@ func openActiveSegment(dir string, idx uint64) (*os.File, int64, error) {
 // rotateLocked seals the active segment and opens the next. Caller holds
 // w.mu. The seal always fsyncs — regardless of SyncPolicy — so a sealed
 // segment's frames are durable before any checkpoint may delete its
-// predecessors, and the group-commit flusher never needs to revisit it.
+// predecessors, and a flush leader never needs to revisit it.
 func (w *wal) rotateLocked() error {
 	if err := w.w.Flush(); err != nil {
 		return err
@@ -172,20 +172,15 @@ func (w *wal) rotateLocked() error {
 	if err != nil {
 		return err
 	}
-	w.fileMu.Lock()
-	defer w.fileMu.Unlock()
-	start := nanotime()
-	err = w.f.Sync()
-	w.fsyncs.Add(1)
-	w.syncNS.Add(uint64(nanotime() - start))
-	if err != nil {
+	if err := w.fsync(w.appendedCSN); err != nil { // the seal covers every framed stamp
 		next.Close()
 		os.Remove(segPath(w.dir, w.segIdx+1))
 		return err
 	}
-	w.noteDurable(w.appendedCSN) // the seal fsynced every framed stamp
+	w.fileMu.Lock()
 	w.f.Close()
 	w.f = next
+	w.fileMu.Unlock()
 	w.w.Reset(next)
 	w.segIdx++
 	w.segSize = int64(len(segMagic))

@@ -303,8 +303,9 @@ func (s *Store) Tables() []string {
 // InsertBatch appends recs as new rows: a write set of inserts that takes
 // the table's next IDs, installed and logged by commitPart under one commit
 // stamp, one table-lock acquisition and one batch frame — the amortized
-// write path for bulk ingest. Under SyncGroup/SyncAlways the whole batch
-// costs a single fsync. Returns the assigned row IDs, which are consecutive.
+// write path for bulk ingest. Under SyncGroup the whole batch waits for a
+// single fsync, shared with concurrent commits. Returns the assigned row
+// IDs, which are consecutive.
 func (t *Table) InsertBatch(recs []model.Record) ([]RowID, error) {
 	if len(recs) == 0 {
 		return nil, nil

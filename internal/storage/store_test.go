@@ -468,7 +468,7 @@ func TestCorruptSealedSegment(t *testing.T) {
 	build := func(t *testing.T) (string, []uint64) {
 		t.Helper()
 		dir := t.TempDir()
-		s, err := OpenOptions(dir, Options{Sync: SyncAlways, SegmentBytes: 1024, CheckpointBytes: -1})
+		s, err := OpenOptions(dir, Options{Sync: SyncGroup, SegmentBytes: 1024, CheckpointBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

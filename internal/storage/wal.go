@@ -33,13 +33,12 @@ const (
 	// SyncNone buffers frames in user space; they reach the OS on
 	// Sync/Checkpoint/Close. Fastest; a crash loses the buffered tail.
 	SyncNone SyncPolicy = iota
-	// SyncGroup makes every commit wait until a single flusher goroutine
-	// has flushed and fsynced its frame. Commits that arrive while a flush
-	// is in flight coalesce into the next one (group commit), so N
-	// concurrent writers pay ~1 fsync, not N.
+	// SyncGroup makes every commit wait until its frame is flushed and
+	// fsynced. A committer that finds no flush in flight leads one, so a
+	// lone writer pays one inline fsync; commits that arrive while a flush
+	// is in flight share the next one (group commit), so a burst of N
+	// concurrent writers pays ~2 fsyncs, not N.
 	SyncGroup
-	// SyncAlways flushes and fsyncs inline on every commit.
-	SyncAlways
 )
 
 // String names the policy.
@@ -49,8 +48,6 @@ func (p SyncPolicy) String() string {
 		return "none"
 	case SyncGroup:
 		return "group"
-	case SyncAlways:
-		return "always"
 	}
 	return fmt.Sprintf("syncpolicy(%d)", int(p))
 }
@@ -62,10 +59,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		return SyncNone, nil
 	case "group":
 		return SyncGroup, nil
-	case "always":
-		return SyncAlways, nil
 	}
-	return SyncNone, fmt.Errorf("storage: unknown sync policy %q (want none, group, or always)", s)
+	return SyncNone, fmt.Errorf("storage: unknown sync policy %q (want none or group)", s)
 }
 
 // wal is the append-only durability log, split into bounded segment files
@@ -100,8 +95,8 @@ type wal struct {
 	durable     atomic.Uint64
 
 	// fileMu guards fsync calls and the active-file swap during rotation,
-	// so the group-commit flusher (which syncs outside mu) never fsyncs a
-	// closed handle. Lock order: mu → fileMu, never the reverse.
+	// so a flush leader (which syncs outside mu) never fsyncs a closed
+	// handle. Lock order: mu → fileMu, never the reverse.
 	fileMu sync.Mutex
 
 	segCount atomic.Int64 // segment files on disk
@@ -115,28 +110,27 @@ type wal struct {
 
 	// Durability counters, read by Store.WALStats for the metrics surface
 	// and ingest traces. Atomics: bytes is bumped under mu but read
-	// without it; fsyncs/waitNS are bumped from committers and the
-	// flusher concurrently.
+	// without it; fsyncs/waitNS are bumped from concurrent committers.
 	bytes   atomic.Uint64 // framed bytes appended (headers included)
 	fsyncs  atomic.Uint64 // fsync calls issued
-	syncNS  atomic.Uint64 // time spent inside fsync (SyncAlways, Sync)
+	syncNS  atomic.Uint64 // time spent inside fsync
 	waitNS  atomic.Uint64 // time commits spent waiting for durability
 	commits atomic.Uint64 // commits that waited for durability
 
-	// Group-commit state: commits under SyncGroup wait on cond until
-	// flushed covers their frame or a flush failed (sticky flushErr).
+	// Group-commit state, under flushMu: flushing is set while a leader
+	// flushes and fsyncs; the others wait on cond until flushed covers
+	// their frame, a flush failed (sticky flushErr), or no flush is in
+	// flight and one of them leads the next.
 	flushMu  sync.Mutex
 	cond     *sync.Cond
+	flushing bool
 	flushed  uint64
 	flushErr error
-	kick     chan struct{} // buffered(1); wakes the flusher
-	quit     chan struct{}
-	done     chan struct{}
 }
 
-// newWAL opens segment activeIdx for appending (creating it if needed) and
-// starts the group-commit flusher when the policy calls for one. segCount
-// is the number of segment files currently on disk, activeIdx included.
+// newWAL opens segment activeIdx for appending, creating it if needed.
+// segCount is the number of segment files currently on disk, activeIdx
+// included.
 func newWAL(dir string, pol SyncPolicy, activeIdx uint64, segCount int, segMax, ckptEvery int64) (*wal, error) {
 	f, size, err := openActiveSegment(dir, activeIdx)
 	if err != nil {
@@ -155,55 +149,25 @@ func newWAL(dir string, pol SyncPolicy, activeIdx uint64, segCount int, segMax, 
 		w.ckptKick = make(chan struct{}, 1)
 	}
 	w.cond = sync.NewCond(&w.flushMu)
-	if pol == SyncGroup {
-		w.kick = make(chan struct{}, 1)
-		w.quit = make(chan struct{})
-		w.done = make(chan struct{})
-		go w.flusher()
-	}
 	return w, nil
 }
 
-// errWALClosed fails appends and commits that arrive after close instead
-// of buffering frames that can never reach disk (or, under SyncGroup,
-// parking a waiter for a flusher that no longer runs).
+// errWALClosed fails appends that arrive after close instead of buffering
+// frames that can never reach disk.
 var errWALClosed = errors.New("storage: wal is closed")
 
+// close refuses further frames, then takes the leader's turn for the last
+// time: one flush and fsync, under every policy, covers every frame
+// appended, and each commit still waiting for one of them returns nil.
 func (w *wal) close() error {
 	if w.closed.Swap(true) {
 		return nil
 	}
-	if w.quit != nil {
-		close(w.quit)
-		<-w.done
+	err := w.syncAll()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	w.mu.Lock()
-	seq := w.seq
-	tcsn := w.appendedCSN
-	err := w.w.Flush()
-	w.mu.Unlock()
-	if err == nil && w.pol != SyncNone {
-		w.fileMu.Lock()
-		err = w.f.Sync()
-		w.fileMu.Unlock()
-		if err == nil {
-			w.noteDurable(tcsn)
-		}
-	}
-	// Release any commit still parked in waitDurable.
-	w.flushMu.Lock()
-	if err == nil {
-		w.flushed = seq
-	} else if w.flushErr == nil {
-		w.flushErr = err
-	}
-	w.cond.Broadcast()
-	w.flushMu.Unlock()
-	if err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+	return err
 }
 
 // frame writes one framed payload under mu and returns its sequence
@@ -280,7 +244,7 @@ type batchEntry struct {
 }
 
 // logBatch appends one multi-record frame covering every entry and commits
-// it once: one checksum, one buffer write, and (under SyncGroup/SyncAlways)
+// it once: one checksum, one buffer write, and (under SyncGroup) at most
 // one fsync for the whole batch.
 func (w *wal) logBatch(table string, csn CSN, entries []batchEntry) error {
 	if len(entries) == 0 {
@@ -302,50 +266,81 @@ func (w *wal) logBatch(table string, csn CSN, entries []batchEntry) error {
 
 // commit makes frame seq durable per the policy before returning.
 func (w *wal) commit(seq uint64) error {
-	switch w.pol {
-	case SyncNone:
+	if w.pol == SyncNone {
 		return nil
-	case SyncAlways:
-		w.mu.Lock()
-		tcsn := w.appendedCSN
-		err := w.w.Flush()
-		w.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		start := nanotime()
-		w.fileMu.Lock()
-		err = w.f.Sync()
-		w.fileMu.Unlock()
-		d := nanotime() - start
-		w.fsyncs.Add(1)
-		w.syncNS.Add(uint64(d))
-		w.waitNS.Add(uint64(d))
-		w.commits.Add(1)
-		if err == nil {
-			w.noteDurable(tcsn)
-		}
-		return err
 	}
 	start := nanotime()
-	err := w.waitDurable(seq)
+	w.flushMu.Lock()
+	for w.flushed < seq && w.flushErr == nil {
+		if w.flushing {
+			w.cond.Wait() // covered by that flush, or one of us leads the next
+		} else {
+			w.leadLocked()
+		}
+	}
+	err := w.flushErr
+	w.flushMu.Unlock()
 	w.waitNS.Add(uint64(nanotime() - start))
 	w.commits.Add(1)
 	return err
 }
 
-// flusher is the single group-commit goroutine: every kick flushes and
-// fsyncs whatever the buffer holds, then wakes every waiter it covered.
-func (w *wal) flusher() {
-	defer close(w.done)
-	for {
-		select {
-		case <-w.quit:
-			return
-		case <-w.kick:
-		}
-		w.flushOnce()
+// syncAll waits out a flush in flight, then leads one of its own, so every
+// frame appended before the call is on stable storage when it returns nil.
+func (w *wal) syncAll() error {
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
+	for w.flushing {
+		w.cond.Wait()
 	}
+	w.leadLocked()
+	return w.flushErr
+}
+
+// leadLocked flushes and fsyncs every frame appended so far, then records
+// what that covered and wakes the waiters. The caller holds flushMu with no
+// flush in flight; it is released for the flush itself, so committers that
+// arrive meanwhile frame and wait rather than queue behind the fsync.
+func (w *wal) leadLocked() {
+	w.flushing = true
+	w.flushMu.Unlock()
+	w.mu.Lock()
+	target, tcsn := w.seq, w.appendedCSN
+	err := w.w.Flush()
+	w.mu.Unlock()
+	if err == nil {
+		// The sync may land on a newer segment if a rotation slipped in
+		// between the flush and here; that is still correct, because the
+		// rotation itself fsynced the sealed segment holding our frames.
+		err = w.fsync(tcsn)
+	}
+	w.flushMu.Lock()
+	w.flushing = false
+	if err != nil {
+		if w.flushErr == nil {
+			w.flushErr = err // sticky: a lost frame can't be un-lost
+		}
+	} else if target > w.flushed {
+		w.flushed = target
+	}
+	w.cond.Broadcast()
+}
+
+// fsync is the one place the log fsyncs a segment: it syncs the active
+// file, counts the call and its time, and on success marks every stamp up
+// to tcsn durable. The caller flushed the buffer first and does not hold
+// fileMu.
+func (w *wal) fsync(tcsn CSN) error {
+	start := nanotime()
+	w.fileMu.Lock()
+	err := w.f.Sync()
+	w.fileMu.Unlock()
+	w.fsyncs.Add(1)
+	w.syncNS.Add(uint64(nanotime() - start))
+	if err == nil {
+		w.noteDurable(tcsn)
+	}
+	return err
 }
 
 // noteDurable advances the durable commit stamp monotonically.
@@ -358,77 +353,12 @@ func (w *wal) noteDurable(c CSN) {
 	}
 }
 
-func (w *wal) flushOnce() {
-	w.mu.Lock()
-	target := w.seq
-	tcsn := w.appendedCSN
-	err := w.w.Flush()
-	w.mu.Unlock()
-	if err == nil {
-		// The sync may land on a newer segment if a rotation slipped in
-		// between the flush and here; that is still correct, because the
-		// rotation itself fsynced the sealed segment holding our frames.
-		start := nanotime()
-		w.fileMu.Lock()
-		err = w.f.Sync()
-		w.fileMu.Unlock()
-		w.fsyncs.Add(1)
-		w.syncNS.Add(uint64(nanotime() - start))
-		if err == nil {
-			w.noteDurable(tcsn)
-		}
-	}
-	w.flushMu.Lock()
-	if err != nil {
-		w.flushErr = err // sticky: a lost frame can't be un-lost
-	} else if target > w.flushed {
-		w.flushed = target
-	}
-	w.cond.Broadcast()
-	w.flushMu.Unlock()
-}
-
-// waitDurable blocks until frame seq is on stable storage or a flush
-// failed. Waiters arriving while a flush is in flight are picked up by the
-// next one — the kick channel holds at most one pending wakeup.
-func (w *wal) waitDurable(seq uint64) error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	for w.flushed < seq && w.flushErr == nil {
-		if w.closed.Load() {
-			return errWALClosed // the flusher is gone; nobody will wake us
-		}
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
-		w.cond.Wait()
-	}
-	return w.flushErr
-}
-
 // Sync flushes buffered log frames and fsyncs the active segment.
 func (s *Store) Sync() error {
 	if s.wal == nil {
 		return nil
 	}
-	s.wal.mu.Lock()
-	tcsn := s.wal.appendedCSN
-	err := s.wal.w.Flush()
-	s.wal.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	start := nanotime()
-	s.wal.fileMu.Lock()
-	err = s.wal.f.Sync()
-	s.wal.fileMu.Unlock()
-	s.wal.fsyncs.Add(1)
-	s.wal.syncNS.Add(uint64(nanotime() - start))
-	if err == nil {
-		s.wal.noteDurable(tcsn)
-	}
-	return err
+	return s.wal.syncAll()
 }
 
 // WALStats is a point-in-time readout of the durability log's counters.
@@ -440,8 +370,8 @@ type WALStats struct {
 	Bytes  uint64
 	// Fsyncs counts fsync system calls; FsyncTime is time spent inside
 	// them. Under SyncGroup, Commits/CommitWait measure how long
-	// committers blocked for durability — group commit shows many
-	// commits per fsync.
+	// committers waited for durability — group commit shows many commits
+	// per fsync.
 	Fsyncs     uint64
 	FsyncTime  time.Duration
 	Commits    uint64

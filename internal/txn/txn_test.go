@@ -393,7 +393,7 @@ func TestConcurrentWritersSerialize(t *testing.T) {
 func TestTxnCommitIsOneFrame(t *testing.T) {
 	open := func(t *testing.T, dir string, tables ...string) (*storage.Store, *Manager, map[string][]storage.RowID) {
 		t.Helper()
-		s, err := storage.OpenOptions(dir, storage.Options{Sync: storage.SyncAlways, CheckpointBytes: -1})
+		s, err := storage.OpenOptions(dir, storage.Options{Sync: storage.SyncGroup, CheckpointBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

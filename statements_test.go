@@ -15,7 +15,7 @@ import (
 func durableOptions(t *testing.T) Options {
 	return Options{
 		Dir:       t.TempDir(),
-		Sync:      SyncAlways,
+		Sync:      SyncGroup,
 		Axioms:    LifeSciAxioms + PopulationAxioms,
 		LinkRules: LifeSciLinkRules(),
 		Patterns:  LifeSciPatterns(),
