@@ -375,11 +375,11 @@ func benchLookupTable(b *testing.B, indexed bool) (*storage.Store, *storage.Tabl
 }
 
 func benchLookup(b *testing.B, tb *storage.Table, now storage.CSN, opt storage.ScanOptions) {
-	pred := storage.ZonePred{Attr: "k", Op: "=", Val: model.Int(123)}
+	pred := model.Conjunct{Attr: "k", Op: "=", Val: model.Int(123)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		matched := 0
-		c := tb.ScanWhere(now, []storage.ZonePred{pred}, opt)
+		c := tb.ScanWhere(now, []model.Conjunct{pred}, opt)
 		for recs := c.Next(); recs != nil; recs = c.Next() {
 			for _, rec := range recs {
 				if model.Equal(rec.Get("k"), pred.Val) {

@@ -428,7 +428,7 @@ func (e *queryEnv) HasConcept(name string) bool { return e.db.onto.HasConcept(na
 // A bare relation (claims) or a system relation has no storage access
 // paths — it is built and chunked; the executor's re-filter applies the
 // zone conjuncts.
-func (e *queryEnv) ScanTable(name string, zone []query.ZoneConjunct, size int) (query.ScanCursor, bool) {
+func (e *queryEnv) ScanTable(name string, zone []model.Conjunct, size int) (query.ScanCursor, bool) {
 	if e.sys != nil {
 		if cur, ok := e.sys.ScanTable(name, nil, size); ok {
 			return cur, true
@@ -445,11 +445,7 @@ func (e *queryEnv) ScanTable(name string, zone []query.ZoneConjunct, size int) (
 	if len(zone) == 0 {
 		return &tableCursor{t.ScanMorselsCtx(e.ctx, e.db.store.Now(), size)}, true
 	}
-	preds := make([]storage.ZonePred, len(zone))
-	for i, z := range zone {
-		preds[i] = storage.ZonePred{Attr: z.Attr, Op: z.Op, Val: z.Val, Vals: z.Vals}
-	}
-	return &tableCursor{t.ScanWhere(e.db.store.Now(), preds, storage.ScanOptions{
+	return &tableCursor{t.ScanWhere(e.db.store.Now(), zone, storage.ScanOptions{
 		NoPrune: e.db.opts.DisableZonePruning,
 		NoIndex: e.db.opts.DisableIndexScan,
 		NoAuto:  e.db.opts.DisableIndexScan,

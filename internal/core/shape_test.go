@@ -216,7 +216,7 @@ func bindPlan(n query.Node, args []model.Value) query.Node {
 	case *query.FilterNode:
 		return &query.FilterNode{Input: bindPlan(n.Input, args), Pred: x(n.Pred)}
 	case *query.IndexScanNode:
-		return &query.IndexScanNode{Table: n.Table, Binding: n.Binding, Pred: x(n.Pred), Zone: n.Zone}
+		return &query.IndexScanNode{Table: n.Table, Binding: n.Binding, Pred: x(n.Pred), Zone: n.Zone, Params: n.Params}
 	case *query.JoinNode:
 		return &query.JoinNode{L: bindPlan(n.L, args), R: bindPlan(n.R, args), On: x(n.On)}
 	case *query.ProjectNode:

@@ -348,6 +348,47 @@ func Equal(a, b Value) bool {
 	return false
 }
 
+// Conjunct is one sargable conjunct a scan hands storage: Attr Op Val, or
+// Attr IN (Vals). Val is non-null for every op but "in".
+type Conjunct struct {
+	Attr string
+	Op   string // "=", "<", "<=", ">", ">=", "in"
+	Val  Value
+	Vals []Value // for "in"
+}
+
+// Side places v against lit along Less's order: -2 below lit's comparison
+// class (Kind.Rank), 2 above it, and inside it Compare's -1, 0 or 1. It
+// never decreases along values sorted by Less, lists and NaNs excepted. A
+// NaN literal compares equal to every numeric, so "=" spans the numeric
+// class and the orderings hold nothing.
+func Side(v, lit Value) int {
+	if k, kl := v.kind, lit.kind; k != kl && k.Rank() != kl.Rank() {
+		return 2 * cmp.Compare(k.Rank(), kl.Rank())
+	}
+	c, _ := Compare(v, lit)
+	return c
+}
+
+// Sides is the one comparison rule: the sides [lo, hi) of a literal, as
+// Side reports them, that satisfy op. An IN list's values are each taken as
+// "="; "!=" and unknown ops accept no side.
+func Sides(op string) (lo, hi int) {
+	switch op {
+	case "=", "in":
+		return 0, 1
+	case "<":
+		return -1, 0
+	case "<=":
+		return -1, 1
+	case ">":
+		return 1, 2
+	case ">=":
+		return 0, 2
+	}
+	return 0, 0
+}
+
 // Less is a total order over values used for deterministic sorting of
 // heterogeneous data: null sorts first, then by kind, then by Compare within
 // comparable kinds.

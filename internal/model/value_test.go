@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -181,6 +182,40 @@ func TestLessTotalOrder(t *testing.T) {
 			}
 			if Less(ordered[j], ordered[i]) {
 				t.Errorf("want !(%v < %v)", ordered[j], ordered[i])
+			}
+		}
+	}
+}
+
+// TestSideFollowsLess: along values sorted by Less (no NaN, no list), Side
+// against any literal never decreases and is Compare inside the literal's
+// class, so one binary search per accepted side finds what Sides names,
+// and an operator accepts exactly what the evaluator's Compare does.
+func TestSideFollowsLess(t *testing.T) {
+	ordered := []Value{
+		Bool(false), Bool(true), Float(math.Inf(-1)), Int(-3), Float(math.Copysign(0, -1)), Int(0),
+		Float(1.5), Int(2), String(""), String("a"), String("b"), Time(time.Unix(1, 0)),
+		Time(time.Unix(2, 0)), Bytes([]byte("a")), Ref(1), Ref(3),
+	}
+	lits := append(slices.Clone(ordered), Float(math.NaN()), List(Int(1)))
+	for _, lit := range lits {
+		prev := -2
+		for _, v := range ordered {
+			s := Side(v, lit)
+			if s < prev {
+				t.Errorf("Side(%v, %v) = %d after %d", v, lit, s, prev)
+			}
+			prev = s
+			c, err := Compare(v, lit)
+			if (err == nil) != (s > -2 && s < 2) || err == nil && c != s {
+				t.Errorf("Side(%v, %v) = %d, Compare %d, %v", v, lit, s, c, err)
+			}
+			for _, op := range []string{"=", "<", "<=", ">", ">="} {
+				lo, hi := Sides(op)
+				want := err == nil && map[string]bool{"=": c == 0, "<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0}[op]
+				if got := lo <= s && s < hi; got != want {
+					t.Errorf("%v %s %v: Sides accepts %v, Compare %v", v, op, lit, got, want)
+				}
 			}
 		}
 	}

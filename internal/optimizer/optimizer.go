@@ -567,9 +567,9 @@ func pushDownFilters(n query.Node, rep *Report) query.Node {
 // are excluded for comparisons — they never evaluate True — but tolerated
 // inside IN lists (they can only widen the answer to Unknown, never add a
 // row, so storage may refute them freely). A Param is a literal that is
-// never null (only a string or a number is lifted); the scan binds its
-// value.
-func zoneConjunct(e query.Expr, binding string) (query.ZoneConjunct, bool) {
+// never null (only a string or a number is lifted): it is returned beside
+// the conjunct, whose Val the scan binds to its value.
+func zoneConjunct(e query.Expr, binding string) (model.Conjunct, *query.Param, bool) {
 	colOf := func(x query.Expr) (string, bool) {
 		c, ok := x.(*query.ColRef)
 		if !ok || (c.Binding != "" && c.Binding != binding) {
@@ -590,24 +590,24 @@ func zoneConjunct(e query.Expr, binding string) (query.ZoneConjunct, bool) {
 	case *query.Binary:
 		flipped, sargable := flip(e.Op)
 		if !sargable {
-			return query.ZoneConjunct{}, false
+			return model.Conjunct{}, nil, false
 		}
 		if col, ok := colOf(e.L); ok {
 			if v, p, ok := litOf(e.R); ok {
-				return query.ZoneConjunct{Attr: col, Op: e.Op, Val: v, Param: p}, true
+				return model.Conjunct{Attr: col, Op: e.Op, Val: v}, p, true
 			}
 		}
 		if col, ok := colOf(e.R); ok {
 			if v, p, ok := litOf(e.L); ok {
-				return query.ZoneConjunct{Attr: col, Op: flipped, Val: v, Param: p}, true
+				return model.Conjunct{Attr: col, Op: flipped, Val: v}, p, true
 			}
 		}
 	case *query.InList:
 		if col, ok := colOf(e.X); ok && len(e.Vals) > 0 {
-			return query.ZoneConjunct{Attr: col, Op: "in", Vals: e.Vals}, true
+			return model.Conjunct{Attr: col, Op: "in", Vals: e.Vals}, nil, true
 		}
 	}
-	return query.ZoneConjunct{}, false
+	return model.Conjunct{}, nil, false
 }
 
 // flip returns a sargable comparison with its operands swapped (a < b is
@@ -639,17 +639,27 @@ func pushScanPredicates(n query.Node, rep *Report) query.Node {
 		input := pushScanPredicates(n.Input, rep)
 		// A function's rows are computed, not stored: no access path to pick.
 		if scan, ok := input.(*query.ScanNode); ok && !scan.Call {
-			var zone []query.ZoneConjunct
-			for _, c := range conjuncts(nil, n.Pred) {
-				if zc, ok := zoneConjunct(c, scan.Binding); ok {
-					zone = append(zone, zc)
-					if rep.explain {
-						rep.log("accesspath: push %s into scan of %s", c, scan.Table)
-					}
+			var zone []model.Conjunct
+			var params []*query.Param // nil until a conjunct's Val is a Param
+			cs := conjuncts(nil, n.Pred)
+			for _, c := range cs {
+				zc, p, ok := zoneConjunct(c, scan.Binding)
+				if !ok {
+					continue
+				}
+				if p != nil && params == nil {
+					params = make([]*query.Param, len(zone), len(cs))
+				}
+				zone = append(zone, zc)
+				if params != nil {
+					params = append(params, p)
+				}
+				if rep.explain {
+					rep.log("accesspath: push %s into scan of %s", c, scan.Table)
 				}
 			}
 			if len(zone) > 0 {
-				return &query.IndexScanNode{Table: scan.Table, Binding: scan.Binding, Pred: n.Pred, Zone: zone}
+				return &query.IndexScanNode{Table: scan.Table, Binding: scan.Binding, Pred: n.Pred, Zone: zone, Params: params}
 			}
 		}
 		return &query.FilterNode{Input: input, Pred: n.Pred}

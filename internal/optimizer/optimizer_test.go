@@ -305,7 +305,7 @@ func TestOptimizedPlanStillCorrect(t *testing.T) {
 // execEnv is a minimal Env for the correctness check.
 type execEnv struct{}
 
-func (execEnv) ScanTable(name string, _ []query.ZoneConjunct, size int) (query.ScanCursor, bool) {
+func (execEnv) ScanTable(name string, _ []model.Conjunct, size int) (query.ScanCursor, bool) {
 	if name != "drugs" {
 		return nil, false
 	}

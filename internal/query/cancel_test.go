@@ -53,7 +53,7 @@ func (c *endlessCursor) Next() []model.Record {
 
 func (c *endlessCursor) Info() PushedScanInfo { return PushedScanInfo{} }
 
-func (e *endlessEnv) ScanTable(name string, zone []ZoneConjunct, size int) (ScanCursor, bool) {
+func (e *endlessEnv) ScanTable(name string, zone []model.Conjunct, size int) (ScanCursor, bool) {
 	if name != "endless" {
 		return e.fakeEnv.ScanTable(name, zone, size)
 	}

@@ -22,7 +22,7 @@ type Env interface {
 	// indexes, zone-map pruning) in morsels of its own choosing and says
 	// what it did in the cursor's Info; the executor re-applies the full
 	// predicate either way.
-	ScanTable(name string, zone []ZoneConjunct, size int) (cur ScanCursor, found bool)
+	ScanTable(name string, zone []model.Conjunct, size int) (cur ScanCursor, found bool)
 	// ScanFunction opens a scan of what FROM name(args…) answers, under the
 	// same contract; an unknown function or a bad argument is an error.
 	ScanFunction(name string, args []model.Value, size int) (ScanCursor, error)
@@ -104,7 +104,7 @@ type Relations map[string][]model.Record
 func (r Relations) HasTable(name string) bool { _, ok := r[name]; return ok }
 func (Relations) HasConcept(string) bool      { return false }
 
-func (r Relations) ScanTable(name string, _ []ZoneConjunct, size int) (ScanCursor, bool) {
+func (r Relations) ScanTable(name string, _ []model.Conjunct, size int) (ScanCursor, bool) {
 	recs, ok := r[name]
 	return &RecordChunks{Recs: recs, Size: size}, ok
 }
@@ -392,22 +392,11 @@ func (c *evalCtx) evalBinary(e *Binary, row Row) (model.Value, error) {
 			}
 			return model.Null(), nil
 		}
-		var b bool
-		switch e.Op {
-		case "=":
-			b = cmp == 0
-		case "!=":
-			b = cmp != 0
-		case "<":
-			b = cmp < 0
-		case "<=":
-			b = cmp <= 0
-		case ">":
-			b = cmp > 0
-		case ">=":
-			b = cmp >= 0
+		if e.Op == "!=" {
+			return model.Bool(cmp != 0), nil
 		}
-		return model.Bool(b), nil
+		lo, hi := model.Sides(e.Op)
+		return model.Bool(lo <= cmp && cmp < hi), nil
 	case "+", "-", "*", "/":
 		if lv.IsNull() || rv.IsNull() {
 			return model.Null(), nil

@@ -21,19 +21,6 @@ type Result struct {
 	Rows    [][]model.Value
 }
 
-// ZoneConjunct is one sargable conjunct pushed below a scan: attr OP
-// literal, or attr IN (literals). It mirrors storage.ZonePred without the
-// import (query cannot depend on storage).
-type ZoneConjunct struct {
-	Attr string
-	Op   string // "=", "<", "<=", ">", ">=", "in"
-	Val  model.Value
-	Vals []model.Value // for "in"
-	// Param, when set, is the statement parameter Val stands for: the scan
-	// binds its value at execution.
-	Param *Param
-}
-
 // PushedScanInfo reports what a pushed-down scan did: the index it chose
 // (empty for a plain zone scan) and how many zone segments it pruned.
 type PushedScanInfo struct {
@@ -243,7 +230,7 @@ func (x *execCtx) build(n Node) (s stream, cols []string, st *OpStats, err error
 		}
 		return x.buildScan(n, n.Table, n.Binding, nil, nil)
 	case *IndexScanNode:
-		return x.buildScan(n, n.Table, n.Binding, n.Zone, n.Pred)
+		return x.buildScan(n, n.Table, n.Binding, bindZone(n.Zone, n.Params, x.ev.args), n.Pred)
 	case *ConceptScanNode:
 		return x.buildConceptScan(n)
 	case *EmptyNode:
@@ -324,10 +311,10 @@ func (o *scanOp) process(m morsel) (morsel, error) {
 }
 
 // buildScan opens a table scan (Scan, or IndexScan with its pushed zone
-// conjuncts) and binds it; the scan's stats record what a pushed-down scan
-// did.
-func (x *execCtx) buildScan(n Node, table, binding string, zone []ZoneConjunct, pred Expr) (stream, []string, *OpStats, error) {
-	cur, found := x.ev.env.ScanTable(table, bindZone(zone, x.ev.args), x.size)
+// conjuncts, their Params bound) and binds it; the scan's stats record what a
+// pushed-down scan did.
+func (x *execCtx) buildScan(n Node, table, binding string, zone []model.Conjunct, pred Expr) (stream, []string, *OpStats, error) {
+	cur, found := x.ev.env.ScanTable(table, zone, x.size)
 	if !found {
 		return nil, nil, nil, fmt.Errorf("query: unknown table %q", table)
 	}
@@ -337,21 +324,18 @@ func (x *execCtx) buildScan(n Node, table, binding string, zone []ZoneConjunct, 
 	return x.newScanOp(cur, binding, pred, st), nil, st, nil
 }
 
-// bindZone returns zone with each Param's value, args[Index], in Val. A
-// plan is shared by every execution of its shape, so a zone holding a Param
-// is bound in a copy.
-func bindZone(zone []ZoneConjunct, args []model.Value) []ZoneConjunct {
-	var bound []ZoneConjunct
-	for i, z := range zone {
-		if z.Param != nil {
-			if bound == nil {
-				bound = slices.Clone(zone)
-			}
-			bound[i].Val, bound[i].Param = args[z.Param.Index], nil
-		}
-	}
-	if bound == nil {
+// bindZone returns zone with each Param's value, args[Index], in the Val
+// of the conjunct it stands for (params[i] for zone[i]). A plan is shared by
+// every execution of its shape, so a zone with Params is bound in a copy.
+func bindZone(zone []model.Conjunct, params []*Param, args []model.Value) []model.Conjunct {
+	if params == nil {
 		return zone
+	}
+	bound := slices.Clone(zone)
+	for i, p := range params {
+		if p != nil {
+			bound[i].Val = args[p.Index]
+		}
 	}
 	return bound
 }

@@ -42,8 +42,12 @@ func (n *ScanNode) Label() string {
 type IndexScanNode struct {
 	Table   string
 	Binding string
-	Pred    Expr           // the full predicate the scan absorbed
-	Zone    []ZoneConjunct // sargable conjuncts handed to storage
+	Pred    Expr             // the full predicate the scan absorbed
+	Zone    []model.Conjunct // sargable conjuncts handed to storage
+	// Params, when non-nil, holds for each conjunct of Zone the statement
+	// parameter its Val stands for, or nil: the scan binds their values at
+	// execution.
+	Params []*Param
 }
 
 func (n *IndexScanNode) Label() string {

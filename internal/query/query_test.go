@@ -46,7 +46,7 @@ func (f *fakeEnv) cursor(recs []model.Record, ok bool, size int) (ScanCursor, bo
 	return &fakeCursor{RecordChunks{recs, size}, &f.pulls}, true
 }
 
-func (f *fakeEnv) ScanTable(name string, _ []ZoneConjunct, size int) (ScanCursor, bool) {
+func (f *fakeEnv) ScanTable(name string, _ []model.Conjunct, size int) (ScanCursor, bool) {
 	recs, ok := f.tables[name]
 	return f.cursor(recs, ok, size)
 }

@@ -207,7 +207,7 @@ type snapshotEnv struct {
 
 func (e *snapshotEnv) HasTable(name string) bool { return name == e.table.Name() }
 
-func (e *snapshotEnv) ScanTable(name string, _ []ZoneConjunct, size int) (ScanCursor, bool) {
+func (e *snapshotEnv) ScanTable(name string, _ []model.Conjunct, size int) (ScanCursor, bool) {
 	return &snapshotCursor{e.table.ScanMorselsCtx(nil, e.csn, size)}, true
 }
 

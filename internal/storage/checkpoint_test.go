@@ -535,7 +535,7 @@ func TestIndexCatalogPersisted(t *testing.T) {
 	}
 	scan := func(tb *Table, attr string, n int) {
 		for k := 0; k < n; k++ {
-			preds := []ZonePred{{Attr: attr, Op: "=", Val: model.Int(int64(k % 10))}}
+			preds := []model.Conjunct{{Attr: attr, Op: "=", Val: model.Int(int64(k % 10))}}
 			scanInfo(tb, s.Now(), preds, ScanOptions{})
 		}
 	}
@@ -626,7 +626,7 @@ func TestTwoKindCatalogRestores(t *testing.T) {
 
 	now := s.Now()
 	nan := model.Float(math.NaN())
-	for _, p := range []ZonePred{
+	for _, p := range []model.Conjunct{
 		{Attr: "h", Op: "=", Val: model.Int(4)},
 		{Attr: "h", Op: "=", Val: nan},
 		{Attr: "h", Op: "in", Vals: []model.Value{model.Int(1), nan, model.List(model.Int(1), model.String("x"))}},
@@ -639,7 +639,7 @@ func TestTwoKindCatalogRestores(t *testing.T) {
 		{Attr: "r", Op: "=", Val: nan},
 	} {
 		label := fmt.Sprintf("%s %s %v %v", p.Attr, p.Op, p.Val, p.Vals)
-		c := tb.ScanWhere(now, []ZonePred{p}, ScanOptions{NoAuto: true})
+		c := tb.ScanWhere(now, []model.Conjunct{p}, ScanOptions{NoAuto: true})
 		recs, _ := drain(&c)
 		if c.Info().Index != "t."+p.Attr {
 			t.Fatalf("%s: scan used index %q, want t.%s", label, c.Info().Index, p.Attr)
@@ -653,9 +653,9 @@ func TestTwoKindCatalogRestores(t *testing.T) {
 
 	// One equality and one range touch were persisted for q: two more
 	// touches reach the threshold of four.
-	q := ZonePred{Attr: "q", Op: "=", Val: model.Int(3)}
-	scanInfo(tb, now, []ZonePred{q}, ScanOptions{})
-	if info := scanInfo(tb, now, []ZonePred{q}, ScanOptions{}); info.Index != "t.q" {
+	q := model.Conjunct{Attr: "q", Op: "=", Val: model.Int(3)}
+	scanInfo(tb, now, []model.Conjunct{q}, ScanOptions{})
+	if info := scanInfo(tb, now, []model.Conjunct{q}, ScanOptions{}); info.Index != "t.q" {
 		t.Fatalf("q's persisted touches did not count: Index = %q, stats %+v", info.Index, tb.IndexStats())
 	}
 }

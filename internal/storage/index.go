@@ -7,8 +7,8 @@ package storage
 // re-filters with the full predicate. Every index is one structure: a run
 // sorted by value with a 256-entry pending buffer merged linearly into it,
 // O(n/256 + log 256) amortised per write. A lookup decides every posting by
-// one rule, sides, for =, IN and ranges alike: binary searches over the run,
-// a filter over the buffer.
+// one rule, model.Side and model.Sides, for =, IN and ranges alike: binary
+// searches over the run, a filter over the buffer.
 // Maintenance is append-only, every index is correct as-of any CSN for free,
 // and Vacuum rebuilds compactly from the retained version chains. Every
 // build — auto-create, Vacuum, recovery, CreateIndex — is one pass plus one
@@ -130,58 +130,27 @@ func (ix *Index) entries() int {
 	return len(ix.sorted) + len(ix.pending) + len(ix.odd)
 }
 
-// side places v against lit along entryCmp's order: -2 below lit's
-// comparison class, 2 above it, and inside it model.Compare's -1, 0 or 1
-// (total there, odd values being excluded). It never decreases along the
-// sorted run. A NaN literal compares equal to every numeric, so "=" spans
-// the numeric class and the orderings hold nothing — exactly the
-// evaluator's semantics.
-func side(v, lit model.Value) int {
-	if k, kl := v.Kind(), lit.Kind(); k != kl && k.Rank() != kl.Rank() {
-		return 2 * cmp.Compare(k.Rank(), kl.Rank())
-	}
-	c, _ := model.Compare(v, lit)
-	return c
-}
-
-// sides is the one lookup rule: the sides [lo, hi) of lit that satisfy op,
-// an IN list's values each taken as "=".
-func sides(op string) (lo, hi int) {
-	switch op {
-	case "=", "in":
-		return 0, 1
-	case "<":
-		return -1, 0
-	case "<=":
-		return -1, 1
-	case ">":
-		return 1, 2
-	case ">=":
-		return 0, 2
-	}
-	return 0, 0
-}
-
 // window returns the part of run (ordered by entryCmp) that satisfies op
-// against lit: one binary search for each of its sides. Windowing a window
+// against lit: one binary search for each of its sides, model.Side never
+// decreasing along the run (odd values being excluded). Windowing a window
 // intersects the two.
 func window(run []idxEntry, op string, lit model.Value) []idxEntry {
 	at := func(s int) int {
-		return sort.Search(len(run), func(i int) bool { return side(run[i].val, lit) >= s })
+		return sort.Search(len(run), func(i int) bool { return model.Side(run[i].val, lit) >= s })
 	}
-	lo, hi := sides(op)
+	lo, hi := model.Sides(op)
 	return run[at(lo):at(hi)]
 }
 
 // admits decides one posting of the unordered pending buffer by the rule
 // window searches by: v lies on an accepted side of every conjunct, and of
 // some value of an IN list.
-func admits(ps []ZonePred, v model.Value) bool {
+func admits(ps []model.Conjunct, v model.Value) bool {
 	for i := range ps {
 		p := &ps[i]
-		lo, hi := sides(p.Op)
+		lo, hi := model.Sides(p.Op)
 		in := func(lit model.Value) bool {
-			s := side(v, lit)
+			s := model.Side(v, lit)
 			return lo <= s && s < hi
 		}
 		if p.Op == "in" && !slices.ContainsFunc(p.Vals, in) || p.Op != "in" && !in(p.Val) {
@@ -194,8 +163,9 @@ func admits(ps []ZonePred, v model.Value) bool {
 // candidates returns a sorted, deduplicated superset of the RowIDs whose
 // visible record can satisfy every conjunct of ps: the one chooseIndexLocked
 // chose, or the two bounds of a range. The sorted run is searched and the
-// pending buffer filtered, both by sides. Caller holds the table read lock.
-func (ix *Index) candidates(ps []ZonePred) []RowID {
+// pending buffer filtered, both by model.Sides. Caller holds the table read
+// lock.
+func (ix *Index) candidates(ps []model.Conjunct) []RowID {
 	ids := make([]RowID, 0, 64)
 	add := func(es []idxEntry) {
 		for _, e := range es {
@@ -368,7 +338,7 @@ func (t *Table) vacuumIndexesLocked() {
 
 // maybeAutoIndexLocked creates the indexes whose access counters tripped
 // the threshold.
-func (t *Table) maybeAutoIndexLocked(preds []ZonePred) {
+func (t *Table) maybeAutoIndexLocked(preds []model.Conjunct) {
 	for _, p := range preds {
 		if t.access[p.Attr] < autoIndexAccesses || t.live < autoIndexMinRows {
 			continue
@@ -386,7 +356,7 @@ func (t *Table) maybeAutoIndexLocked(preds []ZonePred) {
 // IN beats range. An equality against a NaN literal needs no exception:
 // window("=", NaN) spans the whole numeric class, which is what the
 // evaluator's Compare matches.
-func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, []ZonePred) {
+func (t *Table) chooseIndexLocked(preds []model.Conjunct) (*Index, []model.Conjunct) {
 	var best *Index
 	bestScore, bestAt := -1, 0
 	for i, p := range preds {
@@ -415,7 +385,7 @@ func (t *Table) chooseIndexLocked(preds []ZonePred) (*Index, []ZonePred) {
 		// half-line ("<" and "<=" start alike, and so do ">" and ">=").
 		for _, p := range preds {
 			if p.Attr == bestPred.Attr && (p.Op[0] == '<' || p.Op[0] == '>') && p.Op[0] != bestPred.Op[0] {
-				return best, []ZonePred{bestPred, p}
+				return best, []model.Conjunct{bestPred, p}
 			}
 		}
 	}
@@ -488,10 +458,10 @@ func (s *Store) IndexStats() []IndexStat {
 // predicate. Opening drives self-curation, once per scan: accesses are
 // counted, indexes auto-created and chosen, and the candidate RowIDs
 // gathered here.
-func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions) Cursor {
+func (t *Table) ScanWhere(csn CSN, preds []model.Conjunct, opt ScanOptions) Cursor {
 	var info ScanInfo
 	var idx *Index
-	var idxPreds []ZonePred
+	var idxPreds []model.Conjunct
 	t.mu.Lock()
 	t.initCurationLocked()
 	if !opt.NoAuto {
@@ -528,7 +498,7 @@ func (t *Table) ScanWhere(csn CSN, preds []ZonePred, opt ScanOptions) Cursor {
 
 // segRefutedLocked reports whether any conjunct is refuted by the
 // segment's zone map. A missing zone map never prunes.
-func (t *Table) segRefutedLocked(seg uint64, preds []ZonePred) bool {
+func (t *Table) segRefutedLocked(seg uint64, preds []model.Conjunct) bool {
 	z := t.zones[seg]
 	if z == nil {
 		return false

@@ -16,7 +16,7 @@ import (
 // predMatches re-implements the query evaluator's predicate semantics for
 // use as the differential-test filter: =/</<=/>/>= via model.Compare
 // (incomparable or null → no match), IN via model.Equal.
-func predMatches(p ZonePred, r model.Record) bool {
+func predMatches(p model.Conjunct, r model.Record) bool {
 	v := r.Get(p.Attr)
 	if v.IsNull() {
 		return false
@@ -50,19 +50,19 @@ func predMatches(p ZonePred, r model.Record) bool {
 
 // answerVia runs ScanWhere under opt and filters the yielded superset down
 // to the rows that actually match, in the order the scan yielded them.
-func answerVia(tb *Table, csn CSN, p ZonePred, opt ScanOptions) []model.Record {
-	c := tb.ScanWhere(csn, []ZonePred{p}, opt)
+func answerVia(tb *Table, csn CSN, p model.Conjunct, opt ScanOptions) []model.Record {
+	c := tb.ScanWhere(csn, []model.Conjunct{p}, opt)
 	recs, _ := drain(&c)
 	return matching(p, recs)
 }
 
 // oracle computes the same answer with a plain full snapshot scan, in RowID
 // order.
-func oracle(tb *Table, csn CSN, p ZonePred) []model.Record {
+func oracle(tb *Table, csn CSN, p model.Conjunct) []model.Record {
 	return matching(p, scanAt(tb, csn))
 }
 
-func matching(p ZonePred, recs []model.Record) []model.Record {
+func matching(p model.Conjunct, recs []model.Record) []model.Record {
 	var got []model.Record
 	for _, rec := range recs {
 		if predMatches(p, rec) {
@@ -73,7 +73,7 @@ func matching(p ZonePred, recs []model.Record) []model.Record {
 }
 
 // scanInfo drains a pushed-down scan and reports what it did.
-func scanInfo(tb *Table, csn CSN, preds []ZonePred, opt ScanOptions) ScanInfo {
+func scanInfo(tb *Table, csn CSN, preds []model.Conjunct, opt ScanOptions) ScanInfo {
 	c := tb.ScanWhere(csn, preds, opt)
 	drain(&c)
 	return c.Info()
@@ -96,7 +96,7 @@ func TestIndexEqualityAndRange(t *testing.T) {
 		insert(tb, rec("h", i%10, "r", float64(i), "s", fmt.Sprintf("v%03d", i%50)))
 	}
 	now := s.Now()
-	preds := []ZonePred{
+	preds := []model.Conjunct{
 		{Attr: "h", Op: "=", Val: model.Int(3)},
 		{Attr: "h", Op: "in", Vals: []model.Value{model.Int(1), model.Int(7)}},
 		{Attr: "r", Op: "<", Val: model.Float(33)},
@@ -113,7 +113,7 @@ func TestIndexEqualityAndRange(t *testing.T) {
 		sameRecords(t, fmt.Sprintf("%s %s", p.Attr, p.Op), got, want)
 	}
 	// The equality on h must actually have used the index on h.
-	info := scanInfo(tb, now, []ZonePred{preds[0]}, ScanOptions{})
+	info := scanInfo(tb, now, []model.Conjunct{preds[0]}, ScanOptions{})
 	if info.Index != "t.h" {
 		t.Fatalf("Index = %q, want t.h", info.Index)
 	}
@@ -138,7 +138,7 @@ func TestIndexOddValues(t *testing.T) {
 		insert(tb, model.Record{"a": v, "b": v})
 	}
 	now := s.Now()
-	preds := []ZonePred{
+	preds := []model.Conjunct{
 		{Attr: "a", Op: "=", Val: model.Int(0)},   // must find -0.0, +0.0, 0, and NaN
 		{Attr: "a", Op: "=", Val: nan},            // NaN literal matches every numeric
 		{Attr: "b", Op: "=", Val: nan},            // same on b
@@ -214,7 +214,7 @@ func TestIndexMVCCDifferential(t *testing.T) {
 	}
 	snaps = append(snaps, s.Now())
 
-	preds := []ZonePred{
+	preds := []model.Conjunct{
 		{Attr: "k", Op: "=", Val: model.Int(7)},
 		{Attr: "k", Op: "=", Val: model.Float(math.NaN())},
 		{Attr: "k", Op: "in", Vals: []model.Value{model.Int(3), model.String("s05"), model.Float(math.NaN())}},
@@ -313,7 +313,7 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	// Each entry is the conjuncts of one scan over attr "a" (withAttr
 	// retargets them): one conjunct, or the two bounds of a range, which
 	// chooseIndexLocked hands the index together.
-	var preds [][]ZonePred
+	var preds [][]model.Conjunct
 	lits := []model.Value{
 		model.Int(-5), model.Int(0), model.Float(math.Copysign(0, -1)), model.Float(7.25), model.Int(12),
 		model.Float(24.75), model.Float(math.NaN()), model.String("s00"), model.String("s17"), model.String("zz"),
@@ -321,7 +321,7 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	}
 	for _, lit := range lits {
 		for _, op := range []string{"=", "<", "<=", ">", ">="} {
-			preds = append(preds, []ZonePred{{Attr: "a", Op: op, Val: lit}})
+			preds = append(preds, []model.Conjunct{{Attr: "a", Op: op, Val: lit}})
 		}
 	}
 	// Two-sided: proper ranges in either conjunct order, a string range, an
@@ -333,7 +333,7 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 		{">=", model.Float(math.NaN()), "<", model.Int(12)}, {">=", model.Int(0), "<=", model.Float(math.NaN())},
 		{">=", model.Int(0), "<", model.String("s17")},
 	} {
-		preds = append(preds, []ZonePred{
+		preds = append(preds, []model.Conjunct{
 			{Attr: "a", Op: r[0].(string), Val: r[1].(model.Value)},
 			{Attr: "a", Op: r[2].(string), Val: r[3].(model.Value)},
 		})
@@ -341,19 +341,19 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	// IN lists across classes, one holding NaN (whose "=" window spans the
 	// numeric class in both runs) and one holding a list literal.
 	preds = append(preds,
-		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Int(3), model.Float(3.5), model.String("s05")}}},
-		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Float(0), model.Bool(false), model.Time(epoch)}}},
-		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Int(3), model.Float(math.NaN()), model.String("s05")}}},
-		[]ZonePred{{Attr: "a", Op: "in", Vals: []model.Value{model.Float(math.NaN()), model.Bool(true), model.Time(epoch), model.List(model.Int(1))}}},
+		[]model.Conjunct{{Attr: "a", Op: "in", Vals: []model.Value{model.Int(3), model.Float(3.5), model.String("s05")}}},
+		[]model.Conjunct{{Attr: "a", Op: "in", Vals: []model.Value{model.Float(0), model.Bool(false), model.Time(epoch)}}},
+		[]model.Conjunct{{Attr: "a", Op: "in", Vals: []model.Value{model.Int(3), model.Float(math.NaN()), model.String("s05")}}},
+		[]model.Conjunct{{Attr: "a", Op: "in", Vals: []model.Value{model.Float(math.NaN()), model.Bool(true), model.Time(epoch), model.List(model.Int(1))}}},
 	)
-	withAttr := func(ps []ZonePred, attr string) []ZonePred {
+	withAttr := func(ps []model.Conjunct, attr string) []model.Conjunct {
 		out := slices.Clone(ps)
 		for i := range out {
 			out[i].Attr = attr
 		}
 		return out
 	}
-	label := func(ps []ZonePred) string {
+	label := func(ps []model.Conjunct) string {
 		var parts []string
 		for _, p := range ps {
 			parts = append(parts, fmt.Sprintf("%s %v %v", p.Op, p.Val, p.Vals))
@@ -362,7 +362,7 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 	}
 	// cands is what a scan with these conjuncts gathers from the index on
 	// attr.
-	cands := func(attr string, ps []ZonePred) []RowID {
+	cands := func(attr string, ps []model.Conjunct) []RowID {
 		tb.mu.RLock()
 		defer tb.mu.RUnlock()
 		ix, chosen := tb.chooseIndexLocked(withAttr(ps, attr))
@@ -374,7 +374,7 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 		}
 		return ix.candidates(chosen)
 	}
-	covers := func(what string, ids []RowID, ps []ZonePred, csns []CSN) {
+	covers := func(what string, ids []RowID, ps []model.Conjunct, csns []CSN) {
 		t.Helper()
 		for _, csn := range csns {
 			tb.ScanAt(csn, func(id RowID, rec model.Record) bool {
@@ -403,10 +403,10 @@ func TestIndexBulkEqualsIncremental(t *testing.T) {
 
 	// The second bound does narrow the gather: a range holds fewer candidates
 	// than either of its half-lines.
-	both := cands("b", []ZonePred{{Op: ">=", Val: model.Int(0)}, {Op: "<", Val: model.Int(12)}})
-	for _, half := range []ZonePred{{Op: ">=", Val: model.Int(0)}, {Op: "<", Val: model.Int(12)}} {
-		if one := cands("b", []ZonePred{half}); len(both) >= len(one) {
-			t.Fatalf("range gathers %d candidates, its half-line %s %d", len(both), label([]ZonePred{half}), len(one))
+	both := cands("b", []model.Conjunct{{Op: ">=", Val: model.Int(0)}, {Op: "<", Val: model.Int(12)}})
+	for _, half := range []model.Conjunct{{Op: ">=", Val: model.Int(0)}, {Op: "<", Val: model.Int(12)}} {
+		if one := cands("b", []model.Conjunct{half}); len(both) >= len(one) {
+			t.Fatalf("range gathers %d candidates, its half-line %s %d", len(both), label([]model.Conjunct{half}), len(one))
 		}
 	}
 
@@ -545,10 +545,10 @@ func TestZonePruning(t *testing.T) {
 		insert(tb, rec("n", i, "s", fmt.Sprintf("k%05d", i)))
 	}
 	now := s.Now()
-	p := ZonePred{Attr: "n", Op: "<", Val: model.Int(100)}
+	p := model.Conjunct{Attr: "n", Op: "<", Val: model.Int(100)}
 	// Values are clustered by insertion order, so all but the first segment
 	// refute n < 100.
-	c := tb.ScanWhere(now, []ZonePred{p}, ScanOptions{NoIndex: true, NoAuto: true})
+	c := tb.ScanWhere(now, []model.Conjunct{p}, ScanOptions{NoIndex: true, NoAuto: true})
 	recs, _ := drain(&c)
 	got, info := matching(p, recs), c.Info()
 	if info.Segments != 8 {
@@ -562,8 +562,8 @@ func TestZonePruning(t *testing.T) {
 	// An attribute absent from a segment prunes it outright.
 	insert(tb, rec("extra", 1))
 	now = s.Now()
-	pe := ZonePred{Attr: "extra", Op: "=", Val: model.Int(1)}
-	info = scanInfo(tb, now, []ZonePred{pe}, ScanOptions{NoIndex: true, NoAuto: true})
+	pe := model.Conjunct{Attr: "extra", Op: "=", Val: model.Int(1)}
+	info = scanInfo(tb, now, []model.Conjunct{pe}, ScanOptions{NoIndex: true, NoAuto: true})
 	if info.Pruned != 8 {
 		t.Fatalf("Pruned = %d, want 8 (attr absent from first 8 segments)", info.Pruned)
 	}
@@ -573,7 +573,7 @@ func TestZonePruning(t *testing.T) {
 		del(tb, id)
 	}
 	tb.Vacuum(s.Now())
-	info = scanInfo(tb, s.Now(), []ZonePred{p}, ScanOptions{NoIndex: true, NoAuto: true})
+	info = scanInfo(tb, s.Now(), []model.Conjunct{p}, ScanOptions{NoIndex: true, NoAuto: true})
 	if info.Pruned != info.Segments {
 		t.Fatalf("after vacuum of matching segment: Pruned = %d of %d", info.Pruned, info.Segments)
 	}
@@ -590,10 +590,10 @@ func TestAutoIndexLifecycle(t *testing.T) {
 		insert(tb, rec("a", i%16, "b", i))
 	}
 	now := s.Now()
-	scan := func(p ZonePred) ScanInfo {
-		return scanInfo(tb, now, []ZonePred{p}, ScanOptions{})
+	scan := func(p model.Conjunct) ScanInfo {
+		return scanInfo(tb, now, []model.Conjunct{p}, ScanOptions{})
 	}
-	eq := ZonePred{Attr: "a", Op: "=", Val: model.Int(3)}
+	eq := model.Conjunct{Attr: "a", Op: "=", Val: model.Int(3)}
 	for i := 0; i < autoIndexAccesses-1; i++ {
 		if info := scan(eq); info.Index != "" {
 			t.Fatalf("access %d: index %q created too early", i, info.Index)
@@ -609,7 +609,7 @@ func TestAutoIndexLifecycle(t *testing.T) {
 
 	// Range traffic is served by the index equality traffic created, with
 	// the same answer as a scan without it.
-	rg := ZonePred{Attr: "a", Op: "<", Val: model.Int(4)}
+	rg := model.Conjunct{Attr: "a", Op: "<", Val: model.Int(4)}
 	if info := scan(rg); info.Index != "t.a" {
 		t.Fatalf("after range access: Index = %q, want t.a", info.Index)
 	}
@@ -644,7 +644,7 @@ func TestAutoIndexLifecycle(t *testing.T) {
 		insert(small, rec("a", i))
 	}
 	for i := 0; i < 3*autoIndexAccesses; i++ {
-		scanInfo(small, s.Now(), []ZonePred{eq}, ScanOptions{})
+		scanInfo(small, s.Now(), []model.Conjunct{eq}, ScanOptions{})
 	}
 	if n := len(small.IndexStats()); n != 0 {
 		t.Fatalf("tiny table earned an index, stats %d", n)
@@ -685,7 +685,7 @@ func TestIndexConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			p := ZonePred{Attr: "k", Op: "=", Val: model.Int(int64(i % 20))}
+			p := model.Conjunct{Attr: "k", Op: "=", Val: model.Int(int64(i % 20))}
 			answerVia(tb, s.Now(), p, ScanOptions{})
 		}
 	}()
@@ -697,7 +697,7 @@ func TestIndexConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	now := s.Now()
-	for _, p := range []ZonePred{
+	for _, p := range []model.Conjunct{
 		{Attr: "k", Op: "=", Val: model.Int(5)},
 		{Attr: "v", Op: ">", Val: model.Float(50)},
 	} {
@@ -732,8 +732,8 @@ func TestWALRecoveryRebuildsZones(t *testing.T) {
 		t.Fatalf("SchemaVersion = %d, want %d", s2.SchemaVersion(), schemaVer)
 	}
 	tb2, _ := s2.Table("t")
-	p := ZonePred{Attr: "n", Op: ">=", Val: model.Int(n - 10)}
-	info := scanInfo(tb2, s2.Now(), []ZonePred{p}, ScanOptions{NoIndex: true, NoAuto: true})
+	p := model.Conjunct{Attr: "n", Op: ">=", Val: model.Int(n - 10)}
+	info := scanInfo(tb2, s2.Now(), []model.Conjunct{p}, ScanOptions{NoIndex: true, NoAuto: true})
 	if info.Pruned != 1 {
 		t.Fatalf("after recovery: Pruned = %d, want 1", info.Pruned)
 	}

@@ -51,7 +51,7 @@ func TestScanWhereCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	preds := []ZonePred{{Attr: "v", Op: ">=", Val: model.Int(0)}}
+	preds := []model.Conjunct{{Attr: "v", Op: ">=", Val: model.Int(0)}}
 	c := tb.ScanWhere(s.Now(), preds, ScanOptions{Ctx: ctx, NoAuto: true})
 	if got, _ := drain(&c); len(got) != 0 {
 		t.Errorf("pre-canceled ScanWhere yielded %d rows", len(got))

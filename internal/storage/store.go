@@ -527,8 +527,8 @@ type Cursor struct {
 	csn   CSN
 	ids   []RowID // candidates in RowID order; ids[pos:] are not read yet
 	pos   int
-	size  int        // ScanMorselsCtx: rows per chunk; 0 chunks on zone segments
-	preds []ZonePred // conjuncts a segment's zone map may refute
+	size  int              // ScanMorselsCtx: rows per chunk; 0 chunks on zone segments
+	preds []model.Conjunct // conjuncts a segment's zone map may refute
 	prune bool
 	info  ScanInfo
 }

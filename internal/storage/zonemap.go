@@ -1,23 +1,27 @@
 package storage
 
-// Zone maps: per-segment small-footprint statistics (min/max per class plus
+// Zone maps: per-segment small-footprint statistics (per comparison class,
+// the least and greatest value and whether an odd value is present, plus
 // null counts) over fixed RowID ranges, maintained incrementally on every
-// write and rebuilt exactly at Vacuum. The query layer pushes conjuncts of
-// a WHERE clause down as ZonePreds; segments whose statistics refute a
-// conjunct are skipped before any worker touches their rows — the paper's
-// OS.1 "self-organizing storage" in its cheapest form.
+// write and rebuilt exactly at Vacuum. The query layer pushes the sargable
+// conjuncts of a WHERE clause down as model.Conjuncts; segments whose
+// statistics refute a conjunct are skipped before any worker touches their
+// rows — the paper's OS.1 "self-organizing storage" in its cheapest form.
 //
 // Soundness: statistics only ever widen between vacuums (deletes do not
 // shrink them), so a refutation proves no visible row in the segment can
-// satisfy the conjunct at any readable CSN. The refutation rules mirror the
-// query evaluator's comparison semantics exactly: `=`/ordering comparisons
-// go through model.Compare (numerics compare as float64 across int/float;
-// other kinds compare only with themselves; NaN compares equal to every
-// numeric), and IN goes through model.Equal. Any case the rules cannot
-// decide conservatively keeps the segment.
+// satisfy the conjunct at any readable CSN. A segment is refuted by the one
+// comparison rule the indexes and the query evaluator share: model.Side
+// places a bound against the literal and model.Sides names the sides an op
+// accepts. Side never decreases inside a class, so a class whose bounds
+// both fall outside the accepted sides holds no match, and a value of
+// another class falls at -2 or 2, which no op accepts. An odd value (a NaN
+// or a list) has no place between bounds, so it keeps every segment for a
+// literal of its class. IN takes each value as "=": model.Equal, which the
+// evaluator's IN uses, holds only where Compare is 0.
 
 import (
-	"math"
+	"slices"
 
 	"scdb/internal/model"
 )
@@ -31,66 +35,42 @@ const ZoneSegmentRows = 1024
 // zoneSegFor maps a RowID to its segment number (RowIDs start at 1).
 func zoneSegFor(id RowID) uint64 { return uint64(id-1) / ZoneSegmentRows }
 
-// ZonePred is one conjunct pushed below a scan: attr OP literal, or
-// attr IN (literals). Val is non-null for every op but "in".
-type ZonePred struct {
-	Attr string
-	Op   string // "=", "<", "<=", ">", ">=", "in"
-	Val  model.Value
-	Vals []model.Value // for "in"
-}
-
-// zoneAttr accumulates per-segment statistics for one attribute. Numeric
-// values (int and float share a comparison class) and strings carry
-// min/max bounds; every other non-null kind is only counted — enough to
-// refute same-kind comparisons when the class is absent entirely.
+// zoneAttr accumulates per-segment statistics for one attribute: for each
+// comparison class (model.Kind.Rank) it has seen, the least and greatest
+// value and whether it holds an odd value (a NaN or a list, see oddValue),
+// which no bound can place.
 type zoneAttr struct {
 	nonNull int // non-null values ever written (versions, not rows)
-	hasNum  bool
-	bounded bool // numeric min/max initialized (false while only NaNs seen)
-	nan     int  // NaN float values (compare equal to every numeric)
-	numMin  float64
-	numMax  float64
-	hasStr  bool
-	strMin  string
-	strMax  string
-	other   int // non-null values of bool/time/bytes/list/ref kinds
+	classes []zoneClass
+}
+
+// zoneClass is one comparison class's statistics. min and max are null
+// while the class holds only odd values.
+type zoneClass struct {
+	rank     int
+	min, max model.Value
+	odd      bool
 }
 
 func (za *zoneAttr) note(v model.Value) {
 	za.nonNull++
-	if f, ok := v.AsFloat(); ok {
-		za.hasNum = true
-		if math.IsNaN(f) {
-			za.nan++
-			return
-		}
-		if !za.bounded {
-			za.numMin, za.numMax, za.bounded = f, f, true
-			return
-		}
-		if f < za.numMin {
-			za.numMin = f
-		}
-		if f > za.numMax {
-			za.numMax = f
-		}
-		return
+	r := v.Kind().Rank()
+	i := slices.IndexFunc(za.classes, func(c zoneClass) bool { return c.rank == r })
+	if i < 0 {
+		i = len(za.classes)
+		za.classes = append(za.classes, zoneClass{rank: r})
 	}
-	if s, ok := v.AsString(); ok {
-		if !za.hasStr {
-			za.strMin, za.strMax, za.hasStr = s, s, true
-			return
-		}
-		if s < za.strMin {
-			za.strMin = s
-		}
-		if s > za.strMax {
-			za.strMax = s
-		}
-		return
+	c := &za.classes[i]
+	switch {
+	case oddValue(v):
+		c.odd = true
+	case c.min.IsNull():
+		c.min, c.max = v, v
+	case model.Side(v, c.min) < 0:
+		c.min = v
+	case model.Side(v, c.max) > 0:
+		c.max = v
 	}
-	za.other++
 }
 
 // zoneSeg is the zone map of one RowID segment.
@@ -133,82 +113,29 @@ func (z *zoneSeg) NullCount(attr string) int {
 
 // refutes reports whether the segment provably contains no row satisfying
 // the conjunct. false means "might match" — never the other way around.
-func (z *zoneSeg) refutes(p ZonePred) bool {
-	if z == nil {
-		return false // no statistics: cannot prune
-	}
+func (z *zoneSeg) refutes(p model.Conjunct) bool {
 	za := z.attrs[p.Attr]
-	if za == nil || za.nonNull == 0 {
+	if za == nil {
 		// The attribute was never written non-null in this segment, and
 		// =/</<=/>/>=/IN never accept a null.
 		return true
 	}
 	if p.Op == "in" {
-		for _, v := range p.Vals {
-			if !za.refutesOp("=", v) {
-				return false
-			}
-		}
-		return true
+		return !slices.ContainsFunc(p.Vals, func(lit model.Value) bool { return za.admits("=", lit) })
 	}
-	return za.refutesOp(p.Op, p.Val)
+	return !za.admits(p.Op, p.Val)
 }
 
-func (za *zoneAttr) refutesOp(op string, v model.Value) bool {
-	if f, ok := v.AsFloat(); ok {
-		if !za.hasNum {
-			return true // only numerics can compare with a numeric literal
-		}
-		if za.nan > 0 || math.IsNaN(f) {
-			// NaN compares equal to every numeric under model.Compare;
-			// stay conservative whenever one is involved.
-			return false
-		}
-		return refuteRange(op, za.numMin, za.numMax,
-			func(bound float64) int {
-				switch {
-				case bound < f:
-					return -1
-				case bound > f:
-					return 1
-				}
-				return 0
-			})
-	}
-	if s, ok := v.AsString(); ok {
-		if !za.hasStr {
+// admits reports whether some class can put a value on a side of lit that
+// op accepts, by model.Sides: a class's values lie between the sides of its
+// bounds, and an odd value of lit's class may lie on any side.
+func (za *zoneAttr) admits(op string, lit model.Value) bool {
+	lo, hi := model.Sides(op)
+	for _, c := range za.classes {
+		if c.odd && c.rank == lit.Kind().Rank() ||
+			!c.min.IsNull() && model.Side(c.max, lit) >= lo && model.Side(c.min, lit) < hi {
 			return true
 		}
-		return refuteRange(op, za.strMin, za.strMax,
-			func(bound string) int {
-				switch {
-				case bound < s:
-					return -1
-				case bound > s:
-					return 1
-				}
-				return 0
-			})
-	}
-	// bool/time/bytes/list/ref literal: only same-kind values compare; the
-	// coarse class count says whether any such value exists at all.
-	return za.other == 0
-}
-
-// refuteRange decides op against [min, max] given cmp(bound) = sign of
-// bound - literal.
-func refuteRange[T any](op string, min, max T, cmp func(T) int) bool {
-	switch op {
-	case "=":
-		return cmp(min) > 0 || cmp(max) < 0
-	case "<":
-		return cmp(min) >= 0
-	case "<=":
-		return cmp(min) > 0
-	case ">":
-		return cmp(max) <= 0
-	case ">=":
-		return cmp(max) < 0
 	}
 	return false
 }

@@ -21,9 +21,11 @@ import (
 // cost 63, 81 and 232 while the optimizer flattened every AND level into a
 // fresh slice. A plan hit gives each run a new key or bound under one
 // alias: the shape's plan is cached, so the run lexes the text once, binds
-// its literals and executes, at most 35, 37 and 182 objects (31, 33 and
-// 164). While the plan cache was keyed by statement text, each new literal
-// was a new entry, and the same runs cost the full miss, 63, 81 and 232.
+// its literals and executes, at most 35, 37 and 182 objects (30, 32 and
+// 163; 31, 33 and 164 while each scan copied its conjuncts into a storage
+// type of their own). While the plan cache was keyed by statement text,
+// each new literal was a new entry, and the same runs cost the full miss,
+// 63, 81 and 232.
 func TestReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 20,000-row corpus")
