@@ -8,11 +8,18 @@ import (
 	"scdb/internal/extract"
 	"scdb/internal/graph"
 	"scdb/internal/model"
+	"scdb/internal/ontology"
 	"scdb/internal/storage"
 )
 
 // lifesciPipeline assembles the standard pipeline over the Figure-2 data.
 func lifesciPipeline(t *testing.T) (*Pipeline, *graph.Graph, *storage.Store) {
+	t.Helper()
+	return lifesciPipelineOver(t, datagen.LifeSciOntology())
+}
+
+// lifesciPipelineOver is lifesciPipeline over an ontology the caller keeps.
+func lifesciPipelineOver(t *testing.T, o *ontology.Ontology) (*Pipeline, *graph.Graph, *storage.Store) {
 	t.Helper()
 	s, err := storage.Open("")
 	if err != nil {
@@ -20,7 +27,6 @@ func lifesciPipeline(t *testing.T) (*Pipeline, *graph.Graph, *storage.Store) {
 	}
 	t.Cleanup(func() { s.Close() })
 	g := graph.New()
-	o := datagen.LifeSciOntology()
 	p, err := NewPipeline(Config{
 		Store:    s,
 		Graph:    g,
@@ -169,7 +175,8 @@ func TestExtractionAddsEdges(t *testing.T) {
 }
 
 func TestSemanticEnrichment(t *testing.T) {
-	p, g, _ := lifesciPipeline(t)
+	o := datagen.LifeSciOntology()
+	p, g, _ := lifesciPipelineOver(t, o)
 	ingestLifeSci(t, p)
 	r := p.Reasoner()
 	// Acetaminophen: Drug ⊑ ∃hasTarget.Gene — but the CTD abstract says it
@@ -188,7 +195,7 @@ func TestSemanticEnrichment(t *testing.T) {
 		t.Error("Acetaminophen must be inferred Chemical")
 	}
 	// Stats flowed into the ontology for the optimizer.
-	if n, ok := p.onto.InstanceCount("Drug"); !ok || n < 5 {
+	if n, ok := o.InstanceCount("Drug"); !ok || n < 5 {
 		t.Errorf("Drug instance count = %d %v", n, ok)
 	}
 }
@@ -196,8 +203,9 @@ func TestSemanticEnrichment(t *testing.T) {
 // TestEnrichmentVersionAdvances: curation moves the enrichment clock
 // transaction validation watches, the graph and ontology versions' sum.
 func TestEnrichmentVersionAdvances(t *testing.T) {
-	p, g, _ := lifesciPipeline(t)
-	version := func() uint64 { return g.Version() + p.onto.Version() }
+	o := datagen.LifeSciOntology()
+	p, g, _ := lifesciPipelineOver(t, o)
+	version := func() uint64 { return g.Version() + o.Version() }
 	v0 := version()
 	ingestLifeSci(t, p)
 	if version() <= v0 {

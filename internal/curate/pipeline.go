@@ -72,7 +72,6 @@ type pendingLink struct {
 type Pipeline struct {
 	store    *storage.Store
 	graph    *graph.Graph
-	onto     *ontology.Ontology
 	reasoner *reason.Reasoner
 	resolver *er.Resolver
 	gaz      *extract.Gazetteer
@@ -125,7 +124,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	return &Pipeline{
 		store:       cfg.Store,
 		graph:       cfg.Graph,
-		onto:        cfg.Ontology,
 		reasoner:    r,
 		resolver:    er.NewResolver(er.Config{Blocking: cfg.Blocking}),
 		gaz:         extract.NewGazetteer(),
@@ -369,13 +367,13 @@ func (p *Pipeline) Ingest(d Delivery, tr *obs.Trace) error {
 	integ.SetInt("links_pending", int64(p.stats.LinksPending))
 	integ.End()
 
-	// Semantic layer: incremental re-inference over touched entities.
+	// Semantic layer: incremental re-inference over touched entities; the
+	// reasoner moves the optimizer's concept counts by what changed.
 	infer := root.Child("ingest.infer")
 	rs := p.reasoner.MaterializeEntities(touched)
 	p.stats.InferredTypes = rs.InferredTypes
 	p.stats.Witnesses = rs.Witnesses
 	p.stats.Inconsistencies = rs.Inconsistencies
-	p.refreshConceptStats()
 	infer.SetInt("inferred_types", int64(rs.InferredTypes))
 	infer.SetInt("witnesses", int64(rs.Witnesses))
 	infer.SetInt("inconsistencies", int64(rs.Inconsistencies))
@@ -485,7 +483,9 @@ func (p *Pipeline) integrate(source string, links []datagen.LinkSpec, texts []st
 			*touched = append(*touched, from.ID, to.ID)
 			continue
 		}
-		// Literal edge: try link rules, else store the literal.
+		// Literal edge: try link rules, else store the literal. Its
+		// predicate's domain still types the subject, which may have
+		// arrived in an earlier delivery.
 		if p.applyRules(from.ID, source, l.Predicate, l.Literal, conf, touched) {
 			continue
 		}
@@ -493,6 +493,7 @@ func (p *Pipeline) integrate(source string, links []datagen.LinkSpec, texts []st
 			return err
 		}
 		p.stats.LiteralEdges++
+		*touched = append(*touched, from.ID)
 	}
 
 	// Unstructured text → extractions → edges.
@@ -615,20 +616,5 @@ func (p *Pipeline) indexNorms(id model.EntityID, attrs model.Record, norms er.At
 		}
 		p.attrIndex[at.Text] = append(p.attrIndex[at.Text], id)
 		p.gaz.Add(at.Text, raw, concept)
-	}
-}
-
-// refreshConceptStats pushes instance counts into the ontology for the
-// optimizer's semantic selectivity (OS.3).
-func (p *Pipeline) refreshConceptStats() {
-	counts := map[string]int{}
-	p.graph.ForEachEntity(func(e *model.Entity) bool {
-		for _, t := range p.reasoner.EntityTypes(e.ID) {
-			counts[t]++
-		}
-		return true
-	})
-	for c, n := range counts {
-		p.onto.SetInstanceCount(c, n)
 	}
 }

@@ -161,7 +161,6 @@ func (p *Pipeline) RebuildFromStore() error {
 	}
 	p.seq = maxSeq
 	p.reasoner.MaterializeEntities(touched)
-	p.refreshConceptStats()
 	return nil
 }
 

@@ -13,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"unsafe"
@@ -337,7 +338,7 @@ func (g *Graph) entityIDsLocked() []model.EntityID {
 	for id := range g.entities {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

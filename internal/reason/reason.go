@@ -15,6 +15,7 @@ package reason
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -66,6 +67,15 @@ type Reasoner struct {
 	// entries are replaced or dropped, so a pass reports them without
 	// walking every entity.
 	totals Stats
+	// counts is how many canonical entities hold each concept, asserted or
+	// inferred, kept where an entity's types are counted (countLocked):
+	// counted holds the sorted type set each typed entity was last counted
+	// under, and moved the concepts a pass changed, which it pushes to the
+	// ontology, the store the optimizer's statistics are read from (OS.3).
+	// An untyped entity has no counted entry.
+	counts  map[string]int
+	counted map[model.EntityID][]string
+	moved   map[string]bool
 }
 
 // New creates a reasoner over the given graph and ontology. No inference
@@ -77,6 +87,9 @@ func New(g *graph.Graph, o *ontology.Ontology) *Reasoner {
 		inferred:  make(map[model.EntityID]map[string]string),
 		witnesses: make(map[model.EntityID][]Witness),
 		inconsist: make(map[model.EntityID][]Inconsistency),
+		counts:    make(map[string]int),
+		counted:   make(map[model.EntityID][]string),
+		moved:     make(map[string]bool),
 	}
 }
 
@@ -92,6 +105,8 @@ func (r *Reasoner) Materialize() Stats {
 // each changed entity are re-inferred too. Inferences are held under
 // canonical IDs only: a touched ID or neighbor that a merge made an alias
 // is re-inferred as its canonical entity, and its own entries are dropped.
+// The concept counts move by the re-inferred entities' changes alone, so a
+// pass costs what it re-infers, not the graph's size.
 func (r *Reasoner) MaterializeEntities(ids []model.EntityID) Stats {
 	affected := make(map[model.EntityID]bool, len(ids)*2)
 	var merged []model.EntityID
@@ -116,7 +131,7 @@ func (r *Reasoner) MaterializeEntities(ids []model.EntityID) Stats {
 	for id := range affected {
 		order = append(order, id)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -134,6 +149,13 @@ func (r *Reasoner) MaterializeEntities(ids []model.EntityID) Stats {
 			r.inferFactsLocked(e)
 		}
 	}
+	for c := range r.moved {
+		r.o.SetInstanceCount(c, r.counts[c])
+		if r.counts[c] == 0 {
+			delete(r.counts, c)
+		}
+	}
+	clear(r.moved)
 	s := r.totals
 	s.Entities = len(order)
 	return s
@@ -144,6 +166,33 @@ func (r *Reasoner) dropLocked(id model.EntityID) {
 	setEntryLocked(r.inferred, &r.totals.InferredTypes, id, nil)
 	setEntryLocked(r.witnesses, &r.totals.Witnesses, id, nil)
 	setEntryLocked(r.inconsist, &r.totals.Inconsistencies, id, nil)
+	r.countLocked(id, nil)
+}
+
+// countLocked moves the concept counts from the type set id was last
+// counted under to types (sorted, as typesOfLocked returns them), marking
+// each concept it moves.
+func (r *Reasoner) countLocked(id model.EntityID, types []string) {
+	old := r.counted[id]
+	for i, j := 0, 0; i < len(old) || j < len(types); {
+		switch {
+		case j == len(types) || i < len(old) && old[i] < types[j]:
+			r.counts[old[i]]--
+			r.moved[old[i]] = true
+			i++
+		case i == len(old) || types[j] < old[i]:
+			r.counts[types[j]]++
+			r.moved[types[j]] = true
+			j++
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	if len(types) > 0 {
+		r.counted[id] = types
+	} else {
+		delete(r.counted, id)
+	}
 }
 
 // setEntryLocked replaces id's entry in m, or deletes it when v is empty,
@@ -238,6 +287,7 @@ func (r *Reasoner) inferFactsLocked(e *model.Entity) {
 		}
 	}
 	setEntryLocked(r.inconsist, &r.totals.Inconsistencies, id, incons)
+	r.countLocked(id, allTypes)
 }
 
 // addWithAncestorsLocked infers c and its ancestors for e where e neither
@@ -400,7 +450,7 @@ func (r *Reasoner) AllWitnesses() []Witness {
 	for id := range r.witnesses {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var res []Witness
 	for _, id := range ids {
 		res = append(res, r.witnesses[id]...)
@@ -416,7 +466,7 @@ func (r *Reasoner) Inconsistencies() []Inconsistency {
 	for id := range r.inconsist {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var res []Inconsistency
 	for _, id := range ids {
 		res = append(res, r.inconsist[id]...)
