@@ -29,6 +29,10 @@ type v2call struct {
 type v2state struct {
 	wmu sync.Mutex // serializes frame writes
 
+	// rb is the read loop's frame header and payload buffer, kept across
+	// frames: every decoder the loop calls copies what it returns.
+	rb server.V2ReadBuf
+
 	pmu    sync.Mutex
 	nextID uint32
 	calls  map[uint32]*v2call
@@ -40,7 +44,7 @@ type v2state struct {
 // an abandoned call from poisoning the connection.
 func (c *Client) readLoopV2() {
 	for {
-		f, err := server.ReadV2Frame(c.br, server.DefaultMaxFrame)
+		f, err := c.v2.rb.Read(c.br, server.DefaultMaxFrame, true)
 		if err != nil {
 			c.failAllV2(err)
 			return

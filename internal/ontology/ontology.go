@@ -295,17 +295,29 @@ func (o *Ontology) AreDisjoint(c, d string) bool {
 	da := o.ancestorSet(d)
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	check := func(a, b string) bool {
+	// The cached ancestor sets are read in place, so a check allocates
+	// nothing: the reasoner asks it for every pair of an entity's types.
+	disjointFromD := func(a string) bool {
 		an, ok := o.concepts[a]
-		return ok && an.disjoint[b]
-	}
-	cs := append(keys(ca), c)
-	ds := append(keys(da), d)
-	for _, a := range cs {
-		for _, b := range ds {
-			if check(a, b) {
+		if !ok || len(an.disjoint) == 0 {
+			return false
+		}
+		if an.disjoint[d] {
+			return true
+		}
+		for b := range da {
+			if an.disjoint[b] {
 				return true
 			}
+		}
+		return false
+	}
+	if disjointFromD(c) {
+		return true
+	}
+	for a := range ca {
+		if disjointFromD(a) {
+			return true
 		}
 	}
 	return false

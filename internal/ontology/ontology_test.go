@@ -89,6 +89,27 @@ func TestDisjointness(t *testing.T) {
 	}
 }
 
+// TestAreDisjointAllocatesNothing: a disjointness check reads the cached
+// ancestor sets in place, whether an axiom decides it or none applies.
+func TestAreDisjointAllocatesNothing(t *testing.T) {
+	o := lifesci()
+	for _, tc := range []struct {
+		c, d string
+		want bool
+	}{
+		{"Approved Drugs", "Rheumatoid Arthritis", true}, // inherited Chemical ⊓ Disease
+		{"Arthritis", "Autoimmune", false},               // ancestors, no axiom
+		{"Approved Drugs", "Drug", false},
+	} {
+		if got := o.AreDisjoint(tc.c, tc.d); got != tc.want { // also warms the ancestor cache
+			t.Fatalf("AreDisjoint(%q, %q) = %v, want %v", tc.c, tc.d, got, tc.want)
+		}
+		if a := testing.AllocsPerRun(100, func() { o.AreDisjoint(tc.c, tc.d) }); a != 0 {
+			t.Errorf("AreDisjoint(%q, %q): %.0f allocations, want 0", tc.c, tc.d, a)
+		}
+	}
+}
+
 func TestSatisfiability(t *testing.T) {
 	o := lifesci()
 	if !o.Satisfiable("Rheumatoid Arthritis") {

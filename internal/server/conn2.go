@@ -33,8 +33,9 @@ type v2req struct {
 	// for other ops. Acks are monotone, so the router may drop one when the
 	// buffer is full — a later ack supersedes it.
 	acks chan uint64
-	// gone closes when the request finishes, so the reader never blocks
-	// forever handing a chunk to a handler that already answered.
+	// gone closes when an ingest stream finishes, so the reader never
+	// blocks forever handing a chunk to a handler that already answered;
+	// nil for other ops.
 	gone chan struct{}
 }
 
@@ -48,6 +49,9 @@ type v2conn struct {
 	s  *Server
 	c  *conn
 	br *bufio.Reader
+	// rb holds the frame header the reader parses. Payloads are not kept:
+	// each is handed to its request's goroutine.
+	rb V2ReadBuf
 
 	// wmu serializes response writes; dead marks the connection broken so
 	// later writes fail fast instead of interleaving with a half-written
@@ -80,7 +84,7 @@ func (vc *v2conn) run() {
 		// Slow-loris guard: a started frame must arrive promptly.
 		c.nc.SetReadDeadline(time.Now().Add(s.cfg.FrameTimeout))
 		decodeStart := time.Now()
-		f, err := ReadV2Frame(vc.br, s.cfg.MaxFrame)
+		f, err := vc.rb.Read(vc.br, s.cfg.MaxFrame, false)
 		decodeDur := time.Since(decodeStart)
 		c.nc.SetReadDeadline(time.Time{})
 		if err != nil {
@@ -123,9 +127,10 @@ func (vc *v2conn) run() {
 			continue
 		}
 
-		req := &v2req{gone: make(chan struct{})}
+		req := &v2req{}
 		if f.Op == V2OpIngestBatch {
 			req.chunks = make(chan v2chunk, 4)
+			req.gone = make(chan struct{})
 		}
 		if f.Op == V2OpReplSubscribe {
 			req.acks = make(chan uint64, 16)
@@ -176,7 +181,9 @@ func (vc *v2conn) finish(id uint32, req *v2req) {
 		delete(vc.reqs, id)
 	}
 	vc.pmu.Unlock()
-	close(req.gone)
+	if req.gone != nil {
+		close(req.gone)
+	}
 	if vc.c.addActive(-1) == 0 && vc.s.isDraining() {
 		vc.c.interruptIfIdle()
 	}
@@ -258,40 +265,21 @@ func (vc *v2conn) routeAck(f V2Frame) {
 	}
 }
 
-// write sends one complete frame under the write mutex. Each write runs
-// under FrameTimeout, so a client that stops reading mid-stream cannot
-// pin an executor behind a full socket buffer: the write fails, the
-// connection is marked dead and closed (which also unblocks the reader),
-// and streaming callbacks stop.
-func (vc *v2conn) write(frame []byte) error {
+// write sends complete frames in one Write under the write mutex: one
+// frame, or a query's last row batch with its result frame appended in the
+// same encoder buffer, so a small query costs one syscall and one
+// write-deadline window. Each write runs under FrameTimeout, so a client
+// that stops reading mid-stream cannot pin an executor behind a full
+// socket buffer: the write fails, the connection is marked dead and closed
+// (which also unblocks the reader), and streaming callbacks stop.
+func (vc *v2conn) write(frames []byte) error {
 	vc.wmu.Lock()
 	defer vc.wmu.Unlock()
 	if vc.dead {
 		return net.ErrClosed
 	}
 	vc.c.nc.SetWriteDeadline(time.Now().Add(vc.s.cfg.FrameTimeout))
-	_, err := vc.c.nc.Write(frame)
-	vc.c.nc.SetWriteDeadline(time.Time{})
-	if err != nil {
-		vc.dead = true
-		vc.c.nc.Close()
-	}
-	return err
-}
-
-// writev sends two frames in one vectored write — one syscall, one
-// write-deadline window. The query path uses it to piggyback the final
-// result frame on the last row batch, so a small query costs a single
-// write.
-func (vc *v2conn) writev(a, b []byte) error {
-	vc.wmu.Lock()
-	defer vc.wmu.Unlock()
-	if vc.dead {
-		return net.ErrClosed
-	}
-	vc.c.nc.SetWriteDeadline(time.Now().Add(vc.s.cfg.FrameTimeout))
-	bufs := net.Buffers{a, b}
-	_, err := bufs.WriteTo(vc.c.nc)
+	_, err := vc.c.nc.Write(frames)
 	vc.c.nc.SetWriteDeadline(time.Time{})
 	if err != nil {
 		vc.dead = true
@@ -304,6 +292,36 @@ func (vc *v2conn) writeError(id uint32, code, msg string) error {
 	e := GetV2Enc()
 	defer e.Release()
 	return vc.write(EncodeV2Error(e, id, code, msg))
+}
+
+// v2stream is one streamed query's state. Row batches are encoded straight
+// off the executor and written as they materialize, holding back one
+// frame so the final V2OpResult (column names + query info) coalesces with
+// the last batch into a single write.
+type v2stream struct {
+	vc   *v2conn
+	id   uint32
+	held *V2Enc // the held-back batch frame; nil before the first batch
+	err  error  // a failed write: the stream stops
+}
+
+// emit is the executor's batch callback: it encodes the batch, writes the
+// frame held back so far and holds this one back in its place.
+func (st *v2stream) emit(_ []string, batch [][]model.Value) bool {
+	e := GetV2Enc()
+	EncodeV2RowBatch(e, st.id, batch)
+	if st.held != nil {
+		err := st.vc.write(st.held.out)
+		st.held.Release()
+		st.held = nil
+		if err != nil {
+			st.err = err
+			e.Release()
+			return false
+		}
+	}
+	st.held = e
+	return true
 }
 
 // handleV2Request executes one request end to end and feeds the
@@ -421,56 +439,26 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 		}
 		defer s.admit.release()
 
-		// Streaming query: row batches are encoded straight off the
-		// executor and written as they materialize, holding back one frame
-		// so the final V2OpResult (column names + query info) coalesces
-		// with the last batch into a single write.
-		var writeErr error
-		var pend []byte
-		var pendEnc *V2Enc
-		defer func() {
-			if pendEnc != nil {
-				pendEnc.Release()
-			}
-		}()
-		cols, info, err := s.cfg.DB.QueryBatchesCtx(ctx, q, func(_ []string, batch [][]model.Value) bool {
-			e := GetV2Enc()
-			frame := EncodeV2RowBatch(e, f.ID, batch)
-			if pendEnc != nil {
-				werr := vc.write(pend)
-				pendEnc.Release()
-				pendEnc = nil
-				if werr != nil {
-					writeErr = werr
-					e.Release()
-					return false
-				}
-			}
-			pend, pendEnc = frame, e
-			return true
-		})
-		if writeErr != nil {
+		st := &v2stream{vc: vc, id: f.ID}
+		cols, info, err := s.cfg.DB.QueryBatchesCtx(ctx, q, st.emit)
+		if st.err != nil {
 			// The connection died mid-stream; there is nobody to answer.
 			return CodeCanceled, detail, "client stopped reading mid-stream"
 		}
+		// The final frame goes into the held-back batch's encoder, after the
+		// batch, so a small query costs a single write.
+		e := st.held
+		if e == nil {
+			e = GetV2Enc()
+		}
+		defer e.Release()
 		if err != nil {
 			// The held-back batch is dropped: the client discards any rows
 			// it already received once the error frame lands.
 			c, msg := errorCode(err)
 			return fail(c, msg)
 		}
-		e := GetV2Enc()
-		res := EncodeV2QueryResult(e, f.ID, cols, info)
-		var werr error
-		if pendEnc != nil {
-			werr = vc.writev(pend, res)
-			pendEnc.Release()
-			pendEnc = nil
-		} else {
-			werr = vc.write(res)
-		}
-		e.Release()
-		if werr != nil {
+		if vc.write(EncodeV2QueryResult(e, f.ID, cols, info)) != nil {
 			return CodeCanceled, detail, "client gone before result"
 		}
 		return "", detail, ""

@@ -13,12 +13,14 @@ import (
 // server, with a new key each run so the result cache misses and the plan
 // cache hits the statement's shape, and a PingCSN. Both sides of the wire
 // count, so this holds the client's one round trip and the server's request
-// path to at most 70 objects a read and 14 a ping (go1.24/linux/amd64). A
-// read costs 64 objects; it cost 93 while the plan cache was keyed by
-// statement text, so each new key planned again, and 100 at commit 0780d44,
-// when every admitted request armed a queue timer as well. A ping cost 12
-// at commit 538dfce, before the client's calls shared one round trip and
-// the explain op was retired.
+// path to at most 55 objects a read and 8 a ping (go1.24/linux/amd64), a
+// tenth over what they cost. A read costs 50 objects and a ping 7. At
+// commit f130964 they cost 63 and 12: every frame read allocated its
+// header, the client's every payload and every decoder were objects of
+// their own, a streamed query captured three variables, and every request
+// made a gone channel. A read cost 93 while the plan cache was keyed by
+// statement text, so each new key planned again, and 100 at commit
+// 0780d44, when every admitted request armed a queue timer as well.
 func TestNetworkReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 5,000-row table")
@@ -63,12 +65,12 @@ func TestNetworkReadAllocBudget(t *testing.T) {
 		budget, parent float64
 		commit         string
 	}{
-		{"point read", read, 70, 93, "8dca753"},
+		{"point read", read, 55, 63, "f130964"},
 		{"PingCSN", func() {
 			if _, err := c.PingCSN(); err != nil {
 				t.Fatal(err)
 			}
-		}, 14, 12, "538dfce"},
+		}, 8, 12, "f130964"},
 	} {
 		allocs := testing.AllocsPerRun(runs, tc.run)
 		t.Logf("%s: %.0f objects", tc.name, allocs)

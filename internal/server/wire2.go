@@ -34,6 +34,13 @@ package server
 // walkers — malformed input must produce an error, never a panic, and
 // never an attacker-sized allocation (counts are validated against the
 // bytes that remain).
+//
+// The buffer rule: a decoder copies everything it returns out of the
+// payload — strings out of the intern table's one string, bytes into
+// buffers of their own — so a reader may read its next frame into the same
+// payload buffer (V2ReadBuf with keep). DecodeV2ReplBatch is the exception:
+// its entries alias the payload, and the follower reads every frame into a
+// buffer of its own.
 
 import (
 	"encoding/binary"
@@ -277,21 +284,42 @@ type V2Frame struct {
 	Payload []byte
 }
 
-// ReadV2Frame reads one frame. A declared length above max returns
-// ErrFrameTooLarge before any payload byte is consumed.
+// ReadV2Frame reads one frame into buffers of its own. A declared length
+// above max returns ErrFrameTooLarge before any payload byte is consumed.
 func ReadV2Frame(r io.Reader, max int) (V2Frame, error) {
-	var hdr [4 + v2FrameFixed]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var b V2ReadBuf
+	return b.Read(r, max, false)
+}
+
+// v2KeptPayload is the largest payload a V2ReadBuf keeps for the next
+// frame; a larger one gets a buffer of its own, so one large frame does
+// not pin its size on the connection.
+const v2KeptPayload = 64 << 10
+
+// V2ReadBuf is one connection reader's frame buffers: the header, and the
+// payload buffer a reader may keep across frames.
+type V2ReadBuf struct {
+	hdr     [4 + v2FrameFixed]byte
+	payload []byte
+}
+
+// Read reads one frame, its header into b. With keep, a payload up to
+// v2KeptPayload bytes is read into b's buffer, which the next Read
+// overwrites: a reader keeps it only if every decoder it calls copies
+// what it returns. A declared length above max returns ErrFrameTooLarge
+// before any payload byte is consumed.
+func (b *V2ReadBuf) Read(r io.Reader, max int, keep bool) (V2Frame, error) {
+	if _, err := io.ReadFull(r, b.hdr[:]); err != nil {
 		return V2Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := binary.BigEndian.Uint32(b.hdr[:4])
 	if n < v2FrameFixed {
 		return V2Frame{}, fmt.Errorf("wire2: short frame length %d", n)
 	}
 	f := V2Frame{
-		Op:    hdr[4],
-		Flags: hdr[5],
-		ID:    binary.BigEndian.Uint32(hdr[6:10]),
+		Op:    b.hdr[4],
+		Flags: b.hdr[5],
+		ID:    binary.BigEndian.Uint32(b.hdr[6:10]),
 	}
 	if max > 0 && n > uint32(max) {
 		// The header is already parsed, so the caller can still address an
@@ -300,7 +328,15 @@ func ReadV2Frame(r io.Reader, max int) (V2Frame, error) {
 		return f, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
 	}
 	if pn := int(n) - v2FrameFixed; pn > 0 {
-		f.Payload = make([]byte, pn)
+		switch {
+		case !keep || pn > v2KeptPayload:
+			f.Payload = make([]byte, pn)
+		case cap(b.payload) < pn:
+			b.payload = make([]byte, pn)
+			f.Payload = b.payload
+		default:
+			f.Payload = b.payload[:pn]
+		}
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			return V2Frame{}, err
 		}
@@ -308,10 +344,12 @@ func ReadV2Frame(r io.Reader, max int) (V2Frame, error) {
 	return f, nil
 }
 
-// V2Enc assembles one frame: the body and the intern table grow
-// separately, then Frame splices header + table + body into one reusable
-// output buffer. Encoders are pooled — Get with GetV2Enc, hand the Frame
-// bytes to exactly one Write, then Release.
+// V2Enc assembles frames: the body and the intern table grow separately,
+// then Frame appends header + table + body to one reusable output buffer.
+// Frames encoded one after another into one encoder follow each other in
+// that buffer, so the last Frame's bytes carry them all to one Write.
+// Encoders are pooled — Get with GetV2Enc, hand the Frame bytes to exactly
+// one Write, then Release.
 type V2Enc struct {
 	out  []byte
 	body []byte
@@ -331,25 +369,31 @@ func GetV2Enc() *V2Enc { return v2EncPool.Get().(*V2Enc) }
 // returned by Frame is invalid afterwards.
 func (e *V2Enc) Release() {
 	e.out = e.out[:0]
+	e.resetFrame()
+	v2EncPool.Put(e)
+}
+
+// resetFrame empties the body and the intern table for the next frame.
+func (e *V2Enc) resetFrame() {
 	e.body = e.body[:0]
 	e.tab = e.tab[:0]
 	e.ntab = 0
 	clear(e.strs)
-	v2EncPool.Put(e)
 }
 
-// Frame finalizes the message: header, intern table, body — one buffer.
+// Frame finalizes the message — header, intern table, body — appends it
+// to the output and returns the output: every frame encoded since Get.
 func (e *V2Enc) Frame(op, flags byte, id uint32) []byte {
 	var cnt [binary.MaxVarintLen64]byte
 	cn := binary.PutUvarint(cnt[:], e.ntab)
 	n := v2FrameFixed + cn + len(e.tab) + len(e.body)
-	e.out = e.out[:0]
 	e.out = binary.BigEndian.AppendUint32(e.out, uint32(n))
 	e.out = append(e.out, op, flags)
 	e.out = binary.BigEndian.AppendUint32(e.out, id)
 	e.out = append(e.out, cnt[:cn]...)
 	e.out = append(e.out, e.tab...)
 	e.out = append(e.out, e.body...)
+	e.resetFrame()
 	return e.out
 }
 
@@ -512,18 +556,19 @@ type v2Dec struct {
 var errV2Truncated = errors.New("wire2: truncated frame")
 
 // newV2Dec parses the leading intern table into one string, the entries
-// substrings of it: one allocation per frame, not one per entry. A string
-// a caller keeps keeps the frame's table alive with it.
-func newV2Dec(payload []byte) (*v2Dec, error) {
-	d := &v2Dec{b: payload}
+// substrings of it: one allocation per frame, not one per entry, and the
+// decoder itself is a value on its caller's stack. A string a caller keeps
+// keeps the frame's table alive with it, never the payload.
+func newV2Dec(payload []byte) (v2Dec, error) {
+	d := v2Dec{b: payload}
 	n, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return v2Dec{}, err
 	}
 	// Each table entry costs at least one byte (its length prefix), so the
 	// count can never exceed the remaining payload.
 	if n > uint64(len(d.b)) {
-		return nil, fmt.Errorf("wire2: intern table count %d exceeds frame", n)
+		return v2Dec{}, fmt.Errorf("wire2: intern table count %d exceeds frame", n)
 	}
 	if n == 0 {
 		return d, nil
@@ -531,7 +576,7 @@ func newV2Dec(payload []byte) (*v2Dec, error) {
 	tab := d.b
 	for i := uint64(0); i < n; i++ {
 		if _, err := d.view(); err != nil {
-			return nil, err
+			return v2Dec{}, err
 		}
 	}
 	tab = tab[:len(tab)-len(d.b)]
@@ -775,24 +820,15 @@ func DecodeV2RowBatch(payload []byte, dst [][]any) ([][]any, error) {
 		case v2kList:
 			return nil, errors.New("wire2: list column must be mixed-tagged")
 		case v2kInt:
-			err = decodeColumn(d, rows, c, 8, func(d *v2Dec) (int64, error) {
-				v, err := d.u64le()
-				return int64(v), err
-			})
+			err = decodeLanes(&d, rows, c, func(v uint64) int64 { return int64(v) })
 		case v2kFloat:
-			err = decodeColumn(d, rows, c, 8, (*v2Dec).f64)
-		case v2kStr:
-			err = decodeColumn(d, rows, c, 1, (*v2Dec).str)
+			err = decodeLanes(&d, rows, c, math.Float64frombits)
 		case v2kTime:
-			err = decodeColumn(d, rows, c, 8, func(d *v2Dec) (time.Time, error) {
-				v, err := d.u64le()
-				return time.Unix(0, int64(v)).UTC(), err
-			})
+			err = decodeLanes(&d, rows, c, func(v uint64) time.Time { return time.Unix(0, int64(v)).UTC() })
 		case v2kRef:
-			err = decodeColumn(d, rows, c, 8, func(d *v2Dec) (scdb.EntityRef, error) {
-				v, err := d.u64le()
-				return scdb.EntityRef(v), err
-			})
+			err = decodeLanes(&d, rows, c, func(v uint64) scdb.EntityRef { return scdb.EntityRef(v) })
+		case v2kStr:
+			err = d.strColumn(rows, c)
 		case v2kBytes:
 			err = d.bytesColumn(rows, c)
 		default: // all null, bools or mixed kinds: one value at a time
@@ -814,15 +850,30 @@ func DecodeV2RowBatch(payload []byte, dst [][]any) ([][]any, error) {
 	return dst, nil
 }
 
-// decodeColumn reads a homogeneous column into one slab. Every cell costs
-// at least minBytes, which is checked before the slab is allocated.
-func decodeColumn[T box.Cell](d *v2Dec, rows [][]any, c, minBytes int, read func(*v2Dec) (T, error)) error {
-	if len(d.b) < len(rows)*minBytes {
+// decodeLanes reads a column of 8-byte lanes into one slab, conv making
+// each lane its cell. The lanes are checked before the slab is allocated.
+func decodeLanes[T box.Cell](d *v2Dec, rows [][]any, c int, conv func(uint64) T) error {
+	if len(d.b) < 8*len(rows) {
 		return errV2Truncated
 	}
 	s := box.New[T](len(rows))
 	for _, row := range rows {
-		v, err := read(d)
+		row[c] = s.Add(conv(binary.LittleEndian.Uint64(d.b)))
+		d.b = d.b[8:]
+	}
+	return nil
+}
+
+// strColumn reads a string column into one slab of intern-table
+// substrings. Every cell costs at least a byte, which is checked before
+// the slab is allocated.
+func (d *v2Dec) strColumn(rows [][]any, c int) error {
+	if len(d.b) < len(rows) {
+		return errV2Truncated
+	}
+	s := box.New[string](len(rows))
+	for _, row := range rows {
+		v, err := d.str()
 		if err != nil {
 			return err
 		}
@@ -843,11 +894,13 @@ func (d *v2Dec) bytesColumn(rows [][]any, c int) error {
 		size += len(b)
 	}
 	buf := make([]byte, 0, size)
-	return decodeColumn(d, rows, c, 1, func(d *v2Dec) ([]byte, error) {
-		b, err := d.view()
+	s := box.New[[]byte](len(rows))
+	for _, row := range rows {
+		b, _ := d.view() // the first pass read every length already
 		buf = append(buf, b...)
-		return buf[len(buf)-len(b) : len(buf) : len(buf)], err
-	})
+		row[c] = s.Add(buf[len(buf)-len(b) : len(buf) : len(buf)])
+	}
+	return nil
 }
 
 // --- requests -----------------------------------------------------------
