@@ -111,9 +111,7 @@ func TestPlanCacheCarriesMatKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.plans.mu.Lock()
-	ent := db.plans.entries[string(pk)]
-	db.plans.mu.Unlock()
+	ent, _ := db.plans.Get(pk)
 	if ent == nil || ent.stmt.StringWith(args) != stmt.String() {
 		t.Fatalf("plan-cache entry %+v, want key %q", ent, stmt.String())
 	}
@@ -129,7 +127,7 @@ func TestPlanCacheCarriesMatKey(t *testing.T) {
 // TestPlanCacheBounded: the cache never exceeds its capacity.
 func TestPlanCacheBounded(t *testing.T) {
 	db := openLifeSciWith(t, nil)
-	db.plans = newPlanCache(2)
+	db.plans = query.NewShapeCache[*planEntry](2)
 	for i := 0; i < 5; i++ {
 		q := fmt.Sprintf("SELECT name FROM drugbank ORDER BY name LIMIT %d", i+1)
 		if _, _, err := db.Query(q); err != nil {

@@ -21,6 +21,7 @@ import (
 	"scdb/internal/model"
 	"scdb/internal/obs"
 	"scdb/internal/ontology"
+	"scdb/internal/query"
 	"scdb/internal/reason"
 	"scdb/internal/refine"
 	"scdb/internal/semantic"
@@ -92,7 +93,7 @@ type DB struct {
 	derived
 	txns     *txn.Manager
 	matCache *curate.MatCache
-	plans    *planCache
+	plans    *query.ShapeCache[*planEntry]
 	opts     Options
 	// reg is the node's self-description (system.go).
 	reg *obs.Registry
@@ -189,7 +190,7 @@ func Open(opts Options) (*DB, error) {
 		store:    store,
 		derived:  d,
 		matCache: curate.NewMatCache(0, curate.PolicyRanked), // curate's default capacity
-		plans:    newPlanCache(planCacheSize),
+		plans:    query.NewShapeCache[*planEntry](query.ShapeCacheSize),
 		opts:     opts,
 		reg:      obs.NewRegistry(),
 	}
@@ -418,7 +419,7 @@ func (db *DB) IndexStats() []storage.IndexStat {
 }
 
 // PlanCacheStats reports plan-cache hits, misses, and resident entries.
-func (db *DB) PlanCacheStats() PlanCacheStats { return db.plans.stats() }
+func (db *DB) PlanCacheStats() PlanCacheStats { return db.plans.Stats() }
 
 // WALStats reports the durable store's write-ahead-log counters (zero for
 // in-memory databases).

@@ -136,7 +136,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if ent, ok := db.plans.get(pk); ok {
+	if ent, ok := db.plans.Get(pk); ok {
 		stmt, plan, system = ent.stmt, ent.plan, ent.system
 		info.Plan = ent.planText
 		info.Rules = ent.rules
@@ -213,7 +213,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 			// Plans and statements are immutable after optimization, so the
 			// cached entry can serve concurrent executions. Only a TRACE
 			// entry carries plan text and rules.
-			db.plans.put(string(pk), &planEntry{
+			db.plans.Put(string(pk), &planEntry{
 				stmt: stmt, plan: plan, planText: info.Plan, rules: info.Rules,
 				cost: info.EstimatedCost, morsels: info.EstimatedMorsels, system: system,
 			})

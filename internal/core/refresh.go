@@ -57,7 +57,7 @@ func (db *DB) RefreshDerived() error {
 	db.matCache.InvalidateAll()
 	// The fresh ontology's version counter can collide with a stale plan
 	// key's, so version keying alone cannot age those plans out.
-	db.plans.clear()
+	db.plans.Clear()
 	db.mu.Unlock()
 
 	db.csrMu.Lock()

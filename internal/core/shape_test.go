@@ -285,14 +285,14 @@ func TestPlanShapeDifferential(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			db := dbs[par]
 			k1, args1 := key(db, p[1])
-			db.plans.clear()
+			db.plans.Clear()
 			fresh0, _ := answer(db, p[0])
-			db.plans.clear()
+			db.plans.Clear()
 			fresh1, _ := answer(db, p[1])
 			if par == 1 && p[0] != p[1] && !strings.HasPrefix(fresh1, "error: ") && strings.Count(fresh1, "\n") > 1 {
 				answered++
 			}
-			db.plans.clear()
+			db.plans.Clear()
 			answer(db, p[0]) // plans the shape from p[0]
 			for _, src := range []struct{ text, fresh string }{{p[1], fresh1}, {p[0], fresh0}} {
 				got, info := answer(db, src.text)
@@ -303,9 +303,7 @@ func TestPlanShapeDifferential(t *testing.T) {
 					t.Errorf("par %d %q: the shape's plan answers\n%s\na fresh plan\n%s", par, src.text, got, src.fresh)
 				}
 			}
-			db.plans.mu.Lock()
-			ent := db.plans.entries[k1]
-			db.plans.mu.Unlock()
+			ent, _ := db.plans.Get([]byte(k1))
 			if ent == nil {
 				if !strings.HasPrefix(fresh1, "error: ") {
 					t.Errorf("par %d %q: no cached plan", par, p[1])
@@ -324,7 +322,7 @@ func TestPlanShapeDifferential(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		mat.plans.clear()
+		mat.plans.Clear()
 		mat.matCache.InvalidateAll()
 		first, _ := answer(mat, p[0])
 		want, info := answer(mat, p[1])

@@ -61,6 +61,7 @@ type Ontology struct {
 	// closure caches, rebuilt lazily
 	ancestorCache map[string]map[string]bool
 	roleAncCache  map[string]map[string]bool
+	existCache    map[string][]Existential
 }
 
 // New creates an empty ontology.
@@ -100,6 +101,7 @@ func (o *Ontology) invalidateLocked() {
 	o.version++
 	o.ancestorCache = nil
 	o.roleAncCache = nil
+	o.existCache = nil
 }
 
 // DeclareConcept ensures the concept exists (useful for leaf concepts with
@@ -373,11 +375,15 @@ func (o *Ontology) DisjointPartition(d string) []string {
 }
 
 // Existentials returns the existential restrictions that apply to the
-// concept, including those inherited from ancestors.
+// concept, including those inherited from ancestors. The answer is cached
+// beside the ancestor sets; callers only read it.
 func (o *Ontology) Existentials(c string) []Existential {
-	all := append(keys(o.ancestorSet(c)), c)
-	o.mu.RLock()
-	defer o.mu.RUnlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if res, ok := o.existCache[c]; ok {
+		return res
+	}
+	all := append(keys(o.ancestorSetLocked(c)), c)
 	var res []Existential
 	seen := map[Existential]bool{}
 	sort.Strings(all)
@@ -393,6 +399,10 @@ func (o *Ontology) Existentials(c string) []Existential {
 			}
 		}
 	}
+	if o.existCache == nil {
+		o.existCache = make(map[string][]Existential)
+	}
+	o.existCache[c] = res
 	return res
 }
 

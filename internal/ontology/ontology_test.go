@@ -1,6 +1,7 @@
 package ontology
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -107,6 +108,24 @@ func TestAreDisjointAllocatesNothing(t *testing.T) {
 		if a := testing.AllocsPerRun(100, func() { o.AreDisjoint(tc.c, tc.d) }); a != 0 {
 			t.Errorf("AreDisjoint(%q, %q): %.0f allocations, want 0", tc.c, tc.d, a)
 		}
+	}
+}
+
+// TestExistentialsAllocatesNothing: a warm call returns the answer cached
+// beside the ancestor sets (3 objects a call when it was rebuilt each
+// time), and a mutation drops it.
+func TestExistentialsAllocatesNothing(t *testing.T) {
+	o := lifesci()
+	want := fmt.Sprint(o.Existentials("Approved Drugs")) // also warms the cache
+	if a := testing.AllocsPerRun(100, func() { o.Existentials("Approved Drugs") }); a != 0 {
+		t.Errorf("Existentials(Approved Drugs): %.0f allocations, want 0", a)
+	}
+	if got := fmt.Sprint(o.Existentials("Approved Drugs")); got != want {
+		t.Errorf("a warm call answers %s, a cold one %s", got, want)
+	}
+	o.AddExistential("Drug", "treats", "Disease")
+	if got := o.Existentials("Approved Drugs"); len(got) != 2 || got[1] != (Existential{Role: "treats", Filler: "Disease"}) {
+		t.Errorf("after a new axiom on an ancestor: %v", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/binary"
 	"slices"
+	"sync"
 
 	"scdb/internal/model"
 )
@@ -74,3 +75,90 @@ func AppendShape(dst []byte, args []model.Value, src string) ([]byte, []model.Va
 // ParseShape parses src as Parse does, with each lifted literal a Param of
 // the slot AppendShape gives its value.
 func ParseShape(src string) (*SelectStmt, error) { return parse(src, true) }
+
+// ShapeCacheSize bounds a shape cache: the engine's plans and the router's
+// decompositions each keep this many shapes.
+const ShapeCacheSize = 256
+
+// ShapeCache holds one immutable value per statement shape (AppendShape's
+// key, with whatever prefix a user adds), the least recently used evicted
+// beyond its capacity: an engine keeps its plans in one, a router its
+// scatter decompositions. A value must serve every text of its shape, with
+// that text's lifted literals bound, so one entry may serve concurrent
+// statements. Get and Put are a map probe and a counter bump under a mutex.
+type ShapeCache[V any] struct {
+	mu      sync.Mutex
+	cap     int
+	tick    uint64
+	entries map[string]*shapeEntry[V]
+	hits    uint64
+	misses  uint64
+}
+
+type shapeEntry[V any] struct {
+	val      V
+	lastUsed uint64
+}
+
+// ShapeCacheStats reports a shape cache's hits, misses and resident entries.
+type ShapeCacheStats struct {
+	Hits   uint64
+	Misses uint64
+	Size   int
+}
+
+// NewShapeCache returns an empty cache of the given capacity.
+func NewShapeCache[V any](capacity int) *ShapeCache[V] {
+	return &ShapeCache[V]{cap: capacity, entries: make(map[string]*shapeEntry[V])}
+}
+
+// Get returns the value cached under k and counts a hit or a miss.
+func (c *ShapeCache[V]) Get(k []byte) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[string(k)]
+	if !ok {
+		c.misses++
+		var zero V
+		return zero, false
+	}
+	c.tick++
+	e.lastUsed = c.tick
+	c.hits++
+	return e.val, true
+}
+
+// Put caches v under k, evicting the least recently used entry when the
+// cache is full.
+func (c *ShapeCache[V]) Put(k string, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, exists := c.entries[k]; !exists && len(c.entries) >= c.cap {
+		// An O(cap) sweep is fine at this size and keeps the structure a
+		// single flat map.
+		var victim string
+		oldest := ^uint64(0)
+		for key, e := range c.entries {
+			if e.lastUsed < oldest {
+				oldest, victim = e.lastUsed, key
+			}
+		}
+		delete(c.entries, victim)
+	}
+	c.tick++
+	c.entries[k] = &shapeEntry[V]{val: v, lastUsed: c.tick}
+}
+
+// Clear drops every entry; the counters stay.
+func (c *ShapeCache[V]) Clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries = make(map[string]*shapeEntry[V])
+}
+
+// Stats reads the counters and the resident entry count.
+func (c *ShapeCache[V]) Stats() ShapeCacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return ShapeCacheStats{Hits: c.hits, Misses: c.misses, Size: len(c.entries)}
+}

@@ -1,12 +1,12 @@
 package shard
 
 // Scatter-gather query execution: decompose, gather, canonical sort,
-// ordinary executor. The router parses each statement and ships a rewritten
-// partial query to the shards it targets (below). What it does with the
-// gathered rows is not written here: it is a plan over one in-memory
-// relation (query.RowsNode) that query.ExecuteOpts runs, so grouping,
-// aggregate arithmetic, HAVING, projection, DISTINCT, ORDER BY and LIMIT
-// mean across shards exactly what they mean on one node.
+// ordinary executor. The router decomposes each statement shape once
+// (below) and ships a partial query to the shards it targets. What it does
+// with the gathered rows is not written here: it is a plan over one
+// in-memory relation (query.RowsNode) that query.ExecuteOpts runs, so
+// grouping, aggregate arithmetic, HAVING, projection, DISTINCT, ORDER BY and
+// LIMIT mean across shards exactly what they mean on one node.
 //
 // Plain selections ship with ORDER BY/LIMIT stripped (or, when both are
 // present, pushed down as per-shard top-K); DISTINCT, ORDER BY and LIMIT then
@@ -17,10 +17,26 @@ package shard
 // replaces each original call by the aggregate in merges over its a<i>
 // column — the only aggregate knowledge in this package.
 //
+// Shapes: the decomposition is keyed by the statement's shape
+// (query.AppendShape), the key an engine's plans use, in a query.ShapeCache.
+// A miss parses the text with query.ParseShape, so each lifted literal is a
+// Param, and a hit binds the text's own values: the shards get the
+// caller's text when the shipped statement is the statement itself, else
+// the shipped statement rendered with those values, and the final phase
+// runs with them as its arguments. The decomposition matches group
+// expressions and partial calls by their text, which renders a Param as the
+// value it holds; a shape where such a match could hold for some values and
+// not for others (a group expression or an aggregate call holding a Param,
+// a group expression holding a literal beside a Param in the items or
+// HAVING, an unaliased item labelled by a value) is decomposed per call and
+// never cached, and neither is a statement that fails.
+//
 // Keyed routing: a statement whose WHERE has a top-level AND conjunct
 // [binding.]_key = 'k' (either side of the =) asks ShardOf(k, N) alone,
 // and so do its EXPLAIN and TRACE; every other statement asks every shard,
-// and EXPLAIN and TRACE ask shard 0. The answer is the one every shard
+// and EXPLAIN and TRACE ask shard 0. A lifted 'k' routes by the value the
+// text binds to its Param; a number there names no shard, and the shape
+// tells a number from a string. The answer is the one every shard
 // would give: every row whose _key is k lives on the owning shard, joins
 // are shard-local, a SELECT * schema is the union over the matching rows,
 // and the other shards' global-aggregate partials over no rows merge to
@@ -75,53 +91,86 @@ func (r *Router) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.
 	return rows, info, nil
 }
 
+// route is a statement shape's decomposition: everything the router
+// derives from a text before it asks a shard. It is immutable and holds for
+// every text of the shape, each with its lifted literals bound (args).
+type route struct {
+	stmt  *query.SelectStmt // ParseShape's: a Param for each lifted literal
+	class routeClass
+	// key is the string Literal or Param k of the first top-level conjunct
+	// _key = k; nil when the statement asks every shard.
+	key query.Expr
+	// ship is the statement the shards run, nil when it is the statement
+	// itself and the caller's text ships; shipCols are its columns (agg).
+	ship     *query.SelectStmt
+	shipCols []string
+	// final holds the final phase's DISTINCT, ORDER BY and LIMIT; hidden
+	// counts the trailing ORDER BY key columns it sorts by and the answer
+	// drops (rows).
+	final  *query.SelectStmt
+	hidden int
+	// agg is the final phase's aggregation, without its input; cols are its
+	// labels (agg).
+	agg  *query.AggregateNode
+	cols []string
+}
+
+type routeClass uint8
+
+const (
+	routeRows    routeClass = iota // a plain selection
+	routeAgg                       // an aggregation: partials, then merges
+	routeSystem                    // a read of the router's own sys.* relations
+	routeExplain                   // EXPLAIN or TRACE: the first target answers
+)
+
 // QueryBatchesCtx executes one statement across the cluster and hands the
 // result to emit in batches of at most query.DefaultMorselSize rows — the
 // streaming shape the wire path encodes one frame per batch from. The
 // result is computed in full first (the router must see every shard's rows
 // to order them).
 func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols []string, batch [][]model.Value) bool) ([]string, *scdb.QueryInfo, error) {
-	stmt, err := query.Parse(q)
+	var keyBuf [256]byte
+	var argBuf [8]model.Value
+	k, args, err := query.AppendShape(keyBuf[:0], argBuf[:0], q)
 	if err != nil {
 		return nil, nil, err
 	}
-	// A curation statement is told to one engine: a claim names an entity,
-	// richness measures a whole corpus, and axioms would need a broadcast
-	// every shard applies exactly once.
-	if stmt.Curate != nil {
-		return nil, nil, fmt.Errorf("%w: %s is told to one engine, not to the cluster", ErrNotRoutable, stmt.Curate.Name())
-	}
-	// A function reads entity identity or the whole corpus: shards split
-	// both. A system relation describes the router itself.
-	system := 0
-	for _, t := range stmt.Sources() {
-		if t.Call {
-			return nil, nil, fmt.Errorf("%w: FROM %s() reads entities or the whole corpus, which shards split", ErrNotRoutable, t.Name)
-		}
-		if obs.IsSystem(t.Name) {
-			system++
+	rt, cached := r.routes.Get(k)
+	cacheable := false
+	if !cached {
+		if rt, cacheable, err = decompose(q); err != nil {
+			return nil, nil, err
 		}
 	}
-	if system > 0 {
-		switch {
-		case system < len(stmt.Sources()):
-			return nil, nil, fmt.Errorf("%w: a sys.* relation describes the router, which holds no table to join it to", ErrNotRoutable)
-		case stmt.Explain || stmt.Trace:
-			return nil, nil, fmt.Errorf("%w: the router explains no statement over its own sys.* relations", ErrNotRoutable)
-		}
-		cols, err := r.answerSystem(ctx, stmt, emit)
+	cols, info, err := r.run(ctx, rt, q, args, emit)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cacheable {
+		r.routes.Put(string(k), rt)
+	}
+	return cols, info, nil
+}
+
+// run answers one text of rt's shape, args its lifted literals' values. A
+// plain statement carries no explanation, as on an engine.
+func (r *Router) run(ctx context.Context, rt *route, q string, args []model.Value, emit emitFunc) ([]string, *scdb.QueryInfo, error) {
+	if rt.class == routeSystem {
+		cols, err := r.answerSystem(ctx, rt.stmt, args, emit)
 		return cols, &scdb.QueryInfo{}, err
 	}
 	targets := r.all
-	owner, keyed := keyedShard(stmt.Where, len(r.shards))
-	if keyed {
-		targets = r.all[owner : owner+1]
+	if k, ok := operand(rt.key, args); ok {
+		key, _ := k.AsString()
+		s := ShardOf(key, len(r.shards))
+		targets = r.all[s : s+1]
 	}
-	// Plan/trace introspection is about the engine, not the data: every
-	// shard runs the same engine over the same schema, so the first target
-	// — the key's owner, else shard 0 — answers for the cluster, with the
-	// rows a keyed statement really reads.
-	if stmt.Explain || stmt.Trace {
+	if rt.class == routeExplain {
+		// Plan/trace introspection is about the engine, not the data: every
+		// shard runs the same engine over the same schema, so the first
+		// target — the key's owner, else shard 0 — answers for the cluster,
+		// with the rows a keyed statement really reads.
 		res, info, err := r.shards[targets[0]].QueryInfoCtx(ctx, q)
 		if err != nil {
 			return nil, nil, err
@@ -133,76 +182,141 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 		return res.Columns, info, query.EmitChunks(res.Columns, rows, 0, emit)
 	}
 	r.scatterQueries.Add(1)
-	if keyed {
+	if rt.key != nil {
 		r.keyedQueries.Add(1)
 	}
-	var cols []string
-	if len(stmt.GroupBy) > 0 || slices.ContainsFunc(stmt.Items, func(it query.SelectItem) bool { return query.ContainsAggregate(it.Expr) }) {
-		cols, err = r.scatterAgg(ctx, stmt, targets, emit)
-	} else {
-		cols, err = r.scatterRows(ctx, stmt, targets, emit)
+	ship := q
+	if rt.ship != nil {
+		ship = rt.ship.StringWith(args)
 	}
+	res, err := r.fanout(ctx, ship, targets)
 	if err != nil {
 		return nil, nil, err
 	}
-	// A plain statement carries no explanation, as on an engine.
-	return cols, &scdb.QueryInfo{}, nil
+	var cols []string
+	if rt.class == routeAgg {
+		cols, err = rt.gatherAgg(ctx, res, args, emit)
+	} else {
+		cols, err = rt.gatherRows(ctx, res, args, emit)
+	}
+	return cols, &scdb.QueryInfo{}, err
+}
+
+// decompose parses q and derives its shape's route. cacheable reports
+// whether the route holds for every text of the shape.
+func decompose(q string) (rt *route, cacheable bool, err error) {
+	stmt, err := query.ParseShape(q)
+	if err != nil {
+		return nil, false, err
+	}
+	// A curation statement is told to one engine: a claim names an entity,
+	// richness measures a whole corpus, and axioms would need a broadcast
+	// every shard applies exactly once.
+	if stmt.Curate != nil {
+		return nil, false, fmt.Errorf("%w: %s is told to one engine, not to the cluster", ErrNotRoutable, stmt.Curate.Name())
+	}
+	// A function reads entity identity or the whole corpus: shards split
+	// both. A system relation describes the router itself.
+	system := 0
+	for _, t := range stmt.Sources() {
+		if t.Call {
+			return nil, false, fmt.Errorf("%w: FROM %s() reads entities or the whole corpus, which shards split", ErrNotRoutable, t.Name)
+		}
+		if obs.IsSystem(t.Name) {
+			system++
+		}
+	}
+	rt = &route{stmt: stmt, final: stmt}
+	switch {
+	case system > 0 && system < len(stmt.Sources()):
+		return nil, false, fmt.Errorf("%w: a sys.* relation describes the router, which holds no table to join it to", ErrNotRoutable)
+	case system > 0 && (stmt.Explain || stmt.Trace):
+		return nil, false, fmt.Errorf("%w: the router explains no statement over its own sys.* relations", ErrNotRoutable)
+	case system > 0:
+		rt.class = routeSystem
+		return rt, true, nil
+	}
+	rt.key = keyOperand(stmt.Where)
+	switch {
+	case stmt.Explain || stmt.Trace:
+		rt.class = routeExplain
+		return rt, true, nil
+	case len(stmt.GroupBy) > 0 || slices.ContainsFunc(stmt.Items, func(it query.SelectItem) bool { return query.ContainsAggregate(it.Expr) }):
+		rt.class = routeAgg
+		cacheable, err = rt.decomposeAgg()
+		return rt, cacheable, err
+	}
+	rt.class = routeRows
+	return rt, true, rt.decomposeRows()
 }
 
 // answerSystem runs a statement over the router's own system relations in
-// the ordinary executor, as finalPhase runs gathered rows.
-func (r *Router) answerSystem(ctx context.Context, stmt *query.SelectStmt, emit emitFunc) ([]string, error) {
+// the ordinary executor, as the final phase runs gathered rows.
+func (r *Router) answerSystem(ctx context.Context, stmt *query.SelectStmt, args []model.Value, emit emitFunc) ([]string, error) {
 	rels := core.SystemRelations(r.reg, stmt)
 	plan, err := query.BuildPlan(stmt, rels)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := query.ExecuteOpts(plan, rels, query.ExecOptions{Ctx: ctx, Parallelism: 1, Semantic: stmt.Semantics, EmitBatch: emit})
+	res, _, err := query.ExecuteOpts(plan, rels, query.ExecOptions{Ctx: ctx, Parallelism: 1, Semantic: stmt.Semantics, EmitBatch: emit, Args: args})
 	if err != nil {
 		return nil, err
 	}
 	return res.Columns, nil
 }
 
-// keyedShard reports the shard that owns every row where can hold: the
-// owner of k when a top-level AND conjunct of where is [binding.]_key =
-// 'k', with the string literal on either side of the =. Any other
-// condition, OR and NOT included, names no shard.
-func keyedShard(where query.Expr, shards int) (int, bool) {
+// keyOperand returns the string Literal or Param k of the first top-level
+// AND conjunct of where that is [binding.]_key = k, with k on either side of
+// the =: every row where can hold lives on k's owner. Any other condition,
+// OR and NOT included, names no shard. A Param's kind is part of the shape,
+// so every text of the shape binds a string to it.
+func keyOperand(where query.Expr) query.Expr {
 	b, ok := where.(*query.Binary)
 	if !ok {
-		return 0, false
+		return nil
 	}
 	switch b.Op {
 	case "AND":
-		if s, ok := keyedShard(b.L, shards); ok {
-			return s, true
+		if k := keyOperand(b.L); k != nil {
+			return k
 		}
-		return keyedShard(b.R, shards)
+		return keyOperand(b.R)
 	case "=":
-		k, ok := keyLiteral(b.L, b.R)
-		if !ok {
-			k, ok = keyLiteral(b.R, b.L)
+		if k := keyString(b.L, b.R); k != nil {
+			return k
 		}
-		if ok {
-			return ShardOf(k, shards), true
-		}
+		return keyString(b.R, b.L)
 	}
-	return 0, false
+	return nil
 }
 
-// keyLiteral returns k when col is a reference to the _key column and lit
-// the string literal k.
-func keyLiteral(col, lit query.Expr) (string, bool) {
-	c, ok := col.(*query.ColRef)
-	if !ok || c.Name != model.KeyAttr {
-		return "", false
+// keyString returns k when col is a reference to the _key column and k a
+// string Literal or Param.
+func keyString(col, k query.Expr) query.Expr {
+	if c, ok := col.(*query.ColRef); !ok || c.Name != model.KeyAttr {
+		return nil
 	}
-	l, ok := lit.(*query.Literal)
-	if !ok {
-		return "", false
+	if v, ok := operand(k, nil); ok {
+		if _, ok := v.AsString(); ok {
+			return k
+		}
 	}
-	return l.Val.AsString()
+	return nil
+}
+
+// operand returns the value of a Literal or Param: a Param's is args[Index],
+// or the literal it was parsed from when args is nil.
+func operand(e query.Expr, args []model.Value) (model.Value, bool) {
+	switch x := e.(type) {
+	case *query.Literal:
+		return x.Val, true
+	case *query.Param:
+		if args == nil {
+			return x.Val, true
+		}
+		return args[x.Index], true
+	}
+	return model.Value{}, false
 }
 
 // fanout runs q on the target shards and returns their results in target
@@ -291,6 +405,9 @@ func gather(res []*scdb.Rows, cols []string, star bool) ([][]model.Value, error)
 			return nil, err
 		}
 	}
+	if len(rows) <= 1 {
+		return rows, nil // one row is in canonical order
+	}
 	// Every row's canonical key, its cells in the self-delimiting binary
 	// value encoding, goes into one buffer; keys[i] is row i's.
 	var buf []byte
@@ -324,8 +441,8 @@ func (b byKey) Swap(i, j int) {
 }
 
 // finalPhase runs the statement's DISTINCT, ORDER BY and LIMIT over root in
-// the ordinary executor and streams the result.
-func finalPhase(ctx context.Context, root query.Node, stmt *query.SelectStmt, emit emitFunc) error {
+// the ordinary executor, its Params bound to args, and streams the result.
+func finalPhase(ctx context.Context, root query.Node, stmt *query.SelectStmt, args []model.Value, emit emitFunc) error {
 	if stmt.Distinct {
 		root = &query.DistinctNode{Input: root}
 	}
@@ -335,7 +452,7 @@ func finalPhase(ctx context.Context, root query.Node, stmt *query.SelectStmt, em
 	if stmt.Limit >= 0 {
 		root = &query.LimitNode{Input: root, N: stmt.Limit}
 	}
-	_, _, err := query.ExecuteOpts(root, nil, query.ExecOptions{Ctx: ctx, Parallelism: 1, EmitBatch: emit})
+	_, _, err := query.ExecuteOpts(root, nil, query.ExecOptions{Ctx: ctx, Parallelism: 1, EmitBatch: emit, Args: args})
 	return err
 }
 
@@ -369,32 +486,53 @@ func readsProjection(e query.Expr, items []query.SelectItem, byAlias bool) bool 
 	return ok
 }
 
-// scatterRows handles selections without aggregation.
-func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, targets []int, emit emitFunc) ([]string, error) {
+// decomposeRows decomposes a selection without aggregation.
+func (rt *route) decomposeRows() error {
+	stmt := rt.stmt
 	ship, final := *stmt, *stmt
 	// An engine sorts a plain selection before it projects, so ORDER BY may
 	// read a column the projection drops; the gathered rows carry only the
 	// projection. Each such key ships as a hidden trailing column that the
-	// final phase sorts by and the emit below strips. DISTINCT leaves no row
+	// final phase sorts by and gatherRows strips. DISTINCT leaves no row
 	// for a dropped column to be read from. A key with an aggregate is an
 	// error on an engine; it stays, for the final phase to report.
-	hidden := 0
 	for i, k := range stmt.OrderBy {
 		if stmt.Star || query.ContainsAggregate(k.Expr) || readsProjection(k.Expr, stmt.Items, stmt.Distinct) {
 			continue
 		}
 		if stmt.Distinct {
-			return nil, fmt.Errorf("%w: ORDER BY %s reads a column SELECT DISTINCT drops", ErrNotRoutable, k.Expr)
+			return fmt.Errorf("%w: ORDER BY %s reads a column SELECT DISTINCT drops", ErrNotRoutable, k.Expr)
 		}
-		if hidden == 0 {
+		if rt.hidden == 0 {
 			ship.Items = slices.Clone(stmt.Items)
 			final.OrderBy = slices.Clone(stmt.OrderBy)
 		}
-		hidden++
+		rt.hidden++
 		ship.Items = append(ship.Items, query.SelectItem{Expr: k.Expr, Alias: orderKeyCol(i)})
 		final.OrderBy[i].Expr = &query.ColRef{Name: orderKeyCol(i)}
 	}
-	if hidden > 0 {
+	// Top-K push-down: with both ORDER BY and LIMIT the global top K rows
+	// are contained in the union of the shards' local top K, so each shard
+	// only returns K rows. Either clause alone is stripped and applied
+	// after the gather.
+	strip := (stmt.Limit < 0) != (len(stmt.OrderBy) == 0)
+	if strip {
+		ship.OrderBy = nil
+		ship.Limit = -1
+	}
+	if strip || rt.hidden > 0 {
+		rt.ship = &ship
+	}
+	if rt.hidden > 0 {
+		rt.final = &final
+	}
+	return nil
+}
+
+// gatherRows answers a selection without aggregation from the shards' rows.
+func (rt *route) gatherRows(ctx context.Context, res []*scdb.Rows, args []model.Value, emit emitFunc) ([]string, error) {
+	stmt := rt.stmt
+	if hidden := rt.hidden; hidden > 0 {
 		visible := emit
 		emit = func(cols []string, batch [][]model.Value) bool {
 			out := make([][]model.Value, len(batch))
@@ -404,19 +542,6 @@ func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, target
 			return visible(cols[:len(cols)-hidden], out)
 		}
 	}
-	// Top-K push-down: with both ORDER BY and LIMIT the global top K rows
-	// are contained in the union of the shards' local top K, so each shard
-	// only returns K rows. Either clause alone is stripped and applied
-	// after the gather.
-	if stmt.Limit < 0 || len(stmt.OrderBy) == 0 {
-		ship.OrderBy = nil
-		ship.Limit = -1
-	}
-	res, err := r.fanout(ctx, ship.String(), targets)
-	if err != nil {
-		return nil, err
-	}
-
 	// Result schema: a projection's labels are identical on every shard;
 	// SELECT * schemas are per-shard row unions, so the global schema is
 	// the sorted union of the shards' unions — exactly what a single node
@@ -444,20 +569,22 @@ func (r *Router) scatterRows(ctx context.Context, stmt *query.SelectStmt, target
 	if !stmt.Distinct && len(stmt.OrderBy) == 0 && stmt.Limit < 0 {
 		return cols, query.EmitChunks(cols, rows, 0, emit)
 	}
-	return cols[:len(cols)-hidden], finalPhase(ctx, &query.RowsNode{Cols: cols, Rows: rows}, &final, emit)
+	return cols[:len(cols)-rt.hidden], finalPhase(ctx, &query.RowsNode{Cols: cols, Rows: rows}, rt.final, args, emit)
 }
 
-// scatterAgg handles aggregations with the classic two-phase rewrite: the
-// shards compute partials per group, and the final phase is an ordinary
-// aggregation over the gathered partial rows.
-func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt, targets []int, emit emitFunc) ([]string, error) {
+// decomposeAgg decomposes an aggregation with the classic two-phase
+// rewrite: the shards compute partials per group, and the final phase is an
+// ordinary aggregation over the gathered partial rows. cacheable reports
+// whether every text match it made holds for every text of the shape.
+func (rt *route) decomposeAgg() (cacheable bool, err error) {
+	stmt := rt.stmt
 	if stmt.Star {
-		return nil, fmt.Errorf("%w: SELECT * with GROUP BY", ErrNotRoutable)
+		return false, fmt.Errorf("%w: SELECT * with GROUP BY", ErrNotRoutable)
 	}
 	if err := query.CheckOrderBy(stmt); err != nil {
-		return nil, err
+		return false, err
 	}
-	ship := query.SelectStmt{
+	ship := &query.SelectStmt{
 		From:           stmt.From,
 		Joins:          stmt.Joins,
 		Where:          stmt.Where,
@@ -467,10 +594,26 @@ func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt, targets
 		Mode:           stmt.Mode,
 		FuzzyThreshold: stmt.FuzzyThreshold,
 	}
+	// Matches are by text, and a Param renders as the value it holds. A
+	// group expression holding a Param, or a literal while an item or
+	// HAVING holds a Param, may match for some values only; so may an
+	// aggregate call holding a Param, and an unaliased item holding one is
+	// labelled by its value.
+	params := slices.ContainsFunc(stmt.Items, func(it query.SelectItem) bool { return holds[*query.Param](it.Expr) }) ||
+		holds[*query.Param](stmt.Having)
+	cacheable = true
+	for _, it := range stmt.Items {
+		if it.Alias == "" && holds[*query.Param](it.Expr) {
+			cacheable = false
+		}
+	}
 	var shipCols []string
 	groupCol := map[string]query.Expr{} // group expression text → its g<i> column
 	var groupBy []query.Expr
 	for i, g := range stmt.GroupBy {
+		if holds[*query.Param](g) || params && holds[*query.Literal](g) {
+			cacheable = false
+		}
 		col := &query.ColRef{Name: fmt.Sprintf("g%d", i)}
 		ship.Items = append(ship.Items, query.SelectItem{Expr: g, Alias: col.Name})
 		shipCols = append(shipCols, col.Name)
@@ -481,6 +624,9 @@ func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt, targets
 	// the column its partial arrives in.
 	partCol := map[string]query.Expr{}
 	partial := func(c *query.Call) query.Expr {
+		if holds[*query.Param](c) {
+			cacheable = false
+		}
 		col, ok := partCol[c.String()]
 		if !ok {
 			name := fmt.Sprintf("a%d", len(partCol))
@@ -525,26 +671,38 @@ func (r *Router) scatterAgg(ctx context.Context, stmt *query.SelectStmt, targets
 	for i, it := range stmt.Items {
 		e, err := query.Rewrite(it.Expr, final)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		cols[i] = it.Label()
 		agg.Items = append(agg.Items, query.SelectItem{Expr: e, Alias: cols[i]})
 	}
 	if stmt.Having != nil {
-		var err error
 		if agg.Having, err = query.Rewrite(stmt.Having, final); err != nil {
-			return nil, err
+			return false, err
 		}
 	}
+	rt.ship, rt.shipCols, rt.agg, rt.cols = ship, shipCols, agg, cols
+	return cacheable, nil
+}
 
-	res, err := r.fanout(ctx, ship.String(), targets)
+// gatherAgg merges the shards' partial rows in the final phase.
+func (rt *route) gatherAgg(ctx context.Context, res []*scdb.Rows, args []model.Value, emit emitFunc) ([]string, error) {
+	rows, err := gather(res, rt.shipCols, false)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := gather(res, shipCols, false)
-	if err != nil {
-		return nil, err
-	}
-	agg.Input = &query.RowsNode{Cols: shipCols, Rows: rows}
-	return cols, finalPhase(ctx, agg, stmt, emit)
+	agg := *rt.agg
+	agg.Input = &query.RowsNode{Cols: rt.shipCols, Rows: rows}
+	return rt.cols, finalPhase(ctx, &agg, rt.stmt, args, emit)
+}
+
+// holds reports whether e or any expression under it is a T.
+func holds[T query.Expr](e query.Expr) bool {
+	found := false
+	query.Rewrite(e, func(e query.Expr) (query.Expr, error) {
+		_, ok := e.(T)
+		found = found || ok
+		return nil, nil
+	})
+	return found
 }

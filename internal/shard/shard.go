@@ -58,6 +58,7 @@ import (
 	"scdb/internal/er"
 	"scdb/internal/model"
 	"scdb/internal/obs"
+	"scdb/internal/query"
 	"scdb/internal/server"
 )
 
@@ -139,6 +140,8 @@ type Router struct {
 	// reg is the router's self-description: FROM sys.<name> through the
 	// router reads it, not the shards'.
 	reg *obs.Registry
+	// routes holds each statement shape's decomposition (scatter.go).
+	routes *query.ShapeCache[*route]
 
 	scatterQueries atomic.Uint64
 	keyedQueries   atomic.Uint64
@@ -170,6 +173,7 @@ func New(cfg Config) (*Router, error) {
 		matchesMark:  make([]int, len(cfg.Backends)),
 		lastEntities: make([]int, len(cfg.Backends)),
 		reg:          obs.NewRegistry(),
+		routes:       query.NewShapeCache[*route](query.ShapeCacheSize),
 	}
 	for i := range r.all {
 		r.all[i] = i
@@ -196,6 +200,10 @@ func (r *Router) register() {
 	} {
 		r.reg.Gauge(name, func() float64 { return float64(n.Load()) })
 	}
+	r.reg.Gauges([]string{"shard.plan_cache_hits_total", "shard.plan_cache_misses_total"}, func(vals []float64) {
+		st := r.routes.Stats()
+		vals[0], vals[1] = float64(st.Hits), float64(st.Misses)
+	})
 	r.reg.Gauge("shard.cross_comparisons", func() float64 { return float64(r.ExchangeStats().Comparisons) })
 	r.reg.Gauge("shard.cross_merges", func() float64 { return float64(r.ExchangeStats().CrossMerges) })
 	r.reg.Table("sys.shards", []string{"shard", "addr", "last_csn", "entities"}, func() [][]model.Value {
