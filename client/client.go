@@ -21,6 +21,7 @@ import (
 
 	"scdb"
 	"scdb/internal/er"
+	"scdb/internal/model"
 	"scdb/internal/server"
 )
 
@@ -138,12 +139,13 @@ func (c *Client) Ping() error {
 // applied watermark. A router compares it against a session's LastCSN to
 // decide whether the replica is fresh enough to serve that session's reads.
 func (c *Client) PingCSN() (uint64, error) {
-	ca, e := c.newCallV2()
-	res, err := c.roundTrip(context.Background(), ca, e, server.EncodeV2Simple(e, ca.id, server.V2OpPing))
-	if err != nil {
+	ca, e := c.newCallV2(false)
+	if err := c.roundTrip(context.Background(), ca, e, server.EncodeV2Simple(e, ca.id, server.V2OpPing)); err != nil {
 		return 0, err
 	}
-	return res.CSN, nil
+	csn := ca.res.CSN
+	c.recycle(ca)
+	return csn, nil
 }
 
 // Query executes one SCQL statement under the server's default deadline.
@@ -163,16 +165,53 @@ func (c *Client) QueryInfo(q string) (*scdb.Rows, *scdb.QueryInfo, error) {
 	return c.QueryInfoCtx(nil, q)
 }
 
-// QueryInfoCtx is QueryInfo with a deadline.
+// QueryInfoCtx is QueryInfo with a deadline. The rows decode into the
+// connection's values scratch and become public values once, in
+// scdb.FromRows.
 func (c *Client) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
-	return c.queryV2(ctx, q)
+	ca, err := c.query(ctx, q, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := &scdb.Rows{Columns: ca.res.Columns, Data: scdb.FromRows(nil, ca.rows)}
+	info := &scdb.QueryInfo{}
+	if ca.res.Info != nil {
+		*info = *ca.res.Info
+	}
+	c.recycle(ca)
+	return rows, info, nil
+}
+
+// Values is a statement's answer in engine values: its columns, its rows
+// and how it was answered.
+type Values struct {
+	Columns []string
+	Rows    [][]model.Value
+	Info    scdb.QueryInfo
+}
+
+// QueryValuesCtx is QueryInfoCtx answering in engine values, each cell
+// decoded once and none boxed; the rows are the caller's. The shard router
+// reads its shards through it.
+func (c *Client) QueryValuesCtx(ctx context.Context, q string) (Values, error) {
+	ca, err := c.query(ctx, q, true)
+	if err != nil {
+		return Values{}, err
+	}
+	v := Values{Columns: ca.res.Columns, Rows: ca.rows}
+	if ca.res.Info != nil {
+		v.Info = *ca.res.Info
+	}
+	ca.rows = nil
+	c.recycle(ca)
+	return v, nil
 }
 
 // Ingest ships one source delivery through the server's curation pipeline
 // as an ingest_batch stream of one chunk, so its entities, links and texts
 // install as one delivery.
 func (c *Client) Ingest(src scdb.Source) error {
-	_, err := c.ingest(nil, src, 0, false)
+	_, _, err := c.ingest(nil, src, 0, false)
 	return err
 }
 
@@ -180,11 +219,8 @@ func (c *Client) Ingest(src scdb.Source) error {
 // curation pipeline's span tree (decode, batch install with WAL fsync
 // wait, relation, integration, inference) as indented JSON.
 func (c *Client) IngestTraced(src scdb.Source) (string, error) {
-	res, err := c.ingest(nil, src, 0, true)
-	if err != nil {
-		return "", err
-	}
-	return res.Trace, nil
+	_, trace, err := c.ingest(nil, src, 0, true)
+	return trace, err
 }
 
 // IngestSummary reports what a streamed IngestBatch installed.
@@ -204,11 +240,8 @@ func (c *Client) IngestBatch(ctx context.Context, src scdb.Source, batchSize int
 	if batchSize <= 0 {
 		batchSize = DefaultIngestBatch
 	}
-	res, err := c.ingest(ctx, src, batchSize, false)
-	if err != nil {
-		return nil, err
-	}
-	return res.Ingest, nil
+	sum, _, err := c.ingest(ctx, src, batchSize, false)
+	return sum, err
 }
 
 // ERDigests pulls the node's incremental entity-resolution evidence past
@@ -218,11 +251,12 @@ func (c *Client) IngestBatch(ctx context.Context, src scdb.Source, batchSize int
 // so entities living on different shards still merge; application code
 // rarely needs it.
 func (c *Client) ERDigests(entsSince, matchesSince int) (er.DigestBatch, error) {
-	ca, e := c.newCallV2()
-	res, err := c.roundTrip(context.Background(), ca, e, server.EncodeV2ERDigests(e, ca.id, entsSince, matchesSince))
-	if err != nil {
+	ca, e := c.newCallV2(false)
+	if err := c.roundTrip(context.Background(), ca, e, server.EncodeV2ERDigests(e, ca.id, entsSince, matchesSince)); err != nil {
 		return er.DigestBatch{}, err
 	}
+	res := &ca.res
+	defer c.recycle(ca)
 	if res.Digests == nil {
 		return er.DigestBatch{}, fmt.Errorf("scdb client: er_digests answered with a result of kind 0x%02x", res.Kind)
 	}

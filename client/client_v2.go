@@ -11,31 +11,52 @@ import (
 	"time"
 
 	"scdb"
+	"scdb/internal/model"
 	"scdb/internal/server"
 )
 
-// v2call is one in-flight request. The reader goroutine owns rows/res/
-// code/msg/err until it closes ready; the caller reads them only after.
+// v2call is one in-flight request. The reader goroutine owns rows, vals,
+// res, code, msg and err until it signals ready; the caller reads them
+// only after.
+//
+// A connection reuses its calls: a call the caller saw complete goes back
+// to the connection's free list (recycle) with its ready signal and its
+// values scratch. A call that did not complete — forgotten past
+// deadlineGrace or after a failed write, or failed by failAllV2 — never
+// does: the reader may still hold it and signal it late, or a signal may
+// be pending in it for a caller that is gone.
 type v2call struct {
-	id        uint32
-	rows      [][]any
-	res       *server.V2Result
+	id    uint32
+	ready chan struct{} // the reader's one signal, buffered: it never waits
+	// keep makes row batches decode into fresh arrays the caller keeps;
+	// otherwise into vals, the call's values scratch.
+	keep      bool
+	rows      [][]model.Value
+	vals      []model.Value
+	res       server.V2Result
 	code, msg string
 	err       error
-	ready     chan struct{}
 }
+
+// v2KeptCells bounds the values scratch a recycled call keeps, so one wide
+// result does not pin its size on the connection.
+const v2KeptCells = 16 << 10
+
+// v2FreeCalls bounds a connection's free list.
+const v2FreeCalls = 16
 
 // v2state is the multiplexing machinery of a Client.
 type v2state struct {
 	wmu sync.Mutex // serializes frame writes
 
-	// rb is the read loop's frame header and payload buffer, kept across
-	// frames: every decoder the loop calls copies what it returns.
+	// rb is the read loop's frame buffers, kept across frames: every
+	// decoder the loop calls copies what it returns.
 	rb server.V2ReadBuf
 
 	pmu    sync.Mutex
 	nextID uint32
 	calls  map[uint32]*v2call
+	free   []*v2call // completed calls, ready for reuse
 }
 
 // readLoopV2 is the connection's single frame reader: it decodes every
@@ -43,8 +64,9 @@ type v2state struct {
 // (calls abandoned past their grace) are discarded, which is what keeps
 // an abandoned call from poisoning the connection.
 func (c *Client) readLoopV2() {
+	rb := &c.v2.rb
 	for {
-		f, err := c.v2.rb.Read(c.br, server.DefaultMaxFrame, true)
+		f, err := rb.Read(c.br, server.DefaultMaxFrame, true)
 		if err != nil {
 			c.failAllV2(err)
 			return
@@ -57,7 +79,12 @@ func (c *Client) readLoopV2() {
 		}
 		switch f.Op {
 		case server.V2OpRowBatch:
-			rows, err := server.DecodeV2RowBatch(f.Payload, ca.rows)
+			var rows [][]model.Value
+			if ca.keep {
+				rows, _, err = rb.DecodeRows(f.Payload, ca.rows, nil)
+			} else {
+				rows, ca.vals, err = rb.DecodeRows(f.Payload, ca.rows, ca.vals)
+			}
 			if err != nil {
 				ca.err = err
 				c.finishV2(f.ID, ca)
@@ -65,20 +92,10 @@ func (c *Client) readLoopV2() {
 			}
 			ca.rows = rows
 		case server.V2OpResult:
-			res, err := server.DecodeV2Result(f.Payload)
-			if err != nil {
-				ca.err = err
-			} else {
-				ca.res = res
-			}
+			ca.err = rb.DecodeResult(f.Payload, &ca.res)
 			c.finishV2(f.ID, ca)
 		case server.V2OpError:
-			code, msg, err := server.DecodeV2Error(f.Payload)
-			if err != nil {
-				ca.err = err
-			} else {
-				ca.code, ca.msg = code, msg
-			}
+			ca.code, ca.msg, ca.err = server.DecodeV2Error(f.Payload)
 			c.finishV2(f.ID, ca)
 		}
 	}
@@ -90,7 +107,7 @@ func (c *Client) finishV2(id uint32, ca *v2call) {
 		delete(c.v2.calls, id)
 	}
 	c.v2.pmu.Unlock()
-	close(ca.ready)
+	ca.ready <- struct{}{}
 }
 
 // failAllV2 breaks the connection: every pending call fails with err.
@@ -103,20 +120,48 @@ func (c *Client) failAllV2(err error) {
 	c.v2.pmu.Unlock()
 	for _, ca := range calls {
 		ca.err = err
-		close(ca.ready)
+		ca.ready <- struct{}{}
 	}
 }
 
-// newCallV2 allocates a request id, registers the call for routing and
-// hands out an encoder for its request frame.
-func (c *Client) newCallV2() (*v2call, *server.V2Enc) {
-	ca := &v2call{ready: make(chan struct{})}
+// newCallV2 takes a call off the free list (or makes one), gives it a new
+// request id, registers it for routing and hands out an encoder for its
+// request frame. keep says whether the caller keeps the call's rows.
+func (c *Client) newCallV2(keep bool) (*v2call, *server.V2Enc) {
 	c.v2.pmu.Lock()
+	var ca *v2call
+	if n := len(c.v2.free); n > 0 {
+		ca = c.v2.free[n-1]
+		c.v2.free[n-1] = nil
+		c.v2.free = c.v2.free[:n-1]
+	} else {
+		ca = &v2call{ready: make(chan struct{}, 1)}
+	}
 	c.v2.nextID++
 	ca.id = c.v2.nextID
+	ca.keep = keep
 	c.v2.calls[ca.id] = ca
 	c.v2.pmu.Unlock()
 	return ca, server.GetV2Enc()
+}
+
+// recycle hands a completed call back to the free list once the caller
+// has copied out what it returns: the scratch is cleared, so a kept call
+// keeps no answer alive.
+func (c *Client) recycle(ca *v2call) {
+	clear(ca.rows)
+	clear(ca.vals)
+	ca.rows, ca.vals = ca.rows[:0], ca.vals[:0]
+	if cap(ca.vals) > v2KeptCells {
+		ca.rows, ca.vals = nil, nil
+	}
+	ca.res = server.V2Result{}
+	ca.code, ca.msg, ca.err = "", "", nil
+	c.v2.pmu.Lock()
+	if len(c.v2.free) < v2FreeCalls {
+		c.v2.free = append(c.v2.free, ca)
+	}
+	c.v2.pmu.Unlock()
 }
 
 func (c *Client) forgetV2(id uint32) {
@@ -157,8 +202,10 @@ func (c *Client) sendCancelV2(id uint32) {
 // additionally sends a cancel frame so the server stops working on the
 // request; the canceled request still gets its error response. If the
 // server overshoots the grace, the call is forgotten — the reader drops
-// its late frames — and the connection stays usable.
-func (c *Client) waitV2(ctx context.Context, ca *v2call) (*server.V2Result, error) {
+// its late frames — and the connection stays usable. On nil the caller
+// reads the answer off ca and recycles it; a server error recycles it
+// here, and a forgotten or failed call is never recycled.
+func (c *Client) waitV2(ctx context.Context, ca *v2call) error {
 	select {
 	case <-ca.ready:
 	case <-ctx.Done():
@@ -169,19 +216,21 @@ func (c *Client) waitV2(ctx context.Context, ca *v2call) (*server.V2Result, erro
 		case <-ca.ready:
 		case <-time.After(deadlineGrace):
 			c.forgetV2(ca.id)
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	if ca.err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
+			return ctxErr
 		}
-		return nil, ca.err
+		return ca.err
 	}
 	if ca.code != "" {
-		return nil, &ServerError{Code: ca.code, Msg: ca.msg}
+		err := &ServerError{Code: ca.code, Msg: ca.msg}
+		c.recycle(ca)
+		return err
 	}
-	return ca.res, nil
+	return nil
 }
 
 // ctxAndTimeout normalizes a nil context and derives the request timeout
@@ -202,29 +251,26 @@ func ctxAndTimeout(ctx context.Context) (context.Context, int64) {
 
 // roundTrip is one request and its answer: it writes the request frame,
 // encoded into e under ca's id, releases e and waits for the call's final
-// frame.
-func (c *Client) roundTrip(ctx context.Context, ca *v2call, e *server.V2Enc, frame []byte) (*server.V2Result, error) {
+// frame (see waitV2 for who recycles ca).
+func (c *Client) roundTrip(ctx context.Context, ca *v2call, e *server.V2Enc, frame []byte) error {
 	err := c.writeFramesV2(frame)
 	e.Release()
 	if err != nil {
 		c.forgetV2(ca.id)
-		return nil, err
+		return err
 	}
 	return c.waitV2(ctx, ca)
 }
 
-func (c *Client) queryV2(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
+// query runs one statement and returns its completed call; keep says
+// whether the caller keeps the call's rows.
+func (c *Client) query(ctx context.Context, q string, keep bool) (*v2call, error) {
 	ctx, ms := ctxAndTimeout(ctx)
-	ca, e := c.newCallV2()
-	res, err := c.roundTrip(ctx, ca, e, server.EncodeV2Query(e, ca.id, server.V2OpQuery, q, ms))
-	if err != nil {
-		return nil, nil, err
+	ca, e := c.newCallV2(keep)
+	if err := c.roundTrip(ctx, ca, e, server.EncodeV2Query(e, ca.id, server.V2OpQuery, q, ms)); err != nil {
+		return nil, err
 	}
-	info := res.Info
-	if info == nil {
-		info = &scdb.QueryInfo{}
-	}
-	return &scdb.Rows{Columns: res.Columns, Data: ca.rows}, info, nil
+	return ca, nil
 }
 
 // ingest streams src as one ingest_batch request. With batchSize > 0 the
@@ -232,9 +278,9 @@ func (c *Client) queryV2(ctx context.Context, q string) (*scdb.Rows, *scdb.Query
 // final chunk; with 0 the whole source is the final chunk. A chunk that
 // cannot be encoded after the header went out cancels the stream, so the
 // server releases its admission slot at once.
-func (c *Client) ingest(ctx context.Context, src scdb.Source, batchSize int, trace bool) (*server.V2Result, error) {
+func (c *Client) ingest(ctx context.Context, src scdb.Source, batchSize int, trace bool) (*IngestSummary, string, error) {
 	ctx, ms := ctxAndTimeout(ctx)
-	ca, e := c.newCallV2()
+	ca, e := c.newCallV2(false)
 	err := c.writeFramesV2(server.EncodeV2IngestBatchHeader(e, ca.id, src.Name, ms, trace))
 	e.Release()
 	last := server.V2Chunk{Links: src.Links, Texts: src.Texts, Done: true}
@@ -250,14 +296,15 @@ func (c *Client) ingest(ctx context.Context, src scdb.Source, batchSize int, tra
 	if err != nil {
 		c.sendCancelV2(ca.id)
 		c.forgetV2(ca.id)
-		return nil, err
+		return nil, "", err
 	}
-	res, err := c.waitV2(ctx, ca)
-	if err != nil {
-		return nil, err
+	if err := c.waitV2(ctx, ca); err != nil {
+		return nil, "", err
 	}
-	c.noteCSN(res.CSN)
-	return res, nil
+	c.noteCSN(ca.res.CSN)
+	sum, tr := ca.res.Ingest, ca.res.Trace
+	c.recycle(ca)
+	return sum, tr, nil
 }
 
 // writeChunkV2 encodes and writes one chunk of an ingest stream.

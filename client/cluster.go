@@ -112,15 +112,35 @@ func (cl *Cluster) QueryCtx(ctx context.Context, q string) (*scdb.Rows, error) {
 	return rows, err
 }
 
-// QueryInfoCtx is QueryCtx reporting how the statement was answered. The
-// shard router reads through this method, so a replica-fronted shard keeps
-// its read-your-writes guarantee under scatter-gather fan-out.
-func (cl *Cluster) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
+// QueryInfoCtx is QueryCtx reporting how the statement was answered.
+func (cl *Cluster) QueryInfoCtx(ctx context.Context, q string) (rows *scdb.Rows, info *scdb.QueryInfo, err error) {
+	err = cl.read(ctx, func(c *Client) error {
+		rows, info, err = c.QueryInfoCtx(ctx, q)
+		return err
+	})
+	return rows, info, err
+}
+
+// QueryValuesCtx is QueryInfoCtx answering in engine values (see
+// Client.QueryValuesCtx). The shard router reads through this method, so
+// a replica-fronted shard keeps its read-your-writes guarantee under
+// scatter-gather fan-out.
+func (cl *Cluster) QueryValuesCtx(ctx context.Context, q string) (v Values, err error) {
+	err = cl.read(ctx, func(c *Client) error {
+		v, err = c.QueryValuesCtx(ctx, q)
+		return err
+	})
+	return v, err
+}
+
+// read runs one read on a replica that has applied this session's
+// writes, or on the primary.
+func (cl *Cluster) read(ctx context.Context, query func(c *Client) error) error {
 	hw := cl.primary.LastCSN()
 	deadline := time.Now().Add(cl.FreshnessWait)
 	for {
 		if ctx != nil && ctx.Err() != nil {
-			return nil, nil, ctx.Err()
+			return ctx.Err()
 		}
 		r, alive := cl.pickFresh(hw)
 		if r == nil {
@@ -129,7 +149,7 @@ func (cl *Cluster) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scd
 				if ctx != nil {
 					select {
 					case <-ctx.Done():
-						return nil, nil, ctx.Err()
+						return ctx.Err()
 					case <-time.After(5 * time.Millisecond):
 					}
 				} else {
@@ -138,19 +158,19 @@ func (cl *Cluster) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scd
 				continue
 			}
 			// No replica covers the mark in time: the primary always does.
-			return cl.primary.QueryInfoCtx(ctx, q)
+			return query(cl.primary)
 		}
-		rows, info, err := cl.queryReplica(r, ctx, q)
+		err := cl.queryReplica(r, query)
 		if err == nil {
-			return rows, info, nil
+			return nil
 		}
 		if errors.Is(err, ErrReadOnly) {
 			// A curation statement writes: the primary takes it.
-			return cl.primary.QueryInfoCtx(ctx, q)
+			return query(cl.primary)
 		}
 		var se *ServerError
 		if errors.As(err, &se) {
-			return nil, nil, err // deterministic server answer; don't fail over
+			return err // deterministic server answer; don't fail over
 		}
 		cl.markDown(r)
 	}
@@ -253,14 +273,14 @@ func (cl *Cluster) freshen(r *replicaNode, hw uint64) (fresh, alive bool) {
 	return r.applied >= hw, true
 }
 
-func (cl *Cluster) queryReplica(r *replicaNode, ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
+func (cl *Cluster) queryReplica(r *replicaNode, query func(c *Client) error) error {
 	r.mu.Lock()
 	c := r.c
 	r.mu.Unlock()
 	if c == nil {
-		return nil, nil, errors.New("scdb client: replica not connected")
+		return errors.New("scdb client: replica not connected")
 	}
-	return c.QueryInfoCtx(ctx, q)
+	return query(c)
 }
 
 func (cl *Cluster) markDown(r *replicaNode) {

@@ -13,14 +13,17 @@ import (
 // server, with a new key each run so the result cache misses and the plan
 // cache hits the statement's shape, and a PingCSN. Both sides of the wire
 // count, so this holds the client's one round trip and the server's request
-// path to at most 55 objects a read and 8 a ping (go1.24/linux/amd64), a
-// tenth over what they cost. A read costs 50 objects and a ping 7. At
-// commit f130964 they cost 63 and 12: every frame read allocated its
-// header, the client's every payload and every decoder were objects of
-// their own, a streamed query captured three variables, and every request
-// made a gone channel. A read cost 93 while the plan cache was keyed by
-// statement text, so each new key planned again, and 100 at commit
-// 0780d44, when every admitted request armed a queue timer as well.
+// path to at most 50 objects a read and 5 a ping (go1.24/linux/amd64), a
+// tenth over what they cost, rounded up. A read costs 45 objects and a
+// ping 4. At commit 0dc12f0 they cost 50 and 7: every call made its call
+// object, its ready channel and its decoded result, every frame its
+// intern table, and the rows were boxed as they were decoded. At commit
+// f130964 they cost 63 and 12: every frame read allocated its header, the
+// client's every payload and every decoder were objects of their own, a
+// streamed query captured three variables, and every request made a gone
+// channel. A read cost 93 while the plan cache was keyed by statement
+// text, so each new key planned again, and 100 at commit 0780d44, when
+// every admitted request armed a queue timer as well.
 func TestNetworkReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 5,000-row table")
@@ -65,12 +68,12 @@ func TestNetworkReadAllocBudget(t *testing.T) {
 		budget, parent float64
 		commit         string
 	}{
-		{"point read", read, 55, 63, "f130964"},
+		{"point read", read, 50, 50, "0dc12f0"},
 		{"PingCSN", func() {
 			if _, err := c.PingCSN(); err != nil {
 				t.Fatal(err)
 			}
-		}, 8, 12, "f130964"},
+		}, 5, 7, "0dc12f0"},
 	} {
 		allocs := testing.AllocsPerRun(runs, tc.run)
 		t.Logf("%s: %.0f objects", tc.name, allocs)

@@ -55,7 +55,7 @@ func EncodeV2ReplSubscribe(e *V2Enc, id uint32, appliedCSN uint64) []byte {
 
 // DecodeV2ReplSubscribe parses a subscription request payload.
 func DecodeV2ReplSubscribe(payload []byte) (uint64, error) {
-	d, err := newV2Dec(payload)
+	d, err := newV2Dec(payload, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -71,7 +71,7 @@ func EncodeV2ReplAck(e *V2Enc, id uint32, appliedCSN uint64) []byte {
 
 // DecodeV2ReplAck parses an ack payload.
 func DecodeV2ReplAck(payload []byte) (uint64, error) {
-	d, err := newV2Dec(payload)
+	d, err := newV2Dec(payload, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -121,7 +121,7 @@ type V2ReplBatch struct {
 // DecodeV2ReplBatch parses any V2OpReplFrames payload. Entry Data and Chunk
 // alias the payload buffer.
 func DecodeV2ReplBatch(payload []byte) (*V2ReplBatch, error) {
-	d, err := newV2Dec(payload)
+	d, err := newV2Dec(payload, nil)
 	if err != nil {
 		return nil, err
 	}

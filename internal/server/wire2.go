@@ -296,12 +296,29 @@ func ReadV2Frame(r io.Reader, max int) (V2Frame, error) {
 // not pin its size on the connection.
 const v2KeptPayload = 64 << 10
 
-// V2ReadBuf is one connection reader's frame buffers: the header, and the
-// payload buffer a reader may keep across frames.
+// V2ReadBuf is one connection reader's frame buffers: the header, the
+// payload buffer a reader may keep across frames, and the intern-table
+// entries its DecodeRows and DecodeResult parse each frame's table into.
+// The entries are scratch: every string a decoder returns is a substring
+// of the frame's one table string, never a reference to the entries.
 type V2ReadBuf struct {
 	hdr     [4 + v2FrameFixed]byte
 	payload []byte
+	tab     []string
 }
+
+// dec starts a decoder over payload with b's intern-table scratch.
+func (b *V2ReadBuf) dec(payload []byte) (v2Dec, error) {
+	d, err := newV2Dec(payload, b.tab)
+	if cap(d.tab) > cap(b.tab) {
+		b.tab = d.tab
+	}
+	return d, err
+}
+
+// done drops the strings the scratch table holds, so a kept buffer keeps
+// no frame's table alive.
+func (b *V2ReadBuf) done(d *v2Dec) { clear(d.tab) }
 
 // Read reads one frame, its header into b. With keep, a payload up to
 // v2KeptPayload bytes is read into b's buffer, which the next Read
@@ -558,8 +575,10 @@ var errV2Truncated = errors.New("wire2: truncated frame")
 // newV2Dec parses the leading intern table into one string, the entries
 // substrings of it: one allocation per frame, not one per entry, and the
 // decoder itself is a value on its caller's stack. A string a caller keeps
-// keeps the frame's table alive with it, never the payload.
-func newV2Dec(payload []byte) (v2Dec, error) {
+// keeps the frame's table alive with it, never the payload. The entries go
+// into tab's array when it has room (a reader's scratch, see V2ReadBuf),
+// else into one of their own.
+func newV2Dec(payload []byte, tab []string) (v2Dec, error) {
 	d := v2Dec{b: payload}
 	n, err := d.uvarint()
 	if err != nil {
@@ -573,17 +592,21 @@ func newV2Dec(payload []byte) (v2Dec, error) {
 	if n == 0 {
 		return d, nil
 	}
-	tab := d.b
+	raw := d.b
 	for i := uint64(0); i < n; i++ {
 		if _, err := d.view(); err != nil {
 			return v2Dec{}, err
 		}
 	}
-	tab = tab[:len(tab)-len(d.b)]
-	all, off := string(tab), 0
-	d.tab = make([]string, n)
+	raw = raw[:len(raw)-len(d.b)]
+	all, off := string(raw), 0
+	if uint64(cap(tab)) >= n {
+		d.tab = tab[:n]
+	} else {
+		d.tab = make([]string, n)
+	}
 	for i := range d.tab {
-		ln, k := binary.Uvarint(tab[off:])
+		ln, k := binary.Uvarint(raw[off:])
 		off += k
 		d.tab[i] = all[off : off+int(ln)]
 		off += int(ln)
@@ -779,112 +802,90 @@ func EncodeV2RowBatch(e *V2Enc, id uint32, batch [][]model.Value) []byte {
 	return e.Frame(V2OpRowBatch, 0, id)
 }
 
-// DecodeV2RowBatch appends a batch frame's rows (public facade values) to
-// dst and returns the grown slice. The batch's rows share one backing
-// array, each sliced with cap equal to len. A column the frame tags with
-// one kind keeps its cells in one typed slab (package box), bytes cells
-// in one buffer, and string cells are substrings of the frame's intern
-// table; bools, all-null and mixed-kind columns box cell by cell.
-func DecodeV2RowBatch(payload []byte, dst [][]any) ([][]any, error) {
-	d, err := newV2Dec(payload)
+// DecodeRows appends a row-batch frame's rows to dst as engine values: the
+// one row decoder. Each row is a full slice of vals when vals has room for
+// the batch after its length (a reader's scratch), else of a new array
+// with room for vals' length too, so that a reader reusing vals finds room
+// for a result of several frames the next time; the grown vals comes back
+// for the next frame. String cells are substrings of the frame's intern
+// table, bytes cells copies carved from one buffer per column, list cells
+// slices of their own: nothing aliases the payload, and nothing is boxed.
+func (b *V2ReadBuf) DecodeRows(payload []byte, dst [][]model.Value, vals []model.Value) ([][]model.Value, []model.Value, error) {
+	d, err := b.dec(payload)
 	if err != nil {
-		return nil, err
+		return nil, vals, err
 	}
+	defer b.done(&d)
 	nrows, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, vals, err
 	}
 	ncols, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, vals, err
 	}
 	if nrows > v2MaxRowsPerBatch || ncols > v2MaxCols || nrows*ncols > v2MaxCells {
-		return nil, fmt.Errorf("wire2: batch dimensions %d x %d out of bounds", nrows, ncols)
+		return nil, vals, fmt.Errorf("wire2: batch dimensions %d x %d out of bounds", nrows, ncols)
 	}
-	// One backing array holds the batch; each row is a slice of it with cap
-	// equal to len.
-	w := int(ncols)
-	back := make([]any, int(nrows)*w)
+	w, n := int(ncols), int(nrows*ncols)
+	if cap(vals)-len(vals) < n {
+		vals = make([]model.Value, 0, len(vals)+n) // the rows before keep the old array
+	}
+	cells := vals[len(vals) : len(vals)+n]
+	vals = vals[:len(vals)+n]
 	base := len(dst)
 	dst = slices.Grow(dst, int(nrows))
 	for r := 0; r < int(nrows); r++ {
-		dst = append(dst, back[r*w:(r+1)*w:(r+1)*w])
+		dst = append(dst, cells[r*w:(r+1)*w:(r+1)*w])
 	}
 	rows := dst[base:]
 	for c := 0; c < w; c++ {
 		tag, err := d.u8()
 		if err != nil {
-			return nil, err
+			return nil, vals, err
 		}
 		switch tag {
 		case v2kList:
-			return nil, errors.New("wire2: list column must be mixed-tagged")
-		case v2kInt:
-			err = decodeLanes(&d, rows, c, func(v uint64) int64 { return int64(v) })
-		case v2kFloat:
-			err = decodeLanes(&d, rows, c, math.Float64frombits)
-		case v2kTime:
-			err = decodeLanes(&d, rows, c, func(v uint64) time.Time { return time.Unix(0, int64(v)).UTC() })
-		case v2kRef:
-			err = decodeLanes(&d, rows, c, func(v uint64) scdb.EntityRef { return scdb.EntityRef(v) })
-		case v2kStr:
-			err = d.strColumn(rows, c)
+			return nil, vals, errors.New("wire2: list column must be mixed-tagged")
 		case v2kBytes:
 			err = d.bytesColumn(rows, c)
-		default: // all null, bools or mixed kinds: one value at a time
+		default: // one value at a time, its kind the column's or its own
 			for _, row := range rows {
+				k := tag
 				if tag == v2kMixed {
-					row[c], err = d.value(0)
-				} else {
-					row[c], err = d.valueOfKind(tag, 0)
+					if k, err = d.u8(); err != nil {
+						break
+					}
 				}
-				if err != nil {
+				if row[c], err = d.modelValue(k, 0); err != nil {
 					break
 				}
 			}
 		}
 		if err != nil {
-			return nil, err
+			return nil, vals, err
 		}
 	}
-	return dst, nil
+	return dst, vals, nil
 }
 
-// decodeLanes reads a column of 8-byte lanes into one slab, conv making
-// each lane its cell. The lanes are checked before the slab is allocated.
-func decodeLanes[T box.Cell](d *v2Dec, rows [][]any, c int, conv func(uint64) T) error {
-	if len(d.b) < 8*len(rows) {
-		return errV2Truncated
+// DecodeV2RowBatch appends a batch frame's rows to dst in public form:
+// DecodeRows, then scdb.FromRows, the one place a result cell becomes an
+// any. The batch's rows share one backing array, each sliced with cap
+// equal to len; a column whose cells share one kind keeps them in one
+// typed slab.
+func DecodeV2RowBatch(payload []byte, dst [][]any) ([][]any, error) {
+	var b V2ReadBuf
+	rows, _, err := b.DecodeRows(payload, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	s := box.New[T](len(rows))
-	for _, row := range rows {
-		row[c] = s.Add(conv(binary.LittleEndian.Uint64(d.b)))
-		d.b = d.b[8:]
-	}
-	return nil
-}
-
-// strColumn reads a string column into one slab of intern-table
-// substrings. Every cell costs at least a byte, which is checked before
-// the slab is allocated.
-func (d *v2Dec) strColumn(rows [][]any, c int) error {
-	if len(d.b) < len(rows) {
-		return errV2Truncated
-	}
-	s := box.New[string](len(rows))
-	for _, row := range rows {
-		v, err := d.str()
-		if err != nil {
-			return err
-		}
-		row[c] = s.Add(v)
-	}
-	return nil
+	return scdb.FromRows(dst, rows), nil
 }
 
 // bytesColumn reads a bytes column into one buffer, sized by a first pass
 // over the lengths; each cell is a slice of it with cap equal to len.
-func (d *v2Dec) bytesColumn(rows [][]any, c int) error {
+func (d *v2Dec) bytesColumn(rows [][]model.Value, c int) error {
 	probe, size := *d, 0
 	for range rows {
 		b, err := probe.view()
@@ -894,13 +895,65 @@ func (d *v2Dec) bytesColumn(rows [][]any, c int) error {
 		size += len(b)
 	}
 	buf := make([]byte, 0, size)
-	s := box.New[[]byte](len(rows))
 	for _, row := range rows {
 		b, _ := d.view() // the first pass read every length already
 		buf = append(buf, b...)
-		row[c] = s.Add(buf[len(buf)-len(b) : len(buf) : len(buf)])
+		row[c] = model.Bytes(buf[len(buf)-len(b) : len(buf) : len(buf)])
 	}
 	return nil
+}
+
+// modelValue decodes one value of kind k as an engine value.
+func (d *v2Dec) modelValue(k byte, depth int) (model.Value, error) {
+	if depth > v2MaxListDepth {
+		return model.Value{}, errors.New("wire2: value nesting too deep")
+	}
+	switch k {
+	case v2kNull:
+		return model.Null(), nil
+	case v2kBool:
+		b, err := d.u8()
+		return model.Bool(b != 0), err
+	case v2kInt:
+		v, err := d.u64le()
+		return model.Int(int64(v)), err
+	case v2kFloat:
+		f, err := d.f64()
+		return model.Float(f), err
+	case v2kStr:
+		s, err := d.str()
+		return model.String(s), err
+	case v2kTime:
+		v, err := d.u64le()
+		return model.Time(time.Unix(0, int64(v))), err
+	case v2kBytes:
+		b, err := d.rawBytes()
+		return model.Bytes(b), err
+	case v2kRef:
+		v, err := d.u64le()
+		return model.Ref(model.EntityID(v)), err
+	case v2kList:
+		n, err := d.uvarint()
+		if err != nil {
+			return model.Value{}, err
+		}
+		// Each element costs at least its kind byte.
+		if n > uint64(len(d.b)) {
+			return model.Value{}, errV2Truncated
+		}
+		elems := make([]model.Value, n)
+		for i := range elems {
+			k, err := d.u8()
+			if err != nil {
+				return model.Value{}, err
+			}
+			if elems[i], err = d.modelValue(k, depth+1); err != nil {
+				return model.Value{}, err
+			}
+		}
+		return model.List(elems...), nil
+	}
+	return model.Value{}, fmt.Errorf("wire2: unknown value kind 0x%02x", k)
 }
 
 // --- requests -----------------------------------------------------------
@@ -914,7 +967,7 @@ func EncodeV2Query(e *V2Enc, id uint32, op byte, q string, timeoutMS int64) []by
 
 // DecodeV2Query parses a query/explain request payload.
 func DecodeV2Query(payload []byte) (q string, timeoutMS int64, err error) {
-	d, err := newV2Dec(payload)
+	d, err := newV2Dec(payload, nil)
 	if err != nil {
 		return "", 0, err
 	}
@@ -944,7 +997,7 @@ func EncodeV2ERDigests(e *V2Enc, id uint32, entsSince, matchesSince int) []byte 
 
 // DecodeV2ERDigests parses an er_digests request payload.
 func DecodeV2ERDigests(payload []byte) (entsSince, matchesSince int, err error) {
-	d, err := newV2Dec(payload)
+	d, err := newV2Dec(payload, nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -1205,7 +1258,7 @@ func EncodeV2IngestBatchHeader(e *V2Enc, id uint32, name string, timeoutMS int64
 
 // DecodeV2IngestBatchHeader parses the stream-opening request.
 func DecodeV2IngestBatchHeader(payload []byte) (name string, timeoutMS int64, trace bool, err error) {
-	d, err := newV2Dec(payload)
+	d, err := newV2Dec(payload, nil)
 	if err != nil {
 		return "", 0, false, err
 	}
@@ -1251,7 +1304,7 @@ func EncodeV2IngestChunk(e *V2Enc, id uint32, chunk V2Chunk) ([]byte, error) {
 
 // DecodeV2IngestChunk parses one chunk frame.
 func DecodeV2IngestChunk(payload []byte) (V2Chunk, error) {
-	d, err := newV2Dec(payload)
+	d, err := newV2Dec(payload, nil)
 	if err != nil {
 		return V2Chunk{}, err
 	}
@@ -1284,7 +1337,7 @@ func EncodeV2Error(e *V2Enc, id uint32, code, msg string) []byte {
 
 // DecodeV2Error parses a V2OpError payload.
 func DecodeV2Error(payload []byte) (code, msg string, err error) {
-	d, err := newV2Dec(payload)
+	d, err := newV2Dec(payload, nil)
 	if err != nil {
 		return "", "", err
 	}
@@ -1323,57 +1376,58 @@ func (e *V2Enc) info(info *scdb.QueryInfo) {
 	e.str(info.OperatorStats)
 }
 
-func (d *v2Dec) info() (*scdb.QueryInfo, error) {
+// info reads a QueryInfo into info; present is its presence byte.
+func (d *v2Dec) info(info *scdb.QueryInfo) (present bool, err error) {
 	p, err := d.u8()
-	if err != nil {
-		return nil, err
+	if err != nil || p == 0 {
+		return false, err
 	}
-	if p == 0 {
-		return nil, nil
-	}
-	info := &scdb.QueryInfo{}
 	if info.Plan, err = d.str(); err != nil {
-		return nil, err
+		return false, err
 	}
 	n, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	if n > uint64(len(d.b)) {
-		return nil, errV2Truncated
+		return false, errV2Truncated
 	}
 	for i := uint64(0); i < n; i++ {
 		r, err := d.str()
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		info.Rules = append(info.Rules, r)
 	}
 	bits, err := d.u8()
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	info.CacheHit = bits&1 != 0
 	info.PlanCached = bits&2 != 0
 	if info.EstimatedCost, err = d.f64(); err != nil {
-		return nil, err
+		return false, err
 	}
 	if info.OperatorStats, err = d.str(); err != nil {
-		return nil, err
+		return false, err
 	}
-	return info, nil
+	return true, nil
 }
 
 // V2Result is a decoded V2OpResult frame. Kind echoes the request op;
 // which other fields are set depends on it.
+// Info points into the result itself, so a copy of a V2Result shares
+// the original's.
 type V2Result struct {
 	Kind    byte
 	Columns []string        // query
-	Info    *scdb.QueryInfo // query
+	Info    *scdb.QueryInfo // query: &info, or nil when the frame has none
 	Ingest  *IngestSummary  // ingest_batch
 	Trace   string          // ingest_batch (traced)
 	Digests *er.DigestBatch // er_digests
 	CSN     uint64          // ping, ingest_batch
+
+	info scdb.QueryInfo
 }
 
 // EncodeV2PingResult answers a ping with the node's current commit stamp
@@ -1613,81 +1667,103 @@ func (d *v2Dec) count() (int, error) {
 
 // DecodeV2Result parses any V2OpResult payload.
 func DecodeV2Result(payload []byte) (*V2Result, error) {
-	d, err := newV2Dec(payload)
-	if err != nil {
+	var b V2ReadBuf
+	res := new(V2Result)
+	if err := b.DecodeResult(payload, res); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// DecodeResult parses any V2OpResult payload into res, which it resets
+// first: a reader decodes every result of a call it reuses into the one
+// V2Result.
+func (b *V2ReadBuf) DecodeResult(payload []byte, res *V2Result) error {
+	*res = V2Result{}
+	d, err := b.dec(payload)
+	if err != nil {
+		return err
+	}
+	defer b.done(&d)
+	return d.result(res)
+}
+
+func (d *v2Dec) result(res *V2Result) error {
 	kind, err := d.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := &V2Result{Kind: kind}
+	res.Kind = kind
 	switch kind {
 	case V2OpPing:
 		if res.CSN, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
-		return res, nil
+		return nil
 	case V2OpQuery:
 		n, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n > v2MaxCols {
-			return nil, fmt.Errorf("wire2: column count %d out of bounds", n)
+			return fmt.Errorf("wire2: column count %d out of bounds", n)
 		}
 		res.Columns = make([]string, n)
 		for i := range res.Columns {
 			if res.Columns[i], err = d.str(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		if res.Info, err = d.info(); err != nil {
-			return nil, err
+		has, err := d.info(&res.info)
+		if err != nil {
+			return err
 		}
-		return res, nil
+		if has {
+			res.Info = &res.info
+		}
+		return nil
 	case V2OpIngestBatch:
 		has, err := d.u8()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if has == 0 {
-			return nil, errors.New("wire2: ingest_batch result without summary")
+			return errors.New("wire2: ingest_batch result without summary")
 		}
 		b, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		us, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rps, err := d.f64()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.Ingest = &IngestSummary{Batches: int(b), Rows: int(r), ElapsedUS: int64(us), RowsPerSec: rps}
 		tb, err := d.view()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.Trace = string(tb)
 		// The commit stamp is required: a result that lost it must not
 		// read as stamp 0, which would leave a session's read-your-writes
 		// mark behind its own write.
 		if res.CSN, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
-		return res, nil
+		return nil
 	case V2OpERDigests:
 		if res.Digests, err = d.digests(); err != nil {
-			return nil, err
+			return err
 		}
-		return res, nil
+		return nil
 	}
-	return nil, fmt.Errorf("wire2: unknown result kind 0x%02x", kind)
+	return fmt.Errorf("wire2: unknown result kind 0x%02x", kind)
 }

@@ -10,10 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"scdb"
 	"scdb/internal/model"
 )
 
-// refDecodeRowBatch is the per-cell batch decoder the slab decoder
+// refDecodeRowBatch is the per-cell batch decoder the value decoder
 // replaced, kept as its oracle: one string per intern-table entry, one
 // slice per row, one box per cell.
 func refDecodeRowBatch(payload []byte) ([][]any, error) {
@@ -91,30 +92,65 @@ func describeCell(x any) string {
 	return fmt.Sprintf("%T(%#v)", x, x)
 }
 
-// checkDecodeAgainstOracle decodes payload with both decoders: both must
-// fail, or both succeed with equal rows, each row with cap equal to len.
+// checkDecodeAgainstOracle decodes payload with the value decoder plus
+// scdb.FromRows, as DecodeV2RowBatch does and as a reader reusing its
+// intern-table and values scratch does, and with the per-cell oracle: all
+// must fail, or all succeed with equal rows, each row with cap equal to
+// len.
 func checkDecodeAgainstOracle(t *testing.T, payload []byte) {
 	t.Helper()
-	got, err := DecodeV2RowBatch(payload, nil)
 	want, refErr := refDecodeRowBatch(payload)
-	if (err == nil) != (refErr == nil) {
-		t.Fatalf("decoder error %v, oracle error %v", err, refErr)
-	}
-	if err != nil {
-		return
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d rows, oracle %d", len(got), len(want))
-	}
-	for i := range got {
-		if len(got[i]) != len(want[i]) || cap(got[i]) != len(got[i]) {
-			t.Fatalf("row %d: len %d cap %d, oracle len %d", i, len(got[i]), cap(got[i]), len(want[i]))
+	// A reader's scratch, dirty from an earlier frame.
+	b := V2ReadBuf{tab: []string{"stale", "stale"}}
+	rows, vals := make([][]model.Value, 1, 4), make([]model.Value, 2, 64)
+	rows[0] = vals[:2]
+	for pass, decode := range []func() ([][]any, error){
+		func() ([][]any, error) { return DecodeV2RowBatch(payload, nil) },
+		func() ([][]any, error) {
+			got, _, err := b.DecodeRows(payload, rows[:0], vals[:0])
+			if err != nil {
+				return nil, err
+			}
+			return scdb.FromRows(nil, got), nil
+		},
+	} {
+		got, err := decode()
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("pass %d: decoder error %v, oracle error %v", pass, err, refErr)
 		}
-		for c := range got[i] {
-			if a, b := describeCell(got[i][c]), describeCell(want[i][c]); a != b {
-				t.Fatalf("row %d col %d: %s, oracle %s", i, c, a, b)
+		if err != nil {
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("pass %d: decoded %d rows, oracle %d", pass, len(got), len(want))
+		}
+		for i := range got {
+			if len(got[i]) != len(want[i]) || cap(got[i]) != len(got[i]) {
+				t.Fatalf("pass %d row %d: len %d cap %d, oracle len %d", pass, i, len(got[i]), cap(got[i]), len(want[i]))
+			}
+			for c := range got[i] {
+				if a, b := describeCell(got[i][c]), describeCell(want[i][c]); a != b {
+					t.Fatalf("pass %d row %d col %d: %s, oracle %s", pass, i, c, a, b)
+				}
 			}
 		}
+	}
+}
+
+// everyKindBatch is a batch with a column of each kind — all null, bool,
+// int, float with NaN and -0, string, time, bytes with an empty cell, ref,
+// list — and a column of mixed kinds.
+func everyKindBatch() [][]model.Value {
+	ts := time.Date(2016, 3, 15, 9, 30, 0, 1, time.UTC)
+	return [][]model.Value{
+		{model.Null(), model.Bool(true), model.Int(math.MinInt64), model.Float(math.NaN()), model.String("alpha"), model.Time(ts),
+			model.Bytes([]byte("ab")), model.Ref(7), model.List(model.String("x"), model.Bytes(nil)), model.Int(1)},
+		{model.Null(), model.Bool(false), model.Int(0), model.Float(math.Copysign(0, -1)), model.String(""), model.Time(time.Unix(0, -1)),
+			model.Bytes([]byte{}), model.Ref(0), model.List(), model.String("mixed")},
+		{model.Null(), model.Bool(true), model.Int(math.MaxInt64), model.Float(math.Inf(1)), model.String("γ"), model.Time(ts.Add(time.Hour)),
+			model.Bytes([]byte{0, 0xff}), model.Ref(math.MaxUint64), model.List(model.List(model.Float(-1)), model.Null()), model.Bytes([]byte("m"))},
+		{model.Null(), model.Bool(false), model.Int(-1), model.Float(2.5), model.String("alpha"), model.Time(ts),
+			model.Bytes(nil), model.Ref(9), model.List(model.Time(ts)), model.Null()},
 	}
 }
 
@@ -181,13 +217,18 @@ func encodedPayload(batch [][]model.Value) []byte {
 	return append([]byte(nil), frame[4+v2FrameFixed:]...)
 }
 
-// TestDecodeRowBatchMatchesOracle: over randomized batches of every kind,
-// and every truncation and byte flip of some of them, the slab decoder
-// and the per-cell oracle agree.
+// TestDecodeRowBatchMatchesOracle: over a batch with a column of every
+// kind and randomized batches, and every truncation and byte flip of some
+// of them, the value decoder plus scdb.FromRows and the per-cell oracle
+// agree.
 func TestDecodeRowBatchMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for iter := 0; iter < 500; iter++ {
-		payload := encodedPayload(randomBatch(rng))
+		batch := randomBatch(rng)
+		if iter == 0 {
+			batch = everyKindBatch()
+		}
+		payload := encodedPayload(batch)
 		checkDecodeAgainstOracle(t, payload)
 		if iter%25 != 0 {
 			continue
@@ -202,8 +243,10 @@ func TestDecodeRowBatchMatchesOracle(t *testing.T) {
 }
 
 // FuzzDecodeV2RowBatch runs arbitrary payloads, seeded with encoded
-// batches of every kind, through the slab decoder and the per-cell oracle.
+// batches of every kind, through the value decoder plus scdb.FromRows and
+// the per-cell oracle.
 func FuzzDecodeV2RowBatch(f *testing.F) {
+	f.Add(encodedPayload(everyKindBatch()))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 16; i++ {
 		f.Add(encodedPayload(randomBatch(rng)))
@@ -235,7 +278,8 @@ func TestDecodeRowBatchCellsAreIndependent(t *testing.T) {
 }
 
 // TestDecodeRowBatchAllocations: a 1024-row, 5-column batch costs a few
-// objects per column and per frame, not one per cell.
+// objects per column and per frame, not one per cell, and the value
+// decoder into a reader's scratch costs the frame's table string alone.
 func TestDecodeRowBatchAllocations(t *testing.T) {
 	const n, cols = 1024, 5
 	batch := make([][]model.Value, n)
@@ -252,24 +296,37 @@ func TestDecodeRowBatchAllocations(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() { DecodeV2RowBatch(payload, nil) }); a > 4+2*cols {
 		t.Errorf("DecodeV2RowBatch of %d×%d: %.0f allocations, want at most %d", n, cols, a, 4+2*cols)
 	}
+	var b V2ReadBuf
+	rows, vals, err := b.DecodeRows(payload, nil, nil)
+	if err != nil || len(rows) != n {
+		t.Fatalf("decode values: %d rows, %v", len(rows), err)
+	}
+	if a := testing.AllocsPerRun(20, func() { rows, vals, _ = b.DecodeRows(payload, rows[:0], vals[:0]) }); a > 1 {
+		t.Errorf("DecodeRows of %d×%d into a reused scratch: %.0f allocations, want 1 (the table string)", n, cols, a)
+	}
 }
 
 // TestInternTableIsOneString: a frame's intern-table entries are
-// substrings of one string, and the table parses as it always did.
+// substrings of one string, parsed into a reader's scratch when it has
+// room, and the table parses as it always did. It costs the string alone
+// (go1.24/linux/amd64); at commit 0dc12f0 every frame made its table too.
 func TestInternTableIsOneString(t *testing.T) {
 	payload := binary.AppendUvarint(nil, 3)
 	for _, s := range []string{"alpha", "", "γ"} {
 		payload = binary.AppendUvarint(payload, uint64(len(s)))
 		payload = append(payload, s...)
 	}
-	if a := testing.AllocsPerRun(20, func() { newV2Dec(payload) }); a > 2 {
-		t.Errorf("newV2Dec of a 3-entry table: %.0f allocations, want at most 2 (string, table; the decoder is a value)", a)
+	scratch := make([]string, 0, 3)
+	if a := testing.AllocsPerRun(20, func() { newV2Dec(payload, scratch) }); a > 1 {
+		t.Errorf("newV2Dec of a 3-entry table into a scratch: %.0f allocations, want at most 1 (the string; 2 at commit 0dc12f0, the table too)", a)
 	}
-	d, err := newV2Dec(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(d.tab, "|") != "alpha||γ" {
-		t.Errorf("table %q", d.tab)
+	for _, tab := range [][]string{nil, scratch} {
+		d, err := newV2Dec(payload, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(d.tab, "|") != "alpha||γ" {
+			t.Errorf("table %q", d.tab)
+		}
 	}
 }

@@ -51,9 +51,9 @@ type countingBackend struct {
 	calls atomic.Int64
 }
 
-func (b *countingBackend) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
+func (b *countingBackend) QueryValuesCtx(ctx context.Context, q string) (client.Values, error) {
 	b.calls.Add(1)
-	return b.Backend.QueryInfoCtx(ctx, q)
+	return b.Backend.QueryValuesCtx(ctx, q)
 }
 
 // TestKeyedReadAsksOneShard: a statement whose WHERE has a top-level

@@ -14,15 +14,19 @@ import (
 // topology, with new literals each run so no result cache answers. Every
 // side of both wires counts: the client, the router's server, the router
 // and its shard clients, and the shards' servers and engines. A point read
-// costs 84 objects and the aggregate 287 (go1.24/linux/amd64); the budgets
-// are a tenth over, as TestNetworkReadAllocBudget's. At commit a1a71e5
-// they cost 100 and 333: the router parsed every statement, rebuilt the
-// aggregate's partial and final phases, and built canonical sort keys for
-// a one-row answer. At commit f130964 they cost 126 and 385: every frame
-// read allocated its header, the client's every payload and every decoder
-// were objects of their own, a streamed query captured three variables,
-// and every request made a gone channel. The assertion is off under -race,
-// whose pool drops encoders.
+// costs 66 objects and the aggregate 236 (go1.24/linux/amd64); the budgets
+// are a tenth over, rounded up, as TestNetworkReadAllocBudget's. At commit
+// 0dc12f0 they cost 84 and 287: every call on every connection made its
+// call object, ready channel, decoded result and intern tables, each
+// shard's rows were boxed off the wire and converted back to values cell
+// by cell, and the fan-out and the canonical sort made their scaffolding
+// per statement. At commit a1a71e5 they cost 100 and 333: the router
+// parsed every statement, rebuilt the aggregate's partial and final
+// phases, and built canonical sort keys for a one-row answer. At commit
+// f130964 they cost 126 and 385: every frame read allocated its header,
+// the client's every payload and every decoder were objects of their own,
+// a streamed query captured three variables, and every request made a gone
+// channel. The assertion is off under -race, whose pool drops encoders.
 func TestRoutedReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 600-row table into 3 shards")
@@ -70,13 +74,13 @@ func TestRoutedReadAllocBudget(t *testing.T) {
 		run            func()
 		budget, parent float64
 	}{
-		{"point read", point, 92, 100},
-		{"GROUP BY", agg, 316, 333},
+		{"point read", point, 73, 84},
+		{"GROUP BY", agg, 260, 287},
 	} {
 		allocs := testing.AllocsPerRun(runs, tc.run)
 		t.Logf("%s: %.0f objects", tc.name, allocs)
 		if allocs > tc.budget && !raceEnabled {
-			t.Errorf("%s allocates %.0f objects, budget %.0f; it cost %.0f at commit a1a71e5", tc.name, allocs, tc.budget, tc.parent)
+			t.Errorf("%s allocates %.0f objects, budget %.0f; it cost %.0f at commit 0dc12f0", tc.name, allocs, tc.budget, tc.parent)
 		}
 	}
 }

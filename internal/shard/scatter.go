@@ -59,6 +59,7 @@ import (
 	"sync"
 
 	"scdb"
+	"scdb/client"
 	"scdb/internal/core"
 	"scdb/internal/model"
 	"scdb/internal/obs"
@@ -171,15 +172,12 @@ func (r *Router) run(ctx context.Context, rt *route, q string, args []model.Valu
 		// shard runs the same engine over the same schema, so the first
 		// target — the key's owner, else shard 0 — answers for the cluster,
 		// with the rows a keyed statement really reads.
-		res, info, err := r.shards[targets[0]].QueryInfoCtx(ctx, q)
-		if err != nil {
-			return nil, nil, err
+		var a answer
+		if r.ask(ctx, q, targets[0], &a, nil); a.err != nil {
+			return nil, nil, a.err
 		}
-		rows, err := values(nil, res, nil, len(res.Columns))
-		if err != nil {
-			return nil, nil, err
-		}
-		return res.Columns, info, query.EmitChunks(res.Columns, rows, 0, emit)
+		info := a.Info
+		return a.Columns, &info, query.EmitChunks(a.Columns, a.Rows, 0, emit)
 	}
 	r.scatterQueries.Add(1)
 	if rt.key != nil {
@@ -319,126 +317,149 @@ func operand(e query.Expr, args []model.Value) (model.Value, bool) {
 	return model.Value{}, false
 }
 
-// fanout runs q on the target shards and returns their results in target
-// order: one target on the caller's goroutine, more concurrently.
-func (r *Router) fanout(ctx context.Context, q string, targets []int) ([]*scdb.Rows, error) {
-	res := make([]*scdb.Rows, len(targets))
-	errs := make([]error, len(targets))
-	if len(targets) == 1 {
-		res[0], _, errs[0] = r.shards[targets[0]].QueryInfoCtx(ctx, q)
-	} else {
-		var wg sync.WaitGroup
-		for i, s := range targets {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res[i], _, errs[i] = r.shards[s].QueryInfoCtx(ctx, q)
-			}()
+// answer is one target shard's answer to a fanned-out statement.
+type answer struct {
+	client.Values
+	err error
+}
+
+// fanout runs q on the target shards and returns their answers in target
+// order: the first on the caller's goroutine, the others concurrently.
+func (r *Router) fanout(ctx context.Context, q string, targets []int) ([]answer, error) {
+	res := make([]answer, len(targets))
+	var wg *sync.WaitGroup
+	if len(targets) > 1 {
+		wg = new(sync.WaitGroup)
+		wg.Add(len(targets) - 1)
+		for i := 1; i < len(targets); i++ {
+			go r.ask(ctx, q, targets[i], &res[i], wg)
 		}
+	}
+	r.ask(ctx, q, targets[0], &res[0], nil)
+	if wg != nil {
 		wg.Wait()
 	}
-	for i, err := range errs {
-		if err != nil {
+	total := 0
+	for i := range res {
+		if err := res[i].err; err != nil {
 			return nil, fmt.Errorf("shard %d (%s): %w", targets[i], r.addrs[targets[i]], err)
 		}
-	}
-	total := 0
-	for _, rs := range res {
-		total += len(rs.Data)
+		total += len(res[i].Rows)
 	}
 	r.partialRows.Add(uint64(total))
 	return res, nil
 }
 
-// values appends one shard's rows to dst as model values of the given
-// width, placing the shard's column i at pos[i] (nil: in place). The rows
-// share one backing array.
-func values(dst [][]model.Value, rs *scdb.Rows, pos []int, width int) ([][]model.Value, error) {
-	back := make([]model.Value, len(rs.Data)*width)
-	dst = slices.Grow(dst, len(rs.Data))
-	for _, row := range rs.Data {
-		if len(row) != len(rs.Columns) {
-			return nil, fmt.Errorf("shard: partial row has %d values under %d columns", len(row), len(rs.Columns))
-		}
-		vals := back[:width:width]
-		back = back[width:]
-		for j, c := range row {
-			v, err := scdb.ToValue(c)
-			if err != nil {
-				return nil, err
-			}
-			if pos != nil {
-				j = pos[j]
-			}
-			vals[j] = v
-		}
-		dst = append(dst, vals)
+// ask runs q on shard s into a, then marks wg done when it is not nil. A
+// row whose width is not the answer's column count fails the answer.
+func (r *Router) ask(ctx context.Context, q string, s int, a *answer, wg *sync.WaitGroup) {
+	if wg != nil {
+		defer wg.Done()
 	}
-	return dst, nil
+	if a.Values, a.err = r.shards[s].QueryValuesCtx(ctx, q); a.err != nil {
+		return
+	}
+	for _, row := range a.Rows {
+		if len(row) != len(a.Columns) {
+			a.err = fmt.Errorf("shard: partial row has %d values under %d columns", len(row), len(a.Columns))
+			return
+		}
+	}
 }
 
 // gather concatenates the shards' rows under cols, in canonical order: the
 // rows' binary value encoding. Projections agree on their columns shard by
-// shard; SELECT * schemas are per-shard unions, so star rows are placed by
-// column name and read null where a shard never saw the column.
-func gather(res []*scdb.Rows, cols []string, star bool) ([][]model.Value, error) {
-	var at map[string]int
-	if star {
-		at = make(map[string]int, len(cols))
-		for i, c := range cols {
-			at[c] = i
+// shard; SELECT * schemas are per-shard unions, so a star answer under
+// other columns is placed by column name and reads null where its shard
+// never saw the column. The answers' rows become the result's rows.
+func gather(res []answer, cols []string, star bool) ([][]model.Value, error) {
+	n := 0
+	for i := range res {
+		a := &res[i]
+		if star && !slices.Equal(a.Columns, cols) {
+			a.Rows = placed(a.Rows, a.Columns, cols)
+		} else if len(a.Columns) != len(cols) {
+			return nil, fmt.Errorf("shard: partial result has columns %v, want %v", a.Columns, cols)
+		}
+		n += len(a.Rows)
+	}
+	rows := res[0].Rows
+	if len(res) > 1 {
+		rows = make([][]model.Value, 0, n)
+		for i := range res {
+			rows = append(rows, res[i].Rows...)
 		}
 	}
-	var rows [][]model.Value
-	for _, rs := range res {
-		var pos []int
-		if star {
-			pos = make([]int, len(rs.Columns))
-			for i, c := range rs.Columns {
-				pos[i] = at[c]
-			}
-		} else if len(rs.Columns) != len(cols) {
-			return nil, fmt.Errorf("shard: partial result has columns %v, want %v", rs.Columns, cols)
-		}
-		var err error
-		if rows, err = values(rows, rs, pos, len(cols)); err != nil {
-			return nil, err
-		}
+	if len(rows) > 1 { // one row is in canonical order
+		sortCanonical(rows)
 	}
-	if len(rows) <= 1 {
-		return rows, nil // one row is in canonical order
-	}
-	// Every row's canonical key, its cells in the self-delimiting binary
-	// value encoding, goes into one buffer; keys[i] is row i's.
-	var buf []byte
-	ends := make([]int, len(rows))
-	for i, vals := range rows {
-		for _, v := range vals {
-			buf = model.AppendValue(buf, v)
-		}
-		ends[i] = len(buf)
-	}
-	keys := make([][]byte, len(rows))
-	start := 0
-	for i, end := range ends {
-		keys[i], start = buf[start:end], end
-	}
-	sort.Sort(byKey{keys, rows})
 	return rows, nil
 }
 
-// byKey sorts rows by their aligned canonical keys.
-type byKey struct {
-	keys [][]byte
-	rows [][]model.Value
+// placed copies rows under from into rows under to, each cell under its
+// column's name; a column of to that from lacks reads null.
+func placed(rows [][]model.Value, from, to []string) [][]model.Value {
+	pos := make([]int, len(from))
+	for i, c := range from {
+		pos[i] = slices.Index(to, c)
+	}
+	w := len(to)
+	back := make([]model.Value, len(rows)*w)
+	out := make([][]model.Value, len(rows))
+	for i, row := range rows {
+		out[i] = back[i*w : (i+1)*w : (i+1)*w]
+		for j, v := range row {
+			out[i][pos[j]] = v
+		}
+	}
+	return out
 }
 
-func (b byKey) Len() int           { return len(b.keys) }
-func (b byKey) Less(i, j int) bool { return bytes.Compare(b.keys[i], b.keys[j]) < 0 }
-func (b byKey) Swap(i, j int) {
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-	b.rows[i], b.rows[j] = b.rows[j], b.rows[i]
+// sortScratch is one gather's sort state: every row's canonical key, its
+// cells in the self-delimiting binary value encoding, in one buffer, and
+// the (key, row) pairs sorted by it. A router keeps a few in a pool.
+type sortScratch struct {
+	keys  []byte
+	pairs []keyedRow
 }
+
+// keyedRow is a row and its key, keys[lo:hi] of its scratch.
+type keyedRow struct {
+	lo, hi int
+	row    []model.Value
+}
+
+var sortScratches = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// sortCanonical sorts rows by their canonical keys.
+func sortCanonical(rows [][]model.Value) {
+	sc := sortScratches.Get().(*sortScratch)
+	keys, pairs := sc.keys[:0], sc.pairs[:0]
+	for _, row := range rows {
+		lo := len(keys)
+		for _, v := range row {
+			keys = model.AppendValue(keys, v)
+		}
+		pairs = append(pairs, keyedRow{lo, len(keys), row})
+	}
+	slices.SortFunc(pairs, func(a, b keyedRow) int { return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi]) })
+	for i := range pairs {
+		rows[i] = pairs[i].row
+	}
+	clear(pairs)
+	sc.keys, sc.pairs = keys[:0], pairs[:0]
+	if cap(keys) > sortKeptBytes || cap(pairs) > sortKeptRows {
+		sc.keys, sc.pairs = nil, nil
+	}
+	sortScratches.Put(sc)
+}
+
+// sortKeptBytes and sortKeptRows bound the buffers a pooled scratch keeps,
+// so one wide gather does not pin its size on the router.
+const (
+	sortKeptBytes = 64 << 10
+	sortKeptRows  = 2 << 10
+)
 
 // finalPhase runs the statement's DISTINCT, ORDER BY and LIMIT over root in
 // the ordinary executor, its Params bound to args, and streams the result.
@@ -530,7 +551,7 @@ func (rt *route) decomposeRows() error {
 }
 
 // gatherRows answers a selection without aggregation from the shards' rows.
-func (rt *route) gatherRows(ctx context.Context, res []*scdb.Rows, args []model.Value, emit emitFunc) ([]string, error) {
+func (rt *route) gatherRows(ctx context.Context, res []answer, args []model.Value, emit emitFunc) ([]string, error) {
 	stmt := rt.stmt
 	if hidden := rt.hidden; hidden > 0 {
 		visible := emit
@@ -549,8 +570,8 @@ func (rt *route) gatherRows(ctx context.Context, res []*scdb.Rows, args []model.
 	cols := res[0].Columns
 	if stmt.Star {
 		set := map[string]bool{}
-		for _, rs := range res {
-			for _, c := range rs.Columns {
+		for _, a := range res {
+			for _, c := range a.Columns {
 				set[c] = true
 			}
 		}
@@ -686,7 +707,7 @@ func (rt *route) decomposeAgg() (cacheable bool, err error) {
 }
 
 // gatherAgg merges the shards' partial rows in the final phase.
-func (rt *route) gatherAgg(ctx context.Context, res []*scdb.Rows, args []model.Value, emit emitFunc) ([]string, error) {
+func (rt *route) gatherAgg(ctx context.Context, res []answer, args []model.Value, emit emitFunc) ([]string, error) {
 	rows, err := gather(res, rt.shipCols, false)
 	if err != nil {
 		return nil, err

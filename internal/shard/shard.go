@@ -79,9 +79,12 @@ func ShardOf(key string, shards int) int {
 
 // Backend is one shard as the router sees it. *client.Client (a direct
 // primary connection) and *client.Cluster (a primary plus read replicas
-// with read-your-writes routing) both satisfy it.
+// with read-your-writes routing) both satisfy it. A shard answers in
+// engine values, each cell decoded once from its frame: the router merges
+// them as they arrive, and a cell becomes a public value only if the
+// router's own caller asks for one.
 type Backend interface {
-	QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error)
+	QueryValuesCtx(ctx context.Context, q string) (client.Values, error)
 	IngestBatch(ctx context.Context, src scdb.Source, batchSize int) (*client.IngestSummary, error)
 	ERDigests(entsSince, matchesSince int) (er.DigestBatch, error)
 	PingCSN() (uint64, error)
@@ -422,14 +425,14 @@ func (r *Router) Stats() scdb.Stats {
 func (r *Router) poll() []scdb.Stats {
 	var out []scdb.Stats
 	for i, b := range r.shards {
-		rows, _, err := b.QueryInfoCtx(context.Background(), "SELECT name, value FROM sys.metrics")
+		res, err := b.QueryValuesCtx(context.Background(), "SELECT name, value FROM sys.metrics")
 		if err != nil {
 			continue
 		}
-		metrics := make(map[string]float64, len(rows.Data))
-		for _, row := range rows.Data {
-			name, _ := row[0].(string)
-			metrics[name], _ = row[1].(float64)
+		metrics := make(map[string]float64, len(res.Rows))
+		for _, row := range res.Rows {
+			name, _ := row[0].AsString()
+			metrics[name], _ = row[1].AsFloat()
 		}
 		s := core.StatsFrom(metrics)
 		out = append(out, s)
