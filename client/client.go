@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"scdb"
+	"scdb/internal/curate"
 	"scdb/internal/er"
 	"scdb/internal/model"
 	"scdb/internal/server"
@@ -211,7 +212,7 @@ func (c *Client) QueryValuesCtx(ctx context.Context, q string) (Values, error) {
 // as an ingest_batch stream of one chunk, so its entities, links and texts
 // install as one delivery.
 func (c *Client) Ingest(src scdb.Source) error {
-	_, _, err := c.ingest(nil, src, 0, false)
+	_, _, err := c.ingest(nil, src.Name, len(src.Entities), 0, false, sourceChunks(src))
 	return err
 }
 
@@ -219,7 +220,7 @@ func (c *Client) Ingest(src scdb.Source) error {
 // curation pipeline's span tree (decode, batch install with WAL fsync
 // wait, relation, integration, inference) as indented JSON.
 func (c *Client) IngestTraced(src scdb.Source) (string, error) {
-	_, trace, err := c.ingest(nil, src, 0, true)
+	_, trace, err := c.ingest(nil, src.Name, len(src.Entities), 0, true, sourceChunks(src))
 	return trace, err
 }
 
@@ -240,8 +241,39 @@ func (c *Client) IngestBatch(ctx context.Context, src scdb.Source, batchSize int
 	if batchSize <= 0 {
 		batchSize = DefaultIngestBatch
 	}
-	sum, _, err := c.ingest(ctx, src, batchSize, false)
+	sum, _, err := c.ingest(ctx, src.Name, len(src.Entities), batchSize, false, sourceChunks(src))
 	return sum, err
+}
+
+// IngestDelivery is IngestBatch of a delivery in engine form, as the shard
+// router forwards each shard its part of one: the stream's frames are
+// byte for byte those IngestBatch writes for the same delivery in public
+// form. d's maps are only read.
+func (c *Client) IngestDelivery(ctx context.Context, d curate.Delivery, batchSize int) (*IngestSummary, error) {
+	if batchSize <= 0 {
+		batchSize = DefaultIngestBatch
+	}
+	sum, _, err := c.ingest(ctx, d.Source, len(d.Entities), batchSize, false,
+		func(e *server.V2Enc, id uint32, lo, hi int, done bool) ([]byte, error) {
+			part := curate.Delivery{Entities: d.Entities[lo:hi]}
+			if done {
+				part.Links, part.Texts = d.Links, d.Texts
+			}
+			return server.EncodeV2Arrivals(e, id, part, done)
+		})
+	return sum, err
+}
+
+// sourceChunks encodes the chunk of src's entities [lo, hi), with its
+// links and texts when the chunk is the last.
+func sourceChunks(src scdb.Source) chunkFunc {
+	return func(e *server.V2Enc, id uint32, lo, hi int, done bool) ([]byte, error) {
+		chunk := server.V2Chunk{Entities: src.Entities[lo:hi], Done: done}
+		if done {
+			chunk.Links, chunk.Texts = src.Links, src.Texts
+		}
+		return server.EncodeV2IngestChunk(e, id, chunk)
+	}
 }
 
 // ERDigests pulls the node's incremental entity-resolution evidence past

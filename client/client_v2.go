@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"scdb"
 	"scdb/internal/model"
 	"scdb/internal/server"
 )
@@ -273,25 +272,30 @@ func (c *Client) query(ctx context.Context, q string, keep bool) (*v2call, error
 	return ca, nil
 }
 
-// ingest streams src as one ingest_batch request. With batchSize > 0 the
-// entities go out in chunks of that size and the links and texts in the
-// final chunk; with 0 the whole source is the final chunk. A chunk that
-// cannot be encoded after the header went out cancels the stream, so the
-// server releases its admission slot at once.
-func (c *Client) ingest(ctx context.Context, src scdb.Source, batchSize int, trace bool) (*IngestSummary, string, error) {
+// chunkFunc encodes the chunk of a delivery's entities [lo, hi) into one
+// chunk frame, with the delivery's links and texts when done.
+type chunkFunc func(e *server.V2Enc, id uint32, lo, hi int, done bool) ([]byte, error)
+
+// ingest streams a delivery of n entities as one ingest_batch request for
+// the named source. With batchSize > 0 the entities go out in chunks of
+// that size and the links and texts in the final chunk; with 0 the whole
+// delivery is the final chunk. A chunk that cannot be encoded after the
+// header went out cancels the stream, so the server releases its admission
+// slot at once.
+func (c *Client) ingest(ctx context.Context, name string, n, batchSize int, trace bool, chunk chunkFunc) (*IngestSummary, string, error) {
 	ctx, ms := ctxAndTimeout(ctx)
 	ca, e := c.newCallV2(false)
-	err := c.writeFramesV2(server.EncodeV2IngestBatchHeader(e, ca.id, src.Name, ms, trace))
+	err := c.writeFramesV2(server.EncodeV2IngestBatchHeader(e, ca.id, name, ms, trace))
 	e.Release()
-	last := server.V2Chunk{Links: src.Links, Texts: src.Texts, Done: true}
-	if batchSize == 0 {
-		last.Entities = src.Entities
+	last := 0
+	if batchSize > 0 {
+		last = n
 	}
-	for lo := 0; err == nil && batchSize > 0 && lo < len(src.Entities); lo += batchSize {
-		err = c.writeChunkV2(ca.id, server.V2Chunk{Entities: src.Entities[lo:min(lo+batchSize, len(src.Entities))]})
+	for lo := 0; err == nil && lo < last; lo += batchSize {
+		err = c.writeChunkV2(ca.id, chunk, lo, min(lo+batchSize, n), false)
 	}
 	if err == nil {
-		err = c.writeChunkV2(ca.id, last)
+		err = c.writeChunkV2(ca.id, chunk, last, n, true)
 	}
 	if err != nil {
 		c.sendCancelV2(ca.id)
@@ -308,10 +312,10 @@ func (c *Client) ingest(ctx context.Context, src scdb.Source, batchSize int, tra
 }
 
 // writeChunkV2 encodes and writes one chunk of an ingest stream.
-func (c *Client) writeChunkV2(id uint32, chunk server.V2Chunk) error {
+func (c *Client) writeChunkV2(id uint32, chunk chunkFunc, lo, hi int, done bool) error {
 	e := server.GetV2Enc()
 	defer e.Release()
-	frame, err := server.EncodeV2IngestChunk(e, id, chunk)
+	frame, err := chunk(e, id, lo, hi, done)
 	if err != nil {
 		return err
 	}

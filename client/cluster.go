@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"scdb"
+	"scdb/internal/curate"
 	"scdb/internal/er"
 )
 
@@ -100,6 +101,11 @@ func (cl *Cluster) Ingest(src scdb.Source) error { return cl.primary.Ingest(src)
 // IngestBatch streams one source delivery to the primary.
 func (cl *Cluster) IngestBatch(ctx context.Context, src scdb.Source, batchSize int) (*IngestSummary, error) {
 	return cl.primary.IngestBatch(ctx, src, batchSize)
+}
+
+// IngestDelivery streams one delivery in engine form to the primary.
+func (cl *Cluster) IngestDelivery(ctx context.Context, d curate.Delivery, batchSize int) (*IngestSummary, error) {
+	return cl.primary.IngestDelivery(ctx, d, batchSize)
 }
 
 // Query executes one read, preferring a replica that has applied this

@@ -165,6 +165,14 @@ func (db *DB) IngestCtx(ctx context.Context, src Source) error {
 	if err != nil {
 		return err
 	}
+	return db.IngestDelivery(ctx, d)
+}
+
+// IngestDelivery is IngestCtx of a delivery already in engine form, as the
+// service layer decodes one off the wire: each entity's attribute map
+// becomes its stored row, so the caller hands the maps over and never
+// touches them again. Application code delivers through Ingest.
+func (db *DB) IngestDelivery(ctx context.Context, d curate.Delivery) error {
 	return db.inner.IngestCtx(ctx, d)
 }
 

@@ -194,7 +194,7 @@ func Open(opts Options) (*DB, error) {
 		opts:     opts,
 		reg:      obs.NewRegistry(),
 	}
-	db.txns = txn.NewManager(store, db.enrichmentVersion)
+	db.txns = txn.NewManager(store, db.enrichmentVersion, db.InvalidateCaches)
 	db.register()
 	return db, nil
 }

@@ -21,11 +21,12 @@ var ErrReadOnly = errors.New("core: read-only replica: writes must go to the pri
 // ReadOnly reports whether the engine was opened as a read replica.
 func (db *DB) ReadOnly() bool { return db.opts.ReadOnly }
 
-// InvalidateCaches drops the materialization cache. Replication apply
-// mutates the instance layer beneath the curation pipeline, so the usual
-// post-ingest invalidation never runs; the follower calls this after every
-// applied batch to keep cached results from outliving the rows they
-// summarize.
+// InvalidateCaches drops the materialization cache, waiting out in-flight
+// readers. Replication apply mutates the instance layer beneath the
+// curation pipeline, so the usual post-ingest invalidation never runs; the
+// follower calls this after every applied batch, and the transaction
+// manager after every commit that wrote, to keep cached results from
+// outliving the rows they summarize.
 func (db *DB) InvalidateCaches() {
 	db.mu.Lock()
 	db.matCache.InvalidateAll()

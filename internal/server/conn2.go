@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"scdb"
+	"scdb/internal/curate"
 	"scdb/internal/model"
 	"scdb/internal/obs"
 )
@@ -40,8 +41,9 @@ type v2req struct {
 }
 
 type v2chunk struct {
-	c   V2Chunk
-	err error
+	d    curate.Delivery
+	done bool
+	err  error
 }
 
 // v2conn is one connection after the hello exchange.
@@ -238,9 +240,9 @@ func (vc *v2conn) routeChunk(f V2Frame) {
 	if req == nil || req.chunks == nil {
 		return
 	}
-	c, err := DecodeV2IngestChunk(f.Payload)
+	d, done, err := DecodeV2Arrivals(f.Payload)
 	select {
-	case req.chunks <- v2chunk{c: c, err: err}:
+	case req.chunks <- v2chunk{d: d, done: done, err: err}:
 	case <-req.gone:
 	}
 }
@@ -494,27 +496,22 @@ func (s *Server) dispatchV2(vc *v2conn, f V2Frame, req *v2req, decodeDur time.Du
 			if msg.err != nil {
 				return fail(CodeBadRequest, msg.err.Error())
 			}
-			chunk := msg.c
+			d := msg.d
 			// A stream that ends having installed nothing still delivers
 			// once: an empty delivery registers the source and creates its
 			// table, as an embedded Ingest of the same source does.
-			if len(chunk.Entities) > 0 || len(chunk.Links) > 0 || len(chunk.Texts) > 0 || chunk.Done && sum.Batches == 0 {
-				src := scdb.Source{
-					Name:     name,
-					Entities: chunk.Entities,
-					Links:    chunk.Links,
-					Texts:    chunk.Texts,
-				}
+			if len(d.Entities) > 0 || len(d.Links) > 0 || len(d.Texts) > 0 || msg.done && sum.Batches == 0 {
+				d.Source = name
 				bStart := time.Now()
-				if err := s.cfg.DB.IngestCtx(ctx, src); err != nil {
+				if err := s.cfg.DB.IngestDelivery(ctx, d); err != nil {
 					c, msg := errorCode(err)
 					return fail(c, msg)
 				}
-				s.metrics.observeIngest(len(src.Entities), time.Since(bStart))
+				s.metrics.observeIngest(len(d.Entities), time.Since(bStart))
 				sum.Batches++
-				sum.Rows += len(src.Entities)
+				sum.Rows += len(d.Entities)
 			}
-			if chunk.Done {
+			if msg.done {
 				break
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"scdb"
+	"scdb/internal/curate"
 	"scdb/internal/er"
 	"scdb/internal/model"
 	"scdb/internal/obs"
@@ -22,7 +23,10 @@ type Engine interface {
 	// which is equally monotone.
 	CSN() uint64
 	QueryBatchesCtx(ctx context.Context, q string, emit func(cols []string, batch [][]model.Value) bool) ([]string, *scdb.QueryInfo, error)
-	IngestCtx(ctx context.Context, src scdb.Source) error
+	// IngestDelivery curates one delivery as the stream decoded it
+	// (DecodeV2Arrivals): its attribute maps are the backend's from here
+	// on.
+	IngestDelivery(ctx context.Context, d curate.Delivery) error
 	// Registry is the node's self-description, which FROM sys.<name>
 	// reads; the server registers its own instruments and tables into it.
 	Registry() *obs.Registry

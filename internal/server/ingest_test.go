@@ -11,6 +11,7 @@ import (
 	"scdb"
 	"scdb/client"
 	"scdb/internal/server"
+	"scdb/internal/shard"
 )
 
 // streamSource builds one delivery with n entities plus links that cross
@@ -32,6 +33,52 @@ func streamSource(n int) scdb.Source {
 		})
 	}
 	return src
+}
+
+// kindsSource is a routable delivery whose attributes hold every kind a
+// value can have — a string, an int and an int64, a float, a bool, a time
+// given outside UTC, bytes empty and not, a nested list, a ref and a
+// null — with typed entities and literal links of several kinds (not a
+// ref, which names an entity of the node it lands on).
+func kindsSource() scdb.Source {
+	when := time.Date(2026, 3, 4, 5, 6, 7, 8, time.FixedZone("UTC+5", 5*3600))
+	src := scdb.Source{Name: "kinds"}
+	// Not nil bytes: the wire writes nil and empty alike and reads back
+	// empty, where an embedded delivery keeps nil.
+	raws := [][]byte{{}, {1, 0, 0xff}}
+	for i := 0; i < 9; i++ {
+		src.Entities = append(src.Entities, scdb.Entity{
+			Key:   fmt.Sprintf("k-%d", i),
+			Types: []string{"Device"}[:i%2],
+			Attrs: scdb.Record{
+				"s": fmt.Sprint("value ", i), "n": i, "i64": int64(-7 * i), "f": float64(i) + 0.25,
+				"b": i%2 == 0, "t": when.Add(time.Duration(i) * time.Hour), "raw": raws[i%2],
+				"list": []any{"x", int64(i), []any{1.5, true, nil}}, "ref": scdb.EntityRef(100 + i), "null": nil,
+			},
+		})
+	}
+	for i, lit := range []any{"text", 3, 2.5, false, when, []byte{1, 2}, []any{"a", int64(1)}} {
+		src.Links = append(src.Links, scdb.Link{FromKey: fmt.Sprintf("k-%d", i), Predicate: fmt.Sprintf("p%d", i), Value: lit, Confidence: 0.5})
+	}
+	return src
+}
+
+// describe renders rows with the dynamic type of every cell, so equal
+// renderings mean equal kinds as well as equal values.
+func describe(rows *scdb.Rows) string {
+	var b strings.Builder
+	b.WriteString(strings.Join(rows.Columns, "|"))
+	b.WriteByte('\n')
+	for _, r := range rows.Data {
+		for i, v := range r {
+			if i > 0 {
+				b.WriteByte('|')
+			}
+			fmt.Fprintf(&b, "%T(%#v)", v, v)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // TestIngestBatchStream pushes one delivery through the chunked wire path
@@ -98,15 +145,19 @@ func TestIngestBatchStream(t *testing.T) {
 // the ingest_batch stream and leave identical corpora; Ingest sends a
 // source whole, as one delivery. A nameless source is a typed error from
 // every method and leaves the connection framed for the deliveries after
-// it; a value the client cannot encode cancels the stream it opened. The
-// retired ops, 0x03 (explain) and 0x04 (a one-frame ingest), are unknown
-// ops that leave the connection answering.
+// it; a value the client cannot encode cancels the stream it opened. A
+// delivery of every kind answers the same embedded, through every method
+// to one server and through a 3-shard router. The retired ops, 0x03
+// (explain) and 0x04 (a one-frame ingest), are unknown ops that leave the
+// connection answering.
 func TestIngestIsOneStreamedOp(t *testing.T) {
 	feed := streamSource(20)
 	feed.Texts = []string{"device 3 is a peer of device 0"}
 	mirror := streamSource(12)
 	mirror.Name = "mirror"
-	sources := []scdb.Source{feed, mirror}
+	kinds := kindsSource()
+	sources := []scdb.Source{feed, mirror, kinds}
+	const kindsQ = "SELECT * FROM kinds ORDER BY _key"
 	nameless := feed
 	nameless.Name = ""
 	unencodable := scdb.Source{Name: "bad", Entities: []scdb.Entity{{Key: "k", Attrs: scdb.Record{"x": struct{}{}}}}}
@@ -128,7 +179,7 @@ func TestIngestIsOneStreamedOp(t *testing.T) {
 			return err
 		}},
 	}
-	var want string
+	var want, kindsWant string
 	for _, m := range methods {
 		srv, addr := startServer(t, openDB(t, scdb.Options{Axioms: "concept Device"}), nil)
 		c := dial(t, addr)
@@ -158,17 +209,52 @@ func TestIngestIsOneStreamedOp(t *testing.T) {
 			"SELECT name, slot FROM feed ORDER BY slot",
 			"SELECT name, slot FROM mirror ORDER BY slot",
 			"SELECT COUNT(*) AS n FROM Device",
+			kindsQ,
 		} {
 			rows, err := c.Query(q)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", m.name, q, err)
 			}
-			got += render(rows)
+			got += describe(rows)
+			if q == kindsQ && kindsWant == "" {
+				kindsWant = describe(rows)
+			}
 		}
 		if want == "" {
 			want = got
 		} else if got != want {
 			t.Errorf("%s left a different corpus:\n%s\nwant:\n%s", m.name, got, want)
+		}
+	}
+
+	// Every kind, embedded and through a 3-shard router, answers as it
+	// did through one server.
+	embedded := openDB(t, scdb.Options{Axioms: "concept Device"})
+	if err := embedded.Ingest(kinds); err != nil {
+		t.Fatal(err)
+	}
+	var shards []string
+	for range 3 {
+		_, a := startServer(t, openDB(t, scdb.Options{Axioms: "concept Device"}), nil)
+		shards = append(shards, a)
+	}
+	router, err := shard.Dial(shard.Config{}, shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	_, raddr := startServer(t, nil, func(cfg *server.Config) { cfg.DB = router })
+	rc := dial(t, raddr)
+	if _, err := rc.IngestBatch(context.Background(), kinds, 4); err != nil {
+		t.Fatal(err)
+	}
+	for via, q := range map[string]func(string) (*scdb.Rows, error){"embedded": embedded.Query, "a 3-shard router": rc.Query} {
+		rows, err := q(kindsQ)
+		if err != nil {
+			t.Fatalf("%s: %v", via, err)
+		}
+		if got := describe(rows); got != kindsWant {
+			t.Errorf("every kind %s answers\n%s\nwhere one server answered\n%s", via, got, kindsWant)
 		}
 	}
 

@@ -54,7 +54,8 @@ import (
 	"time"
 
 	"scdb"
-	"scdb/internal/box"
+	"scdb/internal/curate"
+	"scdb/internal/datagen"
 	"scdb/internal/er"
 	"scdb/internal/model"
 )
@@ -683,60 +684,6 @@ func (d *v2Dec) rawBytes() ([]byte, error) {
 	return out, nil
 }
 
-// value decodes one kind-tagged value into its public facade form.
-func (d *v2Dec) value(depth int) (any, error) {
-	k, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	return d.valueOfKind(k, depth)
-}
-
-func (d *v2Dec) valueOfKind(k byte, depth int) (any, error) {
-	if depth > v2MaxListDepth {
-		return nil, errors.New("wire2: value nesting too deep")
-	}
-	switch k {
-	case v2kNull:
-		return nil, nil
-	case v2kBool:
-		b, err := d.u8()
-		return b != 0, err
-	case v2kInt:
-		v, err := d.u64le()
-		return int64(v), err
-	case v2kFloat:
-		return d.f64()
-	case v2kStr:
-		return d.str()
-	case v2kTime:
-		v, err := d.u64le()
-		return time.Unix(0, int64(v)).UTC(), err
-	case v2kBytes:
-		return d.rawBytes()
-	case v2kRef:
-		v, err := d.u64le()
-		return scdb.EntityRef(v), err
-	case v2kList:
-		n, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		// Each element costs at least its kind byte.
-		if n > uint64(len(d.b)) {
-			return nil, errV2Truncated
-		}
-		out := make([]any, n)
-		for i := range out {
-			if out[i], err = d.value(depth + 1); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("wire2: unknown value kind 0x%02x", k)
-}
-
 // --- columnar row batches -----------------------------------------------
 
 // EncodeV2RowBatch builds a V2OpRowBatch frame from engine rows: uvarint
@@ -1012,28 +959,60 @@ func DecodeV2ERDigests(payload []byte) (entsSince, matchesSince int, err error) 
 	return entsSince, matchesSince, nil
 }
 
-func (e *V2Enc) entities(ents []scdb.Entity) error {
+// entity writes one entity of an ingest chunk: its key, its types and its
+// attributes in key order, each value through val. The public chunk and the
+// arrival chunk both write through it, so one entity is the same bytes
+// either way. keys is the caller's scratch for the sorted names.
+func entity[V any](e *V2Enc, keys []string, key string, types []string, attrs map[string]V, val func(*V2Enc, V) error) ([]string, error) {
+	e.str(key)
+	e.uvarint(uint64(len(types)))
+	for _, t := range types {
+		e.str(t)
+	}
+	e.uvarint(uint64(len(attrs)))
+	// Maps iterate in random order; sort keys so identical inputs
+	// produce identical frames (tests and the fuzz corpus rely on it).
+	keys = keys[:0]
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		e.str(k)
+		if err := val(e, attrs[k]); err != nil {
+			return keys, fmt.Errorf("entity %q attr %q: %w", key, k, err)
+		}
+	}
+	return keys, nil
+}
+
+// link writes one link of an ingest chunk; its literal, through val, only
+// when it names no target key.
+func link[V any](e *V2Enc, from, pred, to string, lit V, conf float64, val func(*V2Enc, V) error) error {
+	e.str(from)
+	e.str(pred)
+	e.str(to)
+	if to == "" {
+		if err := val(e, lit); err != nil {
+			return fmt.Errorf("link %s-[%s]: %w", from, pred, err)
+		}
+	}
+	e.f64(conf)
+	return nil
+}
+
+// writeModel is valueModel as an entity or link value writer.
+func writeModel(e *V2Enc, v model.Value) error {
+	e.valueModel(v)
+	return nil
+}
+
+func (e *V2Enc) entities(ents []scdb.Entity) (err error) {
 	e.uvarint(uint64(len(ents)))
 	var keys []string
 	for _, ent := range ents {
-		e.str(ent.Key)
-		e.uvarint(uint64(len(ent.Types)))
-		for _, t := range ent.Types {
-			e.str(t)
-		}
-		e.uvarint(uint64(len(ent.Attrs)))
-		// Maps iterate in random order; sort keys so identical inputs
-		// produce identical frames (tests and the fuzz corpus rely on it).
-		keys = keys[:0]
-		for k := range ent.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			e.str(k)
-			if err := e.valueAny(ent.Attrs[k]); err != nil {
-				return fmt.Errorf("entity %q attr %q: %w", ent.Key, k, err)
-			}
+		if keys, err = entity(e, keys, ent.Key, ent.Types, ent.Attrs, (*V2Enc).valueAny); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1042,15 +1021,28 @@ func (e *V2Enc) entities(ents []scdb.Entity) error {
 func (e *V2Enc) links(links []scdb.Link) error {
 	e.uvarint(uint64(len(links)))
 	for _, l := range links {
-		e.str(l.FromKey)
-		e.str(l.Predicate)
-		e.str(l.ToKey)
-		if l.ToKey == "" {
-			if err := e.valueAny(l.Value); err != nil {
-				return fmt.Errorf("link %s-[%s]: %w", l.FromKey, l.Predicate, err)
-			}
+		if err := link(e, l.FromKey, l.Predicate, l.ToKey, l.Value, l.Confidence, (*V2Enc).valueAny); err != nil {
+			return err
 		}
-		e.f64(l.Confidence)
+	}
+	return nil
+}
+
+// arrivals writes a delivery's entities and links as entities and links
+// write their public forms.
+func (e *V2Enc) arrivals(d curate.Delivery) (err error) {
+	e.uvarint(uint64(len(d.Entities)))
+	var keys []string
+	for _, a := range d.Entities {
+		if keys, err = entity(e, keys, a.Key, a.Types, a.Attrs, writeModel); err != nil {
+			return err
+		}
+	}
+	e.uvarint(uint64(len(d.Links)))
+	for _, l := range d.Links {
+		if err := link(e, l.FromKey, l.Predicate, l.ToKey, l.Literal, l.Confidence, writeModel); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -1062,178 +1054,106 @@ func (e *V2Enc) texts(texts []string) {
 	}
 }
 
-// entities decodes an ingest frame's entities. String, integer and float
-// attribute cells go to per-frame slabs of their kind (package box, sized
-// as cellSlab says); other kinds box cell by cell.
-func (d *v2Dec) entities() ([]scdb.Entity, error) {
-	n, err := d.uvarint()
+// arrivals decodes an ingest frame's entities and links in the form a
+// delivery owns them: each entity's attribute map is made with room for
+// the stored row's own two columns, _key and _types, and becomes its
+// stored row; every value is an engine value (modelValue), decoded once.
+func (d *v2Dec) arrivals() (ents []curate.Arrival, links []datagen.LinkSpec, err error) {
+	n, err := d.items()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if n > uint64(len(d.b)) {
-		return nil, errV2Truncated
-	}
-	var cells attrSlabs
-	out := make([]scdb.Entity, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var ent scdb.Entity
-		if ent.Key, err = d.str(); err != nil {
-			return nil, err
+	ents = make([]curate.Arrival, n)
+	for i := range ents {
+		a := &ents[i]
+		if a.Key, err = d.str(); err != nil {
+			return nil, nil, err
 		}
-		nt, err := d.uvarint()
+		nt, err := d.items()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if nt > uint64(len(d.b)) {
-			return nil, errV2Truncated
+		if nt > 0 {
+			a.Types = make([]string, nt)
+			for j := range a.Types {
+				if a.Types[j], err = d.str(); err != nil {
+					return nil, nil, err
+				}
+			}
 		}
-		for j := uint64(0); j < nt; j++ {
-			t, err := d.str()
+		na, err := d.items()
+		if err != nil {
+			return nil, nil, err
+		}
+		a.Attrs = make(model.Record, na+2)
+		for j := 0; j < na; j++ {
+			k, err := d.str()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			ent.Types = append(ent.Types, t)
-		}
-		na, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if na > uint64(len(d.b)) {
-			return nil, errV2Truncated
-		}
-		if na > 0 {
-			ent.Attrs = make(scdb.Record, na)
-			cells.begun, cells.left, cells.most = int(i)+1, int(n-i), len(d.b)/2
-			for j := uint64(0); j < na; j++ {
-				k, err := d.str()
-				if err != nil {
-					return nil, err
-				}
-				v, err := d.attrValue(&cells)
-				if err != nil {
-					return nil, err
-				}
-				ent.Attrs[k] = v
+			if a.Attrs[k], err = d.kindValue(); err != nil {
+				return nil, nil, err
 			}
 		}
-		out = append(out, ent)
 	}
-	return out, nil
-}
-
-// attrSlabs are one frame's slabs of attribute cells, one per kind, and
-// where the frame's decoding stands: the entities begun and left, the
-// current one counted in both, and the most cells the rest of the frame
-// can hold (every cell costs at least two bytes, its key's and its kind's).
-type attrSlabs struct {
-	begun, left, most int
-	strs              cellSlab[string]
-	ints              cellSlab[int64]
-	floats            cellSlab[float64]
-}
-
-// cellSlab is the slab of one kind's cells. It is made at the kind's first
-// cell with room for one cell an entity left. When it fills, the next is
-// made for the entities left at the rate of cells an entity the frame has
-// shown since that first cell. A frame of like entities takes at most two
-// slabs a kind and reserves about the cells it holds.
-type cellSlab[T box.Cell] struct {
-	slab  box.Slab[T]
-	free  int // room left in slab
-	cells int // cells of the kind so far
-	since int // attrSlabs.begun at the kind's first cell
-}
-
-func (s *cellSlab[T]) add(c *attrSlabs, v T) any {
-	if s.free == 0 {
-		per := 1
-		if s.cells == 0 {
-			s.since = c.begun
-		} else {
-			seen := c.begun - s.since + 1
-			per = (s.cells + seen - 1) / seen
-		}
-		s.free = max(1, min(per*c.left, c.most))
-		s.slab = box.New[T](s.free)
-	}
-	s.free--
-	s.cells++
-	return s.slab.Add(v)
-}
-
-// attrValue decodes one kind-tagged attribute value into its public facade
-// form, placing a string, integer or float in the frame's slab of its kind.
-func (d *v2Dec) attrValue(c *attrSlabs) (any, error) {
-	k, err := d.u8()
+	nl, err := d.items()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	switch k {
-	case v2kStr:
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		return c.strs.add(c, s), nil
-	case v2kInt:
-		v, err := d.u64le()
-		if err != nil {
-			return nil, err
-		}
-		return c.ints.add(c, int64(v)), nil
-	case v2kFloat:
-		f, err := d.f64()
-		if err != nil {
-			return nil, err
-		}
-		return c.floats.add(c, f), nil
-	}
-	return d.valueOfKind(k, 0)
-}
-
-func (d *v2Dec) links() ([]scdb.Link, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.b)) {
-		return nil, errV2Truncated
-	}
-	out := make([]scdb.Link, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var l scdb.Link
+	links = make([]datagen.LinkSpec, nl)
+	for i := range links {
+		l := &links[i]
 		if l.FromKey, err = d.str(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if l.Predicate, err = d.str(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if l.ToKey, err = d.str(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if l.ToKey == "" {
-			if l.Value, err = d.value(0); err != nil {
-				return nil, err
+			if l.Literal, err = d.kindValue(); err != nil {
+				return nil, nil, err
 			}
 		}
 		if l.Confidence, err = d.f64(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out = append(out, l)
 	}
-	return out, nil
+	return ents, links, nil
+}
+
+// items reads the count of a list whose every item costs at least one
+// byte: a count past the bytes that remain is a truncated frame, never an
+// allocation.
+func (d *v2Dec) items() (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(d.b)) {
+		return 0, errV2Truncated
+	}
+	return int(n), nil
+}
+
+// kindValue decodes one kind-tagged value as an engine value.
+func (d *v2Dec) kindValue() (model.Value, error) {
+	k, err := d.u8()
+	if err != nil {
+		return model.Value{}, err
+	}
+	return d.modelValue(k, 0)
 }
 
 func (d *v2Dec) texts() ([]string, error) {
-	n, err := d.uvarint()
+	n, err := d.items()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(d.b)) {
-		return nil, errV2Truncated
-	}
 	var out []string
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		t, err := d.str()
 		if err != nil {
 			return nil, err
@@ -1277,7 +1197,7 @@ func DecodeV2IngestBatchHeader(payload []byte) (name string, timeoutMS int64, tr
 	return name, int64(t), tb != 0, nil
 }
 
-// V2Chunk is one decoded ingest_batch chunk.
+// V2Chunk is one ingest_batch chunk in public form.
 type V2Chunk struct {
 	Entities []scdb.Entity
 	Links    []scdb.Link
@@ -1302,26 +1222,71 @@ func EncodeV2IngestChunk(e *V2Enc, id uint32, chunk V2Chunk) ([]byte, error) {
 	return e.Frame(V2OpIngestChunk, 0, id), nil
 }
 
-// DecodeV2IngestChunk parses one chunk frame.
+// EncodeV2Arrivals builds one chunk frame of an ingest stream from a
+// delivery in engine form, byte for byte the frame EncodeV2IngestChunk
+// builds from the same delivery in public form. d.Source is the stream's,
+// not the chunk's, and is not written.
+func EncodeV2Arrivals(e *V2Enc, id uint32, d curate.Delivery, done bool) ([]byte, error) {
+	if done {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+	if err := e.arrivals(d); err != nil {
+		return nil, err
+	}
+	e.texts(d.Texts)
+	return e.Frame(V2OpIngestChunk, 0, id), nil
+}
+
+// DecodeV2Arrivals parses one chunk frame straight into the delivery the
+// curation pipeline takes, its Source left for the stream to name: the
+// one ingest chunk decoder. Each entity's attribute map becomes its stored
+// row, and nothing aliases the payload.
+func DecodeV2Arrivals(payload []byte) (d curate.Delivery, done bool, err error) {
+	dec, err := newV2Dec(payload, nil)
+	if err != nil {
+		return curate.Delivery{}, false, err
+	}
+	flag, err := dec.u8()
+	if err != nil {
+		return curate.Delivery{}, false, err
+	}
+	if d.Entities, d.Links, err = dec.arrivals(); err != nil {
+		return curate.Delivery{}, false, err
+	}
+	if d.Texts, err = dec.texts(); err != nil {
+		return curate.Delivery{}, false, err
+	}
+	return d, flag != 0, nil
+}
+
+// DecodeV2IngestChunk parses one chunk frame in public form:
+// DecodeV2Arrivals, then scdb.FromValue over every attribute and literal.
 func DecodeV2IngestChunk(payload []byte) (V2Chunk, error) {
-	d, err := newV2Dec(payload, nil)
+	d, done, err := DecodeV2Arrivals(payload)
 	if err != nil {
 		return V2Chunk{}, err
 	}
-	var c V2Chunk
-	done, err := d.u8()
-	if err != nil {
-		return V2Chunk{}, err
+	c := V2Chunk{Entities: make([]scdb.Entity, len(d.Entities)), Texts: d.Texts, Done: done}
+	for i, a := range d.Entities {
+		c.Entities[i] = scdb.Entity{Key: a.Key, Types: a.Types}
+		if len(a.Attrs) > 0 {
+			attrs := make(scdb.Record, len(a.Attrs))
+			for k, v := range a.Attrs {
+				attrs[k] = scdb.FromValue(v)
+			}
+			c.Entities[i].Attrs = attrs
+		}
 	}
-	c.Done = done != 0
-	if c.Entities, err = d.entities(); err != nil {
-		return V2Chunk{}, err
-	}
-	if c.Links, err = d.links(); err != nil {
-		return V2Chunk{}, err
-	}
-	if c.Texts, err = d.texts(); err != nil {
-		return V2Chunk{}, err
+	if len(d.Links) > 0 {
+		c.Links = make([]scdb.Link, len(d.Links))
+		for i, l := range d.Links {
+			c.Links[i] = scdb.Link{FromKey: l.FromKey, Predicate: l.Predicate, ToKey: l.ToKey, Confidence: l.Confidence}
+			if l.ToKey == "" {
+				c.Links[i].Value = scdb.FromValue(l.Literal)
+			}
+		}
 	}
 	return c, nil
 }

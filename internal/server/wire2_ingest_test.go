@@ -44,16 +44,18 @@ func stringAttrs(w int) func(i int) scdb.Record {
 	}
 }
 
-// TestDecodeIngestChunkAllocs: a chunk's string, integer and float cells
-// share slabs, so decoding 200 entities costs a constant per entity — the
-// entity's attribute map — and nothing per cell: six string attributes cost
-// what two do.
+// TestDecodeIngestChunkAllocs: the row decoder makes each entity's
+// attribute map, with room for the stored row's own two columns, and
+// nothing per cell, so decoding 200 entities costs a constant per entity:
+// six string attributes cost what two do, and integers and floats what
+// strings do. A frame adds its intern table and its entity array.
 func TestDecodeIngestChunkAllocs(t *testing.T) {
 	const n = 200
 	decode := func(payload []byte) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := server.DecodeV2IngestChunk(payload); err != nil {
-				t.Fatal(err)
+			d, _, err := server.DecodeV2Arrivals(payload)
+			if err != nil || len(d.Entities) != n {
+				t.Fatalf("decoded %d entities: %v", len(d.Entities), err)
 			}
 		})
 	}
@@ -63,15 +65,11 @@ func TestDecodeIngestChunkAllocs(t *testing.T) {
 		return scdb.Record{"name": fmt.Sprint("n", i), "qty": int64(i), "price": float64(i) / 4}
 	}))
 	t.Logf("decode of %d entities: %.0f objects with 2 string attributes, %.0f with 6, %.0f with string, int and float", n, two, six, mixed)
-	if six != two {
-		t.Errorf("6 string attributes cost %.0f objects and 2 cost %.0f: a per-cell term is back", six, two)
+	if six != two || mixed != two {
+		t.Errorf("6 string attributes cost %.0f objects, 3 of three kinds %.0f, 2 strings %.0f: a per-cell term is back", six, mixed, two)
 	}
-	if perEntity := two / n; perEntity > 2.5 {
-		t.Errorf("decode allocates %.2f objects per entity, want at most 2.5 (an attribute map, no box per cell)", perEntity)
-	}
-	// Two more kinds are two more slabs, each a constant for the frame.
-	if mixed > two+4 {
-		t.Errorf("a chunk of string, int and float cells costs %.0f objects, strings alone %.0f: want one slab per kind", mixed, two)
+	if perEntity := two / n; perEntity > 2.05 {
+		t.Errorf("decode allocates %.2f objects per entity, want at most 2.05 (an attribute map, nothing per cell)", perEntity)
 	}
 }
 

@@ -66,9 +66,9 @@ func refDecodeRowBatch(payload []byte) ([][]any, error) {
 		for r := uint64(0); r < nrows; r++ {
 			var v any
 			if tag == v2kMixed {
-				v, err = d.value(0)
+				v, err = refValue(d, 0)
 			} else {
-				v, err = d.valueOfKind(tag, 0)
+				v, err = refValueOfKind(d, tag, 0)
 			}
 			if err != nil {
 				return nil, err
@@ -77,6 +77,57 @@ func refDecodeRowBatch(payload []byte) ([][]any, error) {
 		}
 	}
 	return dst, nil
+}
+
+// refValue decodes one kind-tagged value straight into its public form,
+// as the oracle's cells were decoded.
+func refValue(d *v2Dec, depth int) (any, error) {
+	k, err := d.u8()
+	if err != nil {
+		return nil, err
+	}
+	return refValueOfKind(d, k, depth)
+}
+
+func refValueOfKind(d *v2Dec, k byte, depth int) (any, error) {
+	if depth > v2MaxListDepth {
+		return nil, errors.New("wire2: value nesting too deep")
+	}
+	switch k {
+	case v2kNull:
+		return nil, nil
+	case v2kBool:
+		b, err := d.u8()
+		return b != 0, err
+	case v2kInt:
+		v, err := d.u64le()
+		return int64(v), err
+	case v2kFloat:
+		return d.f64()
+	case v2kStr:
+		return d.str()
+	case v2kTime:
+		v, err := d.u64le()
+		return time.Unix(0, int64(v)).UTC(), err
+	case v2kBytes:
+		return d.rawBytes()
+	case v2kRef:
+		v, err := d.u64le()
+		return scdb.EntityRef(v), err
+	case v2kList:
+		n, err := d.items()
+		if err != nil {
+			return nil, err
+		}
+		out := make([]any, n)
+		for i := range out {
+			if out[i], err = refValue(d, depth+1); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("wire2: unknown value kind 0x%02x", k)
 }
 
 // describeCell renders a decoded cell with the dynamic type of every

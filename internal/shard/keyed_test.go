@@ -78,7 +78,7 @@ func TestKeyedReadAsksOneShard(t *testing.T) {
 	}
 	defer r.Close()
 	for _, src := range corpus() {
-		if err := r.IngestCtx(context.Background(), src); err != nil {
+		if err := deliver(context.Background(), r, src); err != nil {
 			t.Fatal(err)
 		}
 	}

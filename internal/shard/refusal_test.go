@@ -69,7 +69,7 @@ func TestRouterRefusesBadEntityBeforeFanOut(t *testing.T) {
 	}
 	before := shardTables(t, c.shards)
 	for name, src := range cases {
-		if err := c.router.IngestCtx(ctx, src); !errors.Is(err, scdb.ErrInvalidDelivery) {
+		if err := deliver(ctx, c.router, src); !errors.Is(err, scdb.ErrInvalidDelivery) {
 			t.Errorf("%s: err = %v, want ErrInvalidDelivery", name, err)
 		}
 		for i, got := range shardTables(t, c.shards) {
@@ -82,7 +82,7 @@ func TestRouterRefusesBadEntityBeforeFanOut(t *testing.T) {
 	for i, k := range keys {
 		good.Entities = append(good.Entities, scdb.Entity{Key: k, Attrs: scdb.Record{"name": fmt.Sprintf("n%d", i)}})
 	}
-	if err := c.router.IngestCtx(ctx, good); err != nil {
+	if err := deliver(ctx, c.router, good); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := c.rc.Query("SELECT name FROM probe ORDER BY name")

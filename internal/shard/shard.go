@@ -85,7 +85,7 @@ func ShardOf(key string, shards int) int {
 // router's own caller asks for one.
 type Backend interface {
 	QueryValuesCtx(ctx context.Context, q string) (client.Values, error)
-	IngestBatch(ctx context.Context, src scdb.Source, batchSize int) (*client.IngestSummary, error)
+	IngestDelivery(ctx context.Context, d curate.Delivery, batchSize int) (*client.IngestSummary, error)
 	ERDigests(entsSince, matchesSince int) (er.DigestBatch, error)
 	PingCSN() (uint64, error)
 	LastCSN() uint64
@@ -271,9 +271,12 @@ func (r *Router) CSN() uint64 {
 	return sum
 }
 
-// IngestCtx splits one source delivery by entity key and streams each part
+// IngestDelivery splits one delivery by entity key and streams each part
 // to its shard through the chunked ingest path, then runs one cross-shard
-// ER exchange round over the shards' new digests.
+// ER exchange round over the shards' new digests. The delivery comes as
+// the router's server decoded it off the wire, in engine form, and each
+// part goes out as the frames a public IngestBatch of it would write
+// (client.IngestDelivery): no entity becomes a public record on the way.
 //
 // Every shard receives a delivery even when its split is empty: an empty
 // delivery still registers the source and creates its table, so scatter
@@ -290,23 +293,23 @@ func (r *Router) CSN() uint64 {
 // shard is left half-written. A link to a key no shard has seen needs the
 // owning shard's graph to tell, so that refusal stays the shard's, and the
 // shards that accepted their parts keep them.
-func (r *Router) IngestCtx(ctx context.Context, src scdb.Source) error {
+func (r *Router) IngestDelivery(ctx context.Context, d curate.Delivery) error {
 	n := len(r.shards)
-	parts := make([]scdb.Source, n)
+	parts := make([]curate.Delivery, n)
 	for i := range parts {
-		parts[i].Name = src.Name
+		parts[i].Source = d.Source
 	}
-	if len(src.Texts) > 0 {
+	if len(d.Texts) > 0 {
 		return fmt.Errorf("shard: texts cannot be routed by entity key; deliver them to one shard directly")
 	}
-	for _, e := range src.Entities {
-		if err := curate.CheckEntity(src.Name, e.Key, e.Attrs); err != nil {
+	for _, a := range d.Entities {
+		if err := curate.CheckEntity(d.Source, a.Key, a.Attrs); err != nil {
 			return err
 		}
-		s := ShardOf(e.Key, n)
-		parts[s].Entities = append(parts[s].Entities, e)
+		s := ShardOf(a.Key, n)
+		parts[s].Entities = append(parts[s].Entities, a)
 	}
-	for _, l := range src.Links {
+	for _, l := range d.Links {
 		s := ShardOf(l.FromKey, n)
 		if l.ToKey != "" && ShardOf(l.ToKey, n) != s {
 			return fmt.Errorf("shard: link %s-[%s]->%s crosses shards (entities hash to %d and %d); the relation layer is shard-local",
@@ -323,7 +326,7 @@ func (r *Router) IngestCtx(ctx context.Context, src scdb.Source) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = r.shards[i].IngestBatch(ctx, parts[i], 0) // client.DefaultIngestBatch rows a chunk
+			_, errs[i] = r.shards[i].IngestDelivery(ctx, parts[i], 0) // client.DefaultIngestBatch rows a chunk
 		}(i)
 	}
 	wg.Wait()
@@ -332,7 +335,7 @@ func (r *Router) IngestCtx(ctx context.Context, src scdb.Source) error {
 			return fmt.Errorf("shard %d (%s): %w", i, r.addrs[i], err)
 		}
 	}
-	r.routedRows.Add(uint64(len(src.Entities)))
+	r.routedRows.Add(uint64(len(d.Entities)))
 	return r.exchangeLocked()
 }
 

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -52,9 +53,16 @@ type testCluster struct {
 
 func newTestCluster(tb testing.TB, n int) *testCluster {
 	tb.Helper()
+	return newClusterOf(tb, n, func() scdb.Options { return scdb.Options{} })
+}
+
+// newClusterOf is newTestCluster with each shard's engine opened with
+// opts().
+func newClusterOf(tb testing.TB, n int, opts func() scdb.Options) *testCluster {
+	tb.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
-		addrs[i] = startShardServer(tb, scdb.Options{})
+		addrs[i] = startShardServer(tb, opts())
 	}
 	r, err := shard.Dial(shard.Config{}, addrs...)
 	if err != nil {
@@ -76,6 +84,27 @@ func newTestCluster(tb testing.TB, n int) *testCluster {
 	}
 	tb.Cleanup(func() { rc.Close() })
 	return &testCluster{router: r, shards: addrs, addr: srv.Addr().String(), rc: rc}
+}
+
+// deliver hands src to the router as the router's server does: its chunk
+// frame decoded into a delivery in engine form (server.DecodeV2Arrivals).
+func deliver(ctx context.Context, r *shard.Router, src scdb.Source) error {
+	e := server.GetV2Enc()
+	defer e.Release()
+	frame, err := server.EncodeV2IngestChunk(e, 1, server.V2Chunk{Entities: src.Entities, Links: src.Links, Texts: src.Texts, Done: true})
+	if err != nil {
+		return err
+	}
+	f, err := server.ReadV2Frame(bytes.NewReader(frame), 0)
+	if err != nil {
+		return err
+	}
+	d, _, err := server.DecodeV2Arrivals(f.Payload)
+	if err != nil {
+		return err
+	}
+	d.Source = src.Name
+	return r.IngestDelivery(ctx, d)
 }
 
 // drugNames are distinct enough that only true duplicates score past the
@@ -365,7 +394,7 @@ func TestRouterServedStats(t *testing.T) {
 // and cross-shard links cannot be hash-routed.
 func TestRouterRejectsUnroutable(t *testing.T) {
 	c := newTestCluster(t, 3)
-	if err := c.router.IngestCtx(context.Background(), scdb.Source{Name: "docs", Texts: []string{"some text"}}); err == nil {
+	if err := deliver(context.Background(), c.router, scdb.Source{Name: "docs", Texts: []string{"some text"}}); err == nil {
 		t.Error("text delivery must be rejected")
 	}
 	// Find two keys on different shards and link them.
@@ -378,7 +407,7 @@ func TestRouterRejectsUnroutable(t *testing.T) {
 			kb = k
 		}
 	}
-	err := c.router.IngestCtx(context.Background(), scdb.Source{
+	err := deliver(context.Background(), c.router, scdb.Source{
 		Name:     "linked",
 		Entities: []scdb.Entity{{Key: ka}, {Key: kb}},
 		Links:    []scdb.Link{{FromKey: ka, Predicate: "rel", ToKey: kb}},
@@ -440,7 +469,7 @@ func TestRouterTakesResolverSettingsFromShards(t *testing.T) {
 	}
 	defer single.Close()
 	for _, src := range corpus() {
-		if err := r.IngestCtx(context.Background(), src); err != nil {
+		if err := deliver(context.Background(), r, src); err != nil {
 			t.Fatal(err)
 		}
 		if err := single.Ingest(src); err != nil {
@@ -637,7 +666,7 @@ func TestReadYourWritesAcrossShards(t *testing.T) {
 				Attrs: scdb.Record{"round": int64(round), "n": int64(i)},
 			})
 		}
-		if err := r.IngestCtx(context.Background(), src); err != nil {
+		if err := deliver(context.Background(), r, src); err != nil {
 			t.Fatal(err)
 		}
 		total += len(src.Entities)

@@ -78,10 +78,13 @@ type Stats struct {
 
 // Manager coordinates transactions over one store. enrichVersion reports
 // the current version of the enrichment state (typically graph.Version +
-// ontology.Version); nil means "no semantic layers".
+// ontology.Version); nil means "no semantic layers". committed, when set,
+// runs after every commit that installed a write, once the manager's lock
+// is released: the engine drops its cached answers there.
 type Manager struct {
 	store         *storage.Store
 	enrichVersion func() uint64
+	committed     func()
 
 	mu     sync.Mutex
 	stats  Stats
@@ -90,8 +93,8 @@ type Manager struct {
 }
 
 // NewManager creates a transaction manager.
-func NewManager(store *storage.Store, enrichVersion func() uint64) *Manager {
-	return &Manager{store: store, enrichVersion: enrichVersion, active: map[uint64]storage.CSN{}}
+func NewManager(store *storage.Store, enrichVersion func() uint64, committed func()) *Manager {
+	return &Manager{store: store, enrichVersion: enrichVersion, committed: committed, active: map[uint64]storage.CSN{}}
 }
 
 // OldestSnapshot returns the oldest read snapshot among live transactions,
@@ -332,6 +335,14 @@ func (t *Txn) Commit() (CommitInfo, error) {
 	}
 	t.done = true
 	m := t.mgr
+	info, err := m.commit(t)
+	if err == nil && len(t.writes) > 0 && m.committed != nil {
+		m.committed()
+	}
+	return info, err
+}
+
+func (m *Manager) commit(t *Txn) (CommitInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.active, t.id)

@@ -20,7 +20,7 @@ func setup(t *testing.T) (*storage.Store, *Manager, *atomic.Uint64) {
 	}
 	t.Cleanup(func() { s.Close() })
 	var enrich atomic.Uint64
-	m := NewManager(s, enrich.Load)
+	m := NewManager(s, enrich.Load, nil)
 	if _, err := s.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestTxnCommitIsOneFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return s, NewManager(s, nil), ids
+		return s, NewManager(s, nil, nil), ids
 	}
 	commit := func(t *testing.T, m *Manager, rows map[string][]storage.RowID, n int) {
 		t.Helper()

@@ -172,10 +172,13 @@ func fromValue(v model.Value) any {
 	return nil
 }
 
-// ToValue converts a public value to the internal model representation.
-// The shard router uses it to re-encode result rows into the canonical
-// binary form row merging sorts by; application code rarely needs it.
+// ToValue converts a public value to the internal model representation;
+// application code rarely needs it.
 func ToValue(v any) (model.Value, error) { return toValue(v) }
+
+// FromValue converts an internal value to its public form, as a result
+// cell is converted; application code rarely needs it.
+func FromValue(v model.Value) any { return fromValue(v) }
 
 // FromRows appends rows to dst in public form, as fromValue converts each
 // cell. The appended rows share one backing array, each sliced with cap

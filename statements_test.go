@@ -221,3 +221,51 @@ func TestCrashImageDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedTransactionDropsCachedAnswers: an answer the
+// materialization cache holds does not outlive a committed transaction
+// that changes what it read. The same statement text answered the row
+// count from before the commit until the next delivery, because the
+// commit path dropped nothing.
+func TestCommittedTransactionDropsCachedAnswers(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Ingest(Source{Name: "s", Entities: []Entity{{Key: "a", Attrs: Record{"x": int64(1)}}}}); err != nil {
+		t.Fatal(err)
+	}
+	count := func() any {
+		t.Helper()
+		rows, err := db.Query("SELECT COUNT(*) AS n FROM s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows.Data[0][0]
+	}
+	if n := count(); n != int64(1) {
+		t.Fatalf("before the transaction: %v rows, want 1", n)
+	}
+	if n := count(); n != int64(1) {
+		t.Fatalf("the repeat: %v rows, want 1", n)
+	}
+	tx := db.Begin(Snapshot)
+	if _, err := tx.Insert("s", Record{"x": int64(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != int64(2) {
+		t.Errorf("after a committed insert the same statement answers %v rows, want 2", n)
+	}
+	// A transaction that writes nothing leaves the cache as it was.
+	count()
+	if _, err := db.Begin(Snapshot).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, info, err := db.QueryInfo("SELECT COUNT(*) AS n FROM s"); err != nil || !info.CacheHit {
+		t.Errorf("after an empty commit: cache hit %v (%v), want a hit", info != nil && info.CacheHit, err)
+	}
+}
