@@ -6,16 +6,20 @@
 // from a local clone checked out at -parent, the change from a copy of the
 // working tree (or, with -change, from a clone at that commit). Each side
 // runs through its own bash benchmark/run.sh, so each keeps its own build
-// cache. Pair k runs seed -seed+k on both sides, the parent first when k
-// is even and the change first when k is odd, so the runs go A B B A. The
-// pairs join the series of the same commits, workload, trace mode and
-// run length in -out, and every metric BENCHMARK.json lists is read over
-// the series and judged by the rule verdict states.
+// cache, and runs as long as that side's benchmark says. Pair k runs
+// seed -seed+k on both sides. The pairs join the series of the same
+// commits, workload and trace mode in -out, whose run length is the one
+// the benchmark writes into its records; a seed the series holds already
+// is refused. The pair at place i of the series runs the parent first when
+// i is even and the change first when i is odd, so the runs of a series go
+// A B B A however many invocations add to it. Every series in -out is
+// then read again over every metric BENCHMARK.json lists and judged by
+// the rule verdict states.
 //
 // Usage, from the repository root:
 //
 //	scdb-pair -parent REV [-change REV] -workload W [-pairs N] [-seed S]
-//	          [-trace 0|1] [-seconds S] -work DIR -out BENCH_PR<n>.json
+//	          [-trace 0|1] -work DIR -out BENCH_PR<n>.json
 //
 // Only the standard library and the local git are used: nothing is
 // fetched.
@@ -46,8 +50,9 @@ type file struct {
 	Series    []series `json:"series"`
 }
 
-// series is every pair of one parent and change on one workload, trace
-// mode and run length, and the metrics read over them.
+// series is every pair of one parent and change on one workload and trace
+// mode, and the metrics read over them. Seconds is the run length the
+// benchmark recorded; every run of a series has it.
 type series struct {
 	Parent   string    `json:"parent"`
 	Change   string    `json:"change"`
@@ -59,7 +64,7 @@ type series struct {
 	Metrics  []summary `json:"metrics"`
 }
 
-const rule = "better (worse): the change reads better (worse) in at least 9 of every 10 pairs, ties counting for neither, the exact two-sided sign test gives p <= 0.05, and the medians differ that way by more than the parent's interquartile range; else unresolved"
+const rule = "better (worse): at least 10 pairs, the change reads better (worse) in at least 9 of every 10 of them, ties counting for neither, the exact two-sided sign test gives p <= 0.05, and the medians differ that way by more than the parent's interquartile range; else unresolved"
 
 func main() {
 	if err := realMain(); err != nil {
@@ -75,7 +80,6 @@ func realMain() error {
 	pairs := flag.Int("pairs", 10, "pairs to run")
 	seed := flag.Int64("seed", 1, "seed of the first pair; pair k runs seed+k")
 	trace := flag.Int("trace", 0, "1 = traced runs")
-	seconds := flag.Int("seconds", 8, "benchmark run length")
 	work := flag.String("work", "", "scratch directory for the two sides and their runs")
 	out := flag.String("out", "", "verdict file to add the pairs to")
 	flag.Parse()
@@ -119,24 +123,34 @@ func realMain() error {
 		return err
 	}
 
-	s := series{Parent: parent, Change: change, Workload: *workload, Trace: *trace != 0, Seconds: *seconds}
-	for k := 0; k < *pairs; k++ {
-		p := pair{Seed: *seed + int64(k), First: "parent"}
+	s := series{Parent: parent, Change: change, Workload: *workload, Trace: *trace != 0}
+	prior := f.find(s)
+	if s.Pairs, err = plan(prior, *seed, *pairs); err != nil {
+		return err
+	}
+	if prior != nil {
+		s.Seconds = prior.Seconds
+	}
+	for k := range s.Pairs {
+		p := &s.Pairs[k]
 		sides := []struct {
 			dir string
 			dst *run
 		}{{parentDir, &p.Parent}, {changeDir, &p.Change}}
-		if k%2 == 1 {
-			p.First = "change"
+		if p.First == "change" {
 			sides[0], sides[1] = sides[1], sides[0]
 		}
 		for _, side := range sides {
-			if *side.dst, err = bench(side.dir, *work, s, p.Seed); err != nil {
+			var seconds int
+			if *side.dst, seconds, err = bench(side.dir, *work, s, p.Seed); err != nil {
 				return err
 			}
+			if s.Seconds != 0 && seconds != s.Seconds {
+				return fmt.Errorf("%s seed %d in %s ran %d s where the series runs %d s", s.Workload, p.Seed, side.dir, seconds, s.Seconds)
+			}
+			s.Seconds = seconds
 		}
 		fmt.Fprintf(os.Stderr, "pair %d/%d (seed %d, %s first) done\n", k+1, *pairs, p.Seed, p.First)
-		s.Pairs = append(s.Pairs, p)
 	}
 
 	merged := merge(&f, s, defs)
@@ -151,71 +165,107 @@ func realMain() error {
 	return nil
 }
 
-// merge adds s's pairs to the series of the same commits and settings in
-// f, or adds s as a new one, and reads every metric over the result.
-func merge(f *file, s series, defs []metricDef) *series {
-	var into *series
+// find returns the series of f with s's commits, workload and trace mode,
+// or nil.
+func (f *file) find(s series) *series {
 	for i := range f.Series {
 		t := &f.Series[i]
-		if t.Parent == s.Parent && t.Change == s.Change && t.Workload == s.Workload && t.Trace == s.Trace && t.Seconds == s.Seconds {
-			into = t
+		if t.Parent == s.Parent && t.Change == s.Change && t.Workload == s.Workload && t.Trace == s.Trace {
+			return t
 		}
 	}
+	return nil
+}
+
+// plan lays out n pairs from seed on, to follow the pairs prior holds
+// (prior may be nil): a seed prior holds is refused, and the pair at place
+// i of the series runs the parent first when i is even.
+func plan(prior *series, seed int64, n int) ([]pair, error) {
+	held := 0
+	if prior != nil {
+		held = len(prior.Pairs)
+		for _, p := range prior.Pairs {
+			if p.Seed >= seed && p.Seed < seed+int64(n) {
+				return nil, fmt.Errorf("the %s series holds seed %d already", prior.Workload, p.Seed)
+			}
+		}
+	}
+	ps := make([]pair, n)
+	for k := range ps {
+		ps[k] = pair{Seed: seed + int64(k), First: "parent"}
+		if (held+k)%2 == 1 {
+			ps[k].First = "change"
+		}
+	}
+	return ps, nil
+}
+
+// merge adds s's pairs to the series of the same commits, workload and
+// trace mode in f, or adds s as a new one, and reads every metric of
+// every series again, so the whole file follows the rule it states.
+func merge(f *file, s series, defs []metricDef) *series {
+	into := f.find(s)
 	if into == nil {
 		f.Series = append(f.Series, series{Parent: s.Parent, Change: s.Change, Workload: s.Workload, Trace: s.Trace, Seconds: s.Seconds})
 		into = &f.Series[len(f.Series)-1]
 	}
 	into.Pairs = append(into.Pairs, s.Pairs...)
-	into.Seeds, into.Metrics = nil, nil
-	for _, p := range into.Pairs {
-		into.Seeds = append(into.Seeds, p.Seed)
-	}
-	for _, def := range defs {
-		if m, ok := summarize(def, into.Pairs); ok {
-			into.Metrics = append(into.Metrics, m)
+	f.Rule = rule
+	for i := range f.Series {
+		t := &f.Series[i]
+		t.Seeds, t.Metrics = nil, nil
+		for _, p := range t.Pairs {
+			t.Seeds = append(t.Seeds, p.Seed)
+		}
+		for _, def := range defs {
+			if m, ok := summarize(def, t.Pairs); ok {
+				t.Metrics = append(t.Metrics, m)
+			}
 		}
 	}
 	return into
 }
 
-// bench runs one benchmark record on the side checked out in dir.
-func bench(dir, work string, s series, seed int64) (run, error) {
+// bench runs one benchmark record on the side checked out in dir and
+// returns it with the run length the benchmark recorded.
+func bench(dir, work string, s series, seed int64) (run, int, error) {
 	trace := "0"
 	if s.Trace {
 		trace = "1"
 	}
 	recs := filepath.Join(work, "runs", fmt.Sprintf("%s-%s-t%s-s%d-%d.json", filepath.Base(dir), s.Workload, trace, seed, os.Getpid()))
 	if err := os.MkdirAll(filepath.Dir(recs), 0o755); err != nil {
-		return run{}, err
+		return run{}, 0, err
 	}
 	os.Remove(recs) // a record file of an earlier, interrupted invocation
 	cmd := exec.Command("bash", "benchmark/run.sh", "-workload", s.Workload, "-seed", fmt.Sprint(seed),
-		"-seconds", fmt.Sprint(s.Seconds), "-trace", trace, "-out", recs)
+		"-trace", trace, "-out", recs)
 	cmd.Dir = dir
 	var log bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &log, &log
 	runErr := cmd.Run()
 	b, err := os.ReadFile(recs)
 	if err != nil {
-		return run{}, fmt.Errorf("%s seed %d in %s wrote no record (%v):\n%s", s.Workload, seed, dir, runErr, log.String())
+		return run{}, 0, fmt.Errorf("%s seed %d in %s wrote no record (%v):\n%s", s.Workload, seed, dir, runErr, log.String())
 	}
 	var records []struct {
 		Correct   bool `json:"correct"`
 		Attempted int  `json:"attempted"`
 		Failed    int  `json:"failed"`
+		Seconds   int  `json:"seconds"`
 		Metrics   map[string]struct {
 			Value float64 `json:"value"`
 		} `json:"metrics"`
 	}
 	if err := json.Unmarshal(b, &records); err != nil || len(records) != 1 {
-		return run{}, fmt.Errorf("%s: want one record: %v", recs, err)
+		return run{}, 0, fmt.Errorf("%s: want one record: %v", recs, err)
 	}
 	rec := records[0]
 	r := run{Correct: rec.Correct && runErr == nil, Attempted: rec.Attempted, Failed: rec.Failed, Metrics: map[string]float64{}}
 	for name, m := range rec.Metrics {
 		r.Metrics[name] = m.Value
 	}
-	return r, nil
+	return r, rec.Seconds, nil
 }
 
 // checkout makes (or reuses) a clone of the repository at rev under work

@@ -93,19 +93,20 @@ func summarize(def metricDef, pairs []pair) (summary, bool) {
 // verdict is the one rule a metric's reading is judged by. Over n pairs,
 // ties counting for neither side:
 //
-//   - better: the change reads better than the parent in at least 9 of
-//     every 10 pairs, the exact two-sided sign test over the pairs that
-//     differ gives p ≤ 0.05, and the change's median lies on the better
-//     side of the parent's by more than the parent's interquartile range;
-//   - worse: the same three conditions the other way;
+//   - better: n is at least 10, the change reads better than the parent
+//     in at least 9 of every 10 pairs, the exact two-sided sign test over
+//     the pairs that differ gives p ≤ 0.05, and the change's median lies
+//     on the better side of the parent's by more than the parent's
+//     interquartile range;
+//   - worse: the same four conditions the other way;
 //   - unresolved: anything else.
 //
-// The sign test needs 6 pairs that differ before it can pass, so a series
-// of fewer pairs reads unresolved whatever it shows. A set of parent runs
-// against themselves reads unresolved, because neither side wins 9 of 10.
+// A series of fewer than 10 pairs reads unresolved whatever it shows: it
+// is a prediction, not a verdict. A set of parent runs against themselves
+// reads unresolved, because neither side wins 9 of 10.
 func verdict(s summary) string {
 	n := s.BetterPairs + s.WorsePairs + s.Ties
-	if n == 0 || s.SignP > 0.05 {
+	if n < 10 || s.SignP > 0.05 {
 		return "unresolved"
 	}
 	iqr := s.ParentQ3 - s.ParentQ1

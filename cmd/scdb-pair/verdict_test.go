@@ -80,8 +80,12 @@ func TestVerdictRule(t *testing.T) {
 			synth(10, func(int) float64 { return 5 }, func(int) float64 { return 5 }), "unresolved"},
 		{"three clear pairs are too few for the sign test", lower,
 			synth(3, noise(3), func(k int) float64 { return noise(3)(k) / 2 }), "unresolved"},
-		{"six clear pairs are enough", lower,
-			synth(6, noise(3), func(k int) float64 { return noise(3)(k) / 2 }), "better"},
+		{"nine clear pairs pass the sign test but are too few", lower,
+			synth(9, noise(3), func(k int) float64 { return noise(3)(k) / 2 }), "unresolved"},
+		{"nine clear rises are too few as well", lower,
+			synth(9, noise(3), func(k int) float64 { return noise(3)(k) * 2 }), "unresolved"},
+		{"ten clear pairs are enough", lower,
+			synth(10, noise(3), func(k int) float64 { return noise(3)(k) / 2 }), "better"},
 		{"8 of 10 pairs won is not 9 of 10", lower,
 			synth(10, noise(4), func(k int) float64 {
 				if k < 2 {
@@ -130,25 +134,28 @@ func noisy(seed, side int64) func(int) float64 {
 	return func(k int) float64 { return 100 + 5*math.Sin(float64(k)/3) + 3*rng.NormFloat64() }
 }
 
-// TestMergeExtendsItsSeries: pairs join the series of the same commits
-// and settings, and the metrics are read again over all of them; other
-// settings start a series of their own, and a metric no pair recorded on
-// both sides is left out.
+// TestMergeExtendsItsSeries: pairs join the series of the same commits,
+// workload and trace mode, and the metrics of every series are read again
+// by the current rule; another trace mode starts a series of its own, and
+// a metric no pair recorded on both sides is left out.
 func TestMergeExtendsItsSeries(t *testing.T) {
 	defs := []metricDef{{Name: "m", Better: "lower"}, {Name: "absent", Better: "lower"}}
 	f := file{}
 	base := series{Parent: "p", Change: "c", Workload: "w", Seconds: 8}
 	first := base
-	first.Pairs = synth(3, func(int) float64 { return 10 }, func(int) float64 { return 5 })
-	merge(&f, first, defs)
+	first.Pairs = synth(4, func(int) float64 { return 10 }, func(int) float64 { return 5 })
+	s := merge(&f, first, defs)
+	if v := s.Metrics[0].Verdict; v != "unresolved" {
+		t.Errorf("4 clear pairs read %s, want unresolved", v)
+	}
 	second := base
-	second.Pairs = synth(4, func(int) float64 { return 10 }, func(int) float64 { return 5 })
-	s := merge(&f, second, defs)
-	if len(f.Series) != 1 || len(s.Pairs) != 7 || len(s.Seeds) != 7 || len(s.Metrics) != 1 || s.Metrics[0].BetterPairs != 7 {
+	second.Pairs = synth(6, func(int) float64 { return 10 }, func(int) float64 { return 5 })
+	s = merge(&f, second, defs)
+	if len(f.Series) != 1 || len(s.Pairs) != 10 || len(s.Seeds) != 10 || len(s.Metrics) != 1 || s.Metrics[0].BetterPairs != 10 {
 		t.Fatalf("after two merges: %d series, %d pairs, %d seeds, metrics %+v", len(f.Series), len(s.Pairs), len(s.Seeds), s.Metrics)
 	}
 	if s.Metrics[0].Verdict != "better" {
-		t.Errorf("7 clear pairs read %s, want better", s.Metrics[0].Verdict)
+		t.Errorf("10 clear pairs read %s, want better", s.Metrics[0].Verdict)
 	}
 	traced := base
 	traced.Trace = true
@@ -156,5 +163,46 @@ func TestMergeExtendsItsSeries(t *testing.T) {
 	merge(&f, traced, defs)
 	if len(f.Series) != 2 {
 		t.Errorf("a traced series joined an untraced one: %d series", len(f.Series))
+	}
+
+	// A file judged by an older rule is read again by this one.
+	f.Rule = "an older rule"
+	f.Series[0].Metrics[0].Verdict = "worse"
+	merge(&f, series{Parent: "p2", Change: "c", Workload: "w"}, defs)
+	if f.Rule != rule || f.Series[0].Metrics[0].Verdict != "better" {
+		t.Errorf("after a merge into another series, the file states %q and the first series reads %s", f.Rule, f.Series[0].Metrics[0].Verdict)
+	}
+}
+
+// TestPlanAlternatesAcrossInvocations: the pair at place i of a series
+// runs the parent first when i is even, whichever invocation adds it, so
+// a series built from runs of odd length still goes A B B A; a seed the
+// series holds is refused.
+func TestPlanAlternatesAcrossInvocations(t *testing.T) {
+	prior := &series{Workload: "w"}
+	for _, n := range []int{3, 1, 3, 5} {
+		ps, err := plan(prior, int64(len(prior.Pairs)+1), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prior.Pairs = append(prior.Pairs, ps...)
+	}
+	for i, p := range prior.Pairs {
+		want := "parent"
+		if i%2 == 1 {
+			want = "change"
+		}
+		if p.First != want || p.Seed != int64(i+1) {
+			t.Errorf("pair %d: seed %d, %s first; want seed %d, %s first", i, p.Seed, p.First, i+1, want)
+		}
+	}
+	if ps, err := plan(nil, 5, 2); err != nil || ps[0].First != "parent" || ps[1].First != "change" {
+		t.Errorf("a new series: %+v, %v", ps, err)
+	}
+	if _, err := plan(prior, 12, 3); err == nil {
+		t.Error("seeds 12–14 were planned again into a series that holds seeds 1–12")
+	}
+	if _, err := plan(prior, 13, 3); err != nil {
+		t.Errorf("seeds 13–15 after seeds 1–12: %v", err)
 	}
 }
