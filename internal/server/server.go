@@ -102,7 +102,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server serves the frame protocol over TCP. Every connection gets its own
-// goroutine; every statement executes under a per-request context whose
+// goroutine; every statement executes under its request, a context whose
 // cancellation reaches the morsel executor's workers and the storage
 // scans, so deadlines, client disconnects, and forced shutdown all stop
 // real work, not just the response path.
@@ -117,9 +117,6 @@ type Server struct {
 	reg     *obs.Registry
 	slow    *obs.SlowLog
 
-	baseCtx   context.Context
-	cancelAll context.CancelFunc
-
 	mu       sync.Mutex
 	conns    map[*conn]struct{}
 	draining bool
@@ -132,7 +129,10 @@ type Server struct {
 }
 
 type conn struct {
-	nc     net.Conn
+	nc net.Conn
+	// vc is the connection after its hello exchange (under Server.mu), so a
+	// forced shutdown can cancel its requests.
+	vc     *v2conn
 	mu     sync.Mutex
 	active int
 }
@@ -160,21 +160,18 @@ func (c *conn) addActive(d int) int {
 // New builds a Server; call Start (or Listen+Serve) to run it.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
 	var reg *obs.Registry // nil without a DB, which Listen refuses
 	if cfg.DB != nil {
 		reg = cfg.DB.Registry()
 	}
 	s := &Server{
-		cfg:       cfg,
-		admit:     newAdmitter(cfg.MaxInFlight, cfg.MaxQueue),
-		metrics:   newMetrics(reg),
-		reg:       reg,
-		slow:      obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowOpThreshold),
-		baseCtx:   ctx,
-		cancelAll: cancel,
-		conns:     map[*conn]struct{}{},
-		serveErr:  make(chan error, 1),
+		cfg:      cfg,
+		admit:    newAdmitter(cfg.MaxInFlight, cfg.MaxQueue),
+		metrics:  newMetrics(reg),
+		reg:      reg,
+		slow:     obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowOpThreshold),
+		conns:    map[*conn]struct{}{},
+		serveErr: make(chan error, 1),
 	}
 	s.node, _ = cfg.DB.(Node)
 	s.register()
@@ -317,15 +314,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		err = ctx.Err()
-		s.cancelAll()
 		s.mu.Lock()
 		for c := range s.conns {
+			if c.vc != nil {
+				c.vc.abortAll()
+			}
 			c.nc.Close()
 		}
 		s.mu.Unlock()
 		<-done
 	}
-	s.cancelAll()
 	return err
 }
 
@@ -392,18 +390,16 @@ func traceJSON(tr *obs.Trace) string {
 	return tr.JSON()
 }
 
-// requestCtx derives the per-request context: the client's timeout
-// (clamped to MaxTimeout) or the server default, on top of the base
-// context so a forced shutdown cancels everything at once.
-func (s *Server) requestCtx(timeoutMS int64) (context.Context, context.CancelFunc) {
-	timeout := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		timeout = time.Duration(timeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+// requestTimeout is a request's time to its deadline: the client's
+// timeout clamped to MaxTimeout, or the server default.
+func (s *Server) requestTimeout(timeoutMS int64) time.Duration {
+	switch {
+	case timeoutMS <= 0:
+		return s.cfg.DefaultTimeout
+	case timeoutMS >= s.cfg.MaxTimeout.Milliseconds():
+		return s.cfg.MaxTimeout
 	}
-	return context.WithTimeout(s.baseCtx, timeout)
+	return time.Duration(timeoutMS) * time.Millisecond
 }
 
 // acquireSlot runs one request's admission wait (admitter.acquire), bounded

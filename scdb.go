@@ -116,6 +116,12 @@ func toValue(v any) (model.Value, error) {
 	case time.Time:
 		return model.Time(v), nil
 	case []byte:
+		if v == nil {
+			// The wire writes nil and empty bytes alike and reads both back
+			// empty, so nil is stored empty too: a delivery answers alike
+			// embedded, through a server and through a router.
+			v = []byte{}
+		}
 		return model.Bytes(v), nil
 	case EntityRef:
 		return model.Ref(model.EntityID(v)), nil
