@@ -37,22 +37,20 @@ func streamSource(n int) scdb.Source {
 
 // kindsSource is a routable delivery whose attributes hold every kind a
 // value can have — a string, an int and an int64, a float, a bool, a time
-// given outside UTC, bytes empty and not, a nested list, a ref and a
+// given outside UTC, bytes nil, empty and not, a nested list, a ref and a
 // null — with typed entities and literal links of several kinds (not a
 // ref, which names an entity of the node it lands on).
 func kindsSource() scdb.Source {
 	when := time.Date(2026, 3, 4, 5, 6, 7, 8, time.FixedZone("UTC+5", 5*3600))
 	src := scdb.Source{Name: "kinds"}
-	// Not nil bytes: the wire writes nil and empty alike and reads back
-	// empty, where an embedded delivery keeps nil.
-	raws := [][]byte{{}, {1, 0, 0xff}}
+	raws := [][]byte{nil, {}, {1, 0, 0xff}}
 	for i := 0; i < 9; i++ {
 		src.Entities = append(src.Entities, scdb.Entity{
 			Key:   fmt.Sprintf("k-%d", i),
 			Types: []string{"Device"}[:i%2],
 			Attrs: scdb.Record{
 				"s": fmt.Sprint("value ", i), "n": i, "i64": int64(-7 * i), "f": float64(i) + 0.25,
-				"b": i%2 == 0, "t": when.Add(time.Duration(i) * time.Hour), "raw": raws[i%2],
+				"b": i%2 == 0, "t": when.Add(time.Duration(i) * time.Hour), "raw": raws[i%3],
 				"list": []any{"x", int64(i), []any{1.5, true, nil}}, "ref": scdb.EntityRef(100 + i), "null": nil,
 			},
 		})

@@ -13,9 +13,12 @@ import (
 // server, with a new key each run so the result cache misses and the plan
 // cache hits the statement's shape, and a PingCSN. Both sides of the wire
 // count, so this holds the client's one round trip and the server's request
-// path to at most 50 objects a read and 5 a ping (go1.24/linux/amd64), a
-// tenth over what they cost, rounded up. A read costs 45 objects and a
-// ping 4. At commit 0dc12f0 they cost 50 and 7: every call made its call
+// path to at most 42 objects a read and 4 a ping (go1.24/linux/amd64), a
+// tenth over what they cost, rounded up. A read costs 38 objects and a
+// ping 3. At commit fd1ce75 they cost 45 and 4: every request made a
+// context with its timer, timer func and cancel func, a closure for its
+// goroutine, a stream object and a copy of its statement. At commit
+// 0dc12f0 they cost 50 and 7: every call made its call
 // object, its ready channel and its decoded result, every frame its
 // intern table, and the rows were boxed as they were decoded. At commit
 // f130964 they cost 63 and 12: every frame read allocated its header, the
@@ -68,12 +71,12 @@ func TestNetworkReadAllocBudget(t *testing.T) {
 		budget, parent float64
 		commit         string
 	}{
-		{"point read", read, 50, 50, "0dc12f0"},
+		{"point read", read, 42, 45, "fd1ce75"},
 		{"PingCSN", func() {
 			if _, err := c.PingCSN(); err != nil {
 				t.Fatal(err)
 			}
-		}, 5, 7, "0dc12f0"},
+		}, 4, 4, "fd1ce75"},
 	} {
 		allocs := testing.AllocsPerRun(runs, tc.run)
 		t.Logf("%s: %.0f objects", tc.name, allocs)

@@ -12,7 +12,7 @@ import (
 )
 
 // kindsCorpus is one source whose attributes carry every kind a cell can
-// hold: a time, bytes (one empty), a float, a ref, a bool, a list, an
+// hold: a time, bytes (some empty, one nil), a float, a ref, a bool, a list, an
 // attribute of mixed kinds, one most entities lack (null) and one a single
 // entity holds, so the shards of a 3-shard cluster see different SELECT *
 // schemas.
@@ -29,6 +29,9 @@ func kindsCorpus() scdb.Source {
 			"ok":   i%3 == 0,
 			"m":    mixed[i%len(mixed)],
 			"tags": []any{fmt.Sprintf("tag%d", i%2), int64(i)},
+		}
+		if i == 6 {
+			attrs["blob"] = []byte(nil) // the wire reads nil bytes back empty
 		}
 		if i%4 == 1 {
 			attrs["note"] = fmt.Sprintf("note %d", i)

@@ -14,8 +14,11 @@ import (
 // topology, with new literals each run so no result cache answers. Every
 // side of both wires counts: the client, the router's server, the router
 // and its shard clients, and the shards' servers and engines. A point read
-// costs 66 objects and the aggregate 236 (go1.24/linux/amd64); the budgets
+// costs 52 objects and the aggregate 208 (go1.24/linux/amd64); the budgets
 // are a tenth over, rounded up, as TestNetworkReadAllocBudget's. At commit
+// fd1ce75 they cost 66 and 236: every request on every hop, the router's
+// and each shard's, made a context with its timer, a closure for its
+// goroutine, a stream object and a copy of its statement. At commit
 // 0dc12f0 they cost 84 and 287: every call on every connection made its
 // call object, ready channel, decoded result and intern tables, each
 // shard's rows were boxed off the wire and converted back to values cell
@@ -74,13 +77,13 @@ func TestRoutedReadAllocBudget(t *testing.T) {
 		run            func()
 		budget, parent float64
 	}{
-		{"point read", point, 73, 84},
-		{"GROUP BY", agg, 260, 287},
+		{"point read", point, 58, 66},
+		{"GROUP BY", agg, 229, 236},
 	} {
 		allocs := testing.AllocsPerRun(runs, tc.run)
 		t.Logf("%s: %.0f objects", tc.name, allocs)
 		if allocs > tc.budget && !raceEnabled {
-			t.Errorf("%s allocates %.0f objects, budget %.0f; it cost %.0f at commit 0dc12f0", tc.name, allocs, tc.budget, tc.parent)
+			t.Errorf("%s allocates %.0f objects, budget %.0f; it cost %.0f at commit fd1ce75", tc.name, allocs, tc.budget, tc.parent)
 		}
 	}
 }
