@@ -253,6 +253,11 @@ func (p *Pipeline) validate(d Delivery) error {
 		if l.ToKey != "" && !known(l.ToKey) {
 			return fmt.Errorf("%w: link to unknown key %q in %s", ErrInvalidDelivery, l.ToKey, d.Source)
 		}
+		if to, ok := l.Literal.AsRef(); ok && l.ToKey == "" {
+			if _, ok := p.graph.Entity(to); !ok {
+				return fmt.Errorf("%w: link to unknown entity %d in %s", ErrInvalidDelivery, to, d.Source)
+			}
+		}
 	}
 	return nil
 }

@@ -34,7 +34,11 @@ type CurationAdvisor interface {
 
 // ThresholdAdvisor is the default CurationAdvisor: accept exactly when the
 // pair score reaches the threshold — the classical behavior the rest of
-// the resolver's guarantees are calibrated against.
+// the resolver's guarantees are calibrated against. Its verdict needs a
+// score's exact value only at or above the threshold, so a resolver with
+// it scores a pair only that far (pairScore's floor): a rejected pair's
+// score is some value below the threshold. Any other advisor is handed
+// every score exact.
 type ThresholdAdvisor struct {
 	Threshold float64
 }

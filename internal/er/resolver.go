@@ -155,6 +155,10 @@ type Resolver struct {
 	// never, when set, replaces the same-source rule of neverPair (the
 	// cross-shard Exchange adds "same shard").
 	never func(a, b *indexed) bool
+	// floor is the least score whose exact value a verdict needs (pairScore):
+	// a ThresholdAdvisor's threshold, below which it rejects whatever the
+	// score, and 0 for any other advisor, whose Accept may read every score.
+	floor float64
 }
 
 // neverPair reports a pair that is never scored. Sources are assumed
@@ -182,6 +186,9 @@ func NewResolver(cfg Config) *Resolver {
 		blocks: make(map[string]block),
 		byID:   make(map[model.EntityID]int),
 		uf:     NewUnionFind(),
+	}
+	if t, ok := cfg.Advisor.(ThresholdAdvisor); ok {
+		r.floor = t.Threshold
 	}
 	if r.useANN() {
 		r.ann = newANNIndex()
@@ -406,13 +413,19 @@ const minIdentifyingLen = 6
 // evidence is not a match: it scores 0 against anything. am[i] holds the
 // match masks of a.vals[i]; everything else was derived at index time, so a
 // pair costs no allocation.
-func pairScore(a *indexed, am []matchMasks, b *indexed) float64 {
+//
+// The score is exact whenever it is at least floor, and some value below
+// floor otherwise: the token merge stops once containment, which bounds
+// Jaccard from above, cannot reach floor, and each value pair is held
+// against the larger of floor and the best score so far (valSim).
+func pairScore(a *indexed, am []matchMasks, b *indexed, floor float64) float64 {
 	if len(a.tokens) == 0 || len(b.tokens) == 0 {
 		return 0
 	}
-	inter := intersection(a.tokens, b.tokens)
+	small := min(len(a.tokens), len(b.tokens))
+	inter := intersection(a.tokens, b.tokens, atLeast(floor, float64(small)))
 	score := float64(inter) / float64(len(a.tokens)+len(b.tokens)-inter)
-	if c := float64(inter) / float64(min(len(a.tokens), len(b.tokens))); c > score {
+	if c := float64(inter) / float64(small); c > score {
 		score = c
 	}
 	if score >= 1 {
@@ -420,7 +433,7 @@ func pairScore(a *indexed, am []matchMasks, b *indexed) float64 {
 	}
 	for i := range a.vals {
 		for j := range b.vals {
-			if s := valSim(&a.vals[i], &am[i], &b.vals[j]); s > score {
+			if s := valSim(&a.vals[i], &am[i], &b.vals[j], max(floor, score)); s > score {
 				score = s
 				if score == 1 {
 					return 1
@@ -535,7 +548,7 @@ func (r *Resolver) prepare(ix indexed, start time.Time) *Prepared {
 	p.cands = slices.Grow(p.cands[:0], len(sc.cands))[:len(sc.cands)]
 	for i, ci := range sc.cands {
 		cand := &r.ents[ci]
-		s := pairScore(&p.ix, sc.masks, cand)
+		s := pairScore(&p.ix, sc.masks, cand, r.floor)
 		p.cands[i] = candidate{pos: ci, score: s, accept: r.cfg.Advisor.Accept(arriving, view(cand), s)}
 	}
 	p.scoreDur = time.Since(start)

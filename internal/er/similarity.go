@@ -14,6 +14,7 @@ package er
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"strings"
 	"unicode"
@@ -76,7 +77,7 @@ func StringSim(a, b string) float64 {
 	vb, _, _ := deriveVal(nb, nil, nil)
 	var m matchMasks
 	m.build(na)
-	return valSim(&va, &m, &vb)
+	return valSim(&va, &m, &vb, 0)
 }
 
 // maxEditLen bounds the values edit similarity is computed for, in bytes:
@@ -179,8 +180,10 @@ func sortedUnique[T cmp.Ordered](xs []T) []T {
 }
 
 // intersection counts the common elements of two sorted, duplicate-free
-// slices.
-func intersection[T cmp.Ordered](a, b []T) int {
+// slices, or stops early, with some count below need, once the elements left
+// cannot bring it to need. A match leaves count plus the shorter remainder
+// unchanged, so only a step past an unmatched element can end the count.
+func intersection[T cmp.Ordered](a, b []T, need int) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -188,22 +191,44 @@ func intersection[T cmp.Ordered](a, b []T) int {
 			n++
 			i++
 			j++
+			continue
 		case a[i] < b[j]:
 			i++
 		default:
 			j++
 		}
+		if n+min(len(a)-i, len(b)-j) < need {
+			return n
+		}
 	}
 	return n
 }
 
-// jaccard is |A∩B| / |A∪B| over two sorted, duplicate-free slices. Two
-// empty sets are identical (1); one empty set matches nothing.
-func jaccard[T cmp.Ordered](a, b []T) float64 {
+// atLeast is the least count k with k/whole ≥ frac, truncated down with a
+// relative slack: the float product may land a hair above a whole count that
+// reaches frac exactly, and rounding that up would rule the count out. A
+// count below it is clear of frac by far more than a float's rounding error.
+func atLeast(frac, whole float64) int {
+	return int(math.Ceil(frac * whole * (1 - 1e-9)))
+}
+
+// jaccard is |A∩B| / |A∪B| over two sorted, duplicate-free slices whenever
+// that is at least target, and some value below target otherwise. Two empty
+// sets are identical (1); one empty set matches nothing. The intersection is
+// at most the smaller set and the union at least the larger, so sizes whose
+// ratio is below target are not merged at all; the merge itself stops once
+// the intersection cannot reach target·(|A|+|B|)/(1+target), the count at
+// which the ratio reaches target.
+func jaccard[T cmp.Ordered](a, b []T, target float64) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	inter := intersection(a, b)
+	small, large := min(len(a), len(b)), max(len(a), len(b))
+	if float64(small)/float64(large) < target {
+		return 0
+	}
+	sum := float64(len(a) + len(b))
+	inter := intersection(a, b, atLeast(target/(1+target), sum))
 	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
@@ -264,15 +289,18 @@ func (m *matchMasks) of(r rune) uint64 {
 }
 
 // distance returns the edit distance (insert, delete, substitute, over
-// runes) between the pattern and text, by Myers' bit-parallel algorithm in
-// Hyyrö's formulation: one column of the dynamic-programming matrix is
-// two words, pv and mv, whose bit i says that cell i is one more, or one
-// less, than cell i-1, and a rune of text advances the whole column in a
-// dozen word operations. d follows the column's last cell, so it ends as
-// the exact distance the textbook matrix has in its corner.
-func (m *matchMasks) distance(text string) int {
+// runes) between the pattern and text, of n runes, whenever it is at most
+// limit, and some value above limit otherwise. It is Myers' bit-parallel
+// algorithm in Hyyrö's formulation: one column of the dynamic-programming
+// matrix is two words, pv and mv, whose bit i says that cell i is one more,
+// or one less, than cell i-1, and a rune of text advances the whole column in
+// a dozen word operations. d follows the column's last cell, so it ends as
+// the exact distance the textbook matrix has in its corner. Each rune moves d
+// by at most one, so d less the runes left is a floor under the distance, and
+// the loop ends once that floor passes limit.
+func (m *matchMasks) distance(text string, n, limit int) int {
 	if m.runes == 0 {
-		return utf8.RuneCountInString(text)
+		return n
 	}
 	pv, mv := ^uint64(0), uint64(0)
 	last := uint64(1) << (m.runes - 1)
@@ -292,29 +320,39 @@ func (m *matchMasks) distance(text string) int {
 		mh <<= 1
 		pv = mh | ^(xv | ph)
 		mv = ph & xv
+		if n--; d-n > limit {
+			return d - n
+		}
 	}
 	return d
 }
 
-// valSim is the string similarity of two derived values; am holds the
-// match masks of a.
-func valSim(a *attrVal, am *matchMasks, b *attrVal) float64 {
+// valSim is the string similarity of two derived values whenever it is at
+// least floor, and some value below floor otherwise; am holds the match masks
+// of a. Each measure is held against the larger of floor and the best score
+// so far, so one that cannot beat both is cut short or skipped; at floor 0 the
+// score is exact.
+func valSim(a *attrVal, am *matchMasks, b *attrVal, floor float64) float64 {
 	if a.text == b.text {
 		return 1
 	}
-	s := jaccard(a.tokens, b.tokens)
+	s := jaccard(a.tokens, b.tokens, floor)
 	if !sortedSetsAgree(a.digits, b.digits) {
 		return s
 	}
-	if t := jaccard(a.tris, b.tris); t > s {
+	if t := jaccard(a.tris, b.tris, max(floor, s)); t > s {
 		s = t
 	}
 	if len(a.text) <= maxEditLen && len(b.text) <= maxEditLen {
 		// Edit distance is at least the length gap; skip it when even a
-		// perfect alignment could not beat the score so far.
+		// perfect alignment could not reach the target. Similarity reaches
+		// target only at a distance of at most (1−target)·longer; the limit
+		// adds one for the float product's rounding.
+		target := max(floor, s)
 		longer, shorter := max(a.runes, b.runes), min(a.runes, b.runes)
-		if gap := 1 - float64(longer-shorter)/float64(longer); gap > s {
-			if l := 1 - float64(am.distance(b.text))/float64(longer); l > s {
+		if gap := 1 - float64(longer-shorter)/float64(longer); gap > s && gap >= target {
+			limit := int((1-target)*float64(longer)) + 1
+			if l := 1 - float64(am.distance(b.text, b.runes, limit))/float64(longer); l > s {
 				s = l
 			}
 		}

@@ -180,17 +180,51 @@ func TestDeadlineAnswersInBand(t *testing.T) {
 			return server.EncodeV2Query(e, 2, server.V2OpQuery, "SELECT COUNT(*) AS n FROM big", timeout.Milliseconds())
 		})
 		f := finalFrame(t, nc, 10*time.Second)
-		if code := errorCode(t, f); f.ID != 2 || code != server.CodeBusy {
-			t.Fatalf("id %d answered %q first, want the queued query 2 shed %q", f.ID, code, server.CodeBusy)
+		if code := errorCode(t, f); f.ID != 2 || code != server.CodeDeadline {
+			t.Fatalf("id %d answered %q first, want the queued query 2 answered %q", f.ID, code, server.CodeDeadline)
 		}
 		if d := time.Since(start); d < timeout || d > within {
-			t.Errorf("the queued query was shed after %s, want at its %s deadline", d, timeout)
+			t.Errorf("the queued query was answered after %s, want at its %s deadline", d, timeout)
 		}
 		sendFrame(t, nc, func(e *server.V2Enc) []byte { return server.EncodeV2Simple(e, 1, server.V2OpCancel) })
 		if code := errorCode(t, finalFrame(t, nc, 10*time.Second)); code != server.CodeCanceled {
 			t.Fatalf("the canceled slow join answered %q, want %q", code, server.CodeCanceled)
 		}
 	})
+}
+
+// TestQueuedCancelIsCanceled: a query queued behind a full admitter and then
+// canceled by its client answers canceled and counts as canceled, not as one
+// admission shed.
+func TestQueuedCancelIsCanceled(t *testing.T) {
+	db := openBig(t, 4000)
+	srv, addr := startServer(t, db, func(c *server.Config) {
+		c.MaxInFlight = 1
+		c.QueueTimeout = -1 // only the request's own context bounds the queue
+	})
+	nc := hello(t, addr)
+	sendFrame(t, nc, func(e *server.V2Enc) []byte {
+		return server.EncodeV2Query(e, 1, server.V2OpQuery, slowJoin, 0)
+	})
+	waitUntil(t, 4*time.Second, func() bool { return srv.Stats().Server.InFlight == 1 }, "the slow join to hold the slot")
+	sendFrame(t, nc, func(e *server.V2Enc) []byte {
+		return server.EncodeV2Query(e, 2, server.V2OpQuery, "SELECT COUNT(*) AS n FROM big", 0)
+	})
+	waitUntil(t, 4*time.Second, func() bool { return srv.Stats().Server.Queued == 1 }, "query 2 to queue")
+	before := srv.Stats().Server
+	sendFrame(t, nc, func(e *server.V2Enc) []byte { return server.EncodeV2Simple(e, 2, server.V2OpCancel) })
+	f := finalFrame(t, nc, 10*time.Second)
+	if code := errorCode(t, f); f.ID != 2 || code != server.CodeCanceled {
+		t.Fatalf("id %d answered %q first, want the queued query 2 %q", f.ID, code, server.CodeCanceled)
+	}
+	waitUntil(t, 4*time.Second, func() bool { return srv.Stats().Server.Canceled == before.Canceled+1 }, "server.canceled to rise by one")
+	if after := srv.Stats().Server; after.Rejected != before.Rejected {
+		t.Errorf("server.rejected moved from %d to %d on a canceled query", before.Rejected, after.Rejected)
+	}
+	sendFrame(t, nc, func(e *server.V2Enc) []byte { return server.EncodeV2Simple(e, 1, server.V2OpCancel) })
+	if code := errorCode(t, finalFrame(t, nc, 10*time.Second)); code != server.CodeCanceled {
+		t.Fatalf("the canceled slow join answered %q, want %q", code, server.CodeCanceled)
+	}
 }
 
 // TestStatementOutlivesLaterFrames: the statement a query's frame carries

@@ -8,6 +8,7 @@ import (
 
 	"scdb"
 	"scdb/client"
+	"scdb/internal/server"
 	"scdb/internal/shard"
 )
 
@@ -136,6 +137,55 @@ func TestInvalidDeliveryIsTyped(t *testing.T) {
 			if err := ingest(src); !errors.Is(err, scdb.ErrInvalidDelivery) {
 				t.Errorf("%s %s: err = %v, want ErrInvalidDelivery", name, via, err)
 			}
+		}
+	}
+}
+
+// TestRefLinkToNoEntityRefusedWhole: a delivery with a link whose literal is
+// an entity ref naming no entity is refused whole, embedded and through one
+// server (the wire code invalid_delivery), before any of its entities is
+// installed: the source's row count does not move. Before the pipeline
+// checked link literals, the delivery's entity was installed and the link
+// then failed untyped ("edge to unknown entity"), and COUNT(*) read 2.
+func TestRefLinkToNoEntityRefusedWhole(t *testing.T) {
+	ctx := context.Background()
+	first := scdb.Source{Name: "probe", Entities: []scdb.Entity{{Key: "a", Attrs: scdb.Record{"name": "first"}}}}
+	bad := scdb.Source{Name: "probe", Entities: []scdb.Entity{{Key: "b", Attrs: scdb.Record{"name": "second"}}},
+		Links: []scdb.Link{{FromKey: "b", Predicate: "same_as", Value: scdb.EntityRef(999999)}}}
+	db, err := scdb.Open(scdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	one, err := client.Dial(startShardServer(t, scdb.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	for via, node := range map[string]struct {
+		ingest func(scdb.Source) error
+		query  func(string) (*scdb.Rows, error)
+	}{
+		"embedded":   {func(s scdb.Source) error { return db.IngestCtx(ctx, s) }, db.Query},
+		"one server": {one.Ingest, one.Query},
+	} {
+		if err := node.ingest(first); err != nil {
+			t.Fatalf("%s: %v", via, err)
+		}
+		err := node.ingest(bad)
+		if !errors.Is(err, scdb.ErrInvalidDelivery) {
+			t.Errorf("%s: err = %v, want ErrInvalidDelivery", via, err)
+		}
+		var se *client.ServerError
+		if via == "one server" && (!errors.As(err, &se) || se.Code != server.CodeInvalidDelivery) {
+			t.Errorf("%s: err = %v, want the wire code %q", via, err, server.CodeInvalidDelivery)
+		}
+		rows, err := node.query("SELECT COUNT(*) AS n FROM probe")
+		if err != nil {
+			t.Fatalf("%s: %v", via, err)
+		}
+		if got, want := render(rows), "n\n1\n"; got != want {
+			t.Errorf("%s: after the refused delivery COUNT(*) = %q, want %q", via, got, want)
 		}
 	}
 }
