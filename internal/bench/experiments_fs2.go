@@ -111,8 +111,9 @@ func RunMaterialization() *Table {
 	for _, policy := range []curate.MatPolicy{curate.PolicyRanked, curate.PolicyLRU} {
 		c := curate.NewMatCache(16, policy)
 		for _, w := range workload {
-			if _, ok := c.Get(w.key); !ok {
-				c.Put(w.key, w.key, w.benefit)
+			// The workload reads one unchanging state: one version.
+			if _, ok := c.Get(w.key, 1); !ok {
+				c.Put(w.key, w.key, w.benefit, 1)
 			}
 		}
 		st := c.Stats()

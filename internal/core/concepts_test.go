@@ -48,17 +48,8 @@ func conceptCountHistory(t *testing.T, seed int64) {
 	defer func() { db.Close() }()
 
 	types := [][]string{nil, {"Sensor"}, {"Gauge"}, {"Place"}, {"Sensor", "Place"}}
-	// Each name is two random words: one name sent by both sources plants a
-	// merge, and two names share no token.
-	names := make([]string, 24)
-	for i := range names {
-		w := make([]byte, 15)
-		for j := range w {
-			w[j] = byte('a' + rng.Intn(26))
-		}
-		w[7] = ' '
-		names[i] = string(w)
-	}
+	// One name sent by both sources plants a merge.
+	names := twoWordNames(rng, 24)
 	told := 0
 	for step := 0; step < 40; step++ {
 		label := fmt.Sprintf("step %d", step)

@@ -194,7 +194,7 @@ func Open(opts Options) (*DB, error) {
 		opts:     opts,
 		reg:      obs.NewRegistry(),
 	}
-	db.txns = txn.NewManager(store, db.enrichmentVersion, db.InvalidateCaches)
+	db.txns = txn.NewManager(store, db.enrichmentVersion)
 	db.register()
 	return db, nil
 }
@@ -329,15 +329,22 @@ func (db *DB) enrichmentVersion() uint64 {
 	return g.Version() + o.Version()
 }
 
+// answerVersion is the version a cached answer is valid at, read under
+// db.mu: four counters that each move after the change they count is
+// visible and only grow within one derived set, so equal sums mean no
+// layer moved.
+func (db *DB) answerVersion() uint64 {
+	return db.store.Installs() + db.graph.Version() + db.onto.Version() + db.reasoner.Version()
+}
+
 // Ingest runs a source delivery through the curation pipeline. The heavy
 // phases — decode, batched instance writes, ER, link discovery,
 // extraction, re-inference — run OUTSIDE db.mu: the pipeline serializes
 // itself, and every structure it feeds (store, graph, ontology, reasoner)
 // carries its own latch, so queries keep executing against consistent,
 // progressively enriched state while a delivery lands (FS.11's continuous
-// curation). db.mu is taken only for the final install step:
-// invalidating the materialization cache, which also waits out in-flight
-// readers so no stale result survives the enrichment.
+// curation). A cached answer is valid at its version (answerVersion), which
+// every change a delivery makes moves once it is visible.
 //
 // Ingest borrows ds: each entity's attributes are copied into a row of
 // the engine's own (curate.NewDelivery), so the dataset is never written.
@@ -358,13 +365,7 @@ func (db *DB) IngestCtx(ctx context.Context, d curate.Delivery) error {
 	}
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
-	if err := db.pipeline.Ingest(d, obs.FromContext(ctx)); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	db.matCache.InvalidateAll()
-	db.mu.Unlock()
-	return nil
+	return db.pipeline.Ingest(d, obs.FromContext(ctx))
 }
 
 // Graph exposes the relation layer (read-mostly analytical use).

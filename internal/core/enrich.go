@@ -71,7 +71,6 @@ func (db *DB) EnrichPredictedLinks(pred string, perEntity int, minConf model.Fuz
 	}
 	if added > 0 {
 		db.reasoner.MaterializeEntities(touched)
-		db.matCache.InvalidateAll()
 	}
 	return added, nil
 }

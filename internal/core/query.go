@@ -177,10 +177,11 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	// The materialization-cache key is the statement's canonical text with
 	// this execution's values.
 	var key string
+	var ver uint64
 	matCached := !stmt.Explain && !stmt.Trace && !system && !db.opts.DisableMatCache
 	if matCached {
-		key = stmt.StringWith(args)
-		if v, ok := db.matCache.Get(key); ok {
+		key, ver = stmt.StringWith(args), db.answerVersion()
+		if v, ok := db.matCache.Get(key, ver); ok {
 			info.CacheHit = true
 			res := v.(*query.Result)
 			if emit != nil {
@@ -274,7 +275,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 		res.Rows = streamed
 	}
 	if matCached {
-		db.matCache.Put(key, res, info.EstimatedCost)
+		db.matCache.Put(key, res, info.EstimatedCost, ver)
 	}
 	return res, info, nil, nil
 }

@@ -21,18 +21,6 @@ var ErrReadOnly = errors.New("core: read-only replica: writes must go to the pri
 // ReadOnly reports whether the engine was opened as a read replica.
 func (db *DB) ReadOnly() bool { return db.opts.ReadOnly }
 
-// InvalidateCaches drops the materialization cache, waiting out in-flight
-// readers. Replication apply mutates the instance layer beneath the
-// curation pipeline, so the usual post-ingest invalidation never runs; the
-// follower calls this after every applied batch, and the transaction
-// manager after every commit that wrote, to keep cached results from
-// outliving the rows they summarize.
-func (db *DB) InvalidateCaches() {
-	db.mu.Lock()
-	db.matCache.InvalidateAll()
-	db.mu.Unlock()
-}
-
 // RefreshDerived rebuilds the relation and semantic layers from the
 // instance layer and swaps them in atomically. The rebuild runs under
 // ingestMu only — queries keep executing against the old layers — and the
@@ -55,6 +43,8 @@ func (db *DB) RefreshDerived() error {
 
 	db.mu.Lock()
 	db.derived = d
+	// The fresh graph, ontology and reasoner count from 0 again, so the
+	// cache's version restarts with them.
 	db.matCache.InvalidateAll()
 	// The fresh ontology's version counter can collide with a stale plan
 	// key's, so version keying alone cannot age those plans out.

@@ -332,7 +332,7 @@ func TestPlanShapeDifferential(t *testing.T) {
 		if !info.PlanCached {
 			t.Errorf("%q: not served by its shape's plan", p[1])
 		}
-		v, ok := mat.matCache.Get(stmt.String())
+		v, ok := mat.matCache.Get(stmt.String(), mat.answerVersion())
 		if !ok {
 			t.Errorf("%q: the result cache holds no answer under %q", p[1], stmt.String())
 		} else if got := renderRows(v.(*query.Result)); got != want {

@@ -33,9 +33,6 @@ func (db *DB) curate(st *query.CurateStmt, emit func([]string, [][]model.Value) 
 	}
 	db.mu.Lock()
 	n, err := tell(st)
-	if err == nil {
-		db.matCache.InvalidateAll()
-	}
 	db.mu.Unlock() // before emit, which may write to a connection
 	if err != nil {
 		return nil, nil, err

@@ -233,7 +233,7 @@ func TestPipelineAccessorsAndPolicyStrings(t *testing.T) {
 	// Default capacity applies for non-positive sizes.
 	c := NewMatCache(0, PolicyLRU)
 	for i := 0; i < 70; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i, 1)
+		c.Put(fmt.Sprintf("k%d", i), i, 1, 0)
 	}
 	if c.Len() != 64 {
 		t.Errorf("default capacity = %d, want 64", c.Len())
@@ -268,19 +268,19 @@ func TestLookupValueAmbiguityResolvesToLowestCanonical(t *testing.T) {
 
 func TestMatCacheBasics(t *testing.T) {
 	c := NewMatCache(2, PolicyLRU)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.Get("a", 0); ok {
 		t.Error("empty cache hit")
 	}
-	c.Put("a", 1, 1)
-	c.Put("b", 2, 1)
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
+	c.Put("a", 1, 1, 0)
+	c.Put("b", 2, 1, 0)
+	if v, ok := c.Get("a", 0); !ok || v.(int) != 1 {
 		t.Error("Get a failed")
 	}
-	c.Put("c", 3, 1) // evicts b (LRU)
-	if _, ok := c.Get("b"); ok {
+	c.Put("c", 3, 1, 0) // evicts b (LRU)
+	if _, ok := c.Get("b", 0); ok {
 		t.Error("b should be evicted")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get("a", 0); !ok {
 		t.Error("a should survive (recently used)")
 	}
 	st := c.Stats()
@@ -294,33 +294,53 @@ func TestMatCacheBasics(t *testing.T) {
 
 func TestMatCacheRankedKeepsHighBenefit(t *testing.T) {
 	c := NewMatCache(2, PolicyRanked)
-	c.Put("cheap", 1, 1)
-	c.Put("pricey", 2, 100)
+	c.Put("cheap", 1, 1, 0)
+	c.Put("pricey", 2, 100, 0)
 	// Touch cheap so LRU would keep it; ranked keeps pricey instead.
-	c.Get("cheap")
-	c.Put("new", 3, 1) // evict lowest rank: cheap has rank 2, pricey 100
-	if _, ok := c.Get("pricey"); !ok {
+	c.Get("cheap", 0)
+	c.Put("new", 3, 1, 0) // evict lowest rank: cheap has rank 2, pricey 100
+	if _, ok := c.Get("pricey", 0); !ok {
 		t.Error("high-benefit entry evicted")
 	}
-	if _, ok := c.Get("cheap"); ok {
+	if _, ok := c.Get("cheap", 0); ok {
 		t.Error("low-benefit entry retained over high-benefit")
 	}
 }
 
 func TestMatCacheUpdateAndInvalidate(t *testing.T) {
 	c := NewMatCache(4, PolicyRanked)
-	c.Put("k", 1, 5)
-	c.Put("k", 2, 5) // update, not duplicate
+	c.Put("k", 1, 5, 0)
+	c.Put("k", 2, 5, 0) // update, not duplicate
 	if c.Len() != 1 {
 		t.Errorf("Len = %d", c.Len())
 	}
-	if v, _ := c.Get("k"); v.(int) != 2 {
+	if v, _ := c.Get("k", 0); v.(int) != 2 {
 		t.Error("update lost")
 	}
-	c.Put("x", 1, 1)
+	c.Put("x", 1, 1, 0)
 	c.InvalidateAll()
 	if c.Len() != 0 {
 		t.Error("InvalidateAll failed")
+	}
+}
+
+// TestMatCacheValidByVersion: a newer version drops every entry, a Put
+// from an older one is ignored, and InvalidateAll restarts the version.
+func TestMatCacheValidByVersion(t *testing.T) {
+	c := NewMatCache(4, PolicyRanked)
+	c.Put("a", 1, 1, 5)
+	if _, ok := c.Get("a", 5); !ok {
+		t.Error("an entry missed at its own version")
+	}
+	if c.Put("late", 1, 1, 4); c.Len() != 1 {
+		t.Error("a Put from an older version was kept")
+	}
+	if _, ok := c.Get("a", 6); ok || c.Len() != 0 {
+		t.Error("an entry outlived a newer version")
+	}
+	c.InvalidateAll()
+	if c.Put("b", 1, 1, 0); c.Len() != 1 {
+		t.Error("InvalidateAll left the version where it was")
 	}
 }
 
@@ -328,8 +348,8 @@ func TestMatCacheHitRate(t *testing.T) {
 	c := NewMatCache(8, PolicyRanked)
 	for i := 0; i < 4; i++ {
 		key := fmt.Sprintf("q%d", i%2)
-		if _, ok := c.Get(key); !ok {
-			c.Put(key, i, 1)
+		if _, ok := c.Get(key, 0); !ok {
+			c.Put(key, i, 1, 0)
 		}
 	}
 	st := c.Stats()

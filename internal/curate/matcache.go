@@ -57,11 +57,15 @@ type matEntry struct {
 func (e *matEntry) rank() float64 { return float64(1+e.hits) * e.benefit }
 
 // MatCache is the materialization cache for discovered/derived results
-// (FS.9). Safe for concurrent use.
+// (FS.9). Safe for concurrent use. An entry is valid by version: Get and
+// Put take the version of the state the caller reads, a call with a newer
+// version than the cache's drops every entry first, and a Put from an older
+// one is ignored.
 type MatCache struct {
 	mu       sync.Mutex
 	policy   MatPolicy
 	capacity int
+	ver      uint64 // the version every entry was computed at
 	entries  map[string]*matEntry
 	lru      *list.List // front = most recent
 	stats    MatStats
@@ -80,10 +84,11 @@ func NewMatCache(capacity int, policy MatPolicy) *MatCache {
 	}
 }
 
-// Get returns the materialized result for the key.
-func (c *MatCache) Get(key string) (any, bool) {
+// Get returns the result materialized for the key at version ver or later.
+func (c *MatCache) Get(key string, ver uint64) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.advanceLocked(ver)
 	e, ok := c.entries[key]
 	if !ok {
 		c.stats.Misses++
@@ -95,11 +100,15 @@ func (c *MatCache) Get(key string) (any, bool) {
 	return e.value, true
 }
 
-// Put materializes a result. benefit is the cost of recomputing it (the
-// ranked policy keeps high-benefit entries; LRU ignores it).
-func (c *MatCache) Put(key string, value any, benefit float64) {
+// Put materializes a result computed at version ver, unless a newer
+// version has been seen. benefit is the cost of recomputing it (the ranked
+// policy keeps high-benefit entries; LRU ignores it).
+func (c *MatCache) Put(key string, value any, benefit float64, ver uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.advanceLocked(ver); ver < c.ver {
+		return
+	}
 	if e, ok := c.entries[key]; ok {
 		e.value = value
 		e.benefit = benefit
@@ -143,11 +152,22 @@ func (c *MatCache) remove(e *matEntry) {
 	c.stats.Evictions++
 }
 
-// InvalidateAll clears the cache (enrichment version changed).
+// advanceLocked drops every entry when ver is newer than the cache's.
+func (c *MatCache) advanceLocked(ver uint64) {
+	if ver > c.ver {
+		c.ver = ver
+		clear(c.entries)
+		c.lru.Init()
+	}
+}
+
+// InvalidateAll clears the cache and restarts its version at 0, for a
+// caller whose version counters restart.
 func (c *MatCache) InvalidateAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[string]*matEntry{}
+	c.ver = 0
+	clear(c.entries)
 	c.lru.Init()
 }
 

@@ -174,9 +174,9 @@ var ErrInvalidDelivery = errors.New("curate: invalid delivery")
 // CheckEntity is the per-entity rule of a delivery: an entity has a key,
 // and none of its attributes is named like one of the stored row's own
 // columns (model.IsRowColumn: _key, _types). The pipeline's validation and
-// the router, which checks a public record before it splits a delivery,
-// both call it before anything is written.
-func CheckEntity[V any](source, key string, attrs map[string]V) error {
+// the router, which checks each arrival before it splits a delivery, both
+// call it before anything is written.
+func CheckEntity(source, key string, attrs model.Record) error {
 	if key == "" {
 		return fmt.Errorf("%w: entity without a key in %s", ErrInvalidDelivery, source)
 	}

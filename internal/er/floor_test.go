@@ -132,7 +132,8 @@ func decided(r *Resolver) string {
 // applies the same rule behind another type scores every pair exactly. On a
 // benchmark-shaped stream both decide alike in every blocking mode, serial
 // and parallel: the same matches with the same score bits, the same
-// comparisons, counters and clusters.
+// comparisons, counters and clusters. Serial and parallel decide alike too,
+// the block-cap skips included.
 func TestFlooredScoringDecidesAlike(t *testing.T) {
 	stream := flooredStream(58, 96)
 	exact := Config{Advisor: exactRule{ThresholdAdvisor{Threshold: threshold}}}
@@ -143,12 +144,19 @@ func TestFlooredScoringDecidesAlike(t *testing.T) {
 		t.Fatalf("a resolver whose advisor is not a ThresholdAdvisor scores to floor %v, want 0", f)
 	}
 	for _, mode := range []BlockingMode{BlockingToken, BlockingANN, BlockingBoth} {
+		var serial string
 		for _, parallel := range []bool{false, true} {
 			exact.Blocking = mode
 			floored := resolveStream(Config{Blocking: mode}, stream, parallel)
 			want := decided(resolveStream(exact, stream, parallel))
-			if got := decided(floored); got != want {
+			got := decided(floored)
+			if got != want {
 				t.Errorf("%s, parallel %v: floored scoring decided\n%s\nexact scoring\n%s", mode, parallel, got, want)
+			}
+			if !parallel {
+				serial = got
+			} else if got != serial {
+				t.Errorf("%s: parallel scoring decided\n%s\nserial scoring\n%s", mode, got, serial)
 			}
 			st := floored.Stats()
 			t.Logf("%s, parallel %v: %+v", mode, parallel, st)

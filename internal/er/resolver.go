@@ -365,9 +365,13 @@ const (
 	smallBlock = 8
 )
 
-// addToBlock appends pos to the block of key.
+// addToBlock appends pos to the block of key. The members the block holds
+// past the maxBlock cut are the candidate slots the arrival at pos skipped:
+// counted here, at Commit, they count as a serial Add does, however the
+// arrivals were prepared.
 func (r *Resolver) addToBlock(key string, pos int) {
 	b := r.blocks[key]
+	r.blockSkips += b.n - len(b.pos)
 	b.n++
 	if len(b.pos) == maxBlock {
 		r.blocks[key] = b
@@ -484,7 +488,6 @@ type Prepared struct {
 	vec    []float32   // embedding (ann/both modes); Commit keeps a copy
 	cands  []candidate // scored candidates, in serial candidate order
 	probes int         // ANN bucket members examined
-	skips  int         // candidate slots dropped by the maxBlock cap
 
 	blockDur time.Duration // candidate generation (blocking + ANN probe)
 	scoreDur time.Duration // pair scoring + advisor review
@@ -570,9 +573,7 @@ func (r *Resolver) gather(p *Prepared, sc *scratch) {
 	if r.useTokenBlocks() {
 		p.keys = blockKeys(p.keys[:0], &p.ix)
 		for _, key := range p.keys {
-			b := r.blocks[key]
-			p.skips += b.n - len(b.pos)
-			for _, pos := range b.pos {
+			for _, pos := range r.blocks[key].pos {
 				ci := int(pos)
 				if r.neverPair(&p.ix, &r.ents[ci]) {
 					continue
@@ -621,7 +622,6 @@ func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 	}
 	r.candidates += len(p.cands)
 	r.annProbes += p.probes
-	r.blockSkips += p.skips
 	for _, key := range p.keys {
 		r.addToBlock(key, pos)
 	}

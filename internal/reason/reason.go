@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"scdb/internal/graph"
 	"scdb/internal/model"
@@ -76,6 +77,7 @@ type Reasoner struct {
 	counts  map[string]int
 	counted map[model.EntityID][]string
 	moved   map[string]bool
+	version atomic.Uint64 // materialization passes (Version)
 }
 
 // New creates a reasoner over the given graph and ontology. No inference
@@ -156,10 +158,16 @@ func (r *Reasoner) MaterializeEntities(ids []model.EntityID) Stats {
 		}
 	}
 	clear(r.moved)
+	r.version.Add(1)
 	s := r.totals
 	s.Entities = len(order)
 	return s
 }
+
+// Version counts materialization passes. A pass moves it last, under the
+// write lock, so a reader that sees the new count sees what the pass
+// inferred.
+func (r *Reasoner) Version() uint64 { return r.version.Load() }
 
 // dropLocked forgets every inference held for id.
 func (r *Reasoner) dropLocked(id model.EntityID) {

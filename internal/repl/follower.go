@@ -380,9 +380,6 @@ func (f *Follower) run(conn net.Conn, br *bufio.Reader, pending *server.V2ReplBa
 					f.setConn(nil)
 					return
 				}
-				if len(apply) > 0 {
-					f.db.InvalidateCaches()
-				}
 				f.applied.Store(f.db.CSN())
 			}
 			f.primaryW.Store(w)

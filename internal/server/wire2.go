@@ -443,99 +443,51 @@ func (e *V2Enc) rawBytes(b []byte) {
 	e.body = append(e.body, b...)
 }
 
-// valueModel writes one engine value with its kind byte.
+// valueModel writes one engine value with its kind byte (modelKindByte).
 func (e *V2Enc) valueModel(v model.Value) {
+	e.u8(modelKindByte(v))
 	switch v.Kind() {
-	case model.KindNull:
-		e.u8(v2kNull)
 	case model.KindBool:
-		b, _ := v.AsBool()
-		e.u8(v2kBool)
-		if b {
+		if b, _ := v.AsBool(); b {
 			e.u8(1)
 		} else {
 			e.u8(0)
 		}
 	case model.KindInt:
 		i, _ := v.AsInt()
-		e.u8(v2kInt)
 		e.u64le(uint64(i))
 	case model.KindFloat:
 		f, _ := v.AsFloat()
-		e.u8(v2kFloat)
 		e.f64(f)
 	case model.KindString:
 		s, _ := v.AsString()
-		e.u8(v2kStr)
 		e.str(s)
 	case model.KindTime:
 		t, _ := v.AsTime()
-		e.u8(v2kTime)
 		e.u64le(uint64(t.UnixNano()))
 	case model.KindBytes:
 		b, _ := v.AsBytes()
-		e.u8(v2kBytes)
 		e.rawBytes(b)
 	case model.KindRef:
 		id, _ := v.AsRef()
-		e.u8(v2kRef)
 		e.u64le(uint64(id))
 	case model.KindList:
 		l, _ := v.AsList()
-		e.u8(v2kList)
 		e.uvarint(uint64(len(l)))
 		for _, el := range l {
 			e.valueModel(el)
 		}
-	default:
-		e.u8(v2kNull)
 	}
 }
 
-// valueAny writes one public facade value with its kind byte.
+// valueAny writes one public facade value with its kind byte: the value
+// scdb.ToValue makes of it, as valueModel writes that.
 func (e *V2Enc) valueAny(v any) error {
-	switch v := v.(type) {
-	case nil:
-		e.u8(v2kNull)
-	case bool:
-		e.u8(v2kBool)
-		if v {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
-	case int:
-		e.u8(v2kInt)
-		e.u64le(uint64(int64(v)))
-	case int64:
-		e.u8(v2kInt)
-		e.u64le(uint64(v))
-	case float64:
-		e.u8(v2kFloat)
-		e.f64(v)
-	case string:
-		e.u8(v2kStr)
-		e.str(v)
-	case time.Time:
-		e.u8(v2kTime)
-		e.u64le(uint64(v.UnixNano()))
-	case []byte:
-		e.u8(v2kBytes)
-		e.rawBytes(v)
-	case scdb.EntityRef:
-		e.u8(v2kRef)
-		e.u64le(uint64(v))
-	case []any:
-		e.u8(v2kList)
-		e.uvarint(uint64(len(v)))
-		for _, el := range v {
-			if err := e.valueAny(el); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unsupported value type %T", v)
+	mv, err := scdb.ToValue(v)
+	if err != nil {
+		return err
 	}
+	e.valueModel(mv)
 	return nil
 }
 

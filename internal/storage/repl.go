@@ -349,6 +349,9 @@ func (s *Store) ApplyRepl(entries []ReplEntry, watermark CSN) error {
 			return err
 		}
 	}
+	if len(entries) > 0 {
+		defer s.installs.Add(1) // once the watermark is published below
+	}
 	for {
 		cur := s.csn.Load()
 		if cur >= uint64(watermark) || s.csn.CompareAndSwap(cur, uint64(watermark)) {

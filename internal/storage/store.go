@@ -118,6 +118,7 @@ type Store struct {
 	tables    map[string]*Table
 	csn       atomic.Uint64
 	schemaVer atomic.Uint64 // bumped on catalog changes; plan-cache key part
+	installs  atomic.Uint64 // bumped once a write's rows are visible (Installs)
 	wal       *wal          // nil when in-memory
 	dir       string
 
@@ -241,6 +242,11 @@ func (s *Store) next() CSN { return CSN(s.csn.Add(1)) }
 // (table creation, including during recovery). Query-plan caches key on it
 // so a schema change invalidates every cached plan.
 func (s *Store) SchemaVersion() uint64 { return s.schemaVer.Load() }
+
+// Installs counts the writes readers can see: it moves after a commit's
+// part leaves its table's latch and after a replicated batch's watermark
+// publishes, never before.
+func (s *Store) Installs() uint64 { return s.installs.Load() }
 
 // CreateTable creates a new empty table. It is an error if the name is
 // already taken.
@@ -402,6 +408,7 @@ func (t *Table) commitPart(csn CSN, part []batchEntry, recs []model.Record, slab
 		t.noteWriteLocked(RowID(m.rowID), recs[i], m.op == opInsert)
 	}
 	t.mu.Unlock()
+	t.store.installs.Add(1)
 	if w := t.store.wal; w != nil {
 		return w.logBatch(t.name, csn, part)
 	}

@@ -78,13 +78,10 @@ type Stats struct {
 
 // Manager coordinates transactions over one store. enrichVersion reports
 // the current version of the enrichment state (typically graph.Version +
-// ontology.Version); nil means "no semantic layers". committed, when set,
-// runs after every commit that installed a write, once the manager's lock
-// is released: the engine drops its cached answers there.
+// ontology.Version); nil means "no semantic layers".
 type Manager struct {
 	store         *storage.Store
 	enrichVersion func() uint64
-	committed     func()
 
 	mu     sync.Mutex
 	stats  Stats
@@ -93,8 +90,8 @@ type Manager struct {
 }
 
 // NewManager creates a transaction manager.
-func NewManager(store *storage.Store, enrichVersion func() uint64, committed func()) *Manager {
-	return &Manager{store: store, enrichVersion: enrichVersion, committed: committed, active: map[uint64]storage.CSN{}}
+func NewManager(store *storage.Store, enrichVersion func() uint64) *Manager {
+	return &Manager{store: store, enrichVersion: enrichVersion, active: map[uint64]storage.CSN{}}
 }
 
 // OldestSnapshot returns the oldest read snapshot among live transactions,
@@ -334,12 +331,7 @@ func (t *Txn) Commit() (CommitInfo, error) {
 		return CommitInfo{}, ErrDone
 	}
 	t.done = true
-	m := t.mgr
-	info, err := m.commit(t)
-	if err == nil && len(t.writes) > 0 && m.committed != nil {
-		m.committed()
-	}
-	return info, err
+	return t.mgr.commit(t)
 }
 
 func (m *Manager) commit(t *Txn) (CommitInfo, error) {

@@ -41,10 +41,6 @@ func (db *DB) ReplApply(entries []storage.ReplEntry, watermark uint64) error {
 // as fresh as the last refresh.
 func (db *DB) RefreshDerived() error { return db.inner.RefreshDerived() }
 
-// InvalidateCaches drops the materialization cache after replicated frames
-// land beneath the curation pipeline.
-func (db *DB) InvalidateCaches() { db.inner.InvalidateCaches() }
-
 // ERDigests exports the incremental cross-shard ER evidence past the given
 // watermarks: the entities this node's resolver has indexed and the
 // duplicate pairs it has accepted. The shard router pulls these after
