@@ -107,7 +107,7 @@ func TestPlanCacheCarriesMatKey(t *testing.T) {
 			t.Errorf("run %d: plan cached %v, result cached %v; want %+v", i, info.PlanCached, info.CacheHit, want)
 		}
 	}
-	pk, args, err := planKey(nil, nil, db.store.SchemaVersion(), db.onto.Version(), q)
+	pk, args, err := planKey(nil, nil, db.store.SchemaVersion(), db.base+db.onto.Version(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,6 +286,25 @@ func TestTransactionsWithEnrichmentChurn(t *testing.T) {
 	if st.EnrichmentAborts != 1 || st.Commits != 1 {
 		t.Errorf("txn stats = %+v", st)
 	}
+	// A rebuild does not replay predicted edges, so its graph counts fewer
+	// changes than the one it retires; to a transaction that read the
+	// semantic layers the rebuild is still enrichment moving on.
+	if n, err := db.EnrichPredictedLinks("treats", 1, 0.5); err != nil || n == 0 {
+		t.Fatalf("EnrichPredictedLinks: %d edges, %v", n, err)
+	}
+	tx3 := db.Begin(txn.Snapshot)
+	tx3.MarkSemanticRead()
+	tx4 := db.Begin(txn.EventualEnrichment)
+	tx4.MarkSemanticRead()
+	if err := db.RefreshDerived(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx3.Commit(); !errors.Is(err, txn.ErrEnrichmentPhantom) {
+		t.Errorf("across RefreshDerived: want enrichment phantom, got %v", err)
+	}
+	if info, err := tx4.Commit(); err != nil || info.EnrichmentStaleness == 0 {
+		t.Errorf("across RefreshDerived: staleness %d, %v", info.EnrichmentStaleness, err)
+	}
 }
 
 func TestRefreshRichnessFeedsFusion(t *testing.T) {

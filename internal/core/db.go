@@ -77,7 +77,7 @@ type Options struct {
 // DB is the self-curating database engine.
 //
 // Lock order: ingestMu → pipeline.mu → db.mu. Nothing acquires pipeline.mu
-// while holding db.mu (Stats reads the pipeline counters before taking
+// while holding db.mu (Stats reads the pipeline counters after releasing
 // db.mu), so curation can run outside the engine lock without deadlocking
 // against readers.
 type DB struct {
@@ -97,23 +97,17 @@ type DB struct {
 	opts     Options
 	// reg is the node's self-description (system.go).
 	reg *obs.Registry
-
-	// csrMu guards the cached traversal snapshot (OS.2): rebuilt lazily
-	// whenever the graph version moves.
-	csrMu sync.Mutex
-	csr   *graph.CSR
-
-	// tpMu guards the cached type-prediction model (FS.4/FS.5's PREDICT
-	// function), retrained lazily when the graph version moves.
-	tpMu  sync.Mutex
-	tp    *semantic.TypePredictor
-	tpVer uint64
 }
 
 // derived is what an engine derives from its store: the ontology, the
-// relation and semantic layers, the curation pipeline that keeps them, and
-// the claim worlds with their refiner. RefreshDerived swaps the whole set.
+// relation and semantic layers, the curation pipeline that keeps them, the
+// claim worlds with their refiner, and the memos read from its graph.
+// RefreshDerived swaps the whole set.
 type derived struct {
+	// base is what the set's clocks count on from: 0 at Open and, at
+	// RefreshDerived, the retiring set's clock + 1, so no clock over the
+	// derived layers (clock, enrichmentVersion, the plan key) goes back.
+	base     uint64
 	onto     *ontology.Ontology
 	graph    *graph.Graph
 	reasoner *reason.Reasoner
@@ -123,6 +117,27 @@ type derived struct {
 	// refresh numbers the newest richness refresh the worlds weigh by (0:
 	// none, fusion unweighted).
 	refresh int64
+	*memos
+}
+
+// memos are what reads compute from their set's graph and reuse while its
+// version stands; they go with the set.
+type memos struct {
+	// csrMu guards the traversal snapshot (OS.2).
+	csrMu sync.Mutex
+	csr   *graph.CSR
+	// tpMu guards the type-prediction model (FS.4/FS.5's PREDICT
+	// function).
+	tpMu  sync.Mutex
+	tp    *semantic.TypePredictor
+	tpVer uint64
+}
+
+// clock is the set's full clock: its base plus the graph's, ontology's and
+// reasoner's counters, each of which moves after the change it counts is
+// visible and only grows.
+func (d *derived) clock() uint64 {
+	return d.base + d.graph.Version() + d.onto.Version() + d.reasoner.Version()
 }
 
 // buildDerived is the one assembly of the derived layers, for Open and
@@ -132,7 +147,7 @@ type derived struct {
 // with its richness weights. The ontology is the stored axioms and the
 // seed, so a follower's refresh picks up what its primary was told.
 func buildDerived(store *storage.Store, opts Options) (derived, error) {
-	var d derived
+	d := derived{memos: new(memos)}
 	seed, err := ontology.Lines(opts.Axioms)
 	if err != nil {
 		return d, err
@@ -319,22 +334,22 @@ func (db *DB) typePredictor() *semantic.TypePredictor {
 }
 
 // enrichmentVersion is the combined clock of the relation and semantic
-// layers, watched by transaction validation (FS.11). The layer pointers
-// are read under db.mu because RefreshDerived swaps them wholesale; the
-// transaction manager calls this outside any engine lock.
+// layers, watched by transaction validation (FS.11): the set's base plus
+// the graph's and ontology's counters. The set is read under db.mu because
+// RefreshDerived swaps it wholesale; the transaction manager calls this
+// outside any engine lock.
 func (db *DB) enrichmentVersion() uint64 {
 	db.mu.RLock()
-	g, o := db.graph, db.onto
+	base, g, o := db.base, db.graph, db.onto
 	db.mu.RUnlock()
-	return g.Version() + o.Version()
+	return base + g.Version() + o.Version()
 }
 
 // answerVersion is the version a cached answer is valid at, read under
-// db.mu: four counters that each move after the change they count is
-// visible and only grow within one derived set, so equal sums mean no
-// layer moved.
+// db.mu: the store's installs and the derived set's clock, which only
+// grow, so equal sums mean nothing a statement reads moved.
 func (db *DB) answerVersion() uint64 {
-	return db.store.Installs() + db.graph.Version() + db.onto.Version() + db.reasoner.Version()
+	return db.store.Installs() + db.clock()
 }
 
 // Ingest runs a source delivery through the curation pipeline. The heavy
@@ -481,32 +496,30 @@ type Stats struct {
 	ER er.Stats
 }
 
-// Stats returns a snapshot. The pipeline counters are read before db.mu
-// (never under it — see the lock order on DB); the pipeline pointer itself
-// is fetched under db.mu because RefreshDerived swaps it.
+// Stats returns a snapshot of one derived set, copied under db.mu because
+// RefreshDerived swaps it. Its pipeline counters are read after db.mu is
+// released (never under it — see the lock order on DB).
 func (db *DB) Stats() Stats {
 	db.mu.RLock()
-	pipe := db.pipeline
-	db.mu.RUnlock()
-	ps := pipe.Stats()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rs := db.reasoner.Stats()
+	d := db.derived
+	rs := d.reasoner.Stats()
 	claims := 0
-	for _, c := range db.worlds.Conflicts() {
+	for _, c := range d.worlds.Conflicts() {
 		claims += len(c.Claims)
 	}
-	return Stats{
+	st := Stats{
 		Tables:          len(db.store.Tables()),
-		Entities:        db.graph.NumEntities(),
-		Edges:           db.graph.NumEdges(),
-		Concepts:        len(db.onto.Concepts()),
+		Entities:        d.graph.NumEntities(),
+		Edges:           d.graph.NumEdges(),
+		Concepts:        len(d.onto.Concepts()),
 		InferredTypes:   rs.InferredTypes,
 		Witnesses:       rs.Witnesses,
 		Inconsistencies: rs.Inconsistencies,
-		Merges:          ps.Merges,
 		Claims:          claims,
 		CacheHitRate:    db.matCache.Stats().HitRate(),
-		ER:              ps.ER,
 	}
+	db.mu.RUnlock()
+	ps := d.pipeline.Stats()
+	st.Merges, st.ER = ps.Merges, ps.ER
+	return st
 }

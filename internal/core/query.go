@@ -132,7 +132,7 @@ func (db *DB) read(ctx context.Context, src string, emit func([]string, [][]mode
 	var system bool
 	var keyBuf [256]byte
 	var argBuf [8]model.Value
-	pk, args, err := planKey(keyBuf[:0], argBuf[:0], db.store.SchemaVersion(), db.onto.Version(), src)
+	pk, args, err := planKey(keyBuf[:0], argBuf[:0], db.store.SchemaVersion(), db.base+db.onto.Version(), src)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -11,6 +11,14 @@ package core
 // SELECT-style reads over the instance layer are therefore always fresh
 // (MVCC at the applied watermark); entity/ontology-aware answers are as
 // fresh as the last refresh.
+//
+// A rebuilt set's counters start again, but its clocks do not: the set
+// carries a base, the retiring set's full clock + 1, that every clock over
+// the derived layers adds (derived.clock, enrichmentVersion, the plan
+// key's ontology component), and its memos start empty with it. So a
+// refresh only builds and swaps: no cache is dropped by hand, and a
+// transaction that read the semantic layers sees the rebuild as enrichment
+// moving on (FS.11), even when the rebuild has fewer edges to count.
 
 import "errors"
 
@@ -26,7 +34,9 @@ func (db *DB) ReadOnly() bool { return db.opts.ReadOnly }
 // ingestMu only — queries keep executing against the old layers — and the
 // swap takes db.mu exclusively, which waits out in-flight readers (every
 // query holds the read lock end to end), so no statement ever observes a
-// half-swapped engine.
+// half-swapped engine. The new set's base is the retiring set's clock + 1,
+// read under that lock, and its memos start empty, so nothing computed
+// over the old set is served over the new one.
 func (db *DB) RefreshDerived() error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
@@ -40,22 +50,9 @@ func (db *DB) RefreshDerived() error {
 	if err != nil {
 		return err
 	}
-
 	db.mu.Lock()
+	d.base = db.clock() + 1
 	db.derived = d
-	// The fresh graph, ontology and reasoner count from 0 again, so the
-	// cache's version restarts with them.
-	db.matCache.InvalidateAll()
-	// The fresh ontology's version counter can collide with a stale plan
-	// key's, so version keying alone cannot age those plans out.
-	db.plans.Clear()
 	db.mu.Unlock()
-
-	db.csrMu.Lock()
-	db.csr = nil
-	db.csrMu.Unlock()
-	db.tpMu.Lock()
-	db.tp, db.tpVer = nil, 0
-	db.tpMu.Unlock()
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"scdb/internal/curate"
 	"scdb/internal/model"
 	"scdb/internal/query"
 )
@@ -267,7 +268,7 @@ func TestPlanShapeDifferential(t *testing.T) {
 		pairs = append(pairs, [2]string{a, b})
 	}
 	key := func(db *DB, src string) (string, []model.Value) {
-		k, args, err := planKey(nil, nil, db.store.SchemaVersion(), db.onto.Version(), src)
+		k, args, err := planKey(nil, nil, db.store.SchemaVersion(), db.base+db.onto.Version(), src)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
@@ -285,14 +286,14 @@ func TestPlanShapeDifferential(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			db := dbs[par]
 			k1, args1 := key(db, p[1])
-			db.plans.Clear()
+			db.plans = query.NewShapeCache[*planEntry](query.ShapeCacheSize)
 			fresh0, _ := answer(db, p[0])
-			db.plans.Clear()
+			db.plans = query.NewShapeCache[*planEntry](query.ShapeCacheSize)
 			fresh1, _ := answer(db, p[1])
 			if par == 1 && p[0] != p[1] && !strings.HasPrefix(fresh1, "error: ") && strings.Count(fresh1, "\n") > 1 {
 				answered++
 			}
-			db.plans.Clear()
+			db.plans = query.NewShapeCache[*planEntry](query.ShapeCacheSize)
 			answer(db, p[0]) // plans the shape from p[0]
 			for _, src := range []struct{ text, fresh string }{{p[1], fresh1}, {p[0], fresh0}} {
 				got, info := answer(db, src.text)
@@ -322,8 +323,8 @@ func TestPlanShapeDifferential(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		mat.plans.Clear()
-		mat.matCache.InvalidateAll()
+		mat.plans = query.NewShapeCache[*planEntry](query.ShapeCacheSize)
+		mat.matCache = curate.NewMatCache(0, curate.PolicyRanked)
 		first, _ := answer(mat, p[0])
 		want, info := answer(mat, p[1])
 		if strings.HasPrefix(first, "error: ") || strings.HasPrefix(want, "error: ") {

@@ -161,16 +161,6 @@ func (c *MatCache) advanceLocked(ver uint64) {
 	}
 }
 
-// InvalidateAll clears the cache and restarts its version at 0, for a
-// caller whose version counters restart.
-func (c *MatCache) InvalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ver = 0
-	clear(c.entries)
-	c.lru.Init()
-}
-
 // Len returns the number of materialized entries.
 func (c *MatCache) Len() int {
 	c.mu.Lock()

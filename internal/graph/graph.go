@@ -317,9 +317,10 @@ func (g *Graph) NumEdges() int {
 }
 
 // Version returns the mutation counter; any mutation changes it. Snapshots
-// (CSR) record the version they were built at so staleness is detectable —
-// this is also the hook the transaction layer uses to detect enrichment
-// phantoms (FS.11).
+// (CSR) record the version they were built at so staleness is detectable.
+// It counts from 0 in each graph; the engine's clocks (the answer version
+// and the enrichment clock FS.11's transactions watch) add it to the base
+// of the derived set the graph belongs to.
 func (g *Graph) Version() uint64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()

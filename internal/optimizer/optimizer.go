@@ -754,7 +754,7 @@ func EstimateCard(n query.Node, opts Options) int {
 		return est
 	case *query.JoinNode:
 		l, r := EstimateCard(n.L, opts), EstimateCard(n.R, opts)
-		if _, _, ok := equiOn(n.On); ok {
+		if _, _, ok := query.EquiJoinCols(n.On); ok {
 			if l > r {
 				return l
 			}
@@ -796,19 +796,6 @@ func EstimateCard(n query.Node, opts Options) int {
 		return in
 	}
 	return 1000
-}
-
-func equiOn(on query.Expr) (l, r *query.ColRef, ok bool) {
-	b, isBin := on.(*query.Binary)
-	if !isBin || b.Op != "=" {
-		return nil, nil, false
-	}
-	lc, lok := b.L.(*query.ColRef)
-	rc, rok := b.R.(*query.ColRef)
-	if !lok || !rok {
-		return nil, nil, false
-	}
-	return lc, rc, true
 }
 
 // conjunctSelectivity estimates a single predicate's selectivity. ISA
@@ -854,7 +841,7 @@ func EstimateCost(n query.Node, opts Options) float64 {
 	}
 	// Nested-loop joins additionally pay the cross-product scan.
 	if j, ok := n.(*query.JoinNode); ok {
-		if _, _, isEqui := equiOn(j.On); !isEqui {
+		if _, _, isEqui := query.EquiJoinCols(j.On); !isEqui {
 			cost += float64(EstimateCard(j.L, opts)) * float64(EstimateCard(j.R, opts))
 		}
 	}

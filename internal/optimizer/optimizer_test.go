@@ -302,17 +302,56 @@ func TestOptimizedPlanStillCorrect(t *testing.T) {
 	}
 }
 
+// TestEquiJoinCostsTheJoinThatRuns: the cost model prices a join by the
+// executor's rule (query.EquiJoinCols). ON d.id = t.drug is hashed and
+// estimated at the larger side; ON id = drug runs as a nested loop and is
+// estimated at the cross product. Both answer alike.
+func TestEquiJoinCostsTheJoinThatRuns(t *testing.T) {
+	opts := defaultOpts() // drugs 500 rows, targets 50
+	var answers []string
+	for _, c := range []struct {
+		on   string
+		card int
+	}{{"d.id = t.drug", 500}, {"id = drug", 500 * 50}} {
+		p := plan(t, "SELECT name, gene FROM drugs AS d JOIN targets AS t ON "+c.on+" ORDER BY name, gene")
+		join := p
+		for ; join != nil; join = query.Children(join)[0] {
+			if _, ok := join.(*query.JoinNode); ok {
+				break
+			}
+		}
+		if got := EstimateCard(join, opts); got != c.card {
+			t.Errorf("ON %s: EstimateCard = %d, want %d", c.on, got, c.card)
+		}
+		res, _, err := query.ExecuteOpts(p, &execEnv{}, query.ExecOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("ON %s: %v", c.on, err)
+		}
+		answers = append(answers, fmt.Sprint(res.Rows))
+	}
+	if answers[0] != answers[1] || !strings.Contains(answers[0], "VKORC1") {
+		t.Errorf("the hashed join answers %s, the nested loop %s", answers[0], answers[1])
+	}
+}
+
 // execEnv is a minimal Env for the correctness check.
 type execEnv struct{}
 
 func (execEnv) ScanTable(name string, _ []model.Conjunct, size int) (query.ScanCursor, bool) {
-	if name != "drugs" {
-		return nil, false
+	switch name {
+	case "drugs":
+		return &query.RecordChunks{Recs: []model.Record{
+			{"name": model.String("Warfarin"), "dose": model.Float(5.1), "id": model.Ref(1)},
+			{"name": model.String("Inert"), "dose": model.Float(0.5), "id": model.Ref(2)},
+		}, Size: size}, true
+	case "targets":
+		return &query.RecordChunks{Recs: []model.Record{
+			{"drug": model.Ref(1), "gene": model.String("VKORC1")},
+			{"drug": model.Ref(1), "gene": model.String("CYP2C9")},
+			{"drug": model.Ref(3), "gene": model.String("ABCB1")},
+		}, Size: size}, true
 	}
-	return &query.RecordChunks{Recs: []model.Record{
-		{"name": model.String("Warfarin"), "dose": model.Float(5.1), "id": model.Ref(1)},
-		{"name": model.String("Inert"), "dose": model.Float(0.5), "id": model.Ref(2)},
-	}, Size: size}, true
+	return nil, false
 }
 func (execEnv) ScanConcept(string, bool, int) (query.ScanCursor, bool) { return nil, false }
 func (execEnv) ScanFunction(name string, _ []model.Value, _ int) (query.ScanCursor, error) {

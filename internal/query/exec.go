@@ -439,8 +439,10 @@ func (x *execCtx) buildProject(n *ProjectNode) (stream, []string, *OpStats, erro
 	return o, cols, st, nil
 }
 
-// equiJoinCols recognizes "a.x = b.y" predicates joining the two sides.
-func equiJoinCols(on Expr) (l, r *ColRef, ok bool) {
+// EquiJoinCols recognizes "a.x = b.y" predicates joining the two sides,
+// the joins the executor hashes; any other ON runs as a nested loop. The
+// cost model prices a join by the same rule.
+func EquiJoinCols(on Expr) (l, r *ColRef, ok bool) {
 	b, isBin := on.(*Binary)
 	if !isBin || b.Op != "=" {
 		return nil, nil, false
@@ -473,7 +475,7 @@ func (x *execCtx) buildJoin(n *JoinNode) (stream, []string, *OpStats, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if lc, rc, ok := equiJoinCols(n.On); ok {
+	if lc, rc, ok := EquiJoinCols(n.On); ok {
 		return x.buildHashJoin(st, lrows, rrows, lc, rc)
 	}
 	// Nested-loop join with three-valued predicate: stream the left side,

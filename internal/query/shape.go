@@ -149,13 +149,6 @@ func (c *ShapeCache[V]) Put(k string, v V) {
 	c.entries[k] = &shapeEntry[V]{val: v, lastUsed: c.tick}
 }
 
-// Clear drops every entry; the counters stay.
-func (c *ShapeCache[V]) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*shapeEntry[V])
-}
-
 // Stats reads the counters and the resident entry count.
 func (c *ShapeCache[V]) Stats() ShapeCacheStats {
 	c.mu.Lock()
