@@ -134,7 +134,7 @@ func TestUnifiedQueryAcrossLayers(t *testing.T) {
 }
 
 // explain answers q's EXPLAIN statement: the plan, its rewrites and cost.
-func explain(db *DB, q string) (*QueryInfo, error) {
+func explain(db *DB, q string) (QueryInfo, error) {
 	_, info, err := db.Query("EXPLAIN " + q)
 	return info, err
 }

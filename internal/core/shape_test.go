@@ -244,9 +244,9 @@ func bindPlan(n query.Node, args []model.Value) query.Node {
 func answer(db *DB, src string) (string, *QueryInfo) {
 	res, info, err := db.Query(src)
 	if err != nil {
-		return "error: " + err.Error(), info
+		return "error: " + err.Error(), nil
 	}
-	return renderRows(res), info
+	return renderRows(res), &info
 }
 
 // TestPlanShapeDifferential: a statement served by a plan another text of

@@ -46,32 +46,37 @@ type ExecOptions struct {
 	// scan cursors end, so a canceled or deadline-expired query frees its
 	// workers within one morsel boundary. Nil means Background.
 	Ctx context.Context
-	// EmitBatch switches ExecuteOpts to streaming delivery: result rows are
-	// handed to the sink in columnar batches as morsels drain off the
-	// pipeline, and the returned Result carries only the columns (Rows stays
-	// nil). cols is identical on every call. Returning false aborts the
-	// query with ErrEmitStopped. When the plan fixes no output schema
-	// (SELECT * over heterogeneous rows), rows are materialized first to
-	// union the columns, then emitted in morsel-size chunks. Emitted row
-	// slices must not be mutated by the sink.
-	EmitBatch func(cols []string, batch [][]model.Value) bool
+	// Sink switches ExecuteOpts to streaming delivery: result rows are
+	// handed to it in columnar batches as morsels drain off the pipeline,
+	// and the returned Result carries only the columns (Rows stays nil).
+	// When the plan fixes no output schema (SELECT * over heterogeneous
+	// rows), rows are materialized first to union the columns, then
+	// emitted in morsel-size chunks.
+	Sink BatchSink
 	// Args are the values of the plan's Params, by slot (AppendShape).
 	Args []model.Value
 }
 
-// ErrEmitStopped reports that an EmitBatch sink returned false: the query
-// was aborted mid-stream at the sink's request (typically a dead network
+// BatchSink receives a statement's rows in batches under the same cols;
+// returning false aborts it with ErrEmitStopped. A sink may keep a batch
+// and its rows but must not mutate them: the result cache may share them.
+type BatchSink interface {
+	EmitBatch(cols []string, batch [][]model.Value) bool
+}
+
+// ErrEmitStopped reports that a BatchSink returned false: the query was
+// aborted mid-stream at the sink's request (typically a dead network
 // connection), not by an engine failure.
 var ErrEmitStopped = errors.New("query: batch sink stopped consumption")
 
-// EmitChunks hands a materialized result to emit size rows at a time (0
-// means DefaultMorselSize) and returns ErrEmitStopped once emit says stop.
-func EmitChunks(cols []string, rows [][]model.Value, size int, emit func([]string, [][]model.Value) bool) error {
+// EmitChunks hands a materialized result to sink size rows at a time (0
+// means DefaultMorselSize) and returns ErrEmitStopped once sink says stop.
+func EmitChunks(cols []string, rows [][]model.Value, size int, sink BatchSink) error {
 	if size <= 0 {
 		size = DefaultMorselSize
 	}
 	for lo := 0; lo < len(rows); lo += size {
-		if !emit(cols, rows[lo:min(lo+size, len(rows))]) {
+		if !sink.EmitBatch(cols, rows[lo:min(lo+size, len(rows))]) {
 			return ErrEmitStopped
 		}
 	}
@@ -104,11 +109,11 @@ func ExecuteOpts(n Node, env Env, opts ExecOptions) (*Result, *OpStats, error) {
 		x.wg.Wait()
 		return nil, nil, err
 	}
-	if opts.EmitBatch != nil && cols != nil {
+	if opts.Sink != nil && cols != nil {
 		// Streaming delivery: the plan fixed its output schema, so each
 		// drained morsel can be materialized and emitted without waiting for
 		// the rest of the result.
-		err := emitStream(s, cols, opts.EmitBatch)
+		err := emitStream(s, cols, opts.Sink)
 		s.stop()
 		x.wg.Wait()
 		if err != nil {
@@ -129,7 +134,7 @@ func ExecuteOpts(n Node, env Env, opts ExecOptions) (*Result, *OpStats, error) {
 		// The plan's top produced raw rows (no projection) — normalize.
 		cols = unionColumns(rows)
 	}
-	if opts.EmitBatch != nil {
+	if opts.Sink != nil {
 		// Raw-row plan: columns are only known now, so stream the
 		// materialized result in morsel-size chunks.
 		for lo := 0; lo < len(rows); lo += size {
@@ -138,7 +143,7 @@ func ExecuteOpts(n Node, env Env, opts ExecOptions) (*Result, *OpStats, error) {
 			for _, r := range rows[lo:hi] {
 				batch = append(batch, materializeRow(cols, r))
 			}
-			if !opts.EmitBatch(cols, batch) {
+			if !opts.Sink.EmitBatch(cols, batch) {
 				return nil, st, ErrEmitStopped
 			}
 		}
@@ -189,7 +194,7 @@ func (r Row) display(col string) model.Value {
 
 // emitStream drains a stream morsel by morsel, materializing each against
 // the fixed column schema and handing it to the sink.
-func emitStream(s stream, cols []string, emit func([]string, [][]model.Value) bool) error {
+func emitStream(s stream, cols []string, sink BatchSink) error {
 	return pull(s, func(m morsel) error {
 		if len(m.rows) == 0 {
 			return nil
@@ -198,7 +203,7 @@ func emitStream(s stream, cols []string, emit func([]string, [][]model.Value) bo
 		for _, r := range m.rows {
 			batch = append(batch, materializeRow(cols, r))
 		}
-		if !emit(cols, batch) {
+		if !sink.EmitBatch(cols, batch) {
 			return ErrEmitStopped
 		}
 		return nil

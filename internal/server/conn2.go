@@ -52,8 +52,8 @@ type v2req struct {
 	// nil for other ops.
 	gone chan struct{}
 
-	// A streamed query's held-back batch frame (see emit), and a failed
-	// write, which stops the stream.
+	// A streamed query's held-back batch frame (see EmitBatch), and a
+	// failed write, which stops the stream.
 	held *V2Enc
 	werr error
 }
@@ -405,10 +405,11 @@ func (vc *v2conn) writeError(id uint32, code, msg string) error {
 	return vc.write(EncodeV2Error(e, id, code, msg))
 }
 
-// emit is a streamed query's batch callback: it encodes the batch, writes
-// the frame held back so far and holds this one back in its place, so the
-// final V2OpResult coalesces with the last batch into a single write.
-func (r *v2req) emit(_ []string, batch [][]model.Value) bool {
+// EmitBatch makes a streamed query's request its own query.BatchSink: it
+// encodes the batch, writes the frame held back so far and holds this one
+// back in its place, so the final V2OpResult coalesces with the last batch
+// into a single write.
+func (r *v2req) EmitBatch(_ []string, batch [][]model.Value) bool {
 	e := GetV2Enc()
 	EncodeV2RowBatch(e, r.f.ID, batch)
 	if r.held != nil {
@@ -520,7 +521,7 @@ func (s *Server) dispatchV2(req *v2req) (code, detail, errMsg string) {
 		}
 		defer s.admit.release()
 
-		cols, info, err := s.cfg.DB.QueryBatchesCtx(ctx, q, req.emit)
+		cols, info, err := s.cfg.DB.QueryBatchesCtx(ctx, q, req)
 		if req.werr != nil {
 			// The connection died mid-stream; there is nobody to answer.
 			return CodeCanceled, detail, "client stopped reading mid-stream"
@@ -538,7 +539,7 @@ func (s *Server) dispatchV2(req *v2req) (code, detail, errMsg string) {
 			c, msg := errorCode(err)
 			return fail(c, msg)
 		}
-		if vc.write(EncodeV2QueryResult(e, f.ID, cols, info)) != nil {
+		if vc.write(EncodeV2QueryResult(e, f.ID, cols, &info)) != nil {
 			return CodeCanceled, detail, "client gone before result"
 		}
 		return "", detail, ""

@@ -6,8 +6,8 @@ import (
 	"scdb"
 	"scdb/internal/curate"
 	"scdb/internal/er"
-	"scdb/internal/model"
 	"scdb/internal/obs"
+	"scdb/internal/query"
 	"scdb/internal/storage"
 )
 
@@ -22,7 +22,9 @@ type Engine interface {
 	// committed write. The router reports the sum of its shards' stamps,
 	// which is equally monotone.
 	CSN() uint64
-	QueryBatchesCtx(ctx context.Context, q string, emit func(cols []string, batch [][]model.Value) bool) ([]string, *scdb.QueryInfo, error)
+	// QueryBatchesCtx hands a statement's rows to sink (a request is its
+	// own) and its info back by value, so neither costs the request an object.
+	QueryBatchesCtx(ctx context.Context, q string, sink query.BatchSink) ([]string, scdb.QueryInfo, error)
 	// IngestDelivery curates one delivery as the stream decoded it
 	// (DecodeV2Arrivals): its attribute maps are the backend's from here
 	// on.

@@ -13,9 +13,14 @@ import (
 // server, with a new key each run so the result cache misses and the plan
 // cache hits the statement's shape, and a PingCSN. Both sides of the wire
 // count, so this holds the client's one round trip and the server's request
-// path to at most 42 objects a read and 4 a ping (go1.24/linux/amd64), a
-// tenth over what they cost, rounded up. A read costs 38 objects and a
-// ping 3. At commit fd1ce75 they cost 45 and 4: every request made a
+// path to at most 33 objects a read and 4 a ping (go1.24/linux/amd64), a
+// tenth over what they cost, rounded up. A read costs 30 objects and a
+// ping 3. At commit f250f80 a read cost 38: the server bound each request
+// as its sink's method value, the engine kept the streamed rows through a
+// closure, a heap-moved slice and a copy of the first batch, its info and
+// the server's copy of it were objects, and the client made the rows and
+// the info apart. At
+// commit fd1ce75 they cost 45 and 4: every request made a
 // context with its timer, timer func and cancel func, a closure for its
 // goroutine, a stream object and a copy of its statement. At commit
 // 0dc12f0 they cost 50 and 7: every call made its call
@@ -71,7 +76,7 @@ func TestNetworkReadAllocBudget(t *testing.T) {
 		budget, parent float64
 		commit         string
 	}{
-		{"point read", read, 42, 45, "fd1ce75"},
+		{"point read", read, 33, 38, "f250f80"},
 		{"PingCSN", func() {
 			if _, err := c.PingCSN(); err != nil {
 				t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 	"scdb"
 	"scdb/client"
-	"scdb/internal/model"
+	"scdb/internal/query"
 	"scdb/internal/server"
 	"scdb/internal/shard"
 )
@@ -27,7 +27,7 @@ type stallEngine struct {
 	left []time.Duration
 }
 
-func (e *stallEngine) QueryBatchesCtx(ctx context.Context, q string, emit func([]string, [][]model.Value) bool) ([]string, *scdb.QueryInfo, error) {
+func (e *stallEngine) QueryBatchesCtx(ctx context.Context, q string, sink query.BatchSink) ([]string, scdb.QueryInfo, error) {
 	if e.stalling.Load() {
 		d, ok := ctx.Deadline()
 		e.mu.Lock()
@@ -39,7 +39,7 @@ func (e *stallEngine) QueryBatchesCtx(ctx context.Context, q string, emit func([
 		e.mu.Unlock()
 		<-e.release
 	}
-	return e.DB.QueryBatchesCtx(ctx, q, emit)
+	return e.DB.QueryBatchesCtx(ctx, q, sink)
 }
 
 // serve runs a server over e and shuts it down with the test.

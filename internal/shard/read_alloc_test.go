@@ -14,9 +14,15 @@ import (
 // topology, with new literals each run so no result cache answers. Every
 // side of both wires counts: the client, the router's server, the router
 // and its shard clients, and the shards' servers and engines. A point read
-// costs 52 objects and the aggregate 208 (go1.24/linux/amd64); the budgets
+// costs 41 objects and the aggregate 184 (go1.24/linux/amd64); the budgets
 // are a tenth over, rounded up, as TestNetworkReadAllocBudget's. At commit
-// fd1ce75 they cost 66 and 236: every request on every hop, the router's
+// f250f80 they cost 52 and 208: on every hop the server bound the request
+// as its sink's method value and made the engine's info an object, every
+// shard's engine kept its streamed rows through a closure, a heap-moved
+// slice and a copy of the first batch and made its own info an object, the
+// router made an info per statement and moved the statement's lifted
+// values to the heap, and the client made the rows and the info apart. At
+// commit fd1ce75 they cost 66 and 236: every request on every hop, the router's
 // and each shard's, made a context with its timer, a closure for its
 // goroutine, a stream object and a copy of its statement. At commit
 // 0dc12f0 they cost 84 and 287: every call on every connection made its
@@ -77,13 +83,13 @@ func TestRoutedReadAllocBudget(t *testing.T) {
 		run            func()
 		budget, parent float64
 	}{
-		{"point read", point, 58, 66},
-		{"GROUP BY", agg, 229, 236},
+		{"point read", point, 46, 52},
+		{"GROUP BY", agg, 203, 208},
 	} {
 		allocs := testing.AllocsPerRun(runs, tc.run)
 		t.Logf("%s: %.0f objects", tc.name, allocs)
 		if allocs > tc.budget && !raceEnabled {
-			t.Errorf("%s allocates %.0f objects, budget %.0f; it cost %.0f at commit fd1ce75", tc.name, allocs, tc.budget, tc.parent)
+			t.Errorf("%s allocates %.0f objects, budget %.0f; it cost %.0f at commit f250f80", tc.name, allocs, tc.budget, tc.parent)
 		}
 	}
 }

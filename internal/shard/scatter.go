@@ -75,21 +75,23 @@ var ErrNotRoutable = errors.New("shard: statement is not routable")
 // quotient of their merged values.
 var merges = map[string]string{"COUNT": "SUM", "SUM": "SUM", "MIN": "MIN", "MAX": "MAX", "AVG": "/"}
 
-// emitFunc receives a result in batches; returning false stops the query.
-type emitFunc = func(cols []string, batch [][]model.Value) bool
-
 // QueryInfoCtx executes one SCQL statement across the cluster.
 func (r *Router) QueryInfoCtx(ctx context.Context, q string) (*scdb.Rows, *scdb.QueryInfo, error) {
-	rows := &scdb.Rows{}
-	cols, info, err := r.QueryBatchesCtx(ctx, q, func(_ []string, batch [][]model.Value) bool {
-		rows.Data = scdb.FromRows(rows.Data, batch)
-		return true
-	})
+	rows := &publicRows{}
+	cols, info, err := r.QueryBatchesCtx(ctx, q, rows)
 	if err != nil {
 		return nil, nil, err
 	}
 	rows.Columns = cols
-	return rows, info, nil
+	return &rows.Rows, &info, nil
+}
+
+// publicRows boxes each batch it is handed onto its rows.
+type publicRows struct{ scdb.Rows }
+
+func (p *publicRows) EmitBatch(_ []string, batch [][]model.Value) bool {
+	p.Data = scdb.FromRows(p.Data, batch)
+	return true
 }
 
 // route is a statement shape's decomposition: everything the router
@@ -126,27 +128,27 @@ const (
 )
 
 // QueryBatchesCtx executes one statement across the cluster and hands the
-// result to emit in batches of at most query.DefaultMorselSize rows — the
+// result to sink in batches of at most query.DefaultMorselSize rows — the
 // streaming shape the wire path encodes one frame per batch from. The
 // result is computed in full first (the router must see every shard's rows
-// to order them).
-func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols []string, batch [][]model.Value) bool) ([]string, *scdb.QueryInfo, error) {
+// to order them). Only a final phase copies the lifted literals' values.
+func (r *Router) QueryBatchesCtx(ctx context.Context, q string, sink query.BatchSink) ([]string, scdb.QueryInfo, error) {
 	var keyBuf [256]byte
 	var argBuf [8]model.Value
 	k, args, err := query.AppendShape(keyBuf[:0], argBuf[:0], q)
 	if err != nil {
-		return nil, nil, err
+		return nil, scdb.QueryInfo{}, err
 	}
 	rt, cached := r.routes.Get(k)
 	cacheable := false
 	if !cached {
 		if rt, cacheable, err = decompose(q); err != nil {
-			return nil, nil, err
+			return nil, scdb.QueryInfo{}, err
 		}
 	}
-	cols, info, err := r.run(ctx, rt, q, args, emit)
+	cols, info, err := r.run(ctx, rt, q, args, sink)
 	if err != nil {
-		return nil, nil, err
+		return nil, scdb.QueryInfo{}, err
 	}
 	if cacheable {
 		r.routes.Put(string(k), rt)
@@ -156,10 +158,10 @@ func (r *Router) QueryBatchesCtx(ctx context.Context, q string, emit func(cols [
 
 // run answers one text of rt's shape, args its lifted literals' values. A
 // plain statement carries no explanation, as on an engine.
-func (r *Router) run(ctx context.Context, rt *route, q string, args []model.Value, emit emitFunc) ([]string, *scdb.QueryInfo, error) {
+func (r *Router) run(ctx context.Context, rt *route, q string, args []model.Value, sink query.BatchSink) ([]string, scdb.QueryInfo, error) {
 	if rt.class == routeSystem {
-		cols, err := r.answerSystem(ctx, rt.stmt, args, emit)
-		return cols, &scdb.QueryInfo{}, err
+		cols, err := r.answerSystem(ctx, rt.stmt, args, sink)
+		return cols, scdb.QueryInfo{}, err
 	}
 	targets := r.all
 	if k, ok := operand(rt.key, args); ok {
@@ -174,10 +176,9 @@ func (r *Router) run(ctx context.Context, rt *route, q string, args []model.Valu
 		// with the rows a keyed statement really reads.
 		var a answer
 		if r.ask(ctx, q, targets[0], &a, nil); a.err != nil {
-			return nil, nil, a.err
+			return nil, scdb.QueryInfo{}, a.err
 		}
-		info := a.Info
-		return a.Columns, &info, query.EmitChunks(a.Columns, a.Rows, 0, emit)
+		return a.Columns, a.Info, query.EmitChunks(a.Columns, a.Rows, 0, sink)
 	}
 	r.scatterQueries.Add(1)
 	if rt.key != nil {
@@ -189,15 +190,15 @@ func (r *Router) run(ctx context.Context, rt *route, q string, args []model.Valu
 	}
 	res, err := r.fanout(ctx, ship, targets)
 	if err != nil {
-		return nil, nil, err
+		return nil, scdb.QueryInfo{}, err
 	}
 	var cols []string
 	if rt.class == routeAgg {
-		cols, err = rt.gatherAgg(ctx, res, args, emit)
+		cols, err = rt.gatherAgg(ctx, res, args, sink)
 	} else {
-		cols, err = rt.gatherRows(ctx, res, args, emit)
+		cols, err = rt.gatherRows(ctx, res, args, sink)
 	}
-	return cols, &scdb.QueryInfo{}, err
+	return cols, scdb.QueryInfo{}, err
 }
 
 // decompose parses q and derives its shape's route. cacheable reports
@@ -250,13 +251,13 @@ func decompose(q string) (rt *route, cacheable bool, err error) {
 
 // answerSystem runs a statement over the router's own system relations in
 // the ordinary executor, as the final phase runs gathered rows.
-func (r *Router) answerSystem(ctx context.Context, stmt *query.SelectStmt, args []model.Value, emit emitFunc) ([]string, error) {
+func (r *Router) answerSystem(ctx context.Context, stmt *query.SelectStmt, args []model.Value, sink query.BatchSink) ([]string, error) {
 	rels := core.SystemRelations(r.reg, stmt)
 	plan, err := query.BuildPlan(stmt, rels)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := query.ExecuteOpts(plan, rels, query.ExecOptions{Ctx: ctx, Parallelism: 1, Semantic: stmt.Semantics, EmitBatch: emit, Args: args})
+	res, _, err := query.ExecuteOpts(plan, rels, query.ExecOptions{Ctx: ctx, Parallelism: 1, Semantic: stmt.Semantics, Sink: sink, Args: slices.Clone(args)})
 	if err != nil {
 		return nil, err
 	}
@@ -462,8 +463,9 @@ const (
 )
 
 // finalPhase runs the statement's DISTINCT, ORDER BY and LIMIT over root in
-// the ordinary executor, its Params bound to args, and streams the result.
-func finalPhase(ctx context.Context, root query.Node, stmt *query.SelectStmt, args []model.Value, emit emitFunc) error {
+// the ordinary executor, its Params bound to a copy of args (the executor
+// keeps them), and streams the result.
+func finalPhase(ctx context.Context, root query.Node, stmt *query.SelectStmt, args []model.Value, sink query.BatchSink) error {
 	if stmt.Distinct {
 		root = &query.DistinctNode{Input: root}
 	}
@@ -473,7 +475,7 @@ func finalPhase(ctx context.Context, root query.Node, stmt *query.SelectStmt, ar
 	if stmt.Limit >= 0 {
 		root = &query.LimitNode{Input: root, N: stmt.Limit}
 	}
-	_, _, err := query.ExecuteOpts(root, nil, query.ExecOptions{Ctx: ctx, Parallelism: 1, EmitBatch: emit, Args: args})
+	_, _, err := query.ExecuteOpts(root, nil, query.ExecOptions{Ctx: ctx, Parallelism: 1, Sink: sink, Args: slices.Clone(args)})
 	return err
 }
 
@@ -551,17 +553,10 @@ func (rt *route) decomposeRows() error {
 }
 
 // gatherRows answers a selection without aggregation from the shards' rows.
-func (rt *route) gatherRows(ctx context.Context, res []answer, args []model.Value, emit emitFunc) ([]string, error) {
+func (rt *route) gatherRows(ctx context.Context, res []answer, args []model.Value, sink query.BatchSink) ([]string, error) {
 	stmt := rt.stmt
-	if hidden := rt.hidden; hidden > 0 {
-		visible := emit
-		emit = func(cols []string, batch [][]model.Value) bool {
-			out := make([][]model.Value, len(batch))
-			for i, row := range batch {
-				out[i] = row[:len(row)-hidden]
-			}
-			return visible(cols[:len(cols)-hidden], out)
-		}
+	if rt.hidden > 0 {
+		sink = &visibleSink{sink, rt.hidden}
 	}
 	// Result schema: a projection's labels are identical on every shard;
 	// SELECT * schemas are per-shard row unions, so the global schema is
@@ -588,9 +583,24 @@ func (rt *route) gatherRows(ctx context.Context, res []answer, args []model.Valu
 	// With none of the three clauses there is nothing to evaluate: a plan
 	// over the rows would be a bare RowsNode, which hands them on as they are.
 	if !stmt.Distinct && len(stmt.OrderBy) == 0 && stmt.Limit < 0 {
-		return cols, query.EmitChunks(cols, rows, 0, emit)
+		return cols, query.EmitChunks(cols, rows, 0, sink)
 	}
-	return cols[:len(cols)-rt.hidden], finalPhase(ctx, &query.RowsNode{Cols: cols, Rows: rows}, rt.final, args, emit)
+	return cols[:len(cols)-rt.hidden], finalPhase(ctx, &query.RowsNode{Cols: cols, Rows: rows}, rt.final, args, sink)
+}
+
+// visibleSink hands batches on without their trailing hidden ORDER BY key
+// columns.
+type visibleSink struct {
+	to     query.BatchSink
+	hidden int
+}
+
+func (s *visibleSink) EmitBatch(cols []string, batch [][]model.Value) bool {
+	out := make([][]model.Value, len(batch))
+	for i, row := range batch {
+		out[i] = row[:len(row)-s.hidden]
+	}
+	return s.to.EmitBatch(cols[:len(cols)-s.hidden], out)
 }
 
 // decomposeAgg decomposes an aggregation with the classic two-phase
@@ -707,14 +717,14 @@ func (rt *route) decomposeAgg() (cacheable bool, err error) {
 }
 
 // gatherAgg merges the shards' partial rows in the final phase.
-func (rt *route) gatherAgg(ctx context.Context, res []answer, args []model.Value, emit emitFunc) ([]string, error) {
+func (rt *route) gatherAgg(ctx context.Context, res []answer, args []model.Value, sink query.BatchSink) ([]string, error) {
 	rows, err := gather(res, rt.shipCols, false)
 	if err != nil {
 		return nil, err
 	}
 	agg := *rt.agg
 	agg.Input = &query.RowsNode{Cols: rt.shipCols, Rows: rows}
-	return rt.cols, finalPhase(ctx, &agg, rt.stmt, args, emit)
+	return rt.cols, finalPhase(ctx, &agg, rt.stmt, args, sink)
 }
 
 // holds reports whether e or any expression under it is a T.

@@ -565,6 +565,11 @@ func TestNotRoutable(t *testing.T) {
 	}
 }
 
+// sinkFunc is a function as a query.BatchSink.
+type sinkFunc func(cols []string, batch [][]model.Value) bool
+
+func (f sinkFunc) EmitBatch(cols []string, batch [][]model.Value) bool { return f(cols, batch) }
+
 // TestRoutedResultStreamsInMorsels is the frame-size regression: a routed
 // result several morsels long must reach the wire layer in batches of at
 // most one morsel (one frame each), on the concatenation path and on the
@@ -582,12 +587,12 @@ func TestRoutedResultStreamsInMorsels(t *testing.T) {
 	}
 	for _, q := range []string{"SELECT v FROM big", "SELECT v FROM big ORDER BY v DESC"} {
 		rows, batches, largest := 0, 0, 0
-		_, _, err := c.router.QueryBatchesCtx(context.Background(), q, func(_ []string, batch [][]model.Value) bool {
+		_, _, err := c.router.QueryBatchesCtx(context.Background(), q, sinkFunc(func(_ []string, batch [][]model.Value) bool {
 			rows += len(batch)
 			batches++
 			largest = max(largest, len(batch))
 			return true
-		})
+		}))
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
