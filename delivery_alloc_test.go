@@ -124,11 +124,12 @@ func TestDeliveryAllocBudget(t *testing.T) {
 
 // TestEntityHeapBudget is the heap gate for what curation keeps of an
 // entity: 100 in-memory deliveries of 200 entities, and the HeapInuse they
-// leave behind after a collection, per entity. The graph entity's
-// attributes are its stored row, not a second map: 1,790 to 1,860 bytes an
-// entity on go1.24/linux/amd64 over six runs, where a graph map of its own
-// beside the row kept 2,140 to 2,190. The race build's instrumentation
-// inflates the heap, so the gate runs without it.
+// leave behind after a collection, per entity: 1,620 to 1,650 bytes an
+// entity on go1.24/linux/amd64, where it was 1,790 to 1,860 while a trigram
+// was a uint64 and the resolver's union-find and ID index were maps, and
+// 2,140 to 2,190 while the graph entity kept a map of its own beside its
+// stored row. The race build's instrumentation inflates the heap, so the
+// gate runs without it.
 func TestEntityHeapBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race build's heap is not the one the budget measures")
@@ -153,7 +154,7 @@ func TestEntityHeapBudget(t *testing.T) {
 	runtime.KeepAlive(stream)
 	perEntity := float64(int64(after.HeapInuse)-int64(before.HeapInuse)) / (deliveries * per)
 	t.Logf("%d entities keep %.0f bytes of heap an entity", deliveries*per, perEntity)
-	if budget := 2000.0; perEntity > budget {
-		t.Errorf("curation keeps %.0f bytes of heap an entity, budget %.0f; a graph map of its own beside the stored row kept about 2,170", perEntity, budget)
+	if budget := 1800.0; perEntity > budget {
+		t.Errorf("curation keeps %.0f bytes of heap an entity, budget %.0f; 64-bit trigrams and map-based union-finds kept about 1,820", perEntity, budget)
 	}
 }

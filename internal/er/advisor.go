@@ -3,7 +3,9 @@ package er
 // EntityView is the read-only projection of a candidate entity handed to a
 // CurationAdvisor: the source name, the sorted deduplicated normalized
 // value tokens, and the normalized attribute texts sorted by name. The
-// slices are shared with the resolver's index and must not be mutated. The
+// slices are shared with the resolver's index and must not be mutated.
+// Inside an Exchange Attrs is nil: its advisor is always the
+// ThresholdAdvisor, which reads no attribute, so it keeps none. The
 // entity's graph ID is deliberately absent — pair review runs before the
 // arriving entity's ID is assigned on the parallel scoring path, and an
 // ID-dependent verdict would break the serial/parallel equivalence.

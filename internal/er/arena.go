@@ -2,7 +2,6 @@ package er
 
 import (
 	"sync"
-	"unicode/utf8"
 	"unsafe"
 )
 
@@ -32,7 +31,7 @@ type arena struct {
 	attrs []AttrText // an entity's attributes
 	strs  []string   // token sets: an entity's, and each value's tokens and digits
 	vals  []attrVal  // per-value derivations
-	tris  []uint64   // trigram sets
+	tris  []uint32   // trigram sets
 	vecs  []float32  // ANN embeddings
 }
 
@@ -40,10 +39,9 @@ type arena struct {
 // is taken.
 type need struct{ bytes, attrs, strs, vals, tris int }
 
-// value counts what deriving one attribute's text keeps. withTokens also
-// counts its fields as members of the entity's token set (a digest brings
-// its own).
-func (n *need) value(text string, withTokens bool) {
+// value counts what deriving one attribute's text keeps, its fields as
+// members of the entity's token set among it.
+func (n *need) value(text string) {
 	fs, digits := 0, 0
 	for f, i := nextField(text, 0); f != ""; f, i = nextField(text, i) {
 		fs++
@@ -51,13 +49,11 @@ func (n *need) value(text string, withTokens bool) {
 			digits++
 		}
 	}
-	if withTokens {
-		n.strs += fs
-	}
+	n.strs += fs
 	if len(text) >= minIdentifyingLen {
 		n.vals++
 		n.strs += fs + digits
-		n.tris += utf8.RuneCountInString(text) + 2
+		n.tris += trigramWords(text)
 	}
 }
 
@@ -69,7 +65,7 @@ type room struct {
 	attrs Attrs
 	strs  []string
 	vals  []attrVal
-	tris  []uint64
+	tris  []uint32
 }
 
 // carve cuts one entity's ranges, under one lock.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"scdb/internal/model"
@@ -24,7 +23,7 @@ func clobber(ix *indexed, vec []float32) {
 		v := &ix.vals[i]
 		_ = append(v.tokens, "\x00clobbered")
 		_ = append(v.digits, "\x00clobbered")
-		_ = append(v.tris, ^uint64(0))
+		_ = append(v.tris, ^uint32(0))
 	}
 	_ = append(vec, -2)
 }
@@ -55,10 +54,11 @@ func TestNoSharedRanges(t *testing.T) {
 	x := NewExchange(Config{Blocking: BlockingBoth})
 	digests := make([]Digest, n)
 	for i := range digests {
-		d := Digest{Source: "d", Key: fmt.Sprintf("d%d", i), Tokens: textbookSet(strings.Fields(randomText(rng)))}
+		d := Digest{Source: "d", Key: fmt.Sprintf("d%d", i)}
 		for _, name := range names[:rng.Intn(len(names)+1)] {
 			d.Attrs = append(d.Attrs, AttrText{Name: name, Text: textbookNormalize(randomText(rng))})
 		}
+		d.Tokens = textbookIndex(d.Attrs, nil, true).tokens
 		digests[i] = d
 		x.AddBatch(i%3, DigestBatch{Digests: []Digest{d}})
 	}
@@ -82,7 +82,7 @@ func TestNoSharedRanges(t *testing.T) {
 		}
 	}
 	for i, d := range digests {
-		want := textbookIndex(d.Attrs, d.Tokens, false)
+		want := textbookDigest(d)
 		if diff := sameIndex(&x.res.ents[i], &want); diff != "" {
 			t.Fatalf("digest %d (%q) after every append: %s", i, d.Attrs, diff)
 		}

@@ -27,3 +27,6 @@ func AwkwardResolver(mode BlockingMode) *Resolver {
 	r.Add(&model.Entity{ID: 99, Key: "bare", Source: "s", Attrs: model.Record{}})
 	return r
 }
+
+// RaceEnabled tells package er_test whether the race detector is on.
+const RaceEnabled = raceEnabled

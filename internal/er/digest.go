@@ -16,7 +16,9 @@ package er
 // candidate subsets when a block is split across shards; see DESIGN.md).
 
 import (
+	"strings"
 	"time"
+	"unsafe"
 
 	"scdb/internal/model"
 )
@@ -28,9 +30,10 @@ import (
 type Digest struct {
 	Source string
 	Key    string
-	// Tokens are the normalized, sorted, deduplicated value tokens — the
-	// blocking keys and the embedding both derive from them, so the
-	// receiver reconstructs candidate generation without further state.
+	// Tokens are the normalized, sorted, deduplicated value tokens, the
+	// fields of Attrs' texts — the blocking keys and the embedding both
+	// derive from them. An Exchange derives them again from the texts it
+	// keeps rather than keep these.
 	Tokens []string
 	// Attrs are the normalized attribute texts, sorted by name.
 	Attrs Attrs
@@ -101,26 +104,41 @@ func (r *Resolver) DigestsSince(entsSince, matchesSince int) DigestBatch {
 
 // refOf maps a graph ID back to its stable cross-process identity.
 func (r *Resolver) refOf(id model.EntityID) (RefKey, bool) {
-	pos, ok := r.byID[id]
-	if !ok {
+	if int(id) >= len(r.byID) || r.byID[id] == 0 {
 		return RefKey{}, false
 	}
-	ix := &r.ents[pos]
+	ix := &r.ents[r.byID[id]-1]
 	return RefKey{Source: ix.source, Key: ix.key}, true
 }
 
-// digestIndexed rebuilds the resolver's internal representation from a
-// digest: tokens and attrs arrive pre-normalized and are kept as they are
-// (a decoded batch caps each digest's at its length), so only the per-value
-// similarity derivations (vals, their tokens and trigram sets) are
-// recomputed, into ranges carved from the arena as index carves them.
-func digestIndexed(d Digest, a *arena) indexed {
-	ix := indexed{key: d.Key, source: d.Source, tokens: d.Tokens, attrs: d.Attrs}
-	var n need
-	for _, at := range ix.attrs {
-		n.value(at.Text, false)
+// digestIndexed indexes a digest as index indexes an entity, from texts
+// already in normal form: one carve from the arena holds the key and the
+// attribute texts, as one string, and what derive makes of the texts, the
+// token set among it, which is the digest's Tokens for every digest a
+// resolver exports. So the entity keeps nothing of the digest, whose strings
+// may pin a decoded frame, but source, which the caller owns. An exchange's
+// advisor is the threshold one, which reads no attribute, so the entity
+// keeps no attrs either.
+func digestIndexed(d Digest, source string, a *arena) indexed {
+	n := need{bytes: len(d.Key)}
+	for _, at := range d.Attrs {
+		n.bytes += len(at.Text)
+		n.value(at.Text)
 	}
-	ix.derive(a.carve(n), false)
+	rm := a.carve(n)
+	b := append(rm.bytes, d.Key...)
+	for _, at := range d.Attrs {
+		b = append(b, at.Text...)
+	}
+	norm := unsafe.String(unsafe.SliceData(b), len(b))
+	ix := indexed{key: norm[:len(d.Key)], source: source}
+	var tbuf [8]AttrText
+	texts, off := tbuf[:0], len(d.Key)
+	for _, at := range d.Attrs {
+		texts = append(texts, AttrText{Text: norm[off : off+len(at.Text)]})
+		off += len(at.Text)
+	}
+	ix.derive(rm, texts)
 	return ix
 }
 
@@ -137,21 +155,27 @@ func digestIndexed(d Digest, a *arena) indexed {
 // lose without the exchange — the correction the router applies to the
 // summed per-shard entity counts.
 //
+// A digest is indexed as a shard indexes an entity (digestIndexed), so the
+// exchange holds no decoded frame: its keys are carved from the resolver's
+// arena and its source names are held once each, in sources.
+//
 // Exchange is not goroutine-safe; the router serializes AddBatch and
 // Stats under its own mutex.
 type Exchange struct {
-	res     *Resolver      // entity i is the digest at position i, under ID xid(i)
-	byRef   map[RefKey]int // digest identity → position
+	res     *Resolver         // entity i is the digest at position i, under ID xid(i)
+	byRef   map[RefKey]int    // digest identity → position
+	sources map[string]string // each source name → the exchange's copy
 	ufLocal *UnionFind
 }
 
 // NewExchange creates an exchange. Pass the settings the shards report
 // (DigestBatch.Settings) so candidate generation agrees across the
-// boundary.
+// boundary. Its advisor is the ThresholdAdvisor whatever cfg names, as a
+// shard's is.
 func NewExchange(cfg Config) *Exchange {
-	res := NewResolver(cfg)
+	res := NewResolver(Config{Blocking: cfg.Blocking, DisableBlocking: cfg.DisableBlocking})
 	res.never = func(a, b *indexed) bool { return a.shard == b.shard || a.source == b.source }
-	return &Exchange{res: res, byRef: map[RefKey]int{}, ufLocal: NewUnionFind()}
+	return &Exchange{res: res, byRef: map[RefKey]int{}, sources: map[string]string{}, ufLocal: NewUnionFind()}
 }
 
 // xid maps an element position to its synthetic union-find ID.
@@ -179,15 +203,19 @@ func (x *Exchange) AddBatch(shard int, b DigestBatch) {
 // addDigest resolves one digest against the other shards' digests and
 // returns its position; a digest already seen keeps its position.
 func (x *Exchange) addDigest(shard int, d Digest) int {
-	ref := RefKey{Source: d.Source, Key: d.Key}
-	if pos, ok := x.byRef[ref]; ok {
+	if pos, ok := x.byRef[RefKey{Source: d.Source, Key: d.Key}]; ok {
 		return pos
 	}
-	ix := digestIndexed(d, &x.res.arena)
+	source, ok := x.sources[d.Source]
+	if !ok {
+		source = strings.Clone(d.Source)
+		x.sources[source] = source
+	}
+	ix := digestIndexed(d, source, &x.res.arena)
 	ix.shard = shard
 	pos := len(x.res.ents)
 	x.res.Commit(x.res.prepare(ix, time.Now()), xid(pos))
-	x.byRef[ref] = pos
+	x.byRef[RefKey{Source: ix.source, Key: ix.key}] = pos
 	x.ufLocal.Find(xid(pos))
 	return pos
 }
@@ -223,12 +251,11 @@ type ExchangeStats struct {
 	CrossMerges int
 }
 
-// Stats computes the current counters. Cluster counting walks every
-// element (near-linear with union-find compression).
+// Stats snapshots the current counters; the cluster counts are the two
+// union-finds' running set counts.
 func (x *Exchange) Stats() ExchangeStats {
 	rs := x.res.Stats()
-	local := x.countClusters(x.ufLocal)
-	all := x.countClusters(x.res.uf)
+	local, all := x.ufLocal.Sets(), x.res.uf.Sets()
 	return ExchangeStats{
 		Digests:     len(x.res.ents),
 		Comparisons: rs.Comparisons,
@@ -239,12 +266,4 @@ func (x *Exchange) Stats() ExchangeStats {
 		Clusters:    all,
 		CrossMerges: local - all,
 	}
-}
-
-func (x *Exchange) countClusters(uf *UnionFind) int {
-	roots := map[model.EntityID]bool{}
-	for pos := range x.res.ents {
-		roots[uf.Find(xid(pos))] = true
-	}
-	return len(roots)
 }

@@ -3,11 +3,14 @@ package er_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"scdb/internal/er"
+	"scdb/internal/model"
 	"scdb/internal/server"
 )
 
@@ -98,5 +101,69 @@ func TestDigestBatchCarriesSettings(t *testing.T) {
 		if got, err := decodeReply(payload); err == nil || !strings.Contains(err.Error(), "blocking mode") {
 			t.Errorf("an unknown blocking mode decoded to %+v, %v", got, err)
 		}
+	}
+}
+
+// TestExchangeHeapBudget bounds the heap an exchange keeps a digest. One
+// shard's resolver indexes 20,000 entities of one source, shaped as the
+// standing benchmark's read corpus has them (a three-word name, a slot, a
+// region, a price and a quantity); the exchange then pulls their digests in
+// ten batches, each through EncodeV2DigestsResult and the wire decode as a
+// router pulls them, so that whatever of a decoded frame the exchange keeps
+// counts. The measure is HeapInuse after a collection, less before the
+// exchange was made, a digest: 1,000–1,060 bytes, where it was 1,420–1,460
+// while the exchange kept each digest's decoded tokens, attributes and
+// strings, and with them the frame's slabs and intern table, and a trigram
+// was a uint64. The race build's instrumentation inflates the heap, so the
+// budget holds without it.
+func TestExchangeHeapBudget(t *testing.T) {
+	if er.RaceEnabled {
+		t.Skip("the race build's heap is not the one the budget measures")
+	}
+	const n, pulls = 20000, 10
+	rng := rand.New(rand.NewSource(62))
+	vocab := make([]string, 5000)
+	for i := range vocab {
+		b := make([]byte, 4+rng.Intn(6))
+		for j := range b {
+			b[j] = byte('a' + rng.Intn(26))
+		}
+		vocab[i] = string(b)
+	}
+	shard := er.NewResolver(er.Config{})
+	for i := 0; i < n; i++ {
+		shard.Add(&model.Entity{ID: model.EntityID(i + 1), Key: fmt.Sprintf("it-%07d", i), Source: "items", Attrs: model.Record{
+			"name":   model.String(vocab[rng.Intn(len(vocab))] + " " + vocab[rng.Intn(len(vocab))] + " " + vocab[rng.Intn(len(vocab))]),
+			"slot":   model.Int(int64(i)),
+			"region": model.String(fmt.Sprintf("reg%02d", rng.Intn(50))),
+			"price":  model.Float(float64(100+rng.Intn(99900)) / 100),
+			"qty":    model.Int(int64(1 + rng.Intn(100))),
+		}})
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x := er.NewExchange(er.Config{})
+	for ents, matches := 0, 0; ents < n; {
+		b := shard.DigestsSince(ents, matches)
+		b.Digests = b.Digests[:min(len(b.Digests), n/pulls)]
+		got, err := decodeReply(replyPayload(t, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.AddBatch(0, *got)
+		ents, matches = ents+len(got.Digests), got.Matches
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(x)
+	runtime.KeepAlive(shard)
+	if st := x.Stats(); st.Digests != n {
+		t.Fatalf("the exchange holds %d digests, want %d", st.Digests, n)
+	}
+	perDigest := float64(int64(after.HeapInuse)-int64(before.HeapInuse)) / n
+	t.Logf("an exchange of %d digests keeps %.0f bytes of heap a digest", n, perDigest)
+	if budget := 1170.0; perDigest > budget {
+		t.Errorf("an exchange keeps %.0f bytes of heap a digest, budget %.0f", perDigest, budget)
 	}
 }

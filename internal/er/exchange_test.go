@@ -1,6 +1,8 @@
 package er
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"scdb/internal/model"
@@ -163,4 +165,100 @@ func TestNoEvidenceNeverMatches(t *testing.T) {
 			t.Errorf("%s: two placeholder digests merged across shards", name)
 		}
 	}
+}
+
+// TestExchangeCountsMatchRecount: Stats reads Clusters and CrossMerges off
+// the two union-finds' running set counts. Over seeded AddBatch histories —
+// three shards' digests pulled past their watermarks, with the shards' local
+// merges, a merge naming a digest not yet seen (whose entity a shard indexes
+// later) and batches re-pulled from watermark zero — both equal a recount
+// over every digest: the clusters of the local merges alone, and of those
+// with the pairs the exchange accepted.
+func TestExchangeCountsMatchRecount(t *testing.T) {
+	names := []string{"methotrexate", "methotrexat", "warfarin sodium", "ibuprofen advil", "kelp sensor unit", "harbour station"}
+	sources := []string{"a", "b", "c", "d"}
+	crossed, ghosts, merges := 0, 0, 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x := NewExchange(Config{})
+		shards := []*Resolver{NewResolver(Config{}), NewResolver(Config{}), NewResolver(Config{})}
+		marks := make([]DigestBatch, len(shards))
+		var local [][2]RefKey
+		var refs []RefKey
+		keys := 0
+		next := func() RefKey { return RefKey{Source: sources[keys%len(sources)], Key: fmt.Sprintf("k%d", keys)} }
+		for step := 0; step < 40; step++ {
+			s := rng.Intn(len(shards))
+			var b DigestBatch
+			switch rng.Intn(5) {
+			case 0:
+				b = shards[s].DigestsSince(0, 0)
+			case 1:
+				if len(refs) == 0 {
+					continue
+				}
+				b = DigestBatch{Merges: [][2]RefKey{{next(), refs[rng.Intn(len(refs))]}}}
+				ghosts++
+			default:
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					ref := next()
+					keys++
+					e := &model.Entity{
+						ID: model.EntityID(len(shards[s].ents) + 1), Key: ref.Key, Source: ref.Source,
+						Attrs: model.Record{"name": model.String(names[rng.Intn(len(names))])},
+					}
+					shards[s].Add(e)
+					refs = append(refs, ref)
+				}
+				b = shards[s].DigestsSince(marks[s].Ents, marks[s].Matches)
+				marks[s] = b
+			}
+			x.AddBatch(s, b)
+			local = append(local, b.Merges...)
+			merges += len(b.Merges)
+
+			clusters, cross := recountClusters(x, local)
+			if st := x.Stats(); st.Clusters != clusters || st.CrossMerges != cross {
+				t.Fatalf("seed %d step %d: clusters %d and cross merges %d, a recount finds %d and %d", seed, step, st.Clusters, st.CrossMerges, clusters, cross)
+			}
+			crossed += cross
+		}
+	}
+	if crossed == 0 || ghosts == 0 || merges == ghosts {
+		t.Fatalf("the histories made %d cross merges, %d local merges and %d merges naming an unseen digest; they test nothing", crossed, merges-ghosts, ghosts)
+	}
+}
+
+// recountClusters counts the exchange's clusters afresh, by relabelling:
+// every digest starts alone, each local merge joins two labels and each
+// accepted pair then joins two more.
+func recountClusters(x *Exchange, local [][2]RefKey) (clusters, crossMerges int) {
+	label := make([]int, len(x.res.ents))
+	for i := range label {
+		label[i] = i
+	}
+	join := func(a, b int) {
+		from, to := label[b], label[a]
+		for i, l := range label {
+			if l == from {
+				label[i] = to
+			}
+		}
+	}
+	count := func() int {
+		seen := map[int]bool{}
+		for _, l := range label {
+			seen[l] = true
+		}
+		return len(seen)
+	}
+	for _, m := range local {
+		join(x.byRef[m[0]], x.byRef[m[1]])
+	}
+	alone := count()
+	for _, m := range x.res.Matches() {
+		join(int(m.A)-1, int(m.B)-1)
+	}
+	clusters = count()
+	return clusters, alone - clusters
 }

@@ -36,13 +36,13 @@ func checkKernel(t *testing.T, a, b string) {
 			m.build(x)
 			want := textbookLevenshtein(x, y)
 			for _, limit := range []int{0, want - 1, want, want + 1, math.MaxInt} {
-				got := m.distance(y, vy.runes, limit)
+				got := m.distance(y, int(vy.runes), limit)
 				if want <= limit && got != want || want > limit && got <= limit {
 					t.Errorf("distance(%q, %q) under limit %d = %d, textbook %d", x, y, limit, got, want)
 				}
 			}
 		}
-		exactTris := jaccard(vx.tris, vy.tris, 0)
+		exactTris := trigramJaccard(&vx, &vy, 0)
 		if want := textbookJaccard(textbookTrigrams(x), textbookTrigrams(y)); exactTris != want {
 			t.Errorf("trigram jaccard(%q, %q) = %v, textbook %v", x, y, exactTris, want)
 		}
@@ -51,7 +51,7 @@ func checkKernel(t *testing.T, a, b string) {
 			t.Errorf("StringSim(%q, %q) = %v, textbook %v", x, y, exact, want)
 		}
 		checkFloored(t, fmt.Sprintf("trigram jaccard(%q, %q)", x, y), exactTris, func(floor float64) float64 {
-			return jaccard(vx.tris, vy.tris, floor)
+			return trigramJaccard(&vx, &vy, floor)
 		})
 		nx, ny := Normalize(x), Normalize(y)
 		nvx, _, _ := deriveVal(nx, nil, nil)
@@ -125,6 +125,12 @@ var kernelPairs = [][2]string{
 	{"überwachungsstation", "uberwachungsstation"}, {"καλημέρα κόσμε", "καλημερα κοσμε"},
 	{"東京都港区", "東京都渋谷区"}, {"𐐨𐐩𐐪𐐫 𐐬𐐭", "𐐨𐐩𐐫𐐪 𐐬𐐭"}, {"𝐀𝐁𝐂 abc", "𝐀𝐁𝐃 abc"},
 	{"a\xffb", "a\xfeb"}, {"\xff\xff\xff", "�"},
+	// A value of narrow runes only (all below U+0400) against one that mixes
+	// in wide ones, runes either side of the bound, and two mixed values
+	// whose wide trigrams share their low words: the narrow and the wide
+	// trigram sets meet apart, and a wide one is its whole key.
+	{"zhukov", "zhukov жуков"}, {"tokyo tower", "tokyo 東京 tower"}, {"bold b", "bold 𝐁 b"},
+	{"ϿϿϿ ab", "ϿЀϿ ab"}, {"zhukov жуков", "zhukov жукова"},
 	// Digit tokens are identifiers: disagreeing ones withhold the fuzzy
 	// measures, agreeing ones do not.
 	{"sensor unit 0033", "sensor unit 0054"}, {"sensor unit 0033", "sensr unit 0033"},

@@ -55,9 +55,12 @@ func textbookSet(xs []string) []string {
 	return out
 }
 
-// textbookVal derives one value as attrVal holds it.
+// textbookVal derives one value as attrVal holds it. Its trigrams are
+// 63-bit keys, 21 bits a rune, packed as attrVal packs them: those of three
+// runes below U+0400 in 30 bits, first, and every other as its key's high
+// and low words.
 func textbookVal(text string) attrVal {
-	v := attrVal{text: text, runes: len([]rune(text)), tokens: textbookSet(strings.Fields(text))}
+	v := attrVal{text: text, runes: int32(len([]rune(text))), tokens: textbookSet(strings.Fields(text))}
 	for _, t := range v.tokens {
 		if strings.ContainsAny(t, "0123456789") {
 			v.digits = append(v.digits, t)
@@ -68,11 +71,37 @@ func textbookVal(text string) attrVal {
 		r := []rune(tri)
 		set[uint64(r[0])<<42|uint64(r[1])<<21|uint64(r[2])] = true
 	}
+	var keys []uint64
 	for w := range set {
-		v.tris = append(v.tris, w)
+		keys = append(keys, w)
 	}
-	slices.Sort(v.tris)
+	slices.Sort(keys)
+	narrow := func(w uint64) bool { return w>>42 < 0x400 && w>>21&0x1fffff < 0x400 && w&0x1fffff < 0x400 }
+	for _, w := range keys {
+		if narrow(w) {
+			v.tris = append(v.tris, uint32(w>>42)<<20|uint32(w>>21&0x1fffff)<<10|uint32(w&0x1fffff))
+			v.narrow++
+		}
+	}
+	for _, w := range keys {
+		if !narrow(w) {
+			v.tris = append(v.tris, uint32(w>>32), uint32(w))
+		}
+	}
 	return v
+}
+
+// trigramKeys decodes a value's packed trigram set back to 63-bit keys, in
+// the order it holds them: the narrow ones, then the wide ones.
+func trigramKeys(v *attrVal) []uint64 {
+	var keys []uint64
+	for _, k := range v.tris[:v.narrow] {
+		keys = append(keys, uint64(k>>20)<<42|uint64(k>>10&0x3ff)<<21|uint64(k&0x3ff))
+	}
+	for i := int(v.narrow); i+1 < len(v.tris); i += 2 {
+		keys = append(keys, uint64(v.tris[i])<<32|uint64(v.tris[i+1]))
+	}
+	return keys
 }
 
 // textbookIndex is index as the textbook derives it. withTokens is false
@@ -92,6 +121,15 @@ func textbookIndex(attrs Attrs, tokens []string, withTokens bool) indexed {
 	return ix
 }
 
+// textbookDigest is what an exchange keeps of a digest: the textbook index
+// of its texts, whose token set is the one a resolver exports with them
+// (Digest.Tokens), and no attrs.
+func textbookDigest(d Digest) indexed {
+	ix := textbookIndex(d.Attrs, d.Tokens, false)
+	ix.attrs = nil
+	return ix
+}
+
 // textbookAttrs normalizes an entity's attributes one value at a time.
 func textbookAttrs(e *model.Entity) Attrs {
 	var attrs Attrs
@@ -106,7 +144,8 @@ func textbookAttrs(e *model.Entity) Attrs {
 
 // sameIndex reports how got differs from want, or "" when the attributes,
 // the token set and every value's text, rune count, tokens, digits and
-// trigrams are equal.
+// trigrams are equal, the trigrams compared as 63-bit keys decoded from the
+// packed set.
 func sameIndex(got, want *indexed) string {
 	switch {
 	case !slices.Equal(got.attrs, want.attrs):
@@ -119,8 +158,9 @@ func sameIndex(got, want *indexed) string {
 	for i := range got.vals {
 		g, w := &got.vals[i], &want.vals[i]
 		if g.text != w.text || g.runes != w.runes || !slices.Equal(g.tokens, w.tokens) ||
-			!slices.Equal(g.digits, w.digits) || !slices.Equal(g.tris, w.tris) {
-			return fmt.Sprintf("val %d = %+v, want %+v", i, *g, *w)
+			!slices.Equal(g.digits, w.digits) || g.narrow != w.narrow || len(g.tris) != len(w.tris) ||
+			!slices.Equal(trigramKeys(g), trigramKeys(w)) {
+			return fmt.Sprintf("val %d = %+v with trigrams %x, want %+v with %x", i, *g, trigramKeys(g), *w, trigramKeys(w))
 		}
 	}
 	return ""
@@ -151,7 +191,8 @@ func randomText(rng *rand.Rand) string {
 // compared, so an arena one entity's slices share with another's, or an
 // append that writes into a neighbour's range, shows as a mismatch. The
 // digests' texts are raw, not normal forms, so they reach the field
-// splitter with every space rune. Each entity is also indexed as its
+// splitter with every space rune, and each digest's token set is the one a
+// resolver exports with its texts, which the exchange derives again. Each entity is also indexed as its
 // stored row, with _key and _types beside its attributes, by a resolver of
 // its own, and must index exactly as without them.
 func TestIndexMatchesReference(t *testing.T) {
@@ -190,7 +231,7 @@ func TestIndexMatchesReference(t *testing.T) {
 	x := NewExchange(Config{})
 	digests := make([]Digest, n)
 	for i := range digests {
-		d := Digest{Source: "d", Key: fmt.Sprintf("d%d", i), Tokens: textbookSet(strings.Fields(randomText(rng)))}
+		d := Digest{Source: "d", Key: fmt.Sprintf("d%d", i)}
 		for j, name := range names[:rng.Intn(len(names)+1)] {
 			if text := randomText(rng); j%2 == 0 {
 				d.Attrs = append(d.Attrs, AttrText{Name: name, Text: text})
@@ -198,6 +239,7 @@ func TestIndexMatchesReference(t *testing.T) {
 				d.Attrs = append(d.Attrs, AttrText{Name: name, Text: textbookNormalize(text)})
 			}
 		}
+		d.Tokens = textbookIndex(d.Attrs, nil, true).tokens
 		digests[i] = d
 		x.AddBatch(i%3, DigestBatch{Digests: []Digest{d}})
 	}
@@ -212,7 +254,7 @@ func TestIndexMatchesReference(t *testing.T) {
 		}
 	}
 	for i, d := range digests {
-		want := textbookIndex(d.Attrs, d.Tokens, false)
+		want := textbookDigest(d)
 		if diff := sameIndex(&x.res.ents[i], &want); diff != "" {
 			t.Fatalf("digestIndexed(%q): %s", d.Attrs, diff)
 		}

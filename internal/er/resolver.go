@@ -137,7 +137,7 @@ type Resolver struct {
 	blocks  map[string]block // blocking key → its postings
 	slab    []int32          // unused room small blocks are carved from
 	ents    []indexed
-	byID    map[model.EntityID]int
+	byID    []int32 // an ID's position in ents plus one, 0 for none; IDs are dense
 	uf      *UnionFind
 	ann     *annIndex
 	matches []Match
@@ -184,7 +184,6 @@ func NewResolver(cfg Config) *Resolver {
 	r := &Resolver{
 		cfg:    cfg,
 		blocks: make(map[string]block),
-		byID:   make(map[model.EntityID]int),
 		uf:     NewUnionFind(),
 	}
 	if t, ok := cfg.Advisor.(ThresholdAdvisor); ok {
@@ -270,7 +269,7 @@ func index(e *model.Entity, a *arena) indexed {
 	for _, p := range ps {
 		if p.hi > p.lo {
 			n.attrs++
-			n.value(unsafe.String(&buf[p.lo], p.hi-p.lo), true)
+			n.value(unsafe.String(&buf[p.lo], p.hi-p.lo))
 		}
 	}
 	if n.attrs == 0 {
@@ -285,31 +284,27 @@ func index(e *model.Entity, a *arena) indexed {
 			ix.attrs = append(ix.attrs, AttrText{Name: p.name, Text: norm[p.lo:p.hi]})
 		}
 	}
-	ix.derive(rm, true)
+	ix.derive(rm, ix.attrs)
 	return ix
 }
 
-// derive fills ix.vals from ix.attrs, and ix.tokens too when withTokens is
-// set (a digest brings its own), in rm, carved to what need.value counted
-// for the same attrs: the token range holds every identifying value's tokens
-// and digits and then the entity's token set, the trigram range every
-// identifying value's trigrams. A non-identifying value's fields are in the
-// token range only as members of the entity's token set.
-func (ix *indexed) derive(rm room, withTokens bool) {
+// derive fills ix.vals and ix.tokens from the texts of attrs, in rm, carved
+// to what need.value counted for the same texts: the token range holds every
+// identifying value's tokens and digits and then the entity's token set, the
+// trigram range every identifying value's trigrams. A non-identifying value's
+// fields are in the token range only as members of the entity's token set.
+func (ix *indexed) derive(rm room, attrs Attrs) {
 	toks, tris := rm.strs, rm.tris
 	ix.vals = rm.vals
-	for _, at := range ix.attrs {
+	for _, at := range attrs {
 		if len(at.Text) >= minIdentifyingLen {
 			var v attrVal
 			v, toks, tris = deriveVal(at.Text, toks, tris)
 			ix.vals = append(ix.vals, v)
 		}
 	}
-	if !withTokens {
-		return
-	}
 	lo := len(toks)
-	for _, at := range ix.attrs {
+	for _, at := range attrs {
 		for f, i := nextField(at.Text, 0); f != ""; f, i = nextField(at.Text, i) {
 			toks = append(toks, f)
 		}
@@ -629,7 +624,10 @@ func (r *Resolver) Commit(p *Prepared, id model.EntityID) []Match {
 		r.ann.add(pos, r.arena.keepVec(p.vec))
 	}
 	r.ents = append(r.ents, p.ix)
-	r.byID[id] = pos
+	if n := int(id) + 1 - len(r.byID); n > 0 {
+		r.byID = append(r.byID, make([]int32, n)...)
+	}
+	r.byID[id] = int32(pos + 1)
 	r.uf.Find(id)
 	p.Release()
 	if n := len(r.matches); n > lo {

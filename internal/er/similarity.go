@@ -19,6 +19,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Normalize lower-cases, trims, and collapses non-alphanumeric runs into
@@ -92,10 +93,11 @@ const maxEditLen = 64
 // text must already be normalized.
 type attrVal struct {
 	text   string
-	runes  int      // rune count of text
 	tokens []string // sorted, unique
 	digits []string // sorted, unique digit-bearing tokens
-	tris   []uint64 // sorted, unique padded trigrams (see appendTrigrams)
+	tris   []uint32 // the trigram set: narrow keys, then wide ones (see appendTrigrams)
+	runes  int32    // rune count of text
+	narrow int32    // how many of tris are narrow keys
 }
 
 // deriveVal derives the value of a normalized text. Its tokens and digits go
@@ -103,8 +105,8 @@ type attrVal struct {
 // arenas are returned; each of the value's slices is a full slice expression,
 // so no later append to an arena writes into it. An arena with the capacity
 // for the value is not reallocated.
-func deriveVal(text string, toks []string, tris []uint64) (attrVal, []string, []uint64) {
-	v := attrVal{text: text, runes: utf8.RuneCountInString(text)}
+func deriveVal(text string, toks []string, tris []uint32) (attrVal, []string, []uint32) {
+	v := attrVal{text: text, runes: int32(utf8.RuneCountInString(text))}
 	lo := len(toks)
 	for f, i := nextField(text, 0); f != ""; f, i = nextField(text, i) {
 		toks = append(toks, f)
@@ -121,8 +123,9 @@ func deriveVal(text string, toks []string, tris []uint64) (attrVal, []string, []
 		v.digits = toks[lo:len(toks):len(toks)]
 	}
 	lo = len(tris)
-	if tris = appendTrigrams(tris, text); len(tris) > lo {
-		v.tris = tris[lo:len(tris):len(tris)]
+	var narrow int
+	if tris, narrow = appendTrigrams(tris, text); len(tris) > lo {
+		v.tris, v.narrow = tris[lo:len(tris):len(tris)], int32(narrow)
 	}
 	return v, toks, tris
 }
@@ -150,27 +153,95 @@ func nextField(s string, i int) (f string, end int) {
 	return "", len(s)
 }
 
-// appendTrigrams appends to dst the sorted, duplicate-free character
-// trigrams of the text padded with two spaces on either side. A trigram is
-// its three runes, 21 bits each (a rune is at most 0x10FFFF), in one word,
-// so comparing two members is comparing two integers. Empty text has no
-// trigrams.
-func appendTrigrams(dst []uint64, text string) []uint64 {
+// narrowRune bounds the runes of a narrow trigram: three runes below it
+// pack, 10 bits each, into one word of 30 bits.
+const narrowRune = 1 << 10
+
+// window is the last three runes of a padded text: the exact key of their
+// trigram, 21 bits a rune (a rune is at most 0x10FFFF) in one word, and a
+// bit for each of them that is not below narrowRune.
+type window struct {
+	key  uint64
+	wide uint8
+}
+
+// padding is the key of the two spaces a text is padded with in front,
+// which a window starts over.
+const padding = ' '<<21 | ' '
+
+// push moves the window one rune on.
+func (w *window) push(r rune) {
+	w.key = (w.key<<21 | uint64(r)) & (1<<63 - 1)
+	w.wide = w.wide << 1 & 7
+	if r >= narrowRune {
+		w.wide |= 1
+	}
+}
+
+// narrowKey is the trigram's key in 30 bits, which orders narrow trigrams
+// as their exact keys do. It is the trigram only when w.wide is 0.
+func (w *window) narrowKey() uint32 {
+	const rune10 = narrowRune - 1
+	return uint32(w.key>>42&rune10)<<20 | uint32(w.key>>21&rune10)<<10 | uint32(w.key&rune10)
+}
+
+// appendTrigrams appends to dst the trigram set of the text padded with two
+// spaces on either side, and returns how many of the appended words are
+// narrow keys. A trigram whose runes are all below narrowRune is narrow: it
+// is one word, its narrowKey. Any other is wide: its exact key in two words,
+// the high one first. The narrow keys come first, sorted and duplicate-free,
+// then the wide trigrams, sorted by their exact keys and duplicate-free, so
+// comparing two members of either part is comparing integers. A narrow
+// trigram never equals a wide one. Empty text has no trigrams.
+func appendTrigrams(dst []uint32, text string) ([]uint32, int) {
 	if text == "" {
-		return dst
+		return dst, 0
 	}
-	const pad, three = uint64(' '), 1<<63 - 1
 	lo := len(dst)
-	w := pad<<21 | pad
-	for _, r := range text {
-		w = (w<<21 | uint64(r)) & three
-		dst = append(dst, w)
+	dst = appendTris(dst, text, false)
+	dst = dst[:lo+len(sortedUnique(dst[lo:]))]
+	mid := len(dst)
+	if dst = appendTris(dst, text, true); len(dst) > mid {
+		pairs := unsafe.Slice((*[2]uint32)(unsafe.Pointer(&dst[mid])), (len(dst)-mid)/2)
+		slices.SortFunc(pairs, func(x, y [2]uint32) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
+		dst = dst[:mid+2*len(slices.Compact(pairs))]
 	}
-	for i := 0; i < 2; i++ {
-		w = (w<<21 | pad) & three
-		dst = append(dst, w)
+	return dst, mid - lo
+}
+
+// appendTris appends to dst, in text order, the wide trigrams of the padded
+// text as word pairs when wide is set, and its narrow keys otherwise.
+func appendTris(dst []uint32, text string, wide bool) []uint32 {
+	w := window{key: padding}
+	for _, s := range [2]string{text, "  "} {
+		for _, r := range s {
+			switch w.push(r); {
+			case w.wide == 0 && !wide:
+				dst = append(dst, w.narrowKey())
+			case w.wide != 0 && wide:
+				dst = append(dst, uint32(w.key>>32), uint32(w.key))
+			}
+		}
 	}
-	return dst[:lo+len(sortedUnique(dst[lo:]))]
+	return dst
+}
+
+// trigramWords is how many words appendTrigrams appends for text before it
+// drops duplicates: one a narrow trigram, two a wide one.
+func trigramWords(text string) int {
+	if text == "" {
+		return 0
+	}
+	n, w := 0, window{key: padding}
+	for _, s := range [2]string{text, "  "} {
+		for _, r := range s {
+			if w.push(r); w.wide != 0 {
+				n++
+			}
+			n++
+		}
+	}
+	return n
 }
 
 // sortedUnique sorts xs in place and drops its duplicates.
@@ -214,22 +285,84 @@ func atLeast(frac, whole float64) int {
 
 // jaccard is |A∩B| / |A∪B| over two sorted, duplicate-free slices whenever
 // that is at least target, and some value below target otherwise. Two empty
-// sets are identical (1); one empty set matches nothing. The intersection is
-// at most the smaller set and the union at least the larger, so sizes whose
-// ratio is below target are not merged at all; the merge itself stops once
-// the intersection cannot reach target·(|A|+|B|)/(1+target), the count at
-// which the ratio reaches target.
+// sets are identical (1); one empty set matches nothing.
 func jaccard[T cmp.Ordered](a, b []T, target float64) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	small, large := min(len(a), len(b)), max(len(a), len(b))
-	if float64(small)/float64(large) < target {
+	need, ok := jaccardNeed(len(a), len(b), target)
+	if !ok {
 		return 0
 	}
-	sum := float64(len(a) + len(b))
-	inter := intersection(a, b, atLeast(target/(1+target), sum))
+	inter := intersection(a, b, need)
 	return float64(inter) / float64(len(a)+len(b)-inter)
+}
+
+// trigramJaccard is jaccard over the trigram sets of two values.
+func trigramJaccard(a, b *attrVal, target float64) float64 {
+	na, nb := a.trigrams(), b.trigrams()
+	if na == 0 && nb == 0 {
+		return 1
+	}
+	need, ok := jaccardNeed(na, nb, target)
+	if !ok {
+		return 0
+	}
+	inter := trigramIntersection(a, b, need)
+	return float64(inter) / float64(na+nb-inter)
+}
+
+// jaccardNeed is the intersection count at which the Jaccard index of two
+// sets of na and nb members reaches target, the count at which the merge may
+// stop: target·(na+nb)/(1+target). The intersection is at most the smaller
+// set and the union at least the larger, so sizes whose ratio is below
+// target are not merged at all (ok false).
+func jaccardNeed(na, nb int, target float64) (need int, ok bool) {
+	if float64(min(na, nb))/float64(max(na, nb)) < target {
+		return 0, false
+	}
+	return atLeast(target/(1+target), float64(na+nb)), true
+}
+
+// trigrams is the size of the value's trigram set.
+func (v *attrVal) trigrams() int { return int(v.narrow) + (len(v.tris)-int(v.narrow))/2 }
+
+// trigramIntersection is intersection over the trigram sets of two values. A
+// narrow trigram never equals a wide one, so it is the narrow keys'
+// intersection plus the wide trigrams'; the narrow merge stops early once
+// not even every wide trigram of the smaller wide set could make up need.
+func trigramIntersection(a, b *attrVal, need int) int {
+	wa, wb := a.tris[a.narrow:], b.tris[b.narrow:]
+	wide := min(len(wa), len(wb)) / 2
+	n := intersection(a.tris[:a.narrow], b.tris[:b.narrow], need-wide)
+	if n+wide < need {
+		return n
+	}
+	return n + wideIntersection(wa, wb, need-n)
+}
+
+// wideIntersection is intersection over two runs of wide trigrams, each
+// trigram a pair of words whose high word comes first.
+func wideIntersection(a, b []uint32, need int) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := uint64(a[i])<<32|uint64(a[i+1]), uint64(b[j])<<32|uint64(b[j+1])
+		switch {
+		case x == y:
+			n++
+			i += 2
+			j += 2
+			continue
+		case x < y:
+			i += 2
+		default:
+			j += 2
+		}
+		if n+min(len(a)-i, len(b)-j)/2 < need {
+			return n
+		}
+	}
+	return n
 }
 
 // matchMasks holds, for one value of at most 64 runes (the pattern), the
@@ -340,7 +473,7 @@ func valSim(a *attrVal, am *matchMasks, b *attrVal, floor float64) float64 {
 	if !sortedSetsAgree(a.digits, b.digits) {
 		return s
 	}
-	if t := jaccard(a.tris, b.tris, max(floor, s)); t > s {
+	if t := trigramJaccard(a, b, max(floor, s)); t > s {
 		s = t
 	}
 	if len(a.text) <= maxEditLen && len(b.text) <= maxEditLen {
@@ -349,10 +482,10 @@ func valSim(a *attrVal, am *matchMasks, b *attrVal, floor float64) float64 {
 		// target only at a distance of at most (1−target)·longer; the limit
 		// adds one for the float product's rounding.
 		target := max(floor, s)
-		longer, shorter := max(a.runes, b.runes), min(a.runes, b.runes)
+		longer, shorter := int(max(a.runes, b.runes)), int(min(a.runes, b.runes))
 		if gap := 1 - float64(longer-shorter)/float64(longer); gap > s && gap >= target {
 			limit := int((1-target)*float64(longer)) + 1
-			if l := 1 - float64(am.distance(b.text, b.runes, limit))/float64(longer); l > s {
+			if l := 1 - float64(am.distance(b.text, int(b.runes), limit))/float64(longer); l > s {
 				s = l
 			}
 		}

@@ -1,35 +1,33 @@
 package er
 
-import (
-	"sort"
-
-	"scdb/internal/model"
-)
+import "scdb/internal/model"
 
 // UnionFind maintains the merge clusters produced by entity resolution,
-// with path compression and union by size.
+// with path compression and union by size. It is two slices indexed by ID,
+// since the IDs it sees are dense counters (graph IDs, the exchange's xid),
+// and it keeps the number of its sets as it goes.
 type UnionFind struct {
-	parent map[model.EntityID]model.EntityID
-	size   map[model.EntityID]int
+	parent []model.EntityID
+	size   []uint32 // a root's member count; 0 for an ID not yet seen
+	sets   int
 }
 
 // NewUnionFind creates an empty structure.
-func NewUnionFind() *UnionFind {
-	return &UnionFind{
-		parent: make(map[model.EntityID]model.EntityID),
-		size:   make(map[model.EntityID]int),
-	}
-}
+func NewUnionFind() *UnionFind { return &UnionFind{} }
 
 // Find returns the canonical representative of the entity's cluster,
 // registering the entity on first sight.
 func (u *UnionFind) Find(id model.EntityID) model.EntityID {
-	p, ok := u.parent[id]
-	if !ok {
-		u.parent[id] = id
-		u.size[id] = 1
+	if n := int(id) + 1 - len(u.parent); n > 0 {
+		u.parent = append(u.parent, make([]model.EntityID, n)...)
+		u.size = append(u.size, make([]uint32, n)...)
+	}
+	if u.size[id] == 0 {
+		u.parent[id], u.size[id] = id, 1
+		u.sets++
 		return id
 	}
+	p := u.parent[id]
 	if p == id {
 		return id
 	}
@@ -51,6 +49,7 @@ func (u *UnionFind) Union(a, b model.EntityID) bool {
 	}
 	u.parent[rb] = ra
 	u.size[ra] += u.size[rb]
+	u.sets--
 	return true
 }
 
@@ -59,25 +58,28 @@ func (u *UnionFind) Same(a, b model.EntityID) bool {
 	return u.Find(a) == u.Find(b)
 }
 
+// Sets is the number of clusters, singletons included.
+func (u *UnionFind) Sets() int { return u.sets }
+
 // Clusters returns all clusters with at least minSize members, each sorted
 // ascending, ordered by their smallest member.
 func (u *UnionFind) Clusters(minSize int) [][]model.EntityID {
-	byRoot := map[model.EntityID][]model.EntityID{}
-	ids := make([]model.EntityID, 0, len(u.parent))
-	for id := range u.parent {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		root := u.Find(id)
-		byRoot[root] = append(byRoot[root], id)
-	}
+	at := make([]int32, len(u.parent)) // a root's cluster in out, plus one
 	var out [][]model.EntityID
-	for _, members := range byRoot {
-		if len(members) >= minSize {
-			out = append(out, members)
+	for i, n := range u.size {
+		id := model.EntityID(i)
+		if n == 0 {
+			continue
 		}
+		root := u.Find(id)
+		if int(u.size[root]) < minSize {
+			continue
+		}
+		if at[root] == 0 {
+			out = append(out, make([]model.EntityID, 0, u.size[root]))
+			at[root] = int32(len(out))
+		}
+		out[at[root]-1] = append(out[at[root]-1], id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }

@@ -104,6 +104,7 @@ func ExecuteOpts(n Node, env Env, opts ExecOptions) (*Result, *OpStats, error) {
 		ctx = context.Background()
 	}
 	x := &execCtx{ev: evalCtx{env: env, semantic: opts.Semantic, args: opts.Args}, workers: workers, size: size, ctx: ctx}
+	x.stats = make([]opNode, planSize(n))
 	s, cols, st, err := x.build(n)
 	if err != nil {
 		x.wg.Wait()
@@ -218,6 +219,7 @@ type execCtx struct {
 	size    int
 	ctx     context.Context
 	wg      sync.WaitGroup // joins stage workers
+	stats   []opNode       // what is left of the stats nodes' slab
 }
 
 // build lowers a plan node to a morsel stream; cols is non-nil once a
@@ -230,7 +232,7 @@ func (x *execCtx) build(n Node) (s stream, cols []string, st *OpStats, err error
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			st := newOpStats(n)
+			st := x.newOpStats(n)
 			return x.newScanOp(cur, n.Binding, nil, st), nil, st, nil
 		}
 		return x.buildScan(n, n.Table, n.Binding, nil, nil)
@@ -239,7 +241,7 @@ func (x *execCtx) build(n Node) (s stream, cols []string, st *OpStats, err error
 	case *ConceptScanNode:
 		return x.buildConceptScan(n)
 	case *EmptyNode:
-		return &sliceStream{}, nil, newOpStats(n), nil
+		return &sliceStream{}, nil, x.newOpStats(n), nil
 	case *RowsNode:
 		return x.buildRows(n)
 	case *FilterNode:
@@ -263,7 +265,7 @@ func (x *execCtx) build(n Node) (s stream, cols []string, st *OpStats, err error
 }
 
 func (x *execCtx) buildRows(n *RowsNode) (stream, []string, *OpStats, error) {
-	st := newOpStats(n)
+	st := x.newOpStats(n)
 	sh := &rowShape{cols: n.Cols}
 	rows := make([]Row, len(n.Rows))
 	for i, vals := range n.Rows {
@@ -323,7 +325,7 @@ func (x *execCtx) buildScan(n Node, table, binding string, zone []model.Conjunct
 	if !found {
 		return nil, nil, nil, fmt.Errorf("query: unknown table %q", table)
 	}
-	st := newOpStats(n)
+	st := x.newOpStats(n)
 	st.ShowPruned = pred != nil
 	st.IndexName = cur.Info().Index
 	return x.newScanOp(cur, binding, pred, st), nil, st, nil
@@ -350,7 +352,7 @@ func (x *execCtx) buildConceptScan(n *ConceptScanNode) (stream, []string, *OpSta
 	if !found {
 		return nil, nil, nil, fmt.Errorf("query: unknown concept %q", n.Concept)
 	}
-	st := newOpStats(n)
+	st := x.newOpStats(n)
 	return x.newScanOp(cur, n.Binding, nil, st), nil, st, nil
 }
 
@@ -382,7 +384,7 @@ func (x *execCtx) buildFilter(n *FilterNode) (stream, []string, *OpStats, error)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n, cst)
+	st := x.newOpStats(n, cst)
 	o := &filterOp{pred: n.Pred, st: st}
 	o.init(x, in, o)
 	return o, cols, st, nil
@@ -422,7 +424,7 @@ func (x *execCtx) buildProject(n *ProjectNode) (stream, []string, *OpStats, erro
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n, cst)
+	st := x.newOpStats(n, cst)
 	if n.Star {
 		// SELECT * derives its schema from the full input, so this is a
 		// pipeline breaker.
@@ -470,7 +472,7 @@ func (x *execCtx) buildJoin(n *JoinNode) (stream, []string, *OpStats, error) {
 		ls.stop()
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n, lst, rst)
+	st := x.newOpStats(n, lst, rst)
 	lrows, err := drainRows(ls)
 	if err != nil {
 		rs.stop()
@@ -683,7 +685,7 @@ func (x *execCtx) buildDistinct(n *DistinctNode) (stream, []string, *OpStats, er
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n, cst)
+	st := x.newOpStats(n, cst)
 	// Hash rows in parallel; dedupe serially in morsel order (first
 	// occurrence wins, as in the serial executor).
 	h := &hashOp{}
@@ -795,7 +797,7 @@ func (x *execCtx) buildSort(n *SortNode) (stream, []string, *OpStats, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n, cst)
+	st := x.newOpStats(n, cst)
 	var flat []keyedRow
 	err = pull(x.attachKeys(in, n.Keys, st), func(m morsel) error {
 		for i, r := range m.rows {
@@ -860,7 +862,7 @@ func (x *execCtx) buildTopK(n *TopKNode) (stream, []string, *OpStats, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n, cst)
+	st := x.newOpStats(n, cst)
 	h := &topK{keys: n.Keys, n: n.N}
 	idx := 0
 	err = pull(x.attachKeys(in, n.Keys, st), func(m morsel) error {
@@ -921,7 +923,7 @@ func (x *execCtx) buildLimit(n *LimitNode) (stream, []string, *OpStats, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n, cst)
+	st := x.newOpStats(n, cst)
 	return &limitOp{in: in, n: n.N, st: st}, cols, st, nil
 }
 
@@ -1299,7 +1301,7 @@ func (x *execCtx) buildAggregate(n *AggregateNode) (stream, []string, *OpStats, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := newOpStats(n, cst)
+	st := x.newOpStats(n, cst)
 	cols := make([]string, len(n.Items))
 	for i, it := range n.Items {
 		cols[i] = it.label(x.ev.args)

@@ -448,3 +448,12 @@ func Children(n Node) []Node {
 	}
 	return nil
 }
+
+// planSize is the number of nodes in the plan under n, n among them.
+func planSize(n Node) int {
+	size := 1
+	for _, c := range Children(n) {
+		size += planSize(c)
+	}
+	return size
+}

@@ -32,13 +32,23 @@ type OpStats struct {
 	IndexName  string // secondary index used, "" for a plain zone scan
 }
 
-// newOpStats makes n's stats node over its children's, the node and its
-// Children backing in one allocation (no operator has more than two).
-func newOpStats(n Node, children ...*OpStats) *OpStats {
-	s := &struct {
-		OpStats
-		kids [2]*OpStats
-	}{}
+// opNode is a stats node with the backing of its Children: no operator has
+// more than two.
+type opNode struct {
+	OpStats
+	kids [2]*OpStats
+}
+
+// newOpStats makes n's stats node over its children's, carved from the
+// execution's slab, which ExecuteOpts sizes to the plan's node count, so an
+// execution's whole tree is one allocation; an execCtx without a slab (a
+// test's) makes each node alone.
+func (x *execCtx) newOpStats(n Node, children ...*OpStats) *OpStats {
+	if len(x.stats) == 0 {
+		x.stats = make([]opNode, 1)
+	}
+	s := &x.stats[0]
+	x.stats = x.stats[1:]
 	s.Node = n
 	if len(children) > 0 {
 		s.Children = append(s.kids[:0], children...)

@@ -13,9 +13,11 @@ import (
 // server, with a new key each run so the result cache misses and the plan
 // cache hits the statement's shape, and a PingCSN. Both sides of the wire
 // count, so this holds the client's one round trip and the server's request
-// path to at most 33 objects a read and 4 a ping (go1.24/linux/amd64), a
-// tenth over what they cost, rounded up. A read costs 30 objects and a
-// ping 3. At commit f250f80 a read cost 38: the server bound each request
+// path to at most 32 objects a read and 4 a ping (go1.24/linux/amd64), a
+// tenth over what they cost, rounded up. A read costs 29 objects and a
+// ping 3. At commit 0a1cf38 a read cost 30: the executor made a stats node
+// for each operator of the plan, where it now carves them from one slab.
+// At commit f250f80 a read cost 38: the server bound each request
 // as its sink's method value, the engine kept the streamed rows through a
 // closure, a heap-moved slice and a copy of the first batch, its info and
 // the server's copy of it were objects, and the client made the rows and
@@ -76,7 +78,7 @@ func TestNetworkReadAllocBudget(t *testing.T) {
 		budget, parent float64
 		commit         string
 	}{
-		{"point read", read, 33, 38, "f250f80"},
+		{"point read", read, 32, 30, "0a1cf38"},
 		{"PingCSN", func() {
 			if _, err := c.PingCSN(); err != nil {
 				t.Fatal(err)

@@ -14,9 +14,11 @@ import (
 // topology, with new literals each run so no result cache answers. Every
 // side of both wires counts: the client, the router's server, the router
 // and its shard clients, and the shards' servers and engines. A point read
-// costs 41 objects and the aggregate 184 (go1.24/linux/amd64); the budgets
+// costs 40 objects and the aggregate 180 (go1.24/linux/amd64); the budgets
 // are a tenth over, rounded up, as TestNetworkReadAllocBudget's. At commit
-// f250f80 they cost 52 and 208: on every hop the server bound the request
+// 0a1cf38 they cost 41 and 184: every engine and the router's final phase
+// made a stats node for each operator of the plan, where each now carves
+// them from one slab. At commit f250f80 they cost 52 and 208: on every hop the server bound the request
 // as its sink's method value and made the engine's info an object, every
 // shard's engine kept its streamed rows through a closure, a heap-moved
 // slice and a copy of the first batch and made its own info an object, the
@@ -83,13 +85,13 @@ func TestRoutedReadAllocBudget(t *testing.T) {
 		run            func()
 		budget, parent float64
 	}{
-		{"point read", point, 46, 52},
-		{"GROUP BY", agg, 203, 208},
+		{"point read", point, 44, 41},
+		{"GROUP BY", agg, 198, 184},
 	} {
 		allocs := testing.AllocsPerRun(runs, tc.run)
 		t.Logf("%s: %.0f objects", tc.name, allocs)
 		if allocs > tc.budget && !raceEnabled {
-			t.Errorf("%s allocates %.0f objects, budget %.0f; it cost %.0f at commit f250f80", tc.name, allocs, tc.budget, tc.parent)
+			t.Errorf("%s allocates %.0f objects, budget %.0f; it cost %.0f at commit 0a1cf38", tc.name, allocs, tc.budget, tc.parent)
 		}
 	}
 }

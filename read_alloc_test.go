@@ -16,26 +16,29 @@ import (
 // is new: the statement is lexed, parsed, optimized and executed, and the
 // result cache misses. A plain statement renders no plan, rule log or
 // operator-stats text, the lexer copies no word, a GROUP BY keeps its groups
-// in slabs, and a read of one morsel runs on the caller's goroutine (its
-// scan a cursor, no stage starting workers), and the answer's rows and info
-// are one object, so a point read costs at most 64 objects (58 on
-// go1.24/linux/amd64), a 100-row range over slot at most 74 (67) and a
-// GROUP BY region over 10,000 rows at most 240 (218); they cost 62, 71 and
-// 222 at commit f250f80, whose engine moved each statement's streamed-row
-// slice to the heap and made its info an object, as the facade did its
-// info apart from its rows, and 63, 81 and 232 while the optimizer
-// flattened every AND level into a fresh slice. A plan hit gives each run
-// a new key or bound under one alias: the shape's plan is cached, so the
-// run lexes the text once, binds its literals and executes, at most 29, 31
-// and 175 objects (26, 28 and 159; 30, 32 and 163 at commit f250f80; 31,
-// 33 and 164 while each scan copied its conjuncts into a storage type of
-// their own). While the plan cache was keyed by statement text, each new
-// literal was a new entry, and the same runs cost the full miss, 63, 81
-// and 232. A point read under a planned shape through QueryBatchesCtx, the
-// engine's streamed path a server drives, its rows handed to a sink that
-// keeps none, costs at most 21 objects (19); it cost 25 at commit f250f80,
-// whose engine kept the streamed rows through a closure, a heap-moved
-// slice and a copy of the first batch, and made its info an object twice.
+// in slabs, the operator-stats tree is one slab, and a read of one morsel
+// runs on the caller's goroutine (its scan a cursor, no stage starting
+// workers), and the answer's rows and info are one object, so a point read
+// costs at most 63 objects (57 on go1.24/linux/amd64), a 100-row range over
+// slot at most 73 (66) and a GROUP BY region over 10,000 rows at most 239
+// (217); they cost 58, 67 and 218 at commit 0a1cf38, whose executor made a
+// stats node for each operator of the plan, 62, 71 and 222 at commit
+// f250f80, whose engine moved each statement's streamed-row slice to the
+// heap and made its info an object, as the facade did its info apart from
+// its rows, and 63, 81 and 232 while the optimizer flattened every AND
+// level into a fresh slice. A plan hit gives each run a new key or bound
+// under one alias: the shape's plan is cached, so the run lexes the text
+// once, binds its literals and executes, at most 28, 30 and 174 objects
+// (25, 27 and 158; 26, 28 and 159 at commit 0a1cf38; 30, 32 and 163 at
+// commit f250f80; 31, 33 and 164 while each scan copied its conjuncts into
+// a storage type of their own). While the plan cache was keyed by
+// statement text, each new literal was a new entry, and the same runs cost
+// the full miss, 63, 81 and 232. A point read under a planned shape
+// through QueryBatchesCtx, the engine's streamed path a server drives, its
+// rows handed to a sink that keeps none, costs at most 20 objects (18; 19
+// at commit 0a1cf38); it cost 25 at commit f250f80, whose engine kept the
+// streamed rows through a closure, a heap-moved slice and a copy of the
+// first batch, and made its info an object twice.
 func TestReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 20,000-row corpus")
@@ -51,13 +54,13 @@ func TestReadAllocBudget(t *testing.T) {
 	}{
 		{"point read", func(alias, i int) string {
 			return fmt.Sprintf("SELECT name AS n%d, region, qty, price FROM items WHERE _key = 'it-%07d'", alias, i)
-		}, 64, 29, 63},
+		}, 63, 28, 63},
 		{"100-row range", func(alias, i int) string {
 			return fmt.Sprintf("SELECT slot AS s%d, price, _key FROM items WHERE slot >= %d AND slot < %d", alias, i, i+100)
-		}, 74, 31, 81},
+		}, 73, 30, 81},
 		{"GROUP BY region", func(alias, i int) string {
 			return fmt.Sprintf("SELECT region AS r%d, COUNT(*) AS n, SUM(qty) AS q, MAX(price) AS hi, MIN(price) AS lo FROM items WHERE slot >= %d AND slot < %d GROUP BY region", alias, i, i+rows/2)
-		}, 240, 175, 232},
+		}, 239, 174, 232},
 	} {
 		i := 0
 		// A miss run's alias is its number; every hit run's is 0.
@@ -104,8 +107,8 @@ func TestReadAllocBudget(t *testing.T) {
 	point() // plans the shape
 	streamed := testing.AllocsPerRun(runs, point)
 	t.Logf("streamed point read: plan hit %.0f objects", streamed)
-	if streamed > 21 {
-		t.Errorf("streamed point read allocates %.0f objects, budget 21; it cost 25 at commit f250f80", streamed)
+	if streamed > 20 {
+		t.Errorf("streamed point read allocates %.0f objects, budget 20; it cost 19 at commit 0a1cf38", streamed)
 	}
 }
 
