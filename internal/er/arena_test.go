@@ -51,7 +51,7 @@ func TestNoSharedRanges(t *testing.T) {
 		es[i] = &model.Entity{ID: model.EntityID(i + 1), Key: fmt.Sprintf("k%d", i), Source: fmt.Sprintf("s%d", i%3), Attrs: rec}
 		r.Add(es[i])
 	}
-	x := NewExchange(Config{Blocking: BlockingBoth})
+	x := NewExchange(BlockingBoth, false)
 	digests := make([]Digest, n)
 	for i := range digests {
 		d := Digest{Source: "d", Key: fmt.Sprintf("d%d", i)}

@@ -16,7 +16,6 @@ package er
 // candidate subsets when a block is split across shards; see DESIGN.md).
 
 import (
-	"strings"
 	"time"
 	"unsafe"
 
@@ -112,28 +111,28 @@ func (r *Resolver) refOf(id model.EntityID) (RefKey, bool) {
 }
 
 // digestIndexed indexes a digest as index indexes an entity, from texts
-// already in normal form: one carve from the arena holds the key and the
-// attribute texts, as one string, and what derive makes of the texts, the
-// token set among it, which is the digest's Tokens for every digest a
-// resolver exports. So the entity keeps nothing of the digest, whose strings
-// may pin a decoded frame, but source, which the caller owns. An exchange's
-// advisor is the threshold one, which reads no attribute, so the entity
-// keeps no attrs either.
-func digestIndexed(d Digest, source string, a *arena) indexed {
-	n := need{bytes: len(d.Key)}
+// already in normal form: one carve from the arena holds the key, the source
+// name and the attribute texts, as one string, and what derive makes of the
+// texts, the token set among it, which is the digest's Tokens for every
+// digest a resolver exports. So the entity keeps nothing of the digest, whose
+// strings may pin a decoded frame. An exchange's advisor is the threshold
+// one, which reads no attribute, so the entity keeps no attrs either.
+func digestIndexed(d Digest, a *arena) indexed {
+	n := need{bytes: len(d.Key) + len(d.Source)}
 	for _, at := range d.Attrs {
 		n.bytes += len(at.Text)
 		n.value(at.Text)
 	}
 	rm := a.carve(n)
-	b := append(rm.bytes, d.Key...)
+	b := append(append(rm.bytes, d.Key...), d.Source...)
 	for _, at := range d.Attrs {
 		b = append(b, at.Text...)
 	}
 	norm := unsafe.String(unsafe.SliceData(b), len(b))
-	ix := indexed{key: norm[:len(d.Key)], source: source}
+	off := len(d.Key) + len(d.Source)
+	ix := indexed{key: norm[:len(d.Key)], source: norm[len(d.Key):off]}
 	var tbuf [8]AttrText
-	texts, off := tbuf[:0], len(d.Key)
+	texts := tbuf[:0]
 	for _, at := range d.Attrs {
 		texts = append(texts, AttrText{Text: norm[off : off+len(at.Text)]})
 		off += len(at.Text)
@@ -156,26 +155,26 @@ func digestIndexed(d Digest, source string, a *arena) indexed {
 // summed per-shard entity counts.
 //
 // A digest is indexed as a shard indexes an entity (digestIndexed), so the
-// exchange holds no decoded frame: its keys are carved from the resolver's
-// arena and its source names are held once each, in sources.
+// exchange holds no decoded frame: its keys, source names and texts are
+// carved from the resolver's arena.
 //
 // Exchange is not goroutine-safe; the router serializes AddBatch and
 // Stats under its own mutex.
 type Exchange struct {
-	res     *Resolver         // entity i is the digest at position i, under ID xid(i)
-	byRef   map[RefKey]int    // digest identity → position
-	sources map[string]string // each source name → the exchange's copy
+	res     *Resolver      // entity i is the digest at position i, under ID xid(i)
+	byRef   map[RefKey]int // digest identity → position
 	ufLocal *UnionFind
 }
 
-// NewExchange creates an exchange. Pass the settings the shards report
-// (DigestBatch.Settings) so candidate generation agrees across the
-// boundary. Its advisor is the ThresholdAdvisor whatever cfg names, as a
-// shard's is.
-func NewExchange(cfg Config) *Exchange {
-	res := NewResolver(Config{Blocking: cfg.Blocking, DisableBlocking: cfg.DisableBlocking})
+// NewExchange creates an exchange that generates candidates as a resolver of
+// Config{Blocking: blocking, DisableBlocking: disableBlocking} does. Pass the
+// blocking mode the shards report (DigestBatch.Settings.Blocking) so
+// candidate generation agrees across the boundary. Its advisor is the
+// ThresholdAdvisor, as a shard's is.
+func NewExchange(blocking BlockingMode, disableBlocking bool) *Exchange {
+	res := NewResolver(Config{Blocking: blocking, DisableBlocking: disableBlocking})
 	res.never = func(a, b *indexed) bool { return a.shard == b.shard || a.source == b.source }
-	return &Exchange{res: res, byRef: map[RefKey]int{}, sources: map[string]string{}, ufLocal: NewUnionFind()}
+	return &Exchange{res: res, byRef: map[RefKey]int{}, ufLocal: NewUnionFind()}
 }
 
 // xid maps an element position to its synthetic union-find ID.
@@ -206,12 +205,7 @@ func (x *Exchange) addDigest(shard int, d Digest) int {
 	if pos, ok := x.byRef[RefKey{Source: d.Source, Key: d.Key}]; ok {
 		return pos
 	}
-	source, ok := x.sources[d.Source]
-	if !ok {
-		source = strings.Clone(d.Source)
-		x.sources[source] = source
-	}
-	ix := digestIndexed(d, source, &x.res.arena)
+	ix := digestIndexed(d, &x.res.arena)
 	ix.shard = shard
 	pos := len(x.res.ents)
 	x.res.Commit(x.res.prepare(ix, time.Now()), xid(pos))

@@ -143,7 +143,7 @@ func TestExchangeHeapBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	x := er.NewExchange(er.Config{})
+	x := er.NewExchange(er.BlockingToken, false)
 	for ents, matches := 0, 0; ents < n; {
 		b := shard.DigestsSince(ents, matches)
 		b.Digests = b.Digests[:min(len(b.Digests), n/pulls)]

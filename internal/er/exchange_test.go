@@ -13,7 +13,7 @@ import (
 // from watermark zero and folded into one exchange.
 func exchangeOver(t *testing.T, cfg Config, shards ...[]*model.Entity) (*Exchange, []*Resolver) {
 	t.Helper()
-	x := NewExchange(cfg)
+	x := NewExchange(cfg.Blocking, cfg.DisableBlocking)
 	var rs []*Resolver
 	for si, ents := range shards {
 		r := NewResolver(cfg)
@@ -90,7 +90,7 @@ func TestExchangeSkipsSameShardAndSameSource(t *testing.T) {
 }
 
 func TestExchangeIdempotentAndIncremental(t *testing.T) {
-	x := NewExchange(Config{})
+	x := NewExchange(BlockingToken, false)
 	r0 := NewResolver(Config{})
 	r1 := NewResolver(Config{})
 	r0.Add(ent(1, "drugbank", map[string]string{"name": "Methotrexate"}))
@@ -155,7 +155,7 @@ func TestNoEvidenceNeverMatches(t *testing.T) {
 
 		// Each shard reports a local merge of two entities whose digests
 		// never came; the four placeholders stay two clusters.
-		x = NewExchange(cfg)
+		x = NewExchange(cfg.Blocking, cfg.DisableBlocking)
 		x.AddBatch(0, DigestBatch{Merges: [][2]RefKey{{{Source: "s1", Key: "a"}, {Source: "s2", Key: "b"}}}})
 		x.AddBatch(1, DigestBatch{Merges: [][2]RefKey{{{Source: "s3", Key: "c"}, {Source: "s4", Key: "d"}}}})
 		if st := x.Stats(); st.Accepted != 0 || st.CrossMerges != 0 || st.Clusters != 2 {
@@ -180,7 +180,7 @@ func TestExchangeCountsMatchRecount(t *testing.T) {
 	crossed, ghosts, merges := 0, 0, 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		x := NewExchange(Config{})
+		x := NewExchange(BlockingToken, false)
 		shards := []*Resolver{NewResolver(Config{}), NewResolver(Config{}), NewResolver(Config{})}
 		marks := make([]DigestBatch, len(shards))
 		var local [][2]RefKey

@@ -160,7 +160,7 @@ func TestExchangeGatherKeepsEveryDecision(t *testing.T) {
 			for _, e := range corpus.ents {
 				locals[shard.ShardOf(e.Key, shards)].Add(e)
 			}
-			x := er.NewExchange(mode.cfg)
+			x := er.NewExchange(mode.cfg.Blocking, mode.cfg.DisableBlocking)
 			for i, r := range locals {
 				x.AddBatch(i, r.DigestsSince(0, 0))
 			}

@@ -131,6 +131,9 @@ var kernelPairs = [][2]string{
 	// trigram sets meet apart, and a wide one is its whole key.
 	{"zhukov", "zhukov жуков"}, {"tokyo tower", "tokyo 東京 tower"}, {"bold b", "bold 𝐁 b"},
 	{"ϿϿϿ ab", "ϿЀϿ ab"}, {"zhukov жуков", "zhukov жукова"},
+	// Values of more wide trigrams than appendTrigrams gathers on the stack.
+	{"жуков георгий константинович", "георгий константинович жуков маршал советского союза"},
+	{"zhukov георгий константинович маршал", "zhukov георгий константинович маршал советского союза"},
 	// Digit tokens are identifiers: disagreeing ones withhold the fuzzy
 	// measures, agreeing ones do not.
 	{"sensor unit 0033", "sensor unit 0054"}, {"sensor unit 0033", "sensr unit 0033"},

@@ -228,7 +228,7 @@ func TestIndexMatchesReference(t *testing.T) {
 		}
 		rows.Add(&model.Entity{ID: e.ID, Key: e.Key, Source: e.Source, Attrs: row})
 	}
-	x := NewExchange(Config{})
+	x := NewExchange(BlockingToken, false)
 	digests := make([]Digest, n)
 	for i := range digests {
 		d := Digest{Source: "d", Key: fmt.Sprintf("d%d", i)}

@@ -186,7 +186,7 @@ func TestPrepareAllocBudget(t *testing.T) {
 	// The exchange: a digest of another shard's entity re-mentioning an
 	// indexed name, against the digests of the whole fixture: 0 objects on
 	// go1.24/linux/amd64.
-	x := NewExchange(Config{})
+	x := NewExchange(BlockingToken, false)
 	x.AddBatch(0, f.res.DigestsSince(0, 0))
 	digests := make([]Digest, runs+1)
 	for i := range digests {

@@ -19,7 +19,6 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
-	"unsafe"
 )
 
 // Normalize lower-cases, trims, and collapses non-alphanumeric runs into
@@ -192,38 +191,31 @@ func (w *window) narrowKey() uint32 {
 // the high one first. The narrow keys come first, sorted and duplicate-free,
 // then the wide trigrams, sorted by their exact keys and duplicate-free, so
 // comparing two members of either part is comparing integers. A narrow
-// trigram never equals a wide one. Empty text has no trigrams.
+// trigram never equals a wide one. Empty text has no trigrams. The wide keys
+// are gathered in a buffer on the stack, which a text of more than
+// len(wbuf) wide trigrams outgrows to the heap.
 func appendTrigrams(dst []uint32, text string) ([]uint32, int) {
 	if text == "" {
 		return dst, 0
 	}
-	lo := len(dst)
-	dst = appendTris(dst, text, false)
-	dst = dst[:lo+len(sortedUnique(dst[lo:]))]
-	mid := len(dst)
-	if dst = appendTris(dst, text, true); len(dst) > mid {
-		pairs := unsafe.Slice((*[2]uint32)(unsafe.Pointer(&dst[mid])), (len(dst)-mid)/2)
-		slices.SortFunc(pairs, func(x, y [2]uint32) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
-		dst = dst[:mid+2*len(slices.Compact(pairs))]
-	}
-	return dst, mid - lo
-}
-
-// appendTris appends to dst, in text order, the wide trigrams of the padded
-// text as word pairs when wide is set, and its narrow keys otherwise.
-func appendTris(dst []uint32, text string, wide bool) []uint32 {
+	var wbuf [32]uint64
+	lo, wide := len(dst), wbuf[:0]
 	w := window{key: padding}
 	for _, s := range [2]string{text, "  "} {
 		for _, r := range s {
-			switch w.push(r); {
-			case w.wide == 0 && !wide:
+			if w.push(r); w.wide == 0 {
 				dst = append(dst, w.narrowKey())
-			case w.wide != 0 && wide:
-				dst = append(dst, uint32(w.key>>32), uint32(w.key))
+			} else {
+				wide = append(wide, w.key)
 			}
 		}
 	}
-	return dst
+	dst = dst[:lo+len(sortedUnique(dst[lo:]))]
+	mid := len(dst)
+	for _, k := range sortedUnique(wide) {
+		dst = append(dst, uint32(k>>32), uint32(k))
+	}
+	return dst, mid - lo
 }
 
 // trigramWords is how many words appendTrigrams appends for text before it
@@ -333,6 +325,9 @@ func (v *attrVal) trigrams() int { return int(v.narrow) + (len(v.tris)-int(v.nar
 // not even every wide trigram of the smaller wide set could make up need.
 func trigramIntersection(a, b *attrVal, need int) int {
 	wa, wb := a.tris[a.narrow:], b.tris[b.narrow:]
+	if len(wa) == 0 || len(wb) == 0 {
+		return intersection(a.tris[:a.narrow], b.tris[:b.narrow], need)
+	}
 	wide := min(len(wa), len(wb)) / 2
 	n := intersection(a.tris[:a.narrow], b.tris[:b.narrow], need-wide)
 	if n+wide < need {
@@ -342,23 +337,23 @@ func trigramIntersection(a, b *attrVal, need int) int {
 }
 
 // wideIntersection is intersection over two runs of wide trigrams, each
-// trigram a pair of words whose high word comes first.
+// trigram a pair of words whose high word comes first. It counts in words
+// the elements left, against twice need.
 func wideIntersection(a, b []uint32, need int) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := uint64(a[i])<<32|uint64(a[i+1]), uint64(b[j])<<32|uint64(b[j+1])
+	n, need2 := 0, 2*need
+	for len(a) >= 2 && len(b) >= 2 {
+		x, y := uint64(a[0])<<32|uint64(a[1]), uint64(b[0])<<32|uint64(b[1])
 		switch {
 		case x == y:
 			n++
-			i += 2
-			j += 2
+			a, b = a[2:], b[2:]
 			continue
 		case x < y:
-			i += 2
+			a = a[2:]
 		default:
-			j += 2
+			b = b[2:]
 		}
-		if n+min(len(a)-i, len(b)-j)/2 < need {
+		if 2*n+min(len(a), len(b)) < need2 {
 			return n
 		}
 	}

@@ -355,7 +355,7 @@ func (r *Router) exchangeLocked() error {
 			return fmt.Errorf("shard %d (%s): er digests: %w", i, r.addrs[i], err)
 		}
 		if r.exch == nil {
-			r.blocking, r.exch = batch.Settings.Blocking, er.NewExchange(batch.Settings)
+			r.blocking, r.exch = batch.Settings.Blocking, er.NewExchange(batch.Settings.Blocking, false)
 		} else if got := batch.Settings.Blocking; got != r.blocking {
 			return &SettingsError{Shard: i, Addr: r.addrs[i], Got: got, Want: r.blocking}
 		}
