@@ -248,9 +248,11 @@ func (c *Client) IngestBatch(ctx context.Context, src scdb.Source, batchSize int
 }
 
 // IngestDelivery is IngestBatch of a delivery in engine form, as the shard
-// router forwards each shard its part of one: the stream's frames are
-// byte for byte those IngestBatch writes for the same delivery in public
-// form. d's maps are only read.
+// router forwards each shard its part of one: each arrival's fields go out
+// in their order (server.EncodeV2Arrivals), so for fields sorted by name,
+// as every maker of an arrival writes them, the stream's frames are byte
+// for byte those IngestBatch writes for the same delivery in public form.
+// d is only read.
 func (c *Client) IngestDelivery(ctx context.Context, d curate.Delivery, batchSize int) (*IngestSummary, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultIngestBatch

@@ -170,28 +170,39 @@ func (db *DB) IngestCtx(ctx context.Context, src Source) error {
 }
 
 // IngestDelivery is IngestCtx of a delivery already in engine form, as the
-// service layer decodes one off the wire: each entity's attribute map
-// becomes its stored row, so the caller hands the maps over and never
-// touches them again. Application code delivers through Ingest.
+// service layer decodes one off the wire: each entity's attributes are a
+// run of fields, which the engine reads once to make the entity's stored
+// row, so the caller hands the delivery over and never touches it again.
+// Application code delivers through Ingest.
 func (db *DB) IngestDelivery(ctx context.Context, d curate.Delivery) error {
 	return db.inner.IngestCtx(ctx, d)
 }
 
 // toDelivery converts a public source into the engine's delivery. Each
-// entity's attributes are converted straight into a map with room for the
-// stored row's own two columns: the engine adds them, and that map is the
-// row it stores.
+// entity's attributes become fields sorted by name, every entity's carved
+// from one array; the engine makes each entity's stored row from them.
 func toDelivery(src Source) (curate.Delivery, error) {
 	if src.Name == "" {
 		return curate.Delivery{}, fmt.Errorf("scdb: source needs a name")
 	}
 	d := curate.Delivery{Source: src.Name, Texts: src.Texts, Entities: make([]curate.Arrival, len(src.Entities))}
+	n := 0
+	for _, e := range src.Entities {
+		n += len(e.Attrs)
+	}
+	slab := make([]curate.Field, n)
 	for i, e := range src.Entities {
-		attrs, err := toRecord(e.Attrs, 2)
-		if err != nil {
-			return curate.Delivery{}, fmt.Errorf("scdb: entity %q: %w", e.Key, err)
+		fields := slab[:0:len(e.Attrs)]
+		slab = slab[len(e.Attrs):]
+		for k, v := range e.Attrs {
+			mv, err := toValue(v)
+			if err != nil {
+				return curate.Delivery{}, fmt.Errorf("scdb: entity %q: attribute %q: %w", e.Key, k, err)
+			}
+			fields = append(fields, curate.Field{Name: k, Value: mv})
 		}
-		d.Entities[i] = curate.Arrival{Key: e.Key, Types: e.Types, Attrs: attrs}
+		curate.SortFields(fields)
+		d.Entities[i] = curate.Arrival{Key: e.Key, Types: e.Types, Fields: fields}
 	}
 	for _, l := range src.Links {
 		var lit model.Value
@@ -376,7 +387,7 @@ func (db *DB) Begin(level IsolationLevel) *Tx {
 // Insert buffers a row; the returned ID is final and remains valid after
 // commit.
 func (tx *Tx) Insert(table string, rec Record) (uint64, error) {
-	r, err := toRecord(rec, 0)
+	r, err := toRecord(rec)
 	if err != nil {
 		return 0, err
 	}
@@ -386,7 +397,7 @@ func (tx *Tx) Insert(table string, rec Record) (uint64, error) {
 
 // Update buffers an overwrite.
 func (tx *Tx) Update(table string, id uint64, rec Record) error {
-	r, err := toRecord(rec, 0)
+	r, err := toRecord(rec)
 	if err != nil {
 		return err
 	}

@@ -32,7 +32,7 @@ type Completion struct {
 // named table (FS.7): the k most similar rows vote on each missing value.
 // If want is non-empty only those attributes are completed.
 func (db *DB) Complete(table string, example Record, want []string, k int) (Completion, error) {
-	rec, err := toRecord(example, 0)
+	rec, err := toRecord(example)
 	if err != nil {
 		return Completion{}, err
 	}

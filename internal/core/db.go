@@ -361,14 +361,14 @@ func (db *DB) answerVersion() uint64 {
 // curation). A cached answer is valid at its version (answerVersion), which
 // every change a delivery makes moves once it is visible.
 //
-// Ingest borrows ds: each entity's attributes are copied into a row of
+// Ingest borrows ds: each entity's attributes are copied into fields of
 // the engine's own (curate.NewDelivery), so the dataset is never written.
 func (db *DB) Ingest(ds datagen.Dataset) error {
 	return db.IngestCtx(context.Background(), curate.NewDelivery(ds))
 }
 
-// IngestCtx is Ingest of a delivery whose attribute maps the engine owns
-// from here on: each becomes its entity's stored row (curate.Arrival).
+// IngestCtx is Ingest of a delivery the engine owns from here on: the
+// pipeline makes each arrival's stored row of its fields (curate.Arrival).
 // When ctx carries an obs trace (a TRACE-style ingest request, or the
 // debug tooling), the curation pipeline attaches per-stage spans —
 // decode, batch install with WAL fsync wait, relation/ER, integration,

@@ -113,3 +113,43 @@ func TestIngestStateEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestRowOfTakesOwnColumns: the row Ingest makes of an arrival holds its
+// fields, the last value of a repeated name, and _key and _types, and its
+// map takes the two columns without growing: making the row of an untyped
+// arrival costs what a map made with room for its fields and both columns,
+// and holding them all, costs, at every width around a map group's.
+func TestRowOfTakesOwnColumns(t *testing.T) {
+	a := Arrival{Key: "k", Types: []string{"Drug"}, Fields: []Field{
+		{"name", model.String("first")}, {"city", model.String("Oslo")}, {"name", model.String("last")},
+	}}
+	row := rowOf(a)
+	str := func(v model.Value) string { s, _ := v.AsString(); return s }
+	if len(row) != 4 || str(row["name"]) != "last" || str(row["city"]) != "Oslo" || str(row[model.KeyAttr]) != "k" {
+		t.Errorf("row %v, want name last, city Oslo and _key k", row)
+	}
+	if l, _ := row[model.TypesAttr].AsList(); len(l) != 1 || str(l[0]) != "Drug" {
+		t.Errorf("_types = %v, want [Drug]", row[model.TypesAttr])
+	}
+	for n := 0; n <= 17; n++ {
+		a := Arrival{Key: "k"}
+		for i := range n {
+			a.Fields = append(a.Fields, Field{fmt.Sprint("a", i), model.Int(int64(i))})
+		}
+		got := testing.AllocsPerRun(20, func() { rowSink = rowOf(a) })
+		want := testing.AllocsPerRun(20, func() {
+			m := make(model.Record, len(a.Fields)+2)
+			for _, f := range a.Fields {
+				m[f.Name] = f.Value
+			}
+			m[model.KeyAttr], m[model.TypesAttr] = model.String(a.Key), model.Null()
+			rowSink = m
+		})
+		if got != want {
+			t.Errorf("%d fields: the row costs %.0f objects, a map made for it %.0f", n, got, want)
+		}
+	}
+}
+
+// rowSink keeps the rows TestRowOfTakesOwnColumns makes on the heap.
+var rowSink model.Record

@@ -3,8 +3,10 @@ package curate
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,11 +84,11 @@ type Pipeline struct {
 
 	mu sync.Mutex // serializes curation passes; guards all fields below
 
-	// attrIndex maps normalized attribute values to entity IDs, per
-	// indexed attribute, for link discovery and mention grounding.
-	attrIndex map[string][]model.EntityID
-	pending   []pendingLink
-	stats     Stats
+	// attrs maps normalized attribute values to entity IDs, for link
+	// discovery and mention grounding.
+	attrs   textIndex
+	pending []pendingLink
+	stats   Stats
 
 	// Replay bookkeeping (see rebuild.go).
 	seenSources map[string]bool
@@ -131,7 +133,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		rules:       cfg.LinkRules,
 		workers:     workers,
 		chunk:       ingestChunk,
-		attrIndex:   map[string][]model.EntityID{},
+		attrs:       textIndex{first: map[string]model.EntityID{}, more: map[string][]model.EntityID{}},
 		seenSources: map[string]bool{},
 	}, nil
 }
@@ -172,17 +174,17 @@ const ingestChunk = 1024
 var ErrInvalidDelivery = errors.New("curate: invalid delivery")
 
 // CheckEntity is the per-entity rule of a delivery: an entity has a key,
-// and none of its attributes is named like one of the stored row's own
-// columns (model.IsRowColumn: _key, _types). The pipeline's validation and
-// the router, which checks each arrival before it splits a delivery, both
-// call it before anything is written.
-func CheckEntity(source, key string, attrs model.Record) error {
+// and none of its fields is named like one of the stored row's own columns
+// (model.IsRowColumn: _key, _types). The pipeline's validation and the
+// router, which checks each arrival before it splits a delivery, both call
+// it before anything is written.
+func CheckEntity(source, key string, fields []Field) error {
 	if key == "" {
 		return fmt.Errorf("%w: entity without a key in %s", ErrInvalidDelivery, source)
 	}
-	for name := range attrs {
-		if model.IsRowColumn(name) {
-			return fmt.Errorf("%w: entity %q in %s names the reserved attribute %q", ErrInvalidDelivery, key, source, name)
+	for _, f := range fields {
+		if model.IsRowColumn(f.Name) {
+			return fmt.Errorf("%w: entity %q in %s names the reserved attribute %q", ErrInvalidDelivery, key, source, f.Name)
 		}
 	}
 	return nil
@@ -197,30 +199,63 @@ type Delivery struct {
 	Texts []string
 }
 
-// Arrival is one entity of a delivery. Its Attrs map is the pipeline's
-// from Ingest on: Ingest adds the stored row's own columns, _key and
-// _types, to it, and that map is the row storage keeps and the graph
-// borrows. A map made with room for len(attrs)+2 entries takes both
-// without growing.
+// Arrival is one entity of a delivery as it crosses the wire and the
+// router: its key, its asserted types and its attributes as a run of
+// fields in delivery order. It is not a row yet. Ingest makes each
+// arrival's stored row, a map with room for the row's own columns _key and
+// _types, keeping the last value of a name the run repeats; that map is
+// the row storage keeps and the graph borrows. Ingest only reads the
+// fields, which may share one array with other arrivals'. Every maker of
+// an arrival (NewDelivery, the facade) writes its fields sorted by name,
+// each name once, so the wire encoder writes the frame the public encoder
+// writes for the same entity.
 type Arrival struct {
-	Key   string
-	Types []string
-	Attrs model.Record
+	Key    string
+	Types  []string
+	Fields []Field
 }
 
-// NewDelivery is a delivery of a dataset its caller keeps: each entity's
-// attributes are copied into a map of the pipeline's own, so ingesting the
-// delivery never writes the dataset.
+// Field is one attribute of an arrival: a name and its value.
+type Field struct {
+	Name  string
+	Value model.Value
+}
+
+// SortFields orders an arrival's fields by name, the order the wire
+// encoder writes an attribute map in.
+func SortFields(fields []Field) {
+	slices.SortFunc(fields, func(a, b Field) int { return strings.Compare(a.Name, b.Name) })
+}
+
+// NewDelivery is a delivery of a dataset its caller keeps: every entity's
+// attributes are copied into fields of the delivery's own, carved from one
+// array, so ingesting the delivery never writes the dataset.
 func NewDelivery(ds datagen.Dataset) Delivery {
 	d := Delivery{Source: ds.Source, Entities: make([]Arrival, len(ds.Entities)), Links: ds.Links, Texts: ds.Texts}
+	n := 0
+	for _, spec := range ds.Entities {
+		n += len(spec.Attrs)
+	}
+	slab := make([]Field, n)
 	for i, spec := range ds.Entities {
-		attrs := make(model.Record, len(spec.Attrs)+2)
+		fields := slab[:0:len(spec.Attrs)]
+		slab = slab[len(spec.Attrs):]
 		for name, v := range spec.Attrs {
-			attrs[name] = v
+			fields = append(fields, Field{name, v})
 		}
-		d.Entities[i] = Arrival{Key: spec.Key, Types: spec.Types, Attrs: attrs}
+		SortFields(fields)
+		d.Entities[i] = Arrival{Key: spec.Key, Types: spec.Types, Fields: fields}
 	}
 	return d
+}
+
+// arrival is an entity the relate stage takes: its key, its types and its
+// stored row. Ingest makes one of each Arrival (rowOf); RebuildFromStore
+// makes one of each scanned row, which it hands over as it is.
+type arrival struct {
+	key   string
+	types []string
+	attrs model.Record
 }
 
 // validate checks a delivery against what Ingest and RebuildFromStore
@@ -228,7 +263,7 @@ func NewDelivery(ds datagen.Dataset) Delivery {
 // p.mu.
 func (p *Pipeline) validate(d Delivery) error {
 	for _, a := range d.Entities {
-		if err := CheckEntity(d.Source, a.Key, a.Attrs); err != nil {
+		if err := CheckEntity(d.Source, a.Key, a.Fields); err != nil {
 			return err
 		}
 	}
@@ -262,24 +297,30 @@ func (p *Pipeline) validate(d Delivery) error {
 	return nil
 }
 
-// addRowColumns makes an arrival's attributes its instance-layer row:
-// _key and the asserted types join them, so the relation layer is
-// rebuildable from the row alone.
-func addRowColumns(a Arrival) model.Record {
-	a.Attrs[model.KeyAttr] = model.String(a.Key)
+// rowOf makes an arrival its instance-layer row, the one place a stored
+// row is made from an arrival: its fields in order, so the last value of a
+// repeated name is kept, then _key and the asserted types, so the relation
+// layer is rebuildable from the row alone. The map is made with room for
+// those two, so adding them never grows it.
+func rowOf(a Arrival) model.Record {
+	attrs := make(model.Record, len(a.Fields)+2)
+	for _, f := range a.Fields {
+		attrs[f.Name] = f.Value
+	}
+	attrs[model.KeyAttr] = model.String(a.Key)
 	if len(a.Types) > 0 {
 		tvals := make([]model.Value, len(a.Types))
 		for i, t := range a.Types {
 			tvals[i] = model.String(t)
 		}
-		a.Attrs[model.TypesAttr] = model.List(tvals...)
+		attrs[model.TypesAttr] = model.List(tvals...)
 	}
-	return a.Attrs
+	return attrs
 }
 
 // Ingest runs the curation pass for one source delivery, a chunk of
 // records at a time: each chunk's arrivals become their stored rows
-// (addRowColumns, in the arrivals' own maps), land in the instance layer
+// (rowOf), land in the instance layer
 // through one batch write, and are related (relateChunk); then the
 // delivery's links and texts are integrated and the touched entities
 // re-inferred. Every order-sensitive step — storage row IDs, graph
@@ -316,9 +357,10 @@ func (p *Pipeline) Ingest(d Delivery, tr *obs.Trace) error {
 	for chunk := range slices.Chunk(d.Entities, p.chunk) {
 		chunks++
 		start := time.Now()
-		recs := make([]model.Record, len(chunk))
+		rows, recs := make([]arrival, len(chunk)), make([]model.Record, len(chunk))
 		for i, a := range chunk {
-			recs[i] = addRowColumns(a)
+			recs[i] = rowOf(a)
+			rows[i] = arrival{a.Key, a.Types, recs[i]}
 		}
 		decodeDur += time.Since(start)
 
@@ -332,7 +374,7 @@ func (p *Pipeline) Ingest(d Delivery, tr *obs.Trace) error {
 		installDur += time.Since(start)
 
 		start = time.Now()
-		block, score, err := p.relateChunk(d.Source, chunk, &touched)
+		block, score, err := p.relateChunk(d.Source, rows, &touched)
 		if err != nil {
 			return err
 		}
@@ -387,7 +429,7 @@ func (p *Pipeline) Ingest(d Delivery, tr *obs.Trace) error {
 }
 
 // relateChunk is the relation stage of one chunk of one source's arrivals,
-// for live ingest and RebuildFromStore alike. Each arrival's Attrs is its
+// for live ingest and RebuildFromStore alike. Each arrival's attrs is its
 // stored row: the graph entity and the store hold one map. Candidate
 // generation and pair scoring (Prepare) only read the resolver's committed
 // state, so they fan out across p.workers, the calling goroutine among
@@ -396,7 +438,7 @@ func (p *Pipeline) Ingest(d Delivery, tr *obs.Trace) error {
 // preparing a chunk against the state before it finds what a
 // record-at-a-time pass would. It returns the chunk's blocking and scoring
 // busy time.
-func (p *Pipeline) relateChunk(source string, chunk []Arrival, touched *[]model.EntityID) (block, score time.Duration, err error) {
+func (p *Pipeline) relateChunk(source string, chunk []arrival, touched *[]model.EntityID) (block, score time.Duration, err error) {
 	preps := make([]*er.Prepared, len(chunk))
 	var next atomic.Int64
 	prepare := func() {
@@ -426,8 +468,8 @@ func (p *Pipeline) relateChunk(source string, chunk []Arrival, touched *[]model.
 
 // entity is the graph entity an arrival delivers, before it has an ID,
 // its attributes the arrival's stored row.
-func entity(source string, a Arrival) *model.Entity {
-	return &model.Entity{Key: a.Key, Source: source, Types: a.Types, Attrs: a.Attrs, Confidence: 1}
+func entity(source string, a arrival) *model.Entity {
+	return &model.Entity{Key: a.key, Source: source, Types: a.types, Attrs: a.attrs, Confidence: 1}
 }
 
 // relatePrepared is the order-sensitive half of the relation layer for
@@ -438,18 +480,18 @@ func entity(source string, a Arrival) *model.Entity {
 // the graph — a re-delivered key merges attributes into the existing
 // entity, so the record is re-scored serially from the resolved entity,
 // exactly as a serial pass would, and prep goes back unused.
-func (p *Pipeline) relatePrepared(source string, a Arrival, prep *er.Prepared, touched *[]model.EntityID) error {
-	_, existed := p.graph.FindByKey(source, a.Key)
+func (p *Pipeline) relatePrepared(source string, a arrival, prep *er.Prepared, touched *[]model.EntityID) error {
+	_, existed := p.graph.FindByKey(source, a.key)
 	id := p.graph.AddEntity(entity(source, a))
 	p.stats.Entities++
 	*touched = append(*touched, id)
-	p.indexNorms(id, a.Attrs, prep.Attrs())
+	p.indexNorms(id, a.attrs, prep.Attrs())
 
 	var matches []er.Match
 	if existed {
 		prep.Release()
 		resolved, _ := p.graph.Entity(id)
-		matches = p.resolver.Add(&model.Entity{ID: id, Key: a.Key, Source: source, Attrs: resolved.Attrs, Types: resolved.Types})
+		matches = p.resolver.Add(&model.Entity{ID: id, Key: a.key, Source: source, Attrs: resolved.Attrs, Types: resolved.Types})
 	} else {
 		matches = p.resolver.Commit(prep, id)
 	}
@@ -569,7 +611,7 @@ func (p *Pipeline) retryPending(touched *[]model.EntityID) {
 // canonical entities) resolves to the first by ID for determinism.
 func (p *Pipeline) findTarget(rule LinkRule, val string) model.EntityID {
 	best := model.NoEntity
-	for _, id := range p.attrIndex[val] {
+	for id := range p.attrs.ids(val) {
 		id = p.graph.Resolve(id)
 		e, ok := p.graph.Entity(id)
 		if !ok {
@@ -587,13 +629,9 @@ func (p *Pipeline) findTarget(rule LinkRule, val string) model.EntityID {
 
 // lookupValue grounds an extracted mention to an entity.
 func (p *Pipeline) lookupValue(text string) model.EntityID {
-	ids := p.attrIndex[er.Normalize(text)]
-	if len(ids) == 0 {
-		return model.NoEntity
-	}
-	best := p.graph.Resolve(ids[0])
-	for _, id := range ids[1:] {
-		if r := p.graph.Resolve(id); r < best {
+	best := model.NoEntity
+	for id := range p.attrs.ids(er.Normalize(text)) {
+		if r := p.graph.Resolve(id); best == model.NoEntity || r < best {
 			best = r
 		}
 	}
@@ -619,7 +657,39 @@ func (p *Pipeline) indexNorms(id model.EntityID, attrs model.Record, norms er.At
 		if !ok {
 			continue // the text of a number or a time is not looked up
 		}
-		p.attrIndex[at.Text] = append(p.attrIndex[at.Text], id)
+		p.attrs.add(at.Text, id)
 		p.gaz.Add(at.Text, raw, concept)
+	}
+}
+
+// textIndex maps a normalized text to the entities indexed under it, in
+// the order they were. Most texts name one entity, kept inline in first;
+// more holds the later ones of a text that several share, so a text costs
+// no slice of its own until a second entity holds it.
+type textIndex struct {
+	first map[string]model.EntityID
+	more  map[string][]model.EntityID
+}
+
+func (x *textIndex) add(text string, id model.EntityID) {
+	if _, ok := x.first[text]; !ok {
+		x.first[text] = id
+		return
+	}
+	x.more[text] = append(x.more[text], id)
+}
+
+// ids yields the entities indexed under text, in the order they were.
+func (x *textIndex) ids(text string) iter.Seq[model.EntityID] {
+	return func(yield func(model.EntityID) bool) {
+		id, ok := x.first[text]
+		if !ok || !yield(id) {
+			return
+		}
+		for _, id := range x.more[text] {
+			if !yield(id) {
+				return
+			}
+		}
 	}
 }

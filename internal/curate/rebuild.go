@@ -133,17 +133,17 @@ func (p *Pipeline) RebuildFromStore() error {
 		}
 		// A row is its entity's attributes as it is: the graph borrows it,
 		// as it does a live arrival's.
-		var arrivals []Arrival
+		var arrivals []arrival
 		tb.Scan(func(_ storage.RowID, rec model.Record) bool {
 			key, ok := rec.Get(model.KeyAttr).AsString()
 			if !ok || key == "" {
 				return true // transactional rows are instance-only
 			}
-			a := Arrival{Key: key, Attrs: rec}
+			a := arrival{key: key, attrs: rec}
 			if l, ok := rec.Get(model.TypesAttr).AsList(); ok {
 				for _, tv := range l {
 					if s, ok := tv.AsString(); ok {
-						a.Types = append(a.Types, s)
+						a.types = append(a.types, s)
 					}
 				}
 			}

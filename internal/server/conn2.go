@@ -468,15 +468,65 @@ func (s *Server) admitV2(req *v2req, op string, traced bool, timeoutMS int64) (c
 
 // dispatchV2 runs one decoded request frame and writes its response
 // frames. It returns the error code (empty on success), a detail string
-// for the slow-op log, and the error message for the op metrics.
+// for the slow-op log, and the error message for the op metrics. A query
+// runs here; an ingest stream and the control-plane ops run in methods of
+// their own, so a query's stack frame holds a query's locals only.
 func (s *Server) dispatchV2(req *v2req) (code, detail, errMsg string) {
-	vc, f := req.vc, req.f
-	fail := func(code, msg string) (string, string, string) {
-		vc.writeError(f.ID, code, msg)
-		return code, detail, msg
+	switch req.f.Op {
+	case V2OpQuery:
+	case V2OpIngestBatch:
+		return s.ingestV2(req)
+	default:
+		return s.controlV2(req)
 	}
-	// Control-plane ops answer before admission: they must stay responsive
-	// while the data plane is saturated.
+	vc, f := req.vc, req.f
+	q, timeoutMS, err := DecodeV2Query(f.Payload)
+	if err != nil {
+		return req.fail(CodeBadRequest, "", err.Error())
+	}
+	detail = q
+	ctx, _, _, err := s.admitV2(req, OpQuery, isTraceStmt(q), timeoutMS)
+	if err != nil {
+		c, msg := errorCode(err)
+		return req.fail(c, detail, msg)
+	}
+	defer s.admit.release()
+
+	cols, info, err := s.cfg.DB.QueryBatchesCtx(ctx, q, req)
+	if req.werr != nil {
+		// The connection died mid-stream; there is nobody to answer.
+		return CodeCanceled, detail, "client stopped reading mid-stream"
+	}
+	// The final frame goes into the held-back batch's encoder, after the
+	// batch, so a small query costs a single write.
+	e := req.held
+	if e == nil {
+		e = GetV2Enc()
+	}
+	defer e.Release()
+	if err != nil {
+		// The held-back batch is dropped: the client discards any rows
+		// it already received once the error frame lands.
+		c, msg := errorCode(err)
+		return req.fail(c, detail, msg)
+	}
+	if vc.write(EncodeV2QueryResult(e, f.ID, cols, &info)) != nil {
+		return CodeCanceled, detail, "client gone before result"
+	}
+	return "", detail, ""
+}
+
+// fail answers the request with an error frame and returns what
+// dispatchV2 returns for it.
+func (r *v2req) fail(code, detail, msg string) (string, string, string) {
+	r.vc.writeError(r.f.ID, code, msg)
+	return code, detail, msg
+}
+
+// controlV2 runs a control-plane op. Control-plane ops answer before
+// admission: they must stay responsive while the data plane is saturated.
+func (s *Server) controlV2(req *v2req) (code, detail, errMsg string) {
+	vc, f := req.vc, req.f
 	switch f.Op {
 	case V2OpPing:
 		e := GetV2Enc()
@@ -490,120 +540,82 @@ func (s *Server) dispatchV2(req *v2req) (code, detail, errMsg string) {
 		return s.handleReplSubscribe(vc, f, req)
 	case V2OpERDigests:
 		if s.node == nil {
-			return fail(CodeBadRequest, "backend has no local resolver to export ER digests from")
+			return req.fail(CodeBadRequest, "", "backend has no local resolver to export ER digests from")
 		}
 		entsSince, matchesSince, err := DecodeV2ERDigests(f.Payload)
 		if err != nil {
-			return fail(CodeBadRequest, err.Error())
+			return req.fail(CodeBadRequest, "", err.Error())
 		}
 		batch := s.node.ERDigests(entsSince, matchesSince)
 		e := GetV2Enc()
 		vc.write(EncodeV2DigestsResult(e, f.ID, &batch))
 		e.Release()
 		return "", "", ""
-	case V2OpQuery, V2OpIngestBatch:
-		// Fall through to the admitted path below.
-	default:
-		return fail(CodeBadRequest, fmt.Sprintf("unknown op 0x%02x", f.Op))
 	}
+	return req.fail(CodeBadRequest, "", fmt.Sprintf("unknown op 0x%02x", f.Op))
+}
 
-	switch f.Op {
-	case V2OpQuery:
-		q, timeoutMS, err := DecodeV2Query(f.Payload)
-		if err != nil {
-			return fail(CodeBadRequest, err.Error())
-		}
-		detail = q
-		ctx, _, _, err := s.admitV2(req, OpQuery, isTraceStmt(q), timeoutMS)
-		if err != nil {
-			c, msg := errorCode(err)
-			return fail(c, msg)
-		}
-		defer s.admit.release()
-
-		cols, info, err := s.cfg.DB.QueryBatchesCtx(ctx, q, req)
-		if req.werr != nil {
-			// The connection died mid-stream; there is nobody to answer.
-			return CodeCanceled, detail, "client stopped reading mid-stream"
-		}
-		// The final frame goes into the held-back batch's encoder, after the
-		// batch, so a small query costs a single write.
-		e := req.held
-		if e == nil {
-			e = GetV2Enc()
-		}
-		defer e.Release()
-		if err != nil {
-			// The held-back batch is dropped: the client discards any rows
-			// it already received once the error frame lands.
-			c, msg := errorCode(err)
-			return fail(c, msg)
-		}
-		if vc.write(EncodeV2QueryResult(e, f.ID, cols, &info)) != nil {
-			return CodeCanceled, detail, "client gone before result"
-		}
-		return "", detail, ""
-
-	case V2OpIngestBatch:
-		name, timeoutMS, trace, err := DecodeV2IngestBatchHeader(f.Payload)
-		if err != nil {
-			return fail(CodeBadRequest, err.Error())
-		}
-		detail = "source:" + name
-		ctx, tr, root, err := s.admitV2(req, OpIngestBatch, trace, timeoutMS)
-		if err != nil {
-			c, msg := errorCode(err)
-			return fail(c, msg)
-		}
-		defer s.admit.release()
-		if name == "" {
-			return fail(CodeBadRequest, "ingest_batch without source name")
-		}
-		// An early failure needs no drain loop: the reader owns the socket
-		// and discards chunks addressed to a finished request.
-		var sum IngestSummary
-		start := time.Now()
-		for {
-			var msg v2chunk
-			select {
-			case msg = <-req.chunks:
-			case <-ctx.Done():
-				c, emsg := errorCode(ctx.Err())
-				return fail(c, emsg)
-			}
-			if msg.err != nil {
-				return fail(CodeBadRequest, msg.err.Error())
-			}
-			d := msg.d
-			// A stream that ends having installed nothing still delivers
-			// once: an empty delivery registers the source and creates its
-			// table, as an embedded Ingest of the same source does.
-			if len(d.Entities) > 0 || len(d.Links) > 0 || len(d.Texts) > 0 || msg.done && sum.Batches == 0 {
-				d.Source = name
-				bStart := time.Now()
-				if err := s.cfg.DB.IngestDelivery(ctx, d); err != nil {
-					c, msg := errorCode(err)
-					return fail(c, msg)
-				}
-				s.metrics.observeIngest(len(d.Entities), time.Since(bStart))
-				sum.Batches++
-				sum.Rows += len(d.Entities)
-			}
-			if msg.done {
-				break
-			}
-		}
-		elapsed := time.Since(start)
-		sum.ElapsedUS = elapsed.Microseconds()
-		if sec := elapsed.Seconds(); sec > 0 {
-			sum.RowsPerSec = float64(sum.Rows) / sec
-		}
-		root.End()
-		sum.CSN = s.cfg.DB.CSN()
-		e := GetV2Enc()
-		vc.write(EncodeV2IngestResult(e, f.ID, sum, traceJSON(tr), sum.CSN))
-		e.Release()
-		return "", detail, ""
+// ingestV2 runs an ingest stream: the header frame, then its chunks as the
+// reader routes them, each curated as it arrives.
+func (s *Server) ingestV2(req *v2req) (code, detail, errMsg string) {
+	vc, f := req.vc, req.f
+	name, timeoutMS, trace, err := DecodeV2IngestBatchHeader(f.Payload)
+	if err != nil {
+		return req.fail(CodeBadRequest, "", err.Error())
 	}
-	return fail(CodeBadRequest, "unreachable")
+	detail = "source:" + name
+	ctx, tr, root, err := s.admitV2(req, OpIngestBatch, trace, timeoutMS)
+	if err != nil {
+		c, msg := errorCode(err)
+		return req.fail(c, detail, msg)
+	}
+	defer s.admit.release()
+	if name == "" {
+		return req.fail(CodeBadRequest, detail, "ingest_batch without source name")
+	}
+	// An early failure needs no drain loop: the reader owns the socket
+	// and discards chunks addressed to a finished request.
+	var sum IngestSummary
+	start := time.Now()
+	for {
+		var msg v2chunk
+		select {
+		case msg = <-req.chunks:
+		case <-ctx.Done():
+			c, emsg := errorCode(ctx.Err())
+			return req.fail(c, detail, emsg)
+		}
+		if msg.err != nil {
+			return req.fail(CodeBadRequest, detail, msg.err.Error())
+		}
+		d := msg.d
+		// A stream that ends having installed nothing still delivers
+		// once: an empty delivery registers the source and creates its
+		// table, as an embedded Ingest of the same source does.
+		if len(d.Entities) > 0 || len(d.Links) > 0 || len(d.Texts) > 0 || msg.done && sum.Batches == 0 {
+			d.Source = name
+			bStart := time.Now()
+			if err := s.cfg.DB.IngestDelivery(ctx, d); err != nil {
+				c, msg := errorCode(err)
+				return req.fail(c, detail, msg)
+			}
+			s.metrics.observeIngest(len(d.Entities), time.Since(bStart))
+			sum.Batches++
+			sum.Rows += len(d.Entities)
+		}
+		if msg.done {
+			break
+		}
+	}
+	elapsed := time.Since(start)
+	sum.ElapsedUS = elapsed.Microseconds()
+	if sec := elapsed.Seconds(); sec > 0 {
+		sum.RowsPerSec = float64(sum.Rows) / sec
+	}
+	root.End()
+	sum.CSN = s.cfg.DB.CSN()
+	e := GetV2Enc()
+	vc.write(EncodeV2IngestResult(e, f.ID, sum, traceJSON(tr), sum.CSN))
+	e.Release()
+	return "", detail, ""
 }

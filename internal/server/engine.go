@@ -26,8 +26,10 @@ type Engine interface {
 	// own) and its info back by value, so neither costs the request an object.
 	QueryBatchesCtx(ctx context.Context, q string, sink query.BatchSink) ([]string, scdb.QueryInfo, error)
 	// IngestDelivery curates one delivery as the stream decoded it
-	// (DecodeV2Arrivals): its attribute maps are the backend's from here
-	// on.
+	// (DecodeV2Arrivals), each arrival a run of fields in frame order: a
+	// node makes each arrival's stored row of them, a router splits the
+	// arrivals among its shards and writes their fields out again. The
+	// delivery is the backend's from here on.
 	IngestDelivery(ctx context.Context, d curate.Delivery) error
 	// Registry is the node's self-description, which FROM sys.<name>
 	// reads; the server registers its own instruments and tables into it.

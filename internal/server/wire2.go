@@ -913,31 +913,47 @@ func DecodeV2ERDigests(payload []byte) (entsSince, matchesSince int, err error) 
 	return entsSince, matchesSince, nil
 }
 
-// entity writes one entity of an ingest chunk: its key, its types and its
-// attributes in key order, each value through val. The public chunk and the
-// arrival chunk both write through it, so one entity is the same bytes
-// either way. keys is the caller's scratch for the sorted names.
-func entity[V any](e *V2Enc, keys []string, key string, types []string, attrs map[string]V, val func(*V2Enc, V) error) ([]string, error) {
-	e.str(key)
-	e.uvarint(uint64(len(types)))
-	for _, t := range types {
-		e.str(t)
-	}
-	e.uvarint(uint64(len(attrs)))
+// entity writes one entity of an ingest chunk in public form: its key, its
+// types and its attributes in key order, as an arrival whose fields are
+// sorted by name (curate.Arrival) writes them. keys is the caller's scratch
+// for the sorted names.
+func (e *V2Enc) entity(keys []string, ent scdb.Entity) ([]string, error) {
+	e.str(ent.Key)
+	e.types(ent.Types)
+	e.uvarint(uint64(len(ent.Attrs)))
 	// Maps iterate in random order; sort keys so identical inputs
 	// produce identical frames (tests and the fuzz corpus rely on it).
 	keys = keys[:0]
-	for k := range attrs {
+	for k := range ent.Attrs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
 		e.str(k)
-		if err := val(e, attrs[k]); err != nil {
-			return keys, fmt.Errorf("entity %q attr %q: %w", key, k, err)
+		if err := e.valueAny(ent.Attrs[k]); err != nil {
+			return keys, fmt.Errorf("entity %q attr %q: %w", ent.Key, k, err)
 		}
 	}
 	return keys, nil
+}
+
+// arrival writes one entity of an ingest chunk in engine form: its key,
+// its types and its fields in their order.
+func (e *V2Enc) arrival(a curate.Arrival) {
+	e.str(a.Key)
+	e.types(a.Types)
+	e.uvarint(uint64(len(a.Fields)))
+	for _, f := range a.Fields {
+		e.str(f.Name)
+		e.valueModel(f.Value)
+	}
+}
+
+func (e *V2Enc) types(types []string) {
+	e.uvarint(uint64(len(types)))
+	for _, t := range types {
+		e.str(t)
+	}
 }
 
 // link writes one link of an ingest chunk; its literal, through val, only
@@ -955,7 +971,7 @@ func link[V any](e *V2Enc, from, pred, to string, lit V, conf float64, val func(
 	return nil
 }
 
-// writeModel is valueModel as an entity or link value writer.
+// writeModel is valueModel as a link value writer.
 func writeModel(e *V2Enc, v model.Value) error {
 	e.valueModel(v)
 	return nil
@@ -965,7 +981,7 @@ func (e *V2Enc) entities(ents []scdb.Entity) (err error) {
 	e.uvarint(uint64(len(ents)))
 	var keys []string
 	for _, ent := range ents {
-		if keys, err = entity(e, keys, ent.Key, ent.Types, ent.Attrs, (*V2Enc).valueAny); err != nil {
+		if keys, err = e.entity(keys, ent); err != nil {
 			return err
 		}
 	}
@@ -982,15 +998,12 @@ func (e *V2Enc) links(links []scdb.Link) error {
 	return nil
 }
 
-// arrivals writes a delivery's entities and links as entities and links
-// write their public forms.
-func (e *V2Enc) arrivals(d curate.Delivery) (err error) {
+// arrivals writes a delivery's entities, each with its fields in their
+// order, and its links as links writes their public forms.
+func (e *V2Enc) arrivals(d curate.Delivery) error {
 	e.uvarint(uint64(len(d.Entities)))
-	var keys []string
 	for _, a := range d.Entities {
-		if keys, err = entity(e, keys, a.Key, a.Types, a.Attrs, writeModel); err != nil {
-			return err
-		}
+		e.arrival(a)
 	}
 	e.uvarint(uint64(len(d.Links)))
 	for _, l := range d.Links {
@@ -1009,15 +1022,19 @@ func (e *V2Enc) texts(texts []string) {
 }
 
 // arrivals decodes an ingest frame's entities and links in the form a
-// delivery owns them: each entity's attribute map is made with room for
-// the stored row's own two columns, _key and _types, and becomes its
-// stored row; every value is an engine value (modelValue), decoded once.
+// delivery owns them: each entity's attributes are a run of fields in
+// frame order, every value an engine value (modelValue) decoded once. The
+// entities' fields and types are carved from arrays the frame shares, so
+// a frame of entities alike costs a constant number of objects whatever
+// its length; no attribute map is made (the pipeline makes the row).
 func (d *v2Dec) arrivals() (ents []curate.Arrival, links []datagen.LinkSpec, err error) {
 	n, err := d.items()
 	if err != nil {
 		return nil, nil, err
 	}
 	ents = make([]curate.Arrival, n)
+	var fields []curate.Field
+	var types []string
 	for i := range ents {
 		a := &ents[i]
 		if a.Key, err = d.str(); err != nil {
@@ -1028,7 +1045,7 @@ func (d *v2Dec) arrivals() (ents []curate.Arrival, links []datagen.LinkSpec, err
 			return nil, nil, err
 		}
 		if nt > 0 {
-			a.Types = make([]string, nt)
+			a.Types = carve(&types, nt, n-i, len(d.b))
 			for j := range a.Types {
 				if a.Types[j], err = d.str(); err != nil {
 					return nil, nil, err
@@ -1039,14 +1056,16 @@ func (d *v2Dec) arrivals() (ents []curate.Arrival, links []datagen.LinkSpec, err
 		if err != nil {
 			return nil, nil, err
 		}
-		a.Attrs = make(model.Record, na+2)
-		for j := 0; j < na; j++ {
-			k, err := d.str()
-			if err != nil {
-				return nil, nil, err
-			}
-			if a.Attrs[k], err = d.kindValue(); err != nil {
-				return nil, nil, err
+		if na > 0 {
+			a.Fields = carve(&fields, na, n-i, len(d.b)/2)
+			for j := range a.Fields {
+				f := &a.Fields[j]
+				if f.Name, err = d.str(); err != nil {
+					return nil, nil, err
+				}
+				if f.Value, err = d.kindValue(); err != nil {
+					return nil, nil, err
+				}
 			}
 		}
 	}
@@ -1076,6 +1095,20 @@ func (d *v2Dec) arrivals() (ents []curate.Arrival, links []datagen.LinkSpec, err
 		}
 	}
 	return ents, links, nil
+}
+
+// carve takes the next k items of *slab, with cap k, for the first of the
+// left entities still to decode. A slab too short for them is replaced by
+// one sized for every entity left at k items each, at most limit (the
+// items the rest of the frame can hold), so a frame whose entities are
+// alike fills one slab.
+func carve[T any](slab *[]T, k, left, limit int) []T {
+	if cap(*slab)-len(*slab) < k {
+		*slab = make([]T, 0, max(min(k*left, limit), k))
+	}
+	s := *slab
+	*slab = s[:len(s)+k]
+	return s[len(s) : len(s)+k : len(s)+k]
 }
 
 // items reads the count of a list whose every item costs at least one
@@ -1177,9 +1210,12 @@ func EncodeV2IngestChunk(e *V2Enc, id uint32, chunk V2Chunk) ([]byte, error) {
 }
 
 // EncodeV2Arrivals builds one chunk frame of an ingest stream from a
-// delivery in engine form, byte for byte the frame EncodeV2IngestChunk
-// builds from the same delivery in public form. d.Source is the stream's,
-// not the chunk's, and is not written.
+// delivery in engine form, each arrival's fields in their order: byte for
+// byte the frame EncodeV2IngestChunk builds from the same delivery in
+// public form when every arrival's fields are sorted by name, each name
+// once, as every maker of an arrival writes them. A run decoded off
+// another peer's frame goes out as it came. d.Source is the stream's, not
+// the chunk's, and is not written.
 func EncodeV2Arrivals(e *V2Enc, id uint32, d curate.Delivery, done bool) ([]byte, error) {
 	if done {
 		e.u8(1)
@@ -1195,8 +1231,9 @@ func EncodeV2Arrivals(e *V2Enc, id uint32, d curate.Delivery, done bool) ([]byte
 
 // DecodeV2Arrivals parses one chunk frame straight into the delivery the
 // curation pipeline takes, its Source left for the stream to name: the
-// one ingest chunk decoder. Each entity's attribute map becomes its stored
-// row, and nothing aliases the payload.
+// one ingest chunk decoder. Each entity's attributes are a run of fields
+// in frame order, from which the pipeline makes its stored row, and
+// nothing aliases the payload.
 func DecodeV2Arrivals(payload []byte) (d curate.Delivery, done bool, err error) {
 	dec, err := newV2Dec(payload, nil)
 	if err != nil {
@@ -1225,10 +1262,10 @@ func DecodeV2IngestChunk(payload []byte) (V2Chunk, error) {
 	c := V2Chunk{Entities: make([]scdb.Entity, len(d.Entities)), Texts: d.Texts, Done: done}
 	for i, a := range d.Entities {
 		c.Entities[i] = scdb.Entity{Key: a.Key, Types: a.Types}
-		if len(a.Attrs) > 0 {
-			attrs := make(scdb.Record, len(a.Attrs))
-			for k, v := range a.Attrs {
-				attrs[k] = scdb.FromValue(v)
+		if len(a.Fields) > 0 {
+			attrs := make(scdb.Record, len(a.Fields))
+			for _, f := range a.Fields {
+				attrs[f.Name] = scdb.FromValue(f.Value)
 			}
 			c.Entities[i].Attrs = attrs
 		}

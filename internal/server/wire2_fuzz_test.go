@@ -2,11 +2,14 @@ package server_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"scdb/internal/curate"
+	"scdb/internal/datagen"
 	"scdb/internal/model"
 	"scdb/internal/server"
 )
@@ -22,6 +25,14 @@ import (
 func FuzzWireV2(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x06, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01})
+	for _, frame := range awkwardChunks(f) {
+		f.Add(frame)
+		pf, err := server.ReadV2Frame(bytes.NewReader(frame), 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(pf.Payload)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Frame layer: read frames until the stream errors or drains.
 		r := bytes.NewReader(data)
@@ -68,15 +79,62 @@ func FuzzWireV2(f *testing.F) {
 	})
 }
 
+// awkwardChunks are chunk frames no maker writes but a peer may send: an
+// entity's fields out of name order and one name given twice, typed and
+// untyped entities, a value of every kind, a link and a text; then the
+// same chunk with a reserved name after the repeated one.
+func awkwardChunks(tb testing.TB) [][]byte {
+	when := time.Date(2026, 5, 6, 7, 8, 9, 10, time.UTC)
+	d := curate.Delivery{
+		Links: []datagen.LinkSpec{{FromKey: "k-0", Predicate: "peer", ToKey: "k-1", Confidence: 0.5}},
+		Texts: []string{"k-0 is a peer of k-1"},
+	}
+	for i := range 2 {
+		a := curate.Arrival{Key: fmt.Sprint("k-", i), Fields: []curate.Field{
+			{Name: "zeta", Value: model.String("z")},
+			{Name: "name", Value: model.String("first")},
+			{Name: "int", Value: model.Int(-3)},
+			{Name: "float", Value: model.Float(0.25)},
+			{Name: "bool", Value: model.Bool(true)},
+			{Name: "time", Value: model.Time(when)},
+			{Name: "bytes", Value: model.Bytes([]byte{0, 0xff})},
+			{Name: "list", Value: model.List(model.String("x"), model.Int(1))},
+			{Name: "ref", Value: model.Ref(100)},
+			{Name: "null", Value: model.Null()},
+			{Name: "name", Value: model.String("last")},
+		}}
+		if i == 1 {
+			a.Types = []string{"Thing", "Other"}
+		}
+		d.Entities = append(d.Entities, a)
+	}
+	var out [][]byte
+	for _, reserved := range []bool{false, true} {
+		if reserved {
+			last := &d.Entities[1]
+			last.Fields = append(last.Fields, curate.Field{Name: model.TypesAttr, Value: model.String("Drug")})
+		}
+		e := server.GetV2Enc()
+		frame, err := server.EncodeV2Arrivals(e, 3, d, true)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, bytes.Clone(frame))
+		e.Release()
+	}
+	return out
+}
+
 // sameArrivals compares two decoded chunks by their entities' keys, types
-// and binary row encodings, and their links and texts.
+// and fields, name for name and value encoding for value encoding in
+// order, and their links and texts.
 func sameArrivals(a, b curate.Delivery) bool {
 	if len(a.Entities) != len(b.Entities) || len(a.Links) != len(b.Links) || !slices.Equal(a.Texts, b.Texts) {
 		return false
 	}
 	for i, x := range a.Entities {
 		y := b.Entities[i]
-		if x.Key != y.Key || !slices.Equal(x.Types, y.Types) || !bytes.Equal(model.AppendRecord(nil, x.Attrs), model.AppendRecord(nil, y.Attrs)) {
+		if x.Key != y.Key || !slices.Equal(x.Types, y.Types) || !slices.EqualFunc(x.Fields, y.Fields, sameField) {
 			return false
 		}
 	}
@@ -89,4 +147,8 @@ func sameArrivals(a, b curate.Delivery) bool {
 		}
 	}
 	return true
+}
+
+func sameField(a, b curate.Field) bool {
+	return a.Name == b.Name && bytes.Equal(model.AppendValue(nil, a.Value), model.AppendValue(nil, b.Value))
 }

@@ -20,6 +20,12 @@ func ingestChunkPayload(t testing.TB, n int, attrs func(i int) scdb.Record) []by
 	for i := range ents {
 		ents[i] = scdb.Entity{Key: fmt.Sprintf("k-%06d", i), Attrs: attrs(i)}
 	}
+	return chunkPayload(t, ents)
+}
+
+// chunkPayload encodes a chunk of ents and returns the frame's payload.
+func chunkPayload(t testing.TB, ents []scdb.Entity) []byte {
+	t.Helper()
 	e := server.GetV2Enc()
 	defer e.Release()
 	frame, err := server.EncodeV2IngestChunk(e, 1, server.V2Chunk{Entities: ents})
@@ -44,14 +50,15 @@ func stringAttrs(w int) func(i int) scdb.Record {
 	}
 }
 
-// TestDecodeIngestChunkAllocs: the row decoder makes each entity's
-// attribute map, with room for the stored row's own two columns, and
-// nothing per cell, so decoding 200 entities costs a constant per entity:
-// six string attributes cost what two do, and integers and floats what
-// strings do. A frame adds its intern table and its entity array.
+// TestDecodeIngestChunkAllocs: the chunk decoder makes no attribute map and
+// nothing per cell or per entity: a frame costs its intern table, its
+// entity array and the one array its entities' fields are carved from, so
+// decoding 200 entities costs what decoding 2,000 does, six string
+// attributes what two do, integers and floats what strings do, and typed
+// entities one array more. It cost 403 objects for 200 entities, about 2
+// an entity, while each entity decoded into an attribute map.
 func TestDecodeIngestChunkAllocs(t *testing.T) {
-	const n = 200
-	decode := func(payload []byte) float64 {
+	decode := func(n int, payload []byte) float64 {
 		return testing.AllocsPerRun(20, func() {
 			d, _, err := server.DecodeV2Arrivals(payload)
 			if err != nil || len(d.Entities) != n {
@@ -59,18 +66,39 @@ func TestDecodeIngestChunkAllocs(t *testing.T) {
 			}
 		})
 	}
-	two := decode(ingestChunkPayload(t, n, stringAttrs(2)))
-	six := decode(ingestChunkPayload(t, n, stringAttrs(6)))
-	mixed := decode(ingestChunkPayload(t, n, func(i int) scdb.Record {
+	mixed := func(i int) scdb.Record {
 		return scdb.Record{"name": fmt.Sprint("n", i), "qty": int64(i), "price": float64(i) / 4}
-	}))
-	t.Logf("decode of %d entities: %.0f objects with 2 string attributes, %.0f with 6, %.0f with string, int and float", n, two, six, mixed)
-	if six != two || mixed != two {
-		t.Errorf("6 string attributes cost %.0f objects, 3 of three kinds %.0f, 2 strings %.0f: a per-cell term is back", six, mixed, two)
 	}
-	if perEntity := two / n; perEntity > 2.05 {
-		t.Errorf("decode allocates %.2f objects per entity, want at most 2.05 (an attribute map, nothing per cell)", perEntity)
+	two := decode(200, ingestChunkPayload(t, 200, stringAttrs(2)))
+	t.Logf("decode of 200 entities with 2 string attributes: %.0f objects", two)
+	if two > 4 {
+		t.Errorf("a frame of 200 entities costs %.0f objects, want at most 4 (its intern table, entity array and field array)", two)
 	}
+	for _, n := range []int{200, 2000} {
+		for name, payload := range map[string][]byte{
+			"2 strings": ingestChunkPayload(t, n, stringAttrs(2)),
+			"6 strings": ingestChunkPayload(t, n, stringAttrs(6)),
+			"3 kinds":   ingestChunkPayload(t, n, mixed),
+		} {
+			if got := decode(n, payload); got != two {
+				t.Errorf("%d entities of %s cost %.0f objects, 200 of 2 strings %.0f: a per-entity or per-cell term is back", n, name, got, two)
+			}
+		}
+		if got := decode(n, typedChunkPayload(t, n)); got != two+1 {
+			t.Errorf("%d typed entities cost %.0f objects, want %.0f: their types are one array", n, got, two+1)
+		}
+	}
+}
+
+// typedChunkPayload is ingestChunkPayload of n entities of two types and
+// two string attributes each.
+func typedChunkPayload(t testing.TB, n int) []byte {
+	t.Helper()
+	ents := make([]scdb.Entity, n)
+	for i := range ents {
+		ents[i] = scdb.Entity{Key: fmt.Sprintf("k-%06d", i), Types: []string{"Thing", "Other"}, Attrs: stringAttrs(2)(i)}
+	}
+	return chunkPayload(t, ents)
 }
 
 // TestDecodeIngestChunkCells: a cell from a slab is the value an ordinary

@@ -69,13 +69,17 @@ func mentionStream(seed int64, n, per int) []scdb.Source {
 // to a server-fronted router over 3 durable shards, the benchmark's two
 // ingest topologies, after a warm-up that gives the resolvers blocks worth
 // searching. Every side of every wire counts. A chunk decodes straight
-// into the rows the delivery owns (server.DecodeV2Arrivals), and the
-// router forwards each shard its part from those rows, so no entity
-// becomes a public record on the way: a delivery costs 687 objects through
-// one server and 1,284 through the router (go1.24/linux/amd64), and the
-// budgets are a tenth over, rounded up. At commit d8ff1ee, when each chunk
-// decoded into public records that the facade converted back, the same
-// deliveries cost 1,090 and 1,695. The assertion is off under -race,
+// into a delivery whose arrivals are runs of fields
+// (server.DecodeV2Arrivals), the router splits those arrivals among the
+// shards and writes their fields out again, and only the node that stores
+// an entity makes its row, so no entity becomes a public record on the
+// way and the router makes no attribute map: a delivery costs 487 objects
+// through one server and 642 through the router (go1.24/linux/amd64), and
+// the budgets are a tenth over, rounded up. At commit 053cab6, while each
+// chunk decoded into attribute maps and the attribute index made a slice
+// for every new text, the same deliveries cost 687 and 1,284; at commit
+// d8ff1ee, when each chunk decoded into public records that the facade
+// converted back, 1,090 and 1,695. The assertion is off under -race,
 // whose pool drops encoders.
 func TestWireDeliveryAllocBudget(t *testing.T) {
 	if testing.Short() {
@@ -95,8 +99,8 @@ func TestWireDeliveryAllocBudget(t *testing.T) {
 		c              *client.Client
 		budget, parent float64
 	}{
-		{"one server", one, 760, 1090},
-		{"3-shard router", routed, 1420, 1695},
+		{"one server", one, 540, 1090},
+		{"3-shard router", routed, 710, 1695},
 	} {
 		stream := mentionStream(7, warm+runs+1, per)
 		for _, src := range stream[:warm] {

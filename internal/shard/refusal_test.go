@@ -8,6 +8,9 @@ import (
 
 	"scdb"
 	"scdb/client"
+	"scdb/internal/curate"
+	"scdb/internal/datagen"
+	"scdb/internal/model"
 	"scdb/internal/server"
 	"scdb/internal/shard"
 )
@@ -101,6 +104,36 @@ func TestRouterRefusesBadEntityBeforeFanOut(t *testing.T) {
 	}
 	if got, want := render(rows), "name\nn0\nn1\nn2\n"; got != want {
 		t.Errorf("SELECT name FROM probe = %q, want %q", got, want)
+	}
+}
+
+// TestRouterRefusesAwkwardChunkBeforeFanOut: a chunk whose fields are out of
+// order and repeat a name (awkwardDelivery), handed to the router as its
+// server decodes the chunk, is still refused whole before any shard
+// receives a part when one entity names a reserved attribute after its
+// repeated name or a link crosses shards: no shard gains a row or a table.
+func TestRouterRefusesAwkwardChunkBeforeFanOut(t *testing.T) {
+	c := newTestCluster(t, 3)
+	ctx := context.Background()
+	keys := keyOnEachShard("W", 3)
+	reserved := awkwardDelivery()
+	last := &reserved.Entities[len(reserved.Entities)-1]
+	last.Fields = append(last.Fields, curate.Field{Name: "_types", Value: model.String("Drug")})
+	crossing := awkwardDelivery()
+	crossing.Links = []datagen.LinkSpec{{FromKey: keys[0], Predicate: "peer", ToKey: keys[1], Confidence: 1}}
+	before := shardTables(t, c.shards)
+	for name, d := range map[string]curate.Delivery{"a reserved name": reserved, "a cross-shard link": crossing} {
+		err := deliverArrivals(ctx, c.router, d)
+		if err == nil {
+			t.Errorf("%s: the router accepted the delivery", name)
+		} else if name == "a reserved name" && !errors.Is(err, scdb.ErrInvalidDelivery) {
+			t.Errorf("%s: err = %v, want ErrInvalidDelivery", name, err)
+		}
+		for i, got := range shardTables(t, c.shards) {
+			if got != before[i] {
+				t.Errorf("%s: shard %d's tables moved\n--- now ---\n%s--- was ---\n%s", name, i, got, before[i])
+			}
+		}
 	}
 }
 

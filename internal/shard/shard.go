@@ -274,9 +274,11 @@ func (r *Router) CSN() uint64 {
 // IngestDelivery splits one delivery by entity key and streams each part
 // to its shard through the chunked ingest path, then runs one cross-shard
 // ER exchange round over the shards' new digests. The delivery comes as
-// the router's server decoded it off the wire, in engine form, and each
-// part goes out as the frames a public IngestBatch of it would write
-// (client.IngestDelivery): no entity becomes a public record on the way.
+// the router's server decoded it off the wire, in engine form, each
+// arrival a run of fields; each part goes out as the frames a public
+// IngestBatch of it would write (client.IngestDelivery). The router makes
+// no entity a public record or an attribute map on the way: only the
+// shard that stores an arrival makes its row.
 //
 // Every shard receives a delivery even when its split is empty: an empty
 // delivery still registers the source and creates its table, so scatter
@@ -296,20 +298,18 @@ func (r *Router) CSN() uint64 {
 // owning shard's graph to tell, so that refusal stays the shard's, and the
 // shards that accepted their parts keep them.
 func (r *Router) IngestDelivery(ctx context.Context, d curate.Delivery) error {
-	n := len(r.shards)
-	parts := make([]curate.Delivery, n)
-	for i := range parts {
-		parts[i].Source = d.Source
-	}
 	if len(d.Texts) > 0 {
 		return fmt.Errorf("shard: texts cannot be routed by entity key; deliver them to one shard directly")
 	}
+	n := len(r.shards)
+	// Each shard's arrivals are counted first and its part carved from
+	// one array, so no part grows; an arrival's fields are only read.
+	counts := make([]int, n)
 	for _, a := range d.Entities {
-		if err := curate.CheckEntity(d.Source, a.Key, a.Attrs); err != nil {
+		if err := curate.CheckEntity(d.Source, a.Key, a.Fields); err != nil {
 			return err
 		}
-		s := ShardOf(a.Key, n)
-		parts[s].Entities = append(parts[s].Entities, a)
+		counts[ShardOf(a.Key, n)]++
 	}
 	for _, l := range d.Links {
 		s := ShardOf(l.FromKey, n)
@@ -321,7 +321,20 @@ func (r *Router) IngestDelivery(ctx context.Context, d curate.Delivery) error {
 			return fmt.Errorf("%w: link %s-[%s] names entity %d, an id local to one node; link by key instead",
 				curate.ErrInvalidDelivery, l.FromKey, l.Predicate, id)
 		}
-		parts[s].Links = append(parts[s].Links, l)
+	}
+	parts := make([]curate.Delivery, n)
+	ents := make([]curate.Arrival, len(d.Entities))
+	for i := range parts {
+		parts[i].Source = d.Source
+		parts[i].Entities, ents = ents[:0:counts[i]], ents[counts[i]:]
+	}
+	for _, a := range d.Entities {
+		p := &parts[ShardOf(a.Key, n)]
+		p.Entities = append(p.Entities, a)
+	}
+	for _, l := range d.Links {
+		p := &parts[ShardOf(l.FromKey, n)]
+		p.Links = append(p.Links, l)
 	}
 
 	r.mu.Lock()

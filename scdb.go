@@ -280,10 +280,9 @@ func fillColumn[T box.Cell](out [][]any, rows [][]model.Value, c int, s box.Slab
 	}
 }
 
-// toRecord converts a public record into a map with room for extra more
-// attributes.
-func toRecord(r Record, extra int) (model.Record, error) {
-	out := make(model.Record, len(r)+extra)
+// toRecord converts a public record into an engine record.
+func toRecord(r Record) (model.Record, error) {
+	out := make(model.Record, len(r))
 	for k, v := range r {
 		mv, err := toValue(v)
 		if err != nil {

@@ -101,7 +101,7 @@ func TestValueConversionRoundTrip(t *testing.T) {
 		"bytes": []byte{1, 2},
 		"list":  []any{1, "a"},
 	}
-	mr, err := toRecord(rec, 0)
+	mr, err := toRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package scdb_test
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -53,19 +52,6 @@ func everyKind() scdb.Source {
 	src.Links = append(src.Links, scdb.Link{FromKey: "k-1", Predicate: "peer", ToKey: "k-2", Confidence: 1})
 	src.Texts = []string{"k-1 is a peer of k-2"}
 	return src
-}
-
-// addRowColumns adds the stored row's own two columns to every entity's
-// map, as the pipeline does, and returns the objects that took.
-func addRowColumns(d curate.Delivery) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, a := range d.Entities {
-		a.Attrs[model.KeyAttr] = model.String(a.Key)
-		a.Attrs[model.TypesAttr] = model.Null()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }
 
 // chunkFrame is the frame the public encoder writes for src, whole.
@@ -120,9 +106,9 @@ func TestArrivalFramesMatchPublicFrames(t *testing.T) {
 
 // TestArrivalDecoderMatchesToDelivery: the one chunk decoder yields, for
 // every kind, exactly the delivery the facade builds from the public
-// entities (ToDelivery), and each attribute map takes the row's own two
-// columns as the facade's does; nothing it returns aliases the frame,
-// which is scribbled over before the comparison.
+// entities (ToDelivery), field for field in the same order; nothing it
+// returns aliases the frame, which is scribbled over before the
+// comparison.
 func TestArrivalDecoderMatchesToDelivery(t *testing.T) {
 	src := everyKind()
 	want, err := scdb.ToDelivery(src)
@@ -152,15 +138,9 @@ func TestArrivalDecoderMatchesToDelivery(t *testing.T) {
 		if a.Key != w.Key || fmt.Sprint(a.Types) != fmt.Sprint(w.Types) || (a.Types == nil) != (w.Types == nil) {
 			t.Errorf("entity %d: key %q types %q, want %q %q", i, a.Key, a.Types, w.Key, w.Types)
 		}
-		if g, w := model.AppendRecord(nil, a.Attrs), model.AppendRecord(nil, w.Attrs); !bytes.Equal(g, w) {
-			t.Errorf("entity %q: attributes %x, want %x", a.Key, g, w)
+		if g, w := fieldBytes(a.Fields), fieldBytes(w.Fields); !bytes.Equal(g, w) {
+			t.Errorf("entity %q: fields %x, want %x", a.Key, g, w)
 		}
-	}
-	// The maps take the stored row's own columns as the facade's do: a
-	// map with attributes without growing, an empty one in its first
-	// group.
-	if g, w := addRowColumns(got), addRowColumns(want); g != w {
-		t.Errorf("the decoded maps allocated %d objects to take the row's own columns, the facade's %d", g, w)
 	}
 	if len(got.Links) != len(want.Links) {
 		t.Fatalf("%d links, want %d", len(got.Links), len(want.Links))
@@ -172,4 +152,14 @@ func TestArrivalDecoderMatchesToDelivery(t *testing.T) {
 			t.Errorf("link %d: %+v, want %+v", i, l, w)
 		}
 	}
+}
+
+// fieldBytes renders a run of fields in order, each name and the binary
+// encoding of its value.
+func fieldBytes(fields []curate.Field) []byte {
+	var b []byte
+	for _, f := range fields {
+		b = model.AppendValue(append(append(b, f.Name...), 0), f.Value)
+	}
+	return b
 }
