@@ -131,3 +131,22 @@ func TestDecodeIngestChunkCells(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodedArrivalsOwnTheirRoom: an arrival's fields and types are
+// carved from arrays the frame's entities share, each capped at its own
+// length, so appending to one arrival's copies it and never writes the
+// next arrival's.
+func TestDecodedArrivalsOwnTheirRoom(t *testing.T) {
+	d, _, err := server.DecodeV2Arrivals(typedChunkPayload(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, next := &d.Entities[0], d.Entities[1]
+	name, typ := next.Fields[0].Name, next.Types[0]
+	first.Fields = append(first.Fields, first.Fields[0])
+	first.Types = append(first.Types, "Intruder")
+	if next.Fields[0].Name != name || next.Types[0] != typ {
+		t.Errorf("appending to the first arrival wrote the next: its first field %q (was %q), first type %q (was %q)",
+			next.Fields[0].Name, name, next.Types[0], typ)
+	}
+}
