@@ -320,10 +320,10 @@ func rowOf(a Arrival) model.Record {
 
 // Ingest runs the curation pass for one source delivery, a chunk of
 // records at a time: each chunk's arrivals become their stored rows
-// (rowOf), land in the instance layer
-// through one batch write, and are related (relateChunk); then the
-// delivery's links and texts are integrated and the touched entities
-// re-inferred. Every order-sensitive step — storage row IDs, graph
+// (rowOf), land in the instance layer through one batch write, and are
+// related (relateChunk); then the delivery's links and texts are
+// integrated and the touched entities re-inferred. The decode span times
+// the rows' making. Every order-sensitive step — storage row IDs, graph
 // insertion, incremental ER — runs in record order, so the state does not
 // depend on the chunk size or the worker count (the differential tests pin
 // this). tr, when non-nil, receives one span per
